@@ -74,9 +74,9 @@ func BenchmarkTable1Anomalies(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fixtures {
-			core.CheckSSER(f.H)
-			core.CheckSER(f.H)
-			core.CheckSI(f.H)
+			coreCheck(f.H, core.SSER, core.Options{})
+			coreCheck(f.H, core.SER, core.Options{})
+			coreCheck(f.H, core.SI, core.Options{})
 		}
 	}
 }
@@ -87,7 +87,7 @@ func BenchmarkFig7MTCSERVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckSER(serHist).OK {
+		if !coreCheck(serHist, core.SER, core.Options{}).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkFig8MTCSIVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckSI(siHist).OK {
+		if !coreCheck(siHist, core.SI, core.Options{}).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkFig10EndToEndMTC(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, Dist: workload.Uniform, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		core.CheckSER(h)
+		coreCheck(h, core.SER, core.Options{})
 	}
 }
 
@@ -203,7 +203,7 @@ func BenchmarkTable2BugDetection(b *testing.B) {
 			Sessions: 8, Txns: 60, Objects: 3, Dist: workload.Exponential, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		core.CheckSI(h)
+		coreCheck(h, core.SI, core.Options{})
 	}
 }
 
@@ -216,7 +216,7 @@ func BenchmarkFig13MTCDetectionTrial(b *testing.B) {
 			Sessions: 8, Txns: 60, Objects: 10, Dist: workload.Exponential, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		core.CheckSER(h)
+		coreCheck(h, core.SER, core.Options{})
 	}
 }
 
@@ -250,7 +250,7 @@ func BenchmarkFig17EndToEndMTCSI(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, Dist: workload.Uniform, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		core.CheckSI(h)
+		coreCheck(h, core.SI, core.Options{})
 	}
 }
 
@@ -273,7 +273,7 @@ func BenchmarkAblationSSERDenseRT(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CheckSSEROpt(timedHist, core.Options{SkipPreCheck: true})
+		coreCheck(timedHist, core.SSER, core.Options{SkipPreCheck: true})
 	}
 }
 
@@ -282,7 +282,7 @@ func BenchmarkAblationSSERSparseRT(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CheckSSEROpt(timedHist, core.Options{SkipPreCheck: true, SparseRT: true})
+		coreCheck(timedHist, core.SSER, core.Options{SkipPreCheck: true, SparseRT: true})
 	}
 }
 
@@ -321,7 +321,7 @@ func BenchmarkAblationUniqueValuesLinear(b *testing.B) {
 	h := history.SerialHistory(12, "x", "y")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CheckSER(h)
+		coreCheck(h, core.SER, core.Options{})
 	}
 }
 
@@ -403,14 +403,15 @@ func BenchmarkPrune(b *testing.B) {
 }
 
 // BenchmarkDenseRT measures the paper's Θ(n²) real-time enumeration
-// (CheckSSER's dominant cost) serial against the source-sharded pool.
+// (the dense SSER check's dominant cost) serial against the
+// source-sharded pool.
 func BenchmarkDenseRT(b *testing.B) {
 	setup()
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.CheckSSERCtx(context.Background(), timedHist,
-					core.Options{SkipPreCheck: true, Parallelism: par})
+				r, err := core.CheckCtx(context.Background(), history.NewIndex(timedHist),
+					core.SSER, core.Options{SkipPreCheck: true, Parallelism: par})
 				if err != nil || !r.OK {
 					b.Fatalf("valid history rejected: %v", err)
 				}

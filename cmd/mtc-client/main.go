@@ -151,47 +151,9 @@ func main() {
 		fatalf("job finished without a report")
 	}
 
-	if report.OK {
-		fmt.Printf("[%s] history satisfies %s (%d txns", report.Checker, report.Level, report.Txns)
-		if report.Edges > 0 {
-			fmt.Printf(", %d dependency edges", report.Edges)
-		}
-		fmt.Println(")")
-		printProfile(report)
-		return
-	}
-	fmt.Printf("[%s] history VIOLATES %s:\n", report.Checker, report.Level)
-	for _, a := range report.Anomalies {
-		fmt.Printf("  %s\n", a)
-	}
-	if report.Detail != "" {
-		fmt.Printf("  %s\n", report.Detail)
-	}
-	printProfile(report)
-	os.Exit(1)
-}
-
-// printProfile renders the lattice profile of a profile-checker report;
-// single-level reports carry no strongest level and print nothing extra.
-func printProfile(report *mtc.Report) {
-	if report.StrongestLevel == "" {
-		return
-	}
-	fmt.Printf("strongest level satisfied: %s\n", report.StrongestLevel)
-	for i := len(report.Rungs) - 1; i >= 0; i-- {
-		r := report.Rungs[i]
-		if r.OK {
-			fmt.Printf("  %-6s ok\n", r.Level)
-		} else {
-			fmt.Printf("  %-6s VIOLATED: %s\n", r.Level, r.Witness)
-		}
-	}
-	for _, g := range report.Guarantees {
-		if g.OK {
-			fmt.Printf("  %-6s ok\n", g.Guarantee)
-		} else {
-			fmt.Printf("  %-6s VIOLATED: %s\n", g.Guarantee, g.Witness)
-		}
+	fmt.Println(report.Explain())
+	if !report.OK {
+		os.Exit(1)
 	}
 }
 

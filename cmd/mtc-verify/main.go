@@ -1,12 +1,18 @@
 // Command mtc-verify checks a saved history file against an isolation
-// level using any of the implemented checkers.
+// level using any registered checker (mtc -checkers lists them). The
+// file's codec — JSON, text, NDJSON or MTCB, optionally gzipped — is
+// sniffed from its content.
 //
 // Examples:
 //
 //	mtc-verify -level SI history.json
-//	mtc-verify -level SER -checker cobra -format text history.txt
+//	mtc-verify -level SER -checker cobra history.txt
+//	mtc-verify -level ser -checker profile history.mtcb
 //	mtc-verify -level SI -stream -window 1024 capture.ndjson.gz
 //	mtc-verify -level SER -stream capture.mtcb
+//
+// Exit status: 0 the history satisfies the level, 1 it violates it,
+// 2 usage errors (unknown level or checker, unreadable file).
 package main
 
 import (
@@ -14,92 +20,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"mtc/internal/cobra"
+	"mtc/internal/checker"
 	"mtc/internal/core"
-	"mtc/internal/elle"
 	"mtc/internal/history"
-	"mtc/internal/polysi"
 )
 
 func main() {
 	var (
-		level   = flag.String("level", "SI", "isolation level: SSER, SER or SI")
-		checker = flag.String("checker", "mtc", "checker: mtc, cobra, polysi, elle-wr")
-		format  = flag.String("format", "json", "history file format: json or text")
-		stream  = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
-		window  = flag.Int("window", 0, "with -stream: compact the checker to this window (0 = unbounded, always exact; windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
+		level  = flag.String("level", "SI", "isolation level: SSER, SER, SI, CAUSAL, RA or RC (any case)")
+		engine = flag.String("checker", "mtc", "verification engine, by registry name")
+		stream = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
+		window = flag.Int("window", 0, "with -stream: compact the checker to this window (0 = unbounded, always exact; windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mtc-verify [-level L] [-checker C] [-stream [-window N]] <history-file>")
 		os.Exit(2)
 	}
+	lvl, err := checker.ParseLevel(*level)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	if *stream {
-		streamVerify(flag.Arg(0), core.Level(*level), *window)
+		streamVerify(flag.Arg(0), lvl, *window)
 		return
 	}
 
-	var (
-		h   *history.History
-		err error
-	)
-	switch *format {
-	case "json":
-		h, err = history.LoadFile(flag.Arg(0))
-	case "text":
-		var f *os.File
-		f, err = os.Open(flag.Arg(0))
-		if err == nil {
-			defer f.Close()
-			h, err = history.ReadText(f)
-		}
-	default:
-		fatalf("unknown format %q", *format)
-	}
+	h, err := history.LoadFile(flag.Arg(0))
 	if err != nil {
 		fatalf("load: %v", err)
 	}
-
-	lvl := core.Level(*level)
-	ok := false
-	switch *checker {
-	case "mtc":
-		r := core.Check(h, lvl)
-		fmt.Println(r.Explain())
-		ok = r.OK
-	case "cobra":
-		if lvl != core.SER {
-			fatalf("cobra checks SER only")
-		}
-		r := cobra.CheckSER(h)
-		fmt.Printf("cobra: OK=%v constraints=%d forced=%d residual=%d decisions=%d\n",
-			r.OK, r.Constraints, r.Forced, r.Residual, r.Solver.Decisions)
-		ok = r.OK
-	case "polysi":
-		if lvl != core.SI {
-			fatalf("polysi checks SI only")
-		}
-		r := polysi.CheckSI(h)
-		fmt.Printf("polysi: OK=%v constraints=%d forced=%d residual=%d decisions=%d\n",
-			r.OK, r.Constraints, r.Forced, r.Residual, r.Solver.Decisions)
-		ok = r.OK
-	case "elle-wr":
-		if lvl != core.SER && lvl != core.SI {
-			fatalf("elle-wr checks SER or SI")
-		}
-		r := elle.CheckRWRegister(h, elle.Level(lvl))
-		if r.OK {
-			fmt.Printf("elle-wr: history satisfies %s\n", lvl)
-		} else {
-			fmt.Printf("elle-wr: history VIOLATES %s: %s\n", lvl, r.Reason)
-		}
-		ok = r.OK
-	default:
-		fatalf("unknown checker %q", *checker)
+	name := *engine
+	if name == "mtc" && core.LatticeRank(lvl) < core.LatticeRank(core.SI) {
+		// The default engine serves the strong levels only; like cmd/mtc,
+		// route the weak lattice rungs to their dedicated checkers.
+		name = strings.ToLower(string(lvl))
 	}
-	if !ok {
+	rep, err := checker.Run(context.Background(), name, h, checker.Options{Level: lvl})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Println(rep.Explain())
+	if !rep.OK {
 		os.Exit(1)
 	}
 }

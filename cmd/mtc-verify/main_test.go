@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"mtc/internal/history"
+)
+
+// TestMain lets the tests run the real main(): a child process started
+// with MTC_VERIFY_MAIN=1 is the CLI, exit code and all.
+func TestMain(m *testing.M) {
+	if os.Getenv("MTC_VERIFY_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// run executes the CLI and returns its exit code and output streams.
+func run(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MTC_VERIFY_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return code, out.String(), errb.String()
+}
+
+func saved(t *testing.T, name string, h *history.History) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := history.SaveFile(path, h); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLevelsAndCheckersResolveThroughTheRegistry: levels parse in any
+// case, every registry engine is selectable, and caller mistakes exit 2
+// with the registry's message (-level ser used to panic).
+func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
+	clean := saved(t, "clean.mtcb", history.SerialHistory(30, "x", "y"))
+	skew := saved(t, "skew.txt", history.FixtureByName("WriteSkew").H)
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{"lower-case level, profile engine", []string{"-level", "ser", "-checker", "profile", clean}, 0, "[profile] history satisfies SER", ""},
+		{"weak level routes to its checker", []string{"-level", "RC", clean}, 0, "[rc] history satisfies RC", ""},
+		{"incremental engine", []string{"-level", "SI", "-checker", "mtc-incremental", clean}, 0, "[mtc-incremental] history satisfies SI", ""},
+		{"violation exits 1", []string{"-level", "SER", skew}, 1, "[mtc] history VIOLATES SER", ""},
+		{"unknown level", []string{"-level", "bogus", clean}, 2, "", "unknown isolation level"},
+		{"unknown checker", []string{"-checker", "mtc-sharded", clean}, 2, "", "unknown checker"},
+		{"unsupported level for the engine", []string{"-level", "SI", "-checker", "cobra", clean}, 2, "", "does not support level"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := run(t, tc.args...)
+			if code != tc.code || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {
+				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, tc.code, stdout, stderr)
+			}
+			if strings.Contains(stderr, "panic") {
+				t.Fatalf("the CLI panicked:\n%s", stderr)
+			}
+		})
+	}
+}

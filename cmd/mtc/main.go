@@ -34,7 +34,7 @@ import (
 	"mtc/internal/history"
 	"mtc/internal/kv"
 	"mtc/internal/runner"
-	"mtc/internal/shard"
+	_ "mtc/internal/shard" // links the driver behind -shard (checker.Options.Shard)
 	"mtc/internal/workload"
 )
 
@@ -167,9 +167,6 @@ func main() {
 		// lattice rungs route to their dedicated checkers.
 		name = strings.ToLower(string(claimed))
 	}
-	if *shardN > 0 {
-		name = shard.Name(name) // route through the component-sharded wrapper
-	}
 	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Parallelism: *parallelism, Window: *window, Shard: *shardN})
 	if err != nil {
 		fatalf("%v", err)
@@ -177,7 +174,7 @@ func main() {
 	if jsonReport {
 		emitJSONReport(v)
 	} else {
-		explain(v)
+		fmt.Println(v.Explain())
 	}
 	if !v.OK {
 		os.Exit(1)
@@ -208,60 +205,6 @@ func verifyContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 		return context.WithTimeout(context.Background(), timeout)
 	}
 	return context.WithCancel(context.Background())
-}
-
-// explain prints a verdict like core.Result.Explain for every engine.
-func explain(v checker.Report) {
-	if v.OK {
-		fmt.Printf("[%s] history satisfies %s (%d txns", v.Checker, v.Level, v.Txns)
-		if v.Edges > 0 {
-			fmt.Printf(", %d dependency edges", v.Edges)
-		}
-		fmt.Println(")")
-		if v.Detail != "" {
-			fmt.Printf("  %s\n", v.Detail)
-		}
-		explainProfile(v)
-		return
-	}
-	fmt.Printf("[%s] history VIOLATES %s:\n", v.Checker, v.Level)
-	const maxShown = 5
-	for i, a := range v.Anomalies {
-		if i == maxShown {
-			fmt.Printf("  ... and %d more anomalies\n", len(v.Anomalies)-maxShown)
-			break
-		}
-		fmt.Printf("  %s\n", a)
-	}
-	if v.Detail != "" {
-		fmt.Printf("  %s\n", v.Detail)
-	}
-	explainProfile(v)
-}
-
-// explainProfile renders the lattice profile carried by a profile-run
-// report: the strongest satisfied level, every rung with its breaking
-// witness, and the session guarantees. No-op for single-level reports.
-func explainProfile(v checker.Report) {
-	if v.StrongestLevel == "" {
-		return
-	}
-	fmt.Printf("strongest level satisfied: %s\n", v.StrongestLevel)
-	for i := len(v.Rungs) - 1; i >= 0; i-- {
-		r := v.Rungs[i]
-		if r.OK {
-			fmt.Printf("  %-6s ok\n", r.Level)
-		} else {
-			fmt.Printf("  %-6s VIOLATED: %s\n", r.Level, r.Witness)
-		}
-	}
-	for _, g := range v.Guarantees {
-		if g.OK {
-			fmt.Printf("  %-6s ok\n", g.Guarantee)
-		} else {
-			fmt.Printf("  %-6s VIOLATED: %s\n", g.Guarantee, g.Witness)
-		}
-	}
 }
 
 // runStreaming verifies the run online, reporting the violation at the

@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"mtc/internal/core"
 	"mtc/internal/history"
+	"mtc/pkg/mtc"
 )
 
 func main() {
@@ -22,7 +24,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%-28s %-10s %6s %6s %6s\n", f.Name, pre,
-			mark(core.CheckSSER(f.H)), mark(core.CheckSER(f.H)), mark(core.CheckSI(f.H)))
+			mark(check(f.H, mtc.SSER)), mark(check(f.H, mtc.SER)), mark(check(f.H, mtc.SI)))
 	}
 
 	fmt.Println("\ncounterexamples (dependency-level anomalies):")
@@ -32,19 +34,28 @@ func main() {
 		for i := range f.H.Txns {
 			fmt.Printf("  %s\n", f.H.Txns[i].String())
 		}
-		if r := core.CheckSER(f.H); !r.OK {
-			fmt.Printf("  SER: %s\n", r.Explain())
+		if r := check(f.H, mtc.SER); !r.OK {
+			fmt.Printf("  SER: violated: %s\n", r.Detail)
 		}
-		if r := core.CheckSI(f.H); !r.OK {
-			fmt.Printf("  SI:  %s\n", r.Explain())
+		if r := check(f.H, mtc.SI); !r.OK {
+			fmt.Printf("  SI:  violated: %s\n", r.Detail)
 		} else {
 			fmt.Println("  SI:  satisfied")
 		}
 	}
 }
 
+// check runs the MTC engine on h at lvl.
+func check(h *mtc.History, lvl mtc.Level) mtc.Report {
+	rep, err := mtc.Check(context.Background(), "mtc", h, mtc.Options{Level: lvl})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep
+}
+
 // mark renders a verdict: "viol" when the checker rejects, "ok" otherwise.
-func mark(r core.Result) string {
+func mark(r mtc.Report) string {
 	if r.OK {
 		return "ok"
 	}

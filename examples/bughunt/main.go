@@ -7,13 +7,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"strings"
 	"time"
 
 	"mtc/internal/core"
 	"mtc/internal/faults"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
+	"mtc/pkg/mtc"
 )
 
 func main() {
@@ -40,12 +44,15 @@ func hunt(bug faults.Bug) {
 			Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.3,
 		})
 		res := runner.Run(store, plan, runner.Config{Retries: 4})
-		verdict := core.Check(res.H, bug.Claimed)
+		verdict, err := mtc.Check(context.Background(), "mtc", res.H, mtc.Options{Level: bug.Claimed})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if verdict.OK {
 			continue
 		}
 		fmt.Printf("    BUG FOUND on seed %d after %d committed txns\n", seed, res.Committed)
-		fmt.Printf("    %s\n", indent(verdict.Explain()))
+		fmt.Printf("    %s\n", strings.ReplaceAll(verdict.Explain(), "\n", "\n    "))
 		return
 	}
 	fmt.Println("    bug did not manifest in 20 rounds (try more seeds)")
@@ -68,29 +75,4 @@ func huntLWT(bug faults.Bug) {
 		return
 	}
 	fmt.Println("    bug did not manifest in 20 rounds (try more seeds)")
-}
-
-func indent(s string) string {
-	out := ""
-	for i, line := range splitLines(s) {
-		if i > 0 {
-			out += "\n    "
-		}
-		out += line
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			lines = append(lines, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	return append(lines, cur)
 }

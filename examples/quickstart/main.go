@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"mtc/internal/core"
 	"mtc/internal/kv"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
+	"mtc/pkg/mtc"
 )
 
 func main() {
@@ -34,11 +36,20 @@ func main() {
 
 	// 3. Verify the history against SI. The MT read-modify-write pattern
 	//    plus unique values make this a Theta(n) check.
-	verdict := core.CheckSI(res.H)
+	verdict := check(res.H, mtc.SI)
 	fmt.Println(verdict.Explain())
 
 	// The same history can be checked against stronger levels; an SI
 	// store may legitimately fail SER (write skew is allowed under SI).
 	fmt.Printf("SER verdict: %v, SSER verdict: %v\n",
-		core.CheckSER(res.H).OK, core.CheckSSER(res.H).OK)
+		check(res.H, mtc.SER).OK, check(res.H, mtc.SSER).OK)
+}
+
+// check runs the MTC engine on h at lvl.
+func check(h *mtc.History, lvl mtc.Level) mtc.Report {
+	rep, err := mtc.Check(context.Background(), "mtc", h, mtc.Options{Level: lvl})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep
 }

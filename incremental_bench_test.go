@@ -42,7 +42,7 @@ func BenchmarkBatchSER10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckSER(bigHist).OK {
+		if !coreCheck(bigHist, core.SER, core.Options{}).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkIncrementalSER10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckIncremental(bigHist, core.SER).OK {
+		if !coreReplay(bigHist, core.SER, 0).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkBatchSI10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckSI(bigHist).OK {
+		if !coreCheck(bigHist, core.SI, core.Options{}).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkProfile10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := levels.Profile(context.Background(), bigHist, levels.Options{})
+		prof, err := levels.Profile(context.Background(), history.NewIndex(bigHist), levels.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkIncrementalSI10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.CheckIncremental(bigHist, core.SI).OK {
+		if !coreReplay(bigHist, core.SI, 0).OK {
 			b.Fatal("valid history rejected")
 		}
 	}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"mtc/internal/cobra"
@@ -44,13 +45,13 @@ func TestPipelineHealthyStoreAllCheckersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if r := core.CheckSSER(h); !r.OK {
+	if r := coreCheck(h, core.SSER, core.Options{}); !r.OK {
 		t.Fatalf("MTC-SSER: %s", r.Explain())
 	}
-	if r := core.CheckSER(h); !r.OK {
+	if r := coreCheck(h, core.SER, core.Options{}); !r.OK {
 		t.Fatalf("MTC-SER: %s", r.Explain())
 	}
-	if r := core.CheckSI(h); !r.OK {
+	if r := coreCheck(h, core.SI, core.Options{}); !r.OK {
 		t.Fatalf("MTC-SI: %s", r.Explain())
 	}
 	if r := cobra.CheckSER(h); !r.OK {
@@ -80,7 +81,7 @@ func TestPipelineEveryBugCaughtByEveryApplicableChecker(t *testing.T) {
 					Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.3,
 				})
 				h := runner.Run(s, w, runner.Config{Retries: 4}).H
-				r := core.Check(h, bug.Claimed)
+				r := coreCheck(h, bug.Claimed, core.Options{})
 				if r.OK {
 					continue
 				}
@@ -125,7 +126,7 @@ func TestTargetedGeneratorFindsBugsFaster(t *testing.T) {
 				})
 			}
 			h := runner.Run(s, w, runner.Config{Retries: 4}).H
-			if !core.CheckSER(h).OK {
+			if !coreCheck(h, core.SER, core.Options{}).OK {
 				hits++
 			}
 		}
@@ -149,7 +150,7 @@ func TestTargetedWorkloadValidOnHealthyStore(t *testing.T) {
 		Sessions: 8, Txns: 80, Objects: 6, Seed: 5,
 	})
 	res := runner.Run(s, w, runner.Config{Retries: 10})
-	if r := core.CheckSSER(res.H); !r.OK {
+	if r := coreCheck(res.H, core.SSER, core.Options{}); !r.OK {
 		t.Fatalf("healthy store must pass SSER under targeted load: %s", r.Explain())
 	}
 	if err := history.ValidateMT(res.H); err != nil {
@@ -167,7 +168,7 @@ func TestTextFormatInteropAcrossCheckers(t *testing.T) {
 			Sessions: 8, Txns: 100, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		if core.CheckSI(h).OK {
+		if coreCheck(h, core.SI, core.Options{}).OK {
 			continue
 		}
 		var buf bytes.Buffer
@@ -178,7 +179,7 @@ func TestTextFormatInteropAcrossCheckers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := core.CheckSI(h2)
+		r := coreCheck(h2, core.SI, core.Options{})
 		if r.OK {
 			t.Fatal("verdict changed across text round trip")
 		}
@@ -195,10 +196,26 @@ func TestBruteForceSpotCheckOnStoreHistory(t *testing.T) {
 		Sessions: 3, Txns: 5, Objects: 2, Dist: workload.Uniform, Seed: 3,
 	})
 	h := runner.Run(s, w, runner.Config{Retries: 5}).H
-	if core.CheckSER(h).OK != npc.SerializableBrute(h) {
+	if coreCheck(h, core.SER, core.Options{}).OK != npc.SerializableBrute(h) {
 		t.Fatal("CheckSER disagrees with the brute-force reference")
 	}
-	if core.CheckSSER(h).OK != npc.StrictSerializableBrute(h) {
+	if coreCheck(h, core.SSER, core.Options{}).OK != npc.StrictSerializableBrute(h) {
 		t.Fatal("CheckSSER disagrees with the brute-force reference")
 	}
+}
+
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// coreReplay runs the online engine over h (window 0 = unbounded).
+func coreReplay(h *history.History, lvl core.Level, window int) core.Result {
+	r, _ := core.CheckIncrementalWindowedCtx(context.Background(), h, lvl, window)
+	return r
 }

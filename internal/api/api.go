@@ -69,10 +69,10 @@ type JobRequest struct {
 	// requested value; the accepted job's effective value is echoed in
 	// the Job body.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shard routes the job through the checker's component-sharded
-	// wrapper (internal/shard): the history is decomposed into its
-	// key/session-disjoint components and up to Shard components are
-	// checked concurrently. 0 disables sharding. Negative values, and
+	// Shard > 0 checks the job component-sharded (internal/shard): the
+	// history is decomposed into its key/session-disjoint components
+	// and up to Shard of them are checked concurrently through the
+	// named checker. 0 checks unsharded. Negative values, and
 	// values exceeding the server's GOMAXPROCS clamp, are rejected with
 	// a structured 400; the effective value is echoed in the Job body.
 	Shard int `json:"shard,omitempty"`

@@ -62,8 +62,8 @@ type FabricTask struct {
 	// epoch, so a verdict from a worker that was presumed dead (and whose
 	// component was re-dispatched) can never be folded twice.
 	Epoch int `json:"epoch"`
-	// Checker is the base engine the worker must run (never a "-sharded"
-	// wrapper: the coordinator already decomposed the history).
+	// Checker is the engine the worker must run, unsharded: the
+	// coordinator already decomposed the history.
 	Checker string `json:"checker"`
 	Level   string `json:"level,omitempty"`
 	// Engine options, forwarded from the submitted job.

@@ -87,7 +87,7 @@ func table1() Experiment {
 				for lvl, want := range map[core.Level]bool{
 					core.SSER: f.ViolatesSSER, core.SER: f.ViolatesSER, core.SI: f.ViolatesSI,
 				} {
-					got := !core.Check(f.H, lvl).OK
+					got := !check("mtc", f.H, lvl).OK
 					v := 0.0
 					if got {
 						v = 1.0
@@ -303,7 +303,7 @@ func fig10or17(id, title string, lvl core.Level, ax axis, memory bool) Experimen
 			tGenM, mGenM := measure(func() {
 				mtcH = genMTHistory(lvl, sessions, p.txns/sessions+1, p.ob, workload.Uniform, seed)
 			})
-			tVerM, mVerM := measure(func() { core.Check(mtcH, lvl) })
+			tVerM, mVerM := measure(func() { check("mtc", mtcH, lvl) })
 			// Baseline pipeline: GT workload.
 			var gtH *history.History
 			tGenG, mGenG := measure(func() {
@@ -465,7 +465,11 @@ func table2() Experiment {
 						h = runner.Run(s, w, runner.Config{Retries: 4}).H
 					})
 					var r core.Result
-					v, _ := measure(func() { r = core.Check(h, b.Claimed) })
+					// Straight to the pipeline: the CE position needs the
+					// structured divergence witness a Report only renders.
+					v, _ := measure(func() {
+						r, _ = core.CheckCtx(context.Background(), history.NewIndex(h), b.Claimed, core.Options{})
+					})
 					genT, verT = g, v
 					if !r.OK {
 						found = true
@@ -486,6 +490,16 @@ func table2() Experiment {
 			return rows
 		},
 	}
+}
+
+// check runs a registered engine on an experiment input. The inputs are
+// always checkable, so an error is a harness bug.
+func check(engine string, h *history.History, lvl core.Level) checker.Report {
+	rep, err := checker.Run(context.Background(), engine, h, checker.Options{Level: lvl})
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s at %s: %v", engine, lvl, err))
+	}
+	return rep
 }
 
 // cePosition extracts the smallest transaction ID involved in the
@@ -561,7 +575,7 @@ func fig13(id string, lvl core.Level) Experiment {
 				Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.25,
 			})
 			h := runner.Run(s, w, runner.Config{Retries: 4}).H
-			if !core.Check(h, lvl).OK {
+			if !check("mtc", h, lvl).OK {
 				mtcHits++
 			}
 		}
@@ -630,7 +644,7 @@ func fig14(id string, lvl core.Level) Experiment {
 			})
 			h = runner.Run(s, w, runner.Config{Retries: 4}).H
 		})
-		v, _ := measure(func() { core.Check(h, lvl) })
+		v, _ := measure(func() { check("mtc", h, lvl) })
 		rows = append(rows,
 			Row{Series: "mtc gen", X: "maxlen=4", Value: g, Unit: "s"},
 			Row{Series: "mtc verify", X: "maxlen=4", Value: v, Unit: "s"},

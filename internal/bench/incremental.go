@@ -28,13 +28,13 @@ func incrementalExp() Experiment {
 				for _, lvl := range []core.Level{core.SER, core.SI} {
 					lvl := lvl
 					sec, _ := measure(func() {
-						if r := core.Check(h, lvl); !r.OK {
+						if r := check("mtc", h, lvl); !r.OK {
 							panic("bench: clean history rejected")
 						}
 					})
 					rows = append(rows, Row{Series: "batch-" + string(lvl), X: x, Value: sec, Unit: "s"})
 					sec, _ = measure(func() {
-						if r := core.CheckIncremental(h, lvl); !r.OK {
+						if r := check("mtc-incremental", h, lvl); !r.OK {
 							panic("bench: clean history rejected incrementally")
 						}
 					})
@@ -68,7 +68,7 @@ func detectionExp() Experiment {
 						Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.2,
 					})
 					h := runBugHistory(b, w, seed)
-					if core.Check(h, b.Claimed).OK {
+					if check("mtc", h, b.Claimed).OK {
 						continue
 					}
 					inc := core.NewIncremental(b.Claimed)

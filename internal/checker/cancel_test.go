@@ -3,6 +3,9 @@ package checker
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,11 +78,58 @@ func TestDenseSSERHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := core.CheckSSERCtx(ctx, h, core.Options{})
+	_, err := core.CheckCtx(ctx, history.NewIndex(h), core.SSER, core.Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
+	}
+}
+
+// armedCtx is a context that cancels itself at the first Err poll made
+// from inside the function named by in — cancellation landing exactly in
+// the phase under test, with no timing involved.
+type armedCtx struct {
+	context.Context
+	in    string
+	fired atomic.Bool
+}
+
+func (c *armedCtx) Err() error {
+	if c.fired.Load() {
+		return context.Canceled
+	}
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, c.in) {
+			c.fired.Store(true)
+			return context.Canceled
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestSparseSSERCopyHonorsCancellation: the sparse encoding copies the
+// base graph through graph.ParallelDo (the only ParallelDo of a sparse
+// SSER run); the copy must poll the caller's context — not a background
+// one — and a cancellation landing there must end the run with the
+// context's error.
+func TestSparseSSERCopyHonorsCancellation(t *testing.T) {
+	b := history.NewBuilder("x")
+	for i := int64(1); i <= 50; i++ {
+		b.TimedTxn(0, 2*i, 2*i+1, history.R("x", history.Value(i-1)), history.W("x", history.Value(i)))
+	}
+	ctx := &armedCtx{Context: context.Background(), in: "graph.ParallelDo"}
+	_, err := Run(ctx, "mtc", b.Build(), Options{Level: core.SSER, SparseRT: true, Parallelism: 1})
+	if !ctx.fired.Load() {
+		t.Fatal("the sparse-RT base copy never polled the caller's context")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

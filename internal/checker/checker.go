@@ -81,21 +81,32 @@ type Options struct {
 	// at every setting (differentially tested). <= 0 checks unbounded;
 	// engines other than mtc-incremental ignore it.
 	Window int
-	// Shard bounds the worker pool of the component-sharded wrappers
-	// (the "*-sharded" registry entries, internal/shard): the history is
-	// decomposed into key/session-disjoint connected components and up
-	// to Shard components are checked concurrently, each through the
-	// wrapped engine. <= 0 selects GOMAXPROCS. Merged verdicts are
-	// identical to unsharded checking (differentially tested); base
-	// engines ignore the field.
+	// Shard > 0 selects component-sharded checking (internal/shard) of
+	// any engine: Run decomposes the history into key/session-disjoint
+	// connected components, checks up to Shard of them concurrently,
+	// each through the named engine, and merges the verdicts
+	// (Report.ShardComponents says how many components there were).
+	// Merged verdicts are identical to unsharded checking
+	// (differentially tested). 0 checks unsharded.
 	Shard int
-	// Index optionally hands the MTC engine a prebuilt columnar index
-	// of the history under check (history.ReadMTCBIndexed builds one as
-	// a byproduct of decoding a binary fabric payload), skipping the
-	// intern-and-build pass. Used — after an Index.History() identity
-	// check — by the "mtc" engine only; the baselines and the
-	// incremental engine intern their own state and ignore it.
+	// Index optionally supplies a prebuilt columnar index of the history
+	// under check (history.ReadMTCBIndexed builds one as a byproduct of
+	// decoding a binary payload), skipping the intern-and-build pass.
+	// Used — after an Index.History() identity check — by every engine
+	// that checks over the index (mtc, rc, ra, causal, profile); the
+	// baselines and the incremental engine intern their own state and
+	// ignore it.
 	Index *history.Index
+}
+
+// indexOf returns the columnar index the index-consuming adapters check
+// over: opts.Index when it indexes exactly h, else a fresh build. It is
+// the one place a batch check builds its index.
+func indexOf(h *history.History, opts Options) *history.Index {
+	if opts.Index != nil && opts.Index.History() == h {
+		return opts.Index
+	}
+	return history.NewIndex(h)
 }
 
 // PhaseTiming is the wall-clock cost of one engine phase, in
@@ -125,8 +136,8 @@ type Report struct {
 	// transactions they collapsed. Zero when checking unbounded.
 	CompactedEpochs int `json:"compacted_epochs,omitempty"`
 	CompactedTxns   int `json:"compacted_txns,omitempty"`
-	// ShardComponents reports component-sharded checking (the "*-sharded"
-	// wrappers under Options.Shard): how many key/session-disjoint
+	// ShardComponents reports component-sharded checking (Options.Shard
+	// > 0, or a distributed fabric job): how many key/session-disjoint
 	// components the history decomposed into. Zero when checking
 	// unsharded.
 	ShardComponents int `json:"shard_components,omitempty"`
@@ -144,6 +155,53 @@ type Report struct {
 	// Detail carries the engine-specific account: a counterexample
 	// rendering, solver statistics, or the divergence witness.
 	Detail string `json:"detail,omitempty"`
+}
+
+// Explain renders a human-readable account of the verdict — the text
+// the CLIs print: the verdict line, the first anomalies, the engine's
+// detail, and for profile runs the lattice rungs (strongest first) and
+// session guarantees.
+func (r Report) Explain() string {
+	var b strings.Builder
+	if r.OK {
+		fmt.Fprintf(&b, "[%s] history satisfies %s (%d txns", r.Checker, r.Level, r.Txns)
+		if r.Edges > 0 {
+			fmt.Fprintf(&b, ", %d dependency edges", r.Edges)
+		}
+		b.WriteString(")")
+	} else {
+		fmt.Fprintf(&b, "[%s] history VIOLATES %s:", r.Checker, r.Level)
+		const maxShown = 5
+		for i, a := range r.Anomalies {
+			if i == maxShown {
+				fmt.Fprintf(&b, "\n  ... and %d more anomalies", len(r.Anomalies)-maxShown)
+				break
+			}
+			fmt.Fprintf(&b, "\n  %s", a)
+		}
+	}
+	if r.Detail != "" {
+		fmt.Fprintf(&b, "\n  %s", r.Detail)
+	}
+	if r.StrongestLevel == "" {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "\nstrongest level satisfied: %s", r.StrongestLevel)
+	for i := len(r.Rungs) - 1; i >= 0; i-- {
+		if v := r.Rungs[i]; v.OK {
+			fmt.Fprintf(&b, "\n  %-6s ok", v.Level)
+		} else {
+			fmt.Fprintf(&b, "\n  %-6s VIOLATED: %s", v.Level, v.Witness)
+		}
+	}
+	for _, g := range r.Guarantees {
+		if g.OK {
+			fmt.Fprintf(&b, "\n  %-6s ok", g.Guarantee)
+		} else {
+			fmt.Fprintf(&b, "\n  %-6s VIOLATED: %s", g.Guarantee, g.Witness)
+		}
+	}
+	return b.String()
 }
 
 // RungVerdict is one lattice rung of a profile run on the wire.
@@ -251,8 +309,9 @@ func (r *Registry) All() []Checker {
 }
 
 // Run resolves name, applies the level default, validates the level
-// against the checker's Levels, and dispatches under ctx. The returned
-// error marks caller mistakes (unknown checker, unsupported level),
+// against the checker's Levels, and dispatches under ctx — through the
+// component-sharding driver when opts.Shard > 0. The returned error
+// marks caller mistakes (unknown checker, unsupported level),
 // unsupported histories, or cancellation — as opposed to verification
 // failures, which land in the Report.
 func (r *Registry) Run(ctx context.Context, name string, h *history.History, opts Options) (Report, error) {
@@ -267,8 +326,19 @@ func (r *Registry) Run(ctx context.Context, name string, h *history.History, opt
 		return Report{}, fmt.Errorf("checker: %s does not support level %q (supports %s)",
 			c.Name(), opts.Level, LevelNames(c.Levels()))
 	}
+	if opts.Shard > 0 {
+		if ShardCheck == nil {
+			return Report{}, errors.New("checker: Options.Shard > 0 needs the sharding driver; link mtc/internal/shard")
+		}
+		return ShardCheck(ctx, c, h, opts)
+	}
 	return c.Check(ctx, h, opts)
 }
+
+// ShardCheck is the component-sharding driver Run dispatches through
+// when Options.Shard > 0. internal/shard (which imports this package
+// for the Checker and Report types) installs its Check here at init.
+var ShardCheck func(ctx context.Context, c Checker, h *history.History, opts Options) (Report, error)
 
 // Supports reports whether the engine lists lvl; callers validating a
 // request before dispatching (e.g. at job-submission time) share this

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -189,5 +190,57 @@ func TestRegistryIsolation(t *testing.T) {
 	}
 	if _, err := Lookup("cobra"); err != nil {
 		t.Fatalf("default registry lost cobra: %v", err)
+	}
+}
+
+// TestShardWithoutDriverIsAnError: this test binary does not link
+// internal/shard, so no driver is installed — Run must refuse
+// Options.Shard > 0 loudly instead of checking unsharded.
+func TestShardWithoutDriverIsAnError(t *testing.T) {
+	if ShardCheck != nil {
+		t.Skip("a sharding driver is linked into this binary")
+	}
+	_, err := Run(context.Background(), "mtc", history.SerialHistory(4, "x"), Options{Level: core.SI, Shard: 2})
+	if err == nil || !strings.Contains(err.Error(), "internal/shard") {
+		t.Fatalf("want the missing-driver error, got %v", err)
+	}
+}
+
+// TestIndexConsumersHonorOptionsIndex: every adapter that checks over
+// the columnar index (not just mtc) takes a prebuilt Options.Index — the
+// report is identical to the run that builds its own, and the run
+// allocates less because it skips the intern-and-build pass. An index of
+// some other history fails the identity check and is rebuilt.
+func TestIndexConsumersHonorOptionsIndex(t *testing.T) {
+	h := history.SerialHistory(300, "x", "y", "z")
+	ix := history.NewIndex(h)
+	foreign := history.NewIndex(history.FixtureByName("WriteSkew").H)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		lvl  Level
+	}{
+		{"mtc", core.SER}, {"profile", core.SER}, {"rc", core.RC}, {"ra", core.RA}, {"causal", core.CAUSAL},
+	} {
+		run := func(ix *history.Index) Report {
+			rep, err := Run(ctx, tc.name, h, Options{Level: tc.lvl, Index: ix})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			rep.Timings = nil // wall-clock differs, nothing else may
+			return rep
+		}
+		own := run(nil)
+		if got := run(ix); !reflect.DeepEqual(got, own) {
+			t.Fatalf("%s: report with a prebuilt index diverges:\n%+v\n%+v", tc.name, got, own)
+		}
+		if got := run(foreign); !reflect.DeepEqual(got, own) {
+			t.Fatalf("%s: an index of another history must be ignored:\n%+v\n%+v", tc.name, got, own)
+		}
+		building := testing.AllocsPerRun(5, func() { run(nil) })
+		prebuilt := testing.AllocsPerRun(5, func() { run(ix) })
+		if prebuilt >= building {
+			t.Fatalf("%s: %v allocs with a prebuilt index, %v without — the index was rebuilt", tc.name, prebuilt, building)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func (c weakChecker) Levels() []Level { return []Level{c.lvl} }
 
 func (c weakChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	r, err := levels.CheckLevel(ctx, h, c.lvl, levels.Options{
+	r, err := levels.CheckLevel(ctx, indexOf(h, opts), c.lvl, levels.Options{
 		SkipPreCheck: opts.SkipPreCheck, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func (profileChecker) Levels() []Level {
 
 func (profileChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	prof, err := levels.Profile(ctx, h, levels.Options{
+	prof, err := levels.Profile(ctx, indexOf(h, opts), levels.Options{
 		SkipPreCheck: opts.SkipPreCheck, Parallelism: opts.Parallelism,
 	})
 	if err != nil {

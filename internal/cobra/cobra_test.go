@@ -1,6 +1,7 @@
 package cobra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,7 +85,7 @@ func storeHistory(t *testing.T, mode kv.Mode, f kv.Faults, seed int64, objects i
 func TestPropertyCobraAgreesWithMTCSEROnStoreHistories(t *testing.T) {
 	f := func(seed int64) bool {
 		h := storeHistory(t, kv.ModeSerializable, kv.Faults{}, seed, 4)
-		mtc := core.CheckSER(h)
+		mtc := coreCheck(h, core.SER, core.Options{})
 		cob := CheckSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d MTC=%v cobra=%v\n%s", seed, mtc.OK, cob.OK, mtc.Explain())
@@ -110,7 +111,7 @@ func TestPropertyCobraAgreesOnFaultyHistories(t *testing.T) {
 			faults.LongFork = 0.3
 		}
 		h := storeHistory(t, kv.ModeSerializable, faults, seed, 2)
-		mtc := core.CheckSER(h)
+		mtc := coreCheck(h, core.SER, core.Options{})
 		cob := CheckSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v cobra=%v\n%s", seed, faults, mtc.OK, cob.OK, mtc.Explain())
@@ -139,7 +140,7 @@ func TestPropertyPolySIAgreesWithMTCSI(t *testing.T) {
 			// fault-free SI
 		}
 		h := storeHistory(t, mode, faults, seed, 3)
-		mtc := core.CheckSI(h)
+		mtc := coreCheck(h, core.SI, core.Options{})
 		psi := polysi.CheckSI(h)
 		if mtc.OK != psi.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v polysi=%v\n%s", seed, faults, mtc.OK, psi.OK, mtc.Explain())
@@ -161,9 +162,19 @@ func TestPropertyWriteSkewHistoriesSIButNotSER(t *testing.T) {
 			t.Logf("seed=%d: fault-free SI store violated SI per polysi", seed)
 			return false
 		}
-		return CheckSER(h).OK == core.CheckSER(h).OK
+		return CheckSER(h).OK == coreCheck(h, core.SER, core.Options{}).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -2,16 +2,17 @@
 // verification algorithms for strong isolation levels over mini-transaction
 // histories (Section IV).
 //
-//   - BuildDependency constructs the (nearly unique) dependency graph of an
-//     MT history in O(n), exploiting the read-modify-write pattern and
-//     unique values (Algorithm 1, with the Section IV-C optimization that
-//     drops the WW transitive-closure step).
-//   - CheckSER and CheckSI decide serializability and snapshot isolation in
-//     Θ(n); CheckSI detects the DIVERGENCE pattern early (Definition 10).
-//   - CheckSSER decides strict serializability in Θ(n²) by enumerating the
-//     real-time order, with an optional sparse time-chain encoding that
-//     brings the graph back to O(n log n) work (an ablation the paper
-//     leaves implicit).
+//   - BuildDependencyCtx constructs the (nearly unique) dependency graph
+//     of an MT history in O(n), exploiting the read-modify-write pattern
+//     and unique values (Algorithm 1, with the Section IV-C optimization
+//     that drops the WW transitive-closure step).
+//   - CheckCtx is the one batch pipeline: pre-check, that derivation, then
+//     the rung for the level (Deps.Rung). SER and SI are decided in Θ(n),
+//     SI detecting the DIVERGENCE pattern early (Definition 10); SSER is
+//     Θ(n²) by enumerating the real-time order, or O(n log n) with the
+//     sparse time-chain encoding (an ablation the paper leaves implicit).
+//   - CheckIncrementalWindowedCtx replays a history through the online
+//     engine (Incremental) and CheckStreamCtx drives it from a stream.
 //   - VLLWT (in lwt.go) verifies linearizability of lightweight-transaction
 //     histories in expected O(n) time (Algorithm 2).
 //
@@ -92,7 +93,7 @@ type Result struct {
 	Level      Level
 	OK         bool
 	Anomalies  []history.Anomaly // non-empty iff the pre-check failed
-	Divergence *Divergence       // non-nil iff CheckSI rejected via Definition 10
+	Divergence *Divergence       // non-nil iff the SI rung rejected via Definition 10
 	Cycle      []graph.Edge      // non-empty iff a forbidden cycle was found
 	// Stats, filled on every run.
 	NumTxns  int
@@ -134,8 +135,9 @@ type Options struct {
 	// SkipPreCheck disables the CheckInternal pre-pass. Only use on
 	// histories already known to satisfy INT and unique values.
 	SkipPreCheck bool
-	// SparseRT makes CheckSSER encode the real-time order with a sorted
-	// time chain (O(n log n)) instead of the paper's Θ(n²) enumeration.
+	// SparseRT makes the SSER check encode the real-time order with a
+	// sorted time chain (O(n log n)) instead of the paper's Θ(n²)
+	// enumeration.
 	SparseRT bool
 	// Parallelism bounds the worker pool used by the parallel phases
 	// (dense real-time enumeration, sparse-RT base copy). <= 0 selects
@@ -143,22 +145,21 @@ type Options struct {
 	// identical at every setting — node-sharded construction preserves
 	// per-node edge order.
 	Parallelism int
-	// Index optionally supplies a prebuilt columnar index of the
-	// history under check, skipping the O(ops) intern-and-build pass
-	// CheckSER/CheckSSER/CheckSI otherwise run. The MTCB indexed decode
-	// (history.ReadMTCBIndexed) produces one as a byproduct, so fabric
-	// workers check binary payloads without re-interning. Ignored —
-	// and rebuilt — unless Index.History() is the checked history.
-	Index *history.Index
 }
 
-// indexFor returns opts.Index when it indexes exactly h, else builds a
-// fresh columnar index.
-func indexFor(h *history.History, opts Options) *history.Index {
-	if opts.Index != nil && opts.Index.History() == h {
-		return opts.Index
-	}
-	return history.NewIndex(h)
+// Deps is the one dependency derivation of an indexed history that
+// every rung is evaluated over: the typed graph SO ∪ WR ∪ WW ∪ RW (plus
+// the dense real-time edges when built withRT) and the DIVERGENCE
+// witnesses found while inferring WW edges. CheckCtx builds one per run;
+// internal/levels builds one per profile and evaluates its SER, SI and
+// SSER rungs through the same Rung code.
+type Deps struct {
+	Index *history.Index
+	Graph *graph.Graph
+	Divs  []Divergence
+	// denseRT records that Graph already carries the Θ(n²) real-time
+	// edges, so the SSER rung must not add the sparse chain on top.
+	denseRT bool
 }
 
 // BuildDependency constructs the dependency graph of an MT history
@@ -169,14 +170,14 @@ func indexFor(h *history.History, opts Options) *history.Index {
 // true the dense Θ(n²) real-time edges are added as well.
 //
 // The second return value lists every DIVERGENCE witness found while
-// inferring WW edges; CheckSI uses it for its early exit, and the other
-// checkers ignore it (Lemma 3 handles those cases through cycles).
+// inferring WW edges; the SI rung uses it for its early exit, and the
+// other rungs ignore it (Lemma 3 handles those cases through cycles).
 func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergence) {
-	g, divs, _ := buildDependencyCtx(context.Background(), history.NewIndex(h), withRT, 1)
-	return g, divs
+	d, _ := BuildDependencyCtx(context.Background(), history.NewIndex(h), withRT, 1)
+	return d.Graph, d.Divs
 }
 
-// buildDependencyCtx is BuildDependency over a prebuilt columnar index,
+// BuildDependencyCtx is BuildDependency over a prebuilt columnar index,
 // polling ctx between batches of transactions (and real-time pairs) so
 // construction of large graphs stops promptly under a deadline. The
 // WR/WW/RW loops are the merge-join derivation of DeriveDeps (see
@@ -184,13 +185,13 @@ func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergenc
 // historical map-based builder. par bounds the worker pool of the dense
 // real-time enumeration (<= 0 means GOMAXPROCS, 1 is serial); the
 // constructed graph is identical at every setting.
-func buildDependencyCtx(ctx context.Context, ix *history.Index, withRT bool, par int) (*graph.Graph, []Divergence, error) {
+func BuildDependencyCtx(ctx context.Context, ix *history.Index, withRT bool, par int) (*Deps, error) {
 	h := ix.History()
 	g := graph.New(len(h.Txns))
 
 	if withRT {
 		if err := addDenseRT(ctx, h, g, par); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	h.SessionOrder(func(a, b int) {
@@ -198,9 +199,9 @@ func buildDependencyCtx(ctx context.Context, ix *history.Index, withRT bool, par
 	})
 	divs, err := deriveDeps(ctx, ix, g.AddEdge)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return g, divs, nil
+	return &Deps{Index: ix, Graph: g, Divs: divs, denseRT: withRT}, nil
 }
 
 // addDenseRT adds the paper's Θ(n²) real-time edges to g, sharding the
@@ -246,165 +247,85 @@ func addDenseRT(ctx context.Context, h *history.History, g *graph.Graph, par int
 	})
 }
 
-// preCheck runs the indexed CheckInternal unless disabled, returning a
-// failed Result or nil. The index is shared with graph construction, so
-// one columnar build serves both the pre-check and the edge derivation
-// (the map-based pipeline built its writer index twice).
-func preCheck(ix *history.Index, lvl Level, opts Options) *Result {
-	if opts.SkipPreCheck {
-		return nil
-	}
-	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
-		return &Result{Level: lvl, OK: false, Anomalies: as, NumTxns: ix.NumTxns()}
-	}
-	return nil
-}
-
-// CheckSER decides serializability (Definition 5) in Θ(n): the history
-// satisfies SER iff the pre-check passes and SO ∪ WR ∪ WW ∪ RW is acyclic.
-func CheckSER(h *history.History) Result { return CheckSEROpt(h, Options{}) }
-
-// CheckSEROpt is CheckSER with options.
-func CheckSEROpt(h *history.History, opts Options) Result {
-	r, _ := CheckSERCtx(context.Background(), h, opts)
-	return r
-}
-
-// CheckSERCtx is CheckSER under a context: graph construction polls ctx
-// and the run returns the context's error instead of a verdict when the
-// deadline fires.
-func CheckSERCtx(ctx context.Context, h *history.History, opts Options) (Result, error) {
+// CheckCtx is the batch checking pipeline of Section IV over a columnar
+// index: the INT/G1 pre-check (unless opts.SkipPreCheck), one
+// dependency derivation over the same index, and the rung for lvl. It
+// decides SER and SI in Θ(n) and SSER in Θ(n²) with the paper's dense
+// real-time enumeration or O((n+m) log n) with opts.SparseRT. Graph
+// construction and the real-time phases poll ctx, and the run returns
+// the context's error instead of a verdict when the deadline fires. RC, RA and CAUSAL are valid Level values without a
+// batch engine here — internal/levels evaluates them over the same
+// derivation — so they, like any unknown level (which may originate from
+// an API request), are reported as an error.
+func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	ix := indexFor(h, opts)
-	if r := preCheck(ix, SER, opts); r != nil {
-		return *r, nil
+	switch lvl {
+	case SSER, SER, SI:
+	default:
+		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
 	}
-	g, _, err := buildDependencyCtx(ctx, ix, false, opts.Parallelism)
+	if !opts.SkipPreCheck {
+		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+			return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
+		}
+	}
+	d, err := BuildDependencyCtx(ctx, ix, lvl == SSER && !opts.SparseRT, opts.Parallelism)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Level: SER, NumTxns: len(h.Txns), NumEdges: g.NumEdges()}
+	return d.Rung(ctx, lvl, opts.Parallelism)
+}
+
+// Rung decides one strong level over the derivation; the pre-check is
+// the caller's.
+//
+//   - SER (Definition 5): SO ∪ WR ∪ WW ∪ RW is acyclic.
+//   - SI (Definition 6): reject on any DIVERGENCE witness (Lemma 1),
+//     otherwise the induced graph (SO ∪ WR ∪ WW) ; RW? is acyclic.
+//   - SSER (Definition 4): like SER with the real-time order included —
+//     the dense edges when the derivation was built withRT, else the
+//     sparse time chain is added here over par workers.
+//
+// Counterexample cycles are rewritten into plain dependency and RT
+// edges, so they read like the paper's figures under every encoding.
+func (d *Deps) Rung(ctx context.Context, lvl Level, par int) (Result, error) {
+	g := d.Graph
+	res := Result{Level: lvl, NumTxns: d.Index.NumTxns(), NumEdges: g.NumEdges()}
+	rewrite := func(cycle []graph.Edge) []graph.Edge { return cycle }
+	switch lvl {
+	case SER:
+	case SI:
+		if len(d.Divs) > 0 {
+			div := d.Divs[0]
+			res.Divergence = &div
+			return res, nil
+		}
+		gi, expand := induceSI(g)
+		g = gi
+		rewrite = func(cycle []graph.Edge) []graph.Edge { return expandComposed(cycle, expand) }
+	case SSER:
+		if !d.denseRT {
+			var err error
+			if g, err = addSparseRT(ctx, d.Index.History(), g, par); err != nil {
+				return Result{}, err
+			}
+			res.NumEdges = g.NumEdges() // the chain's edges count, like the dense RT edges do
+		}
+		rewrite = compressAux
+	default:
+		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
+	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	if cycle := g.FindCycle(); cycle != nil {
-		res.Cycle = cycle
+		res.Cycle = rewrite(cycle)
 		return res, nil
 	}
 	res.OK = true
 	return res, nil
-}
-
-// CheckSSER decides strict serializability (Definition 4): like CheckSER
-// but with the real-time order included, Θ(n²) with the dense encoding of
-// the paper or O((n+m) log n) with Options.SparseRT.
-func CheckSSER(h *history.History) Result { return CheckSSEROpt(h, Options{}) }
-
-// CheckSSEROpt is CheckSSER with options.
-func CheckSSEROpt(h *history.History, opts Options) Result {
-	r, _ := CheckSSERCtx(context.Background(), h, opts)
-	return r
-}
-
-// CheckSSERCtx is CheckSSER under a context. The dense Θ(n²) real-time
-// enumeration polls ctx between batches of pairs, so the quadratic
-// construction stops promptly under a deadline.
-func CheckSSERCtx(ctx context.Context, h *history.History, opts Options) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	ix := indexFor(h, opts)
-	if r := preCheck(ix, SSER, opts); r != nil {
-		return *r, nil
-	}
-	var g *graph.Graph
-	if opts.SparseRT {
-		base, _, err := buildDependencyCtx(ctx, ix, false, opts.Parallelism)
-		if err != nil {
-			return Result{}, err
-		}
-		g = addSparseRT(h, base, opts.Parallelism)
-	} else {
-		var err error
-		g, _, err = buildDependencyCtx(ctx, ix, true, opts.Parallelism)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	res := Result{Level: SSER, NumTxns: len(h.Txns), NumEdges: g.NumEdges()}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if cycle := g.FindCycle(); cycle != nil {
-		res.Cycle = compressAux(cycle)
-		return res, nil
-	}
-	res.OK = true
-	return res, nil
-}
-
-// CheckSI decides snapshot isolation (Definition 6) in Θ(n): reject on any
-// DIVERGENCE witness (Lemma 1), otherwise check acyclicity of the induced
-// graph (SO ∪ WR ∪ WW) ; RW?.
-func CheckSI(h *history.History) Result { return CheckSIOpt(h, Options{}) }
-
-// CheckSIOpt is CheckSI with options.
-func CheckSIOpt(h *history.History, opts Options) Result {
-	r, _ := CheckSICtx(context.Background(), h, opts)
-	return r
-}
-
-// CheckSICtx is CheckSI under a context: graph construction and the
-// composition step poll ctx, returning its error when the deadline fires.
-func CheckSICtx(ctx context.Context, h *history.History, opts Options) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	ix := indexFor(h, opts)
-	if r := preCheck(ix, SI, opts); r != nil {
-		return *r, nil
-	}
-	g, divs, err := buildDependencyCtx(ctx, ix, false, opts.Parallelism)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Level: SI, NumTxns: len(h.Txns), NumEdges: g.NumEdges()}
-	if len(divs) > 0 {
-		res.Divergence = &divs[0]
-		return res, nil
-	}
-	gi, expand := induceSI(g)
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if cycle := gi.FindCycle(); cycle != nil {
-		res.Cycle = expandComposed(cycle, expand)
-		return res, nil
-	}
-	res.OK = true
-	return res, nil
-}
-
-// InduceSI builds the SI-induced graph G' = (V, (SO ∪ WR ∪ WW) ; RW?)
-// from a dependency graph and returns it with an expander that rewrites
-// any cycle of G' back into the underlying dependency edges. It is the
-// composition step of CheckSI, exported so internal/levels can evaluate
-// the SI rung of a profile over an already-derived graph with verdicts
-// and counterexamples bit-identical to CheckSICtx.
-func InduceSI(g *graph.Graph) (*graph.Graph, func([]graph.Edge) []graph.Edge) {
-	gi, expand := induceSI(g)
-	return gi, func(cycle []graph.Edge) []graph.Edge { return expandComposed(cycle, expand) }
-}
-
-// AddSparseRT returns a copy of the base dependency graph extended with
-// the O(n log n) sparse time-chain encoding of the real-time order — the
-// Options.SparseRT path of CheckSSER, exported for internal/levels'
-// SSER rung. Chain cycles must be rewritten with CompressAux before
-// reporting.
-func AddSparseRT(h *history.History, base *graph.Graph, par int) *graph.Graph {
-	return addSparseRT(h, base, par)
 }
 
 // RTOrder returns each transaction's start and finish positions in the
@@ -430,10 +351,6 @@ func RTOrder(h *history.History) (start, finish []int) {
 	}
 	return start, finish
 }
-
-// CompressAux collapses every AUX time-chain run of a cycle into a
-// single RT edge, so sparse-RT counterexamples read like dense ones.
-func CompressAux(cycle []graph.Edge) []graph.Edge { return compressAux(cycle) }
 
 // composedKey identifies a composed edge for counterexample expansion.
 type composedKey struct{ from, to int }
@@ -489,16 +406,20 @@ func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []g
 // the chain exists iff finish(T) < start(S). The returned graph has
 // 2n extra nodes; transaction nodes keep their IDs. The base-edge copy is
 // sharded by source node over par workers (the chain edges stay serial —
-// they are O(n) and ordered).
-func addSparseRT(h *history.History, base *graph.Graph, par int) *graph.Graph {
+// they are O(n) and ordered); the copy polls ctx, so a cancelled SSER
+// run stops copying.
+func addSparseRT(ctx context.Context, h *history.History, base *graph.Graph, par int) (*graph.Graph, error) {
 	events := rtEvents(h)
 	n := base.Len()
 	g := graph.New(n + len(events))
-	_ = graph.ParallelDo(context.Background(), par, n, func(u int) {
+	err := graph.ParallelDo(ctx, par, n, func(u int) {
 		g.AddEdgesFrom(u, base.Out(u))
 	})
+	if err != nil {
+		return nil, err
+	}
 	appendRTChain(g, n, events)
-	return g
+	return g, nil
 }
 
 // rtEvent is one endpoint of a committed transaction's real-time span.
@@ -575,37 +496,4 @@ func compressAux(cycle []graph.Edge) []graph.Edge {
 		i = j
 	}
 	return out
-}
-
-// Check dispatches on the level name.
-func Check(h *history.History, lvl Level) Result {
-	switch lvl {
-	case SSER:
-		return CheckSSER(h)
-	case SER:
-		return CheckSER(h)
-	case SI:
-		return CheckSI(h)
-	default:
-		panic(fmt.Sprintf("core: unknown level %q", lvl))
-	}
-}
-
-// CheckCtx dispatches on the level name under a context. Unlike Check it
-// reports an unknown level as an error rather than panicking, since the
-// level may originate from an API request.
-func CheckCtx(ctx context.Context, h *history.History, lvl Level, opts Options) (Result, error) {
-	switch lvl {
-	case SSER:
-		return CheckSSERCtx(ctx, h, opts)
-	case SER:
-		return CheckSERCtx(ctx, h, opts)
-	case SI:
-		return CheckSICtx(ctx, h, opts)
-	default:
-		// RC/RA/CAUSAL are valid Level values but have no batch engine
-		// here; internal/levels evaluates them (and the checker registry
-		// routes the "rc"/"ra"/"causal"/"profile" entries there).
-		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
-	}
 }

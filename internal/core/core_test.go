@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,17 +11,33 @@ import (
 	"mtc/internal/history"
 )
 
+// check runs the batch pipeline on h. Under a background context the
+// only error CheckCtx can return is a level without a batch engine.
+func check(h *history.History, lvl Level, opts Options) Result {
+	r, err := CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// replay runs the online engine over h (window 0 = unbounded).
+func replay(h *history.History, lvl Level, window int) Result {
+	r, _ := CheckIncrementalWindowedCtx(context.Background(), h, lvl, window)
+	return r
+}
+
 func TestFixtureVerdicts(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			if got := CheckSSER(f.H); got.OK != !f.ViolatesSSER {
+			if got := check(f.H, SSER, Options{}); got.OK != !f.ViolatesSSER {
 				t.Errorf("SSER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSSER, got.Explain())
 			}
-			if got := CheckSER(f.H); got.OK != !f.ViolatesSER {
+			if got := check(f.H, SER, Options{}); got.OK != !f.ViolatesSER {
 				t.Errorf("SER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSER, got.Explain())
 			}
-			if got := CheckSI(f.H); got.OK != !f.ViolatesSI {
+			if got := check(f.H, SI, Options{}); got.OK != !f.ViolatesSI {
 				t.Errorf("SI: OK=%v, want %v\n%s", got.OK, !f.ViolatesSI, got.Explain())
 			}
 		})
@@ -30,7 +47,7 @@ func TestFixtureVerdicts(t *testing.T) {
 func TestSerialHistoryPassesAllLevels(t *testing.T) {
 	h := history.SerialHistory(50, "x", "y", "z")
 	for _, lvl := range []Level{SSER, SER, SI} {
-		if r := Check(h, lvl); !r.OK {
+		if r := check(h, lvl, Options{}); !r.OK {
 			t.Fatalf("serial history must satisfy %s: %s", lvl, r.Explain())
 		}
 	}
@@ -48,13 +65,13 @@ func sserOnlyViolation() *history.History {
 
 func TestSSEROnlyViolation(t *testing.T) {
 	h := sserOnlyViolation()
-	if r := CheckSER(h); !r.OK {
+	if r := check(h, SER, Options{}); !r.OK {
 		t.Fatalf("must satisfy SER: %s", r.Explain())
 	}
-	if r := CheckSI(h); !r.OK {
+	if r := check(h, SI, Options{}); !r.OK {
 		t.Fatalf("must satisfy SI: %s", r.Explain())
 	}
-	r := CheckSSER(h)
+	r := check(h, SSER, Options{})
 	if r.OK {
 		t.Fatal("must violate SSER")
 	}
@@ -73,23 +90,23 @@ func TestSSEROnlyViolation(t *testing.T) {
 }
 
 func TestSparseRTAgreesOnFixturesAndSerial(t *testing.T) {
-	check := func(h *history.History) {
+	agree := func(h *history.History) {
 		t.Helper()
-		dense := CheckSSEROpt(h, Options{SkipPreCheck: true})
-		sparse := CheckSSEROpt(h, Options{SkipPreCheck: true, SparseRT: true})
+		dense := check(h, SSER, Options{SkipPreCheck: true})
+		sparse := check(h, SSER, Options{SkipPreCheck: true, SparseRT: true})
 		if dense.OK != sparse.OK {
 			t.Fatalf("dense=%v sparse=%v\ndense: %s\nsparse: %s", dense.OK, sparse.OK, dense.Explain(), sparse.Explain())
 		}
 	}
 	for _, f := range history.Fixtures() {
-		check(f.H)
+		agree(f.H)
 	}
-	check(history.SerialHistory(40, "x", "y"))
-	check(sserOnlyViolation())
+	agree(history.SerialHistory(40, "x", "y"))
+	agree(sserOnlyViolation())
 }
 
 func TestSparseRTCounterexampleCompressed(t *testing.T) {
-	r := CheckSSEROpt(sserOnlyViolation(), Options{SparseRT: true})
+	r := check(sserOnlyViolation(), SSER, Options{SparseRT: true})
 	if r.OK {
 		t.Fatal("must violate SSER")
 	}
@@ -102,7 +119,7 @@ func TestSparseRTCounterexampleCompressed(t *testing.T) {
 
 func TestDivergenceEarlyExit(t *testing.T) {
 	f := history.FixtureByName("LostUpdate")
-	r := CheckSI(f.H)
+	r := check(f.H, SI, Options{})
 	if r.OK {
 		t.Fatal("LostUpdate must violate SI")
 	}
@@ -120,11 +137,11 @@ func TestDivergenceEarlyExit(t *testing.T) {
 
 func TestWriteSkewSICounterexampleAbsent(t *testing.T) {
 	f := history.FixtureByName("WriteSkew")
-	r := CheckSI(f.H)
+	r := check(f.H, SI, Options{})
 	if !r.OK {
 		t.Fatalf("WriteSkew satisfies SI: %s", r.Explain())
 	}
-	rs := CheckSER(f.H)
+	rs := check(f.H, SER, Options{})
 	if rs.OK || len(rs.Cycle) == 0 {
 		t.Fatalf("WriteSkew violates SER with a cycle: %s", rs.Explain())
 	}
@@ -142,7 +159,7 @@ func TestWriteSkewSICounterexampleAbsent(t *testing.T) {
 
 func TestCycleContiguity(t *testing.T) {
 	for _, f := range history.Fixtures() {
-		for _, r := range []Result{CheckSER(f.H), CheckSI(f.H)} {
+		for _, r := range []Result{check(f.H, SER, Options{}), check(f.H, SI, Options{})} {
 			for i := 1; i < len(r.Cycle); i++ {
 				if r.Cycle[i-1].To != r.Cycle[i].From {
 					t.Fatalf("%s: cycle not contiguous: %v", f.Name, r.Cycle)
@@ -169,7 +186,7 @@ func TestBuildDependencyEdgeCounts(t *testing.T) {
 
 func TestPreCheckShortCircuits(t *testing.T) {
 	f := history.FixtureByName("AbortedRead")
-	r := CheckSER(f.H)
+	r := check(f.H, SER, Options{})
 	if r.OK || len(r.Anomalies) == 0 {
 		t.Fatalf("pre-check should reject: %s", r.Explain())
 	}
@@ -178,25 +195,25 @@ func TestPreCheckShortCircuits(t *testing.T) {
 	}
 }
 
-func TestCheckDispatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on unknown level")
+func TestCheckCtxRejectsLevelsWithoutBatchEngine(t *testing.T) {
+	ix := history.NewIndex(history.SerialHistory(1))
+	for _, lvl := range []Level{"BOGUS", RC, RA, CAUSAL} {
+		if _, err := CheckCtx(context.Background(), ix, lvl, Options{}); err == nil {
+			t.Fatalf("level %q: want an error, not a verdict (or a panic)", lvl)
 		}
-	}()
-	Check(history.SerialHistory(1), Level("BOGUS"))
+	}
 }
 
 func TestExplainOutput(t *testing.T) {
-	ok := CheckSER(history.SerialHistory(3))
+	ok := check(history.SerialHistory(3), SER, Options{})
 	if !strings.Contains(ok.Explain(), "satisfies SER") {
 		t.Fatalf("Explain = %q", ok.Explain())
 	}
-	bad := CheckSI(history.FixtureByName("LostUpdate").H)
+	bad := check(history.FixtureByName("LostUpdate").H, SI, Options{})
 	if !strings.Contains(bad.Explain(), "VIOLATES SI") || !strings.Contains(bad.Explain(), "DIVERGENCE") {
 		t.Fatalf("Explain = %q", bad.Explain())
 	}
-	cyc := CheckSER(history.FixtureByName("WriteSkew").H)
+	cyc := check(history.FixtureByName("WriteSkew").H, SER, Options{})
 	if !strings.Contains(cyc.Explain(), "cycle:") {
 		t.Fatalf("Explain = %q", cyc.Explain())
 	}
@@ -264,7 +281,7 @@ func TestPropertySerialMTHistoriesPassEverything(t *testing.T) {
 			t.Logf("not MT: %v", err)
 			return false
 		}
-		return CheckSSER(h).OK && CheckSER(h).OK && CheckSI(h).OK
+		return check(h, SSER, Options{}).OK && check(h, SER, Options{}).OK && check(h, SI, Options{}).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -274,7 +291,7 @@ func TestPropertySerialMTHistoriesPassEverything(t *testing.T) {
 // corruptRead rewires one external read to an older version of the key,
 // which generically produces a stale read that SSER must reject.
 func corruptRead(rng *rand.Rand, h *history.History) bool {
-	idx, _ := history.BuildWriterIndex(h)
+	ix := history.NewIndex(h)
 	// Collect candidate (txn, op) positions: external reads with an
 	// alternative value available.
 	type pos struct{ txn, op int }
@@ -296,9 +313,9 @@ func corruptRead(rng *rand.Rand, h *history.History) bool {
 	p := candidates[rng.Intn(len(candidates))]
 	op := h.Txns[p.txn].Ops[p.op]
 	// Find a different committed value on the same key.
-	writers := idx.WritersOf(op.Key)
-	for _, w := range writers {
-		if v, ok := h.Txns[w].Writes()[op.Key]; ok && v != op.Value && w != p.txn {
+	k, _ := ix.KeyIDOf(op.Key)
+	for _, w := range ix.WritersOf(k) {
+		if v, ok := ix.WriteVal(int(w), k); ok && v != op.Value && int(w) != p.txn {
 			h.Txns[p.txn].Ops[p.op].Value = v
 			return true
 		}
@@ -320,12 +337,12 @@ func TestPropertyCorruptedHistoriesRejectedBySSER(t *testing.T) {
 		// twice-read key, in which case INT catches it. Accept any
 		// rejection; require only that verdicts stay internally sane:
 		// SSER violation whenever SER is violated.
-		sser := CheckSSER(h)
-		ser := CheckSER(h)
+		sser := check(h, SSER, Options{})
+		ser := check(h, SER, Options{})
 		if !ser.OK && sser.OK {
 			return false // SER violation implies SSER violation
 		}
-		si := CheckSI(h)
+		si := check(h, SI, Options{})
 		_ = si
 		return !sser.OK
 	}
@@ -343,7 +360,7 @@ func TestPropertyLevelImplications(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			corruptRead(rng, h)
 		}
-		sser, ser, si := CheckSSER(h), CheckSER(h), CheckSI(h)
+		sser, ser, si := check(h, SSER, Options{}), check(h, SER, Options{}), check(h, SI, Options{})
 		if sser.OK && !ser.OK {
 			return false
 		}
@@ -364,8 +381,8 @@ func TestPropertySparseDenseSSERAgreement(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			corruptRead(rng, h)
 		}
-		dense := CheckSSEROpt(h, Options{})
-		sparse := CheckSSEROpt(h, Options{SparseRT: true})
+		dense := check(h, SSER, Options{})
+		sparse := check(h, SSER, Options{SparseRT: true})
 		return dense.OK == sparse.OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

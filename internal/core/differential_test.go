@@ -7,6 +7,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mtc/internal/core"
@@ -17,12 +18,28 @@ import (
 	"mtc/internal/workload"
 )
 
+// coreCheck runs the batch pipeline on h. Under a background context the
+// only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// coreReplay runs the online engine over h (window 0 = unbounded).
+func coreReplay(h *history.History, lvl core.Level, window int) core.Result {
+	r, _ := core.CheckIncrementalWindowedCtx(context.Background(), h, lvl, window)
+	return r
+}
+
 // diffCheck compares batch and incremental verdicts on one history.
 func diffCheck(t *testing.T, h *history.History, tag string) {
 	t.Helper()
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		batch := core.Check(h, lvl)
-		incr := core.CheckIncremental(h, lvl)
+		batch := coreCheck(h, lvl, core.Options{})
+		incr := coreReplay(h, lvl, 0)
 		if batch.OK != incr.OK {
 			t.Fatalf("%s/%s: batch OK=%v but incremental OK=%v\nbatch: %s\nincremental: %s",
 				tag, lvl, batch.OK, incr.OK, batch.Explain(), incr.Explain())
@@ -123,7 +140,7 @@ func TestIncrementalEarlyExitMatchesBatchVerdict(t *testing.T) {
 			continue
 		}
 		found = true
-		if core.CheckSI(h).OK {
+		if coreCheck(h, core.SI, core.Options{}).OK {
 			t.Fatalf("seed %d: incremental rejected at txn %d but batch accepts", seed, at)
 		}
 		if at == len(h.Txns)-1 {
@@ -140,7 +157,7 @@ func TestIncrementalEarlyExitMatchesBatchVerdict(t *testing.T) {
 				}
 			}
 		}
-		if core.CheckSI(prefix).OK {
+		if coreCheck(prefix, core.SI, core.Options{}).OK {
 			t.Fatalf("seed %d: prefix through txn %d accepted by batch", seed, at)
 		}
 	}

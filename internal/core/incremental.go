@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"mtc/internal/graph"
@@ -20,7 +19,7 @@ import (
 //
 // Verdict parity with the batch checkers is exact: after every
 // transaction of a history has been fed (in session order within each
-// session), Finalize reports OK if and only if CheckSER / CheckSI does.
+// session), Finalize reports OK if and only if CheckCtx at SER / SI does.
 // Reads whose writer has not yet been observed are parked and resolved
 // when the writer commits — or classified as AbortedRead / ThinAirRead at
 // Finalize, exactly as the batch pre-check would.
@@ -90,7 +89,7 @@ type Incremental struct {
 
 // NewIncremental returns an online checker for lvl, which must be SER or
 // SI (SSER needs the real-time order, which is inherently a batch
-// construction; use CheckSSER).
+// construction; use CheckCtx).
 func NewIncremental(lvl Level) *Incremental {
 	switch lvl {
 	case SER, SI:
@@ -597,8 +596,8 @@ func (inc *Incremental) fail(r Result) *Result {
 
 // Finalize ends the stream: reads still parked are classified as
 // AbortedRead or ThinAirRead (their writer never committed), and the
-// overall verdict is returned. The verdict's OK equals what CheckSER /
-// CheckSI would report on the same transactions fed as one batch.
+// overall verdict is returned. The verdict's OK equals what CheckCtx at
+// SER / SI would report on the same transactions fed as one batch.
 func (inc *Incremental) Finalize() Result {
 	if inc.vio != nil {
 		return *inc.vio
@@ -636,30 +635,6 @@ func (inc *Incremental) Finalize() Result {
 		Level: inc.lvl, OK: true, NumTxns: inc.n, NumEdges: inc.edges,
 		CompactedTxns: inc.compactTxns, CompactedEpochs: inc.compactEpoch,
 	}
-}
-
-// CheckIncremental replays a complete history through the online checker
-// and returns its verdict; it decides the same predicate as Check at
-// levels SER and SI, violating prefixes permitting early exit.
-//
-// Transactions are fed in commit (Finish timestamp) order — the order a
-// live stream would deliver them — rather than History.Txns order, which
-// interleaves sessions in per-session blocks and would force the online
-// order into its worst case. The sort is stable, so session order is
-// preserved (Finish is monotone within a session) and untimed histories
-// replay exactly in ID order. Counterexample transaction IDs are mapped
-// back to History.Txns indices before returning.
-func CheckIncremental(h *history.History, lvl Level) Result {
-	r, _ := CheckIncrementalCtx(context.Background(), h, lvl)
-	return r
-}
-
-// CheckIncrementalCtx is CheckIncremental under a context: the replay
-// loop polls ctx between batches of transactions, so long replays stop
-// promptly under a deadline. It is the unbounded (window 0) form of the
-// shared replay driver in CheckIncrementalWindowedCtx.
-func CheckIncrementalCtx(ctx context.Context, h *history.History, lvl Level) (Result, error) {
-	return CheckIncrementalWindowedCtx(ctx, h, lvl, 0)
 }
 
 // RemapResult rewrites the transaction ids of a verdict's counterexample

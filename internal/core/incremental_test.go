@@ -13,8 +13,8 @@ import (
 func TestIncrementalFixturesParity(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		for _, lvl := range []Level{SER, SI} {
-			batch := Check(f.H, lvl)
-			incr := CheckIncremental(f.H, lvl)
+			batch := check(f.H, lvl, Options{})
+			incr := replay(f.H, lvl, 0)
 			if batch.OK != incr.OK {
 				t.Errorf("%s/%s: batch OK=%v, incremental OK=%v\nbatch: %s\nincr: %s",
 					f.Name, lvl, batch.OK, incr.OK, batch.Explain(), incr.Explain())
@@ -93,7 +93,7 @@ func TestIncrementalThinAirAndAborted(t *testing.T) {
 	b := history.NewBuilder("x")
 	b.Txn(0, history.R("x", 99))
 	h := b.Build()
-	r := CheckIncremental(h, SER)
+	r := replay(h, SER, 0)
 	if r.OK || len(r.Anomalies) == 0 || r.Anomalies[0].Kind != history.ThinAirRead {
 		t.Fatalf("want ThinAirRead, got %s", r.Explain())
 	}
@@ -103,7 +103,7 @@ func TestIncrementalThinAirAndAborted(t *testing.T) {
 	b.AbortedTxn(0, history.R("x", 0), history.W("x", 5))
 	b.Txn(1, history.R("x", 5))
 	h = b.Build()
-	r = CheckIncremental(h, SI)
+	r = replay(h, SI, 0)
 	if r.OK || len(r.Anomalies) == 0 || r.Anomalies[0].Kind != history.AbortedRead {
 		t.Fatalf("want AbortedRead, got %s", r.Explain())
 	}

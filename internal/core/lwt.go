@@ -137,8 +137,8 @@ func vlLWTKey(ops []LWT) ([]int, string) {
 // History: each LWT becomes its own single-transaction session (LWT
 // clients are independent), an insert becomes a pure write and an R&W a
 // read followed by a write. The resulting history has no ⊥T; inserts play
-// that role. CheckSSER on the converted history agrees with VLLWT (the
-// SSER ≡ LIN degeneration of Section II-F), which the tests exploit.
+// that role. CheckCtx at SSER on the converted history agrees with VLLWT
+// (the SSER ≡ LIN degeneration of Section II-F), which the tests exploit.
 func LWTToHistory(ops []LWT) *history.History {
 	b := history.NewBuilder()
 	for i, o := range ops {

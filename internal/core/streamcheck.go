@@ -24,19 +24,13 @@ type SessionDeclarer interface {
 	DeclaredSessions() int
 }
 
-// CheckStream verifies a transaction stream without ever materialising
-// the history: each transaction is decoded, fed to the online checker
-// and released, so a multi-gigabyte NDJSON capture verifies in O(window
-// + boundary) memory when window > 0 (and O(stream) when window <= 0,
-// matching the unbounded incremental check).
-func CheckStream(src TxnSource, lvl Level, window int) Result {
-	r, _ := CheckStreamCtx(context.Background(), src, lvl, window, 0)
-	return r
-}
-
-// CheckStreamCtx is CheckStream under a context, polled between
-// batches. every tunes the compaction cadence exactly like
-// Incremental.MaybeCompact (0 picks window/2).
+// CheckStreamCtx verifies a transaction stream without ever
+// materialising the history: each transaction is decoded, fed to the
+// online checker and released, so a multi-gigabyte NDJSON capture
+// verifies in O(window + boundary) memory when window > 0 (and O(stream)
+// when window <= 0, matching the unbounded incremental check). ctx is
+// polled between batches; every tunes the compaction cadence exactly
+// like Incremental.MaybeCompact (0 picks window/2).
 //
 // A record with a negative session number is the init transaction and
 // must be first (the NDJSON convention). The stream is verified under

@@ -29,6 +29,16 @@ func ndjsonSource(t *testing.T, h *history.History) core.TxnSource {
 	return sr
 }
 
+// streamCheck verifies h as an NDJSON stream under the given window.
+func streamCheck(t *testing.T, h *history.History, lvl core.Level, window int) core.Result {
+	t.Helper()
+	r, err := core.CheckStreamCtx(context.Background(), ndjsonSource(t, h), lvl, window, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestCheckStreamMatchesBatch: verifying an NDJSON capture transaction
 // by transaction decides the same predicate as the batch checker, on
 // clean and faulty histories alike.
@@ -45,8 +55,8 @@ func TestCheckStreamMatchesBatch(t *testing.T) {
 		} {
 			h := runner.Run(mk(), w, runner.Config{Retries: 2}).H
 			for _, lvl := range []core.Level{core.SER, core.SI} {
-				batch := core.Check(h, lvl)
-				stream := core.CheckStream(ndjsonSource(t, h), lvl, 0)
+				batch := coreCheck(h, lvl, core.Options{})
+				stream := streamCheck(t, h, lvl, 0)
 				if batch.OK != stream.OK {
 					t.Fatalf("seed %d/%s: batch OK=%v, stream OK=%v\nbatch: %s\nstream: %s",
 						seed, lvl, batch.OK, stream.OK, batch.Explain(), stream.Explain())
@@ -80,7 +90,7 @@ func TestCheckStreamWindowed(t *testing.T) {
 			Dist: workload.Uniform, Seed: 7, ReadOnlyFrac: 0.25,
 		})
 		h := runner.RunStream(context.Background(), kv.NewStore(mode), w, runner.Config{Retries: 3}, lvl).H
-		r := core.CheckStream(ndjsonSource(t, h), lvl, 32)
+		r := streamCheck(t, h, lvl, 32)
 		if !r.OK {
 			t.Fatalf("%s: clean windowed stream rejected: %s", lvl, r.Explain())
 		}

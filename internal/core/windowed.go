@@ -7,28 +7,29 @@ import (
 	"mtc/internal/history"
 )
 
-// CheckIncrementalWindowed replays a complete history through the online
-// checker under a bounded memory window: the stream is compacted every
-// window/2 transactions so at most O(window + boundary) transactions are
-// materialised at any moment. It decides exactly the same predicate as
-// CheckIncremental — identical verdicts, anomalies and first-offending
-// commit on every history, not just well-behaved ones — because the
-// replay driver knows the future: a pre-scan computes, for every
-// transaction, the last stream position that still references any value
-// it participates in, and pins it across compactions until then.
-// window <= 0 selects the unbounded replay.
-func CheckIncrementalWindowed(h *history.History, lvl Level, window int) Result {
-	r, _ := CheckIncrementalWindowedCtx(context.Background(), h, lvl, window)
-	return r
-}
-
-// CheckIncrementalWindowedCtx is the one replay driver behind both
-// CheckIncremental and the windowed check: transactions are fed in
-// commit (Finish timestamp) order — the order a live stream would
-// deliver them — with ctx polled between batches, and, when window > 0,
-// MaybeCompact runs on the shared cadence with the pre-scan pin.
-// Counterexample transaction IDs are mapped back to History.Txns
-// indices before returning.
+// CheckIncrementalWindowedCtx replays a complete history through the
+// online checker and returns its verdict; it decides the same predicate
+// as CheckCtx at levels SER and SI, violating prefixes permitting early
+// exit.
+//
+// Transactions are fed in commit (Finish timestamp) order — the order a
+// live stream would deliver them — rather than History.Txns order, which
+// interleaves sessions in per-session blocks and would force the online
+// order into its worst case. The sort is stable, so session order is
+// preserved (Finish is monotone within a session) and untimed histories
+// replay exactly in ID order. ctx is polled between batches, and
+// counterexample transaction IDs are mapped back to History.Txns indices
+// before returning.
+//
+// window > 0 bounds the replay's memory: the stream is compacted every
+// window/2 transactions (MaybeCompact's shared cadence) so at most
+// O(window + boundary) transactions are materialised at any moment. The
+// verdicts, anomalies and first-offending commit are identical to the
+// unbounded replay (window <= 0) on every history, not just well-behaved
+// ones, because the replay driver knows the future: a pre-scan computes,
+// for every transaction, the last stream position that still references
+// any value it participates in, and pins it across compactions until
+// then.
 func CheckIncrementalWindowedCtx(ctx context.Context, h *history.History, lvl Level, window int) (Result, error) {
 	order := make([]int, len(h.Txns))
 	for i := range order {

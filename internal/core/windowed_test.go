@@ -26,9 +26,9 @@ var diffWindows = []int{4, 16, 64}
 func windowedDiffCheck(t *testing.T, h *history.History, tag string) {
 	t.Helper()
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		ref := core.CheckIncremental(h, lvl)
+		ref := coreReplay(h, lvl, 0)
 		for _, win := range diffWindows {
-			got := core.CheckIncrementalWindowed(h, lvl, win)
+			got := coreReplay(h, lvl, win)
 			if got.OK != ref.OK {
 				t.Fatalf("%s/%s win %d: OK=%v, unbounded OK=%v\nunbounded: %s\nwindowed: %s",
 					tag, lvl, win, got.OK, ref.OK, ref.Explain(), got.Explain())
@@ -114,7 +114,7 @@ func TestWindowedActuallyCompacts(t *testing.T) {
 		t.Fatalf("history too small: %d", len(h.Txns))
 	}
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		got := core.CheckIncrementalWindowed(h, lvl, 64)
+		got := coreReplay(h, lvl, 64)
 		if !got.OK {
 			t.Fatalf("%s: clean history rejected: %s", lvl, got.Explain())
 		}

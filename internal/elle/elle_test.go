@@ -1,6 +1,7 @@
 package elle_test
 
 import (
+	"context"
 	"strings"
 
 	. "mtc/internal/elle"
@@ -238,10 +239,10 @@ func TestPropertyRegisterModeAgreesWithMTCOnMTHistories(t *testing.T) {
 			Sessions: 6, Txns: 40, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if CheckRWRegister(res.H, SER).OK != core.CheckSER(res.H).OK {
+		if CheckRWRegister(res.H, SER).OK != coreCheck(res.H, core.SER, core.Options{}).OK {
 			return false
 		}
-		return CheckRWRegister(res.H, SI).OK == core.CheckSI(res.H).OK
+		return CheckRWRegister(res.H, SI).OK == coreCheck(res.H, core.SI, core.Options{}).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -255,4 +256,14 @@ func TestUnknownLevelPanics(t *testing.T) {
 		}
 	}()
 	CheckListAppend(la(), Level("BOGUS"))
+}
+
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -339,13 +339,9 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 // split into its distribution plan, and its components placed
 // largest-first on the least-loaded worker queues. Submitting an id the
 // coordinator already knows is a no-op — the idempotence that lets the
-// server resubmit recovered jobs blindly. The engine must be a base
-// engine name; a "-sharded" wrapper name is reduced to its base, since
-// the coordinator itself provides the sharding.
+// server resubmit recovered jobs blindly. The coordinator's plan is the
+// sharding, so opts.Shard is dropped rather than forwarded to workers.
 func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker.Options) error {
-	if shard.IsSharded(engine) {
-		engine = engine[:len(engine)-len(shard.Suffix)]
-	}
 	eng, err := c.reg.Lookup(engine)
 	if err != nil {
 		return err
@@ -353,7 +349,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	if opts.Level == "" {
 		opts.Level = eng.Levels()[0]
 	}
-	opts.Shard = 0 // the plan, not the engine, does the sharding
+	opts.Shard = 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

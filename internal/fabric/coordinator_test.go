@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -573,20 +574,13 @@ func TestFabricEngineErrorFailsJob(t *testing.T) {
 	}
 }
 
-// TestFabricShardedNameReduces: submitting under a "-sharded" wrapper
-// name runs the base engine — the coordinator itself is the sharding.
-func TestFabricShardedNameReduces(t *testing.T) {
+// TestFabricRejectsShardedTwinName: the coordinator's plan is the
+// sharding; the retired twin name is an unknown checker like anywhere else.
+func TestFabricRejectsShardedTwinName(t *testing.T) {
 	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
 	defer c.Close()
-	w := c.Register(api.WorkerHello{})
-	if err := c.Submit("j1", "mtc-sharded", tenantHistory(2, 3), checker.Options{Level: core.SER}); err != nil {
-		t.Fatal(err)
-	}
-	task, err := c.Pull(w.ID)
-	if err != nil || task == nil {
-		t.Fatal(err)
-	}
-	if task.Checker != "mtc" {
-		t.Fatalf("task engine %q, want the base engine mtc", task.Checker)
+	err := c.Submit("j1", "mtc-sharded", tenantHistory(2, 3), checker.Options{Level: core.SER})
+	if err == nil || !strings.Contains(err.Error(), "unknown checker") {
+		t.Fatalf("mtc-sharded: want an unknown-checker error, got %v", err)
 	}
 }

@@ -9,7 +9,6 @@ package faults
 
 import (
 	"mtc/internal/core"
-	"mtc/internal/history"
 	"mtc/internal/kv"
 )
 
@@ -156,11 +155,4 @@ func (b Bug) NewStore(seed int64) *kv.Store {
 	f := b.Faults
 	f.Seed = seed
 	return kv.NewFaultyStore(b.Mode, f)
-}
-
-// CheckHistory verifies h against the bug's claimed level and reports
-// whether the bug manifested (the claimed level is violated).
-func (b Bug) CheckHistory(h *history.History) (core.Result, bool) {
-	r := core.Check(h, b.Claimed)
-	return r, !r.OK
 }

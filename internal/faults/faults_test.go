@@ -32,6 +32,16 @@ func TestCatalogueShape(t *testing.T) {
 	}
 }
 
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // hunt runs MT workloads against the bug's store over several seeds and
 // reports whether the claimed level was violated, plus the first failing
 // result.
@@ -52,7 +62,7 @@ func hunt(t *testing.T, b Bug, seeds int) (core.Result, bool) {
 			Seed: seed, ReadOnlyFrac: 0.3,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if r, bad := b.CheckHistory(res.H); bad {
+		if r := coreCheck(res.H, b.Claimed, core.Options{}); !r.OK {
 			return r, true
 		}
 	}
@@ -91,10 +101,10 @@ func TestWriteSkewStoreStillSatisfiesSI(t *testing.T) {
 			Sessions: 8, Txns: 120, Objects: 3, Dist: workload.Exponential, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if r := core.CheckSI(res.H); !r.OK {
+		if r := coreCheck(res.H, core.SI, core.Options{}); !r.OK {
 			t.Fatalf("seed %d: SI must hold on the write-skew store:\n%s", seed, r.Explain())
 		}
-		if r := core.CheckSER(res.H); !r.OK {
+		if r := coreCheck(res.H, core.SER, core.Options{}); !r.OK {
 			return // SER violation found, as expected
 		}
 	}
@@ -109,7 +119,7 @@ func TestMongoDirtyAbortYieldsAbortedRead(t *testing.T) {
 			Sessions: 6, Txns: 100, Objects: 3, Dist: workload.Uniform, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		r := core.CheckSI(res.H)
+		r := coreCheck(res.H, core.SI, core.Options{})
 		if r.OK {
 			continue
 		}
@@ -141,7 +151,7 @@ func TestLevelBugsBreakTheirRung(t *testing.T) {
 					Sessions: 8, Txns: 80, Objects: 3, Seed: seed,
 				})
 				res := runner.Run(s, w, runner.Config{Retries: 4})
-				prof, err := levels.Profile(context.Background(), res.H, levels.Options{})
+				prof, err := levels.Profile(context.Background(), history.NewIndex(res.H), levels.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -269,7 +269,7 @@ func ValidateMT(h *History) error {
 			return fmt.Errorf("history: T%d is not a mini-transaction: %s", i, h.Txns[i].String())
 		}
 	}
-	if _, dups := BuildWriterIndex(h); len(dups) > 0 {
+	if dups := NewIndex(h).Dups(); len(dups) > 0 {
 		return fmt.Errorf("history: duplicate write of (%s,%d) violates unique values", dups[0].Key, dups[0].Value)
 	}
 	return nil

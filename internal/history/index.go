@@ -53,15 +53,15 @@ func (it *Interner) Name(id KeyID) Key { return it.names[id] }
 // committed transaction's first-external-read and last-write footprints
 // are stored as parallel (KeyID, Value) column slices sorted by KeyID in
 // one shared arena (no per-transaction maps), and every committed write
-// operation is indexed into per-key postings sorted by value, subsuming
-// BuildWriterIndex. Aborted writes get their own postings for G1a
-// classification.
+// operation is indexed into per-key postings sorted by value. Aborted
+// writes get their own postings for G1a classification.
 //
 // The footprints decide exactly the predicates of the map-based
-// accessors: Reads(t) enumerates Txn.Reads() sorted by key, Writes(t)
-// enumerates Txn.Writes() sorted by key, Writer matches
-// WriterIndex.Writer, and Dups matches BuildWriterIndex's dups — an
-// equivalence the randomized tests in index_test.go pin down.
+// reference accessors kept in reference_test.go: Reads(t) enumerates
+// Txn.Reads() sorted by key, Writes(t) enumerates Txn.Writes() sorted by
+// key, Writer matches WriterIndex.Writer, and Dups matches
+// BuildWriterIndex's dups — an equivalence the randomized tests in
+// index_test.go pin down.
 type Index struct {
 	h  *History
 	it *Interner // names sorted lexicographically; KeyID == sorted rank

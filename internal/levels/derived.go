@@ -8,82 +8,18 @@ import (
 	"mtc/internal/history"
 )
 
-// derived holds the one dependency derivation every rung shares: the
-// full typed graph (SO ∪ WR ∪ WW ∪ RW), the divergence witnesses, the
-// WW edges (for the per-key version forest), all from a single
-// core.DeriveDeps pass over a single history.Index.
+// derived is the one dependency derivation every rung shares — core's
+// Deps, the value core.CheckCtx evaluates its own rungs over, built
+// without real-time edges (the SSER rung decides without them) — plus
+// the per-key version forest the weak rungs and the guarantees add.
 type derived struct {
-	ix   *history.Index
-	g    *graph.Graph
-	divs []core.Divergence
-	ww   []graph.Edge
-	f    *wwForest // built lazily; only weak rungs and guarantees need it
-}
-
-// deriveShared builds the shared graph. Edge insertion order — session
-// order first, then the derivation's WR/WW/RW order — replicates
-// buildDependencyCtx exactly, so cycle searches over d.g return the
-// same counterexamples as the dedicated engines (the differential
-// suite holds the SER/SI rungs to bit-identical results).
-func deriveShared(ctx context.Context, ix *history.Index) (*derived, error) {
-	h := ix.History()
-	g := graph.New(len(h.Txns))
-	h.SessionOrder(func(a, b int) {
-		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
-	})
-	d := &derived{ix: ix, g: g}
-	// One WW edge per non-root writer slot, modulo re-emissions for
-	// repeated reads — NumWriterSlots is the right capacity to reserve.
-	d.ww = make([]graph.Edge, 0, ix.NumWriterSlots())
-	divs, err := core.DeriveDepsCtx(ctx, ix, func(e graph.Edge) {
-		g.AddEdge(e)
-		if e.Kind == graph.WW {
-			d.ww = append(d.ww, e)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.divs = divs
-	return d, nil
+	*core.Deps
+	f *wwForest // built lazily; only weak rungs and guarantees need it
 }
 
 // pass is the result of a rung settled by a stronger rung's verdict.
 func (d *derived) pass(lvl core.Level) core.Result {
-	return core.Result{Level: lvl, OK: true, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
-}
-
-// checkSER is the SER rung: acyclicity of the full graph, matching
-// core.CheckSERCtx on the shared derivation.
-func (d *derived) checkSER() core.Result {
-	res := core.Result{Level: core.SER, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
-	if cycle := d.g.FindCycle(); cycle != nil {
-		res.Cycle = cycle
-		return res
-	}
-	res.OK = true
-	return res
-}
-
-// checkSI is the SI rung, matching core.CheckSICtx: reject on a
-// divergence witness, else search the induced graph.
-func (d *derived) checkSI(ctx context.Context) (core.Result, error) {
-	res := core.Result{Level: core.SI, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
-	if len(d.divs) > 0 {
-		div := d.divs[0]
-		res.Divergence = &div
-		return res, nil
-	}
-	gi, expand := core.InduceSI(d.g)
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	if cycle := gi.FindCycle(); cycle != nil {
-		res.Cycle = expand(cycle)
-		return res, nil
-	}
-	res.OK = true
-	return res, nil
+	return core.Result{Level: lvl, OK: true, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 }
 
 // checkSSER is the SSER rung. A SER cycle survives the addition of
@@ -97,23 +33,23 @@ func (d *derived) checkSI(ctx context.Context) (core.Result, error) {
 // node's minimum descendant finish rank decides this in O(V+E), several
 // times cheaper than a cycle search over the chained graph. Only on
 // violation — off the clean-history hot path — does the rung fall back
-// to the dedicated sparse-chain engine for the usual compressed cycle
+// to core's sparse-chain SSER rung for the usual compressed cycle
 // witness.
 //
 //mtc:hotpath — the lattice's per-rung DFS over the shared graph
 func (d *derived) checkSSER(ctx context.Context, ser core.Result, par int) (core.Result, error) {
-	res := core.Result{Level: core.SSER, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
+	res := core.Result{Level: core.SSER, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	if !ser.OK {
 		res.Cycle = ser.Cycle
 		return res, nil
 	}
-	start, finish := core.RTOrder(d.ix.History())
+	start, finish := core.RTOrder(d.Index.History())
 	// mnf[u] = the minimum finish rank over u's strict descendants in the
 	// dependency DAG (inf when none is timed): u is inverted iff some
 	// descendant finished before u started. One memoized post-order DFS —
 	// the SER rung just proved acyclicity, so every node settles once.
 	const inf = int32(1) << 30
-	n := d.g.Len()
+	n := d.Graph.Len()
 	mnf := make([]int32, n)
 	state := make([]uint8, n) // 0 unvisited, 1 opened, 2 settled
 	for i := range mnf {
@@ -138,7 +74,7 @@ scan:
 			if v < 0 { // post-visit: children settled, fold their minima
 				u := ^v
 				m := inf
-				for _, e := range d.g.Out(int(u)) {
+				for _, e := range d.Graph.Out(int(u)) {
 					cm := mnf[e.To]
 					if f := finish[e.To]; f >= 0 && int32(f) < cm {
 						cm = int32(f)
@@ -160,7 +96,7 @@ scan:
 			}
 			state[v] = 1
 			stack = append(stack, ^v)
-			for _, e := range d.g.Out(int(v)) {
+			for _, e := range d.Graph.Out(int(v)) {
 				if state[e.To] == 0 {
 					stack = append(stack, int32(e.To))
 				}
@@ -171,12 +107,10 @@ scan:
 		res.OK = true
 		return res, nil
 	}
-	// Materialize the witness the long way: the sparse-chain engine
-	// reports the compressed time-order cycle. The pre-check already
-	// passed (the lattice walk reached this rung), so skip it.
-	return core.CheckSSERCtx(ctx, d.ix.History(), core.Options{
-		SkipPreCheck: true, SparseRT: true, Parallelism: par,
-	})
+	// Materialize the witness the long way: core's SSER rung adds the
+	// sparse chain to this derivation and reports the compressed
+	// time-order cycle.
+	return d.Rung(ctx, core.SSER, par)
 }
 
 // checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;
@@ -185,11 +119,11 @@ scan:
 //
 //mtc:hotpath — rung filter over every edge of the shared graph
 func (d *derived) checkRC() core.Result {
-	res := core.Result{Level: core.RC, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
-	n := d.g.Len()
+	res := core.Result{Level: core.RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+	n := d.Graph.Len()
 	g1 := graph.New(n)
 	for u := 0; u < n; u++ {
-		for _, e := range d.g.Out(u) {
+		for _, e := range d.Graph.Out(u) {
 			if e.Kind == graph.WR || e.Kind == graph.WW {
 				g1.AddEdge(e)
 			}
@@ -205,7 +139,7 @@ func (d *derived) checkRC() core.Result {
 
 // checkRA is the RA rung: RC's G1c plus fractured reads.
 func (d *derived) checkRA(rc core.Result) core.Result {
-	res := core.Result{Level: core.RA, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
+	res := core.Result{Level: core.RA, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	if !rc.OK {
 		res.Cycle = rc.Cycle
 		res.Anomalies = rc.Anomalies
@@ -229,7 +163,7 @@ func (d *derived) checkRA(rc core.Result) core.Result {
 // monotone: every fractured read forces an RW edge back into the
 // reader's causal past, so RA failures here are causal failures too.
 func (d *derived) fracturedReads() []history.Anomaly {
-	ix := d.ix
+	ix := d.Index
 	f := d.forest()
 	h := ix.History()
 	var out []history.Anomaly
@@ -277,13 +211,13 @@ func (d *derived) fracturedReads() []history.Anomaly {
 // violations surface as a cycle witness: the CO path closed by the RW
 // edge. Reachability over the acyclic CO uses the bitset closure.
 func (d *derived) checkCausal(ctx context.Context, par int) (core.Result, error) {
-	res := core.Result{Level: core.CAUSAL, NumTxns: d.ix.NumTxns(), NumEdges: d.g.NumEdges()}
-	n := d.g.Len()
+	res := core.Result{Level: core.CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+	n := d.Graph.Len()
 	co := graph.New(n)
 	var rws []graph.Edge
 	//mtc:cancellation-ok linear edge scan; the closure build below polls ctx
 	for u := 0; u < n; u++ {
-		for _, e := range d.g.Out(u) {
+		for _, e := range d.Graph.Out(u) {
 			switch e.Kind {
 			case graph.SO, graph.WR:
 				co.AddEdge(e)
@@ -368,7 +302,7 @@ func liftCycle(co *graph.Graph, rw graph.Edge) []graph.Edge {
 // forest returns the per-key version forest, building it on first use.
 func (d *derived) forest() *wwForest {
 	if d.f == nil {
-		d.f = newWWForest(d.ix, d.ww)
+		d.f = newWWForest(d.Index, d.Graph)
 	}
 	return d.f
 }
@@ -378,7 +312,9 @@ func (d *derived) forest() *wwForest {
 // key's versions form a forest: parent = the version the writer read
 // and replaced. Preorder intervals (tin, tout) from an iterative DFS
 // decide ancestry; versions on divergent branches are incomparable.
-// Slots reuse the index's dense (key, writer) numbering.
+// Slots reuse the index's dense (key, writer) numbering. The forest is
+// read off the derived graph's WW edges, so it costs nothing until a
+// weak rung or the guarantee scan asks for it.
 type wwForest struct {
 	ix     *history.Index
 	parent []int32
@@ -386,7 +322,7 @@ type wwForest struct {
 	tout   []int32
 }
 
-func newWWForest(ix *history.Index, ww []graph.Edge) *wwForest {
+func newWWForest(ix *history.Index, g *graph.Graph) *wwForest {
 	ns := ix.NumWriterSlots()
 	f := &wwForest{
 		ix:     ix,
@@ -398,18 +334,23 @@ func newWWForest(ix *history.Index, ww []graph.Edge) *wwForest {
 		f.parent[i] = -1
 	}
 	cnt := make([]int32, ns+1)
-	for _, e := range ww {
-		k, ok := ix.KeyIDOf(history.Key(e.Obj))
-		if !ok {
-			continue
+	for u := 0; u < g.Len(); u++ {
+		for _, e := range g.Out(u) {
+			if e.Kind != graph.WW {
+				continue
+			}
+			k, ok := ix.KeyIDOf(history.Key(e.Obj))
+			if !ok {
+				continue
+			}
+			sp := ix.WriterSlot(k, int32(e.From))
+			sc := ix.WriterSlot(k, int32(e.To))
+			if sp < 0 || sc < 0 || f.parent[sc] >= 0 {
+				continue // repeated reads re-emit the same WW edge; link once
+			}
+			f.parent[sc] = int32(sp)
+			cnt[sp+1]++
 		}
-		sp := ix.WriterSlot(k, int32(e.From))
-		sc := ix.WriterSlot(k, int32(e.To))
-		if sp < 0 || sc < 0 || f.parent[sc] >= 0 {
-			continue // repeated reads re-emit the same WW edge; link once
-		}
-		f.parent[sc] = int32(sp)
-		cnt[sp+1]++
 	}
 	for i := 0; i < ns; i++ {
 		cnt[i+1] += cnt[i]

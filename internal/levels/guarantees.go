@@ -29,7 +29,7 @@ import (
 // axis.
 func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 	f := d.forest()
-	ix := d.ix
+	ix := d.Index
 	h := ix.History()
 	ryw := GuaranteeVerdict{Guarantee: ReadYourWrites, OK: true, Session: -1}
 	mr := GuaranteeVerdict{Guarantee: MonotonicReads, OK: true, Session: -1}

@@ -7,8 +7,8 @@
 // plus the four per-session guarantees (read-your-writes, monotonic
 // reads, monotonic writes, writes-follow-reads) as a separate axis.
 // Everything is evaluated from ONE shared history.Index and ONE
-// core.DeriveDeps pass — the weak rungs are verdict layers over the
-// typed dependency graph the strong checkers already pay for:
+// core.BuildDependencyCtx derivation — the weak rungs are verdict layers
+// over the typed dependency graph the strong checkers already pay for:
 //
 //   - RC (read committed, PL-2) forbids the G0/G1 phenomena: the
 //     dirty/intermediate/thin-air reads the pre-check reports, and G1c —
@@ -22,9 +22,11 @@
 //     over anti-dependencies, that no transaction misses a write that
 //     causally precedes it: an RW edge T -> S with S ~>(SO ∪ WR) T closes
 //     a forbidden cycle.
-//   - SI / SER / SSER reuse the exact engines of internal/core on the
-//     shared graph, so profile verdicts are bit-identical to the
-//     dedicated checkers (differentially enforced in CI).
+//   - SI / SER / SSER are core's own rungs (core.Deps.Rung, the code
+//     core.CheckCtx runs) evaluated on the shared derivation, so profile
+//     verdicts are bit-identical to the dedicated checker by
+//     construction; only the SSER decision on a SER-clean history is
+//     made here, chain-free, before falling back to core for a witness.
 //
 // Every rung takes the pre-check axioms (INT, unique committed writers)
 // as its base: a G1a/G1b witness fails the whole lattice at once, which
@@ -180,20 +182,15 @@ func (r *Report) Summary() string {
 	return s
 }
 
-// Profile evaluates every isolation level and session guarantee of h
-// from one shared index and one dependency derivation, walking the
-// lattice with short-circuiting: the strong engines run first and a pass
-// there settles every weaker rung, so the weak checks only execute on
+// Profile evaluates every isolation level and session guarantee of the
+// indexed history from one dependency derivation, walking the lattice
+// with short-circuiting: the strong rungs run first and a pass there
+// settles every weaker rung, so the weak checks only execute on
 // histories that already violate SI.
-func Profile(ctx context.Context, h *history.History, opts Options) (*Report, error) {
+func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return ProfileIndexed(ctx, history.NewIndex(h), opts)
-}
-
-// ProfileIndexed is Profile over a prebuilt columnar index.
-func ProfileIndexed(ctx context.Context, ix *history.Index, opts Options) (*Report, error) {
 	rep := &Report{NumTxns: ix.NumTxns()}
 	if !opts.SkipPreCheck {
 		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
@@ -215,20 +212,24 @@ func ProfileIndexed(ctx context.Context, ix *history.Index, opts Options) (*Repo
 			return rep, nil
 		}
 	}
-	d, err := deriveShared(ctx, ix)
+	deps, err := core.BuildDependencyCtx(ctx, ix, false, 1)
 	if err != nil {
 		return nil, err
 	}
-	rep.NumEdges = d.g.NumEdges()
+	d := &derived{Deps: deps}
+	rep.NumEdges = d.Graph.NumEdges()
 
-	ser := d.checkSER()
+	ser, err := d.Rung(ctx, core.SER, opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
 	var si, causal, ra, rc core.Result
 	switch {
 	case ser.OK:
 		// SER ⇒ SI ⇒ CAUSAL ⇒ RA ⇒ RC (see the package comment).
 		si, causal, ra, rc = d.pass(core.SI), d.pass(core.CAUSAL), d.pass(core.RA), d.pass(core.RC)
 	default:
-		if si, err = d.checkSI(ctx); err != nil {
+		if si, err = d.Rung(ctx, core.SI, opts.Parallelism); err != nil {
 			return nil, err
 		}
 		switch {
@@ -272,31 +273,31 @@ func ProfileIndexed(ctx context.Context, ix *history.Index, opts Options) (*Repo
 	return rep, nil
 }
 
-// CheckLevel verifies h at a single level. The strong levels dispatch to
-// their dedicated engines in internal/core; RC, RA and CAUSAL are
-// evaluated here over the shared derivation. Like the strong engines it
-// returns a Result whose counterexample fields carry the witness.
-func CheckLevel(ctx context.Context, h *history.History, lvl core.Level, opts Options) (core.Result, error) {
+// CheckLevel verifies the indexed history at a single level. The strong
+// levels are core.CheckCtx's; RC, RA and CAUSAL are evaluated here over
+// the same derivation. Like the strong pipeline it returns a Result
+// whose counterexample fields carry the witness.
+func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Options) (core.Result, error) {
 	switch lvl {
 	case core.RC, core.RA, core.CAUSAL:
 	default:
-		return core.CheckCtx(ctx, h, lvl, core.Options{
+		return core.CheckCtx(ctx, ix, lvl, core.Options{
 			SkipPreCheck: opts.SkipPreCheck, Parallelism: opts.Parallelism,
 		})
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	ix := history.NewIndex(h)
 	if !opts.SkipPreCheck {
 		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 			return core.Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 		}
 	}
-	d, err := deriveShared(ctx, ix)
+	deps, err := core.BuildDependencyCtx(ctx, ix, false, 1)
 	if err != nil {
 		return core.Result{}, err
 	}
+	d := &derived{Deps: deps}
 	switch lvl {
 	case core.RC:
 		return d.checkRC(), nil

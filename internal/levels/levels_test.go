@@ -10,7 +10,7 @@ import (
 
 func profile(t *testing.T, h *history.History) *Report {
 	t.Helper()
-	rep, err := Profile(context.Background(), h, Options{})
+	rep, err := Profile(context.Background(), history.NewIndex(h), Options{})
 	if err != nil {
 		t.Fatalf("Profile: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestCheckLevelAgreesWithProfile(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		rep := profile(t, f.H)
 		for _, lvl := range core.Lattice() {
-			res, err := CheckLevel(ctx, f.H, lvl, Options{})
+			res, err := CheckLevel(ctx, history.NewIndex(f.H), lvl, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}
@@ -225,7 +225,7 @@ func TestProfileMatchesEnginesOnFixtures(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		rep := profile(t, f.H)
 		for _, lvl := range []core.Level{core.SER, core.SI} {
-			eng, err := core.CheckCtx(ctx, f.H, lvl, core.Options{})
+			eng, err := core.CheckCtx(ctx, history.NewIndex(f.H), lvl, core.Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}
@@ -265,10 +265,10 @@ func TestLatticeRank(t *testing.T) {
 func TestCheckLevelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CheckLevel(ctx, history.SerialHistory(5), core.CAUSAL, Options{}); err == nil {
+	if _, err := CheckLevel(ctx, history.NewIndex(history.SerialHistory(5)), core.CAUSAL, Options{}); err == nil {
 		t.Fatal("want context error")
 	}
-	if _, err := Profile(ctx, history.SerialHistory(5), Options{}); err == nil {
+	if _, err := Profile(ctx, history.NewIndex(history.SerialHistory(5)), Options{}); err == nil {
 		t.Fatal("want context error")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"mtc/internal/api"
 	"mtc/internal/checker"
 	"mtc/internal/history"
-	"mtc/internal/shard"
 )
 
 // Job-model defaults; Server fields override them.
@@ -260,19 +259,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			"this server is not a fabric coordinator (start it with -fabric-wal) and cannot run distributed jobs")
 		return
-	}
-	if req.Shard > 0 && !req.Distributed {
-		// Route through the component-sharded wrapper of the resolved
-		// engine; an already-sharded name passes through. A distributed
-		// job skips the wrapper: the fabric coordinator itself splits the
-		// history and folds the component verdicts, on the same plan.
-		base := name
-		name = shard.Name(name)
-		if c, err = s.reg.Lookup(name); err != nil {
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeUnknownChecker,
-				"no sharded wrapper for checker %q: %v", base, err)
-			return
-		}
 	}
 	if req.Window < 0 {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "window must be >= 0, got %d", req.Window)

@@ -415,30 +415,6 @@ func TestUnsupportedHistoryJobFails(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesCarryDeprecationHeaders asserts the pre-v1 aliases
-// answer with Deprecation/Link while the v1 routes do not.
-func TestLegacyRoutesCarryDeprecationHeaders(t *testing.T) {
-	ts := httptest.NewServer(Handler())
-	defer ts.Close()
-	legacy, err := http.Get(ts.URL + "/checkers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" ||
-		!strings.Contains(legacy.Header.Get("Link"), "/v1/checkers") {
-		t.Fatalf("legacy route headers: %v", legacy.Header)
-	}
-	v1, err := http.Get(ts.URL + "/v1/checkers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route must not be deprecated")
-	}
-}
-
 // TestRequestIDMiddleware covers both generated and client-supplied ids.
 func TestRequestIDMiddleware(t *testing.T) {
 	ts := httptest.NewServer(Handler())

@@ -66,13 +66,3 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		)
 	})
 }
-
-// deprecated marks a legacy route with the standard deprecation headers
-// and points clients at its v1 successor before delegating.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}

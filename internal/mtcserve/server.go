@@ -29,11 +29,9 @@
 //	GET    /v1/fixtures/{name}?level=   report on a fixture
 //	GET    /healthz
 //
-// The pre-v1 routes (/checkers, /check, /fixtures, /sessions) remain as
-// thin deprecated aliases; they answer with Deprecation and Link headers
-// naming their v1 successor. Every request carries an X-Request-Id
-// (client-supplied or generated), v1 errors use a structured
-// {error:{code,message}} envelope, and request bodies are size-limited.
+// Every request carries an X-Request-Id (client-supplied or generated),
+// errors use a structured {error:{code,message}} envelope, and request
+// bodies are size-limited.
 package mtcserve
 
 import (
@@ -55,26 +53,7 @@ import (
 	"mtc/internal/history"
 )
 
-// Verdict is the legacy JSON wire form of a checker verdict, served by
-// the deprecated pre-v1 routes. v1 responses embed checker.Report
-// instead, which keeps anomalies and cycle edges structured.
-type Verdict struct {
-	Level     string   `json:"level"`
-	Checker   string   `json:"checker"`
-	OK        bool     `json:"ok"`
-	Txns      int      `json:"txns"`
-	Edges     int      `json:"edges,omitempty"`
-	Anomalies []string `json:"anomalies,omitempty"`
-	Cycle     []string `json:"cycle,omitempty"`
-	Detail    string   `json:"detail,omitempty"`
-}
-
-// apiError is the legacy flat error body of the deprecated routes.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// checkerInfo describes one registry entry in GET /checkers.
+// checkerInfo describes one registry entry in GET /v1/checkers.
 type checkerInfo = api.CheckerInfo
 
 // Server carries the registry, the job pool, and the live streaming
@@ -327,7 +306,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", healthz)
 	mux.HandleFunc("GET /v1/healthz", healthz)
 
-	// v1: the supported surface.
 	mux.HandleFunc("GET /v1/checkers", s.handleCheckers)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -340,7 +318,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/verdict", s.handleSessionVerdict)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /v1/fixtures", s.handleFixtures)
-	mux.HandleFunc("GET /v1/fixtures/{name}", s.handleFixtureV1)
+	mux.HandleFunc("GET /v1/fixtures/{name}", s.handleFixture)
 
 	// Fabric coordinator surface; answers 400 unless the server was
 	// started as a coordinator (Fabric set).
@@ -349,16 +327,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fabric/workers/{id}/pull", s.handleFabricPull)
 	mux.HandleFunc("POST /v1/fabric/workers/{id}/results", s.handleFabricResults)
 	mux.HandleFunc("GET /v1/fabric/status", s.handleFabricStatus)
-
-	// Pre-v1 aliases, kept for one deprecation cycle.
-	mux.HandleFunc("GET /checkers", deprecated("/v1/checkers", s.handleCheckers))
-	mux.HandleFunc("POST /check", deprecated("/v1/jobs", s.handleCheck))
-	mux.HandleFunc("GET /fixtures", deprecated("/v1/fixtures", s.handleFixtures))
-	mux.HandleFunc("GET /fixtures/{name}", deprecated("/v1/fixtures/{name}", s.handleFixture))
-	mux.HandleFunc("POST /sessions", deprecated("/v1/sessions", s.handleSessionOpen))
-	mux.HandleFunc("POST /sessions/{id}/txns", deprecated("/v1/sessions/{id}/txns", s.handleSessionTxns))
-	mux.HandleFunc("GET /sessions/{id}/verdict", deprecated("/v1/sessions/{id}/verdict", s.handleSessionVerdict))
-	mux.HandleFunc("DELETE /sessions/{id}", deprecated("/v1/sessions/{id}", s.handleSessionDelete))
 	return s.middleware(mux)
 }
 
@@ -368,11 +336,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	_ = enc.Encode(v)
-}
-
-// httpError writes the legacy flat error body (deprecated routes).
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // v1Error writes the v1 structured error envelope.
@@ -405,57 +368,6 @@ func (s *Server) handleCheckers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleCheck is the deprecated synchronous whole-history check; its v1
-// successor is the job API.
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	lvl, lvlErr := parseLevelParam(r)
-	if lvlErr != nil {
-		httpError(w, http.StatusBadRequest, "%v", lvlErr)
-		return
-	}
-	name := r.URL.Query().Get("checker")
-	if name == "" {
-		name = s.defaultChecker()
-	}
-	if _, err := s.reg.Lookup(name); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	h, err := history.ReadJSON(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad history: %v", err)
-		return
-	}
-	rep, err := s.reg.Run(r.Context(), name, h, checker.Options{Level: lvl})
-	switch {
-	case checker.IsUnsupported(err):
-		// The engine could not process this history (e.g. Porcupine on a
-		// history that is not LWT-shaped): the request was well-formed
-		// but unprocessable by the selected checker.
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromReport(rep))
-}
-
-// fromReport converts a checker report to the legacy wire form.
-func fromReport(v checker.Report) Verdict {
-	out := Verdict{
-		Level: string(v.Level), Checker: v.Checker, OK: v.OK,
-		Txns: v.Txns, Edges: v.Edges, Detail: v.Detail,
-	}
-	for _, a := range v.Anomalies {
-		out.Anomalies = append(out.Anomalies, a.String())
-	}
-	for _, e := range v.Cycle {
-		out.Cycle = append(out.Cycle, e.String())
-	}
-	return out
-}
-
 // reportFromResult converts a core.Result to a checker.Report for the
 // session endpoints (the shared normalisation lives in the checker
 // package).
@@ -471,40 +383,19 @@ func (s *Server) handleFixtures(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, names)
 }
 
-// handleFixture is the deprecated fixture check (legacy Verdict shape).
+// handleFixture runs the MTC engine on a named fixture and serves the
+// structured Report.
 func (s *Server) handleFixture(w http.ResponseWriter, r *http.Request) {
-	rep, status, err := s.fixtureReport(r)
-	if err != nil {
-		httpError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromReport(rep))
-}
-
-// handleFixtureV1 serves the fixture check with the structured Report.
-func (s *Server) handleFixtureV1(w http.ResponseWriter, r *http.Request) {
-	rep, status, err := s.fixtureReport(r)
-	if err != nil {
-		code := api.CodeBadRequest
-		if status == http.StatusNotFound {
-			code = api.CodeNotFound
-		}
-		s.v1Error(w, r, status, code, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// fixtureReport runs the MTC engine on a named fixture.
-func (s *Server) fixtureReport(r *http.Request) (checker.Report, int, error) {
 	name := r.PathValue("name")
 	f := history.FixtureByName(name)
 	if f == nil {
-		return checker.Report{}, http.StatusNotFound, fmt.Errorf("unknown fixture %q", name)
+		s.v1Error(w, r, http.StatusNotFound, api.CodeNotFound, "unknown fixture %q", name)
+		return
 	}
 	lvl, err := parseLevelParam(r)
 	if err != nil {
-		return checker.Report{}, http.StatusBadRequest, err
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
 	}
 	if lvl == "" {
 		lvl = core.SI
@@ -517,9 +408,10 @@ func (s *Server) fixtureReport(r *http.Request) (checker.Report, int, error) {
 	}
 	rep, err := s.reg.Run(r.Context(), engine, f.H, checker.Options{Level: lvl})
 	if err != nil {
-		return checker.Report{}, http.StatusBadRequest, err
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
 	}
-	return rep, http.StatusOK, nil
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {

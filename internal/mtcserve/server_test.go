@@ -1,34 +1,31 @@
 package mtcserve
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"mtc/internal/api"
+	"mtc/internal/checker"
 	"mtc/internal/history"
 )
 
-func post(t *testing.T, ts *httptest.Server, path string, h *history.History) (*http.Response, Verdict) {
+// check submits h as a job (empty checker/level select the server's
+// defaults), waits for it and returns the report.
+func check(t *testing.T, ts *httptest.Server, checkerName, level string, h *history.History) checker.Report {
 	t.Helper()
-	var buf bytes.Buffer
-	if h != nil {
-		if err := history.WriteJSON(&buf, h); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		buf.WriteString("{bogus")
+	resp, job := submitJob(t, ts, api.JobRequest{Checker: checkerName, Level: level, History: h})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s/%s: %d", checkerName, level, resp.StatusCode)
 	}
-	resp, err := http.Post(ts.URL+path, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
+	done := waitJob(t, ts, job.ID, 5*time.Second)
+	if done.State != api.JobDone || done.Report == nil {
+		t.Fatalf("job %s/%s: %+v", checkerName, level, done)
 	}
-	var v Verdict
-	_ = json.NewDecoder(resp.Body).Decode(&v)
-	resp.Body.Close()
-	return resp, v
+	return *done.Report
 }
 
 func TestHealthz(t *testing.T) {
@@ -45,9 +42,9 @@ func TestCheckValidHistory(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	h := history.SerialHistory(20, "x", "y")
-	resp, v := post(t, ts, "/check?level=SER", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Level != "SER" {
-		t.Fatalf("verdict: %d %+v", resp.StatusCode, v)
+	v := check(t, ts, "", "SER", h)
+	if !v.OK || v.Level != "SER" {
+		t.Fatalf("verdict: %+v", v)
 	}
 	if v.Txns != len(h.Txns) || v.Edges == 0 {
 		t.Fatalf("stats: %+v", v)
@@ -58,15 +55,15 @@ func TestCheckViolationReturnsCounterexample(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	f := history.FixtureByName("WriteSkew")
-	_, v := post(t, ts, "/check?level=SER", f.H)
+	v := check(t, ts, "", "SER", f.H)
 	if v.OK || len(v.Cycle) == 0 || !strings.Contains(v.Detail, "RW") {
 		t.Fatalf("want write-skew cycle, got %+v", v)
 	}
-	_, v = post(t, ts, "/check?level=SI", f.H)
+	v = check(t, ts, "", "SI", f.H)
 	if !v.OK {
 		t.Fatalf("WriteSkew must pass SI: %+v", v)
 	}
-	_, v = post(t, ts, "/check?level=SI", history.FixtureByName("LostUpdate").H)
+	v = check(t, ts, "", "SI", history.FixtureByName("LostUpdate").H)
 	if v.OK || !strings.Contains(v.Detail, "DIVERGENCE") {
 		t.Fatalf("want divergence detail, got %+v", v)
 	}
@@ -76,42 +73,24 @@ func TestCheckBaselineCheckers(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	h := history.SerialHistory(10, "x")
-	resp, v := post(t, ts, "/check?level=SER&checker=cobra", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "cobra" {
-		t.Fatalf("cobra verdict: %d %+v", resp.StatusCode, v)
-	}
-	resp, v = post(t, ts, "/check?level=SI&checker=polysi", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "polysi" {
-		t.Fatalf("polysi verdict: %d %+v", resp.StatusCode, v)
+	for _, tc := range []struct{ name, level string }{
+		{"cobra", "SER"}, {"polysi", "SI"}, {"mtc-incremental", "SER"}, {"elle", "SER"},
+	} {
+		if v := check(t, ts, tc.name, tc.level, h); !v.OK || v.Checker != tc.name {
+			t.Fatalf("%s verdict: %+v", tc.name, v)
+		}
 	}
 	// Mismatched level/checker combos are rejected.
-	resp, _ = post(t, ts, "/check?level=SI&checker=cobra", h)
+	resp, _ := submitJob(t, ts, api.JobRequest{Checker: "cobra", Level: "SI", History: h})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cobra on SI must 400, got %d", resp.StatusCode)
-	}
-}
-
-func TestCheckErrors(t *testing.T) {
-	ts := httptest.NewServer(Handler())
-	defer ts.Close()
-	resp, _ := post(t, ts, "/check?level=NOPE", history.SerialHistory(2))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad level must 400, got %d", resp.StatusCode)
-	}
-	resp, _ = post(t, ts, "/check?level=SI", nil) // malformed body
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body must 400, got %d", resp.StatusCode)
-	}
-	resp, _ = post(t, ts, "/check?checker=bogus", history.SerialHistory(2))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad checker must 400, got %d", resp.StatusCode)
 	}
 }
 
 func TestFixturesEndpoints(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/fixtures")
+	resp, err := http.Get(ts.URL + "/v1/fixtures")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("fixtures: %v", err)
 	}
@@ -121,22 +100,22 @@ func TestFixturesEndpoints(t *testing.T) {
 	if len(names) != 16 {
 		t.Fatalf("names = %v", names)
 	}
-	resp, err = http.Get(ts.URL + "/fixtures/WriteSkew?level=SI")
+	resp, err = http.Get(ts.URL + "/v1/fixtures/WriteSkew?level=SI")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatal("fixture lookup failed")
 	}
-	var v Verdict
+	var v checker.Report
 	_ = json.NewDecoder(resp.Body).Decode(&v)
 	resp.Body.Close()
 	if !v.OK {
 		t.Fatalf("WriteSkew/SI verdict: %+v", v)
 	}
-	resp, _ = http.Get(ts.URL + "/fixtures/Nope")
+	resp, _ = http.Get(ts.URL + "/v1/fixtures/Nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fixture must 404, got %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/fixtures/WriteSkew?level=NOPE")
+	resp, _ = http.Get(ts.URL + "/v1/fixtures/WriteSkew?level=NOPE")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad level must 400, got %d", resp.StatusCode)
 	}
@@ -146,8 +125,22 @@ func TestFixturesEndpoints(t *testing.T) {
 func TestDefaultLevelIsSI(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	_, v := post(t, ts, "/check", history.SerialHistory(3))
-	if v.Level != "SI" {
+	if v := check(t, ts, "", "", history.SerialHistory(3)); v.Level != "SI" {
 		t.Fatalf("default level = %q", v.Level)
+	}
+}
+
+// TestUnversionedRoutesAreGone: the pre-v1 aliases were removed; only
+// /v1 (and /healthz) answer.
+func TestUnversionedRoutesAreGone(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/checkers"}, {"POST", "/check"}, {"GET", "/fixtures"}, {"GET", "/fixtures/WriteSkew"},
+		{"POST", "/sessions"}, {"POST", "/sessions/s1/txns"}, {"GET", "/sessions/s1/verdict"}, {"DELETE", "/sessions/s1"},
+	} {
+		if resp, _ := doJSON(t, tc.method, ts.URL+tc.path, "{}"); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mtcserve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -27,8 +28,8 @@ func tenantJobHistory() *history.History {
 }
 
 // TestJobSharded submits a multi-tenant history with the shard knob and
-// asserts the job routed through the sharded wrapper, echoed the
-// effective knobs, and reported the component decomposition.
+// asserts the job kept its engine name, echoed the effective knobs, and
+// reported the component decomposition.
 func TestJobSharded(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
@@ -36,15 +37,15 @@ func TestJobSharded(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sharded job rejected: %d", resp.StatusCode)
 	}
-	if job.Checker != "mtc-sharded" || job.Shard != 1 {
-		t.Fatalf("job document: checker %q shard %d, want mtc-sharded/1", job.Checker, job.Shard)
+	if job.Checker != "mtc" || job.Shard != 1 {
+		t.Fatalf("job document: checker %q shard %d, want mtc/1", job.Checker, job.Shard)
 	}
 	done := waitJob(t, ts, job.ID, 5*time.Second)
 	if done.State != api.JobDone || done.Report == nil || !done.Report.OK {
 		t.Fatalf("sharded job: %+v", done)
 	}
-	if done.Report.ShardComponents != 2 {
-		t.Fatalf("report.ShardComponents = %d, want 2", done.Report.ShardComponents)
+	if done.Report.ShardComponents != 2 || done.Report.Checker != "mtc" {
+		t.Fatalf("report: checker %q, %d components; want mtc, 2", done.Report.Checker, done.Report.ShardComponents)
 	}
 	// The unsharded job agrees on the verdict and edge count.
 	_, ref := submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "SI", History: tenantJobHistory()})
@@ -52,11 +53,14 @@ func TestJobSharded(t *testing.T) {
 	if refDone.Report == nil || refDone.Report.Edges != done.Report.Edges {
 		t.Fatalf("edge counts diverge: sharded %d vs unsharded %+v", done.Report.Edges, refDone.Report)
 	}
-	// An explicitly sharded checker name with the knob set does not
-	// double-wrap.
-	_, j2 := submitJob(t, ts, api.JobRequest{Checker: "mtc-sharded", Level: "SI", Shard: 1, History: tenantJobHistory()})
-	if j2.Checker != "mtc-sharded" {
-		t.Fatalf("double-wrapped checker name %q", j2.Checker)
+	// Sharding is the knob, not a name: the old twin is an unknown checker.
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/jobs", api.JobRequest{Checker: "mtc-sharded", Level: "SI", Shard: 1, History: tenantJobHistory()})
+	var e api.ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != api.CodeUnknownChecker {
+		t.Fatalf("mtc-sharded: status %d code %q, want 400 %s", resp.StatusCode, e.Error.Code, api.CodeUnknownChecker)
 	}
 }
 

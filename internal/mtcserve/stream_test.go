@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,85 +38,29 @@ func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte)
 	return resp, out.Bytes()
 }
 
+// TestCheckersEndpoint: GET /v1/checkers lists exactly the ten base
+// engines — sharding is a job option, not a second name per engine.
 func TestCheckersEndpoint(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	resp, body := doJSON(t, "GET", ts.URL+"/checkers", nil)
+	resp, body := doJSON(t, "GET", ts.URL+"/v1/checkers", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/checkers: %d", resp.StatusCode)
+		t.Fatalf("/v1/checkers: %d", resp.StatusCode)
 	}
 	var infos []checkerInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]bool{}
+	var got []string
 	for _, ci := range infos {
-		got[ci.Name] = len(ci.Levels) > 0
-	}
-	for _, name := range []string{"mtc", "mtc-incremental", "cobra", "polysi", "elle", "porcupine"} {
-		if !got[name] {
-			t.Fatalf("/checkers missing %q (got %v)", name, got)
+		if len(ci.Levels) == 0 {
+			t.Fatalf("%s lists no levels", ci.Name)
 		}
+		got = append(got, ci.Name)
 	}
-}
-
-func TestCheckRegistryCheckers(t *testing.T) {
-	ts := httptest.NewServer(Handler())
-	defer ts.Close()
-	h := history.SerialHistory(10, "x")
-	resp, v := post(t, ts, "/check?level=SER&checker=mtc-incremental", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "mtc-incremental" {
-		t.Fatalf("incremental verdict: %d %+v", resp.StatusCode, v)
-	}
-	resp, v = post(t, ts, "/check?level=SER&checker=elle", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "elle" {
-		t.Fatalf("elle verdict: %d %+v", resp.StatusCode, v)
-	}
-	// Porcupine on a non-LWT-shaped history is unprocessable.
-	b := history.NewBuilder("x", "y")
-	b.Txn(0, history.R("x", 0), history.W("x", 1), history.R("y", 0), history.W("y", 2))
-	resp, _ = post(t, ts, "/check?level=SSER&checker=porcupine", b.Build())
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("porcupine shape error must 422, got %d", resp.StatusCode)
-	}
-}
-
-// TestCheckErrorBodiesAreStructured ensures every error path returns an
-// {error} JSON object with the right status.
-func TestCheckErrorBodiesAreStructured(t *testing.T) {
-	ts := httptest.NewServer(Handler())
-	defer ts.Close()
-	cases := []struct {
-		name   string
-		path   string
-		body   any
-		status int
-	}{
-		{"bad level", "/check?level=NOPE", history.SerialHistory(2), http.StatusBadRequest},
-		{"unknown checker", "/check?checker=bogus", history.SerialHistory(2), http.StatusBadRequest},
-		{"mismatched level", "/check?checker=cobra&level=SI", history.SerialHistory(2), http.StatusBadRequest},
-		{"malformed history", "/check?level=SI", "{bogus", http.StatusBadRequest},
-		{"empty body", "/check?level=SI", "", http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var body any = tc.body
-			if h, ok := tc.body.(*history.History); ok {
-				var buf bytes.Buffer
-				if err := history.WriteJSON(&buf, h); err != nil {
-					t.Fatal(err)
-				}
-				body = buf.String()
-			}
-			resp, raw := doJSON(t, "POST", ts.URL+tc.path, body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, raw)
-			}
-			var e apiError
-			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-				t.Fatalf("error body not structured: %q (%v)", raw, err)
-			}
-		})
+	want := []string{"causal", "cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile", "ra", "rc"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/checkers lists %v, want %v", got, want)
 	}
 }
 
@@ -125,7 +70,7 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	resp, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SER", Keys: []history.Key{"x", "y"}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SER", Keys: []history.Key{"x", "y"}})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("open: %d %s", resp.StatusCode, body)
 	}
@@ -141,7 +86,7 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 		{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}},
 		{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 1), history.W("x", 2)}},
 	}
-	resp, body = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", txns)
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", txns)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed: %d %s", resp.StatusCode, body)
 	}
@@ -152,12 +97,12 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 
 	// Single-object payloads are accepted too.
 	one := history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("y", 0), history.W("y", 7)}}
-	resp, body = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", one)
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", one)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed one: %d %s", resp.StatusCode, body)
 	}
 
-	resp, body = doJSON(t, "GET", ts.URL+"/sessions/"+st.ID+"/verdict?final=1", nil)
+	resp, body = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict?final=1", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("verdict: %d", resp.StatusCode)
 	}
@@ -167,16 +112,16 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	}
 
 	// Feeding a finalized session conflicts.
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", one)
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", one)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("feed after final must 409, got %d", resp.StatusCode)
 	}
 
-	resp, _ = doJSON(t, "DELETE", ts.URL+"/sessions/"+st.ID, nil)
+	resp, _ = doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+st.ID, nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "GET", ts.URL+"/sessions/"+st.ID+"/verdict", nil)
+	resp, _ = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session must 404, got %d", resp.StatusCode)
 	}
@@ -188,7 +133,7 @@ func TestStreamingSessionCatchesViolation(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
 
@@ -196,7 +141,7 @@ func TestStreamingSessionCatchesViolation(t *testing.T) {
 		{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}},
 		{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 2)}}, // lost update
 	}
-	resp, body := doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", txns)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", txns)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed: %d", resp.StatusCode)
 	}
@@ -214,7 +159,7 @@ func TestStreamingSessionErrors(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	resp, raw := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SSER"})
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SSER"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("SSER session must 400, got %d", resp.StatusCode)
 	}
@@ -222,23 +167,23 @@ func TestStreamingSessionErrors(t *testing.T) {
 	if err := json.Unmarshal(raw, &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 		t.Fatalf("error body not structured: %q", raw)
 	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions", "{bogus")
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions", "{bogus")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad session body must 400, got %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/nope/txns", []history.Txn{})
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/nope/txns", []history.Txn{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session must 404, got %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "DELETE", ts.URL+"/sessions/nope", nil)
+	resp, _ = doJSON(t, "DELETE", ts.URL+"/v1/sessions/nope", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session delete must 404, got %d", resp.StatusCode)
 	}
 
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "si"})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "si"})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", "{bogus")
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", "{bogus")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad txns payload must 400, got %d", resp.StatusCode)
 	}
@@ -250,7 +195,7 @@ func TestDefaultCheckerFlagged(t *testing.T) {
 	srv.DefaultChecker = "cobra"
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	_, v := post(t, ts, "/check", history.SerialHistory(3, "x"))
+	v := check(t, ts, "", "", history.SerialHistory(3, "x"))
 	if v.Checker != "cobra" || v.Level != "SER" {
 		t.Fatalf("default checker not applied: %+v", v)
 	}
@@ -263,7 +208,7 @@ func TestSessionLimit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	open := func() (*http.Response, api.SessionStatus) {
-		resp, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI"})
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI"})
 		var st api.SessionStatus
 		_ = json.Unmarshal(body, &st)
 		return resp, st
@@ -278,7 +223,7 @@ func TestSessionLimit(t *testing.T) {
 		t.Fatal("429 must carry a Retry-After header")
 	}
 	// Deleting a session frees a slot.
-	doJSON(t, "DELETE", ts.URL+"/sessions/"+st1.ID, nil)
+	doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+st1.ID, nil)
 	if resp, _ := open(); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("slot not freed: %d", resp.StatusCode)
 	}
@@ -289,10 +234,10 @@ func TestSessionLimit(t *testing.T) {
 func TestSessionTxnRequiresCommitted(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
-	resp, raw := doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns",
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns",
 		`[{"sess":0,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":1}]}]`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing committed must 400, got %d (%s)", resp.StatusCode, raw)

@@ -1,6 +1,7 @@
 package npc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,7 +113,7 @@ func TestPropertyBruteAgreesWithCheckSEROnMTHistories(t *testing.T) {
 			Sessions: 3, Txns: 4, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 3}).H
-		want := core.CheckSER(h).OK
+		want := coreCheck(h, core.SER, core.Options{}).OK
 		got := SerializableBrute(h)
 		if want != got {
 			t.Logf("seed=%d CheckSER=%v brute=%v", seed, want, got)
@@ -132,7 +133,7 @@ func TestPropertyBruteSSERAgreesWithCheckSSER(t *testing.T) {
 			Sessions: 3, Txns: 4, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 3}).H
-		want := core.CheckSSER(h).OK
+		want := coreCheck(h, core.SSER, core.Options{}).OK
 		got := StrictSerializableBrute(h)
 		if want != got {
 			t.Logf("seed=%d CheckSSER=%v brute=%v", seed, want, got)
@@ -143,4 +144,14 @@ func TestPropertyBruteSSERAgreesWithCheckSSER(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

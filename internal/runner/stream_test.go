@@ -29,7 +29,7 @@ func TestRunStreamCleanMatchesBatch(t *testing.T) {
 		if res.EarlyAborted || res.ViolationAt != 0 {
 			t.Fatalf("%s: clean run flagged early abort: %+v", lvl, res)
 		}
-		batch := core.Check(res.H, lvl)
+		batch := coreCheck(res.H, lvl, core.Options{})
 		if !batch.OK {
 			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Explain())
 		}
@@ -56,7 +56,7 @@ func TestRunStreamSurfacesViolationMidRun(t *testing.T) {
 			t.Fatal("violation found but ViolationAt not recorded")
 		}
 		// The batch checker must agree on the collected (prefix) history.
-		if batch := core.CheckSI(res.H); batch.OK {
+		if batch := coreCheck(res.H, core.SI, core.Options{}); batch.OK {
 			t.Fatalf("seed %d: batch accepts the history the stream rejected", seed)
 		}
 		planned := 0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,56 +14,20 @@ import (
 	"mtc/internal/history"
 )
 
-// Suffix is appended to an engine's name to form its sharded wrapper's
-// registry name ("mtc" -> "mtc-sharded").
-const Suffix = "-sharded"
-
-// Name maps an engine name to its sharded wrapper's registry name;
-// already-sharded names pass through unchanged.
-func Name(engine string) string {
-	if strings.HasSuffix(engine, Suffix) {
-		return engine
-	}
-	return engine + Suffix
-}
-
-// IsSharded reports whether name is a sharded wrapper's registry name.
-func IsSharded(name string) bool { return strings.HasSuffix(name, Suffix) }
-
 func init() {
-	// Wrap every engine registered so far (the package init of
-	// internal/checker runs first — this package imports it), so the
-	// default registry serves a "*-sharded" twin of each base engine.
-	for _, c := range checker.Default.All() {
-		if !IsSharded(c.Name()) {
-			checker.Register(Wrap(c))
-		}
-	}
+	// The package init of internal/checker runs first — this package
+	// imports it — so linking internal/shard is what turns
+	// checker.Options.Shard on for every registered engine.
+	checker.ShardCheck = Check
 }
 
-// sharded is the component-sharded wrapper of one base engine.
-type sharded struct{ base checker.Checker }
-
-// Wrap returns a checker that decomposes every history into its
-// key/session-disjoint components (Split), checks up to Options.Shard
-// components concurrently through the wrapped engine, and merges the
-// per-component reports (Merge). Its name is the base name plus
-// "-sharded"; its levels are the base's.
-func Wrap(c checker.Checker) checker.Checker { return sharded{base: c} }
-
-func (s sharded) Name() string            { return Name(s.base.Name()) }
-func (s sharded) Levels() []checker.Level { return s.base.Levels() }
-
-func (s sharded) Check(ctx context.Context, h *history.History, opts checker.Options) (checker.Report, error) {
-	return Check(ctx, s.base, h, opts)
-}
-
-// Check is the sharded driver: decompose h, check the components
-// concurrently through c (at most graph.Parallelism(opts.Shard) at a
-// time; the engine-internal opts.Parallelism is forwarded unchanged),
-// and merge. A history that decomposes into a single component is
-// checked directly — sharding degenerates to the plain engine plus a
-// partition pass.
+// Check is the sharded driver behind checker.Run with Options.Shard > 0:
+// decompose h, check the components concurrently through c (at most
+// opts.Shard at a time, GOMAXPROCS when called directly with Shard <= 0),
+// and merge. The report keeps c's name; ShardComponents says it was
+// sharded. A history that decomposes into a single component is checked
+// directly — sharding degenerates to the plain engine plus a partition
+// pass.
 func Check(ctx context.Context, c checker.Checker, h *history.History, opts checker.Options) (checker.Report, error) {
 	splitStart := time.Now()
 	p := Split(h)
@@ -77,7 +40,6 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 		if err != nil {
 			return checker.Report{}, err
 		}
-		rep.Checker = Name(c.Name())
 		rep.ShardComponents = len(p.Components)
 		if rep.ShardComponents == 0 {
 			rep.ShardComponents = 1 // nothing to split (e.g. init-only history)
@@ -160,7 +122,7 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 // external ids.
 func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Report) checker.Report {
 	out := checker.Report{
-		Checker: Name(engine), Level: lvl, OK: true,
+		Checker: engine, Level: lvl, OK: true,
 		Txns:            len(p.Source.Txns),
 		ShardComponents: len(p.Components),
 	}

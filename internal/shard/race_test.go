@@ -13,9 +13,9 @@ import (
 )
 
 // TestShardedLevelsConcurrently runs ONE multi-tenant history through
-// the registry's sharded wrappers at Shard 1, 2 and GOMAXPROCS
+// checker.Run's sharded path at Shard 1, 2 and GOMAXPROCS
 // simultaneously — the workers share the history, the partition logic
-// and the wrapped engines, so under -race this is the proof that the
+// and the engines, so under -race this is the proof that the
 // component fan-out and the merge touch no shared mutable state.
 // Alongside the workers, a cancellation goroutine submits the same job
 // under an immediately-expiring context and asserts the component loop
@@ -23,7 +23,7 @@ import (
 func TestShardedLevelsConcurrently(t *testing.T) {
 	h := tenantHistory(4, 30)
 	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, name := range []string{"mtc-sharded", "mtc-incremental-sharded", "polysi-sharded"} {
+	for _, name := range []string{"mtc", "mtc-incremental", "polysi"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var (

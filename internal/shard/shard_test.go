@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,13 +133,13 @@ func TestSplitSharedKeyDegenerates(t *testing.T) {
 func TestSplitEdgeParity(t *testing.T) {
 	h := tenantHistory(3, 8)
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		ref := core.Check(h, lvl)
+		ref := coreCheck(h, lvl, core.Options{})
 		if !ref.OK {
 			t.Fatalf("reference %s check rejected a clean history", lvl)
 		}
 		sum := 0
 		for _, c := range Split(h).Components {
-			r := core.Check(c.H, lvl)
+			r := coreCheck(c.H, lvl, core.Options{})
 			if !r.OK {
 				t.Fatalf("component %s check rejected a clean component", lvl)
 			}
@@ -161,7 +162,7 @@ func TestMergeFirstOffense(t *testing.T) {
 	b.Txn(0, history.R("x", 77))                   // T3, component 0 (x): thin-air
 	h := b.Build()
 
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SI, Shard: 2})
+	rep, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: core.SI, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +193,14 @@ func TestMergeFirstOffense(t *testing.T) {
 }
 
 // TestShardedSingleComponentFallback: a fully-coupled history passes
-// through the wrapped engine directly, with the wrapper's name and a
-// component count of 1.
+// through the engine directly, with a component count of 1.
 func TestShardedSingleComponentFallback(t *testing.T) {
 	h := history.SerialHistory(10, "x")
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SER})
+	rep, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: core.SER, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK || rep.ShardComponents != 1 || rep.Checker != "mtc-sharded" {
+	if !rep.OK || rep.ShardComponents != 1 || rep.Checker != "mtc" {
 		t.Fatalf("fallback report: %+v", rep)
 	}
 	ref, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: core.SER})
@@ -212,24 +212,52 @@ func TestShardedSingleComponentFallback(t *testing.T) {
 	}
 }
 
-// TestShardedRegistry: every base engine has a "-sharded" twin with the
-// same levels.
-func TestShardedRegistry(t *testing.T) {
-	for _, name := range []string{"mtc", "mtc-incremental", "cobra", "polysi", "elle", "porcupine"} {
-		base, err := checker.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped, err := checker.Lookup(Name(name))
-		if err != nil {
-			t.Fatalf("no sharded twin for %s: %v", name, err)
-		}
-		if !reflect.DeepEqual(base.Levels(), wrapped.Levels()) {
-			t.Fatalf("%s levels diverge: %v vs %v", name, base.Levels(), wrapped.Levels())
-		}
+// TestRunShardsOnOptionsShard: Options.Shard > 0 on checker.Run IS
+// sharding — the base engine name, four components on a four-tenant
+// history, the same report shard.Check builds — and Shard 0 is off.
+func TestRunShardsOnOptionsShard(t *testing.T) {
+	h := tenantHistory(4, 6)
+	ctx := context.Background()
+	opts := checker.Options{Level: core.SI, Shard: 2}
+	got, err := checker.Run(ctx, "mtc", h, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Name("mtc-sharded") != "mtc-sharded" {
-		t.Fatal("Name must be idempotent")
+	if got.ShardComponents != 4 || got.Checker != "mtc" {
+		t.Fatalf("Run with Shard 2: checker %q, %d components; want mtc, 4", got.Checker, got.ShardComponents)
+	}
+	eng, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Check(ctx, eng, h, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Timings, want.Timings = nil, nil // wall-clock differs, nothing else may
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run with Shard 2 diverges from shard.Check:\n%+v\n%+v", got, want)
+	}
+	off, err := checker.Run(ctx, "mtc", h, checker.Options{Level: core.SI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.ShardComponents != 0 {
+		t.Fatalf("Shard 0 must check unsharded, got %d components", off.ShardComponents)
+	}
+}
+
+// TestRegistryHasNoShardedTwins: sharding is an option, not a name — the
+// registry lists exactly the ten base engines and "mtc-sharded" is an
+// unknown checker.
+func TestRegistryHasNoShardedTwins(t *testing.T) {
+	want := []string{"causal", "cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile", "ra", "rc"}
+	if got := checker.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry lists %v, want %v", got, want)
+	}
+	_, err := checker.Run(context.Background(), "mtc-sharded", tenantHistory(2, 2), checker.Options{Level: core.SI, Shard: 2})
+	if err == nil || !strings.Contains(err.Error(), "unknown checker") {
+		t.Fatalf("mtc-sharded: want an unknown-checker error, got %v", err)
 	}
 }
 
@@ -275,7 +303,7 @@ func TestDriverChecksComponentsConcurrently(t *testing.T) {
 // components and prepends the partition phase.
 func TestShardedTimings(t *testing.T) {
 	h := tenantHistory(3, 4)
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SER, Shard: 2})
+	rep, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: core.SER, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,4 +313,14 @@ func TestShardedTimings(t *testing.T) {
 	if rep.Detail == "" || rep.ShardComponents != 3 {
 		t.Fatalf("merged clean report: %+v", rep)
 	}
+}
+
+// coreCheck runs the batch MTC pipeline on h. Under a background context
+// the only error CheckCtx can return is a level without a batch engine.
+func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -1,13 +1,13 @@
 // levels_differential_test.go property-tests the lattice profiler
 // against the dedicated engines and the Elle baseline: on every history —
 // clean or fault-injected, MT or general-transaction shaped — the
-// profile's SER rung must be bit-identical to core.CheckSER (verdict,
-// counterexample cycle edge by edge, anomaly list, edge count), the SI
-// rung bit-identical to core.CheckSI whenever it actually runs, the SSER
-// verdict must agree with core.CheckSSER (the profiler decides it
-// without materializing the time chain), the rung column must be
-// monotone in the lattice, and no Elle-visible violation may pass a
-// shared rung. This is the contract docs/isolation.md advertises for
+// profile's SER rung must be bit-identical to core.CheckCtx at SER
+// (verdict, counterexample cycle edge by edge, anomaly list, edge count),
+// the SI rung bit-identical to core.CheckCtx at SI whenever it actually
+// runs, the SSER verdict must agree with core.CheckCtx at SSER (the
+// profiler decides it without materializing the time chain), the rung
+// column must be monotone in the lattice, and no Elle-visible violation
+// may pass a shared rung. This is the contract docs/isolation.md advertises for
 // `profile` as a drop-in engine.
 package main
 
@@ -29,14 +29,14 @@ import (
 // profileCheck profiles one history and cross-examines the report.
 func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 	t.Helper()
-	prof, err := levels.Profile(context.Background(), h, levels.Options{})
+	prof, err := levels.Profile(context.Background(), history.NewIndex(h), levels.Options{})
 	if err != nil {
 		t.Fatalf("%s: profile failed: %v", tag, err)
 	}
 
 	// SER: the profiler always computes this rung on the shared graph,
 	// so it must be bit-identical to the dedicated engine.
-	ser := core.CheckSER(h)
+	ser := coreCheck(h, core.SER, core.Options{})
 	rser := prof.Rung(core.SER).Res
 	if rser.OK != ser.OK || rser.NumTxns != ser.NumTxns || rser.NumEdges != ser.NumEdges {
 		t.Fatalf("%s: SER rung OK=%v txns=%d edges=%d, engine OK=%v txns=%d edges=%d",
@@ -51,7 +51,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 
 	// SI: the verdict always agrees; the witness is bit-identical
 	// whenever the rung actually ran (a SER pass short-circuits it).
-	si := core.CheckSI(h)
+	si := coreCheck(h, core.SI, core.Options{})
 	rsi := prof.Rung(core.SI).Res
 	if rsi.OK != si.OK {
 		t.Fatalf("%s: SI rung OK=%v, engine OK=%v", tag, rsi.OK, si.OK)
@@ -71,7 +71,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 
 	// SSER: the profiler's chain-free inversion check must agree with
 	// the dedicated engine's time-chain cycle search.
-	sser := core.CheckSSER(h)
+	sser := coreCheck(h, core.SSER, core.Options{})
 	if got := prof.Rung(core.SSER).Res.OK; got != sser.OK {
 		t.Fatalf("%s: SSER rung OK=%v, engine OK=%v (%s)", tag, got, sser.OK, sser.Explain())
 	}

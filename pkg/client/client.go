@@ -234,18 +234,12 @@ func (c *Client) doBytes(ctx context.Context, method, path, contentType string, 
 	}
 }
 
-// decodeError maps a failing body to an *APIError, tolerating both the
-// v1 envelope and the legacy flat {"error": "..."} shape.
+// decodeError maps a failing body to an *APIError: the v1 envelope, or
+// the raw body when something other than the server (a proxy) answered.
 func decodeError(status int, raw []byte) *APIError {
 	var env api.ErrorResponse
 	if err := json.Unmarshal(raw, &env); err == nil && env.Error.Message != "" {
 		return &APIError{StatusCode: status, Code: env.Error.Code, Message: env.Error.Message, RequestID: env.RequestID}
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &flat); err == nil && flat.Error != "" {
-		return &APIError{StatusCode: status, Message: flat.Error}
 	}
 	return &APIError{StatusCode: status, Message: string(raw)}
 }

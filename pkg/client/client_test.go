@@ -32,9 +32,9 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := c.Healthy(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	// Ten base engines plus their component-sharded twins.
+	// Exactly the ten base engines; sharding is an option, not a name.
 	infos, err := c.Checkers(ctx)
-	if err != nil || len(infos) != 20 {
+	if err != nil || len(infos) != 10 {
 		t.Fatalf("checkers: %v %v", infos, err)
 	}
 

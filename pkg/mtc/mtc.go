@@ -19,12 +19,11 @@
 // check (Report.CompactedEpochs reports how often it compacted).
 //
 // Multi-tenant and other key-disjoint histories can be verified with
-// structural parallelism above the engine: every engine has a
-// component-sharded twin (Sharded(name), e.g. "mtc-sharded") that
-// partitions the history into key/session-disjoint components and
-// checks up to Options.Shard of them concurrently, with merged verdicts
-// identical to unsharded checking (Report.ShardComponents reports the
-// decomposition; see docs/sharding.md).
+// structural parallelism above the engine: Options.Shard > 0 makes Check
+// partition the history into key/session-disjoint components and check
+// up to Shard of them concurrently through the named engine, with merged
+// verdicts identical to unsharded checking (Report.ShardComponents
+// reports the decomposition; 0 checks unsharded; see docs/sharding.md).
 //
 // For the HTTP service, see pkg/client.
 package mtc
@@ -37,7 +36,7 @@ import (
 	"mtc/internal/core"
 	"mtc/internal/graph"
 	"mtc/internal/history"
-	"mtc/internal/shard"
+	_ "mtc/internal/shard" // links the driver behind Options.Shard
 )
 
 // Core history model.
@@ -113,14 +112,6 @@ func Profile(ctx context.Context, h *History, opts Options) (Report, error) {
 // to 1 to force the serial paths; verdicts are identical at every
 // setting, only wall-clock changes.
 func DefaultParallelism() int { return graph.Parallelism(0) }
-
-// Sharded maps an engine name to its component-sharded twin in the
-// registry ("mtc" -> "mtc-sharded"); already-sharded names pass through.
-// The twin decomposes every history into its key/session-disjoint
-// components and checks up to Options.Shard of them concurrently through
-// the base engine, merging the per-component reports into one verdict
-// with external transaction positions preserved.
-func Sharded(name string) string { return shard.Name(name) }
 
 // Check runs the named engine from the default registry on h under ctx.
 // Cancellation stops the engine inside its hot loops; the returned error

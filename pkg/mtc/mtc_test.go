@@ -50,3 +50,22 @@ func TestLevelsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestShardOptionWorksThroughTheSDK: Options.Shard is the one sharding
+// spelling, and the SDK links the driver behind it — a two-tenant
+// history checks as two components under the engine's own name.
+func TestShardOptionWorksThroughTheSDK(t *testing.T) {
+	b := mtc.NewHistoryBuilder("a", "b")
+	b.Txn(0, mtc.Read("a", 0), mtc.Write("a", 1))
+	b.Txn(1, mtc.Read("b", 0), mtc.Write("b", 2))
+	rep, err := mtc.Check(context.Background(), "mtc", b.Build(), mtc.Options{Level: mtc.SI, Shard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK || rep.Checker != "mtc" || rep.ShardComponents != 2 {
+		t.Fatalf("sharded report: %+v", rep)
+	}
+	if len(mtc.Checkers()) != 10 {
+		t.Fatalf("registry lists %v, want the ten base engines", mtc.Checkers())
+	}
+}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -20,7 +21,6 @@ import (
 	"mtc/internal/history"
 	"mtc/internal/kv"
 	"mtc/internal/runner"
-	"mtc/internal/shard"
 	"mtc/internal/workload"
 )
 
@@ -42,14 +42,14 @@ func shardBenchHistory() *history.History {
 	return shardBenchHist
 }
 
-// benchShard checks the 4-tenant history through cobra-sharded with the
-// given component worker bound (0 = GOMAXPROCS).
+// benchShard checks the 4-tenant history through cobra, sharded with
+// the given component worker bound.
 func benchShard(b *testing.B, workers int) {
 	h := shardBenchHistory()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := checker.Run(ctx, shard.Name("cobra"), h,
+		rep, err := checker.Run(ctx, "cobra", h,
 			checker.Options{Level: core.SER, Parallelism: 1, Shard: workers})
 		if err != nil {
 			b.Fatal(err)
@@ -64,4 +64,4 @@ func BenchmarkShard1(b *testing.B) { benchShard(b, 1) }
 
 func BenchmarkShard4(b *testing.B) { benchShard(b, 4) }
 
-func BenchmarkShardGOMAXPROCS(b *testing.B) { benchShard(b, 0) }
+func BenchmarkShardGOMAXPROCS(b *testing.B) { benchShard(b, runtime.GOMAXPROCS(0)) }

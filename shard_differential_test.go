@@ -1,7 +1,7 @@
 // shard_differential_test.go property-tests component-sharded
 // verification against the unsharded engines: on every history — clean
 // or fault-injected, single- or multi-tenant, MT or GT shaped — each
-// engine's "-sharded" wrapper must return the same verdict, transaction
+// engine run with Options.Shard > 0 must return the same verdict, transaction
 // and edge counts, and (for the batch engines) the identical anomaly set
 // with external transaction ids, at shard parallelism 1, 2 and
 // GOMAXPROCS. This is the contract the Shard knob advertises
@@ -50,9 +50,8 @@ func canonAnomalies(as []history.Anomaly) []history.Anomaly {
 // shardLevels is the shard-parallelism axis of the differential.
 var shardLevels = []int{1, 2, runtime.GOMAXPROCS(0)}
 
-// shardCheck runs one engine/level on one history unsharded and through
-// the sharded wrapper at every shard level, demanding equivalent
-// reports.
+// shardCheck runs one engine/level on one history unsharded and
+// sharded at every shard level, demanding equivalent reports.
 func shardCheck(t *testing.T, name string, lvl checker.Level, h *history.History, tag string) {
 	t.Helper()
 	ctx := context.Background()
@@ -63,7 +62,7 @@ func shardCheck(t *testing.T, name string, lvl checker.Level, h *history.History
 	batch := name != "mtc-incremental" // incremental reports only the first violation
 	p := shard.Split(h)
 	for _, sh := range shardLevels {
-		got, err := checker.Run(ctx, shard.Name(name), h, checker.Options{Level: lvl, Shard: sh})
+		got, err := checker.Run(ctx, name, h, checker.Options{Level: lvl, Shard: sh})
 		if err != nil {
 			t.Fatalf("%s/%s/%s shard %d: %v", tag, name, lvl, sh, err)
 		}
@@ -173,9 +172,8 @@ var shardEngines = []struct {
 
 // TestDifferentialShardedVsUnsharded replays >= 1000 randomized
 // histories — mixed tenant counts (1..4), clean and fault-injected, MT
-// and GT shaped — through every engine's sharded wrapper at shard
-// parallelism 1, 2 and GOMAXPROCS, asserting verdict equivalence with
-// the unsharded engine.
+// and GT shaped — through every engine with Options.Shard at 1, 2 and
+// GOMAXPROCS, asserting verdict equivalence with the unsharded engine.
 func TestDifferentialShardedVsUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is slow under -short")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -179,8 +180,9 @@ func benchStreamNDJSON(b *testing.B, n, window int) {
 		if err != nil {
 			b.Fatalf("stream reader: %v", err)
 		}
-		if r := core.CheckStream(&samplingSource{src: sr, sample: sample}, core.SER, window); !r.OK {
-			b.Fatalf("clean NDJSON stream rejected: %s", r.Explain())
+		r, err := core.CheckStreamCtx(context.Background(), &samplingSource{src: sr, sample: sample}, core.SER, window, 0)
+		if err != nil || !r.OK {
+			b.Fatalf("clean NDJSON stream rejected: %v %s", err, r.Explain())
 		}
 		sample()
 	}
