@@ -1,29 +1,12 @@
 package core
 
-import (
-	"sort"
-
-	"mtc/internal/graph"
-	"mtc/internal/history"
-)
-
-// CompactStats reports the effect of one Compact call.
-type CompactStats struct {
-	// Collapsed is the number of settled transactions this call removed
-	// from the dependency graph.
-	Collapsed int
-	// Live is the number of transactions still materialised afterwards.
-	Live int
-	// SummaryEdges is how many epoch-summary edges were inserted to
-	// preserve reachability through the collapsed region.
-	SummaryEdges int
-}
+import "mtc/internal/graph"
 
 // Compact collapses the settled prefix of the stream — every transaction
 // whose external position is below frontier and whose state can no
 // longer influence a future verdict — into a set of summary edges, and
-// frees the graph nodes, dependency edges and per-transaction maps
-// behind it. A windowed stream that calls Compact periodically therefore
+// frees the graph nodes, dependency edges, transaction records and
+// version slots behind it. A windowed stream that calls Compact periodically therefore
 // holds O(window + boundary) state instead of O(history).
 //
 // What survives a compaction, regardless of frontier:
@@ -36,7 +19,7 @@ type CompactStats struct {
 //   - the initial transaction and each session's latest transaction
 //     (sources of future SO edges);
 //   - parked readers still waiting for their writer;
-//   - every slot — a writer, its readers and its RMW overwriters — whose
+//   - every slot — a writer, its readers and its RMW overwriter — whose
 //     values remain readable: the writer is recent or pinned, it wrote a
 //     key's current latest value, or the slot was referenced within the
 //     window. Future reads resolve against exactly this retained state.
@@ -87,97 +70,94 @@ func (inc *Incremental) MaybeCompact(window, every int, pin func(ext int) bool) 
 
 // Compact is a no-op after a violation. It is not safe for concurrent
 // use (same discipline as Add).
-func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactStats {
+func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	nNodes := inc.topo.Len()
 	if inc.vio != nil || nNodes == 0 {
-		return CompactStats{Live: nNodes}
+		return
 	}
 	if frontier > inc.n {
 		frontier = inc.n
 	}
 	if frontier <= 0 {
-		return CompactStats{Live: nNodes}
+		return
 	}
 
 	// keepBase: transactions whose written values must stay readable —
-	// recent arrivals and driver-pinned nodes. Slot retention and value
-	// lookup entries key off this tier.
+	// recent arrivals and driver-pinned nodes. Slot retention keys off
+	// this tier.
 	keepBase := make([]bool, nNodes)
-	for i := 0; i < nNodes; i++ {
-		if inc.ext[i] >= frontier || (pin != nil && pin(inc.ext[i])) {
+	for i := range inc.txns {
+		if e := inc.txns[i].ext; e >= frontier || (pin != nil && pin(e)) {
 			keepBase[i] = true
 		}
 	}
-	// slotAlive: the slot (w, k) still accepts future readers or
-	// overwriters, so its participants and value entries survive. With
-	// session tracking on, a slot dethroned at or after the staleness
-	// horizon — the minimum last-ingested position across active
-	// sessions — is also alive: a transaction in flight on some session
-	// started before the dethronement reached that session's stream and
-	// may still legitimately read the slot's value.
-	horizon, track := inc.stalenessHorizon()
-	slotAlive := func(w int, k history.Key) bool {
-		if keepBase[w] || inc.latestWriter[k] == w || inc.slotRef[incWK{w, k}] >= frontier {
+	// alive: the slot's committed write still accepts future readers or
+	// an overwriter, so its participants survive. With session tracking on,
+	// a slot dethroned at or after the staleness horizon — the minimum
+	// last-ingested position across active sessions — is also alive: a
+	// transaction in flight on some session started before the
+	// dethronement reached that session's stream and may still
+	// legitimately read the slot's value.
+	horizon, track := 0, false
+	//mtc:nondeterministic-ok minimum fold; min is commutative
+	for _, ss := range inc.sessions {
+		if ss.active && (!track || ss.seen < horizon) {
+			horizon, track = ss.seen, true
+		}
+	}
+	alive := func(key version, s *slot) bool {
+		if keepBase[s.writer] {
 			return true
 		}
-		if track {
-			if d, ok := inc.dethroned[incWK{w, k}]; ok && d >= horizon {
-				return true
-			}
+		// A value its writer later overwrote itself lives exactly as long
+		// as the final one: reads of it must keep failing as
+		// IntermediateRead, not park.
+		if final, _ := inc.txns[s.writer].writes.get(key.k); final != key.v {
+			s = inc.slots[version{key.k, final}]
 		}
-		return false
+		// Still its key's latest, read within the window, or dethroned
+		// within the horizon.
+		return s.dethroned == 0 || s.ref >= frontier || (track && s.dethroned >= horizon)
 	}
 
-	// keep: full state retained (graph node plus every map entry).
+	// keep: full state retained (graph node, transaction record, slot
+	// membership).
 	keep := make([]bool, nNodes)
 	copy(keep, keepBase)
 	if inc.initID >= 0 {
 		keep[inc.initID] = true
 	}
 	//mtc:nondeterministic-ok marking keep bits; set union is commutative
-	for _, id := range inc.lastInSession {
-		keep[id] = true
+	for _, ss := range inc.sessions {
+		if ss.last >= 0 {
+			keep[ss.last] = true
+		}
 	}
+	// Mark phase over the slot table: parked readers still wait for their
+	// writer; an alive slot keeps its writer (which anchors future WR
+	// edges even before anyone read it), its readers and its overwriter.
 	//mtc:nondeterministic-ok marking keep bits; set union is commutative
-	for _, waiters := range inc.pending {
-		for _, r := range waiters {
+	for key, s := range inc.slots {
+		for _, r := range s.parked {
 			keep[r] = true
 		}
-	}
-	markSlot := func(slot incWK) {
-		if !slotAlive(slot.w, slot.k) {
-			return
+		s.live = s.writer >= 0 && alive(key, s)
+		if !s.live {
+			continue
 		}
-		keep[slot.w] = true
-		for _, r := range inc.readers[slot] {
+		keep[s.writer] = true
+		for _, r := range s.readers {
 			keep[r] = true
 		}
-		for _, o := range inc.overwriters[slot] {
-			keep[o] = true
-		}
-	}
-	//mtc:nondeterministic-ok marking keep bits; set union is commutative
-	for slot := range inc.readers {
-		markSlot(slot)
-	}
-	//mtc:nondeterministic-ok marking keep bits; set union is commutative
-	for slot := range inc.overwriters {
-		markSlot(slot)
-	}
-	// Writers with readable values but no readers yet still anchor
-	// future WR edges.
-	for k, m := range inc.writers { //mtc:nondeterministic-ok marking keep bits; set union is commutative
-		for _, w := range m {
-			if slotAlive(w, k) {
-				keep[w] = true
-			}
+		if s.over >= 0 {
+			keep[s.over] = true
 		}
 	}
 
 	// nodeKeep: nodes that must remain addressable in the graph beyond
 	// the full-state tier. Under SI a future RW edge out of a kept
-	// reader r composes with baseIn[r], and a future base edge into r
-	// composes with rwOut[r]; the far endpoints of those compositions
+	// reader r composes with r's baseIn, and a future base edge into r
+	// composes with r's rwOut; the far endpoints of those compositions
 	// must still exist as nodes (one hop only — old nodes never gain
 	// new base in-edges, and new RW sources are always slot members,
 	// which are kept in full).
@@ -189,34 +169,23 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactSta
 			if !keep[i] {
 				continue
 			}
-			for _, b := range inc.baseIn[i] {
+			for _, b := range inc.txns[i].baseIn {
 				nodeKeep[b.From] = true
 			}
-			for _, rw := range inc.rwOut[i] {
+			for _, rw := range inc.txns[i].rwOut {
 				nodeKeep[rw.To] = true
 			}
 		}
-	}
-
-	collapsed := 0
-	for i := 0; i < nNodes; i++ {
-		if !nodeKeep[i] {
-			collapsed++
-		}
-	}
-	if collapsed == 0 {
-		return CompactStats{Live: nNodes}
 	}
 
 	// Generational rebuild. Kept nodes are re-inserted in the current
 	// topological order, so every re-added edge (and every summary edge)
 	// respects insertion order and the Pearce–Kelly structure starts
 	// compact again.
-	order := make([]int, nNodes)
+	order := make([]int, nNodes) // order index -> node: ord is a permutation
 	for i := range order {
-		order[i] = i
+		order[inc.topo.Ord(i)] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return inc.topo.Ord(order[a]) < inc.topo.Ord(order[b]) })
 
 	newTopo := graph.NewOnline()
 	remap := make([]int, nNodes)
@@ -229,6 +198,10 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactSta
 		}
 	}
 	kcount := newTopo.Len()
+	collapsed := nNodes - kcount
+	if collapsed == 0 {
+		return
+	}
 
 	// Reverse-topological sweep over the collapsed region: reach[x] is
 	// the set of kept nodes reachable from collapsed node x through
@@ -258,7 +231,6 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactSta
 			panic("core: Compact rebuilt a cyclic graph; settled prefix was not acyclic-closed")
 		}
 	}
-	summaryEdges := 0
 	direct := graph.NewBitset(kcount)
 	summary := graph.NewBitset(kcount)
 	for _, x := range order {
@@ -287,169 +259,84 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactSta
 			}
 			if !direct.Test(b) {
 				addEdge(graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: "epoch"})
-				summaryEdges++
 			}
 		})
 	}
 
-	// Remap every retained map into fresh storage so the collapsed
-	// entries are actually released.
-	newExt := make([]int, kcount)
+	// Renumber what survives. The slot table's keys are versions, which a
+	// compaction cannot change: dead slots are deleted, live ones have
+	// the node ids inside them rewritten, and nothing is re-keyed.
+	reIDs := func(ids []int) {
+		for i, id := range ids {
+			ids[i] = remap[id]
+		}
+	}
+	reEdges := func(edges []graph.Edge) {
+		for i := range edges {
+			edges[i].From, edges[i].To = remap[edges[i].From], remap[edges[i].To]
+		}
+	}
+	txns := make([]txnState, kcount)
 	for x, nx := range remap {
-		if nx >= 0 {
-			newExt[nx] = inc.ext[x]
+		if nx < 0 {
+			continue
+		}
+		t := inc.txns[x]
+		if keep[x] {
+			reEdges(t.baseIn)
+			reEdges(t.rwOut)
+		} else {
+			t = txnState{ext: t.ext} // kept as a graph node only
+		}
+		txns[nx] = t
+	}
+	//mtc:nondeterministic-ok slot-for-slot sweep; no order reaches the result
+	for key, s := range inc.slots {
+		if s.live {
+			s.writer = remap[s.writer]
+			reIDs(s.readers)
+			if s.over >= 0 {
+				s.over = remap[s.over]
+			}
+		} else {
+			// The committed write is settled; a later read of it parks.
+			*s = slot{writer: -1, aborted: s.aborted, parked: s.parked, over: -1}
+		}
+		if s.aborted >= 0 && keepBase[s.aborted] {
+			s.aborted = remap[s.aborted]
+		} else {
+			s.aborted = -1
+		}
+		reIDs(s.parked)
+		if s.writer < 0 && s.aborted < 0 && len(s.parked) == 0 {
+			delete(inc.slots, key)
 		}
 	}
 	if inc.initID >= 0 {
 		inc.initID = remap[inc.initID]
 	}
-	newLast := make(map[int]int, len(inc.lastInSession))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for sess, id := range inc.lastInSession {
-		newLast[sess] = remap[id]
-	}
-	newPending := make(map[history.Op][]int, len(inc.pending))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for key, waiters := range inc.pending {
-		nw := make([]int, len(waiters))
-		for i, r := range waiters {
-			nw[i] = remap[r]
-		}
-		newPending[key] = nw
-	}
-	newWriters := make(map[history.Key]map[history.Value]int, len(inc.writers))
-	for k, m := range inc.writers { //mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-		for v, w := range m {
-			if !slotAlive(w, k) {
-				continue
-			}
-			nm := newWriters[k]
-			if nm == nil {
-				nm = make(map[history.Value]int)
-				newWriters[k] = nm
-			}
-			nm[v] = remap[w]
+	//mtc:nondeterministic-ok record-for-record rewrite; no order reaches the result
+	for _, ss := range inc.sessions {
+		if ss.last >= 0 {
+			ss.last = remap[ss.last]
 		}
 	}
-	newAborted := make(map[history.Key]map[history.Value]int, len(inc.abortedW))
-	for k, m := range inc.abortedW { //mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-		for v, w := range m {
-			if !keepBase[w] {
-				continue
-			}
-			nm := newAborted[k]
-			if nm == nil {
-				nm = make(map[history.Value]int)
-				newAborted[k] = nm
-			}
-			nm[v] = remap[w]
-		}
-	}
-	newFinal := make(map[int]writeSet, kcount)
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for id, fw := range inc.finalWrites {
-		if keep[id] {
-			newFinal[remap[id]] = fw
-		}
-	}
-	remapList := func(src map[incWK][]int, dst map[incWK][]int) {
-		//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-		for slot, list := range src {
-			if !slotAlive(slot.w, slot.k) {
-				continue
-			}
-			nl := make([]int, len(list))
-			for i, id := range list {
-				nl[i] = remap[id]
-			}
-			dst[incWK{remap[slot.w], slot.k}] = nl
-		}
-	}
-	newReaders := make(map[incWK][]int, len(inc.readers))
-	remapList(inc.readers, newReaders)
-	newOver := make(map[incWK][]int, len(inc.overwriters))
-	remapList(inc.overwriters, newOver)
-	newSlotRef := make(map[incWK]int, len(inc.slotRef))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for slot, ref := range inc.slotRef {
-		if slotAlive(slot.w, slot.k) {
-			newSlotRef[incWK{remap[slot.w], slot.k}] = ref
-		}
-	}
-	newLatest := make(map[history.Key]int, len(inc.latestWriter))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for k, w := range inc.latestWriter {
-		newLatest[k] = remap[w]
-	}
-	newDethroned := make(map[incWK]int, len(inc.dethroned))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for slot, d := range inc.dethroned {
-		if slotAlive(slot.w, slot.k) {
-			newDethroned[incWK{remap[slot.w], slot.k}] = d
-		}
-	}
-	reEdge := func(e graph.Edge) graph.Edge {
-		e.From, e.To = remap[e.From], remap[e.To]
-		return e
-	}
-	newBaseIn := make(map[int][]graph.Edge, len(inc.baseIn))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for id, edges := range inc.baseIn {
-		if !keep[id] {
-			continue
-		}
-		ne := make([]graph.Edge, len(edges))
-		for i, e := range edges {
-			ne[i] = reEdge(e)
-		}
-		newBaseIn[remap[id]] = ne
-	}
-	newRWOut := make(map[int][]graph.Edge, len(inc.rwOut))
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for id, edges := range inc.rwOut {
-		if !keep[id] {
-			continue
-		}
-		ne := make([]graph.Edge, len(edges))
-		for i, e := range edges {
-			ne[i] = reEdge(e)
-		}
-		newRWOut[remap[id]] = ne
-	}
-	newWitness := make(map[composedKey][]graph.Edge, len(inc.witness))
+	witness := make(map[composedKey][]graph.Edge, len(inc.witness))
 	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
 	for ck, edges := range inc.witness {
 		// The witness threads through an intermediate node; keep the
 		// expansion only while all three survive (a composed edge whose
 		// witness was collapsed still reports, just unexpanded).
-		mid := edges[0].To
-		if !nodeKeep[ck.from] || !nodeKeep[ck.to] || !nodeKeep[mid] {
+		if !nodeKeep[ck.from] || !nodeKeep[ck.to] || !nodeKeep[edges[0].To] {
 			continue
 		}
-		ne := make([]graph.Edge, len(edges))
-		for i, e := range edges {
-			ne[i] = reEdge(e)
-		}
-		newWitness[composedKey{from: remap[ck.from], to: remap[ck.to]}] = ne
+		reEdges(edges)
+		witness[composedKey{from: remap[ck.from], to: remap[ck.to]}] = edges
 	}
 
 	inc.topo = newTopo
-	inc.ext = newExt
-	inc.lastInSession = newLast
-	inc.pending = newPending
-	inc.writers = newWriters
-	inc.abortedW = newAborted
-	inc.finalWrites = newFinal
-	inc.readers = newReaders
-	inc.overwriters = newOver
-	inc.slotRef = newSlotRef
-	inc.latestWriter = newLatest
-	inc.dethroned = newDethroned
-	inc.baseIn = newBaseIn
-	inc.rwOut = newRWOut
-	inc.witness = newWitness
-
+	inc.txns = txns
+	inc.witness = witness
 	inc.compactTxns += collapsed
 	inc.compactEpoch++
-	return CompactStats{Collapsed: collapsed, Live: kcount, SummaryEdges: summaryEdges}
 }

@@ -13,6 +13,12 @@
 //     sparse time-chain encoding (an ablation the paper leaves implicit).
 //   - CheckIncrementalWindowedCtx replays a history through the online
 //     engine (Incremental) and CheckStreamCtx drives it from a stream.
+//     Incremental holds two tables: one slot per version (key, value) —
+//     its writer, readers and RMW overwriter — and one record per
+//     transaction, indexed by its node in the online graph. Compact
+//     collapses the settled prefix of that graph into summary edges,
+//     copies the surviving transaction records and sweeps the slot
+//     table in place: versions identify slots, so nothing is re-keyed.
 //   - VLLWT (in lwt.go) verifies linearizability of lightweight-transaction
 //     histories in expected O(n) time (Algorithm 2).
 //

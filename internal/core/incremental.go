@@ -30,11 +30,18 @@ import (
 //
 // Long-lived streams need not retain the whole history: Compact
 // collapses the settled prefix of the dependency graph into summary
-// edges and frees the per-transaction state behind it, bounding memory
-// by the live window instead of the stream length. Node identifiers are
-// therefore internal: every map below is keyed by the online graph's
-// node ids, and ext translates them back to external stream positions
-// (the arrival index the caller observes) when a verdict is built.
+// edges and frees the state behind it, bounding memory by the live
+// window instead of the stream length.
+//
+// The state is two tables. Unique values give every version — a
+// (key, value) pair — one committed writer and O(1) readers, so what is
+// known about a version is one slot record keyed by the version itself,
+// an identity compaction cannot disturb. What is known about a
+// transaction is one record of a slice indexed by its node id in the
+// online graph. A compaction renumbers node ids, so they occur only as
+// values (in slots, session records and SI witnesses), never as map
+// keys, and each transaction's record carries the external stream
+// position (the arrival index the caller observes) a verdict reports.
 type Incremental struct {
 	lvl Level
 	vio *Result
@@ -42,49 +49,69 @@ type Incremental struct {
 	n     int // transactions added, including aborted and init
 	edges int // dependency edges, mirroring the batch graph's NumEdges
 
-	topo *graph.Online
-	ext  []int // internal node id -> external stream position
+	topo   *graph.Online
+	txns   []txnState // indexed by node id
+	initID int
 
-	initID        int
-	lastInSession map[int]int
+	slots map[version]*slot
+	// latest is each key's most recent committed write: the value a fresh
+	// read of the key observes, so its slot survives every compaction
+	// (slots never move; the pointers stay valid).
+	latest map[history.Key]*slot
 
-	writers     map[history.Key]map[history.Value]int // committed writer index
-	abortedW    map[history.Key]map[history.Value]int
-	finalWrites map[int]writeSet // committed txn -> final writes, key-sorted
+	sessions map[int]*sessionState
 
-	pending     map[history.Op][]int // unresolved first external reads -> reader IDs
-	readers     map[incWK][]int      // (writer, key) -> readers of the writer's value
-	overwriters map[incWK][]int      // (writer, key) -> RMW overwriters of that value
-
-	// Compaction bookkeeping: the latest committed writer per key (its
-	// values are the ones a fresh read of the key's current state
-	// observes, so its slot must survive every compaction), the stream
-	// position at which each slot was last referenced, and cumulative
-	// compaction stats.
-	latestWriter  map[history.Key]int
-	slotRef       map[incWK]int
 	compactTxns   int
 	compactEpoch  int
 	lastCompactAt int // NumTxns at the last MaybeCompact-triggered compaction
 
-	// Session-staleness horizon (live streams only; see ExpectSession).
-	// A transaction in flight on session s started after s's previous
-	// record was published, so it can only read values that were still
-	// each key's latest at s's last ingested position. Compact therefore
-	// pins every slot dethroned at or after the minimum such position
-	// across active sessions, making windowed verdicts of clean stores
-	// exact under any scheduling instead of contingent on the window
-	// outrunning the stream's commit-to-ingest skew.
-	activeSessions map[int]bool  // sessions still publishing
-	lastSeen       map[int]int   // session -> NumTxns at its last record
-	dethroned      map[incWK]int // slot -> NumTxns when it stopped being latest
-
-	// SI-only state: the online order tracks the composed graph
-	// (SO ∪ WR ∪ WW) ; RW?, so base and RW adjacency is kept separately
-	// and every composed edge remembers its constituents for reporting.
-	baseIn  map[int][]graph.Edge
-	rwOut   map[int][]graph.Edge
+	// SI only: the online order tracks the composed graph
+	// (SO ∪ WR ∪ WW) ; RW?, and every composed edge remembers its
+	// constituents for reporting.
 	witness map[composedKey][]graph.Edge
+}
+
+// version identifies one written value of one key.
+type version struct {
+	k history.Key
+	v history.Value
+}
+
+// slot is everything the checker knows about one version. Transactions
+// are node ids; positions are NumTxns at the time of the event.
+type slot struct {
+	writer  int   // committed writer, -1 while none has arrived
+	aborted int   // an aborted writer, -1 if none
+	parked  []int // committed readers waiting for the writer, in arrival order
+	readers []int
+	// over is the RMW overwriter: the reader of this version that also
+	// writes the key, -1 while none has. Unique values leave room for one
+	// only — resolveRead turns a second into the verdict.
+	over int
+
+	ref int // position of the last read resolved against the slot, 0 if none
+	// dethroned is the position at which another transaction's write
+	// replaced this one as its key's latest, 0 while none has; Compact
+	// holds it against the session-staleness horizon (see ExpectSession).
+	dethroned int
+
+	live bool // scratch: Compact's mark phase found the slot still readable
+}
+
+// txnState is the per-transaction record.
+type txnState struct {
+	ext    int      // external stream position
+	writes writeSet // final writes of a committed transaction, key-sorted
+	// SI only: base (SO, WR, WW) edges into the transaction and RW edges
+	// out of it, the two halves of every composition through it.
+	baseIn, rwOut []graph.Edge
+}
+
+// sessionState is the per-session record.
+type sessionState struct {
+	last   int  // latest committed transaction, -1 before the first
+	active bool // declared live by ExpectSession and not yet ended
+	seen   int  // NumTxns at the session's last record (active sessions only)
 }
 
 // NewIncremental returns an online checker for lvl, which must be SER or
@@ -97,29 +124,15 @@ func NewIncremental(lvl Level) *Incremental {
 		panic(fmt.Sprintf("core: incremental checker supports SER and SI, not %q", lvl))
 	}
 	return &Incremental{
-		lvl:            lvl,
-		topo:           graph.NewOnline(),
-		initID:         -1,
-		lastInSession:  make(map[int]int),
-		writers:        make(map[history.Key]map[history.Value]int),
-		abortedW:       make(map[history.Key]map[history.Value]int),
-		finalWrites:    make(map[int]writeSet),
-		pending:        make(map[history.Op][]int),
-		readers:        make(map[incWK][]int),
-		overwriters:    make(map[incWK][]int),
-		latestWriter:   make(map[history.Key]int),
-		slotRef:        make(map[incWK]int),
-		activeSessions: make(map[int]bool),
-		lastSeen:       make(map[int]int),
-		dethroned:      make(map[incWK]int),
-		baseIn:         make(map[int][]graph.Edge),
-		rwOut:          make(map[int][]graph.Edge),
-		witness:        make(map[composedKey][]graph.Edge),
+		lvl:      lvl,
+		topo:     graph.NewOnline(),
+		initID:   -1,
+		slots:    make(map[version]*slot),
+		latest:   make(map[history.Key]*slot),
+		sessions: make(map[int]*sessionState),
+		witness:  make(map[composedKey][]graph.Edge),
 	}
 }
-
-// Level returns the level being checked.
-func (inc *Incremental) Level() Level { return inc.lvl }
 
 // NumTxns returns the number of transactions added so far.
 func (inc *Incremental) NumTxns() int { return inc.n }
@@ -142,24 +155,24 @@ func (inc *Incremental) LiveNodes() int { return inc.topo.Len() }
 func (inc *Incremental) CompactedTxns() int   { return inc.compactTxns }
 func (inc *Incremental) CompactedEpochs() int { return inc.compactEpoch }
 
-// extOf translates an internal node id to its external stream position.
-func (inc *Incremental) extOf(i int) int {
-	if i >= 0 && i < len(inc.ext) {
-		return inc.ext[i]
-	}
-	return i
-}
+// extOf translates a node id to its external stream position.
+func (inc *Incremental) extOf(i int) int { return inc.txns[i].ext }
 
-// incWK indexes the reader/overwriter groups by (writer, key).
-type incWK struct {
-	w int
-	k history.Key
+// slotOf returns the slot of version (k, v), creating it on first mention.
+func (inc *Incremental) slotOf(k history.Key, v history.Value) *slot {
+	key := version{k, v}
+	s := inc.slots[key]
+	if s == nil {
+		s = &slot{writer: -1, aborted: -1, over: -1}
+		inc.slots[key] = s
+	}
+	return s
 }
 
 // writeSet is a transaction's final-write footprint as a key-sorted
 // slice: the allocation-light replacement for the per-Add
 // map[Key]Value (one backing array instead of a hash table per
-// transaction). It is immutable once built, so Compact can remap it by
+// transaction). It is immutable once built, so Compact moves it by
 // reference.
 type writeSet []struct {
 	k history.Key
@@ -181,12 +194,6 @@ func (ws writeSet) get(k history.Key) (history.Value, bool) {
 		return ws[lo].v, true
 	}
 	return 0, false
-}
-
-// has reports whether the set writes k.
-func (ws writeSet) has(k history.Key) bool {
-	_, ok := ws.get(k)
-	return ok
 }
 
 // makeWriteSet collects the final write per key of ops into a sorted
@@ -239,32 +246,25 @@ func makeWriteSet(ops []history.Op) writeSet {
 // EndSession; a session that stalls forever stalls the horizon with
 // it, which is inherent — its in-flight reads stay unresolved.
 func (inc *Incremental) ExpectSession(s int) {
-	inc.activeSessions[s] = true
-	if _, ok := inc.lastSeen[s]; !ok {
-		inc.lastSeen[s] = 0
-	}
+	inc.session(s).active = true
 }
 
 // EndSession declares that session s has published its last record,
 // releasing its hold on the staleness horizon.
 func (inc *Incremental) EndSession(s int) {
-	delete(inc.activeSessions, s)
+	if ss := inc.sessions[s]; ss != nil {
+		ss.active = false
+	}
 }
 
-// stalenessHorizon returns the minimum last-ingested position across
-// active sessions, and whether horizon tracking is on at all.
-func (inc *Incremental) stalenessHorizon() (int, bool) {
-	if len(inc.activeSessions) == 0 {
-		return 0, false
+// session returns the record of session s, creating it on first mention.
+func (inc *Incremental) session(s int) *sessionState {
+	ss := inc.sessions[s]
+	if ss == nil {
+		ss = &sessionState{last: -1}
+		inc.sessions[s] = ss
 	}
-	h := int(^uint(0) >> 1)
-	//mtc:nondeterministic-ok minimum fold; min is commutative
-	for s := range inc.activeSessions {
-		if p := inc.lastSeen[s]; p < h {
-			h = p
-		}
-	}
-	return h, true
+	return ss
 }
 
 // InitTxn installs the initial transaction ⊥T writing value 0 to each
@@ -296,61 +296,53 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		return inc.vio
 	}
 	id := inc.topo.AddNode()
-	inc.ext = append(inc.ext, inc.n)
+	inc.txns = append(inc.txns, txnState{ext: inc.n})
 	inc.n++
-	if !isInit && inc.activeSessions[t.Session] {
-		inc.lastSeen[t.Session] = inc.n
+	ss := inc.sessions[t.Session]
+	if !isInit && ss != nil && ss.active {
+		ss.seen = inc.n
 	}
 	if !t.Committed {
 		for _, op := range t.Ops {
-			if op.Kind != history.OpWrite {
-				continue
+			if op.Kind == history.OpWrite {
+				inc.slotOf(op.Key, op.Value).aborted = id
 			}
-			m := inc.abortedW[op.Key]
-			if m == nil {
-				m = make(map[history.Value]int)
-				inc.abortedW[op.Key] = m
-			}
-			m[op.Value] = id
 		}
 		return nil
 	}
 	if isInit {
 		inc.initID = id
 	} else {
-		prev, ok := inc.lastInSession[t.Session]
-		if !ok {
+		if ss == nil {
+			ss = inc.session(t.Session)
+		}
+		prev := ss.last
+		if prev < 0 {
 			prev = inc.initID
 		}
 		if prev >= 0 {
 			inc.addDepEdge(graph.Edge{From: prev, To: id, Kind: graph.SO})
 		}
-		inc.lastInSession[t.Session] = id
+		ss.last = id
 	}
 
 	// Register this transaction's committed writes first: its own reads
 	// must resolve against them (and be skipped, as in the batch builder),
 	// and unique-value violations surface here.
-	inc.finalWrites[id] = makeWriteSet(t.Ops)
+	inc.txns[id].writes = makeWriteSet(t.Ops)
 	for _, op := range t.Ops {
 		if op.Kind != history.OpWrite {
 			continue
 		}
-		m := inc.writers[op.Key]
-		if m == nil {
-			m = make(map[history.Value]int)
-			inc.writers[op.Key] = m
+		s := inc.slotOf(op.Key, op.Value)
+		if s.writer >= 0 {
+			return inc.anomaly(history.DuplicateWrite, s.writer, op)
 		}
-		if first, dup := m[op.Value]; dup {
-			return inc.fail(Result{Level: inc.lvl, Anomalies: []history.Anomaly{
-				{Kind: history.DuplicateWrite, Txn: first, Key: op.Key, Value: op.Value},
-			}})
+		s.writer = id
+		if prev := inc.latest[op.Key]; prev != nil && prev.writer != id {
+			prev.dethroned = inc.n
 		}
-		m[op.Value] = id
-		if prev, ok := inc.latestWriter[op.Key]; ok && prev != id {
-			inc.dethroned[incWK{prev, op.Key}] = inc.n
-		}
-		inc.latestWriter[op.Key] = id
+		inc.latest[op.Key] = s
 	}
 
 	// Writers that readers were parked on may just have arrived.
@@ -358,23 +350,17 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		if op.Kind != history.OpWrite {
 			continue
 		}
-		key := history.Op{Kind: history.OpRead, Key: op.Key, Value: op.Value}
-		waiters := inc.pending[key]
-		if len(waiters) == 0 {
-			continue
-		}
-		delete(inc.pending, key)
+		s := inc.slots[version{op.Key, op.Value}]
+		waiters := s.parked
+		s.parked = nil
 		for _, r := range waiters {
-			if vio := inc.resolveRead(r, id, op.Key, op.Value); vio != nil {
+			if vio := inc.resolveRead(r, s, op.Key, op.Value); vio != nil {
 				return vio
 			}
 		}
 	}
 
-	if vio := inc.walkOps(id, t.Ops); vio != nil {
-		return vio
-	}
-	return nil
+	return inc.walkOps(id, t.Ops)
 }
 
 // walkOps classifies every operation of committed transaction id in
@@ -386,11 +372,6 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 //
 //mtc:hotpath — per-commit classification; allocation here scales with every streamed transaction
 func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
-	anomaly := func(kind history.AnomalyKind, op history.Op) *Result {
-		return inc.fail(Result{Level: inc.lvl, Anomalies: []history.Anomaly{
-			{Kind: kind, Txn: id, Key: op.Key, Value: op.Value},
-		}})
-	}
 	for i, op := range ops {
 		if op.Kind != history.OpRead {
 			continue
@@ -410,10 +391,10 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 			}
 			for j := 0; j < i; j++ {
 				if ops[j].Kind == history.OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
-					return anomaly(history.NotMyLastWrite, op)
+					return inc.anomaly(history.NotMyLastWrite, id, op)
 				}
 			}
-			return anomaly(history.NotMyOwnWrite, op)
+			return inc.anomaly(history.NotMyOwnWrite, id, op)
 		}
 		// Repeated external read (any earlier read of the key is external
 		// too, since no own write precedes this one): must agree with the
@@ -428,82 +409,69 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 		}
 		if repeated {
 			if mismatch {
-				return anomaly(history.NonRepeatableReads, op)
+				return inc.anomaly(history.NonRepeatableReads, id, op)
 			}
 			continue
 		}
-		future := false
 		for j := i + 1; j < len(ops); j++ {
 			if ops[j].Kind == history.OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
-				future = true
-				break
+				return inc.anomaly(history.FutureRead, id, op)
 			}
 		}
-		if future {
-			return anomaly(history.FutureRead, op)
-		}
-		w := -1
-		if m, ok := inc.writers[op.Key]; ok {
-			if id2, ok := m[op.Value]; ok {
-				w = id2
-			}
-		}
-		if w == id {
-			continue // own write, already validated by the INT branches
-		}
-		if w >= 0 {
-			if vio := inc.resolveRead(id, w, op.Key, op.Value); vio != nil {
+		s := inc.slotOf(op.Key, op.Value)
+		switch {
+		case s.writer == id:
+			// Own write, already validated by the INT branches.
+		case s.writer >= 0:
+			if vio := inc.resolveRead(id, s, op.Key, op.Value); vio != nil {
 				return vio
 			}
-			continue
+		default:
+			// Writer unseen: park. AbortedRead / ThinAirRead can only be
+			// told apart once the stream ends (the writer may still
+			// commit), so classification waits for Finalize.
+			s.parked = append(s.parked, id)
 		}
-		// Writer unseen: park. AbortedRead / ThinAirRead can only be
-		// told apart once the stream ends (the writer may still
-		// commit), so classification waits for Finalize.
-		k := history.Op{Kind: history.OpRead, Key: op.Key, Value: op.Value}
-		inc.pending[k] = append(inc.pending[k], id)
 	}
 	return nil
 }
 
-// resolveRead connects committed reader r to the committed writer w of
-// (key, val): the G1b check, the WR edge, and — when the reader also
-// writes the key — the WW edge, the divergence check, and the RW
-// anti-dependencies against the other readers and overwriters of w's
-// value.
-func (inc *Incremental) resolveRead(r, w int, key history.Key, val history.Value) *Result {
-	if last, ok := inc.finalWrites[w].get(key); ok && last != val {
-		return inc.fail(Result{Level: inc.lvl, Anomalies: []history.Anomaly{
-			{Kind: history.IntermediateRead, Txn: r, Key: key, Value: val},
-		}})
+// resolveRead connects committed reader r to the committed writer of
+// (key, val), whose slot is s: the G1b check, the WR edge, and — when the
+// reader also writes the key — the WW edge, the divergence check, and
+// the RW anti-dependencies against the other readers and the overwriter
+// of the value.
+func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history.Value) *Result {
+	w := s.writer
+	if last, ok := inc.txns[w].writes.get(key); ok && last != val {
+		return inc.anomaly(history.IntermediateRead, r, history.Op{Key: key, Value: val})
 	}
 	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WR, Obj: string(key)}); vio != nil {
 		return vio
 	}
-	slot := incWK{w, key}
-	inc.slotRef[slot] = inc.n // referenced now: survives window-based compaction
-	// As a reader, r anti-depends on every known overwriter of (w, key).
-	for _, o := range inc.overwriters[slot] {
-		if o == r {
-			continue
-		}
-		if vio := inc.addDepEdge(graph.Edge{From: r, To: o, Kind: graph.RW, Obj: string(key)}); vio != nil {
+	s.ref = inc.n // referenced now: survives window-based compaction
+	// As a reader, r anti-depends on the value's overwriter.
+	if s.over >= 0 {
+		if vio := inc.addDepEdge(graph.Edge{From: r, To: s.over, Kind: graph.RW, Obj: string(key)}); vio != nil {
 			return vio
 		}
 	}
-	inc.readers[slot] = append(inc.readers[slot], r)
-	if !inc.finalWrites[r].has(key) {
+	s.readers = append(s.readers, r)
+	if _, writes := inc.txns[r].writes.get(key); !writes {
 		return nil
 	}
-	// r is an RMW overwriter of (w, key).
-	if inc.lvl == SI && len(inc.overwriters[slot]) > 0 {
-		d := Divergence{Key: key, Writer: w, Reader1: inc.overwriters[slot][0], Reader2: r}
+	// r is an RMW overwriter of the value. A second one is the
+	// DIVERGENCE pattern under SI; under SER the edge r -> over above and
+	// the edge over -> r below (over is among the readers) close a cycle,
+	// so s.over is only ever assigned once.
+	if inc.lvl == SI && s.over >= 0 {
+		d := Divergence{Key: key, Writer: w, Reader1: s.over, Reader2: r}
 		return inc.fail(Result{Level: inc.lvl, Divergence: &d})
 	}
 	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WW, Obj: string(key)}); vio != nil {
 		return vio
 	}
-	for _, rd := range inc.readers[slot] {
+	for _, rd := range s.readers {
 		if rd == r {
 			continue
 		}
@@ -511,7 +479,7 @@ func (inc *Incremental) resolveRead(r, w int, key history.Key, val history.Value
 			return vio
 		}
 	}
-	inc.overwriters[slot] = append(inc.overwriters[slot], r)
+	s.over = r
 	return nil
 }
 
@@ -524,19 +492,20 @@ func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 		return inc.cycle(inc.topo.AddEdge(e))
 	}
 	if e.Kind == graph.RW {
-		inc.rwOut[e.From] = append(inc.rwOut[e.From], e)
-		for _, b := range inc.baseIn[e.From] {
+		from := &inc.txns[e.From]
+		from.rwOut = append(from.rwOut, e)
+		for _, b := range from.baseIn {
 			if vio := inc.addComposed(b, e); vio != nil {
 				return vio
 			}
 		}
 		return nil
 	}
-	inc.baseIn[e.To] = append(inc.baseIn[e.To], e)
+	inc.txns[e.To].baseIn = append(inc.txns[e.To].baseIn, e)
 	if vio := inc.cycle(inc.topo.AddEdge(e)); vio != nil {
 		return vio
 	}
-	for _, rw := range inc.rwOut[e.To] {
+	for _, rw := range inc.txns[e.To].rwOut {
 		if vio := inc.addComposed(e, rw); vio != nil {
 			return vio
 		}
@@ -565,31 +534,22 @@ func (inc *Incremental) cycle(cy []graph.Edge) *Result {
 	return inc.fail(Result{Level: inc.lvl, Cycle: cy})
 }
 
+// anomaly is the terminal verdict for an anomaly of kind on op's version,
+// in the transaction with node id txn.
+func (inc *Incremental) anomaly(kind history.AnomalyKind, txn int, op history.Op) *Result {
+	return inc.fail(Result{Level: inc.lvl, Anomalies: []history.Anomaly{
+		{Kind: kind, Txn: txn, Key: op.Key, Value: op.Value},
+	}})
+}
+
 func (inc *Incremental) fail(r Result) *Result {
 	r.NumTxns = inc.n
 	r.NumEdges = inc.edges
 	r.CompactedTxns = inc.compactTxns
 	r.CompactedEpochs = inc.compactEpoch
-	// Counterexamples are built from internal node ids; translate them to
-	// the external stream positions the caller fed.
-	for i := range r.Anomalies {
-		r.Anomalies[i].Txn = inc.extOf(r.Anomalies[i].Txn)
-	}
-	if r.Divergence != nil {
-		d := *r.Divergence
-		d.Writer = inc.extOf(d.Writer)
-		d.Reader1 = inc.extOf(d.Reader1)
-		d.Reader2 = inc.extOf(d.Reader2)
-		r.Divergence = &d
-	}
-	if len(r.Cycle) > 0 {
-		cy := make([]graph.Edge, len(r.Cycle))
-		for i, e := range r.Cycle {
-			e.From, e.To = inc.extOf(e.From), inc.extOf(e.To)
-			cy[i] = e
-		}
-		r.Cycle = cy
-	}
+	// Counterexamples are built from node ids; report the external stream
+	// positions the caller fed.
+	r = rewriteIDs(r, inc.extOf)
 	inc.vio = &r
 	return inc.vio
 }
@@ -603,33 +563,33 @@ func (inc *Incremental) Finalize() Result {
 		return *inc.vio
 	}
 	// Deterministic pick across map iteration: the earliest parked
-	// reader (by external stream position — internal ids are permuted by
-	// compaction), breaking ties by key then value, so identical streams
-	// report identical counterexamples.
-	best, bestReader := history.Op{}, -1
+	// reader (by external stream position — node ids are permuted by
+	// compaction; each parked list is in arrival order, so its head is
+	// its earliest), breaking ties by key then value, so identical
+	// streams report identical counterexamples.
+	var (
+		best     version
+		bestSlot *slot
+	)
 	//mtc:nondeterministic-ok total-order minimum with (position, key, value) tie-breaks; any iteration order picks the same winner
-	for key, waiters := range inc.pending {
-		r := waiters[0]
-		for _, w := range waiters {
-			if inc.extOf(w) < inc.extOf(r) {
-				r = w
+	for key, s := range inc.slots {
+		if len(s.parked) == 0 {
+			continue
+		}
+		if bestSlot != nil {
+			r, b := inc.extOf(s.parked[0]), inc.extOf(bestSlot.parked[0])
+			if r > b || r == b && (key.k > best.k || key.k == best.k && key.v >= best.v) {
+				continue
 			}
 		}
-		if bestReader < 0 || inc.extOf(r) < inc.extOf(bestReader) ||
-			(inc.extOf(r) == inc.extOf(bestReader) && (key.Key < best.Key || key.Key == best.Key && key.Value < best.Value)) {
-			best, bestReader = key, r
-		}
+		best, bestSlot = key, s
 	}
-	if bestReader >= 0 {
+	if bestSlot != nil {
 		kind := history.ThinAirRead
-		if m, ok := inc.abortedW[best.Key]; ok {
-			if _, ok := m[best.Value]; ok {
-				kind = history.AbortedRead
-			}
+		if bestSlot.aborted >= 0 {
+			kind = history.AbortedRead
 		}
-		return *inc.fail(Result{Level: inc.lvl, Anomalies: []history.Anomaly{
-			{Kind: kind, Txn: bestReader, Key: best.Key, Value: best.Value},
-		}})
+		return *inc.anomaly(kind, bestSlot.parked[0], history.Op{Key: best.k, Value: best.v})
 	}
 	return Result{
 		Level: inc.lvl, OK: true, NumTxns: inc.n, NumEdges: inc.edges,
@@ -643,12 +603,18 @@ func (inc *Incremental) Finalize() Result {
 // stream positions back to history ids, and the sharded stream verifier
 // (internal/runner) to map shard-local positions to global ones.
 func RemapResult(r Result, perm []int) Result {
-	at := func(i int) int {
+	return rewriteIDs(r, func(i int) int {
 		if i >= 0 && i < len(perm) {
 			return perm[i]
 		}
 		return i
-	}
+	})
+}
+
+// rewriteIDs maps every transaction id of r's counterexample through at.
+// The cycle and the divergence witness are copied first: their originals
+// belong to the online graph and to whoever built the verdict.
+func rewriteIDs(r Result, at func(int) int) Result {
 	for i := range r.Anomalies {
 		r.Anomalies[i].Txn = at(r.Anomalies[i].Txn)
 	}

@@ -46,11 +46,13 @@ type SessionDeclarer interface {
 func CheckStreamCtx(ctx context.Context, src TxnSource, lvl Level, window, every int) (Result, error) {
 	inc := NewIncremental(lvl)
 	armed := 0
-	if d, ok := src.(SessionDeclarer); ok {
-		for s := 0; s < d.DeclaredSessions(); s++ {
-			inc.ExpectSession(s)
+	arm := func(sessions int) {
+		for ; armed < sessions; armed++ {
+			inc.ExpectSession(armed)
 		}
-		armed = d.DeclaredSessions()
+	}
+	if d, ok := src.(SessionDeclarer); ok {
+		arm(d.DeclaredSessions())
 	}
 	i := 0
 	for {
@@ -66,12 +68,7 @@ func CheckStreamCtx(ctx context.Context, src TxnSource, lvl Level, window, every
 		if err != nil {
 			return Result{}, err
 		}
-		if t.Session >= armed {
-			for s := armed; s <= t.Session; s++ {
-				inc.ExpectSession(s)
-			}
-			armed = t.Session + 1
-		}
+		arm(t.Session + 1)
 		if vio := inc.add(t, i == 0 && t.Session < 0); vio != nil {
 			return *vio, nil
 		}

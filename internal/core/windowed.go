@@ -70,52 +70,49 @@ func CheckIncrementalWindowedCtx(ctx context.Context, h *history.History, lvl Le
 // write-conflict with, or need for anomaly classification stays pinned,
 // which is the exact finalized-prefix condition of the epoch contract.
 func futureRefs(h *history.History, order []int) []int {
+	type use struct {
+		touched   []int // positions that read or write the version
+		committed bool  // some committed transaction wrote it
+		lastRef   int   // last position referencing it, plus one; 0 if none
+	}
 	n := len(order)
-	keepUntil := make([]int, n)
-	firstCommitted := make(map[history.Op]int, n) // value -> first committed writer position
-	participants := make(map[history.Op][]int, n) // value -> positions touching it
-	lastRef := make(map[history.Op]int, n)        // value -> last referencing position
+	uses := make(map[version]*use, n)
 	for p, id := range order {
 		t := &h.Txns[id]
 		for _, op := range t.Ops {
-			vk := history.Op{Kind: history.OpWrite, Key: op.Key, Value: op.Value}
-			switch {
-			case op.Kind == history.OpWrite && !t.Committed:
-				// Aborted writer: participates (AbortedRead classification
-				// needs it alive) but neither claims the value nor refs it.
-				participants[vk] = append(participants[vk], p)
-			case op.Kind == history.OpWrite:
-				if _, dup := firstCommitted[vk]; dup {
-					// Duplicate write: the first writer must survive to p
-					// for the unique-value check to fire identically.
-					if lastRef[vk] < p {
-						lastRef[vk] = p
-					}
-				} else {
-					firstCommitted[vk] = p
-				}
-				participants[vk] = append(participants[vk], p)
-			default: // read
-				participants[vk] = append(participants[vk], p)
-				if lastRef[vk] < p {
-					lastRef[vk] = p
-				}
+			u := uses[version{op.Key, op.Value}]
+			if u == nil {
+				u = &use{}
+				uses[version{op.Key, op.Value}] = u
 			}
+			u.touched = append(u.touched, p)
+			switch {
+			case op.Kind == history.OpRead, t.Committed && u.committed:
+				// A read — or a duplicate write, which the first writer
+				// must survive to p for the unique-value check to fire
+				// identically — references the version.
+				u.lastRef = p + 1
+			case t.Committed:
+				u.committed = true
+			}
+			// An aborted writer neither claims the value nor references
+			// it, but AbortedRead classification needs it alive.
 		}
 	}
+	keepUntil := make([]int, n)
 	//mtc:nondeterministic-ok maximum fold into keepUntil; max is commutative
-	for vk, ps := range participants {
-		ref, referenced := lastRef[vk]
-		if !referenced {
+	for _, u := range uses {
+		if u.lastRef == 0 {
 			continue
 		}
-		if _, ok := firstCommitted[vk]; !ok {
+		ref := u.lastRef - 1
+		if !u.committed {
 			// Read of a value no committed transaction ever wrote: its
 			// aborted writer (if any) decides AbortedRead vs ThinAirRead
 			// at Finalize, so it must survive the whole stream.
 			ref = n
 		}
-		for _, q := range ps {
+		for _, q := range u.touched {
 			if keepUntil[q] < ref {
 				keepUntil[q] = ref
 			}

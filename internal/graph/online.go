@@ -17,11 +17,9 @@ import "sort"
 // Online is the substrate of core.Incremental; it is not safe for
 // concurrent use.
 type Online struct {
-	ord   []int // node -> order index
-	byOrd []int // order index -> node (inverse of ord)
-	out   [][]Edge
-	in    [][]Edge
-	m     int
+	ord []int // node -> order index
+	out [][]Edge
+	in  [][]Edge
 
 	// DFS scratch, reused across insertions.
 	mark  []int
@@ -34,15 +32,11 @@ func NewOnline() *Online { return &Online{} }
 // Len returns the number of nodes.
 func (t *Online) Len() int { return len(t.ord) }
 
-// NumEdges returns the number of inserted edges.
-func (t *Online) NumEdges() int { return t.m }
-
 // AddNode appends a new node at the end of the current order and returns
 // its index.
 func (t *Online) AddNode() int {
 	id := len(t.ord)
 	t.ord = append(t.ord, id)
-	t.byOrd = append(t.byOrd, id)
 	t.out = append(t.out, nil)
 	t.in = append(t.in, nil)
 	t.mark = append(t.mark, 0)
@@ -65,7 +59,6 @@ func (t *Online) AddEdge(e Edge) []Edge {
 	u, v := e.From, e.To
 	t.out[u] = append(t.out[u], e)
 	t.in[v] = append(t.in[v], e)
-	t.m++
 	if u == v {
 		return []Edge{e}
 	}
@@ -148,7 +141,6 @@ func (t *Online) AddEdge(e Edge) []Edge {
 	nodes := append(bwd, fwd...)
 	for i, x := range nodes {
 		t.ord[x] = slots[i]
-		t.byOrd[slots[i]] = x
 	}
 	return nil
 }

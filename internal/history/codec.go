@@ -144,14 +144,9 @@ func LoadFile(path string) (*History, error) {
 // ReadAuto reads a history from r with the same content sniffing as
 // LoadFile (gzip, then MTCB vs NDJSON vs JSON vs text).
 func ReadAuto(r io.Reader) (*History, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("history: gzip: %w", err)
-		}
-		defer zr.Close()
-		br = bufio.NewReader(zr)
+	br, err := gunzip(bufio.NewReader(r), "history")
+	if err != nil {
+		return nil, err
 	}
 	if _, err := br.Peek(1); err != nil {
 		return nil, fmt.Errorf("history: empty input: %w", err)
@@ -193,18 +188,60 @@ type TxnStream interface {
 // a streaming decode). mtc-verify -stream verifies either capture
 // format through it without a format flag.
 func NewAutoStreamReader(r io.Reader) (TxnStream, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("history: gzip: %w", err)
-		}
-		br = bufio.NewReader(zr)
+	br, err := gunzip(bufio.NewReader(r), "history")
+	if err != nil {
+		return nil, err
 	}
 	if magic, err := br.Peek(len(MTCBMagic)); err == nil && string(magic) == MTCBMagic {
 		return NewBinaryReader(br)
 	}
 	return NewStreamReader(br)
+}
+
+// gunzip returns br itself, or — when br opens with the gzip magic
+// (0x1f 0x8b) — a reader over its decompressed payload. prefix names
+// the calling codec in the error.
+func gunzip(br *bufio.Reader, prefix string) (*bufio.Reader, error) {
+	if magic, err := br.Peek(2); err != nil || magic[0] != 0x1f || magic[1] != 0x8b {
+		return br, nil
+	}
+	zr, err := gzip.NewReader(br)
+	if err != nil {
+		return nil, fmt.Errorf("%s: gzip: %w", prefix, err)
+	}
+	return bufio.NewReader(zr), nil
+}
+
+// drain consumes the rest of ts into a validated History: the one-shot
+// read of every streaming codec.
+func drain(ts TxnStream) (*History, error) {
+	var h History
+	for {
+		t, err := ts.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t.Session >= 0 {
+			for len(h.Sessions) <= t.Session {
+				h.Sessions = append(h.Sessions, nil)
+			}
+			h.Sessions[t.Session] = append(h.Sessions[t.Session], t.ID)
+		}
+		h.Txns = append(h.Txns, t)
+	}
+	// The header's declared session count restores sessions with no
+	// transactions (a per-transaction encoding cannot witness them).
+	for len(h.Sessions) < ts.DeclaredSessions() {
+		h.Sessions = append(h.Sessions, nil)
+	}
+	h.HasInit = ts.HasInit()
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	return &h, nil
 }
 
 // sniffNDJSON reports whether the buffered payload opens with the

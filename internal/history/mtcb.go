@@ -2,7 +2,6 @@ package history
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,7 +244,6 @@ type BinaryReader struct {
 	next     int
 	nextOff  int // ops consumed so far (opIDs cursor)
 	hasInit  bool
-	sessions [][]int
 	done     bool
 
 	arena   *IngestArena
@@ -268,13 +266,9 @@ func NewBinaryFrameReader(r io.Reader, a *IngestArena) (*BinaryReader, error) {
 }
 
 func newBinaryReader(r io.Reader, arena *IngestArena) (*BinaryReader, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("history: mtcb: gzip: %w", err)
-		}
-		br = bufio.NewReader(zr)
+	br, err := gunzip(bufio.NewReader(r), "history: mtcb")
+	if err != nil {
+		return nil, err
 	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -421,11 +415,6 @@ func (r *BinaryReader) readTxn() (Txn, error) {
 	}
 	if sess == -1 {
 		r.hasInit = true
-	} else {
-		for len(r.sessions) <= int(sess) {
-			r.sessions = append(r.sessions, nil)
-		}
-		r.sessions[sess] = append(r.sessions[sess], t.ID)
 	}
 	r.next++
 	r.nextOff += len(ops)
@@ -494,32 +483,6 @@ func (r *BinaryReader) truncated(err error) error {
 	return fmt.Errorf("history: mtcb: truncated txn record %d: %w", r.next, err)
 }
 
-// drain consumes the rest of the stream into a validated History.
-func (r *BinaryReader) drain() (*History, error) {
-	var h History
-	for {
-		t, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.Txns = append(h.Txns, t)
-	}
-	h.Sessions = r.sessions
-	// The header's declared session count restores sessions with no
-	// transactions (a per-transaction encoding cannot witness them).
-	for len(h.Sessions) < r.declared {
-		h.Sessions = append(h.Sessions, nil)
-	}
-	h.HasInit = r.hasInit
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
 // ReadMTCB drains an MTCB document into a validated History (the
 // one-shot counterpart of BinaryReader, used by ReadAuto).
 func ReadMTCB(r io.Reader) (*History, error) {
@@ -527,7 +490,7 @@ func ReadMTCB(r io.Reader) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sr.drain()
+	return drain(sr)
 }
 
 // ReadMTCBIndexed drains an MTCB document straight into a columnar
@@ -543,7 +506,7 @@ func ReadMTCBIndexed(r io.Reader) (*Index, error) {
 		return nil, err
 	}
 	sr.collect = true
-	h, err := sr.drain()
+	h, err := drain(sr)
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func TestMTCBStreamingWriter(t *testing.T) {
 	if sr.DeclaredSessions() != len(h.Sessions) {
 		t.Fatalf("declared %d sessions, want %d", sr.DeclaredSessions(), len(h.Sessions))
 	}
-	got, err := sr.drain()
+	got, err := drain(sr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package history
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,7 +101,6 @@ type StreamReader struct {
 	line     int
 	next     int
 	hasInit  bool
-	sessions [][]int
 	declared int
 	done     bool
 }
@@ -110,13 +108,9 @@ type StreamReader struct {
 // NewStreamReader validates the header line and positions the reader at
 // the first transaction record.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("history: ndjson: gzip: %w", err)
-		}
-		br = bufio.NewReader(zr)
+	br, err := gunzip(bufio.NewReader(r), "history: ndjson")
+	if err != nil {
+		return nil, err
 	}
 	sr := &StreamReader{br: br}
 	header, err := sr.readLine()
@@ -200,11 +194,6 @@ func (sr *StreamReader) Next() (Txn, error) {
 			return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
 		}
 		sr.hasInit = true
-	} else {
-		for len(sr.sessions) <= t.Session {
-			sr.sessions = append(sr.sessions, nil)
-		}
-		sr.sessions[t.Session] = append(sr.sessions[t.Session], t.ID)
 	}
 	sr.next++
 	return t, nil
@@ -224,26 +213,5 @@ func ReadNDJSON(r io.Reader) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
-	var h History
-	for {
-		t, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.Txns = append(h.Txns, t)
-	}
-	h.Sessions = sr.sessions
-	// The header's declared session count restores sessions with no
-	// transactions (a per-transaction encoding cannot witness them).
-	for len(h.Sessions) < sr.declared {
-		h.Sessions = append(h.Sessions, nil)
-	}
-	h.HasInit = sr.hasInit
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return drain(sr)
 }

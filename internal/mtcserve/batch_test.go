@@ -209,3 +209,47 @@ func TestSessionBatchRejections(t *testing.T) {
 		t.Fatalf("batch on unknown session: want 404")
 	}
 }
+
+// TestSessionIngestRejectsNegativeSession: both ingest routes refuse a
+// transaction with a negative session number — the init record's marker,
+// which would otherwise reach the online checker as an ordinary session —
+// with 400 bad_request, and apply nothing of the request: not the valid
+// transaction ahead of the offending one (JSON), nor the one behind it
+// (MTCB only encodes an init record first).
+func TestSessionIngestRejectsNegativeSession(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	good := history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}}
+	bad := history.Txn{Session: -1, Committed: true, Ops: []history.Op{history.W("x", 0)}}
+	for _, route := range []struct {
+		name string
+		post func(id string) (*http.Response, []byte)
+	}{
+		{"txns", func(id string) (*http.Response, []byte) {
+			yes := true
+			var payloads []api.TxnPayload
+			for _, txn := range []history.Txn{good, bad} {
+				payloads = append(payloads, api.TxnPayload{Sess: txn.Session, Ops: txn.Ops, Committed: &yes})
+			}
+			return doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/txns", payloads)
+		}},
+		{"batch", func(id string) (*http.Response, []byte) {
+			return doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/batch", string(mtcbFrame(t, []history.Txn{bad, good})))
+		}},
+	} {
+		id := openStreamSession(t, ts, api.SessionRequest{Level: "SER", Keys: []history.Key{"x"}})
+		resp, raw := route.post(id)
+		var e api.ErrorResponse
+		if err := json.Unmarshal(raw, &e); resp.StatusCode != http.StatusBadRequest || err != nil || e.Error.Code != api.CodeBadRequest {
+			t.Fatalf("%s: negative session answered %d %s, want 400 %s", route.name, resp.StatusCode, raw, api.CodeBadRequest)
+		}
+		_, raw = doJSON(t, "GET", ts.URL+"/v1/sessions/"+id+"/verdict", nil)
+		var st api.SessionStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Txns != 1 { // the init transaction only
+			t.Fatalf("%s: rejected request ingested transactions: %+v", route.name, st)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mtcserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -225,5 +226,102 @@ func TestFabricWorkerKilledMidJob(t *testing.T) {
 	}
 	if done.Report.OK != ref.OK || done.Report.Edges != ref.Edges || done.Report.Txns != ref.Txns {
 		t.Fatalf("verdict after worker death diverges:\nfabric: %+v\nlocal:  %+v", done.Report, ref)
+	}
+}
+
+// gateChecker's Name blocks until released. Registering it on the
+// coordinator's registry therefore holds that registry's write lock —
+// and with it every Lookup, the first thing Coordinator.Submit does —
+// for as long as the test wants.
+type gateChecker struct {
+	checker.Checker
+	entered, release chan struct{}
+}
+
+func (g *gateChecker) Name() string {
+	close(g.entered)
+	<-g.release
+	return "gate"
+}
+
+// TestFabricJobRegisteredBeforeQueued holds a distributed submission
+// inside Coordinator.Submit and asserts the job is not yet visible to
+// the pool: a pool worker that got it first would ask the coordinator to
+// wait on a job it has never heard of and fail it with "fabric: unknown
+// job" (the race PR 11's serve-jobs workload lost about once in 400).
+func TestFabricJobRegisteredBeforeQueued(t *testing.T) {
+	eng, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := &checker.Registry{}
+	reg.Register(eng)
+	coord, err := fabric.Open(filepath.Join(t.TempDir(), "fabric.wal"), fabric.Config{Registry: reg})
+	if err != nil {
+		t.Fatalf("fabric.Open: %v", err)
+	}
+	defer coord.Close()
+	srv := NewServer(nil)
+	srv.Fabric = coord
+	srv.JobTimeout = 30 * time.Second
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	stop := startFabricWorkers(t, ts.URL, 1)
+	defer stop()
+
+	gate := &gateChecker{Checker: eng, entered: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate.release) }) }
+	registered := make(chan struct{})
+	go func() {
+		defer close(registered)
+		reg.Register(gate)
+	}()
+	defer func() {
+		open()
+		<-registered
+	}()
+	<-gate.entered
+
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, History: tenantJobHistory()}); err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", &buf)
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+
+	// The handler allocates the job id, then submits to the coordinator:
+	// once the id exists the handler is at (or about to enter) the gated
+	// Submit, and it cannot get past it.
+	deadline := time.Now().Add(10 * time.Second)
+	for allocated := false; !allocated; {
+		srv.jobsMu.Lock()
+		allocated = srv.nextJobID == 1
+		srv.jobsMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("submission never reached id allocation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if j := srv.lookupJob("j1"); j != nil {
+		t.Fatalf("job is visible to the pool (state %s) before the coordinator registered it", j.status().State)
+	}
+
+	open()
+	if code := <-status; code != http.StatusAccepted {
+		t.Fatalf("distributed job rejected: %d", code)
+	}
+	if done := waitJob(t, ts, "j1", 10*time.Second); done.State != api.JobDone {
+		t.Fatalf("distributed job: %+v", done)
 	}
 }

@@ -308,40 +308,50 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.startWorkers()
 	s.jobsMu.Lock()
+	s.nextJobID++
+	j.id = "j" + strconv.Itoa(s.nextJobID)
+	s.jobsMu.Unlock()
+	j.events[0].JobID = j.id
+	if j.distributed {
+		// Register with the coordinator before the job is visible to the
+		// pool: a pool worker only waits for the fold, and Wait on a job
+		// the coordinator has not heard of yet fails it. The WAL append
+		// inside Submit is also the durability point, so an accepted
+		// distributed job survives a coordinator restart even if no pool
+		// worker picked it up yet. (Submit is idempotent for recovered
+		// jobs.)
+		if err := s.Fabric.Submit(j.id, name, req.History, opts); err != nil {
+			cancel()
+			s.v1Error(w, r, http.StatusInternalServerError, api.CodeInternal, "fabric submission failed: %v", err)
+			return
+		}
+	}
+	// refuse undoes the submission of a job the pool will never see.
+	refuse := func(reason string) {
+		cancel()
+		if j.distributed {
+			s.Fabric.Cancel(j.id, reason)
+		}
+	}
+	s.jobsMu.Lock()
 	if s.closed {
 		s.jobsMu.Unlock()
-		cancel()
+		refuse("server is shutting down")
 		s.v1Error(w, r, http.StatusServiceUnavailable, api.CodeInternal, "server is shutting down")
 		return
 	}
 	s.evictTerminalLocked()
-	s.nextJobID++
-	j.id = "j" + strconv.Itoa(s.nextJobID)
-	j.events[0].JobID = j.id
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
 		s.jobsMu.Unlock()
 	default:
 		s.jobsMu.Unlock()
-		cancel()
+		refuse("job queue is full")
 		w.Header().Set("Retry-After", strconv.Itoa(defaultRetryAfterS))
 		s.v1Error(w, r, http.StatusTooManyRequests, api.CodeQueueFull,
 			"job queue is full (%d queued); retry shortly", s.queueDepth())
 		return
-	}
-	if j.distributed {
-		// Submit to the coordinator before acknowledging: the WAL append
-		// inside Submit is the durability point, so an accepted
-		// distributed job survives a coordinator restart even if no pool
-		// worker picked it up yet. (A pool worker then merely waits for
-		// the fold; Submit is idempotent for recovered jobs.)
-		if err := s.Fabric.Submit(j.id, name, req.History, opts); err != nil {
-			j.cancel()
-			j.transition(api.JobFailed, nil, err.Error())
-			s.v1Error(w, r, http.StatusInternalServerError, api.CodeInternal, "fabric submission failed: %v", err)
-			return
-		}
 	}
 	writeJSON(w, http.StatusAccepted, j.status())
 }

@@ -37,6 +37,7 @@ package mtcserve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -155,6 +156,31 @@ type session struct {
 
 // touch stamps the session as active. Caller must hold sess.mu.
 func (sess *session) touch() { sess.lastUsed = time.Now() }
+
+// errSessionFinal is ingest's refusal of a finalized session (409).
+var errSessionFinal = errors.New("session is finalized")
+
+// ingest appends txns to the session's check and runs the compaction
+// cadence. It is atomic: a finalized session (errSessionFinal) or a
+// transaction with a negative session number — the init record's
+// marker; initial keys are declared at session open — applies nothing.
+// Caller must hold sess.mu.
+func (sess *session) ingest(txns []history.Txn) error {
+	if sess.stopped {
+		return errSessionFinal
+	}
+	sess.touch()
+	for i := range txns {
+		if txns[i].Session < 0 {
+			return fmt.Errorf("txn %d: session must be >= 0, got %d (declare initial keys at session open)", i, txns[i].Session)
+		}
+	}
+	for i := range txns {
+		sess.inc.Add(txns[i])
+	}
+	sess.inc.MaybeCompact(sess.window, 0, nil)
+	return nil
+}
 
 // NewServer returns a server dispatching on the given registry; nil
 // selects the default registry with every engine registered.
@@ -541,18 +567,22 @@ func (s *Server) handleSessionTxns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sess.mu.Lock()
-	if sess.stopped {
-		sess.mu.Unlock()
-		s.v1Error(w, r, http.StatusConflict, api.CodeConflict, "session %q is finalized", id)
-		return
-	}
-	sess.touch()
-	for i := range txns {
-		sess.inc.Add(txns[i])
-	}
-	sess.inc.MaybeCompact(sess.window, 0, nil)
+	err = sess.ingest(txns)
 	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.status(id, sess))
+	s.writeIngested(w, r, id, sess, err)
+}
+
+// writeIngested answers an ingest request: the session status, or
+// ingest's refusal as 409 (finalized) or 400 (anything else).
+func (s *Server) writeIngested(w http.ResponseWriter, r *http.Request, id string, sess *session, err error) {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, s.status(id, sess))
+	case errors.Is(err, errSessionFinal):
+		s.v1Error(w, r, http.StatusConflict, api.CodeConflict, "session %q is finalized", id)
+	default:
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+	}
 }
 
 // handleSessionBatch implements POST /v1/sessions/{id}/batch: one MTCB
@@ -577,46 +607,35 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	if sess.stopped {
-		sess.mu.Unlock()
-		s.v1Error(w, r, http.StatusConflict, api.CodeConflict, "session %q is finalized", id)
-		return
+	var txns []history.Txn
+	if !sess.stopped { // a finalized session answers 409 whatever the frame holds
+		txns, err = sess.decodeFrame(raw)
 	}
-	sess.touch()
+	if err == nil {
+		err = sess.ingest(txns)
+	}
+	sess.mu.Unlock()
+	s.writeIngested(w, r, id, sess, err)
+}
+
+// decodeFrame decodes one MTCB document through the session's arena.
+// Caller must hold sess.mu.
+func (sess *session) decodeFrame(raw []byte) ([]history.Txn, error) {
 	if sess.arena == nil {
 		sess.arena = history.NewIngestArena()
 	}
 	fr, err := history.NewBinaryFrameReader(bytes.NewReader(raw), sess.arena)
-	if err != nil {
-		sess.mu.Unlock()
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad mtcb frame: %v", err)
-		return
-	}
 	var txns []history.Txn
-	for {
-		t, err := fr.Next()
-		if err == io.EOF {
-			break
+	for err == nil {
+		var t history.Txn
+		if t, err = fr.Next(); err == nil {
+			txns = append(txns, t)
 		}
-		if err != nil {
-			sess.mu.Unlock()
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad mtcb frame: %v", err)
-			return
-		}
-		if t.Session < 0 {
-			sess.mu.Unlock()
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				"batch frames must not carry an init record (declare initial keys at session open)")
-			return
-		}
-		txns = append(txns, t)
 	}
-	for i := range txns {
-		sess.inc.Add(txns[i])
+	if err != io.EOF {
+		return nil, fmt.Errorf("bad mtcb frame: %w", err)
 	}
-	sess.inc.MaybeCompact(sess.window, 0, nil)
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.status(id, sess))
+	return txns, nil
 }
 
 func (s *Server) handleSessionVerdict(w http.ResponseWriter, r *http.Request) {

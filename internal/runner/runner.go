@@ -40,10 +40,6 @@ type Config struct {
 	// unbounded. The window must exceed the store's maximum commit
 	// staleness for verdict parity; see core.Incremental.Compact.
 	Window int
-	// CompactEvery overrides how often (in observed transactions) the
-	// windowed stream compacts; 0 picks Window/2. Smaller values bound
-	// memory tighter at more rebuild cost. Ignored when Window is 0.
-	CompactEvery int
 	// Shard routes a streaming run's commits to per-component online
 	// checkers (RunStream only): the workload plan is decomposed into
 	// key-disjoint session groups (workload.Components) and up to Shard

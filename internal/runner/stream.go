@@ -196,7 +196,7 @@ func RunStream(ctx context.Context, s *kv.Store, w *workload.Workload, cfg Confi
 		if vio != nil && !stop.Swap(true) {
 			res.ViolationAt = inc.NumTxns()
 		}
-		inc.MaybeCompact(cfg.Window, cfg.CompactEvery, nil)
+		inc.MaybeCompact(cfg.Window, 0, nil)
 	})
 	if b != nil {
 		res.H = b.Build()
@@ -286,7 +286,7 @@ func runStreamSharded(ctx context.Context, s *kv.Store, w *workload.Workload, cf
 				if vio != nil && !stop.Swap(true) {
 					violationAt.Store(n)
 				}
-				inc.MaybeCompact(cfg.Window, cfg.CompactEvery, nil)
+				inc.MaybeCompact(cfg.Window, 0, nil)
 			}
 		}(shardCh[wi])
 	}
