@@ -56,6 +56,13 @@ func saved(t *testing.T, name string, h *history.History) string {
 func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 	clean := saved(t, "clean.mtcb", history.SerialHistory(30, "x", "y"))
 	skew := saved(t, "skew.txt", history.FixtureByName("WriteSkew").H)
+	// T2 has a start but no finish: not a real-time interval under any
+	// reading, so the file is refused before an SSER verdict can depend
+	// on which reading the engine takes.
+	b := history.NewBuilder("x")
+	b.TimedTxn(0, 8, 9, history.R("x", 0), history.W("x", 1))
+	b.TimedTxn(1, 7, 0, history.R("x", 1))
+	halfStamped := saved(t, "half.json", b.Build())
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -67,6 +74,8 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		{"weak level routes to its checker", []string{"-level", "RC", clean}, 0, "[rc] history satisfies RC", ""},
 		{"incremental engine", []string{"-level", "SI", "-checker", "mtc-incremental", clean}, 0, "[mtc-incremental] history satisfies SI", ""},
 		{"violation exits 1", []string{"-level", "SER", skew}, 1, "[mtc] history VIOLATES SER", ""},
+		{"sser on a clean history", []string{"-level", "sser", clean}, 0, "[mtc] history satisfies SSER", ""},
+		{"finish before start is not a history", []string{"-level", "sser", halfStamped}, 2, "", "finish 0 < start 7"},
 		{"unknown level", []string{"-level", "bogus", clean}, 2, "", "unknown isolation level"},
 		{"unknown checker", []string{"-checker", "mtc-sharded", clean}, 2, "", "unknown checker"},
 		{"unsupported level for the engine", []string{"-level", "SI", "-checker", "cobra", clean}, 2, "", "does not support level"},

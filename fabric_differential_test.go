@@ -35,6 +35,7 @@ var fabricEngines = []struct {
 }{
 	{"mtc", core.SER},
 	{"mtc", core.SI},
+	{"mtc", core.SSER},
 	{"mtc-incremental", core.SI},
 }
 
@@ -60,21 +61,14 @@ func fabricCheck(t *testing.T, c *fabric.Coordinator, workers []api.WorkerLease,
 			continue
 		}
 		idle = 0
-		// A worker that advertised the mtcb codec receives the component
-		// as a binary payload; decode it straight to a columnar index the
-		// way fabric.RunWorker does. The mixed fleet below exercises both
-		// payload kinds within every job.
-		h := task.History
-		opts := checker.Options{Level: checker.Level(task.Level)}
-		if h == nil {
-			ix, err := hist.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
-			if err != nil {
-				t.Fatalf("%s: decoding mtcb payload for %s/%d: %v", tag, task.Job, task.Component, err)
-			}
-			h = ix.History()
-			opts.Index = ix
+		// Decode the component payload straight to a columnar index, the
+		// way fabric.RunWorker does.
+		ix, err := hist.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
+		if err != nil {
+			t.Fatalf("%s: decoding mtcb payload for %s/%d: %v", tag, task.Job, task.Component, err)
 		}
-		rep, err := checker.Default.Run(ctx, task.Checker, h, opts)
+		opts := checker.Options{Level: checker.Level(task.Level), Index: ix}
+		rep, err := checker.Default.Run(ctx, task.Checker, ix.History(), opts)
 		res := api.FabricResult{Job: task.Job, Component: task.Component, Epoch: task.Epoch}
 		if err != nil {
 			res.Error = err.Error()
@@ -137,12 +131,9 @@ func TestDifferentialFabricVsSharded(t *testing.T) {
 			t.Fatalf("close: %v", cerr)
 		}
 	}()
-	// A mixed fleet: w2 negotiates the binary component codec, w1 and w3
-	// stay on JSON — every multi-component job dispatches both payload
-	// kinds and the fold must not care.
 	workers := []api.WorkerLease{
 		c.Register(api.WorkerHello{Name: "w1"}),
-		c.Register(api.WorkerHello{Name: "w2", Codecs: []string{"mtcb"}}),
+		c.Register(api.WorkerHello{Name: "w2"}),
 		c.Register(api.WorkerHello{Name: "w3"}),
 	}
 	var bugs []faults.Bug

@@ -1,17 +1,14 @@
 package api
 
-import (
-	"mtc/internal/checker"
-	"mtc/internal/history"
-)
+import "mtc/internal/checker"
 
 // Fabric wire contract: the coordinator/worker messages of the
 // distributed checking fabric (internal/fabric). A coordinator is an
 // mtc-serve instance started with -fabric-wal; workers are mtc-serve
 // binaries started with `-worker -coordinator <url>` that register,
-// heartbeat, and pull component work produced by shard.Split. The
-// payloads embed history.History and checker.Report — the same types
-// the job API serializes — so a component task and its verdict travel
+// heartbeat, and pull component work produced by shard.Split. A task
+// carries its component as MTCB bytes and a result embeds
+// checker.Report — the type the job API serializes — so both travel
 // over the existing v1 encoding.
 //
 //	POST /v1/fabric/workers               register -> 201 WorkerLease
@@ -30,12 +27,10 @@ type WorkerHello struct {
 	// component checks with (informational).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Codecs lists the wire codecs this worker can decode component
-	// payloads from, beyond the implicit JSON baseline. A worker that
-	// advertises "mtcb" receives FabricTask.HistoryMTCB (the binary
-	// columnar encoding, decoded straight to a columnar index) instead
-	// of the JSON History. Coordinators ignore names they do not know,
-	// so old coordinators keep sending JSON to new workers and old
-	// workers (empty Codecs) keep receiving it from new coordinators.
+	// payloads from. Every task carries FabricTask.HistoryMTCB, so a
+	// hello that does not list "mtcb" is refused with a 400: coordinator
+	// and workers ship from one binary, and version skew is reported at
+	// registration instead of negotiated.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
@@ -68,20 +63,15 @@ type FabricTask struct {
 	Level   string `json:"level,omitempty"`
 	// Engine options, forwarded from the submitted job.
 	SkipPreCheck bool `json:"skip_precheck,omitempty"`
-	SparseRT     bool `json:"sparse_rt,omitempty"`
 	Parallelism  int  `json:"parallelism,omitempty"`
 	Window       int  `json:"window,omitempty"`
-	// History is the component's sub-history (local transaction ids; the
-	// coordinator remaps the verdict back to external positions). Nil
-	// when the coordinator negotiated the binary codec — exactly one of
-	// History and HistoryMTCB is set.
-	History *history.History `json:"history,omitempty"`
-	// HistoryMTCB is the component's sub-history in the MTCB binary
-	// columnar encoding (base64 inside the JSON envelope), sent to
-	// workers whose WorkerHello advertised the "mtcb" codec. The
-	// coordinator encodes each component once and serves the same bytes
-	// to every puller; the worker decodes them straight to a columnar
-	// index (history.ReadMTCBIndexed) with no JSON op materialization.
+	// HistoryMTCB is the component's sub-history (local transaction ids;
+	// the coordinator remaps the verdict back to external positions) in
+	// the MTCB binary columnar encoding, base64 inside the JSON envelope.
+	// The coordinator encodes each component once and serves the same
+	// bytes to every puller; the worker decodes them straight to a
+	// columnar index (history.ReadMTCBIndexed) with no JSON op
+	// materialization.
 	HistoryMTCB []byte `json:"history_mtcb,omitempty"`
 }
 

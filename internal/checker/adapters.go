@@ -52,9 +52,8 @@ func (mtcChecker) Name() string    { return "mtc" }
 func (mtcChecker) Levels() []Level { return []Level{core.SI, core.SER, core.SSER} }
 
 func (mtcChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	copts := core.Options{SkipPreCheck: opts.SkipPreCheck, SparseRT: opts.SparseRT, Parallelism: opts.Parallelism}
 	start := time.Now()
-	r, err := core.CheckCtx(ctx, indexOf(h, opts), opts.Level, copts)
+	r, err := core.CheckCtx(ctx, indexOf(h, opts), opts.Level, core.Options{SkipPreCheck: opts.SkipPreCheck})
 	if err != nil {
 		return Report{}, err
 	}

@@ -60,33 +60,6 @@ func TestMTCCheckersHonorCanceledContext(t *testing.T) {
 	}
 }
 
-// TestDenseSSERHonorsDeadline exercises the Θ(n²) dense real-time
-// enumeration: a large timed history under a tiny deadline must stop
-// inside the pair loop.
-func TestDenseSSERHonorsDeadline(t *testing.T) {
-	b := history.NewBuilder("x")
-	v := history.Value(1)
-	ts := int64(1)
-	for i := 0; i < 6000; i++ {
-		b.TimedTxn(0, ts, ts+1, history.R("x", v-1+0), history.W("x", v))
-		ts += 2
-		v++
-	}
-	h := b.Build()
-	// 10ms comfortably outlives the pre-check but expires long before
-	// the ~18M-pair enumeration completes.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := core.CheckCtx(ctx, history.NewIndex(h), core.SSER, core.Options{})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
-}
-
 // armedCtx is a context that cancels itself at the first Err poll made
 // from inside the function named by in — cancellation landing exactly in
 // the phase under test, with no timing involved.
@@ -114,22 +87,24 @@ func (c *armedCtx) Err() error {
 	}
 }
 
-// TestSparseSSERCopyHonorsCancellation: the sparse encoding copies the
-// base graph through graph.ParallelDo (the only ParallelDo of a sparse
-// SSER run); the copy must poll the caller's context — not a background
-// one — and a cancellation landing there must end the run with the
-// context's error.
-func TestSparseSSERCopyHonorsCancellation(t *testing.T) {
+// TestSSERInversionHonorsCancellation: the SSER rung's real-time pass
+// (core.Deps.Inversion) must poll the caller's context — not a
+// background one — and a cancellation landing there must end the run
+// with the context's error, on the dedicated engine and the profiler.
+func TestSSERInversionHonorsCancellation(t *testing.T) {
 	b := history.NewBuilder("x")
 	for i := int64(1); i <= 50; i++ {
 		b.TimedTxn(0, 2*i, 2*i+1, history.R("x", history.Value(i-1)), history.W("x", history.Value(i)))
 	}
-	ctx := &armedCtx{Context: context.Background(), in: "graph.ParallelDo"}
-	_, err := Run(ctx, "mtc", b.Build(), Options{Level: core.SSER, SparseRT: true, Parallelism: 1})
-	if !ctx.fired.Load() {
-		t.Fatal("the sparse-RT base copy never polled the caller's context")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	h := b.Build()
+	for _, name := range []string{"mtc", "profile"} {
+		ctx := &armedCtx{Context: context.Background(), in: "core.(*Deps).Inversion"}
+		_, err := Run(ctx, name, h, Options{Level: core.SSER})
+		if !ctx.fired.Load() {
+			t.Fatalf("%s: the inversion pass never polled the caller's context", name)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v", name, err)
+		}
 	}
 }

@@ -62,16 +62,19 @@ type Options struct {
 	// SkipPreCheck disables the INT/G1 pre-pass where the engine supports
 	// it (the MTC engines).
 	SkipPreCheck bool
-	// SparseRT selects the O(n log n) sparse real-time encoding for SSER
-	// on the MTC engine.
+	// SparseRT is inert: no engine reads it. It selected one of two SSER
+	// encodings until the SSER rung became the single inversion pass
+	// (core.Deps.Inversion), and stays declared only because benchmark/
+	// — frozen while this field was retired — sets it in two literals.
+	// A benchmark PR that drops those literals can delete the field.
 	SparseRT bool
 	// Parallelism bounds the worker pools of the parallel engine phases:
 	// the polygraph prune shards and reachability closure of the Cobra
-	// and PolySI baselines, and the MTC engine's dense real-time
-	// enumeration. <= 0 selects GOMAXPROCS; 1 forces the serial paths.
-	// Verdicts, anomalies and edge counts are identical at every setting
+	// and PolySI baselines, and the causal rung's reachability closure.
+	// <= 0 selects GOMAXPROCS; 1 forces the serial paths. Verdicts,
+	// anomalies and edge counts are identical at every setting
 	// (differentially tested); only wall-clock changes. Engines without a
-	// parallel phase (incremental, elle, porcupine) ignore it.
+	// parallel phase (mtc, incremental, elle, porcupine) ignore it.
 	Parallelism int
 	// Window bounds the memory of the online incremental engine
 	// (mtc-incremental): the replay is compacted every window/2

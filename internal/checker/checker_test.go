@@ -3,6 +3,7 @@ package checker
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -242,5 +243,23 @@ func TestIndexConsumersHonorOptionsIndex(t *testing.T) {
 		if prebuilt >= building {
 			t.Fatalf("%s: %v allocs with a prebuilt index, %v without — the index was rebuilt", tc.name, prebuilt, building)
 		}
+	}
+}
+
+// TestSSERAllocationIsLinear: the default SSER path must not materialize
+// the real-time order. A 5 000-transaction serial history has ~12.5 M
+// real-time pairs — over 2 GB as edges — while the rung's own state is a
+// handful of n-sized arrays.
+func TestSSERAllocationIsLinear(t *testing.T) {
+	h := history.SerialHistory(5000, "x", "y")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(context.Background(), "mtc", h, Options{Level: core.SSER})
+	runtime.ReadMemStats(&after)
+	if err != nil || !rep.OK {
+		t.Fatalf("serial history at SSER: %+v, %v", rep, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
+		t.Fatalf("SSER on %d txns allocated %d MB, want < 32 MB", len(h.Txns), got>>20)
 	}
 }

@@ -16,14 +16,15 @@ import (
 // registry at Parallelism 1, 2 and GOMAXPROCS simultaneously — the
 // engines share the history and (for the SAT baselines) their polygraph
 // construction paths, so under -race this is the proof that the parallel
-// prune shards, the closure levels and the dense-RT sharding touch no
-// shared mutable state. Alongside the workers, a cancellation goroutine
-// submits the same job under an immediately-expiring context and asserts
-// the parallel prune loop aborts in under 2s.
+// prune shards, the closure levels and concurrent SSER runs over one
+// history touch no shared mutable state. Alongside the workers, a
+// cancellation goroutine submits the same job under an
+// immediately-expiring context and asserts the parallel prune loop
+// aborts in under 2s.
 func TestParallelismLevelsConcurrently(t *testing.T) {
 	// Blind writes over one key: enough constraints that the prune loop
 	// actually shards, small enough to finish quickly at par 1. The timed
-	// serial history drives the parallel dense-RT enumeration instead.
+	// serial history drives the SSER rung, which ignores the knob.
 	blind := history.BlindWriteHistory(3, 60)
 	timed := history.SerialHistory(400, "x", "y")
 	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
@@ -35,7 +36,7 @@ func TestParallelismLevelsConcurrently(t *testing.T) {
 			if name == "cobra" {
 				opts.Level = "SER"
 			} else {
-				opts.Level = "SSER" // exercises the parallel dense-RT path
+				opts.Level = "SSER"
 				h = timed
 			}
 			var (

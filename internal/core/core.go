@@ -9,8 +9,10 @@
 //   - CheckCtx is the one batch pipeline: pre-check, that derivation, then
 //     the rung for the level (Deps.Rung). SER and SI are decided in Θ(n),
 //     SI detecting the DIVERGENCE pattern early (Definition 10); SSER is
-//     Θ(n²) by enumerating the real-time order, or O(n log n) with the
-//     sparse time-chain encoding (an ablation the paper leaves implicit).
+//     the SER cycle search plus one real-time inversion pass
+//     (Deps.Inversion), O(n log n) for the timestamp sort and linear
+//     after it. The paper's Θ(n²) real-time enumeration survives only as
+//     the reference the tests compare against (BuildDependency withRT).
 //   - CheckIncrementalWindowedCtx replays a history through the online
 //     engine (Incremental) and CheckStreamCtx drives it from a stream.
 //     Incremental holds two tables: one slot per version (key, value) —
@@ -141,31 +143,17 @@ type Options struct {
 	// SkipPreCheck disables the CheckInternal pre-pass. Only use on
 	// histories already known to satisfy INT and unique values.
 	SkipPreCheck bool
-	// SparseRT makes the SSER check encode the real-time order with a
-	// sorted time chain (O(n log n)) instead of the paper's Θ(n²)
-	// enumeration.
-	SparseRT bool
-	// Parallelism bounds the worker pool used by the parallel phases
-	// (dense real-time enumeration, sparse-RT base copy). <= 0 selects
-	// GOMAXPROCS; 1 forces the serial path. The constructed graph is
-	// identical at every setting — node-sharded construction preserves
-	// per-node edge order.
-	Parallelism int
 }
 
 // Deps is the one dependency derivation of an indexed history that
-// every rung is evaluated over: the typed graph SO ∪ WR ∪ WW ∪ RW (plus
-// the dense real-time edges when built withRT) and the DIVERGENCE
-// witnesses found while inferring WW edges. CheckCtx builds one per run;
-// internal/levels builds one per profile and evaluates its SER, SI and
-// SSER rungs through the same Rung code.
+// every rung is evaluated over: the typed graph SO ∪ WR ∪ WW ∪ RW and
+// the DIVERGENCE witnesses found while inferring WW edges. CheckCtx
+// builds one per run; internal/levels builds one per profile and
+// evaluates its SER, SI and SSER rungs through the same code.
 type Deps struct {
 	Index *history.Index
 	Graph *graph.Graph
 	Divs  []Divergence
-	// denseRT records that Graph already carries the Θ(n²) real-time
-	// edges, so the SSER rung must not add the sparse chain on top.
-	denseRT bool
 }
 
 // BuildDependency constructs the dependency graph of an MT history
@@ -173,33 +161,30 @@ type Deps struct {
 // values, WW edges are inferred from WR when the reader also writes the
 // object (the RMW pattern), and RW edges are derived from WR and WW. No
 // WW transitive closure is computed (Theorems 1 and 2). When withRT is
-// true the dense Θ(n²) real-time edges are added as well.
+// true the paper's Θ(n²) real-time edges (history.RealTimeOrder) are
+// added as well: the definitional SSER graph, which no checking path
+// builds — it is the reference the SSER rung is tested against.
 //
 // The second return value lists every DIVERGENCE witness found while
 // inferring WW edges; the SI rung uses it for its early exit, and the
 // other rungs ignore it (Lemma 3 handles those cases through cycles).
 func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergence) {
-	d, _ := BuildDependencyCtx(context.Background(), history.NewIndex(h), withRT, 1)
+	d, _ := BuildDependencyCtx(context.Background(), history.NewIndex(h))
+	if withRT {
+		h.RealTimeOrder(func(a, b int) {
+			d.Graph.AddEdge(graph.Edge{From: a, To: b, Kind: graph.RT})
+		})
+	}
 	return d.Graph, d.Divs
 }
 
-// BuildDependencyCtx is BuildDependency over a prebuilt columnar index,
-// polling ctx between batches of transactions (and real-time pairs) so
-// construction of large graphs stops promptly under a deadline. The
-// WR/WW/RW loops are the merge-join derivation of DeriveDeps (see
-// derive.go); the graph it emits is edge-for-edge identical to the
-// historical map-based builder. par bounds the worker pool of the dense
-// real-time enumeration (<= 0 means GOMAXPROCS, 1 is serial); the
-// constructed graph is identical at every setting.
-func BuildDependencyCtx(ctx context.Context, ix *history.Index, withRT bool, par int) (*Deps, error) {
+// BuildDependencyCtx is the derivation over a prebuilt columnar index,
+// polling ctx between batches of transactions so construction of large
+// graphs stops promptly under a deadline. The WR/WW/RW loops are the
+// merge-join derivation of DeriveDeps (see derive.go).
+func BuildDependencyCtx(ctx context.Context, ix *history.Index) (*Deps, error) {
 	h := ix.History()
 	g := graph.New(len(h.Txns))
-
-	if withRT {
-		if err := addDenseRT(ctx, h, g, par); err != nil {
-			return nil, err
-		}
-	}
 	h.SessionOrder(func(a, b int) {
 		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
 	})
@@ -207,62 +192,19 @@ func BuildDependencyCtx(ctx context.Context, ix *history.Index, withRT bool, par
 	if err != nil {
 		return nil, err
 	}
-	return &Deps{Index: ix, Graph: g, Divs: divs, denseRT: withRT}, nil
-}
-
-// addDenseRT adds the paper's Θ(n²) real-time edges to g, sharding the
-// enumeration by source transaction over a bounded worker pool
-// (graph.ParallelDo). Every source's batch lands in its own adjacency
-// slice through AddEdgesFrom, and the inner target loop scans in index
-// order, so the per-node edge order — and hence every downstream cycle
-// search — matches history.RealTimeOrder's serial enumeration exactly at
-// any parallelism. Cancellation leaves g partially built; the caller
-// discards it.
-func addDenseRT(ctx context.Context, h *history.History, g *graph.Graph, par int) error {
-	n := len(h.Txns)
-	// Snapshot the per-transaction eligibility once so the n² inner loop
-	// reads a compact contiguous array instead of chasing Txn structs.
-	type rtMeta struct {
-		start, finish int64
-		committed     bool
-	}
-	meta := make([]rtMeta, n)
-	for i := range h.Txns {
-		t := &h.Txns[i]
-		meta[i] = rtMeta{start: t.Start, finish: t.Finish, committed: t.Committed}
-	}
-	return graph.ParallelDo(ctx, par, n, func(i int) {
-		a := meta[i]
-		if !a.committed || a.finish == 0 {
-			return
-		}
-		var batch []graph.Edge
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			b := meta[j]
-			if !b.committed || b.start == 0 {
-				continue
-			}
-			if a.finish < b.start {
-				batch = append(batch, graph.Edge{From: i, To: j, Kind: graph.RT})
-			}
-		}
-		g.AddEdgesFrom(i, batch)
-	})
+	return &Deps{Index: ix, Graph: g, Divs: divs}, nil
 }
 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
 // index: the INT/G1 pre-check (unless opts.SkipPreCheck), one
 // dependency derivation over the same index, and the rung for lvl. It
-// decides SER and SI in Θ(n) and SSER in Θ(n²) with the paper's dense
-// real-time enumeration or O((n+m) log n) with opts.SparseRT. Graph
-// construction and the real-time phases poll ctx, and the run returns
-// the context's error instead of a verdict when the deadline fires. RC, RA and CAUSAL are valid Level values without a
-// batch engine here — internal/levels evaluates them over the same
-// derivation — so they, like any unknown level (which may originate from
-// an API request), are reported as an error.
+// decides SER and SI in Θ(n) and SSER in O(n log n). Graph construction
+// and the inversion pass poll ctx, and the run returns the context's
+// error instead of a verdict when the deadline fires. RC, RA and CAUSAL
+// are valid Level values without a batch engine here — internal/levels
+// evaluates them over the same derivation — so they, like any unknown
+// level (which may originate from an API request), are reported as an
+// error.
 func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -277,11 +219,11 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (
 			return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 		}
 	}
-	d, err := BuildDependencyCtx(ctx, ix, lvl == SSER && !opts.SparseRT, opts.Parallelism)
+	d, err := BuildDependencyCtx(ctx, ix)
 	if err != nil {
 		return Result{}, err
 	}
-	return d.Rung(ctx, lvl, opts.Parallelism)
+	return d.Rung(ctx, lvl)
 }
 
 // Rung decides one strong level over the derivation; the pre-check is
@@ -290,18 +232,19 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (
 //   - SER (Definition 5): SO ∪ WR ∪ WW ∪ RW is acyclic.
 //   - SI (Definition 6): reject on any DIVERGENCE witness (Lemma 1),
 //     otherwise the induced graph (SO ∪ WR ∪ WW) ; RW? is acyclic.
-//   - SSER (Definition 4): like SER with the real-time order included —
-//     the dense edges when the derivation was built withRT, else the
-//     sparse time chain is added here over par workers.
+//   - SSER (Definition 4): SER with the real-time order included. A SER
+//     cycle is an SSER cycle; on an acyclic derivation Inversion decides
+//     the rest without materializing a real-time edge.
 //
-// Counterexample cycles are rewritten into plain dependency and RT
-// edges, so they read like the paper's figures under every encoding.
-func (d *Deps) Rung(ctx context.Context, lvl Level, par int) (Result, error) {
+// Counterexample cycles are reported as plain dependency and RT edges,
+// so they read like the paper's figures. NumEdges counts dependency
+// edges at every level.
+func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
 	g := d.Graph
 	res := Result{Level: lvl, NumTxns: d.Index.NumTxns(), NumEdges: g.NumEdges()}
 	rewrite := func(cycle []graph.Edge) []graph.Edge { return cycle }
 	switch lvl {
-	case SER:
+	case SER, SSER:
 	case SI:
 		if len(d.Divs) > 0 {
 			div := d.Divs[0]
@@ -311,15 +254,6 @@ func (d *Deps) Rung(ctx context.Context, lvl Level, par int) (Result, error) {
 		gi, expand := induceSI(g)
 		g = gi
 		rewrite = func(cycle []graph.Edge) []graph.Edge { return expandComposed(cycle, expand) }
-	case SSER:
-		if !d.denseRT {
-			var err error
-			if g, err = addSparseRT(ctx, d.Index.History(), g, par); err != nil {
-				return Result{}, err
-			}
-			res.NumEdges = g.NumEdges() // the chain's edges count, like the dense RT edges do
-		}
-		rewrite = compressAux
 	default:
 		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
 	}
@@ -330,29 +264,141 @@ func (d *Deps) Rung(ctx context.Context, lvl Level, par int) (Result, error) {
 		res.Cycle = rewrite(cycle)
 		return res, nil
 	}
-	res.OK = true
+	if lvl == SSER {
+		var err error
+		if res.Cycle, err = d.Inversion(ctx); err != nil {
+			return Result{}, err
+		}
+	}
+	res.OK = res.Cycle == nil
 	return res, nil
 }
 
-// RTOrder returns each transaction's start and finish positions in the
-// sorted real-time event sequence (the sparse chain's node order), or
-// -1 for aborted or untimed transactions. Two timed transactions T, S
-// satisfy finish(T) <rt start(S) — i.e. T really finished before S
-// started — iff finish[T] < start[S]: the chain's tie-breaking (starts
-// sort before finishes at equal timestamps) is baked into the ranks, so
-// callers can decide real-time precedence without building the chain.
-func RTOrder(h *history.History) (start, finish []int) {
-	events := rtEvents(h)
-	start = make([]int, len(h.Txns))
-	finish = make([]int, len(h.Txns))
-	for i := range start {
-		start[i], finish[i] = -1, -1
+// Inversion is the real-time half of the SSER rung. d.Graph must be
+// acyclic (the SER rung passed). The dependency DAG plus the real-time
+// order has a cycle iff some dependency path S ~> T is inverted in real
+// time — T finished before S started: on any mixed cycle, the
+// dependency path that ends at the RT source with the smallest finish
+// starts at an RT target whose own RT source finished no earlier, so
+// that path is inverted. One memoized post-order DFS computing each
+// node's minimum descendant finish rank decides this in O(V+E) after
+// the O(n log n) sort in rtRanks, over five n-sized arrays and no
+// real-time edge.
+//
+// It returns nil when the history is strictly serializable, else the
+// witness: the dependency path S ~> T followed by the one real-time
+// edge T -RT-> S that closes it. The DFS roots and edges are visited in
+// index order, so the witness is deterministic.
+//
+//mtc:hotpath — the SSER rung's DFS over the shared graph
+func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
+	g := d.Graph
+	start, finish := rtRanks(d.Index.History())
+	// mnf[u] is the minimum finish rank over u's strict descendants (inf
+	// when none is timed) and via[u] the out-edge of u that leads to it;
+	// u is inverted iff mnf[u] < start[u].
+	const inf = int32(1) << 30
+	n := g.Len()
+	mnf := make([]int32, n)
+	via := make([]int32, n)
+	state := make([]uint8, n) // 0 unvisited, 1 opened, 2 settled
+	stack := make([]int32, 0, 1024)
+	for s := 0; s < n; s++ {
+		if s&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if state[s] != 0 {
+			continue
+		}
+		stack = append(stack[:0], int32(s))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v < 0 { // post-visit: children settled, fold their minima
+				u := ^v
+				m := inf
+				for i, e := range g.Out(int(u)) {
+					cm := mnf[e.To]
+					if f := finish[e.To]; f >= 0 && f < cm {
+						cm = f
+					}
+					if cm < m {
+						m, via[u] = cm, int32(i)
+					}
+				}
+				mnf[u] = m
+				state[u] = 2
+				if r := start[u]; r >= 0 && m < r {
+					return inversionWitness(g, int(u), m, finish, via), nil
+				}
+				continue
+			}
+			if state[v] != 0 { // re-pushed by a later parent, already opened
+				continue
+			}
+			state[v] = 1
+			stack = append(stack, ^v)
+			for _, e := range g.Out(int(v)) {
+				if state[e.To] == 0 {
+					stack = append(stack, int32(e.To))
+				}
+			}
+		}
 	}
+	return nil, nil
+}
+
+// inversionWitness materializes the cycle Inversion found at s: follow
+// the via edges from s down to the descendant whose finish rank is m,
+// then close the path with that descendant's real-time edge back to s.
+func inversionWitness(g *graph.Graph, s int, m int32, finish, via []int32) []graph.Edge {
+	var cycle []graph.Edge
+	for v := s; ; {
+		e := g.Out(v)[via[v]]
+		cycle = append(cycle, e)
+		if v = e.To; finish[v] == m {
+			return append(cycle, graph.Edge{From: v, To: s, Kind: graph.RT})
+		}
+	}
+}
+
+// rtRanks returns each transaction's start and finish positions in the
+// sorted sequence of real-time events, or -1 for a transaction outside
+// the real-time order (history.Txn.Timed). T really finished before S
+// started iff finish[T] < start[S]: at equal timestamps starts sort
+// before finishes, so Finish == Start is not precedence (RT is strict).
+func rtRanks(h *history.History) (start, finish []int32) {
+	type event struct {
+		time    int64
+		txn     int32
+		isStart bool
+	}
+	events := make([]event, 0, 2*len(h.Txns))
+	start = make([]int32, len(h.Txns))
+	finish = make([]int32, len(h.Txns))
+	for i := range h.Txns {
+		start[i], finish[i] = -1, -1
+		if t := &h.Txns[i]; t.Timed() {
+			events = append(events, event{t.Start, int32(i), true}, event{t.Finish, int32(i), false})
+		}
+	}
+	sort.Slice(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		if a.isStart != b.isStart {
+			return a.isStart
+		}
+		return a.txn < b.txn
+	})
 	for i, ev := range events {
 		if ev.isStart {
-			start[ev.txn] = i
+			start[ev.txn] = int32(i)
 		} else {
-			finish[ev.txn] = i
+			finish[ev.txn] = int32(i)
 		}
 	}
 	return start, finish
@@ -402,104 +448,6 @@ func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []g
 			}
 		}
 		out = append(out, e)
-	}
-	return out
-}
-
-// addSparseRT adds an O(n log n) encoding of the real-time order to the
-// base dependency graph: a time chain of start/finish events with AUX
-// edges T -> finish(T) and start(S) -> S, so that a path T ~> S through
-// the chain exists iff finish(T) < start(S). The returned graph has
-// 2n extra nodes; transaction nodes keep their IDs. The base-edge copy is
-// sharded by source node over par workers (the chain edges stay serial —
-// they are O(n) and ordered); the copy polls ctx, so a cancelled SSER
-// run stops copying.
-func addSparseRT(ctx context.Context, h *history.History, base *graph.Graph, par int) (*graph.Graph, error) {
-	events := rtEvents(h)
-	n := base.Len()
-	g := graph.New(n + len(events))
-	err := graph.ParallelDo(ctx, par, n, func(u int) {
-		g.AddEdgesFrom(u, base.Out(u))
-	})
-	if err != nil {
-		return nil, err
-	}
-	appendRTChain(g, n, events)
-	return g, nil
-}
-
-// rtEvent is one endpoint of a committed transaction's real-time span.
-type rtEvent struct {
-	time    int64
-	isStart bool
-	txn     int
-}
-
-// rtEvents collects the start/finish events of every committed timed
-// transaction, sorted by time. Starts sort before finishes at equal
-// timestamps so that finish(T) == start(S) does NOT yield an RT path
-// (RT is strict).
-func rtEvents(h *history.History) []rtEvent {
-	events := make([]rtEvent, 0, 2*len(h.Txns))
-	for i := range h.Txns {
-		t := &h.Txns[i]
-		if !t.Committed || t.Start == 0 && t.Finish == 0 {
-			continue
-		}
-		events = append(events, rtEvent{time: t.Start, isStart: true, txn: i})
-		events = append(events, rtEvent{time: t.Finish, isStart: false, txn: i})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].time != events[j].time {
-			return events[i].time < events[j].time
-		}
-		return events[i].isStart && !events[j].isStart
-	})
-	return events
-}
-
-// appendRTChain wires the sorted events into g as a time chain rooted at
-// node offset: each event links to the next, finishes hang their
-// transaction onto the chain, starts hang the chain onto the
-// transaction, so a path T ~> S through the chain exists iff
-// finish(T) < start(S).
-func appendRTChain(g *graph.Graph, offset int, events []rtEvent) {
-	for i, ev := range events {
-		node := offset + i
-		if i+1 < len(events) {
-			g.AddEdge(graph.Edge{From: node, To: node + 1, Kind: graph.AUX})
-		}
-		if ev.isStart {
-			g.AddEdge(graph.Edge{From: node, To: ev.txn, Kind: graph.AUX, Obj: "start"})
-		} else {
-			g.AddEdge(graph.Edge{From: ev.txn, To: node, Kind: graph.AUX, Obj: "finish"})
-		}
-	}
-}
-
-// compressAux rewrites a cycle that may traverse the sparse time chain,
-// collapsing every AUX run T -> finish ... start -> S into a single RT
-// edge so counterexamples stay readable.
-func compressAux(cycle []graph.Edge) []graph.Edge {
-	var out []graph.Edge
-	i := 0
-	for i < len(cycle) {
-		e := cycle[i]
-		if e.Kind != graph.AUX {
-			out = append(out, e)
-			i++
-			continue
-		}
-		// e enters the chain from transaction e.From; scan to the exit.
-		from := e.From
-		j := i
-		for j < len(cycle) && cycle[j].Kind == graph.AUX {
-			j++
-		}
-		// cycle[j-1] leaves the chain into a transaction node.
-		to := cycle[j-1].To
-		out = append(out, graph.Edge{From: from, To: to, Kind: graph.RT})
-		i = j
 	}
 	return out
 }

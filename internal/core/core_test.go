@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,30 +91,112 @@ func TestSSEROnlyViolation(t *testing.T) {
 	}
 }
 
-func TestSparseRTAgreesOnFixturesAndSerial(t *testing.T) {
-	agree := func(h *history.History) {
-		t.Helper()
-		dense := check(h, SSER, Options{SkipPreCheck: true})
-		sparse := check(h, SSER, Options{SkipPreCheck: true, SparseRT: true})
-		if dense.OK != sparse.OK {
-			t.Fatalf("dense=%v sparse=%v\ndense: %s\nsparse: %s", dense.OK, sparse.OK, dense.Explain(), sparse.Explain())
-		}
-	}
-	for _, f := range history.Fixtures() {
-		agree(f.H)
-	}
-	agree(history.SerialHistory(40, "x", "y"))
-	agree(sserOnlyViolation())
+// sserReference decides SSER by the paper's definition: the dependency
+// graph plus every real-time edge (history.RealTimeOrder) is acyclic.
+func sserReference(h *history.History) bool {
+	g, _ := BuildDependency(h, true)
+	return g.Acyclic()
 }
 
-func TestSparseRTCounterexampleCompressed(t *testing.T) {
-	r := check(sserOnlyViolation(), SSER, Options{SparseRT: true})
-	if r.OK {
-		t.Fatal("must violate SSER")
+// assertSSERMatchesReference checks the SSER rung against the
+// definitional graph, and the shape of its witness: a closed cycle of
+// real dependency edges, closed — unless it is a plain SER cycle — by
+// exactly one RT edge whose endpoints are inverted on the raw stamps.
+func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
+	t.Helper()
+	r := check(h, SSER, Options{SkipPreCheck: true})
+	if want := sserReference(h); r.OK != want {
+		t.Fatalf("%s: SSER rung OK=%v, reference graph acyclic=%v\n%s", tag, r.OK, want, r.Explain())
 	}
-	for _, e := range r.Cycle {
-		if e.Kind == graph.AUX {
-			t.Fatalf("AUX edge leaked into counterexample: %v", r.Cycle)
+	if again := check(h, SSER, Options{SkipPreCheck: true}); !reflect.DeepEqual(again, r) {
+		t.Fatalf("%s: SSER result is not deterministic\n%s\n%s", tag, r.Explain(), again.Explain())
+	}
+	ser := check(h, SER, Options{SkipPreCheck: true})
+	if r.NumEdges != ser.NumEdges {
+		t.Fatalf("%s: SSER counts %d edges, SER %d", tag, r.NumEdges, ser.NumEdges)
+	}
+	if r.OK != (len(r.Cycle) == 0) {
+		t.Fatalf("%s: OK=%v with cycle %v", tag, r.OK, r.Cycle)
+	}
+	if r.OK {
+		return
+	}
+	if !ser.OK {
+		if !reflect.DeepEqual(r.Cycle, ser.Cycle) {
+			t.Fatalf("%s: SSER witness %v is not the SER cycle %v", tag, r.Cycle, ser.Cycle)
+		}
+		return
+	}
+	g, _ := BuildDependency(h, false)
+	rts := 0
+	for i, e := range r.Cycle {
+		if next := r.Cycle[(i+1)%len(r.Cycle)]; e.To != next.From {
+			t.Fatalf("%s: witness is not a closed cycle: %v", tag, r.Cycle)
+		}
+		switch {
+		case e.Kind == graph.RT:
+			rts++
+			if a, b := h.Txns[e.From], h.Txns[e.To]; !a.Timed() || !b.Timed() || a.Finish >= b.Start {
+				t.Fatalf("%s: RT edge %v is not real: T%d=[%d,%d] T%d=[%d,%d]",
+					tag, e, a.ID, a.Start, a.Finish, b.ID, b.Start, b.Finish)
+			}
+		case !g.HasEdge(e.From, e.To, e.Kind):
+			t.Fatalf("%s: witness edge %v is not a dependency edge", tag, e)
+		}
+	}
+	if last := r.Cycle[len(r.Cycle)-1]; rts != 1 || last.Kind != graph.RT {
+		t.Fatalf("%s: want a dependency path closed by one RT edge, got %v", tag, r.Cycle)
+	}
+}
+
+// sserEdgeCases are the shapes the real-time predicate must get right:
+// a tie (Finish == Start is not precedence), untimed and aborted
+// transactions (outside the order), and a history without ⊥T.
+func sserEdgeCases() map[string]*history.History {
+	cases := map[string]*history.History{"sser-only": sserOnlyViolation()}
+	stale := func(start, finish int64, committed bool) *history.History {
+		b := history.NewBuilder("x")
+		b.TimedTxn(0, 10, 20, history.R("x", 0), history.W("x", 1))
+		if committed {
+			b.TimedTxn(1, start, finish, history.R("x", 0))
+		} else {
+			b.TimedAbortedTxn(1, start, finish, history.R("x", 0))
+		}
+		return b.Build()
+	}
+	cases["tie"] = stale(20, 30, true)       // starts at T1's finish: concurrent
+	cases["after-tie"] = stale(21, 30, true) // one tick later: inverted
+	cases["untimed-reader"] = stale(0, 0, true)
+	cases["aborted-reader"] = stale(30, 40, false)
+	cases["instant"] = stale(30, 30, true) // Start == Finish still orders
+	initless := &history.History{
+		Txns: []history.Txn{
+			{ID: 0, Session: 0, Start: 10, Finish: 20, Committed: true, Ops: []history.Op{history.W("x", 1)}},
+			{ID: 1, Session: 1, Start: 30, Finish: 40, Committed: true, Ops: []history.Op{history.R("x", 1), history.W("x", 2)}},
+			{ID: 2, Session: 2, Start: 50, Finish: 60, Committed: true, Ops: []history.Op{history.R("x", 1)}},
+		},
+		Sessions: [][]int{{0}, {1}, {2}},
+	}
+	cases["init-less"] = initless
+	return cases
+}
+
+func TestSSERMatchesReferenceOnFixturesAndEdgeCases(t *testing.T) {
+	for _, f := range history.Fixtures() {
+		assertSSERMatchesReference(t, f.H, f.Name)
+	}
+	assertSSERMatchesReference(t, history.SerialHistory(40, "x", "y"), "serial")
+	want := map[string]bool{
+		"sser-only": false, "tie": true, "after-tie": false, "untimed-reader": true,
+		"aborted-reader": true, "instant": false, "init-less": false,
+	}
+	for name, h := range sserEdgeCases() {
+		if err := h.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertSSERMatchesReference(t, h, name)
+		if got := check(h, SSER, Options{}).OK; got != want[name] {
+			t.Errorf("%s: SSER OK=%v, want %v", name, got, want[name])
 		}
 	}
 }
@@ -374,18 +458,35 @@ func TestPropertyLevelImplications(t *testing.T) {
 	}
 }
 
-func TestPropertySparseDenseSSERAgreement(t *testing.T) {
+// TestPropertySSERMatchesReference: on random MT histories — stale reads
+// injected, stamps perturbed into ties, instants, untimed gaps and
+// real-time inversions — the
+// rung agrees with the definitional Θ(n²) graph and its witness is
+// well-formed.
+func TestPropertySSERMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomSerialMTHistory(rng, 30, 3, 3)
-		if rng.Intn(2) == 0 {
+		if rng.Intn(4) == 0 {
 			corruptRead(rng, h)
 		}
-		dense := check(h, SSER, Options{})
-		sparse := check(h, SSER, Options{SparseRT: true})
-		return dense.OK == sparse.OK
+		for i := 1; i < len(h.Txns); i++ {
+			switch tx := &h.Txns[i]; rng.Intn(16) {
+			case 0, 1:
+				tx.Start, tx.Finish = 0, 0
+			case 2, 3:
+				tx.Finish = tx.Start
+			case 4, 5:
+				tx.Finish += 2 // onto the next transaction's start
+			case 6: // warp later: its dependents now finish before it starts
+				d := 5 * int64(rng.Intn(8))
+				tx.Start, tx.Finish = tx.Start+d, tx.Finish+d
+			}
+		}
+		assertSSERMatchesReference(t, h, fmt.Sprintf("seed %d", seed))
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

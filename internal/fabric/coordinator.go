@@ -124,10 +124,10 @@ type fabJob struct {
 	p      *shard.Partition
 	comps  []compState
 	// enc lazily caches the MTCB encoding of each component, filled on
-	// the first pull by a binary-capable worker and reused verbatim by
-	// every later dispatch (including requeues). Nil entries mean "not
-	// encoded yet"; the slice itself is allocated on first use. Guarded
-	// by the coordinator mutex like the rest of the job.
+	// the first pull and reused verbatim by every later dispatch
+	// (including requeues). Nil entries mean "not encoded yet"; the slice
+	// itself is allocated on first use. Guarded by the coordinator mutex
+	// like the rest of the job.
 	enc [][]byte
 	// remaining counts components without a folded verdict.
 	remaining int
@@ -143,7 +143,6 @@ type workerState struct {
 	id       string
 	num      int
 	name     string
-	mtcb     bool             // worker advertised the "mtcb" codec at registration
 	queue    []*task          // assigned, not yet dispatched; sorted by size descending
 	inflight map[*task]string // dispatched tasks -> job id (for requeue on death)
 	lastSeen time.Time
@@ -245,8 +244,8 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			}
 			opts := checker.Options{
 				Level:        checker.Level(rec.Level),
-				SkipPreCheck: rec.SkipPreCheck, SparseRT: rec.SparseRT,
-				Parallelism: rec.Parallelism, Window: rec.Window,
+				SkipPreCheck: rec.SkipPreCheck,
+				Parallelism:  rec.Parallelism, Window: rec.Window,
 			}
 			c.insertJob(rec.Job, rec.Checker, rec.History, opts)
 		case recAssign, recRequeue:
@@ -360,8 +359,8 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	}
 	if err := c.wal.append(walRecord{
 		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
-		SkipPreCheck: opts.SkipPreCheck, SparseRT: opts.SparseRT,
-		Parallelism: opts.Parallelism, Window: opts.Window,
+		SkipPreCheck: opts.SkipPreCheck,
+		Parallelism:  opts.Parallelism, Window: opts.Window,
 		History: h,
 	}); err != nil {
 		return fmt.Errorf("fabric: wal append: %w", err)
@@ -442,13 +441,8 @@ func (c *Coordinator) Register(hello api.WorkerHello) api.WorkerLease {
 		inflight: make(map[*task]string),
 		lastSeen: c.now(),
 	}
-	for _, codec := range hello.Codecs {
-		if codec == "mtcb" {
-			w.mtcb = true
-		}
-	}
 	c.workers[w.id] = w
-	c.logger.Info("fabric: worker registered", "worker", w.id, "name", w.name, "mtcb", w.mtcb)
+	c.logger.Info("fabric: worker registered", "worker", w.id, "name", w.name)
 	return api.WorkerLease{ID: w.id, HeartbeatMillis: int64(c.hbTimeout / 3 / time.Millisecond)}
 }
 
@@ -482,34 +476,28 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	if t == nil {
 		return nil, nil
 	}
-	cs := &t.j.comps[t.comp]
+	j := t.j
+	enc, err := c.encodedComponentLocked(j, t.comp)
+	if err != nil {
+		// Should be unreachable (WriteMTCB on a validated component); a
+		// component without a payload can never be checked.
+		c.failLocked(j, fmt.Sprintf("component %d: mtcb encode: %v", t.comp, err))
+		return nil, nil
+	}
+	cs := &j.comps[t.comp]
 	cs.epoch++
 	cs.worker = id
-	w.inflight[t] = t.j.id
-	if err := c.wal.append(walRecord{Type: recAssign, Job: t.j.id, Component: t.comp, Epoch: cs.epoch, Worker: id}); err != nil {
+	w.inflight[t] = j.id
+	if err := c.wal.append(walRecord{Type: recAssign, Job: j.id, Component: t.comp, Epoch: cs.epoch, Worker: id}); err != nil {
 		return nil, fmt.Errorf("fabric: wal append: %w", err)
 	}
-	j := t.j
-	out := &api.FabricTask{
+	return &api.FabricTask{
 		Job: j.id, Component: t.comp, Epoch: cs.epoch,
 		Checker: j.engine, Level: string(j.opts.Level),
-		SkipPreCheck: j.opts.SkipPreCheck, SparseRT: j.opts.SparseRT,
-		Parallelism: j.opts.Parallelism, Window: j.opts.Window,
-	}
-	if w.mtcb {
-		enc, err := c.encodedComponentLocked(j, t.comp)
-		if err != nil {
-			// Should be unreachable (WriteMTCB on a validated component);
-			// fall back to the JSON payload rather than stalling the task.
-			c.logger.Error("fabric: mtcb encode failed, sending json", "job", j.id, "component", t.comp, "err", err)
-			out.History = j.p.Components[t.comp].H
-		} else {
-			out.HistoryMTCB = enc
-		}
-	} else {
-		out.History = j.p.Components[t.comp].H
-	}
-	return out, nil
+		SkipPreCheck: j.opts.SkipPreCheck,
+		Parallelism:  j.opts.Parallelism, Window: j.opts.Window,
+		HistoryMTCB: enc,
+	}, nil
 }
 
 // encodedComponentLocked returns the cached MTCB encoding of one

@@ -75,26 +75,20 @@ func openTestCoord(t *testing.T, path string, clk *fakeClock) *Coordinator {
 	return c
 }
 
-// runTask executes a fabric task the way a worker would — decoding a
-// binary payload to a columnar index when the coordinator negotiated the
-// mtcb codec — and returns the result to push.
+// runTask executes a fabric task the way a worker would — decoding the
+// payload to a columnar index — and returns the result to push.
 func runTask(t *testing.T, task *api.FabricTask) api.FabricResult {
 	t.Helper()
-	h := task.History
-	opts := checker.Options{
+	ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
+	if err != nil {
+		t.Fatalf("decoding mtcb payload for %s/%d: %v", task.Job, task.Component, err)
+	}
+	rep, err := checker.Default.Run(context.Background(), task.Checker, ix.History(), checker.Options{
 		Level:        checker.Level(task.Level),
-		SkipPreCheck: task.SkipPreCheck, SparseRT: task.SparseRT,
-		Parallelism: task.Parallelism, Window: task.Window,
-	}
-	if h == nil {
-		ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
-		if err != nil {
-			t.Fatalf("decoding mtcb payload for %s/%d: %v", task.Job, task.Component, err)
-		}
-		h = ix.History()
-		opts.Index = ix
-	}
-	rep, err := checker.Default.Run(context.Background(), task.Checker, h, opts)
+		SkipPreCheck: task.SkipPreCheck,
+		Parallelism:  task.Parallelism, Window: task.Window,
+		Index: ix,
+	})
 	if err != nil {
 		t.Fatalf("engine run for %s/%d: %v", task.Job, task.Component, err)
 	}
@@ -163,79 +157,10 @@ func TestFabricDispatchFold(t *testing.T) {
 	}
 }
 
-// TestFabricBinaryCodecNegotiation: a worker that advertised the mtcb
-// codec receives components as binary payloads (and only those — the
-// JSON history is omitted), a codec-less worker keeps receiving JSON,
-// both decode to the same component sub-history, and the fold over the
-// mixed fleet is bit-identical to single-node sharded checking.
-func TestFabricBinaryCodecNegotiation(t *testing.T) {
-	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
-	defer c.Close()
-	wb := c.Register(api.WorkerHello{Name: "wb", Codecs: []string{"mtcb"}})
-	wj := c.Register(api.WorkerHello{Name: "wj"})
-	h := tenantHistory(4, 5)
-	if err := c.Submit("j1", "mtc", h, checker.Options{Level: core.SI}); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	p := shard.Split(h)
-	pulled := 0
-	for _, w := range []struct {
-		lease  api.WorkerLease
-		binary bool
-	}{{wb, true}, {wj, false}} {
-		for {
-			task, err := c.Pull(w.lease.ID)
-			if err != nil {
-				t.Fatalf("pull(%s): %v", w.lease.ID, err)
-			}
-			if task == nil {
-				break
-			}
-			pulled++
-			if w.binary {
-				if task.History != nil || task.HistoryMTCB == nil {
-					t.Fatalf("binary worker got history=%v mtcb=%d bytes; want mtcb only", task.History != nil, len(task.HistoryMTCB))
-				}
-				dec, err := history.ReadMTCB(bytes.NewReader(task.HistoryMTCB))
-				if err != nil {
-					t.Fatalf("decoding component %d: %v", task.Component, err)
-				}
-				if !reflect.DeepEqual(dec, p.Components[task.Component].H) {
-					t.Fatalf("component %d: binary payload decodes to a different sub-history", task.Component)
-				}
-			} else {
-				if task.History == nil || task.HistoryMTCB != nil {
-					t.Fatalf("json worker got history=%v mtcb=%d bytes; want history only", task.History != nil, len(task.HistoryMTCB))
-				}
-			}
-			if accepted, err := c.PushResult(w.lease.ID, runTask(t, task)); err != nil || !accepted {
-				t.Fatalf("push: accepted=%v err=%v", accepted, err)
-			}
-		}
-	}
-	if pulled != len(p.Components) {
-		t.Fatalf("pulled %d components, want %d", pulled, len(p.Components))
-	}
-	got, err := c.Wait(context.Background(), "j1")
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	eng, err := checker.Lookup("mtc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := shard.Check(context.Background(), eng, h, checker.Options{Level: core.SI, Shard: 2})
-	if err != nil {
-		t.Fatalf("reference shard.Check: %v", err)
-	}
-	if got.OK != ref.OK || got.Txns != ref.Txns || got.Edges != ref.Edges || got.ShardComponents != ref.ShardComponents {
-		t.Fatalf("mixed-codec fold diverges:\nfabric: %+v\nlocal:  %+v", got, ref)
-	}
-}
-
-// TestFabricBinaryEncodingCached: the coordinator encodes each component
-// once — a requeue re-serves the identical cached bytes instead of
-// re-encoding.
+// TestFabricBinaryEncodingCached: a task carries its component as MTCB
+// bytes that decode to the plan's sub-history, and the coordinator
+// encodes each component once — a requeue re-serves the identical
+// cached bytes instead of re-encoding.
 func TestFabricBinaryEncodingCached(t *testing.T) {
 	clk := newFakeClock()
 	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), clk)
@@ -248,6 +173,13 @@ func TestFabricBinaryEncodingCached(t *testing.T) {
 	task1, err := c.Pull(w1.ID)
 	if err != nil || task1 == nil {
 		t.Fatalf("pull: task=%v err=%v", task1, err)
+	}
+	dec, err := history.ReadMTCB(bytes.NewReader(task1.HistoryMTCB))
+	if err != nil {
+		t.Fatalf("decoding component %d: %v", task1.Component, err)
+	}
+	if !reflect.DeepEqual(dec, shard.Split(h).Components[task1.Component].H) {
+		t.Fatalf("component %d: payload decodes to a different sub-history", task1.Component)
 	}
 	// Let w1 die; the component requeues under a fresh epoch.
 	clk.Advance(time.Second)
@@ -497,6 +429,38 @@ func TestFabricWALTornTail(t *testing.T) {
 	defer c3.Close()
 	if jobs := c3.Jobs(); len(jobs) != 1 || jobs[0].State != JobDone {
 		t.Fatalf("post-torn-tail completion not durable: %+v", jobs)
+	}
+}
+
+// TestFabricWALReplaysRetiredOption: a job line logged by a release that
+// still had the sparse_rt option replays — the decoder is lenient, and
+// the option chose an encoding, never a verdict.
+func TestFabricWALReplaysRetiredOption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c1 := openTestCoord(t, path, nil)
+	if err := c1.Submit("j1", "mtc", tenantHistory(2, 3), checker.Options{Level: core.SSER}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(log, []byte(`{"type":"job",`), []byte(`{"type":"job","sparse_rt":true,`), 1)
+	if bytes.Equal(old, log) {
+		t.Fatal("no job record to rewrite")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := openTestCoord(t, path, nil)
+	defer c2.Close()
+	w := c2.Register(api.WorkerHello{})
+	drain(t, c2, w.ID)
+	if rep, err := c2.Wait(context.Background(), "j1"); err != nil || !rep.OK || rep.Level != core.SSER {
+		t.Fatalf("replayed job: report %+v, err %v", rep, err)
 	}
 }
 

@@ -55,7 +55,6 @@ type walRecord struct {
 	Checker      string           `json:"checker,omitempty"`
 	Level        string           `json:"level,omitempty"`
 	SkipPreCheck bool             `json:"skip_precheck,omitempty"`
-	SparseRT     bool             `json:"sparse_rt,omitempty"`
 	Parallelism  int              `json:"parallelism,omitempty"`
 	Window       int              `json:"window,omitempty"`
 	History      *history.History `json:"history,omitempty"`

@@ -181,35 +181,32 @@ func (w *workerClient) serve(ctx context.Context) error {
 }
 
 // execute checks one component and pushes its verdict, heartbeating
-// while the engine runs. A binary payload (HistoryMTCB) is decoded
-// straight to a columnar index; the index rides along in the checker
-// options so the MTC engine skips its own intern-and-build pass.
+// while the engine runs. The payload is decoded straight to a columnar
+// index, which rides along in the checker options so the MTC engine
+// skips its own intern-and-build pass.
 func (w *workerClient) execute(ctx context.Context, task *api.FabricTask, hbEvery time.Duration) error {
+	ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
+	if err != nil {
+		// A payload we cannot decode will never decode on retry: report
+		// the failure so the coordinator fails the job instead of the
+		// component ping-ponging between workers.
+		w.logger.Info("fabric worker: payload decode failed",
+			"job", task.Job, "component", task.Component, "err", err)
+		return w.push(ctx, api.FabricResult{
+			Job: task.Job, Component: task.Component, Epoch: task.Epoch,
+			Error: fmt.Sprintf("decoding mtcb component payload: %v", err),
+		})
+	}
+	h := ix.History()
 	opts := checker.Options{
 		Level:        checker.Level(task.Level),
-		SkipPreCheck: task.SkipPreCheck, SparseRT: task.SparseRT,
-		Parallelism: task.Parallelism, Window: task.Window,
-	}
-	h := task.History
-	if h == nil {
-		ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
-		if err != nil {
-			// A payload we cannot decode will never decode on retry: report
-			// the failure so the coordinator fails the job instead of the
-			// component ping-ponging between workers.
-			w.logger.Info("fabric worker: binary payload decode failed",
-				"job", task.Job, "component", task.Component, "err", err)
-			return w.push(ctx, api.FabricResult{
-				Job: task.Job, Component: task.Component, Epoch: task.Epoch,
-				Error: fmt.Sprintf("decoding mtcb component payload: %v", err),
-			})
-		}
-		h = ix.History()
-		opts.Index = ix
+		SkipPreCheck: task.SkipPreCheck,
+		Parallelism:  task.Parallelism, Window: task.Window,
+		Index: ix,
 	}
 	w.logger.Info("fabric worker: checking component",
 		"job", task.Job, "component", task.Component, "epoch", task.Epoch,
-		"checker", task.Checker, "txns", len(h.Txns), "binary", task.History == nil)
+		"checker", task.Checker, "txns", len(h.Txns))
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {

@@ -176,30 +176,3 @@ func TestReachableIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("fresh-slice path wrong: %v", got)
 	}
 }
-
-// TestAddEdgesFromParallel shards edge insertion by source node under the
-// race detector and checks the count and per-node contents.
-func TestAddEdgesFromParallel(t *testing.T) {
-	n := 64
-	g := New(n)
-	err := ParallelDo(context.Background(), 8, n, func(u int) {
-		var batch []Edge
-		for v := 0; v < n; v++ {
-			if v != u {
-				batch = append(batch, Edge{From: u, To: v, Kind: RT})
-			}
-		}
-		g.AddEdgesFrom(u, batch)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != n*(n-1) {
-		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), n*(n-1))
-	}
-	for u := 0; u < n; u++ {
-		if len(g.Out(u)) != n-1 {
-			t.Fatalf("node %d has %d out-edges", u, len(g.Out(u)))
-		}
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // EdgeKind identifies the dependency relation an edge belongs to.
@@ -25,7 +24,7 @@ const (
 	WR                  // write-read (read-from) dependency
 	WW                  // write-write dependency
 	RW                  // read-write anti-dependency
-	AUX                 // auxiliary edge (e.g. time-chain encoding)
+	AUX                 // auxiliary edge (e.g. a composed SI edge)
 )
 
 // String returns the conventional name of the edge kind.
@@ -101,7 +100,7 @@ func (e Edge) String() string {
 type Graph struct {
 	n   int
 	out [][]Edge
-	m   atomic.Int64
+	m   int
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -113,7 +112,7 @@ func New(n int) *Graph {
 func (g *Graph) Len() int { return g.n }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return int(g.m.Load()) }
+func (g *Graph) NumEdges() int { return g.m }
 
 // AddEdge inserts e. Self-loops are permitted and will be reported as
 // cycles of length one. Node indices must be in range.
@@ -122,31 +121,7 @@ func (g *Graph) AddEdge(e Edge) {
 		panic(fmt.Sprintf("graph: edge %v out of range [0,%d)", e, g.n))
 	}
 	g.out[e.From] = append(g.out[e.From], e)
-	g.m.Add(1)
-}
-
-// AddEdgesFrom appends a batch of edges that all leave node from. It is
-// safe to call concurrently for DISTINCT from nodes — each call touches
-// only its own adjacency slice and the edge counter is atomic — so
-// parallel graph construction can shard by source node. Every edge's From
-// must equal from; indices must be in range.
-func (g *Graph) AddEdgesFrom(from int, edges []Edge) {
-	if len(edges) == 0 {
-		return
-	}
-	if from < 0 || from >= g.n {
-		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", from, g.n))
-	}
-	for _, e := range edges {
-		if e.From != from {
-			panic(fmt.Sprintf("graph: AddEdgesFrom(%d) got edge %v", from, e))
-		}
-		if e.To < 0 || e.To >= g.n {
-			panic(fmt.Sprintf("graph: edge %v out of range [0,%d)", e, g.n))
-		}
-	}
-	g.out[from] = append(g.out[from], edges...)
-	g.m.Add(int64(len(edges)))
+	g.m++
 }
 
 // Out returns the outgoing edges of node v. The returned slice must not be

@@ -67,6 +67,12 @@ func (t *Txn) ReadsKey(x Key) bool {
 	return false
 }
 
+// Timed reports whether the transaction takes part in the real-time
+// order: it committed and carries a timestamp. It is the one definition
+// every real-time consumer shares; Validate rejects Finish < Start, so a
+// timed transaction's interval is well-formed.
+func (t *Txn) Timed() bool { return t.Committed && (t.Start != 0 || t.Finish != 0) }
+
 // String renders the transaction compactly, e.g. "T3[s0]{R(x,1) W(x,2)}".
 func (t *Txn) String() string {
 	s := fmt.Sprintf("T%d[s%d]{", t.ID, t.Session)
@@ -127,13 +133,18 @@ func (h *History) Keys() []Key {
 	return out
 }
 
-// Validate checks structural well-formedness: IDs match indices, sessions
-// reference valid committed-or-aborted transactions exactly once, and the
-// init transaction (when present) is Txns[0], committed and write-only.
+// Validate checks structural well-formedness: IDs match indices, no
+// transaction finishes before it starts, sessions reference valid
+// committed-or-aborted transactions exactly once, and the init
+// transaction (when present) is Txns[0], committed and write-only.
 func (h *History) Validate() error {
 	for i := range h.Txns {
-		if h.Txns[i].ID != i {
-			return fmt.Errorf("history: Txns[%d].ID = %d, want %d", i, h.Txns[i].ID, i)
+		t := &h.Txns[i]
+		if t.ID != i {
+			return fmt.Errorf("history: Txns[%d].ID = %d, want %d", i, t.ID, i)
+		}
+		if t.Finish < t.Start {
+			return fmt.Errorf("history: T%d finish %d < start %d", i, t.Finish, t.Start)
 		}
 	}
 	seen := make([]bool, len(h.Txns))
@@ -204,24 +215,19 @@ func (h *History) SessionOrder(fn func(a, b int)) {
 	}
 }
 
-// RealTimeOrder invokes fn(a, b) for every pair of committed transactions
+// RealTimeOrder invokes fn(a, b) for every pair of timed transactions
 // with a.Finish < b.Start. This is the Θ(n²) enumeration the paper's
-// CheckSSER uses. Transactions with zero timestamps never participate.
+// CheckSSER uses; here it is the definition the SSER rung's inversion
+// pass (core.Deps.Inversion) is tested against.
 func (h *History) RealTimeOrder(fn func(a, b int)) {
 	for i := range h.Txns {
 		a := &h.Txns[i]
-		if !a.Committed || a.Finish == 0 {
+		if !a.Timed() {
 			continue
 		}
 		for j := range h.Txns {
-			if i == j {
-				continue
-			}
 			b := &h.Txns[j]
-			if !b.Committed || b.Start == 0 {
-				continue
-			}
-			if a.Finish < b.Start {
+			if i != j && b.Timed() && a.Finish < b.Start {
 				fn(i, j)
 			}
 		}

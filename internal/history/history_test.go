@@ -2,7 +2,9 @@ package history
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +100,56 @@ func TestRealTimeOrder(t *testing.T) {
 	want := [][2]int{{0, 1}}
 	if !reflect.DeepEqual(edges, want) {
 		t.Fatalf("RT edges = %v, want %v", edges, want)
+	}
+}
+
+// TestRealTimeOrderTimedPredicate: RealTimeOrder uses Txn.Timed — the
+// predicate the SSER rung ranks by — so a transaction stamped only at
+// one end takes part, a fully unstamped or aborted one does not, and a
+// tie (Finish == Start) is not precedence.
+func TestRealTimeOrderTimedPredicate(t *testing.T) {
+	b := NewBuilder()
+	b.TimedTxn(0, 0, 5, R("x", 1))          // T0: Start 0 is a stamp once Finish is set
+	b.TimedTxn(1, 5, 9, R("x", 1))          // T1: starts at T0's finish, concurrent with it
+	b.TimedTxn(2, 6, 6, R("x", 1))          // T2: an instant
+	b.Txn(3, R("x", 1))                     // T3: untimed
+	b.TimedAbortedTxn(4, 20, 30, R("x", 1)) // T4: aborted
+	b.TimedTxn(5, -9, -5, R("x", 1))        // T5: before everything, T0's zero start included
+	h := b.Build()
+	var edges [][2]int
+	h.RealTimeOrder(func(a, c int) { edges = append(edges, [2]int{a, c}) })
+	want := [][2]int{{0, 2}, {5, 0}, {5, 1}, {5, 2}}
+	if !reflect.DeepEqual(edges, want) {
+		t.Fatalf("RT edges = %v, want %v", edges, want)
+	}
+}
+
+// halfStamped is the history every path must refuse: T2 carries a start
+// but no finish, which one real-time predicate used to read as untimed
+// and the other as an interval ending at 0 — the same bytes got two
+// SSER verdicts.
+func halfStamped() *History {
+	b := NewBuilder("x")
+	b.TimedTxn(0, 8, 9, R("x", 0), W("x", 1))
+	b.TimedTxn(1, 7, 0, R("x", 1))
+	return b.Build()
+}
+
+func TestValidateRejectsFinishBeforeStart(t *testing.T) {
+	h := halfStamped()
+	if err := h.Validate(); err == nil || !strings.Contains(err.Error(), "finish 0 < start 7") {
+		t.Fatalf("Validate = %v, want a finish-before-start error", err)
+	}
+	// Every whole-history codec validates on load.
+	dir := t.TempDir()
+	for _, name := range []string{"h.json", "h.txt", "h.ndjson", "h.mtcb"} {
+		path := filepath.Join(dir, name)
+		if err := SaveFile(path, h); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
+		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "finish 0 < start 7") {
+			t.Errorf("%s: load = %v, want a finish-before-start error", name, err)
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 )
 
 // derived is the one dependency derivation every rung shares — core's
-// Deps, the value core.CheckCtx evaluates its own rungs over, built
-// without real-time edges (the SSER rung decides without them) — plus
-// the per-key version forest the weak rungs and the guarantees add.
+// Deps, the value core.CheckCtx evaluates its own rungs over — plus the
+// per-key version forest the weak rungs and the guarantees add.
 type derived struct {
 	*core.Deps
 	f *wwForest // built lazily; only weak rungs and guarantees need it
@@ -22,95 +21,22 @@ func (d *derived) pass(lvl core.Level) core.Result {
 	return core.Result{Level: lvl, OK: true, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 }
 
-// checkSSER is the SSER rung. A SER cycle survives the addition of
-// real-time edges, so it is reused as the witness. Otherwise the rung
-// decides strict serializability without materializing the time chain:
-// the dependency DAG plus real-time edges has a cycle iff some
-// dependency path S ~> T is inverted in real time — T finished before S
-// started. (On any mixed cycle, take the real-time edge whose target's
-// start rank is maximal; the dependency path feeding that edge's source
-// is then inverted.) One memoized depth-first pass computing each
-// node's minimum descendant finish rank decides this in O(V+E), several
-// times cheaper than a cycle search over the chained graph. Only on
-// violation — off the clean-history hot path — does the rung fall back
-// to core's sparse-chain SSER rung for the usual compressed cycle
-// witness.
-//
-//mtc:hotpath — the lattice's per-rung DFS over the shared graph
-func (d *derived) checkSSER(ctx context.Context, ser core.Result, par int) (core.Result, error) {
-	res := core.Result{Level: core.SSER, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
-	if !ser.OK {
-		res.Cycle = ser.Cycle
-		return res, nil
-	}
-	start, finish := core.RTOrder(d.Index.History())
-	// mnf[u] = the minimum finish rank over u's strict descendants in the
-	// dependency DAG (inf when none is timed): u is inverted iff some
-	// descendant finished before u started. One memoized post-order DFS —
-	// the SER rung just proved acyclicity, so every node settles once.
-	const inf = int32(1) << 30
-	n := d.Graph.Len()
-	mnf := make([]int32, n)
-	state := make([]uint8, n) // 0 unvisited, 1 opened, 2 settled
-	for i := range mnf {
-		mnf[i] = inf
-	}
-	violated := false
-	stack := make([]int32, 0, 1024)
-scan:
-	for s := 0; s < n; s++ {
-		if s&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return core.Result{}, err
-			}
+// checkSSER is the SSER rung given the SER rung's verdict over the same
+// derivation: a SER cycle survives the addition of real-time edges, so
+// it is reused as the witness; on a SER-clean history core's inversion
+// pass decides the rest — the two halves of core's own SSER rung, with
+// the cycle search not repeated.
+func (d *derived) checkSSER(ctx context.Context, ser core.Result) (core.Result, error) {
+	res := ser
+	res.Level = core.SSER
+	if ser.OK {
+		var err error
+		if res.Cycle, err = d.Inversion(ctx); err != nil {
+			return core.Result{}, err
 		}
-		if state[s] != 0 {
-			continue
-		}
-		stack = append(stack[:0], int32(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v < 0 { // post-visit: children settled, fold their minima
-				u := ^v
-				m := inf
-				for _, e := range d.Graph.Out(int(u)) {
-					cm := mnf[e.To]
-					if f := finish[e.To]; f >= 0 && int32(f) < cm {
-						cm = int32(f)
-					}
-					if cm < m {
-						m = cm
-					}
-				}
-				mnf[u] = m
-				state[u] = 2
-				if r := start[u]; r >= 0 && m < int32(r) {
-					violated = true
-					break scan
-				}
-				continue
-			}
-			if state[v] != 0 { // re-pushed by a later parent, already settled
-				continue
-			}
-			state[v] = 1
-			stack = append(stack, ^v)
-			for _, e := range d.Graph.Out(int(v)) {
-				if state[e.To] == 0 {
-					stack = append(stack, int32(e.To))
-				}
-			}
-		}
+		res.OK = res.Cycle == nil
 	}
-	if !violated {
-		res.OK = true
-		return res, nil
-	}
-	// Materialize the witness the long way: core's SSER rung adds the
-	// sparse chain to this derivation and reports the compressed
-	// time-order cycle.
-	return d.Rung(ctx, core.SSER, par)
+	return res, nil
 }
 
 // checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;

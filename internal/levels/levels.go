@@ -22,11 +22,10 @@
 //     over anti-dependencies, that no transaction misses a write that
 //     causally precedes it: an RW edge T -> S with S ~>(SO ∪ WR) T closes
 //     a forbidden cycle.
-//   - SI / SER / SSER are core's own rungs (core.Deps.Rung, the code
-//     core.CheckCtx runs) evaluated on the shared derivation, so profile
-//     verdicts are bit-identical to the dedicated checker by
-//     construction; only the SSER decision on a SER-clean history is
-//     made here, chain-free, before falling back to core for a witness.
+//   - SI / SER / SSER are core's own rungs (core.Deps.Rung and
+//     core.Deps.Inversion, the code core.CheckCtx runs) evaluated on the
+//     shared derivation, so profile verdicts are bit-identical to the
+//     dedicated checker by construction.
 //
 // Every rung takes the pre-check axioms (INT, unique committed writers)
 // as its base: a G1a/G1b witness fails the whole lattice at once, which
@@ -212,14 +211,14 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 			return rep, nil
 		}
 	}
-	deps, err := core.BuildDependencyCtx(ctx, ix, false, 1)
+	deps, err := core.BuildDependencyCtx(ctx, ix)
 	if err != nil {
 		return nil, err
 	}
 	d := &derived{Deps: deps}
 	rep.NumEdges = d.Graph.NumEdges()
 
-	ser, err := d.Rung(ctx, core.SER, opts.Parallelism)
+	ser, err := d.Rung(ctx, core.SER)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +228,7 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 		// SER ⇒ SI ⇒ CAUSAL ⇒ RA ⇒ RC (see the package comment).
 		si, causal, ra, rc = d.pass(core.SI), d.pass(core.CAUSAL), d.pass(core.RA), d.pass(core.RC)
 	default:
-		if si, err = d.Rung(ctx, core.SI, opts.Parallelism); err != nil {
+		if si, err = d.Rung(ctx, core.SI); err != nil {
 			return nil, err
 		}
 		switch {
@@ -253,7 +252,7 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 	// and the scan hides behind the inversion DFS on multicore hosts.
 	gch := make(chan []GuaranteeVerdict, 1)
 	go func() { gch <- d.sessionGuarantees() }()
-	sser, err := d.checkSSER(ctx, ser, opts.Parallelism)
+	sser, err := d.checkSSER(ctx, ser)
 	rep.Guarantees = <-gch
 	if err != nil {
 		return nil, err
@@ -281,9 +280,7 @@ func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Opt
 	switch lvl {
 	case core.RC, core.RA, core.CAUSAL:
 	default:
-		return core.CheckCtx(ctx, ix, lvl, core.Options{
-			SkipPreCheck: opts.SkipPreCheck, Parallelism: opts.Parallelism,
-		})
+		return core.CheckCtx(ctx, ix, lvl, core.Options{SkipPreCheck: opts.SkipPreCheck})
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
@@ -293,7 +290,7 @@ func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Opt
 			return core.Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 		}
 	}
-	deps, err := core.BuildDependencyCtx(ctx, ix, false, 1)
+	deps, err := core.BuildDependencyCtx(ctx, ix)
 	if err != nil {
 		return core.Result{}, err
 	}

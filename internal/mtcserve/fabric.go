@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,8 +36,15 @@ func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad worker hello: %v", err)
 		return
 	}
-	lease := s.Fabric.Register(hello)
-	writeJSON(w, http.StatusCreated, lease)
+	// Every task ships its component as MTCB; a worker that cannot
+	// decode it is a version-skewed binary, refused here rather than at
+	// its first pull.
+	if !slices.Contains(hello.Codecs, "mtcb") {
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest,
+			`worker hello must list the "mtcb" codec (got %q): coordinator and workers must run the same release`, hello.Codecs)
+		return
+	}
+	writeJSON(w, http.StatusCreated, s.Fabric.Register(hello))
 }
 
 // handleFabricHeartbeat implements POST /v1/fabric/workers/{id}/heartbeat.

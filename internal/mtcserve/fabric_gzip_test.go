@@ -77,7 +77,7 @@ func TestFabricPullGzipNegotiation(t *testing.T) {
 	defer srv.Close()
 	defer coord.Close()
 
-	resp, raw := doJSON(t, "POST", ts.URL+"/v1/fabric/workers", api.WorkerHello{Name: "wz"})
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/fabric/workers", api.WorkerHello{Name: "wz", Codecs: []string{"mtcb"}})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: %d %s", resp.StatusCode, raw)
 	}
@@ -96,8 +96,8 @@ func TestFabricPullGzipNegotiation(t *testing.T) {
 	if resp.Header.Get("Content-Encoding") != "gzip" {
 		t.Fatalf("large pull body not gzipped (Content-Encoding=%q)", resp.Header.Get("Content-Encoding"))
 	}
-	if task.History == nil || len(task.History.Txns) == 0 {
-		t.Fatalf("gzipped task decodes empty: %+v", task)
+	if h, err := history.ReadMTCB(bytes.NewReader(task.HistoryMTCB)); err != nil || len(h.Txns) == 0 {
+		t.Fatalf("gzipped task decodes empty: %+v (%v)", task, err)
 	}
 
 	resp, task2 := fabricPull(t, ts, lease.ID, "")
@@ -128,7 +128,11 @@ func TestFabricResultsGzipBody(t *testing.T) {
 	if err != nil || task == nil {
 		t.Fatalf("pull: %v %v", task, err)
 	}
-	rep, err := checker.Default.Run(t.Context(), task.Checker, task.History, checker.Options{Level: checker.Level(task.Level)})
+	h, err := history.ReadMTCB(bytes.NewReader(task.HistoryMTCB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := checker.Default.Run(t.Context(), task.Checker, h, checker.Options{Level: checker.Level(task.Level)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,6 +110,33 @@ func TestFabricRequiresCoordinator(t *testing.T) {
 	}
 }
 
+// TestFabricRegisterRequiresMTCB: every task ships its component as
+// MTCB, so a hello that does not list the codec — a worker from another
+// release — is refused at registration with a structured 400.
+func TestFabricRegisterRequiresMTCB(t *testing.T) {
+	srv, coord, ts := coordServer(t, filepath.Join(t.TempDir(), "fabric.wal"))
+	defer ts.Close()
+	defer srv.Close()
+	defer coord.Close()
+	for _, hello := range []api.WorkerHello{{Name: "old"}, {Name: "other", Codecs: []string{"cbor"}}} {
+		resp, raw := doJSON(t, "POST", ts.URL+"/v1/fabric/workers", hello)
+		var env api.ErrorResponse
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: %v (%s)", hello.Name, err, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest || env.RequestID == "" {
+			t.Fatalf("%s: got %d %s, want a structured 400", hello.Name, resp.StatusCode, raw)
+		}
+	}
+	if ws := coord.Status().Workers; len(ws) != 0 {
+		t.Fatalf("refused hellos registered workers: %+v", ws)
+	}
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/fabric/workers", api.WorkerHello{Name: "new", Codecs: []string{"mtcb"}})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("mtcb hello: %d %s", resp.StatusCode, raw)
+	}
+}
+
 // TestFabricStatusEndpoint: workers and job progress are visible on
 // GET /v1/fabric/status.
 func TestFabricStatusEndpoint(t *testing.T) {

@@ -264,7 +264,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "window must be >= 0, got %d", req.Window)
 		return
 	}
-	opts := checker.Options{SkipPreCheck: req.SkipPreCheck, SparseRT: req.SparseRT, Parallelism: par, Window: req.Window, Shard: req.Shard}
+	opts := checker.Options{SkipPreCheck: req.SkipPreCheck, Parallelism: par, Window: req.Window, Shard: req.Shard}
 	if req.Level != "" {
 		lvl, err := checker.ParseLevel(req.Level)
 		if err != nil {

@@ -159,6 +159,14 @@ func TestJobValidation(t *testing.T) {
 		{"bad level", `{"level":"NOPE","history":{}}`, http.StatusBadRequest, api.CodeUnsupportedLevel},
 		{"mismatched level", `{"checker":"cobra","level":"SI","history":{}}`, http.StatusBadRequest, api.CodeUnsupportedLevel},
 		{"missing history", `{"level":"SER"}`, http.StatusBadRequest, api.CodeInvalidHistory},
+		// A start without a finish: once read as untimed by one real-time
+		// predicate and as an interval ending at 0 by the other. The retired
+		// sparse_rt knob, which picked between them, is ignored.
+		{"finish before start", `{"level":"SSER","sparse_rt":true,"history":{"has_init":true,"sessions":[[1],[2]],"txns":[
+			{"id":0,"sess":-1,"committed":true,"ops":[{"k":1,"key":"x","v":0}]},
+			{"id":1,"sess":0,"start":8,"finish":9,"committed":true,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":1}]},
+			{"id":2,"sess":1,"start":7,"finish":0,"committed":true,"ops":[{"k":0,"key":"x","v":1}]}]}}`,
+			http.StatusBadRequest, api.CodeInvalidHistory},
 		{"negative parallelism", `{"level":"SER","parallelism":-2,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"parallelism beyond clamp", `{"level":"SER","parallelism":1048576,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"negative shard", `{"level":"SER","shard":-1,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},

@@ -11,8 +11,8 @@
 // the whole-history verdict. (For SSER the real-time order does cross
 // components, but strict serializability composes over disjoint key sets
 // — the locality argument of linearizability — so the conjunction is
-// still exact; only per-component edge counts exclude cross-component RT
-// pairs.)
+// still exact: an SSER witness is a dependency path closed by one RT
+// edge, inside one component.)
 //
 // The initial transaction ⊥T touches every key and would glue everything
 // into one component, so it is replicated instead: each component gets

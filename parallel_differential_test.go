@@ -49,13 +49,13 @@ func parCheck(t *testing.T, name string, lvl checker.Level, h *history.History, 
 	}
 }
 
-// engines lists every (engine, level) pair with a parallel phase: the
-// MTC dense-RT enumeration and the Cobra/PolySI prune pipelines.
+// parEngines lists the (engine, level) pairs of the differential: the
+// Cobra/PolySI prune pipelines, which have a parallel phase, and the MTC
+// engine, which has none and must ignore the knob.
 var parEngines = []struct {
 	name string
 	lvl  checker.Level
 }{
-	{"mtc", core.SSER}, // parallel dense real-time enumeration
 	{"mtc", core.SER},
 	{"mtc", core.SI},
 	{"cobra", core.SER}, // parallel SER prune
@@ -82,8 +82,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 		histories++
 	}
 	for seed := int64(1); seed <= 130; seed++ {
-		// Clean MT histories from every store mode: timestamps present, so
-		// the SSER dense-RT path runs for real.
+		// Clean MT histories from every store mode.
 		w := workload.GenerateMT(workload.MTConfig{
 			Sessions: 3, Txns: 6, Objects: 4,
 			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,

@@ -164,6 +164,7 @@ var shardEngines = []struct {
 }{
 	{"mtc", core.SER},
 	{"mtc", core.SI},
+	{"mtc", core.SSER},
 	{"mtc-incremental", core.SER},
 	{"mtc-incremental", core.SI},
 	{"cobra", core.SER},
@@ -185,10 +186,12 @@ func TestDifferentialShardedVsUnsharded(t *testing.T) {
 		}
 	}
 	histories := 0
+	var sser sserTally
 	check := func(h *history.History, tag string) {
 		for _, e := range shardEngines {
 			shardCheck(t, e.name, e.lvl, h, tag)
 		}
+		sserCheck(t, h, tag, &sser)
 		histories++
 	}
 	for seed := int64(1); seed <= 130; seed++ {
@@ -227,6 +230,9 @@ func TestDifferentialShardedVsUnsharded(t *testing.T) {
 	if histories < 1000 {
 		t.Fatalf("differential corpus too small: %d histories", histories)
 	}
-	t.Logf("compared %d histories across %d engine/level pairs at shard parallelism %v",
-		histories, len(shardEngines), shardLevels)
+	if sser.ok == 0 || sser.cyclic == 0 || sser.inverted == 0 {
+		t.Fatalf("corpus no longer covers every SSER outcome: %+v", sser)
+	}
+	t.Logf("compared %d histories across %d engine/level pairs at shard parallelism %v; SSER outcomes %+v",
+		histories, len(shardEngines), shardLevels, sser)
 }
