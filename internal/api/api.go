@@ -189,10 +189,13 @@ type SessionStatus struct {
 	Window int `json:"window,omitempty"`
 	// CompactedEpochs and CompactedTxns report how often epoch
 	// compaction has run on this session and how many settled
-	// transactions it collapsed; LiveTxns is what remains materialised.
+	// transactions it collapsed; LiveTxns is what remains materialised
+	// and LiveEdges the dependency-graph edges among it (summary edges
+	// included), which compaction keeps proportional to LiveTxns.
 	CompactedEpochs int `json:"compacted_epochs,omitempty"`
 	CompactedTxns   int `json:"compacted_txns,omitempty"`
 	LiveTxns        int `json:"live_txns,omitempty"`
+	LiveEdges       int `json:"live_edges,omitempty"`
 	// Report is present as soon as a violation is detected, and always
 	// after finalization.
 	Report *checker.Report `json:"report,omitempty"`

@@ -1,13 +1,52 @@
 package core
 
-import "mtc/internal/graph"
+import (
+	"math/bits"
+
+	"mtc/internal/graph"
+)
+
+// epochObj labels the AUX summary edges Compact leaves between kept nodes.
+const epochObj = "epoch"
+
+// How much of a node survives a compaction, each tier including the ones
+// below it.
+const (
+	tierNone uint8 = iota // collapsed
+	tierNode              // still a node of the graph (SI composition endpoints)
+	tierFull              // ... with its transaction record and slot membership
+	tierBase              // ... and the values it wrote stay readable: recent or pinned
+)
+
+// compactScratch is Compact's working memory. It lives on the
+// Incremental because a windowed stream compacts every half-window at
+// roughly the same size: the buffers are sized once and reused, where
+// fresh ones would be most of what an epoch allocates.
+type compactScratch struct {
+	tier  []uint8
+	order []int
+	remap []int
+	bits  []uint64     // arena of graph.Bitset rows
+	edges []graph.Edge // edges of the rebuilt graph
+}
+
+// resize returns s with length n, reallocating only to grow — with
+// headroom, since the live set drifts by a few nodes from one epoch to the
+// next. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
 
 // Compact collapses the settled prefix of the stream — every transaction
 // whose external position is below frontier and whose state can no
 // longer influence a future verdict — into a set of summary edges, and
 // frees the graph nodes, dependency edges, transaction records and
-// version slots behind it. A windowed stream that calls Compact periodically therefore
-// holds O(window + boundary) state instead of O(history).
+// version slots behind it. A windowed stream that calls Compact
+// periodically therefore holds O(window + boundary) state — nodes and
+// edges — instead of O(history).
 //
 // What survives a compaction, regardless of frontier:
 //
@@ -36,13 +75,23 @@ import "mtc/internal/graph"
 // forever and is classified ThinAirRead at Finalize rather than
 // silently mis-verified.
 //
-// The collapsed subgraph is proved acyclic-closed before it is freed:
-// the online order is itself a witness of acyclicity, and per-node
-// reachability bitsets (graph.Bitset, computed in one reverse-topological
-// sweep as in graph.Closure) summarise every path that crosses the
-// collapsed region into a direct AUX "epoch" edge between retained
-// nodes, so cycle detection over the remaining stream is unchanged. The
-// rebuild panics if either property fails to hold.
+// What replaces the collapsed region is the transitive reduction of the
+// reachability it carried. The retained nodes are renumbered in the
+// online order — itself the witness that the settled prefix is acyclic —
+// and one reverse sweep over that order computes, per node, a
+// graph.Bitset row of the retained nodes it reaches (the graph.Closure
+// recipe, rows cut from one arena). A retained node keeps its dependency
+// edges to retained nodes verbatim; of what it reaches through collapsed
+// nodes, and of the summary edges earlier compactions left at it, it
+// keeps an AUX "epoch" edge only to the targets no other kept edge
+// already leads to. Reachability among retained nodes is preserved pair
+// for pair, so cycle detection over the remaining stream is unchanged,
+// and the summary edges stay proportional to the retained nodes however
+// many epochs lie behind them. The rebuilt graph is loaded in one step
+// (graph.NewOnlineOrdered); the rebuild panics if an edge would descend
+// in the new numbering, which only a cycle in the settled prefix or
+// through the collapsed region could cause. The working memory is O(n²/64)
+// words for n live nodes and is reused from one compaction to the next.
 //
 // MaybeCompact is the standard compaction cadence every windowed driver
 // (the batch replay, runner.RunStream, server sessions, benchmarks)
@@ -82,13 +131,14 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		return
 	}
 
-	// keepBase: transactions whose written values must stay readable —
-	// recent arrivals and driver-pinned nodes. Slot retention keys off
-	// this tier.
-	keepBase := make([]bool, nNodes)
+	// tier[x] is how much of node x survives; see the tier constants.
+	sc := &inc.scratch
+	sc.tier = resize(sc.tier, nNodes)
+	tier := sc.tier
+	clear(tier)
 	for i := range inc.txns {
 		if e := inc.txns[i].ext; e >= frontier || (pin != nil && pin(e)) {
-			keepBase[i] = true
+			tier[i] = tierBase
 		}
 	}
 	// alive: the slot's committed write still accepts future readers or
@@ -106,7 +156,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		}
 	}
 	alive := func(key version, s *slot) bool {
-		if keepBase[s.writer] {
+		if tier[s.writer] == tierBase {
 			return true
 		}
 		// A value its writer later overwrote itself lives exactly as long
@@ -120,148 +170,162 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		return s.dethroned == 0 || s.ref >= frontier || (track && s.dethroned >= horizon)
 	}
 
-	// keep: full state retained (graph node, transaction record, slot
-	// membership).
-	keep := make([]bool, nNodes)
-	copy(keep, keepBase)
+	keepFull := func(x int) { tier[x] = max(tier[x], tierFull) }
 	if inc.initID >= 0 {
-		keep[inc.initID] = true
+		keepFull(inc.initID)
 	}
-	//mtc:nondeterministic-ok marking keep bits; set union is commutative
+	//mtc:nondeterministic-ok raising tiers; max is commutative
 	for _, ss := range inc.sessions {
 		if ss.last >= 0 {
-			keep[ss.last] = true
+			keepFull(ss.last)
 		}
 	}
 	// Mark phase over the slot table: parked readers still wait for their
 	// writer; an alive slot keeps its writer (which anchors future WR
 	// edges even before anyone read it), its readers and its overwriter.
-	//mtc:nondeterministic-ok marking keep bits; set union is commutative
+	//mtc:nondeterministic-ok raising tiers; max is commutative
 	for key, s := range inc.slots {
 		for _, r := range s.parked {
-			keep[r] = true
+			keepFull(r)
 		}
 		s.live = s.writer >= 0 && alive(key, s)
 		if !s.live {
 			continue
 		}
-		keep[s.writer] = true
+		keepFull(s.writer)
 		for _, r := range s.readers {
-			keep[r] = true
+			keepFull(r)
 		}
 		if s.over >= 0 {
-			keep[s.over] = true
+			keepFull(s.over)
 		}
 	}
-
-	// nodeKeep: nodes that must remain addressable in the graph beyond
-	// the full-state tier. Under SI a future RW edge out of a kept
-	// reader r composes with r's baseIn, and a future base edge into r
-	// composes with r's rwOut; the far endpoints of those compositions
-	// must still exist as nodes (one hop only — old nodes never gain
-	// new base in-edges, and new RW sources are always slot members,
-	// which are kept in full).
-	nodeKeep := keep
+	// Under SI a future RW edge out of a kept reader r composes with r's
+	// baseIn, and a future base edge into r composes with r's rwOut; the
+	// far endpoints of those compositions must still exist as nodes (one
+	// hop only — old nodes never gain new base in-edges, and new RW
+	// sources are always slot members, which are kept in full).
 	if inc.lvl == SI {
-		nodeKeep = make([]bool, nNodes)
-		copy(nodeKeep, keep)
-		for i := 0; i < nNodes; i++ {
-			if !keep[i] {
+		for i := range inc.txns {
+			if tier[i] < tierFull {
 				continue
 			}
 			for _, b := range inc.txns[i].baseIn {
-				nodeKeep[b.From] = true
+				tier[b.From] = max(tier[b.From], tierNode)
 			}
 			for _, rw := range inc.txns[i].rwOut {
-				nodeKeep[rw.To] = true
+				tier[rw.To] = max(tier[rw.To], tierNode)
 			}
 		}
 	}
-
-	// Generational rebuild. Kept nodes are re-inserted in the current
-	// topological order, so every re-added edge (and every summary edge)
-	// respects insertion order and the Pearce–Kelly structure starts
-	// compact again.
-	order := make([]int, nNodes) // order index -> node: ord is a permutation
-	for i := range order {
-		order[inc.topo.Ord(i)] = i
-	}
-
-	newTopo := graph.NewOnline()
-	remap := make([]int, nNodes)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for _, x := range order {
-		if nodeKeep[x] {
-			remap[x] = newTopo.AddNode()
+	kcount := 0
+	for _, t := range tier {
+		if t != tierNone {
+			kcount++
 		}
 	}
-	kcount := newTopo.Len()
 	collapsed := nNodes - kcount
 	if collapsed == 0 {
 		return
 	}
 
-	// Reverse-topological sweep over the collapsed region: reach[x] is
-	// the set of kept nodes reachable from collapsed node x through
-	// collapsed-only paths. The online order guarantees ord(From) <
-	// ord(To) for every edge, so each successor's set is final when x is
-	// visited — the same level-by-level argument graph.Closure uses, and
-	// a proof the collapsed prefix is acyclic.
-	reach := make(map[int]graph.Bitset, collapsed)
-	for i := nNodes - 1; i >= 0; i-- {
-		x := order[i]
-		if nodeKeep[x] {
-			continue
+	// Generational rebuild. Kept nodes are renumbered in the current
+	// topological order, so every surviving edge ascends and the
+	// Pearce–Kelly structure starts compact again. remap[x] is the new id
+	// of a kept node and ^rank of a collapsed one, rank counting collapsed
+	// nodes in the same order.
+	sc.order = resize(sc.order, nNodes) // order index -> node: ord is a permutation
+	order := sc.order
+	for i := range order {
+		order[inc.topo.Ord(i)] = i
+	}
+	sc.remap = resize(sc.remap, nNodes)
+	remap := sc.remap
+	nk, nc := 0, 0
+	for _, x := range order {
+		if tier[x] != tierNone {
+			remap[x] = nk
+			nk++
+		} else {
+			remap[x] = ^nc
+			nc++
 		}
-		bits := graph.NewBitset(kcount)
-		for _, e := range inc.topo.Out(x) {
-			if nodeKeep[e.To] {
-				bits.Set(remap[e.To])
-			} else {
-				bits.UnionWith(reach[e.To])
-			}
-		}
-		reach[x] = bits
 	}
 
-	addEdge := func(e graph.Edge) {
-		if cy := newTopo.AddEdge(e); cy != nil {
-			panic("core: Compact rebuilt a cyclic graph; settled prefix was not acyclic-closed")
+	// One bitset row over the kept ids per old node, cut from one arena:
+	// for a kept node everything it reaches among kept nodes, for a
+	// collapsed node the kept nodes it reaches through collapsed-only
+	// paths, so row(remap[e.To]) is what an edge e contributes beyond its
+	// own head. The sweep below runs in reverse topological order; the
+	// online order guarantees ord(From) < ord(To) for every edge, so each
+	// successor's row is final before a predecessor reads it — the
+	// level-by-level argument of graph.Closure, and the proof the settled
+	// prefix is acyclic.
+	words := (kcount + 63) / 64
+	sc.bits = resize(sc.bits, (nNodes+1)*words)
+	clear(sc.bits)
+	row := func(id int) graph.Bitset {
+		if id < 0 {
+			id = kcount + ^id
 		}
+		return graph.Bitset(sc.bits[id*words : (id+1)*words])
 	}
-	direct := graph.NewBitset(kcount)
-	summary := graph.NewBitset(kcount)
-	for _, x := range order {
-		if !nodeKeep[x] {
-			continue
-		}
-		direct.Clear()
-		summary.Clear()
-		viaCollapsed := false
-		for _, e := range inc.topo.Out(x) {
-			if nodeKeep[e.To] {
-				addEdge(graph.Edge{From: remap[x], To: remap[e.To], Kind: e.Kind, Obj: e.Obj})
-				direct.Set(remap[e.To])
-			} else {
-				summary.UnionWith(reach[e.To])
-				viaCollapsed = true
-			}
-		}
-		if !viaCollapsed {
-			continue
-		}
+	cand := graph.Bitset(sc.bits[nNodes*words:])
+	rebuilt := sc.edges[:0]
+	for i := nNodes - 1; i >= 0; i-- {
+		x := order[i]
 		nx := remap[x]
-		summary.ForEach(func(b int) {
-			if b == nx {
-				panic("core: Compact found a cycle through the collapsed region")
+		if nx < 0 {
+			reach := row(nx)
+			for _, e := range inc.topo.Out(x) {
+				if t := remap[e.To]; t >= 0 {
+					reach.Set(t)
+				} else {
+					reach.UnionWith(row(t))
+				}
 			}
-			if !direct.Test(b) {
-				addEdge(graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: "epoch"})
+			continue
+		}
+		// Dependency edges survive verbatim and seed covered, the set nx
+		// reaches without any summary edge. What nx reaches through the
+		// collapsed region, and the summary edges earlier compactions left
+		// at it, are only candidates.
+		covered := row(nx)
+		cand.Clear()
+		for _, e := range inc.topo.Out(x) {
+			t := remap[e.To]
+			switch {
+			case t < 0:
+				cand.UnionWith(row(t))
+			case e.Kind == graph.AUX && e.Obj == epochObj:
+				cand.Set(t)
+			default:
+				if t <= nx {
+					panic("core: Compact rebuilt a cyclic graph; settled prefix was not acyclic-closed")
+				}
+				rebuilt = append(rebuilt, graph.Edge{From: nx, To: t, Kind: e.Kind, Obj: e.Obj})
+				covered.Set(t)
+				covered.UnionWith(row(t))
 			}
-		})
+		}
+		// Ascending ids are topological: a candidate can only be implied by
+		// a dependency edge or a smaller candidate, both already in covered
+		// when it is reached. What is emitted is therefore the transitive
+		// reduction of the candidates, and covered ends as their closure.
+		for k := range cand {
+			for w := cand[k] &^ covered[k]; w != 0; w = cand[k] &^ covered[k] {
+				b := k<<6 + bits.TrailingZeros64(w)
+				if b <= nx {
+					panic("core: Compact found a cycle through the collapsed region")
+				}
+				rebuilt = append(rebuilt, graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: epochObj})
+				covered.Set(b)
+				covered.UnionWith(row(b))
+			}
+		}
 	}
+	sc.edges = rebuilt
+	newTopo := graph.NewOnlineOrdered(kcount, rebuilt)
 
 	// Renumber what survives. The slot table's keys are versions, which a
 	// compaction cannot change: dead slots are deleted, live ones have
@@ -282,7 +346,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			continue
 		}
 		t := inc.txns[x]
-		if keep[x] {
+		if tier[x] >= tierFull {
 			reEdges(t.baseIn)
 			reEdges(t.rwOut)
 		} else {
@@ -302,7 +366,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			// The committed write is settled; a later read of it parks.
 			*s = slot{writer: -1, aborted: s.aborted, parked: s.parked, over: -1}
 		}
-		if s.aborted >= 0 && keepBase[s.aborted] {
+		if s.aborted >= 0 && tier[s.aborted] == tierBase {
 			s.aborted = remap[s.aborted]
 		} else {
 			s.aborted = -1
@@ -327,7 +391,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		// The witness threads through an intermediate node; keep the
 		// expansion only while all three survive (a composed edge whose
 		// witness was collapsed still reports, just unexpanded).
-		if !nodeKeep[ck.from] || !nodeKeep[ck.to] || !nodeKeep[edges[0].To] {
+		if remap[ck.from] < 0 || remap[ck.to] < 0 || remap[edges[0].To] < 0 {
 			continue
 		}
 		reEdges(edges)
@@ -335,6 +399,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	}
 
 	inc.topo = newTopo
+	inc.live = len(rebuilt)
 	inc.txns = txns
 	inc.witness = witness
 	inc.compactTxns += collapsed

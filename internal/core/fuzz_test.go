@@ -122,8 +122,9 @@ func fuzzEncode(h *history.History, config byte) (data []byte, ok bool) {
 // FuzzIncrementalCompact is the guard of Incremental's two tables and of
 // Compact: on every history the windowed replay must report what the
 // unbounded replay reports — verdict, anomaly, divergence witness, edge
-// count, first offending commit — and both must decide what the batch
-// checker decides.
+// count, first offending commit — both must decide what the batch
+// checker decides, and every graph a compaction rebuilds must keep the
+// reachability of the reference rebuild (compactChecked).
 func FuzzIncrementalCompact(f *testing.F) {
 	seeded := 0
 	for _, fx := range history.Fixtures() {
@@ -171,7 +172,7 @@ func FuzzIncrementalCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, lvl, window := fuzzHistory(data)
 		ref := replay(h, lvl, 0)
-		got := replay(h, lvl, window)
+		got := replayChecked(t, h, lvl, window)
 		// Cycle edges may legitimately differ — a path through a collapsed
 		// epoch reports as a summary edge — and the compaction counters
 		// must; everything else is the same verdict.

@@ -48,6 +48,7 @@ type Incremental struct {
 
 	n     int // transactions added, including aborted and init
 	edges int // dependency edges, mirroring the batch graph's NumEdges
+	live  int // edges currently in topo
 
 	topo   *graph.Online
 	txns   []txnState // indexed by node id
@@ -64,6 +65,7 @@ type Incremental struct {
 	compactTxns   int
 	compactEpoch  int
 	lastCompactAt int // NumTxns at the last MaybeCompact-triggered compaction
+	scratch       compactScratch
 
 	// SI only: the online order tracks the composed graph
 	// (SO ∪ WR ∪ WW) ; RW?, and every composed edge remembers its
@@ -149,6 +151,13 @@ func (inc *Incremental) Violation() *Result { return inc.vio }
 // collapsed. A windowed stream keeps this bounded by the window plus the
 // retained boundary, independent of NumTxns.
 func (inc *Incremental) LiveNodes() int { return inc.topo.Len() }
+
+// LiveEdges returns the number of edges currently in the dependency
+// graph: what Add derived since the last compaction plus what Compact
+// kept — the dependency edges among retained transactions and the
+// summary edges standing for the collapsed paths between them. Compact
+// keeps it proportional to LiveNodes.
+func (inc *Incremental) LiveEdges() int { return inc.live }
 
 // CompactedTxns returns how many transactions Compact has collapsed so
 // far; CompactedEpochs how many compactions have taken effect.
@@ -489,7 +498,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 	inc.edges++
 	if inc.lvl == SER {
-		return inc.cycle(inc.topo.AddEdge(e))
+		return inc.link(e)
 	}
 	if e.Kind == graph.RW {
 		from := &inc.txns[e.From]
@@ -502,7 +511,7 @@ func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 		return nil
 	}
 	inc.txns[e.To].baseIn = append(inc.txns[e.To].baseIn, e)
-	if vio := inc.cycle(inc.topo.AddEdge(e)); vio != nil {
+	if vio := inc.link(e); vio != nil {
 		return vio
 	}
 	for _, rw := range inc.txns[e.To].rwOut {
@@ -519,12 +528,14 @@ func (inc *Incremental) addComposed(base, rw graph.Edge) *Result {
 	if _, dup := inc.witness[ck]; !dup {
 		inc.witness[ck] = []graph.Edge{base, rw}
 	}
-	return inc.cycle(inc.topo.AddEdge(graph.Edge{From: base.From, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"}))
+	return inc.link(graph.Edge{From: base.From, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
 }
 
-// cycle converts a non-nil cycle from the online order into the terminal
-// verdict, expanding composed SI edges back into their constituents.
-func (inc *Incremental) cycle(cy []graph.Edge) *Result {
+// link inserts e into the online order. A cycle it closes is the terminal
+// verdict, composed SI edges expanded back into their constituents.
+func (inc *Incremental) link(e graph.Edge) *Result {
+	inc.live++
+	cy := inc.topo.AddEdge(e)
 	if cy == nil {
 		return nil
 	}

@@ -8,6 +8,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -125,56 +126,81 @@ func TestWindowedActuallyCompacts(t *testing.T) {
 	}
 }
 
-// TestCompactBoundsLiveState drives a long synthetic clean RMW stream
-// through Incremental with periodic window compaction and asserts the
-// materialised state stays bounded by the window plus the per-key
+// TestCompactBoundsLiveState drives long synthetic clean streams through
+// Incremental with periodic window compaction and asserts the
+// materialised state stays bounded: nodes by the window plus the per-key
 // boundary — the structural form of the bounded-RSS claim that
-// BenchmarkStream1M measures.
+// BenchmarkStream1M measures — and edges by a constant per node. The
+// round-robin stream keeps few summary edges whatever Compact does; on the
+// Zipf stream over 2000 keys a cold key's latest slot survives many
+// epochs, and summary edges that restate reachability instead of reducing
+// it grow towards nodes²/2 (past 500 per node within twenty epochs).
 func TestCompactBoundsLiveState(t *testing.T) {
 	const (
-		keys    = 32
-		txns    = 20000
-		window  = 512
-		session = 8
+		txns         = 20000
+		session      = 8
+		edgesPerNode = 12
 	)
-	keyNames := make([]history.Key, keys)
-	for i := range keyNames {
-		keyNames[i] = history.Key("k" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
-	}
-	for _, lvl := range []core.Level{core.SER, core.SI} {
-		inc := core.NewIncremental(lvl)
-		inc.InitTxn(keyNames...)
-		latest := make([]history.Value, keys) // current value per key
-		maxLive := 0
-		next := history.Value(1)
-		for i := 0; i < txns; i++ {
-			k := i % keys
-			ops := []history.Op{
-				{Kind: history.OpRead, Key: keyNames[k], Value: latest[k]},
-				{Kind: history.OpWrite, Key: keyNames[k], Value: next},
+	for _, tc := range []struct {
+		name         string
+		keys, window int
+		zipf         bool
+	}{
+		{"round-robin", 32, 512, false},
+		{"zipf", 2000, 2048, true},
+	} {
+		keyNames := workload.KeyUniverse(tc.keys)
+		for _, lvl := range []core.Level{core.SER, core.SI} {
+			rng := rand.New(rand.NewSource(1))
+			zipf := rand.NewZipf(rng, 1.1, 1, uint64(tc.keys-1))
+			inc := core.NewIncremental(lvl)
+			inc.InitTxn(keyNames...)
+			latest := make([]history.Value, tc.keys) // current value per key
+			maxLive := 0
+			next := history.Value(1)
+			rmw := func(ops []history.Op, k int) []history.Op {
+				ops = append(ops, history.R(keyNames[k], latest[k]), history.W(keyNames[k], next))
+				latest[k] = next
+				next++
+				return ops
 			}
-			latest[k] = next
-			next++
-			if vio := inc.Add(history.Txn{Session: i % session, Ops: ops, Committed: true}); vio != nil {
-				t.Fatalf("%s: clean stream rejected at %d: %s", lvl, i, vio.Explain())
+			for i := 0; i < txns; i++ {
+				var ops []history.Op
+				if !tc.zipf {
+					ops = rmw(nil, i%tc.keys)
+				} else {
+					// R+RMW and RMW+RMW: the two-key shapes tie keys together.
+					k1, k2 := int(zipf.Uint64()), int(zipf.Uint64())
+					if k1 == k2 || i%2 == 0 {
+						ops = append(ops, history.R(keyNames[k1], latest[k1]))
+					} else {
+						ops = rmw(ops, k1)
+					}
+					ops = rmw(ops, k2)
+				}
+				if vio := inc.Add(history.Txn{Session: i % session, Ops: ops, Committed: true}); vio != nil {
+					t.Fatalf("%s/%s: clean stream rejected at %d: %s", tc.name, lvl, i, vio.Explain())
+				}
+				inc.MaybeCompact(tc.window, 0, nil)
+				if edges, nodes := inc.LiveEdges(), inc.LiveNodes(); edges > edgesPerNode*nodes {
+					t.Fatalf("%s/%s: epoch %d: %d edges among %d live nodes, more than %d per node",
+						tc.name, lvl, inc.CompactedEpochs(), edges, nodes, edgesPerNode)
+				}
+				maxLive = max(maxLive, inc.LiveNodes())
 			}
-			inc.MaybeCompact(window, 0, nil)
-			if live := inc.LiveNodes(); live > maxLive {
-				maxLive = live
+			if r := inc.Finalize(); !r.OK {
+				t.Fatalf("%s/%s: finalize rejected: %s", tc.name, lvl, r.Explain())
 			}
-		}
-		if r := inc.Finalize(); !r.OK {
-			t.Fatalf("%s: finalize rejected: %s", lvl, r.Explain())
-		}
-		// Window plus slack for session tails, per-key latest slots and
-		// the not-yet-compacted half-window.
-		bound := window + window/2 + 4*keys + session + 16
-		if maxLive > bound {
-			t.Fatalf("%s: live state not bounded: peak %d nodes > %d (window %d, %d txns)",
-				lvl, maxLive, bound, window, txns)
-		}
-		if inc.CompactedTxns() < txns/2 {
-			t.Fatalf("%s: compaction barely ran: %d of %d txns", lvl, inc.CompactedTxns(), txns)
+			// Window plus slack for session tails, per-key latest slots and
+			// the not-yet-compacted half-window.
+			bound := tc.window + tc.window/2 + 4*tc.keys + session + 16
+			if maxLive > bound {
+				t.Fatalf("%s/%s: live state not bounded: peak %d nodes > %d (window %d, %d txns)",
+					tc.name, lvl, maxLive, bound, tc.window, txns)
+			}
+			if inc.CompactedTxns() < txns/2 {
+				t.Fatalf("%s/%s: compaction barely ran: %d of %d txns", tc.name, lvl, inc.CompactedTxns(), txns)
+			}
 		}
 	}
 }

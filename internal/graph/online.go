@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Online maintains a topological order of a growing DAG under node and
 // edge insertions, detecting the first edge whose insertion closes a
@@ -28,6 +31,45 @@ type Online struct {
 
 // NewOnline returns an empty online ordering with no nodes.
 func NewOnline() *Online { return &Online{} }
+
+// NewOnlineOrdered returns an online ordering of nodes 0..n-1 holding
+// edges, whose topological order is the identity. Every edge must have
+// From < To: under the identity order that is the whole proof of
+// acyclicity, which AddEdge would otherwise establish one edge at a time,
+// and an edge that breaks it panics. The adjacency lists keep the order
+// of edges and are cut from two arenas with no spare capacity, so the
+// first AddEdge at a node copies its list out rather than growing into
+// its neighbour's.
+func NewOnlineOrdered(n int, edges []Edge) *Online {
+	t := &Online{
+		ord:  make([]int, n),
+		out:  make([][]Edge, n),
+		in:   make([][]Edge, n),
+		mark: make([]int, n),
+	}
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range edges {
+		if e.From < 0 || e.From >= e.To || e.To >= n {
+			panic(fmt.Sprintf("graph: NewOnlineOrdered: edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
+		}
+		deg[e.From]++
+		deg[n+e.To]++
+	}
+	outs, ins := make([]Edge, len(edges)), make([]Edge, len(edges))
+	o, i := 0, 0
+	for v := 0; v < n; v++ {
+		t.ord[v] = v
+		t.out[v] = outs[o : o : o+deg[v]]
+		o += deg[v]
+		t.in[v] = ins[i : i : i+deg[n+v]]
+		i += deg[n+v]
+	}
+	for _, e := range edges {
+		t.out[e.From] = append(t.out[e.From], e)
+		t.in[e.To] = append(t.in[e.To], e)
+	}
+	return t
+}
 
 // Len returns the number of nodes.
 func (t *Online) Len() int { return len(t.ord) }

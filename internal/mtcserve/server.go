@@ -514,6 +514,7 @@ func (s *Server) status(id string, sess *session) api.SessionStatus {
 		CompactedEpochs: sess.inc.CompactedEpochs(),
 		CompactedTxns:   sess.inc.CompactedTxns(),
 		LiveTxns:        sess.inc.LiveNodes(),
+		LiveEdges:       sess.inc.LiveEdges(),
 	}
 	if sess.final != nil {
 		st.OK = sess.final.OK

@@ -302,6 +302,9 @@ func TestSessionWindowedCompaction(t *testing.T) {
 	if st.LiveTxns >= total/2 {
 		t.Fatalf("live state not bounded by the window: %s", body)
 	}
+	if st.LiveEdges < st.LiveTxns-1 || st.LiveEdges > 12*st.LiveTxns {
+		t.Fatalf("live_edges %d is not a small multiple of live_txns %d: %s", st.LiveEdges, st.LiveTxns, body)
+	}
 
 	resp, body = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict?final=1", nil)
 	if resp.StatusCode != http.StatusOK {

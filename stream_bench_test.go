@@ -16,13 +16,14 @@ import (
 
 	"mtc/internal/core"
 	"mtc/internal/history"
+	"mtc/internal/workload"
 )
 
-// benchStream feeds n clean round-robin RMW transactions (every key
-// overwritten every |keys| transactions, so values settle quickly) into
-// the online checker, compacting every window/2 when windowed, and
-// reports the peak post-GC heap.
-func benchStream(b *testing.B, n, window int) {
+// roundRobinStream is the clean stream of the original pair: 256 keys,
+// transaction j an RMW of key j % 256 writing the value j+1 — every key
+// overwritten every 256 transactions, so values settle quickly and a
+// compaction has next to nothing to summarise.
+func roundRobinStream() ([]history.Key, func(j int) history.Txn) {
 	const (
 		keys     = 256
 		sessions = 8
@@ -31,6 +32,59 @@ func benchStream(b *testing.B, n, window int) {
 	for i := range keyNames {
 		keyNames[i] = history.Key(fmt.Sprintf("k%03d", i))
 	}
+	return keyNames, func(j int) history.Txn {
+		k := j % keys
+		ops := []history.Op{
+			{Kind: history.OpRead, Key: keyNames[k], Value: history.Value(max(0, j-keys+1))},
+			{Kind: history.OpWrite, Key: keyNames[k], Value: history.Value(j + 1)},
+		}
+		return history.Txn{Session: j % sessions, Ops: ops, Committed: true}
+	}
+}
+
+// zipfStream is the stream with the windowed path's failure mode: the
+// workload.GenerateMT shape mix (R, R+R, RMW, R+RMW, RMW+RMW) over 2000
+// Zipf keys, run against a single-copy store so it is serializable. Cold
+// keys keep their latest slot — writer, readers — alive across many
+// epochs, so every compaction has thousands of long-lived nodes to
+// connect through the region it collapses. The n transactions are
+// planned once, outside the timer.
+func zipfStream(n int) ([]history.Key, func(j int) history.Txn) {
+	const (
+		keys     = 2000
+		sessions = 8
+	)
+	w := workload.GenerateMT(workload.MTConfig{
+		Sessions: sessions, Txns: (n + sessions - 1) / sessions, Objects: keys,
+		Dist: workload.Zipfian, Seed: 1, ReadOnlyFrac: 0.2,
+	})
+	index := make(map[history.Key]int, keys)
+	for i, k := range w.Keys {
+		index[k] = i
+	}
+	latest := make([]history.Value, keys)
+	next := history.Value(1)
+	txns := make([]history.Txn, n)
+	for j := range txns {
+		var ops []history.Op
+		for _, op := range w.Sessions[j%sessions][j/sessions].Ops {
+			k := index[op.Key]
+			ops = append(ops, history.Op{Kind: history.OpRead, Key: op.Key, Value: latest[k]})
+			if op.Kind == workload.SpecRMW {
+				ops = append(ops, history.Op{Kind: history.OpWrite, Key: op.Key, Value: next})
+				latest[k] = next
+				next++
+			}
+		}
+		txns[j] = history.Txn{Session: j % sessions, Ops: ops, Committed: true}
+	}
+	return w.Keys, func(j int) history.Txn { return txns[j] }
+}
+
+// benchStream feeds transactions 0..n-1 of a clean stream over keyNames
+// into the online checker, compacting every window/2 when windowed, and
+// reports the peak post-GC heap.
+func benchStream(b *testing.B, n, window int, keyNames []history.Key, txn func(j int) history.Txn) {
 	var peak uint64
 	sample := func() {
 		runtime.GC()
@@ -45,17 +99,8 @@ func benchStream(b *testing.B, n, window int) {
 	for iter := 0; iter < b.N; iter++ {
 		inc := core.NewIncremental(core.SER)
 		inc.InitTxn(keyNames...)
-		latest := make([]history.Value, keys)
-		next := history.Value(1)
 		for j := 0; j < n; j++ {
-			k := j % keys
-			ops := []history.Op{
-				{Kind: history.OpRead, Key: keyNames[k], Value: latest[k]},
-				{Kind: history.OpWrite, Key: keyNames[k], Value: next},
-			}
-			latest[k] = next
-			next++
-			if vio := inc.Add(history.Txn{Session: j % sessions, Ops: ops, Committed: true}); vio != nil {
+			if vio := inc.Add(txn(j)); vio != nil {
 				b.Fatalf("clean stream rejected at %d: %s", j, vio.Explain())
 			}
 			inc.MaybeCompact(window, 0, nil)
@@ -76,18 +121,37 @@ func benchStream(b *testing.B, n, window int) {
 	b.ReportMetric(float64(n), "txns/stream")
 }
 
+func benchRoundRobin(b *testing.B, n, window int) {
+	keys, txn := roundRobinStream()
+	benchStream(b, n, window, keys, txn)
+}
+
 // BenchmarkStream1MWindowed is the bounded-memory demonstration: 1M
 // transactions under a 4096-transaction window.
-func BenchmarkStream1MWindowed(b *testing.B) { benchStream(b, 1_000_000, 4096) }
+func BenchmarkStream1MWindowed(b *testing.B) { benchRoundRobin(b, 1_000_000, 4096) }
 
 // BenchmarkStream1MUnbounded is the O(history) baseline the window is
 // measured against.
-func BenchmarkStream1MUnbounded(b *testing.B) { benchStream(b, 1_000_000, 0) }
+func BenchmarkStream1MUnbounded(b *testing.B) { benchRoundRobin(b, 1_000_000, 0) }
 
 // BenchmarkStream100kWindowed / Unbounded are the quick-turnaround forms
 // used by the CI bench gate (the 1M pair is for the full trajectory).
-func BenchmarkStream100kWindowed(b *testing.B)  { benchStream(b, 100_000, 2048) }
-func BenchmarkStream100kUnbounded(b *testing.B) { benchStream(b, 100_000, 0) }
+func BenchmarkStream100kWindowed(b *testing.B)  { benchRoundRobin(b, 100_000, 2048) }
+func BenchmarkStream100kUnbounded(b *testing.B) { benchRoundRobin(b, 100_000, 0) }
+
+// BenchmarkStream100kWindowedZipf / UnboundedZipf are the same pair on
+// zipfStream. CI gates their same-run ratio: compaction may cost a
+// windowed stream a constant factor over the unbounded one, not a factor
+// that grows with the epochs behind it.
+func BenchmarkStream100kWindowedZipf(b *testing.B) {
+	keys, txn := zipfStream(100_000)
+	benchStream(b, 100_000, 2048, keys, txn)
+}
+
+func BenchmarkStream100kUnboundedZipf(b *testing.B) {
+	keys, txn := zipfStream(100_000)
+	benchStream(b, 100_000, 0, keys, txn)
+}
 
 // samplingSource wraps a TxnSource and samples the post-GC heap every
 // 131072 transactions, mirroring benchStream's peak-heap probe.
