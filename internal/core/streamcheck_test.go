@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"mtc/internal/core"
@@ -115,5 +118,87 @@ func TestCheckStreamPropagatesSourceError(t *testing.T) {
 	_, err := core.CheckStreamCtx(context.Background(), &failingSource{}, core.SI, 0, 0)
 	if err == nil || err.Error() != "disk gremlin" {
 		t.Fatalf("source error not propagated: %v", err)
+	}
+}
+
+// heapProbe passes a source through and, once `at` transactions have
+// gone by, records the live heap after a collection.
+type heapProbe struct {
+	src  core.TxnSource
+	at   int
+	n    int
+	heap uint64
+}
+
+func (p *heapProbe) Next() (history.Txn, error) {
+	if p.n == p.at {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		p.heap = ms.HeapAlloc
+	}
+	p.n++
+	return p.src.Next()
+}
+
+// TestCheckStreamFreshKeysBoundedHeap: a windowed check of an NDJSON
+// stream whose key space never stops growing holds O(window) memory end
+// to end. Every second transaction is an aborted attempt on a key never
+// seen before or again — the one shape of fresh key the checker itself
+// forgets (a committed key's latest version stays live for good) — so
+// what the bound catches is the reader: its key-interning table must be
+// a cache that restarts, not a record of every key the stream ever held.
+func TestCheckStreamFreshKeysBoundedHeap(t *testing.T) {
+	const (
+		txns     = 400_000
+		sessions = 4
+		hot      = 8
+		window   = 1024
+		bound    = 16 << 20 // a full table is ~10 MB; one never dropped, ~30 MB by the end
+	)
+	pr, pw := io.Pipe()
+	go func() {
+		sw, err := history.NewStreamWriter(pw, sessions)
+		latest := make([]history.Value, hot)
+		for j := 0; err == nil && j < txns; j++ {
+			txn := history.Txn{ID: j, Session: j % sessions}
+			if k := j / 2 % hot; j%2 == 1 {
+				fresh := history.Key(fmt.Sprintf("a-key-no-transaction-before-or-after-this-one-touches/%012d", j))
+				txn.Ops = []history.Op{{Kind: history.OpWrite, Key: fresh, Value: 1}}
+			} else {
+				key := history.Key(fmt.Sprintf("hot%d", k))
+				txn.Committed = true
+				if latest[k] != 0 {
+					txn.Ops = append(txn.Ops, history.Op{Kind: history.OpRead, Key: key, Value: latest[k]})
+				}
+				latest[k] = history.Value(j + 1)
+				txn.Ops = append(txn.Ops, history.Op{Kind: history.OpWrite, Key: key, Value: latest[k]})
+			}
+			err = sw.WriteTxn(txn)
+		}
+		if err == nil {
+			err = sw.Flush()
+		}
+		pw.CloseWithError(err)
+	}()
+	sr, err := history.NewStreamReader(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	probe := &heapProbe{src: sr, at: txns - 1}
+	r, err := core.CheckStreamCtx(context.Background(), probe, core.SER, window, 0)
+	if err != nil || !r.OK {
+		t.Fatalf("clean stream: %v %s", err, r.Explain())
+	}
+	if r.CompactedTxns < txns/2 {
+		t.Fatalf("compaction barely ran: %d of %d txns", r.CompactedTxns, txns)
+	}
+	grown := int64(probe.heap) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %.1f MB over %d txns, half of them on fresh keys", float64(grown)/(1<<20), txns)
+	if grown > bound {
+		t.Fatalf("live heap grew %d MB over %d txns, bound %d MB: something holds every key", grown>>20, txns, bound>>20)
 	}
 }

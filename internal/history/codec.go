@@ -163,13 +163,21 @@ func ReadAuto(r io.Reader) (*History, error) {
 	return ReadText(br)
 }
 
+// maxSessions is the highest session number, and the largest declared
+// session count, any codec accepts. Readers and their consumers size
+// per-session tables by these numbers before the stream can vouch for
+// them, so a hostile or corrupt value is refused, not allocated.
+const maxSessions = 1 << 20
+
 // TxnStream is the incremental-decoder surface the NDJSON StreamReader
 // and the binary BinaryReader share: transactions one at a time until
 // io.EOF, plus the header metadata a streaming check consumes. Both
 // types satisfy core.TxnSource through it.
 type TxnStream interface {
 	// Next returns the next transaction in stream order, or io.EOF after
-	// the last one.
+	// the last one. The first error is terminal: every later call
+	// returns it again without reading further, so a caller that logs and
+	// continues cannot resynchronise past a corrupt record.
 	Next() (Txn, error)
 	// DeclaredSessions returns the header's declared session count, or 0
 	// when the writer did not know it.
@@ -209,7 +217,7 @@ func gunzip(br *bufio.Reader, prefix string) (*bufio.Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: gzip: %w", prefix, err)
 	}
-	return bufio.NewReader(zr), nil
+	return bufio.NewReaderSize(zr, br.Size()), nil
 }
 
 // drain consumes the rest of ts into a validated History: the one-shot
@@ -333,6 +341,9 @@ func ReadText(r io.Reader) (*History, error) {
 			}
 			if sess < -1 {
 				return nil, fmt.Errorf("history: line %d: negative session %d", line, sess)
+			}
+			if sess > maxSessions {
+				return nil, fmt.Errorf("history: line %d: implausible session %d", line, sess)
 			}
 			start, err := strconv.ParseInt(fields[3], 10, 64)
 			if err != nil {

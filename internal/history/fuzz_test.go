@@ -37,29 +37,33 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		[]byte("garbage that is neither json nor a history\n"),
 		[]byte("{\"mtc\":\"history\",\"version\":1,\"sessions\":-5}\n"),
 	)
+	for _, doc := range hostileSessionDocs {
+		seeds = append(seeds, []byte(doc))
+	}
 	return seeds
 }
 
 // FuzzStreamReader drives the NDJSON incremental decoder with arbitrary
 // bytes: any input must either stream a structurally valid history or
 // return an error — never panic, never hand back a Txn that breaks the
-// builder's invariants.
+// builder's invariants — and, transaction for transaction and error
+// byte for error byte, must read exactly as it does through the
+// reference reader that knows only encoding/json; every line is held to
+// the scanner's contract on its own as well.
 func FuzzStreamReader(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := NewStreamReader(bytes.NewReader(data))
-		if err != nil {
-			return
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			checkAgainstReference(t, bytes.TrimRight(line, "\r"))
 		}
-		for {
-			if _, err := sr.Next(); err != nil {
-				if err != io.EOF {
-					return // malformed record surfaced as an error: fine
-				}
-				break
-			}
+		got, ref := runStream(data), referenceStream(data)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("reader diverged from the encoding/json reference:\n got %+v\nwant %+v", got, ref)
+		}
+		if got.Err != "" {
+			return // malformed input surfaced as an error: fine
 		}
 		// The stream decoded fully; the assembled history must be
 		// structurally well-formed.

@@ -58,7 +58,6 @@ const (
 // itself runs dry.
 const (
 	mtcbMaxKeyLen   = 1 << 20 // longest key accepted, bytes
-	mtcbMaxSessions = 1 << 20 // highest session number accepted
 	mtcbMaxOps      = 1 << 24 // most operations accepted in one transaction
 	mtcbOpsPrealloc = 1 << 12 // ops preallocated before trusting a declared count
 )
@@ -244,7 +243,7 @@ type BinaryReader struct {
 	next     int
 	nextOff  int // ops consumed so far (opIDs cursor)
 	hasInit  bool
-	done     bool
+	err      error // the first error, io.EOF included: terminal
 
 	arena   *IngestArena
 	collect bool
@@ -289,7 +288,7 @@ func newBinaryReader(r io.Reader, arena *IngestArena) (*BinaryReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("history: mtcb: truncated header: %w", err)
 	}
-	if declared > mtcbMaxSessions {
+	if declared > maxSessions {
 		return nil, fmt.Errorf("history: mtcb: implausible session count %d", declared)
 	}
 	sr.declared = int(declared)
@@ -346,11 +345,18 @@ func (r *BinaryReader) NumTxns() int { return r.next }
 
 // Next returns the next transaction in stream order, or io.EOF once the
 // end-of-stream record has been consumed. EOF on the underlying reader
-// before that record is a truncated document and fails loudly.
+// before that record is a truncated document and fails loudly. The
+// first error is terminal (see TxnStream).
 func (r *BinaryReader) Next() (Txn, error) {
-	if r.done {
-		return Txn{}, io.EOF
+	if r.err != nil {
+		return Txn{}, r.err
 	}
+	t, err := r.read()
+	r.err = err
+	return t, err
+}
+
+func (r *BinaryReader) read() (Txn, error) {
 	for {
 		tag, err := r.br.ReadByte()
 		if err != nil {
@@ -361,7 +367,6 @@ func (r *BinaryReader) Next() (Txn, error) {
 		}
 		switch tag {
 		case mtcbTagEnd:
-			r.done = true
 			return Txn{}, io.EOF
 		case mtcbTagKey:
 			if err := r.readKeyDef(); err != nil {
@@ -381,7 +386,7 @@ func (r *BinaryReader) readTxn() (Txn, error) {
 	if err != nil {
 		return Txn{}, r.truncated(err)
 	}
-	if sess < -1 || sess > mtcbMaxSessions {
+	if sess < -1 || sess > maxSessions {
 		return Txn{}, fmt.Errorf("history: mtcb: txn %d: implausible session %d", r.next, sess)
 	}
 	if sess == -1 && r.next != 0 {
@@ -541,13 +546,14 @@ func remapColumn(ids []KeyID, remap []KeyID) {
 	}
 }
 
-// IngestArena amortizes the decode allocations of many small MTCB
-// frames feeding one long-lived consumer — an mtcserve streaming
-// session. Key strings intern once per session instead of once per
-// frame, and Op slices are carved from append-only chunks instead of
-// one make per transaction. Handing arena-backed transactions to
-// core.Incremental is safe because Add never retains the Ops slice (it
-// copies what it keeps); the chunks die with the session.
+// IngestArena amortizes the decode allocations of a long transaction
+// stream feeding one consumer — the MTCB frames of an mtcserve streaming
+// session, the lines of an NDJSON StreamReader. Key strings intern once
+// per stream instead of once per frame or operation, and Op slices are
+// carved from append-only chunks instead of one make per transaction.
+// Chunks are never reused, so a consumer may keep a decoded transaction
+// (ReadNDJSON does); one that does not (core.Incremental.Add copies what
+// it keeps) lets each chunk die with its last transaction.
 type IngestArena struct {
 	it   *Interner
 	free []Op
@@ -562,23 +568,58 @@ const ingestArenaChunk = 4096
 // alloc returns an n-op slice from the current chunk, cutting a fresh
 // chunk when it runs dry. The capacity is clipped so callers cannot
 // append into a neighbor's ops.
+func (a *IngestArena) alloc(n int) []Op {
+	out := a.reserve(n)
+	a.commit(n)
+	return out
+}
+
+// reserve is alloc without the hand-over: the caller fills the slice
+// and then either keeps it (commit) or walks away, leaving the chunk as
+// it was — how scanTxn parses straight into the arena before it knows
+// whether the line is one it decodes.
 //
 //mtc:hotpath — one chunk allocation per 4096 decoded ops
-func (a *IngestArena) alloc(n int) []Op {
+func (a *IngestArena) reserve(n int) []Op {
+	if n >= ingestArenaChunk {
+		return make([]Op, n) //mtc:alloc-ok oversized transactions get their own slice
+	}
 	if n > len(a.free) {
-		if n >= ingestArenaChunk {
-			return make([]Op, n) //mtc:alloc-ok oversized transactions get their own slice
-		}
 		a.free = make([]Op, ingestArenaChunk) //mtc:alloc-ok the amortized chunk cut
 	}
-	out := a.free[:n:n]
-	a.free = a.free[n:]
-	return out
+	return a.free[:n:n]
+}
+
+// commit hands over the n ops last reserved.
+func (a *IngestArena) commit(n int) {
+	if n < ingestArenaChunk {
+		a.free = a.free[n:]
+	}
 }
 
 // internKey returns the canonical session-wide string for k, letting
 // each frame's key-table copies be collected after decode.
 func (a *IngestArena) internKey(k Key) Key { return a.it.Name(a.it.Intern(k)) }
+
+// ingestArenaMaxKeys bounds the table internBytes fills: past it the
+// table is dropped and restarted, so a stream over an ever-fresh key
+// space holds O(window) keys, not O(stream).
+const ingestArenaMaxKeys = 1 << 16
+
+// internBytes is internKey for a key still sitting in the input buffer:
+// a known key costs one map probe and no allocation. The table is a
+// cache — strings already handed out stay valid when it restarts.
+//
+//mtc:hotpath — one string allocation per distinct key, none per op
+func (a *IngestArena) internBytes(b []byte) Key {
+	if id, ok := a.it.ids[Key(b)]; ok { // the conversion does not allocate in a map index
+		return a.it.Name(id)
+	}
+	if a.it.Len() >= ingestArenaMaxKeys {
+		a.it = NewInterner() //mtc:alloc-ok once per 65536 first-seen keys
+	}
+	return a.internKey(Key(b)) //mtc:alloc-ok the first sight of a key
+}
 
 // NumKeys returns the number of distinct keys interned so far.
 func (a *IngestArena) NumKeys() int { return a.it.Len() }

@@ -181,6 +181,35 @@ func TestMTCBRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestMTCBErrorIsTerminal: after a corrupt record the reader stays
+// failed, even though the bytes behind it are a well-formed transaction
+// record and end-of-stream marker it could resynchronise on.
+func TestMTCBErrorIsTerminal(t *testing.T) {
+	txn := []byte{0x01, 0, 0, 0, 1, 0} // session 0, no stamps, committed, no ops
+	doc := append([]byte{'M', 'T', 'C', 'B', 1, 0, 0}, txn...)
+	doc = append(doc, 0x7f) // unknown tag
+	doc = append(append(doc, txn...), 0x00)
+	br, err := NewBinaryReader(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.Next(); err != nil {
+		t.Fatalf("first record: %v", err)
+	}
+	_, first := br.Next()
+	if first == nil || first == io.EOF {
+		t.Fatalf("unknown tag: got %v", first)
+	}
+	for i := 0; i < 3; i++ {
+		if txn, err := br.Next(); err != first {
+			t.Fatalf("call %d after the error: (%v, %v), want the same error again", i, txn, err)
+		}
+	}
+	if br.NumTxns() != 1 {
+		t.Fatalf("NumTxns = %d after resynchronising, want 1", br.NumTxns())
+	}
+}
+
 // TestMTCBGzipTransparent: BinaryReader sniffs gzip on its own, like
 // StreamReader and ReadAuto.
 func TestMTCBGzipTransparent(t *testing.T) {

@@ -96,23 +96,34 @@ func WriteNDJSON(w io.Writer, h *History) error {
 // magic bytes, like ReadAuto). Session lists and the init flag are
 // accumulated as the stream is consumed, so a complete read can
 // reassemble the History without a second pass.
+//
+// Lines in the canonical spelling (what StreamWriter emits) are decoded
+// in place by scanTxn into the reader's arena; any other line goes
+// through encoding/json with unknown fields disallowed.
 type StreamReader struct {
 	br       *bufio.Reader
+	spill    []byte // reused across the lines too long for br's buffer
+	arena    *IngestArena
 	line     int
 	next     int
 	hasInit  bool
 	declared int
-	done     bool
+	err      error // the first error, io.EOF included: terminal
 }
+
+// ndjsonReadBuf sizes the line buffer: records are scanned where
+// ReadSlice finds them, so it bounds the longest line that needs no
+// copy (a 2 000-op init record is ~60 KB).
+const ndjsonReadBuf = 64 << 10
 
 // NewStreamReader validates the header line and positions the reader at
 // the first transaction record.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br, err := gunzip(bufio.NewReader(r), "history: ndjson")
+	br, err := gunzip(bufio.NewReaderSize(r, ndjsonReadBuf), "history: ndjson")
 	if err != nil {
 		return nil, err
 	}
-	sr := &StreamReader{br: br}
+	sr := &StreamReader{br: br, arena: NewIngestArena()}
 	header, err := sr.readLine()
 	if err != nil {
 		return nil, fmt.Errorf("history: ndjson: missing header: %w", err)
@@ -128,6 +139,9 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if hdr.Version != 1 {
 		return nil, fmt.Errorf("history: ndjson: unsupported version %d", hdr.Version)
 	}
+	if hdr.Sessions < 0 || hdr.Sessions > maxSessions {
+		return nil, fmt.Errorf("history: ndjson: implausible session count %d", hdr.Sessions)
+	}
 	sr.declared = hdr.Sessions
 	return sr, nil
 }
@@ -137,10 +151,18 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 func (sr *StreamReader) DeclaredSessions() int { return sr.declared }
 
 // readLine returns the next newline-terminated line without the
-// terminator. A final line with data but no terminator is a truncated
-// record and is rejected rather than parsed.
+// terminator, valid until the next call. A final line with data but no
+// terminator is a truncated record and is rejected rather than parsed.
 func (sr *StreamReader) readLine() ([]byte, error) {
-	line, err := sr.br.ReadBytes('\n')
+	line, err := sr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		sr.spill = append(sr.spill[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = sr.br.ReadSlice('\n')
+			sr.spill = append(sr.spill, line...)
+		}
+		line = sr.spill
+	}
 	if err == io.EOF {
 		if len(line) > 0 {
 			return nil, fmt.Errorf("history: ndjson: truncated record at line %d", sr.line+1)
@@ -157,45 +179,61 @@ func (sr *StreamReader) readLine() ([]byte, error) {
 // Next returns the next transaction in stream order, or io.EOF when the
 // document is exhausted cleanly. Records must carry dense in-order IDs;
 // a session of -1 marks the init transaction and is only legal first.
+// The first error is terminal (see TxnStream).
 func (sr *StreamReader) Next() (Txn, error) {
-	if sr.done {
-		return Txn{}, io.EOF
+	if sr.err != nil {
+		return Txn{}, sr.err
 	}
-	var raw []byte
+	t, err := sr.read()
+	sr.err = err
+	return t, err
+}
+
+func (sr *StreamReader) read() (Txn, error) {
 	for {
 		line, err := sr.readLine()
-		if err == io.EOF {
-			sr.done = true
-			return Txn{}, io.EOF
-		}
 		if err != nil {
 			return Txn{}, err
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue // blank separator lines are tolerated
+		t, ok := scanTxn(line, sr.arena)
+		if !ok {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue // blank separator lines are tolerated
+			}
+			if t, err = sr.decode(line); err != nil {
+				return Txn{}, err
+			}
 		}
-		raw = line
-		break
+		if t.ID != sr.next {
+			return Txn{}, fmt.Errorf("history: ndjson: line %d: txn id %d out of order (want %d)", sr.line, t.ID, sr.next)
+		}
+		if t.Session > maxSessions {
+			return Txn{}, fmt.Errorf("history: ndjson: line %d: implausible session %d", sr.line, t.Session)
+		}
+		if t.Session < 0 {
+			if t.ID != 0 {
+				return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
+			}
+			sr.hasInit = true
+		}
+		sr.next++
+		return t, nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
+}
+
+// decode is the encoding/json route for a line scanTxn declined. Its
+// Txn lives here, not in read, so only this route pays for the value
+// reflection makes escape.
+func (sr *StreamReader) decode(line []byte) (Txn, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var t Txn
-	if err := dec.Decode(&t); err != nil {
+	if err := dec.Decode(t.fields()); err != nil {
 		return Txn{}, fmt.Errorf("history: ndjson: line %d: %w", sr.line, err)
 	}
 	if dec.More() {
 		return Txn{}, fmt.Errorf("history: ndjson: line %d: trailing data after record", sr.line)
 	}
-	if t.ID != sr.next {
-		return Txn{}, fmt.Errorf("history: ndjson: line %d: txn id %d out of order (want %d)", sr.line, t.ID, sr.next)
-	}
-	if t.Session < 0 {
-		if t.ID != 0 {
-			return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
-		}
-		sr.hasInit = true
-	}
-	sr.next++
 	return t, nil
 }
 
