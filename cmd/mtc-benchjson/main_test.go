@@ -1,10 +1,12 @@
 package main
 
 import (
-	"encoding/json"
-	"io"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -44,272 +46,152 @@ func TestParseBenches(t *testing.T) {
 	}
 }
 
-// TestAppendRoundTrip appends two snapshots to a fresh NDJSON history
-// and reads them back, checking nothing is lost or reordered.
-func TestAppendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.ndjson")
-	benches, err := parseBenches(strings.NewReader(benchOutput))
+// run100 is a run of two benchmarks, A at ns/allocs and B at 100/100.
+func run100(ns, allocs float64) []Bench {
+	return []Bench{
+		{Name: "BenchmarkA", Unit: "ns/op", Value: ns},
+		{Name: "BenchmarkA/allocs", Unit: "allocs/op", Value: allocs},
+		{Name: "BenchmarkB", Unit: "ns/op", Value: 100},
+		{Name: "BenchmarkB/allocs", Unit: "allocs/op", Value: 100},
+	}
+}
+
+// TestCompareBaselineAllocHint holds the alloc rows to the 5% tolerance
+// and checks that a trip prints the hint pointing at mtc-lint's
+// //mtc:hotpath machinery — and that a breached ratio, which says
+// nothing about allocation annotations, does not.
+func TestCompareBaselineAllocHint(t *testing.T) {
+	base := Baseline{
+		Benches: []Bench{{Name: "BenchmarkA/allocs", Unit: "allocs/op", Value: 100}},
+		Ratios:  []Ratio{{Num: "BenchmarkA", Den: "BenchmarkB", Unit: "ns/op", Max: 2, Why: "w"}},
+	}
+	gate := func(cur []Bench) (string, error) {
+		var out strings.Builder
+		err := base.gate(&out, cur, 1)
+		return out.String(), err
+	}
+	if out, err := gate(run100(100, 104)); err != nil || strings.Contains(out, "mtc:hotpath") {
+		t.Fatalf("+4%% allocs: err %v\n%s", err, out)
+	}
+	out, err := gate(run100(100, 106))
+	if err == nil || !strings.Contains(out, "REGRESS") {
+		t.Fatalf("+6%% allocs passed the gate:\n%s", out)
+	}
+	if !strings.Contains(out, "mtc:hotpath") || !strings.Contains(out, "cmd/mtc-lint") {
+		t.Fatalf("allocs regression did not print the mtc-lint hint:\n%s", out)
+	}
+	out, err = gate(run100(300, 100))
+	if err == nil || strings.Contains(out, "mtc:hotpath") {
+		t.Fatalf("breached ratio alone: err %v\n%s", err, out)
+	}
+	// A zero-alloc row that starts allocating has no percentage; it trips.
+	base.Benches[0].Value = 0
+	if out, err := gate(run100(100, 1)); err == nil {
+		t.Fatalf("0 -> 1 allocs passed:\n%s", out)
+	}
+	// A run without -benchmem has no allocs rows at all.
+	out, err = gate(run100(100, 100)[2:3])
+	if err == nil || strings.Count(out, "MISSING") != 2 || !strings.Contains(err.Error(), "2 missing") {
+		t.Fatalf("missing row and operand: err %v\n%s", err, out)
+	}
+}
+
+// TestCompareRatios walks the same-run ratio bars: A/B with B fixed at
+// 100 in both units.
+func TestCompareRatios(t *testing.T) {
+	cpus := runtime.NumCPU()
+	cases := []struct {
+		name   string
+		ratio  Ratio
+		ns     float64 // BenchmarkA ns/op
+		allocs float64 // BenchmarkA allocs/op
+		fails  bool
+		prints string
+	}{
+		{name: "max held", ratio: Ratio{Unit: "ns/op", Max: 1.5}, ns: 149, prints: "ok "},
+		{name: "max breached", ratio: Ratio{Unit: "ns/op", Max: 1.5}, ns: 150, fails: true, prints: "BREACH"},
+		{name: "min held", ratio: Ratio{Unit: "ns/op", Min: 2}, ns: 200, prints: "ok "},
+		{name: "min breached", ratio: Ratio{Unit: "ns/op", Min: 2}, ns: 199, fails: true, prints: "BREACH"},
+		{name: "allocs unit reads the allocs rows", ratio: Ratio{Unit: "allocs/op", Min: 10}, ns: 1, allocs: 1000, prints: "= 10.00 allocs/op"},
+		{name: "allocs unit breached", ratio: Ratio{Unit: "allocs/op", Min: 10}, ns: 5000, allocs: 900, fails: true, prints: "BREACH"},
+		{name: "enough cpus asserts", ratio: Ratio{Unit: "ns/op", Min: 2, MinCPUs: cpus}, ns: 100, fails: true, prints: "BREACH"},
+		{name: "too few cpus skips", ratio: Ratio{Unit: "ns/op", Min: 2, MinCPUs: cpus + 1}, ns: 100, prints: "not asserted"},
+	}
+	for _, tc := range cases {
+		tc.ratio.Num, tc.ratio.Den, tc.ratio.Why = "BenchmarkA", "BenchmarkB", "because"
+		var out strings.Builder
+		err := Baseline{Ratios: []Ratio{tc.ratio}}.gate(&out, run100(tc.ns, tc.allocs), cpus)
+		if (err != nil) != tc.fails || !strings.Contains(out.String(), tc.prints) || !strings.Contains(out.String(), "because") {
+			t.Errorf("%s: err %v, want failure %v and %q in:\n%s", tc.name, err, tc.fails, tc.prints, out.String())
+		}
+	}
+	// A missing operand fails even when the bar would be skipped.
+	var out strings.Builder
+	skipped := Ratio{Num: "BenchmarkA", Den: "BenchmarkGone", Unit: "ns/op", Min: 2, MinCPUs: cpus + 1}
+	if err := (Baseline{Ratios: []Ratio{skipped}}).gate(&out, run100(100, 100), cpus); err == nil ||
+		!strings.Contains(out.String(), "MISSING  BenchmarkGone") {
+		t.Errorf("missing operand: err %v\n%s", err, out.String())
+	}
+}
+
+// TestLoadBaselineRefuses keeps the table to what the gate enforces.
+func TestLoadBaselineRefuses(t *testing.T) {
+	for name, doc := range map[string]string{
+		"a host-dependent row": `{"benches":[{"name":"BenchmarkA","value":5,"unit":"ns/op"}]}`,
+		"both bounds":          `{"ratios":[{"num":"A","den":"B","unit":"ns/op","min":1,"max":2}]}`,
+		"no bound":             `{"ratios":[{"num":"A","den":"B","unit":"ns/op"}]}`,
+		"an unknown unit":      `{"ratios":[{"num":"A","den":"B","unit":"s/op","min":1}]}`,
+		"an empty table":       `{}`,
+		"malformed JSON":       `{`,
+	} {
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadBaseline(path); err == nil {
+			t.Errorf("baseline with %s loaded", name)
+		}
+	}
+}
+
+// TestCommittedBaselineNamesExist fails when a row or ratio operand of
+// bench/baseline.json names a benchmark the root package no longer
+// declares, so a rename is caught by `go test ./...` and not first by
+// the CI bench leg.
+func TestCommittedBaselineNamesExist(t *testing.T) {
+	base, err := loadBaseline("../../bench/baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := []Snapshot{
-		{Date: "2026-08-07T00:00:00Z", Commit: "aaaa", Tool: "go", Benches: benches},
-		{Date: "2026-08-08T00:00:00Z", Commit: "bbbb", Tool: "go", Benches: benches[:2]},
+	if len(base.Benches) != 19 || len(base.Ratios) != 5 {
+		t.Errorf("baseline has %d rows and %d ratios, want 19 and 5", len(base.Benches), len(base.Ratios))
 	}
-	for i, s := range runs {
-		n, err := appendSnapshot(path, s)
+	files, err := filepath.Glob("../../*bench_test.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no root bench files: %v", err)
+	}
+	declared := map[string]bool{}
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
 		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if n != i+1 {
-			t.Fatalf("append %d reported run %d", i, n)
-		}
-	}
-	got, err := readSnapshots(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(runs) {
-		t.Fatalf("read back %d snapshots, want %d", len(got), len(runs))
-	}
-	for i := range runs {
-		if got[i].Commit != runs[i].Commit || got[i].Date != runs[i].Date {
-			t.Fatalf("snapshot %d header drifted: %+v", i, got[i])
-		}
-		if len(got[i].Benches) != len(runs[i].Benches) {
-			t.Fatalf("snapshot %d has %d benches, want %d", i, len(got[i].Benches), len(runs[i].Benches))
-		}
-		for j, b := range runs[i].Benches {
-			if got[i].Benches[j] != b {
-				t.Fatalf("snapshot %d bench %d: got %+v want %+v", i, j, got[i].Benches[j], b)
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
 			}
 		}
 	}
-	// A missing file is an empty history, not an error.
-	empty, err := readSnapshots(filepath.Join(t.TempDir(), "absent.ndjson"))
-	if err != nil || empty != nil {
-		t.Fatalf("missing file: %v %v", empty, err)
+	var names []string
+	for _, b := range base.Benches {
+		names = append(names, b.Name)
 	}
-}
-
-// TestAppendAtomic pins the temp-file + rename discipline: appends
-// leave no temp droppings behind, and an append refused because the
-// existing history is corrupt leaves the file byte-identical (the
-// rewrite must never destroy the log it could not parse).
-func TestAppendAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "history.ndjson")
-	snap := Snapshot{Date: "2026-08-07T00:00:00Z", Commit: "aaaa", Tool: "go",
-		Benches: []Bench{{Name: "BenchmarkX", Unit: "ns/op", Value: 100}}}
-	for i := 0; i < 3; i++ {
-		if _, err := appendSnapshot(path, snap); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	for _, r := range base.Ratios {
+		names = append(names, r.Num, r.Den)
+	}
+	for _, name := range names {
+		if fn, _, _ := strings.Cut(name, "/"); !declared[fn] {
+			t.Errorf("bench/baseline.json names %s, which no root *bench_test.go declares", name)
 		}
-	}
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0].Name() != "history.ndjson" {
-		t.Fatalf("append left temp files behind: %v", names)
-	}
-
-	// Corrupt history: the append must fail without touching the file.
-	bad := filepath.Join(dir, "bad.ndjson")
-	if err := os.WriteFile(bad, []byte("{not json}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := appendSnapshot(bad, snap); err == nil {
-		t.Fatal("append to a corrupt history succeeded")
-	}
-	raw, err := os.ReadFile(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != "{not json}\n" {
-		t.Fatalf("failed append modified the corrupt history: %q", raw)
-	}
-}
-
-// trendSnaps builds a history whose BenchmarkLeak ns/op series follows
-// vals, with a stable control series alongside.
-func trendSnaps(vals ...float64) []Snapshot {
-	snaps := make([]Snapshot, len(vals))
-	for i, v := range vals {
-		snaps[i] = Snapshot{
-			Date: "2026-08-07T00:00:00Z", Commit: "c", Tool: "go",
-			Benches: []Bench{
-				{Name: "BenchmarkLeak", Unit: "ns/op", Value: v},
-				{Name: "BenchmarkSteady", Unit: "ns/op", Value: 500},
-				{Name: "BenchmarkLeak/alloc", Unit: "B/op", Value: v}, // not gated
-			},
-		}
-	}
-	return snaps
-}
-
-// TestTrendGate covers the slow-leak gate: a strictly monotone rise
-// over the window trips it, a plateau or dip resets it, short histories
-// and series absent from part of the window are skipped.
-func TestTrendGate(t *testing.T) {
-	// Each step is +5% — inside any per-run tolerance, but monotone.
-	if err := checkTrend(trendSnaps(100, 105, 110, 116), 4); err == nil {
-		t.Fatal("monotone ns/op staircase passed the trend gate")
-	} else if !strings.Contains(err.Error(), "1 benchmark series") {
-		t.Fatalf("trend error does not count the series: %v", err)
-	}
-	// Only the last K runs matter: an old staircase outside the window
-	// is forgiven once the latest run dips.
-	if err := checkTrend(trendSnaps(100, 105, 110, 116, 90), 4); err != nil {
-		t.Fatalf("dip in the window still tripped: %v", err)
-	}
-	// A plateau is not a degradation (equal values break strictness).
-	if err := checkTrend(trendSnaps(100, 105, 105, 116), 4); err != nil {
-		t.Fatalf("plateau tripped the gate: %v", err)
-	}
-	// Too little history: pass, never fail a young repo.
-	if err := checkTrend(trendSnaps(100, 105), 4); err != nil {
-		t.Fatalf("short history tripped: %v", err)
-	}
-	// allocs/op is gated too.
-	snaps := trendSnaps(100, 100, 100, 100)
-	for i := range snaps {
-		snaps[i].Benches = append(snaps[i].Benches,
-			Bench{Name: "BenchmarkLeak/allocs", Unit: "allocs/op", Value: float64(i + 1)})
-	}
-	if err := checkTrend(snaps, 4); err == nil {
-		t.Fatal("monotone allocs/op staircase passed")
-	}
-	// A series missing from one run of the window is not comparable and
-	// must not trip (nor crash) the gate.
-	snaps = trendSnaps(100, 105, 110, 116)
-	snaps[1].Benches = snaps[1].Benches[1:] // drop BenchmarkLeak from run 2
-	if err := checkTrend(snaps, 4); err != nil {
-		t.Fatalf("partially-present series tripped: %v", err)
-	}
-	// Degenerate window sizes are usage errors, not silent passes.
-	if err := checkTrend(trendSnaps(100, 105), 1); err == nil {
-		t.Fatal("-trend 1 accepted")
-	}
-}
-
-// TestRenderDashboard renders a small history and checks the data.js
-// payload parses back into the github-action-benchmark shape and the
-// static index is self-contained.
-func TestRenderDashboard(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "dev", "bench")
-	snaps := []Snapshot{
-		{Date: "2026-08-06T10:00:00Z", Commit: "aaaa", Tool: "go",
-			Benches: []Bench{{Name: "BenchmarkX", Unit: "ns/op", Value: 100, Extra: "24 times"}}},
-		{Date: "2026-08-07T10:00:00Z", Commit: "bbbb", Tool: "go",
-			Benches: []Bench{{Name: "BenchmarkX", Unit: "ns/op", Value: 90}}},
-	}
-	if err := renderDashboard(dir, snaps); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "data.js"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const prefix = "window.BENCHMARK_DATA = "
-	if !strings.HasPrefix(string(raw), prefix) {
-		t.Fatalf("data.js does not assign window.BENCHMARK_DATA: %.60q", raw)
-	}
-	var data chartData
-	if err := json.Unmarshal(raw[len(prefix):], &data); err != nil {
-		t.Fatalf("data.js payload is not JSON: %v", err)
-	}
-	entries := data.Entries["Go Benchmark"]
-	if len(entries) != 2 {
-		t.Fatalf("entries: %+v", data.Entries)
-	}
-	if entries[0].Commit.ID != "aaaa" || entries[1].Commit.ID != "bbbb" {
-		t.Fatalf("commit ids drifted: %+v", entries)
-	}
-	if entries[0].Tool != "go" || entries[0].Date == 0 || entries[1].Date <= entries[0].Date {
-		t.Fatalf("entry headers: %+v", entries)
-	}
-	if data.LastUpdate != entries[1].Date {
-		t.Fatalf("lastUpdate %d, want %d", data.LastUpdate, entries[1].Date)
-	}
-	if len(entries[0].Benches) != 1 || entries[0].Benches[0] != snaps[0].Benches[0] {
-		t.Fatalf("benches drifted: %+v", entries[0].Benches)
-	}
-	html, err := os.ReadFile(filepath.Join(dir, "index.html"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := string(html)
-	if !strings.Contains(page, `src="data.js"`) || !strings.Contains(page, "BENCHMARK_DATA") {
-		t.Fatal("index.html does not load data.js")
-	}
-	if strings.Contains(page, "https://cdn") || strings.Contains(page, "http://cdn") {
-		t.Fatal("index.html pulls from a CDN; the artifact must be self-contained")
-	}
-	// Empty history: refuse rather than render a blank dashboard.
-	if err := renderDashboard(t.TempDir(), nil); err == nil {
-		t.Fatal("empty history rendered")
-	}
-}
-
-// compareStderr runs compareBaseline with stderr captured, returning
-// the gate's error and everything it printed there.
-func compareStderr(t *testing.T, base Snapshot, cur Snapshot) (error, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	raw, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stderr
-	os.Stderr = w
-	gateErr := compareBaseline(path, cur, 0.25, 0.05)
-	os.Stderr = old
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gateErr, string(out)
-}
-
-// TestCompareBaselineAllocHint checks that an allocs/op regression
-// prints the source-annotation hint pointing at mtc-lint's //mtc:hotpath
-// machinery, and that a pure ns/op regression does not (timing noise
-// has nothing to do with allocation annotations).
-func TestCompareBaselineAllocHint(t *testing.T) {
-	base := Snapshot{Benches: []Bench{
-		{Name: "BenchmarkBatchSER10k", Unit: "ns/op", Value: 1000},
-		{Name: "BenchmarkBatchSER10k/allocs", Unit: "allocs/op", Value: 9},
-	}}
-	regressed := Snapshot{Benches: []Bench{
-		{Name: "BenchmarkBatchSER10k", Unit: "ns/op", Value: 1000},
-		{Name: "BenchmarkBatchSER10k/allocs", Unit: "allocs/op", Value: 40},
-	}}
-	err, stderr := compareStderr(t, base, regressed)
-	if err == nil {
-		t.Fatal("allocs/op regression passed the gate")
-	}
-	if !strings.Contains(stderr, "mtc:hotpath") || !strings.Contains(stderr, "cmd/mtc-lint") {
-		t.Fatalf("allocs regression did not print the mtc-lint hint:\n%s", stderr)
-	}
-
-	slow := Snapshot{Benches: []Bench{
-		{Name: "BenchmarkBatchSER10k", Unit: "ns/op", Value: 9000},
-		{Name: "BenchmarkBatchSER10k/allocs", Unit: "allocs/op", Value: 9},
-	}}
-	err, stderr = compareStderr(t, base, slow)
-	if err == nil {
-		t.Fatal("ns/op regression passed the gate")
-	}
-	if strings.Contains(stderr, "mtc:hotpath") {
-		t.Fatalf("ns/op-only regression printed the allocation hint:\n%s", stderr)
 	}
 }

@@ -3,13 +3,13 @@
 // interface (name, supported isolation levels, a context-aware Check
 // entry point over *history.History), a Report type normalising the
 // engines' disparate report structs into a wire-serializable verdict
-// with structured counterexamples, and a Registry. The five engines —
-// the paper's linear-time MTC algorithms, the incremental online
-// variant, the Cobra and PolySI polygraph baselines, Elle's register
-// mode, and Porcupine over the lightweight-transaction path — register
-// themselves in the default registry, so cmd/mtc, cmd/mtc-serve and
-// internal/bench select engines by name instead of hard-coding entry
-// points.
+// with structured counterexamples, and a Registry. The engines — the
+// paper's linear-time MTC algorithms, the incremental online variant,
+// the Cobra and PolySI polygraph baselines, Elle's register mode,
+// Porcupine over the lightweight-transaction path, and the weak-level
+// lattice (rc, ra, causal, profile) — register themselves in the
+// default registry, so cmd/mtc, cmd/mtc-serve and internal/bench select
+// engines by name instead of hard-coding entry points.
 //
 // Check separates three outcomes: a Report (the history satisfies or
 // violates the level, with counterexamples), an UnsupportedHistoryError

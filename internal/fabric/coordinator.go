@@ -121,7 +121,7 @@ type fabJob struct {
 	engine string
 	opts   checker.Options
 	txns   int
-	p      *shard.Partition
+	p      *shard.Partition // nil once the job is terminal
 	comps  []compState
 	// enc lazily caches the MTCB encoding of each component, filled on
 	// the first pull and reused verbatim by every later dispatch
@@ -239,6 +239,9 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			if j != nil {
 				return fmt.Errorf("fabric: wal: duplicate job record %q", rec.Job)
 			}
+			if rec.Job == "" {
+				return fmt.Errorf("fabric: wal: job record with an empty id")
+			}
 			if rec.History == nil {
 				return fmt.Errorf("fabric: wal: job %q has no history", rec.Job)
 			}
@@ -322,7 +325,9 @@ func (c *Coordinator) insertJob(id, engine string, h *history.History, opts chec
 	return j
 }
 
-// terminate moves a job to a terminal state (idempotent).
+// terminate moves a job to a terminal state (idempotent) and releases
+// its split history and cached encodings: only dispatch and the fold
+// read them, and neither happens to a terminal job.
 func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report, errMsg string) {
 	if j.state != JobPending {
 		return
@@ -330,6 +335,7 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 	j.state = state
 	j.report = report
 	j.errMsg = errMsg
+	j.p, j.enc = nil, nil
 	c.dropJobTasks(j)
 	close(j.done)
 }

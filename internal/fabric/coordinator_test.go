@@ -510,6 +510,101 @@ func TestFabricCancelDurable(t *testing.T) {
 	}
 }
 
+// TestFabricTerminalJobReleasesPlan: once a job folds or is cancelled
+// the coordinator holds neither its split history nor its encoded
+// components, and nothing that can still arrive for it — status reads,
+// a straggler's result, a pull, a restart — needs them.
+func TestFabricTerminalJobReleasesPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	clk := newFakeClock()
+	c := openTestCoord(t, path, clk)
+	released := func(c *Coordinator, id string) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.jobs[id].p == nil && c.jobs[id].enc == nil
+	}
+	status := func(id string) api.FabricJobStatus {
+		for _, j := range c.Status().Jobs {
+			if j.ID == id {
+				return j
+			}
+		}
+		t.Fatalf("job %s not in status", id)
+		return api.FabricJobStatus{}
+	}
+	w1 := c.Register(api.WorkerHello{})
+	if err := c.Submit("j1", "mtc", tenantHistory(3, 4), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	late, err := c.Pull(w1.ID)
+	if err != nil || late == nil {
+		t.Fatalf("pull: task=%v err=%v", late, err)
+	}
+	if released(c, "j1") {
+		t.Fatal("pending job already lost its plan")
+	}
+	// w1 goes silent holding one component; w2 finishes the job.
+	clk.Advance(time.Second)
+	w2 := c.Register(api.WorkerHello{})
+	if n := drain(t, c, w2.ID); n != 3 {
+		t.Fatalf("survivor completed %d components, want 3", n)
+	}
+	if !released(c, "j1") {
+		t.Fatal("folded job still holds its partition or encoded components")
+	}
+	if st := status("j1"); st.State != JobDone || st.Components != 3 || st.Done != 3 {
+		t.Fatalf("status after release: %+v", st)
+	}
+	if accepted, err := c.PushResult(w1.ID, runTask(t, late)); accepted || err != nil {
+		t.Fatalf("straggler after the fold: accepted=%v err=%v", accepted, err)
+	}
+	if task, err := c.Pull(w2.ID); task != nil || err != nil {
+		t.Fatalf("pull after the fold: task=%+v err=%v", task, err)
+	}
+
+	if err := c.Submit("j2", "mtc", tenantHistory(3, 4), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	if task, err := c.Pull(w2.ID); task == nil || err != nil {
+		t.Fatalf("pull j2: task=%v err=%v", task, err)
+	}
+	c.Cancel("j2", "user gave up")
+	if !released(c, "j2") {
+		t.Fatal("cancelled job still holds its partition or encoded components")
+	}
+	if st := status("j2"); st.State != JobFailed || st.Components != 3 || st.Done != 0 {
+		t.Fatalf("status after cancel: %+v", st)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The verdict is served from the log; replay drops the plans again.
+	c2 := openTestCoord(t, path, nil)
+	defer c2.Close()
+	if rep, err := c2.Wait(context.Background(), "j1"); err != nil || !rep.OK || rep.ShardComponents != 3 {
+		t.Fatalf("verdict after restart: %+v, err %v", rep, err)
+	}
+	if !released(c2, "j1") || !released(c2, "j2") {
+		t.Fatal("replayed terminal jobs hold their partitions")
+	}
+}
+
+// TestFabricWALEmptyJobID: a job record without an id is corruption.
+// Replayed, it would become a job the server cannot number ("j<n>").
+func TestFabricWALEmptyJobID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	log := walHeader + "\n" +
+		`{"type":"job","job":"","checker":"mtc","level":"SER","history":{"sessions":[],"txns":[]},"component":0,"epoch":0}` + "\n" +
+		`{"type":"fail","job":"","component":0,"epoch":0,"error":"x"}` + "\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, Config{}); err == nil || !strings.Contains(err.Error(), "empty id") {
+		t.Fatalf("Open over a job record with an empty id: %v", err)
+	}
+}
+
 // TestFabricEngineErrorFailsJob: a worker-side engine error fails the
 // whole job, matching single-node sharded checking.
 func TestFabricEngineErrorFailsJob(t *testing.T) {

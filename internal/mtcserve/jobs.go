@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -375,8 +376,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// jobNum is the n of a "j<n>" id, 0 for any other spelling.
 func jobNum(id string) int {
-	n, _ := strconv.Atoi(id[1:])
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "j"))
 	return n
 }
 

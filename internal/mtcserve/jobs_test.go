@@ -508,3 +508,13 @@ func TestTerminalJobReleasesHistory(t *testing.T) {
 		t.Fatal("terminal job still pins its history")
 	}
 }
+
+// TestJobNumForeignIDs: ids that are not "j<n>" — a WAL can hand the
+// server any string — number as 0 instead of panicking the sort.
+func TestJobNumForeignIDs(t *testing.T) {
+	for id, want := range map[string]int{"j12": 12, "": 0, "j": 0, "x7": 0, "12": 12} {
+		if got := jobNum(id); got != want {
+			t.Errorf("jobNum(%q) = %d, want %d", id, got, want)
+		}
+	}
+}
