@@ -3,15 +3,8 @@
 // goroleak — see docs/lint.md) over the module and reports every
 // finding as file:line:col: analyzer: message.
 //
-// Standalone:
-//
 //	go run ./cmd/mtc-lint ./...            # whole module
 //	go run ./cmd/mtc-lint -mapiter=false ./internal/core
-//
-// As a vet tool (per-package, driven by the go command):
-//
-//	go build -o /tmp/mtc-lint ./cmd/mtc-lint
-//	go vet -vettool=/tmp/mtc-lint ./...
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics
 // reported — the contract the lint-analysis CI job keys off.
@@ -33,23 +26,7 @@ import (
 )
 
 func main() {
-	// The go command drives vet tools through a fixed protocol:
-	// `tool -V=full` (identify), `tool -flags` (extra flags), then
-	// `tool <pkg>.cfg` once per package. Dispatch before normal flag
-	// parsing so the protocol flags never collide with ours.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			printVersion()
-			return
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetMain(os.Args[1]))
-		}
-	}
-	os.Exit(standalone())
+	os.Exit(run())
 }
 
 // all returns the analyzer set in reporting order.
@@ -57,7 +34,9 @@ func all() []*analysis.Analyzer {
 	return []*analysis.Analyzer{ctxpoll.Analyzer, goroleak.Analyzer, hotalloc.Analyzer, mapiter.Analyzer}
 }
 
-func standalone() int {
+// run lints the packages named on the command line and returns the
+// exit status.
+func run() int {
 	fs := flag.NewFlagSet("mtc-lint", flag.ExitOnError)
 	enabled := make(map[string]*bool)
 	for _, a := range all() {

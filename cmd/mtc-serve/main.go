@@ -56,7 +56,7 @@ func main() {
 		maxJobs     = flag.Int("max-jobs", mtcserve.DefaultMaxJobs, "retained job cap (oldest finished jobs are forgotten)")
 		maxSessions = flag.Int("max-sessions", mtcserve.DefaultMaxSessions, "cap on live streaming sessions")
 		maxBody     = flag.Int64("max-body", mtcserve.DefaultMaxBodyBytes, "request body size limit in bytes")
-		parallelism = flag.Int("parallelism", 0, "default engine parallelism for jobs that do not set one (0 = GOMAXPROCS; requests are clamped to GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "server mode: default engine parallelism for jobs that do not set one (0 = GOMAXPROCS; requests are clamped to GOMAXPROCS)")
 		window      = flag.Int("window", 0, "default epoch-compaction window for streaming sessions that do not request one (0 = unbounded)")
 		sessionIdle = flag.Duration("session-idle", mtcserve.DefaultSessionIdle, "evict streaming sessions idle longer than this")
 
@@ -69,7 +69,7 @@ func main() {
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *worker {
-		runWorker(logger, *coordinator, *workerName, *parallelism)
+		runWorker(logger, *coordinator, *workerName)
 		return
 	}
 	if *coordinator != "" {
@@ -140,7 +140,7 @@ func main() {
 }
 
 // runWorker runs the fabric worker loop until SIGINT/SIGTERM.
-func runWorker(logger *slog.Logger, coordinator, name string, parallelism int) {
+func runWorker(logger *slog.Logger, coordinator, name string) {
 	if coordinator == "" {
 		logger.Error("mtc-serve: -worker requires -coordinator <url>")
 		os.Exit(2)
@@ -154,7 +154,6 @@ func runWorker(logger *slog.Logger, coordinator, name string, parallelism int) {
 	if err := fabric.RunWorker(ctx, fabric.WorkerConfig{
 		Coordinator: coordinator,
 		Name:        name,
-		Parallelism: parallelism,
 		Logger:      logger,
 	}); err != nil && !errors.Is(err, context.Canceled) {
 		logger.Error("mtc-serve: fabric worker", "err", err)

@@ -47,8 +47,8 @@ func fabricCheck(t *testing.T, c *fabric.Coordinator, workers []api.WorkerLease,
 	if err := c.Submit(jobID, name, h, checker.Options{Level: lvl}); err != nil {
 		t.Fatalf("%s/%s/%s: submit: %v", tag, name, lvl, err)
 	}
-	// Round-robin the workers over the queues until the plan drains;
-	// rotation exercises placement and stealing across all three.
+	// Round-robin the workers over the ready queue until the plan
+	// drains, so every job's components spread across all three.
 	for idle := 0; idle < len(workers); {
 		w := workers[0]
 		workers = append(workers[1:], w)

@@ -118,15 +118,6 @@ func (p *Pass) FuncAnnotated(fd *ast.FuncDecl, marker string) bool {
 	return p.Suppressed(fd.Pos(), marker)
 }
 
-// TestFile reports whether f sits in a _test.go file. The analyzers
-// skip test files: the invariants they enforce (deterministic verdicts,
-// cancellation, allocation budgets, joined goroutines) bind shipped
-// code, and `go vet -vettool` — unlike the standalone driver — loads
-// test files too.
-func (p *Pass) TestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
 // WithStack walks root in depth-first order invoking fn with each node
 // and the stack of its ancestors (outermost first, excluding n itself).
 // Returning false prunes the subtree below n.

@@ -49,9 +49,6 @@ func run(pass *analysis.Pass) error {
 	}
 	idx := indexMethods(pass)
 	for _, f := range pass.Files {
-		if pass.TestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -84,9 +81,6 @@ func indexMethods(pass *analysis.Pass) *typeIndex {
 		m[tname][field] = true
 	}
 	for _, f := range pass.Files {
-		if pass.TestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Recv == nil {

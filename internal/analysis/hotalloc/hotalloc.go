@@ -42,9 +42,6 @@ const (
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.TestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -40,9 +40,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.TestFile(f) {
-			continue
-		}
 		analysis.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {

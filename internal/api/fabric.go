@@ -15,7 +15,7 @@ import "mtc/internal/checker"
 //	POST /v1/fabric/workers/{id}/heartbeat  liveness ping -> 204
 //	POST /v1/fabric/workers/{id}/pull     claim work -> 200 FabricTask | 204
 //	POST /v1/fabric/workers/{id}/results  push a component verdict -> 200 FabricAck
-//	GET  /v1/fabric/status                workers, queues and jobs
+//	GET  /v1/fabric/status                workers, the ready queue and jobs
 
 // WorkerHello is the body of POST /v1/fabric/workers: a worker
 // announcing itself to the coordinator.
@@ -23,9 +23,6 @@ type WorkerHello struct {
 	// Name is a human-readable label for logs and the status endpoint;
 	// the coordinator's assigned ID, not the name, identifies the worker.
 	Name string `json:"name,omitempty"`
-	// Parallelism reports the engine parallelism the worker runs
-	// component checks with (informational).
-	Parallelism int `json:"parallelism,omitempty"`
 	// Codecs lists the wire codecs this worker can decode component
 	// payloads from. Every task carries FabricTask.HistoryMTCB, so a
 	// hello that does not list "mtcb" is refused with a 400: coordinator
@@ -99,9 +96,8 @@ type FabricAck struct {
 type FabricWorkerStatus struct {
 	ID   string `json:"id"`
 	Name string `json:"name,omitempty"`
-	// Queued and InFlight count the components assigned to this worker's
-	// queue and currently executing on it.
-	Queued   int `json:"queued"`
+	// InFlight counts the components dispatched to this worker and not
+	// yet answered.
 	InFlight int `json:"in_flight"`
 	// IdleMillis is how long ago the worker was last seen (heartbeat,
 	// pull or result).
@@ -125,8 +121,8 @@ type FabricJobStatus struct {
 type FabricStatus struct {
 	Workers []FabricWorkerStatus `json:"workers"`
 	Jobs    []FabricJobStatus    `json:"jobs"`
-	// Unassigned counts pending components not yet placed on any
-	// worker's queue (no live worker at submission, or a requeue after a
-	// worker death awaiting its next claimant).
+	// Unassigned counts the ready queue: pending components no worker
+	// has pulled yet, or requeued after a worker death and awaiting their
+	// next claimant.
 	Unassigned int `json:"unassigned"`
 }

@@ -17,10 +17,11 @@
 //     fresh epoch, and the epoch guard makes the verdict fold
 //     at-most-once — a straggler's late result is discarded, never
 //     folded twice;
-//   - skewed component sizes are handled by work-stealing: components
-//     are placed largest-first on the least-loaded worker queue, and an
-//     idle worker whose own queue is empty steals the largest component
-//     from the largest remaining queue.
+//   - skewed component sizes are handled by dispatch order: every
+//     pending component waits in one ready queue, largest first, and a
+//     pull takes its head — dispatch is pull-only, so an idle worker
+//     always receives the largest remaining component, which is LPT
+//     list scheduling without a placement decision to get wrong.
 //
 // The coordinator is passive: it owns no background goroutine. Liveness
 // sweeps run lazily on every worker interaction, so tests drive time
@@ -34,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -104,6 +106,18 @@ type task struct {
 	size int // transactions in the component, the skew measure
 }
 
+// before is the ready queue's total order: largest component first,
+// then job submission order, then component index.
+func (t *task) before(o *task) bool {
+	if t.size != o.size {
+		return t.size > o.size
+	}
+	if t.j.seq != o.j.seq {
+		return t.j.seq < o.j.seq
+	}
+	return t.comp < o.comp
+}
+
 // compState tracks one component of a job.
 type compState struct {
 	// epoch is the component's current dispatch epoch: bumped on every
@@ -112,12 +126,12 @@ type compState struct {
 	epoch  int
 	done   bool
 	report checker.Report
-	worker string // worker id executing the current epoch, "" if queued
 }
 
 // fabJob is one submitted fabric job.
 type fabJob struct {
 	id     string
+	seq    int // position in submission order
 	engine string
 	opts   checker.Options
 	txns   int
@@ -138,36 +152,14 @@ type fabJob struct {
 	done chan struct{}
 }
 
-// workerState is one registered worker.
+// workerState is one registered worker: its lease and the components
+// dispatched to it (requeued if it dies).
 type workerState struct {
 	id       string
 	num      int
 	name     string
-	queue    []*task          // assigned, not yet dispatched; sorted by size descending
-	inflight map[*task]string // dispatched tasks -> job id (for requeue on death)
+	inflight map[*task]struct{}
 	lastSeen time.Time
-}
-
-// load is the worker's pending volume in transactions — the placement
-// metric for least-loaded assignment.
-func (w *workerState) load() int {
-	n := 0
-	for _, t := range w.queue {
-		n += t.size
-	}
-	for t := range w.inflight {
-		n += t.size
-	}
-	return n
-}
-
-// queued is the stealable volume (in-flight work cannot be stolen).
-func (w *workerState) queued() int {
-	n := 0
-	for _, t := range w.queue {
-		n += t.size
-	}
-	return n
 }
 
 // Coordinator is the fabric's scheduling and durability core. Safe for
@@ -185,7 +177,7 @@ type Coordinator struct {
 	order      []string // submission order, for deterministic status listings
 	workers    map[string]*workerState
 	nextWorker int
-	unassigned []*task // sorted by size descending
+	ready      []*task // every component awaiting dispatch, in task.before order
 	closed     bool
 }
 
@@ -295,14 +287,8 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			}
 			continue
 		}
-		queued := 0
-		for i := range j.comps {
-			if !j.comps[i].done {
-				c.pushUnassigned(&task{j: j, comp: i, size: len(j.p.Components[i].H.Txns)})
-				queued++
-			}
-		}
-		c.logger.Info("fabric: resumed pending job from wal", "job", j.id, "components", len(j.comps), "queued", queued)
+		c.enqueueJob(j)
+		c.logger.Info("fabric: resumed pending job from wal", "job", j.id, "components", len(j.comps), "queued", j.remaining)
 	}
 	return nil
 }
@@ -313,7 +299,7 @@ func (c *Coordinator) replay(recs []walRecord) error {
 func (c *Coordinator) insertJob(id, engine string, h *history.History, opts checker.Options) *fabJob {
 	p := shard.Split(h)
 	j := &fabJob{
-		id: id, engine: engine, opts: opts, txns: len(h.Txns),
+		id: id, seq: len(c.order), engine: engine, opts: opts, txns: len(h.Txns),
 		p:     p,
 		comps: make([]compState, len(p.Components)),
 		state: JobPending,
@@ -341,11 +327,11 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 }
 
 // Submit registers a job for distributed checking: logged to the WAL,
-// split into its distribution plan, and its components placed
-// largest-first on the least-loaded worker queues. Submitting an id the
-// coordinator already knows is a no-op — the idempotence that lets the
-// server resubmit recovered jobs blindly. The coordinator's plan is the
-// sharding, so opts.Shard is dropped rather than forwarded to workers.
+// split into its distribution plan, and its components enqueued on the
+// ready queue. Submitting an id the coordinator already knows is a
+// no-op — the idempotence that lets the server resubmit recovered jobs
+// blindly. The coordinator's plan is the sharding, so opts.Shard is
+// dropped rather than forwarded to workers.
 func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker.Options) error {
 	eng, err := c.reg.Lookup(engine)
 	if err != nil {
@@ -376,25 +362,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 		// Init-only history: nothing to dispatch, fold the empty plan.
 		return c.fold(j)
 	}
-	c.sweepLocked()
-	// Largest-first placement on the least-loaded queue (LPT): bounds
-	// the makespan under skew, and what placement gets wrong the
-	// stealing in Pull corrects.
-	order := make([]int, len(j.comps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(j.p.Components[order[a]].H.Txns) > len(j.p.Components[order[b]].H.Txns)
-	})
-	for _, i := range order {
-		t := &task{j: j, comp: i, size: len(j.p.Components[i].H.Txns)}
-		if w := c.leastLoadedAlive(); w != nil {
-			w.queue = insertBySize(w.queue, t)
-		} else {
-			c.pushUnassigned(t)
-		}
-	}
+	c.enqueueJob(j)
 	c.logger.Info("fabric: job submitted", "job", id, "engine", engine, "level", string(opts.Level), "components", len(j.comps))
 	return nil
 }
@@ -444,7 +412,7 @@ func (c *Coordinator) Register(hello api.WorkerHello) api.WorkerLease {
 	w := &workerState{
 		id: "w" + strconv.Itoa(c.nextWorker), num: c.nextWorker,
 		name:     hello.Name,
-		inflight: make(map[*task]string),
+		inflight: make(map[*task]struct{}),
 		lastSeen: c.now(),
 	}
 	c.workers[w.id] = w
@@ -465,10 +433,9 @@ func (c *Coordinator) Heartbeat(id string) error {
 	return nil
 }
 
-// Pull claims the next component for a worker: its own queue first
-// (largest first), then the unassigned pool, then — work-stealing — the
-// largest component of the largest remaining queue. A nil task with nil
-// error means "no work right now".
+// Pull claims the head of the ready queue — the largest component still
+// waiting — for a worker. A nil task with nil error means "no work right
+// now".
 func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -478,7 +445,7 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	}
 	w.lastSeen = c.now()
 	c.sweepLocked()
-	t := c.claimLocked(w)
+	t := c.popReady()
 	if t == nil {
 		return nil, nil
 	}
@@ -491,12 +458,12 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 		return nil, nil
 	}
 	cs := &j.comps[t.comp]
-	cs.epoch++
-	cs.worker = id
-	w.inflight[t] = j.id
-	if err := c.wal.append(walRecord{Type: recAssign, Job: j.id, Component: t.comp, Epoch: cs.epoch, Worker: id}); err != nil {
+	if err := c.wal.append(walRecord{Type: recAssign, Job: j.id, Component: t.comp, Epoch: cs.epoch + 1, Worker: id}); err != nil {
+		c.enqueue(t)
 		return nil, fmt.Errorf("fabric: wal append: %w", err)
 	}
+	cs.epoch++
+	w.inflight[t] = struct{}{}
 	return &api.FabricTask{
 		Job: j.id, Component: t.comp, Epoch: cs.epoch,
 		Checker: j.engine, Level: string(j.opts.Level),
@@ -507,7 +474,7 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 }
 
 // encodedComponentLocked returns the cached MTCB encoding of one
-// component, encoding it on first use. Re-dispatches (requeues, steals)
+// component, encoding it on first use. Re-dispatches after a requeue
 // reuse the same bytes — each component is encoded at most once per
 // coordinator lifetime. Caller holds mu.
 func (c *Coordinator) encodedComponentLocked(j *fabJob, comp int) ([]byte, error) {
@@ -524,50 +491,43 @@ func (c *Coordinator) encodedComponentLocked(j *fabJob, comp int) ([]byte, error
 	return j.enc[comp], nil
 }
 
-// claimLocked picks the next live task for w, skipping tasks of jobs
-// that went terminal while queued.
-func (c *Coordinator) claimLocked(w *workerState) *task {
-	pop := func(q *[]*task) *task {
-		for len(*q) > 0 {
-			t := (*q)[0]
-			*q = (*q)[1:]
-			if t.j.state == JobPending && !t.j.comps[t.comp].done {
-				return t
-			}
-		}
-		return nil
-	}
-	if t := pop(&w.queue); t != nil {
-		return t
-	}
-	if t := pop(&c.unassigned); t != nil {
-		return t
-	}
-	// Steal from the largest remaining queue (deterministic: workers in
-	// registration order break ties).
-	var victim *workerState
-	for _, o := range c.sortedWorkers() {
-		if o == w || len(o.queue) == 0 {
-			continue
-		}
-		if victim == nil || o.queued() > victim.queued() {
-			victim = o
-		}
-	}
-	if victim != nil {
-		if t := pop(&victim.queue); t != nil {
-			c.logger.Info("fabric: stole work", "thief", w.id, "victim", victim.id, "job", t.j.id, "component", t.comp)
+// popReady takes the head of the ready queue, skipping tasks of jobs
+// that went terminal and components that are already done. Caller holds
+// mu.
+func (c *Coordinator) popReady() *task {
+	for len(c.ready) > 0 {
+		t := c.ready[0]
+		c.ready = c.ready[1:]
+		if t.j.state == JobPending && !t.j.comps[t.comp].done {
 			return t
 		}
 	}
 	return nil
 }
 
+// enqueue inserts t into the ready queue at its task.before position.
+// Caller holds mu.
+func (c *Coordinator) enqueue(t *task) {
+	at := sort.Search(len(c.ready), func(i int) bool { return t.before(c.ready[i]) })
+	c.ready = slices.Insert(c.ready, at, t)
+}
+
+// enqueueJob enqueues every component of j that has no folded verdict.
+// Caller holds mu.
+func (c *Coordinator) enqueueJob(j *fabJob) {
+	for i := range j.comps {
+		if !j.comps[i].done {
+			c.enqueue(&task{j: j, comp: i, size: len(j.p.Components[i].H.Txns)})
+		}
+	}
+}
+
 // PushResult folds one component verdict. The fold is at-most-once: a
 // result whose epoch does not match the component's current epoch — a
 // straggler that was presumed dead and re-dispatched — is discarded
-// with Accepted=false. An engine error fails the whole job, matching
-// single-node sharded checking.
+// with Accepted=false. An engine error — or a result carrying neither a
+// report nor an error — fails the whole job, matching single-node
+// sharded checking.
 func (c *Coordinator) PushResult(workerID string, res api.FabricResult) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -576,11 +536,6 @@ func (c *Coordinator) PushResult(workerID string, res api.FabricResult) (bool, e
 		return false, fmt.Errorf("%w: %q", ErrUnknownWorker, workerID)
 	}
 	w.lastSeen = c.now()
-	for t, jid := range w.inflight {
-		if jid == res.Job && t.comp == res.Component {
-			delete(w.inflight, t)
-		}
-	}
 	c.sweepLocked()
 	j := c.jobs[res.Job]
 	if j == nil || j.state != JobPending {
@@ -593,18 +548,25 @@ func (c *Coordinator) PushResult(workerID string, res api.FabricResult) (bool, e
 	if cs.done || res.Epoch != cs.epoch {
 		return false, nil
 	}
-	if res.Error != "" {
-		c.failLocked(j, fmt.Sprintf("component %d: %s", res.Component, res.Error))
+	if res.Error != "" || res.Report == nil {
+		msg := res.Error
+		if msg == "" {
+			msg = "empty result"
+		}
+		c.failLocked(j, fmt.Sprintf("component %d: %s", res.Component, msg))
 		return true, nil
 	}
-	if res.Report == nil {
-		return false, nil
-	}
-	cs.done = true
-	cs.worker = ""
-	cs.report = *res.Report
 	if err := c.wal.append(walRecord{Type: recResult, Job: j.id, Component: res.Component, Epoch: res.Epoch, Worker: workerID, Report: res.Report}); err != nil {
 		return false, fmt.Errorf("fabric: wal append: %w", err)
+	}
+	cs.done = true
+	cs.report = *res.Report
+	// The component leaves the in-flight set only now: a stale or
+	// unlogged result above must not strand the copy w still runs.
+	for t := range w.inflight {
+		if t.j == j && t.comp == res.Component {
+			delete(w.inflight, t)
+		}
 	}
 	j.remaining--
 	if j.remaining == 0 {
@@ -641,67 +603,43 @@ func (c *Coordinator) failLocked(j *fabJob, msg string) {
 }
 
 // sweepLocked requeues the work of workers that missed their heartbeat
-// window: queued tasks return to the unassigned pool, and in-flight
-// components are re-dispatched under a bumped epoch, so the presumed-
-// dead worker's late result can no longer fold. Caller holds mu.
+// window: their in-flight components return to the ready queue under a
+// bumped epoch, so the presumed-dead worker's late result can no longer
+// fold. Caller holds mu.
 func (c *Coordinator) sweepLocked() {
 	now := c.now()
 	for _, w := range c.sortedWorkers() {
-		if now.Sub(w.lastSeen) <= c.hbTimeout {
-			continue
-		}
-		if len(w.queue) == 0 && len(w.inflight) == 0 {
+		if now.Sub(w.lastSeen) <= c.hbTimeout || len(w.inflight) == 0 {
 			continue
 		}
 		c.logger.Info("fabric: worker missed heartbeats, requeueing its work",
-			"worker", w.id, "queued", len(w.queue), "in_flight", len(w.inflight))
-		for _, t := range w.queue {
-			if t.j.state == JobPending && !t.j.comps[t.comp].done {
-				c.pushUnassigned(t)
-			}
-		}
-		w.queue = nil
+			"worker", w.id, "in_flight", len(w.inflight))
 		// Deterministic requeue order for the in-flight set.
 		tasks := make([]*task, 0, len(w.inflight))
 		for t := range w.inflight {
 			tasks = append(tasks, t)
 		}
-		sort.Slice(tasks, func(a, b int) bool {
-			if tasks[a].j.id != tasks[b].j.id {
-				return tasks[a].j.id < tasks[b].j.id
-			}
-			return tasks[a].comp < tasks[b].comp
-		})
+		sort.Slice(tasks, func(a, b int) bool { return tasks[a].before(tasks[b]) })
 		for _, t := range tasks {
 			cs := &t.j.comps[t.comp]
 			if t.j.state != JobPending || cs.done {
 				continue
 			}
 			cs.epoch++
-			cs.worker = ""
 			if err := c.wal.append(walRecord{Type: recRequeue, Job: t.j.id, Component: t.comp, Epoch: cs.epoch, Worker: w.id}); err != nil {
 				c.logger.Error("fabric: wal append failed on requeue", "job", t.j.id, "err", err)
 			}
-			c.pushUnassigned(t)
+			c.enqueue(t)
 		}
-		w.inflight = make(map[*task]string)
+		w.inflight = make(map[*task]struct{})
 	}
 }
 
-// dropJobTasks removes a terminal job's tasks from every queue.
+// dropJobTasks removes a terminal job's tasks from the ready queue and
+// every in-flight set.
 func (c *Coordinator) dropJobTasks(j *fabJob) {
-	filter := func(q []*task) []*task {
-		out := q[:0]
-		for _, t := range q {
-			if t.j != j {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	c.unassigned = filter(c.unassigned)
+	c.ready = slices.DeleteFunc(c.ready, func(t *task) bool { return t.j == j })
 	for _, w := range c.workers {
-		w.queue = filter(w.queue)
 		for t := range w.inflight {
 			if t.j == j {
 				delete(w.inflight, t)
@@ -710,24 +648,8 @@ func (c *Coordinator) dropJobTasks(j *fabJob) {
 	}
 }
 
-// leastLoadedAlive returns the live worker with the smallest pending
-// volume, or nil when no worker is live.
-func (c *Coordinator) leastLoadedAlive() *workerState {
-	now := c.now()
-	var best *workerState
-	for _, w := range c.sortedWorkers() {
-		if now.Sub(w.lastSeen) > c.hbTimeout {
-			continue
-		}
-		if best == nil || w.load() < best.load() {
-			best = w
-		}
-	}
-	return best
-}
-
 // sortedWorkers lists workers in registration order — the map iteration
-// fence that keeps placement and stealing deterministic.
+// fence that keeps sweeps and status listings deterministic.
 func (c *Coordinator) sortedWorkers() []*workerState {
 	ws := make([]*workerState, 0, len(c.workers))
 	for _, w := range c.workers {
@@ -735,24 +657,6 @@ func (c *Coordinator) sortedWorkers() []*workerState {
 	}
 	sort.Slice(ws, func(a, b int) bool { return ws[a].num < ws[b].num })
 	return ws
-}
-
-// pushUnassigned inserts t into the unassigned pool, kept sorted by
-// size descending so every claim takes the largest remaining component.
-func (c *Coordinator) pushUnassigned(t *task) {
-	at := sort.Search(len(c.unassigned), func(i int) bool { return c.unassigned[i].size < t.size })
-	c.unassigned = append(c.unassigned, nil)
-	copy(c.unassigned[at+1:], c.unassigned[at:])
-	c.unassigned[at] = t
-}
-
-// insertBySize inserts t into a worker queue ordered by size descending.
-func insertBySize(q []*task, t *task) []*task {
-	at := sort.Search(len(q), func(i int) bool { return q[i].size < t.size })
-	q = append(q, nil)
-	copy(q[at+1:], q[at:])
-	q[at] = t
-	return q
 }
 
 // Jobs lists every known job in submission order — the server's
@@ -771,7 +675,7 @@ func (c *Coordinator) Jobs() []JobInfo {
 	return out
 }
 
-// Status snapshots workers, queues and jobs for GET /v1/fabric/status.
+// Status snapshots workers, the ready queue and jobs for GET /v1/fabric/status.
 func (c *Coordinator) Status() api.FabricStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -779,8 +683,7 @@ func (c *Coordinator) Status() api.FabricStatus {
 	st := api.FabricStatus{Workers: []api.FabricWorkerStatus{}, Jobs: []api.FabricJobStatus{}}
 	for _, w := range c.sortedWorkers() {
 		st.Workers = append(st.Workers, api.FabricWorkerStatus{
-			ID: w.id, Name: w.name,
-			Queued: len(w.queue), InFlight: len(w.inflight),
+			ID: w.id, Name: w.name, InFlight: len(w.inflight),
 			IdleMillis: int64(now.Sub(w.lastSeen) / time.Millisecond),
 		})
 	}
@@ -791,7 +694,7 @@ func (c *Coordinator) Status() api.FabricStatus {
 			Txns: j.txns, Components: len(j.comps), Done: len(j.comps) - j.remaining,
 		})
 	}
-	st.Unassigned = len(c.unassigned)
+	st.Unassigned = len(c.ready)
 	return st
 }
 

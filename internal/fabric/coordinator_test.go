@@ -42,20 +42,29 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // tenantHistory builds a clean multi-tenant history with exactly
-// `tenants` key/session-disjoint components.
+// `tenants` key/session-disjoint components of equal size.
 func tenantHistory(tenants, txnsPerSession int) *history.History {
+	sizes := make([]int, tenants)
+	for i := range sizes {
+		sizes[i] = txnsPerSession
+	}
+	return skewedHistory(sizes...)
+}
+
+// skewedHistory builds a clean history whose i-th tenant is one
+// component of exactly sizes[i] transactions.
+func skewedHistory(sizes ...int) *history.History {
 	var keys []history.Key
-	for t := 0; t < tenants; t++ {
-		keys = append(keys, history.Key(fmt.Sprintf("t%dk", t)))
+	for tn := range sizes {
+		keys = append(keys, history.Key(fmt.Sprintf("t%dk", tn)))
 	}
 	b := history.NewBuilder(keys...)
-	last := make(map[history.Key]history.Value)
 	val := history.Value(1)
-	for i := 0; i < txnsPerSession; i++ {
-		for tn := 0; tn < tenants; tn++ {
-			k := history.Key(fmt.Sprintf("t%dk", tn))
-			b.Txn(tn, history.R(k, last[k]), history.W(k, val))
-			last[k] = val
+	for tn, n := range sizes {
+		last := history.Value(0)
+		for i := 0; i < n; i++ {
+			b.Txn(tn, history.R(keys[tn], last), history.W(keys[tn], val))
+			last = val
 			val++
 		}
 	}
@@ -212,33 +221,45 @@ func TestFabricSubmitIdempotent(t *testing.T) {
 	}
 }
 
-// TestFabricWorkStealing: every component initially lands on the only
-// live worker's queue; a later-registered idle worker steals from it.
+// TestFabricWorkStealing: no component is bound to a worker before it is
+// pulled, so a worker registered after submission — while the first is
+// busy on the giant component — receives the largest remaining one, and
+// the small components never strand behind the giant.
 func TestFabricWorkStealing(t *testing.T) {
 	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
 	defer c.Close()
 	w1 := c.Register(api.WorkerHello{Name: "w1"})
-	if err := c.Submit("j1", "mtc", tenantHistory(4, 4), checker.Options{Level: core.SER}); err != nil {
+	h := skewedHistory(2, 9, 3, 5)
+	if err := c.Submit("j1", "mtc", h, checker.Options{Level: core.SER}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	st := c.Status()
-	if st.Workers[0].Queued != 4 || st.Unassigned != 0 {
-		t.Fatalf("placement: %+v", st)
+	if st := c.Status(); st.Unassigned != 4 {
+		t.Fatalf("after submit: %+v", st)
+	}
+	// Components come out of shard.Split in tenant order.
+	giant, err := c.Pull(w1.ID)
+	if err != nil || giant == nil || giant.Component != 1 {
+		t.Fatalf("first pull: task=%+v err=%v, want the 9-txn component 1", giant, err)
 	}
 	w2 := c.Register(api.WorkerHello{Name: "w2"})
 	task, err := c.Pull(w2.ID)
-	if err != nil || task == nil {
-		t.Fatalf("idle worker stole nothing: task=%v err=%v", task, err)
+	if err != nil || task == nil || task.Component != 3 {
+		t.Fatalf("late worker's pull: task=%+v err=%v, want the 5-txn component 3", task, err)
 	}
-	st = c.Status()
-	if st.Workers[0].Queued != 3 || st.Workers[1].InFlight != 1 {
-		t.Fatalf("after steal: %+v", st)
+	st := c.Status()
+	if st.Unassigned != 2 || st.Workers[0].InFlight != 1 || st.Workers[1].InFlight != 1 {
+		t.Fatalf("after both pulls: %+v", st)
 	}
-	// Finish the job cleanly across both workers.
+	// w2 drains the small components while w1 is still on the giant.
 	if _, err := c.PushResult(w2.ID, runTask(t, task)); err != nil {
 		t.Fatal(err)
 	}
-	drain(t, c, w1.ID)
+	if n := drain(t, c, w2.ID); n != 2 {
+		t.Fatalf("late worker drained %d components behind the giant, want 2", n)
+	}
+	if accepted, err := c.PushResult(w1.ID, runTask(t, giant)); err != nil || !accepted {
+		t.Fatalf("giant push: accepted=%v err=%v", accepted, err)
+	}
 	if _, err := c.Wait(context.Background(), "j1"); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -630,6 +651,105 @@ func TestFabricEngineErrorFailsJob(t *testing.T) {
 	}
 	if jobs := c.Jobs(); jobs[0].State != JobFailed {
 		t.Fatalf("job state %q, want failed", jobs[0].State)
+	}
+}
+
+// TestFabricEmptyResultFailsJob: a result with neither a report nor an
+// error is an engine failure, not a no-op — dropped silently, its
+// component would be neither queued nor in flight and the job would
+// hang until the server-side timeout.
+func TestFabricEmptyResultFailsJob(t *testing.T) {
+	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
+	defer c.Close()
+	w := c.Register(api.WorkerHello{})
+	if err := c.Submit("j1", "mtc", tenantHistory(2, 3), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	task, err := c.Pull(w.ID)
+	if err != nil || task == nil {
+		t.Fatal(err)
+	}
+	accepted, err := c.PushResult(w.ID, api.FabricResult{Job: task.Job, Component: task.Component, Epoch: task.Epoch})
+	if err != nil || !accepted {
+		t.Fatalf("empty push: accepted=%v err=%v", accepted, err)
+	}
+	want := fmt.Sprintf("component %d: empty result", task.Component)
+	if _, err := c.Wait(context.Background(), "j1"); err == nil || err.Error() != want {
+		t.Fatalf("wait: %v, want %q", err, want)
+	}
+}
+
+// TestFabricStalePushKeepsInFlight: a straggler result from a worker
+// that has since re-pulled the same component is discarded without
+// touching the live dispatch, which still folds.
+func TestFabricStalePushKeepsInFlight(t *testing.T) {
+	clk := newFakeClock()
+	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), clk)
+	defer c.Close()
+	w := c.Register(api.WorkerHello{})
+	if err := c.Submit("j1", "mtc", tenantHistory(1, 3), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Pull(w.ID)
+	if err != nil || first == nil {
+		t.Fatal(err)
+	}
+	// w is presumed dead (another worker's beat sweeps it), then comes
+	// back and pulls its own requeued component.
+	clk.Advance(time.Second)
+	if err := c.Heartbeat(c.Register(api.WorkerHello{}).ID); err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Pull(w.ID)
+	if err != nil || second == nil || second.Epoch <= first.Epoch {
+		t.Fatalf("re-pull: task=%+v err=%v", second, err)
+	}
+	if accepted, err := c.PushResult(w.ID, runTask(t, first)); accepted || err != nil {
+		t.Fatalf("stale push: accepted=%v err=%v", accepted, err)
+	}
+	if st := c.Status(); st.Workers[0].InFlight != 1 {
+		t.Fatalf("stale push dropped the live dispatch: %+v", st)
+	}
+	if accepted, err := c.PushResult(w.ID, runTask(t, second)); !accepted || err != nil {
+		t.Fatalf("current push: accepted=%v err=%v", accepted, err)
+	}
+	if rep, err := c.Wait(context.Background(), "j1"); err != nil || !rep.OK {
+		t.Fatalf("wait: %+v %v", rep, err)
+	}
+}
+
+// TestFabricWALFailureMutatesNothing: when the WAL append fails, Pull
+// returns the claimed component to the ready queue and PushResult leaves
+// the component un-done and in flight — nothing is lost to a state no
+// sweep revisits.
+func TestFabricWALFailureMutatesNothing(t *testing.T) {
+	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
+	w := c.Register(api.WorkerHello{})
+	if err := c.Submit("j1", "mtc", tenantHistory(2, 3), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	task, err := c.Pull(w.ID)
+	if err != nil || task == nil {
+		t.Fatal(err)
+	}
+	if err := c.wal.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Pull(w.ID); err == nil {
+		t.Fatalf("pull over a closed wal: task=%+v, want an error", got)
+	}
+	if _, err := c.PushResult(w.ID, runTask(t, task)); err == nil {
+		t.Fatal("push over a closed wal succeeded")
+	}
+	st := c.Status()
+	if st.Unassigned != 1 || st.Workers[0].InFlight != 1 || st.Jobs[0].Done != 0 {
+		t.Fatalf("failed appends mutated the schedule: %+v", st)
+	}
+	c.mu.Lock()
+	epochs := []int{c.jobs["j1"].comps[0].epoch, c.jobs["j1"].comps[1].epoch}
+	c.mu.Unlock()
+	if epochs[task.Component] != task.Epoch || epochs[1-task.Component] != 0 {
+		t.Fatalf("epochs after failed appends: %v", epochs)
 	}
 }
 

@@ -26,8 +26,6 @@ type WorkerConfig struct {
 	// Registry resolves the engines component tasks name; nil selects
 	// checker.Default.
 	Registry *checker.Registry
-	// Parallelism is reported at registration (informational).
-	Parallelism int
 	// Logger receives the worker's progress log; nil discards it.
 	Logger *slog.Logger
 	// Client is the HTTP client used for every coordinator call; nil
@@ -66,8 +64,7 @@ var errLeaseLost = errors.New("fabric: worker lease lost")
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w := &workerClient{
 		base: cfg.Coordinator, name: cfg.Name,
-		reg: cfg.Registry, par: cfg.Parallelism,
-		logger: cfg.Logger, hc: cfg.Client,
+		reg: cfg.Registry, logger: cfg.Logger, hc: cfg.Client,
 		poll: cfg.PollInterval,
 	}
 	if w.reg == nil {
@@ -90,7 +87,6 @@ type workerClient struct {
 	base   string
 	name   string
 	reg    *checker.Registry
-	par    int
 	logger *slog.Logger
 	hc     *http.Client
 	poll   time.Duration
@@ -121,7 +117,7 @@ func (w *workerClient) register(ctx context.Context) error {
 	backoff := 250 * time.Millisecond
 	for {
 		var lease api.WorkerLease
-		hello := api.WorkerHello{Name: w.name, Parallelism: w.par, Codecs: []string{"mtcb"}}
+		hello := api.WorkerHello{Name: w.name, Codecs: []string{"mtcb"}}
 		status, err := w.post(ctx, "/v1/fabric/workers", hello, &lease)
 		if err == nil && status == http.StatusCreated && lease.ID != "" {
 			w.lease = lease
