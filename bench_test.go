@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"mtc/internal/bench"
-	"mtc/internal/cobra"
 	"mtc/internal/core"
 	"mtc/internal/elle"
 	"mtc/internal/faults"
@@ -26,7 +25,6 @@ import (
 	"mtc/internal/kv"
 	"mtc/internal/npc"
 	"mtc/internal/polygraph"
-	"mtc/internal/polysi"
 	"mtc/internal/porcupine"
 	"mtc/internal/runner"
 	"mtc/internal/sat"
@@ -97,7 +95,7 @@ func BenchmarkFig7CobraVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !cobra.CheckSER(serHist).OK {
+		if !polyCheck(serHist, polygraph.SER).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -119,7 +117,7 @@ func BenchmarkFig8PolySIVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !polysi.CheckSI(siHist).OK {
+		if !polyCheck(siHist, polygraph.SI).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -167,7 +165,7 @@ func BenchmarkFig10EndToEndCobra(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, OpsPerTxn: 12, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		cobra.CheckSER(h)
+		polyCheck(h, polygraph.SER)
 	}
 }
 
@@ -261,7 +259,7 @@ func BenchmarkFig17EndToEndPolySI(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, OpsPerTxn: 12, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		polysi.CheckSI(h)
+		polyCheck(h, polygraph.SI)
 	}
 }
 
@@ -295,11 +293,11 @@ func BenchmarkAblationPruneThenSolve(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := polygraph.Build(serHist)
-		if !p.Prune(polygraph.PruneSER) {
+		p := polygraph.Build(history.NewIndex(serHist))
+		if ok, _ := p.Prune(context.Background(), polygraph.SER, 1); !ok {
 			b.Fatal("unexpected prune failure")
 		}
-		sat.SolveAcyclic(p.N, p.Known, p.Cons)
+		sat.SolveAcyclic(context.Background(), p.N, p.Known, p.Cons)
 	}
 }
 
@@ -313,8 +311,8 @@ func BenchmarkAblationRawSolve(b *testing.B) {
 	h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := polygraph.Build(h)
-		sat.SolveAcyclic(p.N, p.Known, p.Cons)
+		p := polygraph.Build(history.NewIndex(h))
+		sat.SolveAcyclic(context.Background(), p.N, p.Known, p.Cons)
 	}
 }
 
@@ -385,7 +383,7 @@ func pruneSetup() *history.History {
 // (differentially tested); only wall-clock changes.
 func BenchmarkPrune(b *testing.B) {
 	h := pruneSetup()
-	base := polygraph.Build(h)
+	base := polygraph.Build(history.NewIndex(h))
 	if len(base.Cons) < 10_000 {
 		b.Fatalf("workload too easy: %d constraints", len(base.Cons))
 	}
@@ -398,7 +396,7 @@ func BenchmarkPrune(b *testing.B) {
 					Known: append([]sat.Edge(nil), base.Known...),
 					Cons:  append([]sat.Constraint(nil), base.Cons...),
 				}
-				if _, err := p.PrunePar(context.Background(), polygraph.PruneSER, par); err != nil {
+				if _, err := p.Prune(context.Background(), polygraph.SER, par); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
@@ -53,13 +52,7 @@ func main() {
 	if err != nil {
 		fatalf("load: %v", err)
 	}
-	name := *engine
-	if name == "mtc" && core.LatticeRank(lvl) < core.LatticeRank(core.SI) {
-		// The default engine serves the strong levels only; like cmd/mtc,
-		// route the weak lattice rungs to their dedicated checkers.
-		name = strings.ToLower(string(lvl))
-	}
-	rep, err := checker.Run(context.Background(), name, h, checker.Options{Level: lvl})
+	rep, err := checker.Run(context.Background(), *engine, h, checker.Options{Level: lvl})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -71,7 +71,7 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		stderr string
 	}{
 		{"lower-case level, profile engine", []string{"-level", "ser", "-checker", "profile", clean}, 0, "[profile] history satisfies SER", ""},
-		{"weak level routes to its checker", []string{"-level", "RC", clean}, 0, "[rc] history satisfies RC", ""},
+		{"weak level routes to its checker", []string{"-level", "RC", clean}, 0, "[mtc] history satisfies RC", ""},
 		{"incremental engine", []string{"-level", "SI", "-checker", "mtc-incremental", clean}, 0, "[mtc-incremental] history satisfies SI", ""},
 		{"violation exits 1", []string{"-level", "SER", skew}, 1, "[mtc] history VIOLATES SER", ""},
 		{"sser on a clean history", []string{"-level", "sser", clean}, 0, "[mtc] history satisfies SSER", ""},

@@ -159,13 +159,8 @@ func main() {
 	ctx, cancel := verifyContext(*timeout)
 	defer cancel()
 	name := *checkerName
-	switch {
-	case *profileRun:
+	if *profileRun {
 		name = "profile"
-	case name == "mtc" && core.LatticeRank(claimed) >= 0 && core.LatticeRank(claimed) < core.LatticeRank(core.SI):
-		// The default engine serves the strong levels only; the weak
-		// lattice rungs route to their dedicated checkers.
-		name = strings.ToLower(string(claimed))
 	}
 	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Parallelism: *parallelism, Window: *window, Shard: *shardN})
 	if err != nil {

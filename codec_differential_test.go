@@ -13,11 +13,9 @@ import (
 	"context"
 	"io"
 	"reflect"
-	"sort"
 	"testing"
 
 	"mtc/internal/core"
-	"mtc/internal/faults"
 	"mtc/internal/graph"
 	"mtc/internal/history"
 	"mtc/internal/kv"
@@ -80,17 +78,7 @@ func roundTrip(t *testing.T, h *history.History, enc func(io.Writer, *history.Hi
 // every codec x gzip combination and demands verdict equality with the
 // in-memory original at SER and SI.
 func TestDifferentialCodecs(t *testing.T) {
-	var bugs []faults.Bug
-	for _, b := range faults.Bugs() {
-		if !b.LWT {
-			bugs = append(bugs, b)
-		}
-	}
-	sort.Slice(bugs, func(i, j int) bool { return bugs[i].Name < bugs[j].Name })
-
-	histories := 0
 	check := func(h *history.History, tag string) {
-		histories++
 		for _, lvl := range []core.Level{core.SER, core.SI} {
 			want := checkDecoded(h, lvl)
 			for _, c := range codecs {
@@ -109,18 +97,7 @@ func TestDifferentialCodecs(t *testing.T) {
 		}
 	}
 
-	for seed := int64(1); seed <= 10; seed++ {
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 4, Txns: 8, Objects: 4,
-			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
-			Tenants: int(seed%3) + 1,
-		})
-		for _, mode := range []kv.Mode{kv.ModeSerializable, kv.ModeSI} {
-			check(runner.Run(kv.NewStore(mode), w, runner.Config{Retries: 2}).H, mode.String())
-		}
-		b := bugs[int(seed)%len(bugs)]
-		check(runner.Run(b.NewStore(seed), w, runner.Config{Retries: 2}).H, b.Name)
-	}
+	histories := differentialCorpus(t, corpusShape{seeds: 10, sessions: 4, objects: 4, tenants: true, bugs: 1}, check)
 	if histories == 0 {
 		t.Fatal("no histories generated")
 	}

@@ -19,10 +19,6 @@ import (
 	"mtc/internal/checker"
 	"mtc/internal/core"
 	"mtc/internal/fabric"
-	"mtc/internal/faults"
-	"mtc/internal/kv"
-	"mtc/internal/runner"
-	"mtc/internal/workload"
 
 	hist "mtc/internal/history"
 	shardpkg "mtc/internal/shard"
@@ -136,44 +132,13 @@ func TestDifferentialFabricVsSharded(t *testing.T) {
 		c.Register(api.WorkerHello{Name: "w2"}),
 		c.Register(api.WorkerHello{Name: "w3"}),
 	}
-	var bugs []faults.Bug
-	for _, b := range faults.Bugs() {
-		if !b.LWT {
-			bugs = append(bugs, b)
-		}
-	}
-	histories, jobs := 0, 0
-	check := func(h *hist.History, tag string) {
-		for _, e := range fabricEngines {
-			jobs++
-			fabricCheck(t, c, workers, fmt.Sprintf("d%d", jobs), e.name, e.lvl, h, tag)
-		}
-		histories++
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		tenants := int(seed%4) + 1
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 4, Txns: 6, Objects: 3,
-			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
-			Tenants: tenants,
+	jobs := 0
+	histories := differentialCorpus(t, corpusShape{seeds: 12, sessions: 4, objects: 3, tenants: true, bugs: 2},
+		func(h *hist.History, tag string) {
+			for _, e := range fabricEngines {
+				jobs++
+				fabricCheck(t, c, workers, fmt.Sprintf("d%d", jobs), e.name, e.lvl, h, tag)
+			}
 		})
-		for _, mode := range []kv.Mode{kv.ModeSerializable, kv.ModeSI} {
-			check(runner.Run(kv.NewStore(mode), w, runner.Config{Retries: 2}).H, mode.String())
-		}
-		wg := workload.GenerateGT(workload.GTConfig{
-			Sessions: 4, Txns: 6, Objects: 3, OpsPerTxn: 3, Seed: seed,
-			Tenants: tenants,
-		})
-		check(runner.Run(kv.NewStore(kv.ModeSerializable), wg, runner.Config{Retries: 2}).H, "gt")
-		wf := workload.GenerateMT(workload.MTConfig{
-			Sessions: 4, Txns: 8, Objects: 2,
-			Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.25,
-			Tenants: tenants,
-		})
-		for i := 0; i < 2; i++ {
-			b := bugs[(int(seed)+i)%len(bugs)]
-			check(runner.Run(b.NewStore(seed), wf, runner.Config{Retries: 2}).H, b.Name)
-		}
-	}
 	t.Logf("folded %d fabric jobs over %d histories across %d engine/level pairs", jobs, histories, len(fabricEngines))
 }

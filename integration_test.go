@@ -10,14 +10,13 @@ import (
 	"context"
 	"testing"
 
-	"mtc/internal/cobra"
 	"mtc/internal/core"
 	"mtc/internal/elle"
 	"mtc/internal/faults"
 	"mtc/internal/history"
 	"mtc/internal/kv"
 	"mtc/internal/npc"
-	"mtc/internal/polysi"
+	"mtc/internal/polygraph"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
 )
@@ -54,10 +53,10 @@ func TestPipelineHealthyStoreAllCheckersAgree(t *testing.T) {
 	if r := coreCheck(h, core.SI, core.Options{}); !r.OK {
 		t.Fatalf("MTC-SI: %s", r.Explain())
 	}
-	if r := cobra.CheckSER(h); !r.OK {
+	if r := polyCheck(h, polygraph.SER); !r.OK {
 		t.Fatalf("cobra: %+v", r)
 	}
-	if r := polysi.CheckSI(h); !r.OK {
+	if r := polyCheck(h, polygraph.SI); !r.OK {
 		t.Fatalf("polysi: %+v", r)
 	}
 	if r := elle.CheckRWRegister(h, elle.SER); !r.OK {
@@ -88,11 +87,11 @@ func TestPipelineEveryBugCaughtByEveryApplicableChecker(t *testing.T) {
 				// MTC found it; the baseline for that level must agree.
 				switch bug.Claimed {
 				case core.SER:
-					if cobra.CheckSER(h).OK {
+					if polyCheck(h, polygraph.SER).OK {
 						t.Fatalf("seed %d: cobra disagrees with MTC-SER", seed)
 					}
 				case core.SI:
-					if polysi.CheckSI(h).OK {
+					if polyCheck(h, polygraph.SI).OK {
 						t.Fatalf("seed %d: polysi disagrees with MTC-SI", seed)
 					}
 				}
@@ -211,6 +210,13 @@ func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Resul
 	if err != nil {
 		panic(err)
 	}
+	return r
+}
+
+// polyCheck runs the polygraph pipeline — Cobra at SER, PolySI at SI —
+// serially on h.
+func polyCheck(h *history.History, mode polygraph.Mode) polygraph.Report {
+	r, _ := polygraph.Check(context.Background(), history.NewIndex(h), mode, 1)
 	return r
 }
 

@@ -7,7 +7,7 @@
 //   - unbounded `for { ... }` loops that never poll ctx.Err()/ctx.Done()
 //     directly — a fixpoint driver must prove cancellation at its own
 //     level, not hope a callee happens to (the house style is a poll at
-//     the top of the loop, as in polygraph.PrunePar); and
+//     the top of the loop, as in polygraph.Prune); and
 //   - loop nests (a loop containing another loop) that neither poll ctx
 //     nor pass ctx to any callee — quadratic-or-worse work that nothing
 //     can interrupt.

@@ -59,8 +59,6 @@ type JobRequest struct {
 	// TimeoutMillis bounds the job's execution time; 0 uses the server
 	// default. Values above the server maximum are clamped.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// SkipPreCheck forwards checker.Options.SkipPreCheck.
-	SkipPreCheck bool `json:"skip_precheck,omitempty"`
 	// Parallelism bounds the worker pools of the engine's parallel phases
 	// (checker.Options.Parallelism). 0 uses the server default. Negative
 	// values, and values exceeding the server's GOMAXPROCS clamp, are

@@ -59,9 +59,8 @@ type FabricTask struct {
 	Checker string `json:"checker"`
 	Level   string `json:"level,omitempty"`
 	// Engine options, forwarded from the submitted job.
-	SkipPreCheck bool `json:"skip_precheck,omitempty"`
-	Parallelism  int  `json:"parallelism,omitempty"`
-	Window       int  `json:"window,omitempty"`
+	Parallelism int `json:"parallelism,omitempty"`
+	Window      int `json:"window,omitempty"`
 	// HistoryMTCB is the component's sub-history (local transaction ids;
 	// the coordinator remaps the verdict back to external positions) in
 	// the MTCB binary columnar encoding, base64 inside the JSON envelope.

@@ -5,26 +5,61 @@ import (
 	"fmt"
 	"time"
 
-	"mtc/internal/cobra"
 	"mtc/internal/core"
 	"mtc/internal/elle"
 	"mtc/internal/graph"
 	"mtc/internal/history"
-	"mtc/internal/polysi"
+	"mtc/internal/levels"
+	"mtc/internal/polygraph"
 	"mtc/internal/porcupine"
 )
 
+// engine is one row of the registry table and the only Checker
+// implementation: a name, the levels it serves (default first) and the
+// adapter that runs it. Check stamps the row's name on the Report, so
+// one adapter can serve several rows.
+type engine struct {
+	name   string
+	levels []Level
+	check  func(ctx context.Context, h *history.History, opts Options) (Report, error)
+}
+
+func (e engine) Name() string    { return e.name }
+func (e engine) Levels() []Level { return e.levels }
+
+func (e engine) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+	rep, err := e.check(ctx, h, opts)
+	rep.Checker = e.name
+	return rep, err
+}
+
 func init() {
-	Register(mtcChecker{})
-	Register(incrementalChecker{})
-	Register(cobraChecker{})
-	Register(polysiChecker{})
-	Register(elleChecker{})
-	Register(porcupineChecker{})
+	// The whole lattice, the default level (SI) first.
+	allSix := []Level{core.SI, core.SER, core.SSER, core.CAUSAL, core.RA, core.RC}
+	for _, e := range []engine{
+		// The paper's batch MTC algorithms (Section IV) at the strong
+		// levels and the weak lattice rungs over the same derivation.
+		{"mtc", allSix, checkMTC},
+		{"mtc-incremental", []Level{core.SI, core.SER}, checkIncremental},
+		// The Cobra (SER) and PolySI (SI) baselines: one polygraph
+		// pipeline, the level picks the mode.
+		{"cobra", []Level{core.SER}, checkPolygraph},
+		{"polysi", []Level{core.SI}, checkPolygraph},
+		{"elle", []Level{core.SER, core.SI}, checkElle},
+		{"porcupine", []Level{core.SSER}, checkPorcupine},
+		{"profile", allSix, checkProfile},
+	} {
+		Register(e)
+	}
 }
 
 // millis converts a duration to the PhaseTiming unit.
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// since is the Timings of an engine that runs as one phase.
+func since(phase string, start time.Time) []PhaseTiming {
+	return []PhaseTiming{{Phase: phase, Millis: millis(time.Since(start))}}
+}
 
 // ReportFromResult normalises a core.Result into the wire Report shape;
 // the adapters, the streaming session endpoints of mtcserve and the
@@ -45,56 +80,72 @@ func ReportFromResult(name string, r core.Result) Report {
 	return v
 }
 
-// mtcChecker serves the paper's batch MTC algorithms (Section IV).
-type mtcChecker struct{}
+// reportFromProfile flattens a lattice profile into the wire Report:
+// the requested rung's result becomes the top-level verdict, and the
+// profile-specific fields carry every rung and guarantee.
+func reportFromProfile(lvl Level, prof *levels.Report) Report {
+	rung := prof.Rung(lvl)
+	rep := ReportFromResult("", rung.Res)
+	rep.Level = lvl
+	rep.Txns = prof.NumTxns
+	rep.Edges = prof.NumEdges
+	rep.StrongestLevel = prof.Strongest
+	if rep.Detail == "" && !rung.Res.OK {
+		rep.Detail = rung.Witness()
+	}
+	for _, v := range prof.Rungs {
+		rep.Rungs = append(rep.Rungs, RungVerdict{
+			Level: v.Level, OK: v.Res.OK, Witness: v.Witness(),
+		})
+	}
+	for _, g := range prof.Guarantees {
+		rep.Guarantees = append(rep.Guarantees, GuaranteeVerdict{
+			Guarantee: string(g.Guarantee), OK: g.OK, Session: g.Session, Witness: g.Witness,
+		})
+	}
+	return rep
+}
 
-func (mtcChecker) Name() string    { return "mtc" }
-func (mtcChecker) Levels() []Level { return []Level{core.SI, core.SER, core.SSER} }
-
-func (mtcChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+// checkMTC serves every level of the lattice through levels.CheckLevel,
+// which hands SI, SER and SSER to core.CheckCtx.
+func checkMTC(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	r, err := core.CheckCtx(ctx, indexOf(h, opts), opts.Level, core.Options{SkipPreCheck: opts.SkipPreCheck})
+	r, err := levels.CheckLevel(ctx, indexOf(h, opts), opts.Level, levels.Options{Parallelism: opts.Parallelism})
 	if err != nil {
 		return Report{}, err
 	}
-	rep := ReportFromResult("mtc", r)
-	rep.Timings = []PhaseTiming{{Phase: "check", Millis: millis(time.Since(start))}}
+	rep := ReportFromResult("", r)
+	rep.Timings = since("check", start)
 	return rep, nil
 }
 
-// incrementalChecker replays the history through the online engine; on
+// checkIncremental replays the history through the online engine; on
 // live streams the same engine is driven directly (core.Incremental).
 // Options.Window > 0 selects the epoch-windowed replay: bounded memory,
 // identical verdicts.
-type incrementalChecker struct{}
-
-func (incrementalChecker) Name() string    { return "mtc-incremental" }
-func (incrementalChecker) Levels() []Level { return []Level{core.SI, core.SER} }
-
-func (incrementalChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+func checkIncremental(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
 	r, err := core.CheckIncrementalWindowedCtx(ctx, h, opts.Level, opts.Window)
 	if err != nil {
 		return Report{}, err
 	}
-	rep := ReportFromResult("mtc-incremental", r)
-	rep.Timings = []PhaseTiming{{Phase: "replay", Millis: millis(time.Since(start))}}
+	rep := ReportFromResult("", r)
+	rep.Timings = since("replay", start)
 	return rep, nil
 }
 
-// cobraChecker serves the Cobra SER baseline.
-type cobraChecker struct{}
-
-func (cobraChecker) Name() string    { return "cobra" }
-func (cobraChecker) Levels() []Level { return []Level{core.SER} }
-
-func (cobraChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	rep, err := cobra.CheckSERPar(ctx, h, opts.Parallelism)
+// checkPolygraph serves the Cobra and PolySI baselines.
+func checkPolygraph(ctx context.Context, h *history.History, opts Options) (Report, error) {
+	mode := polygraph.SER
+	if opts.Level == core.SI {
+		mode = polygraph.SI
+	}
+	rep, err := polygraph.Check(ctx, indexOf(h, opts), mode, opts.Parallelism)
 	if err != nil {
 		return Report{}, err
 	}
 	return Report{
-		Checker: "cobra", Level: core.SER, OK: rep.OK,
+		Level: opts.Level, OK: rep.OK,
 		Txns: len(h.Txns), Anomalies: rep.Anomalies,
 		Detail: fmt.Sprintf("constraints=%d forced=%d residual=%d", rep.Constraints, rep.Forced, rep.Residual),
 		Timings: []PhaseTiming{
@@ -105,45 +156,17 @@ func (cobraChecker) Check(ctx context.Context, h *history.History, opts Options)
 	}, nil
 }
 
-// polysiChecker serves the PolySI SI baseline.
-type polysiChecker struct{}
-
-func (polysiChecker) Name() string    { return "polysi" }
-func (polysiChecker) Levels() []Level { return []Level{core.SI} }
-
-func (polysiChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	rep, err := polysi.CheckSIPar(ctx, h, opts.Parallelism)
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Checker: "polysi", Level: core.SI, OK: rep.OK,
-		Txns: len(h.Txns), Anomalies: rep.Anomalies,
-		Detail: fmt.Sprintf("constraints=%d forced=%d residual=%d", rep.Constraints, rep.Forced, rep.Residual),
-		Timings: []PhaseTiming{
-			{Phase: "build", Millis: millis(rep.BuildTime)},
-			{Phase: "prune", Millis: millis(rep.PruneTime)},
-			{Phase: "solve", Millis: millis(rep.SolveTime)},
-		},
-	}, nil
-}
-
-// elleChecker serves Elle's read-write-register mode.
-type elleChecker struct{}
-
-func (elleChecker) Name() string    { return "elle" }
-func (elleChecker) Levels() []Level { return []Level{core.SER, core.SI} }
-
-func (elleChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+// checkElle serves Elle's read-write-register mode.
+func checkElle(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
 	rep, err := elle.CheckRWRegisterCtx(ctx, h, elle.Level(opts.Level))
 	if err != nil {
 		return Report{}, err
 	}
 	v := Report{
-		Checker: "elle", Level: opts.Level, OK: rep.OK,
+		Level: opts.Level, OK: rep.OK,
 		Txns: len(h.Txns), Cycle: rep.Cycle, Detail: rep.Reason,
-		Timings: []PhaseTiming{{Phase: "check", Millis: millis(time.Since(start))}},
+		Timings: since("check", start),
 	}
 	if len(rep.Cycle) > 0 {
 		v.Detail = graph.FormatCycle(rep.Cycle)
@@ -151,16 +174,11 @@ func (elleChecker) Check(ctx context.Context, h *history.History, opts Options) 
 	return v, nil
 }
 
-// porcupineChecker serves the Porcupine (WGL) linearizability baseline
+// checkPorcupine serves the Porcupine (WGL) linearizability baseline
 // over the lightweight-transaction path: the history must be LWT-shaped —
 // every committed transaction a single-key insert (one blind write) or
 // compare-and-set (read then write of the read key).
-type porcupineChecker struct{}
-
-func (porcupineChecker) Name() string    { return "porcupine" }
-func (porcupineChecker) Levels() []Level { return []Level{core.SSER} }
-
-func (porcupineChecker) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+func checkPorcupine(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -176,7 +194,7 @@ func (porcupineChecker) Check(ctx context.Context, h *history.History, opts Opti
 		return Report{}, err
 	}
 	v := Report{
-		Checker: "porcupine", Level: core.SSER, OK: ok, Txns: len(h.Txns),
+		Level: core.SSER, OK: ok, Txns: len(h.Txns),
 		Timings: []PhaseTiming{
 			{Phase: "convert", Millis: millis(convTime)},
 			{Phase: "solve", Millis: millis(time.Since(solveStart))},
@@ -186,6 +204,22 @@ func (porcupineChecker) Check(ctx context.Context, h *history.History, opts Opti
 		v.Detail = "history is not linearizable (WGL search exhausted)"
 	}
 	return v, nil
+}
+
+// checkProfile evaluates the whole lattice plus the session guarantees
+// in one pass (levels.Profile). The top-level OK/Cycle fields reflect
+// the rung at opts.Level — so `profile` at any level is a drop-in
+// replacement for `mtc`, which the differential suite exploits — while
+// StrongestLevel, Rungs and Guarantees carry the full profile.
+func checkProfile(ctx context.Context, h *history.History, opts Options) (Report, error) {
+	start := time.Now()
+	prof, err := levels.Profile(ctx, indexOf(h, opts), levels.Options{Parallelism: opts.Parallelism})
+	if err != nil {
+		return Report{}, err
+	}
+	rep := reportFromProfile(opts.Level, prof)
+	rep.Timings = since("profile", start)
+	return rep, nil
 }
 
 // LWTFromHistory converts an LWT-shaped history into the operation list

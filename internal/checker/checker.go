@@ -6,10 +6,11 @@
 // with structured counterexamples, and a Registry. The engines — the
 // paper's linear-time MTC algorithms, the incremental online variant,
 // the Cobra and PolySI polygraph baselines, Elle's register mode,
-// Porcupine over the lightweight-transaction path, and the weak-level
-// lattice (rc, ra, causal, profile) — register themselves in the
+// Porcupine over the lightweight-transaction path, and the lattice
+// profiler — are the rows of one table (adapters.go) registered in the
 // default registry, so cmd/mtc, cmd/mtc-serve and internal/bench select
-// engines by name instead of hard-coding entry points.
+// engines by name instead of hard-coding entry points. `mtc` serves all
+// six levels; the other engines list the subset they support.
 //
 // Check separates three outcomes: a Report (the history satisfies or
 // violates the level, with counterexamples), an UnsupportedHistoryError
@@ -59,9 +60,6 @@ type Options struct {
 	// Level selects the isolation level to check. Empty selects the
 	// checker's default (the first of its Levels).
 	Level Level
-	// SkipPreCheck disables the INT/G1 pre-pass where the engine supports
-	// it (the MTC engines).
-	SkipPreCheck bool
 	// SparseRT is inert: no engine reads it. It selected one of two SSER
 	// encodings until the SSER rung became the single inversion pass
 	// (core.Deps.Inversion), and stays declared only because benchmark/
@@ -74,7 +72,8 @@ type Options struct {
 	// <= 0 selects GOMAXPROCS; 1 forces the serial paths. Verdicts,
 	// anomalies and edge counts are identical at every setting
 	// (differentially tested); only wall-clock changes. Engines without a
-	// parallel phase (mtc, incremental, elle, porcupine) ignore it.
+	// parallel phase (mtc at every level but CAUSAL, incremental, elle,
+	// porcupine) ignore it.
 	Parallelism int
 	// Window bounds the memory of the online incremental engine
 	// (mtc-incremental): the replay is compacted every window/2
@@ -96,8 +95,8 @@ type Options struct {
 	// under check (history.ReadMTCBIndexed builds one as a byproduct of
 	// decoding a binary payload), skipping the intern-and-build pass.
 	// Used — after an Index.History() identity check — by every engine
-	// that checks over the index (mtc, rc, ra, causal, profile); the
-	// baselines and the incremental engine intern their own state and
+	// that checks over the index (mtc, profile, cobra, polysi); elle,
+	// porcupine and the incremental engine intern their own state and
 	// ignore it.
 	Index *history.Index
 }

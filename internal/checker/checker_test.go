@@ -15,15 +15,12 @@ import (
 // documented names with the documented levels.
 func TestRegistryContents(t *testing.T) {
 	want := map[string][]Level{
-		"mtc":             {core.SI, core.SER, core.SSER},
+		"mtc":             {core.SI, core.SER, core.SSER, core.CAUSAL, core.RA, core.RC},
 		"mtc-incremental": {core.SI, core.SER},
 		"cobra":           {core.SER},
 		"polysi":          {core.SI},
 		"elle":            {core.SER, core.SI},
 		"porcupine":       {core.SSER},
-		"rc":              {core.RC},
-		"ra":              {core.RA},
-		"causal":          {core.CAUSAL},
 		"profile":         {core.SI, core.SER, core.SSER, core.CAUSAL, core.RA, core.RC},
 	}
 	names := Names()
@@ -182,7 +179,8 @@ func TestLWTFromHistoryInit(t *testing.T) {
 // the default one.
 func TestRegistryIsolation(t *testing.T) {
 	var reg Registry
-	reg.Register(mtcChecker{})
+	mtc, _ := Lookup("mtc")
+	reg.Register(mtc)
 	if n := len(reg.Names()); n != 1 {
 		t.Fatalf("private registry has %d checkers", n)
 	}
@@ -221,7 +219,8 @@ func TestIndexConsumersHonorOptionsIndex(t *testing.T) {
 		name string
 		lvl  Level
 	}{
-		{"mtc", core.SER}, {"profile", core.SER}, {"rc", core.RC}, {"ra", core.RA}, {"causal", core.CAUSAL},
+		{"mtc", core.SER}, {"profile", core.SER}, {"mtc", core.RC}, {"mtc", core.RA}, {"mtc", core.CAUSAL},
+		{"cobra", core.SER}, {"polysi", core.SI},
 	} {
 		run := func(ix *history.Index) Report {
 			rep, err := Run(ctx, tc.name, h, Options{Level: tc.lvl, Index: ix})

@@ -238,9 +238,8 @@ func (c *Coordinator) replay(recs []walRecord) error {
 				return fmt.Errorf("fabric: wal: job %q has no history", rec.Job)
 			}
 			opts := checker.Options{
-				Level:        checker.Level(rec.Level),
-				SkipPreCheck: rec.SkipPreCheck,
-				Parallelism:  rec.Parallelism, Window: rec.Window,
+				Level:       checker.Level(rec.Level),
+				Parallelism: rec.Parallelism, Window: rec.Window,
 			}
 			c.insertJob(rec.Job, rec.Checker, rec.History, opts)
 		case recAssign, recRequeue:
@@ -351,8 +350,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	}
 	if err := c.wal.append(walRecord{
 		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
-		SkipPreCheck: opts.SkipPreCheck,
-		Parallelism:  opts.Parallelism, Window: opts.Window,
+		Parallelism: opts.Parallelism, Window: opts.Window,
 		History: h,
 	}); err != nil {
 		return fmt.Errorf("fabric: wal append: %w", err)
@@ -467,8 +465,7 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	return &api.FabricTask{
 		Job: j.id, Component: t.comp, Epoch: cs.epoch,
 		Checker: j.engine, Level: string(j.opts.Level),
-		SkipPreCheck: j.opts.SkipPreCheck,
-		Parallelism:  j.opts.Parallelism, Window: j.opts.Window,
+		Parallelism: j.opts.Parallelism, Window: j.opts.Window,
 		HistoryMTCB: enc,
 	}, nil
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -93,9 +94,8 @@ func runTask(t *testing.T, task *api.FabricTask) api.FabricResult {
 		t.Fatalf("decoding mtcb payload for %s/%d: %v", task.Job, task.Component, err)
 	}
 	rep, err := checker.Default.Run(context.Background(), task.Checker, ix.History(), checker.Options{
-		Level:        checker.Level(task.Level),
-		SkipPreCheck: task.SkipPreCheck,
-		Parallelism:  task.Parallelism, Window: task.Window,
+		Level:       checker.Level(task.Level),
+		Parallelism: task.Parallelism, Window: task.Window,
 		Index: ix,
 	})
 	if err != nil {
@@ -623,6 +623,36 @@ func TestFabricWALEmptyJobID(t *testing.T) {
 	}
 	if _, err := Open(path, Config{}); err == nil || !strings.Contains(err.Error(), "empty id") {
 		t.Fatalf("Open over a job record with an empty id: %v", err)
+	}
+}
+
+// TestFabricWALRetiredSkipPreCheck: a job record written by a binary
+// that still had the pre-check switch replays, and the job runs with
+// the pre-check — the retired field is dropped, not honoured, so a
+// thin-air read it would have hidden is reported.
+func TestFabricWALRetiredSkipPreCheck(t *testing.T) {
+	hist, err := json.Marshal(history.FixtureByName("ThinAirRead").H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	log := walHeader + "\n" +
+		`{"type":"job","job":"j1","checker":"mtc","level":"SI","skip_precheck":true,"history":` + string(hist) + `,"component":0,"epoch":0}` + "\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := openTestCoord(t, path, nil)
+	defer c.Close()
+	w := c.Register(api.WorkerHello{})
+	if drain(t, c, w.ID) == 0 {
+		t.Fatal("the replayed job dispatched no component")
+	}
+	rep, err := c.Wait(context.Background(), "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || len(rep.Anomalies) == 0 {
+		t.Fatalf("the pre-check must run on a replayed skip_precheck job: %+v", rep)
 	}
 }
 

@@ -52,12 +52,11 @@ type walRecord struct {
 	Job  string `json:"job"`
 
 	// recJob payload.
-	Checker      string           `json:"checker,omitempty"`
-	Level        string           `json:"level,omitempty"`
-	SkipPreCheck bool             `json:"skip_precheck,omitempty"`
-	Parallelism  int              `json:"parallelism,omitempty"`
-	Window       int              `json:"window,omitempty"`
-	History      *history.History `json:"history,omitempty"`
+	Checker     string           `json:"checker,omitempty"`
+	Level       string           `json:"level,omitempty"`
+	Parallelism int              `json:"parallelism,omitempty"`
+	Window      int              `json:"window,omitempty"`
+	History     *history.History `json:"history,omitempty"`
 
 	// recAssign / recRequeue / recResult payload.
 	Component int    `json:"component"`

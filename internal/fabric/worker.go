@@ -195,9 +195,8 @@ func (w *workerClient) execute(ctx context.Context, task *api.FabricTask, hbEver
 	}
 	h := ix.History()
 	opts := checker.Options{
-		Level:        checker.Level(task.Level),
-		SkipPreCheck: task.SkipPreCheck,
-		Parallelism:  task.Parallelism, Window: task.Window,
+		Level:       checker.Level(task.Level),
+		Parallelism: task.Parallelism, Window: task.Window,
 		Index: ix,
 	}
 	w.logger.Info("fabric worker: checking component",

@@ -61,9 +61,6 @@ const None core.Level = "NONE"
 
 // Options tunes a profile or single-rung run.
 type Options struct {
-	// SkipPreCheck disables the INT/G1 pre-pass. Only use on histories
-	// already known to satisfy it — every rung assumes its axioms.
-	SkipPreCheck bool
 	// Parallelism bounds the worker pool of the causal reachability
 	// closure, the one parallel phase. <= 0 selects GOMAXPROCS;
 	// verdicts are identical at every setting.
@@ -191,25 +188,23 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 		return nil, err
 	}
 	rep := &Report{NumTxns: ix.NumTxns()}
-	if !opts.SkipPreCheck {
-		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
-			// Shared anomaly evidence: a G1a/G1b/INT witness fails every
-			// rung (and the guarantees, whose read semantics it voids) at
-			// once — no graph is built.
-			for _, lvl := range core.Lattice() {
-				rep.Rungs = append(rep.Rungs, Verdict{Level: lvl, Res: core.Result{
-					Level: lvl, Anomalies: as, NumTxns: rep.NumTxns,
-				}})
-			}
-			rep.Strongest = None
-			w := "pre-check: " + as[0].String()
-			for _, g := range Guarantees() {
-				rep.Guarantees = append(rep.Guarantees, GuaranteeVerdict{
-					Guarantee: g, Session: -1, Witness: w,
-				})
-			}
-			return rep, nil
+	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+		// Shared anomaly evidence: a G1a/G1b/INT witness fails every
+		// rung (and the guarantees, whose read semantics it voids) at
+		// once — no graph is built.
+		for _, lvl := range core.Lattice() {
+			rep.Rungs = append(rep.Rungs, Verdict{Level: lvl, Res: core.Result{
+				Level: lvl, Anomalies: as, NumTxns: rep.NumTxns,
+			}})
 		}
+		rep.Strongest = None
+		w := "pre-check: " + as[0].String()
+		for _, g := range Guarantees() {
+			rep.Guarantees = append(rep.Guarantees, GuaranteeVerdict{
+				Guarantee: g, Session: -1, Witness: w,
+			})
+		}
+		return rep, nil
 	}
 	deps, err := core.BuildDependencyCtx(ctx, ix)
 	if err != nil {
@@ -280,15 +275,13 @@ func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Opt
 	switch lvl {
 	case core.RC, core.RA, core.CAUSAL:
 	default:
-		return core.CheckCtx(ctx, ix, lvl, core.Options{SkipPreCheck: opts.SkipPreCheck})
+		return core.CheckCtx(ctx, ix, lvl, core.Options{})
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	if !opts.SkipPreCheck {
-		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
-			return core.Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
-		}
+	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+		return core.Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 	}
 	deps, err := core.BuildDependencyCtx(ctx, ix)
 	if err != nil {

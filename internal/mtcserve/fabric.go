@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mtc/internal/api"
+	"mtc/internal/checker"
 	"mtc/internal/fabric"
 )
 
@@ -162,33 +163,11 @@ func (s *Server) fabricError(w http.ResponseWriter, r *http.Request, err error) 
 	}
 }
 
-// runFabricJob drives one distributed job from a pool worker: the job
-// was already submitted to the coordinator at HTTP-accept time (that is
-// the WAL durability point), so this just waits for the fold and maps
-// the outcome onto the job document. Cancellation and timeout also
-// cancel the fabric job, making the abort durable — a restart must not
-// resume a job its submitter gave up on.
-func (s *Server) runFabricJob(j *job) {
-	if !j.transition(api.JobRunning, nil, "") {
-		s.Fabric.Cancel(j.id, "job canceled")
-		return
-	}
-	ctx, cancel := context.WithTimeout(j.ctx, j.timeout)
-	defer cancel()
-	rep, err := s.Fabric.Wait(ctx, j.id)
-	switch {
-	case err == nil:
-		j.transition(api.JobDone, &rep, "")
-	case errors.Is(err, context.Canceled) && j.ctx.Err() != nil:
-		s.Fabric.Cancel(j.id, "job canceled")
-		j.transition(api.JobCanceled, nil, "job canceled")
-	case errors.Is(err, context.DeadlineExceeded):
-		msg := "job timed out after " + j.timeout.String()
-		s.Fabric.Cancel(j.id, msg)
-		j.transition(api.JobFailed, nil, msg)
-	default:
-		j.transition(api.JobFailed, nil, err.Error())
-	}
+// fabricWait is the run of a distributed job: the job was already
+// submitted to the coordinator at HTTP-accept time (that is the WAL
+// durability point), so a pool worker just waits for the fold.
+func (s *Server) fabricWait(j *job) func(context.Context) (checker.Report, error) {
+	return func(ctx context.Context) (checker.Report, error) { return s.Fabric.Wait(ctx, j.id) }
 }
 
 // AdoptFabricJobs recreates server job documents for every job the
@@ -221,6 +200,7 @@ func (s *Server) AdoptFabricJobs() {
 			distributed: true,
 			state:       api.JobQueued, created: time.Now(),
 		}
+		j.run = s.fabricWait(j)
 		j.events = append(j.events, api.JobEvent{JobID: j.id, Seq: 0, State: api.JobQueued})
 		s.jobs[j.id] = j
 		switch info.State {

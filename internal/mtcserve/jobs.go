@@ -14,7 +14,6 @@ import (
 
 	"mtc/internal/api"
 	"mtc/internal/checker"
-	"mtc/internal/history"
 )
 
 // Job-model defaults; Server fields override them.
@@ -38,12 +37,15 @@ type job struct {
 	opts    checker.Options
 	timeout time.Duration
 	txns    int
-	// distributed routes execution through the fabric coordinator
-	// instead of calling the engine on the pool worker.
+	// distributed marks a job the fabric coordinator checks: giving up
+	// on it must also cancel it there (abortJob).
 	distributed bool
-	// h is released once the job is terminal, so completed jobs do not
-	// pin their submitted histories in memory.
-	h *history.History
+	// run executes the check under the job's timeout: the engine through
+	// the registry, or — for a distributed job — the wait for the
+	// coordinator's fold. The local closure holds the submitted history,
+	// so run is released once the job is terminal and completed jobs do
+	// not pin their histories in memory.
+	run func(ctx context.Context) (checker.Report, error)
 
 	// cancel aborts the job at any stage; ctx is its parent context.
 	ctx    context.Context
@@ -99,7 +101,7 @@ func (j *job) transition(state string, report *checker.Report, errMsg string) bo
 		j.started = now
 	case api.JobTerminal(state):
 		j.finished = now
-		j.h = nil // release the history; only the report is served now
+		j.run = nil // release the history; only the report is served now
 	}
 	j.report = report
 	j.errMsg = errMsg
@@ -172,35 +174,43 @@ func (s *Server) Close() {
 	s.stopJanitor()
 }
 
-// runJob executes one job on a pool worker under its timeout.
+// abortJob makes giving up on a distributed job durable: the fabric
+// job is canceled too, so a coordinator restart does not resume a job
+// its submitter gave up on. Local jobs have nothing to undo.
+func (s *Server) abortJob(j *job, reason string) {
+	if j.distributed {
+		s.Fabric.Cancel(j.id, reason)
+	}
+}
+
+// runJob executes one job on a pool worker under its timeout and maps
+// the outcome onto the job document.
 func (s *Server) runJob(j *job) {
 	if j.ctx.Err() != nil { // deleted while queued
-		if j.distributed {
-			s.Fabric.Cancel(j.id, "job canceled before execution")
-		}
+		s.abortJob(j, "job canceled before execution")
 		j.transition(api.JobCanceled, nil, "job canceled before execution")
 		return
 	}
-	if j.distributed {
-		s.runFabricJob(j)
-		return
-	}
 	j.mu.Lock()
-	h := j.h // snapshot under j.mu: a racing DELETE nils it in transition
+	run := j.run // snapshot under j.mu: a racing DELETE nils it in transition
 	j.mu.Unlock()
 	if !j.transition(api.JobRunning, nil, "") {
+		s.abortJob(j, "job canceled")
 		return
 	}
 	ctx, cancel := context.WithTimeout(j.ctx, j.timeout)
 	defer cancel()
-	rep, err := s.reg.Run(ctx, j.checker, h, j.opts)
+	rep, err := run(ctx)
 	switch {
 	case err == nil:
 		j.transition(api.JobDone, &rep, "")
 	case errors.Is(err, context.Canceled) && j.ctx.Err() != nil:
+		s.abortJob(j, "job canceled")
 		j.transition(api.JobCanceled, nil, "job canceled")
 	case errors.Is(err, context.DeadlineExceeded):
-		j.transition(api.JobFailed, nil, "job timed out after "+j.timeout.String())
+		msg := "job timed out after " + j.timeout.String()
+		s.abortJob(j, msg)
+		j.transition(api.JobFailed, nil, msg)
 	default:
 		j.transition(api.JobFailed, nil, err.Error())
 	}
@@ -265,7 +275,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "window must be >= 0, got %d", req.Window)
 		return
 	}
-	opts := checker.Options{SkipPreCheck: req.SkipPreCheck, Parallelism: par, Window: req.Window, Shard: req.Shard}
+	opts := checker.Options{Parallelism: par, Window: req.Window, Shard: req.Shard}
 	if req.Level != "" {
 		lvl, err := checker.ParseLevel(req.Level)
 		if err != nil {
@@ -300,10 +310,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		checker: name, opts: opts, timeout: timeout,
-		txns: len(req.History.Txns), h: req.History,
-		ctx: ctx, cancel: cancel,
+		txns: len(req.History.Txns),
+		ctx:  ctx, cancel: cancel,
 		distributed: req.Distributed,
 		state:       api.JobQueued, created: time.Now(),
+	}
+	if j.distributed {
+		j.run = s.fabricWait(j)
+	} else {
+		h := req.History // the closure holds the history, not the whole request
+		j.run = func(ctx context.Context) (checker.Report, error) {
+			return s.reg.Run(ctx, name, h, opts)
+		}
 	}
 	j.events = append(j.events, api.JobEvent{JobID: "", Seq: 0, State: api.JobQueued})
 
@@ -330,9 +348,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// refuse undoes the submission of a job the pool will never see.
 	refuse := func(reason string) {
 		cancel()
-		if j.distributed {
-			s.Fabric.Cancel(j.id, reason)
-		}
+		s.abortJob(j, reason)
 	}
 	s.jobsMu.Lock()
 	if s.closed {

@@ -104,8 +104,8 @@ func TestJobLifecycle(t *testing.T) {
 // TestJobValidation covers the submit-time error envelope.
 // TestProfileAndWeakLevelJobs drives the lattice checkers through the
 // job API: a profile job must report the strongest level with per-rung
-// and guarantee verdicts, and the weak single-level checkers must be
-// addressable by name.
+// and guarantee verdicts, and a weak level with no checker named (what
+// `mtc-client -level RC` sends) must run on the default engine.
 func TestProfileAndWeakLevelJobs(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
@@ -126,21 +126,49 @@ func TestProfileAndWeakLevelJobs(t *testing.T) {
 		t.Fatalf("profile shape: %d rungs, %d guarantees", len(job.Report.Rungs), len(job.Report.Guarantees))
 	}
 
-	for name, wantOK := range map[string]bool{"rc": true, "ra": false, "causal": false} {
-		resp, job := submitJob(t, ts, api.JobRequest{Checker: name, History: f.H})
+	for lvl, wantOK := range map[string]bool{"RC": true, "RA": false, "CAUSAL": false} {
+		resp, job := submitJob(t, ts, api.JobRequest{Level: lvl, History: f.H})
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %s: %d", name, resp.StatusCode)
+			t.Fatalf("submit at %s: %d", lvl, resp.StatusCode)
 		}
 		job = waitJob(t, ts, job.ID, 5*time.Second)
-		if job.State != api.JobDone || job.Report == nil || job.Report.OK != wantOK {
-			t.Fatalf("%s job on FracturedRead: %+v", name, job)
+		if job.State != api.JobDone || job.Report == nil || job.Report.OK != wantOK ||
+			job.Report.Checker != "mtc" || string(job.Report.Level) != lvl {
+			t.Fatalf("%s job on FracturedRead: %+v", lvl, job)
 		}
 	}
 
 	// A weak level on an engine that does not support it must 400.
-	resp, _ = submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "RC", History: f.H})
+	resp, _ = submitJob(t, ts, api.JobRequest{Checker: "cobra", Level: "RC", History: f.H})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mtc at RC: %d, want 400", resp.StatusCode)
+		t.Fatalf("cobra at RC: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRetiredSkipPreCheckIsIgnored: the job body no longer carries a
+// pre-check switch. A client that still sends it is accepted like any
+// unknown field, and the history is validated all the same — a remote
+// caller cannot turn the pre-check off and collect a false OK.
+func TestRetiredSkipPreCheckIsIgnored(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	h, err := json.Marshal(history.FixtureByName("ThinAirRead").H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"level":"SI","skip_precheck":true,"history":`+string(h)+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var job api.Job
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d, %v", resp.StatusCode, err)
+	}
+	done := waitJob(t, ts, job.ID, 5*time.Second)
+	if done.State != api.JobDone || done.Report == nil || done.Report.OK || len(done.Report.Anomalies) == 0 {
+		t.Fatalf("the pre-check must still reject a thin-air read: %+v", done)
 	}
 }
 
@@ -502,9 +530,9 @@ func TestTerminalJobReleasesHistory(t *testing.T) {
 	}
 	internal := srv.lookupJob(job.ID)
 	internal.mu.Lock()
-	held := internal.h
+	held := internal.run != nil
 	internal.mu.Unlock()
-	if held != nil {
+	if held {
 		t.Fatal("terminal job still pins its history")
 	}
 }

@@ -394,13 +394,6 @@ func (s *Server) handleCheckers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// reportFromResult converts a core.Result to a checker.Report for the
-// session endpoints (the shared normalisation lives in the checker
-// package).
-func reportFromResult(r core.Result, checkerName string) checker.Report {
-	return checker.ReportFromResult(checkerName, r)
-}
-
 func (s *Server) handleFixtures(w http.ResponseWriter, r *http.Request) {
 	var names []string
 	for _, f := range history.Fixtures() {
@@ -423,16 +416,7 @@ func (s *Server) handleFixture(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	if lvl == "" {
-		lvl = core.SI
-	}
-	// The MTC engine serves the strong levels; the weak lattice rungs
-	// route through the profile checker, which supports all of them.
-	engine := "mtc"
-	if core.LatticeRank(lvl) < core.LatticeRank(core.SI) {
-		engine = "profile"
-	}
-	rep, err := s.reg.Run(r.Context(), engine, f.H, checker.Options{Level: lvl})
+	rep, err := s.reg.Run(r.Context(), "mtc", f.H, checker.Options{Level: lvl})
 	if err != nil {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
@@ -518,11 +502,11 @@ func (s *Server) status(id string, sess *session) api.SessionStatus {
 	}
 	if sess.final != nil {
 		st.OK = sess.final.OK
-		v := reportFromResult(*sess.final, "mtc-incremental")
+		v := checker.ReportFromResult("mtc-incremental", *sess.final)
 		st.Report = &v
 	} else if vio := sess.inc.Violation(); vio != nil {
 		st.OK = false
-		v := reportFromResult(*vio, "mtc-incremental")
+		v := checker.ReportFromResult("mtc-incremental", *vio)
 		st.Report = &v
 	}
 	return st

@@ -110,6 +110,20 @@ func TestFixturesEndpoints(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("WriteSkew/SI verdict: %+v", v)
 	}
+	// A weak level runs the MTC engine like every other level: the same
+	// verdict the profile checker's rung gives, without the profile fields.
+	for lvl, wantOK := range map[string]bool{"rc": true, "ra": false} {
+		resp, err = http.Get(ts.URL + "/v1/fixtures/FracturedRead?level=" + lvl)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("fixture at %s failed", lvl)
+		}
+		v = checker.Report{}
+		_ = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if v.Checker != "mtc" || v.OK != wantOK || v.OK != (len(v.Anomalies) == 0) || v.StrongestLevel != "" || len(v.Rungs) != 0 {
+			t.Fatalf("FracturedRead/%s verdict: %+v", lvl, v)
+		}
+	}
 	resp, _ = http.Get(ts.URL + "/v1/fixtures/Nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fixture must 404, got %d", resp.StatusCode)

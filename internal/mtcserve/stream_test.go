@@ -58,7 +58,7 @@ func TestCheckersEndpoint(t *testing.T) {
 		}
 		got = append(got, ci.Name)
 	}
-	want := []string{"causal", "cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile", "ra", "rc"}
+	want := []string{"cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("/v1/checkers lists %v, want %v", got, want)
 	}

@@ -1,4 +1,4 @@
-package cobra
+package polygraph
 
 import (
 	"context"
@@ -9,20 +9,42 @@ import (
 	"mtc/internal/core"
 	"mtc/internal/history"
 	"mtc/internal/kv"
-	"mtc/internal/polysi"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
 )
+
+// checkSER and checkSI run the pipeline serially, without a deadline.
+func checkSER(h *history.History) Report {
+	r, _ := Check(context.Background(), history.NewIndex(h), SER, 1)
+	return r
+}
+
+func checkSI(h *history.History) Report {
+	r, _ := Check(context.Background(), history.NewIndex(h), SI, 1)
+	return r
+}
 
 func TestFixturesAgainstCobraAndPolySI(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			if got := CheckSER(f.H); got.OK != !f.ViolatesSER {
+			if got := checkSER(f.H); got.OK != !f.ViolatesSER {
 				t.Errorf("cobra SER OK=%v, want %v (%+v)", got.OK, !f.ViolatesSER, got)
 			}
-			if got := polysi.CheckSI(f.H); got.OK != !f.ViolatesSI {
+			if got := checkSI(f.H); got.OK != !f.ViolatesSI {
 				t.Errorf("polysi SI OK=%v, want %v (%+v)", got.OK, !f.ViolatesSI, got)
+			}
+		})
+	}
+}
+
+func TestFixtureVerdicts(t *testing.T) {
+	for _, f := range history.Fixtures() {
+		f := f
+		t.Run(f.Name, func(t *testing.T) {
+			got := checkSI(f.H)
+			if got.OK != !f.ViolatesSI {
+				t.Fatalf("OK=%v, want %v (%+v)", got.OK, !f.ViolatesSI, got)
 			}
 		})
 	}
@@ -30,11 +52,21 @@ func TestFixturesAgainstCobraAndPolySI(t *testing.T) {
 
 func TestSerialHistoriesPass(t *testing.T) {
 	h := history.SerialHistory(60, "x", "y", "z")
-	if r := CheckSER(h); !r.OK {
+	if r := checkSER(h); !r.OK {
 		t.Fatalf("serial history must be SER: %+v", r)
 	}
-	if r := polysi.CheckSI(h); !r.OK {
+	if r := checkSI(h); !r.OK {
 		t.Fatalf("serial history must be SI: %+v", r)
+	}
+}
+
+func TestSerialHistory(t *testing.T) {
+	r := checkSI(history.SerialHistory(50, "x", "y"))
+	if !r.OK {
+		t.Fatalf("serial history must satisfy SI: %+v", r)
+	}
+	if r.Constraints != 0 {
+		t.Fatalf("chain coalescing leaves no constraints on RMW chains, got %d", r.Constraints)
 	}
 }
 
@@ -42,7 +74,7 @@ func TestPruningResolvesMTChains(t *testing.T) {
 	// On a serial MT history the RMW chains determine the entire WW
 	// order, so pruning must eliminate every constraint.
 	h := history.SerialHistory(80, "x", "y")
-	r := CheckSER(h)
+	r := checkSER(h)
 	if !r.OK {
 		t.Fatalf("%+v", r)
 	}
@@ -57,15 +89,43 @@ func TestBlindWritesReachSolver(t *testing.T) {
 	b.Txn(0, history.R("x", 0), history.W("x", 1))
 	b.Txn(1, history.R("x", 0), history.W("x", 2)) // divergence -> not SER
 	h := b.Build()
-	r := CheckSER(h)
+	r := checkSER(h)
 	if r.OK {
 		t.Fatal("divergence is not serializable")
 	}
 }
 
+func TestDivergenceRejectedBeforeSolver(t *testing.T) {
+	b := history.NewBuilder("x")
+	b.Txn(0, history.R("x", 0), history.W("x", 1))
+	b.Txn(1, history.R("x", 0), history.W("x", 2))
+	r := checkSI(b.Build())
+	if r.OK {
+		t.Fatal("divergence must violate SI")
+	}
+	if r.Solver.Decisions != 0 {
+		t.Fatalf("SI pruning should settle divergence without solver decisions: %+v", r.Solver)
+	}
+}
+
+func TestWriteSkewAcceptedUnderSI(t *testing.T) {
+	f := history.FixtureByName("WriteSkew")
+	if r := checkSI(f.H); !r.OK {
+		t.Fatalf("write skew satisfies SI: %+v", r)
+	}
+}
+
 func TestPreCheckRejects(t *testing.T) {
 	f := history.FixtureByName("AbortedRead")
-	r := CheckSER(f.H)
+	r := checkSER(f.H)
+	if r.OK || len(r.Anomalies) == 0 {
+		t.Fatalf("pre-check must reject: %+v", r)
+	}
+}
+
+func TestPreCheckRejectsSI(t *testing.T) {
+	f := history.FixtureByName("ThinAirRead")
+	r := checkSI(f.H)
 	if r.OK || len(r.Anomalies) == 0 {
 		t.Fatalf("pre-check must reject: %+v", r)
 	}
@@ -86,7 +146,7 @@ func TestPropertyCobraAgreesWithMTCSEROnStoreHistories(t *testing.T) {
 	f := func(seed int64) bool {
 		h := storeHistory(t, kv.ModeSerializable, kv.Faults{}, seed, 4)
 		mtc := coreCheck(h, core.SER, core.Options{})
-		cob := CheckSER(h)
+		cob := checkSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d MTC=%v cobra=%v\n%s", seed, mtc.OK, cob.OK, mtc.Explain())
 			return false
@@ -112,7 +172,7 @@ func TestPropertyCobraAgreesOnFaultyHistories(t *testing.T) {
 		}
 		h := storeHistory(t, kv.ModeSerializable, faults, seed, 2)
 		mtc := coreCheck(h, core.SER, core.Options{})
-		cob := CheckSER(h)
+		cob := checkSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v cobra=%v\n%s", seed, faults, mtc.OK, cob.OK, mtc.Explain())
 			return false
@@ -141,7 +201,7 @@ func TestPropertyPolySIAgreesWithMTCSI(t *testing.T) {
 		}
 		h := storeHistory(t, mode, faults, seed, 3)
 		mtc := coreCheck(h, core.SI, core.Options{})
-		psi := polysi.CheckSI(h)
+		psi := checkSI(h)
 		if mtc.OK != psi.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v polysi=%v\n%s", seed, faults, mtc.OK, psi.OK, mtc.Explain())
 			return false
@@ -158,11 +218,11 @@ func TestPropertyWriteSkewHistoriesSIButNotSER(t *testing.T) {
 	// a write skew occurred. Whenever cobra rejects, MTC-SER must too.
 	f := func(seed int64) bool {
 		h := storeHistory(t, kv.ModeSI, kv.Faults{}, seed, 2)
-		if !polysi.CheckSI(h).OK {
+		if !checkSI(h).OK {
 			t.Logf("seed=%d: fault-free SI store violated SI per polysi", seed)
 			return false
 		}
-		return CheckSER(h).OK == coreCheck(h, core.SER, core.Options{}).OK
+		return checkSER(h).OK == coreCheck(h, core.SER, core.Options{}).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -57,8 +57,8 @@ func clone(p *Polygraph) *Polygraph {
 	}
 }
 
-// TestPruneParMatchesSerial proves PrunePar is observationally equal to
-// the serial path at every parallelism: same verdict, same forced count,
+// TestPruneParMatchesSerial proves Prune at par > 1 is observationally
+// equal to the serial path (par 1) at every parallelism: same verdict, same forced count,
 // same residual constraints, and the same known edges in the same order.
 func TestPruneParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -66,19 +66,19 @@ func TestPruneParMatchesSerial(t *testing.T) {
 	constrained := 0
 	for trial := 0; trial < 60; trial++ {
 		h := randomHistory(rng, 3, 8, 2+rng.Intn(3))
-		base := Build(h)
+		base := Build(history.NewIndex(h))
 		if len(base.Cons) > 0 {
 			constrained++
 		}
-		for _, mode := range []PruneMode{PruneSER, PruneSI} {
+		for _, mode := range []Mode{SER, SI} {
 			ref := clone(base)
-			refOK, err := ref.PrunePar(ctx, mode, 1)
+			refOK, err := ref.Prune(ctx, mode, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{2, 4, 0} {
 				got := clone(base)
-				gotOK, err := got.PrunePar(ctx, mode, par)
+				gotOK, err := got.Prune(ctx, mode, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,11 +104,11 @@ func TestPruneParMatchesSerial(t *testing.T) {
 // deadline must stop inside the parallel fixpoint, not run to completion.
 func TestPruneParHonorsDeadline(t *testing.T) {
 	h := history.BlindWriteHistory(4, 220)
-	p := Build(h)
+	p := Build(history.NewIndex(h))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := p.PrunePar(ctx, PruneSER, 4)
+	_, err := p.Prune(ctx, SER, 4)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

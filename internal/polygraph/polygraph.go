@@ -1,10 +1,18 @@
-// Package polygraph builds the constraint representation of a general
-// history that the Cobra and PolySI baselines solve over: known dependency
-// edges (session order, write-read, and read-modify-write-inferred
-// write-write edges with their anti-dependencies) plus one binary
-// constraint per undetermined pair of writers of the same object. Each
-// orientation of a pair activates the write-write edge and the
-// anti-dependency edges it induces (Cobra's "coalesced constraints").
+// Package polygraph is the polygraph pipeline the paper's two
+// "state-of-the-art" baselines share: Cobra (Tan et al., OSDI'20), the SER
+// baseline of Figures 7, 10, 13 and 14, and PolySI (Huang et al.,
+// VLDB'23), the SI baseline of Figures 8 and 17. Check runs it end to end
+// — pre-check, Build, Prune, solve — and the Mode is the whole difference
+// between the two tools: which cycles the pruner may count and which
+// theory the solver (internal/sat, standing in for MonoSAT) keeps acyclic.
+//
+// Build extracts the constraint representation of a general history:
+// known dependency edges (session order, write-read, and
+// read-modify-write-inferred write-write edges with their
+// anti-dependencies) plus one binary constraint per undetermined pair of
+// writers of the same object. Each orientation of a pair activates the
+// write-write edge and the anti-dependency edges it induces (Cobra's
+// "coalesced constraints").
 //
 // Prune implements Cobra's solver-external optimization: it repeatedly
 // computes reachability over the known edges and forces every constraint
@@ -18,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -33,20 +42,15 @@ type Polygraph struct {
 	Forced int
 }
 
-// Build constructs the polygraph of a history. The history must already
-// satisfy the INT axiom and unique values (callers pre-check with
-// history.CheckInternal). Both the SER and SI baselines share this
-// construction; they differ only in the theory they solve with.
-func Build(h *history.History) *Polygraph {
-	return BuildIndexed(history.NewIndex(h))
-}
-
-// BuildIndexed constructs the polygraph over a prebuilt columnar index,
-// so one interning/footprint pass serves both the pre-check and the
-// constraint extraction. Footprint columns are sorted by interned key
-// id — lexicographic key order — so the edge and constraint emission
+// Build constructs the polygraph over a columnar index, so one
+// interning/footprint pass serves both the pre-check and the constraint
+// extraction. The history must already satisfy the INT axiom and unique
+// values (Check pre-checks with history.CheckInternalIndexed). Both modes
+// share this construction; they differ only in the pruning condition and
+// the theory they solve with. Footprint columns are sorted by interned
+// key id — lexicographic key order — so the edge and constraint emission
 // order matches the map-and-sort construction it replaces.
-func BuildIndexed(ix *history.Index) *Polygraph {
+func Build(ix *history.Index) *Polygraph {
 	h := ix.History()
 	p := &Polygraph{N: len(h.Txns)}
 
@@ -212,39 +216,78 @@ func orient(u, w int, x history.KeyID, readersOf [][]kr) []sat.Edge {
 	return edges
 }
 
-// PruneMode selects the soundness condition used to force constraints.
-type PruneMode int
+// Mode selects the isolation level the pipeline decides: the soundness
+// condition Prune forces constraints under and the theory Check solves
+// the residue with.
+type Mode int
 
-// Pruning modes.
+// Pipeline modes.
 const (
-	// PruneSER treats every edge (including anti-dependencies) as cycle
+	// SER (Cobra) treats every edge, anti-dependencies included, as cycle
 	// material: any plain cycle violates serializability.
-	PruneSER PruneMode = iota
-	// PruneSI only counts base (WW/WR/SO) edges: a pure base cycle is
-	// also a cycle of the SI composition, but cycles through RW edges
-	// need not be, so they must be left to the SI theory solver.
-	PruneSI
+	SER Mode = iota
+	// SI (PolySI) requires (SO ∪ WR ∪ WW) ; RW? to stay acyclic
+	// (Definition 6). Pruning only counts base (WW/WR/SO) edges: a pure
+	// base cycle is also a cycle of the SI composition, but cycles through
+	// RW edges need not be, so they are left to the SI theory solver.
+	SI
 )
 
-// Prune resolves constraints forced by reachability over the known edges,
-// iterating to a fixpoint. It returns false if the known edges alone are
-// cyclic or some constraint is unsatisfiable both ways under the mode's
-// (sound) cycle condition: the history certainly violates the level.
-//
-// PruneSER uses plain reachability over every known edge. PruneSI uses
-// reachability over the COMPOSED graph (base ; rw?) of the known edges —
-// an option is forced away when its own contribution to the composition
-// (including compositions among its new edges) closes a composed cycle,
-// the exact condition Definition 6 forbids. Both modes are sound; cycles
-// requiring three or more undecided options are left to the solver.
-func (p *Polygraph) Prune(mode PruneMode) bool {
-	ok, _ := p.PruneCtx(context.Background(), mode)
-	return ok
+// Report is the outcome of a Check run with stage statistics.
+type Report struct {
+	OK bool
+	// Anomalies is non-empty when the pre-check rejected the history.
+	Anomalies []history.Anomaly
+	// Constraints counts constraints before pruning; Forced those the
+	// pruning stage resolved; Residual what reached the solver.
+	Constraints int
+	Forced      int
+	Residual    int
+	Solver      sat.Result
+	// Per-phase wall-clock durations of the pipeline stages.
+	BuildTime, PruneTime, SolveTime time.Duration
 }
 
-// PruneCtx is PrunePar at parallelism 1: the serial reference path.
-func (p *Polygraph) PruneCtx(ctx context.Context, mode PruneMode) (bool, error) {
-	return p.PrunePar(ctx, mode, 1)
+// Check verifies the indexed general (or MT) history at mode's level:
+// the INT/G1 pre-check, Build, Prune over a worker pool of par (<= 0
+// selects GOMAXPROCS), then the SAT search over the residue. Both the
+// pruning fixpoint and the search poll ctx, so a deadline stops the run
+// promptly; the Report is only meaningful when the returned error is
+// nil. The verdict and all statistics except wall-clock are identical at
+// every par.
+func Check(ctx context.Context, ix *history.Index, mode Mode, par int) (Report, error) {
+	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+		return Report{OK: false, Anomalies: as}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return Report{}, err
+	}
+	start := time.Now()
+	p := Build(ix)
+	rep := Report{Constraints: len(p.Cons), BuildTime: time.Since(start)}
+	start = time.Now()
+	ok, err := p.Prune(ctx, mode, par)
+	rep.PruneTime = time.Since(start)
+	if err != nil {
+		return rep, err
+	}
+	rep.Forced = p.Forced
+	if !ok {
+		return rep, nil
+	}
+	rep.Residual = len(p.Cons)
+	solve := sat.SolveAcyclic
+	if mode == SI {
+		solve = sat.SolveSI
+	}
+	start = time.Now()
+	rep.Solver, err = solve(ctx, p.N, p.Known, p.Cons)
+	rep.SolveTime = time.Since(start)
+	if err != nil {
+		return rep, err
+	}
+	rep.OK = rep.Solver.Sat
+	return rep, nil
 }
 
 // reacher answers reach(u, v) queries; either the full closure table or
@@ -271,20 +314,31 @@ func (s sparseReach) Reach(u, v int) bool {
 	return row.Test(v)
 }
 
-// PrunePar is Prune with a bounded worker pool: each fixpoint round
-// computes reachability in parallel (the closure fills independent
-// topological levels concurrently; sparse rounds answer only the queried
-// rows through a ReachPool) and checks the constraints in parallel
-// shards against that shared snapshot. The verdicts are merged back in
-// constraint order, so the forced edges, the Forced count and the
-// residual constraint order are identical at every parallelism level —
-// PrunePar(ctx, m, k) is observationally equal to PruneCtx(ctx, m) for
-// all k. par <= 0 selects GOMAXPROCS.
+// Prune resolves constraints forced by reachability over the known edges,
+// iterating to a fixpoint. It returns false if the known edges alone are
+// cyclic or some constraint is unsatisfiable both ways under the mode's
+// (sound) cycle condition: the history certainly violates the level.
+//
+// SER uses plain reachability over every known edge. SI uses
+// reachability over the COMPOSED graph (base ; rw?) of the known edges —
+// an option is forced away when its own contribution to the composition
+// (including compositions among its new edges) closes a composed cycle,
+// the exact condition Definition 6 forbids. Both modes are sound; cycles
+// requiring three or more undecided options are left to the solver.
+//
+// Each fixpoint round computes reachability over a worker pool of par
+// (the closure fills independent topological levels concurrently; sparse
+// rounds answer only the queried rows through a ReachPool) and checks the
+// constraints in parallel shards against that shared snapshot. The
+// verdicts are merged back in constraint order, so the forced edges, the
+// Forced count and the residual constraint order are identical at every
+// parallelism level. par <= 0 selects GOMAXPROCS; 1 is the serial
+// reference path.
 //
 // ctx is polled inside the reachability computation and between
 // constraint chunks, so a deadline stops the fixpoint promptly; the
 // first result is then meaningless and the context's error is returned.
-func (p *Polygraph) PrunePar(ctx context.Context, mode PruneMode, par int) (bool, error) {
+func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error) {
 	par = graph.Parallelism(par)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -295,7 +349,7 @@ func (p *Polygraph) PrunePar(ctx context.Context, mode PruneMode, par int) (bool
 			si    *siIndex
 			err   error
 		)
-		if mode == PruneSER {
+		if mode == SER {
 			reach, err = p.serReach(ctx, par)
 		} else {
 			si = newSIIndex(p.N, p.Known)
@@ -308,7 +362,7 @@ func (p *Polygraph) PrunePar(ctx context.Context, mode PruneMode, par int) (bool
 			return false, nil // known (or composed) edges alone are cyclic
 		}
 		bad := func(edges []sat.Edge) bool {
-			if mode == PruneSER {
+			if mode == SER {
 				return createsCycle(reach, edges)
 			}
 			return si.optionClosesCycle(reach, edges)
@@ -364,7 +418,7 @@ func (p *Polygraph) PrunePar(ctx context.Context, mode PruneMode, par int) (bool
 	}
 }
 
-// serReach answers the round's reachability needs for PruneSER: a nil
+// serReach answers the round's reachability needs for SER: a nil
 // reacher (with nil error) means the known edges are cyclic. When the
 // constraints query only a few distinct sources relative to N, per-source
 // BFS rows through the ReachPool beat materializing the full closure

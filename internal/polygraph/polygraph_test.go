@@ -20,43 +20,43 @@ func closureOf(n int, edges []sat.Edge) (reacher, bool) {
 
 func TestBuildSerialChainNoResidualAfterPrune(t *testing.T) {
 	h := history.SerialHistory(40, "x")
-	p := Build(h)
+	p := Build(history.NewIndex(h))
 	if p.N != len(h.Txns) {
 		t.Fatalf("N = %d", p.N)
 	}
 	if len(p.Cons) != 0 {
 		t.Fatalf("chain coalescing leaves no constraints on an RMW chain, got %d", len(p.Cons))
 	}
-	if !p.Prune(PruneSER) {
+	if ok, _ := p.Prune(context.Background(), SER, 1); !ok {
 		t.Fatal("serial history must survive pruning")
 	}
 }
 
 func TestBuildDivergenceUnsatInPrune(t *testing.T) {
 	// Divergence: both WW orientations create a cycle with the RW edges,
-	// so PruneSER alone settles it.
+	// so SER pruning alone settles it.
 	b := history.NewBuilder("x")
 	b.Txn(0, history.R("x", 0), history.W("x", 1))
 	b.Txn(1, history.R("x", 0), history.W("x", 2))
-	p := Build(b.Build())
+	p := Build(history.NewIndex(b.Build()))
 	if len(p.Cons) == 0 {
 		t.Fatal("divergent writers must yield a constraint")
 	}
-	if p.Prune(PruneSER) {
+	if ok, _ := p.Prune(context.Background(), SER, 1); ok {
 		t.Fatal("divergence must be unsat under SER pruning")
 	}
 }
 
 func TestPruneSIRejectsDivergence(t *testing.T) {
-	// The same divergence under PruneSI: both orientations close a
+	// The same divergence under SI pruning: both orientations close a
 	// composed cycle through their own induced anti-dependency, so the
 	// composed-reachability pruning settles it without the solver.
 	b := history.NewBuilder("x")
 	b.Txn(0, history.R("x", 0), history.W("x", 1))
 	b.Txn(1, history.R("x", 0), history.W("x", 2))
-	p := Build(b.Build())
-	if p.Prune(PruneSI) {
-		if r := sat.SolveSI(p.N, p.Known, p.Cons); r.Sat {
+	p := Build(history.NewIndex(b.Build()))
+	if ok, _ := p.Prune(context.Background(), SI, 1); ok {
+		if r, _ := sat.SolveSI(context.Background(), p.N, p.Known, p.Cons); r.Sat {
 			t.Fatal("divergence must be rejected by pruning or the solver")
 		}
 	}
@@ -67,7 +67,7 @@ func TestKnownEdgesIncludeSOWRWWRW(t *testing.T) {
 	t1 := b.Txn(0, history.R("x", 0), history.W("x", 1))
 	t2 := b.Txn(0, history.R("x", 1), history.W("x", 2))
 	t3 := b.Txn(1, history.R("x", 1))
-	p := Build(b.Build())
+	p := Build(history.NewIndex(b.Build()))
 	hasBase := func(a, c int) bool {
 		for _, e := range p.Known {
 			if e.From == a && e.To == c && e.Kind == sat.Base {

@@ -25,8 +25,9 @@ type Config struct {
 	// up immediately). Each retry is a fresh transaction with fresh write
 	// values.
 	Retries int
-	// KeepAborted records aborted transactions in the history (needed to
-	// detect G1a AbortedRead); defaults to true in Run.
+	// DropAborted leaves aborted transactions out of the history. The
+	// default (false) records them: they are needed to detect G1a
+	// AbortedRead.
 	DropAborted bool
 	// OpDelay simulates per-operation client/server latency as busy-loop
 	// iterations (a stand-in for the network round-trip that makes real
@@ -83,24 +84,55 @@ func uniqueValue(session, n int) history.Value {
 	return history.Value(int64(session+1)<<20 | int64(n+1))
 }
 
-// Run executes the workload against the store and returns the combined
-// history. The store is initialized with value 0 for every key in the
-// plan (the initial transaction ⊥T).
-func Run(s *kv.Store, w *workload.Workload, cfg Config) *Result {
-	s.Init(w.Keys)
-	perSession := make([][]record, len(w.Sessions))
+// runSessions drives the plan with one goroutine per session, all
+// released together. A session runs its specs serially: exec executes
+// each until it commits or cfg.Retries re-executions are spent, and every
+// attempt goes to emit on the session's own goroutine — so emit(si, ·)
+// calls are ordered within a session and concurrent across sessions.
+// Once stop (may be nil) is set, sessions end at their next attempt
+// boundary. done (may be nil) runs as each session's last act.
+// runSessions returns when every session has finished.
+func runSessions[R any](s *kv.Store, w *workload.Workload, cfg Config, stop *atomic.Bool,
+	exec func(s *kv.Store, si int, spec workload.TxnSpec, values *int, spin int) (R, bool),
+	emit func(si int, rec R), done func(si int)) {
+	stopped := func() bool { return stop != nil && stop.Load() }
 	start := make(chan struct{}) // barrier: all sessions begin together
 	var wg sync.WaitGroup
 	for si := range w.Sessions {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
+			if done != nil {
+				defer done(si)
+			}
 			<-start
-			perSession[si] = runSession(s, si, w.Sessions[si], cfg)
+			values := 0
+			for _, spec := range w.Sessions[si] {
+				if stopped() {
+					return
+				}
+				for attempt := 0; ; attempt++ {
+					rec, ok := exec(s, si, spec, &values, cfg.OpDelay)
+					emit(si, rec)
+					if ok || attempt >= cfg.Retries || stopped() {
+						break
+					}
+				}
+			}
 		}(si)
 	}
 	close(start)
 	wg.Wait()
+}
+
+// Run executes the workload against the store and returns the combined
+// history. The store is initialized with value 0 for every key in the
+// plan (the initial transaction ⊥T).
+func Run(s *kv.Store, w *workload.Workload, cfg Config) *Result {
+	s.Init(w.Keys)
+	perSession := make([][]record, len(w.Sessions))
+	runSessions(s, w, cfg, nil, runTxn,
+		func(si int, r record) { perSession[si] = append(perSession[si], r) }, nil)
 
 	res := &Result{}
 	b := history.NewBuilder(w.Keys...)
@@ -124,22 +156,6 @@ func Run(s *kv.Store, w *workload.Workload, cfg Config) *Result {
 	}
 	res.H = b.Build()
 	return res
-}
-
-// runSession executes one session's transactions serially with retries.
-func runSession(s *kv.Store, si int, specs []workload.TxnSpec, cfg Config) []record {
-	var recs []record
-	values := 0
-	for _, spec := range specs {
-		for attempt := 0; ; attempt++ {
-			rec, ok := runTxn(s, si, spec, &values, cfg.OpDelay)
-			recs = append(recs, rec)
-			if ok || attempt >= cfg.Retries {
-				break
-			}
-		}
-	}
-	return recs
 }
 
 // spinSink defeats dead-code elimination of the busy-delay loop; sessions

@@ -51,43 +51,22 @@ type streamMsg struct {
 	done bool
 }
 
-// startSessions initializes the store and launches one goroutine per
-// session publishing every finished transaction attempt on the returned
-// channel (closed when all sessions finish). Sessions block until
-// release is called and stop at the next boundary once stop is set.
-func startSessions(s *kv.Store, w *workload.Workload, cfg Config, stop *atomic.Bool) (ch chan streamMsg, release func()) {
+// startSessions initializes the store and starts the sessions
+// (runSessions), publishing every finished transaction attempt, and each
+// session's done marker after its last one, on the returned channel
+// (closed when all sessions finish). Sessions stop at the next boundary
+// once stop is set.
+func startSessions(s *kv.Store, w *workload.Workload, cfg Config, stop *atomic.Bool) chan streamMsg {
 	s.Init(w.Keys)
-	ch = make(chan streamMsg, 256)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for si := range w.Sessions {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			// Registered after wg.Done so it runs first: the done marker
-			// is always published before the channel can close.
-			defer func() { ch <- streamMsg{si: si, done: true} }()
-			<-start
-			values := 0
-			for _, spec := range w.Sessions[si] {
-				if stop.Load() {
-					return
-				}
-				for attempt := 0; ; attempt++ {
-					rec, ok := runTxn(s, si, spec, &values, cfg.OpDelay)
-					ch <- streamMsg{si: si, rec: rec}
-					if ok || attempt >= cfg.Retries || stop.Load() {
-						break
-					}
-				}
-			}
-		}(si)
-	}
+	ch := make(chan streamMsg, 256)
+	//mtc:goroutine-joined closes ch once every session has finished; drainSessions ranges over ch to that close
 	go func() {
-		wg.Wait()
+		runSessions(s, w, cfg, stop, runTxn,
+			func(si int, rec record) { ch <- streamMsg{si: si, rec: rec} },
+			func(si int) { ch <- streamMsg{si: si, done: true} })
 		close(ch)
 	}()
-	return ch, func() { close(start) }
+	return ch
 }
 
 // drainSessions is the dispatcher loop shared by the unsharded and
@@ -167,9 +146,6 @@ func RunStream(ctx context.Context, s *kv.Store, w *workload.Workload, cfg Confi
 			return runStreamSharded(ctx, s, w, cfg, lvl, comps)
 		}
 	}
-	var stop atomic.Bool
-	ch, release := startSessions(s, w, cfg, &stop)
-
 	res := &StreamResult{}
 	inc := core.NewIncremental(lvl)
 	inc.InitTxn(w.Keys...)
@@ -186,7 +162,8 @@ func RunStream(ctx context.Context, s *kv.Store, w *workload.Workload, cfg Confi
 	if cfg.Window <= 0 {
 		b = history.NewBuilder(w.Keys...)
 	}
-	release()
+	var stop atomic.Bool
+	ch := startSessions(s, w, cfg, &stop)
 	drainSessions(ctx, ch, &stop, cfg, res, b, func(msg streamMsg) {
 		if msg.done {
 			inc.EndSession(msg.si)
@@ -291,12 +268,11 @@ func runStreamSharded(ctx context.Context, s *kv.Store, w *workload.Workload, cf
 		}(shardCh[wi])
 	}
 
-	ch, release := startSessions(s, w, cfg, &stop)
 	var b *history.Builder
 	if cfg.Window <= 0 {
 		b = history.NewBuilder(w.Keys...)
 	}
-	release()
+	ch := startSessions(s, w, cfg, &stop)
 	arrival := 0 // global stream position of the last routed txn
 	drainSessions(ctx, ch, &stop, cfg, res, b, func(msg streamMsg) {
 		ci := compOf[msg.si]

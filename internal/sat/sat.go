@@ -102,17 +102,12 @@ type lit struct {
 }
 
 // Solve searches for an orientation of cons whose activated edges, unioned
-// with known, satisfy the theory built by mk. n is the node count.
-func Solve(n int, known []Edge, cons []Constraint, mk func(n int) Theory) Result {
-	res, _ := SolveCtx(context.Background(), n, known, cons, mk)
-	return res
-}
-
-// SolveCtx is Solve under a context: the search polls ctx every few
-// decisions and unwinds with the context's error when it fires, so a
-// deadline bounds even an exponential search. The partial Result carries
-// the statistics accumulated up to the cancellation point.
-func SolveCtx(ctx context.Context, n int, known []Edge, cons []Constraint, mk func(n int) Theory) (Result, error) {
+// with known, satisfy the theory built by mk. n is the node count. The
+// search polls ctx every few decisions and unwinds with the context's
+// error when it fires, so a deadline bounds even an exponential search;
+// the partial Result then carries the statistics accumulated up to the
+// cancellation point.
+func Solve(ctx context.Context, n int, known []Edge, cons []Constraint, mk func(n int) Theory) (Result, error) {
 	checkRange(n, known)
 	for _, c := range cons {
 		checkRange(n, c.A)
@@ -290,26 +285,14 @@ func removeLevel(ls []int, l int) []int {
 
 // SolveAcyclic solves with the plain acyclicity theory (the Cobra /
 // serializability condition).
-func SolveAcyclic(n int, known []Edge, cons []Constraint) Result {
-	res, _ := SolveAcyclicCtx(context.Background(), n, known, cons)
-	return res
-}
-
-// SolveAcyclicCtx is SolveAcyclic under a context deadline.
-func SolveAcyclicCtx(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
-	return SolveCtx(ctx, n, known, cons, func(n int) Theory { return newAcyclicTheoryCtx(ctx, n) })
+func SolveAcyclic(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
+	return Solve(ctx, n, known, cons, func(n int) Theory { return newAcyclicTheory(ctx, n) })
 }
 
 // SolveSI solves with the snapshot-isolation composition theory: the graph
 // (base ; rw?) over the active edges must be acyclic.
-func SolveSI(n int, known []Edge, cons []Constraint) Result {
-	res, _ := SolveSICtx(context.Background(), n, known, cons)
-	return res
-}
-
-// SolveSICtx is SolveSI under a context deadline.
-func SolveSICtx(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
-	return SolveCtx(ctx, n, known, cons, func(n int) Theory { return newSITheoryCtx(ctx, n) })
+func SolveSI(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
+	return Solve(ctx, n, known, cons, func(n int) Theory { return newSITheory(ctx, n) })
 }
 
 func checkRange(n int, es []Edge) {

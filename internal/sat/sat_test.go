@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,19 +10,30 @@ import (
 func be(a, b int) Edge  { return Edge{From: a, To: b, Kind: Base} }
 func rwe(a, b int) Edge { return Edge{From: a, To: b, Kind: RW} }
 
+// solveAcyclic and solveSI run the solvers without a deadline.
+func solveAcyclic(n int, known []Edge, cons []Constraint) Result {
+	r, _ := SolveAcyclic(context.Background(), n, known, cons)
+	return r
+}
+
+func solveSI(n int, known []Edge, cons []Constraint) Result {
+	r, _ := SolveSI(context.Background(), n, known, cons)
+	return r
+}
+
 func TestNoConstraints(t *testing.T) {
-	r := SolveAcyclic(3, []Edge{be(0, 1), be(1, 2)}, nil)
+	r := solveAcyclic(3, []Edge{be(0, 1), be(1, 2)}, nil)
 	if !r.Sat {
 		t.Fatal("acyclic known graph with no constraints must be sat")
 	}
-	r = SolveAcyclic(2, []Edge{be(0, 1), be(1, 0)}, nil)
+	r = solveAcyclic(2, []Edge{be(0, 1), be(1, 0)}, nil)
 	if r.Sat {
 		t.Fatal("cyclic known graph must be unsat")
 	}
 }
 
 func TestSingleConstraintFreeChoice(t *testing.T) {
-	r := SolveAcyclic(2, nil, []Constraint{{A: []Edge{be(0, 1)}, B: []Edge{be(1, 0)}}})
+	r := solveAcyclic(2, nil, []Constraint{{A: []Edge{be(0, 1)}, B: []Edge{be(1, 0)}}})
 	if !r.Sat || len(r.Choices) != 1 {
 		t.Fatalf("result %+v", r)
 	}
@@ -29,7 +41,7 @@ func TestSingleConstraintFreeChoice(t *testing.T) {
 
 func TestConstraintForcedByKnown(t *testing.T) {
 	// Known 0->1 forces the constraint to B (A would close a cycle).
-	r := SolveAcyclic(2, []Edge{be(0, 1)}, []Constraint{{A: []Edge{be(1, 0)}, B: []Edge{be(0, 1)}}})
+	r := solveAcyclic(2, []Edge{be(0, 1)}, []Constraint{{A: []Edge{be(1, 0)}, B: []Edge{be(0, 1)}}})
 	if !r.Sat {
 		t.Fatal("must be sat via option B")
 	}
@@ -43,7 +55,7 @@ func TestUnsatBothOptionsCycle(t *testing.T) {
 		{A: []Edge{be(0, 1)}, B: []Edge{be(0, 1)}},
 		{A: []Edge{be(1, 0)}, B: []Edge{be(1, 0)}},
 	}
-	r := SolveAcyclic(2, nil, cons)
+	r := solveAcyclic(2, nil, cons)
 	if r.Sat {
 		t.Fatal("must be unsat")
 	}
@@ -60,7 +72,7 @@ func TestChainedConstraints(t *testing.T) {
 		{A: []Edge{be(3, 0)}, B: []Edge{be(0, 3)}}, // A impossible
 		{A: []Edge{be(1, 3)}, B: []Edge{be(3, 1)}}, // B impossible
 	}
-	r := SolveAcyclic(4, known, cons)
+	r := solveAcyclic(4, known, cons)
 	if !r.Sat || r.Choices[0] || !r.Choices[1] {
 		t.Fatalf("result %+v", r)
 	}
@@ -78,7 +90,7 @@ func TestBackjumpScenario(t *testing.T) {
 		Constraint{A: []Edge{be(0, 1)}, B: []Edge{be(0, 1)}},
 		Constraint{A: []Edge{be(1, 0)}, B: []Edge{be(1, 0)}},
 	)
-	r := SolveAcyclic(14, nil, cons)
+	r := solveAcyclic(14, nil, cons)
 	if r.Sat {
 		t.Fatal("must be unsat")
 	}
@@ -110,7 +122,7 @@ func TestSIDivergenceUnsat(t *testing.T) {
 		A: []Edge{be(1, 2), rwe(1, 2), rwe(2, 1)},
 		B: []Edge{be(2, 1), rwe(1, 2), rwe(2, 1)},
 	}}
-	r := SolveSI(3, known, cons)
+	r := solveSI(3, known, cons)
 	if r.Sat {
 		t.Fatal("divergence must be unsat under SI")
 	}
@@ -120,12 +132,12 @@ func TestSIWriteSkewSat(t *testing.T) {
 	// Write skew: RW edges both ways between 1 and 2, but no base edge
 	// entering them, so the composition has no cycle: SI-sat.
 	known := []Edge{be(0, 1), be(0, 2), rwe(1, 2), rwe(2, 1)}
-	r := SolveSI(3, known, nil)
+	r := solveSI(3, known, nil)
 	if !r.Sat {
 		t.Fatal("write skew must be SI-sat")
 	}
 	// But under plain acyclicity (SER) the same edges form a cycle.
-	if SolveAcyclic(3, known, nil).Sat {
+	if solveAcyclic(3, known, nil).Sat {
 		t.Fatal("write skew must be SER-unsat")
 	}
 }
@@ -136,7 +148,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	SolveAcyclic(1, []Edge{be(0, 5)}, nil)
+	solveAcyclic(1, []Edge{be(0, 5)}, nil)
 }
 
 // bruteAcyclic enumerates all orientations.
@@ -278,7 +290,7 @@ func TestPropertySolveAcyclicMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, known, cons := randomProblem(rng)
 		want := bruteAcyclic(n, known, cons)
-		got := SolveAcyclic(n, known, cons).Sat
+		got := solveAcyclic(n, known, cons).Sat
 		if want != got {
 			t.Logf("n=%d known=%v cons=%v want=%v got=%v", n, known, cons, want, got)
 			return false
@@ -295,7 +307,7 @@ func TestPropertySolveSIMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, known, cons := randomProblem(rng)
 		want := bruteSI(n, known, cons)
-		got := SolveSI(n, known, cons).Sat
+		got := solveSI(n, known, cons).Sat
 		if want != got {
 			t.Logf("n=%d known=%v cons=%v want=%v got=%v", n, known, cons, want, got)
 			return false
@@ -311,7 +323,7 @@ func TestSatChoicesSatisfyTheory(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, known, cons := randomProblem(rng)
-		r := SolveAcyclic(n, known, cons)
+		r := solveAcyclic(n, known, cons)
 		if !r.Sat {
 			return true
 		}

@@ -59,28 +59,17 @@ func levelZeroClosure(ctx context.Context, n int, out func(v int) []aEdge) *grap
 	return c
 }
 
-// theoryCtx defaults a nil theory context: the direct constructors used
-// by tests carry no context.
-func theoryCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 type aEdge struct {
 	to    int
 	level int
 }
 
-func newAcyclicTheory(n int) Theory { return newAcyclicTheoryCtx(context.Background(), n) }
-
-// newAcyclicTheoryCtx carries the solver's context into the theory so
-// the lazily built level-0 closure stays cancellable.
-func newAcyclicTheoryCtx(ctx context.Context, n int) Theory {
+// newAcyclicTheory carries the solver's context into the theory so the
+// lazily built level-0 closure stays cancellable.
+func newAcyclicTheory(ctx context.Context, n int) Theory {
 	return &acyclicTheory{
 		n:        n,
-		ctx:      theoryCtx(ctx),
+		ctx:      ctx,
 		out:      make([][]aEdge, n),
 		seen:     make([]int, n),
 		parent:   make([]aEdge, n),
@@ -267,14 +256,12 @@ type newComp struct {
 	e    cEdge
 }
 
-func newSITheory(n int) Theory { return newSITheoryCtx(context.Background(), n) }
-
-// newSITheoryCtx carries the solver's context into the theory so the
-// lazily built level-0 composed closure stays cancellable.
-func newSITheoryCtx(ctx context.Context, n int) Theory {
+// newSITheory carries the solver's context into the theory so the lazily
+// built level-0 composed closure stays cancellable.
+func newSITheory(ctx context.Context, n int) Theory {
 	return &siTheory{
 		n:          n,
-		ctx:        theoryCtx(ctx),
+		ctx:        ctx,
 		baseIn:     make([][]tEdge, n),
 		rwOut:      make([][]tEdge, n),
 		comp:       make([][]cEdge, n),

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,7 +163,7 @@ func driveTheory(t *testing.T, rng *rand.Rand, mk func(n int) Theory,
 func TestPropertyIncrementalSITheoryMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		return driveTheory(t, rng, newSITheory, referenceSICheck)
+		return driveTheory(t, rng, func(n int) Theory { return newSITheory(context.Background(), n) }, referenceSICheck)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestPropertyIncrementalSITheoryMatchesOracle(t *testing.T) {
 func TestPropertyIncrementalAcyclicTheoryMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		return driveTheory(t, rng, newAcyclicTheory, referenceAcyclicCheck)
+		return driveTheory(t, rng, func(n int) Theory { return newAcyclicTheory(context.Background(), n) }, referenceAcyclicCheck)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestPropertyIncrementalAcyclicTheoryMatchesOracle(t *testing.T) {
 }
 
 func TestSITheoryPopRestoresExactly(t *testing.T) {
-	th := newSITheory(4).(*siTheory)
+	th := newSITheory(context.Background(), 4).(*siTheory)
 	th.Push(0, []Edge{{From: 0, To: 1, Kind: Base}})
 	before := len(th.comp[0])
 	th.Push(1, []Edge{{From: 1, To: 2, Kind: Base}, {From: 2, To: 3, Kind: RW}})
@@ -200,7 +201,7 @@ func TestSITheoryPopRestoresExactly(t *testing.T) {
 func TestSITheorySamePushComposition(t *testing.T) {
 	// A base edge and an rw edge pushed TOGETHER must still compose:
 	// base 0->1 with rw 1->0 yields the composed self-loop 0->0.
-	th := newSITheory(2)
+	th := newSITheory(context.Background(), 2)
 	th.Push(0, nil)
 	if _, ok := th.Check(); !ok {
 		t.Fatal("empty must pass")
@@ -212,7 +213,7 @@ func TestSITheorySamePushComposition(t *testing.T) {
 		t.Fatalf("conflict levels %v must include 1", lvls)
 	}
 	// And in the opposite intra-push order.
-	th2 := newSITheory(2)
+	th2 := newSITheory(context.Background(), 2)
 	th2.Push(0, nil)
 	th2.Push(1, []Edge{{From: 1, To: 0, Kind: RW}, {From: 0, To: 1, Kind: Base}})
 	if _, ok := th2.Check(); ok {
@@ -225,7 +226,7 @@ func TestSolverStatisticsPopulated(t *testing.T) {
 		{A: []Edge{be(0, 1)}, B: []Edge{be(1, 0)}},
 		{A: []Edge{be(1, 2)}, B: []Edge{be(2, 1)}},
 	}
-	r := SolveAcyclic(3, nil, cons)
+	r := solveAcyclic(3, nil, cons)
 	if !r.Sat || r.Decisions == 0 {
 		t.Fatalf("stats: %+v", r)
 	}

@@ -251,7 +251,7 @@ func TestRunShardsOnOptionsShard(t *testing.T) {
 // registry lists exactly the ten base engines and "mtc-sharded" is an
 // unknown checker.
 func TestRegistryHasNoShardedTwins(t *testing.T) {
-	want := []string{"causal", "cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile", "ra", "rc"}
+	want := []string{"cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile"}
 	if got := checker.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry lists %v, want %v", got, want)
 	}

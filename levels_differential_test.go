@@ -20,7 +20,6 @@ import (
 	"mtc/internal/elle"
 	"mtc/internal/faults"
 	"mtc/internal/history"
-	"mtc/internal/kv"
 	"mtc/internal/levels"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
@@ -108,54 +107,23 @@ func TestDifferentialProfileVsEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is slow under -short")
 	}
-	var bugs []faults.Bug
-	for _, b := range faults.Bugs() {
-		if !b.LWT {
-			bugs = append(bugs, b)
-		}
-	}
-	lbs := faults.LevelBugs()
-	histories := 0
 	var sser sserTally
 	check := func(h *history.History, tag string) *levels.Report {
-		histories++
 		sserCheck(t, h, tag, &sser)
 		return profileCheck(t, h, tag)
 	}
-	for seed := int64(1); seed <= 80; seed++ {
-		// Clean MT histories from every store mode: timestamps present, so
-		// the SSER inversion scan decides over a real time order.
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 3, Txns: 6, Objects: 4,
-			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
-		})
-		for _, mode := range []kv.Mode{kv.ModeSerializable, kv.ModeSI} {
-			check(runner.Run(kv.NewStore(mode), w, runner.Config{Retries: 2}).H, mode.String())
-		}
-		// General-transaction histories: blind writes leave undetermined
-		// version orders, exercising the incomparable-version paths of the
-		// weak rungs and guarantees.
-		wg := workload.GenerateGT(workload.GTConfig{
-			Sessions: 3, Txns: 6, Objects: 3, OpsPerTxn: 3, Seed: seed,
-		})
-		check(runner.Run(kv.NewStore(kv.ModeSerializable), wg, runner.Config{Retries: 2}).H, "gt")
-		// Table-II fault injections: violating verdicts must stay
-		// bit-identical too.
-		wf := workload.GenerateMT(workload.MTConfig{
-			Sessions: 3, Txns: 8, Objects: 2,
-			Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.25,
-		})
-		for i := 0; i < 5; i++ {
-			b := bugs[(int(seed)+i)%len(bugs)]
-			check(runner.Run(b.NewStore(seed), wf, runner.Config{Retries: 2}).H, b.Name)
-		}
-		// Per-rung fault presets: whatever breaks must break at or above
-		// the preset's target rung, never below it.
-		for _, lb := range lbs {
+	const seeds = 80
+	histories := differentialCorpus(t, corpusShape{seeds: seeds, sessions: 3, objects: 4, bugs: 5},
+		func(h *history.History, tag string) { check(h, tag) })
+	// Per-rung fault presets: whatever breaks must break at or above the
+	// preset's target rung, never below it.
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, lb := range faults.LevelBugs() {
 			wl := workload.GenerateLevelTargeted(lb.Breaks, workload.TargetedConfig{
 				Sessions: 4, Txns: 24, Objects: 3, Seed: seed,
 			})
 			prof := check(runner.Run(lb.NewStore(seed), wl, runner.Config{Retries: 2}).H, lb.Anomaly)
+			histories++
 			if b := prof.Breaking(); b != nil &&
 				core.LatticeRank(b.Level) < core.LatticeRank(lb.Breaks) {
 				t.Fatalf("%s preset broke %s, below its target rung %s", lb.Anomaly, b.Level, lb.Breaks)

@@ -13,11 +13,7 @@ import (
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
-	"mtc/internal/faults"
 	"mtc/internal/history"
-	"mtc/internal/kv"
-	"mtc/internal/runner"
-	"mtc/internal/workload"
 )
 
 // parCheck runs one engine/level on one history at several parallelism
@@ -68,45 +64,12 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is slow under -short")
 	}
-	var bugs []faults.Bug
-	for _, b := range faults.Bugs() {
-		if !b.LWT {
-			bugs = append(bugs, b)
-		}
-	}
-	histories := 0
-	check := func(h *history.History, tag string) {
-		for _, e := range parEngines {
-			parCheck(t, e.name, e.lvl, h, tag)
-		}
-		histories++
-	}
-	for seed := int64(1); seed <= 130; seed++ {
-		// Clean MT histories from every store mode.
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 3, Txns: 6, Objects: 4,
-			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
+	histories := differentialCorpus(t, corpusShape{seeds: 130, sessions: 3, objects: 4, bugs: 5},
+		func(h *history.History, tag string) {
+			for _, e := range parEngines {
+				parCheck(t, e.name, e.lvl, h, tag)
+			}
 		})
-		for _, mode := range []kv.Mode{kv.ModeSerializable, kv.ModeSI} {
-			check(runner.Run(kv.NewStore(mode), w, runner.Config{Retries: 2}).H, mode.String())
-		}
-		// General-transaction histories: blind writes leave undetermined
-		// writer pairs, so the Cobra/PolySI prune loop has real shards.
-		wg := workload.GenerateGT(workload.GTConfig{
-			Sessions: 3, Txns: 6, Objects: 3, OpsPerTxn: 3, Seed: seed,
-		})
-		check(runner.Run(kv.NewStore(kv.ModeSerializable), wg, runner.Config{Retries: 2}).H, "gt")
-		// Fault-injected histories: violating verdicts (anomalies, cycles,
-		// unsat prunes) must stay identical too.
-		wf := workload.GenerateMT(workload.MTConfig{
-			Sessions: 3, Txns: 8, Objects: 2,
-			Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.25,
-		})
-		for i := 0; i < 5; i++ {
-			b := bugs[(int(seed)+i)%len(bugs)]
-			check(runner.Run(b.NewStore(seed), wf, runner.Config{Retries: 2}).H, b.Name)
-		}
-	}
 	if histories < 1000 {
 		t.Fatalf("differential corpus too small: %d histories", histories)
 	}

@@ -32,9 +32,9 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := c.Healthy(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	// Exactly the ten base engines; sharding is an option, not a name.
+	// Exactly the seven base engines; sharding is an option, not a name.
 	infos, err := c.Checkers(ctx)
-	if err != nil || len(infos) != 10 {
+	if err != nil || len(infos) != 7 {
 		t.Fatalf("checkers: %v %v", infos, err)
 	}
 

@@ -12,6 +12,11 @@
 //	b.Txn(0, mtc.Read("x", 0), mtc.Write("x", 1))
 //	rep, err := mtc.Check(ctx, "mtc", b.Build(), mtc.Options{Level: mtc.SER})
 //
+// The "mtc" engine checks any of the six levels (SSER, SER, SI, CAUSAL,
+// RA, RC); the baselines (cobra, polysi, elle, porcupine) list the
+// subset they support, and "profile" (or Profile) evaluates the whole
+// lattice in one pass. Checkers lists the registry.
+//
 // Long histories need not be checked with memory proportional to their
 // length: Options.Window selects the epoch-windowed replay of the
 // mtc-incremental engine, which compacts the settled prefix as it goes
@@ -149,8 +154,10 @@ func ReadHistory(r io.Reader) (*History, error) { return history.ReadJSON(r) }
 // WriteHistory serializes a history in the standard JSON encoding.
 func WriteHistory(w io.Writer, h *History) error { return history.WriteJSON(w, h) }
 
-// LoadHistory reads a JSON history from a file.
+// LoadHistory reads a history from a file in any codec — JSON, text,
+// NDJSON or MTCB, optionally gzipped — sniffed from its content.
 func LoadHistory(path string) (*History, error) { return history.LoadFile(path) }
 
-// SaveHistory writes a history to a file as JSON.
+// SaveHistory writes a history to a file in the codec its extension
+// names: .json (or none), .txt, .ndjson or .mtcb, each optionally .gz.
 func SaveHistory(path string, h *History) error { return history.SaveFile(path, h) }

@@ -65,7 +65,7 @@ func TestShardOptionWorksThroughTheSDK(t *testing.T) {
 	if !rep.OK || rep.Checker != "mtc" || rep.ShardComponents != 2 {
 		t.Fatalf("sharded report: %+v", rep)
 	}
-	if len(mtc.Checkers()) != 10 {
-		t.Fatalf("registry lists %v, want the ten base engines", mtc.Checkers())
+	if len(mtc.Checkers()) != 7 {
+		t.Fatalf("registry lists %v, want the seven base engines", mtc.Checkers())
 	}
 }

@@ -17,13 +17,9 @@ import (
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
-	"mtc/internal/faults"
 	"mtc/internal/graph"
 	"mtc/internal/history"
-	"mtc/internal/kv"
-	"mtc/internal/runner"
 	"mtc/internal/shard"
-	"mtc/internal/workload"
 )
 
 // canonAnomalies returns a canonically sorted copy (external position,
@@ -179,54 +175,14 @@ func TestDifferentialShardedVsUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is slow under -short")
 	}
-	var bugs []faults.Bug
-	for _, b := range faults.Bugs() {
-		if !b.LWT {
-			bugs = append(bugs, b)
-		}
-	}
-	histories := 0
 	var sser sserTally
-	check := func(h *history.History, tag string) {
-		for _, e := range shardEngines {
-			shardCheck(t, e.name, e.lvl, h, tag)
-		}
-		sserCheck(t, h, tag, &sser)
-		histories++
-	}
-	for seed := int64(1); seed <= 130; seed++ {
-		tenants := int(seed%4) + 1
-		// Clean MT histories from every store mode, sharded into
-		// 1..4 key-disjoint tenants.
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 4, Txns: 6, Objects: 3,
-			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
-			Tenants: tenants,
+	histories := differentialCorpus(t, corpusShape{seeds: 130, sessions: 4, objects: 3, tenants: true, bugs: 5},
+		func(h *history.History, tag string) {
+			for _, e := range shardEngines {
+				shardCheck(t, e.name, e.lvl, h, tag)
+			}
+			sserCheck(t, h, tag, &sser)
 		})
-		for _, mode := range []kv.Mode{kv.ModeSerializable, kv.ModeSI} {
-			check(runner.Run(kv.NewStore(mode), w, runner.Config{Retries: 2}).H, mode.String())
-		}
-		// General-transaction histories: blind writes leave undetermined
-		// writer pairs, so the Cobra/PolySI prune and solve phases have
-		// real per-component work.
-		wg := workload.GenerateGT(workload.GTConfig{
-			Sessions: 4, Txns: 6, Objects: 3, OpsPerTxn: 3, Seed: seed,
-			Tenants: tenants,
-		})
-		check(runner.Run(kv.NewStore(kv.ModeSerializable), wg, runner.Config{Retries: 2}).H, "gt")
-		// Fault-injected histories: violating verdicts (anomalies,
-		// cycles, divergence) must merge identically too. Few objects per
-		// tenant keep the bugs hot.
-		wf := workload.GenerateMT(workload.MTConfig{
-			Sessions: 4, Txns: 8, Objects: 2,
-			Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.25,
-			Tenants: tenants,
-		})
-		for i := 0; i < 5; i++ {
-			b := bugs[(int(seed)+i)%len(bugs)]
-			check(runner.Run(b.NewStore(seed), wf, runner.Config{Retries: 2}).H, b.Name)
-		}
-	}
 	if histories < 1000 {
 		t.Fatalf("differential corpus too small: %d histories", histories)
 	}
