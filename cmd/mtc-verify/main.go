@@ -10,6 +10,7 @@
 //	mtc-verify -level ser -checker profile history.mtcb
 //	mtc-verify -level SI -stream -window 1024 capture.ndjson.gz
 //	mtc-verify -level SER -stream capture.mtcb
+//	mtc-verify -level SER -checker mtc-incremental -window 1024 history.mtcb
 //
 // Exit status: 0 the history satisfies the level, 1 it violates it,
 // 2 usage errors (unknown level or checker, unreadable file).
@@ -31,11 +32,11 @@ func main() {
 		level  = flag.String("level", "SI", "isolation level: SSER, SER, SI, CAUSAL, RA or RC (any case)")
 		engine = flag.String("checker", "mtc", "verification engine, by registry name")
 		stream = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
-		window = flag.Int("window", 0, "with -stream: compact the checker to this window (0 = unbounded, always exact; windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
+		window = flag.Int("window", 0, "compact the online checker (-stream, or -checker mtc-incremental) to this window (0 = unbounded, always exact; with -stream, windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mtc-verify [-level L] [-checker C] [-stream [-window N]] <history-file>")
+		fmt.Fprintln(os.Stderr, "usage: mtc-verify [-level L] [-checker C] [-stream] [-window N] <history-file>")
 		os.Exit(2)
 	}
 	lvl, err := checker.ParseLevel(*level)
@@ -48,11 +49,12 @@ func main() {
 		return
 	}
 
-	h, err := history.LoadFile(flag.Arg(0))
+	ix, err := history.LoadFileIndexed(flag.Arg(0))
 	if err != nil {
 		fatalf("load: %v", err)
 	}
-	rep, err := checker.Run(context.Background(), *engine, h, checker.Options{Level: lvl})
+	rep, err := checker.Run(context.Background(), *engine, ix.History(),
+		checker.Options{Level: lvl, Window: *window, Index: ix})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -91,3 +91,40 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowReachesTheBatchReplay: -window without -stream used to be
+// dropped, so mtc-incremental replayed unbounded whatever it said. The
+// verdict line now reports the compaction epochs of a windowed run, and
+// verdict and exit code are the unbounded run's.
+func TestWindowReachesTheBatchReplay(t *testing.T) {
+	clean := saved(t, "clean.mtcb", history.SerialHistory(400, "x", "y"))
+	// The same chain ending in a lost update: two sessions both replace
+	// x's last version.
+	b := history.NewBuilder("x")
+	v := history.Value(0)
+	for i := 0; i < 400; i++ {
+		b.Txn(0, history.R("x", v), history.W("x", history.Value(1000+i)))
+		v = history.Value(1000 + i)
+	}
+	b.Txn(1, history.R("x", v), history.W("x", 5000))
+	b.Txn(2, history.R("x", v), history.W("x", 5001))
+	lost := saved(t, "lost.mtcb", b.Build())
+	for _, tc := range []struct {
+		path    string
+		code    int
+		verdict string
+	}{
+		{clean, 0, "[mtc-incremental] history satisfies SER"},
+		{lost, 1, "[mtc-incremental] history VIOLATES SER"},
+	} {
+		for _, window := range []string{"0", "64"} {
+			code, stdout, stderr := run(t, "-level", "SER", "-checker", "mtc-incremental", "-window", window, tc.path)
+			if code != tc.code || !strings.Contains(stdout, tc.verdict) {
+				t.Fatalf("-window %s: exit %d, want %d\nstdout: %s\nstderr: %s", window, code, tc.code, stdout, stderr)
+			}
+			if got := strings.Contains(stdout, "epochs compacted"); got != (window != "0") {
+				t.Fatalf("-window %s: epochs compacted shown = %v\nstdout: %s", window, got, stdout)
+			}
+		}
+	}
+}

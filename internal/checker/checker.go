@@ -160,19 +160,24 @@ type Report struct {
 }
 
 // Explain renders a human-readable account of the verdict — the text
-// the CLIs print: the verdict line, the first anomalies, the engine's
-// detail, and for profile runs the lattice rungs (strongest first) and
-// session guarantees.
+// the CLIs print: the verdict line (with the compaction epochs of a
+// windowed run), the first anomalies, the engine's detail, and for
+// profile runs the lattice rungs (strongest first) and session
+// guarantees.
 func (r Report) Explain() string {
 	var b strings.Builder
+	compacted := ""
+	if r.CompactedEpochs > 0 {
+		compacted = fmt.Sprintf(", %d epochs compacted", r.CompactedEpochs)
+	}
 	if r.OK {
 		fmt.Fprintf(&b, "[%s] history satisfies %s (%d txns", r.Checker, r.Level, r.Txns)
 		if r.Edges > 0 {
 			fmt.Fprintf(&b, ", %d dependency edges", r.Edges)
 		}
-		b.WriteString(")")
+		b.WriteString(compacted + ")")
 	} else {
-		fmt.Fprintf(&b, "[%s] history VIOLATES %s:", r.Checker, r.Level)
+		fmt.Fprintf(&b, "[%s] history VIOLATES %s%s:", r.Checker, r.Level, compacted)
 		const maxShown = 5
 		for i, a := range r.Anomalies {
 			if i == maxShown {

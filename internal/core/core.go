@@ -5,10 +5,14 @@
 //   - BuildDependencyCtx constructs the (nearly unique) dependency graph
 //     of an MT history in O(n), exploiting the read-modify-write pattern
 //     and unique values (Algorithm 1, with the Section IV-C optimization
-//     that drops the WW transitive-closure step).
+//     that drops the WW transitive-closure step). The graph is one edge
+//     arena (graph.Builder), sized from the WR total the derivation's
+//     first pass counts before it emits an edge.
 //   - CheckCtx is the one batch pipeline: pre-check, that derivation, then
 //     the rung for the level (Deps.Rung). SER and SI are decided in Θ(n),
-//     SI detecting the DIVERGENCE pattern early (Definition 10); SSER is
+//     SI detecting the DIVERGENCE pattern early (Definition 10) and
+//     otherwise searching the induced graph (SO ∪ WR ∪ WW) ; RW? in
+//     place over the same arena (graph.FindComposedCycle); SSER is
 //     the SER cycle search plus one real-time inversion pass
 //     (Deps.Inversion), O(n log n) for the timestamp sort and linear
 //     after it. The paper's Θ(n²) real-time enumeration survives only as
@@ -30,9 +34,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mtc/internal/graph"
@@ -169,13 +174,13 @@ type Deps struct {
 // inferring WW edges; the SI rung uses it for its early exit, and the
 // other rungs ignore it (Lemma 3 handles those cases through cycles).
 func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergence) {
-	d, _ := BuildDependencyCtx(context.Background(), history.NewIndex(h))
+	b, divs, _ := dependencyBuilder(context.Background(), history.NewIndex(h))
 	if withRT {
-		h.RealTimeOrder(func(a, b int) {
-			d.Graph.AddEdge(graph.Edge{From: a, To: b, Kind: graph.RT})
+		h.RealTimeOrder(func(a, c int) {
+			b.AddEdge(graph.Edge{From: a, To: c, Kind: graph.RT})
 		})
 	}
-	return d.Graph, d.Divs
+	return b.Build(), divs
 }
 
 // BuildDependencyCtx is the derivation over a prebuilt columnar index,
@@ -183,16 +188,33 @@ func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergenc
 // graphs stops promptly under a deadline. The WR/WW/RW loops are the
 // merge-join derivation of DeriveDeps (see derive.go).
 func BuildDependencyCtx(ctx context.Context, ix *history.Index) (*Deps, error) {
-	h := ix.History()
-	g := graph.New(len(h.Txns))
-	h.SessionOrder(func(a, b int) {
-		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
-	})
-	divs, err := deriveDeps(ctx, ix, g.AddEdge)
+	b, divs, err := dependencyBuilder(ctx, ix)
 	if err != nil {
 		return nil, err
 	}
-	return &Deps{Index: ix, Graph: g, Divs: divs}, nil
+	return &Deps{Index: ix, Graph: b.Build(), Divs: divs}, nil
+}
+
+// dependencyBuilder collects SO ∪ WR ∪ WW ∪ RW into a graph builder
+// sized once: a transaction has at most one session predecessor, and
+// short of a DIVERGENCE (where the SI rung stops before searching and
+// the log simply grows) a version has one overwriter, so every RW edge
+// pairs off with a WR edge of a reader that is not the overwriter —
+// RW <= WR - WW, and n + 2·WR bounds the whole log.
+func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, []Divergence, error) {
+	rr, err := resolveReads(ctx, ix)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := graph.NewBuilder(ix.NumTxns(), ix.NumTxns()+2*rr.numWR())
+	ix.History().SessionOrder(func(a, c int) {
+		b.AddEdge(graph.Edge{From: a, To: c, Kind: graph.SO})
+	})
+	divs, err := rr.emitDeps(ctx, b.AddEdge)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, divs, nil
 }
 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
@@ -231,7 +253,8 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (
 //
 //   - SER (Definition 5): SO ∪ WR ∪ WW ∪ RW is acyclic.
 //   - SI (Definition 6): reject on any DIVERGENCE witness (Lemma 1),
-//     otherwise the induced graph (SO ∪ WR ∪ WW) ; RW? is acyclic.
+//     otherwise the induced graph (SO ∪ WR ∪ WW) ; RW? is acyclic —
+//     searched in place by graph.FindComposedCycle, never built.
 //   - SSER (Definition 4): SER with the real-time order included. A SER
 //     cycle is an SSER cycle; on an acyclic derivation Inversion decides
 //     the rest without materializing a real-time edge.
@@ -242,7 +265,6 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (
 func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
 	g := d.Graph
 	res := Result{Level: lvl, NumTxns: d.Index.NumTxns(), NumEdges: g.NumEdges()}
-	rewrite := func(cycle []graph.Edge) []graph.Edge { return cycle }
 	switch lvl {
 	case SER, SSER:
 	case SI:
@@ -251,20 +273,18 @@ func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
 			res.Divergence = &div
 			return res, nil
 		}
-		gi, expand := induceSI(g)
-		g = gi
-		rewrite = func(cycle []graph.Edge) []graph.Edge { return expandComposed(cycle, expand) }
 	default:
 		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if cycle := g.FindCycle(); cycle != nil {
-		res.Cycle = rewrite(cycle)
-		return res, nil
+	if lvl == SI {
+		_, res.Cycle = g.FindComposedCycle()
+	} else {
+		res.Cycle = g.FindCycle()
 	}
-	if lvl == SSER {
+	if res.Cycle == nil && lvl == SSER {
 		var err error
 		if res.Cycle, err = d.Inversion(ctx); err != nil {
 			return Result{}, err
@@ -384,15 +404,17 @@ func rtRanks(h *history.History) (start, finish []int32) {
 			events = append(events, event{t.Start, int32(i), true}, event{t.Finish, int32(i), false})
 		}
 	}
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.time != b.time {
-			return a.time < b.time
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
 		if a.isStart != b.isStart {
-			return a.isStart
+			if a.isStart {
+				return -1
+			}
+			return 1
 		}
-		return a.txn < b.txn
+		return cmp.Compare(a.txn, b.txn)
 	})
 	for i, ev := range events {
 		if ev.isStart {
@@ -402,52 +424,4 @@ func rtRanks(h *history.History) (start, finish []int32) {
 		}
 	}
 	return start, finish
-}
-
-// composedKey identifies a composed edge for counterexample expansion.
-type composedKey struct{ from, to int }
-
-// induceSI builds G' = (V, (SO ∪ WR ∪ WW) ; RW?) from the dependency
-// graph. It returns the induced graph and a witness map that expands each
-// composed edge back into its base and RW constituents for reporting.
-func induceSI(g *graph.Graph) (*graph.Graph, map[composedKey][]graph.Edge) {
-	gi := graph.New(g.Len())
-	expand := make(map[composedKey][]graph.Edge)
-	for u := 0; u < g.Len(); u++ {
-		for _, e := range g.Out(u) {
-			if e.Kind == graph.RW {
-				continue
-			}
-			// Identity part of RW?: keep the base edge itself.
-			gi.AddEdge(e)
-			// Composition part: base ; RW.
-			for _, rw := range g.Out(e.To) {
-				if rw.Kind != graph.RW {
-					continue
-				}
-				ck := composedKey{from: u, to: rw.To}
-				if _, dup := expand[ck]; !dup {
-					expand[ck] = []graph.Edge{e, rw}
-				}
-				gi.AddEdge(graph.Edge{From: u, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
-			}
-		}
-	}
-	return gi, expand
-}
-
-// expandComposed rewrites a cycle of G' into the underlying dependency
-// edges so that counterexamples read like the paper's figures.
-func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []graph.Edge {
-	var out []graph.Edge
-	for _, e := range cycle {
-		if e.Kind == graph.AUX {
-			if w, ok := expand[composedKey{e.From, e.To}]; ok {
-				out = append(out, w...)
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }

@@ -35,17 +35,37 @@ func DeriveDepsCtx(ctx context.Context, ix *history.Index, emit func(graph.Edge)
 }
 
 // deriveDeps is DeriveDeps polling ctx between batches of transactions.
-//
-//mtc:hotpath — the three-pass merge-join the allocs/op benchmark gate measures
 func deriveDeps(ctx context.Context, ix *history.Index, emit func(graph.Edge)) ([]Divergence, error) {
+	rr, err := resolveReads(ctx, ix)
+	if err != nil {
+		return nil, err
+	}
+	return rr.emitDeps(ctx, emit)
+}
+
+// resolvedReads is pass A of the derivation: every read's writer and
+// RMW status, and the WR/WW out-degree prefix sums per writer. readW and
+// isRMW align with the index's read column (transactions are iterated in
+// order, so positions are contiguous); wrCnt/wwCnt hold counts at [w+1]
+// for emitDeps' in-place prefix-sum-then-fill trick. The totals are
+// known here, before any edge exists, which is what lets
+// BuildDependencyCtx size the graph's edge arena once.
+type resolvedReads struct {
+	ix           *history.Index
+	readW        []int32
+	isRMW        []bool
+	wrCnt, wwCnt []int32
+}
+
+// numWR is the WR edge total emitDeps will emit.
+func (rr resolvedReads) numWR() int { return int(rr.wrCnt[len(rr.wrCnt)-1]) }
+
+// resolveReads runs pass A.
+//
+//mtc:hotpath — the first of the three merge-join passes the allocs/op benchmark gate measures
+func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error) {
 	n := ix.NumTxns()
 	nr := ix.NumReads()
-
-	// Pass A: resolve each read's writer and RMW status, counting the
-	// WR/WW out-degree per writer. readW/isRMW align with the index's
-	// read column (transactions are iterated in order, so positions are
-	// contiguous); wrCnt/wwCnt hold counts at [w+1] for the in-place
-	// prefix-sum-then-fill trick below.
 	readW := make([]int32, nr)
 	isRMW := make([]bool, nr)
 	wrCnt := make([]int32, n+1)
@@ -54,7 +74,7 @@ func deriveDeps(ctx context.Context, ix *history.Index, emit func(graph.Edge)) (
 	for s := 0; s < n; s++ {
 		if s&1023 == 0 {
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
+				return resolvedReads{}, cerr
 			}
 		}
 		rk, rv := ix.Reads(s)
@@ -82,6 +102,16 @@ func deriveDeps(ctx context.Context, ix *history.Index, emit func(graph.Edge)) (
 		wrCnt[w+1] += wrCnt[w]
 		wwCnt[w+1] += wwCnt[w]
 	}
+	return resolvedReads{ix: ix, readW: readW, isRMW: isRMW, wrCnt: wrCnt, wwCnt: wwCnt}, nil
+}
+
+// emitDeps runs passes B and C over the resolved reads. It consumes the
+// prefix sums, so it runs once.
+//
+//mtc:hotpath — the emitting two of the three merge-join passes the allocs/op benchmark gate measures
+func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]Divergence, error) {
+	ix, readW, isRMW, wrCnt, wwCnt := rr.ix, rr.readW, rr.isRMW, rr.wrCnt, rr.wwCnt
+	n := ix.NumTxns()
 	totalWR, totalWW := wrCnt[n], wwCnt[n]
 
 	// Pass B: emit WR and WW edges in transaction/key order while
@@ -100,7 +130,7 @@ func deriveDeps(ctx context.Context, ix *history.Index, emit func(graph.Edge)) (
 		firstRMW[i] = -1
 	}
 	var divs []Divergence
-	pos = 0
+	pos := 0
 	for s := 0; s < n; s++ {
 		if s&1023 == 0 {
 			if cerr := ctx.Err(); cerr != nil {

@@ -494,7 +494,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 
 // addDepEdge inserts one dependency edge. Under SER the edge feeds the
 // online order directly; under SI base edges and RW edges feed the
-// composed graph as in induceSI, one composition step at a time.
+// composed graph (SO ∪ WR ∪ WW) ; RW?, one composition step at a time.
 func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 	inc.edges++
 	if inc.lvl == SER {
@@ -529,6 +529,25 @@ func (inc *Incremental) addComposed(base, rw graph.Edge) *Result {
 		inc.witness[ck] = []graph.Edge{base, rw}
 	}
 	return inc.link(graph.Edge{From: base.From, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
+}
+
+// composedKey identifies a composed edge in the online witness map.
+type composedKey struct{ from, to int }
+
+// expandComposed rewrites a cycle of G' into the underlying dependency
+// edges so that counterexamples read like the paper's figures.
+func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range cycle {
+		if e.Kind == graph.AUX {
+			if w, ok := expand[composedKey{e.From, e.To}]; ok {
+				out = append(out, w...)
+				continue
+			}
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // link inserts e into the online order. A cycle it closes is the terminal

@@ -150,7 +150,7 @@ func CheckListAppend(h *History, lvl Level) Report {
 	}
 
 	// Build the dependency graph.
-	g := graph.New(len(h.Txns))
+	g := graph.NewBuilder(len(h.Txns), 0)
 	so := func(a, b int) { g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO}) }
 	for _, ids := range h.Sessions {
 		prev := -1
@@ -228,7 +228,7 @@ func CheckListAppend(h *History, lvl Level) Report {
 		}
 	}
 
-	return cycleCheck(rep, g, lvl)
+	return cycleCheck(rep, g.Build(), lvl)
 }
 
 // stripOwn removes the transaction's own buffered appends from the tail of
@@ -259,21 +259,7 @@ func cycleCheck(rep Report, g *graph.Graph, lvl Level) Report {
 			return rep
 		}
 	case SI:
-		gi := graph.New(g.Len())
-		for u := 0; u < g.Len(); u++ {
-			for _, e := range g.Out(u) {
-				if e.Kind == graph.RW {
-					continue
-				}
-				gi.AddEdge(e)
-				for _, rw := range g.Out(e.To) {
-					if rw.Kind == graph.RW {
-						gi.AddEdge(graph.Edge{From: u, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
-					}
-				}
-			}
-		}
-		if cycle := gi.FindCycle(); cycle != nil {
+		if cycle, _ := g.FindComposedCycle(); cycle != nil {
 			rep.Reason = "SI composition cycle: " + graph.FormatCycle(cycle)
 			rep.Cycle = cycle
 			return rep
@@ -311,7 +297,7 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	g := graph.New(len(h.Txns))
+	g := graph.NewBuilder(len(h.Txns), 0)
 	h.SessionOrder(func(a, b int) {
 		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
 	})
@@ -359,5 +345,5 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	return cycleCheck(rep, g, lvl), nil
+	return cycleCheck(rep, g.Build(), lvl), nil
 }

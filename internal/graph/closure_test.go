@@ -49,6 +49,17 @@ func randomDAGAdj(rng *rand.Rand, n int, p float64) [][]int {
 	return out
 }
 
+// adjGraph is the Graph of an adjacency.
+func adjGraph(out [][]int) *Graph {
+	b := NewBuilder(len(out), 0)
+	for u, ws := range out {
+		for _, w := range ws {
+			b.AddEdge(Edge{From: u, To: w, Kind: AUX})
+		}
+	}
+	return b.Build()
+}
+
 // TestClosureMatchesBFS cross-checks the level-parallel closure against
 // plain per-source BFS (graph.Reachable) on random DAGs, at several
 // parallelism levels.
@@ -57,12 +68,7 @@ func TestClosureMatchesBFS(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(120)
 		out := randomDAGAdj(rng, n, 0.08)
-		g := New(n)
-		for u, ws := range out {
-			for _, w := range ws {
-				g.AddEdge(Edge{From: u, To: w, Kind: AUX})
-			}
-		}
+		g := adjGraph(out)
 		for _, par := range []int{1, 2, 4} {
 			c, ok, err := NewClosure(context.Background(), n, out, par)
 			if err != nil || !ok {
@@ -109,12 +115,7 @@ func TestReachPoolRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 90
 	out := randomDAGAdj(rng, n, 0.07)
-	g := New(n)
-	for u, ws := range out {
-		for _, w := range ws {
-			g.AddEdge(Edge{From: u, To: w, Kind: AUX})
-		}
-	}
+	g := adjGraph(out)
 	sources := []int{0, 5, 17, 17, 89}
 	for _, par := range []int{1, 3} {
 		rows, err := NewReachPool(n, out, par).Rows(context.Background(), sources)
@@ -154,9 +155,7 @@ func TestParallelDoCoversAllIndices(t *testing.T) {
 }
 
 func TestReachableIntoReusesBuffer(t *testing.T) {
-	g := New(4)
-	g.AddEdge(Edge{From: 0, To: 1, Kind: AUX})
-	g.AddEdge(Edge{From: 1, To: 2, Kind: AUX})
+	g := build(4, []Edge{{From: 0, To: 1, Kind: AUX}, {From: 1, To: 2, Kind: AUX}})
 	buf := make([]bool, 4)
 	buf[3] = true // stale content must be cleared
 	got := g.ReachableInto(buf, 0)

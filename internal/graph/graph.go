@@ -4,7 +4,9 @@
 // this repository: nodes are transaction indices and edges carry the
 // dependency kind (SO, RT, WR, WW, RW, ...) plus the object they concern,
 // so that detected cycles can be reported back as human-readable
-// counterexamples.
+// counterexamples. A Graph is collected edge by edge in a Builder and
+// immutable after Build (one edge arena in CSR form); the graph that
+// grows while it is searched is Online.
 package graph
 
 import (
@@ -94,43 +96,90 @@ func (e Edge) String() string {
 	return fmt.Sprintf("T%d -%s(%s)-> T%d", e.From, e.Kind, e.Obj, e.To)
 }
 
-// Graph is a directed multigraph over nodes 0..n-1. Parallel edges of
-// different kinds are permitted and preserved (they matter for
-// counterexample reporting).
+// Graph is an immutable directed multigraph over nodes 0..n-1 in
+// compressed sparse row form: one edge arena grouped by source node and
+// an offset table into it, so a graph costs two allocations however
+// many nodes it has. Parallel edges of different kinds are permitted and
+// preserved (they matter for counterexample reporting). A Graph is made
+// by Builder.Build and never changes afterwards, so it may be shared
+// between goroutines without synchronization.
 type Graph struct {
-	n   int
-	out [][]Edge
-	m   int
+	off   []int32 // node v's out-edges are edges[off[v]:off[v+1]]
+	edges []Edge
 }
 
-// New returns an empty graph with n nodes and no edges.
-func New(n int) *Graph {
-	return &Graph{n: n, out: make([][]Edge, n)}
+// Builder collects the edges of a Graph. Edges may arrive in any order;
+// Build groups them by source node, keeping each node's edges in arrival
+// order.
+type Builder struct {
+	n      int
+	log    []Edge // every edge added so far, in arrival order
+	sorted bool   // log is non-decreasing in From
+}
+
+// NewBuilder returns a builder for a graph of n nodes. edgeHint sizes
+// the edge log; it is a capacity, not a limit.
+func NewBuilder(n, edgeHint int) *Builder {
+	return &Builder{n: n, log: make([]Edge, 0, edgeHint), sorted: true}
+}
+
+// AddEdge records e. Self-loops are permitted and will be reported as
+// cycles of length one. Node indices must be in range.
+func (b *Builder) AddEdge(e Edge) {
+	if e.From < 0 || e.From >= b.n || e.To < 0 || e.To >= b.n {
+		panic(fmt.Sprintf("graph: edge %v out of range [0,%d)", e, b.n))
+	}
+	if m := len(b.log); m > 0 && b.log[m-1].From > e.From {
+		b.sorted = false
+	}
+	b.log = append(b.log, e)
+}
+
+// Build returns the graph of the edges added so far. It is a stable
+// counting sort of the log by From: node v's out list holds v's edges in
+// the order AddEdge saw them. A log that already arrived in ascending
+// From order becomes the arena as it is, without a copy.
+//
+//mtc:hotpath — two allocations per graph (offsets, arena), none per node or edge
+func (b *Builder) Build() *Graph {
+	log := b.log
+	off := make([]int32, b.n+1)
+	for i := range log {
+		off[log[i].From+1]++
+	}
+	for v := 0; v < b.n; v++ {
+		off[v+1] += off[v]
+	}
+	if b.sorted {
+		return &Graph{off: off, edges: log[:len(log):len(log)]}
+	}
+	// Scatter with off[v] as node v's write cursor: afterwards off[v] is
+	// the END of v's segment, i.e. the start of v+1's, so one shift
+	// restores the offsets.
+	edges := make([]Edge, len(log))
+	for i := range log {
+		v := log[i].From
+		edges[off[v]] = log[i]
+		off[v]++
+	}
+	copy(off[1:], off[:b.n])
+	off[0] = 0
+	return &Graph{off: off, edges: edges}
 }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return g.n }
+func (g *Graph) Len() int { return len(g.off) - 1 }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.m }
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddEdge inserts e. Self-loops are permitted and will be reported as
-// cycles of length one. Node indices must be in range.
-func (g *Graph) AddEdge(e Edge) {
-	if e.From < 0 || e.From >= g.n || e.To < 0 || e.To >= g.n {
-		panic(fmt.Sprintf("graph: edge %v out of range [0,%d)", e, g.n))
-	}
-	g.out[e.From] = append(g.out[e.From], e)
-	g.m++
-}
-
-// Out returns the outgoing edges of node v. The returned slice must not be
-// modified.
-func (g *Graph) Out(v int) []Edge { return g.out[v] }
+// Out returns the outgoing edges of node v in the order they were added.
+// The returned slice must not be modified.
+func (g *Graph) Out(v int) []Edge { return g.edges[g.off[v]:g.off[v+1]] }
 
 // HasEdge reports whether at least one edge of kind k runs from u to v.
 func (g *Graph) HasEdge(u, v int, k EdgeKind) bool {
-	for _, e := range g.out[u] {
+	for _, e := range g.Out(u) {
 		if e.To == v && e.Kind == k {
 			return true
 		}
@@ -141,14 +190,14 @@ func (g *Graph) HasEdge(u, v int, k EdgeKind) bool {
 // Acyclic reports whether the graph has no directed cycle. It runs Kahn's
 // algorithm in O(n+m) and allocates no recursion stack.
 func (g *Graph) Acyclic() bool {
-	indeg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.out[u] {
+	indeg := make([]int, g.Len())
+	for u := 0; u < g.Len(); u++ {
+		for _, e := range g.Out(u) {
 			indeg[e.To]++
 		}
 	}
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
+	queue := make([]int, 0, g.Len())
+	for v := 0; v < g.Len(); v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, v)
 		}
@@ -158,69 +207,159 @@ func (g *Graph) Acyclic() bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
 				queue = append(queue, e.To)
 			}
 		}
 	}
-	return seen == g.n
+	return seen == g.Len()
 }
+
+// DFS colours shared by the cycle searches.
+const (
+	white uint8 = iota // not reached
+	grey               // on the current DFS path
+	black              // finished: no cycle through it
+)
 
 // FindCycle returns the edges of some directed cycle, or nil if the graph
 // is acyclic. The cycle returned is simple: each node appears at most once.
 // It uses an iterative colouring DFS so that arbitrarily deep graphs do not
-// overflow the goroutine stack.
+// overflow the goroutine stack; the grey path IS the DFS stack, so a found
+// cycle is read off the frames and nothing is kept per node but a colour.
+//
+//mtc:hotpath — one colour array and one stack per search; no ctx: bounded by V+E
 func (g *Graph) FindCycle() []Edge {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]uint8, g.n)
-	parent := make([]Edge, g.n) // edge used to enter the node
-	type frame struct {
-		v    int
-		next int
-	}
-	for root := 0; root < g.n; root++ {
+	n := g.Len()
+	color := make([]uint8, n)
+	// Frame: node v and how many of its out-edges have been taken, so the
+	// edge a frame descended through is Out(v)[next-1].
+	type frame struct{ v, next int32 }
+	stack := make([]frame, 0, 64)
+	for root := 0; root < n; root++ {
 		if color[root] != white {
 			continue
 		}
-		stack := []frame{{v: root}}
+		stack = append(stack[:0], frame{v: int32(root)})
 		color[root] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(g.out[f.v]) {
-				e := g.out[f.v][f.next]
-				f.next++
-				switch color[e.To] {
-				case white:
-					color[e.To] = grey
-					parent[e.To] = e
-					stack = append(stack, frame{v: e.To})
-				case grey:
-					// Found a back edge e: (f.v -> e.To); unwind parents.
-					cycle := []Edge{e}
-					for v := f.v; v != e.To; {
-						pe := parent[v]
-						cycle = append(cycle, pe)
-						v = pe.From
-					}
-					// Reverse into forward order starting at e.To.
-					for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-						cycle[i], cycle[j] = cycle[j], cycle[i]
-					}
-					return cycle
-				}
-			} else {
+			out := g.Out(int(f.v))
+			if int(f.next) == len(out) {
 				color[f.v] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := out[f.next]
+			f.next++
+			switch color[e.To] {
+			case white:
+				color[e.To] = grey
+				stack = append(stack, frame{v: int32(e.To)})
+			case grey:
+				// Back edge into the path: the cycle is the edge each frame
+				// from e.To's upwards descended through, e last.
+				k := len(stack) - 1
+				for int(stack[k].v) != e.To {
+					k--
+				}
+				cycle := make([]Edge, 0, len(stack)-k)
+				for _, f := range stack[k:] {
+					cycle = append(cycle, g.Out(int(f.v))[f.next-1])
+				}
+				return cycle
 			}
 		}
 	}
 	return nil
+}
+
+// composedObj labels the AUX edges of the composed graph.
+const composedObj = "(;RW)"
+
+// FindComposedCycle searches G′ = (E∖RW) ; RW? — every non-RW edge, plus
+// one AUX edge u → t for each non-RW edge u → v followed by an RW edge
+// v → t: the graph whose acyclicity is snapshot isolation (Definition 6)
+// — without building it. Node u's out list in G′ is generated on the fly
+// in the order an eager construction would have appended it: each non-RW
+// edge e of u in turn, followed by the compositions of e with the RW
+// out-edges of e.To. It returns the cycle twice, nil when G′ is acyclic:
+// as found, with each composition one AUX edge labelled "(;RW)", and as
+// a witness of plain dependency edges, each AUX edge replaced by the
+// base ; RW pair it composes. The DFS takes the first edge to a node in
+// list order, so that pair is the first one composing to the AUX edge.
+//
+//mtc:hotpath — one colour array and one stack per search; no ctx: bounded by V + E + the compositions it steps over
+func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
+	n := g.Len()
+	color := make([]uint8, n)
+	// Frame: node v, the base edge Out(v)[i] being expanded, and j, how
+	// far into Out(base.To) the RW scan has got; j < 0 until the base edge
+	// itself has been taken. The edge a frame descended through is the
+	// base edge when j == 0, else base composed with Out(base.To)[j-1].
+	type frame struct{ v, i, j int32 }
+	stack := make([]frame, 0, 64)
+	for root := 0; root < n; root++ {
+		if color[root] != white {
+			continue
+		}
+		stack = append(stack[:0], frame{v: int32(root), j: -1})
+		color[root] = grey
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			out := g.Out(int(f.v))
+			if int(f.i) == len(out) {
+				color[f.v] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			base := out[f.i]
+			to := base.To
+			switch {
+			case base.Kind == RW:
+				f.i++
+				continue
+			case f.j < 0:
+				f.j = 0
+			default:
+				rws := g.Out(base.To)
+				for int(f.j) < len(rws) && rws[f.j].Kind != RW {
+					f.j++
+				}
+				if int(f.j) == len(rws) {
+					f.i, f.j = f.i+1, -1
+					continue
+				}
+				to = rws[f.j].To
+				f.j++
+			}
+			switch color[to] {
+			case white:
+				color[to] = grey
+				stack = append(stack, frame{v: int32(to), j: -1})
+			case grey:
+				k := len(stack) - 1
+				for int(stack[k].v) != to {
+					k--
+				}
+				for _, f := range stack[k:] {
+					base := g.Out(int(f.v))[f.i]
+					if f.j == 0 {
+						cycle = append(cycle, base)
+						witness = append(witness, base)
+						continue
+					}
+					rw := g.Out(base.To)[f.j-1]
+					cycle = append(cycle, Edge{From: base.From, To: rw.To, Kind: AUX, Obj: composedObj})
+					witness = append(witness, base, rw)
+				}
+				return cycle, witness
+			}
+		}
+	}
+	return nil, nil
 }
 
 // SCCs returns the strongly connected components of the graph in reverse
@@ -228,9 +367,9 @@ func (g *Graph) FindCycle() []Edge {
 // components without a self-loop are included.
 func (g *Graph) SCCs() [][]int {
 	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
+	index := make([]int, g.Len())
+	low := make([]int, g.Len())
+	onStack := make([]bool, g.Len())
 	for i := range index {
 		index[i] = unvisited
 	}
@@ -243,7 +382,7 @@ func (g *Graph) SCCs() [][]int {
 		v    int
 		next int
 	}
-	for root := 0; root < g.n; root++ {
+	for root := 0; root < g.Len(); root++ {
 		if index[root] != unvisited {
 			continue
 		}
@@ -255,8 +394,8 @@ func (g *Graph) SCCs() [][]int {
 		onStack[root] = true
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(g.out[f.v]) {
-				w := g.out[f.v][f.next].To
+			if f.next < len(g.Out(f.v)) {
+				w := g.Out(f.v)[f.next].To
 				f.next++
 				if index[w] == unvisited {
 					index[w] = counter
@@ -299,31 +438,31 @@ func (g *Graph) SCCs() [][]int {
 // TopoSort returns a topological order of the nodes and true, or nil and
 // false if the graph is cyclic.
 func (g *Graph) TopoSort() ([]int, bool) {
-	indeg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.out[u] {
+	indeg := make([]int, g.Len())
+	for u := 0; u < g.Len(); u++ {
+		for _, e := range g.Out(u) {
 			indeg[e.To]++
 		}
 	}
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
+	queue := make([]int, 0, g.Len())
+	for v := 0; v < g.Len(); v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, v)
 		}
 	}
-	order := make([]int, 0, g.n)
+	order := make([]int, 0, g.Len())
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
 				queue = append(queue, e.To)
 			}
 		}
 	}
-	if len(order) != g.n {
+	if len(order) != g.Len() {
 		return nil, false
 	}
 	return order, true
@@ -342,20 +481,20 @@ func (g *Graph) Reachable(from int) []bool {
 // previous contents of buf are discarded.
 func (g *Graph) ReachableInto(buf []bool, from int) []bool {
 	var seen []bool
-	if cap(buf) >= g.n {
-		seen = buf[:g.n]
+	if cap(buf) >= g.Len() {
+		seen = buf[:g.Len()]
 		for i := range seen {
 			seen[i] = false
 		}
 	} else {
-		seen = make([]bool, g.n)
+		seen = make([]bool, g.Len())
 	}
 	seen[from] = true
 	queue := make([]int, 1, 16)
 	queue[0] = from
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			if !seen[e.To] {
 				seen[e.To] = true
 				queue = append(queue, e.To)

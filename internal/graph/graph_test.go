@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,15 +17,15 @@ func edges(pairs ...[2]int) []Edge {
 }
 
 func build(n int, es []Edge) *Graph {
-	g := New(n)
+	b := NewBuilder(n, len(es))
 	for _, e := range es {
-		g.AddEdge(e)
+		b.AddEdge(e)
 	}
-	return g
+	return b.Build()
 }
 
 func TestAcyclicEmpty(t *testing.T) {
-	g := New(0)
+	g := build(0, nil)
 	if !g.Acyclic() {
 		t.Fatal("empty graph must be acyclic")
 	}
@@ -166,9 +167,7 @@ func TestTopoSortCyclic(t *testing.T) {
 }
 
 func TestHasEdgeAndKinds(t *testing.T) {
-	g := New(2)
-	g.AddEdge(Edge{From: 0, To: 1, Kind: WR, Obj: "x"})
-	g.AddEdge(Edge{From: 0, To: 1, Kind: WW, Obj: "x"})
+	g := build(2, []Edge{{From: 0, To: 1, Kind: WR, Obj: "x"}, {From: 0, To: 1, Kind: WW, Obj: "x"}})
 	if !g.HasEdge(0, 1, WR) || !g.HasEdge(0, 1, WW) {
 		t.Fatal("parallel edges of different kinds must both exist")
 	}
@@ -227,19 +226,23 @@ func TestEdgeString(t *testing.T) {
 }
 
 func TestAddEdgeOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).AddEdge(Edge{From: 0, To: 5})
+	for _, e := range []Edge{{From: 0, To: 5, Kind: WR, Obj: "x"}, {From: -1, To: 0}, {From: 1, To: 0}, {From: 0, To: -1}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, e.String()) {
+					t.Fatalf("AddEdge(%v): want a panic naming the edge, got %q", e, msg)
+				}
+			}()
+			NewBuilder(1, 0).AddEdge(e)
+		}()
+	}
 }
 
 // randomDAG builds a DAG by only adding forward edges under a random
 // permutation, so Acyclic must hold.
 func randomDAG(rng *rand.Rand, n, m int) *Graph {
 	perm := rng.Perm(n)
-	g := New(n)
+	g := NewBuilder(n, m)
 	for i := 0; i < m; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b {
@@ -250,7 +253,7 @@ func randomDAG(rng *rand.Rand, n, m int) *Graph {
 		}
 		g.AddEdge(Edge{From: a, To: b, Kind: WW})
 	}
-	return g
+	return g.Build()
 }
 
 func TestPropertyRandomDAGsAcyclic(t *testing.T) {
@@ -291,11 +294,12 @@ func TestPropertyCycleDetectionAgreesWithSCC(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		g := New(n)
 		m := rng.Intn(4 * n)
+		b := NewBuilder(n, m)
 		for i := 0; i < m; i++ {
-			g.AddEdge(Edge{From: rng.Intn(n), To: rng.Intn(n), Kind: WW})
+			b.AddEdge(Edge{From: rng.Intn(n), To: rng.Intn(n), Kind: WW})
 		}
+		g := b.Build()
 		hasBigSCC := false
 		for _, c := range g.SCCs() {
 			if len(c) > 1 {

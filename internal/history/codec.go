@@ -141,19 +141,66 @@ func LoadFile(path string) (*History, error) {
 	return ReadAuto(f)
 }
 
-// ReadAuto reads a history from r with the same content sniffing as
-// LoadFile (gzip, then MTCB vs NDJSON vs JSON vs text).
-func ReadAuto(r io.Reader) (*History, error) {
-	br, err := gunzip(bufio.NewReader(r), "history")
+// LoadFileIndexed is LoadFile for a caller about to check the history:
+// see ReadAutoIndexed.
+func LoadFileIndexed(path string) (*Index, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := br.Peek(1); err != nil {
-		return nil, fmt.Errorf("history: empty input: %w", err)
+	defer f.Close()
+	return ReadAutoIndexed(f)
+}
+
+// ReadAuto reads a history from r with the same content sniffing as
+// LoadFile (gzip, then MTCB vs NDJSON vs JSON vs text).
+func ReadAuto(r io.Reader) (*History, error) {
+	br, mtcb, err := sniffAuto(r)
+	if err != nil {
+		return nil, err
 	}
-	if magic, err := br.Peek(len(MTCBMagic)); err == nil && string(magic) == MTCBMagic {
+	if mtcb {
 		return ReadMTCB(br)
 	}
+	return readTextual(br)
+}
+
+// ReadAutoIndexed is ReadAuto straight to the columnar Index a check
+// runs over (the history is Index.History()): an MTCB document decodes
+// through ReadMTCBIndexed, whose wire ids are the index's key column, so
+// no operation is interned twice; every other codec is read as ReadAuto
+// reads it and indexed by NewIndex.
+func ReadAutoIndexed(r io.Reader) (*Index, error) {
+	br, mtcb, err := sniffAuto(r)
+	if err != nil {
+		return nil, err
+	}
+	if mtcb {
+		return ReadMTCBIndexed(br)
+	}
+	h, err := readTextual(br)
+	if err != nil {
+		return nil, err
+	}
+	return NewIndex(h), nil
+}
+
+// sniffAuto unwraps gzip and reports whether the payload opens with the
+// MTCB magic.
+func sniffAuto(r io.Reader) (br *bufio.Reader, mtcb bool, err error) {
+	br, err = gunzip(bufio.NewReader(r), "history")
+	if err != nil {
+		return nil, false, err
+	}
+	if _, err := br.Peek(1); err != nil {
+		return nil, false, fmt.Errorf("history: empty input: %w", err)
+	}
+	magic, err := br.Peek(len(MTCBMagic))
+	return br, err == nil && string(magic) == MTCBMagic, nil
+}
+
+// readTextual reads the non-binary codecs: NDJSON, JSON, else text.
+func readTextual(br *bufio.Reader) (*History, error) {
 	if sniffNDJSON(br) {
 		return ReadNDJSON(br)
 	}
@@ -220,10 +267,24 @@ func gunzip(br *bufio.Reader, prefix string) (*bufio.Reader, error) {
 	return bufio.NewReaderSize(zr, br.Size()), nil
 }
 
+// drainSlab is the Txn count of one collection slab in drain.
+const drainSlab = 1024
+
 // drain consumes the rest of ts into a validated History: the one-shot
-// read of every streaming codec.
+// read of every streaming codec. Transactions are collected in fixed
+// slabs and the table is assembled once at its exact size, so what a
+// read allocates follows the records the stream delivered — never a
+// count it declared — and a history's Txns and session lists are one
+// allocation each instead of an append chain's worth.
+//
+//mtc:hotpath — one slab per 1024 transactions, none per transaction
 func drain(ts TxnStream) (*History, error) {
-	var h History
+	var (
+		slabs [][]Txn // the full slabs behind cur
+		perS  []int   // transactions per session
+		n     int
+	)
+	cur := make([]Txn, 0, drainSlab)
 	for {
 		t, err := ts.Next()
 		if err == io.EOF {
@@ -233,19 +294,44 @@ func drain(ts TxnStream) (*History, error) {
 			return nil, err
 		}
 		if t.Session >= 0 {
-			for len(h.Sessions) <= t.Session {
-				h.Sessions = append(h.Sessions, nil)
+			for len(perS) <= t.Session {
+				perS = append(perS, 0) //mtc:alloc-ok one counter per session (bounded by maxSessions), amortized
 			}
-			h.Sessions[t.Session] = append(h.Sessions[t.Session], t.ID)
+			perS[t.Session]++
 		}
-		h.Txns = append(h.Txns, t)
+		if len(cur) == cap(cur) {
+			slabs = append(slabs, cur)      //mtc:alloc-ok one header per slab
+			cur = make([]Txn, 0, drainSlab) //mtc:alloc-ok the amortized slab cut
+		}
+		cur = append(cur, t)
+		n++
 	}
-	// The header's declared session count restores sessions with no
-	// transactions (a per-transaction encoding cannot witness them).
-	for len(h.Sessions) < ts.DeclaredSessions() {
-		h.Sessions = append(h.Sessions, nil)
+	h := History{HasInit: ts.HasInit()}
+	if n > 0 {
+		h.Txns = make([]Txn, 0, n)
+		for _, slab := range append(slabs, cur) { //mtc:alloc-ok one header per slab
+			h.Txns = append(h.Txns, slab...)
+		}
 	}
-	h.HasInit = ts.HasInit()
+	// Session lists are cut from one arena; a session that witnessed no
+	// transaction stays nil. The header's declared session count restores
+	// the trailing empty ones (a per-transaction encoding cannot witness
+	// them).
+	if ns := max(len(perS), ts.DeclaredSessions()); ns > 0 {
+		h.Sessions = make([][]int, ns)
+	}
+	ids, at := make([]int, n), 0
+	for s, c := range perS {
+		if c > 0 {
+			h.Sessions[s] = ids[at : at : at+c]
+			at += c
+		}
+	}
+	for i := range h.Txns {
+		if s := h.Txns[i].Session; s >= 0 {
+			h.Sessions[s] = append(h.Sessions[s], h.Txns[i].ID)
+		}
+	}
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}

@@ -22,11 +22,12 @@ func codecFixture() *History {
 
 // TestSaveLoadRoundTrip round-trips every extension combination SaveFile
 // understands — JSON, text, NDJSON, MTCB, and their gzipped forms —
-// through LoadFile's content sniffing.
+// through LoadFile's content sniffing, and through LoadFileIndexed to
+// the index NewIndex builds of the loaded history, column for column.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	h := codecFixture()
 	dir := t.TempDir()
-	for _, name := range []string{
+	for i, name := range []string{
 		"h.json", "h.txt", "h.json.gz", "h.txt.gz", "h",
 		"h.mtcb", "h.mtcb.gz", "h.ndjson", "h.ndjson.gz",
 	} {
@@ -41,6 +42,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, h) {
 			t.Fatalf("%s: round trip diverged:\nsaved:  %+v\nloaded: %+v", name, h, got)
 		}
+		ix, err := LoadFileIndexed(path)
+		if err != nil {
+			t.Fatalf("%s: load indexed: %v", name, err)
+		}
+		if !reflect.DeepEqual(ix.History(), h) {
+			t.Fatalf("%s: indexed round trip diverged:\nsaved:  %+v\nloaded: %+v", name, h, ix.History())
+		}
+		compareIndexes(t, i, ix, NewIndex(got))
 	}
 }
 

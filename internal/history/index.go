@@ -1,8 +1,8 @@
 package history
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // KeyID is a dense interned key identifier. The Index assigns ids in
@@ -124,7 +124,7 @@ func NewIndex(h *History) *Index {
 	nk := first.Len()
 	sortedNames := make([]Key, nk)
 	copy(sortedNames, first.names)
-	sort.Slice(sortedNames, func(i, j int) bool { return sortedNames[i] < sortedNames[j] })
+	slices.Sort(sortedNames)
 	remap := make([]KeyID, nk) // first-seen id -> sorted rank
 	sorted := NewInterner()
 	for _, k := range sortedNames {
@@ -231,6 +231,15 @@ type kvt struct {
 	t int32
 }
 
+// compare orders postings by (key, value); the transaction is not part
+// of the order.
+func (a kvt) compare(b kvt) int {
+	if c := cmp.Compare(a.k, b.k); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
 // buildPostings fills the committed and aborted write-op postings, the
 // duplicate-write list, and the per-key writer lists.
 //
@@ -263,13 +272,7 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 	// write of the same pair inside one transaction is a dup too).
 	sorted := make([]kvt, len(committed))
 	copy(sorted, committed)
-	sort.Slice(sorted, func(i, j int) bool { //mtc:alloc-ok one boxed slice header per index build
-
-		if sorted[i].k != sorted[j].k {
-			return sorted[i].k < sorted[j].k
-		}
-		return sorted[i].v < sorted[j].v
-	})
+	slices.SortFunc(sorted, kvt.compare)
 	ix.slotOff = make([]int32, nk+1)
 	prevK, prevV := KeyID(-1), Value(0)
 	for _, e := range sorted {
@@ -297,13 +300,7 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 
 	// Aborted postings: existence lookups only; last writer wins to
 	// mirror CheckInternal's aborted map.
-	sort.SliceStable(aborted, func(i, j int) bool { //mtc:alloc-ok one boxed slice header per index build
-
-		if aborted[i].k != aborted[j].k {
-			return aborted[i].k < aborted[j].k
-		}
-		return aborted[i].v < aborted[j].v
-	})
+	slices.SortStableFunc(aborted, kvt.compare)
 	ix.abOff = make([]int32, nk+1)
 	prevK, prevV = KeyID(-1), Value(0)
 	for _, e := range aborted {

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // MTCB is the binary columnar wire codec: the on-wire twin of the
@@ -245,7 +246,9 @@ type BinaryReader struct {
 	hasInit  bool
 	err      error // the first error, io.EOF included: terminal
 
-	arena   *IngestArena
+	arena   *IngestArena // session-wide key interner, when one is attached
+	ops     *opChunks    // where Ops slices are carved: the arena's chunks, else own
+	own     opChunks
 	collect bool
 	opIDs   []KeyID // wire key id per op, in stream order (collect mode)
 }
@@ -284,6 +287,10 @@ func newBinaryReader(r io.Reader, arena *IngestArena) (*BinaryReader, error) {
 		return nil, fmt.Errorf("history: mtcb: unsupported version %d", version)
 	}
 	sr := &BinaryReader{br: br, arena: arena, seen: make(map[Key]struct{})}
+	sr.ops = &sr.own
+	if arena != nil {
+		sr.ops = &arena.opChunks
+	}
 	declared, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("history: mtcb: truncated header: %w", err)
@@ -296,31 +303,82 @@ func newBinaryReader(r io.Reader, arena *IngestArena) (*BinaryReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("history: mtcb: truncated header: %w", err)
 	}
-	for i := uint64(0); i < nk; i++ {
-		if err := sr.readKeyDef(); err != nil {
-			return nil, err
-		}
+	if err := sr.readKeyTable(nk); err != nil {
+		return nil, err
 	}
 	return sr, nil
 }
 
-// readKeyDef reads one key-table entry (from the header or an inline
-// 0x02 record), interning through the arena when one is attached and
-// rejecting duplicate entries — two wire ids for one key would let a
-// corrupt stream smuggle distinct-looking ops onto the same key.
-func (r *BinaryReader) readKeyDef() error {
+// readKeyTable reads the header's nk key entries into one backing
+// string the table's keys are substrings of. nk is only a loop bound:
+// the buffer and the offsets grow with the bytes actually read, so a
+// header declaring 2^40 keys over an empty stream allocates nothing.
+func (r *BinaryReader) readKeyTable(nk uint64) error {
+	var (
+		buf  []byte
+		ends []int // ends[i] is where key i stops in buf
+	)
+	for i := uint64(0); i < nk; i++ {
+		n, err := r.readKeyLen()
+		if err != nil {
+			return err
+		}
+		at := len(buf)
+		buf = append(buf, make([]byte, n)...)
+		if _, err := io.ReadFull(r.br, buf[at:]); err != nil {
+			return fmt.Errorf("history: mtcb: truncated key table: %w", err)
+		}
+		ends = append(ends, len(buf))
+	}
+	table, at := string(buf), 0
+	for _, end := range ends {
+		k := Key(table[at:end])
+		if r.arena != nil {
+			// The session's table outlives this document: a key it has
+			// not seen is copied out of the backing string, not left
+			// pinning it.
+			if _, known := r.arena.it.Lookup(k); !known {
+				k = Key(strings.Clone(string(k)))
+			}
+		}
+		if err := r.defineKey(k); err != nil {
+			return err
+		}
+		at = end
+	}
+	return nil
+}
+
+// readKeyLen reads and bounds one key entry's length prefix.
+func (r *BinaryReader) readKeyLen() (int, error) {
 	n, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return fmt.Errorf("history: mtcb: truncated key table: %w", err)
+		return 0, fmt.Errorf("history: mtcb: truncated key table: %w", err)
 	}
 	if n > mtcbMaxKeyLen {
-		return fmt.Errorf("history: mtcb: key length %d exceeds limit", n)
+		return 0, fmt.Errorf("history: mtcb: key length %d exceeds limit", n)
+	}
+	return int(n), nil
+}
+
+// readKeyDef reads one inline key definition (a 0x02 record).
+func (r *BinaryReader) readKeyDef() error {
+	n, err := r.readKeyLen()
+	if err != nil {
+		return err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return fmt.Errorf("history: mtcb: truncated key table: %w", err)
 	}
-	k := Key(buf)
+	return r.defineKey(Key(buf))
+}
+
+// defineKey appends k as the next wire id, interning through the arena
+// when one is attached and rejecting duplicate entries — two wire ids
+// for one key would let a corrupt stream smuggle distinct-looking ops
+// onto the same key.
+func (r *BinaryReader) defineKey(k Key) error {
 	if r.arena != nil {
 		k = r.arena.internKey(k)
 	}
@@ -427,10 +485,10 @@ func (r *BinaryReader) readTxn() (Txn, error) {
 }
 
 // readOps decodes a transaction's operation block. Key strings alias
-// the interned table, the Ops slice comes from the arena when one is
-// attached, and errors are the fmt-free sentinels above.
+// the interned table, the Ops slice is carved from the reader's chunks,
+// and errors are the fmt-free sentinels above.
 //
-//mtc:hotpath — per-op decode loop; one Ops slice per txn (or none, from the arena), zero per-op allocation
+//mtc:hotpath — per-op decode loop; one chunk per 4096 ops, zero per-op or per-txn allocation
 func (r *BinaryReader) readOps() ([]Op, error) {
 	n, err := binary.ReadUvarint(r.br)
 	if err != nil {
@@ -445,13 +503,9 @@ func (r *BinaryReader) readOps() ([]Op, error) {
 	var ops []Op
 	exact := n <= mtcbOpsPrealloc
 	if exact {
-		// Declared count small enough to trust: allocate exactly (from
-		// the arena when attached) and fill in place.
-		if r.arena != nil {
-			ops = r.arena.alloc(int(n))
-		} else {
-			ops = make([]Op, n) //mtc:alloc-ok the one per-txn allocation of the no-arena path
-		}
+		// Declared count small enough to trust: carve exactly and fill in
+		// place. A record that fails midway leaves the chunk as it was.
+		ops = r.ops.reserve(int(n))
 	} else {
 		// A count this large may be a lie from a corrupt stream: grow
 		// only as fast as the stream actually delivers ops.
@@ -479,6 +533,9 @@ func (r *BinaryReader) readOps() ([]Op, error) {
 		if r.collect {
 			r.opIDs = append(r.opIDs, KeyID(wire)) //mtc:alloc-ok amortized stream-wide column, indexed-read mode only
 		}
+	}
+	if exact {
+		r.ops.commit(int(n))
 	}
 	return ops, nil
 }
@@ -520,7 +577,7 @@ func ReadMTCBIndexed(r io.Reader) (*Index, error) {
 	nk := len(sr.names)
 	sortedNames := make([]Key, nk)
 	copy(sortedNames, sr.names)
-	sort.Slice(sortedNames, func(i, j int) bool { return sortedNames[i] < sortedNames[j] })
+	slices.Sort(sortedNames)
 	sorted := NewInterner()
 	for _, k := range sortedNames {
 		sorted.Intern(k)
@@ -550,50 +607,50 @@ func remapColumn(ids []KeyID, remap []KeyID) {
 // stream feeding one consumer — the MTCB frames of an mtcserve streaming
 // session, the lines of an NDJSON StreamReader. Key strings intern once
 // per stream instead of once per frame or operation, and Op slices are
-// carved from append-only chunks instead of one make per transaction.
-// Chunks are never reused, so a consumer may keep a decoded transaction
-// (ReadNDJSON does); one that does not (core.Incremental.Add copies what
-// it keeps) lets each chunk die with its last transaction.
+// carved from its chunks (opChunks). A BinaryReader with no arena — the
+// one-shot MTCB reads, a streamed capture — carves from chunks of its
+// own and needs no interner: its key table is one string per key
+// already.
 type IngestArena struct {
-	it   *Interner
-	free []Op
+	it *Interner
+	opChunks
 }
 
 // NewIngestArena returns an empty arena.
 func NewIngestArena() *IngestArena { return &IngestArena{it: NewInterner()} }
 
+// opChunks carves Op slices from append-only chunks instead of one make
+// per transaction. Chunks are never reused, so a consumer may keep a
+// decoded transaction (the one-shot reads do); one that does not
+// (core.Incremental.Add copies what it keeps) lets each chunk die with
+// its last transaction.
+type opChunks struct{ free []Op }
+
 // ingestArenaChunk is the Op count carved per chunk allocation.
 const ingestArenaChunk = 4096
 
-// alloc returns an n-op slice from the current chunk, cutting a fresh
-// chunk when it runs dry. The capacity is clipped so callers cannot
-// append into a neighbor's ops.
-func (a *IngestArena) alloc(n int) []Op {
-	out := a.reserve(n)
-	a.commit(n)
-	return out
-}
-
-// reserve is alloc without the hand-over: the caller fills the slice
-// and then either keeps it (commit) or walks away, leaving the chunk as
-// it was — how scanTxn parses straight into the arena before it knows
-// whether the line is one it decodes.
+// reserve returns an n-op slice from the current chunk, cutting a fresh
+// chunk when it runs dry; the capacity is clipped so callers cannot
+// append into a neighbor's ops. The caller fills the slice and then
+// either keeps it (commit) or walks away, leaving the chunk as it was —
+// how scanTxn parses straight into the arena before it knows whether the
+// line is one it decodes, and how a record cut short takes nothing.
 //
 //mtc:hotpath — one chunk allocation per 4096 decoded ops
-func (a *IngestArena) reserve(n int) []Op {
+func (c *opChunks) reserve(n int) []Op {
 	if n >= ingestArenaChunk {
 		return make([]Op, n) //mtc:alloc-ok oversized transactions get their own slice
 	}
-	if n > len(a.free) {
-		a.free = make([]Op, ingestArenaChunk) //mtc:alloc-ok the amortized chunk cut
+	if n > len(c.free) {
+		c.free = make([]Op, ingestArenaChunk) //mtc:alloc-ok the amortized chunk cut
 	}
-	return a.free[:n:n]
+	return c.free[:n:n]
 }
 
 // commit hands over the n ops last reserved.
-func (a *IngestArena) commit(n int) {
+func (c *opChunks) commit(n int) {
 	if n < ingestArenaChunk {
-		a.free = a.free[n:]
+		c.free = c.free[n:]
 	}
 }
 

@@ -3,10 +3,14 @@ package history
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestMTCBRoundTrip: the binary codec reproduces the fixture (and an
@@ -409,5 +413,79 @@ func TestMTCBDeclaredSessionsRestoreEmpties(t *testing.T) {
 	}
 	if len(got.Sessions) != 3 {
 		t.Fatalf("restored %d sessions, want 3", len(got.Sessions))
+	}
+}
+
+// allocatedBy returns the bytes f allocated (runtime.MemStats.TotalAlloc
+// delta; the test binary runs nothing else meanwhile).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMTCBHostileSizesAllocateByBytesConsumed: what a one-shot read
+// allocates before it fails follows the bytes the stream delivered —
+// a constant (buffers, one op chunk, one slab) plus a small multiple of
+// them — never a count the document merely declares.
+func TestMTCBHostileSizesAllocateByBytesConsumed(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	header := func(nkeys uint64, keys ...string) []byte {
+		doc := append([]byte(MTCBMagic), mtcbVersion)
+		doc = append(doc, uv(1)...) // one declared session
+		doc = append(doc, uv(nkeys)...)
+		for _, k := range keys {
+			doc = append(append(doc, uv(uint64(len(k)))...), k...)
+		}
+		return doc
+	}
+	txnHead := []byte{mtcbTagTxn, 0 /* session 0 */, 0, 0 /* start, finish */, 1 /* committed */}
+
+	// A transaction declaring 4096 ops — the largest count trusted
+	// without proof — and 2^24, the largest accepted, with nothing behind.
+	ops4096 := append(append(header(1, "x"), txnHead...), uv(mtcbOpsPrealloc)...)
+	ops16M := append(append(header(1, "x"), txnHead...), uv(mtcbMaxOps)...)
+	// A key table declaring 2^40 entries over an empty stream.
+	keys2to40 := header(1 << 40)
+	// A valid 2500-transaction stream cut in the middle of its third slab.
+	var long bytes.Buffer
+	if err := WriteMTCB(&long, SerialHistory(2500, "x", "y")); err != nil {
+		t.Fatal(err)
+	}
+	cut := long.Bytes()[:long.Len()*9/10]
+
+	// One 4096-op chunk, one 1024-txn slab, the bufio window and the
+	// reader's tables: everything a read holds before the first byte.
+	const fixed = ingestArenaChunk*unsafe.Sizeof(Op{}) + drainSlab*unsafe.Sizeof(Txn{}) + 32<<10
+	for _, tc := range []struct {
+		name, wantErr string
+		doc           []byte
+	}{
+		{"4096 ops declared, none sent", "truncated txn record 0", ops4096},
+		{"2^24 ops declared, none sent", "truncated txn record 0", ops16M},
+		{"2^40 keys declared, none sent", "truncated key table", keys2to40},
+		{"cut inside the third slab", "truncated", cut},
+	} {
+		if len(tc.doc) >= 64 && tc.name != "cut inside the third slab" {
+			t.Fatalf("%s: document is %d bytes, want < 64", tc.name, len(tc.doc))
+		}
+		for _, read := range []struct {
+			name string
+			f    func(io.Reader) error
+		}{
+			{"ReadMTCB", func(r io.Reader) error { _, err := ReadMTCB(r); return err }},
+			{"ReadMTCBIndexed", func(r io.Reader) error { _, err := ReadMTCBIndexed(r); return err }},
+		} {
+			var err error
+			got := allocatedBy(func() { err = read.f(bytes.NewReader(tc.doc)) })
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%s: %s: error %v, want %q", tc.name, read.name, err, tc.wantErr)
+			}
+			if limit := uint64(fixed) + 16*uint64(len(tc.doc)); got > limit {
+				t.Fatalf("%s: %s allocated %d bytes reading %d, limit %d", tc.name, read.name, got, len(tc.doc), limit)
+			}
+		}
 	}
 }

@@ -39,27 +39,37 @@ func (d *derived) checkSSER(ctx context.Context, ser core.Result) (core.Result, 
 	return res, nil
 }
 
-// checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;
-// what remains is G1c — a cycle of write/read dependencies alone — so
-// the rung filters the shared graph down to WR ∪ WW and searches that.
+// subgraph returns g restricted to the edge kinds in the mask (bit k set
+// keeps EdgeKind k), every out list in g's order. The edges are counted
+// first and then arrive in ascending source order, so the builder's log
+// is cut once and becomes the subgraph's arena without a copy.
 //
 //mtc:hotpath — rung filter over every edge of the shared graph
-func (d *derived) checkRC() core.Result {
-	res := core.Result{Level: core.RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
-	n := d.Graph.Len()
-	g1 := graph.New(n)
+func subgraph(g *graph.Graph, kinds uint) *graph.Graph {
+	n, m := g.Len(), 0
 	for u := 0; u < n; u++ {
-		for _, e := range d.Graph.Out(u) {
-			if e.Kind == graph.WR || e.Kind == graph.WW {
-				g1.AddEdge(e)
+		for _, e := range g.Out(u) {
+			m += int(kinds >> e.Kind & 1)
+		}
+	}
+	b := graph.NewBuilder(n, m)
+	for u := 0; u < n; u++ {
+		for _, e := range g.Out(u) {
+			if kinds>>e.Kind&1 != 0 {
+				b.AddEdge(e)
 			}
 		}
 	}
-	if cycle := g1.FindCycle(); cycle != nil {
-		res.Cycle = cycle
-		return res
-	}
-	res.OK = true
+	return b.Build()
+}
+
+// checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;
+// what remains is G1c — a cycle of write/read dependencies alone — so
+// the rung filters the shared graph down to WR ∪ WW and searches that.
+func (d *derived) checkRC() core.Result {
+	res := core.Result{Level: core.RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+	res.Cycle = subgraph(d.Graph, 1<<graph.WR|1<<graph.WW).FindCycle()
+	res.OK = res.Cycle == nil
 	return res
 }
 
@@ -139,52 +149,53 @@ func (d *derived) fracturedReads() []history.Anomaly {
 func (d *derived) checkCausal(ctx context.Context, par int) (core.Result, error) {
 	res := core.Result{Level: core.CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	n := d.Graph.Len()
-	co := graph.New(n)
-	var rws []graph.Edge
-	//mtc:cancellation-ok linear edge scan; the closure build below polls ctx
-	for u := 0; u < n; u++ {
-		for _, e := range d.Graph.Out(u) {
-			switch e.Kind {
-			case graph.SO, graph.WR:
-				co.AddEdge(e)
-			case graph.RW:
-				rws = append(rws, e)
-			}
-		}
-	}
+	co := subgraph(d.Graph, 1<<graph.SO|1<<graph.WR)
 	if cycle := co.FindCycle(); cycle != nil {
 		res.Cycle = cycle
 		return res, nil
 	}
-	if len(rws) == 0 {
-		res.OK = true
+	if !hasRW(d.Graph) {
+		res.OK = true // nothing can close a CO path: skip the n²/64-word closure
 		return res, nil
 	}
+	// The closure's adjacency rows are cut from one arena of targets.
 	adj := make([][]int, n)
+	tos := make([]int, 0, co.NumEdges())
 	//mtc:cancellation-ok linear adjacency copy; the closure build below polls ctx
 	for u := 0; u < n; u++ {
-		outs := co.Out(u)
-		if len(outs) == 0 {
-			continue
+		lo := len(tos)
+		for _, e := range co.Out(u) {
+			tos = append(tos, e.To)
 		}
-		row := make([]int, len(outs))
-		for i, e := range outs {
-			row[i] = e.To
-		}
-		adj[u] = row
+		adj[u] = tos[lo:len(tos):len(tos)]
 	}
 	cl, _, err := graph.NewClosure(ctx, n, adj, par)
 	if err != nil {
 		return core.Result{}, err
 	}
-	for _, rw := range rws {
-		if cl.Reach(rw.To, rw.From) {
-			res.Cycle = liftCycle(co, rw)
-			return res, nil
+	//mtc:cancellation-ok linear edge scan of O(1) bitset probes
+	for u := 0; u < n; u++ {
+		for _, rw := range d.Graph.Out(u) {
+			if rw.Kind == graph.RW && cl.Reach(rw.To, rw.From) {
+				res.Cycle = liftCycle(co, rw)
+				return res, nil
+			}
 		}
 	}
 	res.OK = true
 	return res, nil
+}
+
+// hasRW reports whether g has an anti-dependency edge.
+func hasRW(g *graph.Graph) bool {
+	for u := 0; u < g.Len(); u++ {
+		for _, e := range g.Out(u) {
+			if e.Kind == graph.RW {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // liftCycle materializes the causal counterexample for an RW edge whose

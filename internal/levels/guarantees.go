@@ -31,10 +31,8 @@ func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 	f := d.forest()
 	ix := d.Index
 	h := ix.History()
-	ryw := GuaranteeVerdict{Guarantee: ReadYourWrites, OK: true, Session: -1}
-	mr := GuaranteeVerdict{Guarantee: MonotonicReads, OK: true, Session: -1}
-	mw := GuaranteeVerdict{Guarantee: MonotonicWrites, OK: true, Session: -1}
-	wfr := GuaranteeVerdict{Guarantee: WritesFollowReads, OK: true, Session: -1}
+	out := passedGuarantees()
+	ryw, mr, mw, wfr := &out[0], &out[1], &out[2], &out[3]
 	fail := func(v *GuaranteeVerdict, sess int, witness string) {
 		if v.OK {
 			v.OK = false
@@ -77,12 +75,12 @@ func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 					continue // not a committed writer: incomparable, never flagged
 				}
 				if tw, bad := wrote.olderThanSome(k, sw, -1); bad {
-					fail(&ryw, sess, fmt.Sprintf(
+					fail(ryw, sess, fmt.Sprintf(
 						"session %d: T%d reads %s=%d from T%d, older than the session's own write in T%d",
 						sess, t, ix.KeyName(k), rv[i], w, tw))
 				}
 				if rw, bad := readFrom.olderThanSome(k, sw, -1); bad {
-					fail(&mr, sess, fmt.Sprintf(
+					fail(mr, sess, fmt.Sprintf(
 						"session %d: T%d reads %s=%d from T%d, older than the version of T%d it read before",
 						sess, t, ix.KeyName(k), rv[i], w, rw))
 				}
@@ -95,12 +93,12 @@ func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 					continue
 				}
 				if tw, bad := wrote.olderThanSome(k, st, -1); bad {
-					fail(&mw, sess, fmt.Sprintf(
+					fail(mw, sess, fmt.Sprintf(
 						"session %d: T%d's write of %s lands before the session's earlier write in T%d",
 						sess, t, ix.KeyName(k), tw))
 				}
 				if rw, bad := readFrom.olderThanSome(k, st, int32(t)); bad {
-					fail(&wfr, sess, fmt.Sprintf(
+					fail(wfr, sess, fmt.Sprintf(
 						"session %d: T%d's write of %s lands before the version of T%d the session read",
 						sess, t, ix.KeyName(k), rw))
 				}
@@ -108,7 +106,17 @@ func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 			}
 		}
 	}
-	return []GuaranteeVerdict{ryw, mr, mw, wfr}
+	return out
+}
+
+// passedGuarantees is the all-clear column, in Guarantees() order: what
+// the scan starts from, and what a SER pass settles without it.
+func passedGuarantees() []GuaranteeVerdict {
+	out := make([]GuaranteeVerdict, 0, 4)
+	for _, g := range Guarantees() {
+		out = append(out, GuaranteeVerdict{Guarantee: g, OK: true, Session: -1})
+	}
+	return out
 }
 
 // fentry is one frontier element: a writer transaction and its dense

@@ -38,6 +38,17 @@
 // fractured reads and divergence; SER pass implies SI pass because every
 // induced cycle expands to a base cycle.
 //
+// The session guarantees short-circuit the same way: each is flagged
+// only when a version is a strict WW-ancestor of one the session wrote
+// or observed earlier, and that ancestry closes a cycle in the shared
+// graph through the session's own SO path — for a stale read T of
+// writer W against an earlier session transaction P, T -RW-> C -WW*->
+// ... -> P -SO+-> T where C is the overwriter of W's version on the
+// path (or T -WW*-> ... when T is C); for a write T landing before P's,
+// T -WW+-> P -SO+-> T; for a write landing before a version W the
+// session read in A, T -WW+-> W -WR-> A -SO*-> T. A SER pass therefore
+// settles all four guarantees, and the scan runs only below it.
+//
 // Version-order comparisons (fractured reads, session guarantees) treat
 // incomparable writes — divergent branches of a key's WW forest — as
 // unordered and never flag them: only a positively contradicted order is
@@ -181,8 +192,9 @@ func (r *Report) Summary() string {
 // Profile evaluates every isolation level and session guarantee of the
 // indexed history from one dependency derivation, walking the lattice
 // with short-circuiting: the strong rungs run first and a pass there
-// settles every weaker rung, so the weak checks only execute on
-// histories that already violate SI.
+// settles every weaker rung and the session guarantees, so the weak
+// checks only execute on histories that already violate SI and the
+// guarantee scan on those that violate SER.
 func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -241,14 +253,15 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 			}
 		}
 	}
-	// The guarantee scan and the SSER rung share nothing mutable — both
-	// are read-only over the derivation (any weak rung that builds the
-	// version forest has already finished) — so they run concurrently
-	// and the scan hides behind the inversion DFS on multicore hosts.
-	gch := make(chan []GuaranteeVerdict, 1)
-	go func() { gch <- d.sessionGuarantees() }()
+	// A violated guarantee closes a cycle in the shared graph (see the
+	// package comment), so a SER pass settles all four and the scan runs
+	// only on histories that already failed SER.
+	if ser.OK {
+		rep.Guarantees = passedGuarantees()
+	} else {
+		rep.Guarantees = d.sessionGuarantees()
+	}
 	sser, err := d.checkSSER(ctx, ser)
-	rep.Guarantees = <-gch
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,15 @@ package levels
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"mtc/internal/core"
+	"mtc/internal/faults"
 	"mtc/internal/history"
+	"mtc/internal/kv"
+	"mtc/internal/runner"
+	"mtc/internal/workload"
 )
 
 func profile(t *testing.T, h *history.History) *Report {
@@ -270,5 +275,71 @@ func TestCheckLevelCancelled(t *testing.T) {
 	}
 	if _, err := Profile(ctx, history.NewIndex(history.SerialHistory(5)), Options{}); err == nil {
 		t.Fatal("want context error")
+	}
+}
+
+// TestSERPassSettlesTheGuarantees: Profile skips the session-guarantee
+// scan on a SER pass because a flagged guarantee closes a cycle in the
+// shared graph. Run the scan anyway on a randomized corpus — clean MT
+// histories from both strong stores, blind-write histories, the
+// Table-II faults and the per-rung presets — and it finds nothing
+// wherever the SER rung passed, while still biting below it.
+func TestSERPassSettlesTheGuarantees(t *testing.T) {
+	ctx := context.Background()
+	serOK, flagged, histories := 0, 0, 0
+	check := func(s *kv.Store, w *workload.Workload, tag string) {
+		h := runner.Run(s, w, runner.Config{Retries: 2}).H
+		ix := history.NewIndex(h)
+		histories++
+		if len(history.CheckInternalIndexed(ix)) > 0 {
+			return
+		}
+		deps, err := core.BuildDependencyCtx(ctx, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &derived{Deps: deps}
+		ser, err := d.Rung(ctx, core.SER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := d.sessionGuarantees()
+		switch {
+		case ser.OK:
+			serOK++
+			if !reflect.DeepEqual(got, passedGuarantees()) {
+				t.Fatalf("%s: SER passes but the scan flags %+v", tag, got)
+			}
+		case !reflect.DeepEqual(got, passedGuarantees()):
+			flagged++
+		}
+	}
+	var bugs []faults.Bug
+	for _, b := range faults.Bugs() {
+		if !b.LWT {
+			bugs = append(bugs, b)
+		}
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 3, Txns: 8, Objects: 3, Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
+		})
+		check(kv.NewStore(kv.ModeSerializable), w, "serializable")
+		check(kv.NewStore(kv.ModeSI), w, "si")
+		check(kv.NewStore(kv.ModeSerializable), workload.GenerateGT(workload.GTConfig{
+			Sessions: 3, Txns: 6, Objects: 3, OpsPerTxn: 3, Seed: seed,
+		}), "gt")
+		for i := 0; i < 4; i++ {
+			b := bugs[(int(seed)+i)%len(bugs)]
+			check(b.NewStore(seed), w, b.Name)
+		}
+		for _, lb := range faults.LevelBugs() {
+			check(lb.NewStore(seed), workload.GenerateLevelTargeted(lb.Breaks, workload.TargetedConfig{
+				Sessions: 4, Txns: 24, Objects: 3, Seed: seed,
+			}), lb.Anomaly)
+		}
+	}
+	if serOK < 100 || flagged < 20 {
+		t.Fatalf("corpus of %d no longer covers both sides: %d SER passes, %d flagged scans", histories, serOK, flagged)
 	}
 }
