@@ -88,10 +88,18 @@ func resize[T any](s []T, n int) []T {
 // for pair, so cycle detection over the remaining stream is unchanged,
 // and the summary edges stay proportional to the retained nodes however
 // many epochs lie behind them. The rebuilt graph is loaded in one step
-// (graph.NewOnlineOrdered); the rebuild panics if an edge would descend
+// (graph.Online.Reload); the rebuild panics if an edge would descend
 // in the new numbering, which only a cycle in the settled prefix or
 // through the collapsed region could cause. The working memory is O(n²/64)
 // words for n live nodes and is reused from one compaction to the next.
+//
+// What survives is copied, not kept in place: the rebuilt graph is
+// loaded into the spare graph, the kept transaction records — write sets
+// and SI lists included — and the live slots with their lists go into the
+// spare slabs with every node id renumbered on the way, the slot table
+// and latest are re-pointed at the copies, and the two arena sets trade
+// places (see arenas). The graph and records of the epoch just ended stay
+// readable until the next compaction loads over them.
 //
 // MaybeCompact is the standard compaction cadence every windowed driver
 // (the batch replay, runner.RunStream, server sessions, benchmarks)
@@ -185,7 +193,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	// edges even before anyone read it), its readers and its overwriter.
 	//mtc:nondeterministic-ok raising tiers; max is commutative
 	for key, s := range inc.slots {
-		for _, r := range s.parked {
+		for r := range each(&inc.ids, s.parked) {
 			keepFull(r)
 		}
 		s.live = s.writer >= 0 && alive(key, s)
@@ -193,7 +201,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			continue
 		}
 		keepFull(s.writer)
-		for _, r := range s.readers {
+		for r := range each(&inc.ids, s.readers) {
 			keepFull(r)
 		}
 		if s.over >= 0 {
@@ -210,10 +218,10 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			if tier[i] < tierFull {
 				continue
 			}
-			for _, b := range inc.txns[i].baseIn {
+			for b := range each(&inc.deps, inc.txns[i].baseIn) {
 				tier[b.From] = max(tier[b.From], tierNode)
 			}
-			for _, rw := range inc.txns[i].rwOut {
+			for rw := range each(&inc.deps, inc.txns[i].rwOut) {
 				tier[rw.To] = max(tier[rw.To], tierNode)
 			}
 		}
@@ -325,56 +333,70 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		}
 	}
 	sc.edges = rebuilt
-	newTopo := graph.NewOnlineOrdered(kcount, rebuilt)
+	if inc.spare.topo == nil {
+		inc.spare = newArenas(inc.lvl)
+	}
+	next := &inc.spare
+	next.topo.Reload(kcount, rebuilt)
 
-	// Renumber what survives. The slot table's keys are versions, which a
-	// compaction cannot change: dead slots are deleted, live ones have
-	// the node ids inside them rewritten, and nothing is re-keyed.
-	reIDs := func(ids []int) {
-		for i, id := range ids {
-			ids[i] = remap[id]
+	// Copy what survives into the spare set, renumbering on the way.
+	reIDs := func(ids list) (out list) {
+		for id := range each(&inc.ids, ids) {
+			push(&next.ids, &out, remap[id])
 		}
+		return out
 	}
-	reEdges := func(edges []graph.Edge) {
-		for i := range edges {
-			edges[i].From, edges[i].To = remap[edges[i].From], remap[edges[i].To]
+	reEdges := func(edges list) (out list) {
+		for e := range each(&inc.deps, edges) {
+			e.From, e.To = remap[e.From], remap[e.To]
+			push(&next.deps, &out, e)
 		}
+		return out
 	}
-	txns := make([]txnState, kcount)
+	next.txns = resize(next.txns, kcount)
 	for x, nx := range remap {
 		if nx < 0 {
 			continue
 		}
-		t := inc.txns[x]
+		t := txnState{ext: inc.txns[x].ext} // all that is left of a node kept only as one
 		if tier[x] >= tierFull {
-			reEdges(t.baseIn)
-			reEdges(t.rwOut)
-		} else {
-			t = txnState{ext: t.ext} // kept as a graph node only
+			if ws := inc.txns[x].writes; len(ws) > 0 {
+				t.writes = next.writes.cut(len(ws))
+				copy(t.writes, ws)
+			}
+			t.baseIn, t.rwOut = reEdges(inc.txns[x].baseIn), reEdges(inc.txns[x].rwOut)
 		}
-		txns[nx] = t
+		next.txns[nx] = t
 	}
+	// The slot table's keys are versions, which a compaction cannot
+	// change: dead slots are deleted, live ones move to the spare slab with
+	// the node ids inside them rewritten, and nothing is re-keyed.
 	//mtc:nondeterministic-ok slot-for-slot sweep; no order reaches the result
 	for key, s := range inc.slots {
+		ns := slot{writer: -1, aborted: -1, over: -1, parked: reIDs(s.parked)}
 		if s.live {
-			s.writer = remap[s.writer]
-			reIDs(s.readers)
+			ns.writer, ns.readers = remap[s.writer], reIDs(s.readers)
 			if s.over >= 0 {
-				s.over = remap[s.over]
+				ns.over = remap[s.over]
 			}
-		} else {
-			// The committed write is settled; a later read of it parks.
-			*s = slot{writer: -1, aborted: s.aborted, parked: s.parked, over: -1}
-		}
+			ns.ref, ns.dethroned = s.ref, s.dethroned
+		} // else the committed write is settled; a later read of it parks
 		if s.aborted >= 0 && tier[s.aborted] == tierBase {
-			s.aborted = remap[s.aborted]
-		} else {
-			s.aborted = -1
+			ns.aborted = remap[s.aborted]
 		}
-		reIDs(s.parked)
-		if s.writer < 0 && s.aborted < 0 && len(s.parked) == 0 {
+		if ns.writer < 0 && ns.aborted < 0 && ns.parked.head == 0 {
 			delete(inc.slots, key)
+			continue
 		}
+		id, moved := next.records.alloc()
+		*moved = ns
+		s.fwd = id
+		inc.slots[key] = moved
+	}
+	// A key's latest write is always live.
+	//mtc:nondeterministic-ok entry-for-entry rewrite; no order reaches the result
+	for k, s := range inc.latest {
+		inc.latest[k] = next.records.at(s.fwd)
 	}
 	if inc.initID >= 0 {
 		inc.initID = remap[inc.initID]
@@ -385,23 +407,24 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			ss.last = remap[ss.last]
 		}
 	}
-	witness := make(map[composedKey][]graph.Edge, len(inc.witness))
+	clear(next.witness)
 	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for ck, edges := range inc.witness {
+	for ck, w := range inc.witness {
 		// The witness threads through an intermediate node; keep the
 		// expansion only while all three survive (a composed edge whose
 		// witness was collapsed still reports, just unexpanded).
-		if remap[ck.from] < 0 || remap[ck.to] < 0 || remap[edges[0].To] < 0 {
+		if remap[ck.from] < 0 || remap[ck.to] < 0 || remap[w[0].To] < 0 {
 			continue
 		}
-		reEdges(edges)
-		witness[composedKey{from: remap[ck.from], to: remap[ck.to]}] = edges
+		for i := range w {
+			w[i].From, w[i].To = remap[w[i].From], remap[w[i].To]
+		}
+		next.witness[composedKey{from: remap[ck.from], to: remap[ck.to]}] = w
 	}
 
-	inc.topo = newTopo
+	inc.arenas, inc.spare = inc.spare, inc.arenas
+	inc.spare.reset()
 	inc.live = len(rebuilt)
-	inc.txns = txns
-	inc.witness = witness
 	inc.compactTxns += collapsed
 	inc.compactEpoch++
 }

@@ -21,10 +21,16 @@
 //     engine (Incremental) and CheckStreamCtx drives it from a stream.
 //     Incremental holds two tables: one slot per version (key, value) —
 //     its writer, readers and RMW overwriter — and one record per
-//     transaction, indexed by its node in the online graph. Compact
-//     collapses the settled prefix of that graph into summary edges,
-//     copies the surviving transaction records and sweeps the slot
-//     table in place: versions identify slots, so nothing is re-keyed.
+//     transaction, indexed by its node in the online graph. The records,
+//     their lists, the write sets and the graph's edges come from arenas
+//     the Incremental owns (arena.go): chunked slabs that Add only ever
+//     appends to, so the engine allocates per epoch, not per transaction.
+//     Compact collapses the settled prefix of the graph into summary
+//     edges and copies what survives into a second arena set, which
+//     becomes the current one; the set left behind is refilled the epoch
+//     after, so a windowed stream stops allocating once both have grown
+//     to its size and no record outlives the epoch after its copy.
+//     Versions identify slots, so the slot table is never re-keyed.
 //   - VLLWT (in lwt.go) verifies linearizability of lightweight-transaction
 //     histories in expected O(n) time (Algorithm 2).
 //

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -42,6 +44,13 @@ import (
 // values (in slots, session records and SI witnesses), never as map
 // keys, and each transaction's record carries the external stream
 // position (the arrival index the caller observes) a verdict reports.
+//
+// The records of both tables, the lists hanging off them, the write sets
+// and the graph's edges live in arenas (see arenas): Add takes what it
+// needs from chunked slabs and a compaction copies the survivors into a
+// second set of them, so the engine allocates per epoch, not per
+// transaction. The arenas have one owner, the Incremental; no driver
+// learns of them.
 type Incremental struct {
 	lvl Level
 	vio *Result
@@ -50,14 +59,13 @@ type Incremental struct {
 	edges int // dependency edges, mirroring the batch graph's NumEdges
 	live  int // edges currently in topo
 
-	topo   *graph.Online
-	txns   []txnState // indexed by node id
+	arenas        // what Add allocates from
+	spare  arenas // what the next compaction copies into
 	initID int
 
 	slots map[version]*slot
 	// latest is each key's most recent committed write: the value a fresh
-	// read of the key observes, so its slot survives every compaction
-	// (slots never move; the pointers stay valid).
+	// read of the key observes, so its slot survives every compaction.
 	latest map[history.Key]*slot
 
 	sessions map[int]*sessionState
@@ -67,10 +75,16 @@ type Incremental struct {
 	lastCompactAt int // NumTxns at the last MaybeCompact-triggered compaction
 	scratch       compactScratch
 
-	// SI only: the online order tracks the composed graph
-	// (SO ∪ WR ∪ WW) ; RW?, and every composed edge remembers its
-	// constituents for reporting.
-	witness map[composedKey][]graph.Edge
+	// woken is add's scratch: the slots a transaction's writes found
+	// readers parked on.
+	woken []wokenSlot
+}
+
+// wokenSlot is a slot with parked readers and the operation, by index,
+// whose write they were waiting for.
+type wokenSlot struct {
+	s  *slot
+	op int
 }
 
 // version identifies one written value of one key.
@@ -82,10 +96,10 @@ type version struct {
 // slot is everything the checker knows about one version. Transactions
 // are node ids; positions are NumTxns at the time of the event.
 type slot struct {
-	writer  int   // committed writer, -1 while none has arrived
-	aborted int   // an aborted writer, -1 if none
-	parked  []int // committed readers waiting for the writer, in arrival order
-	readers []int
+	writer  int  // committed writer, -1 while none has arrived
+	aborted int  // an aborted writer, -1 if none
+	parked  list // committed readers waiting for the writer, in arrival order
+	readers list
 	// over is the RMW overwriter: the reader of this version that also
 	// writes the key, -1 while none has. Unique values leave room for one
 	// only — resolveRead turns a second into the verdict.
@@ -97,7 +111,10 @@ type slot struct {
 	// holds it against the session-staleness horizon (see ExpectSession).
 	dethroned int
 
-	live bool // scratch: Compact's mark phase found the slot still readable
+	// Compact's scratch: its mark phase found the slot still readable, and
+	// its copy is this record of the spare slab.
+	live bool
+	fwd  int32
 }
 
 // txnState is the per-transaction record.
@@ -106,7 +123,7 @@ type txnState struct {
 	writes writeSet // final writes of a committed transaction, key-sorted
 	// SI only: base (SO, WR, WW) edges into the transaction and RW edges
 	// out of it, the two halves of every composition through it.
-	baseIn, rwOut []graph.Edge
+	baseIn, rwOut list
 }
 
 // sessionState is the per-session record.
@@ -127,12 +144,11 @@ func NewIncremental(lvl Level) *Incremental {
 	}
 	return &Incremental{
 		lvl:      lvl,
-		topo:     graph.NewOnline(),
+		arenas:   newArenas(lvl),
 		initID:   -1,
 		slots:    make(map[version]*slot),
 		latest:   make(map[history.Key]*slot),
 		sessions: make(map[int]*sessionState),
-		witness:  make(map[composedKey][]graph.Edge),
 	}
 }
 
@@ -172,18 +188,20 @@ func (inc *Incremental) slotOf(k history.Key, v history.Value) *slot {
 	key := version{k, v}
 	s := inc.slots[key]
 	if s == nil {
-		s = &slot{writer: -1, aborted: -1, over: -1}
+		_, s = inc.records.alloc()
+		*s = slot{writer: -1, aborted: -1, over: -1}
 		inc.slots[key] = s
 	}
 	return s
 }
 
 // writeSet is a transaction's final-write footprint as a key-sorted
-// slice: the allocation-light replacement for the per-Add
-// map[Key]Value (one backing array instead of a hash table per
-// transaction). It is immutable once built, so Compact moves it by
-// reference.
-type writeSet []struct {
+// slice cut from the write slab: no hash table and no allocation per
+// transaction. It is immutable once built; Compact copies the ones that
+// survive into the spare slab.
+type writeSet []write
+
+type write struct {
 	k history.Key
 	v history.Value
 }
@@ -206,40 +224,38 @@ func (ws writeSet) get(k history.Key) (history.Value, bool) {
 }
 
 // makeWriteSet collects the final write per key of ops into a sorted
-// writeSet. Transactions write at most a couple of keys (only ⊥T is
-// wide), so the last-wins dedup and insertion sort stay linear-ish
-// without any hashing.
-func makeWriteSet(ops []history.Op) writeSet {
-	var ws writeSet
+// writeSet cut from arena: the writes in program order, a stable sort by
+// key, and the last of every run of equal keys. O(k log k) in the writes
+// — the initial transaction writes every key of the store — and the
+// sort is an insertion sort on the one or two writes of a
+// mini-transaction.
+//
+//mtc:hotpath — per-commit; the write set is cut from the slab, the sort is in place
+func makeWriteSet(arena *slab[write], ops []history.Op) writeSet {
+	n := 0
 	for _, op := range ops {
-		if op.Kind != history.OpWrite {
-			continue
-		}
-		found := false
-		for i := range ws {
-			if ws[i].k == op.Key {
-				ws[i].v = op.Value // last write wins
-				found = true
-				break
-			}
-		}
-		if !found {
-			ws = append(ws, struct {
-				k history.Key
-				v history.Value
-			}{op.Key, op.Value})
+		if op.Kind == history.OpWrite {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	ws := arena.cut(n)[:0]
+	for _, op := range ops {
+		if op.Kind == history.OpWrite {
+			ws = append(ws, write{op.Key, op.Value})
+		}
+	}
+	slices.SortStableFunc(ws, func(a, b write) int { return strings.Compare(string(a.k), string(b.k)) })
+	last := 0
 	for i := 1; i < len(ws); i++ {
-		e := ws[i]
-		j := i - 1
-		for j >= 0 && ws[j].k > e.k {
-			ws[j+1] = ws[j]
-			j--
+		if ws[i].k != ws[last].k {
+			last++
 		}
-		ws[j+1] = e
+		ws[last] = ws[i] // within a run, the later write wins
 	}
-	return ws
+	return ws[: last+1 : last+1]
 }
 
 // ExpectSession declares that session s is live and will keep
@@ -300,12 +316,13 @@ func (inc *Incremental) Add(t history.Txn) *Result {
 	return inc.add(t, false)
 }
 
+//mtc:hotpath — per-commit; records, cells and write sets come from the arenas
 func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	if inc.vio != nil {
 		return inc.vio
 	}
 	id := inc.topo.AddNode()
-	inc.txns = append(inc.txns, txnState{ext: inc.n})
+	inc.txns = append(inc.txns, txnState{ext: inc.n}) //mtc:alloc-ok amortized growth of the record table; a compaction reuses it
 	inc.n++
 	ss := inc.sessions[t.Session]
 	if !isInit && ss != nil && ss.active {
@@ -338,8 +355,9 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	// Register this transaction's committed writes first: its own reads
 	// must resolve against them (and be skipped, as in the batch builder),
 	// and unique-value violations surface here.
-	inc.txns[id].writes = makeWriteSet(t.Ops)
-	for _, op := range t.Ops {
+	inc.txns[id].writes = makeWriteSet(&inc.writes, t.Ops)
+	woken := inc.woken[:0]
+	for i, op := range t.Ops {
 		if op.Kind != history.OpWrite {
 			continue
 		}
@@ -352,18 +370,21 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 			prev.dethroned = inc.n
 		}
 		inc.latest[op.Key] = s
-	}
-
-	// Writers that readers were parked on may just have arrived.
-	for _, op := range t.Ops {
-		if op.Kind != history.OpWrite {
-			continue
+		if s.parked.head != 0 {
+			woken = append(woken, wokenSlot{s, i})
 		}
-		s := inc.slots[version{op.Key, op.Value}]
-		waiters := s.parked
-		s.parked = nil
-		for _, r := range waiters {
-			if vio := inc.resolveRead(r, s, op.Key, op.Value); vio != nil {
+	}
+	inc.woken = woken
+
+	// Writers that readers were parked on have just arrived. Only once
+	// every write is registered: a duplicate among them is the verdict
+	// before any edge of a parked reader is.
+	for _, w := range woken {
+		op := t.Ops[w.op]
+		waiters := w.s.parked
+		w.s.parked = list{}
+		for r := range each(&inc.ids, waiters) {
+			if vio := inc.resolveRead(r, w.s, op.Key, op.Value); vio != nil {
 				return vio
 			}
 		}
@@ -439,7 +460,7 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 			// Writer unseen: park. AbortedRead / ThinAirRead can only be
 			// told apart once the stream ends (the writer may still
 			// commit), so classification waits for Finalize.
-			s.parked = append(s.parked, id)
+			push(&inc.ids, &s.parked, id)
 		}
 	}
 	return nil
@@ -450,6 +471,8 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 // reader also writes the key — the WW edge, the divergence check, and
 // the RW anti-dependencies against the other readers and the overwriter
 // of the value.
+//
+//mtc:hotpath — per resolved read
 func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history.Value) *Result {
 	w := s.writer
 	if last, ok := inc.txns[w].writes.get(key); ok && last != val {
@@ -465,7 +488,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 			return vio
 		}
 	}
-	s.readers = append(s.readers, r)
+	push(&inc.ids, &s.readers, r)
 	if _, writes := inc.txns[r].writes.get(key); !writes {
 		return nil
 	}
@@ -480,7 +503,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WW, Obj: string(key)}); vio != nil {
 		return vio
 	}
-	for _, rd := range s.readers {
+	for rd := range each(&inc.ids, s.readers) {
 		if rd == r {
 			continue
 		}
@@ -495,6 +518,8 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 // addDepEdge inserts one dependency edge. Under SER the edge feeds the
 // online order directly; under SI base edges and RW edges feed the
 // composed graph (SO ∪ WR ∪ WW) ; RW?, one composition step at a time.
+//
+//mtc:hotpath — per dependency edge
 func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 	inc.edges++
 	if inc.lvl == SER {
@@ -502,19 +527,19 @@ func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 	}
 	if e.Kind == graph.RW {
 		from := &inc.txns[e.From]
-		from.rwOut = append(from.rwOut, e)
-		for _, b := range from.baseIn {
+		push(&inc.deps, &from.rwOut, e)
+		for b := range each(&inc.deps, from.baseIn) {
 			if vio := inc.addComposed(b, e); vio != nil {
 				return vio
 			}
 		}
 		return nil
 	}
-	inc.txns[e.To].baseIn = append(inc.txns[e.To].baseIn, e)
+	push(&inc.deps, &inc.txns[e.To].baseIn, e)
 	if vio := inc.link(e); vio != nil {
 		return vio
 	}
-	for _, rw := range inc.txns[e.To].rwOut {
+	for rw := range each(&inc.deps, inc.txns[e.To].rwOut) {
 		if vio := inc.addComposed(e, rw); vio != nil {
 			return vio
 		}
@@ -523,10 +548,13 @@ func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 }
 
 // addComposed inserts the composed edge base ; rw into the online order.
+// The first pair to compose an edge is the witness it reports.
+//
+//mtc:hotpath — per composed edge; the witness is stored inline in the map
 func (inc *Incremental) addComposed(base, rw graph.Edge) *Result {
 	ck := composedKey{from: base.From, to: rw.To}
 	if _, dup := inc.witness[ck]; !dup {
-		inc.witness[ck] = []graph.Edge{base, rw}
+		inc.witness[ck] = [2]graph.Edge{base, rw}
 	}
 	return inc.link(graph.Edge{From: base.From, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
 }
@@ -536,12 +564,12 @@ type composedKey struct{ from, to int }
 
 // expandComposed rewrites a cycle of G' into the underlying dependency
 // edges so that counterexamples read like the paper's figures.
-func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []graph.Edge {
+func expandComposed(cycle []graph.Edge, expand map[composedKey][2]graph.Edge) []graph.Edge {
 	var out []graph.Edge
 	for _, e := range cycle {
 		if e.Kind == graph.AUX {
 			if w, ok := expand[composedKey{e.From, e.To}]; ok {
-				out = append(out, w...)
+				out = append(out, w[:]...)
 				continue
 			}
 		}
@@ -552,6 +580,8 @@ func expandComposed(cycle []graph.Edge, expand map[composedKey][]graph.Edge) []g
 
 // link inserts e into the online order. A cycle it closes is the terminal
 // verdict, composed SI edges expanded back into their constituents.
+//
+//mtc:hotpath — per edge of the online graph
 func (inc *Incremental) link(e graph.Edge) *Result {
 	inc.live++
 	cy := inc.topo.AddEdge(e)
@@ -601,13 +631,14 @@ func (inc *Incremental) Finalize() Result {
 		best     version
 		bestSlot *slot
 	)
+	first := func(s *slot) int { return inc.ids.at(s.parked.head).v }
 	//mtc:nondeterministic-ok total-order minimum with (position, key, value) tie-breaks; any iteration order picks the same winner
 	for key, s := range inc.slots {
-		if len(s.parked) == 0 {
+		if s.parked.head == 0 {
 			continue
 		}
 		if bestSlot != nil {
-			r, b := inc.extOf(s.parked[0]), inc.extOf(bestSlot.parked[0])
+			r, b := inc.extOf(first(s)), inc.extOf(first(bestSlot))
 			if r > b || r == b && (key.k > best.k || key.k == best.k && key.v >= best.v) {
 				continue
 			}
@@ -619,7 +650,7 @@ func (inc *Incremental) Finalize() Result {
 		if bestSlot.aborted >= 0 {
 			kind = history.AbortedRead
 		}
-		return *inc.anomaly(kind, bestSlot.parked[0], history.Op{Key: best.k, Value: best.v})
+		return *inc.anomaly(kind, first(bestSlot), history.Op{Key: best.k, Value: best.v})
 	}
 	return Result{
 		Level: inc.lvl, OK: true, NumTxns: inc.n, NumEdges: inc.edges,

@@ -6,7 +6,10 @@
 // so that detected cycles can be reported back as human-readable
 // counterexamples. A Graph is collected edge by edge in a Builder and
 // immutable after Build (one edge arena in CSR form); the graph that
-// grows while it is searched is Online.
+// grows while it is searched is Online, whose edges are arcs in one
+// chunked arena linked into per-node out and in lists: both iterate in
+// insertion order, Out is an iterator, and Reload refills the arena of
+// an existing graph instead of building a new one.
 package graph
 
 import (

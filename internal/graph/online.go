@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 )
 
 // Online maintains a topological order of a growing DAG under node and
@@ -17,58 +19,121 @@ import (
 // fed in commit order, the paper's nearly-unique-graph regime) cost O(1)
 // and the amortized cost per committed transaction stays near-constant.
 //
+// Every edge lives in one chunked arena as an arc: the Edge plus the id
+// of the next arc on its source's out list and on its target's in list.
+// A node holds only the head and tail of its two lists, so inserting an
+// edge is one store into the arena and two link writes — no per-node
+// slice ever grows — and both lists iterate in insertion order. Chunks
+// never move and are never copied; Reload refills the same chunks, so a
+// graph that is reloaded at a steady size stops allocating.
+//
 // Online is the substrate of core.Incremental; it is not safe for
 // concurrent use.
 type Online struct {
-	ord []int // node -> order index
-	out [][]Edge
-	in  [][]Edge
+	ord  []int       // node -> order index
+	adj  []adjacency // node -> the ends of its two lists
+	arcs arcArena
 
-	// DFS scratch, reused across insertions.
-	mark  []int
-	stamp int
+	// Search scratch, reused across insertions.
+	mark   []int
+	stamp  int
+	parent []int32 // node -> the arc the forward search reached it by
+	fwd    []int
+	bwd    []int
+	stack  []int
+	slots  []int
+}
+
+// arc is one edge and its place on two lists: the arc after it on
+// e.From's out list and on e.To's in list, 0 where a list ends.
+type arc struct {
+	e               Edge
+	nextOut, nextIn int32
+}
+
+// adjacency is the first and last arc of a node's out and in lists, 0
+// while a list is empty.
+type adjacency struct{ outHead, outTail, inHead, inTail int32 }
+
+// Arena chunks double from arcChunkMin arcs to 1<<arcChunkShift, so a
+// graph of a few transactions costs under a kilobyte and a long stream
+// one allocation per 1024 edges.
+const (
+	arcChunkMin   = 16
+	arcChunkShift = 10
+)
+
+// arcArena hands out arcs from chunks that stay where they are. An arc's
+// id is its chunk index and offset packed into an int32, plus one so
+// that 0 is free to mean "no arc".
+type arcArena struct {
+	chunks [][]arc // len: arcs handed out; cap: the chunk's size
+	used   int     // chunks[:used] hold arcs, the rest wait for reuse
+}
+
+// alloc returns the next arc and its id. The arc holds whatever an
+// earlier load left there; the caller overwrites it whole.
+//
+//mtc:hotpath — one chunk per 1024 arcs, nothing per arc
+func (a *arcArena) alloc() (int32, *arc) {
+	if a.used == 0 || len(a.chunks[a.used-1]) == cap(a.chunks[a.used-1]) {
+		if a.used == len(a.chunks) {
+			size := arcChunkMin
+			if a.used > 0 {
+				size = min(2*cap(a.chunks[a.used-1]), 1<<arcChunkShift)
+			}
+			a.chunks = append(a.chunks, make([]arc, 0, size)) //mtc:alloc-ok one chunk per 1024 arcs
+		}
+		a.used++
+	}
+	c := a.chunks[a.used-1]
+	i := len(c)
+	c = c[:i+1]
+	a.chunks[a.used-1] = c
+	return int32((a.used-1)<<arcChunkShift|i) + 1, &c[i]
+}
+
+func (a *arcArena) at(id int32) *arc {
+	id--
+	return &a.chunks[id>>arcChunkShift][id&(1<<arcChunkShift-1)]
+}
+
+// reset forgets every arc and keeps the chunks.
+func (a *arcArena) reset() {
+	for i := range a.chunks[:a.used] {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.used = 0
 }
 
 // NewOnline returns an empty online ordering with no nodes.
 func NewOnline() *Online { return &Online{} }
 
-// NewOnlineOrdered returns an online ordering of nodes 0..n-1 holding
-// edges, whose topological order is the identity. Every edge must have
-// From < To: under the identity order that is the whole proof of
-// acyclicity, which AddEdge would otherwise establish one edge at a time,
-// and an edge that breaks it panics. The adjacency lists keep the order
-// of edges and are cut from two arenas with no spare capacity, so the
-// first AddEdge at a node copies its list out rather than growing into
-// its neighbour's.
-func NewOnlineOrdered(n int, edges []Edge) *Online {
-	t := &Online{
-		ord:  make([]int, n),
-		out:  make([][]Edge, n),
-		in:   make([][]Edge, n),
-		mark: make([]int, n),
+// Reload replaces the graph by nodes 0..n-1 holding edges, under the
+// identity order, reusing the memory the graph already owns. Every edge
+// must have From < To: under the identity order that is the whole proof
+// of acyclicity, which AddEdge would otherwise establish one edge at a
+// time, and an edge that breaks it panics. The adjacency lists keep the
+// order of edges, exactly as if each had been added to n fresh nodes in
+// turn.
+func (t *Online) Reload(n int, edges []Edge) {
+	t.ord = slices.Grow(t.ord[:0], n)[:n]
+	for v := range t.ord {
+		t.ord[v] = v
 	}
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	t.adj = slices.Grow(t.adj[:0], n)[:n]
+	clear(t.adj)
+	t.mark = slices.Grow(t.mark[:0], n)[:n]
+	clear(t.mark)
+	t.stamp = 0
+	t.parent = slices.Grow(t.parent[:0], n)[:n]
+	t.arcs.reset()
 	for _, e := range edges {
 		if e.From < 0 || e.From >= e.To || e.To >= n {
-			panic(fmt.Sprintf("graph: NewOnlineOrdered: edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
+			panic(fmt.Sprintf("graph: Reload: edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
 		}
-		deg[e.From]++
-		deg[n+e.To]++
+		t.push(e)
 	}
-	outs, ins := make([]Edge, len(edges)), make([]Edge, len(edges))
-	o, i := 0, 0
-	for v := 0; v < n; v++ {
-		t.ord[v] = v
-		t.out[v] = outs[o : o : o+deg[v]]
-		o += deg[v]
-		t.in[v] = ins[i : i : i+deg[n+v]]
-		i += deg[n+v]
-	}
-	for _, e := range edges {
-		t.out[e.From] = append(t.out[e.From], e)
-		t.in[e.To] = append(t.in[e.To], e)
-	}
-	return t
 }
 
 // Len returns the number of nodes.
@@ -79,30 +144,66 @@ func (t *Online) Len() int { return len(t.ord) }
 func (t *Online) AddNode() int {
 	id := len(t.ord)
 	t.ord = append(t.ord, id)
-	t.out = append(t.out, nil)
-	t.in = append(t.in, nil)
+	t.adj = append(t.adj, adjacency{})
 	t.mark = append(t.mark, 0)
+	t.parent = append(t.parent, 0)
 	return id
 }
 
-// Out returns the outgoing edges of node v. The slice must not be
-// modified.
-func (t *Online) Out(v int) []Edge { return t.out[v] }
+// Out iterates the outgoing edges of node v in insertion order, each
+// with its position on the list.
+func (t *Online) Out(v int) iter.Seq2[int, Edge] {
+	return func(yield func(int, Edge) bool) {
+		var a *arc
+		i := 0
+		for id := t.adj[v].outHead; id != 0; id = a.nextOut {
+			a = t.arcs.at(id)
+			if !yield(i, a.e) {
+				return
+			}
+			i++
+		}
+	}
+}
 
 // Ord returns the current order index of node v.
 func (t *Online) Ord(v int) int { return t.ord[v] }
+
+// push stores e at the tail of its source's out list and its target's in
+// list.
+//
+//mtc:hotpath — one arena store and two link writes per edge
+func (t *Online) push(e Edge) {
+	id, a := t.arcs.alloc()
+	*a = arc{e: e}
+	from := &t.adj[e.From]
+	if from.outTail == 0 {
+		from.outHead = id
+	} else {
+		t.arcs.at(from.outTail).nextOut = id
+	}
+	from.outTail = id
+	to := &t.adj[e.To] // from itself, for a self-loop
+	if to.inTail == 0 {
+		to.inHead = id
+	} else {
+		t.arcs.at(to.inTail).nextIn = id
+	}
+	to.inTail = id
+}
 
 // AddEdge inserts e, restoring the topological order. If the insertion
 // closes a directed cycle it returns the cycle's edges (e first, so each
 // edge's To is the next edge's From and the last edge re-enters e.From);
 // the ordering is then stale and the structure should only be read, not
 // grown. It returns nil when the graph remains acyclic.
+//
+//mtc:hotpath — an edge that respects the order is push and two loads; one that inverts it searches in reused scratch
 func (t *Online) AddEdge(e Edge) []Edge {
 	u, v := e.From, e.To
-	t.out[u] = append(t.out[u], e)
-	t.in[v] = append(t.in[v], e)
+	t.push(e)
 	if u == v {
-		return []Edge{e}
+		return []Edge{e} //mtc:alloc-ok a cycle is the terminal verdict
 	}
 	if t.ord[u] < t.ord[v] {
 		return nil
@@ -113,32 +214,29 @@ func (t *Online) AddEdge(e Edge) []Edge {
 	// u has strictly increasing order indices (the pre-insertion invariant),
 	// so pruning at ub cannot miss a cycle.
 	t.stamp++
-	fwd := []int{v}
+	fwd := append(t.fwd[:0], v)
 	t.mark[v] = t.stamp
-	parent := map[int]Edge{}
-	stack := []int{v}
+	stack := append(t.stack[:0], v)
+	var a *arc
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, oe := range t.out[x] {
-			w := oe.To
+		for id := t.adj[x].outHead; id != 0; id = a.nextOut {
+			a = t.arcs.at(id)
+			w := a.e.To
 			if w == u {
-				// Cycle: e (u->v), then the tree path v ~> x, then oe.
-				cycle := []Edge{e}
-				var path []Edge
-				for y := x; y != v; y = parent[y].From {
-					path = append(path, parent[y])
+				// Cycle: e (u->v), then the tree path v ~> x, then a.e.
+				cycle := []Edge{e, a.e} //mtc:alloc-ok a cycle is the terminal verdict
+				for y := x; y != v; y = cycle[1].From {
+					cycle = slices.Insert(cycle, 1, t.arcs.at(t.parent[y]).e) //mtc:alloc-ok a cycle is the terminal verdict
 				}
-				for i := len(path) - 1; i >= 0; i-- {
-					cycle = append(cycle, path[i])
-				}
-				return append(cycle, oe)
+				return cycle
 			}
 			if t.ord[w] > ub || t.mark[w] == t.stamp {
 				continue
 			}
 			t.mark[w] = t.stamp
-			parent[w] = oe
+			t.parent[w] = id
 			fwd = append(fwd, w)
 			stack = append(stack, w)
 		}
@@ -148,14 +246,15 @@ func (t *Online) AddEdge(e Edge) []Edge {
 	// fwd is possible: a shared node would witness a v ~> u path, found
 	// above.
 	bwdStamp := -t.stamp
-	bwd := []int{u}
+	bwd := append(t.bwd[:0], u)
 	t.mark[u] = bwdStamp
-	stack = append(stack[:0], u)
+	stack = append(stack, u)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ie := range t.in[x] {
-			w := ie.From
+		for id := t.adj[x].inHead; id != 0; id = a.nextIn {
+			a = t.arcs.at(id)
+			w := a.e.From
 			if t.ord[w] < lb || t.mark[w] == bwdStamp {
 				continue
 			}
@@ -167,22 +266,21 @@ func (t *Online) AddEdge(e Edge) []Edge {
 
 	// Reorder: the ancestors (bwd) take the smallest affected indices, the
 	// descendants (fwd) the largest, each group keeping its relative order.
-	byOrd := func(s []int) {
-		sort.Slice(s, func(i, j int) bool { return t.ord[s[i]] < t.ord[s[j]] })
-	}
-	byOrd(fwd)
-	byOrd(bwd)
-	slots := make([]int, 0, len(fwd)+len(bwd))
+	byOrd := func(x, y int) int { return cmp.Compare(t.ord[x], t.ord[y]) }
+	slices.SortFunc(fwd, byOrd)
+	slices.SortFunc(bwd, byOrd)
+	slots := t.slots[:0]
 	for _, x := range bwd {
 		slots = append(slots, t.ord[x])
 	}
 	for _, x := range fwd {
 		slots = append(slots, t.ord[x])
 	}
-	sort.Ints(slots)
-	nodes := append(bwd, fwd...)
-	for i, x := range nodes {
+	slices.Sort(slots)
+	bwd = append(bwd, fwd...)
+	for i, x := range bwd {
 		t.ord[x] = slots[i]
 	}
+	t.fwd, t.bwd, t.stack, t.slots = fwd, bwd, stack, slots
 	return nil
 }

@@ -17,12 +17,14 @@ func ascendingDAG(rng *rand.Rand, n, m int) []Edge {
 	return edges
 }
 
-// sameEdges is slice equality that does not tell nil from empty.
-func sameEdges(a, b []Edge) bool {
-	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+// reloaded returns a fresh graph loaded in one step.
+func reloaded(n int, edges []Edge) *Online {
+	o := NewOnline()
+	o.Reload(n, edges)
+	return o
 }
 
-// edgeByEdge builds what NewOnlineOrdered(n, edges) promises, the slow way.
+// edgeByEdge builds what Reload(n, edges) promises, the slow way.
 func edgeByEdge(t *testing.T, n int, edges []Edge) *Online {
 	t.Helper()
 	o := NewOnline()
@@ -37,7 +39,7 @@ func edgeByEdge(t *testing.T, n int, edges []Edge) *Online {
 	return o
 }
 
-func TestNewOnlineOrderedPanicsUnlessAscending(t *testing.T) {
+func TestReloadPanicsUnlessAscending(t *testing.T) {
 	for _, e := range []Edge{
 		{From: 2, To: 1}, // descends
 		{From: 1, To: 1}, // self-loop
@@ -50,16 +52,16 @@ func TestNewOnlineOrderedPanicsUnlessAscending(t *testing.T) {
 					t.Errorf("edge %d -> %d over 3 nodes: want panic", e.From, e.To)
 				}
 			}()
-			NewOnlineOrdered(3, []Edge{{From: 0, To: 1}, e})
+			reloaded(3, []Edge{{From: 0, To: 1}, e})
 		}()
 	}
 }
 
-func TestNewOnlineOrderedMatchesEdgeByEdge(t *testing.T) {
+func TestReloadMatchesEdgeByEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 40
 	edges := ascendingDAG(rng, n, 120)
-	bulk, ref := NewOnlineOrdered(n, edges), edgeByEdge(t, n, edges)
+	bulk, ref := reloaded(n, edges), edgeByEdge(t, n, edges)
 	if bulk.Len() != n {
 		t.Fatalf("Len = %d, want %d", bulk.Len(), n)
 	}
@@ -67,52 +69,86 @@ func TestNewOnlineOrderedMatchesEdgeByEdge(t *testing.T) {
 		if bulk.Ord(v) != v {
 			t.Fatalf("Ord(%d) = %d, want the identity", v, bulk.Ord(v))
 		}
-		if !sameEdges(bulk.out[v], ref.out[v]) || !sameEdges(bulk.in[v], ref.in[v]) {
+		if !sameEdges(outList(bulk, v), outList(ref, v)) || !sameEdges(inList(bulk, v), inList(ref, v)) {
 			t.Fatalf("adjacency of %d differs from the edge-by-edge build", v)
 		}
 	}
 }
 
-// TestNewOnlineOrderedListsDoNotShareCapacity is the cap == len property:
-// the lists are neighbours in one arena, so an AddEdge that grew a list in
-// place would overwrite the head of the next one.
-func TestNewOnlineOrderedListsDoNotShareCapacity(t *testing.T) {
+// lists is every node's order index and two lists, copied out.
+type lists struct {
+	ord     []int
+	out, in [][]Edge
+}
+
+func listsOf(o *Online) lists {
+	var l lists
+	for v := 0; v < o.Len(); v++ {
+		l.ord = append(l.ord, o.Ord(v))
+		l.out = append(l.out, outList(o, v))
+		l.in = append(l.in, inList(o, v))
+	}
+	return l
+}
+
+// TestReloadKeepsListsApart: the lists of a reloaded graph are chains
+// through shared chunks, so what has to hold is that an AddEdge touches
+// the out list of its source and the in list of its target and nothing
+// else — and that a graph nobody reloads is left alone by whatever happens
+// to another one, which is what lets core.Compact load a spare graph while
+// the one it swapped out is still being read.
+func TestReloadKeepsListsApart(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 30
-	edges := ascendingDAG(rng, n, 90)
-	bulk, ref := NewOnlineOrdered(n, edges), edgeByEdge(t, n, edges)
-	for v := 0; v < n; v++ {
-		if cap(bulk.out[v]) != len(bulk.out[v]) || cap(bulk.in[v]) != len(bulk.in[v]) {
-			t.Fatalf("node %d: out len/cap %d/%d, in len/cap %d/%d", v,
-				len(bulk.out[v]), cap(bulk.out[v]), len(bulk.in[v]), cap(bulk.in[v]))
+	a, b := NewOnline(), NewOnline()
+	for epoch := 0; epoch < 6; epoch++ {
+		// a is the graph in use, b the one swapped out an epoch ago.
+		a, b = b, a
+		retired := listsOf(b)
+		edges := ascendingDAG(rng, n, 40+20*epoch)
+		a.Reload(n, edges)
+		ref := edgeByEdge(t, n, edges)
+		for i := 0; i < 3*n; i++ {
+			u := rng.Intn(n - 1)
+			e := Edge{From: u, To: u + 1 + rng.Intn(n-1-u), Kind: AUX, Obj: "extra"}
+			before := listsOf(a)
+			if a.AddEdge(e) != nil || ref.AddEdge(e) != nil {
+				t.Fatalf("ascending edge %v reported a cycle", e)
+			}
+			after := listsOf(a)
+			for v := 0; v < n; v++ {
+				wantOut, wantIn := before.out[v], before.in[v]
+				if v == e.From {
+					wantOut = append(wantOut, e)
+				}
+				if v == e.To {
+					wantIn = append(wantIn, e)
+				}
+				if !sameEdges(after.out[v], wantOut) || !sameEdges(after.in[v], wantIn) {
+					t.Fatalf("epoch %d: AddEdge(%v) changed the lists of %d:\nout %v\nwant %v\nin %v\nwant %v",
+						epoch, e, v, after.out[v], wantOut, after.in[v], wantIn)
+				}
+			}
 		}
-	}
-	// One more ascending edge at every node, low to high, so each append
-	// lands right where the next node's list begins.
-	for v := 0; v+1 < n; v++ {
-		e := Edge{From: v, To: v + 1, Kind: AUX, Obj: "extra"}
-		if bulk.AddEdge(e) != nil || ref.AddEdge(e) != nil {
-			t.Fatalf("ascending edge %v reported a cycle", e)
+		if got := listsOf(a); !reflect.DeepEqual(got, listsOf(ref)) {
+			t.Fatalf("epoch %d: reloaded graph differs from the edge-by-edge build", epoch)
 		}
-	}
-	for v := 0; v < n; v++ {
-		if !sameEdges(bulk.out[v], ref.out[v]) || !sameEdges(bulk.in[v], ref.in[v]) {
-			t.Fatalf("adjacency of %d clobbered:\nout %v\nwant %v\nin %v\nwant %v",
-				v, bulk.out[v], ref.out[v], bulk.in[v], ref.in[v])
+		if got := listsOf(b); !reflect.DeepEqual(got, retired) {
+			t.Fatalf("epoch %d: loading and growing one graph changed the other", epoch)
 		}
 	}
 }
 
-// TestNewOnlineOrderedThenInversions: after a bulk load the structure is
+// TestReloadThenInversions: after a bulk load the structure is
 // an ordinary Pearce–Kelly order. Order-inverting insertions reorder it
 // exactly as they reorder the edge-by-edge build, and the closing edge
 // reports the same cycle, edge for edge.
-func TestNewOnlineOrderedThenInversions(t *testing.T) {
+func TestReloadThenInversions(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 24
 		edges := ascendingDAG(rng, n, 30)
-		bulk, ref := NewOnlineOrdered(n, edges), edgeByEdge(t, n, edges)
+		bulk, ref := reloaded(n, edges), edgeByEdge(t, n, edges)
 		closed := false
 		for i := 0; i < 200; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,27 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	resp, _ = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session must 404, got %d", resp.StatusCode)
+	}
+}
+
+// TestSessionOpenManyKeysIsNotQuadratic: opening a session over 100 000
+// keys given unsorted — about what the 1 MiB cap on this body admits — is
+// a sort, not k²/2 string compares, which pinned a handler for 20 s.
+func TestSessionOpenManyKeysIsNotQuadratic(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	const k = 100_000
+	keys := make([]history.Key, k)
+	for i := range keys {
+		keys[i] = history.Key("k" + strconv.Itoa((i*7919)%k)) // 7919 is coprime to k: a permutation
+	}
+	start := time.Now()
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: keys})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open over %d keys: %d %.200s", k, resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("open over %d keys took %v", k, took)
 	}
 }
 
