@@ -111,7 +111,9 @@ func BenchmarkIndexedDeps10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		edges = 0
-		core.DeriveDeps(ix, func(graph.Edge) { edges++ })
+		if _, err := core.DeriveDepsCtx(context.Background(), ix, func(graph.Edge) { edges++ }); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if edges == 0 {

@@ -361,7 +361,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		t := txnState{ext: inc.txns[x].ext} // all that is left of a node kept only as one
 		if tier[x] >= tierFull {
 			if ws := inc.txns[x].writes; len(ws) > 0 {
-				t.writes = next.writes.cut(len(ws))
+				t.writes = next.writes.Cut(len(ws))
 				copy(t.writes, ws)
 			}
 			t.baseIn, t.rwOut = reEdges(inc.txns[x].baseIn), reEdges(inc.txns[x].rwOut)
@@ -388,7 +388,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			delete(inc.slots, key)
 			continue
 		}
-		id, moved := next.records.alloc()
+		id, moved := next.records.Alloc()
 		*moved = ns
 		s.fwd = id
 		inc.slots[key] = moved
@@ -396,7 +396,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	// A key's latest write is always live.
 	//mtc:nondeterministic-ok entry-for-entry rewrite; no order reaches the result
 	for k, s := range inc.latest {
-		inc.latest[k] = next.records.at(s.fwd)
+		inc.latest[k] = next.records.At(s.fwd)
 	}
 	if inc.initID >= 0 {
 		inc.initID = remap[inc.initID]

@@ -192,7 +192,7 @@ func BuildDependency(h *history.History, withRT bool) (*graph.Graph, []Divergenc
 // BuildDependencyCtx is the derivation over a prebuilt columnar index,
 // polling ctx between batches of transactions so construction of large
 // graphs stops promptly under a deadline. The WR/WW/RW loops are the
-// merge-join derivation of DeriveDeps (see derive.go).
+// merge-join derivation of DeriveDepsCtx (see derive.go).
 func BuildDependencyCtx(ctx context.Context, ix *history.Index) (*Deps, error) {
 	b, divs, err := dependencyBuilder(ctx, ix)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"mtc/internal/history"
 )
 
-// DeriveDeps derives every WR, WW and RW dependency edge of the indexed
+// DeriveDepsCtx derives every WR, WW and RW dependency edge of the indexed
 // history following the optimized Algorithm 1, invoking emit once per
 // edge, and returns the DIVERGENCE witnesses found while inferring WW
 // edges. It is the columnar core of BuildDependency: instead of per-txn
@@ -18,24 +18,12 @@ import (
 // call). Edge emission order — and therefore every downstream cycle
 // search — is identical to the map-based builder: transactions
 // ascending, keys in lexicographic order within each, WR before WW,
-// then the RW loop grouped by writer.
-func DeriveDeps(ix *history.Index, emit func(graph.Edge)) []Divergence {
-	divs, _ := deriveDeps(context.Background(), ix, emit)
-	return divs
-}
-
-// DeriveDepsCtx is DeriveDeps under a context: the derivation polls ctx
-// between batches of transactions and returns its error when the
-// deadline fires. Edge emission order is identical to DeriveDeps, so a
-// graph built from the emitted edges matches the one BuildDependency
-// constructs (internal/levels relies on this for bit-identical SER/SI
-// rungs).
+// then the RW loop grouped by writer; a graph built from the emitted
+// edges matches the one BuildDependency constructs (internal/levels
+// relies on this for bit-identical SER/SI rungs). The derivation polls
+// ctx between batches of transactions and returns its error when the
+// deadline fires.
 func DeriveDepsCtx(ctx context.Context, ix *history.Index, emit func(graph.Edge)) ([]Divergence, error) {
-	return deriveDeps(ctx, ix, emit)
-}
-
-// deriveDeps is DeriveDeps polling ctx between batches of transactions.
-func deriveDeps(ctx context.Context, ix *history.Index, emit func(graph.Edge)) ([]Divergence, error) {
 	rr, err := resolveReads(ctx, ix)
 	if err != nil {
 		return nil, err

@@ -188,7 +188,7 @@ func (inc *Incremental) slotOf(k history.Key, v history.Value) *slot {
 	key := version{k, v}
 	s := inc.slots[key]
 	if s == nil {
-		_, s = inc.records.alloc()
+		_, s = inc.records.Alloc()
 		*s = slot{writer: -1, aborted: -1, over: -1}
 		inc.slots[key] = s
 	}
@@ -231,7 +231,7 @@ func (ws writeSet) get(k history.Key) (history.Value, bool) {
 // mini-transaction.
 //
 //mtc:hotpath — per-commit; the write set is cut from the slab, the sort is in place
-func makeWriteSet(arena *slab[write], ops []history.Op) writeSet {
+func makeWriteSet(arena *graph.Slab[write], ops []history.Op) writeSet {
 	n := 0
 	for _, op := range ops {
 		if op.Kind == history.OpWrite {
@@ -241,7 +241,7 @@ func makeWriteSet(arena *slab[write], ops []history.Op) writeSet {
 	if n == 0 {
 		return nil
 	}
-	ws := arena.cut(n)[:0]
+	ws := arena.Cut(n)[:0]
 	for _, op := range ops {
 		if op.Kind == history.OpWrite {
 			ws = append(ws, write{op.Key, op.Value})
@@ -631,7 +631,7 @@ func (inc *Incremental) Finalize() Result {
 		best     version
 		bestSlot *slot
 	)
-	first := func(s *slot) int { return inc.ids.at(s.parked.head).v }
+	first := func(s *slot) int { return inc.ids.At(s.parked.head).v }
 	//mtc:nondeterministic-ok total-order minimum with (position, key, value) tie-breaks; any iteration order picks the same winner
 	for key, s := range inc.slots {
 		if s.parked.head == 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mtc/internal/graph"
 	"mtc/internal/history"
 )
 
@@ -49,7 +50,7 @@ func quadraticWriteSet(ops []history.Op) writeSet {
 func TestMakeWriteSetMatchesQuadraticLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var (
-		slab slab[write]
+		slab graph.Slab[write]
 		got  []writeSet
 		want []writeSet
 	)

@@ -4,36 +4,28 @@ import "context"
 
 // Closure is the cached all-pairs reachability relation of a DAG: one
 // Bitset row per node, row[v] holding every node reachable from v
-// (reflexively). Rows are computed once and shared; Reach answers in O(1)
-// and Row exposes the raw bitset for word-level set algebra. The table
-// costs n²/64 words — for graphs where only a few rows are ever queried,
-// prefer ReachPool.
+// (reflexively). Rows are computed once and shared; Reach answers in
+// O(1). The table costs n²/64 words — for graphs where only a few rows
+// are ever queried, prefer ReachPool.
 type Closure struct {
-	n    int
 	rows []Bitset
 }
-
-// Len returns the node count.
-func (c *Closure) Len() int { return c.n }
 
 // Reach reports whether v is reachable from u (Reach(u, u) is true).
 func (c *Closure) Reach(u, v int) bool { return c.rows[u].Test(v) }
 
-// Row returns u's reachability row. The caller must not modify it.
-func (c *Closure) Row(u int) Bitset { return c.rows[u] }
-
-// NewClosure computes the transitive closure of the adjacency out over
-// nodes 0..n-1 with par workers (par <= 0 means GOMAXPROCS). The second
-// result is false when the graph is cyclic — no closure exists then. The
-// computation runs in reverse topological order, so each row is the
-// word-level union of its successors' finished rows; nodes of equal
-// depth have no path between them and are filled in parallel. ctx is
-// polled between batches, so a deadline stops the O(n·m/64) work.
-func NewClosure(ctx context.Context, n int, out [][]int, par int) (*Closure, bool, error) {
+// NewClosure computes the transitive closure of g with par workers
+// (par <= 0 means GOMAXPROCS). The second result is false when the graph
+// is cyclic — no closure exists then. The computation runs in reverse
+// topological order, so each row is the word-level union of its
+// successors' finished rows; nodes of equal depth have no path between
+// them and are filled in parallel. ctx is polled between batches, so a
+// deadline stops the O(n·m/64) work.
+func NewClosure(ctx context.Context, g *Graph, par int) (*Closure, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	order, ok := kahnOrder(n, out)
+	order, ok := g.TopoSort()
 	if !ok {
 		return nil, false, nil
 	}
@@ -41,6 +33,7 @@ func NewClosure(ctx context.Context, n int, out [][]int, par int) (*Closure, boo
 	// depth depend only on strictly smaller depths, so each depth is one
 	// parallel batch. Iterating the topological order backwards visits
 	// every successor before its predecessors.
+	n := g.Len()
 	depth := make([]int, n)
 	maxDepth := 0
 	for i := n - 1; i >= 0; i-- {
@@ -51,9 +44,9 @@ func NewClosure(ctx context.Context, n int, out [][]int, par int) (*Closure, boo
 		}
 		v := order[i]
 		d := 0
-		for _, w := range out[v] {
-			if depth[w] >= d {
-				d = depth[w] + 1
+		for _, e := range g.Out(v) {
+			if depth[e.To] >= d {
+				d = depth[e.To] + 1
 			}
 		}
 		depth[v] = d
@@ -65,15 +58,20 @@ func NewClosure(ctx context.Context, n int, out [][]int, par int) (*Closure, boo
 	for v := 0; v < n; v++ {
 		buckets[depth[v]] = append(buckets[depth[v]], v)
 	}
-	c := &Closure{n: n, rows: make([]Bitset, n)}
+	c := &Closure{rows: make([]Bitset, n)}
 	for _, bucket := range buckets {
 		b := bucket
 		err := ParallelDo(ctx, par, len(b), func(i int) {
 			v := b[i]
 			row := NewBitset(n)
 			row.Set(v)
-			for _, w := range out[v] {
-				row.UnionWith(c.rows[w])
+			for _, e := range g.Out(v) {
+				// A successor already in the row got there through an
+				// earlier one that reaches it, whose finished row holds
+				// all of this one's.
+				if !row.Test(e.To) {
+					row.UnionWith(c.rows[e.To])
+				}
 			}
 			c.rows[v] = row
 		})
@@ -82,42 +80,4 @@ func NewClosure(ctx context.Context, n int, out [][]int, par int) (*Closure, boo
 		}
 	}
 	return c, true, nil
-}
-
-// kahnOrder returns a topological order of the adjacency, or ok=false on
-// a cycle.
-func kahnOrder(n int, out [][]int) ([]int, bool) {
-	indeg := make([]int, n)
-	for _, ws := range out {
-		for _, w := range ws {
-			indeg[w]++
-		}
-	}
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		order = append(order, v)
-		for _, w := range out[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	return order, len(order) == n
-}
-
-// AcyclicAdj reports whether the adjacency has no directed cycle; the
-// O(n+m) check shared by callers that answer reachability sparsely (and
-// so never build the full closure that would have detected the cycle).
-func AcyclicAdj(n int, out [][]int) bool {
-	_, ok := kahnOrder(n, out)
-	return ok
 }

@@ -70,7 +70,7 @@ func TestClosureMatchesBFS(t *testing.T) {
 		out := randomDAGAdj(rng, n, 0.08)
 		g := adjGraph(out)
 		for _, par := range []int{1, 2, 4} {
-			c, ok, err := NewClosure(context.Background(), n, out, par)
+			c, ok, err := NewClosure(context.Background(), g, par)
 			if err != nil || !ok {
 				t.Fatalf("trial %d par %d: closure failed: ok=%v err=%v", trial, par, ok, err)
 			}
@@ -89,15 +89,15 @@ func TestClosureMatchesBFS(t *testing.T) {
 }
 
 func TestClosureDetectsCyclic(t *testing.T) {
-	out := [][]int{{1}, {2}, {0}}
-	if _, ok, err := NewClosure(context.Background(), 3, out, 2); ok || err != nil {
+	g := adjGraph([][]int{{1}, {2}, {0}})
+	if _, ok, err := NewClosure(context.Background(), g, 2); ok || err != nil {
 		t.Fatalf("cyclic graph: ok=%v err=%v, want ok=false", ok, err)
 	}
-	if AcyclicAdj(3, out) {
-		t.Fatal("AcyclicAdj missed the cycle")
+	if g.Acyclic() {
+		t.Fatal("Acyclic missed the cycle")
 	}
-	if !AcyclicAdj(3, [][]int{{1}, {2}, nil}) {
-		t.Fatal("AcyclicAdj rejected a chain")
+	if !adjGraph([][]int{{1}, {2}, nil}).Acyclic() {
+		t.Fatal("Acyclic rejected a chain")
 	}
 }
 
@@ -105,8 +105,8 @@ func TestClosureHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(1))
-	out := randomDAGAdj(rng, 200, 0.05)
-	if _, _, err := NewClosure(ctx, 200, out, 2); !errors.Is(err, context.Canceled) {
+	g := adjGraph(randomDAGAdj(rng, 200, 0.05))
+	if _, _, err := NewClosure(ctx, g, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestReachPoolRows(t *testing.T) {
 	g := adjGraph(out)
 	sources := []int{0, 5, 17, 17, 89}
 	for _, par := range []int{1, 3} {
-		rows, err := NewReachPool(n, out, par).Rows(context.Background(), sources)
+		rows, err := NewReachPool(g, par).Rows(context.Background(), sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestReachPoolRows(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewReachPool(n, out, 2).Rows(ctx, sources); !errors.Is(err, context.Canceled) {
+	if _, err := NewReachPool(g, 2).Rows(ctx, sources); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -4,18 +4,31 @@
 // this repository: nodes are transaction indices and edges carry the
 // dependency kind (SO, RT, WR, WW, RW, ...) plus the object they concern,
 // so that detected cycles can be reported back as human-readable
-// counterexamples. A Graph is collected edge by edge in a Builder and
-// immutable after Build (one edge arena in CSR form); the graph that
-// grows while it is searched is Online, whose edges are arcs in one
-// chunked arena linked into per-node out and in lists: both iterate in
-// insertion order, Out is an iterator, and Reload refills the arena of
-// an existing graph instead of building a new one.
+// counterexamples.
+//
+// There is one static form, one online form and one closure. A Graph is
+// collected edge by edge in a Builder and immutable after Build (one edge
+// arena in CSR form); every static search — FindCycle, FindComposedCycle,
+// SCCs, TopoSort (the one Kahn loop; Acyclic is its verdict), NewClosure
+// and ReachPool — reads that form, so a caller with edges in any other
+// shape adds them to a Builder rather than to lists of its own. The graph
+// that grows while it is searched is Online, whose edges are arcs linked
+// into per-node out and in lists: both iterate in insertion order, Out is
+// an iterator, and Reload refills an existing graph instead of building a
+// new one. Closure is the cached all-pairs reachability of an acyclic
+// Graph, ReachPool its row-at-a-time counterpart.
+//
+// Beside them sit the containers the checkers share: Bitset, UnionFind,
+// ParallelDo and Slab. A Slab hands out records from chunks that never
+// move — a pointer or an id stays valid until Reset — hands nothing out
+// twice between two resets, and keeps its chunks across Reset, so a slab
+// refilled to a steady size stops allocating; Online keeps its arcs in
+// one and core.Incremental its per-version and per-edge records.
 package graph
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -179,46 +192,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Out returns the outgoing edges of node v in the order they were added.
 // The returned slice must not be modified.
 func (g *Graph) Out(v int) []Edge { return g.edges[g.off[v]:g.off[v+1]] }
-
-// HasEdge reports whether at least one edge of kind k runs from u to v.
-func (g *Graph) HasEdge(u, v int, k EdgeKind) bool {
-	for _, e := range g.Out(u) {
-		if e.To == v && e.Kind == k {
-			return true
-		}
-	}
-	return false
-}
-
-// Acyclic reports whether the graph has no directed cycle. It runs Kahn's
-// algorithm in O(n+m) and allocates no recursion stack.
-func (g *Graph) Acyclic() bool {
-	indeg := make([]int, g.Len())
-	for u := 0; u < g.Len(); u++ {
-		for _, e := range g.Out(u) {
-			indeg[e.To]++
-		}
-	}
-	queue := make([]int, 0, g.Len())
-	for v := 0; v < g.Len(); v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, e := range g.Out(v) {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen == g.Len()
-}
 
 // DFS colours shared by the cycle searches.
 const (
@@ -439,36 +412,38 @@ func (g *Graph) SCCs() [][]int {
 }
 
 // TopoSort returns a topological order of the nodes and true, or nil and
-// false if the graph is cyclic.
+// false if the graph is cyclic. It is Kahn's algorithm in O(n+m) — the
+// order itself is the FIFO queue, so nothing recurses and a node appears
+// once every edge into it has been counted off.
 func (g *Graph) TopoSort() ([]int, bool) {
-	indeg := make([]int, g.Len())
-	for u := 0; u < g.Len(); u++ {
-		for _, e := range g.Out(u) {
-			indeg[e.To]++
-		}
+	n := g.Len()
+	indeg := make([]int32, n)
+	for i := range g.edges {
+		indeg[g.edges[i].To]++
 	}
-	queue := make([]int, 0, g.Len())
-	for v := 0; v < g.Len(); v++ {
+	order := make([]int, 0, n)
+	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	order := make([]int, 0, g.Len())
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range g.Out(v) {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+	for head := 0; head < len(order); head++ {
+		for _, e := range g.Out(order[head]) {
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				order = append(order, e.To)
 			}
 		}
 	}
-	if len(order) != g.Len() {
+	if len(order) != n {
 		return nil, false
 	}
 	return order, true
+}
+
+// Acyclic reports whether the graph has no directed cycle.
+func (g *Graph) Acyclic() bool {
+	_, ok := g.TopoSort()
+	return ok
 }
 
 // Reachable returns the set of nodes reachable from `from` (including
@@ -523,19 +498,4 @@ func FormatCycle(cycle []Edge) string {
 		}
 	}
 	return b.String()
-}
-
-// Nodes returns the sorted list of nodes that appear in a cycle.
-func Nodes(cycle []Edge) []int {
-	set := map[int]struct{}{}
-	for _, e := range cycle {
-		set[e.From] = struct{}{}
-		set[e.To] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -166,19 +166,6 @@ func TestTopoSortCyclic(t *testing.T) {
 	}
 }
 
-func TestHasEdgeAndKinds(t *testing.T) {
-	g := build(2, []Edge{{From: 0, To: 1, Kind: WR, Obj: "x"}, {From: 0, To: 1, Kind: WW, Obj: "x"}})
-	if !g.HasEdge(0, 1, WR) || !g.HasEdge(0, 1, WW) {
-		t.Fatal("parallel edges of different kinds must both exist")
-	}
-	if g.HasEdge(0, 1, RW) {
-		t.Fatal("RW edge should not exist")
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
-	}
-}
-
 func TestFormatCycle(t *testing.T) {
 	c := []Edge{
 		{From: 2, To: 3, Kind: WW, Obj: "x"},
@@ -191,14 +178,6 @@ func TestFormatCycle(t *testing.T) {
 	}
 	if FormatCycle(nil) != "<no cycle>" {
 		t.Fatal("nil cycle formatting")
-	}
-}
-
-func TestNodes(t *testing.T) {
-	c := []Edge{{From: 5, To: 1}, {From: 1, To: 5}}
-	got := Nodes(c)
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("Nodes = %v", got)
 	}
 }
 

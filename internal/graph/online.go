@@ -32,7 +32,7 @@ import (
 type Online struct {
 	ord  []int       // node -> order index
 	adj  []adjacency // node -> the ends of its two lists
-	arcs arcArena
+	arcs Slab[arc]
 
 	// Search scratch, reused across insertions.
 	mark   []int
@@ -55,57 +55,6 @@ type arc struct {
 // while a list is empty.
 type adjacency struct{ outHead, outTail, inHead, inTail int32 }
 
-// Arena chunks double from arcChunkMin arcs to 1<<arcChunkShift, so a
-// graph of a few transactions costs under a kilobyte and a long stream
-// one allocation per 1024 edges.
-const (
-	arcChunkMin   = 16
-	arcChunkShift = 10
-)
-
-// arcArena hands out arcs from chunks that stay where they are. An arc's
-// id is its chunk index and offset packed into an int32, plus one so
-// that 0 is free to mean "no arc".
-type arcArena struct {
-	chunks [][]arc // len: arcs handed out; cap: the chunk's size
-	used   int     // chunks[:used] hold arcs, the rest wait for reuse
-}
-
-// alloc returns the next arc and its id. The arc holds whatever an
-// earlier load left there; the caller overwrites it whole.
-//
-//mtc:hotpath — one chunk per 1024 arcs, nothing per arc
-func (a *arcArena) alloc() (int32, *arc) {
-	if a.used == 0 || len(a.chunks[a.used-1]) == cap(a.chunks[a.used-1]) {
-		if a.used == len(a.chunks) {
-			size := arcChunkMin
-			if a.used > 0 {
-				size = min(2*cap(a.chunks[a.used-1]), 1<<arcChunkShift)
-			}
-			a.chunks = append(a.chunks, make([]arc, 0, size)) //mtc:alloc-ok one chunk per 1024 arcs
-		}
-		a.used++
-	}
-	c := a.chunks[a.used-1]
-	i := len(c)
-	c = c[:i+1]
-	a.chunks[a.used-1] = c
-	return int32((a.used-1)<<arcChunkShift|i) + 1, &c[i]
-}
-
-func (a *arcArena) at(id int32) *arc {
-	id--
-	return &a.chunks[id>>arcChunkShift][id&(1<<arcChunkShift-1)]
-}
-
-// reset forgets every arc and keeps the chunks.
-func (a *arcArena) reset() {
-	for i := range a.chunks[:a.used] {
-		a.chunks[i] = a.chunks[i][:0]
-	}
-	a.used = 0
-}
-
 // NewOnline returns an empty online ordering with no nodes.
 func NewOnline() *Online { return &Online{} }
 
@@ -127,7 +76,7 @@ func (t *Online) Reload(n int, edges []Edge) {
 	clear(t.mark)
 	t.stamp = 0
 	t.parent = slices.Grow(t.parent[:0], n)[:n]
-	t.arcs.reset()
+	t.arcs.Reset()
 	for _, e := range edges {
 		if e.From < 0 || e.From >= e.To || e.To >= n {
 			panic(fmt.Sprintf("graph: Reload: edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
@@ -157,7 +106,7 @@ func (t *Online) Out(v int) iter.Seq2[int, Edge] {
 		var a *arc
 		i := 0
 		for id := t.adj[v].outHead; id != 0; id = a.nextOut {
-			a = t.arcs.at(id)
+			a = t.arcs.At(id)
 			if !yield(i, a.e) {
 				return
 			}
@@ -174,20 +123,20 @@ func (t *Online) Ord(v int) int { return t.ord[v] }
 //
 //mtc:hotpath — one arena store and two link writes per edge
 func (t *Online) push(e Edge) {
-	id, a := t.arcs.alloc()
+	id, a := t.arcs.Alloc()
 	*a = arc{e: e}
 	from := &t.adj[e.From]
 	if from.outTail == 0 {
 		from.outHead = id
 	} else {
-		t.arcs.at(from.outTail).nextOut = id
+		t.arcs.At(from.outTail).nextOut = id
 	}
 	from.outTail = id
 	to := &t.adj[e.To] // from itself, for a self-loop
 	if to.inTail == 0 {
 		to.inHead = id
 	} else {
-		t.arcs.at(to.inTail).nextIn = id
+		t.arcs.At(to.inTail).nextIn = id
 	}
 	to.inTail = id
 }
@@ -222,13 +171,13 @@ func (t *Online) AddEdge(e Edge) []Edge {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for id := t.adj[x].outHead; id != 0; id = a.nextOut {
-			a = t.arcs.at(id)
+			a = t.arcs.At(id)
 			w := a.e.To
 			if w == u {
 				// Cycle: e (u->v), then the tree path v ~> x, then a.e.
 				cycle := []Edge{e, a.e} //mtc:alloc-ok a cycle is the terminal verdict
 				for y := x; y != v; y = cycle[1].From {
-					cycle = slices.Insert(cycle, 1, t.arcs.at(t.parent[y]).e) //mtc:alloc-ok a cycle is the terminal verdict
+					cycle = slices.Insert(cycle, 1, t.arcs.At(t.parent[y]).e) //mtc:alloc-ok a cycle is the terminal verdict
 				}
 				return cycle
 			}
@@ -253,7 +202,7 @@ func (t *Online) AddEdge(e Edge) []Edge {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for id := t.adj[x].inHead; id != 0; id = a.nextIn {
-			a = t.arcs.at(id)
+			a = t.arcs.At(id)
 			w := a.e.From
 			if t.ord[w] < lb || t.mark[w] == bwdStamp {
 				continue

@@ -147,8 +147,8 @@ func outList(t *Online, v int) []Edge {
 
 func inList(t *Online, v int) []Edge {
 	var es []Edge
-	for id := t.adj[v].inHead; id != 0; id = t.arcs.at(id).nextIn {
-		es = append(es, t.arcs.at(id).e)
+	for id := t.adj[v].inHead; id != 0; id = t.arcs.At(id).nextIn {
+		es = append(es, t.arcs.At(id).e)
 	}
 	return es
 }

@@ -79,8 +79,8 @@ func ParallelDo(ctx context.Context, par, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// ReachPool answers batched reachability queries over a fixed adjacency
-// with a bounded worker pool: each queried source is expanded by one
+// ReachPool answers batched reachability queries over a Graph with a
+// bounded worker pool: each queried source is expanded by one
 // iterative depth-first traversal into a Bitset row (the row is a set —
 // discovery order is not part of the contract), sources are distributed
 // over min(par, len(sources)) workers, and cancellation is honoured
@@ -88,16 +88,13 @@ func ParallelDo(ctx context.Context, par, n int, fn func(i int)) error {
 // counterpart of Closure — use it when only a few rows of the closure are
 // needed, so the full O(n²/64) table is not worth materializing.
 type ReachPool struct {
-	n   int
-	out [][]int
+	g   *Graph
 	par int
 }
 
-// NewReachPool builds a pool over nodes 0..n-1 with the given out
-// adjacency (which must not be mutated while the pool is in use).
-// par <= 0 selects GOMAXPROCS.
-func NewReachPool(n int, out [][]int, par int) *ReachPool {
-	return &ReachPool{n: n, out: out, par: Parallelism(par)}
+// NewReachPool builds a pool over g. par <= 0 selects GOMAXPROCS.
+func NewReachPool(g *Graph, par int) *ReachPool {
+	return &ReachPool{g: g, par: Parallelism(par)}
 }
 
 // Rows answers one batch: Rows(ctx, sources)[i] is the set of nodes
@@ -122,17 +119,17 @@ func (p *ReachPool) Rows(ctx context.Context, sources []int) ([]Bitset, error) {
 
 // row expands one source into its reachable set.
 func (p *ReachPool) row(src int, sp *[]int) Bitset {
-	seen := NewBitset(p.n)
+	seen := NewBitset(p.g.Len())
 	seen.Set(src)
 	stack := append((*sp)[:0], src)
 	defer func() { *sp = stack }()
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range p.out[v] {
-			if !seen.Test(w) {
-				seen.Set(w)
-				stack = append(stack, w)
+		for _, e := range p.g.Out(v) {
+			if !seen.Test(e.To) {
+				seen.Set(e.To)
+				stack = append(stack, e.To)
 			}
 		}
 	}

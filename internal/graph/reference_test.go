@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -314,5 +316,133 @@ func TestComposedSearchMatchesInducedGraph(t *testing.T) {
 	t.Logf("%d of %d graphs cyclic", cyclic, trials)
 	if cyclic < trials/2 || cyclic > trials*4/5 {
 		t.Fatalf("%d of %d graphs cyclic; the mix should be about two thirds", cyclic, trials)
+	}
+}
+
+// The closure, the reach pool and the acyclicity check as they ran over
+// [][]int out-neighbour lists before they read the Graph: a LIFO Kahn
+// order, rows unioned along its reverse, one DFS per source.
+
+func refAdj(n int, es []Edge) [][]int {
+	out := make([][]int, n)
+	for _, e := range es {
+		out[e.From] = append(out[e.From], e.To)
+	}
+	return out
+}
+
+func refKahn(out [][]int) ([]int, bool) {
+	indeg := make([]int, len(out))
+	for _, ws := range out {
+		for _, w := range ws {
+			indeg[w]++
+		}
+	}
+	var order, queue []int
+	for v := range out {
+		if indeg[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		order = append(order, v)
+		for _, w := range out[v] {
+			if indeg[w]--; indeg[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	return order, len(order) == len(out)
+}
+
+func refClosure(out [][]int) ([]Bitset, bool) {
+	order, ok := refKahn(out)
+	if !ok {
+		return nil, false
+	}
+	rows := make([]Bitset, len(out))
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		rows[v] = NewBitset(len(out))
+		rows[v].Set(v)
+		for _, w := range out[v] {
+			rows[v].UnionWith(rows[w])
+		}
+	}
+	return rows, true
+}
+
+func refReachRows(out [][]int, sources []int) []Bitset {
+	rows := make([]Bitset, len(sources))
+	for i, src := range sources {
+		seen := NewBitset(len(out))
+		seen.Set(src)
+		for stack := []int{src}; len(stack) > 0; {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range out[v] {
+				if !seen.Test(w) {
+					seen.Set(w)
+					stack = append(stack, w)
+				}
+			}
+		}
+		rows[i] = seen
+	}
+	return rows
+}
+
+// TestReachabilityMatchesAdjacencyLists: over the CSR Graph, Acyclic,
+// NewClosure and ReachPool give what the adjacency-list implementations
+// gave — the same verdict, the same closure row for row, the same reach
+// rows (cyclic graphs included: a reach row needs no order) — at every
+// parallelism.
+func TestReachabilityMatchesAdjacencyLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	ctx := context.Background()
+	cyclic := 0
+	const trials = 2400
+	for trial := 0; trial < trials; trial++ {
+		n, es := randomTyped(rng, trial%5 < 3, trial%2 == 0)
+		out := refAdj(n, es)
+		g := build(n, es)
+		wantRows, wantOK := refClosure(out)
+		if !wantOK {
+			cyclic++
+		}
+		if got := g.Acyclic(); got != wantOK {
+			t.Fatalf("trial %d (%v): Acyclic = %v, want %v", trial, es, got, wantOK)
+		}
+		sources := make([]int, 1+rng.Intn(n))
+		for i := range sources {
+			sources[i] = rng.Intn(n) // repeats allowed
+		}
+		wantReach := refReachRows(out, sources)
+		for _, par := range []int{1, 2, 4} {
+			c, ok, err := NewClosure(ctx, g, par)
+			if err != nil || ok != wantOK || (c != nil) != wantOK {
+				t.Fatalf("trial %d par %d (%v): NewClosure = %v %v %v, want ok %v", trial, par, es, c, ok, err, wantOK)
+			}
+			for v := 0; ok && v < n; v++ {
+				if !slices.Equal(c.rows[v], wantRows[v]) {
+					t.Fatalf("trial %d par %d (%v): closure row %d = %v, want %v", trial, par, es, v, c.rows[v], wantRows[v])
+				}
+			}
+			rows, err := NewReachPool(g, par).Rows(ctx, sources)
+			if err != nil || len(rows) != len(sources) {
+				t.Fatalf("trial %d par %d: Rows = %d rows, %v", trial, par, len(rows), err)
+			}
+			for i := range rows {
+				if !slices.Equal(rows[i], wantReach[i]) {
+					t.Fatalf("trial %d par %d (%v): reach row of %d = %v, want %v", trial, par, es, sources[i], rows[i], wantReach[i])
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d graphs cyclic", cyclic, trials)
+	if cyclic < trials*3/10 || cyclic > trials/2 {
+		t.Fatalf("%d of %d graphs cyclic; the mix should be about two fifths", cyclic, trials)
 	}
 }

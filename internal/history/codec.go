@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,48 +33,37 @@ func ReadJSON(r io.Reader) (*History, error) {
 	return &h, nil
 }
 
-// fileCodecs is the single extension→codec table behind both the save
-// path (SaveFile picks the writer by extension) and the load path
-// (ReadAuto sniffs by the content marker documented here, never by
-// extension), so the two can never disagree about what a suffix means:
+// codec is one file encoding: its save extension, the content marker
+// that identifies it on load, and its doors. index is nil where the
+// codec has no straight-to-Index decode (NewIndex over read serves),
+// stream where it has no incremental one.
+type codec struct {
+	ext    string
+	sniff  func(*bufio.Reader) bool
+	read   func(io.Reader) (*History, error)
+	index  func(io.Reader) (*Index, error)
+	stream func(io.Reader) (TxnStream, error)
+	write  func(io.Writer, *History) error
+}
+
+// fileCodecs is the one table behind the save path (SaveFile picks the
+// row by extension) and every load path (sniffCodec picks the first row
+// whose marker opens the payload, never by extension), so the two can
+// never disagree about what a suffix means:
 //
-//	.json    WriteJSON/ReadJSON      sniffed by a leading '{' or '['
-//	.txt     WriteText/ReadText      the fallback when nothing else sniffs
-//	.ndjson  WriteNDJSON/ReadNDJSON  sniffed by the self-identifying header line
-//	.mtcb    WriteMTCB/ReadMTCB      sniffed by the 4-byte "MTCB" magic
+//	.mtcb    the 4-byte "MTCB" magic
+//	.ndjson  the self-identifying header line
+//	.json    a leading '{' or '['
+//	.txt     the fallback when nothing else sniffs
 //
 // A ".gz" suffix wraps any of them in transparent gzip (sniffed by the
 // gzip magic). An extensionless path saves JSON — the historical
 // default, which round-trips via the JSON sniff.
-var fileCodecs = map[string]func(io.Writer, *History) error{
-	".json":   WriteJSON,
-	".txt":    WriteText,
-	".ndjson": WriteNDJSON,
-	".mtcb":   WriteMTCB,
-}
-
-// saveWriter resolves the codec for path's inner extension, rejecting
-// requests SaveFile cannot honour round-trip: an unrecognized extension
-// (the old behaviour silently wrote JSON, so a later LoadFile sniffed
-// back a different format than the name promised), a doubled ".gz", or
-// the text format for a history whose keys its whitespace-delimited
-// lines cannot represent.
-func saveWriter(ext string, h *History) (func(io.Writer, *History) error, error) {
-	if ext == "" {
-		return WriteJSON, nil
-	}
-	write, ok := fileCodecs[ext]
-	if !ok {
-		return nil, fmt.Errorf("history: save %q: unknown extension (want .json, .txt, .ndjson, .mtcb, optionally +.gz, or none for JSON)", ext)
-	}
-	if ext == ".txt" {
-		for _, k := range h.Keys() {
-			if k == "" || strings.ContainsAny(string(k), " \t\r\n") {
-				return nil, fmt.Errorf("history: save: text format cannot round-trip key %q; use .json, .ndjson or .mtcb", k)
-			}
-		}
-	}
-	return write, nil
+var fileCodecs = []codec{
+	{".mtcb", sniffMTCB, ReadMTCB, ReadMTCBIndexed, func(r io.Reader) (TxnStream, error) { return NewBinaryReader(r) }, WriteMTCB},
+	{".ndjson", sniffNDJSON, ReadNDJSON, nil, func(r io.Reader) (TxnStream, error) { return NewStreamReader(r) }, WriteNDJSON},
+	{".json", sniffJSON, ReadJSON, nil, nil, WriteJSON},
+	{".txt", func(*bufio.Reader) bool { return true }, ReadText, nil, nil, WriteText},
 }
 
 // SaveFile writes the history to path. A ".gz" suffix selects
@@ -80,7 +71,7 @@ func saveWriter(ext string, h *History) (func(io.Writer, *History) error, error)
 // extension through the fileCodecs table — ".json", ".txt", ".ndjson"
 // or ".mtcb", with no extension defaulting to JSON. Every combination
 // round-trips through LoadFile; an extension that would not (unknown,
-// doubled ".gz", or ".txt" with keys the text format cannot encode) is
+// doubled ".gz", or ".txt" with keys WriteText cannot encode) is
 // rejected instead of silently written in another format.
 func SaveFile(path string, h *History) error {
 	inner := path
@@ -91,9 +82,13 @@ func SaveFile(path string, h *History) error {
 			return fmt.Errorf("history: save %q: doubled .gz extension", path)
 		}
 	}
-	write, err := saveWriter(strings.ToLower(filepath.Ext(inner)), h)
-	if err != nil {
-		return err
+	ext := strings.ToLower(filepath.Ext(inner))
+	if ext == "" {
+		ext = ".json"
+	}
+	i := slices.IndexFunc(fileCodecs, func(c codec) bool { return c.ext == ext })
+	if i < 0 {
+		return fmt.Errorf("history: save %q: unknown extension (want .json, .txt, .ndjson, .mtcb, optionally +.gz, or none for JSON)", ext)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -107,7 +102,7 @@ func SaveFile(path string, h *History) error {
 		w = zw
 	}
 	bw := bufio.NewWriter(w)
-	if err := write(bw, h); err != nil {
+	if err := fileCodecs[i].write(bw, h); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -155,14 +150,11 @@ func LoadFileIndexed(path string) (*Index, error) {
 // ReadAuto reads a history from r with the same content sniffing as
 // LoadFile (gzip, then MTCB vs NDJSON vs JSON vs text).
 func ReadAuto(r io.Reader) (*History, error) {
-	br, mtcb, err := sniffAuto(r)
+	br, c, err := sniffCodec(r)
 	if err != nil {
 		return nil, err
 	}
-	if mtcb {
-		return ReadMTCB(br)
-	}
-	return readTextual(br)
+	return c.read(br)
 }
 
 // ReadAutoIndexed is ReadAuto straight to the columnar Index a check
@@ -171,43 +163,36 @@ func ReadAuto(r io.Reader) (*History, error) {
 // no operation is interned twice; every other codec is read as ReadAuto
 // reads it and indexed by NewIndex.
 func ReadAutoIndexed(r io.Reader) (*Index, error) {
-	br, mtcb, err := sniffAuto(r)
+	br, c, err := sniffCodec(r)
 	if err != nil {
 		return nil, err
 	}
-	if mtcb {
-		return ReadMTCBIndexed(br)
+	if c.index != nil {
+		return c.index(br)
 	}
-	h, err := readTextual(br)
+	h, err := c.read(br)
 	if err != nil {
 		return nil, err
 	}
 	return NewIndex(h), nil
 }
 
-// sniffAuto unwraps gzip and reports whether the payload opens with the
-// MTCB magic.
-func sniffAuto(r io.Reader) (br *bufio.Reader, mtcb bool, err error) {
-	br, err = gunzip(bufio.NewReader(r), "history")
+// sniffCodec unwraps gzip and returns the first row of fileCodecs whose
+// marker opens the payload; text, the last row, claims whatever is left.
+func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
+	br, err := gunzip(bufio.NewReader(r), "history")
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	if _, err := br.Peek(1); err != nil {
-		return nil, false, fmt.Errorf("history: empty input: %w", err)
+		return nil, nil, fmt.Errorf("history: empty input: %w", err)
 	}
-	magic, err := br.Peek(len(MTCBMagic))
-	return br, err == nil && string(magic) == MTCBMagic, nil
-}
-
-// readTextual reads the non-binary codecs: NDJSON, JSON, else text.
-func readTextual(br *bufio.Reader) (*History, error) {
-	if sniffNDJSON(br) {
-		return ReadNDJSON(br)
+	for i := range fileCodecs {
+		if c := &fileCodecs[i]; c.sniff(br) {
+			return br, c, nil
+		}
 	}
-	if sniffJSON(br) {
-		return ReadJSON(br)
-	}
-	return ReadText(br)
+	return nil, nil, errors.New("history: unrecognized encoding")
 }
 
 // maxSessions is the highest session number, and the largest declared
@@ -239,18 +224,18 @@ type TxnStream interface {
 // NewAutoStreamReader opens an incremental transaction decoder over r,
 // sniffing the stream codec by content exactly like ReadAuto: a gzip
 // layer is unwrapped first, then the MTCB magic selects the binary
-// reader and anything else the NDJSON reader (the only two codecs with
-// a streaming decode). mtc-verify -stream verifies either capture
-// format through it without a format flag.
+// reader and the NDJSON header line the NDJSON reader (the only two
+// codecs with a streaming decode). mtc-verify -stream verifies either
+// capture format through it without a format flag.
 func NewAutoStreamReader(r io.Reader) (TxnStream, error) {
-	br, err := gunzip(bufio.NewReader(r), "history")
+	br, c, err := sniffCodec(r)
 	if err != nil {
 		return nil, err
 	}
-	if magic, err := br.Peek(len(MTCBMagic)); err == nil && string(magic) == MTCBMagic {
-		return NewBinaryReader(br)
+	if c.stream == nil {
+		return nil, fmt.Errorf("history: a %s document has no streaming decode (want an .mtcb or .ndjson capture)", c.ext)
 	}
-	return NewStreamReader(br)
+	return c.stream(br)
 }
 
 // gunzip returns br itself, or — when br opens with the gzip magic
@@ -338,6 +323,13 @@ func drain(ts TxnStream) (*History, error) {
 	return &h, nil
 }
 
+// sniffMTCB reports whether the buffered payload opens with the binary
+// codec's magic.
+func sniffMTCB(br *bufio.Reader) bool {
+	magic, err := br.Peek(len(MTCBMagic))
+	return err == nil && string(magic) == MTCBMagic
+}
+
 // sniffNDJSON reports whether the buffered payload opens with the
 // streaming codec's self-identifying header line. The whole-file JSON
 // encoder indents, so its first line never contains the format marker.
@@ -377,7 +369,14 @@ func sniffJSON(br *bufio.Reader) bool {
 //	w <key> <value>
 //
 // The init transaction, if present, is written first with session -1.
+// A history with a key the whitespace-delimited lines cannot represent
+// is refused, not corrupted.
 func WriteText(w io.Writer, h *History) error {
+	for _, k := range h.Keys() {
+		if k == "" || strings.ContainsAny(string(k), " \t\r\n") {
+			return fmt.Errorf("history: text format cannot round-trip key %q; use .json, .ndjson or .mtcb", k)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	for i := range h.Txns {
 		t := &h.Txns[i]
@@ -441,6 +440,9 @@ func ReadText(r io.Reader) (*History, error) {
 			}
 			if id != len(h.Txns) {
 				return nil, fmt.Errorf("history: line %d: txn id %d out of order", line, id)
+			}
+			if fields[5] != "C" && fields[5] != "A" {
+				return nil, fmt.Errorf("history: line %d: bad status %q (want C or A)", line, fields[5])
 			}
 			h.Txns = append(h.Txns, Txn{
 				ID: id, Session: sess, Start: start, Finish: finish,

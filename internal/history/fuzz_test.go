@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -187,6 +188,16 @@ func FuzzReadAuto(f *testing.F) {
 		}
 		if err := h.Validate(); err != nil {
 			t.Fatalf("ReadAuto accepted a structurally invalid history: %v", err)
+		}
+		// Text is the sniffer's fallback, so it meets every typo: a status
+		// token it accepted is one it understood, never a commit read as
+		// an abort.
+		if _, err := ReadText(bytes.NewReader(data)); err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if f := strings.Fields(line); len(f) == 6 && f[0] == "txn" && f[5] != "C" && f[5] != "A" {
+					t.Fatalf("text codec accepted status %q", f[5])
+				}
+			}
 		}
 	})
 }

@@ -337,6 +337,9 @@ func TestReadTextErrors(t *testing.T) {
 		"txn 1 s0 0 0 C\n",              // out-of-order id
 		"txn 0 s0 0 0\n",                // malformed header
 		"txn 0 s0 0 0 C\nr x notanum\n", // bad value
+		"txn 0 s0 10 20 c\n",            // status is exactly C or A: a lowercase commit
+		"txn 0 s0 10 20 committed\n",    // ... a spelled-out one
+		"txn 0 s0 10 20 a\n",            // ... a lowercase abort
 	}
 	for i, c := range cases {
 		if _, err := ReadText(bytes.NewBufferString(c)); err == nil {

@@ -158,18 +158,7 @@ func (d *derived) checkCausal(ctx context.Context, par int) (core.Result, error)
 		res.OK = true // nothing can close a CO path: skip the n²/64-word closure
 		return res, nil
 	}
-	// The closure's adjacency rows are cut from one arena of targets.
-	adj := make([][]int, n)
-	tos := make([]int, 0, co.NumEdges())
-	//mtc:cancellation-ok linear adjacency copy; the closure build below polls ctx
-	for u := 0; u < n; u++ {
-		lo := len(tos)
-		for _, e := range co.Out(u) {
-			tos = append(tos, e.To)
-		}
-		adj[u] = tos[lo:len(tos):len(tos)]
-	}
-	cl, _, err := graph.NewClosure(ctx, n, adj, par)
+	cl, _, err := graph.NewClosure(ctx, co, par)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -425,7 +425,7 @@ func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error)
 // (whose table alone costs N²/64 words); dense query sets amortize the
 // closure's word-parallel unions instead.
 func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
-	out := adjacency(p.N, p.Known)
+	g := graphOf(p.N, p.Known)
 	// createsCycle queries reach[e.To][e.From] per candidate edge.
 	srcSet := make(map[int]struct{})
 	//mtc:cancellation-ok linear scan of the constraint edges; the reachability build below polls ctx
@@ -438,13 +438,13 @@ func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
 		}
 	}
 	if len(srcSet)*64 >= p.N {
-		c, acyclic, err := graph.NewClosure(ctx, p.N, out, par)
+		c, acyclic, err := graph.NewClosure(ctx, g, par)
 		if err != nil || !acyclic {
 			return nil, err
 		}
 		return c, nil
 	}
-	if !graph.AcyclicAdj(p.N, out) {
+	if !g.Acyclic() {
 		return nil, nil
 	}
 	sources := make([]int, 0, len(srcSet))
@@ -452,7 +452,7 @@ func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
 		sources = append(sources, s)
 	}
 	sort.Ints(sources)
-	rows, err := graph.NewReachPool(p.N, out, par).Rows(ctx, sources)
+	rows, err := graph.NewReachPool(g, par).Rows(ctx, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -467,20 +467,20 @@ func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
 // SI option check queries arbitrary composition endpoints, so the sparse
 // row set cannot be bounded cheaply. nil with nil error means cyclic.
 func composedReach(ctx context.Context, n int, edges []sat.Edge, par int) (reacher, error) {
-	c, acyclic, err := graph.NewClosure(ctx, n, adjacency(n, edges), par)
+	c, acyclic, err := graph.NewClosure(ctx, graphOf(n, edges), par)
 	if err != nil || !acyclic {
 		return nil, err
 	}
 	return c, nil
 }
 
-// adjacency flattens an edge list into out-neighbour lists.
-func adjacency(n int, edges []sat.Edge) [][]int {
-	out := make([][]int, n)
+// graphOf is the graph of an edge list: one counting sort, whatever n.
+func graphOf(n int, edges []sat.Edge) *graph.Graph {
+	b := graph.NewBuilder(n, len(edges))
 	for _, e := range edges {
-		out[e.From] = append(out[e.From], e.To)
+		b.AddEdge(graph.Edge{From: e.From, To: e.To})
 	}
-	return out
+	return b.Build()
 }
 
 // siIndex indexes the known edges for SI pruning: the composed graph

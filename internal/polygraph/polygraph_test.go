@@ -11,7 +11,7 @@ import (
 
 // closureOf is the test shim over graph.NewClosure for edge lists.
 func closureOf(n int, edges []sat.Edge) (reacher, bool) {
-	c, ok, err := graph.NewClosure(context.Background(), n, adjacency(n, edges), 1)
+	c, ok, err := graph.NewClosure(context.Background(), graphOf(n, edges), 1)
 	if err != nil || !ok {
 		return nil, false
 	}

@@ -37,26 +37,30 @@ type acyclicTheory struct {
 	stack    []int
 }
 
-// levelZeroClosure builds the closure of the edges tagged level 0 in an
-// adjacency of (to, level) pairs; nil when the level-0 graph is cyclic
-// (the search then never consults the cache — Check already failed) or
-// when ctx fired mid-build (the caller marks the cache built either way,
-// so a canceled solve does not retry the closure on every search).
-func levelZeroClosure(ctx context.Context, n int, out func(v int) []aEdge) *graph.Closure {
-	adj := make([][]int, n)
-	//mtc:cancellation-ok linear adjacency copy; graph.NewClosure below polls ctx
-	for v := 0; v < n; v++ {
-		for _, e := range out(v) {
-			if e.level == 0 {
-				adj[v] = append(adj[v], e.to)
-			}
-		}
-	}
-	c, ok, err := graph.NewClosure(ctx, n, adj, 1)
+// levelZeroClosure is the closure of the level-0 edges a theory collected
+// in b; nil when that graph is cyclic (the search then never consults the
+// cache — the initial full Check already failed) or when ctx fired
+// mid-build (the caller marks the cache built either way, so a canceled
+// solve does not retry the closure on every search).
+func levelZeroClosure(ctx context.Context, b *graph.Builder) *graph.Closure {
+	c, ok, err := graph.NewClosure(ctx, b.Build(), 1)
 	if err != nil || !ok {
 		return nil
 	}
 	return c
+}
+
+// levelZero collects the edges tagged level 0.
+func (t *acyclicTheory) levelZero() *graph.Builder {
+	b := graph.NewBuilder(t.n, 0)
+	for v, out := range t.out {
+		for _, e := range out {
+			if e.level == 0 {
+				b.AddEdge(graph.Edge{From: v, To: e.to})
+			}
+		}
+	}
+	return b
 }
 
 type aEdge struct {
@@ -167,7 +171,7 @@ func (t *acyclicTheory) findPath(src, dst int) ([]int, bool) {
 		return nil, true
 	}
 	if !t.baseBuilt {
-		t.base = levelZeroClosure(t.ctx, t.n, func(v int) []aEdge { return t.out[v] })
+		t.base = levelZeroClosure(t.ctx, t.levelZero())
 		t.baseBuilt = true
 	}
 	if t.base != nil && t.base.Reach(src, dst) {
@@ -348,7 +352,7 @@ func (t *siTheory) findCompPath(src, dst int) ([]int, bool) {
 		return nil, true
 	}
 	if !t.baseBuilt {
-		t.base = t.levelZeroCompClosure()
+		t.base = levelZeroClosure(t.ctx, t.levelZeroComp())
 		t.baseBuilt = true
 	}
 	if t.base != nil && t.base.Reach(src, dst) {
@@ -383,24 +387,18 @@ func (t *siTheory) findCompPath(src, dst int) ([]int, bool) {
 	return nil, false
 }
 
-// levelZeroCompClosure builds the closure over the composed edges whose
-// constituents are all level-0 (known) edges; nil when that graph is
-// cyclic (then the initial full Check already reported unsat) or the
-// build was canceled.
-func (t *siTheory) levelZeroCompClosure() *graph.Closure {
-	adj := make([][]int, t.n)
-	for v := 0; v < t.n; v++ {
-		for _, e := range t.comp[v] {
+// levelZeroComp collects the composed edges whose constituents are all
+// level-0 (known) edges.
+func (t *siTheory) levelZeroComp() *graph.Builder {
+	b := graph.NewBuilder(t.n, 0)
+	for v, out := range t.comp {
+		for _, e := range out {
 			if e.lvl1 == 0 && e.lvl2 <= 0 {
-				adj[v] = append(adj[v], e.to)
+				b.AddEdge(graph.Edge{From: v, To: e.to})
 			}
 		}
 	}
-	c, ok, err := graph.NewClosure(t.ctx, t.n, adj, 1)
-	if err != nil || !ok {
-		return nil
-	}
-	return c
+	return b
 }
 
 func levelsOfCEdge(e cEdge) []int {
