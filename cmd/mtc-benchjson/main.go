@@ -13,7 +13,7 @@
 // speed cancels). A row or ratio operand absent from the run is MISSING
 // and fails like a regression: a renamed benchmark, or a run without
 // -benchmem, must not drop out of the gate silently. Absolute times
-// live in `go run ./benchmark`, which calibrates for the host. The five
+// live in `go run ./benchmark`, which calibrates for the host. The six
 // bars and the refresh procedure: docs/ci.md.
 package main
 

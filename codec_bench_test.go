@@ -2,23 +2,27 @@
 // the same 100k-transaction corpus: NDJSON in the canonical spelling its
 // writer emits (decoded in place by the record scanner), the same
 // records re-spelled so every line takes the encoding/json route the
-// scanner falls back to, MTCB straight to a columnar index, and MTCB
-// frames through a session arena. CI gates the same-run ratio of the
-// NDJSON pair (see the bench job): the canonical path must stay at least
-// 5x faster with at least 10x fewer allocations than its own fallback,
-// so a writer/scanner drift that demotes every line fails the build.
-// MTCB's standing advantage is wire size and the decode-to-Index path,
-// not a ratio over NDJSON.
+// scanner falls back to, the same history as a POST /v1/jobs body in
+// both spellings, MTCB straight to a columnar index, and MTCB frames
+// through a session arena. CI gates the same-run ratio of each
+// canonical/fallback pair (see the bench job): the NDJSON scanner must
+// stay at least 5x faster with at least 10x fewer allocations than its
+// own fallback and the job door at least 3x faster than json.Unmarshal,
+// so a writer/scanner drift that demotes every line or every job fails
+// the build. MTCB's standing advantage is wire size and the
+// decode-to-Index path, not a ratio over NDJSON.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
 	"sync"
 	"testing"
 
+	"mtc/internal/api"
 	"mtc/internal/history"
 )
 
@@ -110,6 +114,56 @@ func BenchmarkDecode100kNDJSONFallback(b *testing.B) {
 		doc = append(doc, l[ops:]...)
 	}
 	benchDecodeNDJSON(b, doc)
+}
+
+// benchDecodeJob decodes body through the POST /v1/jobs door per
+// iteration, after checking once that its history is the corpus.
+func benchDecodeJob(b *testing.B, body []byte) {
+	c := codecCorpus()
+	if req, err := api.DecodeJobRequest(body); err != nil || !reflect.DeepEqual(req.History, c.h) {
+		b.Fatalf("body does not decode to the corpus: %v", err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, err := api.DecodeJobRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(req.History.Txns) != len(c.h.Txns) {
+			b.Fatalf("decoded %d txns, want %d", len(req.History.Txns), len(c.h.Txns))
+		}
+	}
+}
+
+// codecJobBody is the corpus as json.Marshal — and so pkg/client —
+// spells a job: the body the door scans in one pass.
+func codecJobBody(b *testing.B) []byte {
+	body, err := json.Marshal(&api.JobRequest{Checker: "mtc", Level: "SER", History: codecCorpus().h})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecode100kJob is a job body as every writer in the repository
+// spells it.
+func BenchmarkDecode100kJob(b *testing.B) { benchDecodeJob(b, codecJobBody(b)) }
+
+// BenchmarkDecode100kJobFallback is the same body with "sessions"
+// written before "txns" — equally valid, not canonical — so the whole
+// body takes json.Unmarshal: the cost of every job before the door.
+func BenchmarkDecode100kJobFallback(b *testing.B) {
+	body := codecJobBody(b)
+	txns, sessions := bytes.Index(body, []byte(`"txns":`)), bytes.LastIndex(body, []byte(`,"sessions":`))
+	hasInit := bytes.LastIndex(body, []byte(`,"has_init":`))
+	doc := append([]byte(nil), body[:txns]...)
+	doc = append(doc, body[sessions+1:hasInit]...)
+	doc = append(doc, ',')
+	doc = append(doc, body[txns:sessions]...)
+	doc = append(doc, body[hasInit:]...)
+	benchDecodeJob(b, doc)
 }
 
 // BenchmarkDecode100kMTCB decodes the binary twin straight into a

@@ -32,6 +32,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -340,6 +341,16 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 		opts.Level = eng.Levels()[0]
 	}
 	opts.Shard = 0
+	// The record carries the whole history: encode it before taking the
+	// lock every Pull, PushResult and Heartbeat waits on.
+	rec, err := json.Marshal(walRecord{
+		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
+		Parallelism: opts.Parallelism, Window: opts.Window,
+		History: h,
+	})
+	if err != nil {
+		return fmt.Errorf("fabric: wal append: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -348,11 +359,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	if _, ok := c.jobs[id]; ok {
 		return nil
 	}
-	if err := c.wal.append(walRecord{
-		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
-		Parallelism: opts.Parallelism, Window: opts.Window,
-		History: h,
-	}); err != nil {
+	if err := c.wal.write(rec); err != nil {
 		return fmt.Errorf("fabric: wal append: %w", err)
 	}
 	j := c.insertJob(id, engine, h, opts)

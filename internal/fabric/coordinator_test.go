@@ -771,8 +771,11 @@ func TestFabricWALFailureMutatesNothing(t *testing.T) {
 	if _, err := c.PushResult(w.ID, runTask(t, task)); err == nil {
 		t.Fatal("push over a closed wal succeeded")
 	}
+	if err := c.Submit("j2", "mtc", tenantHistory(2, 3), checker.Options{Level: core.SER}); err == nil {
+		t.Fatal("submit over a closed wal succeeded")
+	}
 	st := c.Status()
-	if st.Unassigned != 1 || st.Workers[0].InFlight != 1 || st.Jobs[0].Done != 0 {
+	if len(st.Jobs) != 1 || st.Unassigned != 1 || st.Workers[0].InFlight != 1 || st.Jobs[0].Done != 0 {
 		t.Fatalf("failed appends mutated the schedule: %+v", st)
 	}
 	c.mu.Lock()

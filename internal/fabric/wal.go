@@ -163,11 +163,18 @@ func replayWAL(f *os.File) ([]walRecord, int64, error) {
 // returning: the record is the crash-recovery source of truth, so a
 // torn or buffered write must never be reported as logged.
 func (w *wal) append(rec walRecord) error {
-	buf, err := json.Marshal(rec)
+	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if err := w.writeLine(buf); err != nil {
+	return w.write(line)
+}
+
+// write is append for a record already marshalled: by a caller that
+// encodes before taking the lock that orders the log (Submit: a job
+// record carries the whole history).
+func (w *wal) write(line []byte) error {
+	if err := w.writeLine(line); err != nil {
 		return err
 	}
 	return w.f.Sync()

@@ -2,6 +2,7 @@ package history
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -21,11 +22,19 @@ func WriteJSON(w io.Writer, h *History) error {
 	return enc.Encode(h)
 }
 
-// ReadJSON parses a history written by WriteJSON and validates it.
+// ReadJSON parses a whole-history JSON document and validates it: the
+// canonical spelling (json.Marshal's) through ScanDocument, any other —
+// WriteJSON's indented one included — through encoding/json.
 func ReadJSON(r io.Reader) (*History, error) {
-	var h History
-	if err := json.NewDecoder(r).Decode(&h); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("history: decode: %w", err)
+	}
+	h, end := ScanDocument(data, 0, NewIngestArena())
+	if end < 0 {
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&h); err != nil {
+			return nil, fmt.Errorf("history: decode: %w", err)
+		}
 	}
 	if err := h.Validate(); err != nil {
 		return nil, err

@@ -605,12 +605,12 @@ func remapColumn(ids []KeyID, remap []KeyID) {
 
 // IngestArena amortizes the decode allocations of a long transaction
 // stream feeding one consumer — the MTCB frames of an mtcserve streaming
-// session, the lines of an NDJSON StreamReader. Key strings intern once
-// per stream instead of once per frame or operation, and Op slices are
-// carved from its chunks (opChunks). A BinaryReader with no arena — the
-// one-shot MTCB reads, a streamed capture — carves from chunks of its
-// own and needs no interner: its key table is one string per key
-// already.
+// session, the lines of an NDJSON StreamReader, the records of one JSON
+// document (ScanDocument). Key strings intern once per stream instead of
+// once per frame or operation, and Op slices are carved from its chunks
+// (opChunks). A BinaryReader with no arena — the one-shot MTCB reads, a
+// streamed capture — carves from chunks of its own and needs no
+// interner: its key table is one string per key already.
 type IngestArena struct {
 	it *Interner
 	opChunks
@@ -626,7 +626,11 @@ func NewIngestArena() *IngestArena { return &IngestArena{it: NewInterner()} }
 // its last transaction.
 type opChunks struct{ free []Op }
 
-// ingestArenaChunk is the Op count carved per chunk allocation.
+// ingestArenaChunk is the Op count carved per chunk allocation. A
+// transaction of more ops than a whole chunk holds gets a slice of its
+// own; reserve, grow and commit draw that line at the same count, so
+// commit can tell by length alone whether the ops it is handed sit in
+// the chunk.
 const ingestArenaChunk = 4096
 
 // reserve returns an n-op slice from the current chunk, cutting a fresh
@@ -638,7 +642,7 @@ const ingestArenaChunk = 4096
 //
 //mtc:hotpath — one chunk allocation per 4096 decoded ops
 func (c *opChunks) reserve(n int) []Op {
-	if n >= ingestArenaChunk {
+	if n > ingestArenaChunk {
 		return make([]Op, n) //mtc:alloc-ok oversized transactions get their own slice
 	}
 	if n > len(c.free) {
@@ -647,9 +651,23 @@ func (c *opChunks) reserve(n int) []Op {
 	return c.free[:n:n]
 }
 
-// commit hands over the n ops last reserved.
+// grow is reserve for a transaction whose length is not known up front:
+// ops, which fills what was left of the current chunk, moves to where one
+// more fits — a fresh chunk, or a slice of its own once it has filled a
+// whole one.
+//
+//mtc:hotpath — one chunk allocation per 4096 decoded ops
+func (c *opChunks) grow(ops []Op) []Op {
+	if len(ops) >= ingestArenaChunk {
+		return slices.Grow(ops[:len(ops):len(ops)], 1) //mtc:alloc-ok oversized transactions get their own slice
+	}
+	c.free = make([]Op, ingestArenaChunk) //mtc:alloc-ok the amortized chunk cut
+	return append(c.free[:0], ops...)
+}
+
+// commit hands over the n ops last reserved or grown into place.
 func (c *opChunks) commit(n int) {
-	if n < ingestArenaChunk {
+	if n <= ingestArenaChunk {
 		c.free = c.free[n:]
 	}
 }

@@ -346,6 +346,101 @@ func TestStreamReaderLongLines(t *testing.T) {
 	}
 }
 
+// TestScanOpsAtTheChunkBoundary: a transaction one op short of a chunk,
+// exactly a chunk and one op over it, each met by a fresh arena and by a
+// partly used one and each followed by further records, keeps its ops:
+// whichever of "in the chunk" and "a slice of its own" the scan ends on,
+// commit agrees, and the next record is not written over it.
+func TestScanOpsAtTheChunkBoundary(t *testing.T) {
+	txn := func(id, ops int) Txn {
+		t := Txn{ID: id, Session: id - 1, Start: int64(2 * id), Finish: int64(2*id + 1), Committed: true, Ops: make([]Op, ops)}
+		for i := range t.Ops {
+			t.Ops[i] = Op{Kind: OpWrite, Key: Key(fmt.Sprintf("k%d", i%7)), Value: Value(id*ingestArenaChunk*2 + i)}
+		}
+		return t
+	}
+	for _, n := range []int{ingestArenaChunk - 1, ingestArenaChunk, ingestArenaChunk + 1} {
+		for _, lead := range []int{0, 3} {
+			var want []Txn
+			if lead > 0 {
+				want = append(want, txn(0, lead))
+			}
+			for _, ops := range []int{n, 2, n, n, 1} {
+				want = append(want, txn(len(want), ops))
+			}
+			name := fmt.Sprintf("%d ops after %d", n, lead)
+
+			var buf bytes.Buffer
+			sw, err := NewStreamWriter(&buf, len(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, txn := range want {
+				if err := sw.WriteTxn(txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := runStream(buf.Bytes())
+			if got.Err != "" || !reflect.DeepEqual(got.Txns, want) {
+				t.Errorf("%s: the NDJSON reader lost ops (error %q, %d txns)", name, got.Err, len(got.Txns))
+			}
+			if ref := referenceStream(buf.Bytes()); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: the NDJSON reader diverged from the reference", name)
+			}
+
+			// The MTCB reader carves from the same chunks, by reserve.
+			var frames bytes.Buffer
+			bw, err := NewBinaryWriter(&frames, len(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, txn := range want {
+				if err := bw.WriteTxn(txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			br, err := NewBinaryFrameReader(&frames, NewIngestArena())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var viaMTCB []Txn
+			for {
+				txn, err := br.Next()
+				if err != nil {
+					if err != io.EOF {
+						t.Fatal(err)
+					}
+					break
+				}
+				viaMTCB = append(viaMTCB, txn)
+			}
+			if !reflect.DeepEqual(viaMTCB, want) {
+				t.Errorf("%s: the MTCB reader lost ops (%d txns)", name, len(viaMTCB))
+			}
+
+			doc, err := json.Marshal(&History{Txns: want, HasInit: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena := NewIngestArena()
+			arena.commit(len(arena.reserve(lead)))
+			h, end := ScanDocument(doc, 0, arena)
+			if end != len(doc) || !reflect.DeepEqual(h.Txns, want) {
+				t.Errorf("%s: ScanDocument lost ops (ended at %d of %d)", name, end, len(doc))
+			}
+			if !checkDocument(t, doc) {
+				t.Errorf("%s: canonical document declined", name)
+			}
+		}
+	}
+}
+
 // hostileSessionDocs are inputs whose session numbers used to make the
 // text codecs allocate until the process died.
 var hostileSessionDocs = map[string]string{
@@ -409,5 +504,175 @@ func FuzzScanTxn(f *testing.F) {
 	f.Add([]byte(`{"id":00,"sess":-0,"ops":[{"k":256,"key":"<","v":1e3}],"start":1.0,"finish":0,"committed":true} `))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkAgainstReference(t, line)
+	})
+}
+
+// canonDoc is a canonical document touching every shape ScanDocument
+// knows: an init transaction, an abort, null and empty ops, a nil and an
+// empty session list.
+const canonDoc = `{"txns":[` +
+	`{"id":0,"sess":-1,"ops":[{"k":1,"key":"x","v":0}],"start":0,"finish":0,"committed":true},` +
+	`{"id":1,"sess":0,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":-7}],"start":1,"finish":2,"committed":true},` +
+	`{"id":2,"sess":2,"ops":null,"start":2,"finish":3,"committed":false},` +
+	`{"id":3,"sess":2,"ops":[],"start":4,"finish":5,"committed":true}],` +
+	`"sessions":[[1],null,[2,3],[]],"has_init":true}`
+
+// referenceReadJSON is ReadJSON before the document scanner existed.
+func referenceReadJSON(data []byte) (*History, error) {
+	var h History
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&h); err != nil {
+		return nil, fmt.Errorf("history: decode: %w", err)
+	}
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// checkDocument holds data to the document scanner's contract: what
+// ScanDocument accepts — standing at the start of data or behind a
+// prefix — is what encoding/json decodes from exactly those bytes; what
+// it declines leaves the arena's chunks as they were; and ReadJSON
+// answers as it did when encoding/json was its only decoder.
+func checkDocument(t testing.TB, data []byte) (fast bool) {
+	t.Helper()
+	arena := NewIngestArena()
+	arena.commit(len(arena.reserve(3)))
+	free := arena.free
+	got, end := ScanDocument(data, 0, arena)
+	if fast = end >= 0; fast {
+		var want History
+		if err := json.Unmarshal(data[:end], &want); err != nil {
+			t.Fatalf("%q: ScanDocument accepted %d bytes encoding/json rejects: %v", data, end, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: ScanDocument %#v, encoding/json %#v", data, got, want)
+		}
+		shifted, shiftedEnd := ScanDocument(append([]byte(`{"history":`), data...), len(`{"history":`), NewIngestArena())
+		if shiftedEnd != end+len(`{"history":`) || !reflect.DeepEqual(shifted, want) {
+			t.Fatalf("%q: behind a prefix ScanDocument ends at %d, want %d", data, shiftedEnd, end+len(`{"history":`))
+		}
+	} else if len(arena.free) != len(free) || &arena.free[0] != &free[0] {
+		t.Fatalf("%q: declined, but the arena's chunk moved", data)
+	}
+	h, err := ReadJSON(bytes.NewReader(data))
+	ref, rerr := referenceReadJSON(data)
+	if fmt.Sprint(err) != fmt.Sprint(rerr) || !reflect.DeepEqual(h, ref) {
+		t.Fatalf("%q: ReadJSON (%+v, %v), reference (%+v, %v)", data, h, err, ref, rerr)
+	}
+	return fast
+}
+
+// TestScanDocumentNearMisses walks the border of the canonical document.
+func TestScanDocumentNearMisses(t *testing.T) {
+	re := func(old, new string) string {
+		if !strings.Contains(canonDoc, old) {
+			t.Fatalf("canonDoc has no %q", old)
+		}
+		return strings.Replace(canonDoc, old, new, 1)
+	}
+	cases := []struct {
+		name, doc string
+		fast      bool
+	}{
+		{"canonical", canonDoc, true},
+		{"no init", re(`"has_init":true`, `"has_init":false`), true},
+		{"all null", `{"txns":null,"sessions":null,"has_init":false}`, true},
+		{"all empty", `{"txns":[],"sessions":[],"has_init":false}`, true},
+		{"sessions of nothing", re(`[[1],null,[2,3],[]]`, `[[],null]`), true},
+		{"one session", re(`[[1],null,[2,3],[]]`, `[[1,2,3]]`), true},
+		{"more ids than txns", re(`[2,3]`, `[2,3,2,3,2,3,-1,9223372036854775807]`), true},
+		{"trailing bytes", canonDoc + `,"level":"SER"}`, true}, // the cursor stops at the document's brace
+		{"trailing document", canonDoc + canonDoc, true},
+
+		{"leading space", " " + canonDoc, false},
+		{"space after colon", re(`"sessions":`, `"sessions": `), false},
+		{"space in sessions", re(`[2,3]`, `[2, 3]`), false},
+		{"newline between records", re(`},{"id":1`, "},\n{\"id\":1"), false},
+		{"reordered", `{"sessions":null,"txns":null,"has_init":false}`, false},
+		{"reordered record", re(`"id":2,"sess":2`, `"sess":2,"id":2`), false},
+		{"case-folded", re(`"txns"`, `"Txns"`), false},
+		{"unknown field", re(`,"has_init":true`, `,"has_init":true,"more":1`), false},
+		{"missing has_init", re(`,"has_init":true`, ``), false},
+		{"missing sessions", re(`,"sessions":[[1],null,[2,3],[]]`, ``), false},
+		{"has_init null", re(`"has_init":true`, `"has_init":null`), false},
+		{"has_init 1", re(`"has_init":true`, `"has_init":1`), false},
+		{"id past int64", re(`[2,3]`, `[2,9223372036854775808]`), false},
+		{"leading zero", re(`[2,3]`, `[02,3]`), false},
+		{"minus zero", re(`[2,3]`, `[-0,3]`), false},
+		{"fraction", re(`[2,3]`, `[2.0,3]`), false},
+		{"string id", re(`[2,3]`, `["2",3]`), false},
+		{"nested list", re(`[2,3]`, `[[2],3]`), false},
+		{"dangling comma in a list", re(`[2,3]`, `[2,3,]`), false},
+		{"dangling comma in sessions", re(`[]],"has_init"`, `[],],"has_init"`), false},
+		{"dangling comma in txns", re(`}],"sessions"`, `},],"sessions"`), false},
+		{"empty element", re(`[[1],null,`, `[[1],,`), false},
+		{"null record", re(`{"id":2,"sess":2,"ops":null,"start":2,"finish":3,"committed":false}`, `null`), false},
+		{"escaped key in a record", re(`"key":"x","v":0}],"start":0`, `"key":"\u0078","v":0}],"start":0`), false},
+		{"cut short", canonDoc[:len(canonDoc)-1], false},
+		{"array", "[" + canonDoc + "]", false},
+		{"empty", "", false},
+	}
+	for _, c := range cases {
+		if fast := checkDocument(t, []byte(c.doc)); fast != c.fast {
+			t.Errorf("%s: fast path taken = %v, want %v", c.name, fast, c.fast)
+		}
+	}
+	for cut := 0; cut < len(canonDoc); cut++ {
+		if checkDocument(t, []byte(canonDoc[:cut])) {
+			t.Errorf("ScanDocument accepted the document cut at byte %d", cut)
+		}
+	}
+}
+
+// TestDocumentMarshalTakesFastPath pins json.Marshal(&History) to the
+// document scanner the way TestMarshalTakesFastPath pins the record, so
+// a new History field or tag fails here instead of demoting every job
+// body and every compact .json file to encoding/json.
+func TestDocumentMarshalTakesFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	hs := []*History{{}, {Txns: []Txn{}, Sessions: [][]int{}}, {Sessions: [][]int{nil, {}}}, ndjsonFixture()}
+	for _, fx := range Fixtures() {
+		hs = append(hs, fx.H)
+	}
+	for trial := 0; trial < 200; trial++ {
+		h := &History{HasInit: rng.Intn(2) == 0, Txns: make([]Txn, rng.Intn(40))}
+		for i := range h.Txns {
+			h.Txns[i] = randomCanonicalTxn(rng)
+		}
+		for s := rng.Intn(5); s > 0; s-- {
+			var list []int
+			for n := rng.Intn(4) - 1; n >= 0; n-- {
+				list = append(list[:len(list):len(list)], rng.Int()-rng.Int())
+			}
+			h.Sessions = append(h.Sessions, list)
+		}
+		hs = append(hs, h)
+	}
+	for i, want := range hs {
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkDocument(t, data) {
+			t.Fatalf("history %d: ScanDocument declined json.Marshal's own output %s", i, data)
+		}
+		got, end := ScanDocument(data, 0, NewIngestArena())
+		if again, err := json.Marshal(&got); err != nil || end != len(data) || string(again) != string(data) {
+			t.Fatalf("history %d: %s decodes to a history that marshals as %s (%v)", i, data, again, err)
+		}
+	}
+}
+
+// FuzzScanDocument holds arbitrary documents to the scanner's contract.
+func FuzzScanDocument(f *testing.F) {
+	f.Add([]byte(canonDoc))
+	f.Add([]byte(`{"txns":null,"sessions":[[],null,[0,-1,9223372036854775807]],"has_init":false}`))
+	f.Add([]byte(`{"txns":[],"sessions":[],"has_init":true} `))
+	f.Add([]byte(`{"sessions":null,"txns":[{"id":0}],"has_init":false}`))
+	f.Add([]byte(`{"txns":[{"id":0,"sess":0,"ops":[{"k":0,"key":"é","v":1}],"start":0,"finish":0,"committed":true},],"sessions":[[0]],"has_init":false}`))
+	f.Add([]byte(`{"txns":[{"id":00,"sess":0,"ops":null,"start":0,"finish":0,"committed":true}],"sessions":[[0,]],"has_init":falsE}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDocument(t, data)
 	})
 }

@@ -1,6 +1,7 @@
 package mtcserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -216,10 +217,29 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
+// jobBodyHint is how much of a request's Content-Length handleJobSubmit
+// takes on trust when it sizes the body buffer: enough that a job of
+// tens of thousands of transactions is read into one allocation, little
+// enough that a connection sending headers and nothing else pins a few
+// MiB, not MaxBodyBytes.
+const jobBodyHint = 8 << 20
+
 // handleJobSubmit implements POST /v1/jobs: validate, enqueue, 202.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// The body is read once into one buffer sized by Content-Length —
+	// up to jobBodyHint: the header is a claim no byte has backed yet, so
+	// past that the buffer grows with what actually arrives.
+	hint := r.ContentLength
+	if hint < 0 || hint > s.maxBodyBytes() {
+		hint = 0
+	}
+	body := bytes.NewBuffer(make([]byte, 0, min(hint, jobBodyHint)+bytes.MinRead))
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad job request: %v", err)
+		return
+	}
+	req, err := api.DecodeJobRequest(body.Bytes())
+	if err != nil {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad job request: %v", err)
 		return
 	}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -544,5 +546,131 @@ func TestJobNumForeignIDs(t *testing.T) {
 		if got := jobNum(id); got != want {
 			t.Errorf("jobNum(%q) = %d, want %d", id, got, want)
 		}
+	}
+}
+
+// TestJobTrailingDataIs400: the request object is the whole body. The
+// handler used to stop reading at the first value's closing brace, so
+// "{job A}{job B}" silently ran job A.
+func TestJobTrailingDataIs400(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	h, err := json.Marshal(history.SerialHistory(3, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spellings := map[string]string{
+		"compact": `{"level":"SER","history":` + string(h) + `}`,
+		"spelled": `{ "level": "SER", "history": ` + string(h) + ` }`,
+	}
+	for name, job := range spellings {
+		for _, tail := range []string{job, "x", "]", " null"} {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(job+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env api.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest ||
+				!strings.Contains(env.Error.Message, "after top-level value") {
+				t.Errorf("%s job followed by %.10q: %d %+v (%v)", name, tail, resp.StatusCode, env.Error, err)
+			}
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(job+" \r\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s job followed by whitespace: %d", name, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list api.JobList
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || len(list.Jobs) != len(spellings) {
+		t.Fatalf("%d jobs exist (%v), want only the %d followed by whitespace", len(list.Jobs), err, len(spellings))
+	}
+}
+
+// TestJobSubmitBuffersBodyOnce: the handler holds a body in one buffer
+// sized by Content-Length and decodes it through api.DecodeJobRequest
+// (about one body length more, TestJobBodyAllocations there) — not in a
+// buffer doubled up to it (5x the body on its own) under a decoder that
+// walks it three times. The request names no known level, so what is
+// measured ends where validation would begin.
+func TestJobSubmitBuffersBodyOnce(t *testing.T) {
+	keys := make([]history.Key, 500)
+	for i := range keys {
+		keys[i] = history.Key("acct" + strconv.Itoa(i))
+	}
+	b := history.NewBuilder(keys...)
+	for j := 0; j < 20_000; j++ {
+		b.Txn(j%8, history.R(keys[j%len(keys)], history.Value(j/len(keys))), history.W(keys[j%len(keys)], history.Value(j/len(keys)+1)))
+	}
+	body, err := json.Marshal(api.JobRequest{Level: "NOPE", History: b.Build()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := Handler()
+	post := func() int {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(); code != http.StatusBadRequest {
+		t.Fatalf("warm-up: %d", code)
+	}
+	// TotalAlloc is the process's: the least of three posts is the one an
+	// earlier test's still-running job disturbed least.
+	got := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		code := post()
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", code)
+		}
+		got = min(got, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(body)))
+	}
+	t.Logf("a %d-byte body costs the handler %.2fx its length", len(body), got)
+	if got > 2.5 {
+		t.Fatalf("%.2fx the body allocated; want at most 2.5x (one buffer, one decode)", got)
+	}
+}
+
+// TestJobSubmitDoesNotTrustContentLength: the header sizes the buffer
+// only up to jobBodyHint, so a client that declares the largest body the
+// server takes and sends next to nothing pins a few MiB, not all of it.
+func TestJobSubmitDoesNotTrustContentLength(t *testing.T) {
+	handler := Handler()
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"level":"NOPE"`))
+		req.ContentLength = DefaultMaxBodyBytes
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	post()
+	got := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		code := post()
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", code)
+		}
+		got = min(got, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	if got > 1.5*jobBodyHint {
+		t.Fatalf("%.0f bytes allocated on a Content-Length of %d and a 15-byte body; want about jobBodyHint (%d)", got, DefaultMaxBodyBytes, jobBodyHint)
 	}
 }

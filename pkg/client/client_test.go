@@ -2,7 +2,10 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -264,5 +267,31 @@ func TestJobWindowOption(t *testing.T) {
 	// Negative windows are rejected up front.
 	if _, err := c.SubmitJob(ctx, client.JobRequest{Window: -1, History: h}); err == nil {
 		t.Fatal("negative window must be rejected")
+	}
+}
+
+// TestSubmitBodyIsJSONMarshal pins the SDK's submit body to plain
+// json.Marshal of the request — the spelling the server's job door
+// scans in one pass (api.TestJobMarshalTakesFastPath); an indenting or
+// re-wrapping encoder here would silently demote every SDK job to the
+// encoding/json route.
+func TestSubmitBodyIsJSONMarshal(t *testing.T) {
+	var got []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"id":"j1","state":"queued"}`))
+	}))
+	defer ts.Close()
+	req := client.JobRequest{Checker: "mtc", Level: "SI", Shard: 2, History: history.FixtureByName("WriteSkew").H}
+	if _, err := client.New(ts.URL).SubmitJob(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("submit body %s, want json.Marshal's %s", got, want)
 	}
 }
