@@ -44,24 +44,25 @@ func each[T any](s *graph.Slab[cell[T]], l list) iter.Seq[T] {
 	}
 }
 
-// arenas is everything an Incremental holds per transaction, per version
-// and per edge. There are two sets. Add allocates from the current one
-// and never reuses anything in it, so a record's address and a list's
-// cells are stable for the whole epoch. Compact copies what survives —
-// live slots, their lists, the kept transaction records with their write
-// sets and SI lists, the witnesses, the rebuilt graph — into the spare
-// set, swaps the two, and resets the one it just left: the next epoch
-// but one fills the same chunks again, so a windowed stream that has
-// reached its steady size allocates nothing, and no long-lived record
-// can pin a chunk of dead ones, because nothing outlives the epoch
-// after the one it was copied in.
+// arenas is everything an Incremental holds per transaction and per edge,
+// and the lists of its slots. There are two sets. Add allocates from the
+// current one and never reuses anything in it, so a record's address and
+// a list's cells are stable for the whole epoch. Compact copies what
+// survives — the live slots' lists, the kept transaction records with
+// their write sets and SI lists, the witnesses, the rebuilt graph — into
+// the spare set, swaps the two, and resets the one it just left: the
+// next epoch but one fills the same chunks again, so a windowed stream
+// that has reached its steady size allocates nothing, and no long-lived
+// record can pin a chunk of dead ones, because nothing outlives the epoch
+// after the one it was copied in. The slot records are not part of the
+// set: they stay where they are (Incremental.records) and only the lists
+// hanging off them move.
 type arenas struct {
-	topo    *graph.Online
-	txns    []txnState // indexed by node id
-	records graph.Slab[slot]
-	ids     graph.Slab[cell[int]]        // slot.readers and slot.parked
-	deps    graph.Slab[cell[graph.Edge]] // txnState.baseIn and txnState.rwOut
-	writes  graph.Slab[write]            // write sets, by cut
+	topo   *graph.Online
+	txns   []txnState                   // indexed by node id
+	ids    graph.Slab[cell[int]]        // slot.readers and slot.parked
+	deps   graph.Slab[cell[graph.Edge]] // txnState.baseIn and txnState.rwOut
+	writes graph.Slab[write]            // write sets, by cut
 	// SI only: the constituents of every composed edge in topo.
 	witness map[composedKey][2]graph.Edge
 }
@@ -78,7 +79,6 @@ func newArenas(lvl Level) arenas {
 // reset empties the slabs for the epoch after next. The graph and the
 // transaction records stay as they are until Compact loads over them.
 func (a *arenas) reset() {
-	a.records.Reset()
 	a.ids.Reset()
 	a.deps.Reset()
 	a.writes.Reset()

@@ -109,11 +109,59 @@ func TestReplayAllocatesPerEpochNotPerTransaction(t *testing.T) {
 	}
 }
 
-// TestWindowedReplayPinsNoRetiredChunk: a record that survives many
-// epochs — a cold key's slot, its writer's write set, a list cell — is
-// copied forward each time, so the chunk it was born in is refilled, not
-// held. Were survivors kept in place, every epoch would strand a chunk or
-// two behind them and the live heap would climb with the epochs. The
+// TestWarmCompactionAllocatesNothing: once the two arena sets and
+// Compact's scratch have reached the stream's size, a compaction refills
+// what it owns. Which epochs are warm is a property of the stream, not of
+// the test: the live set of this one still drifts upward, and an epoch in
+// which it crosses a chunk boundary buys the chunk; ten consecutive ones
+// from the 30th on do not.
+func TestWarmCompactionAllocatesNothing(t *testing.T) {
+	const (
+		window = 2048
+		epoch  = window / 2
+		warm   = window + 30*epoch
+		timed  = 10
+	)
+	keys, txns := zipfStream(warm + timed*epoch)
+	for _, lvl := range []core.Level{core.SER, core.SI} {
+		inc := core.NewIncremental(lvl)
+		inc.InitTxn(keys...)
+		fed := 0
+		for e := 0; e < timed; e++ {
+			due := warm + e*epoch // the Add that makes the next compaction due
+			feed(t, inc, txns[fed:due-1], window)
+			if vio := inc.Add(txns[due-1]); vio != nil {
+				t.Fatalf("clean stream rejected: %s", vio.Explain())
+			}
+			fed = due
+			// AllocsPerRun calls its function once to warm up; the compaction is
+			// the call it measures.
+			before, warmUp := inc.CompactedEpochs(), true
+			n := testing.AllocsPerRun(1, func() {
+				if warmUp {
+					warmUp = false
+					return
+				}
+				inc.MaybeCompact(window, 0, nil)
+			})
+			if inc.CompactedEpochs() != before+1 {
+				t.Fatalf("%s: no compaction at transaction %d", lvl, inc.NumTxns())
+			}
+			if n != 0 {
+				t.Errorf("%s: compaction %d allocates %v times", lvl, inc.CompactedEpochs(), n)
+			}
+		}
+	}
+}
+
+// TestWindowedReplayPinsNoRetiredChunk: what survives many epochs in an
+// arena — a cold key's slot's reader list, its writer's write set and
+// transaction record — is copied forward each time, so the chunk it was
+// born in is refilled, not held. Were those survivors kept in place, every
+// epoch would strand a chunk or two behind them and the live heap would
+// climb with the epochs. (The slot records themselves are kept in place,
+// and hold no chunk hostage for another reason: a dead one is the next one
+// handed out, so their slab is as large as the most slots ever live.) The
 // stream's own live set climbs too, until every cold key has been touched
 // (it doubles between epoch 5 and epoch 40, and the heap with it, before
 // and after the arenas), so the heap is held level from there on: epoch

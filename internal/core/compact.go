@@ -26,19 +26,31 @@ type compactScratch struct {
 	tier  []uint8
 	order []int
 	remap []int
-	bits  []uint64     // arena of graph.Bitset rows
-	edges []graph.Edge // edges of the rebuilt graph
+	rows  []span   // per node: its row of bits and its column
+	cols  []int32  // column -> node
+	bits  []uint64 // the rows, in the order the sweep opens them, then the candidate row
+	// heads[x]: a summary edge leads to node x of the current graph. Only
+	// Compact emits them, so it is the one that knows; a node added since
+	// has none.
+	heads []bool
 }
 
-// resize returns s with length n, reallocating only to grow — with
-// headroom, since the live set drifts by a few nodes from one epoch to the
-// next. The contents are unspecified.
+// span places a node in the reachability sweep: its row is
+// bits[off:off+n], off -1 until the sweep opens it, and col is its
+// column, -1 for a node that is never a candidate.
+type span struct{ off, n, col int32 }
+
+// resize returns s with length n, reallocating only to grow — to at
+// least twice what it held, so a session that is still finding its size
+// regrows a few times, not every epoch. The contents are unspecified.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n, n+n/4)
+		return make([]T, n, max(n+n/4, 2*cap(s)))
 	}
 	return s[:n]
 }
+
+func isEpoch(e graph.Edge) bool { return e.Kind == graph.AUX && e.Obj == epochObj }
 
 // Compact collapses the settled prefix of the stream — every transaction
 // whose external position is below frontier and whose state can no
@@ -78,28 +90,42 @@ func resize[T any](s []T, n int) []T {
 // What replaces the collapsed region is the transitive reduction of the
 // reachability it carried. The retained nodes are renumbered in the
 // online order — itself the witness that the settled prefix is acyclic —
-// and one reverse sweep over that order computes, per node, a
-// graph.Bitset row of the retained nodes it reaches (the graph.Closure
-// recipe, rows cut from one arena). A retained node keeps its dependency
-// edges to retained nodes verbatim; of what it reaches through collapsed
-// nodes, and of the summary edges earlier compactions left at it, it
-// keeps an AUX "epoch" edge only to the targets no other kept edge
-// already leads to. Reachability among retained nodes is preserved pair
-// for pair, so cycle detection over the remaining stream is unchanged,
-// and the summary edges stay proportional to the retained nodes however
-// many epochs lie behind them. The rebuilt graph is loaded in one step
-// (graph.Online.Reload); the rebuild panics if an edge would descend
-// in the new numbering, which only a cycle in the settled prefix or
-// through the collapsed region could cause. The working memory is O(n²/64)
-// words for n live nodes and is reused from one compaction to the next.
+// and one reverse sweep over that order (reduce) computes, per node, a
+// graph.Bitset row of what it reaches (the graph.Closure recipe, rows cut
+// from one arena). A retained node keeps its dependency edges to retained
+// nodes verbatim; of what it reaches through collapsed nodes, and of the
+// summary edges earlier compactions left at it, it keeps an AUX "epoch"
+// edge only to the targets no other kept edge already leads to.
+// Reachability among retained nodes is preserved pair for pair, so cycle
+// detection over the remaining stream is unchanged, and the summary edges
+// stay proportional to the retained nodes however many epochs lie behind
+// them. The sweep loads each edge into the spare graph as it settles on it
+// (graph.Online.Reload, then Load); it panics on an edge that descends in
+// the order, which only a cycle in the settled prefix or through the
+// collapsed region could cause.
 //
-// What survives is copied, not kept in place: the rebuilt graph is
-// loaded into the spare graph, the kept transaction records — write sets
-// and SI lists included — and the live slots with their lists go into the
-// spare slabs with every node id renumbered on the way, the slot table
-// and latest are re-pointed at the copies, and the two arena sets trade
-// places (see arenas). The graph and records of the epoch just ended stay
-// readable until the next compaction loads over them.
+// The arena is compressed and triangular. Its columns are only the nodes a
+// summary edge can lead to — the heads of the ones standing, which the
+// compaction that emitted them remembered, and the kept heads of edges out
+// of collapsed nodes, read off those nodes' out lists — because no other
+// bit is ever tested; and a row holds only the columns behind its node in
+// the order, because it reaches nothing else. On a 2000-key Zipf stream
+// that is an eighth of the nodes-by-kept-nodes rectangle (under half the
+// kept nodes are columns, and they are old: the window's worth of nodes at
+// the end of the order has next to none behind it); each row is cleared as
+// the sweep opens it, and the memory is reused from one compaction to the
+// next.
+//
+// Transaction state is copied, slot records are kept in place: the kept
+// transaction records — write sets and SI lists included — go into the
+// spare slabs with every node id renumbered on the way, and the two arena
+// sets trade places (see arenas). A slot record never moves, so the slot
+// table and latest hear of a compaction only through the deletion of the
+// slots that died in it: two walks over the record slab, one before the
+// new ids exist to mark who survives (markSlots) and one after to rewrite
+// the ids and move the survivors' lists (sweepSlots). The graph and
+// transaction records of the epoch just ended stay readable until the
+// next compaction loads over them.
 //
 // MaybeCompact is the standard compaction cadence every windowed driver
 // (the batch replay, runner.RunStream, server sessions, benchmarks)
@@ -149,35 +175,6 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			tier[i] = tierBase
 		}
 	}
-	// alive: the slot's committed write still accepts future readers or
-	// an overwriter, so its participants survive. With session tracking on,
-	// a slot dethroned at or after the staleness horizon — the minimum
-	// last-ingested position across active sessions — is also alive: a
-	// transaction in flight on some session started before the
-	// dethronement reached that session's stream and may still
-	// legitimately read the slot's value.
-	horizon, track := 0, false
-	//mtc:nondeterministic-ok minimum fold; min is commutative
-	for _, ss := range inc.sessions {
-		if ss.active && (!track || ss.seen < horizon) {
-			horizon, track = ss.seen, true
-		}
-	}
-	alive := func(key version, s *slot) bool {
-		if tier[s.writer] == tierBase {
-			return true
-		}
-		// A value its writer later overwrote itself lives exactly as long
-		// as the final one: reads of it must keep failing as
-		// IntermediateRead, not park.
-		if final, _ := inc.txns[s.writer].writes.get(key.k); final != key.v {
-			s = inc.slots[version{key.k, final}]
-		}
-		// Still its key's latest, read within the window, or dethroned
-		// within the horizon.
-		return s.dethroned == 0 || s.ref >= frontier || (track && s.dethroned >= horizon)
-	}
-
 	keepFull := func(x int) { tier[x] = max(tier[x], tierFull) }
 	if inc.initID >= 0 {
 		keepFull(inc.initID)
@@ -188,26 +185,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			keepFull(ss.last)
 		}
 	}
-	// Mark phase over the slot table: parked readers still wait for their
-	// writer; an alive slot keeps its writer (which anchors future WR
-	// edges even before anyone read it), its readers and its overwriter.
-	//mtc:nondeterministic-ok raising tiers; max is commutative
-	for key, s := range inc.slots {
-		for r := range each(&inc.ids, s.parked) {
-			keepFull(r)
-		}
-		s.live = s.writer >= 0 && alive(key, s)
-		if !s.live {
-			continue
-		}
-		keepFull(s.writer)
-		for r := range each(&inc.ids, s.readers) {
-			keepFull(r)
-		}
-		if s.over >= 0 {
-			keepFull(s.over)
-		}
-	}
+	inc.markSlots(frontier)
 	// Under SI a future RW edge out of a kept reader r composes with r's
 	// baseIn, and a future base edge into r composes with r's rwOut; the
 	// far endpoints of those compositions must still exist as nodes (one
@@ -237,11 +215,38 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		return
 	}
 
+	// The columns of the sweep: the kept nodes a summary edge can lead to —
+	// where one leads now, and where an edge out of a collapsed node does.
+	sc.rows = resize(sc.rows, nNodes)
+	rows := sc.rows
+	for x := range rows {
+		rows[x] = span{off: -1, col: -1}
+	}
+	ncols := 0
+	column := func(x int) {
+		if tier[x] != tierNone && rows[x].col < 0 {
+			rows[x].col = 0 // the sweep numbers it
+			ncols++
+		}
+	}
+	for x, head := range sc.heads {
+		if head {
+			column(x)
+		}
+	}
+	for x, t := range tier {
+		if t == tierNone {
+			for _, e := range inc.topo.Out(x) {
+				column(e.To)
+			}
+		}
+	}
+
 	// Generational rebuild. Kept nodes are renumbered in the current
 	// topological order, so every surviving edge ascends and the
 	// Pearce–Kelly structure starts compact again. remap[x] is the new id
-	// of a kept node and ^rank of a collapsed one, rank counting collapsed
-	// nodes in the same order.
+	// of a kept node and -1 for a collapsed one. A node's row holds the
+	// columns behind it in that order, 64 to a word.
 	sc.order = resize(sc.order, nNodes) // order index -> node: ord is a permutation
 	order := sc.order
 	for i := range order {
@@ -249,103 +254,31 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	}
 	sc.remap = resize(sc.remap, nNodes)
 	remap := sc.remap
-	nk, nc := 0, 0
+	nk, behind, words := 0, ncols, 0
 	for _, x := range order {
+		remap[x] = -1
 		if tier[x] != tierNone {
 			remap[x] = nk
 			nk++
-		} else {
-			remap[x] = ^nc
-			nc++
+			if rows[x].col >= 0 {
+				behind--
+			}
 		}
+		words += (behind + 63) / 64
 	}
+	sc.bits = resize(sc.bits, words+(ncols+63)/64)
+	sc.cols = resize(sc.cols, ncols)[:0]
+	sc.heads = resize(sc.heads, kcount)
+	clear(sc.heads)
 
-	// One bitset row over the kept ids per old node, cut from one arena:
-	// for a kept node everything it reaches among kept nodes, for a
-	// collapsed node the kept nodes it reaches through collapsed-only
-	// paths, so row(remap[e.To]) is what an edge e contributes beyond its
-	// own head. The sweep below runs in reverse topological order; the
-	// online order guarantees ord(From) < ord(To) for every edge, so each
-	// successor's row is final before a predecessor reads it — the
-	// level-by-level argument of graph.Closure, and the proof the settled
-	// prefix is acyclic.
-	words := (kcount + 63) / 64
-	sc.bits = resize(sc.bits, (nNodes+1)*words)
-	clear(sc.bits)
-	row := func(id int) graph.Bitset {
-		if id < 0 {
-			id = kcount + ^id
-		}
-		return graph.Bitset(sc.bits[id*words : (id+1)*words])
-	}
-	cand := graph.Bitset(sc.bits[nNodes*words:])
-	rebuilt := sc.edges[:0]
-	for i := nNodes - 1; i >= 0; i-- {
-		x := order[i]
-		nx := remap[x]
-		if nx < 0 {
-			reach := row(nx)
-			for _, e := range inc.topo.Out(x) {
-				if t := remap[e.To]; t >= 0 {
-					reach.Set(t)
-				} else {
-					reach.UnionWith(row(t))
-				}
-			}
-			continue
-		}
-		// Dependency edges survive verbatim and seed covered, the set nx
-		// reaches without any summary edge. What nx reaches through the
-		// collapsed region, and the summary edges earlier compactions left
-		// at it, are only candidates.
-		covered := row(nx)
-		cand.Clear()
-		for _, e := range inc.topo.Out(x) {
-			t := remap[e.To]
-			switch {
-			case t < 0:
-				cand.UnionWith(row(t))
-			case e.Kind == graph.AUX && e.Obj == epochObj:
-				cand.Set(t)
-			default:
-				if t <= nx {
-					panic("core: Compact rebuilt a cyclic graph; settled prefix was not acyclic-closed")
-				}
-				rebuilt = append(rebuilt, graph.Edge{From: nx, To: t, Kind: e.Kind, Obj: e.Obj})
-				covered.Set(t)
-				covered.UnionWith(row(t))
-			}
-		}
-		// Ascending ids are topological: a candidate can only be implied by
-		// a dependency edge or a smaller candidate, both already in covered
-		// when it is reached. What is emitted is therefore the transitive
-		// reduction of the candidates, and covered ends as their closure.
-		for k := range cand {
-			for w := cand[k] &^ covered[k]; w != 0; w = cand[k] &^ covered[k] {
-				b := k<<6 + bits.TrailingZeros64(w)
-				if b <= nx {
-					panic("core: Compact found a cycle through the collapsed region")
-				}
-				rebuilt = append(rebuilt, graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: epochObj})
-				covered.Set(b)
-				covered.UnionWith(row(b))
-			}
-		}
-	}
-	sc.edges = rebuilt
 	if inc.spare.topo == nil {
 		inc.spare = newArenas(inc.lvl)
 	}
 	next := &inc.spare
-	next.topo.Reload(kcount, rebuilt)
+	next.topo.Reload(kcount)
+	live := inc.reduce(next.topo, words)
 
 	// Copy what survives into the spare set, renumbering on the way.
-	reIDs := func(ids list) (out list) {
-		for id := range each(&inc.ids, ids) {
-			push(&next.ids, &out, remap[id])
-		}
-		return out
-	}
 	reEdges := func(edges list) (out list) {
 		for e := range each(&inc.deps, edges) {
 			e.From, e.To = remap[e.From], remap[e.To]
@@ -368,36 +301,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 		}
 		next.txns[nx] = t
 	}
-	// The slot table's keys are versions, which a compaction cannot
-	// change: dead slots are deleted, live ones move to the spare slab with
-	// the node ids inside them rewritten, and nothing is re-keyed.
-	//mtc:nondeterministic-ok slot-for-slot sweep; no order reaches the result
-	for key, s := range inc.slots {
-		ns := slot{writer: -1, aborted: -1, over: -1, parked: reIDs(s.parked)}
-		if s.live {
-			ns.writer, ns.readers = remap[s.writer], reIDs(s.readers)
-			if s.over >= 0 {
-				ns.over = remap[s.over]
-			}
-			ns.ref, ns.dethroned = s.ref, s.dethroned
-		} // else the committed write is settled; a later read of it parks
-		if s.aborted >= 0 && tier[s.aborted] == tierBase {
-			ns.aborted = remap[s.aborted]
-		}
-		if ns.writer < 0 && ns.aborted < 0 && ns.parked.head == 0 {
-			delete(inc.slots, key)
-			continue
-		}
-		id, moved := next.records.Alloc()
-		*moved = ns
-		s.fwd = id
-		inc.slots[key] = moved
-	}
-	// A key's latest write is always live.
-	//mtc:nondeterministic-ok entry-for-entry rewrite; no order reaches the result
-	for k, s := range inc.latest {
-		inc.latest[k] = next.records.At(s.fwd)
-	}
+	inc.sweepSlots(next)
 	if inc.initID >= 0 {
 		inc.initID = remap[inc.initID]
 	}
@@ -424,7 +328,194 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 
 	inc.arenas, inc.spare = inc.spare, inc.arenas
 	inc.spare.reset()
-	inc.live = len(rebuilt)
+	inc.live = live
 	inc.compactTxns += collapsed
 	inc.compactEpoch++
+}
+
+// markSlots is Compact's mark phase, one walk over the slot records:
+// parked readers still wait for their writer; a slot whose committed
+// write still accepts future readers or an overwriter keeps its writer
+// (which anchors future WR edges even before anyone read it), its readers
+// and its overwriter. With session tracking on, a slot dethroned at or
+// after the staleness horizon — the minimum last-ingested position across
+// active sessions — is readable too: a transaction in flight on some
+// session started before the dethronement reached that session's stream
+// and may still legitimately read the slot's value.
+//
+//mtc:hotpath — per slot and per list cell
+func (inc *Incremental) markSlots(frontier int) {
+	horizon, track := 0, false
+	//mtc:nondeterministic-ok minimum fold; min is commutative
+	for _, ss := range inc.sessions {
+		if ss.active && (!track || ss.seen < horizon) {
+			horizon, track = ss.seen, true
+		}
+	}
+	tier := inc.scratch.tier
+	for s := range inc.records.All() {
+		if s.free {
+			continue
+		}
+		for r := range each(&inc.ids, s.parked) {
+			tier[r] = max(tier[r], tierFull)
+		}
+		// Readable: its writer is recent or pinned, or the value is still its
+		// key's latest, was read within the window, or was dethroned within
+		// the horizon — the value being, for one its writer later overwrote
+		// itself, the final one, whose fate it shares.
+		f := s
+		for f.final != nil {
+			f = f.final
+		}
+		s.live = s.writer >= 0 && (tier[s.writer] == tierBase ||
+			f.dethroned == 0 || f.ref >= frontier || (track && f.dethroned >= horizon))
+		if !s.live {
+			continue
+		}
+		tier[s.writer] = max(tier[s.writer], tierFull)
+		for r := range each(&inc.ids, s.readers) {
+			tier[r] = max(tier[r], tierFull)
+		}
+		if s.over >= 0 {
+			tier[s.over] = max(tier[s.over], tierFull)
+		}
+	}
+}
+
+// reduce is Compact's reachability sweep: it loads into next, edge by
+// edge, the dependency edges among kept nodes and the transitive
+// reduction of what they reach through the collapsed region, and returns
+// how many edges that is. It runs in reverse topological order; the
+// online order guarantees ord(From) < ord(To) for every edge, so each
+// successor's row is final before a predecessor reads it — the
+// level-by-level argument of graph.Closure, and the proof the settled
+// prefix is acyclic: an edge that descends finds its head's row unopened.
+//
+// A row is opened when the sweep reaches its node and holds the columns
+// opened before it, numbered as they were opened — the later in the order,
+// the lower — so it is a prefix of every row after it and a union runs
+// over the shorter of the two. For a kept node it ends as every column the
+// node reaches, for a collapsed node as the columns it reaches through
+// collapsed-only paths: what an edge contributes beyond its own head.
+//
+//mtc:hotpath — per node and per edge of the live graph; rows come from the scratch arena
+func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
+	sc := &inc.scratch
+	remap, rows, cols := sc.remap, sc.rows, sc.cols
+	row := func(x int) (graph.Bitset, int) {
+		at := rows[x]
+		if at.off < 0 {
+			panic("core: Compact met an edge that descends in the online order; settled prefix was not acyclic-closed") //mtc:alloc-ok the panic of a broken invariant
+		}
+		return graph.Bitset(sc.bits[at.off : at.off+at.n]), int(at.col)
+	}
+	off := 0
+	for i := len(sc.order) - 1; i >= 0; i-- {
+		x := sc.order[i]
+		n := (len(cols) + 63) / 64
+		reach := graph.Bitset(sc.bits[off : off+n])
+		reach.Clear()
+		rows[x].off, rows[x].n = int32(off), int32(n)
+		off += n
+		nx := remap[x]
+		if nx < 0 {
+			for _, e := range inc.topo.Out(x) {
+				if behind, col := row(e.To); remap[e.To] >= 0 {
+					reach.Set(col)
+				} else {
+					reach.UnionWith(behind)
+				}
+			}
+			continue
+		}
+		// Dependency edges survive verbatim and seed covered, the columns nx
+		// reaches without any summary edge. What nx reaches through the
+		// collapsed region, and the summary edges earlier compactions left
+		// at it, are only candidates.
+		covered, cand := reach, graph.Bitset(sc.bits[candAt:candAt+n])
+		cand.Clear()
+		for _, e := range inc.topo.Out(x) {
+			behind, col := row(e.To)
+			switch t := remap[e.To]; {
+			case t < 0:
+				cand.UnionWith(behind)
+			case isEpoch(e):
+				cand.Set(col)
+			default:
+				next.Load(graph.Edge{From: nx, To: t, Kind: e.Kind, Obj: e.Obj})
+				live++
+				if col >= 0 {
+					covered.Set(col)
+				}
+				covered.UnionWith(behind)
+			}
+		}
+		// Descending columns are ascending ids, which are topological: a
+		// candidate can only be implied by a dependency edge or a smaller
+		// candidate, both already in covered when it is reached. What is
+		// emitted is therefore the transitive reduction of the candidates,
+		// and covered ends as their closure.
+		for k := n - 1; k >= 0; k-- {
+			for w := cand[k] &^ covered[k]; w != 0; w = cand[k] &^ covered[k] {
+				col := k<<6 + bits.Len64(w) - 1
+				b := int(cols[col])
+				next.Load(graph.Edge{From: nx, To: remap[b], Kind: graph.AUX, Obj: epochObj})
+				live++
+				sc.heads[remap[b]] = true
+				behind, _ := row(b)
+				covered.Set(col)
+				covered.UnionWith(behind)
+			}
+		}
+		if rows[x].col >= 0 {
+			rows[x].col = int32(len(cols))
+			cols = append(cols, int32(x))
+		}
+	}
+	return live
+}
+
+// sweepSlots is Compact's sweep phase, a second walk over the slot
+// records once the new ids are known. A record stays where it is, so
+// neither the slot table nor latest hears of a survivor: the node ids in
+// it are rewritten, its lists move to next, and only a slot with nothing
+// left — no readable write, no aborted writer worth naming, nobody parked
+// — leaves the table for the free list.
+//
+//mtc:hotpath — per slot and per list cell
+func (inc *Incremental) sweepSlots(next *arenas) {
+	tier, remap := inc.scratch.tier, inc.scratch.remap
+	reIDs := func(ids list) (out list) {
+		for id := range each(&inc.ids, ids) {
+			push(&next.ids, &out, remap[id])
+		}
+		return out
+	}
+	for s := range inc.records.All() {
+		if s.free {
+			continue
+		}
+		s.parked = reIDs(s.parked)
+		if s.live {
+			s.writer, s.readers = int32(remap[s.writer]), reIDs(s.readers)
+			if s.over >= 0 {
+				s.over = int32(remap[s.over])
+			}
+		} else { // the committed write is settled; a later read of it parks
+			s.writer, s.readers, s.over, s.ref, s.dethroned, s.final = -1, list{}, -1, 0, 0, nil
+		}
+		if s.aborted >= 0 {
+			if tier[s.aborted] == tierBase {
+				s.aborted = int32(remap[s.aborted])
+			} else {
+				s.aborted = -1
+			}
+		}
+		if s.writer < 0 && s.aborted < 0 && s.parked.head == 0 {
+			delete(inc.slots, s.key)
+			s.free = true
+			inc.free = append(inc.free, s)
+		}
+	}
 }

@@ -45,12 +45,13 @@ import (
 // keys, and each transaction's record carries the external stream
 // position (the arrival index the caller observes) a verdict reports.
 //
-// The records of both tables, the lists hanging off them, the write sets
-// and the graph's edges live in arenas (see arenas): Add takes what it
-// needs from chunked slabs and a compaction copies the survivors into a
-// second set of them, so the engine allocates per epoch, not per
-// transaction. The arenas have one owner, the Incremental; no driver
-// learns of them.
+// The transaction records, the lists hanging off both tables, the write
+// sets and the graph's edges live in arenas (see arenas): Add takes what
+// it needs from chunked slabs and a compaction copies the survivors into
+// a second set of them, so the engine allocates per epoch, not per
+// transaction. Slot records have a slab of their own and never move: one
+// that dies goes on a free list and is the next one handed out. The
+// arenas have one owner, the Incremental; no driver learns of them.
 type Incremental struct {
 	lvl Level
 	vio *Result
@@ -63,7 +64,12 @@ type Incremental struct {
 	spare  arenas // what the next compaction copies into
 	initID int
 
-	slots map[version]*slot
+	// slots finds a version's record; the records themselves are handed
+	// out by records, recycled through free, and keep their address for as
+	// long as the version is known.
+	slots   map[version]*slot
+	records graph.Slab[slot]
+	free    []*slot
 	// latest is each key's most recent committed write: the value a fresh
 	// read of the key observes, so its slot survives every compaction.
 	latest map[history.Key]*slot
@@ -94,27 +100,33 @@ type version struct {
 }
 
 // slot is everything the checker knows about one version. Transactions
-// are node ids; positions are NumTxns at the time of the event.
+// are node ids — held as int32, because an unbounded stream keeps a slot
+// per version for good — and positions are NumTxns at the time of the
+// event.
 type slot struct {
-	writer  int  // committed writer, -1 while none has arrived
-	aborted int  // an aborted writer, -1 if none
-	parked  list // committed readers waiting for the writer, in arrival order
-	readers list
+	key     version
+	writer  int32 // committed writer, -1 while none has arrived
+	aborted int32 // an aborted writer, -1 if none
 	// over is the RMW overwriter: the reader of this version that also
 	// writes the key, -1 while none has. Unique values leave room for one
 	// only — resolveRead turns a second into the verdict.
-	over int
+	over int32
+	live bool // Compact's scratch: its mark phase found the slot still readable
+	free bool // on the free list
+
+	parked  list // committed readers waiting for the writer, in arrival order
+	readers list
 
 	ref int // position of the last read resolved against the slot, 0 if none
 	// dethroned is the position at which another transaction's write
 	// replaced this one as its key's latest, 0 while none has; Compact
 	// holds it against the session-staleness horizon (see ExpectSession).
 	dethroned int
-
-	// Compact's scratch: its mark phase found the slot still readable, and
-	// its copy is this record of the spare slab.
-	live bool
-	fwd  int32
+	// final is set on an intermediate version — one its writer went on to
+	// overwrite itself — and leads towards the slot of the writer's last
+	// write to the key, whose fate it shares: a read of it is the
+	// IntermediateRead anomaly for exactly as long as that slot is readable.
+	final *slot
 }
 
 // txnState is the per-transaction record.
@@ -188,8 +200,12 @@ func (inc *Incremental) slotOf(k history.Key, v history.Value) *slot {
 	key := version{k, v}
 	s := inc.slots[key]
 	if s == nil {
-		_, s = inc.records.Alloc()
-		*s = slot{writer: -1, aborted: -1, over: -1}
+		if n := len(inc.free); n > 0 {
+			s, inc.free = inc.free[n-1], inc.free[:n-1]
+		} else {
+			_, s = inc.records.Alloc()
+		}
+		*s = slot{key: key, writer: -1, aborted: -1, over: -1}
 		inc.slots[key] = s
 	}
 	return s
@@ -331,7 +347,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	if !t.Committed {
 		for _, op := range t.Ops {
 			if op.Kind == history.OpWrite {
-				inc.slotOf(op.Key, op.Value).aborted = id
+				inc.slotOf(op.Key, op.Value).aborted = int32(id)
 			}
 		}
 		return nil
@@ -363,11 +379,15 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		}
 		s := inc.slotOf(op.Key, op.Value)
 		if s.writer >= 0 {
-			return inc.anomaly(history.DuplicateWrite, s.writer, op)
+			return inc.anomaly(history.DuplicateWrite, int(s.writer), op)
 		}
-		s.writer = id
-		if prev := inc.latest[op.Key]; prev != nil && prev.writer != id {
-			prev.dethroned = inc.n
+		s.writer = int32(id)
+		if prev := inc.latest[op.Key]; prev != nil {
+			if prev.writer != int32(id) {
+				prev.dethroned = inc.n
+			} else {
+				prev.final = s // this transaction overwrites its own write
+			}
 		}
 		inc.latest[op.Key] = s
 		if s.parked.head != 0 {
@@ -450,7 +470,7 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 		}
 		s := inc.slotOf(op.Key, op.Value)
 		switch {
-		case s.writer == id:
+		case int(s.writer) == id:
 			// Own write, already validated by the INT branches.
 		case s.writer >= 0:
 			if vio := inc.resolveRead(id, s, op.Key, op.Value); vio != nil {
@@ -474,8 +494,8 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 //
 //mtc:hotpath — per resolved read
 func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history.Value) *Result {
-	w := s.writer
-	if last, ok := inc.txns[w].writes.get(key); ok && last != val {
+	w, over := int(s.writer), int(s.over)
+	if s.final != nil {
 		return inc.anomaly(history.IntermediateRead, r, history.Op{Key: key, Value: val})
 	}
 	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WR, Obj: string(key)}); vio != nil {
@@ -483,8 +503,8 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 	}
 	s.ref = inc.n // referenced now: survives window-based compaction
 	// As a reader, r anti-depends on the value's overwriter.
-	if s.over >= 0 {
-		if vio := inc.addDepEdge(graph.Edge{From: r, To: s.over, Kind: graph.RW, Obj: string(key)}); vio != nil {
+	if over >= 0 {
+		if vio := inc.addDepEdge(graph.Edge{From: r, To: over, Kind: graph.RW, Obj: string(key)}); vio != nil {
 			return vio
 		}
 	}
@@ -496,8 +516,8 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 	// DIVERGENCE pattern under SI; under SER the edge r -> over above and
 	// the edge over -> r below (over is among the readers) close a cycle,
 	// so s.over is only ever assigned once.
-	if inc.lvl == SI && s.over >= 0 {
-		d := Divergence{Key: key, Writer: w, Reader1: s.over, Reader2: r}
+	if inc.lvl == SI && over >= 0 {
+		d := Divergence{Key: key, Writer: w, Reader1: over, Reader2: r}
 		return inc.fail(Result{Level: inc.lvl, Divergence: &d})
 	}
 	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WW, Obj: string(key)}); vio != nil {
@@ -511,7 +531,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 			return vio
 		}
 	}
-	s.over = r
+	s.over = int32(r)
 	return nil
 }
 

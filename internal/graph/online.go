@@ -24,8 +24,8 @@ import (
 // A node holds only the head and tail of its two lists, so inserting an
 // edge is one store into the arena and two link writes — no per-node
 // slice ever grows — and both lists iterate in insertion order. Chunks
-// never move and are never copied; Reload refills the same chunks, so a
-// graph that is reloaded at a steady size stops allocating.
+// never move and are never copied; Reload and Load refill the same
+// chunks, so a graph that is reloaded at a steady size stops allocating.
 //
 // Online is the substrate of core.Incremental; it is not safe for
 // concurrent use.
@@ -58,14 +58,10 @@ type adjacency struct{ outHead, outTail, inHead, inTail int32 }
 // NewOnline returns an empty online ordering with no nodes.
 func NewOnline() *Online { return &Online{} }
 
-// Reload replaces the graph by nodes 0..n-1 holding edges, under the
-// identity order, reusing the memory the graph already owns. Every edge
-// must have From < To: under the identity order that is the whole proof
-// of acyclicity, which AddEdge would otherwise establish one edge at a
-// time, and an edge that breaks it panics. The adjacency lists keep the
-// order of edges, exactly as if each had been added to n fresh nodes in
-// turn.
-func (t *Online) Reload(n int, edges []Edge) {
+// Reload replaces the graph by nodes 0..n-1 and no edges, under the
+// identity order, reusing the memory the graph already owns. Load then
+// refills it one edge at a time.
+func (t *Online) Reload(n int) {
 	t.ord = slices.Grow(t.ord[:0], n)[:n]
 	for v := range t.ord {
 		t.ord[v] = v
@@ -77,12 +73,20 @@ func (t *Online) Reload(n int, edges []Edge) {
 	t.stamp = 0
 	t.parent = slices.Grow(t.parent[:0], n)[:n]
 	t.arcs.Reset()
-	for _, e := range edges {
-		if e.From < 0 || e.From >= e.To || e.To >= n {
-			panic(fmt.Sprintf("graph: Reload: edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
-		}
-		t.push(e)
+}
+
+// Load adds e to a graph still under the identity order of its Reload,
+// where e must have From < To: that is the whole proof of acyclicity,
+// which AddEdge would otherwise establish with a search, and an edge that
+// breaks it panics. The adjacency lists keep the order of the calls,
+// exactly as if each edge had been added to fresh nodes in turn.
+//
+//mtc:hotpath — per edge a compaction keeps
+func (t *Online) Load(e Edge) {
+	if e.From < 0 || e.From >= e.To || e.To >= len(t.ord) {
+		panic(fmt.Sprintf("graph: Load: edge %d -> %d does not ascend within %d nodes", e.From, e.To, len(t.ord))) //mtc:alloc-ok the panic of a broken invariant
 	}
+	t.push(e)
 }
 
 // Len returns the number of nodes.

@@ -214,7 +214,7 @@ func driveOnline(tb testing.TB, data []byte) (steps, reorders int, closed bool) 
 				u := int(data[pc+3]) % (n - 1)
 				edges = append(edges, Edge{From: u, To: u + 1 + int(data[pc+4])%(n-1-u), Kind: EdgeKind(data[pc+4] % 6), Obj: "load"})
 			}
-			got.Reload(n, edges)
+			load(got, n, edges)
 			want, last = newRefOnlineOrdered(n, edges), Edge{}
 			steps++
 			sameAsRef(tb, got, want, fmt.Sprintf("step %d Reload(%d, %d edges)", steps, n, len(edges)))

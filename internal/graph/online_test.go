@@ -17,14 +17,22 @@ func ascendingDAG(rng *rand.Rand, n, m int) []Edge {
 	return edges
 }
 
-// reloaded returns a fresh graph loaded in one step.
+// load refills o with n nodes and edges, the way core.Compact does.
+func load(o *Online, n int, edges []Edge) {
+	o.Reload(n)
+	for _, e := range edges {
+		o.Load(e)
+	}
+}
+
+// reloaded returns a fresh graph loaded that way.
 func reloaded(n int, edges []Edge) *Online {
 	o := NewOnline()
-	o.Reload(n, edges)
+	load(o, n, edges)
 	return o
 }
 
-// edgeByEdge builds what Reload(n, edges) promises, the slow way.
+// edgeByEdge builds what Reload(n) and a Load per edge promise, the slow way.
 func edgeByEdge(t *testing.T, n int, edges []Edge) *Online {
 	t.Helper()
 	o := NewOnline()
@@ -106,7 +114,7 @@ func TestReloadKeepsListsApart(t *testing.T) {
 		a, b = b, a
 		retired := listsOf(b)
 		edges := ascendingDAG(rng, n, 40+20*epoch)
-		a.Reload(n, edges)
+		load(a, n, edges)
 		ref := edgeByEdge(t, n, edges)
 		for i := 0; i < 3*n; i++ {
 			u := rng.Intn(n - 1)

@@ -1,5 +1,7 @@
 package graph
 
+import "iter"
+
 // Slab chunks double from slabChunkMin records to 1<<slabChunkShift, so
 // a structure over a handful of transactions costs a few kilobytes (the
 // sharded runner holds one per component) and a long stream one
@@ -58,6 +60,20 @@ func (s *Slab[T]) Alloc() (int32, *T) {
 func (s *Slab[T]) At(id int32) *T {
 	id--
 	return &s.chunks[id>>slabChunkShift][id&(1<<slabChunkShift-1)]
+}
+
+// All iterates the records handed out since the last Reset, in the order
+// Alloc handed them out: one sequential walk over the chunks.
+func (s *Slab[T]) All() iter.Seq[*T] {
+	return func(yield func(*T) bool) {
+		for _, c := range s.chunks[:s.used] {
+			for i := range c {
+				if !yield(&c[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Cut returns n consecutive records with no spare capacity, for the
