@@ -163,8 +163,8 @@ func TestCommittedBaselineNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Benches) != 20 || len(base.Ratios) != 6 {
-		t.Errorf("baseline has %d rows and %d ratios, want 20 and 6", len(base.Benches), len(base.Ratios))
+	if len(base.Benches) != 21 || len(base.Ratios) != 7 {
+		t.Errorf("baseline has %d rows and %d ratios, want 21 and 7", len(base.Benches), len(base.Ratios))
 	}
 	files, err := filepath.Glob("../../*bench_test.go")
 	if err != nil || len(files) == 0 {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"mtc/internal/core"
+	"mtc/internal/corpus"
 	"mtc/internal/graph"
 	"mtc/internal/history"
 	"mtc/internal/kv"
@@ -97,7 +98,7 @@ func TestDifferentialCodecs(t *testing.T) {
 		}
 	}
 
-	histories := differentialCorpus(t, corpusShape{seeds: 10, sessions: 4, objects: 4, tenants: true, bugs: 1}, check)
+	histories := corpus.Differential(corpus.Shape{Seeds: 10, Sessions: 4, Objects: 4, Tenants: true, Bugs: 1}, check)
 	if histories == 0 {
 		t.Fatal("no histories generated")
 	}

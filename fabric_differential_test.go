@@ -18,6 +18,7 @@ import (
 	"mtc/internal/api"
 	"mtc/internal/checker"
 	"mtc/internal/core"
+	"mtc/internal/corpus"
 	"mtc/internal/fabric"
 
 	hist "mtc/internal/history"
@@ -133,7 +134,7 @@ func TestDifferentialFabricVsSharded(t *testing.T) {
 		c.Register(api.WorkerHello{Name: "w3"}),
 	}
 	jobs := 0
-	histories := differentialCorpus(t, corpusShape{seeds: 12, sessions: 4, objects: 3, tenants: true, bugs: 2},
+	histories := corpus.Differential(corpus.Shape{Seeds: 12, Sessions: 4, Objects: 3, Tenants: true, Bugs: 2},
 		func(h *hist.History, tag string) {
 			for _, e := range fabricEngines {
 				jobs++

@@ -105,7 +105,34 @@ func BenchmarkIncrementalSI10k(b *testing.B) {
 // and the CI bench gate holds it there (see bench/baseline.json).
 func BenchmarkIndexedDeps10k(b *testing.B) {
 	setupBig(b)
-	ix := history.NewIndex(bigHist)
+	benchIndexedDeps(b, bigHist)
+}
+
+var (
+	wideOnce sync.Once
+	wideHist *history.History // setupBig's generator over 4000 keys: a 20x wider init transaction
+)
+
+// BenchmarkIndexedDeps10kWide is BenchmarkIndexedDeps10k over 4000 keys
+// instead of 200. Every key's initial value is the init transaction's, so
+// its WR segment holds thousands of readers and its WW segment one
+// overwriter per key; a pass C that compared the two segments pair by
+// pair cost 3.7x the narrow history here. CI holds the ratio of the two
+// (bench/baseline.json).
+func BenchmarkIndexedDeps10kWide(b *testing.B) {
+	wideOnce.Do(func() {
+		s := kv.NewStore(kv.ModeSerializable)
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 10, Txns: 1200, Objects: 4000,
+			Dist: workload.Zipfian, Seed: 5, ReadOnlyFrac: 0.2,
+		})
+		wideHist = runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
+	})
+	benchIndexedDeps(b, wideHist)
+}
+
+func benchIndexedDeps(b *testing.B, h *history.History) {
+	ix := history.NewIndex(h)
 	edges := 0
 	b.ReportAllocs()
 	b.ResetTimer()

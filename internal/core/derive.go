@@ -12,11 +12,12 @@ import (
 // edge, and returns the DIVERGENCE witnesses found while inferring WW
 // edges. It is the columnar core of BuildDependency: instead of per-txn
 // map probes it merge-joins each transaction's sorted read and write
-// key columns and resolves writers with binary searches over the
-// index's postings, so the hot loop performs no per-transaction
+// key columns and takes each read's writer from the index's
+// resolved-reads column, so the hot loop performs no per-transaction
 // allocation (a handful of flat scratch arenas are allocated once per
-// call). Edge emission order — and therefore every downstream cycle
-// search — is identical to the map-based builder: transactions
+// call) and the whole derivation is O(reads + edges), however wide the
+// init transaction. Edge emission order — and therefore every downstream
+// cycle search — is identical to the map-based builder: transactions
 // ascending, keys in lexicographic order within each, WR before WW,
 // then the RW loop grouped by writer; a graph built from the emitted
 // edges matches the one BuildDependency constructs (internal/levels
@@ -31,16 +32,15 @@ func DeriveDepsCtx(ctx context.Context, ix *history.Index, emit func(graph.Edge)
 	return rr.emitDeps(ctx, emit)
 }
 
-// resolvedReads is pass A of the derivation: every read's writer and
-// RMW status, and the WR/WW out-degree prefix sums per writer. readW and
-// isRMW align with the index's read column (transactions are iterated in
-// order, so positions are contiguous); wrCnt/wwCnt hold counts at [w+1]
+// resolvedReads is pass A of the derivation: every read's RMW status and
+// the WR/WW out-degree prefix sums per writer. isRMW aligns with the
+// index's read column (transactions are iterated in order, so positions
+// are contiguous); wrCnt/wwCnt hold counts at [w+1]
 // for emitDeps' in-place prefix-sum-then-fill trick. The totals are
 // known here, before any edge exists, which is what lets
 // BuildDependencyCtx size the graph's edge arena once.
 type resolvedReads struct {
 	ix           *history.Index
-	readW        []int32
 	isRMW        []bool
 	wrCnt, wwCnt []int32
 }
@@ -53,9 +53,7 @@ func (rr resolvedReads) numWR() int { return int(rr.wrCnt[len(rr.wrCnt)-1]) }
 //mtc:hotpath — the first of the three merge-join passes the allocs/op benchmark gate measures
 func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error) {
 	n := ix.NumTxns()
-	nr := ix.NumReads()
-	readW := make([]int32, nr)
-	isRMW := make([]bool, nr)
+	isRMW := make([]bool, ix.NumReads())
 	wrCnt := make([]int32, n+1)
 	wwCnt := make([]int32, n+1)
 	pos := 0
@@ -65,19 +63,17 @@ func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error)
 				return resolvedReads{}, cerr
 			}
 		}
-		rk, rv := ix.Reads(s)
+		rk, rw := ix.ReadKeys(s), ix.ReadWriters(s)
 		wk, _ := ix.Writes(s)
 		j := 0
 		for i, k := range rk {
 			for j < len(wk) && wk[j] < k {
 				j++
 			}
-			w := ix.Writer(k, rv[i])
-			if w < 0 || w == s {
-				readW[pos+i] = -1 // pre-check reports these; stay robust here
-				continue
+			w := rw[i]
+			if w < 0 || int(w) == s {
+				continue // pre-check reports these; stay robust here
 			}
-			readW[pos+i] = int32(w)
 			wrCnt[w+1]++
 			if j < len(wk) && wk[j] == k {
 				isRMW[pos+i] = true
@@ -90,7 +86,7 @@ func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error)
 		wrCnt[w+1] += wrCnt[w]
 		wwCnt[w+1] += wwCnt[w]
 	}
-	return resolvedReads{ix: ix, readW: readW, isRMW: isRMW, wrCnt: wrCnt, wwCnt: wwCnt}, nil
+	return resolvedReads{ix: ix, isRMW: isRMW, wrCnt: wrCnt, wwCnt: wwCnt}, nil
 }
 
 // emitDeps runs passes B and C over the resolved reads. It consumes the
@@ -98,7 +94,7 @@ func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error)
 //
 //mtc:hotpath — the emitting two of the three merge-join passes the allocs/op benchmark gate measures
 func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]Divergence, error) {
-	ix, readW, isRMW, wrCnt, wwCnt := rr.ix, rr.readW, rr.isRMW, rr.wrCnt, rr.wwCnt
+	ix, isRMW, wrCnt, wwCnt := rr.ix, rr.isRMW, rr.wrCnt, rr.wwCnt
 	n := ix.NumTxns()
 	totalWR, totalWW := wrCnt[n], wwCnt[n]
 
@@ -125,10 +121,10 @@ func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]
 				return nil, cerr
 			}
 		}
-		rk := ix.ReadKeys(s)
+		rk, rw := ix.ReadKeys(s), ix.ReadWriters(s)
 		for i, k := range rk {
-			w := readW[pos+i]
-			if w < 0 {
+			w := rw[i]
+			if w < 0 || int(w) == s {
 				continue
 			}
 			emit(graph.Edge{From: int(w), To: s, Kind: graph.WR, Obj: string(ix.KeyName(k))})
@@ -156,7 +152,17 @@ func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]
 	// Pass C: RW edges. T' -WR(x)-> T and T' -WW(x)-> S with T != S
 	// gives T -RW(x)-> S (lines 14-15 of BuildDependency). After the
 	// fill, wrCnt[w] is the END of w's segment, so w's segment starts at
-	// wrCnt[w-1] (the previous writer's end).
+	// wrCnt[w-1] (the previous writer's end). The WW segment is threaded
+	// into one chain per (writer, key) — head[k], then next[j] — built
+	// from the segment's tail down so it runs in segment order; a reader
+	// walks its key's chain, which yields the pairs of a readers ×
+	// overwriters double loop in the same order, in O(WR + WW + RW).
+	nk := ix.NumKeys()
+	chains := make([]int32, nk+int(totalWW)) // one arena: head, then next
+	head, next := chains[:nk], chains[nk:]
+	for i := range head {
+		head[i] = -1
+	}
 	for w := 0; w < n; w++ {
 		if w&1023 == 0 {
 			if cerr := ctx.Err(); cerr != nil {
@@ -171,13 +177,18 @@ func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]
 		if rLo == rHi || oLo == oHi {
 			continue
 		}
+		for j := oHi - 1; j >= oLo; j-- {
+			next[j], head[wwKey[j]] = head[wwKey[j]], j
+		}
 		for i := rLo; i < rHi; i++ {
-			for j := oLo; j < oHi; j++ {
-				if wwKey[j] != wrKey[i] || wwTo[j] == wrTo[i] {
-					continue
+			for j := head[wrKey[i]]; j >= 0; j = next[j] {
+				if wwTo[j] != wrTo[i] {
+					emit(graph.Edge{From: int(wrTo[i]), To: int(wwTo[j]), Kind: graph.RW, Obj: string(ix.KeyName(wrKey[i]))})
 				}
-				emit(graph.Edge{From: int(wrTo[i]), To: int(wwTo[j]), Kind: graph.RW, Obj: string(ix.KeyName(wrKey[i]))})
 			}
+		}
+		for j := oLo; j < oHi; j++ {
+			head[wwKey[j]] = -1
 		}
 	}
 	return divs, nil

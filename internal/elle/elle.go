@@ -313,9 +313,9 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 				return Report{}, err
 			}
 		}
-		rk, rv := ix.Reads(s) // empty for aborted transactions
+		rk, rw := ix.ReadKeys(s), ix.ReadWriters(s) // empty for aborted transactions
 		for i, x := range rk {
-			w := ix.Writer(x, rv[i])
+			w := int(rw[i])
 			if w < 0 || w == s {
 				continue
 			}

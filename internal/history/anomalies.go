@@ -112,47 +112,52 @@ func CheckInternal(h *History) []Anomaly {
 // CheckInternalIndexed is CheckInternal over a prebuilt columnar index,
 // so one index build serves both the pre-check and graph construction.
 // The per-transaction walk classifies each read by scanning the
-// transaction's own operation list (mini-transactions hold at most four
-// operations, and the wide init transaction is write-only, so the scans
-// never degenerate) and answers every external question — writer,
-// writer's final value, aborted writers — from the index's postings, so
-// the pass performs no per-transaction allocation.
+// transaction's own operations through the index's per-op KeyID column
+// (mini-transactions hold at most four operations, and the wide init
+// transaction is write-only, so the scans never degenerate) and answers
+// every external question — writer, writer's final value, aborted
+// writers — from the index: the writer is the resolved-reads column, so
+// the pass hashes no key and performs no per-transaction allocation.
 func CheckInternalIndexed(ix *Index) []Anomaly {
 	h := ix.History()
 	var out []Anomaly
 	for _, op := range ix.Dups() {
 		out = append(out, Anomaly{Kind: DuplicateWrite, Key: op.Key, Value: op.Value, Txn: ix.WriterByName(op.Key, op.Value)})
 	}
+	pos := 0 // opKey cursor
 	for i := range h.Txns {
-		t := &h.Txns[i]
-		if !t.Committed {
-			continue
+		ids := ix.opKey[pos : pos+len(h.Txns[i].Ops)]
+		pos += len(ids)
+		if h.Txns[i].Committed {
+			out = checkTxnInternal(ix, i, ids, out)
 		}
-		out = checkTxnInternal(ix, t, out)
 	}
 	return out
 }
 
-// writesBefore reports whether ops[:end] writes (key, val), and
-// separately the last value any of them wrote to key.
-func writesBefore(ops []Op, end int, key Key) (last Value, wrote bool) {
+// writesBefore reports whether ops[:end] writes key k, and the last
+// value they wrote to it; ids is the ops' KeyID column.
+func writesBefore(ops []Op, ids []KeyID, end int, k KeyID) (last Value, wrote bool) {
 	for i := end - 1; i >= 0; i-- {
-		if ops[i].Kind == OpWrite && ops[i].Key == key {
+		if ops[i].Kind == OpWrite && ids[i] == k {
 			return ops[i].Value, true
 		}
 	}
 	return 0, false
 }
 
-// checkTxnInternal walks one transaction's operations in program order,
-// classifying each read, and appends the anomalies found to out.
-func checkTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
-	ops := t.Ops
+// checkTxnInternal walks transaction t's operations in program order,
+// classifying each read, and appends the anomalies found to out. ids is
+// the operations' KeyID column.
+func checkTxnInternal(ix *Index, t int, ids []KeyID, out []Anomaly) []Anomaly {
+	txn := &ix.h.Txns[t]
+	ops := txn.Ops
 	for i, op := range ops {
 		if op.Kind != OpRead {
 			continue
 		}
-		if v, wrote := writesBefore(ops, i, op.Key); wrote {
+		k := ids[i]
+		if v, wrote := writesBefore(ops, ids, i, k); wrote {
 			// The transaction has already written the object: INT
 			// requires the read to return the last such write.
 			if op.Value == v {
@@ -160,15 +165,15 @@ func checkTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 			}
 			mine := false
 			for j := 0; j < i; j++ {
-				if ops[j].Kind == OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
+				if ops[j].Kind == OpWrite && ids[j] == k && ops[j].Value == op.Value {
 					mine = true
 					break
 				}
 			}
 			if mine {
-				out = append(out, Anomaly{Kind: NotMyLastWrite, Txn: t.ID, Key: op.Key, Value: op.Value})
+				out = append(out, Anomaly{Kind: NotMyLastWrite, Txn: txn.ID, Key: op.Key, Value: op.Value})
 			} else {
-				out = append(out, Anomaly{Kind: NotMyOwnWrite, Txn: t.ID, Key: op.Key, Value: op.Value})
+				out = append(out, Anomaly{Kind: NotMyOwnWrite, Txn: txn.ID, Key: op.Key, Value: op.Value})
 			}
 			continue
 		}
@@ -178,9 +183,9 @@ func checkTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 		// to the key precedes this one, hence none precedes it).
 		repeated := false
 		for j := 0; j < i; j++ {
-			if ops[j].Kind == OpRead && ops[j].Key == op.Key {
+			if ops[j].Kind == OpRead && ids[j] == k {
 				if ops[j].Value != op.Value {
-					out = append(out, Anomaly{Kind: NonRepeatableReads, Txn: t.ID, Key: op.Key, Value: op.Value})
+					out = append(out, Anomaly{Kind: NonRepeatableReads, Txn: txn.ID, Key: op.Key, Value: op.Value})
 				}
 				repeated = true
 				break
@@ -194,21 +199,20 @@ func checkTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 		// single-transaction histories classify correctly.
 		future := false
 		for j := i + 1; j < len(ops); j++ {
-			if ops[j].Kind == OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
+			if ops[j].Kind == OpWrite && ids[j] == k && ops[j].Value == op.Value {
 				future = true
 				break
 			}
 		}
 		if future {
-			out = append(out, Anomaly{Kind: FutureRead, Txn: t.ID, Key: op.Key, Value: op.Value})
+			out = append(out, Anomaly{Kind: FutureRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
 			continue
 		}
-		kid, known := ix.KeyIDOf(op.Key)
-		writer := -1
-		if known {
-			writer = ix.Writer(kid, op.Value)
-		}
-		if writer == t.ID {
+		// This is the first external read of k, so it is k's entry in
+		// the read footprint, and its writer is resolved already.
+		rk := ix.ReadKeys(t)
+		writer := int(ix.ReadWriters(t)[searchKey(rk, k)])
+		if writer == txn.ID {
 			// Reading an own write that already happened is handled by
 			// the lastWrite branch; reaching here means the writer
 			// index matched this transaction but program order did
@@ -217,16 +221,16 @@ func checkTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 		}
 		if writer >= 0 {
 			// Reads of a non-final value of the writer are G1b.
-			if last, ok := ix.WriteVal(writer, kid); ok && last != op.Value {
-				out = append(out, Anomaly{Kind: IntermediateRead, Txn: t.ID, Key: op.Key, Value: op.Value})
+			if last, ok := ix.WriteVal(writer, k); ok && last != op.Value {
+				out = append(out, Anomaly{Kind: IntermediateRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
 			}
 			continue
 		}
-		if known && ix.AbortedWriter(kid, op.Value) {
-			out = append(out, Anomaly{Kind: AbortedRead, Txn: t.ID, Key: op.Key, Value: op.Value})
+		if ix.AbortedWriter(k, op.Value) {
+			out = append(out, Anomaly{Kind: AbortedRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
 			continue
 		}
-		out = append(out, Anomaly{Kind: ThinAirRead, Txn: t.ID, Key: op.Key, Value: op.Value})
+		out = append(out, Anomaly{Kind: ThinAirRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
 	}
 	return out
 }

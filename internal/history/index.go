@@ -3,6 +3,7 @@ package history
 import (
 	"cmp"
 	"slices"
+	"sort"
 )
 
 // KeyID is a dense interned key identifier. The Index assigns ids in
@@ -98,10 +99,20 @@ type Index struct {
 	writersOff []int32
 
 	dups []Op
+
+	// opKey is the per-op KeyID column the index was built from: one id
+	// per op of h, in transaction-then-program order. The pre-check
+	// compares these instead of key strings.
+	opKey []KeyID
+	// readTxn[i] is the committed writer of read-footprint entry i —
+	// Writer(readKey[i], readVal[i]) — resolved once at build time.
+	readTxn []int32
 }
 
-// NewIndex builds the columnar index of h. Cost is O(ops log ops) for
-// the postings sort; everything downstream of it is allocation-free
+// NewIndex builds the columnar index of h. Cost is O(ops + keys), plus
+// the lexicographic sort of the distinct keys and of any wide footprint,
+// when each key's values ascend in op order (a key whose values do not
+// is value-sorted); everything downstream of it is allocation-free
 // column iteration.
 func NewIndex(h *History) *Index {
 	// Intern in first-seen order, recording each op's id into a flat
@@ -142,9 +153,10 @@ func NewIndex(h *History) *Index {
 // program order). NewIndex derives the column by interning; the MTCB
 // indexed decoder hands over the remapped wire ids directly.
 func newIndexColumns(h *History, it *Interner, opIDs []KeyID) *Index {
-	ix := &Index{h: h, it: it}
+	ix := &Index{h: h, it: it, opKey: opIDs}
 	ix.buildFootprints(h, opIDs)
 	ix.buildPostings(h, opIDs)
+	ix.resolveReads()
 	return ix
 }
 
@@ -210,9 +222,14 @@ func (ix *Index) buildFootprints(h *History, opIDs []KeyID) {
 }
 
 // sortColumn sorts a (key, value) column tail by KeyID. Footprints are
-// tiny (mini-transactions touch at most two keys; only ⊥T is wide), so
-// insertion sort beats sort.Sort without allocating a closure pair.
+// tiny (mini-transactions touch at most two keys), so insertion sort
+// beats sort.Sort without allocating; a wide one — ⊥T writes every key —
+// takes sort.Sort, where insertion sort is quadratic in its width.
 func sortColumn(keys []KeyID, vals []Value) {
+	if len(keys) > 16 {
+		sort.Sort(keyValColumn{keys, vals})
+		return
+	}
 	for i := 1; i < len(keys); i++ {
 		k, v := keys[i], vals[i]
 		j := i - 1
@@ -224,7 +241,20 @@ func sortColumn(keys []KeyID, vals []Value) {
 	}
 }
 
-// kvt is a scratch triple for postings construction.
+// keyValColumn sorts a footprint's parallel key and value columns by key.
+type keyValColumn struct {
+	k []KeyID
+	v []Value
+}
+
+func (c keyValColumn) Len() int           { return len(c.k) }
+func (c keyValColumn) Less(i, j int) bool { return c.k[i] < c.k[j] }
+func (c keyValColumn) Swap(i, j int) {
+	c.k[i], c.k[j] = c.k[j], c.k[i]
+	c.v[i], c.v[j] = c.v[j], c.v[i]
+}
+
+// kvt is a scratch triple for the aborted postings.
 type kvt struct {
 	k KeyID
 	v Value
@@ -240,13 +270,27 @@ func (a kvt) compare(b kvt) int {
 	return cmp.Compare(a.v, b.v)
 }
 
+// vt is one committed write in a key's run of the postings scratch.
+type vt struct {
+	v Value
+	t int32
+}
+
+// compare orders a key's run by value; the transaction is not part of
+// the order.
+func (a vt) compare(b vt) int { return cmp.Compare(a.v, b.v) }
+
 // buildPostings fills the committed and aborted write-op postings, the
 // duplicate-write list, and the per-key writer lists.
 //
-//mtc:hotpath — postings merge-join feeding every Writer/WritersOf lookup
+//mtc:hotpath — counting-sorted postings feeding every Writer/WritersOf lookup
 func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
-	nOps := len(opIDs)
-	committed := make([]kvt, 0, nOps/2)
+	nk := ix.it.Len()
+
+	// Committed writes grouped by key, in op order within a key: a stable
+	// counting sort over the dense KeyIDs. After the scatter end[k] is the
+	// end of key k's run, which starts at end[k-1].
+	end := make([]int32, nk+1)
 	var aborted []kvt
 	pos := 0 // opIDs cursor, aligned with the nested op iteration
 	for t := range h.Txns {
@@ -255,46 +299,74 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 			if op.Kind != OpWrite {
 				continue
 			}
-			e := kvt{k: opIDs[pos+j], v: op.Value, t: int32(t)}
-			if txn.Committed {
-				committed = append(committed, e)
+			if k := opIDs[pos+j]; txn.Committed {
+				end[k+1]++
 			} else {
-				aborted = append(aborted, e) //mtc:alloc-ok aborted writes are rare; growth here is off the common path
+				aborted = append(aborted, kvt{k: k, v: op.Value, t: int32(t)}) //mtc:alloc-ok aborted writes are rare; growth here is off the common path
 			}
 		}
 		pos += len(txn.Ops)
 	}
-	nk := ix.it.Len()
-
-	// Committed postings: sort by (key, value), collapse to unique
-	// slots, then claim winners in op order so dups match
-	// BuildWriterIndex exactly (first op occurrence wins; a repeated
-	// write of the same pair inside one transaction is a dup too).
-	sorted := make([]kvt, len(committed))
-	copy(sorted, committed)
-	slices.SortFunc(sorted, kvt.compare)
-	ix.slotOff = make([]int32, nk+1)
-	prevK, prevV := KeyID(-1), Value(0)
-	for _, e := range sorted {
-		if e.k == prevK && e.v == prevV {
-			continue // duplicate pair; winner decided below
-		}
-		prevK, prevV = e.k, e.v
-		ix.slotVal = append(ix.slotVal, e.v)
-		ix.slotTxn = append(ix.slotTxn, -1)
-		ix.slotOff[e.k+1]++
-	}
 	for k := 0; k < nk; k++ {
-		ix.slotOff[k+1] += ix.slotOff[k]
+		end[k+1] += end[k]
 	}
-	claimed := make([]bool, len(ix.slotVal))
-	for _, e := range committed {
-		s := ix.slot(e.k, e.v)
-		if !claimed[s] {
-			claimed[s] = true
-			ix.slotTxn[s] = e.t
-		} else {
-			ix.dups = append(ix.dups, Op{Kind: OpWrite, Key: ix.it.Name(e.k), Value: e.v})
+	byKey := make([]vt, end[nk])
+	pos = 0
+	for t := range h.Txns {
+		txn := &h.Txns[t]
+		for j, op := range txn.Ops {
+			if op.Kind == OpWrite && txn.Committed {
+				k := opIDs[pos+j]
+				byKey[end[k]] = vt{v: op.Value, t: int32(t)}
+				end[k]++
+			}
+		}
+		pos += len(txn.Ops)
+	}
+
+	// One slot per distinct (key, value), after a stable value sort of
+	// each run that does not already ascend. Op order survives both sorts,
+	// so a run's first entry is the pair's first writer: the
+	// BuildWriterIndex winner, without a claim pass.
+	ix.slotOff = make([]int32, nk+1)
+	ix.slotVal = make([]Value, 0, len(byKey))
+	ix.slotTxn = make([]int32, 0, len(byKey))
+	dup := false
+	lo := int32(0)
+	for k := 0; k < nk; k++ {
+		run := byKey[lo:end[k]]
+		lo = end[k]
+		if !slices.IsSortedFunc(run, vt.compare) {
+			slices.SortStableFunc(run, vt.compare)
+		}
+		for i, e := range run {
+			if i > 0 && e.v == run[i-1].v {
+				dup = true
+				continue
+			}
+			ix.slotVal = append(ix.slotVal, e.v)
+			ix.slotTxn = append(ix.slotTxn, e.t)
+		}
+		ix.slotOff[k+1] = int32(len(ix.slotVal))
+	}
+	if dup {
+		// Claim slots in op order so dups lists the losing writes in op
+		// order, as BuildWriterIndex does.
+		claimed := make([]bool, len(ix.slotVal))
+		pos = 0
+		for t := range h.Txns {
+			txn := &h.Txns[t]
+			for j, op := range txn.Ops {
+				if op.Kind != OpWrite || !txn.Committed {
+					continue
+				}
+				if s := ix.slot(opIDs[pos+j], op.Value); !claimed[s] {
+					claimed[s] = true
+				} else {
+					ix.dups = append(ix.dups, Op{Kind: OpWrite, Key: op.Key, Value: op.Value})
+				}
+			}
+			pos += len(txn.Ops)
 		}
 	}
 
@@ -302,7 +374,7 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 	// mirror CheckInternal's aborted map.
 	slices.SortStableFunc(aborted, kvt.compare)
 	ix.abOff = make([]int32, nk+1)
-	prevK, prevV = KeyID(-1), Value(0)
+	prevK, prevV := KeyID(-1), Value(0)
 	for _, e := range aborted {
 		if e.k == prevK && e.v == prevV {
 			ix.abTxn[len(ix.abTxn)-1] = e.t // stable sort: last duplicate is the latest txn
@@ -319,15 +391,12 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 
 	// Distinct committed writers per key, ascending.
 	ix.writersOff = make([]int32, nk+1)
+	ix.writersTxn = make([]int32, 0, len(ix.slotTxn))
 	scratch := make([]int32, 0, 8)
 	for k := 0; k < nk; k++ {
 		ix.writersOff[k] = int32(len(ix.writersTxn))
-		scratch = scratch[:0]
-		for s := ix.slotOff[k]; s < ix.slotOff[k+1]; s++ {
-			scratch = append(scratch, ix.slotTxn[s])
-		}
+		scratch = append(scratch[:0], ix.slotTxn[ix.slotOff[k]:ix.slotOff[k+1]]...)
 		slices.Sort(scratch) // generic sort: no per-key interface boxing
-
 		for i, w := range scratch {
 			if i == 0 || scratch[i-1] != w {
 				ix.writersTxn = append(ix.writersTxn, w)
@@ -335,6 +404,17 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 		}
 	}
 	ix.writersOff[nk] = int32(len(ix.writersTxn))
+}
+
+// resolveReads resolves every read-footprint entry to its committed
+// writer once, for ReadWriters.
+//
+//mtc:hotpath — one postings search per footprint read, shared by every consumer
+func (ix *Index) resolveReads() {
+	ix.readTxn = make([]int32, len(ix.readKey))
+	for i, k := range ix.readKey {
+		ix.readTxn[i] = int32(ix.Writer(k, ix.readVal[i]))
+	}
 }
 
 // slot returns the postings slot of (k, v), or -1 when no committed
@@ -381,6 +461,15 @@ func (ix *Index) Reads(t int) ([]KeyID, []Value) {
 // slices sorted by KeyID: the columnar form of Txn.Writes().
 func (ix *Index) Writes(t int) ([]KeyID, []Value) {
 	return ix.writeKey[ix.writeOff[t]:ix.writeOff[t+1]], ix.writeVal[ix.writeOff[t]:ix.writeOff[t+1]]
+}
+
+// ReadWriters returns the committed writer of each entry of Reads(t),
+// aligned with it: Writer(k, v) of the read, so -1 when no committed
+// transaction wrote the value and t itself for a read of its own later
+// write. The index resolves every read once when it is built; the slice
+// aliases the shared arena and must not be mutated.
+func (ix *Index) ReadWriters(t int) []int32 {
+	return ix.readTxn[ix.readOff[t]:ix.readOff[t+1]]
 }
 
 // ReadKeys returns just the key column of transaction t's read

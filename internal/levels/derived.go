@@ -111,8 +111,9 @@ func (d *derived) fracturedReads() []history.Anomaly {
 		if len(rk) < 2 {
 			continue
 		}
+		rw := ix.ReadWriters(t)
 		for j, y := range rk {
-			v := ix.Writer(y, rv[j])
+			v := int(rw[j])
 			if v < 0 || v == t {
 				continue
 			}
@@ -120,7 +121,7 @@ func (d *derived) fracturedReads() []history.Anomaly {
 				if i == j || rk[i] == y {
 					continue
 				}
-				w := ix.Writer(rk[i], rv[i])
+				w := int(rw[i])
 				if w < 0 || w == t || w == v {
 					continue
 				}

@@ -65,8 +65,9 @@ func (d *derived) sessionGuarantees() []GuaranteeVerdict {
 				continue
 			}
 			rk, rv := ix.Reads(t)
+			ws := ix.ReadWriters(t)
 			for i, k := range rk {
-				w := ix.Writer(k, rv[i])
+				w := int(ws[i])
 				if w < 0 || w == t {
 					continue // own or pre-check-anomalous read
 				}

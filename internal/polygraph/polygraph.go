@@ -69,9 +69,9 @@ func Build(ix *history.Index) *Polygraph {
 	})
 
 	for s := range h.Txns {
-		rk, rv := ix.Reads(s) // empty for aborted transactions
+		rk, rw := ix.ReadKeys(s), ix.ReadWriters(s) // empty for aborted transactions
 		for i, x := range rk {
-			u := ix.Writer(x, rv[i])
+			u := int(rw[i])
 			if u < 0 || u == s {
 				continue
 			}

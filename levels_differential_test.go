@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"mtc/internal/core"
+	"mtc/internal/corpus"
 	"mtc/internal/elle"
 	"mtc/internal/faults"
 	"mtc/internal/history"
@@ -113,7 +114,7 @@ func TestDifferentialProfileVsEngines(t *testing.T) {
 		return profileCheck(t, h, tag)
 	}
 	const seeds = 80
-	histories := differentialCorpus(t, corpusShape{seeds: seeds, sessions: 3, objects: 4, bugs: 5},
+	histories := corpus.Differential(corpus.Shape{Seeds: seeds, Sessions: 3, Objects: 4, Bugs: 5},
 		func(h *history.History, tag string) { check(h, tag) })
 	// Per-rung fault presets: whatever breaks must break at or above the
 	// preset's target rung, never below it.

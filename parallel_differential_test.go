@@ -13,6 +13,7 @@ import (
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
+	"mtc/internal/corpus"
 	"mtc/internal/history"
 )
 
@@ -64,7 +65,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is slow under -short")
 	}
-	histories := differentialCorpus(t, corpusShape{seeds: 130, sessions: 3, objects: 4, bugs: 5},
+	histories := corpus.Differential(corpus.Shape{Seeds: 130, Sessions: 3, Objects: 4, Bugs: 5},
 		func(h *history.History, tag string) {
 			for _, e := range parEngines {
 				parCheck(t, e.name, e.lvl, h, tag)

@@ -17,6 +17,7 @@ import (
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
+	"mtc/internal/corpus"
 	"mtc/internal/graph"
 	"mtc/internal/history"
 	"mtc/internal/shard"
@@ -176,7 +177,7 @@ func TestDifferentialShardedVsUnsharded(t *testing.T) {
 		t.Skip("differential corpus is slow under -short")
 	}
 	var sser sserTally
-	histories := differentialCorpus(t, corpusShape{seeds: 130, sessions: 4, objects: 3, tenants: true, bugs: 5},
+	histories := corpus.Differential(corpus.Shape{Seeds: 130, Sessions: 4, Objects: 3, Tenants: true, Bugs: 5},
 		func(h *history.History, tag string) {
 			for _, e := range shardEngines {
 				shardCheck(t, e.name, e.lvl, h, tag)
