@@ -72,9 +72,9 @@ func BenchmarkTable1Anomalies(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fixtures {
-			coreCheck(f.H, core.SSER, core.Options{})
-			coreCheck(f.H, core.SER, core.Options{})
-			coreCheck(f.H, core.SI, core.Options{})
+			coreCheck(f.H, core.SSER)
+			coreCheck(f.H, core.SER)
+			coreCheck(f.H, core.SI)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func BenchmarkFig7MTCSERVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !coreCheck(serHist, core.SER, core.Options{}).OK {
+		if !coreCheck(serHist, core.SER).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkFig8MTCSIVerify(b *testing.B) {
 	setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !coreCheck(siHist, core.SI, core.Options{}).OK {
+		if !coreCheck(siHist, core.SI).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkFig10EndToEndMTC(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, Dist: workload.Uniform, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		coreCheck(h, core.SER, core.Options{})
+		coreCheck(h, core.SER)
 	}
 }
 
@@ -201,7 +201,7 @@ func BenchmarkTable2BugDetection(b *testing.B) {
 			Sessions: 8, Txns: 60, Objects: 3, Dist: workload.Exponential, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		coreCheck(h, core.SI, core.Options{})
+		coreCheck(h, core.SI)
 	}
 }
 
@@ -214,7 +214,7 @@ func BenchmarkFig13MTCDetectionTrial(b *testing.B) {
 			Sessions: 8, Txns: 60, Objects: 10, Dist: workload.Exponential, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		coreCheck(h, core.SER, core.Options{})
+		coreCheck(h, core.SER)
 	}
 }
 
@@ -248,7 +248,7 @@ func BenchmarkFig17EndToEndMTCSI(b *testing.B) {
 			Sessions: 10, Txns: 100, Objects: 100, Dist: workload.Uniform, Seed: int64(i),
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
-		coreCheck(h, core.SI, core.Options{})
+		coreCheck(h, core.SI)
 	}
 }
 
@@ -282,9 +282,16 @@ func BenchmarkAblationSSERDenseRT(b *testing.B) {
 // real-time inversion pass, no real-time edge materialized.
 func BenchmarkAblationSSERInversion(b *testing.B) {
 	setup()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coreCheck(timedHist, core.SSER, core.Options{SkipPreCheck: true})
+		d, err := core.BuildDependencyCtx(ctx, history.NewIndex(timedHist))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Rung(ctx, core.SSER); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -323,7 +330,7 @@ func BenchmarkAblationUniqueValuesLinear(b *testing.B) {
 	h := history.SerialHistory(12, "x", "y")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coreCheck(h, core.SER, core.Options{})
+		coreCheck(h, core.SER)
 	}
 }
 

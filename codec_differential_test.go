@@ -44,7 +44,7 @@ type codecVerdict struct {
 }
 
 func checkDecoded(h *history.History, lvl core.Level) codecVerdict {
-	r := coreCheck(h, lvl, core.Options{})
+	r := coreCheck(h, lvl)
 	return codecVerdict{OK: r.OK, Txns: len(h.Txns), Anomalies: canonAnomalies(r.Anomalies), Cycle: r.Cycle}
 }
 
@@ -146,7 +146,7 @@ func TestDifferentialStreamCodecs(t *testing.T) {
 			Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.25,
 		})
 		h := runner.Run(kv.NewStore(kv.ModeSerializable), w, runner.Config{Retries: 2}).H
-		want := coreCheck(h, core.SER, core.Options{})
+		want := coreCheck(h, core.SER)
 		for _, s := range streams {
 			var buf bytes.Buffer
 			if err := s.enc(&buf, h); err != nil {

@@ -42,7 +42,7 @@ func BenchmarkBatchSER10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !coreCheck(bigHist, core.SER, core.Options{}).OK {
+		if !coreCheck(bigHist, core.SER).OK {
 			b.Fatal("valid history rejected")
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkBatchSI10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !coreCheck(bigHist, core.SI, core.Options{}).OK {
+		if !coreCheck(bigHist, core.SI).OK {
 			b.Fatal("valid history rejected")
 		}
 	}

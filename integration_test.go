@@ -44,13 +44,13 @@ func TestPipelineHealthyStoreAllCheckersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if r := coreCheck(h, core.SSER, core.Options{}); !r.OK {
+	if r := coreCheck(h, core.SSER); !r.OK {
 		t.Fatalf("MTC-SSER: %s", r.Explain())
 	}
-	if r := coreCheck(h, core.SER, core.Options{}); !r.OK {
+	if r := coreCheck(h, core.SER); !r.OK {
 		t.Fatalf("MTC-SER: %s", r.Explain())
 	}
-	if r := coreCheck(h, core.SI, core.Options{}); !r.OK {
+	if r := coreCheck(h, core.SI); !r.OK {
 		t.Fatalf("MTC-SI: %s", r.Explain())
 	}
 	if r := polyCheck(h, polygraph.SER); !r.OK {
@@ -80,7 +80,7 @@ func TestPipelineEveryBugCaughtByEveryApplicableChecker(t *testing.T) {
 					Dist: workload.Exponential, Seed: seed, ReadOnlyFrac: 0.3,
 				})
 				h := runner.Run(s, w, runner.Config{Retries: 4}).H
-				r := coreCheck(h, bug.Claimed, core.Options{})
+				r := coreCheck(h, bug.Claimed)
 				if r.OK {
 					continue
 				}
@@ -125,7 +125,7 @@ func TestTargetedGeneratorFindsBugsFaster(t *testing.T) {
 				})
 			}
 			h := runner.Run(s, w, runner.Config{Retries: 4}).H
-			if !coreCheck(h, core.SER, core.Options{}).OK {
+			if !coreCheck(h, core.SER).OK {
 				hits++
 			}
 		}
@@ -149,7 +149,7 @@ func TestTargetedWorkloadValidOnHealthyStore(t *testing.T) {
 		Sessions: 8, Txns: 80, Objects: 6, Seed: 5,
 	})
 	res := runner.Run(s, w, runner.Config{Retries: 10})
-	if r := coreCheck(res.H, core.SSER, core.Options{}); !r.OK {
+	if r := coreCheck(res.H, core.SSER); !r.OK {
 		t.Fatalf("healthy store must pass SSER under targeted load: %s", r.Explain())
 	}
 	if err := history.ValidateMT(res.H); err != nil {
@@ -167,7 +167,7 @@ func TestTextFormatInteropAcrossCheckers(t *testing.T) {
 			Sessions: 8, Txns: 100, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		if coreCheck(h, core.SI, core.Options{}).OK {
+		if coreCheck(h, core.SI).OK {
 			continue
 		}
 		var buf bytes.Buffer
@@ -178,7 +178,7 @@ func TestTextFormatInteropAcrossCheckers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := coreCheck(h2, core.SI, core.Options{})
+		r := coreCheck(h2, core.SI)
 		if r.OK {
 			t.Fatal("verdict changed across text round trip")
 		}
@@ -195,18 +195,18 @@ func TestBruteForceSpotCheckOnStoreHistory(t *testing.T) {
 		Sessions: 3, Txns: 5, Objects: 2, Dist: workload.Uniform, Seed: 3,
 	})
 	h := runner.Run(s, w, runner.Config{Retries: 5}).H
-	if coreCheck(h, core.SER, core.Options{}).OK != npc.SerializableBrute(h) {
+	if coreCheck(h, core.SER).OK != npc.SerializableBrute(h) {
 		t.Fatal("CheckSER disagrees with the brute-force reference")
 	}
-	if coreCheck(h, core.SSER, core.Options{}).OK != npc.StrictSerializableBrute(h) {
+	if coreCheck(h, core.SSER).OK != npc.StrictSerializableBrute(h) {
 		t.Fatal("CheckSSER disagrees with the brute-force reference")
 	}
 }
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

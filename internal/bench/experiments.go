@@ -468,7 +468,7 @@ func table2() Experiment {
 					// Straight to the pipeline: the CE position needs the
 					// structured divergence witness a Report only renders.
 					v, _ := measure(func() {
-						r, _ = core.CheckCtx(context.Background(), history.NewIndex(h), b.Claimed, core.Options{})
+						r, _ = core.CheckCtx(context.Background(), history.NewIndex(h), b.Claimed)
 					})
 					genT, verT = g, v
 					if !r.OK {

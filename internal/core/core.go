@@ -149,13 +149,6 @@ func (r Result) Explain() string {
 	return b.String()
 }
 
-// Options tunes a checker run.
-type Options struct {
-	// SkipPreCheck disables the CheckInternal pre-pass. Only use on
-	// histories already known to satisfy INT and unique values.
-	SkipPreCheck bool
-}
-
 // Deps is the one dependency derivation of an indexed history that
 // every rung is evaluated over: the typed graph SO ∪ WR ∪ WW ∪ RW and
 // the DIVERGENCE witnesses found while inferring WW edges. CheckCtx
@@ -224,8 +217,8 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 }
 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
-// index: the INT/G1 pre-check (unless opts.SkipPreCheck), one
-// dependency derivation over the same index, and the rung for lvl. It
+// index: the INT/G1 pre-check, one dependency derivation over the same
+// index (BuildDependencyCtx), and the rung for lvl (Deps.Rung). It
 // decides SER and SI in Θ(n) and SSER in O(n log n). Graph construction
 // and the inversion pass poll ctx, and the run returns the context's
 // error instead of a verdict when the deadline fires. RC, RA and CAUSAL
@@ -233,7 +226,7 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 // evaluates them over the same derivation — so they, like any unknown
 // level (which may originate from an API request), are reported as an
 // error.
-func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (Result, error) {
+func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -242,10 +235,8 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level, opts Options) (
 	default:
 		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
 	}
-	if !opts.SkipPreCheck {
-		if as := history.CheckInternalIndexed(ix); len(as) > 0 {
-			return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
-		}
+	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+		return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 	}
 	d, err := BuildDependencyCtx(ctx, ix)
 	if err != nil {

@@ -16,8 +16,22 @@ import (
 
 // check runs the batch pipeline on h. Under a background context the
 // only error CheckCtx can return is a level without a batch engine.
-func check(h *history.History, lvl Level, opts Options) Result {
-	r, err := CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func check(h *history.History, lvl Level) Result {
+	r, err := CheckCtx(context.Background(), history.NewIndex(h), lvl)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// rung runs the pipeline without the pre-check: one derivation of h,
+// then the rung for lvl.
+func rung(h *history.History, lvl Level) Result {
+	d, err := BuildDependencyCtx(context.Background(), history.NewIndex(h))
+	if err != nil {
+		panic(err)
+	}
+	r, err := d.Rung(context.Background(), lvl)
 	if err != nil {
 		panic(err)
 	}
@@ -34,13 +48,13 @@ func TestFixtureVerdicts(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			if got := check(f.H, SSER, Options{}); got.OK != !f.ViolatesSSER {
+			if got := check(f.H, SSER); got.OK != !f.ViolatesSSER {
 				t.Errorf("SSER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSSER, got.Explain())
 			}
-			if got := check(f.H, SER, Options{}); got.OK != !f.ViolatesSER {
+			if got := check(f.H, SER); got.OK != !f.ViolatesSER {
 				t.Errorf("SER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSER, got.Explain())
 			}
-			if got := check(f.H, SI, Options{}); got.OK != !f.ViolatesSI {
+			if got := check(f.H, SI); got.OK != !f.ViolatesSI {
 				t.Errorf("SI: OK=%v, want %v\n%s", got.OK, !f.ViolatesSI, got.Explain())
 			}
 		})
@@ -50,7 +64,7 @@ func TestFixtureVerdicts(t *testing.T) {
 func TestSerialHistoryPassesAllLevels(t *testing.T) {
 	h := history.SerialHistory(50, "x", "y", "z")
 	for _, lvl := range []Level{SSER, SER, SI} {
-		if r := check(h, lvl, Options{}); !r.OK {
+		if r := check(h, lvl); !r.OK {
 			t.Fatalf("serial history must satisfy %s: %s", lvl, r.Explain())
 		}
 	}
@@ -68,13 +82,13 @@ func sserOnlyViolation() *history.History {
 
 func TestSSEROnlyViolation(t *testing.T) {
 	h := sserOnlyViolation()
-	if r := check(h, SER, Options{}); !r.OK {
+	if r := check(h, SER); !r.OK {
 		t.Fatalf("must satisfy SER: %s", r.Explain())
 	}
-	if r := check(h, SI, Options{}); !r.OK {
+	if r := check(h, SI); !r.OK {
 		t.Fatalf("must satisfy SI: %s", r.Explain())
 	}
-	r := check(h, SSER, Options{})
+	r := check(h, SSER)
 	if r.OK {
 		t.Fatal("must violate SSER")
 	}
@@ -105,14 +119,14 @@ func sserReference(h *history.History) bool {
 // exactly one RT edge whose endpoints are inverted on the raw stamps.
 func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
 	t.Helper()
-	r := check(h, SSER, Options{SkipPreCheck: true})
+	r := rung(h, SSER)
 	if want := sserReference(h); r.OK != want {
 		t.Fatalf("%s: SSER rung OK=%v, reference graph acyclic=%v\n%s", tag, r.OK, want, r.Explain())
 	}
-	if again := check(h, SSER, Options{SkipPreCheck: true}); !reflect.DeepEqual(again, r) {
+	if again := rung(h, SSER); !reflect.DeepEqual(again, r) {
 		t.Fatalf("%s: SSER result is not deterministic\n%s\n%s", tag, r.Explain(), again.Explain())
 	}
-	ser := check(h, SER, Options{SkipPreCheck: true})
+	ser := rung(h, SER)
 	if r.NumEdges != ser.NumEdges {
 		t.Fatalf("%s: SSER counts %d edges, SER %d", tag, r.NumEdges, ser.NumEdges)
 	}
@@ -196,7 +210,7 @@ func TestSSERMatchesReferenceOnFixturesAndEdgeCases(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		assertSSERMatchesReference(t, h, name)
-		if got := check(h, SSER, Options{}).OK; got != want[name] {
+		if got := check(h, SSER).OK; got != want[name] {
 			t.Errorf("%s: SSER OK=%v, want %v", name, got, want[name])
 		}
 	}
@@ -204,7 +218,7 @@ func TestSSERMatchesReferenceOnFixturesAndEdgeCases(t *testing.T) {
 
 func TestDivergenceEarlyExit(t *testing.T) {
 	f := history.FixtureByName("LostUpdate")
-	r := check(f.H, SI, Options{})
+	r := check(f.H, SI)
 	if r.OK {
 		t.Fatal("LostUpdate must violate SI")
 	}
@@ -222,11 +236,11 @@ func TestDivergenceEarlyExit(t *testing.T) {
 
 func TestWriteSkewSICounterexampleAbsent(t *testing.T) {
 	f := history.FixtureByName("WriteSkew")
-	r := check(f.H, SI, Options{})
+	r := check(f.H, SI)
 	if !r.OK {
 		t.Fatalf("WriteSkew satisfies SI: %s", r.Explain())
 	}
-	rs := check(f.H, SER, Options{})
+	rs := check(f.H, SER)
 	if rs.OK || len(rs.Cycle) == 0 {
 		t.Fatalf("WriteSkew violates SER with a cycle: %s", rs.Explain())
 	}
@@ -244,7 +258,7 @@ func TestWriteSkewSICounterexampleAbsent(t *testing.T) {
 
 func TestCycleContiguity(t *testing.T) {
 	for _, f := range history.Fixtures() {
-		for _, r := range []Result{check(f.H, SER, Options{}), check(f.H, SI, Options{})} {
+		for _, r := range []Result{check(f.H, SER), check(f.H, SI)} {
 			for i := 1; i < len(r.Cycle); i++ {
 				if r.Cycle[i-1].To != r.Cycle[i].From {
 					t.Fatalf("%s: cycle not contiguous: %v", f.Name, r.Cycle)
@@ -271,7 +285,7 @@ func TestBuildDependencyEdgeCounts(t *testing.T) {
 
 func TestPreCheckShortCircuits(t *testing.T) {
 	f := history.FixtureByName("AbortedRead")
-	r := check(f.H, SER, Options{})
+	r := check(f.H, SER)
 	if r.OK || len(r.Anomalies) == 0 {
 		t.Fatalf("pre-check should reject: %s", r.Explain())
 	}
@@ -283,22 +297,22 @@ func TestPreCheckShortCircuits(t *testing.T) {
 func TestCheckCtxRejectsLevelsWithoutBatchEngine(t *testing.T) {
 	ix := history.NewIndex(history.SerialHistory(1))
 	for _, lvl := range []Level{"BOGUS", RC, RA, CAUSAL} {
-		if _, err := CheckCtx(context.Background(), ix, lvl, Options{}); err == nil {
+		if _, err := CheckCtx(context.Background(), ix, lvl); err == nil {
 			t.Fatalf("level %q: want an error, not a verdict (or a panic)", lvl)
 		}
 	}
 }
 
 func TestExplainOutput(t *testing.T) {
-	ok := check(history.SerialHistory(3), SER, Options{})
+	ok := check(history.SerialHistory(3), SER)
 	if !strings.Contains(ok.Explain(), "satisfies SER") {
 		t.Fatalf("Explain = %q", ok.Explain())
 	}
-	bad := check(history.FixtureByName("LostUpdate").H, SI, Options{})
+	bad := check(history.FixtureByName("LostUpdate").H, SI)
 	if !strings.Contains(bad.Explain(), "VIOLATES SI") || !strings.Contains(bad.Explain(), "DIVERGENCE") {
 		t.Fatalf("Explain = %q", bad.Explain())
 	}
-	cyc := check(history.FixtureByName("WriteSkew").H, SER, Options{})
+	cyc := check(history.FixtureByName("WriteSkew").H, SER)
 	if !strings.Contains(cyc.Explain(), "cycle:") {
 		t.Fatalf("Explain = %q", cyc.Explain())
 	}
@@ -366,7 +380,7 @@ func TestPropertySerialMTHistoriesPassEverything(t *testing.T) {
 			t.Logf("not MT: %v", err)
 			return false
 		}
-		return check(h, SSER, Options{}).OK && check(h, SER, Options{}).OK && check(h, SI, Options{}).OK
+		return check(h, SSER).OK && check(h, SER).OK && check(h, SI).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -422,12 +436,12 @@ func TestPropertyCorruptedHistoriesRejectedBySSER(t *testing.T) {
 		// twice-read key, in which case INT catches it. Accept any
 		// rejection; require only that verdicts stay internally sane:
 		// SSER violation whenever SER is violated.
-		sser := check(h, SSER, Options{})
-		ser := check(h, SER, Options{})
+		sser := check(h, SSER)
+		ser := check(h, SER)
 		if !ser.OK && sser.OK {
 			return false // SER violation implies SSER violation
 		}
-		si := check(h, SI, Options{})
+		si := check(h, SI)
 		_ = si
 		return !sser.OK
 	}
@@ -445,7 +459,7 @@ func TestPropertyLevelImplications(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			corruptRead(rng, h)
 		}
-		sser, ser, si := check(h, SSER, Options{}), check(h, SER, Options{}), check(h, SI, Options{})
+		sser, ser, si := check(h, SSER), check(h, SER), check(h, SI)
 		if sser.OK && !ser.OK {
 			return false
 		}

@@ -20,8 +20,8 @@ import (
 
 // coreCheck runs the batch pipeline on h. Under a background context the
 // only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +38,7 @@ func coreReplay(h *history.History, lvl core.Level, window int) core.Result {
 func diffCheck(t *testing.T, h *history.History, tag string) {
 	t.Helper()
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		batch := coreCheck(h, lvl, core.Options{})
+		batch := coreCheck(h, lvl)
 		incr := coreReplay(h, lvl, 0)
 		if batch.OK != incr.OK {
 			t.Fatalf("%s/%s: batch OK=%v but incremental OK=%v\nbatch: %s\nincremental: %s",
@@ -110,6 +110,15 @@ func TestDifferentialTargetedWorkloads(t *testing.T) {
 	}
 }
 
+// TestDifferentialInitFinishesLast: a committed transaction that
+// finishes before ⊥T's stamp must still follow ⊥T in the replay, or it
+// loses its SO edge from ⊥T.
+func TestDifferentialInitFinishesLast(t *testing.T) {
+	b := history.NewBuilder("x", "y")
+	b.TimedTxn(0, -20, -10, history.R("x", 0), history.W("x", 1))
+	diffCheck(t, b.Build(), "init-finishes-last")
+}
+
 // TestIncrementalEarlyExitMatchesBatchVerdict ensures that when the
 // incremental checker rejects mid-stream, the batch checker rejects the
 // full history too (the early verdict is never a false positive).
@@ -140,7 +149,7 @@ func TestIncrementalEarlyExitMatchesBatchVerdict(t *testing.T) {
 			continue
 		}
 		found = true
-		if coreCheck(h, core.SI, core.Options{}).OK {
+		if coreCheck(h, core.SI).OK {
 			t.Fatalf("seed %d: incremental rejected at txn %d but batch accepts", seed, at)
 		}
 		if at == len(h.Txns)-1 {
@@ -157,7 +166,7 @@ func TestIncrementalEarlyExitMatchesBatchVerdict(t *testing.T) {
 				}
 			}
 		}
-		if coreCheck(prefix, core.SI, core.Options{}).OK {
+		if coreCheck(prefix, core.SI).OK {
 			t.Fatalf("seed %d: prefix through txn %d accepted by batch", seed, at)
 		}
 	}

@@ -183,7 +183,7 @@ func FuzzIncrementalCompact(f *testing.F) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s window %d: windowed replay diverges\nunbounded: %+v\nwindowed:  %+v", lvl, window, ref, got)
 		}
-		if batch := check(h, lvl, Options{}); batch.OK != ref.OK {
+		if batch := check(h, lvl); batch.OK != ref.OK {
 			t.Fatalf("%s: batch OK=%v, online OK=%v\nbatch:  %s\nonline: %s", lvl, batch.OK, ref.OK, batch.Explain(), ref.Explain())
 		}
 	})

@@ -28,7 +28,7 @@ import (
 //
 // An Incremental is not safe for concurrent use; callers serialise Add
 // (internal/runner.RunStream funnels session goroutines through a
-// channel).
+// channel to the one verifier goroutine that owns each checker).
 //
 // Long-lived streams need not retain the whole history: Compact
 // collapses the settled prefix of the dependency graph into summary
@@ -681,8 +681,8 @@ func (inc *Incremental) Finalize() Result {
 // RemapResult rewrites the transaction ids of a verdict's counterexample
 // — anomalies, cycle edges and the divergence witness — through perm
 // (ids outside perm pass through). The windowed replay uses it to map
-// stream positions back to history ids, and the sharded stream verifier
-// (internal/runner) to map shard-local positions to global ones.
+// stream positions back to history ids, and the stream verifier
+// (internal/runner) to map group-local positions to global ones.
 func RemapResult(r Result, perm []int) Result {
 	return rewriteIDs(r, func(i int) int {
 		if i >= 0 && i < len(perm) {

@@ -13,7 +13,7 @@ import (
 func TestIncrementalFixturesParity(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		for _, lvl := range []Level{SER, SI} {
-			batch := check(f.H, lvl, Options{})
+			batch := check(f.H, lvl)
 			incr := replay(f.H, lvl, 0)
 			if batch.OK != incr.OK {
 				t.Errorf("%s/%s: batch OK=%v, incremental OK=%v\nbatch: %s\nincr: %s",

@@ -203,7 +203,7 @@ func TestPropertyVLLWTAgreesWithCheckSSER(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		ops := randomLWTHistory(rng, n, rng.Intn(2) == 1)
 		lr := VLLWT(ops)
-		hr := check(LWTToHistory(ops), SSER, Options{})
+		hr := check(LWTToHistory(ops), SSER)
 		if lr.OK != hr.OK {
 			t.Logf("VLLWT=%v CheckSSER=%v\nreason=%s\n%s", lr.OK, hr.OK, lr.Reason, hr.Explain())
 			return false

@@ -58,7 +58,7 @@ func TestCheckStreamMatchesBatch(t *testing.T) {
 		} {
 			h := runner.Run(mk(), w, runner.Config{Retries: 2}).H
 			for _, lvl := range []core.Level{core.SER, core.SI} {
-				batch := coreCheck(h, lvl, core.Options{})
+				batch := coreCheck(h, lvl)
 				stream := streamCheck(t, h, lvl, 0)
 				if batch.OK != stream.OK {
 					t.Fatalf("seed %d/%s: batch OK=%v, stream OK=%v\nbatch: %s\nstream: %s",

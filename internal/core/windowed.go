@@ -15,11 +15,12 @@ import (
 // Transactions are fed in commit (Finish timestamp) order — the order a
 // live stream would deliver them — rather than History.Txns order, which
 // interleaves sessions in per-session blocks and would force the online
-// order into its worst case. The sort is stable, so session order is
-// preserved (Finish is monotone within a session) and untimed histories
-// replay exactly in ID order. ctx is polled between batches, and
-// counterexample transaction IDs are mapped back to History.Txns indices
-// before returning.
+// order into its worst case. ⊥T is fed first whatever its stamps: every
+// session's first transaction follows it in session order. The sort is
+// stable, so session order is preserved (Finish is monotone within a
+// session) and untimed histories replay exactly in ID order. ctx is
+// polled between batches, and counterexample transaction IDs are mapped
+// back to History.Txns indices before returning.
 //
 // window > 0 bounds the replay's memory: the stream is compacted every
 // window/2 transactions (MaybeCompact's shared cadence) so at most
@@ -35,8 +36,12 @@ func CheckIncrementalWindowedCtx(ctx context.Context, h *history.History, lvl Le
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return h.Txns[order[a]].Finish < h.Txns[order[b]].Finish
+	rest := order
+	if h.HasInit && len(order) > 0 {
+		rest = order[1:]
+	}
+	sort.SliceStable(rest, func(a, b int) bool {
+		return h.Txns[rest[a]].Finish < h.Txns[rest[b]].Finish
 	})
 	var keepUntil []int
 	if window > 0 {

@@ -239,10 +239,10 @@ func TestPropertyRegisterModeAgreesWithMTCOnMTHistories(t *testing.T) {
 			Sessions: 6, Txns: 40, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if CheckRWRegister(res.H, SER).OK != coreCheck(res.H, core.SER, core.Options{}).OK {
+		if CheckRWRegister(res.H, SER).OK != coreCheck(res.H, core.SER).OK {
 			return false
 		}
-		return CheckRWRegister(res.H, SI).OK == coreCheck(res.H, core.SI, core.Options{}).OK
+		return CheckRWRegister(res.H, SI).OK == coreCheck(res.H, core.SI).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -260,8 +260,8 @@ func TestUnknownLevelPanics(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

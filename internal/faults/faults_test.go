@@ -34,8 +34,8 @@ func TestCatalogueShape(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func hunt(t *testing.T, b Bug, seeds int) (core.Result, bool) {
 			Seed: seed, ReadOnlyFrac: 0.3,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if r := coreCheck(res.H, b.Claimed, core.Options{}); !r.OK {
+		if r := coreCheck(res.H, b.Claimed); !r.OK {
 			return r, true
 		}
 	}
@@ -101,10 +101,10 @@ func TestWriteSkewStoreStillSatisfiesSI(t *testing.T) {
 			Sessions: 8, Txns: 120, Objects: 3, Dist: workload.Exponential, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		if r := coreCheck(res.H, core.SI, core.Options{}); !r.OK {
+		if r := coreCheck(res.H, core.SI); !r.OK {
 			t.Fatalf("seed %d: SI must hold on the write-skew store:\n%s", seed, r.Explain())
 		}
-		if r := coreCheck(res.H, core.SER, core.Options{}); !r.OK {
+		if r := coreCheck(res.H, core.SER); !r.OK {
 			return // SER violation found, as expected
 		}
 	}
@@ -119,7 +119,7 @@ func TestMongoDirtyAbortYieldsAbortedRead(t *testing.T) {
 			Sessions: 6, Txns: 100, Objects: 3, Dist: workload.Uniform, Seed: seed,
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
-		r := coreCheck(res.H, core.SI, core.Options{})
+		r := coreCheck(res.H, core.SI)
 		if r.OK {
 			continue
 		}

@@ -118,10 +118,10 @@ func legacyEmitDeps(ix *history.Index, emit func(graph.Edge)) []core.Divergence 
 // legacyMismatch holds ix to all three oracles: the postings, resolved
 // reads and pre-check to legacyPostings and legacyCheckInternal
 // (history.LegacyMismatch), and the derivation to legacyEmitDeps — the
-// emitted edge sequence slices.Equal, the divergences DeepEqual. The
-// pre-check is then skipped, as core.Options.SkipPreCheck does, and the
-// SER and SI verdicts over the derivation must be the ones the legacy
-// edges decide: same edge count, cycle and divergence witness.
+// emitted edge sequence slices.Equal, the divergences DeepEqual. Then
+// the SER and SI rungs over core's derivation, with no pre-check, must
+// decide what the legacy edges decide: same edge count, cycle and
+// divergence witness.
 func legacyMismatch(ix *history.Index) error {
 	if err := history.LegacyMismatch(ix); err != nil {
 		return err
@@ -145,8 +145,12 @@ func legacyMismatch(ix *history.Index) error {
 		b.AddEdge(e)
 	}
 	g := b.Build()
+	d, err := core.BuildDependencyCtx(context.Background(), ix)
+	if err != nil {
+		return err
+	}
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		res, err := core.CheckCtx(context.Background(), ix, lvl, core.Options{SkipPreCheck: true})
+		res, err := d.Rung(context.Background(), lvl)
 		if err != nil {
 			return err
 		}
@@ -161,7 +165,7 @@ func legacyMismatch(ix *history.Index) error {
 			_, cycle = g.FindComposedCycle()
 		}
 		if res.NumEdges != g.NumEdges() || !reflect.DeepEqual(res.Cycle, cycle) || !reflect.DeepEqual(res.Divergence, div) {
-			return fmt.Errorf("%s with SkipPreCheck: %s; legacy edges decide %d edges, cycle %v, divergence %v",
+			return fmt.Errorf("%s rung: %s; legacy edges decide %d edges, cycle %v, divergence %v",
 				lvl, res.Explain(), g.NumEdges(), cycle, div)
 		}
 	}

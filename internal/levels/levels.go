@@ -288,7 +288,7 @@ func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Opt
 	switch lvl {
 	case core.RC, core.RA, core.CAUSAL:
 	default:
-		return core.CheckCtx(ctx, ix, lvl, core.Options{})
+		return core.CheckCtx(ctx, ix, lvl)
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err

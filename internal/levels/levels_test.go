@@ -230,7 +230,7 @@ func TestProfileMatchesEnginesOnFixtures(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		rep := profile(t, f.H)
 		for _, lvl := range []core.Level{core.SER, core.SI} {
-			eng, err := core.CheckCtx(ctx, history.NewIndex(f.H), lvl, core.Options{})
+			eng, err := core.CheckCtx(ctx, history.NewIndex(f.H), lvl)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}

@@ -113,7 +113,7 @@ func TestPropertyBruteAgreesWithCheckSEROnMTHistories(t *testing.T) {
 			Sessions: 3, Txns: 4, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 3}).H
-		want := coreCheck(h, core.SER, core.Options{}).OK
+		want := coreCheck(h, core.SER).OK
 		got := SerializableBrute(h)
 		if want != got {
 			t.Logf("seed=%d CheckSER=%v brute=%v", seed, want, got)
@@ -133,7 +133,7 @@ func TestPropertyBruteSSERAgreesWithCheckSSER(t *testing.T) {
 			Sessions: 3, Txns: 4, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		h := runner.Run(s, w, runner.Config{Retries: 3}).H
-		want := coreCheck(h, core.SSER, core.Options{}).OK
+		want := coreCheck(h, core.SSER).OK
 		got := StrictSerializableBrute(h)
 		if want != got {
 			t.Logf("seed=%d CheckSSER=%v brute=%v", seed, want, got)
@@ -148,8 +148,8 @@ func TestPropertyBruteSSERAgreesWithCheckSSER(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

@@ -145,7 +145,7 @@ func storeHistory(t *testing.T, mode kv.Mode, f kv.Faults, seed int64, objects i
 func TestPropertyCobraAgreesWithMTCSEROnStoreHistories(t *testing.T) {
 	f := func(seed int64) bool {
 		h := storeHistory(t, kv.ModeSerializable, kv.Faults{}, seed, 4)
-		mtc := coreCheck(h, core.SER, core.Options{})
+		mtc := coreCheck(h, core.SER)
 		cob := checkSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d MTC=%v cobra=%v\n%s", seed, mtc.OK, cob.OK, mtc.Explain())
@@ -171,7 +171,7 @@ func TestPropertyCobraAgreesOnFaultyHistories(t *testing.T) {
 			faults.LongFork = 0.3
 		}
 		h := storeHistory(t, kv.ModeSerializable, faults, seed, 2)
-		mtc := coreCheck(h, core.SER, core.Options{})
+		mtc := coreCheck(h, core.SER)
 		cob := checkSER(h)
 		if mtc.OK != cob.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v cobra=%v\n%s", seed, faults, mtc.OK, cob.OK, mtc.Explain())
@@ -200,7 +200,7 @@ func TestPropertyPolySIAgreesWithMTCSI(t *testing.T) {
 			// fault-free SI
 		}
 		h := storeHistory(t, mode, faults, seed, 3)
-		mtc := coreCheck(h, core.SI, core.Options{})
+		mtc := coreCheck(h, core.SI)
 		psi := checkSI(h)
 		if mtc.OK != psi.OK {
 			t.Logf("seed=%d faults=%+v MTC=%v polysi=%v\n%s", seed, faults, mtc.OK, psi.OK, mtc.Explain())
@@ -222,7 +222,7 @@ func TestPropertyWriteSkewHistoriesSIButNotSER(t *testing.T) {
 			t.Logf("seed=%d: fault-free SI store violated SI per polysi", seed)
 			return false
 		}
-		return checkSER(h).OK == coreCheck(h, core.SER, core.Options{}).OK
+		return checkSER(h).OK == coreCheck(h, core.SER).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -231,8 +231,8 @@ func TestPropertyWriteSkewHistoriesSIButNotSER(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

@@ -70,14 +70,8 @@ func RunListAppend(s *kv.Store, w *workload.Workload, cfg Config) (*elle.History
 	h := &elle.History{Sessions: make([][]int, len(w.Sessions))}
 	for si, recs := range perSession {
 		for _, r := range recs {
-			res.Attempts++
-			if r.committed {
-				res.Committed++
-			} else {
-				res.Aborted++
-				if cfg.DropAborted {
-					continue
-				}
+			if !res.tally(r.committed, cfg) {
+				continue
 			}
 			id := len(h.Txns)
 			h.Txns = append(h.Txns, elle.Txn{

@@ -41,14 +41,14 @@ type Config struct {
 	// unbounded. The window must exceed the store's maximum commit
 	// staleness for verdict parity; see core.Incremental.Compact.
 	Window int
-	// Shard routes a streaming run's commits to per-component online
-	// checkers (RunStream only): the workload plan is decomposed into
-	// key-disjoint session groups (workload.Components) and up to Shard
-	// verifier goroutines check the groups concurrently, each with its
-	// own core.Incremental — and, when Window > 0, its own per-shard
-	// epoch compaction. The merged verdict's OK equals the unsharded
-	// stream's (no dependency edge crosses components). 0 keeps the
-	// single shared checker.
+	// Shard splits a streaming run's verification by component
+	// (RunStream only): the workload plan is decomposed into key-disjoint
+	// session groups (workload.Components) and up to Shard verifiers
+	// check the groups concurrently, each group with its own
+	// core.Incremental — and, when Window > 0, its own epoch compaction.
+	// The merged verdict's OK equals the unsharded stream's (no
+	// dependency edge crosses components). 0, or a plan that does not
+	// split, checks every session as one group on one verifier.
 	Shard int
 }
 
@@ -68,6 +68,18 @@ func (r *Result) AbortRate() float64 {
 		return 0
 	}
 	return float64(r.Aborted) / float64(r.Attempts)
+}
+
+// tally counts one executed attempt and reports whether it belongs in
+// the history: an aborted attempt does not under cfg.DropAborted.
+func (r *Result) tally(committed bool, cfg Config) bool {
+	r.Attempts++
+	if committed {
+		r.Committed++
+		return true
+	}
+	r.Aborted++
+	return !cfg.DropAborted
 }
 
 // record is one executed transaction attempt as logged by a session.
@@ -138,14 +150,8 @@ func Run(s *kv.Store, w *workload.Workload, cfg Config) *Result {
 	b := history.NewBuilder(w.Keys...)
 	for si, recs := range perSession {
 		for _, r := range recs {
-			res.Attempts++
-			if r.committed {
-				res.Committed++
-			} else {
-				res.Aborted++
-				if cfg.DropAborted {
-					continue
-				}
+			if !res.tally(r.committed, cfg) {
+				continue
 			}
 			if r.committed {
 				b.TimedTxn(si, r.start, r.finish, r.ops...)

@@ -30,7 +30,7 @@ func TestRunSerializableStorePassesAllLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lvl := range []core.Level{core.SSER, core.SER, core.SI} {
-		if r := coreCheck(res.H, lvl, core.Options{}); !r.OK {
+		if r := coreCheck(res.H, lvl); !r.OK {
 			t.Fatalf("serializable store must satisfy %s:\n%s", lvl, r.Explain())
 		}
 	}
@@ -39,7 +39,7 @@ func TestRunSerializableStorePassesAllLevels(t *testing.T) {
 func TestRunSIStorePassesSI(t *testing.T) {
 	s := kv.NewStore(kv.ModeSI)
 	res := Run(s, mtPlan(2), Config{Retries: 10})
-	if r := coreCheck(res.H, core.SI, core.Options{}); !r.OK {
+	if r := coreCheck(res.H, core.SI); !r.OK {
 		t.Fatalf("fault-free SI store must satisfy SI:\n%s", r.Explain())
 	}
 }
@@ -50,7 +50,7 @@ func TestRun2PLStorePassesSSER(t *testing.T) {
 	if res.Committed == 0 {
 		t.Fatal("no transactions committed")
 	}
-	if r := coreCheck(res.H, core.SSER, core.Options{}); !r.OK {
+	if r := coreCheck(res.H, core.SSER); !r.OK {
 		t.Fatalf("2PL store must satisfy SSER:\n%s", r.Explain())
 	}
 }
@@ -136,7 +136,7 @@ func TestFaultyLostUpdateDetectedBySI(t *testing.T) {
 			Sessions: 8, Txns: 100, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		res := Run(s, w, Config{Retries: 5})
-		r := coreCheck(res.H, core.SI, core.Options{})
+		r := coreCheck(res.H, core.SI)
 		if !r.OK && r.Divergence != nil {
 			detected = true
 		}
@@ -154,9 +154,9 @@ func TestFaultyWriteSkewDetectedBySERNotSI(t *testing.T) {
 			Sessions: 8, Txns: 150, Objects: 2, Dist: workload.Uniform, Seed: seed,
 		})
 		res := Run(s, w, Config{Retries: 5})
-		if r := coreCheck(res.H, core.SER, core.Options{}); !r.OK && len(r.Cycle) > 0 {
+		if r := coreCheck(res.H, core.SER); !r.OK && len(r.Cycle) > 0 {
 			serViolated = true
-			if rsi := coreCheck(res.H, core.SI, core.Options{}); !rsi.OK {
+			if rsi := coreCheck(res.H, core.SI); !rsi.OK {
 				siViolated = true
 			}
 		}
@@ -177,7 +177,7 @@ func TestFaultyDirtyAbortDetected(t *testing.T) {
 		Sessions: 4, Txns: 100, Objects: 4, Dist: workload.Uniform, Seed: 9,
 	})
 	res := Run(s, w, Config{Retries: 2})
-	r := coreCheck(res.H, core.SI, core.Options{})
+	r := coreCheck(res.H, core.SI)
 	if r.OK {
 		t.Fatal("dirty aborts must violate SI")
 	}
@@ -200,7 +200,7 @@ func TestFaultyStaleSnapshotViolatesSSER(t *testing.T) {
 			Sessions: 4, Txns: 100, Objects: 3, Dist: workload.Uniform, Seed: seed,
 		})
 		res := Run(s, w, Config{Retries: 5})
-		if r := coreCheck(res.H, core.SSER, core.Options{}); !r.OK {
+		if r := coreCheck(res.H, core.SSER); !r.OK {
 			detected = true
 		}
 	}
@@ -233,8 +233,8 @@ func TestRunLWTCASFailApplyDetected(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,7 @@ func TestRunStreamShardedClean(t *testing.T) {
 		if res.H == nil {
 			t.Fatalf("%s: unwindowed sharded run must collect the history", lvl)
 		}
-		if batch := coreCheck(res.H, lvl, core.Options{}); !batch.OK {
+		if batch := coreCheck(res.H, lvl); !batch.OK {
 			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Explain())
 		}
 		// Each shard adds its own init: merged txn count is the observed
@@ -62,7 +62,7 @@ func TestRunStreamShardedCatchesViolation(t *testing.T) {
 		if res.Shards != 4 {
 			t.Fatalf("seed %d: %d shards, want 4", seed, res.Shards)
 		}
-		if batch := coreCheck(res.H, core.SI, core.Options{}); batch.OK {
+		if batch := coreCheck(res.H, core.SI); batch.OK {
 			t.Fatalf("seed %d: batch accepts the history the sharded stream rejected", seed)
 		}
 		if res.ViolationAt == 0 {
@@ -132,7 +132,7 @@ func TestRunStreamShardedWindowed(t *testing.T) {
 }
 
 // TestRunStreamShardedFallsBack: a single-component plan ignores the
-// shard knob and verifies through the shared checker.
+// shard knob and verifies as one group.
 func TestRunStreamShardedFallsBack(t *testing.T) {
 	w := workload.GenerateMT(workload.MTConfig{
 		Sessions: 4, Txns: 30, Objects: 4, Dist: workload.Uniform, Seed: 2, ReadOnlyFrac: 0.25,

@@ -29,9 +29,15 @@ func TestRunStreamCleanMatchesBatch(t *testing.T) {
 		if res.EarlyAborted || res.ViolationAt != 0 {
 			t.Fatalf("%s: clean run flagged early abort: %+v", lvl, res)
 		}
-		batch := coreCheck(res.H, lvl, core.Options{})
+		batch := coreCheck(res.H, lvl)
 		if !batch.OK {
 			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Explain())
+		}
+		// The online ⊥T carries only the keys the plan touches; a key
+		// nothing touches adds no edge, so the counts match the batch's.
+		if res.Verdict.NumTxns != batch.NumTxns || res.Verdict.NumEdges != batch.NumEdges {
+			t.Fatalf("%s: online counts %d txns / %d edges, batch %d / %d",
+				lvl, res.Verdict.NumTxns, res.Verdict.NumEdges, batch.NumTxns, batch.NumEdges)
 		}
 		if res.Committed == 0 || res.H == nil {
 			t.Fatalf("%s: empty run", lvl)
@@ -56,7 +62,7 @@ func TestRunStreamSurfacesViolationMidRun(t *testing.T) {
 			t.Fatal("violation found but ViolationAt not recorded")
 		}
 		// The batch checker must agree on the collected (prefix) history.
-		if batch := coreCheck(res.H, core.SI, core.Options{}); batch.OK {
+		if batch := coreCheck(res.H, core.SI); batch.OK {
 			t.Fatalf("seed %d: batch accepts the history the stream rejected", seed)
 		}
 		planned := 0

@@ -133,13 +133,13 @@ func TestSplitSharedKeyDegenerates(t *testing.T) {
 func TestSplitEdgeParity(t *testing.T) {
 	h := tenantHistory(3, 8)
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		ref := coreCheck(h, lvl, core.Options{})
+		ref := coreCheck(h, lvl)
 		if !ref.OK {
 			t.Fatalf("reference %s check rejected a clean history", lvl)
 		}
 		sum := 0
 		for _, c := range Split(h).Components {
-			r := coreCheck(c.H, lvl, core.Options{})
+			r := coreCheck(c.H, lvl)
 			if !r.OK {
 				t.Fatalf("component %s check rejected a clean component", lvl)
 			}
@@ -317,8 +317,8 @@ func TestShardedTimings(t *testing.T) {
 
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
-func coreCheck(h *history.History, lvl core.Level, opts core.Options) core.Result {
-	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl, opts)
+func coreCheck(h *history.History, lvl core.Level) core.Result {
+	r, err := core.CheckCtx(context.Background(), history.NewIndex(h), lvl)
 	if err != nil {
 		panic(err)
 	}

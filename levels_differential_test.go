@@ -36,7 +36,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 
 	// SER: the profiler always computes this rung on the shared graph,
 	// so it must be bit-identical to the dedicated engine.
-	ser := coreCheck(h, core.SER, core.Options{})
+	ser := coreCheck(h, core.SER)
 	rser := prof.Rung(core.SER).Res
 	if rser.OK != ser.OK || rser.NumTxns != ser.NumTxns || rser.NumEdges != ser.NumEdges {
 		t.Fatalf("%s: SER rung OK=%v txns=%d edges=%d, engine OK=%v txns=%d edges=%d",
@@ -51,7 +51,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 
 	// SI: the verdict always agrees; the witness is bit-identical
 	// whenever the rung actually ran (a SER pass short-circuits it).
-	si := coreCheck(h, core.SI, core.Options{})
+	si := coreCheck(h, core.SI)
 	rsi := prof.Rung(core.SI).Res
 	if rsi.OK != si.OK {
 		t.Fatalf("%s: SI rung OK=%v, engine OK=%v", tag, rsi.OK, si.OK)
