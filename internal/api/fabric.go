@@ -2,18 +2,27 @@ package api
 
 import "mtc/internal/checker"
 
+// A pull that claims work answers ContentTypeMTCB: the body is the
+// component's MTCB document as the coordinator cached it, and the
+// FabricTask fields other than HistoryMTCB travel as one JSON object in
+// the FabricTaskHeader response header.
+const (
+	ContentTypeMTCB  = "application/x-mtcb"
+	FabricTaskHeader = "Mtc-Fabric-Task"
+)
+
 // Fabric wire contract: the coordinator/worker messages of the
 // distributed checking fabric (internal/fabric). A coordinator is an
 // mtc-serve instance started with -fabric-wal; workers are mtc-serve
 // binaries started with `-worker -coordinator <url>` that register,
 // heartbeat, and pull component work produced by shard.Split. A task
-// carries its component as MTCB bytes and a result embeds
-// checker.Report — the type the job API serializes — so both travel
-// over the existing v1 encoding.
+// is its component's MTCB bytes as the response body, with the rest of
+// the FabricTask as JSON in the FabricTaskHeader header; a result
+// embeds checker.Report — the type the job API serializes — as JSON.
 //
 //	POST /v1/fabric/workers               register -> 201 WorkerLease
 //	POST /v1/fabric/workers/{id}/heartbeat  liveness ping -> 204
-//	POST /v1/fabric/workers/{id}/pull     claim work -> 200 FabricTask | 204
+//	POST /v1/fabric/workers/{id}/pull     claim work -> 200 MTCB body + FabricTaskHeader | 204
 //	POST /v1/fabric/workers/{id}/results  push a component verdict -> 200 FabricAck
 //	GET  /v1/fabric/status                workers, the ready queue and jobs
 
@@ -63,12 +72,11 @@ type FabricTask struct {
 	Window      int `json:"window,omitempty"`
 	// HistoryMTCB is the component's sub-history (local transaction ids;
 	// the coordinator remaps the verdict back to external positions) in
-	// the MTCB binary columnar encoding, base64 inside the JSON envelope.
-	// The coordinator encodes each component once and serves the same
-	// bytes to every puller; the worker decodes them straight to a
-	// columnar index (history.ReadMTCBIndexed) with no JSON op
-	// materialization.
-	HistoryMTCB []byte `json:"history_mtcb,omitempty"`
+	// the MTCB binary columnar encoding. On the wire it is the pull's
+	// response body, never JSON. The coordinator encodes each component
+	// once and serves the same bytes to every puller; the worker decodes
+	// the body straight to a columnar index (history.ReadMTCBIndexed).
+	HistoryMTCB []byte `json:"-"`
 }
 
 // FabricResult is the body of POST /v1/fabric/workers/{id}/results: one

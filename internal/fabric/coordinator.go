@@ -8,10 +8,10 @@
 //
 // Durability and robustness are first-class:
 //
-//   - every job (with its full history) and every component dispatch
-//     persist to an NDJSON write-ahead log, so a coordinator restart
-//     resumes pending jobs where they stopped and serves completed
-//     verdicts without re-running them;
+//   - every job and every component dispatch persist to an NDJSON
+//     write-ahead log, each job's history to an MTCB side file next to
+//     it, so a coordinator restart resumes pending jobs where they
+//     stopped and serves completed verdicts without re-running them;
 //   - workers register, heartbeat, and pull work; a worker that misses
 //     its heartbeats has its in-flight components re-dispatched under a
 //     fresh epoch, and the epoch guard makes the verdict fold
@@ -137,7 +137,10 @@ type fabJob struct {
 	opts   checker.Options
 	txns   int
 	p      *shard.Partition // nil once the job is terminal
-	comps  []compState
+	// side is the job's history side file, zero once the job is
+	// terminal (or for a job replayed from an inline-history record).
+	side  sideFile
+	comps []compState
 	// enc lazily caches the MTCB encoding of each component, filled on
 	// the first pull and reused verbatim by every later dispatch
 	// (including requeues). Nil entries mean "not encoded yet"; the slice
@@ -235,14 +238,26 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			if rec.Job == "" {
 				return fmt.Errorf("fabric: wal: job record with an empty id")
 			}
-			if rec.History == nil {
-				return fmt.Errorf("fabric: wal: job %q has no history", rec.Job)
-			}
 			opts := checker.Options{
 				Level:       checker.Level(rec.Level),
 				Parallelism: rec.Parallelism, Window: rec.Window,
 			}
-			c.insertJob(rec.Job, rec.Checker, rec.History, opts)
+			var p *shard.Partition
+			txns, comps := rec.Txns, rec.Components
+			switch {
+			case rec.History != nil:
+				p = shard.Split(rec.History)
+				txns, comps = len(rec.History.Txns), len(p.Components)
+			case rec.HistoryFile == "":
+				return fmt.Errorf("fabric: wal: job %q has no history", rec.Job)
+			case txns < 0 || comps < 0 || int64(comps) > rec.HistoryBytes:
+				// Every component holds a transaction, and every
+				// transaction takes bytes of the side file.
+				return fmt.Errorf("fabric: wal: job %q: %d components, %d txns in a %d-byte history", rec.Job, comps, txns, rec.HistoryBytes)
+			}
+			j = c.insertJob(rec.Job, rec.Checker, opts, txns, comps)
+			j.p = p
+			j.side = sideFile{name: rec.HistoryFile, size: rec.HistoryBytes, crc: rec.HistoryCRC}
 		case recAssign, recRequeue:
 			if j == nil || rec.Component < 0 || rec.Component >= len(j.comps) {
 				return fmt.Errorf("fabric: wal: %s for unknown job/component %q/%d", rec.Type, rec.Job, rec.Component)
@@ -273,13 +288,19 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			return fmt.Errorf("fabric: wal: unknown record type %q", rec.Type)
 		}
 	}
-	// Resume: enqueue the unfinished components of pending jobs; fold
-	// jobs whose last result landed right before the crash cut the done
-	// record off.
+	// Resume: load the plan of every pending job from its side file,
+	// enqueue the unfinished components, and fold jobs whose last result
+	// landed right before the crash cut the done record off.
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.state != JobPending {
 			continue
+		}
+		if j.p == nil {
+			if err := c.loadPlan(j); err != nil {
+				c.failLocked(j, err.Error())
+				continue
+			}
 		}
 		if j.remaining == 0 {
 			if err := c.fold(j); err != nil {
@@ -290,18 +311,39 @@ func (c *Coordinator) replay(recs []walRecord) error {
 		c.enqueueJob(j)
 		c.logger.Info("fabric: resumed pending job from wal", "job", j.id, "components", len(j.comps), "queued", j.remaining)
 	}
+	keep := make(map[string]bool)
+	for _, j := range c.jobs {
+		if j.state == JobPending {
+			keep[j.side.name] = true
+		}
+	}
+	return c.wal.sweepHistories(keep)
+}
+
+// loadPlan reads a replayed pending job's history from its side file
+// and splits it, refusing a history that does not split into the
+// transaction and component counts its job record logged.
+func (c *Coordinator) loadPlan(j *fabJob) error {
+	h, err := c.wal.readHistory(j.side)
+	if err != nil {
+		return err
+	}
+	p := shard.Split(h)
+	if len(h.Txns) != j.txns || len(p.Components) != len(j.comps) {
+		return fmt.Errorf("%w: %s splits into %d components of %d txns, the log recorded %d of %d",
+			ErrHistoryFile, j.side.name, len(p.Components), len(h.Txns), len(j.comps), j.txns)
+	}
+	j.p = p
 	return nil
 }
 
-// insertJob builds the in-memory job (splitting the history) and
-// registers it; the caller logs the WAL record when this is a fresh
-// submission rather than a replay.
-func (c *Coordinator) insertJob(id, engine string, h *history.History, opts checker.Options) *fabJob {
-	p := shard.Split(h)
+// insertJob registers a job of txns transactions and comps components;
+// the caller sets its plan and side file, and logs the WAL record when
+// this is a fresh submission rather than a replay.
+func (c *Coordinator) insertJob(id, engine string, opts checker.Options, txns, comps int) *fabJob {
 	j := &fabJob{
-		id: id, seq: len(c.order), engine: engine, opts: opts, txns: len(h.Txns),
-		p:     p,
-		comps: make([]compState, len(p.Components)),
+		id: id, seq: len(c.order), engine: engine, opts: opts, txns: txns,
+		comps: make([]compState, comps),
 		state: JobPending,
 		done:  make(chan struct{}),
 	}
@@ -312,8 +354,9 @@ func (c *Coordinator) insertJob(id, engine string, h *history.History, opts chec
 }
 
 // terminate moves a job to a terminal state (idempotent) and releases
-// its split history and cached encodings: only dispatch and the fold
-// read them, and neither happens to a terminal job.
+// its split history, cached encodings and history side file: only
+// dispatch, the fold and a resume read them, and none happens to a
+// terminal job. Callers have logged the terminal record first.
 func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report, errMsg string) {
 	if j.state != JobPending {
 		return
@@ -322,16 +365,19 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 	j.report = report
 	j.errMsg = errMsg
 	j.p, j.enc = nil, nil
+	c.wal.removeHistory(j.side.name)
+	j.side = sideFile{}
 	c.dropJobTasks(j)
 	close(j.done)
 }
 
-// Submit registers a job for distributed checking: logged to the WAL,
-// split into its distribution plan, and its components enqueued on the
-// ready queue. Submitting an id the coordinator already knows is a
-// no-op — the idempotence that lets the server resubmit recovered jobs
-// blindly. The coordinator's plan is the sharding, so opts.Shard is
-// dropped rather than forwarded to workers.
+// Submit registers a job for distributed checking: its history written
+// to a side file, the job logged to the WAL, split into its
+// distribution plan, and its components enqueued on the ready queue.
+// Submitting an id the coordinator already knows is a no-op that writes
+// nothing — the idempotence that lets the server resubmit recovered
+// jobs blindly. The coordinator's plan is the sharding, so opts.Shard
+// is dropped rather than forwarded to workers.
 func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker.Options) error {
 	eng, err := c.reg.Lookup(engine)
 	if err != nil {
@@ -341,28 +387,56 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 		opts.Level = eng.Levels()[0]
 	}
 	opts.Shard = 0
-	// The record carries the whole history: encode it before taking the
-	// lock every Pull, PushResult and Heartbeat waits on.
+	c.mu.Lock()
+	closed, known := c.closed, c.jobs[id] != nil
+	c.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if known {
+		return nil
+	}
+	// Encode the history, split the plan and marshal the record before
+	// taking the lock every Pull, PushResult and Heartbeat waits on. The
+	// split and the side file only read h, so they run side by side.
+	var p *shard.Partition
+	split := make(chan struct{})
+	go func() {
+		defer close(split)
+		p = shard.Split(h)
+	}()
+	side, err := c.wal.writeHistory(h)
+	<-split
+	if err != nil {
+		return fmt.Errorf("fabric: wal history file: %w", err)
+	}
 	rec, err := json.Marshal(walRecord{
 		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
 		Parallelism: opts.Parallelism, Window: opts.Window,
-		History: h,
+		Txns: len(h.Txns), Components: len(p.Components),
+		HistoryFile: side.name, HistoryBytes: side.size, HistoryCRC: side.crc,
 	})
 	if err != nil {
+		c.wal.removeHistory(side.name)
 		return fmt.Errorf("fabric: wal append: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if _, ok := c.jobs[id]; ok {
+	if c.closed || c.jobs[id] != nil {
+		// Closed meanwhile, or a concurrent submit of the same id won:
+		// its job, and its side file, stay as they are.
+		c.wal.removeHistory(side.name)
+		if c.closed {
+			return ErrClosed
+		}
 		return nil
 	}
 	if err := c.wal.write(rec); err != nil {
+		c.wal.removeHistory(side.name)
 		return fmt.Errorf("fabric: wal append: %w", err)
 	}
-	j := c.insertJob(id, engine, h, opts)
+	j := c.insertJob(id, engine, opts, len(h.Txns), len(p.Components))
+	j.p, j.side = p, side
 	if j.remaining == 0 {
 		// Init-only history: nothing to dispatch, fold the empty plan.
 		return c.fold(j)

@@ -85,13 +85,36 @@ func openTestCoord(t *testing.T, path string, clk *fakeClock) *Coordinator {
 	return c
 }
 
+// sideFiles lists the history side files next to the WAL at path.
+func sideFiles(t *testing.T, path string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(path + ".d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
 // runTask executes a fabric task the way a worker would — decoding the
 // payload to a columnar index — and returns the result to push.
 func runTask(t *testing.T, task *api.FabricTask) api.FabricResult {
 	t.Helper()
+	res, err := execTask(task)
+	if err != nil {
+		t.Fatalf("%s/%d: %v", task.Job, task.Component, err)
+	}
+	return res
+}
+
+// execTask is runTask for callers without a *testing.T.
+func execTask(task *api.FabricTask) (api.FabricResult, error) {
 	ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
 	if err != nil {
-		t.Fatalf("decoding mtcb payload for %s/%d: %v", task.Job, task.Component, err)
+		return api.FabricResult{}, fmt.Errorf("decoding mtcb payload: %w", err)
 	}
 	rep, err := checker.Default.Run(context.Background(), task.Checker, ix.History(), checker.Options{
 		Level:       checker.Level(task.Level),
@@ -99,9 +122,9 @@ func runTask(t *testing.T, task *api.FabricTask) api.FabricResult {
 		Index: ix,
 	})
 	if err != nil {
-		t.Fatalf("engine run for %s/%d: %v", task.Job, task.Component, err)
+		return api.FabricResult{}, fmt.Errorf("engine run: %w", err)
 	}
-	return api.FabricResult{Job: task.Job, Component: task.Component, Epoch: task.Epoch, Report: &rep}
+	return api.FabricResult{Job: task.Job, Component: task.Component, Epoch: task.Epoch, Report: &rep}, nil
 }
 
 // drain pulls and completes work as the named worker until the
@@ -206,18 +229,27 @@ func TestFabricBinaryEncodingCached(t *testing.T) {
 }
 
 // TestFabricSubmitIdempotent: resubmitting a known id is a no-op — the
-// property that lets the server blindly resubmit recovered jobs.
+// property that lets the server blindly resubmit recovered jobs — and
+// the first submission's history side file stays the only one.
 func TestFabricSubmitIdempotent(t *testing.T) {
-	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c := openTestCoord(t, path, nil)
 	defer c.Close()
 	h := tenantHistory(2, 3)
+	var first []string
 	for i := 0; i < 3; i++ {
 		if err := c.Submit("j1", "mtc", h, checker.Options{Level: core.SER}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
+		if i == 0 {
+			first = sideFiles(t, path)
+		}
 	}
 	if jobs := c.Jobs(); len(jobs) != 1 {
 		t.Fatalf("idempotent submit created %d jobs, want 1", len(jobs))
+	}
+	if got := sideFiles(t, path); len(first) != 1 || !reflect.DeepEqual(got, first) {
+		t.Fatalf("side files after resubmits: %v, first submit left %v", got, first)
 	}
 }
 
@@ -322,8 +354,10 @@ func TestFabricWorkerDeathEpochGuard(t *testing.T) {
 }
 
 // TestFabricRestartResume is the durability tentpole: completed jobs
-// come back from the WAL served without re-running, and pending jobs
-// resume where they stopped with epochs past every logged dispatch.
+// come back from the WAL served without re-running, pending jobs resume
+// where they stopped with epochs past every logged dispatch, a pending
+// job whose history side file is corrupt comes back failed, and no side
+// file outlives its job.
 func TestFabricRestartResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	c1 := openTestCoord(t, path, nil)
@@ -347,15 +381,34 @@ func TestFabricRestartResume(t *testing.T) {
 	if err != nil || inflight == nil {
 		t.Fatalf("jB pull: %v", err)
 	}
+	// jC is pending too, and its side file rots while the coordinator is
+	// down.
+	if err := c1.Submit("jC", "mtc", hB, checker.Options{Level: core.SI}); err != nil {
+		t.Fatal(err)
+	}
+	c1.mu.Lock()
+	fileB, fileC := c1.jobs["jB"].side.name, c1.jobs["jC"].side.name
+	c1.mu.Unlock()
 	if err := c1.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if files := sideFiles(t, path); !reflect.DeepEqual(files, []string{fileB, fileC}) && !reflect.DeepEqual(files, []string{fileC, fileB}) {
+		t.Fatalf("side files at the crash: %v, want jB's and jC's only", files)
+	}
+	rot, err := os.ReadFile(filepath.Join(path+".d", fileC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot[len(rot)/2] ^= 0x40
+	if err := os.WriteFile(filepath.Join(path+".d", fileC), rot, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	c2 := openTestCoord(t, path, nil)
 	defer c2.Close()
 	jobs := c2.Jobs()
-	if len(jobs) != 2 {
-		t.Fatalf("recovered %d jobs, want 2", len(jobs))
+	if len(jobs) != 3 {
+		t.Fatalf("recovered %d jobs, want 3", len(jobs))
 	}
 	byID := map[string]JobInfo{}
 	for _, j := range jobs {
@@ -372,6 +425,13 @@ func TestFabricRestartResume(t *testing.T) {
 	// jB: pending with all three components queued again.
 	if got := byID["jB"]; got.State != JobPending {
 		t.Fatalf("jB not pending after restart: %+v", got)
+	}
+	// jC: failed, by name, and its file is gone.
+	if got := byID["jC"]; got.State != JobFailed || !strings.Contains(got.Err, ErrHistoryFile.Error()) {
+		t.Fatalf("jC over a corrupt side file: %+v", got)
+	}
+	if files := sideFiles(t, path); !reflect.DeepEqual(files, []string{fileB}) {
+		t.Fatalf("side files after replay: %v, want jB's %s only", files, fileB)
 	}
 	// The pre-crash worker's lease is gone.
 	if _, err := c2.Pull(w.ID); !errors.Is(err, ErrUnknownWorker) {
@@ -409,6 +469,26 @@ func TestFabricRestartResume(t *testing.T) {
 	}
 	if rep.OK != ref.OK || rep.Edges != ref.Edges || rep.Txns != ref.Txns || rep.ShardComponents != ref.ShardComponents {
 		t.Fatalf("resumed verdict diverges:\nfabric: %+v\nlocal:  %+v", rep, ref)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every job is terminal: a third start serves both verdicts and the
+	// failure from the log alone, over an empty side directory.
+	c3 := openTestCoord(t, path, nil)
+	defer c3.Close()
+	if files := sideFiles(t, path); len(files) != 0 {
+		t.Fatalf("side files after every job ended: %v", files)
+	}
+	for _, j := range c3.Jobs() {
+		want := map[string]string{"jA": JobDone, "jB": JobDone, "jC": JobFailed}[j.ID]
+		if j.State != want || (want == JobDone) != (j.Report != nil) {
+			t.Fatalf("%s after the third start: %+v", j.ID, j)
+		}
+	}
+	if rep, err := c3.Wait(context.Background(), "jB"); err != nil || rep.Edges != ref.Edges {
+		t.Fatalf("jB served from the log: %+v %v", rep, err)
 	}
 }
 
@@ -542,7 +622,7 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	released := func(c *Coordinator, id string) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.jobs[id].p == nil && c.jobs[id].enc == nil
+		return c.jobs[id].p == nil && c.jobs[id].enc == nil && c.jobs[id].side == sideFile{}
 	}
 	status := func(id string) api.FabricJobStatus {
 		for _, j := range c.Status().Jobs {
@@ -571,7 +651,10 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 		t.Fatalf("survivor completed %d components, want 3", n)
 	}
 	if !released(c, "j1") {
-		t.Fatal("folded job still holds its partition or encoded components")
+		t.Fatal("folded job still holds its partition, encoded components or side file")
+	}
+	if files := sideFiles(t, path); len(files) != 0 {
+		t.Fatalf("folded job left side files %v", files)
 	}
 	if st := status("j1"); st.State != JobDone || st.Components != 3 || st.Done != 3 {
 		t.Fatalf("status after release: %+v", st)
@@ -591,7 +674,10 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	}
 	c.Cancel("j2", "user gave up")
 	if !released(c, "j2") {
-		t.Fatal("cancelled job still holds its partition or encoded components")
+		t.Fatal("cancelled job still holds its partition, encoded components or side file")
+	}
+	if files := sideFiles(t, path); len(files) != 0 {
+		t.Fatalf("cancelled job left side files %v", files)
 	}
 	if st := status("j2"); st.State != JobFailed || st.Components != 3 || st.Done != 0 {
 		t.Fatalf("status after cancel: %+v", st)
@@ -771,8 +857,12 @@ func TestFabricWALFailureMutatesNothing(t *testing.T) {
 	if _, err := c.PushResult(w.ID, runTask(t, task)); err == nil {
 		t.Fatal("push over a closed wal succeeded")
 	}
+	files := sideFiles(t, c.wal.f.Name())
 	if err := c.Submit("j2", "mtc", tenantHistory(2, 3), checker.Options{Level: core.SER}); err == nil {
 		t.Fatal("submit over a closed wal succeeded")
+	}
+	if got := sideFiles(t, c.wal.f.Name()); len(files) != 1 || !reflect.DeepEqual(got, files) {
+		t.Fatalf("side files after a failed submit: %v, want only j1's %v", got, files)
 	}
 	st := c.Status()
 	if len(st.Jobs) != 1 || st.Unassigned != 1 || st.Workers[0].InFlight != 1 || st.Jobs[0].Done != 0 {

@@ -37,13 +37,11 @@ type WorkerConfig struct {
 	PollInterval time.Duration
 }
 
-// GzipThreshold is the body size, in bytes, at which the fabric's HTTP
-// sides start compressing: the worker gzips result bodies at least this
-// large (Content-Encoding: gzip), and the coordinator's pull handler
-// gzips task responses at least this large when the worker advertised
-// Accept-Encoding: gzip. Small control messages (heartbeats, pulls with
-// no work, acks) stay uncompressed — gzip overhead would exceed the
-// saving.
+// GzipThreshold is the request body size, in bytes, at which the worker
+// starts compressing: result bodies at least this large (the verdicts
+// of big components) travel with Content-Encoding: gzip. Small control
+// messages stay uncompressed — gzip overhead would exceed the saving.
+// Task bodies are raw MTCB and never compressed.
 const GzipThreshold = 4 << 10
 
 // errLeaseLost marks a 404 from a fabric endpoint: the coordinator does
@@ -176,21 +174,28 @@ func (w *workerClient) serve(ctx context.Context) error {
 	}
 }
 
+// pulledTask is a claimed component: the task, and its payload decoded
+// to a columnar index or the reason it did not decode.
+type pulledTask struct {
+	api.FabricTask
+	ix  *history.Index
+	bad error
+}
+
 // execute checks one component and pushes its verdict, heartbeating
-// while the engine runs. The payload is decoded straight to a columnar
-// index, which rides along in the checker options so the MTC engine
-// skips its own intern-and-build pass.
-func (w *workerClient) execute(ctx context.Context, task *api.FabricTask, hbEvery time.Duration) error {
-	ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
-	if err != nil {
+// while the engine runs. The columnar index rides along in the checker
+// options so the MTC engine skips its own intern-and-build pass.
+func (w *workerClient) execute(ctx context.Context, pt *pulledTask, hbEvery time.Duration) error {
+	task, ix := &pt.FabricTask, pt.ix
+	if pt.bad != nil {
 		// A payload we cannot decode will never decode on retry: report
 		// the failure so the coordinator fails the job instead of the
 		// component ping-ponging between workers.
 		w.logger.Info("fabric worker: payload decode failed",
-			"job", task.Job, "component", task.Component, "err", err)
+			"job", task.Job, "component", task.Component, "err", pt.bad)
 		return w.push(ctx, api.FabricResult{
 			Job: task.Job, Component: task.Component, Epoch: task.Epoch,
-			Error: fmt.Sprintf("decoding mtcb component payload: %v", err),
+			Error: fmt.Sprintf("decoding mtcb component payload: %v", pt.bad),
 		})
 	}
 	h := ix.History()
@@ -250,22 +255,50 @@ func (w *workerClient) execute(ctx context.Context, task *api.FabricTask, hbEver
 	return w.push(ctx, out)
 }
 
-// pull claims the next task; nil task with nil error means idle.
-func (w *workerClient) pull(ctx context.Context) (*api.FabricTask, error) {
-	var task api.FabricTask
-	status, err := w.post(ctx, "/v1/fabric/workers/"+w.lease.ID+"/pull", struct{}{}, &task)
-	switch {
-	case err != nil:
+// pull claims the next task; nil task with nil error means idle. The
+// response body is the component's MTCB document, decoded as it
+// arrives; a transport failure while reading it is a failed pull, while
+// bytes that do not decode are the task's to report.
+func (w *workerClient) pull(ctx context.Context) (*pulledTask, error) {
+	path := "/v1/fabric/workers/" + w.lease.ID + "/pull"
+	resp, err := w.send(ctx, path, struct{}{})
+	if err != nil {
 		return nil, err
-	case status == http.StatusNotFound:
-		return nil, errLeaseLost
-	case status == http.StatusNoContent:
-		return nil, nil
-	case status == http.StatusOK:
-		return &task, nil
-	default:
-		return nil, fmt.Errorf("fabric worker: pull answered status %d", status)
 	}
+	defer closeBody(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		return nil, errLeaseLost
+	case http.StatusNoContent:
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("fabric worker: pull answered status %d", resp.StatusCode)
+	}
+	pt := &pulledTask{}
+	if err := json.Unmarshal([]byte(resp.Header.Get(api.FabricTaskHeader)), &pt.FabricTask); err != nil {
+		return nil, fmt.Errorf("fabric worker: decoding %s task header: %w", path, err)
+	}
+	body := &bodyReader{r: resp.Body}
+	pt.ix, pt.bad = history.ReadMTCBIndexed(body)
+	if body.err != nil {
+		return nil, fmt.Errorf("fabric worker: reading %s body: %w", path, body.err)
+	}
+	return pt, nil
+}
+
+// bodyReader remembers the first transport error of a response body.
+type bodyReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF && b.err == nil {
+		b.err = err
+	}
+	return n, err
 }
 
 func (w *workerClient) heartbeat(ctx context.Context) error {
@@ -320,16 +353,27 @@ func (w *workerClient) push(ctx context.Context, res api.FabricResult) error {
 // post sends one JSON request and decodes the response body into out
 // (when non-nil and the status has a body). The status code is returned
 // for the caller to interpret; only transport failures are errors.
-//
-// Bodies at least GzipThreshold bytes (large component verdicts) travel
-// compressed with Content-Encoding: gzip; the request always advertises
-// Accept-Encoding: gzip and inflates a gzipped response itself — setting
-// the header explicitly disables the transport's transparent
-// decompression, so both directions are handled here, symmetrically.
 func (w *workerClient) post(ctx context.Context, path string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
+	resp, err := w.send(ctx, path, in)
 	if err != nil {
 		return 0, err
+	}
+	defer closeBody(resp)
+	if out != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 && resp.StatusCode != http.StatusNoContent {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("fabric worker: decoding %s response: %w", path, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+// send posts in as JSON; the caller closes the response (closeBody).
+// Bodies at least GzipThreshold bytes (large component verdicts) travel
+// compressed with Content-Encoding: gzip.
+func (w *workerClient) send(ctx context.Context, path string, in any) (*http.Response, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, err
 	}
 	gzipped := false
 	if len(body) >= GzipThreshold {
@@ -343,34 +387,18 @@ func (w *workerClient) post(ctx context.Context, path string, in, out any) (int,
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept-Encoding", "gzip")
 	if gzipped {
 		req.Header.Set("Content-Encoding", "gzip")
 	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if out != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 && resp.StatusCode != http.StatusNoContent {
-		var rbody io.Reader = resp.Body
-		if resp.Header.Get("Content-Encoding") == "gzip" {
-			zr, err := gzip.NewReader(resp.Body)
-			if err != nil {
-				return resp.StatusCode, fmt.Errorf("fabric worker: inflating %s response: %w", path, err)
-			}
-			defer zr.Close()
-			rbody = zr
-		}
-		if err := json.NewDecoder(rbody).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("fabric worker: decoding %s response: %w", path, err)
-		}
-	}
-	return resp.StatusCode, nil
+	return w.hc.Do(req)
+}
+
+// closeBody drains and closes a response body, so the connection is
+// reused.
+func closeBody(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
 }

@@ -78,6 +78,7 @@ var (
 type BinaryWriter struct {
 	bw    *bufio.Writer
 	it    *Interner // wire ids in emission order
+	ids   []KeyID   // the current record's op ids, reused across records
 	n     int       // transactions written
 	vbuf  [binary.MaxVarintLen64]byte
 	ended bool
@@ -158,15 +159,19 @@ func (w *BinaryWriter) WriteTxn(t Txn) error {
 	if t.Session == -1 && w.n != 0 {
 		return fmt.Errorf("history: mtcb: init transaction must be first")
 	}
+	// One interner lookup per op: the wire ids are kept for the record,
+	// and a key first seen here is defined inline before it.
+	w.ids = w.ids[:0]
 	for _, op := range t.Ops {
-		if _, ok := w.it.Lookup(op.Key); ok {
-			continue
+		id, ok := w.it.Lookup(op.Key)
+		if !ok {
+			id = w.it.Intern(op.Key)
+			w.bw.WriteByte(mtcbTagKey)
+			if err := w.putString(string(op.Key)); err != nil {
+				return err
+			}
 		}
-		w.it.Intern(op.Key)
-		w.bw.WriteByte(mtcbTagKey)
-		if err := w.putString(string(op.Key)); err != nil {
-			return err
-		}
+		w.ids = append(w.ids, id)
 	}
 	w.bw.WriteByte(mtcbTagTxn)
 	w.putVarint(int64(t.Session))
@@ -180,9 +185,8 @@ func (w *BinaryWriter) WriteTxn(t Txn) error {
 	// bufio's error is sticky, so only the last write of the record
 	// needs checking: an earlier failure resurfaces there.
 	err := w.putUvarint(uint64(len(t.Ops)))
-	for _, op := range t.Ops {
-		id, _ := w.it.Lookup(op.Key)
-		w.putUvarint(uint64(id)<<1 | uint64(op.Kind&1))
+	for i, op := range t.Ops {
+		w.putUvarint(uint64(w.ids[i])<<1 | uint64(op.Kind&1))
 		err = w.putVarint(int64(op.Value))
 	}
 	if err != nil {

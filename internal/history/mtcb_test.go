@@ -3,9 +3,13 @@ package history
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -487,5 +491,52 @@ func TestMTCBHostileSizesAllocateByBytesConsumed(t *testing.T) {
 				t.Fatalf("%s: %s allocated %d bytes reading %d, limit %d", tc.name, read.name, got, len(tc.doc), limit)
 			}
 		}
+	}
+}
+
+// TestWriteMTCBPinnedBytes pins the MTCB writer's output: every history
+// of the committed digest corpus (internal/checker/testdata/corpus) is
+// re-encoded once with WriteMTCB (a sorted header key table) and once
+// through a BinaryWriter with an empty table (every key defined inline),
+// and the SHA-256 of all those bytes must not move. A writer change
+// that alters a single byte is a wire-format change, not a speedup.
+func TestWriteMTCBPinnedBytes(t *testing.T) {
+	const want = "ebf16501f27f6acd904b4467ec7f6ff0b13d754900b8ce654c107364ba9c5989"
+	files, err := filepath.Glob("../checker/testdata/corpus/*.mtcb")
+	if err != nil || len(files) != 12 {
+		t.Fatalf("corpus files: %v (%v)", files, err)
+	}
+	sum := sha256.New()
+	for _, name := range files {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadMTCB(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := WriteMTCB(sum, h); err != nil {
+			t.Fatalf("%s: WriteMTCB: %v", name, err)
+		}
+		bw, err := NewBinaryWriter(sum, len(h.Sessions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, txn := range h.Txns {
+			if h.HasInit && i == 0 {
+				txn.Session = -1
+			}
+			if err := bw.WriteTxn(txn); err != nil {
+				t.Fatalf("%s: WriteTxn %d: %v", name, i, err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("MTCB output moved: sha256 %s, want %s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package mtcserve
 
 import (
-	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -9,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strings"
+	"strconv"
 	"time"
 
 	"mtc/internal/api"
@@ -62,7 +61,8 @@ func (s *Server) handleFabricHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFabricPull implements POST /v1/fabric/workers/{id}/pull: 200
-// with a task, or 204 when no work is available.
+// with a task (see api.ContentTypeMTCB), or 204 when no work is
+// available.
 func (s *Server) handleFabricPull(w http.ResponseWriter, r *http.Request) {
 	if s.Fabric == nil {
 		s.fabricDisabled(w, r)
@@ -77,33 +77,18 @@ func (s *Server) handleFabricPull(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeFabricJSON(w, r, http.StatusOK, task)
-}
-
-// writeFabricJSON writes v as JSON, gzip-compressing the body when the
-// client advertised Accept-Encoding: gzip and the encoding is at least
-// fabric.GzipThreshold bytes — component task payloads dwarf the rest of
-// the fabric chatter, and their JSON (or base64-wrapped MTCB) bodies
-// compress well. Compression is skipped when it does not actually shrink
-// the body.
-func writeFabricJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	body, err := json.Marshal(v)
+	hdr, err := json.Marshal(task)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		s.v1Error(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	if len(body) >= fabric.GzipThreshold && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		var zb bytes.Buffer
-		zw := gzip.NewWriter(&zb)
-		_, werr := zw.Write(body)
-		if cerr := zw.Close(); werr == nil && cerr == nil && zb.Len() < len(body) {
-			body = zb.Bytes()
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	// The cached component bytes are the body as they are: MTCB is
+	// already the compact form, so there is no envelope and no gzip.
+	w.Header().Set(api.FabricTaskHeader, string(hdr))
+	w.Header().Set("Content-Type", api.ContentTypeMTCB)
+	w.Header().Set("Content-Length", strconv.Itoa(len(task.HistoryMTCB)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(task.HistoryMTCB)
 }
 
 // handleFabricResults implements POST /v1/fabric/workers/{id}/results.

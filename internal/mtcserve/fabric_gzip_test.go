@@ -3,34 +3,38 @@ package mtcserve
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mtc/internal/api"
 	"mtc/internal/checker"
 	"mtc/internal/fabric"
 	"mtc/internal/history"
+	"mtc/internal/shard"
 )
 
-// fabricPull posts a pull for worker id with the given Accept-Encoding
-// and returns the raw response plus the decoded task (inflating the
-// body when the server compressed it). Setting Accept-Encoding manually
-// disables the transport's transparent decompression, so the wire
-// Content-Encoding header is observable.
-func fabricPull(t *testing.T, ts *httptest.Server, id, acceptEncoding string) (*http.Response, *api.FabricTask) {
+// fabricPull posts a pull for worker id, advertising gzip the way a
+// browser or proxy would, and returns the raw response plus the task:
+// the FabricTaskHeader fields with the body as HistoryMTCB.
+func fabricPull(t *testing.T, ts *httptest.Server, id string) (*http.Response, *api.FabricTask) {
 	t.Helper()
 	req, err := http.NewRequest("POST", ts.URL+"/v1/fabric/workers/"+id+"/pull", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acceptEncoding != "" {
-		req.Header.Set("Accept-Encoding", acceptEncoding)
-	}
+	// Set by hand, the header turns off the transport's transparent
+	// decompression, so a Content-Encoding on the wire stays visible.
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -39,18 +43,12 @@ func fabricPull(t *testing.T, ts *httptest.Server, id, acceptEncoding string) (*
 	if resp.StatusCode != http.StatusOK {
 		return resp, nil
 	}
-	body := io.Reader(resp.Body)
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		zr, err := gzip.NewReader(resp.Body)
-		if err != nil {
-			t.Fatalf("inflating pull response: %v", err)
-		}
-		defer zr.Close()
-		body = zr
-	}
 	var task api.FabricTask
-	if err := json.NewDecoder(body).Decode(&task); err != nil {
-		t.Fatalf("decoding pull response: %v", err)
+	if err := json.Unmarshal([]byte(resp.Header.Get(api.FabricTaskHeader)), &task); err != nil {
+		t.Fatalf("decoding the %s header: %v", api.FabricTaskHeader, err)
+	}
+	if task.HistoryMTCB, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("reading pull body: %v", err)
 	}
 	return resp, &task
 }
@@ -68,10 +66,10 @@ func bigTwoComponentHistory() *history.History {
 	return b.Build()
 }
 
-// TestFabricPullGzipNegotiation: a pull that advertises gzip gets a
-// compressed task body when the payload clears the threshold; a pull
-// that does not stays identity-encoded. Both decode to valid tasks.
-func TestFabricPullGzipNegotiation(t *testing.T) {
+// TestFabricPullRawMTCB: a pull answers application/x-mtcb with the
+// component's cached MTCB bytes as the body, uncompressed even when the
+// client accepts gzip, and the body decodes to the component's index.
+func TestFabricPullRawMTCB(t *testing.T) {
 	srv, coord, ts := coordServer(t, filepath.Join(t.TempDir(), "fabric.wal"))
 	defer ts.Close()
 	defer srv.Close()
@@ -85,30 +83,40 @@ func TestFabricPullGzipNegotiation(t *testing.T) {
 	if err := json.Unmarshal(raw, &lease); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Submit("gz1", "mtc", bigTwoComponentHistory(), checker.Options{Level: "SI"}); err != nil {
+	h := bigTwoComponentHistory()
+	if err := coord.Submit("raw1", "mtc", h, checker.Options{Level: "SI"}); err != nil {
 		t.Fatal(err)
 	}
-
-	resp, task := fabricPull(t, ts, lease.ID, "gzip")
-	if task == nil {
-		t.Fatalf("no task on gzip pull: %d", resp.StatusCode)
+	plan := shard.Split(h)
+	seen := map[int]bool{}
+	for range plan.Components {
+		resp, task := fabricPull(t, ts, lease.ID)
+		if task == nil {
+			t.Fatalf("no task: %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != api.ContentTypeMTCB {
+			t.Fatalf("pull Content-Type %q, want %q", ct, api.ContentTypeMTCB)
+		}
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("pull body is %q-encoded; MTCB travels raw", ce)
+		}
+		if task.Job != "raw1" || task.Checker != "mtc" || task.Level != "SI" || task.Epoch != 1 || seen[task.Component] {
+			t.Fatalf("task header: %+v", task)
+		}
+		seen[task.Component] = true
+		ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
+		if err != nil {
+			t.Fatalf("component %d: %v", task.Component, err)
+		}
+		comp := plan.Components[task.Component].H
+		want := history.NewIndex(comp)
+		if !reflect.DeepEqual(ix.History(), comp) || !reflect.DeepEqual(ix.SortedKeys(), want.SortedKeys()) ||
+			ix.NumReads() != want.NumReads() || ix.NumWriterSlots() != want.NumWriterSlots() {
+			t.Fatalf("component %d: the body decodes to a different index", task.Component)
+		}
 	}
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("large pull body not gzipped (Content-Encoding=%q)", resp.Header.Get("Content-Encoding"))
-	}
-	if h, err := history.ReadMTCB(bytes.NewReader(task.HistoryMTCB)); err != nil || len(h.Txns) == 0 {
-		t.Fatalf("gzipped task decodes empty: %+v (%v)", task, err)
-	}
-
-	resp, task2 := fabricPull(t, ts, lease.ID, "")
-	if task2 == nil {
-		t.Fatalf("no second task: %d", resp.StatusCode)
-	}
-	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
-		t.Fatalf("pull without Accept-Encoding: gzip was %q-encoded", ce)
-	}
-	if task2.Component == task.Component {
-		t.Fatalf("same component pulled twice: %d", task.Component)
+	if resp, task := fabricPull(t, ts, lease.ID); task != nil || resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("pull after the plan is out: %d %+v", resp.StatusCode, task)
 	}
 }
 
@@ -187,25 +195,45 @@ func TestFabricResultsGzipBody(t *testing.T) {
 	}
 }
 
-// TestFabricGzipThresholdSkipsSmallBodies: sub-threshold pull bodies are
-// never compressed even when the client accepts gzip.
+// TestFabricGzipThresholdSkipsSmallBodies: a real worker sends the
+// result of a small component uncompressed — below fabric.GzipThreshold
+// the gzip overhead would exceed the saving.
 func TestFabricGzipThresholdSkipsSmallBodies(t *testing.T) {
 	srv, coord, ts := coordServer(t, filepath.Join(t.TempDir(), "fabric.wal"))
 	defer ts.Close()
 	defer srv.Close()
 	defer coord.Close()
 
-	lease := coord.Register(api.WorkerHello{Name: "ws"})
+	var (
+		mu        sync.Mutex
+		encodings []string
+	)
+	h := srv.Handler()
+	spy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			mu.Lock()
+			encodings = append(encodings, r.Header.Get("Content-Encoding"))
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer spy.Close()
+	stop := startFabricWorkers(t, spy.URL, 1)
+	defer stop()
+
 	b := history.NewBuilder("x")
 	b.Txn(0, history.W("x", 1))
 	if err := coord.Submit("gz3", "mtc", b.Build(), checker.Options{Level: "SI"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, task := fabricPull(t, ts, lease.ID, "gzip")
-	if task == nil {
-		t.Fatalf("no task: %d", resp.StatusCode)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := coord.Wait(ctx, "gz3"); err != nil {
+		t.Fatal(err)
 	}
-	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
-		t.Fatalf("tiny body compressed (%q) below threshold %d", ce, fabric.GzipThreshold)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(encodings) != 1 || encodings[0] != "" {
+		t.Fatalf("result Content-Encodings %q, want one identity body below threshold %d", encodings, fabric.GzipThreshold)
 	}
 }
