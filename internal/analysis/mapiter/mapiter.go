@@ -29,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 // artifact flows through.
 var watched = map[string]bool{
 	"core": true, "levels": true, "checker": true,
-	"shard": true, "history": true, "polygraph": true,
+	"shard": true, "history": true, "polygraph": true, "elle": true,
 }
 
 // Marker is the suppression annotation.

@@ -67,14 +67,17 @@ func referenceRebuild(old *graph.Online, remap []int, kcount int) *graph.Online 
 				summary.UnionWith(reach[e.To])
 			}
 		}
-		summary.ForEach(func(b int) {
+		for b := 0; b < kcount; b++ {
+			if !summary.Test(b) {
+				continue
+			}
 			if b == nx {
 				panic("reference rebuild found a cycle through the collapsed region")
 			}
 			if !direct.Test(b) {
 				addEdge(graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: epochObj})
 			}
-		})
+		}
 	}
 	return ref
 }

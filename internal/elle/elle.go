@@ -12,6 +12,8 @@ package elle
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -164,12 +166,12 @@ func CheckListAppend(h *History, lvl Level) Report {
 			prev = id
 		}
 	}
-	// WW along each version order; position index for RW derivation.
-	pos := map[history.Key]map[history.Value]int{}
-	for k, order := range longest {
-		pos[k] = map[history.Value]int{}
+	// WW along each version order. Keys and values are walked sorted, so
+	// edges arrive in one order every run and the cycle search reports
+	// one witness.
+	for _, k := range slices.Sorted(maps.Keys(longest)) {
+		order := longest[k]
 		for j, v := range order {
-			pos[k][v] = j
 			if j > 0 {
 				a, b := appendOf[k][order[j-1]], appendOf[k][v]
 				if a != b {
@@ -183,14 +185,15 @@ func CheckListAppend(h *History, lvl Level) Report {
 	// cannot precede it): they are WW-after the last observed appender,
 	// and full-prefix readers anti-depend on them.
 	unobserved := map[history.Key][]int{}
-	for k, m := range appendOf {
+	for _, k := range slices.Sorted(maps.Keys(appendOf)) {
+		m := appendOf[k]
 		inPrefix := map[history.Value]bool{}
 		for _, v := range longest[k] {
 			inPrefix[v] = true
 		}
-		for v, w := range m {
+		for _, v := range slices.Sorted(maps.Keys(m)) {
 			if !inPrefix[v] {
-				unobserved[k] = append(unobserved[k], w)
+				unobserved[k] = append(unobserved[k], m[v])
 			}
 		}
 		if order := longest[k]; len(order) > 0 {
@@ -301,12 +304,10 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 	h.SessionOrder(func(a, b int) {
 		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
 	})
-	type wk struct {
-		w int
-		k history.KeyID
-	}
-	readers := map[wk][]int{}
-	rmwSucc := map[wk][]int{} // divergence yields several successors
+	// The readers and RMW successors of each (writer, key), indexed by
+	// ix.WriterSlot; divergence yields several successors.
+	readers := make([][]int, ix.NumWriterSlots())
+	rmwSucc := make([][]int, ix.NumWriterSlots())
 	for s := range h.Txns {
 		if s&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -320,24 +321,36 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 				continue
 			}
 			g.AddEdge(graph.Edge{From: w, To: s, Kind: graph.WR, Obj: string(ix.KeyName(x))})
-			readers[wk{w, x}] = append(readers[wk{w, x}], s)
+			sl := ix.WriterSlot(x, rw[i])
+			readers[sl] = append(readers[sl], s)
 			if _, ok := ix.WriteVal(s, x); ok {
 				g.AddEdge(graph.Edge{From: w, To: s, Kind: graph.WW, Obj: string(ix.KeyName(x))})
-				rmwSucc[wk{w, x}] = append(rmwSucc[wk{w, x}], s)
+				rmwSucc[sl] = append(rmwSucc[sl], s)
 			}
 		}
 	}
-	for key, succs := range rmwSucc {
-		if lvl == SI && len(succs) > 1 {
-			// Two transactions updated the same version: a lost update,
-			// which SI forbids regardless of the composition graph.
-			rep.Reason = fmt.Sprintf("diverging updates of T%d on %s (lost update)", key.w, ix.KeyName(key.k))
-			return rep, nil
-		}
-		for _, succ := range succs {
-			for _, r := range readers[key] {
-				if r != succ {
-					g.AddEdge(graph.Edge{From: r, To: succ, Kind: graph.RW, Obj: string(ix.KeyName(key.k))})
+	// Walk the successors in (writer, key) order — a writer's write
+	// footprint is sorted by key — so the first divergence is the one
+	// reported and the RW edges arrive in one order every run.
+	for w := range h.Txns {
+		keys, _ := ix.Writes(w)
+		for _, x := range keys {
+			sl := ix.WriterSlot(x, int32(w))
+			if sl < 0 {
+				continue
+			}
+			succs := rmwSucc[sl]
+			if lvl == SI && len(succs) > 1 {
+				// Two transactions updated the same version: a lost update,
+				// which SI forbids regardless of the composition graph.
+				rep.Reason = fmt.Sprintf("diverging updates of T%d on %s (lost update)", w, ix.KeyName(x))
+				return rep, nil
+			}
+			for _, succ := range succs {
+				for _, r := range readers[sl] {
+					if r != succ {
+						g.AddEdge(graph.Edge{From: r, To: succ, Kind: graph.RW, Obj: string(ix.KeyName(x))})
+					}
 				}
 			}
 		}

@@ -183,6 +183,24 @@ func TestRWRegisterMissesBlindWriteAnomalies(t *testing.T) {
 	}
 }
 
+// TestRWRegisterSIWitnessIsStable: ⊥T writes x and y, and two RMW
+// transactions both overwrite each key's initial value — a lost update
+// on each key. The SI verdict names the first diverging (writer, key),
+// T0 on x, on every run.
+func TestRWRegisterSIWitnessIsStable(t *testing.T) {
+	b := history.NewBuilder("x", "y")
+	b.Txn(0, history.R("x", 0), history.W("x", 1), history.R("y", 0), history.W("y", 1))
+	b.Txn(1, history.R("x", 0), history.W("x", 2), history.R("y", 0), history.W("y", 2))
+	h := b.Build()
+	reasons := map[string]int{}
+	for i := 0; i < 64; i++ {
+		reasons[CheckRWRegister(h, SI).Reason]++
+	}
+	if want := "diverging updates of T0 on x (lost update)"; len(reasons) != 1 || reasons[want] != 64 {
+		t.Fatalf("64 runs gave reasons %v, want only %q", reasons, want)
+	}
+}
+
 func TestListAppendStoreRunCleanHistories(t *testing.T) {
 	s := kv.NewStore(kv.ModeSerializable)
 	w := workload.GenerateListAppend(workload.ListAppendConfig{

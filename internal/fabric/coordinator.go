@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"slices"
 	"sort"
@@ -137,8 +138,7 @@ type fabJob struct {
 	opts   checker.Options
 	txns   int
 	p      *shard.Partition // nil once the job is terminal
-	// side is the job's history side file, zero once the job is
-	// terminal (or for a job replayed from an inline-history record).
+	// side is the job's history side file, zero once the job is terminal.
 	side  sideFile
 	comps []compState
 	// enc lazily caches the MTCB encoding of each component, filled on
@@ -201,7 +201,7 @@ func Open(path string, cfg Config) (*Coordinator, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(discardHandler{})
+		logger = discardLogger
 	}
 	now := cfg.now
 	if now == nil {
@@ -242,21 +242,15 @@ func (c *Coordinator) replay(recs []walRecord) error {
 				Level:       checker.Level(rec.Level),
 				Parallelism: rec.Parallelism, Window: rec.Window,
 			}
-			var p *shard.Partition
-			txns, comps := rec.Txns, rec.Components
 			switch {
-			case rec.History != nil:
-				p = shard.Split(rec.History)
-				txns, comps = len(rec.History.Txns), len(p.Components)
 			case rec.HistoryFile == "":
-				return fmt.Errorf("fabric: wal: job %q has no history", rec.Job)
-			case txns < 0 || comps < 0 || int64(comps) > rec.HistoryBytes:
+				return fmt.Errorf("fabric: wal: job %q names no history_file (the retired inline-history form is not read)", rec.Job)
+			case rec.Txns < 0 || rec.Components < 0 || int64(rec.Components) > rec.HistoryBytes:
 				// Every component holds a transaction, and every
 				// transaction takes bytes of the side file.
-				return fmt.Errorf("fabric: wal: job %q: %d components, %d txns in a %d-byte history", rec.Job, comps, txns, rec.HistoryBytes)
+				return fmt.Errorf("fabric: wal: job %q: %d components, %d txns in a %d-byte history", rec.Job, rec.Components, rec.Txns, rec.HistoryBytes)
 			}
-			j = c.insertJob(rec.Job, rec.Checker, opts, txns, comps)
-			j.p = p
+			j = c.insertJob(rec.Job, rec.Checker, opts, rec.Txns, rec.Components)
 			j.side = sideFile{name: rec.HistoryFile, size: rec.HistoryBytes, crc: rec.HistoryCRC}
 		case recAssign, recRequeue:
 			if j == nil || rec.Component < 0 || rec.Component >= len(j.comps) {
@@ -296,11 +290,9 @@ func (c *Coordinator) replay(recs []walRecord) error {
 		if j.state != JobPending {
 			continue
 		}
-		if j.p == nil {
-			if err := c.loadPlan(j); err != nil {
-				c.failLocked(j, err.Error())
-				continue
-			}
+		if err := c.loadPlan(j); err != nil {
+			c.failLocked(j, err.Error())
+			continue
 		}
 		if j.remaining == 0 {
 			if err := c.fold(j); err != nil {
@@ -789,11 +781,6 @@ func (c *Coordinator) Close() error {
 	return c.wal.Close()
 }
 
-// discardHandler drops every log record (slog.DiscardHandler is Go
-// 1.24+ and the CI matrix still builds 1.23).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
+// discardLogger stands in for a nil Logger: its handler is disabled at
+// every level, so a record is dropped before it is formatted.
+var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))

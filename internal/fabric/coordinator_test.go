@@ -702,7 +702,7 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 func TestFabricWALEmptyJobID(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	log := walHeader + "\n" +
-		`{"type":"job","job":"","checker":"mtc","level":"SER","history":{"sessions":[],"txns":[]},"component":0,"epoch":0}` + "\n" +
+		`{"type":"job","job":"","checker":"mtc","level":"SER","history_file":"job-1.mtcb","component":0,"epoch":0}` + "\n" +
 		`{"type":"fail","job":"","component":0,"epoch":0,"error":"x"}` + "\n"
 	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
 		t.Fatal(err)
@@ -712,19 +712,47 @@ func TestFabricWALEmptyJobID(t *testing.T) {
 	}
 }
 
-// TestFabricWALRetiredSkipPreCheck: a job record written by a binary
-// that still had the pre-check switch replays, and the job runs with
-// the pre-check — the retired field is dropped, not honoured, so a
-// thin-air read it would have hidden is reported.
-func TestFabricWALRetiredSkipPreCheck(t *testing.T) {
-	hist, err := json.Marshal(history.FixtureByName("ThinAirRead").H)
+// TestFabricWALInlineHistoryRefused: a job line in the retired form,
+// its history inline and no side file named, fails Open with an error
+// that says so rather than replaying or guessing.
+func TestFabricWALInlineHistoryRefused(t *testing.T) {
+	hist, err := json.Marshal(tenantHistory(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	log := walHeader + "\n" +
-		`{"type":"job","job":"j1","checker":"mtc","level":"SI","skip_precheck":true,"history":` + string(hist) + `,"component":0,"epoch":0}` + "\n"
+		`{"type":"job","job":"j1","checker":"mtc","level":"SI","history":` + string(hist) + `,"component":0,"epoch":0}` + "\n"
 	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, Config{}); err == nil || !strings.Contains(err.Error(), "retired inline-history form") {
+		t.Fatalf("Open over an inline-history job record: %v", err)
+	}
+}
+
+// TestFabricWALRetiredSkipPreCheck: a job record written by a binary
+// that still had the pre-check switch replays, and the job runs with
+// the pre-check — the retired field is dropped, not honoured, so a
+// thin-air read it would have hidden is reported.
+func TestFabricWALRetiredSkipPreCheck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c1 := openTestCoord(t, path, nil)
+	if err := c1.Submit("j1", "mtc", history.FixtureByName("ThinAirRead").H, checker.Options{Level: core.SI}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(log, []byte(`{"type":"job",`), []byte(`{"type":"job","skip_precheck":true,`), 1)
+	if bytes.Equal(old, log) {
+		t.Fatal("no job record to rewrite")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := openTestCoord(t, path, nil)

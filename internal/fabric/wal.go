@@ -46,8 +46,8 @@ import (
 // job still pending after the last record (a terminal job needs only
 // its component count), and a side file that is missing, short or
 // fails its CRC fails that one job durably with ErrHistoryFile. A job
-// line with an inline "history" — the form logs took before the side
-// directory — still replays; nothing writes it any more.
+// line without a side file — the retired inline-history form — fails
+// Open.
 const walHeader = `{"format":"mtc-fabric-wal","version":1}`
 
 // Record types.
@@ -67,17 +67,16 @@ type walRecord struct {
 	Type string `json:"type"`
 	Job  string `json:"job"`
 
-	// recJob payload. History is the retired inline form, read only.
-	Checker      string           `json:"checker,omitempty"`
-	Level        string           `json:"level,omitempty"`
-	Parallelism  int              `json:"parallelism,omitempty"`
-	Window       int              `json:"window,omitempty"`
-	Txns         int              `json:"txns,omitempty"`
-	Components   int              `json:"components,omitempty"`
-	HistoryFile  string           `json:"history_file,omitempty"`
-	HistoryBytes int64            `json:"history_bytes,omitempty"`
-	HistoryCRC   uint32           `json:"history_crc32,omitempty"`
-	History      *history.History `json:"history,omitempty"`
+	// recJob payload.
+	Checker      string `json:"checker,omitempty"`
+	Level        string `json:"level,omitempty"`
+	Parallelism  int    `json:"parallelism,omitempty"`
+	Window       int    `json:"window,omitempty"`
+	Txns         int    `json:"txns,omitempty"`
+	Components   int    `json:"components,omitempty"`
+	HistoryFile  string `json:"history_file,omitempty"`
+	HistoryBytes int64  `json:"history_bytes,omitempty"`
+	HistoryCRC   uint32 `json:"history_crc32,omitempty"`
 
 	// recAssign / recRequeue / recResult payload.
 	Component int    `json:"component"`

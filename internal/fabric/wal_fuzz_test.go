@@ -28,7 +28,6 @@ const (
 	edSwap           // swap records arg and arg+1
 	edRetired        // job record arg/2 gains sparse_rt (even arg) or skip_precheck (odd)
 	edEmptyID        // record arg names the empty job id
-	edInline         // job record arg carries its history inline, the pre-side-file form
 	edRmFile         // side file of job arg is missing
 	edShort          // side file of job arg loses its tail
 	edCorrupt        // side file of job arg has a flipped byte
@@ -208,23 +207,6 @@ func (rc *replayCase) edit(b byte, ref replayRef) {
 				rc.lines[i] = bytes.Replace(rc.lines[i], []byte(`"job":"`+rec.Job+`"`), []byte(`"job":""`), 1)
 			}
 		}
-	case edInline:
-		if at := jobLines(rc.lines); len(at) > 0 {
-			i := at[arg%len(at)]
-			rec := recordOf(rc.lines[i])
-			for _, j := range ref.jobs {
-				if j.id == rec.Job {
-					*rec = walRecord{Type: recJob, Job: rec.Job, Checker: rec.Checker, Level: rec.Level, History: j.h}
-				}
-			}
-			if rec.History != nil {
-				line, err := json.Marshal(rec)
-				if err != nil {
-					panic(err)
-				}
-				rc.lines[i] = append(line, '\n')
-			}
-		}
 	case edRmFile:
 		delete(rc.files, job.file)
 	case edShort:
@@ -285,13 +267,9 @@ func (rc *replayCase) intact() []*walRecord {
 // contract.
 func checkReplay(t *testing.T, c *Coordinator, path string, rc *replayCase, ref replayRef) {
 	t.Helper()
-	inline := make(map[string]bool)
 	terminal := make(map[string]bool)
 	for _, rec := range rc.intact() {
-		switch rec.Type {
-		case recJob:
-			inline[rec.Job] = rec.History != nil
-		case recDone, recFail:
+		if rec.Type == recDone || rec.Type == recFail {
 			terminal[rec.Job] = true
 		}
 	}
@@ -299,11 +277,11 @@ func checkReplay(t *testing.T, c *Coordinator, path string, rc *replayCase, ref 
 		switch {
 		case j.State == JobPending && terminal[j.ID]:
 			t.Fatalf("job %s is pending again after its terminal record", j.ID)
-		case j.State == JobPending && !inline[j.ID] && rc.damaged(ref.job(j.ID), ref):
+		case j.State == JobPending && rc.damaged(ref.job(j.ID), ref):
 			t.Fatalf("job %s resumed over a damaged side file", j.ID)
 		case j.State == JobDone && canonReport(*j.Report) != ref.job(j.ID).want:
 			t.Fatalf("job %s replayed a wrong verdict:\nfabric: %s\nlocal:  %s", j.ID, canonReport(*j.Report), ref.job(j.ID).want)
-		case j.State == JobFailed && strings.Contains(j.Err, ErrHistoryFile.Error()) && (inline[j.ID] || !rc.damaged(ref.job(j.ID), ref)):
+		case j.State == JobFailed && strings.Contains(j.Err, ErrHistoryFile.Error()) && !rc.damaged(ref.job(j.ID), ref):
 			t.Fatalf("job %s failed over a sound history: %s", j.ID, j.Err)
 		}
 	}
@@ -327,8 +305,8 @@ func (r replayRef) job(id string) replayJob {
 }
 
 // FuzzWALReplay edits a reference log — records torn, dropped,
-// duplicated and reordered, retired fields and empty ids, the inline
-// history form, side files missing, short, corrupt or orphaned — and
+// duplicated and reordered, retired fields and empty ids, side files
+// missing, short, corrupt or orphaned — and
 // asserts that Open either refuses the log or replays it without a
 // wrong verdict: a done job carries shard.Check's report, a job with an
 // intact terminal record stays terminal, a pending job never resumes
@@ -340,11 +318,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{ed(edTear, 7)})
 	f.Add([]byte{ed(edCorrupt, 1), ed(edShort, 2), ed(edOrphan, 0)})
-	f.Add([]byte{ed(edRmFile, 1), ed(edInline, 1)})
+	f.Add([]byte{ed(edRmFile, 1)})
 	f.Add([]byte{ed(edDrop, 5), ed(edDup, 3), ed(edSwap, 8)})
 	f.Add([]byte{ed(edRetired, 2), ed(edRetired, 5)})
 	f.Add([]byte{ed(edEmptyID, 0)})
-	f.Add([]byte{ed(edDrop, 11), ed(edRmFile, 0), ed(edInline, 3)})
+	f.Add([]byte{ed(edDrop, 11), ed(edRmFile, 0)})
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		if len(edits) > 16 {
 			edits = edits[:16]

@@ -69,7 +69,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		w.reg = checker.Default
 	}
 	if w.logger == nil {
-		w.logger = slog.New(discardHandler{})
+		w.logger = discardLogger
 	}
 	if w.hc == nil {
 		w.hc = &http.Client{Timeout: 30 * time.Second}

@@ -45,13 +45,3 @@ func (b Bitset) Clear() {
 		b[k] = 0
 	}
 }
-
-// ForEach calls fn for every set bit in ascending order.
-func (b Bitset) ForEach(fn func(i int)) {
-	for k, w := range b {
-		for w != 0 {
-			fn(k<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}

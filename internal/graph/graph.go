@@ -338,79 +338,6 @@ func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
 	return nil, nil
 }
 
-// SCCs returns the strongly connected components of the graph in reverse
-// topological order, using an iterative Tarjan algorithm. Singleton
-// components without a self-loop are included.
-func (g *Graph) SCCs() [][]int {
-	const unvisited = -1
-	index := make([]int, g.Len())
-	low := make([]int, g.Len())
-	onStack := make([]bool, g.Len())
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		sccs    [][]int
-		tstack  []int
-		counter int
-	)
-	type frame struct {
-		v    int
-		next int
-	}
-	for root := 0; root < g.Len(); root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		stack := []frame{{v: root}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		tstack = append(tstack, root)
-		onStack[root] = true
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.Out(f.v)) {
-				w := g.Out(f.v)[f.next].To
-				f.next++
-				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					tstack = append(tstack, w)
-					onStack[w] = true
-					stack = append(stack, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-			} else {
-				v := f.v
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					p := stack[len(stack)-1].v
-					if low[v] < low[p] {
-						low[p] = low[v]
-					}
-				}
-				if low[v] == index[v] {
-					var comp []int
-					for {
-						w := tstack[len(tstack)-1]
-						tstack = tstack[:len(tstack)-1]
-						onStack[w] = false
-						comp = append(comp, w)
-						if w == v {
-							break
-						}
-					}
-					sccs = append(sccs, comp)
-				}
-			}
-		}
-	}
-	return sccs
-}
-
 // TopoSort returns a topological order of the nodes and true, or nil and
 // false if the graph is cyclic. It is Kahn's algorithm in O(n+m) — the
 // order itself is the FIFO queue, so nothing recurses and a node appears

@@ -111,17 +111,28 @@ func TestCycleIsSimple(t *testing.T) {
 	}
 }
 
+// refOf is the adjacency-list reference graph of an edge list.
+func refOf(n int, es []Edge) refGraph {
+	g := make(refGraph, n)
+	for _, e := range es {
+		g.addEdge(e)
+	}
+	return g
+}
+
+// The TestSCCs* cases pin refGraph.sccs, the oracle
+// TestPropertyCycleDetectionAgreesWithSCC holds Acyclic and FindCycle
+// to, on graphs whose components are known.
+
 func TestSCCsChain(t *testing.T) {
-	g := build(3, edges([2]int{0, 1}, [2]int{1, 2}))
-	sccs := g.SCCs()
+	sccs := refOf(3, edges([2]int{0, 1}, [2]int{1, 2})).sccs()
 	if len(sccs) != 3 {
 		t.Fatalf("want 3 singleton SCCs, got %v", sccs)
 	}
 }
 
 func TestSCCsOneBigComponent(t *testing.T) {
-	g := build(4, edges([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0}))
-	sccs := g.SCCs()
+	sccs := refOf(4, edges([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})).sccs()
 	if len(sccs) != 1 || len(sccs[0]) != 4 {
 		t.Fatalf("want one SCC of 4 nodes, got %v", sccs)
 	}
@@ -129,12 +140,11 @@ func TestSCCsOneBigComponent(t *testing.T) {
 
 func TestSCCsMixed(t *testing.T) {
 	// {0,1} cycle -> 2 -> {3,4} cycle
-	g := build(5, edges(
+	sccs := refOf(5, edges(
 		[2]int{0, 1}, [2]int{1, 0},
 		[2]int{1, 2},
 		[2]int{2, 3}, [2]int{3, 4}, [2]int{4, 3},
-	))
-	sccs := g.SCCs()
+	)).sccs()
 	if len(sccs) != 3 {
 		t.Fatalf("want 3 SCCs, got %v", sccs)
 	}
@@ -274,13 +284,13 @@ func TestPropertyCycleDetectionAgreesWithSCC(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
 		m := rng.Intn(4 * n)
-		b := NewBuilder(n, m)
-		for i := 0; i < m; i++ {
-			b.AddEdge(Edge{From: rng.Intn(n), To: rng.Intn(n), Kind: WW})
+		es := make([]Edge, m)
+		for i := range es {
+			es[i] = Edge{From: rng.Intn(n), To: rng.Intn(n), Kind: WW}
 		}
-		g := b.Build()
+		g := build(n, es)
 		hasBigSCC := false
-		for _, c := range g.SCCs() {
+		for _, c := range refOf(n, es).sccs() {
 			if len(c) > 1 {
 				hasBigSCC = true
 			}

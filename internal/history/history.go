@@ -106,17 +106,6 @@ type History struct {
 	HasInit  bool    `json:"has_init"`
 }
 
-// NumCommitted returns the number of committed transactions.
-func (h *History) NumCommitted() int {
-	n := 0
-	for i := range h.Txns {
-		if h.Txns[i].Committed {
-			n++
-		}
-	}
-	return n
-}
-
 // Keys returns the sorted set of keys touched anywhere in the history.
 func (h *History) Keys() []Key {
 	set := map[Key]struct{}{}

@@ -48,9 +48,6 @@ func TestBuilderAndValidate(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if h.NumCommitted() != 3 {
-		t.Fatalf("NumCommitted = %d", h.NumCommitted())
-	}
 	keys := h.Keys()
 	if len(keys) != 2 || keys[0] != "x" || keys[1] != "y" {
 		t.Fatalf("Keys = %v", keys)

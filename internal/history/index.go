@@ -478,16 +478,6 @@ func (ix *Index) ReadKeys(t int) []KeyID {
 	return ix.readKey[ix.readOff[t]:ix.readOff[t+1]]
 }
 
-// ReadVal returns the value transaction t first externally read from
-// key k, if any: the columnar Txn.ReadsKey.
-func (ix *Index) ReadVal(t int, k KeyID) (Value, bool) {
-	keys, vals := ix.Reads(t)
-	if i := searchKey(keys, k); i >= 0 {
-		return vals[i], true
-	}
-	return 0, false
-}
-
 // WriteVal returns the last value transaction t wrote to key k, if any.
 func (ix *Index) WriteVal(t int, k KeyID) (Value, bool) {
 	keys, vals := ix.Writes(t)

@@ -110,12 +110,6 @@ func TestIndexEquivalence(t *testing.T) {
 						trial, ti, ix.KeyName(k), wv[i], v, ok)
 				}
 			}
-			for k, v := range wantR {
-				id, _ := ix.KeyIDOf(k)
-				if got, ok := ix.ReadVal(ti, id); !ok || got != v {
-					t.Fatalf("trial %d txn %d: ReadVal(%s) = (%d,%v), want (%d,true)", trial, ti, k, got, ok, v)
-				}
-			}
 			for k, v := range wantW {
 				id, _ := ix.KeyIDOf(k)
 				if got, ok := ix.WriteVal(ti, id); !ok || got != v {

@@ -181,13 +181,3 @@ func (fr *frontier) add(k history.KeyID, txn, s int32) {
 	}
 	fr.byKey[k] = append(out, fentry{txn: txn, slot: s})
 }
-
-// ParseGuarantee maps a session-guarantee name to its constant.
-func ParseGuarantee(s string) (Guarantee, error) {
-	for _, g := range Guarantees() {
-		if string(g) == s {
-			return g, nil
-		}
-	}
-	return "", fmt.Errorf("levels: unknown session guarantee %q (want RYW, MR, MW or WFR)", s)
-}

@@ -59,7 +59,6 @@ package levels
 
 import (
 	"context"
-	"fmt"
 
 	"mtc/internal/core"
 	"mtc/internal/graph"
@@ -166,27 +165,6 @@ func (r *Report) Breaking() *Verdict {
 		}
 	}
 	return nil
-}
-
-// Summary renders a one-line account of the profile.
-func (r *Report) Summary() string {
-	s := fmt.Sprintf("strongest level satisfied: %s", r.Strongest)
-	if b := r.Breaking(); b != nil {
-		s += fmt.Sprintf("; breaks at %s: %s", b.Level, b.Witness())
-	}
-	var bad []string
-	for _, g := range r.Guarantees {
-		if !g.OK {
-			bad = append(bad, string(g.Guarantee))
-		}
-	}
-	if len(bad) > 0 {
-		s += "; session guarantees violated:"
-		for _, g := range bad {
-			s += " " + g
-		}
-	}
-	return s
 }
 
 // Profile evaluates every isolation level and session guarantee of the

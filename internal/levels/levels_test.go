@@ -87,7 +87,7 @@ func TestCheckLevelAgreesWithProfile(t *testing.T) {
 func TestProfileSerialHistory(t *testing.T) {
 	rep := profile(t, history.SerialHistory(30, "x", "y"))
 	if rep.Strongest != core.SSER {
-		t.Fatalf("serial history strongest = %s, want SSER: %s", rep.Strongest, rep.Summary())
+		t.Fatalf("serial history strongest = %s, want SSER; breaks at %+v", rep.Strongest, rep.Breaking())
 	}
 	for _, v := range rep.Rungs {
 		if !v.Res.OK {
@@ -109,7 +109,7 @@ func TestProfileSerialHistory(t *testing.T) {
 func TestProfileBlindWrites(t *testing.T) {
 	rep := profile(t, history.BlindWriteHistory(3, 5))
 	if rep.Strongest != core.SSER {
-		t.Fatalf("blind-write strongest = %s: %s", rep.Strongest, rep.Summary())
+		t.Fatalf("blind-write strongest = %s; breaks at %+v", rep.Strongest, rep.Breaking())
 	}
 	for _, g := range rep.Guarantees {
 		if !g.OK {
@@ -208,18 +208,6 @@ func TestSessionGuarantees(t *testing.T) {
 			t.Fatal("WFR must be violated")
 		}
 	})
-}
-
-func TestParseGuarantee(t *testing.T) {
-	for _, g := range Guarantees() {
-		got, err := ParseGuarantee(string(g))
-		if err != nil || got != g {
-			t.Fatalf("ParseGuarantee(%s) = %v, %v", g, got, err)
-		}
-	}
-	if _, err := ParseGuarantee("nope"); err == nil {
-		t.Fatal("want error for unknown guarantee")
-	}
 }
 
 // Profile rung results must be bit-identical to the dedicated engines

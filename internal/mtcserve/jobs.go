@@ -158,21 +158,18 @@ func (s *Server) startWorkers() {
 	})
 }
 
-// Close stops the worker pool after the queued jobs drain and shuts the
-// idle-session janitor down, waiting for its goroutine to exit (no
-// goroutine outlives a graceful shutdown). Submissions after Close are
-// rejected with 503.
+// Close stops the worker pool, the server's only goroutines, after the
+// queued jobs drain; request traffic sweeps idle sessions, so nothing
+// else runs. Submissions after Close are rejected with 503.
 func (s *Server) Close() {
 	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
 	if s.closed {
-		s.jobsMu.Unlock()
 		return
 	}
 	s.closed = true
 	s.startWorkers() // ensure the queue exists before closing it
 	close(s.queue)
-	s.jobsMu.Unlock()
-	s.stopJanitor()
 }
 
 // abortJob makes giving up on a distributed job durable: the fabric

@@ -44,8 +44,9 @@ func (w *statusWriter) Flush() {
 
 // middleware wraps the route table with the cross-cutting concerns of
 // the v1 API: a request ID on every request (honouring a client-supplied
-// X-Request-Id), a structured access-log line per request, and a global
-// request-body size limit.
+// X-Request-Id), a structured access-log line per request, a global
+// request-body size limit, and the idle-session sweep, run before the
+// route so a request for an expired session finds it gone.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	limited := http.MaxBytesHandler(next, s.maxBodyBytes())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -56,6 +57,11 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
+		if s.sweepDue(start) {
+			if n := s.sweepIdleSessions(start); n > 0 {
+				s.logger().Info("evicted idle sessions", "count", n, "request_id", id)
+			}
+		}
 		limited.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
 		s.logger().Info("http",
 			"method", r.Method,

@@ -12,7 +12,9 @@
 // and observable as an NDJSON event stream. Streaming verification
 // sessions feed transactions to core.Incremental as they commit, so a
 // deployment can verify continuously under live traffic instead of
-// shipping complete histories.
+// shipping complete histories. Request traffic sweeps idle sessions: the
+// middleware evicts them at most once per quarter of the idle timeout,
+// so the job pool's workers are the only goroutines a Server starts.
 //
 //	GET    /v1/checkers                 registered checkers and their levels
 //	POST   /v1/jobs                     submit a whole-history check -> 202 + job id
@@ -45,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mtc/internal/api"
@@ -90,8 +93,9 @@ type Server struct {
 	DefaultWindow int
 	// SessionIdleTimeout evicts streaming sessions that have not been
 	// touched for this long (default DefaultSessionIdle), so abandoned
-	// streams do not pin checker state or session slots forever. An
-	// evicted session answers 404 like a deleted one.
+	// streams do not pin checker state or session slots forever. The
+	// sweep runs on the next request to any route; an evicted session
+	// answers 404 like a deleted one.
 	SessionIdleTimeout time.Duration
 	// DefaultParallelism is the engine parallelism applied to jobs that do
 	// not set their own (checker.Options.Parallelism): 0 keeps the
@@ -108,17 +112,10 @@ type Server struct {
 	// re-expose jobs recovered from the write-ahead log.
 	Fabric *fabric.Coordinator
 
-	mu       sync.Mutex
-	sessions map[string]*session
-	nextID   int
-	// Janitor lifecycle, guarded by mu: the sweeper starts on the first
-	// streaming session and is stopped — and waited for — by Close, so a
-	// gracefully shut down server leaks no goroutine. janitorStopped
-	// also bars a post-Close session open from resurrecting it.
-	janitorStarted bool
-	janitorStopped bool
-	janitorStop    chan struct{}
-	janitorDone    chan struct{}
+	mu        sync.Mutex
+	sessions  map[string]*session
+	nextID    int
+	nextSweep atomic.Int64 // UnixNano before which requests skip the idle sweep
 
 	jobsMu      sync.Mutex
 	jobs        map[string]*job
@@ -189,10 +186,9 @@ func NewServer(reg *checker.Registry) *Server {
 		reg = checker.Default
 	}
 	return &Server{
-		reg:         reg,
-		sessions:    make(map[string]*session),
-		jobs:        make(map[string]*job),
-		janitorStop: make(chan struct{}),
+		reg:      reg,
+		sessions: make(map[string]*session),
+		jobs:     make(map[string]*job),
 	}
 }
 
@@ -203,56 +199,12 @@ func (s *Server) sessionIdle() time.Duration {
 	return DefaultSessionIdle
 }
 
-// startJanitor launches the idle-session sweeper on first use. A server
-// that has already been Closed never (re)starts it.
-func (s *Server) startJanitor() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.janitorStarted || s.janitorStopped {
-		return
-	}
-	s.janitorStarted = true
-	if s.janitorStop == nil { // literal-constructed Server
-		s.janitorStop = make(chan struct{})
-	}
-	s.janitorDone = make(chan struct{})
-	interval := s.sessionIdle() / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	go func() {
-		defer close(s.janitorDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if n := s.sweepIdleSessions(time.Now()); n > 0 {
-					s.logger().Info("evicted idle sessions", "count", n)
-				}
-			case <-s.janitorStop:
-				return
-			}
-		}
-	}()
-}
-
-// stopJanitor signals the sweeper and waits until its goroutine has
-// exited; it is a no-op when the janitor never started and idempotent
-// otherwise.
-func (s *Server) stopJanitor() {
-	s.mu.Lock()
-	if !s.janitorStopped {
-		s.janitorStopped = true
-		if s.janitorStarted {
-			close(s.janitorStop)
-		}
-	}
-	done := s.janitorDone
-	s.mu.Unlock()
-	if done != nil {
-		<-done
-	}
+// sweepDue reports whether the request arriving at now runs the idle
+// sweep: at most one request per quarter of the idle timeout does, so
+// request traffic evicts idle sessions without a goroutine of its own.
+func (s *Server) sweepDue(now time.Time) bool {
+	next := s.nextSweep.Load()
+	return now.UnixNano() >= next && s.nextSweep.CompareAndSwap(next, now.Add(s.sessionIdle()/4).UnixNano())
 }
 
 // sweepIdleSessions evicts every session idle longer than the timeout
@@ -317,10 +269,12 @@ func (s *Server) logger() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
 	}
-	// io.Discard handler rather than slog.DiscardHandler: the latter is
-	// Go 1.24+ and the CI matrix still builds 1.23.
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return discardLogger
 }
+
+// discardLogger stands in for a nil Logger: its handler is disabled at
+// every level, so a record is dropped before it is formatted.
+var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 
 // Handler builds the route table behind the middleware chain.
 func (s *Server) Handler() http.Handler {
@@ -476,7 +430,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	id := "s" + strconv.Itoa(s.nextID)
 	s.sessions[id] = sess
 	s.mu.Unlock()
-	s.startJanitor()
 	writeJSON(w, http.StatusCreated, s.status(id, sess))
 }
 

@@ -63,52 +63,3 @@ func TestJobSharded(t *testing.T) {
 		t.Fatalf("mtc-sharded: status %d code %q, want 400 %s", resp.StatusCode, e.Error.Code, api.CodeUnknownChecker)
 	}
 }
-
-// TestJanitorStopsOnClose proves the idle-session sweeper goroutine is
-// gone after a graceful shutdown: Close blocks until the janitor exits.
-func TestJanitorStopsOnClose(t *testing.T) {
-	srv := NewServer(nil)
-	srv.SessionIdleTimeout = 50 * time.Millisecond
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if resp, _ := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI"}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("open: %d", resp.StatusCode)
-	}
-	srv.mu.Lock()
-	started, done := srv.janitorStarted, srv.janitorDone
-	srv.mu.Unlock()
-	if !started || done == nil {
-		t.Fatal("janitor did not start with the first session")
-	}
-	srv.Close()
-	select {
-	case <-done:
-	default:
-		t.Fatal("Close returned before the janitor goroutine exited")
-	}
-	// Idempotent, and a late session open must not resurrect the janitor.
-	srv.Close()
-	srv.startJanitor()
-	srv.mu.Lock()
-	resurrected := srv.janitorDone
-	srv.mu.Unlock()
-	if resurrected != done {
-		t.Fatal("startJanitor after Close restarted the sweeper")
-	}
-}
-
-// TestCloseWithoutJanitor: a server whose janitor never started shuts
-// down cleanly (stopJanitor is a no-op), including one constructed
-// literally rather than via NewServer.
-func TestCloseWithoutJanitor(t *testing.T) {
-	srv := NewServer(nil)
-	srv.Close()
-	lit := &Server{}
-	lit.startJanitor() // lazily creates the stop channel
-	lit.Close()
-	select {
-	case <-lit.janitorDone:
-	case <-time.After(time.Second):
-		t.Fatal("literal server's janitor did not stop on Close")
-	}
-}

@@ -383,30 +383,31 @@ func TestSessionAppendAfterFinalConflicts(t *testing.T) {
 	}
 }
 
-// TestSessionIdleEviction: sessions untouched past the idle timeout are
-// swept, answer 404 afterwards, and free their slot; active sessions
-// survive the sweep.
+// TestSessionIdleEviction: once the idle timeout has passed, the next
+// request to any route sweeps the idle session — it frees its slot and
+// answers 404 afterwards — while a session used since survives.
 func TestSessionIdleEviction(t *testing.T) {
+	const idle = time.Second
 	srv := NewServer(nil)
-	srv.SessionIdleTimeout = 50 * time.Millisecond
+	srv.SessionIdleTimeout = idle
+	srv.MaxSessions = 2
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
-	var stale api.SessionStatus
-	_ = json.Unmarshal(body, &stale)
-	_, body = doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
-	var fresh api.SessionStatus
-	_ = json.Unmarshal(body, &fresh)
-
-	time.Sleep(60 * time.Millisecond)
-	// Touch only the fresh session, then sweep deterministically.
-	one := history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}}
-	if resp, _ := doJSON(t, "POST", ts.URL+"/v1/sessions/"+fresh.ID+"/txns", one); resp.StatusCode != http.StatusOK {
-		t.Fatalf("touch fresh: %d", resp.StatusCode)
+	open := func() (int, api.SessionStatus) {
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
+		var st api.SessionStatus
+		_ = json.Unmarshal(body, &st)
+		return resp.StatusCode, st
 	}
-	if n := srv.sweepIdleSessions(time.Now()); n != 1 {
-		t.Fatalf("sweep evicted %d sessions, want 1", n)
+
+	_, stale := open()
+	time.Sleep(idle * 3 / 5)
+	_, fresh := open()
+	time.Sleep(idle * 3 / 5)
+	// Both slots are taken: the third open fits only because the request
+	// itself sweeps the stale session first.
+	if code, _ := open(); code != http.StatusCreated {
+		t.Fatalf("open after the idle timeout: %d, want the stale slot swept", code)
 	}
 	if resp, _ := doJSON(t, "GET", ts.URL+"/v1/sessions/"+stale.ID+"/verdict", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted session must 404, got %d", resp.StatusCode)
@@ -416,17 +417,19 @@ func TestSessionIdleEviction(t *testing.T) {
 	}
 }
 
-// TestSessionIdleEvictionJanitor exercises the background sweeper end to
-// end (short timeout, 1s ticker floor is bypassed by calling the sweep
-// via the janitor's own clock is impractical in a unit test — so this
-// asserts the janitor goroutine starts and Close stops it without leaks).
-func TestSessionIdleEvictionJanitorLifecycle(t *testing.T) {
+// TestIdleSweepCadence: requests run the idle sweep at most once per
+// quarter of the idle timeout, the first request included.
+func TestIdleSweepCadence(t *testing.T) {
 	srv := NewServer(nil)
-	srv.SessionIdleTimeout = 50 * time.Millisecond
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if resp, _ := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI"}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("open: %d", resp.StatusCode)
+	srv.SessionIdleTimeout = time.Minute
+	now := time.Now()
+	if !srv.sweepDue(now) {
+		t.Fatal("the first request must sweep")
 	}
-	srv.Close() // must stop the janitor without panicking or deadlocking
+	if srv.sweepDue(now.Add(15*time.Second - 1)) {
+		t.Fatal("a request within a quarter timeout of the last sweep swept again")
+	}
+	if !srv.sweepDue(now.Add(15 * time.Second)) {
+		t.Fatal("a request a quarter timeout after the last sweep must sweep")
+	}
 }

@@ -57,12 +57,15 @@ func Build(ix *history.Index) *Polygraph {
 	// readersOf[u] lists (key, reader) pairs: committed reader r read
 	// key's value from u.
 	readersOf := make([][]kr, len(h.Txns))
-	// knownWW[u,x] is the direct RMW successor of u on x: a reader of u's
-	// value of x that also wrote x. Divergent histories may have several;
-	// the map keeps one and the loser starts its own chain (the WW and RW
-	// edges of both are in Known either way, so divergence is still
-	// rejected).
-	knownWW := map[wk]int{}
+	// succ[ix.WriterSlot(x, u)] is the direct RMW successor of u on x (-1
+	// for none): a reader of u's value of x that also wrote x. Divergent
+	// histories may have several; the slot keeps the last and the others
+	// start chains of their own (the WW and RW edges of all are in Known
+	// either way, so divergence is still rejected).
+	succ := make([]int32, ix.NumWriterSlots())
+	for i := range succ {
+		succ[i] = -1
+	}
 
 	h.SessionOrder(func(a, b int) {
 		p.Known = append(p.Known, sat.Edge{From: a, To: b, Kind: sat.Base})
@@ -79,30 +82,30 @@ func Build(ix *history.Index) *Polygraph {
 			readersOf[u] = append(readersOf[u], kr{key: x, r: s})
 			if _, w := ix.WriteVal(s, x); w {
 				p.Known = append(p.Known, sat.Edge{From: u, To: s, Kind: sat.Base}) // WW
-				knownWW[wk{u, x}] = s
+				succ[ix.WriterSlot(x, rw[i])] = int32(s)
 			}
 		}
 	}
 
-	// Anti-dependencies induced by the known WW edges, emitted in sorted
+	// Anti-dependencies induced by the known WW edges, emitted in
 	// (writer, key) order: the edge list's order flows into the solver
-	// and the pruner, so map iteration here would leak randomness into
-	// witness selection.
-	wwSlots := make([]wk, 0, len(knownWW))
-	for slot := range knownWW {
-		wwSlots = append(wwSlots, slot)
-	}
-	sort.Slice(wwSlots, func(i, j int) bool {
-		if wwSlots[i].u != wwSlots[j].u {
-			return wwSlots[i].u < wwSlots[j].u
+	// and the pruner. A writer's keys come from its write footprint,
+	// which is sorted by key; only a writer with readers has successors.
+	for u := range readersOf {
+		if len(readersOf[u]) == 0 {
+			continue
 		}
-		return wwSlots[i].k < wwSlots[j].k
-	})
-	for _, uk := range wwSlots {
-		w := knownWW[uk]
-		for _, e := range readersOf[uk.u] {
-			if e.key == uk.k && e.r != w {
-				p.Known = append(p.Known, sat.Edge{From: e.r, To: w, Kind: sat.RW})
+		keys, _ := ix.Writes(u)
+		for _, x := range keys {
+			sl := ix.WriterSlot(x, int32(u))
+			if sl < 0 || succ[sl] < 0 {
+				continue
+			}
+			w := int(succ[sl])
+			for _, e := range readersOf[u] {
+				if e.key == x && e.r != w {
+					p.Known = append(p.Known, sat.Edge{From: e.r, To: w, Kind: sat.RW})
+				}
 			}
 		}
 	}
@@ -117,7 +120,7 @@ func Build(ix *history.Index) *Polygraph {
 	// MT histories every key is a single chain and no constraints remain.
 	for kid := 0; kid < ix.NumKeys(); kid++ {
 		x := history.KeyID(kid)
-		chains := buildChains(ix.WritersOf(x), knownWWSucc(knownWW, x))
+		chains := buildChains(ix, x, succ)
 		for i := 0; i < len(chains); i++ {
 			for j := i + 1; j < len(chains); j++ {
 				c, d := chains[i], chains[j]
@@ -136,56 +139,50 @@ type chain struct {
 	head, tail int
 }
 
-// knownWWSucc extracts the direct RMW successor lists of key x.
-func knownWWSucc(knownWW map[wk]int, x history.KeyID) map[int]int {
-	succ := map[int]int{}
-	//mtc:nondeterministic-ok filtered key-for-key map rebuild; (u, x) keys are unique, so no entry races another
-	for k, s := range knownWW {
-		if k.k == x {
-			succ[k.u] = s
+// buildChains partitions the writers of key x into maximal RMW chains,
+// given the slot-indexed successors succ. A writer starts a chain when
+// no other committed writer's value feeds it (blind write, or its
+// predecessor diverges into several successors, which cannot happen in
+// well-formed RMW inference since each reader reads one value —
+// divergent predecessors instead appear as two chains with the same
+// feeding value, already split because succ keeps one successor per
+// writer; the losers become chain heads).
+func buildChains(ix *history.Index, x history.KeyID, succ []int32) []chain {
+	writers := ix.WritersOf(x)
+	if len(writers) == 0 {
+		return nil
+	}
+	base := ix.WriterSlot(x, writers[0]) // x's writers hold consecutive slots
+	hasPred := make([]bool, len(writers))
+	for i := range writers {
+		if s := succ[base+i]; s >= 0 {
+			if sl := ix.WriterSlot(x, s); sl >= 0 {
+				hasPred[sl-base] = true
+			}
 		}
 	}
-	return succ
-}
-
-// buildChains partitions the writers of a key into maximal RMW chains. A
-// writer starts a chain when no other committed writer's value feeds it
-// (blind write, or its predecessor diverges into several successors, which
-// cannot happen in well-formed RMW inference since each reader reads one
-// value — divergent predecessors instead appear as two chains with the
-// same feeding value, already split because succ maps each writer to at
-// most one successor, keeping only one; the losers become chain heads).
-func buildChains(writers []int32, succ map[int]int) []chain {
-	hasPred := map[int]bool{}
-	//mtc:nondeterministic-ok marking a membership set; insertion order cannot reach it
-	for _, s := range succ {
-		hasPred[s] = true
-	}
-	inChain := map[int]bool{}
+	inChain := make([]bool, len(writers))
 	var chains []chain
-	for _, w32 := range writers {
-		w := int(w32)
-		if hasPred[w] {
+	for i, w := range writers {
+		if hasPred[i] {
 			continue // appears mid-chain
 		}
+		inChain[i] = true
 		tail := w
-		inChain[w] = true
-		for {
-			s, ok := succ[tail]
-			if !ok {
-				break
+		for sl := base + i; sl >= 0 && succ[sl] >= 0; {
+			tail = succ[sl]
+			if sl = ix.WriterSlot(x, tail); sl >= 0 {
+				inChain[sl-base] = true
 			}
-			tail = s
-			inChain[s] = true
 		}
-		chains = append(chains, chain{head: w, tail: tail})
+		chains = append(chains, chain{head: int(w), tail: int(tail)})
 	}
 	// Writers on a cycle of succ edges (only possible in corrupt
 	// histories) would be skipped above; give each its own chain so the
 	// solver still sees them.
-	for _, w32 := range writers {
-		if w := int(w32); !inChain[w] {
-			chains = append(chains, chain{head: w, tail: w})
+	for i, w := range writers {
+		if !inChain[i] {
+			chains = append(chains, chain{head: int(w), tail: int(w)})
 		}
 	}
 	return chains
@@ -196,12 +193,6 @@ func buildChains(writers []int32, succ map[int]int) []chain {
 type kr struct {
 	key history.KeyID
 	r   int
-}
-
-// wk is a (writer, key) pair indexing the direct RMW successor map.
-type wk struct {
-	u int
-	k history.KeyID
 }
 
 // orient returns the edges activated by ordering u before w on key x: the
