@@ -42,10 +42,11 @@ type WorkerHello struct {
 
 // WorkerLease is the 201 body of a successful registration.
 type WorkerLease struct {
-	// ID is the coordinator-assigned worker identity; every subsequent
-	// heartbeat, pull and result names it. A coordinator restart
-	// invalidates all leases — the fabric endpoints answer 404 and the
-	// worker re-registers.
+	// ID is the coordinator-assigned worker identity, "w<n>-<token>";
+	// every subsequent heartbeat, pull and result names it. The token is
+	// drawn at random once per coordinator incarnation, so a restart
+	// invalidates all leases — the fabric endpoints answer 404 to every
+	// call under an old one, and the worker re-registers.
 	ID string `json:"id"`
 	// HeartbeatMillis is the interval the worker must beat at; missing
 	// roughly three beats marks the worker dead and re-dispatches its
@@ -58,10 +59,11 @@ type WorkerLease struct {
 type FabricTask struct {
 	Job       string `json:"job"`
 	Component int    `json:"component"`
-	// Epoch is the dispatch epoch of this component. The coordinator
-	// folds a result only when its epoch matches the component's current
-	// epoch, so a verdict from a worker that was presumed dead (and whose
-	// component was re-dispatched) can never be folded twice.
+	// Epoch is the dispatch epoch of this component within the
+	// coordinator's lifetime. The coordinator folds a result only when
+	// its epoch matches the component's current epoch, so a verdict from
+	// a worker that was presumed dead (and whose component was
+	// re-dispatched) can never be folded twice.
 	Epoch int `json:"epoch"`
 	// Checker is the engine the worker must run, unsharded: the
 	// coordinator already decomposed the history.

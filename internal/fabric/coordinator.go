@@ -8,7 +8,7 @@
 //
 // Durability and robustness are first-class:
 //
-//   - every job and every component dispatch persist to an NDJSON
+//   - every job and every component verdict persist to an NDJSON
 //     write-ahead log, each job's history to an MTCB side file next to
 //     it, so a coordinator restart resumes pending jobs where they
 //     stopped and serves completed verdicts without re-running them;
@@ -16,7 +16,9 @@
 //     its heartbeats has its in-flight components re-dispatched under a
 //     fresh epoch, and the epoch guard makes the verdict fold
 //     at-most-once — a straggler's late result is discarded, never
-//     folded twice;
+//     folded twice. Dispatches are not logged: a lease names the
+//     coordinator incarnation that issued it, so no worker from before
+//     a restart can pull, beat or fold afterwards;
 //   - skewed component sizes are handled by dispatch order: every
 //     pending component waits in one ready queue, largest first, and a
 //     pull takes its head — dispatch is pull-only, so an idle worker
@@ -32,6 +34,8 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,8 +67,8 @@ const DefaultHeartbeatTimeout = 5 * time.Second
 // Errors the HTTP layer maps to structured responses.
 var (
 	// ErrUnknownWorker names a worker id the coordinator does not know —
-	// typically a lease from before a coordinator restart. The worker
-	// re-registers and continues.
+	// typically a lease an earlier incarnation issued before a restart.
+	// The worker re-registers and continues.
 	ErrUnknownWorker = errors.New("fabric: unknown worker")
 	// ErrUnknownJob names a job id the coordinator has never been
 	// submitted.
@@ -122,9 +126,9 @@ func (t *task) before(o *task) bool {
 
 // compState tracks one component of a job.
 type compState struct {
-	// epoch is the component's current dispatch epoch: bumped on every
-	// dispatch and on every requeue, so exactly the latest dispatch can
-	// fold its verdict.
+	// epoch is the component's current dispatch epoch in this
+	// coordinator lifetime: bumped on every dispatch and on every
+	// requeue, so exactly the latest dispatch can fold its verdict.
 	epoch  int
 	done   bool
 	report checker.Report
@@ -175,6 +179,10 @@ type Coordinator struct {
 	logger    *slog.Logger
 	now       func() time.Time
 
+	// token is this incarnation's random lease suffix: every id Register
+	// issues carries it, so no lease outlives the coordinator.
+	token string
+
 	mu         sync.Mutex
 	wal        *wal
 	jobs       map[string]*fabJob
@@ -187,9 +195,10 @@ type Coordinator struct {
 
 // Open creates a coordinator over the WAL at path, replaying any prior
 // log: completed jobs come back served from their logged verdicts, and
-// pending jobs re-enqueue their unfinished components under fresh
-// epochs (a worker from before the restart holds an unknown lease and a
-// stale epoch, so it can neither pull nor fold).
+// pending jobs re-enqueue their unfinished components at epoch 0. A
+// worker from before the restart holds a lease of another incarnation,
+// which every call refuses with ErrUnknownWorker, so it can neither
+// pull, beat nor fold.
 func Open(path string, cfg Config) (*Coordinator, error) {
 	reg := cfg.Registry
 	if reg == nil {
@@ -207,8 +216,13 @@ func Open(path string, cfg Config) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
+	var token [8]byte
+	if _, err := rand.Read(token[:]); err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
 		reg: reg, hbTimeout: hb, logger: logger, now: now,
+		token:   hex.EncodeToString(token[:]),
 		jobs:    make(map[string]*fabJob),
 		workers: make(map[string]*workerState),
 	}
@@ -226,7 +240,7 @@ func Open(path string, cfg Config) (*Coordinator, error) {
 
 // replay rebuilds the job table from WAL records. The distribution plan
 // is re-derived with shard.Split — deterministic for a given history —
-// so component indices in assign/result records line up.
+// so component indices in result records line up.
 func (c *Coordinator) replay(recs []walRecord) error {
 	for _, rec := range recs {
 		j := c.jobs[rec.Job]
@@ -252,13 +266,9 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			}
 			j = c.insertJob(rec.Job, rec.Checker, opts, rec.Txns, rec.Components)
 			j.side = sideFile{name: rec.HistoryFile, size: rec.HistoryBytes, crc: rec.HistoryCRC}
-		case recAssign, recRequeue:
-			if j == nil || rec.Component < 0 || rec.Component >= len(j.comps) {
-				return fmt.Errorf("fabric: wal: %s for unknown job/component %q/%d", rec.Type, rec.Job, rec.Component)
-			}
-			if cs := &j.comps[rec.Component]; rec.Epoch > cs.epoch {
-				cs.epoch = rec.Epoch
-			}
+		case "assign", "requeue":
+			// Dispatch records of older logs: epochs do not outlive the
+			// coordinator, so they hold nothing a restart needs.
 		case recResult:
 			if j == nil || rec.Component < 0 || rec.Component >= len(j.comps) || rec.Report == nil {
 				return fmt.Errorf("fabric: wal: bad result record for %q/%d", rec.Job, rec.Component)
@@ -475,13 +485,14 @@ func (c *Coordinator) Cancel(id, reason string) {
 	c.failLocked(j, reason)
 }
 
-// Register admits a worker and returns its lease.
+// Register admits a worker and returns its lease, "w<n>-<token>": n
+// counts registrations, and the token is this incarnation's.
 func (c *Coordinator) Register(hello api.WorkerHello) api.WorkerLease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextWorker++
 	w := &workerState{
-		id: "w" + strconv.Itoa(c.nextWorker), num: c.nextWorker,
+		id: "w" + strconv.Itoa(c.nextWorker) + "-" + c.token, num: c.nextWorker,
 		name:     hello.Name,
 		inflight: make(map[*task]struct{}),
 		lastSeen: c.now(),
@@ -505,7 +516,8 @@ func (c *Coordinator) Heartbeat(id string) error {
 }
 
 // Pull claims the head of the ready queue — the largest component still
-// waiting — for a worker. A nil task with nil error means "no work right
+// waiting — for a worker, under the component's next epoch. It writes
+// nothing to the WAL. A nil task with nil error means "no work right
 // now".
 func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	c.mu.Lock()
@@ -529,10 +541,6 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 		return nil, nil
 	}
 	cs := &j.comps[t.comp]
-	if err := c.wal.append(walRecord{Type: recAssign, Job: j.id, Component: t.comp, Epoch: cs.epoch + 1, Worker: id}); err != nil {
-		c.enqueue(t)
-		return nil, fmt.Errorf("fabric: wal append: %w", err)
-	}
 	cs.epoch++
 	w.inflight[t] = struct{}{}
 	return &api.FabricTask{
@@ -626,7 +634,7 @@ func (c *Coordinator) PushResult(workerID string, res api.FabricResult) (bool, e
 		c.failLocked(j, fmt.Sprintf("component %d: %s", res.Component, msg))
 		return true, nil
 	}
-	if err := c.wal.append(walRecord{Type: recResult, Job: j.id, Component: res.Component, Epoch: res.Epoch, Worker: workerID, Report: res.Report}); err != nil {
+	if err := c.wal.append(walRecord{Type: recResult, Job: j.id, Component: res.Component, Report: res.Report}); err != nil {
 		return false, fmt.Errorf("fabric: wal append: %w", err)
 	}
 	cs.done = true
@@ -675,31 +683,21 @@ func (c *Coordinator) failLocked(j *fabJob, msg string) {
 // sweepLocked requeues the work of workers that missed their heartbeat
 // window: their in-flight components return to the ready queue under a
 // bumped epoch, so the presumed-dead worker's late result can no longer
-// fold. Caller holds mu.
+// fold. enqueue places each task by task.before, a total order, so the
+// map order reaches neither the queue nor the epochs. Caller holds mu.
 func (c *Coordinator) sweepLocked() {
 	now := c.now()
-	for _, w := range c.sortedWorkers() {
+	for _, w := range c.workers {
 		if now.Sub(w.lastSeen) <= c.hbTimeout || len(w.inflight) == 0 {
 			continue
 		}
 		c.logger.Info("fabric: worker missed heartbeats, requeueing its work",
 			"worker", w.id, "in_flight", len(w.inflight))
-		// Deterministic requeue order for the in-flight set.
-		tasks := make([]*task, 0, len(w.inflight))
 		for t := range w.inflight {
-			tasks = append(tasks, t)
-		}
-		sort.Slice(tasks, func(a, b int) bool { return tasks[a].before(tasks[b]) })
-		for _, t := range tasks {
-			cs := &t.j.comps[t.comp]
-			if t.j.state != JobPending || cs.done {
-				continue
+			if cs := &t.j.comps[t.comp]; t.j.state == JobPending && !cs.done {
+				cs.epoch++
+				c.enqueue(t)
 			}
-			cs.epoch++
-			if err := c.wal.append(walRecord{Type: recRequeue, Job: t.j.id, Component: t.comp, Epoch: cs.epoch, Worker: w.id}); err != nil {
-				c.logger.Error("fabric: wal append failed on requeue", "job", t.j.id, "err", err)
-			}
-			c.enqueue(t)
 		}
 		w.inflight = make(map[*task]struct{})
 	}
@@ -719,7 +717,7 @@ func (c *Coordinator) dropJobTasks(j *fabJob) {
 }
 
 // sortedWorkers lists workers in registration order — the map iteration
-// fence that keeps sweeps and status listings deterministic.
+// fence that keeps status listings deterministic.
 func (c *Coordinator) sortedWorkers() []*workerState {
 	ws := make([]*workerState, 0, len(c.workers))
 	for _, w := range c.workers {

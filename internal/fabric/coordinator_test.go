@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -300,10 +301,12 @@ func TestFabricWorkStealing(t *testing.T) {
 // TestFabricWorkerDeathEpochGuard is the at-most-once fold contract: a
 // worker that misses its heartbeat window has its in-flight component
 // re-dispatched under a fresh epoch, and the straggler's late result is
-// discarded rather than folded twice.
+// discarded rather than folded twice. Neither dispatch nor requeue
+// reaches the WAL.
 func TestFabricWorkerDeathEpochGuard(t *testing.T) {
 	clk := newFakeClock()
-	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), clk)
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c := openTestCoord(t, path, clk)
 	defer c.Close()
 	w1 := c.Register(api.WorkerHello{Name: "w1"})
 	w2 := c.Register(api.WorkerHello{Name: "w2"})
@@ -351,13 +354,16 @@ func TestFabricWorkerDeathEpochGuard(t *testing.T) {
 	if err != nil || !rep.OK {
 		t.Fatalf("wait: %+v %v", rep, err)
 	}
+	if types := walTypes(t, path); len(types) != 3 || types[recJob] != 1 || types[recResult] != 1 || types[recDone] != 1 {
+		t.Fatalf("WAL records after two dispatches and a requeue: %v, want one job, result and done", types)
+	}
 }
 
 // TestFabricRestartResume is the durability tentpole: completed jobs
 // come back from the WAL served without re-running, pending jobs resume
-// where they stopped with epochs past every logged dispatch, a pending
-// job whose history side file is corrupt comes back failed, and no side
-// file outlives its job.
+// where they stopped while the pre-crash worker's lease stays refused, a
+// pending job whose history side file is corrupt comes back failed, and
+// no side file outlives its job.
 func TestFabricRestartResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	c1 := openTestCoord(t, path, nil)
@@ -433,11 +439,15 @@ func TestFabricRestartResume(t *testing.T) {
 	if files := sideFiles(t, path); !reflect.DeepEqual(files, []string{fileB}) {
 		t.Fatalf("side files after replay: %v, want jB's %s only", files, fileB)
 	}
-	// The pre-crash worker's lease is gone.
+	// The pre-crash worker's lease is gone, even once the restarted
+	// coordinator has issued as many leases as the first one had.
+	w2 := c2.Register(api.WorkerHello{Name: "w2"})
 	if _, err := c2.Pull(w.ID); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("stale lease pull: %v, want ErrUnknownWorker", err)
 	}
-	w2 := c2.Register(api.WorkerHello{Name: "w2"})
+	if _, err := c2.PushResult(w.ID, runTask(t, inflight)); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("stale lease push: %v, want ErrUnknownWorker", err)
+	}
 	seen := 0
 	for {
 		task, err := c2.Pull(w2.ID)
@@ -446,9 +456,6 @@ func TestFabricRestartResume(t *testing.T) {
 		}
 		if task == nil {
 			break
-		}
-		if task.Job == inflight.Job && task.Component == inflight.Component && task.Epoch <= inflight.Epoch {
-			t.Fatalf("resumed dispatch epoch %d not beyond pre-crash %d", task.Epoch, inflight.Epoch)
 		}
 		if _, err := c2.PushResult(w2.ID, runTask(t, task)); err != nil {
 			t.Fatal(err)
@@ -489,6 +496,212 @@ func TestFabricRestartResume(t *testing.T) {
 	}
 	if rep, err := c3.Wait(context.Background(), "jB"); err != nil || rep.Edges != ref.Edges {
 		t.Fatalf("jB served from the log: %+v %v", rep, err)
+	}
+}
+
+// TestFabricLeaseDiesWithIncarnation: a lease names the coordinator
+// incarnation that issued it. After a restart and one fresh
+// registration, every call the pre-restart worker makes is refused, so
+// its calls cannot keep the fresh worker's lease alive: once the fresh
+// worker falls silent past the heartbeat window, the component it holds
+// is requeued while the old process keeps calling.
+func TestFabricLeaseDiesWithIncarnation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	clk := newFakeClock()
+	c1 := openTestCoord(t, path, clk)
+	old := c1.Register(api.WorkerHello{Name: "old"})
+	if err := c1.Submit("j1", "mtc", tenantHistory(1, 3), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := c1.Pull(old.ID)
+	if err != nil || stale == nil {
+		t.Fatalf("pull before the restart: task=%v err=%v", stale, err)
+	}
+	staleRes := runTask(t, stale)
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openTestCoord(t, path, clk)
+	defer c2.Close()
+	fresh := c2.Register(api.WorkerHello{Name: "fresh"})
+	if fresh.ID == old.ID {
+		t.Fatalf("the restarted coordinator re-issued lease %s", old.ID)
+	}
+	held, err := c2.Pull(fresh.ID)
+	if err != nil || held == nil {
+		t.Fatalf("fresh pull: task=%v err=%v", held, err)
+	}
+	// The fresh worker goes silent; the old process keeps calling.
+	for i := 0; i < 5; i++ {
+		clk.Advance(40 * time.Millisecond)
+		if task, err := c2.Pull(old.ID); !errors.Is(err, ErrUnknownWorker) {
+			t.Fatalf("old lease pull: task=%+v err=%v, want ErrUnknownWorker", task, err)
+		}
+		if err := c2.Heartbeat(old.ID); !errors.Is(err, ErrUnknownWorker) {
+			t.Fatalf("old lease heartbeat: %v, want ErrUnknownWorker", err)
+		}
+		if accepted, err := c2.PushResult(old.ID, staleRes); accepted || !errors.Is(err, ErrUnknownWorker) {
+			t.Fatalf("old lease push: accepted=%v err=%v, want ErrUnknownWorker", accepted, err)
+		}
+	}
+	// 200 ms of silence against a 100 ms timeout: the next live call
+	// sweeps the fresh worker and its component is served again.
+	next := c2.Register(api.WorkerHello{Name: "next"})
+	task, err := c2.Pull(next.ID)
+	if err != nil || task == nil || task.Job != held.Job || task.Component != held.Component {
+		t.Fatalf("pull after the fresh worker's silence: task=%+v err=%v, want the requeued %s/%d", task, err, held.Job, held.Component)
+	}
+	if st := c2.Status(); st.Workers[0].InFlight != 0 || st.Workers[1].InFlight != 1 {
+		t.Fatalf("status after the requeue: %+v", st)
+	}
+	if accepted, err := c2.PushResult(next.ID, runTask(t, task)); !accepted || err != nil {
+		t.Fatalf("push of the requeued component: accepted=%v err=%v", accepted, err)
+	}
+	if rep, err := c2.Wait(context.Background(), "j1"); err != nil || !rep.OK {
+		t.Fatalf("wait: %+v %v", rep, err)
+	}
+}
+
+// walTypes counts the WAL's records by type.
+func walTypes(t *testing.T, path string) map[string]int {
+	t.Helper()
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := make(map[string]int)
+	for _, line := range bytes.Split(log, []byte("\n"))[1:] {
+		if len(line) == 0 {
+			continue
+		}
+		rec := recordOf(line)
+		if rec == nil {
+			t.Fatalf("undecodable WAL line %q", line)
+		}
+		types[rec.Type]++
+	}
+	return types
+}
+
+// TestFabricWALReplaysDispatchRecords: a log in the format of releases
+// that logged every dispatch — assign and requeue lines, and epoch and
+// worker fields on every record — replays to the same job states. The
+// dispatch records are skipped, a pending job's in-flight component is
+// queued again at epoch 0, and the resumed job folds shard.Check's
+// verdict; the restarted coordinator writes no dispatch record.
+func TestFabricWALReplaysDispatchRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c1 := openTestCoord(t, path, nil)
+	w := c1.Register(api.WorkerHello{})
+	hB := tenantHistory(3, 4)
+	if err := c1.Submit("jA", "mtc", tenantHistory(2, 4), checker.Options{Level: core.SI}); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, c1, w.ID)
+	if err := c1.Submit("jB", "mtc", hB, checker.Options{Level: core.SI}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c1.Pull(w.ID)
+	if err != nil || first == nil {
+		t.Fatalf("jB pull: task=%v err=%v", first, err)
+	}
+	if accepted, err := c1.PushResult(w.ID, runTask(t, first)); !accepted || err != nil {
+		t.Fatalf("jB push: accepted=%v err=%v", accepted, err)
+	}
+	inflight, err := c1.Pull(w.ID)
+	if err != nil || inflight == nil {
+		t.Fatalf("jB second pull: task=%v err=%v", inflight, err)
+	}
+	before := c1.Jobs()
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the log the way such a release wrote it: an assign line
+	// before every result, epoch (and, on results, worker) fields on
+	// every record, and jB's in-flight component dispatched, requeued
+	// after a worker death and dispatched again.
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(log, []byte("\n"))
+	old := bytes.NewBuffer(slices.Clone(lines[0]))
+	for _, line := range lines[1:] {
+		rec := recordOf(line)
+		if rec == nil {
+			continue
+		}
+		extra := `,"epoch":0`
+		if rec.Type == recResult {
+			fmt.Fprintf(old, `{"type":"assign","job":%q,"component":%d,"epoch":1,"worker":"w1"}`+"\n", rec.Job, rec.Component)
+			extra = `,"epoch":1,"worker":"w1"`
+		}
+		comp := fmt.Sprintf(`"component":%d`, rec.Component)
+		old.Write(bytes.Replace(line, []byte(comp), []byte(comp+extra), 1))
+	}
+	for _, l := range []string{`"assign","job":"jB","component":%d,"epoch":1,"worker":"w1"`,
+		`"requeue","job":"jB","component":%d,"epoch":2,"worker":"w1"`,
+		`"assign","job":"jB","component":%d,"epoch":3,"worker":"w2"`} {
+		fmt.Fprintf(old, `{"type":`+l+"}\n", inflight.Component)
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if types := walTypes(t, path); types["assign"] != 5 || types["requeue"] != 1 {
+		t.Fatalf("rewritten log holds %v", types)
+	}
+
+	c2 := openTestCoord(t, path, nil)
+	defer c2.Close()
+	after := c2.Jobs()
+	if len(after) != len(before) {
+		t.Fatalf("replayed %d jobs, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i].ID != before[i].ID || after[i].State != before[i].State ||
+			(before[i].Report == nil) != (after[i].Report == nil) ||
+			before[i].Report != nil && canonReport(*after[i].Report) != canonReport(*before[i].Report) {
+			t.Fatalf("job %s was %+v, replays %+v", before[i].ID, before[i], after[i])
+		}
+	}
+	if st := c2.Status(); st.Unassigned != 2 || st.Jobs[1].Done != 1 {
+		t.Fatalf("status after replay: %+v", st)
+	}
+	w2 := c2.Register(api.WorkerHello{})
+	for {
+		task, err := c2.Pull(w2.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task == nil {
+			break
+		}
+		if task.Epoch != 1 {
+			t.Fatalf("resumed %s/%d at epoch %d, want 1", task.Job, task.Component, task.Epoch)
+		}
+		if accepted, err := c2.PushResult(w2.ID, runTask(t, task)); !accepted || err != nil {
+			t.Fatalf("resumed push: accepted=%v err=%v", accepted, err)
+		}
+	}
+	rep, err := c2.Wait(context.Background(), "jB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := checker.Lookup("mtc")
+	ref, err := shard.Check(context.Background(), eng, hB, checker.Options{Level: core.SI, Shard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonReport(rep) != canonReport(ref) {
+		t.Fatalf("resumed verdict diverges:\nfabric: %s\nlocal:  %s", canonReport(rep), canonReport(ref))
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if types := walTypes(t, path); types["assign"] != 5 || types["requeue"] != 1 || types[recResult] != 5 || types[recDone] != 2 {
+		t.Fatalf("log after the resumed fold holds %v", types)
 	}
 }
 
@@ -862,10 +1075,10 @@ func TestFabricStalePushKeepsInFlight(t *testing.T) {
 	}
 }
 
-// TestFabricWALFailureMutatesNothing: when the WAL append fails, Pull
-// returns the claimed component to the ready queue and PushResult leaves
-// the component un-done and in flight — nothing is lost to a state no
-// sweep revisits.
+// TestFabricWALFailureMutatesNothing: Pull writes nothing, so it still
+// dispatches over a dead WAL; a PushResult whose append fails leaves the
+// component un-done and in flight, and a failed Submit leaves no side
+// file — nothing is lost to a state no sweep revisits.
 func TestFabricWALFailureMutatesNothing(t *testing.T) {
 	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
 	w := c.Register(api.WorkerHello{})
@@ -879,8 +1092,9 @@ func TestFabricWALFailureMutatesNothing(t *testing.T) {
 	if err := c.wal.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Pull(w.ID); err == nil {
-		t.Fatalf("pull over a closed wal: task=%+v, want an error", got)
+	other, err := c.Pull(w.ID)
+	if err != nil || other == nil || other.Component == task.Component || other.Epoch != 1 {
+		t.Fatalf("pull over a closed wal: task=%+v err=%v, want the other component at epoch 1", other, err)
 	}
 	if _, err := c.PushResult(w.ID, runTask(t, task)); err == nil {
 		t.Fatal("push over a closed wal succeeded")
@@ -893,14 +1107,14 @@ func TestFabricWALFailureMutatesNothing(t *testing.T) {
 		t.Fatalf("side files after a failed submit: %v, want only j1's %v", got, files)
 	}
 	st := c.Status()
-	if len(st.Jobs) != 1 || st.Unassigned != 1 || st.Workers[0].InFlight != 1 || st.Jobs[0].Done != 0 {
+	if len(st.Jobs) != 1 || st.Unassigned != 0 || st.Workers[0].InFlight != 2 || st.Jobs[0].Done != 0 {
 		t.Fatalf("failed appends mutated the schedule: %+v", st)
 	}
 	c.mu.Lock()
 	epochs := []int{c.jobs["j1"].comps[0].epoch, c.jobs["j1"].comps[1].epoch}
 	c.mu.Unlock()
-	if epochs[task.Component] != task.Epoch || epochs[1-task.Component] != 0 {
-		t.Fatalf("epochs after failed appends: %v", epochs)
+	if epochs[0] != 1 || epochs[1] != 1 {
+		t.Fatalf("epochs after failed appends: %v, want one dispatch each", epochs)
 	}
 }
 

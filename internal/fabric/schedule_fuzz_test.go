@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -22,10 +23,10 @@ const (
 	opRegister = iota // admit a worker (at most three per coordinator lifetime)
 	opPull            // worker arg pulls
 	opPush            // held task arg is checked and pushed by its holder
-	opStale           // an already-answered result is pushed again by worker arg
+	opStale           // an answered or orphaned result arg is pushed again
 	opEmpty           // held task arg is answered with neither report nor error
 	opTick            // odd arg: past the heartbeat window; even: within it
-	opBeat            // worker arg heartbeats (and thereby sweeps)
+	opBeat            // live or dead lease arg heartbeats (a live one sweeps)
 	opCancel          // cancel job arg
 	opRestart         // close the coordinator and reopen it on the same WAL
 	opSubmit          // submit the next job
@@ -93,8 +94,10 @@ type schedule struct {
 	clk       *fakeClock
 	c         *Coordinator
 	workers   []string
+	dead      []string           // leases of earlier incarnations
 	held      []heldTask         // pulled, not yet answered
-	answered  []api.FabricResult // pushed once already, or orphaned by a restart
+	answered  []api.FabricResult // pushed once already in this incarnation
+	orphans   []api.FabricResult // answered or held before a restart
 	submitted int
 	mayFail   map[string]bool // cancelled, or sent an empty result
 	accepted  map[compKey]int
@@ -117,6 +120,14 @@ func (s *schedule) push(worker string, res api.FabricResult) bool {
 		s.accepted[compKey{res.Job, res.Component}]++
 	}
 	return accepted
+}
+
+// refused pushes res under a lease of an earlier incarnation, which
+// must answer ErrUnknownWorker.
+func (s *schedule) refused(lease string, res api.FabricResult) {
+	if accepted, err := s.c.PushResult(lease, res); accepted || !errors.Is(err, ErrUnknownWorker) {
+		s.t.Fatalf("push under dead lease %s: accepted=%v err=%v, want ErrUnknownWorker", lease, accepted, err)
+	}
 }
 
 // take removes and returns held task i.
@@ -164,8 +175,15 @@ func (s *schedule) step(b byte) {
 			s.answered = append(s.answered, res)
 		}
 	case opStale:
-		if len(s.answered) > 0 && len(s.workers) > 0 {
-			s.push(s.workers[arg%len(s.workers)], s.answered[arg%len(s.answered)])
+		n := len(s.answered) + len(s.orphans)
+		switch {
+		case n == 0:
+		case arg%n >= len(s.answered):
+			// A result from before a restart can only come back under
+			// the lease that pulled it, which the coordinator refuses.
+			s.refused(s.dead[arg%len(s.dead)], s.orphans[arg%n-len(s.answered)])
+		case len(s.workers) > 0:
+			s.push(s.workers[arg%len(s.workers)], s.answered[arg%n])
 		}
 	case opEmpty:
 		if len(s.held) > 0 {
@@ -181,9 +199,16 @@ func (s *schedule) step(b byte) {
 			s.clk.Advance(40 * time.Millisecond)
 		}
 	case opBeat:
-		if len(s.workers) > 0 {
-			if err := s.c.Heartbeat(s.workers[arg%len(s.workers)]); err != nil {
+		n := len(s.workers) + len(s.dead)
+		switch {
+		case n == 0:
+		case arg%n < len(s.workers):
+			if err := s.c.Heartbeat(s.workers[arg%n]); err != nil {
 				s.t.Fatalf("heartbeat: %v", err)
+			}
+		default:
+			if err := s.c.Heartbeat(s.dead[arg%n-len(s.workers)]); !errors.Is(err, ErrUnknownWorker) {
+				s.t.Fatalf("heartbeat under a dead lease: %v, want ErrUnknownWorker", err)
 			}
 		}
 	case opCancel:
@@ -207,11 +232,13 @@ func (s *schedule) step(b byte) {
 			}
 		}
 		// Every lease died with the coordinator; what the workers held
-		// can only come back as a stale push.
+		// or answered can only come back under a lease it refuses.
+		s.orphans = append(s.orphans, s.answered...)
 		for _, h := range s.held {
-			s.answered = append(s.answered, runTask(s.t, h.task))
+			s.orphans = append(s.orphans, runTask(s.t, h.task))
 		}
-		s.workers, s.held = nil, nil
+		s.dead = append(s.dead, s.workers...)
+		s.workers, s.held, s.answered = nil, nil, nil
 	case opSubmit:
 		if s.submitted < len(fuzzJobs()) {
 			j := fuzzJobs()[s.submitted]
@@ -303,7 +330,8 @@ func (s *schedule) finish() {
 // step, that a component verdict folds at most once, that every un-done
 // component of a pending job sits in the ready queue or in exactly one
 // in-flight set, that a pull never passes over a larger waiting
-// component, and that a folded job carries shard.Check's report.
+// component, that a folded job carries shard.Check's report, and that a
+// lease from before a restart is refused.
 func FuzzFabricSchedule(f *testing.F) {
 	// Two workers, one giant component: the late worker drains the rest.
 	f.Add([]byte{op(opSubmit, 0), op(opRegister, 0), op(opPull, 0), op(opRegister, 0),

@@ -28,15 +28,15 @@ import (
 //	job     a submitted job: id, engine, options, the transaction and
 //	        component counts, and the name, length and CRC-32 of the
 //	        side file holding its history (see below)
-//	assign  a component dispatched to a worker under a fresh epoch
-//	requeue a component re-enqueued (worker death) under a fresh epoch
-//	result  an accepted component verdict at its dispatch epoch
+//	result  an accepted component verdict
 //	done    the folded whole-job verdict (replay serves it, never re-runs)
 //	fail    a terminal job failure (engine error or cancellation)
 //
-// Epochs only grow within and across records, so replay restores each
-// component's current epoch as the maximum it has seen — a straggler
-// from before the restart can never fold into a resumed job.
+// Dispatches are not logged. Epochs fence stragglers within one
+// coordinator lifetime, and replay re-enqueues a pending job's
+// unfinished components at epoch 0; a straggler from before the
+// restart is fenced by its lease, which names the incarnation that
+// issued it. Replay skips the assign and requeue lines older logs hold.
 //
 // A job's history is not in the log. Submit writes it once, as MTCB,
 // to a file of its own in the side directory <wal>.d/, and makes the
@@ -52,17 +52,14 @@ const walHeader = `{"format":"mtc-fabric-wal","version":1}`
 
 // Record types.
 const (
-	recJob     = "job"
-	recAssign  = "assign"
-	recRequeue = "requeue"
-	recResult  = "result"
-	recDone    = "done"
-	recFail    = "fail"
+	recJob    = "job"
+	recResult = "result"
+	recDone   = "done"
+	recFail   = "fail"
 )
 
 // walRecord is one WAL line. Fields are a union over the record types;
-// Component and Epoch carry no omitempty because component 0 at epoch 0
-// must round-trip.
+// Component carries no omitempty because component 0 must round-trip.
 type walRecord struct {
 	Type string `json:"type"`
 	Job  string `json:"job"`
@@ -78,10 +75,8 @@ type walRecord struct {
 	HistoryBytes int64  `json:"history_bytes,omitempty"`
 	HistoryCRC   uint32 `json:"history_crc32,omitempty"`
 
-	// recAssign / recRequeue / recResult payload.
-	Component int    `json:"component"`
-	Epoch     int    `json:"epoch"`
-	Worker    string `json:"worker,omitempty"`
+	// recResult payload.
+	Component int `json:"component"`
 
 	// recResult / recDone payload; Error for recFail.
 	Report *checker.Report `json:"report,omitempty"`

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,19 +36,12 @@ type WorkerConfig struct {
 	PollInterval time.Duration
 }
 
-// GzipThreshold is the request body size, in bytes, at which the worker
-// starts compressing: result bodies at least this large (the verdicts
-// of big components) travel with Content-Encoding: gzip. Small control
-// messages stay uncompressed — gzip overhead would exceed the saving.
-// Task bodies are raw MTCB and never compressed.
-const GzipThreshold = 4 << 10
-
 // errLeaseLost marks a 404 from a fabric endpoint: the coordinator does
-// not know our worker id — typically because it restarted and all
-// leases died with its in-memory worker table. The loop re-registers
-// and continues; any in-flight work is abandoned (the restart or the
-// liveness sweep already requeued it under a fresh epoch, so our result
-// could never fold anyway).
+// not know our worker id — typically because it restarted, and a lease
+// names the incarnation that issued it. The loop re-registers and
+// continues; any in-flight work is abandoned (the restart or the
+// liveness sweep already requeued it, and the coordinator refuses a
+// result pushed under a dead lease).
 var errLeaseLost = errors.New("fabric: worker lease lost")
 
 // RunWorker runs the worker loop against the coordinator until ctx is
@@ -229,8 +221,8 @@ func (w *workerClient) execute(ctx context.Context, pt *pulledTask, hbEvery time
 		case <-ticker.C:
 			if err := w.heartbeat(ctx); errors.Is(err, errLeaseLost) {
 				// The coordinator forgot us (restart): the component was
-				// requeued under a fresh epoch, so finishing this check is
-				// wasted work and its result would be discarded. Abandon it.
+				// requeued, so finishing this check is wasted work and its
+				// push would be refused. Abandon it.
 				leaseLost = true
 				cancel()
 			}
@@ -367,32 +359,18 @@ func (w *workerClient) post(ctx context.Context, path string, in, out any) (int,
 	return resp.StatusCode, nil
 }
 
-// send posts in as JSON; the caller closes the response (closeBody).
-// Bodies at least GzipThreshold bytes (large component verdicts) travel
-// compressed with Content-Encoding: gzip.
+// send posts in as plain JSON; the caller closes the response
+// (closeBody).
 func (w *workerClient) send(ctx context.Context, path string, in any) (*http.Response, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return nil, err
-	}
-	gzipped := false
-	if len(body) >= GzipThreshold {
-		var zb bytes.Buffer
-		zw := gzip.NewWriter(&zb)
-		_, werr := zw.Write(body)
-		if cerr := zw.Close(); werr == nil && cerr == nil && zb.Len() < len(body) {
-			body = zb.Bytes()
-			gzipped = true
-		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if gzipped {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	return w.hc.Do(req)
 }
 

@@ -57,16 +57,6 @@ type Txn struct {
 	Committed bool  `json:"committed"`
 }
 
-// ReadsKey reports whether the transaction reads key x before writing it.
-func (t *Txn) ReadsKey(x Key) bool {
-	for _, op := range t.Ops {
-		if op.Key == x {
-			return op.Kind == OpRead
-		}
-	}
-	return false
-}
-
 // Timed reports whether the transaction takes part in the real-time
 // order: it committed and carries a timestamp. It is the one definition
 // every real-time consumer shares; Validate rejects Finish < Start, so a

@@ -22,9 +22,6 @@ func TestTxnReadsWrites(t *testing.T) {
 	if !reflect.DeepEqual(all["x"], []Value{2, 3}) {
 		t.Fatalf("WritesAll = %v", all)
 	}
-	if !tx.ReadsKey("y") || tx.ReadsKey("z") {
-		t.Fatal("ReadsKey wrong")
-	}
 }
 
 func TestTxnReadsIgnoresPostWriteReads(t *testing.T) {

@@ -575,7 +575,3 @@ func (ix *Index) WriterSlot(k KeyID, w int32) int {
 // assumption, in operation order, first writer retained — identical to
 // BuildWriterIndex's second return.
 func (ix *Index) Dups() []Op { return ix.dups }
-
-// SortedKeys returns every key of the history in lexicographic order
-// (KeyID order): the columnar History.Keys.
-func (ix *Index) SortedKeys() []Key { return ix.it.names }

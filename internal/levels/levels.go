@@ -156,17 +156,6 @@ func (r *Report) Rung(lvl core.Level) *Verdict {
 	return nil
 }
 
-// Breaking returns the weakest violated rung — the one whose witness
-// explains why Strongest is not higher — or nil when every rung passed.
-func (r *Report) Breaking() *Verdict {
-	for i := range r.Rungs {
-		if !r.Rungs[i].Res.OK {
-			return &r.Rungs[i]
-		}
-	}
-	return nil
-}
-
 // Profile evaluates every isolation level and session guarantee of the
 // indexed history from one dependency derivation, walking the lattice
 // with short-circuiting: the strong rungs run first and a pass there

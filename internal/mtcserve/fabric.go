@@ -1,7 +1,6 @@
 package mtcserve
 
 import (
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,26 +91,14 @@ func (s *Server) handleFabricPull(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFabricResults implements POST /v1/fabric/workers/{id}/results.
+// The body is plain JSON, bounded like every body by MaxBytesHandler.
 func (s *Server) handleFabricResults(w http.ResponseWriter, r *http.Request) {
 	if s.Fabric == nil {
 		s.fabricDisabled(w, r)
 		return
 	}
-	// Workers gzip large result bodies (fabric.GzipThreshold); inflate
-	// transparently, re-bounding the decompressed stream by the body
-	// limit so a compression bomb cannot bypass MaxBytesHandler.
-	body := io.Reader(r.Body)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		zr, err := gzip.NewReader(r.Body)
-		if err != nil {
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad gzip fabric result body: %v", err)
-			return
-		}
-		defer zr.Close()
-		body = io.LimitReader(zr, s.maxBodyBytes())
-	}
 	var res api.FabricResult
-	if err := json.NewDecoder(body).Decode(&res); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad fabric result: %v", err)
 		return
 	}

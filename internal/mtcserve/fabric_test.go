@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"mtc/internal/api"
 	"mtc/internal/checker"
 	"mtc/internal/fabric"
+	"mtc/internal/history"
 	"mtc/internal/shard"
 )
 
@@ -350,5 +354,106 @@ func TestFabricJobRegisteredBeforeQueued(t *testing.T) {
 	}
 	if done := waitJob(t, ts, "j1", 10*time.Second); done.State != api.JobDone {
 		t.Fatalf("distributed job: %+v", done)
+	}
+}
+
+// fabricPull posts a pull for worker id, advertising gzip the way a
+// browser or proxy would, and returns the raw response plus the task:
+// the FabricTaskHeader fields with the body as HistoryMTCB.
+func fabricPull(t *testing.T, ts *httptest.Server, id string) (*http.Response, *api.FabricTask) {
+	t.Helper()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/fabric/workers/"+id+"/pull", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Set by hand, the header turns off the transport's transparent
+	// decompression, so a Content-Encoding on the wire stays visible.
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp, nil
+	}
+	var task api.FabricTask
+	if err := json.Unmarshal([]byte(resp.Header.Get(api.FabricTaskHeader)), &task); err != nil {
+		t.Fatalf("decoding the %s header: %v", api.FabricTaskHeader, err)
+	}
+	if task.HistoryMTCB, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("reading pull body: %v", err)
+	}
+	return resp, &task
+}
+
+// bigTwoComponentHistory builds a history of two key-disjoint tenants
+// of 400 transactions each over eight keys apiece.
+func bigTwoComponentHistory() *history.History {
+	b := history.NewBuilder("a0", "b0")
+	for i := 0; i < 400; i++ {
+		ka, kb := history.Key(fmt.Sprintf("a%d", i%8)), history.Key(fmt.Sprintf("b%d", i%8))
+		b.Txn(0, history.R(ka, 0), history.W(ka, history.Value(i+1)))
+		b.Txn(1, history.R(kb, 0), history.W(kb, history.Value(i+1)))
+	}
+	return b.Build()
+}
+
+// TestFabricPullRawMTCB: a pull answers application/x-mtcb with the
+// component's cached MTCB bytes as the body, uncompressed even when the
+// client accepts gzip, and the body decodes to the component's index.
+func TestFabricPullRawMTCB(t *testing.T) {
+	srv, coord, ts := coordServer(t, filepath.Join(t.TempDir(), "fabric.wal"))
+	defer ts.Close()
+	defer srv.Close()
+	defer coord.Close()
+
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/fabric/workers", api.WorkerHello{Name: "wz", Codecs: []string{"mtcb"}})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register: %d %s", resp.StatusCode, raw)
+	}
+	var lease api.WorkerLease
+	if err := json.Unmarshal(raw, &lease); err != nil {
+		t.Fatal(err)
+	}
+	h := bigTwoComponentHistory()
+	if err := coord.Submit("raw1", "mtc", h, checker.Options{Level: "SI"}); err != nil {
+		t.Fatal(err)
+	}
+	plan := shard.Split(h)
+	seen := map[int]bool{}
+	for range plan.Components {
+		resp, task := fabricPull(t, ts, lease.ID)
+		if task == nil {
+			t.Fatalf("no task: %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != api.ContentTypeMTCB {
+			t.Fatalf("pull Content-Type %q, want %q", ct, api.ContentTypeMTCB)
+		}
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("pull body is %q-encoded; MTCB travels raw", ce)
+		}
+		if task.Job != "raw1" || task.Checker != "mtc" || task.Level != "SI" || task.Epoch != 1 || seen[task.Component] {
+			t.Fatalf("task header: %+v", task)
+		}
+		seen[task.Component] = true
+		ix, err := history.ReadMTCBIndexed(bytes.NewReader(task.HistoryMTCB))
+		if err != nil {
+			t.Fatalf("component %d: %v", task.Component, err)
+		}
+		comp := plan.Components[task.Component].H
+		want := history.NewIndex(comp)
+		if !reflect.DeepEqual(ix.History(), comp) || ix.NumKeys() != want.NumKeys() ||
+			ix.NumReads() != want.NumReads() || ix.NumWriterSlots() != want.NumWriterSlots() {
+			t.Fatalf("component %d: the body decodes to a different index", task.Component)
+		}
+		for k := history.KeyID(0); int(k) < want.NumKeys(); k++ {
+			if ix.KeyName(k) != want.KeyName(k) {
+				t.Fatalf("component %d: key %d is %q, want %q", task.Component, k, ix.KeyName(k), want.KeyName(k))
+			}
+		}
+	}
+	if resp, task := fabricPull(t, ts, lease.ID); task != nil || resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("pull after the plan is out: %d %+v", resp.StatusCode, task)
 	}
 }

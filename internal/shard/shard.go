@@ -64,17 +64,6 @@ type Partition struct {
 	// history). A history whose transactions are all connected yields
 	// exactly one component.
 	Components []Component
-
-	compOf []int // external txn id -> component index; -1 for ⊥T
-}
-
-// ComponentOf returns the component index holding external transaction
-// ext, or -1 for the init transaction (which every component replicates).
-func (p *Partition) ComponentOf(ext int) int {
-	if ext >= 0 && ext < len(p.compOf) {
-		return p.compOf[ext]
-	}
-	return -1
 }
 
 // Split partitions h into its connected components. Sessions are the
@@ -122,10 +111,7 @@ func Split(h *history.History) *Partition {
 		bySess[r] = append(bySess[r], s)
 	}
 
-	p := &Partition{Source: h, compOf: make([]int, len(h.Txns))}
-	for i := range p.compOf {
-		p.compOf[i] = -1
-	}
+	p := &Partition{Source: h}
 
 	// Deterministic component order: by the smallest external txn id.
 	type group struct {
@@ -155,7 +141,6 @@ func Split(h *history.History) *Partition {
 // build assembles the sub-history of one session group.
 func (p *Partition) build(sessions []int) Component {
 	h := p.Source
-	ci := len(p.Components)
 
 	// External ids of the component's transactions, ascending. Session
 	// lists are already ascending per session, so a merge of sorted lists
@@ -210,7 +195,6 @@ func (p *Partition) build(sessions []int) Component {
 		})
 		sub.Sessions[ls] = append(sub.Sessions[ls], local)
 		extMap = append(extMap, id)
-		p.compOf[id] = ci
 	}
 	return Component{H: sub, Ext: extMap}
 }

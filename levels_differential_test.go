@@ -125,9 +125,10 @@ func TestDifferentialProfileVsEngines(t *testing.T) {
 			})
 			prof := check(runner.Run(lb.NewStore(seed), wl, runner.Config{Retries: 2}).H, lb.Anomaly)
 			histories++
-			if b := prof.Breaking(); b != nil &&
-				core.LatticeRank(b.Level) < core.LatticeRank(lb.Breaks) {
-				t.Fatalf("%s preset broke %s, below its target rung %s", lb.Anomaly, b.Level, lb.Breaks)
+			for _, v := range prof.Rungs {
+				if !v.Res.OK && core.LatticeRank(v.Level) < core.LatticeRank(lb.Breaks) {
+					t.Fatalf("%s preset broke %s, below its target rung %s", lb.Anomaly, v.Level, lb.Breaks)
+				}
 			}
 		}
 	}

@@ -132,15 +132,23 @@ func containsAnomaly(as []history.Anomaly, want history.Anomaly) bool {
 // assertCycleWithinComponent verifies every transaction of a
 // counterexample cycle lives in one component — the decomposition
 // invariant that makes per-component verdicts exact. The init
-// transaction (component -1) is replicated into every component and is
-// compatible with any of them.
+// transaction is replicated into every component and is compatible with
+// any of them.
 func assertCycleWithinComponent(t *testing.T, p *shard.Partition, cycle []graph.Edge, tag string) {
 	t.Helper()
+	compOf := make(map[int]int) // external txn id -> component; ⊥T absent
+	for ci, c := range p.Components {
+		for li, ext := range c.Ext {
+			if li > 0 || !c.H.HasInit {
+				compOf[ext] = ci
+			}
+		}
+	}
 	comp := -1
 	for _, e := range cycle {
 		for _, id := range []int{e.From, e.To} {
-			c := p.ComponentOf(id)
-			if c < 0 {
+			c, ok := compOf[id]
+			if !ok {
 				continue // ⊥T belongs to every component
 			}
 			if comp < 0 {
