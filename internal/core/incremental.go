@@ -22,9 +22,11 @@ import (
 // Verdict parity with the batch checkers is exact: after every
 // transaction of a history has been fed (in session order within each
 // session), Finalize reports OK if and only if CheckCtx at SER / SI does.
-// Reads whose writer has not yet been observed are parked and resolved
-// when the writer commits — or classified as AbortedRead / ThinAirRead at
-// Finalize, exactly as the batch pre-check would.
+// Every read is classified by history.ClassifyRead, the code the batch
+// pre-check runs. Reads whose writer has not yet been observed are
+// parked and resolved when the writer commits — or classified as
+// AbortedRead / ThinAirRead at Finalize, exactly as the batch pre-check
+// would.
 //
 // An Incremental is not safe for concurrent use; callers serialise Add
 // (internal/runner.RunStream funnels session goroutines through a
@@ -413,12 +415,9 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	return inc.walkOps(id, t.Ops)
 }
 
-// walkOps classifies every operation of committed transaction id in
-// program order, replicating history.checkTxnInternal, and derives the
-// dependency edges of its first external reads. Like the batch
-// pre-check it scans the transaction's own (tiny) operation list
-// instead of building per-transaction maps, so the per-commit hot path
-// does not allocate for the classification itself.
+// walkOps classifies every read of committed transaction id with
+// history.ClassifyRead, the batch pre-check's classifier, and derives the
+// dependency edges of its first external reads.
 //
 //mtc:hotpath — per-commit classification; allocation here scales with every streamed transaction
 func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
@@ -426,61 +425,20 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 		if op.Kind != history.OpRead {
 			continue
 		}
-		// Last own write to the key before this read, if any: the INT
-		// branches.
-		lastV, wrote := history.Value(0), false
-		for j := i - 1; j >= 0; j-- {
-			if ops[j].Kind == history.OpWrite && ops[j].Key == op.Key {
-				lastV, wrote = ops[j].Value, true
-				break
-			}
-		}
-		if wrote {
-			if op.Value == lastV {
-				continue
-			}
-			for j := 0; j < i; j++ {
-				if ops[j].Kind == history.OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
-					return inc.anomaly(history.NotMyLastWrite, id, op)
-				}
-			}
-			return inc.anomaly(history.NotMyOwnWrite, id, op)
-		}
-		// Repeated external read (any earlier read of the key is external
-		// too, since no own write precedes this one): must agree with the
-		// first, and only the first derives edges.
-		repeated, mismatch := false, false
-		for j := 0; j < i; j++ {
-			if ops[j].Kind == history.OpRead && ops[j].Key == op.Key {
-				repeated = true
-				mismatch = ops[j].Value != op.Value
-				break
-			}
-		}
-		if repeated {
-			if mismatch {
-				return inc.anomaly(history.NonRepeatableReads, id, op)
-			}
+		switch class, kind := history.ClassifyRead(ops, i); class {
+		case history.AnomalousRead:
+			return inc.anomaly(kind, id, op)
+		case history.OwnRead:
 			continue
 		}
-		for j := i + 1; j < len(ops); j++ {
-			if ops[j].Kind == history.OpWrite && ops[j].Key == op.Key && ops[j].Value == op.Value {
-				return inc.anomaly(history.FutureRead, id, op)
-			}
-		}
-		s := inc.slotOf(op.Key, op.Value)
-		switch {
-		case int(s.writer) == id:
-			// Own write, already validated by the INT branches.
-		case s.writer >= 0:
-			if vio := inc.resolveRead(id, s, op.Key, op.Value); vio != nil {
-				return vio
-			}
-		default:
+		// A first external read: its writer is another transaction.
+		if s := inc.slotOf(op.Key, op.Value); s.writer < 0 {
 			// Writer unseen: park. AbortedRead / ThinAirRead can only be
 			// told apart once the stream ends (the writer may still
 			// commit), so classification waits for Finalize.
 			push(&inc.ids, &s.parked, id)
+		} else if vio := inc.resolveRead(id, s, op.Key, op.Value); vio != nil {
+			return vio
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,7 +62,7 @@ func adjGraph(out [][]int) *Graph {
 }
 
 // TestClosureMatchesBFS cross-checks the level-parallel closure against
-// plain per-source BFS (graph.Reachable) on random DAGs, at several
+// plain per-source search (refReachRows) on random DAGs, at several
 // parallelism levels.
 func TestClosureMatchesBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -74,13 +75,12 @@ func TestClosureMatchesBFS(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("trial %d par %d: closure failed: ok=%v err=%v", trial, par, ok, err)
 			}
-			var buf []bool
 			for u := 0; u < n; u++ {
-				buf = g.ReachableInto(buf, u)
+				want := refReachRows(out, []int{u})[0]
 				for v := 0; v < n; v++ {
-					if c.Reach(u, v) != buf[v] {
-						t.Fatalf("trial %d par %d: reach(%d,%d) = %v, BFS says %v",
-							trial, par, u, v, c.Reach(u, v), buf[v])
+					if c.Reach(u, v) != want.Test(v) {
+						t.Fatalf("trial %d par %d: reach(%d,%d) = %v, search says %v",
+							trial, par, u, v, c.Reach(u, v), want.Test(v))
 					}
 				}
 			}
@@ -122,12 +122,10 @@ func TestReachPoolRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := refReachRows(out, sources)
 		for i, src := range sources {
-			want := g.Reachable(src)
-			for v := 0; v < n; v++ {
-				if rows[i].Test(v) != want[v] {
-					t.Fatalf("par %d: row[%d] (src %d) disagrees with BFS at %d", par, i, src, v)
-				}
+			if !slices.Equal(rows[i], want[i]) {
+				t.Fatalf("par %d: row[%d] (src %d) = %v, want %v", par, i, src, rows[i], want[i])
 			}
 		}
 	}
@@ -151,27 +149,5 @@ func TestParallelDoCoversAllIndices(t *testing.T) {
 				t.Fatalf("par %d: index %d visited %d times", par, i, h)
 			}
 		}
-	}
-}
-
-func TestReachableIntoReusesBuffer(t *testing.T) {
-	g := build(4, []Edge{{From: 0, To: 1, Kind: AUX}, {From: 1, To: 2, Kind: AUX}})
-	buf := make([]bool, 4)
-	buf[3] = true // stale content must be cleared
-	got := g.ReachableInto(buf, 0)
-	if &got[0] != &buf[0] {
-		t.Fatal("ReachableInto did not reuse the buffer")
-	}
-	want := []bool{true, true, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reach = %v, want %v", got, want)
-		}
-	}
-	// Undersized buffer: a fresh slice is allocated.
-	small := make([]bool, 1)
-	got = g.ReachableInto(small, 2)
-	if len(got) != 4 || !got[2] || got[0] {
-		t.Fatalf("fresh-slice path wrong: %v", got)
 	}
 }

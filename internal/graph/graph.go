@@ -373,42 +373,6 @@ func (g *Graph) Acyclic() bool {
 	return ok
 }
 
-// Reachable returns the set of nodes reachable from `from` (including
-// itself) as a boolean slice. The traversal is a FIFO breadth-first
-// search, so nodes are discovered in non-decreasing hop distance.
-func (g *Graph) Reachable(from int) []bool {
-	return g.ReachableInto(nil, from)
-}
-
-// ReachableInto is Reachable reusing buf for the result when it has
-// capacity g.Len(), so hot loops issuing many queries stop allocating a
-// fresh slice per query. The (possibly re-sliced) result is returned;
-// previous contents of buf are discarded.
-func (g *Graph) ReachableInto(buf []bool, from int) []bool {
-	var seen []bool
-	if cap(buf) >= g.Len() {
-		seen = buf[:g.Len()]
-		for i := range seen {
-			seen[i] = false
-		}
-	} else {
-		seen = make([]bool, g.Len())
-	}
-	seen[from] = true
-	queue := make([]int, 1, 16)
-	queue[0] = from
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, e := range g.Out(v) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen
-}
-
 // FormatCycle renders a cycle (as returned by FindCycle) on a single line,
 // e.g. "T2 -WW(x)-> T3 -RW(x)-> T2".
 func FormatCycle(cycle []Edge) string {

@@ -158,17 +158,6 @@ func TestSCCsMixed(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := build(4, edges([2]int{0, 1}, [2]int{1, 2}))
-	r := g.Reachable(0)
-	want := []bool{true, true, true, false}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("reachable = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestTopoSortCyclic(t *testing.T) {
 	g := build(2, edges([2]int{0, 1}, [2]int{1, 0}))
 	if _, ok := g.TopoSort(); ok {

@@ -96,28 +96,17 @@ func (a Anomaly) String() string {
 	return fmt.Sprintf("%s in T%d on %s(%s,%d)", a.Kind, a.Txn, op, a.Key, a.Value)
 }
 
-// CheckInternal detects every intra-transactional anomaly (Figure 5c-5g),
-// the G1a/G1b external anomalies (AbortedRead, IntermediateRead),
-// ThinAirRead, and unique-value violations in the history. A history with
-// no reported anomalies satisfies the INT axiom of Section II-D, every
-// external read has a unique committed writer, and the unique-value
-// assumption holds, so dependency-graph construction is well defined.
+// CheckInternalIndexed detects, over a prebuilt columnar index, every
+// intra-transactional anomaly (Figure 5c-5g), the G1a/G1b external
+// anomalies (AbortedRead, IntermediateRead), ThinAirRead, and unique-value
+// violations in the history. A history with no reported anomalies
+// satisfies the INT axiom of Section II-D, every external read has a
+// unique committed writer, and the unique-value assumption holds, so
+// dependency-graph construction is well defined; one index build serves
+// both the pre-check and graph construction.
 //
 // Only committed transactions are inspected for read anomalies; writes of
 // aborted transactions matter only as AbortedRead sources.
-func CheckInternal(h *History) []Anomaly {
-	return CheckInternalIndexed(NewIndex(h))
-}
-
-// CheckInternalIndexed is CheckInternal over a prebuilt columnar index,
-// so one index build serves both the pre-check and graph construction.
-// The per-transaction walk classifies each read by scanning the
-// transaction's own operations through the index's per-op KeyID column
-// (mini-transactions hold at most four operations, and the wide init
-// transaction is write-only, so the scans never degenerate) and answers
-// every external question — writer, writer's final value, aborted
-// writers — from the index: the writer is the resolved-reads column, so
-// the pass hashes no key and performs no per-transaction allocation.
 func CheckInternalIndexed(ix *Index) []Anomaly {
 	h := ix.History()
 	var out []Anomaly
@@ -135,104 +124,113 @@ func CheckInternalIndexed(ix *Index) []Anomaly {
 	return out
 }
 
-// writesBefore reports whether ops[:end] writes key k, and the last
-// value they wrote to it; ids is the ops' KeyID column.
-func writesBefore(ops []Op, ids []KeyID, end int, k KeyID) (last Value, wrote bool) {
-	for i := end - 1; i >= 0; i-- {
-		if ops[i].Kind == OpWrite && ids[i] == k {
-			return ops[i].Value, true
-		}
-	}
-	return 0, false
-}
-
-// checkTxnInternal walks transaction t's operations in program order,
-// classifying each read, and appends the anomalies found to out. ids is
-// the operations' KeyID column.
+// checkTxnInternal classifies each read of transaction t with
+// ClassifyRead and appends the anomalies found to out. A first external
+// read is answered from the index — its writer is the resolved-reads
+// column, the writer's final value and the aborted writers are postings
+// lookups — so the pass hashes no key and allocates nothing per
+// transaction. ids is the operations' KeyID column.
 func checkTxnInternal(ix *Index, t int, ids []KeyID, out []Anomaly) []Anomaly {
 	txn := &ix.h.Txns[t]
-	ops := txn.Ops
-	for i, op := range ops {
+	for i, op := range txn.Ops {
 		if op.Kind != OpRead {
 			continue
 		}
-		k := ids[i]
-		if v, wrote := writesBefore(ops, ids, i, k); wrote {
-			// The transaction has already written the object: INT
-			// requires the read to return the last such write.
-			if op.Value == v {
-				continue
-			}
-			mine := false
-			for j := 0; j < i; j++ {
-				if ops[j].Kind == OpWrite && ids[j] == k && ops[j].Value == op.Value {
-					mine = true
-					break
+		class, kind := ClassifyRead(txn.Ops, i)
+		if class == OwnRead {
+			continue
+		}
+		if class == ExternalRead {
+			// The first external read of k is k's entry in the read
+			// footprint.
+			k := ids[i]
+			switch w := int(ix.ReadWriters(t)[searchKey(ix.ReadKeys(t), k)]); {
+			case w >= 0:
+				if last, ok := ix.WriteVal(w, k); !ok || last == op.Value {
+					continue
 				}
-			}
-			if mine {
-				out = append(out, Anomaly{Kind: NotMyLastWrite, Txn: txn.ID, Key: op.Key, Value: op.Value})
-			} else {
-				out = append(out, Anomaly{Kind: NotMyOwnWrite, Txn: txn.ID, Key: op.Key, Value: op.Value})
-			}
-			continue
-		}
-		// External read (no own write yet). Repeated external reads of
-		// the same object must agree; only the first is classified. Any
-		// earlier read of the key is necessarily external too (no write
-		// to the key precedes this one, hence none precedes it).
-		repeated := false
-		for j := 0; j < i; j++ {
-			if ops[j].Kind == OpRead && ids[j] == k {
-				if ops[j].Value != op.Value {
-					out = append(out, Anomaly{Kind: NonRepeatableReads, Txn: txn.ID, Key: op.Key, Value: op.Value})
-				}
-				repeated = true
-				break
+				kind = IntermediateRead // a non-final value of its writer: G1b
+			case ix.AbortedWriter(k, op.Value):
+				kind = AbortedRead
+			default:
+				kind = ThinAirRead
 			}
 		}
-		if repeated {
-			continue
-		}
-		// A read of a value this transaction writes later is a
-		// FutureRead, checked before external matching so that
-		// single-transaction histories classify correctly.
-		future := false
-		for j := i + 1; j < len(ops); j++ {
-			if ops[j].Kind == OpWrite && ids[j] == k && ops[j].Value == op.Value {
-				future = true
-				break
-			}
-		}
-		if future {
-			out = append(out, Anomaly{Kind: FutureRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
-			continue
-		}
-		// This is the first external read of k, so it is k's entry in
-		// the read footprint, and its writer is resolved already.
-		rk := ix.ReadKeys(t)
-		writer := int(ix.ReadWriters(t)[searchKey(rk, k)])
-		if writer == txn.ID {
-			// Reading an own write that already happened is handled by
-			// the lastWrite branch; reaching here means the writer
-			// index matched this transaction but program order did
-			// not, which the FutureRead branch covers. Defensive only.
-			continue
-		}
-		if writer >= 0 {
-			// Reads of a non-final value of the writer are G1b.
-			if last, ok := ix.WriteVal(writer, k); ok && last != op.Value {
-				out = append(out, Anomaly{Kind: IntermediateRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
-			}
-			continue
-		}
-		if ix.AbortedWriter(k, op.Value) {
-			out = append(out, Anomaly{Kind: AbortedRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
-			continue
-		}
-		out = append(out, Anomaly{Kind: ThinAirRead, Txn: txn.ID, Key: op.Key, Value: op.Value})
+		out = append(out, Anomaly{Kind: kind, Txn: txn.ID, Key: op.Key, Value: op.Value})
 	}
 	return out
+}
+
+// ReadClass is what a read's own transaction decides about it.
+type ReadClass uint8
+
+// The outcomes of ClassifyRead.
+const (
+	// ExternalRead is the first read of its key, with no own write before
+	// it: the caller resolves its writer.
+	ExternalRead ReadClass = iota
+	// OwnRead is answered inside the transaction, by the last own write
+	// or an earlier read of the key, so the caller skips it.
+	OwnRead
+	// AnomalousRead breaks the INT axiom; the kind says how.
+	AnomalousRead
+)
+
+// ClassifyRead decides the INT axiom (Figure 5c-5g) for the read ops[i]
+// against the operations of its own transaction, in program order:
+//   - after an own write to the key, the read must return the last one;
+//     an earlier own value is NotMyLastWrite, any other NotMyOwnWrite;
+//   - otherwise a repeated read of the key must return what the first
+//     read of it did, or it is NonRepeatableReads;
+//   - otherwise a read of a value the transaction writes to the key
+//     later is FutureRead;
+//   - what is left is the key's first external read.
+//
+// The kind is meaningful only for AnomalousRead. Operations are matched
+// by key name; the scans stay within one transaction, at most four
+// operations in a mini-transaction, and the wide ⊥T is write-only.
+//
+// It is the one classifier: the batch pre-check (CheckInternalIndexed)
+// and the online checker (core.Incremental) both call it and differ only
+// in how they resolve an external read. A mutation here therefore moves
+// both engines together, and no batch-versus-online differential can see
+// it: the legacy pre-check oracle in legacy_test.go guards the batch
+// side, and the mtc-incremental rows of reports.golden and
+// corpus.digests (internal/checker) guard the online one.
+//
+//mtc:hotpath — per read, in the batch pre-check and per online commit
+func ClassifyRead(ops []Op, i int) (ReadClass, AnomalyKind) {
+	r := ops[i]
+	wrote, mine, first := false, false, -1
+	var last Value
+	for j, op := range ops[:i] {
+		switch {
+		case op.Key != r.Key:
+		case op.Kind == OpWrite:
+			wrote, last = true, op.Value
+			mine = mine || op.Value == r.Value
+		case first < 0:
+			first = j
+		}
+	}
+	switch {
+	case wrote && last == r.Value:
+		return OwnRead, 0
+	case wrote && mine:
+		return AnomalousRead, NotMyLastWrite
+	case wrote:
+		return AnomalousRead, NotMyOwnWrite
+	case first >= 0 && ops[first].Value != r.Value:
+		return AnomalousRead, NonRepeatableReads
+	case first >= 0:
+		return OwnRead, 0
+	}
+	for _, op := range ops[i+1:] {
+		if op.Value == r.Value && op.Kind == OpWrite && op.Key == r.Key {
+			return AnomalousRead, FutureRead
+		}
+	}
+	return ExternalRead, 0
 }
 
 // IsMiniTransaction reports whether t meets Definition 8: at most two

@@ -8,7 +8,7 @@ package history
 type Fixture struct {
 	Name      string
 	H         *History
-	PreCheck  bool // caught by CheckInternal
+	PreCheck  bool // caught by CheckInternalIndexed
 	AnomalyAt AnomalyKind
 	// Expected checker verdicts (true = the history VIOLATES the level),
 	// covering the full lattice RC < RA < CAUSAL < SI < SER < SSER. The

@@ -82,9 +82,9 @@ func (t *Txn) String() string {
 
 // History is a set of transactions grouped into sessions (Definition 2).
 // Txns[i].ID == i always holds. Sessions[s] lists transaction IDs in
-// session order. If HasInit is true, Txns[0] is the special initial
-// transaction ⊥T that installs initial values for all objects and precedes
-// every other transaction in session order.
+// session order, which is ascending id order. If HasInit is true, Txns[0]
+// is the special initial transaction ⊥T that installs initial values for
+// all objects and precedes every other transaction in session order.
 //
 // The real-time order RT is derived from the Start/Finish fields:
 // T1 -RT-> T2 iff T1.Finish < T2.Start. Histories produced by synthetic
@@ -114,8 +114,10 @@ func (h *History) Keys() []Key {
 
 // Validate checks structural well-formedness: IDs match indices, no
 // transaction finishes before it starts, sessions reference valid
-// committed-or-aborted transactions exactly once, and the init
-// transaction (when present) is Txns[0], committed and write-only.
+// committed-or-aborted transactions exactly once and in ascending id
+// order (every engine reads session order from either the list or the
+// ids, so the two must agree), and the init transaction (when present)
+// is Txns[0], committed and write-only.
 func (h *History) Validate() error {
 	for i := range h.Txns {
 		t := &h.Txns[i]
@@ -142,6 +144,9 @@ func (h *History) Validate() error {
 		}
 		for j := 1; j < len(ids); j++ {
 			a, b := &h.Txns[ids[j-1]], &h.Txns[ids[j]]
+			if a.ID >= b.ID {
+				return fmt.Errorf("history: session %d not in id order: T%d listed before T%d", s, a.ID, b.ID)
+			}
 			if a.Finish != 0 && b.Start != 0 && a.Finish > b.Start {
 				return fmt.Errorf("history: session %d not time-ordered: T%d finish %d > T%d start %d", s, a.ID, a.Finish, b.ID, b.Start)
 			}

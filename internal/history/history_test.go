@@ -147,6 +147,31 @@ func TestValidateRejectsFinishBeforeStart(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsSessionOutOfIDOrder: session 0 listed as [T2, T1].
+// The batch graph read session order from the list and found
+// T2 -SO-> T1 -WR(x)-> T2; shard components, the online replay, MTCB
+// and the fabric read it from the ids and passed. Every path now refuses
+// the history instead.
+func TestValidateRejectsSessionOutOfIDOrder(t *testing.T) {
+	b := NewBuilder("x", "y")
+	b.Txn(0, R("x", 0), W("x", 1))
+	b.Txn(0, R("x", 1), W("x", 2))
+	b.Txn(1, R("y", 0), W("y", 1))
+	h := b.Build()
+	h.Sessions[0] = []int{2, 1}
+	const want = "session 0 not in id order: T2 listed before T1"
+	if err := h.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJSON(&buf); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadJSON = %v, want %q", err, want)
+	}
+}
+
 func TestWriterIndex(t *testing.T) {
 	b := NewBuilder("x")
 	b.Txn(0, R("x", 0), W("x", 1))
@@ -183,7 +208,7 @@ func TestWriterIndexDuplicates(t *testing.T) {
 
 func TestCheckInternalCleanHistory(t *testing.T) {
 	h := SerialHistory(20, "x", "y", "z")
-	if as := CheckInternal(h); len(as) != 0 {
+	if as := CheckInternalIndexed(NewIndex(h)); len(as) != 0 {
 		t.Fatalf("clean history reported anomalies: %v", as)
 	}
 }
@@ -192,7 +217,7 @@ func TestCheckInternalDetectsEachPreCheckAnomaly(t *testing.T) {
 	for _, f := range Fixtures() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			as := CheckInternal(f.H)
+			as := CheckInternalIndexed(NewIndex(f.H))
 			if f.PreCheck {
 				if len(as) == 0 {
 					t.Fatalf("expected pre-check anomaly %s, got none", f.AnomalyAt)
@@ -219,7 +244,7 @@ func TestCheckInternalIntermediateRead(t *testing.T) {
 	b := NewBuilder("x")
 	b.Txn(0, R("x", 0), W("x", 1), W("x", 2))
 	b.Txn(1, R("x", 1))
-	as := CheckInternal(b.Build())
+	as := CheckInternalIndexed(NewIndex(b.Build()))
 	if len(as) != 1 || as[0].Kind != IntermediateRead || as[0].Txn != 2 {
 		t.Fatalf("anomalies = %v", as)
 	}
@@ -228,7 +253,7 @@ func TestCheckInternalIntermediateRead(t *testing.T) {
 func TestCheckInternalReadOwnWriteOK(t *testing.T) {
 	b := NewBuilder("x")
 	b.Txn(0, R("x", 0), W("x", 1), R("x", 1))
-	if as := CheckInternal(b.Build()); len(as) != 0 {
+	if as := CheckInternalIndexed(NewIndex(b.Build())); len(as) != 0 {
 		t.Fatalf("reading own last write is fine, got %v", as)
 	}
 }
@@ -236,8 +261,41 @@ func TestCheckInternalReadOwnWriteOK(t *testing.T) {
 func TestCheckInternalRepeatableReadOK(t *testing.T) {
 	b := NewBuilder("x")
 	b.Txn(0, R("x", 0), R("x", 0))
-	if as := CheckInternal(b.Build()); len(as) != 0 {
+	if as := CheckInternalIndexed(NewIndex(b.Build())); len(as) != 0 {
 		t.Fatalf("repeated equal reads are fine, got %v", as)
+	}
+}
+
+// TestClassifyRead pins the one INT classifier: its three outcomes and
+// the four anomaly kinds it reports, for the read at position i.
+func TestClassifyRead(t *testing.T) {
+	cases := []struct {
+		name  string
+		ops   []Op
+		i     int
+		class ReadClass
+		kind  AnomalyKind
+	}{
+		{"first external read", []Op{R("x", 0), W("x", 1)}, 0, ExternalRead, 0},
+		{"own writes to other keys", []Op{W("y", 1), R("x", 1)}, 1, ExternalRead, 0},
+		{"later write of the value to another key", []Op{R("x", 2), W("y", 2)}, 0, ExternalRead, 0},
+		{"reads its last write", []Op{R("x", 0), W("x", 1), R("x", 1)}, 2, OwnRead, 0},
+		{"reads the last of two writes", []Op{W("x", 1), W("x", 2), R("x", 2)}, 2, OwnRead, 0},
+		{"reads the first of two writes", []Op{W("x", 1), W("x", 2), R("x", 1)}, 2, AnomalousRead, NotMyLastWrite},
+		{"reads a foreign value after a write", []Op{W("x", 1), R("x", 5)}, 1, AnomalousRead, NotMyOwnWrite},
+		{"repeats its read after a write", []Op{R("x", 0), W("x", 1), R("x", 0)}, 2, AnomalousRead, NotMyOwnWrite},
+		{"repeats a read of its write", []Op{R("x", 0), W("x", 1), R("x", 1), R("x", 1)}, 3, OwnRead, 0},
+		{"repeated equal read", []Op{R("x", 0), R("y", 4), R("x", 0)}, 2, OwnRead, 0},
+		{"repeated read differs", []Op{R("x", 0), R("x", 3)}, 1, AnomalousRead, NonRepeatableReads},
+		{"compared with the first read", []Op{R("x", 0), R("x", 3), R("x", 3)}, 2, AnomalousRead, NonRepeatableReads},
+		{"reads its later write", []Op{R("x", 2), W("x", 2)}, 0, AnomalousRead, FutureRead},
+		{"reads its later second write", []Op{R("x", 2), W("x", 1), R("y", 0), W("x", 2)}, 0, AnomalousRead, FutureRead},
+	}
+	for _, c := range cases {
+		class, kind := ClassifyRead(c.ops, c.i)
+		if class != c.class || (class == AnomalousRead && kind != c.kind) {
+			t.Errorf("%s: ClassifyRead(%v, %d) = %d %s, want %d %s", c.name, c.ops, c.i, class, kind, c.class, c.kind)
+		}
 	}
 }
 

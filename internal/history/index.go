@@ -87,8 +87,8 @@ type Index struct {
 	slotTxn []int32
 	slotOff []int32
 
-	// Aborted write postings, same shape (last aborted writer wins, as
-	// in CheckInternal's aborted map; only existence is ever queried).
+	// Aborted write postings, same shape (last aborted writer wins; only
+	// existence is ever queried).
 	abVal []Value
 	abTxn []int32
 	abOff []int32
@@ -370,8 +370,7 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 		}
 	}
 
-	// Aborted postings: existence lookups only; last writer wins to
-	// mirror CheckInternal's aborted map.
+	// Aborted postings: existence lookups only; last writer wins.
 	slices.SortStableFunc(aborted, kvt.compare)
 	ix.abOff = make([]int32, nk+1)
 	prevK, prevV := KeyID(-1), Value(0)

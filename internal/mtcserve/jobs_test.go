@@ -197,6 +197,14 @@ func TestJobValidation(t *testing.T) {
 			{"id":1,"sess":0,"start":8,"finish":9,"committed":true,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":1}]},
 			{"id":2,"sess":1,"start":7,"finish":0,"committed":true,"ops":[{"k":0,"key":"x","v":1}]}]}}`,
 			http.StatusBadRequest, api.CodeInvalidHistory},
+		// Session 0 listed as [T2, T1]: the list order and the id order
+		// used to give different SER verdicts in different engines.
+		{"session out of id order", `{"level":"SER","history":{"has_init":true,"sessions":[[2,1],[3]],"txns":[
+			{"id":0,"sess":-1,"committed":true,"ops":[{"k":1,"key":"x","v":0},{"k":1,"key":"y","v":0}]},
+			{"id":1,"sess":0,"committed":true,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":1}]},
+			{"id":2,"sess":0,"committed":true,"ops":[{"k":0,"key":"x","v":1},{"k":1,"key":"x","v":2}]},
+			{"id":3,"sess":1,"committed":true,"ops":[{"k":0,"key":"y","v":0},{"k":1,"key":"y","v":1}]}]}}`,
+			http.StatusBadRequest, api.CodeInvalidHistory},
 		{"negative parallelism", `{"level":"SER","parallelism":-2,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"parallelism beyond clamp", `{"level":"SER","parallelism":1048576,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"negative shard", `{"level":"SER","shard":-1,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest},

@@ -1,5 +1,5 @@
 // Package client is the typed Go client of the v1 checking service
-// served by cmd/mtc-serve. It wraps the async job API (submit, poll,
+// served by cmd/mtc-serve. It wraps the async job API (submit, status,
 // event stream, cancel), the streaming session API, and the registry
 // listing, with context support on every call and automatic retry —
 // honouring Retry-After — on 429 and transient 5xx responses.
@@ -8,7 +8,7 @@
 //
 //	c := client.New("http://localhost:8080")
 //	job, err := c.SubmitJob(ctx, client.JobRequest{Level: "SER", History: h})
-//	job, err = c.WaitJob(ctx, job.ID)        // polls until terminal
+//	job, err = c.WaitJob(ctx, job.ID)        // follows events until terminal
 //	fmt.Println(job.Report.OK)
 //
 // or, in one call, report, err := c.Check(ctx, req).
@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,15 +81,11 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // (429 and transient 5xx). 0 disables retry.
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
-// WithPollInterval sets the WaitJob poll interval (default 50ms).
-func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
-
 // Client talks to one v1 server. Safe for concurrent use.
 type Client struct {
 	base    string
 	hc      *http.Client
 	retries int
-	poll    time.Duration
 }
 
 // New returns a client for the server at baseURL (e.g.
@@ -97,7 +94,7 @@ func New(baseURL string, opts ...Option) *Client {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	c := &Client{base: baseURL, hc: http.DefaultClient, retries: 3, poll: 50 * time.Millisecond}
+	c := &Client{base: baseURL, hc: http.DefaultClient, retries: 3}
 	for _, o := range opts {
 		o(c)
 	}
@@ -295,21 +292,24 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
 }
 
-// WaitJob polls a job until it reaches a terminal state (done, failed
-// or canceled) or ctx fires.
+// WaitJob follows a job's event stream to its terminal event (done,
+// failed or canceled), then reads the job document once. A stream that
+// breaks off is reopened within the client's retry budget; the endpoint
+// replays the job's events from the start.
 func (c *Client) WaitJob(ctx context.Context, id string) (Job, error) {
-	for {
-		job, err := c.GetJob(ctx, id)
-		if err != nil {
-			return job, err
+	for attempt := 0; ; attempt++ {
+		err := c.StreamEvents(ctx, id, func(JobEvent) error { return nil })
+		if err == nil {
+			return c.GetJob(ctx, id)
 		}
-		if api.JobTerminal(job.State) {
-			return job, nil
+		var apiErr *APIError
+		if ctx.Err() != nil || (errors.As(err, &apiErr) && !retryable(apiErr.StatusCode)) || attempt >= c.retries {
+			return Job{}, err
 		}
 		select {
-		case <-time.After(c.poll):
+		case <-time.After(backoff(nil, attempt)):
 		case <-ctx.Done():
-			return job, ctx.Err()
+			return Job{}, ctx.Err()
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +28,7 @@ func newServer(t *testing.T) (*httptest.Server, *client.Client) {
 }
 
 // TestJobRoundTrip is the acceptance path: submit a job through the SDK,
-// poll to the verdict, and read the structured report.
+// wait for the verdict, and read the structured report.
 func TestJobRoundTrip(t *testing.T) {
 	_, c := newServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -85,6 +87,37 @@ func TestStreamEvents(t *testing.T) {
 	}
 	if len(states) == 0 || states[0] != client.JobQueued || states[len(states)-1] != client.JobDone {
 		t.Fatalf("states = %v", states)
+	}
+}
+
+// TestWaitJobFollowsEvents: a wait is one event-stream request and one
+// read of the job document, however long the job runs.
+func TestWaitJobFollowsEvents(t *testing.T) {
+	var mu sync.Mutex
+	hits := map[string]int{}
+	h := mtcserve.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	job, err := c.SubmitJob(ctx, client.JobRequest{Checker: "cobra", Level: "SER", History: history.SerialHistory(200, "x", "y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job, err = c.WaitJob(ctx, job.ID); err != nil || job.State != client.JobDone || !job.Report.OK {
+		t.Fatalf("wait: %+v %v", job, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]int{"POST /v1/jobs": 1, "GET /v1/jobs/" + job.ID + "/events": 1, "GET /v1/jobs/" + job.ID: 1}
+	if !reflect.DeepEqual(hits, want) {
+		t.Fatalf("requests %v, want %v", hits, want)
 	}
 }
 
