@@ -301,7 +301,7 @@ func BenchmarkAblationPruneThenSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := polygraph.Build(history.NewIndex(serHist))
-		if ok, _ := p.Prune(context.Background(), polygraph.SER, 1); !ok {
+		if ok, _ := p.Prune(context.Background(), polygraph.SER); !ok {
 			b.Fatal("unexpected prune failure")
 		}
 		sat.SolveAcyclic(context.Background(), p.N, p.Known, p.Cons)
@@ -385,30 +385,25 @@ func pruneSetup() *history.History {
 }
 
 // BenchmarkPrune measures the Cobra pruning fixpoint — reachability
-// closure plus constraint checking — serial against the sharded worker
-// pool. The verdict and forced count are identical at every parallelism
-// (differentially tested); only wall-clock changes.
+// closure plus constraint checking.
 func BenchmarkPrune(b *testing.B) {
 	h := pruneSetup()
 	base := polygraph.Build(history.NewIndex(h))
 	if len(base.Cons) < 10_000 {
 		b.Fatalf("workload too easy: %d constraints", len(base.Cons))
 	}
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportMetric(float64(len(base.Cons)), "constraints")
-			for i := 0; i < b.N; i++ {
-				p := &polygraph.Polygraph{
-					N:     base.N,
-					Known: append([]sat.Edge(nil), base.Known...),
-					Cons:  append([]sat.Constraint(nil), base.Cons...),
-				}
-				if _, err := p.Prune(context.Background(), polygraph.SER, par); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &polygraph.Polygraph{
+			N:     base.N,
+			Known: append([]sat.Edge(nil), base.Known...),
+			Cons:  append([]sat.Constraint(nil), base.Cons...),
+		}
+		if _, err := p.Prune(context.Background(), polygraph.SER); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(base.Cons)), "constraints")
 }
 
 // --- Experiment harness smoke bench ---------------------------------------------

@@ -41,7 +41,6 @@ func main() {
 		checkerName  = flag.String("checker", "", "verification engine (empty = server default)")
 		level        = flag.String("level", "", "isolation level: SSER, SER, SI, CAUSAL, RA or RC (empty = checker default)")
 		timeout      = flag.Duration("timeout", 0, "per-job execution timeout sent to the server (0 = server default)")
-		parallelism  = flag.Int("parallelism", 0, "engine parallelism requested for the job (0 = server default; requests above the server's limit are rejected)")
 		shardN       = flag.Int("shard", 0, "component-sharded verification: ask the server to decompose the history and check up to this many components concurrently (0 = off)")
 		wait         = flag.Duration("wait", 2*time.Minute, "how long to wait for the verdict")
 		events       = flag.Bool("events", false, "follow the job's NDJSON event stream instead of polling")
@@ -89,9 +88,6 @@ func main() {
 		if *events {
 			fatalf("-events follows a job's NDJSON stream; it cannot be combined with -stream")
 		}
-		if *parallelism != 0 {
-			fatalf("-parallelism tunes job engines; the session engine ignores it (drop the flag)")
-		}
 		if *shardN != 0 {
 			fatalf("-shard tunes job engines; the session engine ignores it (drop the flag)")
 		}
@@ -110,7 +106,7 @@ func main() {
 	}
 	req := client.JobRequest{
 		Checker: *checkerName, Level: *level,
-		TimeoutMillis: timeout.Milliseconds(), Parallelism: *parallelism, Shard: *shardN,
+		TimeoutMillis: timeout.Milliseconds(), Shard: *shardN,
 		Distributed: *distributed,
 		History:     h,
 	}

@@ -56,7 +56,6 @@ func main() {
 		maxJobs     = flag.Int("max-jobs", mtcserve.DefaultMaxJobs, "retained job cap (oldest finished jobs are forgotten)")
 		maxSessions = flag.Int("max-sessions", mtcserve.DefaultMaxSessions, "cap on live streaming sessions")
 		maxBody     = flag.Int64("max-body", mtcserve.DefaultMaxBodyBytes, "request body size limit in bytes")
-		parallelism = flag.Int("parallelism", 0, "server mode: default engine parallelism for jobs that do not set one (0 = GOMAXPROCS; requests are clamped to GOMAXPROCS)")
 		window      = flag.Int("window", 0, "default epoch-compaction window for streaming sessions that do not request one (0 = unbounded)")
 		sessionIdle = flag.Duration("session-idle", mtcserve.DefaultSessionIdle, "evict streaming sessions idle longer than this")
 
@@ -93,7 +92,6 @@ func main() {
 	srv.MaxJobs = *maxJobs
 	srv.MaxSessions = *maxSessions
 	srv.MaxBodyBytes = *maxBody
-	srv.DefaultParallelism = *parallelism
 	srv.DefaultWindow = *window
 	srv.SessionIdleTimeout = *sessionIdle
 	srv.Logger = logger

@@ -56,7 +56,6 @@ func main() {
 		lwt          = flag.Bool("lwt", false, "use lightweight transactions (CAS) and the linear-time SSER checker")
 		out          = flag.String("out", "", "save the generated history to this file; the extension picks the codec (.json, .txt, .ndjson, .mtcb, any +.gz; no extension = JSON)")
 		timeout      = flag.Duration("timeout", 0, "abort verification after this duration (0 = no limit)")
-		parallelism  = flag.Int("parallelism", 0, "worker pool size for the parallel engine phases (0 = GOMAXPROCS, 1 = serial)")
 		window       = flag.Int("window", 0, "epoch-compaction window for streaming/incremental verification: keep O(window) checker state instead of the whole history (0 = unbounded)")
 		shardN       = flag.Int("shard", 0, "component-sharded verification: decompose the history into key-disjoint components checked by up to this many workers (0 = off)")
 		tenants      = flag.Int("tenants", 0, "split the workload into this many key-disjoint tenant groups (0/1 = single shared key space)")
@@ -162,7 +161,7 @@ func main() {
 	if *profileRun {
 		name = "profile"
 	}
-	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Parallelism: *parallelism, Window: *window, Shard: *shardN})
+	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Window: *window, Shard: *shardN})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -77,7 +77,7 @@ func BenchmarkProfile10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := levels.Profile(context.Background(), history.NewIndex(bigHist), levels.Options{})
+		prof, err := levels.Profile(context.Background(), history.NewIndex(bigHist))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -216,7 +216,7 @@ func coreCheck(h *history.History, lvl core.Level) core.Result {
 // polyCheck runs the polygraph pipeline — Cobra at SER, PolySI at SI —
 // serially on h.
 func polyCheck(h *history.History, mode polygraph.Mode) polygraph.Report {
-	r, _ := polygraph.Check(context.Background(), history.NewIndex(h), mode, 1)
+	r, _ := polygraph.Check(context.Background(), history.NewIndex(h), mode)
 	return r
 }
 

@@ -78,8 +78,8 @@ func contextParams(pass *analysis.Pass, fd *ast.FuncDecl) map[string]bool {
 
 // checkBody walks the loops of a function body. Loops inside function
 // literals are skipped: goroutine bodies and callbacks run under their
-// spawner's discipline (ParallelDo polls between chunks for its
-// workers). The nest rule fires once, at the outermost loop — a stride
+// spawner's discipline (the shard driver's workers poll ctx between
+// components). The nest rule fires once, at the outermost loop — a stride
 // poll at the top of the nest covers everything below it — while the
 // unbounded-loop rule applies at any depth.
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctx map[string]bool) {

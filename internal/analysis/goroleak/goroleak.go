@@ -1,12 +1,12 @@
 // Package goroleak flags `go` statements in the long-lived packages
-// (the server, the runner, the shard driver, the reachability pool)
+// (the server, the runner, the shard driver, the graph package)
 // that have no visible join — the bug class behind the janitor leak,
 // where a background goroutine outlived Close and kept touching freed
 // state. A spawn passes when the analyzer can see one of:
 //
 //   - a same-function join: a WaitGroup.Wait, a channel receive, or a
 //     range over a channel in the spawning function outside the go
-//     statement itself (the ParallelDo / shard-driver shape);
+//     statement itself (the shard-driver shape);
 //   - a receiver-field signal protocol: the goroutine closes, sends on,
 //     or Done()s a field of its receiver, and another method of the
 //     same type receives from, ranges over, or Wait()s that field —

@@ -64,7 +64,7 @@ func (s *Server) leakLogger(events chan string) {
 	}()
 }
 
-// Same-function join: spawn-and-Wait inside one call (the ParallelDo
+// Same-function join: spawn-and-Wait inside one call (the shard-driver
 // shape).
 func fanOut(items []int, f func(int)) {
 	var wg sync.WaitGroup

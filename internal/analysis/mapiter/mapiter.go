@@ -1,7 +1,7 @@
 // Package mapiter flags `range` over a map inside the verdict- and
 // report-producing packages, machine-checking the repository's
-// bit-identical-verdict invariant: every engine, window, shard and
-// parallelism setting must produce byte-for-byte identical reports, and
+// bit-identical-verdict invariant: every engine, window, shard and codec
+// setting must produce byte-for-byte identical reports, and
 // Go's randomized map iteration order is the classic way that breaks.
 // A loop is exempt when it demonstrably feeds a sort (the collected
 // keys or values are passed to sort.* / slices.Sort* later in the same

@@ -59,12 +59,10 @@ type JobRequest struct {
 	// TimeoutMillis bounds the job's execution time; 0 uses the server
 	// default. Values above the server maximum are clamped.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// Parallelism bounds the worker pools of the engine's parallel phases
-	// (checker.Options.Parallelism). 0 uses the server default. Negative
-	// values, and values exceeding the server's GOMAXPROCS clamp, are
-	// rejected with a structured 400 — the server never silently lowers a
-	// requested value; the accepted job's effective value is echoed in
-	// the Job body.
+	// Parallelism is retired: the engines run serially, and Shard is the
+	// one concurrency knob. It stays declared only so a request that
+	// still sets it learns why: any non-zero value answers 400
+	// bad_request with a message naming the field.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Shard > 0 checks the job component-sharded (internal/shard): the
 	// history is decomposed into its key/session-disjoint components
@@ -116,11 +114,9 @@ type Job struct {
 	Level   string `json:"level"`
 	// Txns is the size of the submitted history.
 	Txns int `json:"txns"`
-	// Parallelism and Shard echo the effective engine options the job
-	// runs with after server defaults are applied — the request is never
-	// silently clamped, so these match the request when it set them.
-	Parallelism int `json:"parallelism,omitempty"`
-	Shard       int `json:"shard,omitempty"`
+	// Shard echoes the job's shard option — the request is never
+	// silently clamped, so it matches the request.
+	Shard int `json:"shard,omitempty"`
 	// Distributed marks a job executed on the checking fabric rather
 	// than the local worker pool.
 	Distributed bool `json:"distributed,omitempty"`

@@ -69,9 +69,8 @@ type FabricTask struct {
 	// coordinator already decomposed the history.
 	Checker string `json:"checker"`
 	Level   string `json:"level,omitempty"`
-	// Engine options, forwarded from the submitted job.
-	Parallelism int `json:"parallelism,omitempty"`
-	Window      int `json:"window,omitempty"`
+	// Window is the engine option forwarded from the submitted job.
+	Window int `json:"window,omitempty"`
 	// HistoryMTCB is the component's sub-history (local transaction ids;
 	// the coordinator remaps the verdict back to external positions) in
 	// the MTCB binary columnar encoding. On the wire it is the pull's

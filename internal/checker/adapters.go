@@ -110,7 +110,7 @@ func reportFromProfile(lvl Level, prof *levels.Report) Report {
 // which hands SI, SER and SSER to core.CheckCtx.
 func checkMTC(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	r, err := levels.CheckLevel(ctx, indexOf(h, opts), opts.Level, levels.Options{Parallelism: opts.Parallelism})
+	r, err := levels.CheckLevel(ctx, indexOf(h, opts), opts.Level)
 	if err != nil {
 		return Report{}, err
 	}
@@ -140,7 +140,7 @@ func checkPolygraph(ctx context.Context, h *history.History, opts Options) (Repo
 	if opts.Level == core.SI {
 		mode = polygraph.SI
 	}
-	rep, err := polygraph.Check(ctx, indexOf(h, opts), mode, opts.Parallelism)
+	rep, err := polygraph.Check(ctx, indexOf(h, opts), mode)
 	if err != nil {
 		return Report{}, err
 	}
@@ -213,7 +213,7 @@ func checkPorcupine(ctx context.Context, h *history.History, opts Options) (Repo
 // StrongestLevel, Rungs and Guarantees carry the full profile.
 func checkProfile(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	prof, err := levels.Profile(ctx, indexOf(h, opts), levels.Options{Parallelism: opts.Parallelism})
+	prof, err := levels.Profile(ctx, indexOf(h, opts))
 	if err != nil {
 		return Report{}, err
 	}

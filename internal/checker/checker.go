@@ -66,15 +66,6 @@ type Options struct {
 	// — frozen while this field was retired — sets it in two literals.
 	// A benchmark PR that drops those literals can delete the field.
 	SparseRT bool
-	// Parallelism bounds the worker pools of the parallel engine phases:
-	// the polygraph prune shards and reachability closure of the Cobra
-	// and PolySI baselines, and the causal rung's reachability closure.
-	// <= 0 selects GOMAXPROCS; 1 forces the serial paths. Verdicts,
-	// anomalies and edge counts are identical at every setting
-	// (differentially tested); only wall-clock changes. Engines without a
-	// parallel phase (mtc at every level but CAUSAL, incremental, elle,
-	// porcupine) ignore it.
-	Parallelism int
 	// Window bounds the memory of the online incremental engine
 	// (mtc-incremental): the replay is compacted every window/2
 	// transactions, so at most O(window + boundary) transactions stay

@@ -252,10 +252,7 @@ func (c *Coordinator) replay(recs []walRecord) error {
 			if rec.Job == "" {
 				return fmt.Errorf("fabric: wal: job record with an empty id")
 			}
-			opts := checker.Options{
-				Level:       checker.Level(rec.Level),
-				Parallelism: rec.Parallelism, Window: rec.Window,
-			}
+			opts := checker.Options{Level: checker.Level(rec.Level), Window: rec.Window}
 			switch {
 			case rec.HistoryFile == "":
 				return fmt.Errorf("fabric: wal: job %q names no history_file (the retired inline-history form is not read)", rec.Job)
@@ -414,8 +411,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	}
 	rec, err := json.Marshal(walRecord{
 		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),
-		Parallelism: opts.Parallelism, Window: opts.Window,
-		Txns: len(h.Txns), Components: len(p.Components),
+		Window: opts.Window, Txns: len(h.Txns), Components: len(p.Components),
 		HistoryFile: side.name, HistoryBytes: side.size, HistoryCRC: side.crc,
 	})
 	if err != nil {
@@ -545,8 +541,7 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 	w.inflight[t] = struct{}{}
 	return &api.FabricTask{
 		Job: j.id, Component: t.comp, Epoch: cs.epoch,
-		Checker: j.engine, Level: string(j.opts.Level),
-		Parallelism: j.opts.Parallelism, Window: j.opts.Window,
+		Checker: j.engine, Level: string(j.opts.Level), Window: j.opts.Window,
 		HistoryMTCB: enc,
 	}, nil
 }

@@ -118,9 +118,7 @@ func execTask(task *api.FabricTask) (api.FabricResult, error) {
 		return api.FabricResult{}, fmt.Errorf("decoding mtcb payload: %w", err)
 	}
 	rep, err := checker.Default.Run(context.Background(), task.Checker, ix.History(), checker.Options{
-		Level:       checker.Level(task.Level),
-		Parallelism: task.Parallelism, Window: task.Window,
-		Index: ix,
+		Level: checker.Level(task.Level), Window: task.Window, Index: ix,
 	})
 	if err != nil {
 		return api.FabricResult{}, fmt.Errorf("engine run: %w", err)
@@ -945,9 +943,10 @@ func TestFabricWALInlineHistoryRefused(t *testing.T) {
 }
 
 // TestFabricWALRetiredSkipPreCheck: a job record written by a binary
-// that still had the pre-check switch replays, and the job runs with
-// the pre-check — the retired field is dropped, not honoured, so a
-// thin-air read it would have hidden is reported.
+// that still had the pre-check switch and the parallelism option
+// replays, and the job runs with the pre-check — the retired fields are
+// dropped, not honoured, so a thin-air read the switch would have hidden
+// is reported.
 func TestFabricWALRetiredSkipPreCheck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	c1 := openTestCoord(t, path, nil)
@@ -961,7 +960,7 @@ func TestFabricWALRetiredSkipPreCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(log, []byte(`{"type":"job",`), []byte(`{"type":"job","skip_precheck":true,`), 1)
+	old := bytes.Replace(log, []byte(`{"type":"job",`), []byte(`{"type":"job","skip_precheck":true,"parallelism":4,`), 1)
 	if bytes.Equal(old, log) {
 		t.Fatal("no job record to rewrite")
 	}
@@ -1033,6 +1032,89 @@ func TestFabricEmptyResultFailsJob(t *testing.T) {
 	want := fmt.Sprintf("component %d: empty result", task.Component)
 	if _, err := c.Wait(context.Background(), "j1"); err == nil || err.Error() != want {
 		t.Fatalf("wait: %v, want %q", err, want)
+	}
+}
+
+// TestFabricHostileGuaranteeSession: a worker's profile report naming a
+// guarantee session its component does not hold folds — the session
+// reads as -1 — both live and when a reopen replays the result records
+// of a job whose done record never landed.
+func TestFabricHostileGuaranteeSession(t *testing.T) {
+	b := history.NewBuilder("x", "y")
+	b.Txn(0, history.R("y", 0), history.W("y", 1))
+	b.Txn(1, history.R("x", 0), history.W("x", 1))
+	b.Txn(1, history.R("x", 1), history.W("x", 2))
+	b.Txn(2, history.R("x", 2))
+	b.Txn(2, history.R("x", 1))
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c1 := openTestCoord(t, path, nil)
+	w := c1.Register(api.WorkerHello{})
+	if err := c1.Submit("j1", "profile", b.Build(), checker.Options{Level: core.SER}); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := c1.Pull(w.ID)
+	if err != nil || hostile == nil {
+		t.Fatalf("pull: %v", err)
+	}
+	rep := checker.Report{Checker: "profile", Level: core.SER, Guarantees: []checker.GuaranteeVerdict{
+		{Guarantee: "MR", Session: 7},
+	}}
+	if accepted, err := c1.PushResult(w.ID, api.FabricResult{
+		Job: hostile.Job, Component: hostile.Component, Epoch: hostile.Epoch, Report: &rep,
+	}); !accepted || err != nil {
+		t.Fatalf("hostile push: accepted=%v err=%v", accepted, err)
+	}
+	// The fold unlinks the job's side file; keep it for the replay below.
+	side := sideFiles(t, path)
+	if len(side) != 1 {
+		t.Fatalf("side files %v, want one", side)
+	}
+	sidePath := filepath.Join(path+".d", side[0])
+	sideBytes, err := os.ReadFile(sidePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drain(t, c1, w.ID) != 1 {
+		t.Fatal("the second component was not dispatched")
+	}
+	mrOf := func(c *Coordinator) checker.GuaranteeVerdict {
+		t.Helper()
+		got, err := c.Wait(context.Background(), "j1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range got.Guarantees {
+			if g.Guarantee == "MR" {
+				return g
+			}
+		}
+		t.Fatalf("no MR verdict in %+v", got)
+		return checker.GuaranteeVerdict{}
+	}
+	if g := mrOf(c1); g.OK || g.Session != -1 {
+		t.Fatalf("live fold: MR %+v, want violated with session -1", g)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(log, []byte(`{"type":"done",`))
+	if at < 0 {
+		t.Fatal("no done record to cut")
+	}
+	if err := os.WriteFile(path, log[:at], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sidePath, sideBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := openTestCoord(t, path, nil)
+	defer c2.Close()
+	if g := mrOf(c2); g.OK || g.Session != -1 {
+		t.Fatalf("replayed fold: MR %+v, want violated with session -1", g)
 	}
 }
 

@@ -67,7 +67,6 @@ type walRecord struct {
 	// recJob payload.
 	Checker      string `json:"checker,omitempty"`
 	Level        string `json:"level,omitempty"`
-	Parallelism  int    `json:"parallelism,omitempty"`
 	Window       int    `json:"window,omitempty"`
 	Txns         int    `json:"txns,omitempty"`
 	Components   int    `json:"components,omitempty"`

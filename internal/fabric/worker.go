@@ -191,11 +191,7 @@ func (w *workerClient) execute(ctx context.Context, pt *pulledTask, hbEvery time
 		})
 	}
 	h := ix.History()
-	opts := checker.Options{
-		Level:       checker.Level(task.Level),
-		Parallelism: task.Parallelism, Window: task.Window,
-		Index: ix,
-	}
+	opts := checker.Options{Level: checker.Level(task.Level), Window: task.Window, Index: ix}
 	w.logger.Info("fabric worker: checking component",
 		"job", task.Job, "component", task.Component, "epoch", task.Epoch,
 		"checker", task.Checker, "txns", len(h.Txns))

@@ -151,7 +151,7 @@ func TestLevelBugsBreakTheirRung(t *testing.T) {
 					Sessions: 8, Txns: 80, Objects: 3, Seed: seed,
 				})
 				res := runner.Run(s, w, runner.Config{Retries: 4})
-				prof, err := levels.Profile(context.Background(), history.NewIndex(res.H), levels.Options{})
+				prof, err := levels.Profile(context.Background(), history.NewIndex(res.H))
 				if err != nil {
 					t.Fatal(err)
 				}

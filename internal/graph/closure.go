@@ -6,7 +6,7 @@ import "context"
 // Bitset row per node, row[v] holding every node reachable from v
 // (reflexively). Rows are computed once and shared; Reach answers in
 // O(1). The table costs n²/64 words — for graphs where only a few rows
-// are ever queried, prefer ReachPool.
+// are ever queried, prefer ReachRows.
 type Closure struct {
 	rows []Bitset
 }
@@ -14,14 +14,15 @@ type Closure struct {
 // Reach reports whether v is reachable from u (Reach(u, u) is true).
 func (c *Closure) Reach(u, v int) bool { return c.rows[u].Test(v) }
 
-// NewClosure computes the transitive closure of g with par workers
-// (par <= 0 means GOMAXPROCS). The second result is false when the graph
-// is cyclic — no closure exists then. The computation runs in reverse
-// topological order, so each row is the word-level union of its
-// successors' finished rows; nodes of equal depth have no path between
-// them and are filled in parallel. ctx is polled between batches, so a
-// deadline stops the O(n·m/64) work.
-func NewClosure(ctx context.Context, g *Graph, par int) (*Closure, bool, error) {
+// closurePoll is the number of rows filled between two polls of ctx.
+const closurePoll = 256
+
+// NewClosure computes the transitive closure of g. The second result is
+// false when the graph is cyclic — no closure exists then. Rows are
+// filled in reverse topological order, so each row is the word-level
+// union of its successors' finished rows. ctx is polled every
+// closurePoll rows, so a deadline stops the O(n·m/64) work.
+func NewClosure(ctx context.Context, g *Graph) (*Closure, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -29,55 +30,59 @@ func NewClosure(ctx context.Context, g *Graph, par int) (*Closure, bool, error) 
 	if !ok {
 		return nil, false, nil
 	}
-	// depth[v] is the longest path from v over out edges: all rows of one
-	// depth depend only on strictly smaller depths, so each depth is one
-	// parallel batch. Iterating the topological order backwards visits
-	// every successor before its predecessors.
 	n := g.Len()
-	depth := make([]int, n)
-	maxDepth := 0
+	c := &Closure{rows: make([]Bitset, n)}
 	for i := n - 1; i >= 0; i-- {
-		if i&1023 == 0 {
+		if i%closurePoll == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, false, err
+				return nil, true, err
 			}
 		}
 		v := order[i]
-		d := 0
+		row := NewBitset(n)
+		row.Set(v)
 		for _, e := range g.Out(v) {
-			if depth[e.To] >= d {
-				d = depth[e.To] + 1
+			// A successor already in the row got there through an earlier
+			// one that reaches it, whose finished row holds all of this
+			// one's.
+			if !row.Test(e.To) {
+				row.UnionWith(c.rows[e.To])
 			}
 		}
-		depth[v] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	buckets := make([][]int, maxDepth+1)
-	for v := 0; v < n; v++ {
-		buckets[depth[v]] = append(buckets[depth[v]], v)
-	}
-	c := &Closure{rows: make([]Bitset, n)}
-	for _, bucket := range buckets {
-		b := bucket
-		err := ParallelDo(ctx, par, len(b), func(i int) {
-			v := b[i]
-			row := NewBitset(n)
-			row.Set(v)
-			for _, e := range g.Out(v) {
-				// A successor already in the row got there through an
-				// earlier one that reaches it, whose finished row holds
-				// all of this one's.
-				if !row.Test(e.To) {
-					row.UnionWith(c.rows[e.To])
-				}
-			}
-			c.rows[v] = row
-		})
-		if err != nil {
-			return nil, true, err
-		}
+		c.rows[v] = row
 	}
 	return c, true, nil
+}
+
+// ReachRows answers a batch of reachability queries without the full
+// closure: ReachRows(ctx, g, sources)[i] is the set of nodes reachable
+// from sources[i], including itself, found by one iterative depth-first
+// traversal per source over a stack reused across the batch. g need not
+// be acyclic. It is the sparse counterpart of Closure, for when only a
+// few rows are needed and the O(n²/64) table is not worth materializing.
+// ctx is polled between sources; on cancellation the context's error is
+// returned and the rows are meaningless.
+func ReachRows(ctx context.Context, g *Graph, sources []int) ([]Bitset, error) {
+	rows := make([]Bitset, len(sources))
+	var stack []int
+	for i, src := range sources {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		seen := NewBitset(g.Len())
+		seen.Set(src)
+		stack = append(stack[:0], src)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, e := range g.Out(v) {
+				if !seen.Test(e.To) {
+					seen.Set(e.To)
+					stack = append(stack, e.To)
+				}
+			}
+		}
+		rows[i] = seen
+	}
+	return rows, nil
 }

@@ -10,16 +10,18 @@
 // collected edge by edge in a Builder and immutable after Build (one edge
 // arena in CSR form); every static search — FindCycle, FindComposedCycle,
 // SCCs, TopoSort (the one Kahn loop; Acyclic is its verdict), NewClosure
-// and ReachPool — reads that form, so a caller with edges in any other
+// and ReachRows — reads that form, so a caller with edges in any other
 // shape adds them to a Builder rather than to lists of its own. The graph
 // that grows while it is searched is Online, whose edges are arcs linked
 // into per-node out and in lists: both iterate in insertion order, Out is
 // an iterator, and Reload refills an existing graph instead of building a
 // new one. Closure is the cached all-pairs reachability of an acyclic
-// Graph, ReachPool its row-at-a-time counterpart.
+// Graph, ReachRows its row-at-a-time counterpart. Every search here runs
+// on the caller's goroutine: the one concurrency knob of the checkers is
+// sharding, above the engines.
 //
-// Beside them sit the containers the checkers share: Bitset, UnionFind,
-// ParallelDo and Slab. A Slab hands out records from chunks that never
+// Beside them sit the containers the checkers share: Bitset, UnionFind
+// and Slab. A Slab hands out records from chunks that never
 // move — a pointer or an id stays valid until Reset — hands nothing out
 // twice between two resets, and keeps its chunks across Reset, so a slab
 // refilled to a steady size stops allocating; Online keeps its arcs in

@@ -393,10 +393,9 @@ func refReachRows(out [][]int, sources []int) []Bitset {
 }
 
 // TestReachabilityMatchesAdjacencyLists: over the CSR Graph, Acyclic,
-// NewClosure and ReachPool give what the adjacency-list implementations
+// NewClosure and ReachRows give what the adjacency-list implementations
 // gave — the same verdict, the same closure row for row, the same reach
-// rows (cyclic graphs included: a reach row needs no order) — at every
-// parallelism.
+// rows (cyclic graphs included: a reach row needs no order).
 func TestReachabilityMatchesAdjacencyLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ctx := context.Background()
@@ -418,24 +417,22 @@ func TestReachabilityMatchesAdjacencyLists(t *testing.T) {
 			sources[i] = rng.Intn(n) // repeats allowed
 		}
 		wantReach := refReachRows(out, sources)
-		for _, par := range []int{1, 2, 4} {
-			c, ok, err := NewClosure(ctx, g, par)
-			if err != nil || ok != wantOK || (c != nil) != wantOK {
-				t.Fatalf("trial %d par %d (%v): NewClosure = %v %v %v, want ok %v", trial, par, es, c, ok, err, wantOK)
+		c, ok, err := NewClosure(ctx, g)
+		if err != nil || ok != wantOK || (c != nil) != wantOK {
+			t.Fatalf("trial %d (%v): NewClosure = %v %v %v, want ok %v", trial, es, c, ok, err, wantOK)
+		}
+		for v := 0; ok && v < n; v++ {
+			if !slices.Equal(c.rows[v], wantRows[v]) {
+				t.Fatalf("trial %d (%v): closure row %d = %v, want %v", trial, es, v, c.rows[v], wantRows[v])
 			}
-			for v := 0; ok && v < n; v++ {
-				if !slices.Equal(c.rows[v], wantRows[v]) {
-					t.Fatalf("trial %d par %d (%v): closure row %d = %v, want %v", trial, par, es, v, c.rows[v], wantRows[v])
-				}
-			}
-			rows, err := NewReachPool(g, par).Rows(ctx, sources)
-			if err != nil || len(rows) != len(sources) {
-				t.Fatalf("trial %d par %d: Rows = %d rows, %v", trial, par, len(rows), err)
-			}
-			for i := range rows {
-				if !slices.Equal(rows[i], wantReach[i]) {
-					t.Fatalf("trial %d par %d (%v): reach row of %d = %v, want %v", trial, par, es, sources[i], rows[i], wantReach[i])
-				}
+		}
+		rows, err := ReachRows(ctx, g, sources)
+		if err != nil || len(rows) != len(sources) {
+			t.Fatalf("trial %d: ReachRows = %d rows, %v", trial, len(rows), err)
+		}
+		for i := range rows {
+			if !slices.Equal(rows[i], wantReach[i]) {
+				t.Fatalf("trial %d (%v): reach row of %d = %v, want %v", trial, es, sources[i], rows[i], wantReach[i])
 			}
 		}
 	}

@@ -147,7 +147,7 @@ func (d *derived) fracturedReads() []history.Anomaly {
 // version that S — already in T's causal past — had overwritten. Both
 // violations surface as a cycle witness: the CO path closed by the RW
 // edge. Reachability over the acyclic CO uses the bitset closure.
-func (d *derived) checkCausal(ctx context.Context, par int) (core.Result, error) {
+func (d *derived) checkCausal(ctx context.Context) (core.Result, error) {
 	res := core.Result{Level: core.CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	n := d.Graph.Len()
 	co := subgraph(d.Graph, 1<<graph.SO|1<<graph.WR)
@@ -159,7 +159,7 @@ func (d *derived) checkCausal(ctx context.Context, par int) (core.Result, error)
 		res.OK = true // nothing can close a CO path: skip the n²/64-word closure
 		return res, nil
 	}
-	cl, _, err := graph.NewClosure(ctx, co, par)
+	cl, _, err := graph.NewClosure(ctx, co)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -69,14 +69,6 @@ import (
 // (a pre-check anomaly or a G1c cycle): no rung of the lattice holds.
 const None core.Level = "NONE"
 
-// Options tunes a profile or single-rung run.
-type Options struct {
-	// Parallelism bounds the worker pool of the causal reachability
-	// closure, the one parallel phase. <= 0 selects GOMAXPROCS;
-	// verdicts are identical at every setting.
-	Parallelism int
-}
-
 // Verdict is one rung's outcome: the level and the full engine result,
 // whose counterexample fields (anomalies, divergence, cycle) carry the
 // witness that breaks the rung.
@@ -162,7 +154,7 @@ func (r *Report) Rung(lvl core.Level) *Verdict {
 // settles every weaker rung and the session guarantees, so the weak
 // checks only execute on histories that already violate SI and the
 // guarantee scan on those that violate SER.
-func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, error) {
+func Profile(ctx context.Context, ix *history.Index) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -209,7 +201,7 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 		case si.OK:
 			causal, ra, rc = d.pass(core.CAUSAL), d.pass(core.RA), d.pass(core.RC)
 		default:
-			if causal, err = d.checkCausal(ctx, opts.Parallelism); err != nil {
+			if causal, err = d.checkCausal(ctx); err != nil {
 				return nil, err
 			}
 			if causal.OK {
@@ -251,7 +243,7 @@ func Profile(ctx context.Context, ix *history.Index, opts Options) (*Report, err
 // levels are core.CheckCtx's; RC, RA and CAUSAL are evaluated here over
 // the same derivation. Like the strong pipeline it returns a Result
 // whose counterexample fields carry the witness.
-func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Options) (core.Result, error) {
+func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level) (core.Result, error) {
 	switch lvl {
 	case core.RC, core.RA, core.CAUSAL:
 	default:
@@ -274,6 +266,6 @@ func CheckLevel(ctx context.Context, ix *history.Index, lvl core.Level, opts Opt
 	case core.RA:
 		return d.checkRA(d.checkRC()), nil
 	default:
-		return d.checkCausal(ctx, opts.Parallelism)
+		return d.checkCausal(ctx)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 func profile(t *testing.T, h *history.History) *Report {
 	t.Helper()
-	rep, err := Profile(context.Background(), history.NewIndex(h), Options{})
+	rep, err := Profile(context.Background(), history.NewIndex(h))
 	if err != nil {
 		t.Fatalf("Profile: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestCheckLevelAgreesWithProfile(t *testing.T) {
 	for _, f := range history.Fixtures() {
 		rep := profile(t, f.H)
 		for _, lvl := range core.Lattice() {
-			res, err := CheckLevel(ctx, history.NewIndex(f.H), lvl, Options{})
+			res, err := CheckLevel(ctx, history.NewIndex(f.H), lvl)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}
@@ -255,10 +255,10 @@ func TestLatticeRank(t *testing.T) {
 func TestCheckLevelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CheckLevel(ctx, history.NewIndex(history.SerialHistory(5)), core.CAUSAL, Options{}); err == nil {
+	if _, err := CheckLevel(ctx, history.NewIndex(history.SerialHistory(5)), core.CAUSAL); err == nil {
 		t.Fatal("want context error")
 	}
-	if _, err := Profile(ctx, history.NewIndex(history.SerialHistory(5)), Options{}); err == nil {
+	if _, err := Profile(ctx, history.NewIndex(history.SerialHistory(5))); err == nil {
 		t.Fatal("want context error")
 	}
 }

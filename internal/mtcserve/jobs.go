@@ -71,9 +71,8 @@ func (j *job) status() api.Job {
 		ID: j.id, State: j.state,
 		Checker: j.checker, Level: string(j.opts.Level),
 		Txns: j.txns, Report: j.report, Error: j.errMsg,
-		Parallelism: j.opts.Parallelism, Shard: j.opts.Shard,
-		Distributed: j.distributed,
-		CreatedAt:   j.created,
+		Shard: j.opts.Shard, Distributed: j.distributed,
+		CreatedAt: j.created,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -244,22 +243,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = s.defaultChecker()
 	}
-	// The parallelism and shard knobs tune, they cannot oversubscribe
-	// the server with goroutines. A request exceeding the host clamp is
-	// rejected with a structured 400 rather than silently lowered — the
-	// caller asked for a specific degree and must learn it is not
-	// available; the effective values an accepted job runs with are
-	// echoed in its Job body.
-	clamp := runtime.GOMAXPROCS(0)
-	if req.Parallelism < 0 {
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "parallelism must be >= 0, got %d", req.Parallelism)
-		return
-	}
-	if req.Parallelism > clamp {
+	if req.Parallelism != 0 {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest,
-			"parallelism %d exceeds the server's limit of %d (GOMAXPROCS)", req.Parallelism, clamp)
+			"parallelism is retired (got %d): engines run serially; use shard to check components concurrently", req.Parallelism)
 		return
 	}
+	// The shard knob tunes, it cannot oversubscribe the server with
+	// goroutines. A request exceeding the host clamp is rejected with a
+	// structured 400 rather than silently lowered — the caller asked for
+	// a specific degree and must learn it is not available; the value an
+	// accepted job runs with is echoed in its Job body.
+	clamp := runtime.GOMAXPROCS(0)
 	if req.Shard < 0 {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "shard must be >= 0, got %d", req.Shard)
 		return
@@ -268,15 +262,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			"shard %d exceeds the server's limit of %d (GOMAXPROCS)", req.Shard, clamp)
 		return
-	}
-	par := req.Parallelism
-	if par == 0 {
-		par = s.DefaultParallelism
-	}
-	// The server's own default is still clamped (a misconfigured flag
-	// must not oversubscribe the host); requests above were rejected.
-	if par > clamp {
-		par = clamp
 	}
 	c, err := s.reg.Lookup(name)
 	if err != nil {
@@ -292,7 +277,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "window must be >= 0, got %d", req.Window)
 		return
 	}
-	opts := checker.Options{Parallelism: par, Window: req.Window, Shard: req.Shard}
+	opts := checker.Options{Window: req.Window, Shard: req.Shard}
 	if req.Level != "" {
 		lvl, err := checker.ParseLevel(req.Level)
 		if err != nil {

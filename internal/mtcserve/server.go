@@ -97,11 +97,6 @@ type Server struct {
 	// sweep runs on the next request to any route; an evicted session
 	// answers 404 like a deleted one.
 	SessionIdleTimeout time.Duration
-	// DefaultParallelism is the engine parallelism applied to jobs that do
-	// not set their own (checker.Options.Parallelism): 0 keeps the
-	// checker-level default of GOMAXPROCS. Per-request values are clamped
-	// to the host's GOMAXPROCS either way.
-	DefaultParallelism int
 	// Logger receives the structured access log; nil discards it.
 	Logger *slog.Logger
 	// Fabric, when non-nil, makes this server a distributed-checking

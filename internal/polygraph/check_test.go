@@ -15,12 +15,12 @@ import (
 
 // checkSER and checkSI run the pipeline serially, without a deadline.
 func checkSER(h *history.History) Report {
-	r, _ := Check(context.Background(), history.NewIndex(h), SER, 1)
+	r, _ := Check(context.Background(), history.NewIndex(h), SER)
 	return r
 }
 
 func checkSI(h *history.History) Report {
-	r, _ := Check(context.Background(), history.NewIndex(h), SI, 1)
+	r, _ := Check(context.Background(), history.NewIndex(h), SI)
 	return r
 }
 

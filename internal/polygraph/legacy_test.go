@@ -1,12 +1,16 @@
 package polygraph
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
 	"mtc/internal/corpus"
+	"mtc/internal/graph"
 	"mtc/internal/history"
 	"mtc/internal/sat"
 )
@@ -159,4 +163,246 @@ func TestBuildMatchesLegacy(t *testing.T) {
 		}
 	}
 	t.Logf("%d histories build identical polygraphs", n)
+}
+
+// legacySparseReach is sparseReach as it was before its rows became
+// node-indexed: a map from each collected source to its row.
+type legacySparseReach map[int]graph.Bitset
+
+func (s legacySparseReach) Reach(u, v int) bool {
+	row, ok := s[u]
+	if !ok {
+		panic(fmt.Sprintf("legacy sparse reachability queried for uncollected source %d", u))
+	}
+	return row.Test(v)
+}
+
+// legacySerReach is serReach as it was before the source set became a
+// []bool: a map of the queried sources, sorted into the row request,
+// and the rows stored in a map-backed reacher.
+func legacySerReach(ctx context.Context, p *Polygraph) (reacher, error) {
+	g := graphOf(p.N, p.Known)
+	srcSet := make(map[int]struct{})
+	for _, c := range p.Cons {
+		for _, e := range c.A {
+			srcSet[e.To] = struct{}{}
+		}
+		for _, e := range c.B {
+			srcSet[e.To] = struct{}{}
+		}
+	}
+	if len(srcSet)*64 >= p.N {
+		c, acyclic, err := graph.NewClosure(ctx, g)
+		if err != nil || !acyclic {
+			return nil, err
+		}
+		return c, nil
+	}
+	if !g.Acyclic() {
+		return nil, nil
+	}
+	sources := make([]int, 0, len(srcSet))
+	for s := range srcSet {
+		sources = append(sources, s)
+	}
+	sort.Ints(sources)
+	rows, err := graph.ReachRows(ctx, g, sources)
+	if err != nil {
+		return nil, err
+	}
+	sr := make(legacySparseReach, len(sources))
+	for i, s := range sources {
+		sr[s] = rows[i]
+	}
+	return sr, nil
+}
+
+// legacyPrune is Prune as it was while a round could check its
+// constraints on a worker pool, run at one worker: every verdict of a
+// round is computed against the round's snapshot first, then the
+// verdicts merge in constraint order. Its SER snapshot comes from
+// legacySerReach. It is the oracle Prune is held to.
+func legacyPrune(ctx context.Context, p *Polygraph, mode Mode) (bool, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		var (
+			reach reacher
+			si    *siIndex
+			err   error
+		)
+		if mode == SER {
+			reach, err = legacySerReach(ctx, p)
+		} else {
+			si = newSIIndex(p.N, p.Known)
+			reach, err = composedReach(ctx, p.N, si.composed)
+		}
+		if err != nil {
+			return false, err
+		}
+		if reach == nil {
+			return false, nil
+		}
+		bad := func(edges []sat.Edge) bool {
+			if mode == SER {
+				return createsCycle(reach, edges)
+			}
+			return si.optionClosesCycle(reach, edges)
+		}
+		const (
+			keep = iota
+			forceA
+			forceB
+			unsat
+		)
+		verdicts := make([]uint8, len(p.Cons))
+		for i, c := range p.Cons {
+			if i%256 == 0 {
+				if err := ctx.Err(); err != nil {
+					return false, err
+				}
+			}
+			aBad, bBad := bad(c.A), bad(c.B)
+			switch {
+			case aBad && bBad:
+				verdicts[i] = unsat
+			case aBad:
+				verdicts[i] = forceB
+			case bBad:
+				verdicts[i] = forceA
+			}
+		}
+		var remaining []sat.Constraint
+		changed := false
+		for i, c := range p.Cons {
+			switch verdicts[i] {
+			case unsat:
+				return false, nil
+			case forceB:
+				p.Known = append(p.Known, c.B...)
+				p.Forced++
+				changed = true
+			case forceA:
+				p.Known = append(p.Known, c.A...)
+				p.Forced++
+				changed = true
+			default:
+				remaining = append(remaining, c)
+			}
+		}
+		p.Cons = remaining
+		if !changed {
+			return true, nil
+		}
+	}
+}
+
+// randomHistory builds a small random register history: blind writes and
+// reads of previously written values, several sessions, so the polygraph
+// carries both known edges and undetermined writer-pair constraints.
+func randomHistory(rng *rand.Rand, sessions, txns, keys int) *history.History {
+	names := make([]history.Key, keys)
+	for i := range names {
+		names[i] = history.Key(string(rune('a' + i)))
+	}
+	b := history.NewBuilder(names...)
+	written := map[history.Key][]history.Value{}
+	for _, k := range names {
+		written[k] = []history.Value{0}
+	}
+	next := history.Value(1)
+	for s := 0; s < sessions; s++ {
+		for i := 0; i < txns; i++ {
+			k := names[rng.Intn(keys)]
+			switch rng.Intn(3) {
+			case 0: // blind write
+				b.Txn(s, history.W(k, next))
+				written[k] = append(written[k], next)
+				next++
+			case 1: // read some written value
+				vs := written[k]
+				b.Txn(s, history.R(k, vs[rng.Intn(len(vs))]))
+			default: // RMW
+				vs := written[k]
+				b.Txn(s, history.R(k, vs[rng.Intn(len(vs))]), history.W(k, next))
+				written[k] = append(written[k], next)
+				next++
+			}
+		}
+	}
+	return b.Build()
+}
+
+// clone duplicates a polygraph so one build can be pruned repeatedly.
+func clone(p *Polygraph) *Polygraph {
+	return &Polygraph{
+		N:     p.N,
+		Known: append([]sat.Edge(nil), p.Known...),
+		Cons:  append([]sat.Constraint(nil), p.Cons...),
+	}
+}
+
+// pruneMismatch prunes one build of h both ways under mode and compares
+// the verdict, the forced count, the known edges in order and the
+// residual constraints in order. It reports whether the build had
+// constraints.
+func pruneMismatch(h *history.History, mode Mode) (bool, error) {
+	base := Build(history.NewIndex(h))
+	got, want := clone(base), clone(base)
+	ctx := context.Background()
+	gotOK, err := got.Prune(ctx, mode)
+	if err != nil {
+		return false, err
+	}
+	wantOK, err := legacyPrune(ctx, want, mode)
+	if err != nil {
+		return false, err
+	}
+	switch {
+	case gotOK != wantOK || got.Forced != want.Forced:
+		return false, fmt.Errorf("mode %d: ok=%v forced=%d, legacy ok=%v forced=%d", mode, gotOK, got.Forced, wantOK, want.Forced)
+	case !reflect.DeepEqual(got.Known, want.Known):
+		return false, fmt.Errorf("mode %d: known edges diverge (%d vs %d)", mode, len(got.Known), len(want.Known))
+	case !reflect.DeepEqual(got.Cons, want.Cons):
+		return false, fmt.Errorf("mode %d: residual constraints diverge (%d vs %d)", mode, len(got.Cons), len(want.Cons))
+	}
+	return len(base.Cons) > 0, nil
+}
+
+// TestPruneMatchesLegacy: over random register histories, the shared
+// differential corpus and the edge-case shapes, Prune's in-order loop
+// gives the verdict-array form's ok, Forced, Known and Cons under SER and
+// SI.
+func TestPruneMatchesLegacy(t *testing.T) {
+	constrained, n := 0, 0
+	check := func(h *history.History, tag string) {
+		for _, mode := range []Mode{SER, SI} {
+			had, err := pruneMismatch(h, mode)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if had && mode == SER {
+				constrained++
+			}
+		}
+		n++
+	}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 60; trial++ {
+		check(randomHistory(rng, 3, 8, 2+rng.Intn(3)), fmt.Sprintf("random %d", trial))
+	}
+	if constrained < 10 {
+		t.Fatalf("corpus too easy: only %d/60 random polygraphs had constraints", constrained)
+	}
+	corpus.Differential(corpus.Shape{Seeds: 60, Sessions: 3, Objects: 4, Bugs: 5}, check)
+	for _, size := range []struct {
+		txns int
+		seed int64
+	}{{24, 1}, {200, 2}, {1200, 3}} {
+		for _, s := range corpus.Shapes(size.txns, size.seed) {
+			check(s.H, fmt.Sprintf("%s/%d", s.Name, size.txns))
+		}
+	}
+	t.Logf("%d histories prune identically (%d with constraints)", n, constrained)
 }

@@ -25,7 +25,6 @@ package polygraph
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mtc/internal/graph"
@@ -240,13 +239,11 @@ type Report struct {
 }
 
 // Check verifies the indexed general (or MT) history at mode's level:
-// the INT/G1 pre-check, Build, Prune over a worker pool of par (<= 0
-// selects GOMAXPROCS), then the SAT search over the residue. Both the
-// pruning fixpoint and the search poll ctx, so a deadline stops the run
-// promptly; the Report is only meaningful when the returned error is
-// nil. The verdict and all statistics except wall-clock are identical at
-// every par.
-func Check(ctx context.Context, ix *history.Index, mode Mode, par int) (Report, error) {
+// the INT/G1 pre-check, Build, Prune, then the SAT search over the
+// residue. Both the pruning fixpoint and the search poll ctx, so a
+// deadline stops the run promptly; the Report is only meaningful when
+// the returned error is nil.
+func Check(ctx context.Context, ix *history.Index, mode Mode) (Report, error) {
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 		return Report{OK: false, Anomalies: as}, nil
 	}
@@ -257,7 +254,7 @@ func Check(ctx context.Context, ix *history.Index, mode Mode, par int) (Report, 
 	p := Build(ix)
 	rep := Report{Constraints: len(p.Cons), BuildTime: time.Since(start)}
 	start = time.Now()
-	ok, err := p.Prune(ctx, mode, par)
+	ok, err := p.Prune(ctx, mode)
 	rep.PruneTime = time.Since(start)
 	if err != nil {
 		return rep, err
@@ -282,28 +279,32 @@ func Check(ctx context.Context, ix *history.Index, mode Mode, par int) (Report, 
 }
 
 // reacher answers reach(u, v) queries; either the full closure table or
-// the sparse per-source rows a ReachPool answered.
+// the sparse per-source rows graph.ReachRows answered.
 type reacher interface {
 	Reach(u, v int) bool
 }
 
 // sparseReach is a partial reachability relation: rows only for the
-// sources the constraint checks actually query. serReach collects the
-// source set from exactly the reach(e.To, *) probes createsCycle issues;
-// querying any other source is a programming error and panics loudly
-// rather than quietly answering "unreachable" (which would silently
-// weaken pruning soundness).
+// sources the constraint checks actually query, indexed by node.
+// serReach collects the source set from exactly the reach(e.To, *)
+// probes createsCycle issues; querying any other source is a
+// programming error and panics loudly rather than quietly answering
+// "unreachable" (which would silently weaken pruning soundness).
 type sparseReach struct {
-	rows map[int]graph.Bitset
+	rows []graph.Bitset
 }
 
 func (s sparseReach) Reach(u, v int) bool {
-	row, ok := s.rows[u]
-	if !ok {
+	row := s.rows[u]
+	if row == nil {
 		panic(fmt.Sprintf("polygraph: sparse reachability queried for uncollected source %d", u))
 	}
 	return row.Test(v)
 }
+
+// prunePoll is the number of constraints checked between two polls of
+// ctx inside one pruning round.
+const prunePoll = 256
 
 // Prune resolves constraints forced by reachability over the known edges,
 // iterating to a fixpoint. It returns false if the known edges alone are
@@ -317,20 +318,16 @@ func (s sparseReach) Reach(u, v int) bool {
 // the exact condition Definition 6 forbids. Both modes are sound; cycles
 // requiring three or more undecided options are left to the solver.
 //
-// Each fixpoint round computes reachability over a worker pool of par
-// (the closure fills independent topological levels concurrently; sparse
-// rounds answer only the queried rows through a ReachPool) and checks the
-// constraints in parallel shards against that shared snapshot. The
-// verdicts are merged back in constraint order, so the forced edges, the
-// Forced count and the residual constraint order are identical at every
-// parallelism level. par <= 0 selects GOMAXPROCS; 1 is the serial
-// reference path.
+// Each fixpoint round computes one reachability snapshot of the known
+// edges and checks every constraint against it in constraint order. An
+// edge forced in a round joins Known at once but reaches the snapshot
+// only in the next round, so every constraint of a round is judged
+// against the same snapshot, wherever it sits in the order.
 //
-// ctx is polled inside the reachability computation and between
-// constraint chunks, so a deadline stops the fixpoint promptly; the
-// first result is then meaningless and the context's error is returned.
-func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error) {
-	par = graph.Parallelism(par)
+// ctx is polled inside the reachability computation and every prunePoll
+// constraints, so a deadline stops the fixpoint promptly; the first
+// result is then meaningless and the context's error is returned.
+func (p *Polygraph) Prune(ctx context.Context, mode Mode) (bool, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -341,10 +338,10 @@ func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error)
 			err   error
 		)
 		if mode == SER {
-			reach, err = p.serReach(ctx, par)
+			reach, err = p.serReach(ctx)
 		} else {
 			si = newSIIndex(p.N, p.Known)
-			reach, err = composedReach(ctx, p.N, si.composed, par)
+			reach, err = composedReach(ctx, p.N, si.composed)
 		}
 		if err != nil {
 			return false, err
@@ -358,43 +355,23 @@ func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error)
 			}
 			return si.optionClosesCycle(reach, edges)
 		}
-		// Check every constraint against the same reachability snapshot in
-		// parallel shards; verdicts merge serially in constraint order so
-		// the Known append order matches the serial path exactly.
-		const (
-			keep   = iota
-			forceA // B closes a cycle
-			forceB // A closes a cycle
-			unsat  // both orientations close cycles
-		)
-		verdicts := make([]uint8, len(p.Cons))
-		err = graph.ParallelDo(ctx, par, len(p.Cons), func(i int) {
-			c := p.Cons[i]
-			aBad := bad(c.A)
-			bBad := bad(c.B)
-			switch {
-			case aBad && bBad:
-				verdicts[i] = unsat
-			case aBad:
-				verdicts[i] = forceB
-			case bBad:
-				verdicts[i] = forceA
-			}
-		})
-		if err != nil {
-			return false, err
-		}
 		var remaining []sat.Constraint
 		changed := false
 		for i, c := range p.Cons {
-			switch verdicts[i] {
-			case unsat:
+			if i%prunePoll == 0 {
+				if err := ctx.Err(); err != nil {
+					return false, err
+				}
+			}
+			aBad, bBad := bad(c.A), bad(c.B)
+			switch {
+			case aBad && bBad:
 				return false, nil
-			case forceB:
+			case aBad:
 				p.Known = append(p.Known, c.B...)
 				p.Forced++
 				changed = true
-			case forceA:
+			case bBad:
 				p.Known = append(p.Known, c.A...)
 				p.Forced++
 				changed = true
@@ -412,24 +389,29 @@ func (p *Polygraph) Prune(ctx context.Context, mode Mode, par int) (bool, error)
 // serReach answers the round's reachability needs for SER: a nil
 // reacher (with nil error) means the known edges are cyclic. When the
 // constraints query only a few distinct sources relative to N, per-source
-// BFS rows through the ReachPool beat materializing the full closure
-// (whose table alone costs N²/64 words); dense query sets amortize the
+// rows from graph.ReachRows beat materializing the full closure (whose
+// table alone costs N²/64 words); dense query sets amortize the
 // closure's word-parallel unions instead.
-func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
+func (p *Polygraph) serReach(ctx context.Context) (reacher, error) {
 	g := graphOf(p.N, p.Known)
 	// createsCycle queries reach[e.To][e.From] per candidate edge.
-	srcSet := make(map[int]struct{})
-	//mtc:cancellation-ok linear scan of the constraint edges; the reachability build below polls ctx
-	for _, c := range p.Cons {
-		for _, e := range c.A {
-			srcSet[e.To] = struct{}{}
-		}
-		for _, e := range c.B {
-			srcSet[e.To] = struct{}{}
+	queried := make([]bool, p.N)
+	distinct := 0
+	mark := func(edges []sat.Edge) {
+		for _, e := range edges {
+			if !queried[e.To] {
+				queried[e.To] = true
+				distinct++
+			}
 		}
 	}
-	if len(srcSet)*64 >= p.N {
-		c, acyclic, err := graph.NewClosure(ctx, g, par)
+	//mtc:cancellation-ok linear scan of the constraint edges; the reachability build below polls ctx
+	for _, c := range p.Cons {
+		mark(c.A)
+		mark(c.B)
+	}
+	if distinct*64 >= p.N {
+		c, acyclic, err := graph.NewClosure(ctx, g)
 		if err != nil || !acyclic {
 			return nil, err
 		}
@@ -438,16 +420,17 @@ func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
 	if !g.Acyclic() {
 		return nil, nil
 	}
-	sources := make([]int, 0, len(srcSet))
-	for s := range srcSet {
-		sources = append(sources, s)
+	sources := make([]int, 0, distinct)
+	for v, q := range queried {
+		if q {
+			sources = append(sources, v)
+		}
 	}
-	sort.Ints(sources)
-	rows, err := graph.NewReachPool(g, par).Rows(ctx, sources)
+	rows, err := graph.ReachRows(ctx, g, sources)
 	if err != nil {
 		return nil, err
 	}
-	sr := sparseReach{rows: make(map[int]graph.Bitset, len(sources))}
+	sr := sparseReach{rows: make([]graph.Bitset, p.N)}
 	for i, s := range sources {
 		sr.rows[s] = rows[i]
 	}
@@ -457,8 +440,8 @@ func (p *Polygraph) serReach(ctx context.Context, par int) (reacher, error) {
 // composedReach computes the full closure of the SI composed graph; the
 // SI option check queries arbitrary composition endpoints, so the sparse
 // row set cannot be bounded cheaply. nil with nil error means cyclic.
-func composedReach(ctx context.Context, n int, edges []sat.Edge, par int) (reacher, error) {
-	c, acyclic, err := graph.NewClosure(ctx, graphOf(n, edges), par)
+func composedReach(ctx context.Context, n int, edges []sat.Edge) (reacher, error) {
+	c, acyclic, err := graph.NewClosure(ctx, graphOf(n, edges))
 	if err != nil || !acyclic {
 		return nil, err
 	}
@@ -506,8 +489,7 @@ func newSIIndex(n int, known []sat.Edge) *siIndex {
 
 // optionClosesCycle reports whether activating the option's edges closes a
 // cycle in the composed graph, considering compositions of the new edges
-// with the known edges and with each other. It only reads idx and the
-// reachability snapshot, so parallel shards may call it concurrently.
+// with the known edges and with each other.
 func (idx *siIndex) optionClosesCycle(reach reacher, edges []sat.Edge) bool {
 	var newComp [][2]int
 	add := func(a, b int) {

@@ -2,7 +2,9 @@ package polygraph
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -11,7 +13,7 @@ import (
 
 // closureOf is the test shim over graph.NewClosure for edge lists.
 func closureOf(n int, edges []sat.Edge) (reacher, bool) {
-	c, ok, err := graph.NewClosure(context.Background(), graphOf(n, edges), 1)
+	c, ok, err := graph.NewClosure(context.Background(), graphOf(n, edges))
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -27,7 +29,7 @@ func TestBuildSerialChainNoResidualAfterPrune(t *testing.T) {
 	if len(p.Cons) != 0 {
 		t.Fatalf("chain coalescing leaves no constraints on an RMW chain, got %d", len(p.Cons))
 	}
-	if ok, _ := p.Prune(context.Background(), SER, 1); !ok {
+	if ok, _ := p.Prune(context.Background(), SER); !ok {
 		t.Fatal("serial history must survive pruning")
 	}
 }
@@ -42,8 +44,25 @@ func TestBuildDivergenceUnsatInPrune(t *testing.T) {
 	if len(p.Cons) == 0 {
 		t.Fatal("divergent writers must yield a constraint")
 	}
-	if ok, _ := p.Prune(context.Background(), SER, 1); ok {
+	if ok, _ := p.Prune(context.Background(), SER); ok {
 		t.Fatal("divergence must be unsat under SER pruning")
+	}
+}
+
+// TestPruneHonorsDeadline: a huge blind-write polygraph under a tiny
+// deadline must stop inside the fixpoint, not run to completion.
+func TestPruneHonorsDeadline(t *testing.T) {
+	h := history.BlindWriteHistory(4, 220)
+	p := Build(history.NewIndex(h))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := p.Prune(ctx, SER)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
 	}
 }
 
@@ -55,7 +74,7 @@ func TestPruneSIRejectsDivergence(t *testing.T) {
 	b.Txn(0, history.R("x", 0), history.W("x", 1))
 	b.Txn(1, history.R("x", 0), history.W("x", 2))
 	p := Build(history.NewIndex(b.Build()))
-	if ok, _ := p.Prune(context.Background(), SI, 1); ok {
+	if ok, _ := p.Prune(context.Background(), SI); ok {
 		if r, _ := sat.SolveSI(context.Background(), p.N, p.Known, p.Cons); r.Sat {
 			t.Fatal("divergence must be rejected by pruning or the solver")
 		}

@@ -43,7 +43,7 @@ type acyclicTheory struct {
 // mid-build (the caller marks the cache built either way, so a canceled
 // solve does not retry the closure on every search).
 func levelZeroClosure(ctx context.Context, b *graph.Builder) *graph.Closure {
-	c, ok, err := graph.NewClosure(ctx, b.Build(), 1)
+	c, ok, err := graph.NewClosure(ctx, b.Build())
 	if err != nil || !ok {
 		return nil
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,19 +49,14 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 	}
 
 	// Per-component fan-out with item granularity: components are few
-	// and coarse, so workers claim them one at a time (graph.ParallelDo's
-	// chunked claiming would hand all of them to a single worker).
+	// and coarse, so workers claim them one at a time.
 	n := len(p.Components)
-	workers := graph.Parallelism(opts.Shard)
+	workers := opts.Shard
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
-	}
-	// The engine-internal parallelism budget is divided across the
-	// concurrent component checks, so the total worker count stays at
-	// the caller's budget instead of multiplying to Shard*Parallelism
-	// (which would oversubscribe the host the server clamps protect).
-	if inner.Parallelism = graph.Parallelism(opts.Parallelism) / workers; inner.Parallelism < 1 {
-		inner.Parallelism = 1
 	}
 	reports := make([]checker.Report, n)
 	errs := make([]error, n)
@@ -112,10 +108,13 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 //   - profile fields fold exactly because no dependency edge or session
 //     crosses components: each lattice rung is the per-component
 //     conjunction, the strongest level is the lattice minimum, and each
-//     session guarantee is the conjunction. Rung and guarantee witnesses
-//     are engine-rendered strings, so a violated entry keeps the first
-//     offending component's witness prefixed with its component index
-//     (the transaction/session ids in it are component-local).
+//     session guarantee is the conjunction. A violated guarantee names
+//     the lowest violating source session, as the unsharded scan does
+//     (-1, a pre-check that voids it, wins over any session). Rung and
+//     guarantee witnesses are engine-rendered strings, so a violated
+//     entry keeps its offending component's witness prefixed with the
+//     component index (the transaction/session ids in it are
+//     component-local).
 //
 // Engine-specific Detail strings are kept from the first-offending
 // component; structured fields (anomalies, cycle edges) always carry
@@ -134,7 +133,7 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 	rungAt := make(map[checker.Level]int) // level -> index in out.Rungs
 	guarAt := make(map[string]int)        // guarantee -> index in out.Guarantees
 	for i := range reports {
-		rep := remap(&p.Components[i], reports[i])
+		rep := remap(p.Source, &p.Components[i], reports[i])
 		mergeProfile(&out, rep, i, rungAt, guarAt)
 		if n := len(p.Components[i].H.Txns); n > largest {
 			largest = n
@@ -177,7 +176,8 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 // lattice rungs, session guarantees) into the merged report. Rungs and
 // guarantees conjoin per entry; a newly violated entry adopts the
 // component's witness, prefixed with the component index since the ids
-// inside are component-local.
+// inside are component-local. A violated guarantee keeps the lowest
+// session across components (or -1) and that component's witness.
 func mergeProfile(out *checker.Report, rep checker.Report, i int, rungAt map[checker.Level]int, guarAt map[string]int) {
 	if rep.StrongestLevel != "" {
 		if out.StrongestLevel == "" ||
@@ -204,17 +204,28 @@ func mergeProfile(out *checker.Report, rep checker.Report, i int, rungAt map[che
 			guarAt[gv.Guarantee] = at
 			out.Guarantees = append(out.Guarantees, checker.GuaranteeVerdict{Guarantee: gv.Guarantee, OK: true, Session: -1})
 		}
-		if !gv.OK && out.Guarantees[at].OK {
-			out.Guarantees[at].OK = false
-			out.Guarantees[at].Witness = fmt.Sprintf("component %d: %s", i, gv.Witness)
+		if gv.OK {
+			continue
+		}
+		if g := &out.Guarantees[at]; g.OK || (g.Session >= 0 && (gv.Session < 0 || gv.Session < g.Session)) {
+			g.OK, g.Session = false, gv.Session
+			g.Witness = fmt.Sprintf("component %d: %s", i, gv.Witness)
 		}
 	}
 }
 
 // remap rewrites a component report's transaction ids (anomalies and
-// cycle edges) to external ids. Detail strings are engine-rendered and
-// left untouched.
-func remap(c *Component, rep checker.Report) checker.Report {
+// cycle edges) to external ids and its guarantee sessions to sessions
+// of src. Detail strings are engine-rendered and left untouched.
+func remap(src *history.History, c *Component, rep checker.Report) checker.Report {
+	if len(rep.Guarantees) > 0 {
+		gs := make([]checker.GuaranteeVerdict, len(rep.Guarantees))
+		for i, g := range rep.Guarantees {
+			g.Session = c.sourceSession(src, g.Session)
+			gs[i] = g
+		}
+		rep.Guarantees = gs
+	}
 	if len(rep.Anomalies) > 0 {
 		as := make([]history.Anomaly, len(rep.Anomalies))
 		for i, a := range rep.Anomalies {

@@ -1,6 +1,7 @@
 // Package shard decomposes a history into key/session-disjoint connected
-// components and checks them independently — the structural parallelism
-// layer above every verification engine in this repository.
+// components and checks them independently — the one concurrency knob
+// of this repository, above every verification engine (the engines
+// themselves run serially).
 //
 // The decomposition invariant: two transactions land in the same
 // component iff they are connected through shared keys or shared
@@ -53,6 +54,16 @@ func (c *Component) ExtOf(local int) int {
 		return c.Ext[local]
 	}
 	return local
+}
+
+// sourceSession translates a local session index to the session of src,
+// the history the component was split from. -1 and any index the
+// component does not hold (a worker's report is not trusted) map to -1.
+func (c *Component) sourceSession(src *history.History, local int) int {
+	if local < 0 || local >= len(c.H.Sessions) || len(c.H.Sessions[local]) == 0 {
+		return -1
+	}
+	return src.Txns[c.ExtOf(c.H.Sessions[local][0])].Session
 }
 
 // Partition is the component decomposition of one history.

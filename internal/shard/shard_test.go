@@ -309,6 +309,72 @@ func TestShardedTimings(t *testing.T) {
 	}
 }
 
+// monotonicReadsBreak adds, over key k, session a: R(k,0)W(k,1),
+// R(k,1)W(k,2) and session b: R(k,2), R(k,1) — a monotonic-reads
+// violation by session b.
+func monotonicReadsBreak(b *history.Builder, k history.Key, a, c int) {
+	b.Txn(a, history.R(k, 0), history.W(k, 1))
+	b.Txn(a, history.R(k, 1), history.W(k, 2))
+	b.Txn(c, history.R(k, 2))
+	b.Txn(c, history.R(k, 1))
+}
+
+// TestShardedGuaranteeNamesSourceSession: a sharded profile names a
+// violated guarantee's session in source numbering, as the unsharded
+// profile does — the lowest violating session across components, even
+// when a later component holds it — and a pre-check failure in any
+// component voids the guarantee (session -1) as it does unsharded.
+func TestShardedGuaranteeNamesSourceSession(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		build  func(b *history.Builder)
+		wantMR int
+	}{
+		{"second session of the second component", func(b *history.Builder) {
+			b.Txn(0, history.R("y", 0), history.W("y", 1))
+			monotonicReadsBreak(b, "x", 1, 2)
+		}, 2},
+		{"pre-check in another component", func(b *history.Builder) {
+			b.Txn(0, history.R("y", 0), history.W("y", 1))
+			monotonicReadsBreak(b, "x", 1, 2)
+			b.Txn(3, history.R("z", 99))
+		}, -1},
+		{"lower session in a later component", func(b *history.Builder) {
+			monotonicReadsBreak(b, "x", 3, 4)
+			monotonicReadsBreak(b, "y", 0, 1)
+		}, 1},
+	} {
+		b := history.NewBuilder("x", "y", "z")
+		tc.build(b)
+		h := b.Build()
+		var mr []checker.GuaranteeVerdict
+		for _, shard := range []int{0, 2} {
+			rep, err := checker.Run(ctx, "profile", h, checker.Options{Level: core.SER, Shard: shard})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if shard > 0 && rep.ShardComponents < 2 {
+				t.Fatalf("%s: %d components, want several", tc.name, rep.ShardComponents)
+			}
+			for _, g := range rep.Guarantees {
+				if g.Guarantee == "MR" {
+					mr = append(mr, g)
+				}
+			}
+		}
+		if len(mr) != 2 {
+			t.Fatalf("%s: MR verdicts %+v", tc.name, mr)
+		}
+		for i, g := range mr {
+			if g.OK || g.Session != tc.wantMR {
+				t.Fatalf("%s, run %d (unsharded, sharded): MR %+v, want violated by session %d",
+					tc.name, i, g, tc.wantMR)
+			}
+		}
+	}
+}
+
 // coreCheck runs the batch MTC pipeline on h. Under a background context
 // the only error CheckCtx can return is a level without a batch engine.
 func coreCheck(h *history.History, lvl core.Level) core.Result {

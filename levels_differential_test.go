@@ -29,7 +29,7 @@ import (
 // profileCheck profiles one history and cross-examines the report.
 func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 	t.Helper()
-	prof, err := levels.Profile(context.Background(), history.NewIndex(h), levels.Options{})
+	prof, err := levels.Profile(context.Background(), history.NewIndex(h))
 	if err != nil {
 		t.Fatalf("%s: profile failed: %v", tag, err)
 	}

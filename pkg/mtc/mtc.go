@@ -24,7 +24,8 @@
 // check (Report.CompactedEpochs reports how often it compacted).
 //
 // Multi-tenant and other key-disjoint histories can be verified with
-// structural parallelism above the engine: Options.Shard > 0 makes Check
+// structural concurrency above the engine, the toolkit's one concurrency
+// knob (every engine runs serially): Options.Shard > 0 makes Check
 // partition the history into key/session-disjoint components and check
 // up to Shard of them concurrently through the named engine, with merged
 // verdicts identical to unsharded checking (Report.ShardComponents
@@ -111,12 +112,6 @@ func Levels() []Level { return checker.AllLevels() }
 func Profile(ctx context.Context, h *History, opts Options) (Report, error) {
 	return checker.Run(ctx, "profile", h, opts)
 }
-
-// DefaultParallelism returns the worker-pool size the engines use when
-// Options.Parallelism is left zero: GOMAXPROCS. Set Options.Parallelism
-// to 1 to force the serial paths; verdicts are identical at every
-// setting, only wall-clock changes.
-func DefaultParallelism() int { return graph.Parallelism(0) }
 
 // Check runs the named engine from the default registry on h under ctx.
 // Cancellation stops the engine inside its hot loops; the returned error

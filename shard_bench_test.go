@@ -2,8 +2,8 @@
 // multi-tenant history — the headline scaling of the shard layer. The
 // workload is a fixed-seed 4-tenant GT history checked through the
 // Cobra SER baseline (whose per-component prune/solve work dominates the
-// O(n) partition pass), with the engine-internal parallelism pinned to 1
-// so the axis measures pure component fan-out: BenchmarkShard1 is the
+// O(n) partition pass); every engine runs serially, so the axis
+// measures pure component fan-out: BenchmarkShard1 is the
 // sharded-but-serial floor, BenchmarkShard4 the acceptance bar (>= 2x
 // at 4 workers on 4 tenants on a multi-core host), and
 // BenchmarkShardGOMAXPROCS whatever the host offers. On a single-core
@@ -50,7 +50,7 @@ func benchShard(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := checker.Run(ctx, "cobra", h,
-			checker.Options{Level: core.SER, Parallelism: 1, Shard: workers})
+			checker.Options{Level: core.SER, Shard: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

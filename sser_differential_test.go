@@ -70,20 +70,10 @@ func sserCheck(t *testing.T, h *history.History, tag string, tally *sserTally) {
 		tally.cyclic++
 	}
 
-	// The rung has no parallel phase to tune, and the profiler runs the
-	// same rung: the reports agree field by field.
-	for _, alt := range []struct {
-		name string
-		opts checker.Options
-	}{
-		{"mtc", checker.Options{Parallelism: 4}},
-		{"profile", checker.Options{}},
-	} {
-		got := run(alt.name, alt.opts)
-		if got.OK != ref.OK || got.Edges != ref.Edges || got.Txns != ref.Txns ||
-			!reflect.DeepEqual(got.Anomalies, ref.Anomalies) || !reflect.DeepEqual(got.Cycle, ref.Cycle) {
-			t.Fatalf("%s: %s %+v diverges from mtc\nmtc: %+v\ngot: %+v", tag, alt.name, alt.opts, ref, got)
-		}
+	// The profiler runs the same rung: the reports agree field by field.
+	if got := run("profile", checker.Options{}); got.OK != ref.OK || got.Edges != ref.Edges || got.Txns != ref.Txns ||
+		!reflect.DeepEqual(got.Anomalies, ref.Anomalies) || !reflect.DeepEqual(got.Cycle, ref.Cycle) {
+		t.Fatalf("%s: profile diverges from mtc\nmtc: %+v\ngot: %+v", tag, ref, got)
 	}
 	// Sharded: a witness never leaves its component, so the verdict is
 	// exact and the edge count — dependency edges only — sums to the
