@@ -8,13 +8,14 @@
 //	  | mtc-benchjson -compare bench/baseline.json
 //
 // The baseline holds only what a shared runner cannot move: exact
-// allocs/op rows (deterministic counts, so 5% over is a source change,
-// not noise) and ratios between two benchmarks of the same run (machine
-// speed cancels). A row or ratio operand absent from the run is MISSING
-// and fails like a regression: a renamed benchmark, or a run without
-// -benchmem, must not drop out of the gate silently. Absolute times
-// live in `go run ./benchmark`, which calibrates for the host. The six
-// bars and the refresh procedure: docs/ci.md.
+// allocs/op and B/op rows (deterministic under one Go release, so 5%
+// over is a source change, not noise) and ratios between two benchmarks
+// of the same run (machine speed cancels). A row or ratio operand absent
+// from the run is MISSING and fails like a regression: a renamed
+// benchmark, or a run without -benchmem, must not drop out of the gate
+// silently. Absolute times live in `go run ./benchmark`, which
+// calibrates for the host. The seven bars and the refresh procedure:
+// docs/ci.md.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -48,7 +50,7 @@ type Snapshot struct {
 
 // Baseline is bench/baseline.json, the one table the gate reads.
 type Baseline struct {
-	Benches []Bench `json:"benches"` // allocs/op rows only
+	Benches []Bench `json:"benches"` // allocs/op and B/op rows only
 	Ratios  []Ratio `json:"ratios"`
 }
 
@@ -66,8 +68,8 @@ type Ratio struct {
 	Why     string  `json:"why"`
 }
 
-// allocTolerance is the allowed fractional allocs/op growth over a
-// baseline row.
+// allocTolerance is the allowed fractional growth over a baseline row,
+// in allocs/op or B/op.
 const allocTolerance = 0.05
 
 // benchLine matches e.g.
@@ -169,8 +171,8 @@ func parseBenches(r io.Reader) ([]Bench, error) {
 }
 
 // loadBaseline reads the table and refuses one the gate could not
-// enforce as written: a row in a host-dependent unit, or a ratio without
-// exactly one bound.
+// enforce as written: a row in a host-dependent unit or named for
+// another unit, or a ratio without exactly one bound.
 func loadBaseline(path string) (Baseline, error) {
 	var base Baseline
 	raw, err := os.ReadFile(path)
@@ -184,8 +186,11 @@ func loadBaseline(path string) (Baseline, error) {
 		return base, fmt.Errorf("baseline %s gates nothing", path)
 	}
 	for _, b := range base.Benches {
-		if b.Unit != "allocs/op" {
-			return base, fmt.Errorf("baseline %s: row %s is in %s; only allocs/op rows are host-independent", path, b.Name, b.Unit)
+		if b.Unit != "allocs/op" && b.Unit != "B/op" {
+			return base, fmt.Errorf("baseline %s: row %s is in %s; only allocs/op and B/op rows are host-independent", path, b.Name, b.Unit)
+		}
+		if !strings.HasSuffix(b.Name, rowSuffix[b.Unit]) {
+			return base, fmt.Errorf("baseline %s: row %s is in %s, so its name ends in %s", path, b.Name, b.Unit, rowSuffix[b.Unit])
 		}
 	}
 	for _, r := range base.Ratios {
@@ -228,13 +233,14 @@ func (base Baseline) gate(w io.Writer, cur []Bench, cpus int) error {
 			regressions++
 			verdict = "REGRESS"
 		}
-		fmt.Fprintf(w, "%-8s %-40s %.0f -> %.0f allocs/op (%+.1f%%, tolerance %.0f%%)\n",
-			verdict, b.Name, b.Value, got, growth*100, allocTolerance*100)
+		fmt.Fprintf(w, "%-8s %-40s %.0f -> %.0f %s (%+.1f%%, tolerance %.0f%%)\n",
+			verdict, b.Name, b.Value, got, b.Unit, growth*100, allocTolerance*100)
 	}
 	if regressions > 0 {
-		// Allocation counts are deterministic, so a trip is a source
-		// change — point at the annotation machinery that localizes it.
-		fmt.Fprintln(w, "hint: allocs/op regressions usually trace to a //mtc:hotpath function growing a per-item allocation; run `go run ./cmd/mtc-lint ./...` to pinpoint the construct (docs/lint.md)")
+		// Allocation counts and bytes are deterministic, so a trip is a
+		// source change — point at the annotation machinery that
+		// localizes it.
+		fmt.Fprintln(w, "hint: allocation regressions usually trace to a //mtc:hotpath function growing a per-item allocation or a wider record; run `go run ./cmd/mtc-lint ./...` to pinpoint the construct (docs/lint.md)")
 	}
 	for _, r := range base.Ratios {
 		num, okNum := lookup(r.Num + rowSuffix[r.Unit])
@@ -262,6 +268,6 @@ func (base Baseline) gate(w io.Writer, cur []Bench, cpus int) error {
 	if regressions+missing > 0 {
 		return fmt.Errorf("%d regression(s), %d missing benchmark(s)", regressions, missing)
 	}
-	fmt.Fprintf(w, "bench gate: %d alloc rows and %d ratios hold\n", len(base.Benches), len(base.Ratios))
+	fmt.Fprintf(w, "bench gate: %d allocation rows and %d ratios hold\n", len(base.Benches), len(base.Ratios))
 	return nil
 }

@@ -96,6 +96,38 @@ func TestCompareBaselineAllocHint(t *testing.T) {
 	}
 }
 
+// TestCompareBaselineBytes holds B/op rows to the same 5% tolerance as
+// allocs/op rows: a record that widens moves bytes, not counts, and must
+// trip the gate on its own.
+func TestCompareBaselineBytes(t *testing.T) {
+	base := Baseline{Benches: []Bench{
+		{Name: "BenchmarkA/allocs", Unit: "allocs/op", Value: 100},
+		{Name: "BenchmarkA/alloc", Unit: "B/op", Value: 4_000_000},
+	}}
+	run := func(bytes float64) (string, error) {
+		cur := append(run100(100, 100), Bench{Name: "BenchmarkA/alloc", Unit: "B/op", Value: bytes})
+		var out strings.Builder
+		err := base.gate(&out, cur, 1)
+		return out.String(), err
+	}
+	if out, err := run(4_190_000); err != nil || !strings.Contains(out, "4000000 -> 4190000 B/op") {
+		t.Fatalf("+4.75%% bytes: err %v\n%s", err, out)
+	}
+	out, err := run(6_060_611) // 40-byte edges back in the arena, allocs/op unchanged
+	if err == nil || !strings.Contains(out, "REGRESS  BenchmarkA/alloc") || strings.Contains(out, "REGRESS  BenchmarkA/allocs") {
+		t.Fatalf("+52%% bytes at equal allocs passed, or blamed the count:\n%s", out)
+	}
+	if !strings.Contains(out, "mtc:hotpath") {
+		t.Fatalf("bytes regression did not print the mtc-lint hint:\n%s", out)
+	}
+	// A run without -benchmem has no B/op row either.
+	var missing strings.Builder
+	if err := (Baseline{Benches: base.Benches[1:]}).gate(&missing, run100(100, 100)[:1], 1); err == nil ||
+		!strings.Contains(missing.String(), "MISSING  BenchmarkA/alloc") {
+		t.Fatalf("missing B/op row: err %v\n%s", err, missing.String())
+	}
+}
+
 // TestCompareRatios walks the same-run ratio bars: A/B with B fixed at
 // 100 in both units.
 func TestCompareRatios(t *testing.T) {
@@ -138,6 +170,8 @@ func TestCompareRatios(t *testing.T) {
 func TestLoadBaselineRefuses(t *testing.T) {
 	for name, doc := range map[string]string{
 		"a host-dependent row": `{"benches":[{"name":"BenchmarkA","value":5,"unit":"ns/op"}]}`,
+		"a peak-heap row":      `{"benches":[{"name":"BenchmarkA/peak-heap-MB","value":5,"unit":"peak-heap-MB"}]}`,
+		"a misnamed B/op row":  `{"benches":[{"name":"BenchmarkA/allocs","value":5,"unit":"B/op"}]}`,
 		"both bounds":          `{"ratios":[{"num":"A","den":"B","unit":"ns/op","min":1,"max":2}]}`,
 		"no bound":             `{"ratios":[{"num":"A","den":"B","unit":"ns/op"}]}`,
 		"an unknown unit":      `{"ratios":[{"num":"A","den":"B","unit":"s/op","min":1}]}`,
@@ -163,8 +197,8 @@ func TestCommittedBaselineNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Benches) != 21 || len(base.Ratios) != 7 {
-		t.Errorf("baseline has %d rows and %d ratios, want 21 and 7", len(base.Benches), len(base.Ratios))
+	if len(base.Benches) != 24 || len(base.Ratios) != 7 {
+		t.Errorf("baseline has %d rows and %d ratios, want 24 and 7", len(base.Benches), len(base.Ratios))
 	}
 	files, err := filepath.Glob("../../*bench_test.go")
 	if err != nil || len(files) == 0 {

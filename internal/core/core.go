@@ -195,6 +195,7 @@ func BuildDependencyCtx(ctx context.Context, ix *history.Index) (*Deps, error) {
 }
 
 // dependencyBuilder collects SO ∪ WR ∪ WW ∪ RW into a graph builder
+// over the index's key-name table, each arc's Obj the KeyID of its key,
 // sized once: a transaction has at most one session predecessor, and
 // short of a DIVERGENCE (where the SI rung stops before searching and
 // the log simply grows) a version has one overwriter, so every RW edge
@@ -205,11 +206,11 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 	if err != nil {
 		return nil, nil, err
 	}
-	b := graph.NewBuilder(ix.NumTxns(), ix.NumTxns()+2*rr.numWR())
+	b := graph.NewBuilderNames(ix.NumTxns(), ix.NumTxns()+2*rr.numWR(), ix.KeyNames())
 	ix.History().SessionOrder(func(a, c int) {
-		b.AddEdge(graph.Edge{From: a, To: c, Kind: graph.SO})
+		b.AddArc(graph.Arc{From: int32(a), To: int32(c), Obj: graph.NoObj, Kind: graph.SO})
 	})
-	divs, err := rr.emitDeps(ctx, b.AddEdge)
+	divs, err := rr.emitDeps(ctx, b.AddArc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,7 +360,7 @@ func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
 			stack = append(stack, ^v)
 			for _, e := range g.Out(int(v)) {
 				if state[e.To] == 0 {
-					stack = append(stack, int32(e.To))
+					stack = append(stack, e.To)
 				}
 			}
 		}
@@ -368,14 +369,15 @@ func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
 }
 
 // inversionWitness materializes the cycle Inversion found at s: follow
-// the via edges from s down to the descendant whose finish rank is m,
-// then close the path with that descendant's real-time edge back to s.
+// the via arcs from s down to the descendant whose finish rank is m,
+// rendering each, then close the path with that descendant's real-time
+// edge back to s.
 func inversionWitness(g *graph.Graph, s int, m int32, finish, via []int32) []graph.Edge {
 	var cycle []graph.Edge
 	for v := s; ; {
-		e := g.Out(v)[via[v]]
-		cycle = append(cycle, e)
-		if v = e.To; finish[v] == m {
+		a := g.Out(v)[via[v]]
+		cycle = append(cycle, g.Edge(a))
+		if v = int(a.To); finish[v] == m {
 			return append(cycle, graph.Edge{From: v, To: s, Kind: graph.RT})
 		}
 	}

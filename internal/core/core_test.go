@@ -155,7 +155,7 @@ func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
 				t.Fatalf("%s: RT edge %v is not real: T%d=[%d,%d] T%d=[%d,%d]",
 					tag, e, a.ID, a.Start, a.Finish, b.ID, b.Start, b.Finish)
 			}
-		case !slices.ContainsFunc(g.Out(e.From), func(d graph.Edge) bool { return d.To == e.To && d.Kind == e.Kind }):
+		case !slices.ContainsFunc(g.Out(e.From), func(d graph.Arc) bool { return g.Edge(d) == e }):
 			t.Fatalf("%s: witness edge %v is not a dependency edge", tag, e)
 		}
 	}

@@ -23,13 +23,18 @@ import (
 // edges matches the one BuildDependency constructs (internal/levels
 // relies on this for bit-identical SER/SI rungs). The derivation polls
 // ctx between batches of transactions and returns its error when the
-// deadline fires.
+// deadline fires. The derivation itself emits arcs named by KeyID
+// (dependencyBuilder stores them as they come); this is its rendering
+// adapter, naming each edge's key.
 func DeriveDepsCtx(ctx context.Context, ix *history.Index, emit func(graph.Edge)) ([]Divergence, error) {
 	rr, err := resolveReads(ctx, ix)
 	if err != nil {
 		return nil, err
 	}
-	return rr.emitDeps(ctx, emit)
+	names := ix.KeyNames()
+	return rr.emitDeps(ctx, func(a graph.Arc) {
+		emit(graph.Edge{From: int(a.From), To: int(a.To), Kind: a.Kind, Obj: names[a.Obj]})
+	})
 }
 
 // resolvedReads is pass A of the derivation: every read's RMW status and
@@ -89,11 +94,12 @@ func resolveReads(ctx context.Context, ix *history.Index) (resolvedReads, error)
 	return resolvedReads{ix: ix, isRMW: isRMW, wrCnt: wrCnt, wwCnt: wwCnt}, nil
 }
 
-// emitDeps runs passes B and C over the resolved reads. It consumes the
-// prefix sums, so it runs once.
+// emitDeps runs passes B and C over the resolved reads, emitting every
+// arc with the KeyID of its key as Obj. It consumes the prefix sums, so
+// it runs once.
 //
 //mtc:hotpath — the emitting two of the three merge-join passes the allocs/op benchmark gate measures
-func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]Divergence, error) {
+func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Arc)) ([]Divergence, error) {
 	ix, isRMW, wrCnt, wwCnt := rr.ix, rr.isRMW, rr.wrCnt, rr.wwCnt
 	n := ix.NumTxns()
 	totalWR, totalWW := wrCnt[n], wwCnt[n]
@@ -127,14 +133,14 @@ func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]
 			if w < 0 || int(w) == s {
 				continue
 			}
-			emit(graph.Edge{From: int(w), To: s, Kind: graph.WR, Obj: string(ix.KeyName(k))})
+			emit(graph.Arc{From: w, To: int32(s), Obj: int32(k), Kind: graph.WR})
 			wrKey[wrCnt[w]] = k
 			wrTo[wrCnt[w]] = int32(s)
 			wrCnt[w]++
 			if !isRMW[pos+i] {
 				continue
 			}
-			emit(graph.Edge{From: int(w), To: s, Kind: graph.WW, Obj: string(ix.KeyName(k))})
+			emit(graph.Arc{From: w, To: int32(s), Obj: int32(k), Kind: graph.WW})
 			wwKey[wwCnt[w]] = k
 			wwTo[wwCnt[w]] = int32(s)
 			wwCnt[w]++
@@ -183,7 +189,7 @@ func (rr resolvedReads) emitDeps(ctx context.Context, emit func(graph.Edge)) ([]
 		for i := rLo; i < rHi; i++ {
 			for j := head[wrKey[i]]; j >= 0; j = next[j] {
 				if wwTo[j] != wrTo[i] {
-					emit(graph.Edge{From: int(wrTo[i]), To: int(wwTo[j]), Kind: graph.RW, Obj: string(ix.KeyName(wrKey[i]))})
+					emit(graph.Arc{From: wrTo[i], To: wwTo[j], Obj: int32(wrKey[i]), Kind: graph.RW})
 				}
 			}
 		}

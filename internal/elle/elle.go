@@ -300,9 +300,9 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	g := graph.NewBuilder(len(h.Txns), 0)
+	g := graph.NewBuilderNames(len(h.Txns), 0, ix.KeyNames())
 	h.SessionOrder(func(a, b int) {
-		g.AddEdge(graph.Edge{From: a, To: b, Kind: graph.SO})
+		g.AddArc(graph.Arc{From: int32(a), To: int32(b), Obj: graph.NoObj, Kind: graph.SO})
 	})
 	// The readers and RMW successors of each (writer, key), indexed by
 	// ix.WriterSlot; divergence yields several successors.
@@ -320,11 +320,11 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 			if w < 0 || w == s {
 				continue
 			}
-			g.AddEdge(graph.Edge{From: w, To: s, Kind: graph.WR, Obj: string(ix.KeyName(x))})
+			g.AddArc(graph.Arc{From: rw[i], To: int32(s), Obj: int32(x), Kind: graph.WR})
 			sl := ix.WriterSlot(x, rw[i])
 			readers[sl] = append(readers[sl], s)
 			if _, ok := ix.WriteVal(s, x); ok {
-				g.AddEdge(graph.Edge{From: w, To: s, Kind: graph.WW, Obj: string(ix.KeyName(x))})
+				g.AddArc(graph.Arc{From: rw[i], To: int32(s), Obj: int32(x), Kind: graph.WW})
 				rmwSucc[sl] = append(rmwSucc[sl], s)
 			}
 		}
@@ -349,7 +349,7 @@ func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Rep
 			for _, succ := range succs {
 				for _, r := range readers[sl] {
 					if r != succ {
-						g.AddEdge(graph.Edge{From: r, To: succ, Kind: graph.RW, Obj: string(ix.KeyName(x))})
+						g.AddArc(graph.Arc{From: int32(r), To: int32(succ), Obj: int32(x), Kind: graph.RW})
 					}
 				}
 			}

@@ -45,7 +45,7 @@ func NewClosure(ctx context.Context, g *Graph) (*Closure, bool, error) {
 			// A successor already in the row got there through an earlier
 			// one that reaches it, whose finished row holds all of this
 			// one's.
-			if !row.Test(e.To) {
+			if !row.Test(int(e.To)) {
 				row.UnionWith(c.rows[e.To])
 			}
 		}
@@ -76,9 +76,9 @@ func ReachRows(ctx context.Context, g *Graph, sources []int) ([]Bitset, error) {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, e := range g.Out(v) {
-				if !seen.Test(e.To) {
-					seen.Set(e.To)
-					stack = append(stack, e.To)
+				if to := int(e.To); !seen.Test(to) {
+					seen.Set(to)
+					stack = append(stack, to)
 				}
 			}
 		}

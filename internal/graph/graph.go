@@ -1,17 +1,21 @@
 // Package graph provides a compact directed multigraph with typed edges,
-// cycle detection, strongly connected components, topological sorting, and
-// reachability. It is the shared substrate for every isolation checker in
-// this repository: nodes are transaction indices and edges carry the
-// dependency kind (SO, RT, WR, WW, RW, ...) plus the object they concern,
-// so that detected cycles can be reported back as human-readable
-// counterexamples.
+// cycle detection, topological sorting, and reachability. It is the
+// shared substrate for every isolation checker in this repository: nodes
+// are transaction indices and edges carry the dependency kind (SO, RT,
+// WR, WW, RW, ...) plus the object they concern, so that detected cycles
+// can be reported back as human-readable counterexamples.
 //
 // There is one static form, one online form and one closure. A Graph is
-// collected edge by edge in a Builder and immutable after Build (one edge
+// collected edge by edge in a Builder and immutable after Build (one arc
 // arena in CSR form); every static search — FindCycle, FindComposedCycle,
-// SCCs, TopoSort (the one Kahn loop; Acyclic is its verdict), NewClosure
-// and ReachRows — reads that form, so a caller with edges in any other
-// shape adds them to a Builder rather than to lists of its own. The graph
+// TopoSort (the one Kahn loop; Acyclic is its verdict), NewClosure and
+// ReachRows — reads that form, so a caller with edges in any other shape
+// adds them to a Builder rather than to lists of its own. The arena holds
+// Arcs: 16 bytes and no pointer, so the garbage collector never scans it.
+// An arc's Obj is an id into the name table the graph carries — the
+// history index's KeyIDs when core derives the graph, names interned by
+// AddEdge otherwise — and Edge, which names its object, is the reporting
+// form: a cycle becomes []Edge only when a search returns it. The graph
 // that grows while it is searched is Online, whose edges are arcs linked
 // into per-node out and in lists: both iterate in insertion order, Out is
 // an iterator, and Reload refills an existing graph instead of building a
@@ -114,53 +118,111 @@ func (e Edge) String() string {
 	return fmt.Sprintf("T%d -%s(%s)-> T%d", e.From, e.Kind, e.Obj, e.To)
 }
 
+// Arc is an edge as a Graph stores it: 16 bytes and no pointer. Obj is
+// the index of the edge's object in the graph's name table, NoObj for
+// none.
+type Arc struct {
+	From, To int32
+	Obj      int32
+	Kind     EdgeKind
+}
+
+// NoObj is the Obj of an arc that concerns no object (SO, RT, AUX).
+const NoObj int32 = -1
+
 // Graph is an immutable directed multigraph over nodes 0..n-1 in
-// compressed sparse row form: one edge arena grouped by source node and
+// compressed sparse row form: one arc arena grouped by source node and
 // an offset table into it, so a graph costs two allocations however
 // many nodes it has. Parallel edges of different kinds are permitted and
 // preserved (they matter for counterexample reporting). A Graph is made
 // by Builder.Build and never changes afterwards, so it may be shared
 // between goroutines without synchronization.
 type Graph struct {
-	off   []int32 // node v's out-edges are edges[off[v]:off[v+1]]
-	edges []Edge
+	off   []int32 // node v's out-arcs are arcs[off[v]:off[v+1]]
+	arcs  []Arc
+	names []string // the name table: arc.Obj indexes it
 }
 
-// Builder collects the edges of a Graph. Edges may arrive in any order;
-// Build groups them by source node, keeping each node's edges in arrival
+// Builder collects the arcs of a Graph. Arcs may arrive in any order;
+// Build groups them by source node, keeping each node's arcs in arrival
 // order.
 type Builder struct {
 	n      int
-	log    []Edge // every edge added so far, in arrival order
-	sorted bool   // log is non-decreasing in From
+	log    []Arc            // every arc added so far, in arrival order
+	sorted bool             // log is non-decreasing in From
+	names  []string         // the name table, without spare capacity while it may be lent
+	ids    map[string]int32 // names inverted; built by the first AddEdge that names an object
 }
 
-// NewBuilder returns a builder for a graph of n nodes. edgeHint sizes
-// the edge log; it is a capacity, not a limit.
-func NewBuilder(n, edgeHint int) *Builder {
-	return &Builder{n: n, log: make([]Edge, 0, edgeHint), sorted: true}
+// NewBuilder returns a builder for a graph of n nodes with an empty name
+// table, for callers that add Edges. edgeHint sizes the arc log; it is a
+// capacity, not a limit.
+func NewBuilder(n, edgeHint int) *Builder { return NewBuilderNames(n, edgeHint, nil) }
+
+// NewBuilderNames returns a builder whose name table is names: an arc
+// added with Obj k concerns names[k]. The table is shared, not copied;
+// the builder never writes it.
+func NewBuilderNames(n, edgeHint int, names []string) *Builder {
+	return &Builder{n: n, log: make([]Arc, 0, edgeHint), sorted: true, names: names[:len(names):len(names)]}
 }
 
-// AddEdge records e. Self-loops are permitted and will be reported as
-// cycles of length one. Node indices must be in range.
+// AddArc records a. Self-loops are permitted and will be reported as
+// cycles of length one. Node indices must be in range, and Obj NoObj or
+// an index into the name table.
+//
+//mtc:hotpath — one store into the log, which NewBuilder sized
+func (b *Builder) AddArc(a Arc) {
+	if a.From < 0 || int(a.From) >= b.n || a.To < 0 || int(a.To) >= b.n || a.Obj < NoObj || int(a.Obj) >= len(b.names) {
+		panic(fmt.Sprintf("graph: arc %+v out of range [0,%d) or past %d names", a, b.n, len(b.names))) //mtc:alloc-ok the panic of a broken invariant
+	}
+	if m := len(b.log); m > 0 && b.log[m-1].From > a.From {
+		b.sorted = false
+	}
+	b.log = append(b.log, a)
+}
+
+// AddEdge records e, interning its object into the name table (a name
+// the table already holds keeps its id). Self-loops are permitted and
+// will be reported as cycles of length one. Node indices must be in
+// range.
 func (b *Builder) AddEdge(e Edge) {
 	if e.From < 0 || e.From >= b.n || e.To < 0 || e.To >= b.n {
 		panic(fmt.Sprintf("graph: edge %v out of range [0,%d)", e, b.n))
 	}
-	if m := len(b.log); m > 0 && b.log[m-1].From > e.From {
-		b.sorted = false
-	}
-	b.log = append(b.log, e)
+	b.AddArc(Arc{From: int32(e.From), To: int32(e.To), Obj: b.intern(e.Obj), Kind: e.Kind})
 }
 
-// Build returns the graph of the edges added so far. It is a stable
-// counting sort of the log by From: node v's out list holds v's edges in
-// the order AddEdge saw them. A log that already arrived in ascending
+// intern returns obj's id in the name table, appending it on first
+// sight; the empty name is NoObj. A shared table has no spare capacity,
+// so the first append copies it.
+func (b *Builder) intern(obj string) int32 {
+	if obj == "" {
+		return NoObj
+	}
+	if b.ids == nil {
+		b.ids = make(map[string]int32, len(b.names))
+		for i, name := range b.names {
+			b.ids[name] = int32(i)
+		}
+	}
+	id, ok := b.ids[obj]
+	if !ok {
+		id = int32(len(b.names))
+		b.names = append(b.names, obj)
+		b.ids[obj] = id
+	}
+	return id
+}
+
+// Build returns the graph of the arcs added so far. It is a stable
+// counting sort of the log by From: node v's out list holds v's arcs in
+// the order they were added. A log that already arrived in ascending
 // From order becomes the arena as it is, without a copy.
 //
 //mtc:hotpath — two allocations per graph (offsets, arena), none per node or edge
 func (b *Builder) Build() *Graph {
 	log := b.log
+	names := b.names[:len(b.names):len(b.names)]
 	off := make([]int32, b.n+1)
 	for i := range log {
 		off[log[i].From+1]++
@@ -169,31 +231,62 @@ func (b *Builder) Build() *Graph {
 		off[v+1] += off[v]
 	}
 	if b.sorted {
-		return &Graph{off: off, edges: log[:len(log):len(log)]}
+		return &Graph{off: off, arcs: log[:len(log):len(log)], names: names}
 	}
 	// Scatter with off[v] as node v's write cursor: afterwards off[v] is
 	// the END of v's segment, i.e. the start of v+1's, so one shift
 	// restores the offsets.
-	edges := make([]Edge, len(log))
+	arcs := make([]Arc, len(log))
 	for i := range log {
 		v := log[i].From
-		edges[off[v]] = log[i]
+		arcs[off[v]] = log[i]
 		off[v]++
 	}
 	copy(off[1:], off[:b.n])
 	off[0] = 0
-	return &Graph{off: off, edges: edges}
+	return &Graph{off: off, arcs: arcs, names: names}
 }
 
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.off) - 1 }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return len(g.arcs) }
 
-// Out returns the outgoing edges of node v in the order they were added.
+// Out returns the outgoing arcs of node v in the order they were added.
 // The returned slice must not be modified.
-func (g *Graph) Out(v int) []Edge { return g.edges[g.off[v]:g.off[v+1]] }
+func (g *Graph) Out(v int) []Arc { return g.arcs[g.off[v]:g.off[v+1]] }
+
+// Edge renders a as the reporting form, its object named through the
+// graph's name table.
+func (g *Graph) Edge(a Arc) Edge {
+	e := Edge{From: int(a.From), To: int(a.To), Kind: a.Kind}
+	if a.Obj != NoObj {
+		e.Obj = g.names[a.Obj]
+	}
+	return e
+}
+
+// Subgraph returns g restricted to the edge kinds in the mask (bit k set
+// keeps EdgeKind k), every out list in g's order, over the same name
+// table. The arcs are counted first and then arrive in ascending source
+// order, so the builder's log is cut once and becomes the subgraph's
+// arena without a copy.
+//
+//mtc:hotpath — rung filter over every arc of a shared graph
+func (g *Graph) Subgraph(kinds uint) *Graph {
+	m := 0
+	for _, a := range g.arcs {
+		m += int(kinds >> a.Kind & 1)
+	}
+	b := NewBuilderNames(g.Len(), m, g.names)
+	for _, a := range g.arcs {
+		if kinds>>a.Kind&1 != 0 {
+			b.AddArc(a)
+		}
+	}
+	return b.Build()
+}
 
 // DFS colours shared by the cycle searches.
 const (
@@ -204,6 +297,7 @@ const (
 
 // FindCycle returns the edges of some directed cycle, or nil if the graph
 // is acyclic. The cycle returned is simple: each node appears at most once.
+// Its edges are rendered through the name table only once it is found.
 // It uses an iterative colouring DFS so that arbitrarily deep graphs do not
 // overflow the goroutine stack; the grey path IS the DFS stack, so a found
 // cycle is read off the frames and nothing is kept per node but a colour.
@@ -235,17 +329,17 @@ func (g *Graph) FindCycle() []Edge {
 			switch color[e.To] {
 			case white:
 				color[e.To] = grey
-				stack = append(stack, frame{v: int32(e.To)})
+				stack = append(stack, frame{v: e.To})
 			case grey:
 				// Back edge into the path: the cycle is the edge each frame
 				// from e.To's upwards descended through, e last.
 				k := len(stack) - 1
-				for int(stack[k].v) != e.To {
+				for stack[k].v != e.To {
 					k--
 				}
 				cycle := make([]Edge, 0, len(stack)-k)
 				for _, f := range stack[k:] {
-					cycle = append(cycle, g.Out(int(f.v))[f.next-1])
+					cycle = append(cycle, g.Edge(g.Out(int(f.v))[f.next-1]))
 				}
 				return cycle
 			}
@@ -302,7 +396,7 @@ func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
 			case f.j < 0:
 				f.j = 0
 			default:
-				rws := g.Out(base.To)
+				rws := g.Out(int(base.To))
 				for int(f.j) < len(rws) && rws[f.j].Kind != RW {
 					f.j++
 				}
@@ -316,20 +410,20 @@ func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
 			switch color[to] {
 			case white:
 				color[to] = grey
-				stack = append(stack, frame{v: int32(to), j: -1})
+				stack = append(stack, frame{v: to, j: -1})
 			case grey:
 				k := len(stack) - 1
-				for int(stack[k].v) != to {
+				for stack[k].v != to {
 					k--
 				}
 				for _, f := range stack[k:] {
-					base := g.Out(int(f.v))[f.i]
+					base := g.Edge(g.Out(int(f.v))[f.i])
 					if f.j == 0 {
 						cycle = append(cycle, base)
 						witness = append(witness, base)
 						continue
 					}
-					rw := g.Out(base.To)[f.j-1]
+					rw := g.Edge(g.Out(base.To)[f.j-1])
 					cycle = append(cycle, Edge{From: base.From, To: rw.To, Kind: AUX, Obj: composedObj})
 					witness = append(witness, base, rw)
 				}
@@ -347,8 +441,8 @@ func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
 func (g *Graph) TopoSort() ([]int, bool) {
 	n := g.Len()
 	indeg := make([]int32, n)
-	for i := range g.edges {
-		indeg[g.edges[i].To]++
+	for i := range g.arcs {
+		indeg[g.arcs[i].To]++
 	}
 	order := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -359,7 +453,7 @@ func (g *Graph) TopoSort() ([]int, bool) {
 	for head := 0; head < len(order); head++ {
 		for _, e := range g.Out(order[head]) {
 			if indeg[e.To]--; indeg[e.To] == 0 {
-				order = append(order, e.To)
+				order = append(order, int(e.To))
 			}
 		}
 	}

@@ -2,10 +2,12 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func edges(pairs ...[2]int) []Edge {
@@ -22,6 +24,65 @@ func build(n int, es []Edge) *Graph {
 		b.AddEdge(e)
 	}
 	return b.Build()
+}
+
+// rendered is node v's out list in the reporting form.
+func rendered(g *Graph, v int) []Edge {
+	var out []Edge
+	for _, a := range g.Out(v) {
+		out = append(out, g.Edge(a))
+	}
+	return out
+}
+
+// TestArcLayout pins what the arena costs: an Arc is 16 bytes and holds
+// no pointer, so a field that names its object by string (or any other
+// pointer) fails here by name rather than as a B/op drift in the gate.
+func TestArcLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Arc{}); size != 16 {
+		t.Errorf("unsafe.Sizeof(Arc{}) = %d, want 16", size)
+	}
+	typ := reflect.TypeOf(Arc{})
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Uint8:
+		default:
+			t.Errorf("Arc.%s is a %s: the arena must stay pointer-free fixed-width integers", f.Name, f.Type)
+		}
+	}
+}
+
+// TestNameTable: AddEdge interns into the table an arc builder was
+// given, keeping the ids it already holds and never writing the caller's
+// slice, and every arc renders back to the edge it was added as.
+func TestNameTable(t *testing.T) {
+	shared := make([]string, 2, 4)
+	shared[0], shared[1] = "x", "y"
+	b := NewBuilderNames(3, 0, shared)
+	b.AddArc(Arc{From: 0, To: 1, Obj: 1, Kind: WR})
+	b.AddEdge(Edge{From: 1, To: 2, Kind: WW, Obj: "y"})
+	b.AddEdge(Edge{From: 2, To: 0, Kind: RW, Obj: "z"})
+	b.AddEdge(Edge{From: 2, To: 1, Kind: SO})
+	g := b.Build()
+	if got := g.Out(1)[0].Obj; got != 1 {
+		t.Errorf("AddEdge(y) got id %d, want the table's 1", got)
+	}
+	if got := g.Out(2); got[0].Obj != 2 || got[1].Obj != NoObj {
+		t.Errorf("interned ids %+v, want 2 and NoObj", got)
+	}
+	if full := shared[:cap(shared)]; full[2] != "" {
+		t.Errorf("interning wrote the shared table's spare capacity: %q", full)
+	}
+	want := "T0 -WR(y)-> T1 -WW(y)-> T2 -RW(z)-> T0"
+	if got := FormatCycle(g.FindCycle()); got != want {
+		t.Errorf("FindCycle renders %s, want %s", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an arc past the name table was accepted")
+		}
+	}()
+	NewBuilderNames(2, 0, shared).AddArc(Arc{From: 0, To: 1, Obj: 2})
 }
 
 func TestAcyclicEmpty(t *testing.T) {
@@ -287,7 +348,7 @@ func TestPropertyCycleDetectionAgreesWithSCC(t *testing.T) {
 		hasSelfLoop := false
 		for u := 0; u < n; u++ {
 			for _, e := range g.Out(u) {
-				if e.To == u {
+				if int(e.To) == u {
 					hasSelfLoop = true
 				}
 			}

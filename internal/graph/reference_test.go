@@ -255,7 +255,7 @@ func TestBuilderMatchesAppendChains(t *testing.T) {
 		}
 		log := b.log
 		g := b.Build()
-		if len(log) > 0 && len(g.edges) > 0 && &log[0] == &g.edges[0] {
+		if len(log) > 0 && len(g.arcs) > 0 && &log[0] == &g.arcs[0] {
 			zeroCopy++
 		} else if trial%2 == 0 && len(es) > 0 {
 			t.Fatalf("trial %d: a log sorted by From was copied", trial)
@@ -264,7 +264,7 @@ func TestBuilderMatchesAppendChains(t *testing.T) {
 			t.Fatalf("trial %d: %d nodes %d edges, want %d and %d", trial, g.Len(), g.NumEdges(), n, ref.numEdges())
 		}
 		for v := 0; v < n; v++ {
-			if out := g.Out(v); len(out) != len(ref[v]) || (len(out) > 0 && !reflect.DeepEqual(out, ref[v])) {
+			if out := rendered(g, v); len(out) != len(ref[v]) || (len(out) > 0 && !reflect.DeepEqual(out, ref[v])) {
 				t.Fatalf("trial %d: Out(%d) = %v, want %v", trial, v, out, ref[v])
 			}
 		}

@@ -18,7 +18,7 @@ type KeyID int32
 // ids, like shard.Split's union-find over keys.
 type Interner struct {
 	ids   map[Key]KeyID
-	names []Key
+	names []string // Key's underlying type, so Index.KeyNames can lend it
 }
 
 // NewInterner returns an empty interner.
@@ -33,7 +33,7 @@ func (it *Interner) Intern(k Key) KeyID {
 	}
 	id := KeyID(len(it.names))
 	it.ids[k] = id
-	it.names = append(it.names, k)
+	it.names = append(it.names, string(k))
 	return id
 }
 
@@ -47,7 +47,7 @@ func (it *Interner) Lookup(k Key) (KeyID, bool) {
 func (it *Interner) Len() int { return len(it.names) }
 
 // Name returns the key with id. It panics on out-of-range ids.
-func (it *Interner) Name(id KeyID) Key { return it.names[id] }
+func (it *Interner) Name(id KeyID) Key { return Key(it.names[id]) }
 
 // Index is a columnar, immutable view of a History built once per check:
 // keys are interned to dense KeyIDs (in lexicographic order), each
@@ -133,16 +133,16 @@ func NewIndex(h *History) *Index {
 		}
 	}
 	nk := first.Len()
-	sortedNames := make([]Key, nk)
+	sortedNames := make([]string, nk)
 	copy(sortedNames, first.names)
 	slices.Sort(sortedNames)
 	remap := make([]KeyID, nk) // first-seen id -> sorted rank
 	sorted := NewInterner()
 	for _, k := range sortedNames {
-		sorted.Intern(k)
+		sorted.Intern(Key(k))
 	}
 	for id, k := range first.names {
-		remap[id], _ = sorted.Lookup(k)
+		remap[id], _ = sorted.Lookup(Key(k))
 	}
 	remapColumn(opIDs, remap)
 	return newIndexColumns(h, sorted, opIDs)
@@ -445,6 +445,11 @@ func (ix *Index) NumKeys() int { return ix.it.Len() }
 
 // KeyName returns the interned name of id.
 func (ix *Index) KeyName(id KeyID) Key { return ix.it.Name(id) }
+
+// KeyNames returns every key name indexed by KeyID: the name table a
+// dependency graph's arcs refer to (graph.NewBuilderNames). The slice is
+// shared and must not be modified.
+func (ix *Index) KeyNames() []string { return ix.it.names }
 
 // KeyIDOf returns the id of k and whether the history touches it.
 func (ix *Index) KeyIDOf(k Key) (KeyID, bool) { return ix.it.Lookup(k) }

@@ -2,6 +2,7 @@ package levels
 
 import (
 	"context"
+	"slices"
 
 	"mtc/internal/core"
 	"mtc/internal/graph"
@@ -39,36 +40,12 @@ func (d *derived) checkSSER(ctx context.Context, ser core.Result) (core.Result, 
 	return res, nil
 }
 
-// subgraph returns g restricted to the edge kinds in the mask (bit k set
-// keeps EdgeKind k), every out list in g's order. The edges are counted
-// first and then arrive in ascending source order, so the builder's log
-// is cut once and becomes the subgraph's arena without a copy.
-//
-//mtc:hotpath — rung filter over every edge of the shared graph
-func subgraph(g *graph.Graph, kinds uint) *graph.Graph {
-	n, m := g.Len(), 0
-	for u := 0; u < n; u++ {
-		for _, e := range g.Out(u) {
-			m += int(kinds >> e.Kind & 1)
-		}
-	}
-	b := graph.NewBuilder(n, m)
-	for u := 0; u < n; u++ {
-		for _, e := range g.Out(u) {
-			if kinds>>e.Kind&1 != 0 {
-				b.AddEdge(e)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;
 // what remains is G1c — a cycle of write/read dependencies alone — so
 // the rung filters the shared graph down to WR ∪ WW and searches that.
 func (d *derived) checkRC() core.Result {
 	res := core.Result{Level: core.RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
-	res.Cycle = subgraph(d.Graph, 1<<graph.WR|1<<graph.WW).FindCycle()
+	res.Cycle = d.Graph.Subgraph(1<<graph.WR | 1<<graph.WW).FindCycle()
 	res.OK = res.Cycle == nil
 	return res
 }
@@ -146,56 +123,118 @@ func (d *derived) fracturedReads() []history.Anomaly {
 // write: an anti-dependency T -RW-> S with S ~>CO T means T read a
 // version that S — already in T's causal past — had overwritten. Both
 // violations surface as a cycle witness: the CO path closed by the RW
-// edge. Reachability over the acyclic CO uses the bitset closure.
+// edge.
 func (d *derived) checkCausal(ctx context.Context) (core.Result, error) {
 	res := core.Result{Level: core.CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
-	n := d.Graph.Len()
-	co := subgraph(d.Graph, 1<<graph.SO|1<<graph.WR)
+	co := d.Graph.Subgraph(1<<graph.SO | 1<<graph.WR)
 	if cycle := co.FindCycle(); cycle != nil {
 		res.Cycle = cycle
 		return res, nil
 	}
-	if !hasRW(d.Graph) {
-		res.OK = true // nothing can close a CO path: skip the n²/64-word closure
-		return res, nil
-	}
-	cl, _, err := graph.NewClosure(ctx, co)
+	rw, closed, err := firstClosedRW(ctx, d.Graph, co)
 	if err != nil {
 		return core.Result{}, err
 	}
-	//mtc:cancellation-ok linear edge scan of O(1) bitset probes
-	for u := 0; u < n; u++ {
-		for _, rw := range d.Graph.Out(u) {
-			if rw.Kind == graph.RW && cl.Reach(rw.To, rw.From) {
-				res.Cycle = liftCycle(co, rw)
-				return res, nil
-			}
-		}
+	if closed {
+		res.Cycle = liftCycle(co, rw)
 	}
-	res.OK = true
+	res.OK = !closed
 	return res, nil
 }
 
-// hasRW reports whether g has an anti-dependency edge.
-func hasRW(g *graph.Graph) bool {
-	for u := 0; u < g.Len(); u++ {
-		for _, e := range g.Out(u) {
-			if e.Kind == graph.RW {
-				return true
+// firstClosedRW returns the first RW arc of g — by source, then out-list
+// position — whose target reaches its source in the acyclic co, and
+// whether there is one. Reachability is bit-parallel: the distinct RW
+// targets are taken 64 at a time, each node holds one word whose bit i
+// says the block's target i reaches it (reflexively), and one pass in
+// topological order ORs every word into its CO successors. That is O(n)
+// words in O(n·m/64) time, where an all-pairs closure would hold n²/8
+// bytes: gigabytes at the transaction counts a job admits. ctx is polled
+// once per block.
+func firstClosedRW(ctx context.Context, g, co *graph.Graph) (graph.Arc, bool, error) {
+	n := g.Len()
+	// col[t] is RW target t's bit column, numbered in scan order; -1 for
+	// a node no RW arc targets. targets inverts it, and blockAt[b] is the
+	// scan position of the first RW arc into block b: no arc before it
+	// targets the block.
+	col := make([]int32, n)
+	for i := range col {
+		col[i] = -1
+	}
+	var targets []int32
+	var blockAt []int
+	numRW := 0
+	//mtc:cancellation-ok one linear scan of the arcs; the blocks below poll ctx
+	for u := 0; u < n; u++ {
+		for _, a := range g.Out(u) {
+			if a.Kind != graph.RW {
+				continue
+			}
+			if col[a.To] < 0 {
+				if len(targets)%64 == 0 {
+					blockAt = append(blockAt, numRW)
+				}
+				col[a.To] = int32(len(targets))
+				targets = append(targets, a.To)
+			}
+			numRW++
+		}
+	}
+	if len(targets) == 0 {
+		return graph.Arc{}, false, nil // nothing can close a CO path
+	}
+	order, _ := co.TopoSort()
+	reach := make([]uint64, n)
+	var first graph.Arc
+	best := numRW // scan position of the first closed RW arc so far
+	// A block can only improve on an earlier block's find by an arc
+	// scanned before it, so the blocks stop once they start after it.
+	for lo := 0; lo < len(targets) && blockAt[lo/64] < best; lo += 64 {
+		if err := ctx.Err(); err != nil {
+			return graph.Arc{}, false, err
+		}
+		block := targets[lo:min(lo+64, len(targets))]
+		clear(reach)
+		for i, t := range block {
+			reach[t] = 1 << i
+		}
+		for _, v := range order {
+			if m := reach[v]; m != 0 {
+				for _, a := range co.Out(v) {
+					reach[a.To] |= m
+				}
+			}
+		}
+		p := 0
+	scan:
+		for u := 0; u < n; u++ {
+			for _, a := range g.Out(u) {
+				if a.Kind != graph.RW {
+					continue
+				}
+				if p == best {
+					break scan
+				}
+				if c := int(col[a.To]) - lo; c >= 0 && c < len(block) && reach[a.From]>>c&1 != 0 {
+					first, best = a, p
+					break scan
+				}
+				p++
 			}
 		}
 	}
-	return false
+	return first, best < numRW, nil
 }
 
-// liftCycle materializes the causal counterexample for an RW edge whose
+// liftCycle materializes the causal counterexample for an RW arc whose
 // target reaches its source in CO: the shortest CO path rw.To ~> rw.From
-// (BFS) followed by the RW edge itself, a closed cycle of real edges.
-func liftCycle(co *graph.Graph, rw graph.Edge) []graph.Edge {
+// (BFS) followed by the RW edge itself, a closed cycle of real edges,
+// rendered through co's name table (g's, which co shares).
+func liftCycle(co *graph.Graph, rw graph.Arc) []graph.Edge {
 	n := co.Len()
-	parent := make([]graph.Edge, n)
+	parent := make([]graph.Arc, n)
 	seen := make([]bool, n)
-	queue := make([]int, 0, 64)
+	queue := make([]int32, 0, 64)
 	queue = append(queue, rw.To)
 	seen[rw.To] = true
 	for qi := 0; qi < len(queue); qi++ {
@@ -203,27 +242,25 @@ func liftCycle(co *graph.Graph, rw graph.Edge) []graph.Edge {
 		if u == rw.From {
 			break
 		}
-		for _, e := range co.Out(u) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				parent[e.To] = e
-				queue = append(queue, e.To)
+		for _, a := range co.Out(int(u)) {
+			if !seen[a.To] {
+				seen[a.To] = true
+				parent[a.To] = a
+				queue = append(queue, a.To)
 			}
 		}
 	}
 	if !seen[rw.From] {
-		// Unreachable contradicts the closure query; degrade to the bare
-		// RW edge rather than panic.
-		return []graph.Edge{rw}
+		// Unreachable contradicts the reachability query; degrade to the
+		// bare RW edge rather than panic.
+		return []graph.Edge{co.Edge(rw)}
 	}
 	var path []graph.Edge
 	for v := rw.From; v != rw.To; v = parent[v].From {
-		path = append(path, parent[v])
+		path = append(path, co.Edge(parent[v]))
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return append(path, rw)
+	slices.Reverse(path)
+	return append(path, co.Edge(rw))
 }
 
 // forest returns the per-key version forest, building it on first use.
@@ -241,7 +278,9 @@ func (d *derived) forest() *wwForest {
 // decide ancestry; versions on divergent branches are incomparable.
 // Slots reuse the index's dense (key, writer) numbering. The forest is
 // read off the derived graph's WW edges, so it costs nothing until a
-// weak rung or the guarantee scan asks for it.
+// weak rung or the guarantee scan asks for it: each WW arc's Obj is the
+// KeyID of its key, since core derives the graph over the index's name
+// table.
 type wwForest struct {
 	ix     *history.Index
 	parent []int32
@@ -266,12 +305,9 @@ func newWWForest(ix *history.Index, g *graph.Graph) *wwForest {
 			if e.Kind != graph.WW {
 				continue
 			}
-			k, ok := ix.KeyIDOf(history.Key(e.Obj))
-			if !ok {
-				continue
-			}
-			sp := ix.WriterSlot(k, int32(e.From))
-			sc := ix.WriterSlot(k, int32(e.To))
+			k := history.KeyID(e.Obj)
+			sp := ix.WriterSlot(k, e.From)
+			sc := ix.WriterSlot(k, e.To)
 			if sp < 0 || sc < 0 || f.parent[sc] >= 0 {
 				continue // repeated reads re-emit the same WW edge; link once
 			}

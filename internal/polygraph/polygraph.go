@@ -452,7 +452,7 @@ func composedReach(ctx context.Context, n int, edges []sat.Edge) (reacher, error
 func graphOf(n int, edges []sat.Edge) *graph.Graph {
 	b := graph.NewBuilder(n, len(edges))
 	for _, e := range edges {
-		b.AddEdge(graph.Edge{From: e.From, To: e.To})
+		b.AddArc(graph.Arc{From: int32(e.From), To: int32(e.To), Obj: graph.NoObj})
 	}
 	return b.Build()
 }

@@ -56,7 +56,7 @@ func (t *acyclicTheory) levelZero() *graph.Builder {
 	for v, out := range t.out {
 		for _, e := range out {
 			if e.level == 0 {
-				b.AddEdge(graph.Edge{From: v, To: e.to})
+				b.AddArc(graph.Arc{From: int32(v), To: int32(e.to), Obj: graph.NoObj})
 			}
 		}
 	}
@@ -394,7 +394,7 @@ func (t *siTheory) levelZeroComp() *graph.Builder {
 	for v, out := range t.comp {
 		for _, e := range out {
 			if e.lvl1 == 0 && e.lvl2 <= 0 {
-				b.AddEdge(graph.Edge{From: v, To: e.to})
+				b.AddArc(graph.Arc{From: int32(v), To: int32(e.to), Obj: graph.NoObj})
 			}
 		}
 	}
