@@ -83,8 +83,10 @@ type Options struct {
 	// (differentially tested). 0 checks unsharded.
 	Shard int
 	// Index optionally supplies a prebuilt columnar index of the history
-	// under check (history.ReadMTCBIndexed builds one as a byproduct of
-	// decoding a binary payload), skipping the intern-and-build pass.
+	// under check, skipping the intern-and-build pass:
+	// history.ReadMTCBIndexed builds one as a byproduct of decoding a
+	// binary payload, and shard.Check one per component from the key
+	// column its split interned.
 	// Used — after an Index.History() identity check — by every engine
 	// that checks over the index (mtc, profile, cobra, polysi); elle,
 	// porcupine and the incremental engine intern their own state and

@@ -1,8 +1,9 @@
 package graph
 
-// UnionFind is a disjoint-set structure with path halving and union by
-// size, shared by the component decompositions (internal/shard over
-// histories, internal/workload over plans). Root identity is arbitrary;
+// UnionFind is a disjoint-set structure over a fixed element count, with
+// path halving and union by size, shared by the component decompositions
+// (internal/shard over histories, internal/workload over plans), which
+// know their element counts up front. Root identity is arbitrary;
 // callers needing deterministic grouping should order groups by their
 // smallest member, not by root.
 type UnionFind struct {
@@ -18,14 +19,6 @@ func NewUnionFind(n int) *UnionFind {
 		u.size[i] = 1
 	}
 	return u
-}
-
-// Grow appends a fresh singleton element and returns its id.
-func (u *UnionFind) Grow() int {
-	id := len(u.parent)
-	u.parent = append(u.parent, id)
-	u.size = append(u.size, 1)
-	return id
 }
 
 // Find returns the representative of x's set.

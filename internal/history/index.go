@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // KeyID is a dense interned key identifier. The Index assigns ids in
@@ -12,22 +13,20 @@ import (
 // and internal/polygraph rely on for deterministic, map-free iteration.
 type KeyID int32
 
-// Interner assigns dense int32 ids to keys in first-seen order. It is
-// the lightweight interning layer shared by Index (which afterwards
-// remaps ids into sorted order) and by consumers that only need dense
-// ids, like shard.Split's union-find over keys.
-type Interner struct {
+// interner assigns dense int32 ids to keys in first-seen order. An
+// Index keeps one, ranked, for its name lookups; KeyColumn, the MTCB
+// writer and the ingest arena intern through one each.
+type interner struct {
 	ids   map[Key]KeyID
 	names []string // Key's underlying type, so Index.KeyNames can lend it
 }
 
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[Key]KeyID)}
+func newInterner() *interner {
+	return &interner{ids: make(map[Key]KeyID)}
 }
 
 // Intern returns the id of k, assigning the next dense id on first sight.
-func (it *Interner) Intern(k Key) KeyID {
+func (it *interner) Intern(k Key) KeyID {
 	if id, ok := it.ids[k]; ok {
 		return id
 	}
@@ -38,16 +37,16 @@ func (it *Interner) Intern(k Key) KeyID {
 }
 
 // Lookup returns the id of k without interning, and whether it is known.
-func (it *Interner) Lookup(k Key) (KeyID, bool) {
+func (it *interner) Lookup(k Key) (KeyID, bool) {
 	id, ok := it.ids[k]
 	return id, ok
 }
 
 // Len returns the number of interned keys.
-func (it *Interner) Len() int { return len(it.names) }
+func (it *interner) Len() int { return len(it.names) }
 
 // Name returns the key with id. It panics on out-of-range ids.
-func (it *Interner) Name(id KeyID) Key { return Key(it.names[id]) }
+func (it *interner) Name(id KeyID) Key { return Key(it.names[id]) }
 
 // Index is a columnar, immutable view of a History built once per check:
 // keys are interned to dense KeyIDs (in lexicographic order), each
@@ -65,7 +64,7 @@ func (it *Interner) Name(id KeyID) Key { return Key(it.names[id]) }
 // index_test.go pin down.
 type Index struct {
 	h  *History
-	it *Interner // names sorted lexicographically; KeyID == sorted rank
+	it *interner // names sorted lexicographically; KeyID == sorted rank
 
 	// Per-txn footprint columns: transaction t's reads occupy
 	// readKey[readOff[t]:readOff[t+1]] (parallel readVal), sorted by
@@ -109,53 +108,62 @@ type Index struct {
 	readTxn []int32
 }
 
-// NewIndex builds the columnar index of h. Cost is O(ops + keys), plus
-// the lexicographic sort of the distinct keys and of any wide footprint,
-// when each key's values ascend in op order (a key whose values do not
-// is value-sorted); everything downstream of it is allocation-free
-// column iteration.
+// NewIndex builds the columnar index of h: KeyColumn, then
+// IndexColumns. Cost is O(ops + keys), plus the lexicographic sort of the
+// distinct keys and of any wide footprint, when each key's values ascend
+// in op order (a key whose values do not is value-sorted); everything
+// downstream of it is allocation-free column iteration.
 func NewIndex(h *History) *Index {
-	// Intern in first-seen order, recording each op's id into a flat
-	// column, then remap the column to lexicographic rank so KeyID
-	// order equals key-name order. The builders below consume the
-	// column by position — no per-op map lookup after this pass.
+	names, opKey := KeyColumn(h)
+	return IndexColumns(h, names, opKey)
+}
+
+// KeyColumn is the one interning pass of a batch check: it numbers h's
+// keys densely in first-seen order. names[id] is the key with id, and
+// opKey holds one id per op of h, in transaction-then-program order.
+func KeyColumn(h *History) (names []string, opKey []KeyID) {
 	nOps := 0
 	for i := range h.Txns {
 		nOps += len(h.Txns[i].Ops)
 	}
-	first := NewInterner()
-	opIDs := make([]KeyID, nOps)
-	pos := 0
+	it := newInterner()
+	opKey = make([]KeyID, 0, nOps)
 	for i := range h.Txns {
 		for _, op := range h.Txns[i].Ops {
-			opIDs[pos] = first.Intern(op.Key)
-			pos++
+			opKey = append(opKey, it.Intern(op.Key))
 		}
 	}
-	nk := first.Len()
-	sortedNames := make([]string, nk)
-	copy(sortedNames, first.names)
-	slices.Sort(sortedNames)
-	remap := make([]KeyID, nk) // first-seen id -> sorted rank
-	sorted := NewInterner()
-	for _, k := range sortedNames {
-		sorted.Intern(Key(k))
-	}
-	for id, k := range first.names {
-		remap[id], _ = sorted.Lookup(Key(k))
-	}
-	remapColumn(opIDs, remap)
-	return newIndexColumns(h, sorted, opIDs)
+	return it.names, opKey
 }
 
-// newIndexColumns assembles an Index from a sorted interner and the
-// flat per-op KeyID column (one id per op of h, in transaction-then-
-// program order). NewIndex derives the column by interning; the MTCB
-// indexed decoder hands over the remapped wire ids directly.
-func newIndexColumns(h *History, it *Interner, opIDs []KeyID) *Index {
-	ix := &Index{h: h, it: it, opKey: opIDs}
-	ix.buildFootprints(h, opIDs)
-	ix.buildPostings(h, opIDs)
+// IndexColumns builds the columnar index of h from a key column shaped
+// like KeyColumn's (names distinct; one id per op of h, in order), such
+// as an MTCB wire table or a shard component's cut. It is the one place
+// a key table is ranked by name: opKey is rewritten in place to ranks,
+// and belongs to the index afterwards.
+func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
+	byName := make([]KeyID, len(names)) // ids in key-name order
+	for i := range byName {
+		byName[i] = KeyID(i)
+	}
+	slices.SortFunc(byName, func(a, b KeyID) int { return strings.Compare(names[a], names[b]) })
+	it := &interner{ids: make(map[Key]KeyID, len(names)), names: make([]string, len(names))}
+	rank := make([]KeyID, len(names)) // id -> rank
+	identity := true
+	for r, id := range byName {
+		it.ids[Key(names[id])] = KeyID(r)
+		it.names[r] = names[id]
+		rank[id] = KeyID(r)
+		identity = identity && id == KeyID(r)
+	}
+	if !identity {
+		for i, id := range opKey {
+			opKey[i] = rank[id]
+		}
+	}
+	ix := &Index{h: h, it: it, opKey: opKey}
+	ix.buildFootprints(h, opKey)
+	ix.buildPostings(h, opKey)
 	ix.resolveReads()
 	return ix
 }

@@ -77,7 +77,7 @@ var (
 // an inline key-definition record just before it.
 type BinaryWriter struct {
 	bw    *bufio.Writer
-	it    *Interner // wire ids in emission order
+	it    *interner // wire ids in emission order
 	ids   []KeyID   // the current record's op ids, reused across records
 	n     int       // transactions written
 	vbuf  [binary.MaxVarintLen64]byte
@@ -97,7 +97,7 @@ func NewBinaryWriter(w io.Writer, sessions int) (*BinaryWriter, error) {
 // be distinct; WriteMTCB passes them sorted so wire ids equal the
 // columnar Index's lexicographic ranks.
 func newBinaryWriter(w io.Writer, sessions int, keys []Key) (*BinaryWriter, error) {
-	bw := &BinaryWriter{bw: bufio.NewWriter(w), it: NewInterner()}
+	bw := &BinaryWriter{bw: bufio.NewWriter(w), it: newInterner()}
 	if _, err := bw.bw.WriteString(MTCBMagic); err != nil {
 		return nil, err
 	}
@@ -242,7 +242,7 @@ func WriteMTCB(w io.Writer, h *History) error {
 // per distinct key per document, not per operation.
 type BinaryReader struct {
 	br       *bufio.Reader
-	names    []Key
+	names    []string
 	seen     map[Key]struct{}
 	declared int
 	next     int
@@ -390,7 +390,7 @@ func (r *BinaryReader) defineKey(k Key) error {
 		return fmt.Errorf("history: mtcb: duplicate key table entry %q", k)
 	}
 	r.seen[k] = struct{}{}
-	r.names = append(r.names, k)
+	r.names = append(r.names, string(k))
 	return nil
 }
 
@@ -528,7 +528,7 @@ func (r *BinaryReader) readOps() ([]Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := Op{Kind: OpKind(ku & 1), Key: r.names[wire], Value: Value(v)}
+		op := Op{Kind: OpKind(ku & 1), Key: Key(r.names[wire]), Value: Value(v)}
 		if exact {
 			ops[i] = op
 		} else {
@@ -560,12 +560,11 @@ func ReadMTCB(r io.Reader) (*History, error) {
 }
 
 // ReadMTCBIndexed drains an MTCB document straight into a columnar
-// Index: the key table is interned once at header time and the
-// footprint columns are appended in one pass over the wire ids, so no
-// per-operation map lookup or re-intern happens anywhere. For documents
-// written by WriteMTCB the table arrives pre-sorted and the id remap is
-// the identity. The History behind the Index is reachable via
-// Index.History().
+// Index: the wire key table and the per-op wire ids are the key column
+// IndexColumns ranks, so no per-operation map lookup or re-intern
+// happens anywhere. For documents written by WriteMTCB the table arrives
+// pre-sorted and the rank is the identity. The History behind the Index
+// is reachable via Index.History().
 func ReadMTCBIndexed(r io.Reader) (*Index, error) {
 	sr, err := NewBinaryReader(r)
 	if err != nil {
@@ -576,35 +575,7 @@ func ReadMTCBIndexed(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Remap wire ids to lexicographic ranks. The sorted interner also
-	// backs the Index's name lookups.
-	nk := len(sr.names)
-	sortedNames := make([]Key, nk)
-	copy(sortedNames, sr.names)
-	slices.Sort(sortedNames)
-	sorted := NewInterner()
-	for _, k := range sortedNames {
-		sorted.Intern(k)
-	}
-	remap := make([]KeyID, nk) // wire id -> sorted rank
-	identity := true
-	for id, k := range sr.names {
-		remap[id], _ = sorted.Lookup(k)
-		identity = identity && remap[id] == KeyID(id)
-	}
-	if !identity {
-		remapColumn(sr.opIDs, remap)
-	}
-	return newIndexColumns(h, sorted, sr.opIDs), nil
-}
-
-// remapColumn rewrites a KeyID column in place through remap.
-//
-//mtc:hotpath — indexed-decode id remap, zero allocation
-func remapColumn(ids []KeyID, remap []KeyID) {
-	for i, id := range ids {
-		ids[i] = remap[id]
-	}
+	return IndexColumns(h, sr.names, sr.opIDs), nil
 }
 
 // IngestArena amortizes the decode allocations of a long transaction
@@ -616,12 +587,12 @@ func remapColumn(ids []KeyID, remap []KeyID) {
 // streamed capture — carves from chunks of its own and needs no
 // interner: its key table is one string per key already.
 type IngestArena struct {
-	it *Interner
+	it *interner
 	opChunks
 }
 
 // NewIngestArena returns an empty arena.
-func NewIngestArena() *IngestArena { return &IngestArena{it: NewInterner()} }
+func NewIngestArena() *IngestArena { return &IngestArena{it: newInterner()} }
 
 // opChunks carves Op slices from append-only chunks instead of one make
 // per transaction. Chunks are never reused, so a consumer may keep a
@@ -695,7 +666,7 @@ func (a *IngestArena) internBytes(b []byte) Key {
 		return a.it.Name(id)
 	}
 	if a.it.Len() >= ingestArenaMaxKeys {
-		a.it = NewInterner() //mtc:alloc-ok once per 65536 first-seen keys
+		a.it = newInterner() //mtc:alloc-ok once per 65536 first-seen keys
 	}
 	return a.internKey(Key(b)) //mtc:alloc-ok the first sight of a key
 }

@@ -28,15 +28,20 @@ func init() {
 // and merge. The report keeps c's name; ShardComponents says it was
 // sharded. A history that decomposes into a single component is checked
 // directly — sharding degenerates to the plain engine plus a partition
-// pass.
+// pass. Either way the engine is handed its history's index through
+// Options.Index, built from the key column the split interned, so a
+// sharded check interns every key once.
 func Check(ctx context.Context, c checker.Checker, h *history.History, opts checker.Options) (checker.Report, error) {
 	splitStart := time.Now()
-	p := Split(h)
+	p, col := split(h)
 	splitTime := time.Since(splitStart)
 
 	inner := opts
 	inner.Shard = 0
 	if len(p.Components) <= 1 {
+		if inner.Index == nil || inner.Index.History() != h {
+			inner.Index = history.IndexColumns(h, col.names, col.opKey)
+		}
 		rep, err := c.Check(ctx, h, inner)
 		if err != nil {
 			return checker.Report{}, err
@@ -49,7 +54,8 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 	}
 
 	// Per-component fan-out with item granularity: components are few
-	// and coarse, so workers claim them one at a time.
+	// and coarse, so workers claim them one at a time, and each cuts its
+	// component's index from the key column before checking it.
 	n := len(p.Components)
 	workers := opts.Shard
 	if workers <= 0 {
@@ -73,7 +79,9 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				reports[i], errs[i] = c.Check(ctx, p.Components[i].H, inner)
+				opts := inner
+				opts.Index = col.index(i, &p.Components[i])
+				reports[i], errs[i] = c.Check(ctx, p.Components[i].H, opts)
 			}
 		}()
 	}

@@ -28,8 +28,6 @@
 package shard
 
 import (
-	"sort"
-
 	"mtc/internal/graph"
 	"mtc/internal/history"
 )
@@ -87,125 +85,145 @@ type Partition struct {
 // Split never mutates h; component sub-histories share the source's Op
 // slices (per-transaction metadata is copied, operations are not).
 func Split(h *history.History) *Partition {
-	nSess := len(h.Sessions)
-	u := graph.NewUnionFind(nSess)
-	// Keys are interned to dense first-seen ids, which line up with the
-	// union-find elements grown past the session seeds: key id k is
-	// element nSess+k.
-	it := history.NewInterner()
-	firstTxn := 0
-	if h.HasInit {
-		firstTxn = 1
-	}
-	for i := firstTxn; i < len(h.Txns); i++ {
-		t := &h.Txns[i]
-		if t.Session < 0 || t.Session >= nSess {
-			continue // defensively skip txns outside the session table
-		}
-		for _, op := range t.Ops {
-			before := it.Len()
-			kid := it.Intern(op.Key)
-			if it.Len() > before {
-				u.Grow()
-			}
-			u.Union(t.Session, nSess+int(kid))
-		}
-	}
-
-	// Group non-empty sessions by root.
-	bySess := make(map[int][]int) // root -> session indices (ascending)
-	for s := 0; s < nSess; s++ {
-		if len(h.Sessions[s]) == 0 {
-			continue
-		}
-		r := u.Find(s)
-		bySess[r] = append(bySess[r], s)
-	}
-
-	p := &Partition{Source: h}
-
-	// Deterministic component order: by the smallest external txn id.
-	type group struct {
-		sessions []int
-		minTxn   int
-	}
-	groups := make([]group, 0, len(bySess))
-	for _, sessions := range bySess {
-		min := len(h.Txns)
-		for _, s := range sessions {
-			for _, id := range h.Sessions[s] {
-				if id < min {
-					min = id
-				}
-			}
-		}
-		groups = append(groups, group{sessions: sessions, minTxn: min})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].minTxn < groups[j].minTxn })
-
-	for _, g := range groups {
-		p.Components = append(p.Components, p.build(g.sessions))
-	}
+	p, _ := split(h)
 	return p
 }
 
-// build assembles the sub-history of one session group.
-func (p *Partition) build(sessions []int) Component {
-	h := p.Source
+// column is the key column of a split history: Split's union-find runs
+// over it, and Check cuts each component's index from it, so a sharded
+// check interns every key once.
+type column struct {
+	names []string        // key names by source key id, in first-seen order
+	opKey []history.KeyID // one id per op of the source, in transaction-then-program order
+	off   []int           // off[t] is transaction t's first position in opKey
+	owner []int           // key id -> the component whose transactions touch it, or -1
+	// local maps a key id to its component-local id plus one (0: not yet
+	// numbered). Components own disjoint keys, so one table serves all
+	// of them, concurrently.
+	local []history.KeyID
+}
 
-	// External ids of the component's transactions, ascending. Session
-	// lists are already ascending per session, so a merge of sorted lists
-	// would do; a sort keeps it simple.
-	var ext []int
-	for _, s := range sessions {
-		ext = append(ext, h.Sessions[s]...)
+// split is Split, also returning the key column it ran on.
+func split(h *history.History) (*Partition, *column) {
+	names, opKey := history.KeyColumn(h)
+	col := &column{names: names, opKey: opKey, off: make([]int, len(h.Txns)+1)}
+	nSess := len(h.Sessions)
+	// member is the session transaction i unions through, or -1 for the
+	// init transaction and (defensively) any txn outside the session table.
+	member := func(i int) int {
+		if s := h.Txns[i].Session; s >= 0 && s < nSess && (i > 0 || !h.HasInit) {
+			return s
+		}
+		return -1
 	}
-	sort.Ints(ext)
-
-	// Keys the component touches, for the replicated init.
-	keys := make(map[history.Key]bool)
-	for _, id := range ext {
-		for _, op := range h.Txns[id].Ops {
-			keys[op.Key] = true
+	u := graph.NewUnionFind(nSess + len(names)) // key id k is element nSess+k
+	for i := range h.Txns {
+		at := col.off[i]
+		col.off[i+1] = at + len(h.Txns[i].Ops)
+		if s := member(i); s >= 0 {
+			for _, k := range opKey[at:col.off[i+1]] {
+				u.Union(s, nSess+int(k))
+			}
 		}
 	}
 
-	sub := &history.History{}
-	var extMap []int
+	// Components are numbered by their smallest transaction id and sized
+	// in the same pass; comp maps a union-find root to its number plus one.
+	p := &Partition{Source: h}
+	comp := make([]int, nSess+len(names))
+	var sizes []int
+	for i := range h.Txns {
+		if s := member(i); s >= 0 {
+			r := u.Find(s)
+			if comp[r] == 0 {
+				sizes = append(sizes, 0)
+				comp[r] = len(sizes)
+			}
+			sizes[comp[r]-1]++
+		}
+	}
+	p.Components = make([]Component, len(sizes))
+	for c, n := range sizes {
+		sub := &history.History{HasInit: h.HasInit, Txns: make([]history.Txn, 0, n+1)}
+		p.Components[c] = Component{H: sub, Ext: make([]int, 0, n+1)}
+	}
+	col.owner = make([]int, len(names))
+	col.local = make([]history.KeyID, len(names))
+	for k := range col.owner {
+		col.owner[k] = comp[u.Find(nSess+k)] - 1
+	}
 	if h.HasInit {
 		// Replicated ⊥T: only the ops whose key this component touches,
 		// in the source init's op order (preserving per-key write chains
 		// and the init's session-order edges).
 		init := h.Txns[0]
-		var ops []history.Op
-		for _, op := range init.Ops {
-			if keys[op.Key] {
-				ops = append(ops, op)
+		for c := range p.Components {
+			sub := p.Components[c].H
+			sub.Txns = append(sub.Txns, history.Txn{
+				ID: 0, Session: -1,
+				Start: init.Start, Finish: init.Finish, Committed: init.Committed,
+			})
+			p.Components[c].Ext = append(p.Components[c].Ext, 0)
+		}
+		for j, op := range init.Ops {
+			if c := col.owner[opKey[j]]; c >= 0 {
+				t := &p.Components[c].H.Txns[0]
+				t.Ops = append(t.Ops, op)
 			}
 		}
-		sub.HasInit = true
-		sub.Txns = append(sub.Txns, history.Txn{
-			ID: 0, Session: -1, Ops: ops,
-			Start: init.Start, Finish: init.Finish, Committed: init.Committed,
-		})
-		extMap = append(extMap, 0)
 	}
 
-	sessMap := make(map[int]int, len(sessions))
-	for li, s := range sessions {
-		sessMap[s] = li
+	// Local sessions in source session order, then local transactions in
+	// source id order.
+	localSess := make([]int, nSess)
+	for s := range h.Sessions {
+		if c := comp[u.Find(s)] - 1; c >= 0 {
+			sub := p.Components[c].H
+			localSess[s] = len(sub.Sessions)
+			sub.Sessions = append(sub.Sessions, make([]int, 0, len(h.Sessions[s])))
+		}
 	}
-	sub.Sessions = make([][]int, len(sessions))
-	for _, id := range ext {
-		t := h.Txns[id]
-		local := len(sub.Txns)
-		ls := sessMap[t.Session]
-		sub.Txns = append(sub.Txns, history.Txn{
-			ID: local, Session: ls, Ops: t.Ops,
+	for i := range h.Txns {
+		s := member(i)
+		if s < 0 {
+			continue
+		}
+		c := &p.Components[comp[u.Find(s)]-1]
+		t := &h.Txns[i]
+		id, ls := len(c.H.Txns), localSess[s]
+		c.H.Txns = append(c.H.Txns, history.Txn{
+			ID: id, Session: ls, Ops: t.Ops,
 			Start: t.Start, Finish: t.Finish, Committed: t.Committed,
 		})
-		sub.Sessions[ls] = append(sub.Sessions[ls], local)
-		extMap = append(extMap, id)
+		c.H.Sessions[ls] = append(c.H.Sessions[ls], id)
+		c.Ext = append(c.Ext, i)
 	}
-	return Component{H: sub, Ext: extMap}
+	return p, col
+}
+
+// index builds component c's index from the source key column: the
+// component numbers its keys densely in first-touch order, and
+// IndexColumns ranks them, so the result equals
+// history.NewIndex(comp.H). It writes only the col.local entries of keys
+// c owns, so the components of one split can be indexed concurrently.
+func (col *column) index(c int, comp *Component) *history.Index {
+	nOps := 0
+	for i := range comp.H.Txns {
+		nOps += len(comp.H.Txns[i].Ops)
+	}
+	opKey := make([]history.KeyID, 0, nOps)
+	var names []string
+	for _, ext := range comp.Ext {
+		for _, k := range col.opKey[col.off[ext]:col.off[ext+1]] {
+			if col.owner[k] != c {
+				continue // a replicated ⊥T op of another component's key
+			}
+			if col.local[k] == 0 {
+				names = append(names, col.names[k])
+				col.local[k] = history.KeyID(len(names))
+			}
+			opKey = append(opKey, col.local[k]-1)
+		}
+	}
+	return history.IndexColumns(comp.H, names, opKey)
 }

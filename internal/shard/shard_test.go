@@ -242,7 +242,7 @@ func TestRunShardsOnOptionsShard(t *testing.T) {
 }
 
 // TestRegistryHasNoShardedTwins: sharding is an option, not a name — the
-// registry lists exactly the ten base engines and "mtc-sharded" is an
+// registry lists exactly the seven base engines and "mtc-sharded" is an
 // unknown checker.
 func TestRegistryHasNoShardedTwins(t *testing.T) {
 	want := []string{"cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile"}

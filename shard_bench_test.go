@@ -8,6 +8,13 @@
 // at 4 workers on 4 tenants on a multi-core host), and
 // BenchmarkShardGOMAXPROCS whatever the host offers. On a single-core
 // machine all three coincide.
+//
+// The second group prices the shard layer itself over a fixed-seed
+// 4-tenant 10k-txn MT history, where the engine is cheap enough for the
+// layer to show: BenchmarkShardSplit is the partition pass alone, and
+// BenchmarkShardMTC1 / BenchmarkShardMTCOff is what mtc at SI pays
+// sharded (one worker: split, per-component indexes, merge) over the
+// same check unsharded.
 package main
 
 import (
@@ -21,12 +28,18 @@ import (
 	"mtc/internal/history"
 	"mtc/internal/kv"
 	"mtc/internal/runner"
+	"mtc/internal/shard"
 	"mtc/internal/workload"
 )
 
 var (
 	shardBenchOnce sync.Once
 	shardBenchHist *history.History
+
+	tenantMTOnce sync.Once
+	tenantMTHist *history.History
+
+	indexSink *history.Index // keeps BenchmarkNewIndexTenant10k's build live
 )
 
 // shardBenchHistory executes the fixed 4-tenant GT workload once and
@@ -65,3 +78,61 @@ func BenchmarkShard1(b *testing.B) { benchShard(b, 1) }
 func BenchmarkShard4(b *testing.B) { benchShard(b, 4) }
 
 func BenchmarkShardGOMAXPROCS(b *testing.B) { benchShard(b, runtime.GOMAXPROCS(0)) }
+
+// tenantMTHistory executes a fixed-seed 4-tenant MT workload of at least
+// 10k transactions once and reuses it across the ShardSplit and ShardMTC
+// benchmarks.
+func tenantMTHistory(b *testing.B) *history.History {
+	tenantMTOnce.Do(func() {
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 8, Txns: 1300, Objects: 200,
+			Dist: workload.Zipfian, Seed: 5, ReadOnlyFrac: 0.2, Tenants: 4,
+		})
+		tenantMTHist = runner.Run(kv.NewStore(kv.ModeSerializable), w, runner.Config{Retries: 8, DropAborted: true}).H
+	})
+	if len(tenantMTHist.Txns) < 10000 {
+		b.Fatalf("tenant history too small: %d txns", len(tenantMTHist.Txns))
+	}
+	return tenantMTHist
+}
+
+func BenchmarkShardSplit(b *testing.B) {
+	h := tenantMTHistory(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := len(shard.Split(h).Components); n != 4 {
+			b.Fatalf("%d components, want 4", n)
+		}
+	}
+}
+
+// benchShardMTC checks the 4-tenant MT history through mtc at SI with
+// the given Shard setting (0: unsharded).
+func benchShardMTC(b *testing.B, workers int) {
+	h := tenantMTHistory(b)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := checker.Run(ctx, "mtc", h, checker.Options{Level: core.SI, Shard: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.OK {
+			b.Fatalf("clean history rejected: %s", rep.Detail)
+		}
+	}
+}
+
+func BenchmarkShardMTC1(b *testing.B) { benchShardMTC(b, 1) }
+
+func BenchmarkShardMTCOff(b *testing.B) { benchShardMTC(b, 0) }
+
+// BenchmarkNewIndexTenant10k is the unsharded index build over the same
+// history: what the sharded path's per-component indexes add up against.
+func BenchmarkNewIndexTenant10k(b *testing.B) {
+	h := tenantMTHistory(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = history.NewIndex(h)
+	}
+}
