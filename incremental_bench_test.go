@@ -48,6 +48,18 @@ func BenchmarkBatchSER10k(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchSSER10k is BenchmarkBatchSER10k plus the real-time
+// inversion pass: what SSER costs over SER on the same derivation.
+func BenchmarkBatchSSER10k(b *testing.B) {
+	setupBig(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !coreCheck(bigHist, core.SSER).OK {
+			b.Fatal("valid history rejected")
+		}
+	}
+}
+
 func BenchmarkIncrementalSER10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()

@@ -57,7 +57,8 @@ type JobRequest struct {
 	// Level names the isolation level; empty selects the checker default.
 	Level string `json:"level,omitempty"`
 	// TimeoutMillis bounds the job's execution time; 0 uses the server
-	// default. Values above the server maximum are clamped.
+	// default. Values above the server maximum are clamped; negative
+	// values are rejected with a structured 400.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// Parallelism is retired: the engines run serially, and Shard is the
 	// one concurrency knob. It stays declared only so a request that

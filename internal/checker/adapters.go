@@ -159,7 +159,7 @@ func checkPolygraph(ctx context.Context, h *history.History, opts Options) (Repo
 // checkElle serves Elle's read-write-register mode.
 func checkElle(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	rep, err := elle.CheckRWRegisterCtx(ctx, h, elle.Level(opts.Level))
+	rep, err := elle.CheckRWRegisterCtx(ctx, indexOf(h, opts), elle.Level(opts.Level))
 	if err != nil {
 		return Report{}, err
 	}

@@ -220,7 +220,7 @@ func TestIndexConsumersHonorOptionsIndex(t *testing.T) {
 		lvl  Level
 	}{
 		{"mtc", core.SER}, {"profile", core.SER}, {"mtc", core.RC}, {"mtc", core.RA}, {"mtc", core.CAUSAL},
-		{"cobra", core.SER}, {"polysi", core.SI},
+		{"cobra", core.SER}, {"polysi", core.SI}, {"elle", core.SER}, {"elle", core.SI},
 	} {
 		run := func(ix *history.Index) Report {
 			rep, err := Run(ctx, tc.name, h, Options{Level: tc.lvl, Index: ix})

@@ -14,8 +14,8 @@
 //     otherwise searching the induced graph (SO ∪ WR ∪ WW) ; RW? in
 //     place over the same arena (graph.FindComposedCycle); SSER is
 //     the SER cycle search plus one real-time inversion pass
-//     (Deps.Inversion), O(n log n) for the timestamp sort and linear
-//     after it. The paper's Θ(n²) real-time enumeration survives only as
+//     (Deps.Inversion), O(V+E) over the same derivation with no sort.
+//     The paper's Θ(n²) real-time enumeration survives only as
 //     the reference the tests compare against (BuildDependency withRT).
 //   - CheckIncrementalWindowedCtx replays a history through the online
 //     engine (Incremental) and CheckStreamCtx drives it from a stream.
@@ -40,10 +40,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"mtc/internal/graph"
@@ -220,7 +218,7 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
 // index: the INT/G1 pre-check, one dependency derivation over the same
 // index (BuildDependencyCtx), and the rung for lvl (Deps.Rung). It
-// decides SER and SI in Θ(n) and SSER in O(n log n). Graph construction
+// decides SER, SI and SSER in Θ(n). Graph construction
 // and the inversion pass poll ctx, and the run returns the context's
 // error instead of a verdict when the deadline fires. RC, RA and CAUSAL
 // are valid Level values without a batch engine here — internal/levels
@@ -299,23 +297,32 @@ func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
 // dependency path that ends at the RT source with the smallest finish
 // starts at an RT target whose own RT source finished no earlier, so
 // that path is inverted. One memoized post-order DFS computing each
-// node's minimum descendant finish rank decides this in O(V+E) after
-// the O(n log n) sort in rtRanks, over five n-sized arrays and no
-// real-time edge.
+// node's earliest-finishing descendant decides this in O(V+E) straight
+// from the history.Txn stamps, with no sort, over three n-sized arrays
+// and no real-time edge.
 //
 // It returns nil when the history is strictly serializable, else the
 // witness: the dependency path S ~> T followed by the one real-time
 // edge T -RT-> S that closes it. The DFS roots and edges are visited in
-// index order, so the witness is deterministic.
+// index order and finishes are ordered by (Finish, id), so the witness
+// is deterministic.
 //
 //mtc:hotpath — the SSER rung's DFS over the shared graph
 func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
 	g := d.Graph
-	start, finish := rtRanks(d.Index.History())
-	// mnf[u] is the minimum finish rank over u's strict descendants (inf
-	// when none is timed) and via[u] the out-edge of u that leads to it;
-	// u is inverted iff mnf[u] < start[u].
-	const inf = int32(1) << 30
+	txns := d.Index.History().Txns
+	// before reports whether timed transaction a finished before b in the
+	// (Finish, id) order; b = -1 (no timed transaction) is last.
+	before := func(a, b int32) bool {
+		if b < 0 {
+			return true
+		}
+		fa, fb := txns[a].Finish, txns[b].Finish
+		return fa < fb || fa == fb && a < b
+	}
+	// mnf[u] is the first-finishing timed strict descendant of u (-1 when
+	// none is timed) and via[u] the out-edge of u that leads to it; u is
+	// inverted iff it is timed and mnf[u] finished before u started.
 	n := g.Len()
 	mnf := make([]int32, n)
 	via := make([]int32, n)
@@ -336,20 +343,20 @@ func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
 			stack = stack[:len(stack)-1]
 			if v < 0 { // post-visit: children settled, fold their minima
 				u := ^v
-				m := inf
+				m := int32(-1)
 				for i, e := range g.Out(int(u)) {
 					cm := mnf[e.To]
-					if f := finish[e.To]; f >= 0 && f < cm {
-						cm = f
+					if txns[e.To].Timed() && before(e.To, cm) {
+						cm = e.To
 					}
-					if cm < m {
+					if cm >= 0 && before(cm, m) {
 						m, via[u] = cm, int32(i)
 					}
 				}
 				mnf[u] = m
 				state[u] = 2
-				if r := start[u]; r >= 0 && m < r {
-					return inversionWitness(g, int(u), m, finish, via), nil
+				if t := &txns[u]; m >= 0 && t.Timed() && txns[m].Finish < t.Start {
+					return inversionWitness(g, int(u), m, via), nil
 				}
 				continue
 			}
@@ -369,58 +376,15 @@ func (d *Deps) Inversion(ctx context.Context) ([]graph.Edge, error) {
 }
 
 // inversionWitness materializes the cycle Inversion found at s: follow
-// the via arcs from s down to the descendant whose finish rank is m,
-// rendering each, then close the path with that descendant's real-time
-// edge back to s.
-func inversionWitness(g *graph.Graph, s int, m int32, finish, via []int32) []graph.Edge {
+// the via arcs from s down to descendant m, rendering each, then close
+// the path with m's real-time edge back to s.
+func inversionWitness(g *graph.Graph, s int, m int32, via []int32) []graph.Edge {
 	var cycle []graph.Edge
 	for v := s; ; {
 		a := g.Out(v)[via[v]]
 		cycle = append(cycle, g.Edge(a))
-		if v = int(a.To); finish[v] == m {
+		if v = int(a.To); a.To == m {
 			return append(cycle, graph.Edge{From: v, To: s, Kind: graph.RT})
 		}
 	}
-}
-
-// rtRanks returns each transaction's start and finish positions in the
-// sorted sequence of real-time events, or -1 for a transaction outside
-// the real-time order (history.Txn.Timed). T really finished before S
-// started iff finish[T] < start[S]: at equal timestamps starts sort
-// before finishes, so Finish == Start is not precedence (RT is strict).
-func rtRanks(h *history.History) (start, finish []int32) {
-	type event struct {
-		time    int64
-		txn     int32
-		isStart bool
-	}
-	events := make([]event, 0, 2*len(h.Txns))
-	start = make([]int32, len(h.Txns))
-	finish = make([]int32, len(h.Txns))
-	for i := range h.Txns {
-		start[i], finish[i] = -1, -1
-		if t := &h.Txns[i]; t.Timed() {
-			events = append(events, event{t.Start, int32(i), true}, event{t.Finish, int32(i), false})
-		}
-	}
-	slices.SortFunc(events, func(a, b event) int {
-		if c := cmp.Compare(a.time, b.time); c != 0 {
-			return c
-		}
-		if a.isStart != b.isStart {
-			if a.isStart {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.txn, b.txn)
-	})
-	for i, ev := range events {
-		if ev.isStart {
-			start[ev.txn] = int32(i)
-		} else {
-			finish[ev.txn] = int32(i)
-		}
-	}
-	return start, finish
 }

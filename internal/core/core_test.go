@@ -114,9 +114,11 @@ func sserReference(h *history.History) bool {
 }
 
 // assertSSERMatchesReference checks the SSER rung against the
-// definitional graph, and the shape of its witness: a closed cycle of
-// real dependency edges, closed — unless it is a plain SER cycle — by
-// exactly one RT edge whose endpoints are inverted on the raw stamps.
+// definitional graph, its witness against the rank-based oracle
+// (legacyInversion, nil or the same cycle), and the shape of that
+// witness: a closed cycle of real dependency edges, closed — unless it
+// is a plain SER cycle — by exactly one RT edge whose endpoints are
+// inverted on the raw stamps.
 func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
 	t.Helper()
 	r := rung(h, SSER)
@@ -132,6 +134,15 @@ func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
 	}
 	if r.OK != (len(r.Cycle) == 0) {
 		t.Fatalf("%s: OK=%v with cycle %v", tag, r.OK, r.Cycle)
+	}
+	if ser.OK {
+		d, err := BuildDependencyCtx(context.Background(), history.NewIndex(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := legacyInversion(d); !reflect.DeepEqual(r.Cycle, want) {
+			t.Fatalf("%s: SSER witness %v, rank-based oracle %v", tag, r.Cycle, want)
+		}
 	}
 	if r.OK {
 		return

@@ -282,17 +282,17 @@ func cycleCheck(rep Report, g *graph.Graph, lvl Level) Report {
 // list-append (or MTC's RMW-only workloads) would catch — the effect
 // Figure 13 quantifies.
 func CheckRWRegister(h *history.History, lvl Level) Report {
-	rep, _ := CheckRWRegisterCtx(context.Background(), h, lvl)
+	rep, _ := CheckRWRegisterCtx(context.Background(), history.NewIndex(h), lvl)
 	return rep
 }
 
-// CheckRWRegisterCtx is CheckRWRegister under a context: the dependency
-// inference polls ctx between batches of transactions, so large
-// histories stop promptly under a deadline. The Report is only
-// meaningful when the error is nil.
-func CheckRWRegisterCtx(ctx context.Context, h *history.History, lvl Level) (Report, error) {
+// CheckRWRegisterCtx is CheckRWRegister over a prebuilt index of the
+// history, under a context: the dependency inference polls ctx between
+// batches of transactions, so large histories stop promptly under a
+// deadline. The Report is only meaningful when the error is nil.
+func CheckRWRegisterCtx(ctx context.Context, ix *history.Index, lvl Level) (Report, error) {
 	rep := Report{Level: lvl}
-	ix := history.NewIndex(h)
+	h := ix.History()
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 		rep.Reason = as[0].String()
 		return rep, nil

@@ -63,8 +63,8 @@ func (it *interner) Name(id KeyID) Key { return Key(it.names[id]) }
 // BuildWriterIndex's dups — an equivalence the randomized tests in
 // index_test.go pin down.
 type Index struct {
-	h  *History
-	it *interner // names sorted lexicographically; KeyID == sorted rank
+	h     *History
+	names []string // key names sorted lexicographically; KeyID == sorted rank
 
 	// Per-txn footprint columns: transaction t's reads occupy
 	// readKey[readOff[t]:readOff[t+1]] (parallel readVal), sorted by
@@ -147,12 +147,11 @@ func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
 		byName[i] = KeyID(i)
 	}
 	slices.SortFunc(byName, func(a, b KeyID) int { return strings.Compare(names[a], names[b]) })
-	it := &interner{ids: make(map[Key]KeyID, len(names)), names: make([]string, len(names))}
+	sorted := make([]string, len(names))
 	rank := make([]KeyID, len(names)) // id -> rank
 	identity := true
 	for r, id := range byName {
-		it.ids[Key(names[id])] = KeyID(r)
-		it.names[r] = names[id]
+		sorted[r] = names[id]
 		rank[id] = KeyID(r)
 		identity = identity && id == KeyID(r)
 	}
@@ -161,7 +160,7 @@ func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
 			opKey[i] = rank[id]
 		}
 	}
-	ix := &Index{h: h, it: it, opKey: opKey}
+	ix := &Index{h: h, names: sorted, opKey: opKey}
 	ix.buildFootprints(h, opKey)
 	ix.buildPostings(h, opKey)
 	ix.resolveReads()
@@ -183,7 +182,7 @@ func (ix *Index) buildFootprints(h *History, opIDs []KeyID) {
 	// Generation-stamped scratch, reused across transactions: gen[k]
 	// tracks the txn that last touched key k (split by read/write so a
 	// read after an own write is excluded, matching Txn.Reads).
-	nk := ix.it.Len()
+	nk := len(ix.names)
 	readGen := make([]int32, nk)
 	writeGen := make([]int32, nk)
 	writeAt := make([]int32, nk) // write column position of the txn's last write
@@ -293,7 +292,7 @@ func (a vt) compare(b vt) int { return cmp.Compare(a.v, b.v) }
 //
 //mtc:hotpath — counting-sorted postings feeding every Writer/WritersOf lookup
 func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
-	nk := ix.it.Len()
+	nk := len(ix.names)
 
 	// Committed writes grouped by key, in op order within a key: a stable
 	// counting sort over the dense KeyIDs. After the scatter end[k] is the
@@ -449,18 +448,24 @@ func (ix *Index) History() *History { return ix.h }
 func (ix *Index) NumTxns() int { return len(ix.h.Txns) }
 
 // NumKeys returns the number of distinct keys in the history.
-func (ix *Index) NumKeys() int { return ix.it.Len() }
+func (ix *Index) NumKeys() int { return len(ix.names) }
 
 // KeyName returns the interned name of id.
-func (ix *Index) KeyName(id KeyID) Key { return ix.it.Name(id) }
+func (ix *Index) KeyName(id KeyID) Key { return Key(ix.names[id]) }
 
 // KeyNames returns every key name indexed by KeyID: the name table a
 // dependency graph's arcs refer to (graph.NewBuilderNames). The slice is
 // shared and must not be modified.
-func (ix *Index) KeyNames() []string { return ix.it.names }
+func (ix *Index) KeyNames() []string { return ix.names }
 
-// KeyIDOf returns the id of k and whether the history touches it.
-func (ix *Index) KeyIDOf(k Key) (KeyID, bool) { return ix.it.Lookup(k) }
+// KeyIDOf returns the id of k and whether the history touches it, by
+// binary search of the sorted name table.
+func (ix *Index) KeyIDOf(k Key) (KeyID, bool) {
+	if i, ok := slices.BinarySearch(ix.names, string(k)); ok {
+		return KeyID(i), true
+	}
+	return 0, false
+}
 
 // Reads returns transaction t's first-external-read footprint as
 // parallel slices sorted by KeyID: the columnar form of Txn.Reads().
@@ -528,7 +533,7 @@ func (ix *Index) Writer(k KeyID, v Value) int {
 // WriterByName is Writer for un-interned callers; unknown keys have no
 // writer.
 func (ix *Index) WriterByName(x Key, v Value) int {
-	if k, ok := ix.it.Lookup(x); ok {
+	if k, ok := ix.KeyIDOf(x); ok {
 		return ix.Writer(k, v)
 	}
 	return -1

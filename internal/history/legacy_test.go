@@ -31,7 +31,7 @@ func legacyPostings(ix *Index, h *History, opIDs []KeyID) {
 		}
 		pos += len(txn.Ops)
 	}
-	nk := ix.it.Len()
+	nk := len(ix.names)
 
 	// Committed postings: sort by (key, value), collapse to unique
 	// slots, then claim winners in op order so dups match
@@ -61,7 +61,7 @@ func legacyPostings(ix *Index, h *History, opIDs []KeyID) {
 			claimed[s] = true
 			ix.slotTxn[s] = e.t
 		} else {
-			ix.dups = append(ix.dups, Op{Kind: OpWrite, Key: ix.it.Name(e.k), Value: e.v})
+			ix.dups = append(ix.dups, Op{Kind: OpWrite, Key: Key(ix.names[e.k]), Value: e.v})
 		}
 	}
 
@@ -206,7 +206,7 @@ func legacyCheckTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 }
 
 // LegacyMismatch holds ix to the two history-side oracles and returns
-// the first difference, or nil. A twin index sharing ix's interner and
+// the first difference, or nil. A twin index sharing ix's key table and
 // footprints gets its postings from legacyPostings; the postings,
 // aborted postings, writer lists and dups must be equal, every resolved
 // read must be the twin's Writer of that read, and CheckInternalIndexed
@@ -215,7 +215,7 @@ func legacyCheckTxnInternal(ix *Index, t *Txn, out []Anomaly) []Anomaly {
 // derivation oracle.
 func LegacyMismatch(ix *Index) error {
 	lg := &Index{
-		h: ix.h, it: ix.it,
+		h: ix.h, names: ix.names,
 		readKey: ix.readKey, readVal: ix.readVal, readOff: ix.readOff,
 		writeKey: ix.writeKey, writeVal: ix.writeVal, writeOff: ix.writeOff,
 	}

@@ -277,6 +277,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "window must be >= 0, got %d", req.Window)
 		return
 	}
+	if req.TimeoutMillis < 0 {
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "timeout_ms must be >= 0, got %d", req.TimeoutMillis)
+		return
+	}
 	opts := checker.Options{Window: req.Window, Shard: req.Shard}
 	if req.Level != "" {
 		lvl, err := checker.ParseLevel(req.Level)

@@ -218,6 +218,8 @@ func TestJobValidation(t *testing.T) {
 		{"parallelism beyond clamp", `{"level":"SER","parallelism":1048576,"history":` + string(h) + `}`, http.StatusBadRequest, api.CodeBadRequest, "parallelism"},
 		{"negative shard", `{"level":"SER","shard":-1,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest, ""},
 		{"shard beyond clamp", `{"level":"SER","shard":1048576,"history":{}}`, http.StatusBadRequest, api.CodeBadRequest, ""},
+		{"negative window", `{"level":"SER","window":-1,"history":` + string(h) + `}`, http.StatusBadRequest, api.CodeBadRequest, "window"},
+		{"negative timeout_ms", `{"level":"SER","timeout_ms":-5,"history":` + string(h) + `}`, http.StatusBadRequest, api.CodeBadRequest, "timeout_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

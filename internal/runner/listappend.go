@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"runtime"
+
 	"mtc/internal/elle"
 	"mtc/internal/history"
 	"mtc/internal/kv"
@@ -18,12 +20,12 @@ type laRecord struct {
 // runListTxn executes a single list-append transaction attempt, the
 // list-workload counterpart of runTxn: reads record the entire observed
 // list. Non-list specs are ignored.
-func runListTxn(s *kv.Store, si int, spec workload.TxnSpec, values *int, spin int) (laRecord, bool) {
+func runListTxn(s *kv.Store, si int, spec workload.TxnSpec, values *int) (laRecord, bool) {
 	tx := s.Begin()
 	var ops []elle.Op
 	ok := true
 	for _, op := range spec.Ops {
-		latency(spin)
+		runtime.Gosched() // the client-server round trip, as in runTxn
 		switch op.Kind {
 		case workload.SpecAppend:
 			v := uniqueValue(si, *values)

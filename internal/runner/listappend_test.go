@@ -74,14 +74,6 @@ func TestRunListAppendTimestampsOrdered(t *testing.T) {
 	}
 }
 
-func TestLatencySpin(t *testing.T) {
-	latency(0)
-	latency(1000) // exercises the busy loop and the sink
-	if spinSink.Load() == 0 {
-		t.Fatal("spin sink not written")
-	}
-}
-
 func TestAbortRateEdges(t *testing.T) {
 	r := Result{}
 	if r.AbortRate() != 0 {
@@ -90,17 +82,6 @@ func TestAbortRateEdges(t *testing.T) {
 	r = Result{Attempts: 4, Aborted: 1}
 	if r.AbortRate() != 0.25 {
 		t.Fatalf("rate = %f", r.AbortRate())
-	}
-}
-
-func TestRunWithOpDelay(t *testing.T) {
-	s := kv.NewStore(kv.ModeSI)
-	w := workload.GenerateMT(workload.MTConfig{
-		Sessions: 2, Txns: 10, Objects: 3, Dist: workload.Uniform, Seed: 4,
-	})
-	res := Run(s, w, Config{Retries: 2, OpDelay: 50})
-	if res.Committed == 0 {
-		t.Fatal("nothing committed with OpDelay")
 	}
 }
 

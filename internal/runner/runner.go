@@ -29,11 +29,6 @@ type Config struct {
 	// default (false) records them: they are needed to detect G1a
 	// AbortedRead.
 	DropAborted bool
-	// OpDelay simulates per-operation client/server latency as busy-loop
-	// iterations (a stand-in for the network round-trip that makes real
-	// client sessions overlap). 0 uses a default that yields the
-	// scheduler after every operation.
-	OpDelay int
 	// Window bounds the memory of a streaming run (RunStream only): the
 	// online checker is compacted every Window/2 committed observations,
 	// keeping O(Window) verification state instead of O(run), and the
@@ -105,7 +100,7 @@ func uniqueValue(session, n int) history.Value {
 // boundary. done (may be nil) runs as each session's last act.
 // runSessions returns when every session has finished.
 func runSessions[R any](s *kv.Store, w *workload.Workload, cfg Config, stop *atomic.Bool,
-	exec func(s *kv.Store, si int, spec workload.TxnSpec, values *int, spin int) (R, bool),
+	exec func(s *kv.Store, si int, spec workload.TxnSpec, values *int) (R, bool),
 	emit func(si int, rec R), done func(si int)) {
 	stopped := func() bool { return stop != nil && stop.Load() }
 	start := make(chan struct{}) // barrier: all sessions begin together
@@ -124,7 +119,7 @@ func runSessions[R any](s *kv.Store, w *workload.Workload, cfg Config, stop *ato
 					return
 				}
 				for attempt := 0; ; attempt++ {
-					rec, ok := exec(s, si, spec, &values, cfg.OpDelay)
+					rec, ok := exec(s, si, spec, &values)
 					emit(si, rec)
 					if ok || attempt >= cfg.Retries || stopped() {
 						break
@@ -164,30 +159,13 @@ func Run(s *kv.Store, w *workload.Workload, cfg Config) *Result {
 	return res
 }
 
-// spinSink defeats dead-code elimination of the busy-delay loop; sessions
-// write it concurrently, hence the atomic.
-var spinSink atomic.Int64
-
-// latency simulates the client-server round trip: yield the scheduler so
-// concurrent sessions interleave, plus an optional busy delay.
-func latency(spin int) {
-	runtime.Gosched()
-	var acc int64
-	for i := 0; i < spin; i++ {
-		acc += int64(i)
-	}
-	if acc != 0 {
-		spinSink.Store(acc)
-	}
-}
-
 // runTxn executes a single transaction attempt. It returns the record and
 // whether the transaction committed.
-func runTxn(s *kv.Store, session int, spec workload.TxnSpec, values *int, spin int) (record, bool) {
+func runTxn(s *kv.Store, session int, spec workload.TxnSpec, values *int) (record, bool) {
 	tx := s.Begin()
 	ok := true
 	for _, op := range spec.Ops {
-		latency(spin)
+		runtime.Gosched() // the client-server round trip: let concurrent sessions interleave
 		var err error
 		switch op.Kind {
 		case workload.SpecRead:
