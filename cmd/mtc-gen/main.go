@@ -32,7 +32,7 @@ func main() {
 		mode     = flag.String("mode", "SI", "store mode: SI, SER, 2PL")
 		seed     = flag.Int64("seed", 1, "seed")
 		name     = flag.String("name", "", "fixture name (kind=fixture); empty lists them")
-		out      = flag.String("o", "history.json", "output file; the extension picks the codec: .json, .txt, .ndjson or .mtcb, optionally .gz")
+		out      = flag.String("o", "history.json", "output file; the extension picks the codec: .json, .ndjson or .mtcb, optionally .gz")
 	)
 	flag.Parse()
 

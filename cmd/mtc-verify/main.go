@@ -1,19 +1,20 @@
 // Command mtc-verify checks a saved history file against an isolation
 // level using any registered checker (mtc -checkers lists them). The
-// file's codec — JSON, text, NDJSON or MTCB, optionally gzipped — is
-// sniffed from its content.
+// file's codec — JSON, NDJSON or MTCB, optionally gzipped — is sniffed
+// from its content; a file none of them claims is refused.
 //
 // Examples:
 //
 //	mtc-verify -level SI history.json
-//	mtc-verify -level SER -checker cobra history.txt
+//	mtc-verify -level SER -checker cobra history.json.gz
 //	mtc-verify -level ser -checker profile history.mtcb
 //	mtc-verify -level SI -stream -window 1024 capture.ndjson.gz
 //	mtc-verify -level SER -stream capture.mtcb
 //	mtc-verify -level SER -checker mtc-incremental -window 1024 history.mtcb
 //
 // Exit status: 0 the history satisfies the level, 1 it violates it,
-// 2 usage errors (unknown level or checker, unreadable file).
+// 2 usage errors (unknown level or checker, a file that is unreadable or
+// not a history in any codec).
 package main
 
 import (

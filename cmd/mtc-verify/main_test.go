@@ -55,7 +55,7 @@ func saved(t *testing.T, name string, h *history.History) string {
 // with the registry's message (-level ser used to panic).
 func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 	clean := saved(t, "clean.mtcb", history.SerialHistory(30, "x", "y"))
-	skew := saved(t, "skew.txt", history.FixtureByName("WriteSkew").H)
+	skew := saved(t, "skew.json", history.FixtureByName("WriteSkew").H)
 	// T2 has a start but no finish: not a real-time interval under any
 	// reading, so the file is refused before an SSER verdict can depend
 	// on which reading the engine takes.
@@ -63,6 +63,12 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 	b.TimedTxn(0, 8, 9, history.R("x", 0), history.W("x", 1))
 	b.TimedTxn(1, 7, 0, history.R("x", 1))
 	halfStamped := saved(t, "half.json", b.Build())
+	// A file no codec claims is refused, never checked as an empty
+	// history.
+	blank := filepath.Join(t.TempDir(), "blank.json")
+	if err := os.WriteFile(blank, []byte("\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -76,6 +82,8 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		{"violation exits 1", []string{"-level", "SER", skew}, 1, "[mtc] history VIOLATES SER", ""},
 		{"sser on a clean history", []string{"-level", "sser", clean}, 0, "[mtc] history satisfies SSER", ""},
 		{"finish before start is not a history", []string{"-level", "sser", halfStamped}, 2, "", "finish 0 < start 7"},
+		{"blank file is not a history", []string{"-level", "SSER", blank}, 2, "", "unrecognized encoding"},
+		{"blank file is not a capture", []string{"-level", "SER", "-stream", blank}, 2, "", "unrecognized encoding"},
 		{"unknown level", []string{"-level", "bogus", clean}, 2, "", "unknown isolation level"},
 		{"unknown checker", []string{"-checker", "mtc-sharded", clean}, 2, "", "unknown checker"},
 		{"unsupported level for the engine", []string{"-level", "SI", "-checker", "cobra", clean}, 2, "", "does not support level"},

@@ -54,7 +54,7 @@ func main() {
 		bug          = flag.String("bug", "", "inject a Table II bug (see -bugs)")
 		listBugs     = flag.Bool("bugs", false, "list injectable bugs and exit")
 		lwt          = flag.Bool("lwt", false, "use lightweight transactions (CAS) and the linear-time SSER checker")
-		out          = flag.String("out", "", "save the generated history to this file; the extension picks the codec (.json, .txt, .ndjson, .mtcb, any +.gz; no extension = JSON)")
+		out          = flag.String("out", "", "save the generated history to this file; the extension picks the codec (.json, .ndjson, .mtcb, any +.gz; no extension = JSON)")
 		timeout      = flag.Duration("timeout", 0, "abort verification after this duration (0 = no limit)")
 		window       = flag.Int("window", 0, "epoch-compaction window for streaming/incremental verification: keep O(window) checker state instead of the whole history (0 = unbounded)")
 		shardN       = flag.Int("shard", 0, "component-sharded verification: decompose the history into key-disjoint components checked by up to this many workers (0 = off)")

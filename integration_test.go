@@ -157,36 +157,6 @@ func TestTargetedWorkloadValidOnHealthyStore(t *testing.T) {
 	}
 }
 
-// TestTextFormatInteropAcrossCheckers writes a faulty history in the text
-// format, reads it back, and confirms the verdict survives.
-func TestTextFormatInteropAcrossCheckers(t *testing.T) {
-	bug := faults.BugByName("mariadb-galera-10.7.3")
-	for seed := int64(1); seed <= 10; seed++ {
-		s := bug.NewStore(seed)
-		w := workload.GenerateMT(workload.MTConfig{
-			Sessions: 8, Txns: 100, Objects: 2, Dist: workload.Uniform, Seed: seed,
-		})
-		h := runner.Run(s, w, runner.Config{Retries: 4}).H
-		if coreCheck(h, core.SI).OK {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := history.WriteText(&buf, h); err != nil {
-			t.Fatal(err)
-		}
-		h2, err := history.ReadText(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := coreCheck(h2, core.SI)
-		if r.OK {
-			t.Fatal("verdict changed across text round trip")
-		}
-		return
-	}
-	t.Skip("lost update did not manifest; covered elsewhere")
-}
-
 // TestBruteForceSpotCheckOnStoreHistory cross-validates the polynomial
 // checkers against the exponential reference on a real (small) store run.
 func TestBruteForceSpotCheckOnStoreHistory(t *testing.T) {

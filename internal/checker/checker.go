@@ -87,10 +87,10 @@ type Options struct {
 	// history.ReadMTCBIndexed builds one as a byproduct of decoding a
 	// binary payload, and shard.Check one per component from the key
 	// column its split interned.
-	// Used — after an Index.History() identity check — by every engine
-	// that checks over the index (mtc, profile, cobra, polysi); elle,
-	// porcupine and the incremental engine intern their own state and
-	// ignore it.
+	// Used — after an Index.History() identity check, through indexOf —
+	// by every engine that checks over the index (mtc, profile, cobra,
+	// polysi, elle); porcupine and the incremental engine intern their
+	// own state and ignore it.
 	Index *history.Index
 }
 

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -63,25 +62,24 @@ type codec struct {
 //	.mtcb    the 4-byte "MTCB" magic
 //	.ndjson  the self-identifying header line
 //	.json    a leading '{' or '['
-//	.txt     the fallback when nothing else sniffs
 //
-// A ".gz" suffix wraps any of them in transparent gzip (sniffed by the
-// gzip magic). An extensionless path saves JSON — the historical
-// default, which round-trips via the JSON sniff.
+// A payload no row claims is refused, never guessed at. A ".gz" suffix
+// wraps any of them in transparent gzip (sniffed by the gzip magic). An
+// extensionless path saves JSON — the historical default, which
+// round-trips via the JSON sniff.
 var fileCodecs = []codec{
 	{".mtcb", sniffMTCB, ReadMTCB, ReadMTCBIndexed, func(r io.Reader) (TxnStream, error) { return NewBinaryReader(r) }, WriteMTCB},
 	{".ndjson", sniffNDJSON, ReadNDJSON, nil, func(r io.Reader) (TxnStream, error) { return NewStreamReader(r) }, WriteNDJSON},
 	{".json", sniffJSON, ReadJSON, nil, nil, WriteJSON},
-	{".txt", func(*bufio.Reader) bool { return true }, ReadText, nil, nil, WriteText},
 }
 
 // SaveFile writes the history to path. A ".gz" suffix selects
 // transparent gzip compression; the format is chosen by the remaining
-// extension through the fileCodecs table — ".json", ".txt", ".ndjson"
-// or ".mtcb", with no extension defaulting to JSON. Every combination
-// round-trips through LoadFile; an extension that would not (unknown,
-// doubled ".gz", or ".txt" with keys WriteText cannot encode) is
-// rejected instead of silently written in another format.
+// extension through the fileCodecs table — ".json", ".ndjson" or
+// ".mtcb", with no extension defaulting to JSON. Every combination
+// round-trips through LoadFile; an extension that would not (unknown or
+// doubled ".gz") is rejected instead of silently written in another
+// format.
 func SaveFile(path string, h *History) error {
 	inner := path
 	gzipped := strings.EqualFold(filepath.Ext(path), ".gz")
@@ -97,7 +95,7 @@ func SaveFile(path string, h *History) error {
 	}
 	i := slices.IndexFunc(fileCodecs, func(c codec) bool { return c.ext == ext })
 	if i < 0 {
-		return fmt.Errorf("history: save %q: unknown extension (want .json, .txt, .ndjson, .mtcb, optionally +.gz, or none for JSON)", ext)
+		return fmt.Errorf("history: save %q: unknown extension (want .json, .ndjson, .mtcb, optionally +.gz, or none for JSON)", ext)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -134,8 +132,8 @@ func SaveFile(path string, h *History) error {
 // rather than trusting the extension (the markers are documented on the
 // fileCodecs table): a gzip stream (magic 0x1f 0x8b) is decompressed
 // transparently, the MTCB magic selects the binary codec, the NDJSON
-// header line the streaming codec, a leading '{' or '[' the JSON codec,
-// and anything else falls through to the line-oriented text format.
+// header line the streaming codec and a leading '{' or '[' the JSON
+// codec; anything else is refused as an unrecognized encoding.
 func LoadFile(path string) (*History, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -157,7 +155,7 @@ func LoadFileIndexed(path string) (*Index, error) {
 }
 
 // ReadAuto reads a history from r with the same content sniffing as
-// LoadFile (gzip, then MTCB vs NDJSON vs JSON vs text).
+// LoadFile (gzip, then MTCB vs NDJSON vs JSON).
 func ReadAuto(r io.Reader) (*History, error) {
 	br, c, err := sniffCodec(r)
 	if err != nil {
@@ -187,7 +185,8 @@ func ReadAutoIndexed(r io.Reader) (*Index, error) {
 }
 
 // sniffCodec unwraps gzip and returns the first row of fileCodecs whose
-// marker opens the payload; text, the last row, claims whatever is left.
+// marker opens the payload. A payload no row claims — blank, a comment,
+// anything else — is an error, not a history.
 func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
 	br, err := gunzip(bufio.NewReader(r), "history")
 	if err != nil {
@@ -201,7 +200,7 @@ func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
 			return br, c, nil
 		}
 	}
-	return nil, nil, errors.New("history: unrecognized encoding")
+	return nil, nil, errors.New("history: unrecognized encoding (want JSON, NDJSON or MTCB, optionally gzipped)")
 }
 
 // maxSessions is the highest session number, and the largest declared
@@ -352,8 +351,8 @@ func sniffNDJSON(br *bufio.Reader) bool {
 }
 
 // sniffJSON reports whether the buffered payload starts (after
-// whitespace) like a JSON document. The text format's lines start with a
-// directive or '#' comment, never '{' or '['.
+// whitespace) like a JSON document: a '{' or '[' is the first
+// non-whitespace byte.
 func sniffJSON(br *bufio.Reader) bool {
 	for n := 1; n <= 4096; n++ {
 		buf, _ := br.Peek(n)
@@ -369,131 +368,4 @@ func sniffJSON(br *bufio.Reader) bool {
 		}
 	}
 	return false
-}
-
-// WriteText emits the compact line-oriented text format:
-//
-//	txn <id> s<session> <start> <finish> <C|A>
-//	r <key> <value>
-//	w <key> <value>
-//
-// The init transaction, if present, is written first with session -1.
-// A history with a key the whitespace-delimited lines cannot represent
-// is refused, not corrupted.
-func WriteText(w io.Writer, h *History) error {
-	for _, k := range h.Keys() {
-		if k == "" || strings.ContainsAny(string(k), " \t\r\n") {
-			return fmt.Errorf("history: text format cannot round-trip key %q; use .json, .ndjson or .mtcb", k)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	for i := range h.Txns {
-		t := &h.Txns[i]
-		status := "C"
-		if !t.Committed {
-			status = "A"
-		}
-		fmt.Fprintf(bw, "txn %d s%d %d %d %s\n", t.ID, t.Session, t.Start, t.Finish, status)
-		for _, op := range t.Ops {
-			k := "r"
-			if op.Kind == OpWrite {
-				k = "w"
-			}
-			fmt.Fprintf(bw, "%s %s %d\n", k, op.Key, op.Value)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the format written by WriteText and reconstructs the
-// session lists. A transaction with session -1 becomes the init
-// transaction and must be first.
-func ReadText(r io.Reader) (*History, error) {
-	var h History
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var cur *Txn
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		switch fields[0] {
-		case "txn":
-			if len(fields) != 6 {
-				return nil, fmt.Errorf("history: line %d: malformed txn header", line)
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("history: line %d: bad id: %w", line, err)
-			}
-			sess, err := strconv.Atoi(strings.TrimPrefix(fields[2], "s"))
-			if err != nil {
-				return nil, fmt.Errorf("history: line %d: bad session: %w", line, err)
-			}
-			if sess < -1 {
-				return nil, fmt.Errorf("history: line %d: negative session %d", line, sess)
-			}
-			if sess > maxSessions {
-				return nil, fmt.Errorf("history: line %d: implausible session %d", line, sess)
-			}
-			start, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("history: line %d: bad start: %w", line, err)
-			}
-			finish, err := strconv.ParseInt(fields[4], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("history: line %d: bad finish: %w", line, err)
-			}
-			if id != len(h.Txns) {
-				return nil, fmt.Errorf("history: line %d: txn id %d out of order", line, id)
-			}
-			if fields[5] != "C" && fields[5] != "A" {
-				return nil, fmt.Errorf("history: line %d: bad status %q (want C or A)", line, fields[5])
-			}
-			h.Txns = append(h.Txns, Txn{
-				ID: id, Session: sess, Start: start, Finish: finish,
-				Committed: fields[5] == "C",
-			})
-			cur = &h.Txns[len(h.Txns)-1]
-			if sess == -1 {
-				if id != 0 {
-					return nil, fmt.Errorf("history: line %d: init transaction must be first", line)
-				}
-				h.HasInit = true
-			} else {
-				for len(h.Sessions) <= sess {
-					h.Sessions = append(h.Sessions, nil)
-				}
-				h.Sessions[sess] = append(h.Sessions[sess], id)
-			}
-		case "r", "w":
-			if cur == nil {
-				return nil, fmt.Errorf("history: line %d: operation before txn header", line)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("history: line %d: malformed op", line)
-			}
-			v, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("history: line %d: bad value: %w", line, err)
-			}
-			kind := OpRead
-			if fields[0] == "w" {
-				kind = OpWrite
-			}
-			cur.Ops = append(cur.Ops, Op{Kind: kind, Key: Key(fields[1]), Value: Value(v)})
-		default:
-			return nil, fmt.Errorf("history: line %d: unknown directive %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return &h, nil
 }

@@ -3,9 +3,11 @@ package history
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,14 +23,14 @@ func codecFixture() *History {
 }
 
 // TestSaveLoadRoundTrip round-trips every extension combination SaveFile
-// understands — JSON, text, NDJSON, MTCB, and their gzipped forms —
+// understands — JSON, NDJSON, MTCB, and their gzipped forms —
 // through LoadFile's content sniffing, and through LoadFileIndexed to
 // the index NewIndex builds of the loaded history, column for column.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	h := codecFixture()
 	dir := t.TempDir()
 	for i, name := range []string{
-		"h.json", "h.txt", "h.json.gz", "h.txt.gz", "h",
+		"h.json", "h.json.gz", "h",
 		"h.mtcb", "h.mtcb.gz", "h.ndjson", "h.ndjson.gz",
 	} {
 		path := filepath.Join(dir, name)
@@ -55,13 +57,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestSaveFileRejectsUnroundtrippable: extensions the save/sniff pair
 // cannot honour fail loudly instead of silently writing another format —
-// unknown suffixes (the old behaviour wrote JSON under any name),
-// doubled .gz, and text saves of keys the whitespace-delimited format
-// cannot represent.
+// unknown suffixes (.txt among them: it is no codec), doubled .gz; and
+// a key with whitespace round-trips through every codec.
 func TestSaveFileRejectsUnroundtrippable(t *testing.T) {
 	h := codecFixture()
 	dir := t.TempDir()
-	for _, name := range []string{"h.bin", "h.dat.gz", "h.gz.gz", "h.mtcbx"} {
+	for _, name := range []string{"h.bin", "h.dat.gz", "h.gz.gz", "h.mtcbx", "h.txt", "h.txt.gz"} {
 		if err := SaveFile(filepath.Join(dir, name), h); err == nil {
 			t.Errorf("%s: ambiguous extension accepted", name)
 		}
@@ -73,14 +74,9 @@ func TestSaveFileRejectsUnroundtrippable(t *testing.T) {
 	if got, err := LoadFile(filepath.Join(dir, "h.gz")); err != nil || !reflect.DeepEqual(got, h) {
 		t.Fatalf("h.gz round trip: %v", err)
 	}
-	// A key with whitespace shreds the text format's field splitting;
-	// the table-driven save must refuse rather than corrupt.
 	b := NewBuilder()
 	b.Txn(0, W("key with spaces", 1))
 	tricky := b.Build()
-	if err := SaveFile(filepath.Join(dir, "tricky.txt"), tricky); err == nil {
-		t.Fatal("text save of whitespace key accepted")
-	}
 	for _, name := range []string{"tricky.json", "tricky.mtcb", "tricky.ndjson"} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, tricky); err != nil {
@@ -92,22 +88,23 @@ func TestSaveFileRejectsUnroundtrippable(t *testing.T) {
 	}
 }
 
-// TestLoadSniffsContentNotExtension: a gzipped text history hiding
-// behind a ".json" name (and vice versa) still loads — the codec trusts
-// the bytes, not the extension.
+// TestLoadSniffsContentNotExtension: an NDJSON capture hiding behind a
+// ".json" name, and gzipped JSON behind a plain one, still load — the
+// codec trusts the bytes, not the extension.
 func TestLoadSniffsContentNotExtension(t *testing.T) {
 	h := codecFixture()
 	dir := t.TempDir()
 
-	// Text bytes under a .json name.
-	var text bytes.Buffer
-	if err := WriteText(&text, h); err != nil {
+	// NDJSON bytes under a .json name: both open with '{', and the
+	// header line, not the name, tells them apart.
+	var nd bytes.Buffer
+	if err := WriteNDJSON(&nd, h); err != nil {
 		t.Fatal(err)
 	}
-	mislabeled := filepath.Join(dir, "actually-text.json")
-	writeFile(t, mislabeled, text.Bytes())
+	mislabeled := filepath.Join(dir, "actually-ndjson.json")
+	writeFile(t, mislabeled, nd.Bytes())
 	if got, err := LoadFile(mislabeled); err != nil || !reflect.DeepEqual(got, h) {
-		t.Fatalf("text-as-.json: %v", err)
+		t.Fatalf("ndjson-as-.json: %v", err)
 	}
 
 	// Gzipped JSON with no .gz extension.
@@ -139,13 +136,32 @@ func TestLoadSniffsContentNotExtension(t *testing.T) {
 }
 
 // TestReadAutoRejectsGarbage: corrupt gzip and empty payloads fail with
-// errors instead of mis-parsing.
+// errors instead of mis-parsing, and a payload no codec claims — blank,
+// a lone comment, the retired text format's lines — is refused by every
+// sniffing door as an unrecognized encoding, never read as an empty
+// history.
 func TestReadAutoRejectsGarbage(t *testing.T) {
 	if _, err := ReadAuto(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
 		t.Fatal("corrupt gzip accepted")
 	}
 	if _, err := ReadAuto(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty payload accepted")
+	}
+	doors := map[string]func(io.Reader) error{
+		"ReadAuto":            func(r io.Reader) error { _, err := ReadAuto(r); return err },
+		"ReadAutoIndexed":     func(r io.Reader) error { _, err := ReadAutoIndexed(r); return err },
+		"NewAutoStreamReader": func(r io.Reader) error { _, err := NewAutoStreamReader(r); return err },
+	}
+	for name, payload := range map[string]string{
+		"whitespace only": "\n \t\r\n",
+		"comment only":    "# note\n",
+		"old text lines":  "txn 0 s0 10 20 C\nr x 0\nw x 1\n",
+	} {
+		for door, read := range doors {
+			if err := read(strings.NewReader(payload)); err == nil || !strings.Contains(err.Error(), "unrecognized encoding") {
+				t.Errorf("%s: %s = %v, want an unrecognized encoding", name, door, err)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -15,17 +14,17 @@ import (
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	h := ndjsonFixture()
-	var nd, js, tx bytes.Buffer
+	var nd, js, mb bytes.Buffer
 	if err := WriteNDJSON(&nd, h); err != nil {
 		tb.Fatal(err)
 	}
 	if err := WriteJSON(&js, h); err != nil {
 		tb.Fatal(err)
 	}
-	if err := WriteText(&tx, h); err != nil {
+	if err := WriteMTCB(&mb, h); err != nil {
 		tb.Fatal(err)
 	}
-	seeds := [][]byte{nd.Bytes(), js.Bytes(), tx.Bytes()}
+	seeds := [][]byte{nd.Bytes(), js.Bytes(), mb.Bytes()}
 	// Truncations at awkward offsets: mid-header, mid-record, mid-line.
 	for _, cut := range []int{1, 7, nd.Len() / 2, nd.Len() - 3} {
 		if cut > 0 && cut < nd.Len() {
@@ -188,16 +187,6 @@ func FuzzReadAuto(f *testing.F) {
 		}
 		if err := h.Validate(); err != nil {
 			t.Fatalf("ReadAuto accepted a structurally invalid history: %v", err)
-		}
-		// Text is the sniffer's fallback, so it meets every typo: a status
-		// token it accepted is one it understood, never a commit read as
-		// an abort.
-		if _, err := ReadText(bytes.NewReader(data)); err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if f := strings.Fields(line); len(f) == 6 && f[0] == "txn" && f[5] != "C" && f[5] != "A" {
-					t.Fatalf("text codec accepted status %q", f[5])
-				}
-			}
 		}
 	})
 }

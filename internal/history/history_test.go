@@ -136,7 +136,7 @@ func TestValidateRejectsFinishBeforeStart(t *testing.T) {
 	}
 	// Every whole-history codec validates on load.
 	dir := t.TempDir()
-	for _, name := range []string{"h.json", "h.txt", "h.ndjson", "h.mtcb"} {
+	for _, name := range []string{"h.json", "h.ndjson", "h.mtcb"} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, h); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
@@ -363,40 +363,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(h, got) {
 		t.Fatal("JSON round trip mismatch")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	for _, f := range Fixtures() {
-		var buf bytes.Buffer
-		if err := WriteText(&buf, f.H); err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		got, err := ReadText(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		if !reflect.DeepEqual(f.H, got) {
-			t.Fatalf("%s: text round trip mismatch\nwant %+v\ngot  %+v", f.Name, f.H, got)
-		}
-	}
-}
-
-func TestReadTextErrors(t *testing.T) {
-	cases := []string{
-		"r x 1\n",                       // op before header
-		"txn 0 s0 0 0 C\nbogus x 1\n",   // unknown directive
-		"txn 1 s0 0 0 C\n",              // out-of-order id
-		"txn 0 s0 0 0\n",                // malformed header
-		"txn 0 s0 0 0 C\nr x notanum\n", // bad value
-		"txn 0 s0 10 20 c\n",            // status is exactly C or A: a lowercase commit
-		"txn 0 s0 10 20 committed\n",    // ... a spelled-out one
-		"txn 0 s0 10 20 a\n",            // ... a lowercase abort
-	}
-	for i, c := range cases {
-		if _, err := ReadText(bytes.NewBufferString(c)); err == nil {
-			t.Fatalf("case %d: want parse error", i)
-		}
 	}
 }
 

@@ -237,15 +237,15 @@ func FuzzIndexMatchesLegacy(f *testing.F) {
 		if s.Name == "wide-init" {
 			continue
 		}
-		var bin, txt bytes.Buffer
+		var bin, js bytes.Buffer
 		if err := history.WriteMTCB(&bin, s.H); err != nil {
 			f.Fatal(err)
 		}
-		if err := history.WriteText(&txt, s.H); err != nil {
+		if err := history.WriteJSON(&js, s.H); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bin.Bytes())
-		f.Add(txt.Bytes())
+		f.Add(js.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := history.ReadAuto(bytes.NewReader(data))

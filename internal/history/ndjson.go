@@ -19,9 +19,8 @@ const NDJSONHeader = `{"format":"mtc-ndjson","version":1}`
 // The streaming NDJSON format holds one transaction per line — the
 // header line above, then each Txn as a single-line JSON object in
 // arrival order, every line terminated by '\n'. The init transaction,
-// when present, comes first with "sess":-1 (the text format's
-// convention); session lists are rebuilt from the per-transaction
-// session numbers. Unlike the whole-file JSON codec, a consumer can
+// when present, comes first with "sess":-1; session lists are rebuilt
+// from the per-transaction session numbers. Unlike the whole-file JSON codec, a consumer can
 // verify a history of any length while holding one transaction at a
 // time: StreamReader.Next feeds core.Incremental directly, composing
 // with epoch-windowed compaction into a bounded-memory pipeline. The

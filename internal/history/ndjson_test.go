@@ -119,7 +119,7 @@ func TestReadAutoSniffsAllFormats(t *testing.T) {
 	h := ndjsonFixture()
 	dir := t.TempDir()
 	for _, name := range []string{
-		"h.json", "h.json.gz", "h.txt", "h.txt.gz", "h.ndjson", "h.ndjson.gz",
+		"h.json", "h.json.gz", "h.ndjson", "h.ndjson.gz",
 	} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, h); err != nil {

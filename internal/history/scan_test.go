@@ -442,14 +442,17 @@ func TestScanOpsAtTheChunkBoundary(t *testing.T) {
 }
 
 // hostileSessionDocs are inputs whose session numbers used to make the
-// text codecs allocate until the process died.
+// codecs allocate until the process died.
 var hostileSessionDocs = map[string]string{
 	"ndjson record":          NDJSONHeader + "\n" + `{"id":0,"sess":3000000000,"ops":[],"start":0,"finish":0,"committed":true}` + "\n",
 	"ndjson record, spelled": NDJSONHeader + "\n" + `{"sess":3000000000,"id":0,"ops":[],"start":0,"finish":0,"committed":true}` + "\n",
 	"ndjson header":          `{"format":"mtc-ndjson","version":1,"sessions":1000000000000}` + "\n",
 	"ndjson header, negative": `{"format":"mtc-ndjson","version":1,"sessions":-5}` + "\n" +
 		`{"id":0,"sess":0,"ops":[],"start":0,"finish":0,"committed":true}` + "\n",
-	"text": "txn 0 s3000000000 0 0 C\n",
+	// Version 1, no declared sessions, no keys; then a record with
+	// session 3000000000 (zigzag varint), start, finish, committed, no
+	// ops; then the end record.
+	"mtcb record": MTCBMagic + "\x01\x00\x00" + "\x01\x80\xf8\x82\xad\x16\x00\x00\x01\x00" + "\x00",
 }
 
 func TestCodecsRejectHostileSessionNumbers(t *testing.T) {

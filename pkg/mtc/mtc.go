@@ -149,10 +149,10 @@ func ReadHistory(r io.Reader) (*History, error) { return history.ReadJSON(r) }
 // WriteHistory serializes a history in the standard JSON encoding.
 func WriteHistory(w io.Writer, h *History) error { return history.WriteJSON(w, h) }
 
-// LoadHistory reads a history from a file in any codec — JSON, text,
-// NDJSON or MTCB, optionally gzipped — sniffed from its content.
+// LoadHistory reads a history from a file in any codec — JSON, NDJSON
+// or MTCB, optionally gzipped — sniffed from its content.
 func LoadHistory(path string) (*History, error) { return history.LoadFile(path) }
 
 // SaveHistory writes a history to a file in the codec its extension
-// names: .json (or none), .txt, .ndjson or .mtcb, each optionally .gz.
+// names: .json (or none), .ndjson or .mtcb, each optionally .gz.
 func SaveHistory(path string, h *History) error { return history.SaveFile(path, h) }
