@@ -17,9 +17,11 @@
 // the client-side form of continuous verification; -window asks the
 // server to epoch-compact the session so its memory stays bounded.
 //
-// The history file uses the standard JSON encoding (as written by
-// `mtc -out h.json` or mtc.WriteHistory). "-" reads from stdin. Exit
-// status: 0 verdict OK, 1 violation, 2 usage or transport error.
+// The history file may be in any codec mtc.LoadHistory reads — JSON,
+// NDJSON or MTCB, optionally gzipped — sniffed from its content (as
+// written by `mtc -out` or `mtc-gen -o`). "-" reads the standard JSON
+// encoding from stdin. Exit status: 0 verdict OK, 1 violation, 2 usage
+// or transport error.
 package main
 
 import (
@@ -37,7 +39,7 @@ import (
 func main() {
 	var (
 		server       = flag.String("server", "http://localhost:8080", "base URL of the mtc-serve instance")
-		historyPath  = flag.String("history", "", "history JSON file to verify (\"-\" for stdin)")
+		historyPath  = flag.String("history", "", "history file to verify: JSON, NDJSON or MTCB, optionally gzipped (\"-\" reads JSON from stdin)")
 		checkerName  = flag.String("checker", "", "verification engine (empty = server default)")
 		level        = flag.String("level", "", "isolation level: SSER, SER, SI, CAUSAL, RA or RC (empty = checker default)")
 		timeout      = flag.Duration("timeout", 0, "per-job execution timeout sent to the server (0 = server default)")

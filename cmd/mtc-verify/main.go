@@ -13,8 +13,9 @@
 //	mtc-verify -level SER -checker mtc-incremental -window 1024 history.mtcb
 //
 // Exit status: 0 the history satisfies the level, 1 it violates it,
-// 2 usage errors (unknown level or checker, a file that is unreadable or
-// not a history in any codec).
+// 2 usage errors (unknown level or checker, a -stream checker other than
+// mtc or mtc-incremental, a negative -window, a file that is unreadable
+// or not a history in any codec).
 package main
 
 import (
@@ -32,7 +33,7 @@ func main() {
 	var (
 		level  = flag.String("level", "SI", "isolation level: SSER, SER, SI, CAUSAL, RA or RC (any case)")
 		engine = flag.String("checker", "mtc", "verification engine, by registry name")
-		stream = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
+		stream = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc or mtc-incremental checker, SER or SI)")
 		window = flag.Int("window", 0, "compact the online checker (-stream, or -checker mtc-incremental) to this window (0 = unbounded, always exact; with -stream, windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
 	)
 	flag.Parse()
@@ -45,7 +46,13 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	if *window < 0 {
+		fatalf("-window must be >= 0, got %d", *window)
+	}
 	if *stream {
+		if *engine != "mtc" && *engine != "mtc-incremental" {
+			fatalf("-stream verifies with the incremental MTC engine; it cannot run -checker %s", *engine)
+		}
 		streamVerify(flag.Arg(0), lvl, *window)
 		return
 	}

@@ -14,7 +14,6 @@ import (
 	"mtc/internal/graph"
 	"mtc/internal/history"
 	"mtc/internal/kv"
-	"mtc/internal/levels"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
 )
@@ -89,7 +88,7 @@ func BenchmarkProfile10k(b *testing.B) {
 	setupBig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := levels.Profile(context.Background(), history.NewIndex(bigHist))
+		prof, err := core.ProfileCtx(context.Background(), history.NewIndex(bigHist))
 		if err != nil {
 			b.Fatal(err)
 		}

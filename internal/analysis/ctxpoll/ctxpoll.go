@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 // watched lists the packages whose checks run under job deadlines.
 var watched = map[string]bool{
 	"core": true, "sat": true, "polygraph": true, "cobra": true,
-	"polysi": true, "levels": true, "graph": true,
+	"polysi": true, "graph": true,
 }
 
 // Marker is the suppression annotation.

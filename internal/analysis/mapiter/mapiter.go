@@ -28,7 +28,7 @@ var Analyzer = &analysis.Analyzer{
 // everything a Report, anomaly list, cycle witness or benchmark-gated
 // artifact flows through.
 var watched = map[string]bool{
-	"core": true, "levels": true, "checker": true,
+	"core": true, "checker": true,
 	"shard": true, "history": true, "polygraph": true, "elle": true,
 }
 

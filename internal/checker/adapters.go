@@ -9,7 +9,6 @@ import (
 	"mtc/internal/elle"
 	"mtc/internal/graph"
 	"mtc/internal/history"
-	"mtc/internal/levels"
 	"mtc/internal/polygraph"
 	"mtc/internal/porcupine"
 )
@@ -83,19 +82,19 @@ func ReportFromResult(name string, r core.Result) Report {
 // reportFromProfile flattens a lattice profile into the wire Report:
 // the requested rung's result becomes the top-level verdict, and the
 // profile-specific fields carry every rung and guarantee.
-func reportFromProfile(lvl Level, prof *levels.Report) Report {
+func reportFromProfile(lvl Level, prof *core.Profile) Report {
 	rung := prof.Rung(lvl)
-	rep := ReportFromResult("", rung.Res)
+	rep := ReportFromResult("", *rung)
 	rep.Level = lvl
 	rep.Txns = prof.NumTxns
 	rep.Edges = prof.NumEdges
 	rep.StrongestLevel = prof.Strongest
-	if rep.Detail == "" && !rung.Res.OK {
+	if rep.Detail == "" && !rung.OK {
 		rep.Detail = rung.Witness()
 	}
 	for _, v := range prof.Rungs {
 		rep.Rungs = append(rep.Rungs, RungVerdict{
-			Level: v.Level, OK: v.Res.OK, Witness: v.Witness(),
+			Level: v.Level, OK: v.OK, Witness: v.Witness(),
 		})
 	}
 	for _, g := range prof.Guarantees {
@@ -106,11 +105,10 @@ func reportFromProfile(lvl Level, prof *levels.Report) Report {
 	return rep
 }
 
-// checkMTC serves every level of the lattice through levels.CheckLevel,
-// which hands SI, SER and SSER to core.CheckCtx.
+// checkMTC serves every level of the lattice through core.CheckCtx.
 func checkMTC(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	r, err := levels.CheckLevel(ctx, indexOf(h, opts), opts.Level)
+	r, err := core.CheckCtx(ctx, indexOf(h, opts), opts.Level)
 	if err != nil {
 		return Report{}, err
 	}
@@ -207,13 +205,13 @@ func checkPorcupine(ctx context.Context, h *history.History, opts Options) (Repo
 }
 
 // checkProfile evaluates the whole lattice plus the session guarantees
-// in one pass (levels.Profile). The top-level OK/Cycle fields reflect
+// in one pass (core.ProfileCtx). The top-level OK/Cycle fields reflect
 // the rung at opts.Level — so `profile` at any level is a drop-in
 // replacement for `mtc`, which the differential suite exploits — while
 // StrongestLevel, Rungs and Guarantees carry the full profile.
 func checkProfile(ctx context.Context, h *history.History, opts Options) (Report, error) {
 	start := time.Now()
-	prof, err := levels.Profile(ctx, indexOf(h, opts))
+	prof, err := core.ProfileCtx(ctx, indexOf(h, opts))
 	if err != nil {
 		return Report{}, err
 	}

@@ -138,7 +138,7 @@ type Report struct {
 	ShardComponents int `json:"shard_components,omitempty"`
 	// StrongestLevel reports the strongest isolation level the history
 	// satisfies, or "NONE" when every rung is violated. Only the profile
-	// checker (internal/levels) fills it; single-level runs leave it
+	// checker (core.ProfileCtx) fills it; single-level runs leave it
 	// empty.
 	StrongestLevel Level `json:"strongest_level,omitempty"`
 	// Rungs carries the per-level verdicts of a profile run, weakest

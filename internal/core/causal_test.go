@@ -1,4 +1,4 @@
-package levels
+package core_test
 
 import (
 	"context"
@@ -41,7 +41,7 @@ func checkFirstClosedRW(t *testing.T, g *graph.Graph, tag string) bool {
 	if co.FindCycle() != nil {
 		return false
 	}
-	got, closed, err := firstClosedRW(context.Background(), g, co)
+	got, closed, err := core.FirstClosedRW(context.Background(), g, co)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCausalRungIsLinearInMemory(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := CheckLevel(ctx, ix, core.CAUSAL)
+	res, err := core.CheckCtx(ctx, ix, core.CAUSAL)
 	runtime.ReadMemStats(&after)
 	if err != nil || !res.OK {
 		t.Fatalf("CAUSAL: %v %v", res.Explain(), err)

@@ -1,6 +1,11 @@
 // Package core implements the paper's primary contribution: the MTC
-// verification algorithms for strong isolation levels over mini-transaction
-// histories (Section IV).
+// verification algorithms for mini-transaction histories (Section IV),
+// and the isolation lattice they decide from one derivation:
+//
+//	RC < RA < CAUSAL < SI < SER < SSER
+//
+// plus the four per-session guarantees (read-your-writes, monotonic
+// reads, monotonic writes, writes-follow-reads) as a separate axis.
 //
 //   - BuildDependencyCtx constructs the (nearly unique) dependency graph
 //     of an MT history in O(n), exploiting the read-modify-write pattern
@@ -8,15 +13,33 @@
 //     that drops the WW transitive-closure step). The graph is one edge
 //     arena (graph.Builder), sized from the WR total the derivation's
 //     first pass counts before it emits an edge.
-//   - CheckCtx is the one batch pipeline: pre-check, that derivation, then
-//     the rung for the level (Deps.Rung). SER and SI are decided in Θ(n),
-//     SI detecting the DIVERGENCE pattern early (Definition 10) and
-//     otherwise searching the induced graph (SO ∪ WR ∪ WW) ; RW? in
-//     place over the same arena (graph.FindComposedCycle); SSER is
-//     the SER cycle search plus one real-time inversion pass
-//     (Deps.Inversion), O(V+E) over the same derivation with no sort.
-//     The paper's Θ(n²) real-time enumeration survives only as
-//     the reference the tests compare against (BuildDependency withRT).
+//   - CheckCtx is the one batch pipeline, for every level: pre-check,
+//     that derivation, then the rung for the level (Deps.Rung). SER and
+//     SI are decided in Θ(n), SI detecting the DIVERGENCE pattern early
+//     (Definition 10) and otherwise searching the induced graph
+//     (SO ∪ WR ∪ WW) ; RW? in place over the same arena
+//     (graph.FindComposedCycle); SSER is the SER cycle search plus one
+//     real-time inversion pass (Deps.Inversion), O(V+E) over the same
+//     derivation with no sort. The paper's Θ(n²) real-time enumeration
+//     survives only as the reference the tests compare against
+//     (BuildDependency withRT).
+//   - The weak rungs are verdict layers over the same typed graph
+//     (weak.go). RC (PL-2) forbids the G0/G1 phenomena: the
+//     dirty/intermediate/thin-air reads the pre-check reports, and G1c —
+//     a cycle of WR ∪ WW edges. RA additionally forbids fractured reads:
+//     a transaction that observes one of a writer's updates must not
+//     observe a strictly older version of another key that writer also
+//     wrote (RAMP's atomic-visibility criterion, decided over per-key
+//     version orders). CAUSAL requires the causal order SO ∪ WR to be
+//     acyclic and, lifted over anti-dependencies, that no transaction
+//     misses a write that causally precedes it.
+//   - ProfileCtx walks the whole lattice and the session guarantees over
+//     one derivation, short-circuiting: a pass at a strong rung settles
+//     every weaker one. Version-order comparisons (fractured reads,
+//     session guarantees) treat incomparable writes — divergent branches
+//     of a key's WW forest — as unordered and never flag them, so
+//     blind-write histories with undetermined write orders produce no
+//     false positives; divergence itself is rejected at SI.
 //   - CheckIncrementalWindowedCtx replays a history through the online
 //     engine (Incremental) and CheckStreamCtx drives it from a stream.
 //     Incremental holds two tables: one slot per version (key, value) —
@@ -48,9 +71,7 @@ import (
 	"mtc/internal/history"
 )
 
-// Level names an isolation level. This package's own engines check the
-// strong levels (SI and up); the weak rungs are evaluated by
-// internal/levels over the same dependency graph.
+// Level names an isolation level of the lattice.
 type Level string
 
 // The supported isolation levels, strongest first.
@@ -58,9 +79,9 @@ const (
 	SSER   Level = "SSER"   // strict serializability
 	SER    Level = "SER"    // serializability
 	SI     Level = "SI"     // snapshot isolation
-	CAUSAL Level = "CAUSAL" // causal consistency (checked by internal/levels)
-	RA     Level = "RA"     // read atomic (checked by internal/levels)
-	RC     Level = "RC"     // read committed (checked by internal/levels)
+	CAUSAL Level = "CAUSAL" // causal consistency
+	RA     Level = "RA"     // read atomic
+	RC     Level = "RC"     // read committed
 )
 
 // Lattice returns every supported level in lattice order, weakest first:
@@ -150,12 +171,13 @@ func (r Result) Explain() string {
 // Deps is the one dependency derivation of an indexed history that
 // every rung is evaluated over: the typed graph SO ∪ WR ∪ WW ∪ RW and
 // the DIVERGENCE witnesses found while inferring WW edges. CheckCtx
-// builds one per run; internal/levels builds one per profile and
-// evaluates its SER, SI and SSER rungs through the same code.
+// builds one per run and ProfileCtx one per profile; both evaluate
+// their rungs through Rung.
 type Deps struct {
 	Index *history.Index
 	Graph *graph.Graph
 	Divs  []Divergence
+	f     *wwForest // built lazily; only weak rungs and guarantees need it
 }
 
 // BuildDependency constructs the dependency graph of an MT history
@@ -216,23 +238,19 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 }
 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
-// index: the INT/G1 pre-check, one dependency derivation over the same
-// index (BuildDependencyCtx), and the rung for lvl (Deps.Rung). It
-// decides SER, SI and SSER in Θ(n). Graph construction
-// and the inversion pass poll ctx, and the run returns the context's
-// error instead of a verdict when the deadline fires. RC, RA and CAUSAL
-// are valid Level values without a batch engine here — internal/levels
-// evaluates them over the same derivation — so they, like any unknown
-// level (which may originate from an API request), are reported as an
-// error.
+// index, and the one entry point for every level of the lattice: the
+// INT/G1 pre-check, one dependency derivation over the same index
+// (BuildDependencyCtx), and the rung for lvl (Deps.Rung), each in Θ(n)
+// short of the CAUSAL rung's bit-parallel reachability. Graph
+// construction and the rungs poll ctx, and the run returns the context's
+// error instead of a verdict when the deadline fires. A level outside
+// Lattice() (which may originate from an API request) is an error.
 func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	switch lvl {
-	case SSER, SER, SI:
-	default:
-		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
+	if LatticeRank(lvl) < 0 {
+		return Result{}, fmt.Errorf("core: unknown level %q", lvl)
 	}
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 		return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
@@ -244,33 +262,45 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error)
 	return d.Rung(ctx, lvl)
 }
 
-// Rung decides one strong level over the derivation; the pre-check is
-// the caller's.
+// Rung decides one level of the lattice over the derivation; the
+// pre-check is the caller's.
 //
+//   - RC, RA and CAUSAL are the weak rungs (weak.go): no G1c cycle, then
+//     no fractured read, then no causal cycle.
 //   - SER (Definition 5): SO ∪ WR ∪ WW ∪ RW is acyclic.
 //   - SI (Definition 6): reject on any DIVERGENCE witness (Lemma 1),
 //     otherwise the induced graph (SO ∪ WR ∪ WW) ; RW? is acyclic —
 //     searched in place by graph.FindComposedCycle, never built.
-//   - SSER (Definition 4): SER with the real-time order included. A SER
-//     cycle is an SSER cycle; on an acyclic derivation Inversion decides
-//     the rest without materializing a real-time edge.
+//   - SSER (Definition 4): SER with the real-time order included
+//     (checkSSER).
 //
 // Counterexample cycles are reported as plain dependency and RT edges,
 // so they read like the paper's figures. NumEdges counts dependency
 // edges at every level.
 func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
+	switch lvl {
+	case RC:
+		return d.checkRC(), nil
+	case RA:
+		return d.checkRA(d.checkRC()), nil
+	case CAUSAL:
+		return d.checkCausal(ctx)
+	case SSER:
+		ser, err := d.Rung(ctx, SER)
+		if err != nil {
+			return Result{}, err
+		}
+		return d.checkSSER(ctx, ser)
+	case SER, SI:
+	default:
+		return Result{}, fmt.Errorf("core: unknown level %q", lvl)
+	}
 	g := d.Graph
 	res := Result{Level: lvl, NumTxns: d.Index.NumTxns(), NumEdges: g.NumEdges()}
-	switch lvl {
-	case SER, SSER:
-	case SI:
-		if len(d.Divs) > 0 {
-			div := d.Divs[0]
-			res.Divergence = &div
-			return res, nil
-		}
-	default:
-		return Result{}, fmt.Errorf("core: no batch engine for level %q", lvl)
+	if lvl == SI && len(d.Divs) > 0 {
+		div := d.Divs[0]
+		res.Divergence = &div
+		return res, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -280,13 +310,25 @@ func (d *Deps) Rung(ctx context.Context, lvl Level) (Result, error) {
 	} else {
 		res.Cycle = g.FindCycle()
 	}
-	if res.Cycle == nil && lvl == SSER {
+	res.OK = res.Cycle == nil
+	return res, nil
+}
+
+// checkSSER is the SSER rung given the SER rung's verdict over the same
+// derivation: a SER cycle survives the addition of real-time edges, so
+// it is reused as the witness; on a SER-clean history Inversion decides
+// the rest without materializing a real-time edge. ProfileCtx passes
+// the SER rung it already has, so the cycle search is not repeated.
+func (d *Deps) checkSSER(ctx context.Context, ser Result) (Result, error) {
+	res := ser
+	res.Level = SSER
+	if ser.OK {
 		var err error
 		if res.Cycle, err = d.Inversion(ctx); err != nil {
 			return Result{}, err
 		}
+		res.OK = res.Cycle == nil
 	}
-	res.OK = res.Cycle == nil
 	return res, nil
 }
 

@@ -20,8 +20,7 @@ import (
 // cycle search — is identical to the map-based builder: transactions
 // ascending, keys in lexicographic order within each, WR before WW,
 // then the RW loop grouped by writer; a graph built from the emitted
-// edges matches the one BuildDependency constructs (internal/levels
-// relies on this for bit-identical SER/SI rungs). The derivation polls
+// edges matches the one BuildDependency constructs. The derivation polls
 // ctx between batches of transactions and returns its error when the
 // deadline fires. The derivation itself emits arcs named by KeyID
 // (dependencyBuilder stores them as they come); this is its rendering

@@ -1,4 +1,4 @@
-package levels
+package core
 
 import (
 	"fmt"
@@ -27,7 +27,16 @@ import (
 // flagged: blind-write histories get no false positives, and divergence
 // is reported at its own rung (SI) rather than smeared over the session
 // axis.
-func (d *derived) sessionGuarantees() []GuaranteeVerdict {
+//
+// Every flagged guarantee closes a cycle in the shared graph through the
+// session's own SO path: for a stale read T of writer W against an
+// earlier session transaction P, T -RW-> C -WW*-> ... -> P -SO+-> T
+// where C is the overwriter of W's version on the path (or T -WW*-> ...
+// when T is C); for a write T landing before P's, T -WW+-> P -SO+-> T;
+// for a write landing before a version W the session read in A,
+// T -WW+-> W -WR-> A -SO*-> T. A SER pass therefore settles all four
+// guarantees, and ProfileCtx runs the scan only below it.
+func (d *Deps) sessionGuarantees() []GuaranteeVerdict {
 	f := d.forest()
 	ix := d.Index
 	h := ix.History()

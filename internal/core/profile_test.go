@@ -1,4 +1,4 @@
-package levels
+package core_test
 
 import (
 	"context"
@@ -13,9 +13,9 @@ import (
 	"mtc/internal/workload"
 )
 
-func profile(t *testing.T, h *history.History) *Report {
+func profile(t *testing.T, h *history.History) *core.Profile {
 	t.Helper()
-	rep, err := Profile(context.Background(), history.NewIndex(h))
+	rep, err := core.ProfileCtx(context.Background(), history.NewIndex(h))
 	if err != nil {
 		t.Fatalf("Profile: %v", err)
 	}
@@ -35,24 +35,24 @@ func TestProfileFixtures(t *testing.T) {
 			}
 			for _, v := range rep.Rungs {
 				want := !f.Violates(string(v.Level))
-				if v.Res.OK != want {
-					t.Errorf("%s: OK = %v, want %v (witness %q)", v.Level, v.Res.OK, want, v.Witness())
+				if v.OK != want {
+					t.Errorf("%s: OK = %v, want %v (witness %q)", v.Level, v.OK, want, v.Witness())
 				}
-				if !v.Res.OK && v.Witness() == "" {
+				if !v.OK && v.Witness() == "" {
 					t.Errorf("%s: violated rung has no witness", v.Level)
 				}
 			}
 			// Monotonicity: once a rung fails, everything above fails.
 			failed := false
 			for _, v := range rep.Rungs {
-				if failed && v.Res.OK {
+				if failed && v.OK {
 					t.Fatalf("non-monotone lattice: %s passes above a failed rung", v.Level)
 				}
-				if !v.Res.OK {
+				if !v.OK {
 					failed = true
 				}
 			}
-			wantStrongest := None
+			wantStrongest := core.None
 			for _, lvl := range core.Lattice() {
 				if f.Violates(string(lvl)) {
 					break
@@ -66,19 +66,19 @@ func TestProfileFixtures(t *testing.T) {
 	}
 }
 
-// CheckLevel must agree with Profile's rung on every fixture and level.
-func TestCheckLevelAgreesWithProfile(t *testing.T) {
+// CheckCtx must agree with the profile's rung on every fixture and level.
+func TestCheckCtxAgreesWithProfile(t *testing.T) {
 	ctx := context.Background()
 	for _, f := range history.Fixtures() {
 		rep := profile(t, f.H)
 		for _, lvl := range core.Lattice() {
-			res, err := CheckLevel(ctx, history.NewIndex(f.H), lvl)
+			res, err := core.CheckCtx(ctx, history.NewIndex(f.H), lvl)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}
-			if res.OK != rep.Rung(lvl).Res.OK {
-				t.Fatalf("%s/%s: CheckLevel OK=%v, profile rung OK=%v",
-					f.Name, lvl, res.OK, rep.Rung(lvl).Res.OK)
+			if res.OK != rep.Rung(lvl).OK {
+				t.Fatalf("%s/%s: CheckCtx OK=%v, profile rung OK=%v",
+					f.Name, lvl, res.OK, rep.Rung(lvl).OK)
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func TestCheckLevelAgreesWithProfile(t *testing.T) {
 func TestProfileSerialHistory(t *testing.T) {
 	rep := profile(t, history.SerialHistory(30, "x", "y"))
 	for _, v := range rep.Rungs {
-		if !v.Res.OK {
+		if !v.OK {
 			t.Fatalf("serial history violates %s", v.Level)
 		}
 	}
@@ -119,15 +119,15 @@ func TestProfileBlindWrites(t *testing.T) {
 func TestProfilePreCheckShared(t *testing.T) {
 	f := history.FixtureByName("AbortedRead")
 	rep := profile(t, f.H)
-	if rep.Strongest != None {
+	if rep.Strongest != core.None {
 		t.Fatalf("strongest = %s, want NONE", rep.Strongest)
 	}
 	for _, v := range rep.Rungs {
-		if v.Res.OK || len(v.Res.Anomalies) == 0 {
+		if v.OK || len(v.Anomalies) == 0 {
 			t.Fatalf("%s: want shared pre-check anomalies", v.Level)
 		}
-		if v.Res.Anomalies[0].Kind != history.AbortedRead {
-			t.Fatalf("%s: anomaly = %s", v.Level, v.Res.Anomalies[0].Kind)
+		if v.Anomalies[0].Kind != history.AbortedRead {
+			t.Fatalf("%s: anomaly = %s", v.Level, v.Anomalies[0].Kind)
 		}
 	}
 	for _, g := range rep.Guarantees {
@@ -139,14 +139,14 @@ func TestProfilePreCheckShared(t *testing.T) {
 
 // The session-guarantee axis: one targeted history per guarantee.
 func TestSessionGuarantees(t *testing.T) {
-	find := func(rep *Report, g Guarantee) GuaranteeVerdict {
+	find := func(rep *core.Profile, g core.Guarantee) core.GuaranteeVerdict {
 		for _, v := range rep.Guarantees {
 			if v.Guarantee == g {
 				return v
 			}
 		}
 		t.Fatalf("guarantee %s missing", g)
-		return GuaranteeVerdict{}
+		return core.GuaranteeVerdict{}
 	}
 
 	t.Run("RYW", func(t *testing.T) {
@@ -155,12 +155,12 @@ func TestSessionGuarantees(t *testing.T) {
 		b.Txn(0, history.R("x", 0), history.W("x", 1))
 		b.Txn(0, history.R("x", 0))
 		rep := profile(t, b.Build())
-		if v := find(rep, ReadYourWrites); v.OK {
+		if v := find(rep, core.ReadYourWrites); v.OK {
 			t.Fatal("RYW must be violated")
 		} else if v.Session != 0 {
 			t.Fatalf("RYW session = %d", v.Session)
 		}
-		if v := find(rep, MonotonicWrites); !v.OK {
+		if v := find(rep, core.MonotonicWrites); !v.OK {
 			t.Fatalf("MW must hold: %s", v.Witness)
 		}
 	})
@@ -173,10 +173,10 @@ func TestSessionGuarantees(t *testing.T) {
 		b.Txn(0, history.R("x", 1))
 		b.Txn(0, history.R("x", 0))
 		rep := profile(t, b.Build())
-		if v := find(rep, MonotonicReads); v.OK {
+		if v := find(rep, core.MonotonicReads); v.OK {
 			t.Fatal("MR must be violated")
 		}
-		if v := find(rep, ReadYourWrites); !v.OK {
+		if v := find(rep, core.ReadYourWrites); !v.OK {
 			t.Fatalf("RYW must hold: %s", v.Witness)
 		}
 	})
@@ -188,7 +188,7 @@ func TestSessionGuarantees(t *testing.T) {
 		b.Txn(0, history.R("x", 2), history.W("x", 3))
 		b.Txn(0, history.R("x", 0), history.W("x", 2))
 		rep := profile(t, b.Build())
-		if v := find(rep, MonotonicWrites); v.OK {
+		if v := find(rep, core.MonotonicWrites); v.OK {
 			t.Fatal("MW must be violated")
 		}
 	})
@@ -201,7 +201,7 @@ func TestSessionGuarantees(t *testing.T) {
 		b.Txn(1, history.R("x", 1), history.W("x", 2))
 		b.Txn(0, history.R("x", 0), history.W("x", 1))
 		rep := profile(t, b.Build())
-		if v := find(rep, WritesFollowReads); v.OK {
+		if v := find(rep, core.WritesFollowReads); v.OK {
 			t.Fatal("WFR must be violated")
 		}
 	})
@@ -220,18 +220,18 @@ func TestProfileMatchesEnginesOnFixtures(t *testing.T) {
 				t.Fatalf("%s/%s: %v", f.Name, lvl, err)
 			}
 			v := rep.Rung(lvl)
-			if eng.OK != v.Res.OK {
-				t.Fatalf("%s/%s: engine OK=%v, rung OK=%v", f.Name, lvl, eng.OK, v.Res.OK)
+			if eng.OK != v.OK {
+				t.Fatalf("%s/%s: engine OK=%v, rung OK=%v", f.Name, lvl, eng.OK, v.OK)
 			}
-			if eng.NumEdges != v.Res.NumEdges {
-				t.Fatalf("%s/%s: engine edges=%d, rung edges=%d", f.Name, lvl, eng.NumEdges, v.Res.NumEdges)
+			if eng.NumEdges != v.NumEdges {
+				t.Fatalf("%s/%s: engine edges=%d, rung edges=%d", f.Name, lvl, eng.NumEdges, v.NumEdges)
 			}
-			if len(eng.Cycle) != len(v.Res.Cycle) {
-				t.Fatalf("%s/%s: engine cycle %d edges, rung %d", f.Name, lvl, len(eng.Cycle), len(v.Res.Cycle))
+			if len(eng.Cycle) != len(v.Cycle) {
+				t.Fatalf("%s/%s: engine cycle %d edges, rung %d", f.Name, lvl, len(eng.Cycle), len(v.Cycle))
 			}
 			for i := range eng.Cycle {
-				if eng.Cycle[i] != v.Res.Cycle[i] {
-					t.Fatalf("%s/%s: cycle[%d] differs: %s vs %s", f.Name, lvl, i, eng.Cycle[i], v.Res.Cycle[i])
+				if eng.Cycle[i] != v.Cycle[i] {
+					t.Fatalf("%s/%s: cycle[%d] differs: %s vs %s", f.Name, lvl, i, eng.Cycle[i], v.Cycle[i])
 				}
 			}
 		}
@@ -247,18 +247,18 @@ func TestLatticeRank(t *testing.T) {
 		}
 		prev = r
 	}
-	if core.LatticeRank(None) != -1 {
+	if core.LatticeRank(core.None) != -1 {
 		t.Fatal("NONE must rank below the lattice")
 	}
 }
 
-func TestCheckLevelCancelled(t *testing.T) {
+func TestCheckCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CheckLevel(ctx, history.NewIndex(history.SerialHistory(5)), core.CAUSAL); err == nil {
+	if _, err := core.CheckCtx(ctx, history.NewIndex(history.SerialHistory(5)), core.CAUSAL); err == nil {
 		t.Fatal("want context error")
 	}
-	if _, err := Profile(ctx, history.NewIndex(history.SerialHistory(5))); err == nil {
+	if _, err := core.ProfileCtx(ctx, history.NewIndex(history.SerialHistory(5))); err == nil {
 		t.Fatal("want context error")
 	}
 }
@@ -279,23 +279,22 @@ func TestSERPassSettlesTheGuarantees(t *testing.T) {
 		if len(history.CheckInternalIndexed(ix)) > 0 {
 			return
 		}
-		deps, err := core.BuildDependencyCtx(ctx, ix)
+		d, err := core.BuildDependencyCtx(ctx, ix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &derived{Deps: deps}
 		ser, err := d.Rung(ctx, core.SER)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := d.sessionGuarantees()
+		got := d.SessionGuarantees()
 		switch {
 		case ser.OK:
 			serOK++
-			if !reflect.DeepEqual(got, passedGuarantees()) {
+			if !reflect.DeepEqual(got, core.PassedGuarantees()) {
 				t.Fatalf("%s: SER passes but the scan flags %+v", tag, got)
 			}
-		case !reflect.DeepEqual(got, passedGuarantees()):
+		case !reflect.DeepEqual(got, core.PassedGuarantees()):
 			flagged++
 		}
 	}

@@ -1,58 +1,26 @@
-package levels
+package core
 
 import (
 	"context"
 	"slices"
 
-	"mtc/internal/core"
 	"mtc/internal/graph"
 	"mtc/internal/history"
 )
 
-// derived is the one dependency derivation every rung shares — core's
-// Deps, the value core.CheckCtx evaluates its own rungs over — plus the
-// per-key version forest the weak rungs and the guarantees add.
-type derived struct {
-	*core.Deps
-	f *wwForest // built lazily; only weak rungs and guarantees need it
-}
-
-// pass is the result of a rung settled by a stronger rung's verdict.
-func (d *derived) pass(lvl core.Level) core.Result {
-	return core.Result{Level: lvl, OK: true, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
-}
-
-// checkSSER is the SSER rung given the SER rung's verdict over the same
-// derivation: a SER cycle survives the addition of real-time edges, so
-// it is reused as the witness; on a SER-clean history core's inversion
-// pass decides the rest — the two halves of core's own SSER rung, with
-// the cycle search not repeated.
-func (d *derived) checkSSER(ctx context.Context, ser core.Result) (core.Result, error) {
-	res := ser
-	res.Level = core.SSER
-	if ser.OK {
-		var err error
-		if res.Cycle, err = d.Inversion(ctx); err != nil {
-			return core.Result{}, err
-		}
-		res.OK = res.Cycle == nil
-	}
-	return res, nil
-}
-
 // checkRC is the RC rung. G0/G1a/G1b are the pre-check's anomalies;
 // what remains is G1c — a cycle of write/read dependencies alone — so
 // the rung filters the shared graph down to WR ∪ WW and searches that.
-func (d *derived) checkRC() core.Result {
-	res := core.Result{Level: core.RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+func (d *Deps) checkRC() Result {
+	res := Result{Level: RC, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	res.Cycle = d.Graph.Subgraph(1<<graph.WR | 1<<graph.WW).FindCycle()
 	res.OK = res.Cycle == nil
 	return res
 }
 
 // checkRA is the RA rung: RC's G1c plus fractured reads.
-func (d *derived) checkRA(rc core.Result) core.Result {
-	res := core.Result{Level: core.RA, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+func (d *Deps) checkRA(rc Result) Result {
+	res := Result{Level: RA, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	if !rc.OK {
 		res.Cycle = rc.Cycle
 		res.Anomalies = rc.Anomalies
@@ -75,7 +43,7 @@ func (d *derived) checkRA(rc core.Result) core.Result {
 // is divergence, rejected at the SI rung), which keeps the lattice
 // monotone: every fractured read forces an RW edge back into the
 // reader's causal past, so RA failures here are causal failures too.
-func (d *derived) fracturedReads() []history.Anomaly {
+func (d *Deps) fracturedReads() []history.Anomaly {
 	ix := d.Index
 	f := d.forest()
 	h := ix.History()
@@ -124,8 +92,8 @@ func (d *derived) fracturedReads() []history.Anomaly {
 // version that S — already in T's causal past — had overwritten. Both
 // violations surface as a cycle witness: the CO path closed by the RW
 // edge.
-func (d *derived) checkCausal(ctx context.Context) (core.Result, error) {
-	res := core.Result{Level: core.CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
+func (d *Deps) checkCausal(ctx context.Context) (Result, error) {
+	res := Result{Level: CAUSAL, NumTxns: d.Index.NumTxns(), NumEdges: d.Graph.NumEdges()}
 	co := d.Graph.Subgraph(1<<graph.SO | 1<<graph.WR)
 	if cycle := co.FindCycle(); cycle != nil {
 		res.Cycle = cycle
@@ -133,7 +101,7 @@ func (d *derived) checkCausal(ctx context.Context) (core.Result, error) {
 	}
 	rw, closed, err := firstClosedRW(ctx, d.Graph, co)
 	if err != nil {
-		return core.Result{}, err
+		return Result{}, err
 	}
 	if closed {
 		res.Cycle = liftCycle(co, rw)
@@ -264,7 +232,7 @@ func liftCycle(co *graph.Graph, rw graph.Arc) []graph.Edge {
 }
 
 // forest returns the per-key version forest, building it on first use.
-func (d *derived) forest() *wwForest {
+func (d *Deps) forest() *wwForest {
 	if d.f == nil {
 		d.f = newWWForest(d.Index, d.Graph)
 	}

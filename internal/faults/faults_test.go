@@ -7,7 +7,6 @@ import (
 	"mtc/internal/core"
 	"mtc/internal/history"
 	"mtc/internal/kv"
-	"mtc/internal/levels"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
 )
@@ -151,13 +150,13 @@ func TestLevelBugsBreakTheirRung(t *testing.T) {
 					Sessions: 8, Txns: 80, Objects: 3, Seed: seed,
 				})
 				res := runner.Run(s, w, runner.Config{Retries: 4})
-				prof, err := levels.Profile(context.Background(), history.NewIndex(res.H))
+				prof, err := core.ProfileCtx(context.Background(), history.NewIndex(res.H))
 				if err != nil {
 					t.Fatal(err)
 				}
 				lowest := ""
 				for _, lvl := range core.Lattice() { // weakest first
-					if r := prof.Rung(lvl); !r.Res.OK {
+					if r := prof.Rung(lvl); !r.OK {
 						lowest = string(lvl)
 						break
 					}

@@ -21,15 +21,14 @@ import (
 	"mtc/internal/elle"
 	"mtc/internal/faults"
 	"mtc/internal/history"
-	"mtc/internal/levels"
 	"mtc/internal/runner"
 	"mtc/internal/workload"
 )
 
 // profileCheck profiles one history and cross-examines the report.
-func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
+func profileCheck(t *testing.T, h *history.History, tag string) *core.Profile {
 	t.Helper()
-	prof, err := levels.Profile(context.Background(), history.NewIndex(h))
+	prof, err := core.ProfileCtx(context.Background(), history.NewIndex(h))
 	if err != nil {
 		t.Fatalf("%s: profile failed: %v", tag, err)
 	}
@@ -37,7 +36,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 	// SER: the profiler always computes this rung on the shared graph,
 	// so it must be bit-identical to the dedicated engine.
 	ser := coreCheck(h, core.SER)
-	rser := prof.Rung(core.SER).Res
+	rser := *prof.Rung(core.SER)
 	if rser.OK != ser.OK || rser.NumTxns != ser.NumTxns || rser.NumEdges != ser.NumEdges {
 		t.Fatalf("%s: SER rung OK=%v txns=%d edges=%d, engine OK=%v txns=%d edges=%d",
 			tag, rser.OK, rser.NumTxns, rser.NumEdges, ser.OK, ser.NumTxns, ser.NumEdges)
@@ -52,7 +51,7 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 	// SI: the verdict always agrees; the witness is bit-identical
 	// whenever the rung actually ran (a SER pass short-circuits it).
 	si := coreCheck(h, core.SI)
-	rsi := prof.Rung(core.SI).Res
+	rsi := *prof.Rung(core.SI)
 	if rsi.OK != si.OK {
 		t.Fatalf("%s: SI rung OK=%v, engine OK=%v", tag, rsi.OK, si.OK)
 	}
@@ -71,13 +70,13 @@ func profileCheck(t *testing.T, h *history.History, tag string) *levels.Report {
 
 	// Lattice monotonicity: once a rung is violated, every rung above it
 	// must be violated too, and Strongest is exactly the highest OK rung.
-	strongest := levels.None
+	strongest := core.None
 	broken := false
 	for _, v := range prof.Rungs {
 		switch {
-		case v.Res.OK && broken:
+		case v.OK && broken:
 			t.Fatalf("%s: non-monotone profile: %s passes above a violated rung", tag, v.Level)
-		case v.Res.OK:
+		case v.OK:
 			strongest = v.Level
 		default:
 			broken = true
@@ -109,7 +108,7 @@ func TestDifferentialProfileVsEngines(t *testing.T) {
 		t.Skip("differential corpus is slow under -short")
 	}
 	var sser sserTally
-	check := func(h *history.History, tag string) *levels.Report {
+	check := func(h *history.History, tag string) *core.Profile {
 		sserCheck(t, h, tag, &sser)
 		return profileCheck(t, h, tag)
 	}
@@ -126,7 +125,7 @@ func TestDifferentialProfileVsEngines(t *testing.T) {
 			prof := check(runner.Run(lb.NewStore(seed), wl, runner.Config{Retries: 2}).H, lb.Anomaly)
 			histories++
 			for _, v := range prof.Rungs {
-				if !v.Res.OK && core.LatticeRank(v.Level) < core.LatticeRank(lb.Breaks) {
+				if !v.OK && core.LatticeRank(v.Level) < core.LatticeRank(lb.Breaks) {
 					t.Fatalf("%s preset broke %s, below its target rung %s", lb.Anomaly, v.Level, lb.Breaks)
 				}
 			}
