@@ -73,10 +73,11 @@ func main() {
 }
 
 // streamVerify feeds an NDJSON or MTCB capture straight into the online
-// checker: the codec is sniffed by content (gzip unwrapped first), one
-// transaction is held at a time, and with a window the checker itself
-// stays bounded too, so captures of any length verify in near-constant
-// memory.
+// checker: the codec is sniffed by content (gzip unwrapped first), the
+// decoder runs at most a bounded read-ahead of transactions in front of
+// the checker, and with a window the checker itself stays bounded too,
+// so captures of any length verify in near-constant memory. The verdict
+// line is the mtc-incremental engine's, epoch count included.
 func streamVerify(path string, lvl core.Level, window int) {
 	if lvl != core.SER && lvl != core.SI {
 		fatalf("-stream checks SER or SI")
@@ -94,7 +95,7 @@ func streamVerify(path string, lvl core.Level, window int) {
 	if err != nil {
 		fatalf("stream: %v", err) // codec/read error, not a verdict
 	}
-	fmt.Println(r.Explain())
+	fmt.Println(checker.ReportFromResult("mtc-incremental", r).Explain())
 	if !r.OK {
 		os.Exit(1)
 	}

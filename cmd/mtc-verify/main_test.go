@@ -139,3 +139,39 @@ func TestWindowReachesTheBatchReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamVerdictLineMatchesTheBatchReplay: -stream printed the bare
+// core verdict, with neither the engine's tag nor the epoch count. It
+// now prints the line the batch replay prints. The chain runs round
+// robin over three sessions, so every session the capture declares keeps
+// publishing and the staleness horizon lets a windowed stream compact.
+func TestStreamVerdictLineMatchesTheBatchReplay(t *testing.T) {
+	clean := saved(t, "clean.ndjson", history.SerialHistory(400, "x", "y"))
+	b := history.NewBuilder("x")
+	v := history.Value(0)
+	for i := 0; i < 400; i++ {
+		b.Txn(i%3, history.R("x", v), history.W("x", history.Value(1000+i)))
+		v = history.Value(1000 + i)
+	}
+	b.Txn(1, history.R("x", v), history.W("x", 5000))
+	b.Txn(2, history.R("x", v), history.W("x", 5001))
+	lost := saved(t, "lost.mtcb", b.Build())
+	for _, tc := range []struct {
+		path    string
+		code    int
+		verdict string
+	}{
+		{clean, 0, "[mtc-incremental] history satisfies SER"},
+		{lost, 1, "[mtc-incremental] history VIOLATES SER"},
+	} {
+		for _, window := range []string{"0", "64"} {
+			code, stdout, stderr := run(t, "-level", "SER", "-stream", "-window", window, tc.path)
+			if code != tc.code || !strings.Contains(stdout, tc.verdict) {
+				t.Fatalf("%s -window %s: exit %d, want %d\nstdout: %s\nstderr: %s", tc.path, window, code, tc.code, stdout, stderr)
+			}
+			if got := strings.Contains(stdout, "epochs compacted"); got != (window != "0") {
+				t.Fatalf("%s -window %s: epochs compacted shown = %v\nstdout: %s", tc.path, window, got, stdout)
+			}
+		}
+	}
+}

@@ -1,5 +1,6 @@
 // Package goroleak flags `go` statements in the long-lived packages
-// (the server, the runner, the shard driver, the graph package)
+// (the server, the runner, the shard driver, the graph package, and
+// core, whose stream check decodes on a goroutine of its own)
 // that have no visible join — the bug class behind the janitor leak,
 // where a background goroutine outlived Close and kept touching freed
 // state. A spawn passes when the analyzer can see one of:
@@ -35,9 +36,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// watched lists the packages whose types live across requests.
+// watched lists the packages whose types live across requests, and
+// core, whose goroutine must not outlive the check that started it.
 var watched = map[string]bool{
-	"mtcserve": true, "runner": true, "shard": true, "graph": true,
+	"mtcserve": true, "runner": true, "shard": true, "graph": true, "core": true,
 }
 
 // Marker is the suppression annotation.

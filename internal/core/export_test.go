@@ -11,3 +11,11 @@ var PassedGuarantees = passedGuarantees
 
 // SessionGuarantees runs the guarantee scan whatever the SER rung says.
 func (d *Deps) SessionGuarantees() []GuaranteeVerdict { return d.sessionGuarantees() }
+
+// IncrementalAdd feeds t to inc as CheckStreamCtx does: as the init
+// transaction when isInit holds.
+var IncrementalAdd = (*Incremental).add
+
+// ReadAheadBatch is how many transactions CheckStreamCtx hands its
+// checker at once.
+const ReadAheadBatch = readAheadBatch

@@ -21,9 +21,10 @@ const NDJSONHeader = `{"format":"mtc-ndjson","version":1}`
 // arrival order, every line terminated by '\n'. The init transaction,
 // when present, comes first with "sess":-1; session lists are rebuilt
 // from the per-transaction session numbers. Unlike the whole-file JSON codec, a consumer can
-// verify a history of any length while holding one transaction at a
-// time: StreamReader.Next feeds core.Incremental directly, composing
-// with epoch-windowed compaction into a bounded-memory pipeline. The
+// verify a history of any length while holding a constant number of
+// transactions: core.CheckStreamCtx reads StreamReader.Next a bounded
+// read-ahead in front of core.Incremental, composing with epoch-windowed
+// compaction into a bounded-memory pipeline. The
 // trailing newline of every record doubles as the integrity check — a
 // truncated final line is rejected, never silently dropped.
 

@@ -178,10 +178,11 @@ func (s *samplingSource) DeclaredSessions() int {
 
 // benchStreamNDJSON drives the same clean RMW stream through the full
 // NDJSON pipeline: a generator goroutine encodes transactions with
-// StreamWriter into a pipe, and CheckStream decodes and verifies them
-// off the other end — codec and checker both holding one transaction at
-// a time, so the windowed peak heap matches benchStream's bound even
-// though a materialised capture of the stream would be ~100 bytes/txn.
+// StreamWriter into a pipe, and CheckStreamCtx decodes and verifies them
+// off the other end — the decoder at most a constant read-ahead of
+// transactions in front of the checker, so the windowed peak heap
+// matches benchStream's bound even though a materialised capture of the
+// stream would be ~100 bytes/txn.
 func benchStreamNDJSON(b *testing.B, n, window int) {
 	const (
 		keys     = 256
