@@ -213,6 +213,8 @@ func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.L
 	if res.Err != nil {
 		infof("run cut short: %v\n", res.Err)
 	}
+	rep := checker.ReportFromResult("mtc-incremental", res.Verdict)
+	rep.ShardComponents = res.Shards
 	if jsonReport {
 		// Save first: the report going to stdout must not skip -out.
 		if out != "" {
@@ -221,10 +223,8 @@ func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.L
 			}
 			infof("saved history to %s\n", out)
 		}
-		rep := checker.ReportFromResult("mtc-incremental", res.Verdict)
-		rep.ShardComponents = res.Shards
 		emitJSONReport(rep)
-		if !res.Verdict.OK {
+		if !rep.OK {
 			os.Exit(1)
 		}
 		return
@@ -255,8 +255,8 @@ func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.L
 			fmt.Println("violation detected at stream end (unresolved read)")
 		}
 	}
-	fmt.Println(res.Verdict.Explain())
-	if !res.Verdict.OK {
+	fmt.Println(rep.Explain())
+	if !rep.OK {
 		os.Exit(1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -70,5 +71,30 @@ func TestShardFlagShardsTheNamedEngine(t *testing.T) {
 	code, _, stderr = run(t, "-checker", "mtc-sharded", "-sessions", "2", "-txns", "4")
 	if code != 2 || !strings.Contains(stderr, "unknown checker") {
 		t.Fatalf("mtc-sharded: exit %d, stderr %s", code, stderr)
+	}
+}
+
+// TestStreamVerdictLineNamesTheEngine: the -stream verdict line is the
+// report's, so it carries the engine tag and the epoch count that
+// -report json carries. One session commits in a fixed order, so the
+// two runs of the seed check the same stream.
+func TestStreamVerdictLineNamesTheEngine(t *testing.T) {
+	args := []string{"-level", "SER", "-stream", "-sessions", "1", "-txns", "300", "-window", "64"}
+	code, text, stderr := run(t, args...)
+	if code != 0 {
+		t.Fatalf("text run: exit %d\nstdout: %s\nstderr: %s", code, text, stderr)
+	}
+	code, stdout, stderr := run(t, append(args, "-report", "json")...)
+	var rep checker.Report
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("exit %d: %v\nstdout: %s\nstderr: %s", code, err, stdout, stderr)
+	}
+	if code != 0 || !rep.OK || rep.Checker != "mtc-incremental" || rep.CompactedEpochs == 0 {
+		t.Fatalf("json run: exit %d, report %+v", code, rep)
+	}
+	want := fmt.Sprintf("[mtc-incremental] history satisfies SER (%d txns", rep.Txns)
+	epochs := fmt.Sprintf("%d epochs compacted)", rep.CompactedEpochs)
+	if !strings.Contains(text, want) || !strings.Contains(text, epochs) {
+		t.Fatalf("verdict line does not match the report (want %q ... %q):\n%s", want, epochs, text)
 	}
 }

@@ -1,17 +1,14 @@
 package mtcserve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"slices"
 	"strconv"
-	"time"
 
 	"mtc/internal/api"
-	"mtc/internal/checker"
 	"mtc/internal/fabric"
 )
 
@@ -135,13 +132,6 @@ func (s *Server) fabricError(w http.ResponseWriter, r *http.Request, err error) 
 	}
 }
 
-// fabricWait is the run of a distributed job: the job was already
-// submitted to the coordinator at HTTP-accept time (that is the WAL
-// durability point), so a pool worker just waits for the fold.
-func (s *Server) fabricWait(j *job) func(context.Context) (checker.Report, error) {
-	return func(ctx context.Context) (checker.Report, error) { return s.Fabric.Wait(ctx, j.id) }
-}
-
 // AdoptFabricJobs recreates server job documents for every job the
 // coordinator recovered from its WAL, so a restarted coordinator serves
 // GET /v1/jobs/{id} for jobs submitted before the crash. Completed jobs
@@ -164,16 +154,7 @@ func (s *Server) AdoptFabricJobs() {
 		if n := jobNum(info.ID); n > s.nextJobID {
 			s.nextJobID = n
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		j := &job{
-			id: info.ID, checker: info.Engine, opts: info.Opts,
-			timeout: s.jobTimeout(), txns: info.Txns,
-			ctx: ctx, cancel: cancel,
-			distributed: true,
-			state:       api.JobQueued, created: time.Now(),
-		}
-		j.run = s.fabricWait(j)
-		j.events = append(j.events, api.JobEvent{JobID: j.id, Seq: 0, State: api.JobQueued})
+		j := s.newJob(info.ID, info.Engine, info.Opts, s.jobTimeout(), info.Txns, nil)
 		s.jobs[j.id] = j
 		switch info.State {
 		case fabric.JobDone:

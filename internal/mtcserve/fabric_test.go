@@ -260,6 +260,83 @@ func TestFabricWorkerKilledMidJob(t *testing.T) {
 	}
 }
 
+// TestFabricHeartbeatKeepsTheLease: a component check that outlasts the
+// heartbeat timeout keeps its lease, because the worker heartbeats while
+// the engine runs. A second, idle lease heartbeats too, so the
+// coordinator sweeps for silent workers throughout, as a fleet's traffic
+// makes it do; a worker that fell silent would see its component
+// requeued and its verdict refused.
+func TestFabricHeartbeatKeepsTheLease(t *testing.T) {
+	coord, err := fabric.Open(filepath.Join(t.TempDir(), "fabric.wal"), fabric.Config{HeartbeatTimeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("fabric.Open: %v", err)
+	}
+	defer coord.Close()
+	srv := NewServer(nil)
+	srv.Fabric = coord
+	srv.JobTimeout = 30 * time.Second
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	eng, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := &heldChecker{Checker: eng, hold: func(ctx context.Context) error {
+		timer := time.NewTimer(time.Second)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}}
+	reg := &checker.Registry{}
+	reg.Register(slow)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_ = fabric.RunWorker(ctx, fabric.WorkerConfig{Coordinator: ts.URL, Registry: reg, PollInterval: 5 * time.Millisecond})
+	}()
+	idle := coord.Register(api.WorkerHello{Name: "idle", Codecs: []string{"mtcb"}})
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				_ = coord.Heartbeat(idle.ID)
+			}
+		}
+	}()
+
+	h := tenantJobHistory()
+	_, job := submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, History: h})
+	done := waitJob(t, ts, job.ID, 10*time.Second)
+	if done.State != api.JobDone || done.Report == nil {
+		t.Fatalf("distributed job: %+v", done)
+	}
+	ref, err := shard.Check(context.Background(), eng, h, checker.Options{Level: "SI", Shard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := done.Report; got.OK != ref.OK || got.Txns != ref.Txns || got.Edges != ref.Edges || got.ShardComponents != ref.ShardComponents {
+		t.Fatalf("verdict diverges from single-node sharded:\nfabric: %+v\nlocal:  %+v", got, ref)
+	}
+	if n := slow.entered.Load(); n != 2 {
+		t.Fatalf("the engine ran %d times for 2 components: a lease lapsed and its component was requeued", n)
+	}
+}
+
 // gateChecker's Name blocks until released. Registering it on the
 // coordinator's registry therefore holds that registry's write lock —
 // and with it every Lookup, the first thing Coordinator.Submit does —

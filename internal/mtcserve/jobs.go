@@ -15,6 +15,7 @@ import (
 
 	"mtc/internal/api"
 	"mtc/internal/checker"
+	"mtc/internal/history"
 )
 
 // Job-model defaults; Server fields override them.
@@ -31,7 +32,9 @@ const (
 // handler allocates it, a pool worker executes it under a per-job
 // timeout, and DELETE cancels its context — which both dequeues a
 // queued job (the worker drops it on pickup) and stops a running
-// engine mid-loop.
+// engine mid-loop. Its event log is its one record: the state, report
+// and error a poll serves are those of the last event, and a follower
+// of GET /v1/jobs/{id}/events reads the log itself.
 type job struct {
 	id      string
 	checker string
@@ -53,24 +56,48 @@ type job struct {
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
-	state    string
-	report   *checker.Report
-	errMsg   string
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	events   []api.JobEvent
-	subs     []chan api.JobEvent
+	// events is append-only: an entry, once appended, never changes, so
+	// a follower may read a prefix of it after releasing mu.
+	events []api.JobEvent
+	// changed is closed by the next transition, which replaces it.
+	changed chan struct{}
 }
+
+// newJob builds a queued job, its log holding the one queued event. A
+// job handed its history h checks it locally through the registry; a
+// job without one is distributed: the coordinator holds its history,
+// and run waits for the coordinator's fold.
+func (s *Server) newJob(id, engine string, opts checker.Options, timeout time.Duration, txns int, h *history.History) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &job{
+		id: id, checker: engine, opts: opts, timeout: timeout, txns: txns,
+		distributed: h == nil, created: time.Now(),
+		ctx: ctx, cancel: cancel,
+		events: []api.JobEvent{{JobID: id, State: api.JobQueued}}, changed: make(chan struct{}),
+	}
+	if j.distributed {
+		j.run = func(ctx context.Context) (checker.Report, error) { return s.Fabric.Wait(ctx, id) }
+	} else {
+		j.run = func(ctx context.Context) (checker.Report, error) { return s.reg.Run(ctx, engine, h, opts) }
+	}
+	return j
+}
+
+// lastLocked is the job's latest event. Caller holds j.mu.
+func (j *job) lastLocked() api.JobEvent { return j.events[len(j.events)-1] }
 
 // status snapshots the job's wire document.
 func (j *job) status() api.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	last := j.lastLocked()
 	doc := api.Job{
-		ID: j.id, State: j.state,
+		ID: j.id, State: last.State,
 		Checker: j.checker, Level: string(j.opts.Level),
-		Txns: j.txns, Report: j.report, Error: j.errMsg,
+		Txns: j.txns, Report: last.Report, Error: last.Error,
 		Shard: j.opts.Shard, Distributed: j.distributed,
 		CreatedAt: j.created,
 	}
@@ -85,16 +112,15 @@ func (j *job) status() api.Job {
 	return doc
 }
 
-// transition moves the job to state and broadcasts the event to every
-// subscriber. It refuses to leave a terminal state (a cancel racing a
-// completion keeps whichever landed first).
+// transition appends the event moving the job to state and wakes every
+// follower by closing changed. It refuses to leave a terminal state (a
+// cancel racing a completion keeps whichever landed first).
 func (j *job) transition(state string, report *checker.Report, errMsg string) bool {
 	j.mu.Lock()
-	if api.JobTerminal(j.state) {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if api.JobTerminal(j.lastLocked().State) {
 		return false
 	}
-	j.state = state
 	now := time.Now()
 	switch {
 	case state == api.JobRunning:
@@ -103,43 +129,19 @@ func (j *job) transition(state string, report *checker.Report, errMsg string) bo
 		j.finished = now
 		j.run = nil // release the history; only the report is served now
 	}
-	j.report = report
-	j.errMsg = errMsg
-	ev := api.JobEvent{JobID: j.id, Seq: len(j.events), State: state, Report: report, Error: errMsg}
-	j.events = append(j.events, ev)
-	subs := make([]chan api.JobEvent, len(j.subs))
-	copy(subs, j.subs)
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // subscriber stalled; it will re-sync from events on reconnect
-		}
-	}
+	j.events = append(j.events, api.JobEvent{JobID: j.id, Seq: len(j.events), State: state, Report: report, Error: errMsg})
+	close(j.changed)
+	j.changed = make(chan struct{})
 	return true
 }
 
-// subscribe returns the replayed past events plus a channel for future
-// ones. Callers must unsubscribe.
-func (j *job) subscribe() ([]api.JobEvent, chan api.JobEvent) {
-	ch := make(chan api.JobEvent, 8)
+// since returns the events from seq on and the channel the next
+// transition closes, both read under one j.mu hold: an event appended
+// after the snapshot closes the channel it returned.
+func (j *job) since(seq int) ([]api.JobEvent, <-chan struct{}) {
 	j.mu.Lock()
-	past := make([]api.JobEvent, len(j.events))
-	copy(past, j.events)
-	j.subs = append(j.subs, ch)
-	j.mu.Unlock()
-	return past, ch
-}
-
-func (j *job) unsubscribe(ch chan api.JobEvent) {
-	j.mu.Lock()
-	for i, s := range j.subs {
-		if s == ch {
-			j.subs = append(j.subs[:i], j.subs[i+1:]...)
-			break
-		}
-	}
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	return j.events[seq:], j.changed
 }
 
 // startWorkers lazily starts the pool on first submission, so a Server
@@ -313,30 +315,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		checker: name, opts: opts, timeout: timeout,
-		txns: len(req.History.Txns),
-		ctx:  ctx, cancel: cancel,
-		distributed: req.Distributed,
-		state:       api.JobQueued, created: time.Now(),
-	}
-	if j.distributed {
-		j.run = s.fabricWait(j)
-	} else {
-		h := req.History // the closure holds the history, not the whole request
-		j.run = func(ctx context.Context) (checker.Report, error) {
-			return s.reg.Run(ctx, name, h, opts)
-		}
-	}
-	j.events = append(j.events, api.JobEvent{JobID: "", Seq: 0, State: api.JobQueued})
-
 	s.startWorkers()
 	s.jobsMu.Lock()
 	s.nextJobID++
-	j.id = "j" + strconv.Itoa(s.nextJobID)
+	id := "j" + strconv.Itoa(s.nextJobID)
 	s.jobsMu.Unlock()
-	j.events[0].JobID = j.id
+	local := req.History
+	if req.Distributed {
+		local = nil // the coordinator holds a distributed job's history
+	}
+	j := s.newJob(id, name, opts, timeout, len(req.History.Txns), local)
 	if j.distributed {
 		// Register with the coordinator before the job is visible to the
 		// pool: a pool worker only waits for the fold, and Wait on a job
@@ -346,14 +334,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// worker picked it up yet. (Submit is idempotent for recovered
 		// jobs.)
 		if err := s.Fabric.Submit(j.id, name, req.History, opts); err != nil {
-			cancel()
+			j.cancel()
 			s.v1Error(w, r, http.StatusInternalServerError, api.CodeInternal, "fabric submission failed: %v", err)
 			return
 		}
 	}
 	// refuse undoes the submission of a job the pool will never see.
 	refuse := func(reason string) {
-		cancel()
+		j.cancel()
 		s.abortJob(j, reason)
 	}
 	s.jobsMu.Lock()
@@ -419,7 +407,7 @@ func (s *Server) evictTerminalLocked() {
 	ids := make([]string, 0, len(s.jobs))
 	for id, j := range s.jobs {
 		j.mu.Lock()
-		terminal := api.JobTerminal(j.state)
+		terminal := api.JobTerminal(j.lastLocked().State)
 		j.mu.Unlock()
 		if terminal {
 			ids = append(ids, id)
@@ -471,8 +459,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusNotFound, api.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	past, ch := j.subscribe()
-	defer j.unsubscribe(ch)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flush := func() {
@@ -481,28 +467,19 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	enc := json.NewEncoder(w)
-	seq := 0
-	for _, ev := range past {
-		_ = enc.Encode(ev)
-		seq = ev.Seq + 1
-		if api.JobTerminal(ev.State) {
-			flush()
-			return
-		}
-	}
-	flush()
-	for {
-		select {
-		case ev := <-ch:
-			if ev.Seq < seq {
-				continue // already replayed
-			}
-			seq = ev.Seq + 1
+	for seq := 0; ; {
+		evs, changed := j.since(seq)
+		for _, ev := range evs {
 			_ = enc.Encode(ev)
-			flush()
 			if api.JobTerminal(ev.State) {
+				flush()
 				return
 			}
+		}
+		seq += len(evs)
+		flush()
+		select {
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		}

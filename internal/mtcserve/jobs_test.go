@@ -3,17 +3,23 @@ package mtcserve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mtc/internal/api"
+	"mtc/internal/checker"
 	"mtc/internal/history"
 )
 
@@ -340,10 +346,7 @@ func TestJobDeleteStopsWorker(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("worker not freed promptly (%v)", elapsed)
 	}
-	internal.mu.Lock()
-	state := internal.state
-	internal.mu.Unlock()
-	if state != api.JobCanceled {
+	if state := internal.status().State; state != api.JobCanceled {
 		t.Fatalf("deleted job state = %s, want canceled", state)
 	}
 }
@@ -399,6 +402,204 @@ func TestJobEventsStream(t *testing.T) {
 	}
 	if len(states) == 0 || states[0] != api.JobQueued || states[len(states)-1] != api.JobDone {
 		t.Fatalf("states = %v", states)
+	}
+}
+
+// heldChecker runs its engine once hold returns; entered counts the
+// calls.
+type heldChecker struct {
+	checker.Checker
+	hold    func(ctx context.Context) error
+	entered atomic.Int32
+}
+
+func (c *heldChecker) Check(ctx context.Context, h *history.History, opts checker.Options) (checker.Report, error) {
+	c.entered.Add(1)
+	if err := c.hold(ctx); err != nil {
+		return checker.Report{}, err
+	}
+	return c.Checker.Check(ctx, h, opts)
+}
+
+// gatedServer serves a one-worker pool whose "mtc" waits for open: the
+// first job submitted holds the worker, so later ones stay queued.
+func gatedServer(t *testing.T) (srv *Server, ts *httptest.Server, held *heldChecker, open func()) {
+	t.Helper()
+	eng, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	held = &heldChecker{Checker: eng, hold: func(ctx context.Context) error {
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}}
+	reg := &checker.Registry{}
+	reg.Register(held)
+	srv = NewServer(reg)
+	srv.Workers = 1
+	ts = httptest.NewServer(srv.Handler())
+	open = func() { once.Do(func() { close(release) }) }
+	t.Cleanup(func() {
+		open()
+		ts.Close()
+		srv.Close()
+	})
+	return srv, ts, held, open
+}
+
+// followJob reads a job's event stream to its end.
+func followJob(hc *http.Client, url string, attached chan<- struct{}) ([]api.JobEvent, error) {
+	resp, err := hc.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var evs []api.JobEvent
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev api.JobEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			return evs, nil
+		} else if err != nil {
+			return evs, err
+		}
+		if evs = append(evs, ev); len(evs) == 1 && attached != nil {
+			attached <- struct{}{}
+		}
+	}
+}
+
+// checkLog holds one follower's events to the job's whole log: seq 0,
+// 1, 2 once each, ending done with a clean report.
+func checkLog(id string, evs []api.JobEvent) error {
+	want := []string{api.JobQueued, api.JobRunning, api.JobDone}
+	if len(evs) != len(want) {
+		return fmt.Errorf("read %d events, want %d: %+v", len(evs), len(want), evs)
+	}
+	for i, ev := range evs {
+		if ev.JobID != id || ev.Seq != i || ev.State != want[i] {
+			return fmt.Errorf("event %d is %+v, want seq %d %s of %s", i, ev, i, want[i], id)
+		}
+	}
+	if rep := evs[2].Report; rep == nil || !rep.OK {
+		return fmt.Errorf("done event carries report %+v", rep)
+	}
+	return nil
+}
+
+// TestJobFollowersReadTheLog: every follower of a job reads every event
+// of its log once, in seq order from 0, however many follow it; one that
+// attaches after the job is terminal gets the full replay, and its
+// stream closes.
+func TestJobFollowersReadTheLog(t *testing.T) {
+	_, ts, held, open := gatedServer(t)
+	_, first := submitJob(t, ts, api.JobRequest{Level: "SI", History: history.SerialHistory(5, "x")})
+	for held.entered.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	_, job := submitJob(t, ts, api.JobRequest{Level: "SI", History: history.SerialHistory(5, "y")})
+	if job.State != api.JobQueued {
+		t.Fatalf("second job is %s behind a held worker", job.State)
+	}
+
+	const followers = 32
+	hc := &http.Client{Timeout: 10 * time.Second}
+	url := ts.URL + "/v1/jobs/" + job.ID + "/events"
+	attached := make(chan struct{}, followers)
+	logs := make([][]api.JobEvent, followers)
+	errs := make([]error, followers)
+	var wg sync.WaitGroup
+	for i := range followers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			logs[i], errs[i] = followJob(hc, url, attached)
+		}()
+	}
+	for range followers {
+		<-attached
+	}
+	open()
+	wg.Wait()
+	for i := range followers {
+		if errs[i] != nil {
+			t.Fatalf("follower %d: %v", i, errs[i])
+		}
+		if err := checkLog(job.ID, logs[i]); err != nil {
+			t.Fatalf("follower %d: %v", i, err)
+		}
+	}
+	if done := waitJob(t, ts, first.ID, 5*time.Second); done.State != api.JobDone {
+		t.Fatalf("first job: %+v", done)
+	}
+
+	late, err := followJob(hc, url, nil)
+	if err != nil {
+		t.Fatalf("late follower: %v", err)
+	}
+	if err := checkLog(job.ID, late); err != nil {
+		t.Fatalf("late follower: %v", err)
+	}
+}
+
+// lineWriter is a ResponseWriter handing each write, one NDJSON event,
+// to lines.
+type lineWriter struct {
+	header http.Header
+	lines  chan string
+}
+
+func (w *lineWriter) Header() http.Header { return w.header }
+func (w *lineWriter) WriteHeader(int)     {}
+func (w *lineWriter) Write(p []byte) (int, error) {
+	w.lines <- string(p)
+	return len(p), nil
+}
+
+// TestJobFollowerDisconnect: a follower whose client goes away while the
+// job runs returns at once and leaves no goroutine behind.
+func TestJobFollowerDisconnect(t *testing.T) {
+	srv, ts, held, _ := gatedServer(t)
+	_, job := submitJob(t, ts, api.JobRequest{Level: "SI", History: history.SerialHistory(5, "x")})
+	for held.entered.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil).WithContext(ctx)
+	r.SetPathValue("id", job.ID)
+	w := &lineWriter{header: http.Header{}, lines: make(chan string, 3)} // a job logs at most three events
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		srv.handleJobEvents(w, r)
+	}()
+	for _, want := range []string{api.JobQueued, api.JobRunning} {
+		var ev api.JobEvent
+		if err := json.Unmarshal([]byte(<-w.lines), &ev); err != nil || ev.State != want {
+			t.Fatalf("replayed %+v (%v), want %s", ev, err, want)
+		}
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("follower still attached after its client went away")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the follower returned, %d before it attached", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -130,13 +130,14 @@ const DefaultMaxBodyBytes = 64 << 20
 // sessions.
 const DefaultSessionIdle = 30 * time.Minute
 
-// session is one streaming verification session.
+// session is one streaming verification session. It is final once it
+// has a verdict: final is set by ?final=1, once, and a final session
+// refuses further transactions.
 type session struct {
 	mu       sync.Mutex
 	lvl      core.Level
 	inc      *core.Incremental
 	final    *core.Result
-	stopped  bool
 	window   int // compaction window; 0 = unbounded
 	lastUsed time.Time
 	// arena amortizes binary batch ingest (POST .../batch): keys intern
@@ -158,7 +159,7 @@ var errSessionFinal = errors.New("session is finalized")
 // marker; initial keys are declared at session open — applies nothing.
 // Caller must hold sess.mu.
 func (sess *session) ingest(txns []history.Txn) error {
-	if sess.stopped {
+	if sess.final != nil {
 		return errSessionFinal
 	}
 	sess.touch()
@@ -441,7 +442,7 @@ func (s *Server) status(id string, sess *session) api.SessionStatus {
 	st := api.SessionStatus{
 		ID: id, Level: string(sess.lvl),
 		Txns: sess.inc.NumTxns(), Edges: sess.inc.NumEdges(),
-		OK: true, Final: sess.stopped,
+		OK: true, Final: sess.final != nil,
 		Window:          sess.window,
 		CompactedEpochs: sess.inc.CompactedEpochs(),
 		CompactedTxns:   sess.inc.CompactedTxns(),
@@ -541,7 +542,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	var txns []history.Txn
-	if !sess.stopped { // a finalized session answers 409 whatever the frame holds
+	if sess.final == nil { // a finalized session answers 409 whatever the frame holds
 		txns, err = sess.decodeFrame(raw)
 	}
 	if err == nil {
@@ -583,10 +584,9 @@ func (s *Server) handleSessionVerdict(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Unlock()
 	if final := r.URL.Query().Get("final"); final == "1" || strings.EqualFold(final, "true") {
 		sess.mu.Lock()
-		if !sess.stopped {
+		if sess.final == nil {
 			res := sess.inc.Finalize()
 			sess.final = &res
-			sess.stopped = true
 		}
 		sess.mu.Unlock()
 	}
