@@ -197,8 +197,8 @@ func TestCommittedBaselineNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Benches) != 32 || len(base.Ratios) != 8 {
-		t.Errorf("baseline has %d rows and %d ratios, want 32 and 8", len(base.Benches), len(base.Ratios))
+	if len(base.Benches) != 36 || len(base.Ratios) != 8 {
+		t.Errorf("baseline has %d rows and %d ratios, want 36 and 8", len(base.Benches), len(base.Ratios))
 	}
 	files, err := filepath.Glob("../../*bench_test.go")
 	if err != nil || len(files) == 0 {

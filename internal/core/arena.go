@@ -59,19 +59,19 @@ func each[T any](s *graph.Slab[cell[T]], l list) iter.Seq[T] {
 // hanging off them move.
 type arenas struct {
 	topo   *graph.Online
-	txns   []txnState                   // indexed by node id
-	ids    graph.Slab[cell[int]]        // slot.readers and slot.parked
-	deps   graph.Slab[cell[graph.Edge]] // txnState.baseIn and txnState.rwOut
-	writes graph.Slab[write]            // write sets, by cut
+	txns   []txnState                  // indexed by node id
+	ids    graph.Slab[cell[int32]]     // slot.readers and slot.parked
+	deps   graph.Slab[cell[graph.Arc]] // txnState.baseIn and txnState.rwOut
+	writes graph.Slab[write]           // write sets, by cut
 	// SI only: the constituents of every composed edge in topo.
-	witness map[composedKey][2]graph.Edge
+	witness map[composedKey][2]graph.Arc
 }
 
 func newArenas(lvl Level) arenas {
 	// The record table starts as small as a slab's first chunk.
 	a := arenas{topo: graph.NewOnline(), txns: make([]txnState, 0, 16)}
 	if lvl == SI {
-		a.witness = make(map[composedKey][2]graph.Edge)
+		a.witness = make(map[composedKey][2]graph.Arc)
 	}
 	return a
 }

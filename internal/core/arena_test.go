@@ -196,10 +196,11 @@ func TestWindowedReplayPinsNoRetiredChunk(t *testing.T) {
 // TestSmallIncrementalIsSmall: the sharded runner holds one Incremental
 // per component and a session may see ten transactions in its life, so
 // the first chunks are small: two keys and the five mini-transaction
-// shapes twice over cost under ten kilobytes (13.8 KB when every record
-// and list was its own allocation), where fixed 1024-record chunks would
-// cost two hundred. SI pays on top for the witness map — 96 bytes a
-// composed edge, doubling as it grows — and a second cell slab.
+// shapes twice over cost under nine kilobytes (13.8 KB when every record
+// and list was its own allocation, 9.1 KB with string-bearing edges),
+// where fixed 1024-record chunks would cost two hundred. SI pays on top
+// for the witness map — 40 bytes a composed edge, doubling as it grows —
+// and a second cell slab.
 func TestSmallIncrementalIsSmall(t *testing.T) {
 	cur := map[history.Key]history.Value{}
 	fresh := history.Value(1)
@@ -220,7 +221,7 @@ func TestSmallIncrementalIsSmall(t *testing.T) {
 			txns = append(txns, history.Txn{Session: len(txns) % 3, Committed: true, Ops: ops})
 		}
 	}
-	for lvl, bound := range map[core.Level]uint64{core.SER: 10 << 10, core.SI: 24 << 10} {
+	for lvl, bound := range map[core.Level]uint64{core.SER: 9 << 10, core.SI: 14 << 10} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		inc := core.NewIncremental(lvl)

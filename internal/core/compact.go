@@ -6,9 +6,6 @@ import (
 	"mtc/internal/graph"
 )
 
-// epochObj labels the AUX summary edges Compact leaves between kept nodes.
-const epochObj = "epoch"
-
 // How much of a node survives a compaction, each tier including the ones
 // below it.
 const (
@@ -25,7 +22,7 @@ const (
 type compactScratch struct {
 	tier  []uint8
 	order []int
-	remap []int
+	remap []int32
 	rows  []span   // per node: its row of bits and its column
 	cols  []int32  // column -> node
 	bits  []uint64 // the rows, in the order the sweep opens them, then the candidate row
@@ -50,7 +47,7 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func isEpoch(e graph.Edge) bool { return e.Kind == graph.AUX && e.Obj == epochObj }
+func isEpoch(a graph.Arc) bool { return a.Kind == graph.AUX && a.Obj == epochObj }
 
 // Compact collapses the settled prefix of the stream — every transaction
 // whose external position is below frontier and whose state can no
@@ -237,7 +234,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	for x, t := range tier {
 		if t == tierNone {
 			for _, e := range inc.topo.Out(x) {
-				column(e.To)
+				column(int(e.To))
 			}
 		}
 	}
@@ -258,7 +255,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	for _, x := range order {
 		remap[x] = -1
 		if tier[x] != tierNone {
-			remap[x] = nk
+			remap[x] = int32(nk)
 			nk++
 			if rows[x].col >= 0 {
 				behind--
@@ -303,12 +300,12 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	}
 	inc.sweepSlots(next)
 	if inc.initID >= 0 {
-		inc.initID = remap[inc.initID]
+		inc.initID = int(remap[inc.initID])
 	}
 	//mtc:nondeterministic-ok record-for-record rewrite; no order reaches the result
 	for _, ss := range inc.sessions {
 		if ss.last >= 0 {
-			ss.last = remap[ss.last]
+			ss.last = int(remap[ss.last])
 		}
 	}
 	clear(next.witness)
@@ -365,8 +362,8 @@ func (inc *Incremental) markSlots(frontier int) {
 		// the horizon — the value being, for one its writer later overwrote
 		// itself, the final one, whose fate it shares.
 		f := s
-		for f.final != nil {
-			f = f.final
+		for f.final != 0 {
+			f = inc.records.At(f.final)
 		}
 		s.live = s.writer >= 0 && (tier[s.writer] == tierBase ||
 			f.dethroned == 0 || f.ref >= frontier || (track && f.dethroned >= horizon))
@@ -403,7 +400,7 @@ func (inc *Incremental) markSlots(frontier int) {
 func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 	sc := &inc.scratch
 	remap, rows, cols := sc.remap, sc.rows, sc.cols
-	row := func(x int) (graph.Bitset, int) {
+	row := func(x int32) (graph.Bitset, int) {
 		at := rows[x]
 		if at.off < 0 {
 			panic("core: Compact met an edge that descends in the online order; settled prefix was not acyclic-closed") //mtc:alloc-ok the panic of a broken invariant
@@ -443,7 +440,8 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 			case isEpoch(e):
 				cand.Set(col)
 			default:
-				next.Load(graph.Edge{From: nx, To: t, Kind: e.Kind, Obj: e.Obj})
+				e.From, e.To = nx, t
+				next.Load(e)
 				live++
 				if col >= 0 {
 					covered.Set(col)
@@ -459,8 +457,8 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 		for k := n - 1; k >= 0; k-- {
 			for w := cand[k] &^ covered[k]; w != 0; w = cand[k] &^ covered[k] {
 				col := k<<6 + bits.Len64(w) - 1
-				b := int(cols[col])
-				next.Load(graph.Edge{From: nx, To: remap[b], Kind: graph.AUX, Obj: epochObj})
+				b := cols[col]
+				next.Load(graph.Arc{From: nx, To: remap[b], Obj: epochObj, Kind: graph.AUX})
 				live++
 				sc.heads[remap[b]] = true
 				behind, _ := row(b)
@@ -481,7 +479,8 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 // neither the slot table nor latest hears of a survivor: the node ids in
 // it are rewritten, its lists move to next, and only a slot with nothing
 // left — no readable write, no aborted writer worth naming, nobody parked
-// — leaves the table for the free list.
+// — leaves the table for the free list, and its key's id too if it was
+// the key's last slot (a key with a committed write keeps its latest).
 //
 //mtc:hotpath — per slot and per list cell
 func (inc *Incremental) sweepSlots(next *arenas) {
@@ -498,24 +497,30 @@ func (inc *Incremental) sweepSlots(next *arenas) {
 		}
 		s.parked = reIDs(s.parked)
 		if s.live {
-			s.writer, s.readers = int32(remap[s.writer]), reIDs(s.readers)
+			s.writer, s.readers = remap[s.writer], reIDs(s.readers)
 			if s.over >= 0 {
-				s.over = int32(remap[s.over])
+				s.over = remap[s.over]
 			}
 		} else { // the committed write is settled; a later read of it parks
-			s.writer, s.readers, s.over, s.ref, s.dethroned, s.final = -1, list{}, -1, 0, 0, nil
+			s.writer, s.readers, s.over, s.ref, s.dethroned, s.final = -1, list{}, -1, 0, 0, 0
 		}
 		if s.aborted >= 0 {
 			if tier[s.aborted] == tierBase {
-				s.aborted = int32(remap[s.aborted])
+				s.aborted = remap[s.aborted]
 			} else {
 				s.aborted = -1
 			}
 		}
 		if s.writer < 0 && s.aborted < 0 && s.parked.head == 0 {
+			inc.free = append(inc.free, inc.slots[s.key])
 			delete(inc.slots, s.key)
 			s.free = true
-			inc.free = append(inc.free, s)
+			k := s.key.key
+			if inc.keySlots[k]--; inc.keySlots[k] == 0 {
+				delete(inc.keyIDs, inc.keys[k])
+				inc.keys[k] = ""
+				inc.freeKeys = append(inc.freeKeys, k)
+			}
 		}
 	}
 }

@@ -41,12 +41,12 @@ func referenceRebuild(old *graph.Online, remap []int, kcount int) *graph.Online 
 			if remap[e.To] >= 0 {
 				bits.Set(remap[e.To])
 			} else {
-				bits.UnionWith(reach[e.To])
+				bits.UnionWith(reach[int(e.To)])
 			}
 		}
 		reach[x] = bits
 	}
-	addEdge := func(e graph.Edge) {
+	addEdge := func(e graph.Arc) {
 		if cy := ref.AddEdge(e); cy != nil {
 			panic("reference rebuild is cyclic")
 		}
@@ -61,10 +61,10 @@ func referenceRebuild(old *graph.Online, remap []int, kcount int) *graph.Online 
 		summary.Clear()
 		for _, e := range old.Out(x) {
 			if remap[e.To] >= 0 {
-				addEdge(graph.Edge{From: nx, To: remap[e.To], Kind: e.Kind, Obj: e.Obj})
+				addEdge(graph.Arc{From: int32(nx), To: int32(remap[e.To]), Kind: e.Kind, Obj: e.Obj})
 				direct.Set(remap[e.To])
 			} else {
-				summary.UnionWith(reach[e.To])
+				summary.UnionWith(reach[int(e.To)])
 			}
 		}
 		for b := 0; b < kcount; b++ {
@@ -75,7 +75,7 @@ func referenceRebuild(old *graph.Online, remap []int, kcount int) *graph.Online 
 				panic("reference rebuild found a cycle through the collapsed region")
 			}
 			if !direct.Test(b) {
-				addEdge(graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: epochObj})
+				addEdge(graph.Arc{From: int32(nx), To: int32(b), Kind: graph.AUX, Obj: epochObj})
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func closureOf(o *graph.Online) []graph.Bitset {
 		v := order[i]
 		rows[v] = graph.NewBitset(n)
 		for _, e := range o.Out(v) {
-			rows[v].Set(e.To)
+			rows[v].Set(int(e.To))
 			rows[v].UnionWith(rows[e.To])
 		}
 	}
@@ -106,7 +106,7 @@ func closureOf(o *graph.Online) []graph.Bitset {
 // one bitset row over all kept ids per node of old — kept or collapsed — cut
 // from a rectangular arena, every kept node a column, and the edges staged
 // in the slice it returns. remap is as for referenceRebuild.
-func legacySweep(old *graph.Online, remap []int, kcount int) []graph.Edge {
+func legacySweep(old *graph.Online, remap []int, kcount int) []graph.Arc {
 	nNodes := old.Len()
 	order := make([]int, nNodes)
 	for i := range order {
@@ -124,7 +124,7 @@ func legacySweep(old *graph.Online, remap []int, kcount int) []graph.Edge {
 	arena := make([]uint64, (nNodes+1)*words)
 	row := func(id int) graph.Bitset { return graph.Bitset(arena[id*words : (id+1)*words]) }
 	cand := row(nNodes)
-	var rebuilt []graph.Edge
+	var rebuilt []graph.Arc
 	for i := nNodes - 1; i >= 0; i-- {
 		x := order[i]
 		nx := remap[x]
@@ -152,7 +152,7 @@ func legacySweep(old *graph.Online, remap []int, kcount int) []graph.Edge {
 				if t <= nx {
 					panic("legacy sweep rebuilt a cyclic graph")
 				}
-				rebuilt = append(rebuilt, graph.Edge{From: nx, To: t, Kind: e.Kind, Obj: e.Obj})
+				rebuilt = append(rebuilt, graph.Arc{From: int32(nx), To: int32(t), Kind: e.Kind, Obj: e.Obj})
 				covered.Set(t)
 				covered.UnionWith(row(t))
 			}
@@ -163,7 +163,7 @@ func legacySweep(old *graph.Online, remap []int, kcount int) []graph.Edge {
 				if b <= nx {
 					panic("legacy sweep found a cycle through the collapsed region")
 				}
-				rebuilt = append(rebuilt, graph.Edge{From: nx, To: b, Kind: graph.AUX, Obj: epochObj})
+				rebuilt = append(rebuilt, graph.Arc{From: int32(nx), To: int32(b), Kind: graph.AUX, Obj: epochObj})
 				covered.Set(b)
 				covered.UnionWith(row(b))
 			}
@@ -212,7 +212,7 @@ func sweepChecked(tb testing.TB, inc *Incremental, compact func()) (old *graph.O
 	}
 	// The sweep loads sources in descending order, each one's edges in out
 	// list order.
-	var loaded []graph.Edge
+	var loaded []graph.Arc
 	for v := kcount - 1; v >= 0; v-- {
 		for _, e := range inc.topo.Out(v) {
 			loaded = append(loaded, e)
@@ -255,11 +255,11 @@ func compactChecked(tb testing.TB, inc *Incremental, compact func()) {
 		}
 	}
 	// (b)
-	deps := map[graph.Edge]int{}
+	deps := map[graph.Arc]int{}
 	for x := 0; x < old.Len(); x++ {
 		for _, e := range old.Out(x) {
 			if remap[x] >= 0 && remap[e.To] >= 0 && !isEpoch(e) {
-				deps[graph.Edge{From: remap[x], To: remap[e.To], Kind: e.Kind, Obj: e.Obj}]++
+				deps[graph.Arc{From: int32(remap[x]), To: int32(remap[e.To]), Kind: e.Kind, Obj: e.Obj}]++
 			}
 		}
 	}
@@ -287,7 +287,7 @@ func compactChecked(tb testing.TB, inc *Incremental, compact func()) {
 				continue
 			}
 			for j, via := range got.Out(v) {
-				if j != i && (via.To == e.To || gotReach[via.To].Test(e.To)) {
+				if j != i && (via.To == e.To || gotReach[via.To].Test(int(e.To))) {
 					tb.Fatalf("epoch %d: summary edge %v is implied by %v", inc.compactEpoch, e, via)
 				}
 			}
@@ -537,6 +537,15 @@ func TestSweepMatchesLegacyOutOfOrder(t *testing.T) {
 	}
 }
 
+// slotAt is the slot of version (k, v), nil while the checker knows none.
+func slotAt(inc *Incremental, k history.Key, v history.Value) *slot {
+	kid, ok := inc.keyIDs[k]
+	if id := inc.slots[version{kid, v}]; ok && id != 0 {
+		return inc.records.At(id)
+	}
+	return nil
+}
+
 // TestIntermediateVersionSharesItsFinalSlotsFate: a transaction that
 // writes a key three times leaves two intermediate versions, and they are
 // readable — as the IntermediateRead anomaly — for exactly as long as the
@@ -566,13 +575,13 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 					history.R("x", 0), history.W("x", 101), history.W("x", 102), history.W("x", 103),
 				}})
 				for _, iv := range []history.Value{101, 102} {
-					if s := inc.slots[version{"x", iv}]; s == nil || s.final == nil {
+					if s := slotAt(inc, "x", iv); s == nil || s.final == 0 {
 						t.Fatalf("%s: version %d of x has no final slot", lvl, iv)
 					}
 				}
 				pad(3 * window) // three epochs as the key's latest
 				for _, iv := range []history.Value{101, 102, 103} {
-					if s := inc.slots[version{"x", iv}]; s == nil || s.writer < 0 {
+					if s := slotAt(inc, "x", iv); s == nil || s.writer < 0 {
 						t.Fatalf("%s: version %d of x died while 103 was x's latest", lvl, iv)
 					}
 				}
@@ -580,7 +589,7 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 				inc.Add(history.Txn{Session: 2, Committed: true, Ops: []history.Op{history.R("x", 103), history.W("x", 104)}})
 				pad(readAfter * window / 2)
 				epochs := inc.CompactedEpochs()
-				final := inc.slots[version{"x", 103}]
+				final := slotAt(inc, "x", 103)
 				vio := inc.Add(history.Txn{Session: 3, Committed: true, Ops: []history.Op{history.R("x", v)}})
 				switch {
 				case final != nil && final.writer >= 0:
@@ -596,7 +605,7 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 					if vio != nil {
 						t.Fatalf("%s: read of the settled x=%d rejected online: %s", lvl, v, vio.Explain())
 					}
-					if s := inc.slots[version{"x", v}]; s == nil || s.parked.head == 0 || s.writer >= 0 || s.final != nil {
+					if s := slotAt(inc, "x", v); s == nil || s.parked.head == 0 || s.writer >= 0 || s.final != 0 {
 						t.Fatalf("%s: read of the settled x=%d did not park on a blank slot: %+v", lvl, v, s)
 					}
 				}

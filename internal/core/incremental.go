@@ -37,10 +37,12 @@ import (
 // edges and frees the state behind it, bounding memory by the live
 // window instead of the stream length.
 //
-// The state is two tables. Unique values give every version — a
-// (key, value) pair — one committed writer and O(1) readers, so what is
-// known about a version is one slot record keyed by the version itself,
-// an identity compaction cannot disturb. What is known about a
+// The state is three tables. The key table interns keys: an op hashes a
+// string once, and an edge is a graph.Arc naming its key by id, rendered
+// only when a cycle leaves the engine. Unique values give every version
+// — a (key id, value) pair — one committed writer and O(1) readers, so
+// what is known about a version is one slot record found by the version
+// itself, an identity compaction cannot disturb. What is known about a
 // transaction is one record of a slice indexed by its node id in the
 // online graph. A compaction renumbers node ids, so they occur only as
 // values (in slots, session records and SI witnesses), never as map
@@ -52,8 +54,10 @@ import (
 // it needs from chunked slabs and a compaction copies the survivors into
 // a second set of them, so the engine allocates per epoch, not per
 // transaction. Slot records have a slab of their own and never move: one
-// that dies goes on a free list and is the next one handed out. The
-// arenas have one owner, the Incremental; no driver learns of them.
+// that dies goes on a free list, under its int32 id, and is the next one
+// handed out. A key with a committed write — the only kind an edge names
+// — is pinned by latest; any other gives its id back with its last slot.
+// The arenas have one owner, the Incremental; no driver learns of them.
 type Incremental struct {
 	lvl Level
 	vio *Result
@@ -66,15 +70,22 @@ type Incremental struct {
 	spare  arenas // what the next compaction copies into
 	initID int
 
-	// slots finds a version's record; the records themselves are handed
+	// The key table (see keyOf) and, by key id, how many slots name a key.
+	keyIDs   map[history.Key]int32
+	keys     []history.Key
+	keySlots []int32
+	freeKeys []int32
+	// latest is, by key id, the slot of the key's latest committed write
+	// (0: none), the value a fresh read observes: it survives compactions.
+	latest []int32
+
+	// slots finds a version's record id; the records themselves are handed
 	// out by records, recycled through free, and keep their address for as
 	// long as the version is known.
-	slots   map[version]*slot
+	slots   map[version]int32
 	records graph.Slab[slot]
-	free    []*slot
-	// latest is each key's most recent committed write: the value a fresh
-	// read of the key observes, so its slot survives every compaction.
-	latest map[history.Key]*slot
+	free    []int32
+	parked  int // slots with a non-empty parked list
 
 	sessions map[int]*sessionState
 
@@ -85,20 +96,13 @@ type Incremental struct {
 
 	// woken is add's scratch: the slots a transaction's writes found
 	// readers parked on.
-	woken []wokenSlot
+	woken []int32
 }
 
-// wokenSlot is a slot with parked readers and the operation, by index,
-// whose write they were waiting for.
-type wokenSlot struct {
-	s  *slot
-	op int
-}
-
-// version identifies one written value of one key.
+// version identifies one written value of one key, by key id.
 type version struct {
-	k history.Key
-	v history.Value
+	key int32
+	v   history.Value
 }
 
 // slot is everything the checker knows about one version. Transactions
@@ -128,7 +132,7 @@ type slot struct {
 	// overwrite itself — and leads towards the slot of the writer's last
 	// write to the key, whose fate it shares: a read of it is the
 	// IntermediateRead anomaly for exactly as long as that slot is readable.
-	final *slot
+	final int32
 }
 
 // txnState is the per-transaction record.
@@ -160,8 +164,8 @@ func NewIncremental(lvl Level) *Incremental {
 		lvl:      lvl,
 		arenas:   newArenas(lvl),
 		initID:   -1,
-		slots:    make(map[version]*slot),
-		latest:   make(map[history.Key]*slot),
+		keyIDs:   make(map[history.Key]int32),
+		slots:    make(map[version]int32),
 		sessions: make(map[int]*sessionState),
 	}
 }
@@ -197,20 +201,39 @@ func (inc *Incremental) CompactedEpochs() int { return inc.compactEpoch }
 // extOf translates a node id to its external stream position.
 func (inc *Incremental) extOf(i int) int { return inc.txns[i].ext }
 
-// slotOf returns the slot of version (k, v), creating it on first mention.
-func (inc *Incremental) slotOf(k history.Key, v history.Value) *slot {
-	key := version{k, v}
-	s := inc.slots[key]
-	if s == nil {
+// slotOf returns version (k, v)'s slot and id, creating it on first mention.
+func (inc *Incremental) slotOf(k history.Key, v history.Value) (int32, *slot) {
+	key := version{inc.keyOf(k), v}
+	id := inc.slots[key]
+	if id == 0 {
 		if n := len(inc.free); n > 0 {
-			s, inc.free = inc.free[n-1], inc.free[:n-1]
+			id, inc.free = inc.free[n-1], inc.free[:n-1]
 		} else {
-			_, s = inc.records.Alloc()
+			id, _ = inc.records.Alloc()
 		}
-		*s = slot{key: key, writer: -1, aborted: -1, over: -1}
-		inc.slots[key] = s
+		*inc.records.At(id) = slot{key: key, writer: -1, aborted: -1, over: -1}
+		inc.slots[key] = id
+		inc.keySlots[key.key]++
 	}
-	return s
+	return id, inc.records.At(id)
+}
+
+// keyOf returns k's id in the key table, interning it on first mention.
+func (inc *Incremental) keyOf(k history.Key) int32 {
+	if id, ok := inc.keyIDs[k]; ok {
+		return id
+	}
+	id := int32(len(inc.keys))
+	if n := len(inc.freeKeys); n > 0 {
+		id, inc.freeKeys = inc.freeKeys[n-1], inc.freeKeys[:n-1]
+		inc.keys[id] = k
+	} else {
+		inc.keys = graph.Append(inc.keys, k)
+		inc.keySlots = graph.Append(inc.keySlots, 0)
+		inc.latest = graph.Append(inc.latest, 0)
+	}
+	inc.keyIDs[k] = id
+	return id
 }
 
 // writeSet is a transaction's final-write footprint as a key-sorted
@@ -340,7 +363,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		return inc.vio
 	}
 	id := inc.topo.AddNode()
-	inc.txns = append(inc.txns, txnState{ext: inc.n}) //mtc:alloc-ok amortized growth of the record table; a compaction reuses it
+	inc.txns = graph.Append(inc.txns, txnState{ext: inc.n})
 	inc.n++
 	ss := inc.sessions[t.Session]
 	if !isInit && ss != nil && ss.active {
@@ -349,7 +372,8 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	if !t.Committed {
 		for _, op := range t.Ops {
 			if op.Kind == history.OpWrite {
-				inc.slotOf(op.Key, op.Value).aborted = int32(id)
+				_, s := inc.slotOf(op.Key, op.Value)
+				s.aborted = int32(id)
 			}
 		}
 		return nil
@@ -365,7 +389,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 			prev = inc.initID
 		}
 		if prev >= 0 {
-			inc.addDepEdge(graph.Edge{From: prev, To: id, Kind: graph.SO})
+			inc.addDepEdge(graph.Arc{From: int32(prev), To: int32(id), Obj: graph.NoObj, Kind: graph.SO})
 		}
 		ss.last = id
 	}
@@ -375,25 +399,25 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	// and unique-value violations surface here.
 	inc.txns[id].writes = makeWriteSet(&inc.writes, t.Ops)
 	woken := inc.woken[:0]
-	for i, op := range t.Ops {
+	for _, op := range t.Ops {
 		if op.Kind != history.OpWrite {
 			continue
 		}
-		s := inc.slotOf(op.Key, op.Value)
+		sid, s := inc.slotOf(op.Key, op.Value)
 		if s.writer >= 0 {
 			return inc.anomaly(history.DuplicateWrite, int(s.writer), op)
 		}
 		s.writer = int32(id)
-		if prev := inc.latest[op.Key]; prev != nil {
-			if prev.writer != int32(id) {
-				prev.dethroned = inc.n
+		if prev := inc.latest[s.key.key]; prev != 0 {
+			if p := inc.records.At(prev); p.writer != int32(id) {
+				p.dethroned = inc.n
 			} else {
-				prev.final = s // this transaction overwrites its own write
+				p.final = sid // this transaction overwrites its own write
 			}
 		}
-		inc.latest[op.Key] = s
+		inc.latest[s.key.key] = sid
 		if s.parked.head != 0 {
-			woken = append(woken, wokenSlot{s, i})
+			woken = append(woken, sid)
 		}
 	}
 	inc.woken = woken
@@ -401,18 +425,19 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	// Writers that readers were parked on have just arrived. Only once
 	// every write is registered: a duplicate among them is the verdict
 	// before any edge of a parked reader is.
-	for _, w := range woken {
-		op := t.Ops[w.op]
-		waiters := w.s.parked
-		w.s.parked = list{}
+	for _, sid := range woken {
+		s := inc.records.At(sid)
+		waiters := s.parked
+		s.parked = list{}
+		inc.parked--
 		for r := range each(&inc.ids, waiters) {
-			if vio := inc.resolveRead(r, w.s, op.Key, op.Value); vio != nil {
+			if vio := inc.resolveRead(r, s); vio != nil {
 				return vio
 			}
 		}
 	}
 
-	return inc.walkOps(id, t.Ops)
+	return inc.walkOps(int32(id), t.Ops)
 }
 
 // walkOps classifies every read of committed transaction id with
@@ -420,24 +445,27 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 // dependency edges of its first external reads.
 //
 //mtc:hotpath — per-commit classification; allocation here scales with every streamed transaction
-func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
+func (inc *Incremental) walkOps(id int32, ops []history.Op) *Result {
 	for i, op := range ops {
 		if op.Kind != history.OpRead {
 			continue
 		}
 		switch class, kind := history.ClassifyRead(ops, i); class {
 		case history.AnomalousRead:
-			return inc.anomaly(kind, id, op)
+			return inc.anomaly(kind, int(id), op)
 		case history.OwnRead:
 			continue
 		}
 		// A first external read: its writer is another transaction.
-		if s := inc.slotOf(op.Key, op.Value); s.writer < 0 {
+		if _, s := inc.slotOf(op.Key, op.Value); s.writer < 0 {
 			// Writer unseen: park. AbortedRead / ThinAirRead can only be
 			// told apart once the stream ends (the writer may still
 			// commit), so classification waits for Finalize.
+			if s.parked.head == 0 {
+				inc.parked++
+			}
 			push(&inc.ids, &s.parked, id)
-		} else if vio := inc.resolveRead(id, s, op.Key, op.Value); vio != nil {
+		} else if vio := inc.resolveRead(id, s); vio != nil {
 			return vio
 		}
 	}
@@ -445,24 +473,25 @@ func (inc *Incremental) walkOps(id int, ops []history.Op) *Result {
 }
 
 // resolveRead connects committed reader r to the committed writer of
-// (key, val), whose slot is s: the G1b check, the WR edge, and — when the
+// the version whose slot is s: the G1b check, the WR edge, and — when the
 // reader also writes the key — the WW edge, the divergence check, and
 // the RW anti-dependencies against the other readers and the overwriter
 // of the value.
 //
 //mtc:hotpath — per resolved read
-func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history.Value) *Result {
-	w, over := int(s.writer), int(s.over)
-	if s.final != nil {
-		return inc.anomaly(history.IntermediateRead, r, history.Op{Key: key, Value: val})
+func (inc *Incremental) resolveRead(r int32, s *slot) *Result {
+	w, over, k := s.writer, s.over, s.key.key
+	key := inc.keys[k]
+	if s.final != 0 {
+		return inc.anomaly(history.IntermediateRead, int(r), history.Op{Key: key, Value: s.key.v})
 	}
-	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WR, Obj: string(key)}); vio != nil {
+	if vio := inc.addDepEdge(graph.Arc{From: w, To: r, Obj: k, Kind: graph.WR}); vio != nil {
 		return vio
 	}
 	s.ref = inc.n // referenced now: survives window-based compaction
 	// As a reader, r anti-depends on the value's overwriter.
 	if over >= 0 {
-		if vio := inc.addDepEdge(graph.Edge{From: r, To: over, Kind: graph.RW, Obj: string(key)}); vio != nil {
+		if vio := inc.addDepEdge(graph.Arc{From: r, To: over, Obj: k, Kind: graph.RW}); vio != nil {
 			return vio
 		}
 	}
@@ -475,21 +504,21 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 	// the edge over -> r below (over is among the readers) close a cycle,
 	// so s.over is only ever assigned once.
 	if inc.lvl == SI && over >= 0 {
-		d := Divergence{Key: key, Writer: w, Reader1: over, Reader2: r}
+		d := Divergence{Key: key, Writer: int(w), Reader1: int(over), Reader2: int(r)}
 		return inc.fail(Result{Level: inc.lvl, Divergence: &d})
 	}
-	if vio := inc.addDepEdge(graph.Edge{From: w, To: r, Kind: graph.WW, Obj: string(key)}); vio != nil {
+	if vio := inc.addDepEdge(graph.Arc{From: w, To: r, Obj: k, Kind: graph.WW}); vio != nil {
 		return vio
 	}
 	for rd := range each(&inc.ids, s.readers) {
 		if rd == r {
 			continue
 		}
-		if vio := inc.addDepEdge(graph.Edge{From: rd, To: r, Kind: graph.RW, Obj: string(key)}); vio != nil {
+		if vio := inc.addDepEdge(graph.Arc{From: rd, To: r, Obj: k, Kind: graph.RW}); vio != nil {
 			return vio
 		}
 	}
-	s.over = int32(r)
+	s.over = r
 	return nil
 }
 
@@ -498,7 +527,7 @@ func (inc *Incremental) resolveRead(r int, s *slot, key history.Key, val history
 // composed graph (SO ∪ WR ∪ WW) ; RW?, one composition step at a time.
 //
 //mtc:hotpath — per dependency edge
-func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
+func (inc *Incremental) addDepEdge(e graph.Arc) *Result {
 	inc.edges++
 	if inc.lvl == SER {
 		return inc.link(e)
@@ -529,29 +558,42 @@ func (inc *Incremental) addDepEdge(e graph.Edge) *Result {
 // The first pair to compose an edge is the witness it reports.
 //
 //mtc:hotpath — per composed edge; the witness is stored inline in the map
-func (inc *Incremental) addComposed(base, rw graph.Edge) *Result {
+func (inc *Incremental) addComposed(base, rw graph.Arc) *Result {
 	ck := composedKey{from: base.From, to: rw.To}
 	if _, dup := inc.witness[ck]; !dup {
-		inc.witness[ck] = [2]graph.Edge{base, rw}
+		inc.witness[ck] = [2]graph.Arc{base, rw}
 	}
-	return inc.link(graph.Edge{From: base.From, To: rw.To, Kind: graph.AUX, Obj: "(;RW)"})
+	return inc.link(graph.Arc{From: base.From, To: rw.To, Obj: composedObj, Kind: graph.AUX})
 }
 
 // composedKey identifies a composed edge in the online witness map.
-type composedKey struct{ from, to int }
+type composedKey struct{ from, to int32 }
 
-// expandComposed rewrites a cycle of G' into the underlying dependency
-// edges so that counterexamples read like the paper's figures.
-func expandComposed(cycle []graph.Edge, expand map[composedKey][2]graph.Edge) []graph.Edge {
+// The Obj ids of the two kinds of AUX edge, and the names they report.
+const (
+	epochObj    = graph.NoObj - 1 // a summary edge Compact leaves between kept nodes
+	composedObj = graph.NoObj - 2 // a composed SI edge, base ; RW
+)
+
+var reservedNames = [...]string{"(;RW)", "epoch", ""} // indexed by Obj - composedObj
+
+// expandComposed renders a cycle of the online graph, rewriting composed
+// SI edges into the underlying dependency edges so that counterexamples
+// read like the paper's figures, and naming objects through the key table.
+func (inc *Incremental) expandComposed(cycle []graph.Arc) []graph.Edge {
 	var out []graph.Edge
-	for _, e := range cycle {
-		if e.Kind == graph.AUX {
-			if w, ok := expand[composedKey{e.From, e.To}]; ok {
-				out = append(out, w[:]...)
-				continue
-			}
+	for _, a := range cycle {
+		arcs := []graph.Arc{a}
+		if w, ok := inc.witness[composedKey{a.From, a.To}]; ok && a.Kind == graph.AUX {
+			arcs = w[:]
 		}
-		out = append(out, e)
+		for _, a := range arcs {
+			e := graph.Edge{From: int(a.From), To: int(a.To), Kind: a.Kind, Obj: reservedNames[min(a.Obj, graph.NoObj)-composedObj]}
+			if a.Obj >= 0 {
+				e.Obj = string(inc.keys[a.Obj])
+			}
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -560,16 +602,13 @@ func expandComposed(cycle []graph.Edge, expand map[composedKey][2]graph.Edge) []
 // verdict, composed SI edges expanded back into their constituents.
 //
 //mtc:hotpath — per edge of the online graph
-func (inc *Incremental) link(e graph.Edge) *Result {
+func (inc *Incremental) link(e graph.Arc) *Result {
 	inc.live++
 	cy := inc.topo.AddEdge(e)
 	if cy == nil {
 		return nil
 	}
-	if inc.lvl == SI {
-		cy = expandComposed(cy, inc.witness)
-	}
-	return inc.fail(Result{Level: inc.lvl, Cycle: cy})
+	return inc.fail(Result{Level: inc.lvl, Cycle: inc.expandComposed(cy)})
 }
 
 // anomaly is the terminal verdict for an anomaly of kind on op's version,
@@ -597,38 +636,34 @@ func (inc *Incremental) fail(r Result) *Result {
 // overall verdict is returned. The verdict's OK equals what CheckCtx at
 // SER / SI would report on the same transactions fed as one batch.
 func (inc *Incremental) Finalize() Result {
-	if inc.vio != nil {
-		return *inc.vio
-	}
-	// Deterministic pick across map iteration: the earliest parked
-	// reader (by external stream position — node ids are permuted by
-	// compaction; each parked list is in arrival order, so its head is
-	// its earliest), breaking ties by key then value, so identical
-	// streams report identical counterexamples.
-	var (
-		best     version
-		bestSlot *slot
-	)
-	first := func(s *slot) int { return inc.ids.At(s.parked.head).v }
-	//mtc:nondeterministic-ok total-order minimum with (position, key, value) tie-breaks; any iteration order picks the same winner
-	for key, s := range inc.slots {
-		if s.parked.head == 0 {
-			continue
-		}
-		if bestSlot != nil {
-			r, b := inc.extOf(first(s)), inc.extOf(first(bestSlot))
-			if r > b || r == b && (key.k > best.k || key.k == best.k && key.v >= best.v) {
+	if inc.vio == nil && inc.parked > 0 {
+		// Deterministic pick: the earliest parked reader (by external stream
+		// position — node ids are permuted by compaction; each parked list is
+		// in arrival order, so its head is its earliest), breaking ties by key
+		// then value, so identical streams report identical counterexamples.
+		var best *slot
+		first := func(s *slot) int { return int(inc.ids.At(s.parked.head).v) }
+		for s := range inc.records.All() {
+			if s.parked.head == 0 {
 				continue
 			}
+			if best != nil {
+				r, b := inc.extOf(first(s)), inc.extOf(first(best))
+				k, bk := inc.keys[s.key.key], inc.keys[best.key.key]
+				if r > b || r == b && (k > bk || k == bk && s.key.v >= best.key.v) {
+					continue
+				}
+			}
+			best = s
 		}
-		best, bestSlot = key, s
-	}
-	if bestSlot != nil {
 		kind := history.ThinAirRead
-		if bestSlot.aborted >= 0 {
+		if best.aborted >= 0 {
 			kind = history.AbortedRead
 		}
-		return *inc.anomaly(kind, first(bestSlot), history.Op{Key: best.k, Value: best.v})
+		inc.anomaly(kind, first(best), history.Op{Key: inc.keys[best.key.key], Value: best.key.v})
+	}
+	if inc.vio != nil {
+		return *inc.vio
 	}
 	return Result{
 		Level: inc.lvl, OK: true, NumTxns: inc.n, NumEdges: inc.edges,
@@ -651,9 +686,10 @@ func RemapResult(r Result, perm []int) Result {
 }
 
 // rewriteIDs maps every transaction id of r's counterexample through at.
-// The cycle and the divergence witness are copied first: their originals
-// belong to the online graph and to whoever built the verdict.
+// The anomalies, the cycle and the divergence witness are copied first:
+// their originals belong to the checker's verdict and to whoever built it.
 func rewriteIDs(r Result, at func(int) int) Result {
+	r.Anomalies = slices.Clone(r.Anomalies)
 	for i := range r.Anomalies {
 		r.Anomalies[i].Txn = at(r.Anomalies[i].Txn)
 	}
@@ -662,13 +698,9 @@ func rewriteIDs(r Result, at func(int) int) Result {
 		d.Writer, d.Reader1, d.Reader2 = at(d.Writer), at(d.Reader1), at(d.Reader2)
 		r.Divergence = &d
 	}
-	if len(r.Cycle) > 0 {
-		cy := make([]graph.Edge, len(r.Cycle))
-		for i, e := range r.Cycle {
-			e.From, e.To = at(e.From), at(e.To)
-			cy[i] = e
-		}
-		r.Cycle = cy
+	r.Cycle = slices.Clone(r.Cycle)
+	for i := range r.Cycle {
+		r.Cycle[i].From, r.Cycle[i].To = at(r.Cycle[i].From), at(r.Cycle[i].To)
 	}
 	return r
 }

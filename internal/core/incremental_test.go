@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mtc/internal/graph"
@@ -109,6 +113,111 @@ func TestIncrementalThinAirAndAborted(t *testing.T) {
 	}
 }
 
+// TestRemapResultLeavesTheVerdictAlone: Finalize hands out copies of one
+// stored verdict, and remapping a copy must change neither the verdict
+// nor the copies handed out before it.
+func TestRemapResultLeavesTheVerdictAlone(t *testing.T) {
+	inc := NewIncremental(SER)
+	inc.InitTxn("x")
+	inc.Add(history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 99)}}) // thin air
+	perm := []int{1, 0}
+	first := RemapResult(inc.Finalize(), perm)
+	second := RemapResult(inc.Finalize(), perm)
+	for i, r := range []Result{first, second} {
+		if len(r.Anomalies) != 1 || r.Anomalies[0].Kind != history.ThinAirRead || r.Anomalies[0].Txn != 0 {
+			t.Fatalf("remapped verdict %d: %+v, want ThinAirRead in T0", i+1, r.Anomalies)
+		}
+	}
+	if got := inc.Finalize().Anomalies[0].Txn; got != 1 {
+		t.Fatalf("the stored verdict names T%d after two remaps, want T1", got)
+	}
+}
+
+// TestCycleRendersObjectNames: a cycle leaves the engine with each arc's
+// key named through the key table, a composed SI edge with a witness
+// expanded into it, and the reserved objects spelled as reports always
+// spelled them.
+func TestCycleRendersObjectNames(t *testing.T) {
+	inc := NewIncremental(SI)
+	inc.InitTxn("x", "y")
+	y := inc.keyIDs["y"]
+	inc.witness[composedKey{2, 0}] = [2]graph.Arc{{From: 2, To: 1, Obj: y, Kind: graph.WW}, {From: 1, To: 0, Obj: y, Kind: graph.RW}}
+	got := fmt.Sprint(inc.expandComposed([]graph.Arc{
+		{From: 0, To: 1, Obj: epochObj, Kind: graph.AUX},
+		{From: 1, To: 2, Obj: graph.NoObj, Kind: graph.SO},
+		{From: 2, To: 0, Obj: composedObj, Kind: graph.AUX},
+		{From: 0, To: 3, Obj: composedObj, Kind: graph.AUX}, // its witness was compacted away
+	}))
+	if want := "[T0 -AUX(epoch)-> T1 T1 -SO-> T2 T2 -WW(y)-> T1 T1 -RW(y)-> T0 T0 -AUX((;RW))-> T3]"; got != want {
+		t.Fatalf("rendered %s, want %s", got, want)
+	}
+}
+
+// txnSlice is a TxnSource over a history's transactions.
+type txnSlice []history.Txn
+
+func (s *txnSlice) Next() (history.Txn, error) {
+	if len(*s) == 0 {
+		return history.Txn{}, io.EOF
+	}
+	t := (*s)[0]
+	*s = (*s)[1:]
+	return t, nil
+}
+
+// TestWindowedStreamReusesKeyIDs: a windowed stream forgets the keys it
+// met only in aborted writes, and their ids go to the keys it meets next.
+// A lost update on such a key, whose arcs name a reused id, reads exactly
+// as the batch checker reports it.
+func TestWindowedStreamReusesKeyIDs(t *testing.T) {
+	const window = 16
+	b := history.NewBuilder("hot")
+	for i := 1; i <= 10*window; i++ {
+		b.Txn(0, history.R("hot", history.Value(i-1)), history.W("hot", history.Value(i)))
+		b.AbortedTxn(1, history.W(history.Key(fmt.Sprintf("fresh%d", i)), 1))
+	}
+	late := b.Txn(2, history.W("late", 1))
+	b.Txn(0, history.R("late", 1), history.W("late", 2))
+	b.Txn(1, history.R("late", 1), history.W("late", 3))
+	h := b.Build()
+	for _, lvl := range []Level{SER, SI} {
+		batch := check(h, lvl)
+		src := txnSlice(h.Txns)
+		stream, err := CheckStreamCtx(context.Background(), &src, lvl, window, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream.OK || batch.OK || !reflect.DeepEqual(stream.Cycle, batch.Cycle) {
+			t.Fatalf("%s: stream cycle %v, batch cycle %v", lvl, stream.Cycle, batch.Cycle)
+		}
+
+		// The same stream by hand, to see the ids.
+		inc := NewIncremental(lvl)
+		var free []int32
+		for i, txn := range h.Txns {
+			if i == late {
+				free = slices.Clone(inc.freeKeys)
+			}
+			if txn.Session >= 0 {
+				inc.ExpectSession(txn.Session)
+			}
+			if inc.add(txn, i == 0 && txn.Session < 0) != nil {
+				break
+			}
+			inc.MaybeCompact(window, 0, nil)
+		}
+		if len(inc.keys) > 4*window {
+			t.Errorf("%s: %d key ids for %d keys met", lvl, len(inc.keys), 2+10*window)
+		}
+		if id := inc.keyIDs["late"]; !slices.Contains(free, id) {
+			t.Fatalf("%s: late took id %d, not one of the %d given back", lvl, id, len(free))
+		}
+		if got := inc.Finalize(); !reflect.DeepEqual(got, stream) {
+			t.Fatalf("%s: by hand %+v, CheckStreamCtx %+v", lvl, got, stream)
+		}
+	}
+}
+
 // TestOnlineTopoCycle exercises graph.Online directly: inversions reorder,
 // a closing edge reports the cycle.
 func TestOnlineTopoCycle(t *testing.T) {
@@ -116,7 +225,7 @@ func TestOnlineTopoCycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		o.AddNode()
 	}
-	edges := []graph.Edge{
+	edges := []graph.Arc{
 		{From: 2, To: 3, Kind: graph.SO},
 		{From: 3, To: 1, Kind: graph.WR}, // inversion: reorders
 		{From: 1, To: 0, Kind: graph.WW}, // inversion: reorders
@@ -126,7 +235,7 @@ func TestOnlineTopoCycle(t *testing.T) {
 			t.Fatalf("unexpected cycle at %v: %v", e, cy)
 		}
 	}
-	cy := o.AddEdge(graph.Edge{From: 0, To: 2, Kind: graph.RW})
+	cy := o.AddEdge(graph.Arc{From: 0, To: 2, Kind: graph.RW})
 	if cy == nil {
 		t.Fatal("edge 0->2 closes 0->2->3->1->0, want cycle")
 	}
@@ -144,7 +253,7 @@ func TestOnlineTopoCycle(t *testing.T) {
 func TestOnlineTopoSelfLoop(t *testing.T) {
 	o := graph.NewOnline()
 	o.AddNode()
-	if cy := o.AddEdge(graph.Edge{From: 0, To: 0, Kind: graph.SO}); len(cy) != 1 {
+	if cy := o.AddEdge(graph.Arc{From: 0, To: 0, Kind: graph.SO}); len(cy) != 1 {
 		t.Fatalf("want self-loop cycle, got %v", cy)
 	}
 }
@@ -163,10 +272,10 @@ func TestOnlineTopoOrderInvariant(t *testing.T) {
 	// All edges run from higher to lower node index (a DAG whose
 	// topological order reverses creation order), so every early
 	// insertion inverts the maintained order and triggers a reorder.
-	var edges []graph.Edge
+	var edges []graph.Arc
 	for step := n - 1; step >= 1; step-- {
 		for u := 0; u+step < n; u += 7 {
-			edges = append(edges, graph.Edge{From: u + step, To: u, Kind: graph.SO})
+			edges = append(edges, graph.Arc{From: int32(u + step), To: int32(u), Kind: graph.SO})
 		}
 	}
 	for _, e := range edges {
@@ -175,9 +284,9 @@ func TestOnlineTopoOrderInvariant(t *testing.T) {
 		}
 		for v := 0; v < n; v++ {
 			for _, oe := range o.Out(v) {
-				if o.Ord(oe.From) >= o.Ord(oe.To) {
+				if o.Ord(int(oe.From)) >= o.Ord(int(oe.To)) {
 					t.Fatalf("order invariant broken after %v: %v (ord %d >= %d)",
-						e, oe, o.Ord(oe.From), o.Ord(oe.To))
+						e, oe, o.Ord(int(oe.From)), o.Ord(int(oe.To)))
 				}
 			}
 		}

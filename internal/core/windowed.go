@@ -81,14 +81,14 @@ func futureRefs(h *history.History, order []int) []int {
 		lastRef   int   // last position referencing it, plus one; 0 if none
 	}
 	n := len(order)
-	uses := make(map[version]*use, n)
+	uses := make(map[write]*use, n) // by version
 	for p, id := range order {
 		t := &h.Txns[id]
 		for _, op := range t.Ops {
-			u := uses[version{op.Key, op.Value}]
+			u := uses[write{op.Key, op.Value}]
 			if u == nil {
 				u = &use{}
-				uses[version{op.Key, op.Value}] = u
+				uses[write{op.Key, op.Value}] = u
 			}
 			u.touched = append(u.touched, p)
 			switch {

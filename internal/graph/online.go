@@ -19,13 +19,13 @@ import (
 // fed in commit order, the paper's nearly-unique-graph regime) cost O(1)
 // and the amortized cost per committed transaction stays near-constant.
 //
-// Every edge lives in one chunked arena as an arc: the Edge plus the id
-// of the next arc on its source's out list and on its target's in list.
-// A node holds only the head and tail of its two lists, so inserting an
-// edge is one store into the arena and two link writes — no per-node
-// slice ever grows — and both lists iterate in insertion order. Chunks
-// never move and are never copied; Reload and Load refill the same
-// chunks, so a graph that is reloaded at a steady size stops allocating.
+// Every edge lives in one chunked arena as an arc: the pointer-free Arc
+// plus the id of the next arc on its source's out list and on its
+// target's in list, 24 bytes. A node holds only the head and tail of its
+// two lists, so inserting an edge is one store into the arena and two
+// link writes, and both lists iterate in insertion order. Chunks never
+// move and are never copied; Reload and Load refill the same chunks, so
+// a graph that is reloaded at a steady size stops allocating.
 //
 // Online is the substrate of core.Incremental; it is not safe for
 // concurrent use.
@@ -45,9 +45,9 @@ type Online struct {
 }
 
 // arc is one edge and its place on two lists: the arc after it on
-// e.From's out list and on e.To's in list, 0 where a list ends.
+// a.From's out list and on a.To's in list, 0 where a list ends.
 type arc struct {
-	e               Edge
+	Arc
 	nextOut, nextIn int32
 }
 
@@ -75,18 +75,18 @@ func (t *Online) Reload(n int) {
 	t.arcs.Reset()
 }
 
-// Load adds e to a graph still under the identity order of its Reload,
-// where e must have From < To: that is the whole proof of acyclicity,
+// Load adds a to a graph still under the identity order of its Reload,
+// where a must have From < To: that is the whole proof of acyclicity,
 // which AddEdge would otherwise establish with a search, and an edge that
 // breaks it panics. The adjacency lists keep the order of the calls,
 // exactly as if each edge had been added to fresh nodes in turn.
 //
 //mtc:hotpath — per edge a compaction keeps
-func (t *Online) Load(e Edge) {
-	if e.From < 0 || e.From >= e.To || e.To >= len(t.ord) {
-		panic(fmt.Sprintf("graph: Load: edge %d -> %d does not ascend within %d nodes", e.From, e.To, len(t.ord))) //mtc:alloc-ok the panic of a broken invariant
+func (t *Online) Load(a Arc) {
+	if a.From < 0 || a.From >= a.To || int(a.To) >= len(t.ord) {
+		panic(fmt.Sprintf("graph: Load: edge %d -> %d does not ascend within %d nodes", a.From, a.To, len(t.ord))) //mtc:alloc-ok the panic of a broken invariant
 	}
-	t.push(e)
+	t.push(a)
 }
 
 // Len returns the number of nodes.
@@ -96,22 +96,22 @@ func (t *Online) Len() int { return len(t.ord) }
 // its index.
 func (t *Online) AddNode() int {
 	id := len(t.ord)
-	t.ord = append(t.ord, id)
-	t.adj = append(t.adj, adjacency{})
-	t.mark = append(t.mark, 0)
-	t.parent = append(t.parent, 0)
+	t.ord = Append(t.ord, id)
+	t.adj = Append(t.adj, adjacency{})
+	t.mark = Append(t.mark, 0)
+	t.parent = Append(t.parent, 0)
 	return id
 }
 
-// Out iterates the outgoing edges of node v in insertion order, each
+// Out iterates the outgoing arcs of node v in insertion order, each
 // with its position on the list.
-func (t *Online) Out(v int) iter.Seq2[int, Edge] {
-	return func(yield func(int, Edge) bool) {
+func (t *Online) Out(v int) iter.Seq2[int, Arc] {
+	return func(yield func(int, Arc) bool) {
 		var a *arc
 		i := 0
 		for id := t.adj[v].outHead; id != 0; id = a.nextOut {
 			a = t.arcs.At(id)
-			if !yield(i, a.e) {
+			if !yield(i, a.Arc) {
 				return
 			}
 			i++
@@ -122,21 +122,21 @@ func (t *Online) Out(v int) iter.Seq2[int, Edge] {
 // Ord returns the current order index of node v.
 func (t *Online) Ord(v int) int { return t.ord[v] }
 
-// push stores e at the tail of its source's out list and its target's in
+// push stores a at the tail of its source's out list and its target's in
 // list.
 //
 //mtc:hotpath — one arena store and two link writes per edge
-func (t *Online) push(e Edge) {
-	id, a := t.arcs.Alloc()
-	*a = arc{e: e}
-	from := &t.adj[e.From]
+func (t *Online) push(a Arc) {
+	id, r := t.arcs.Alloc()
+	*r = arc{Arc: a}
+	from := &t.adj[a.From]
 	if from.outTail == 0 {
 		from.outHead = id
 	} else {
 		t.arcs.At(from.outTail).nextOut = id
 	}
 	from.outTail = id
-	to := &t.adj[e.To] // from itself, for a self-loop
+	to := &t.adj[a.To] // from itself, for a self-loop
 	if to.inTail == 0 {
 		to.inHead = id
 	} else {
@@ -146,17 +146,17 @@ func (t *Online) push(e Edge) {
 }
 
 // AddEdge inserts e, restoring the topological order. If the insertion
-// closes a directed cycle it returns the cycle's edges (e first, so each
-// edge's To is the next edge's From and the last edge re-enters e.From);
+// closes a directed cycle it returns the cycle's arcs (e first, so each
+// arc's To is the next arc's From and the last arc re-enters e.From);
 // the ordering is then stale and the structure should only be read, not
 // grown. It returns nil when the graph remains acyclic.
 //
 //mtc:hotpath — an edge that respects the order is push and two loads; one that inverts it searches in reused scratch
-func (t *Online) AddEdge(e Edge) []Edge {
-	u, v := e.From, e.To
+func (t *Online) AddEdge(e Arc) []Arc {
+	u, v := int(e.From), int(e.To)
 	t.push(e)
 	if u == v {
-		return []Edge{e} //mtc:alloc-ok a cycle is the terminal verdict
+		return []Arc{e} //mtc:alloc-ok a cycle is the terminal verdict
 	}
 	if t.ord[u] < t.ord[v] {
 		return nil
@@ -176,12 +176,12 @@ func (t *Online) AddEdge(e Edge) []Edge {
 		stack = stack[:len(stack)-1]
 		for id := t.adj[x].outHead; id != 0; id = a.nextOut {
 			a = t.arcs.At(id)
-			w := a.e.To
+			w := int(a.To)
 			if w == u {
-				// Cycle: e (u->v), then the tree path v ~> x, then a.e.
-				cycle := []Edge{e, a.e} //mtc:alloc-ok a cycle is the terminal verdict
-				for y := x; y != v; y = cycle[1].From {
-					cycle = slices.Insert(cycle, 1, t.arcs.At(t.parent[y]).e) //mtc:alloc-ok a cycle is the terminal verdict
+				// Cycle: e (u->v), then the tree path v ~> x, then a.
+				cycle := []Arc{e, a.Arc} //mtc:alloc-ok a cycle is the terminal verdict
+				for y := x; y != v; y = int(cycle[1].From) {
+					cycle = slices.Insert(cycle, 1, t.arcs.At(t.parent[y]).Arc) //mtc:alloc-ok a cycle is the terminal verdict
 				}
 				return cycle
 			}
@@ -207,7 +207,7 @@ func (t *Online) AddEdge(e Edge) []Edge {
 		stack = stack[:len(stack)-1]
 		for id := t.adj[x].inHead; id != 0; id = a.nextIn {
 			a = t.arcs.At(id)
-			w := a.e.From
+			w := int(a.From)
 			if t.ord[w] < lb || t.mark[w] == bwdStamp {
 				continue
 			}

@@ -16,25 +16,25 @@ import (
 // same.
 type refOnline struct {
 	ord   []int
-	out   [][]Edge
-	in    [][]Edge
+	out   [][]Arc
+	in    [][]Arc
 	mark  []int
 	stamp int
 }
 
 // newRefOnlineOrdered is the bulk load under the identity order.
-func newRefOnlineOrdered(n int, edges []Edge) *refOnline {
+func newRefOnlineOrdered(n int, edges []Arc) *refOnline {
 	t := &refOnline{
 		ord:  make([]int, n),
-		out:  make([][]Edge, n),
-		in:   make([][]Edge, n),
+		out:  make([][]Arc, n),
+		in:   make([][]Arc, n),
 		mark: make([]int, n),
 	}
 	for v := range t.ord {
 		t.ord[v] = v
 	}
 	for _, e := range edges {
-		if e.From < 0 || e.From >= e.To || e.To >= n {
+		if e.From < 0 || e.From >= e.To || int(e.To) >= n {
 			panic(fmt.Sprintf("edge %d -> %d does not ascend within %d nodes", e.From, e.To, n))
 		}
 		t.out[e.From] = append(t.out[e.From], e)
@@ -52,12 +52,12 @@ func (t *refOnline) AddNode() int {
 	return id
 }
 
-func (t *refOnline) AddEdge(e Edge) []Edge {
-	u, v := e.From, e.To
+func (t *refOnline) AddEdge(e Arc) []Arc {
+	u, v := int(e.From), int(e.To)
 	t.out[u] = append(t.out[u], e)
 	t.in[v] = append(t.in[v], e)
 	if u == v {
-		return []Edge{e}
+		return []Arc{e}
 	}
 	if t.ord[u] < t.ord[v] {
 		return nil
@@ -67,17 +67,17 @@ func (t *refOnline) AddEdge(e Edge) []Edge {
 	t.stamp++
 	fwd := []int{v}
 	t.mark[v] = t.stamp
-	parent := map[int]Edge{}
+	parent := map[int]Arc{}
 	stack := []int{v}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, oe := range t.out[x] {
-			w := oe.To
+			w := int(oe.To)
 			if w == u {
-				cycle := []Edge{e}
-				var path []Edge
-				for y := x; y != v; y = parent[y].From {
+				cycle := []Arc{e}
+				var path []Arc
+				for y := x; y != v; y = int(parent[y].From) {
 					path = append(path, parent[y])
 				}
 				for i := len(path) - 1; i >= 0; i-- {
@@ -103,7 +103,7 @@ func (t *refOnline) AddEdge(e Edge) []Edge {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, ie := range t.in[x] {
-			w := ie.From
+			w := int(ie.From)
 			if t.ord[w] < lb || t.mark[w] == bwdStamp {
 				continue
 			}
@@ -134,8 +134,8 @@ func (t *refOnline) AddEdge(e Edge) []Edge {
 }
 
 // outList and inList read a node's two lists out of the arena.
-func outList(t *Online, v int) []Edge {
-	var es []Edge
+func outList(t *Online, v int) []Arc {
+	var es []Arc
 	for i, e := range t.Out(v) {
 		if i != len(es) {
 			panic("Out yields positions out of step")
@@ -145,16 +145,16 @@ func outList(t *Online, v int) []Edge {
 	return es
 }
 
-func inList(t *Online, v int) []Edge {
-	var es []Edge
+func inList(t *Online, v int) []Arc {
+	var es []Arc
 	for id := t.adj[v].inHead; id != 0; id = t.arcs.At(id).nextIn {
-		es = append(es, t.arcs.At(id).e)
+		es = append(es, t.arcs.At(id).Arc)
 	}
 	return es
 }
 
 // sameEdges is slice equality that does not tell nil from empty.
-func sameEdges(a, b []Edge) bool {
+func sameEdges(a, b []Arc) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
@@ -194,11 +194,11 @@ func sameAsRef(tb testing.TB, got *Online, want *refOnline, when string) {
 func driveOnline(tb testing.TB, data []byte) (steps, reorders int, closed bool) {
 	tb.Helper()
 	got, want := NewOnline(), newRefOnlineOrdered(0, nil)
-	var last Edge
+	var last Arc
 	for pc := 0; pc+2 < len(data); pc += 3 {
 		op, a, b := data[pc]%6, int(data[pc+1]), int(data[pc+2])
 		n := got.Len()
-		var e Edge
+		var e Arc
 		switch {
 		case op == 0:
 			if x, y := got.AddNode(), want.AddNode(); x != y {
@@ -209,26 +209,26 @@ func driveOnline(tb testing.TB, data []byte) (steps, reorders int, closed bool) 
 			continue
 		case op == 4:
 			n = 2 + a%30
-			edges := make([]Edge, 0, b%64)
+			edges := make([]Arc, 0, b%64)
 			for ; len(edges) < cap(edges) && pc+5 < len(data); pc += 2 {
 				u := int(data[pc+3]) % (n - 1)
-				edges = append(edges, Edge{From: u, To: u + 1 + int(data[pc+4])%(n-1-u), Kind: EdgeKind(data[pc+4] % 6), Obj: "load"})
+				edges = append(edges, Arc{From: int32(u), To: int32(u + 1 + int(data[pc+4])%(n-1-u)), Kind: EdgeKind(data[pc+4] % 6), Obj: objLoad})
 			}
 			load(got, n, edges)
-			want, last = newRefOnlineOrdered(n, edges), Edge{}
+			want, last = newRefOnlineOrdered(n, edges), Arc{}
 			steps++
 			sameAsRef(tb, got, want, fmt.Sprintf("step %d Reload(%d, %d edges)", steps, n, len(edges)))
 			continue
 		case n == 0:
 			continue
 		case op == 3:
-			if last == (Edge{}) {
+			if last == (Arc{}) {
 				continue
 			}
 			e = last
 			e.Kind = (e.Kind + 1 + EdgeKind(a%5)) % 6
 		case op == 5:
-			e = Edge{From: a % n, To: a % n, Kind: WW, Obj: "loop"}
+			e = Arc{From: int32(a % n), To: int32(a % n), Kind: WW, Obj: objLoop}
 		default:
 			u, v := a%n, b%n
 			if u == v {
@@ -237,10 +237,10 @@ func driveOnline(tb testing.TB, data []byte) (steps, reorders int, closed bool) 
 			if (got.Ord(u) < got.Ord(v)) != (op == 1) {
 				u, v = v, u
 			}
-			e = Edge{From: u, To: v, Kind: EdgeKind(b % 6), Obj: "k"}
+			e = Arc{From: int32(u), To: int32(v), Kind: EdgeKind(b % 6), Obj: objK}
 		}
 		last = e
-		inverts := got.Ord(e.From) > got.Ord(e.To)
+		inverts := got.Ord(int(e.From)) > got.Ord(int(e.To))
 		cy, ref := got.AddEdge(e), want.AddEdge(e)
 		steps++
 		if !reflect.DeepEqual(cy, ref) {

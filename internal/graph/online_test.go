@@ -6,19 +6,28 @@ import (
 	"testing"
 )
 
+// The objects the tests' arcs name; Online never looks an Obj up.
+const (
+	objK int32 = iota
+	objLoad
+	objLoop
+	objExtra
+	objInv
+)
+
 // ascendingDAG returns m random edges over n nodes, every one From < To,
 // with parallel edges of different kinds among them.
-func ascendingDAG(rng *rand.Rand, n, m int) []Edge {
-	edges := make([]Edge, m)
+func ascendingDAG(rng *rand.Rand, n, m int) []Arc {
+	edges := make([]Arc, m)
 	for i := range edges {
 		u := rng.Intn(n - 1)
-		edges[i] = Edge{From: u, To: u + 1 + rng.Intn(n-1-u), Kind: EdgeKind(rng.Intn(6)), Obj: "k"}
+		edges[i] = Arc{From: int32(u), To: int32(u + 1 + rng.Intn(n-1-u)), Kind: EdgeKind(rng.Intn(6)), Obj: objK}
 	}
 	return edges
 }
 
 // load refills o with n nodes and edges, the way core.Compact does.
-func load(o *Online, n int, edges []Edge) {
+func load(o *Online, n int, edges []Arc) {
 	o.Reload(n)
 	for _, e := range edges {
 		o.Load(e)
@@ -26,14 +35,14 @@ func load(o *Online, n int, edges []Edge) {
 }
 
 // reloaded returns a fresh graph loaded that way.
-func reloaded(n int, edges []Edge) *Online {
+func reloaded(n int, edges []Arc) *Online {
 	o := NewOnline()
 	load(o, n, edges)
 	return o
 }
 
 // edgeByEdge builds what Reload(n) and a Load per edge promise, the slow way.
-func edgeByEdge(t *testing.T, n int, edges []Edge) *Online {
+func edgeByEdge(t *testing.T, n int, edges []Arc) *Online {
 	t.Helper()
 	o := NewOnline()
 	for i := 0; i < n; i++ {
@@ -48,7 +57,7 @@ func edgeByEdge(t *testing.T, n int, edges []Edge) *Online {
 }
 
 func TestReloadPanicsUnlessAscending(t *testing.T) {
-	for _, e := range []Edge{
+	for _, e := range []Arc{
 		{From: 2, To: 1}, // descends
 		{From: 1, To: 1}, // self-loop
 		{From: -1, To: 1},
@@ -60,7 +69,7 @@ func TestReloadPanicsUnlessAscending(t *testing.T) {
 					t.Errorf("edge %d -> %d over 3 nodes: want panic", e.From, e.To)
 				}
 			}()
-			reloaded(3, []Edge{{From: 0, To: 1}, e})
+			reloaded(3, []Arc{{From: 0, To: 1}, e})
 		}()
 	}
 }
@@ -86,7 +95,7 @@ func TestReloadMatchesEdgeByEdge(t *testing.T) {
 // lists is every node's order index and two lists, copied out.
 type lists struct {
 	ord     []int
-	out, in [][]Edge
+	out, in [][]Arc
 }
 
 func listsOf(o *Online) lists {
@@ -118,7 +127,7 @@ func TestReloadKeepsListsApart(t *testing.T) {
 		ref := edgeByEdge(t, n, edges)
 		for i := 0; i < 3*n; i++ {
 			u := rng.Intn(n - 1)
-			e := Edge{From: u, To: u + 1 + rng.Intn(n-1-u), Kind: AUX, Obj: "extra"}
+			e := Arc{From: int32(u), To: int32(u + 1 + rng.Intn(n-1-u)), Kind: AUX, Obj: objExtra}
 			before := listsOf(a)
 			if a.AddEdge(e) != nil || ref.AddEdge(e) != nil {
 				t.Fatalf("ascending edge %v reported a cycle", e)
@@ -126,10 +135,10 @@ func TestReloadKeepsListsApart(t *testing.T) {
 			after := listsOf(a)
 			for v := 0; v < n; v++ {
 				wantOut, wantIn := before.out[v], before.in[v]
-				if v == e.From {
+				if v == int(e.From) {
 					wantOut = append(wantOut, e)
 				}
-				if v == e.To {
+				if v == int(e.To) {
 					wantIn = append(wantIn, e)
 				}
 				if !sameEdges(after.out[v], wantOut) || !sameEdges(after.in[v], wantIn) {
@@ -163,7 +172,7 @@ func TestReloadThenInversions(t *testing.T) {
 			if u <= v {
 				continue // only edges against the loaded order
 			}
-			e := Edge{From: u, To: v, Kind: RW, Obj: "inv"}
+			e := Arc{From: int32(u), To: int32(v), Kind: RW, Obj: objInv}
 			got, want := bulk.AddEdge(e), ref.AddEdge(e)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: AddEdge(%v) after bulk load = %v, edge by edge %v", seed, e, got, want)
@@ -177,7 +186,7 @@ func TestReloadThenInversions(t *testing.T) {
 			}
 			for x := 0; x < n; x++ {
 				for _, oe := range bulk.Out(x) {
-					if bulk.Ord(oe.From) >= bulk.Ord(oe.To) {
+					if bulk.Ord(int(oe.From)) >= bulk.Ord(int(oe.To)) {
 						t.Fatalf("seed %d: order invariant broken after %v at %v", seed, e, oe)
 					}
 				}

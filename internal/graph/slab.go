@@ -1,6 +1,9 @@
 package graph
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Slab chunks double from slabChunkMin records to 1<<slabChunkShift, so
 // a structure over a handful of transactions costs a few kilobytes (the
@@ -98,4 +101,14 @@ func (s *Slab[T]) Reset() {
 		s.chunks[i] = s.chunks[i][:0]
 	}
 	s.used = 0
+}
+
+// Append is append that doubles a full slice: append grows a large one by
+// a quarter, so a table grown one record at a time allocates ~5× its
+// final size along the way, not ~2×.
+func Append[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s))
+	}
+	return append(s, v)
 }

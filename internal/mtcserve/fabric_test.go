@@ -177,8 +177,7 @@ func TestFabricStatusEndpoint(t *testing.T) {
 // resumes pending ones, while fresh submissions skip past recovered ids.
 func TestFabricCoordinatorRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
-	srv1, coord1, ts1 := coordServer(t, path)
-	srv1.JobTimeout = 200 * time.Millisecond // unblock srv1's pool quickly after the "crash"
+	_, coord1, ts1 := coordServer(t, path)
 	stop := startFabricWorkers(t, ts1.URL, 2)
 
 	h := tenantJobHistory()
@@ -188,12 +187,16 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 		t.Fatalf("jobA: %+v", doneA)
 	}
 	stop() // workers die before jobB can be executed
-	_, jobB := submitJob(t, ts1, api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, History: h})
+	// jobB alone carries a short timeout, to unblock srv1's pool quickly
+	// after the "crash"; jobA above needs the default, since its run
+	// includes the workers' start-up.
+	_, jobB := submitJob(t, ts1, api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, TimeoutMillis: 200, History: h})
 
 	// "Crash": the WAL closes with jobB pending. (srv1's pool worker
 	// times out on its Wait shortly after; its attempt to persist the
 	// timeout hits the closed WAL and is dropped — exactly what a real
-	// crash does.)
+	// crash does. The timeout is not in the WAL, so srv2 resumes jobB
+	// under its own default.)
 	ts1.Close()
 	if err := coord1.Close(); err != nil {
 		t.Fatalf("coord1 close: %v", err)
