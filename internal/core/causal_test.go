@@ -169,3 +169,19 @@ func TestCausalRungIsLinearInMemory(t *testing.T) {
 			got>>20, n, limit>>20, n*n/8>>20)
 	}
 }
+
+// BenchmarkCausalLostUpdates40k is the CAUSAL rung alone on the 40 000-
+// transaction lost-update history: ~6 650 distinct RW targets, of which
+// only the ~710 whose arc runs backward in CO's topological order can
+// close a CO path and take a bit column.
+func BenchmarkCausalLostUpdates40k(b *testing.B) {
+	ix := history.NewIndex(lostUpdates(40_000))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if res, err := core.CheckCtx(ctx, ix, core.CAUSAL); err != nil || !res.OK {
+			b.Fatalf("CAUSAL: %v %v", res.Explain(), err)
+		}
+	}
+}

@@ -112,86 +112,93 @@ func (d *Deps) checkCausal(ctx context.Context) (Result, error) {
 
 // firstClosedRW returns the first RW arc of g — by source, then out-list
 // position — whose target reaches its source in the acyclic co, and
-// whether there is one. Reachability is bit-parallel: the distinct RW
+// whether there is one. If S reaches T in CO, S precedes T in every
+// topological order, so only an arc T -RW-> S with pos[S] <= pos[T] can
+// close (equal for a self-loop): those candidates are collected once, in
+// scan order. Reachability is bit-parallel: the candidates' distinct
 // targets are taken 64 at a time, each node holds one word whose bit i
 // says the block's target i reaches it (reflexively), and one pass in
-// topological order ORs every word into its CO successors. That is O(n)
-// words in O(n·m/64) time, where an all-pairs closure would hold n²/8
-// bytes: gigabytes at the transaction counts a job admits. ctx is polled
-// once per block.
+// topological order, over just the span between the block's earliest
+// target and its latest source, ORs every word into its CO successors.
+// That is O(n) words in O(n·m/64) time, where an all-pairs closure would
+// hold n²/8 bytes: gigabytes at the transaction counts a job admits. ctx
+// is polled once per block.
 func firstClosedRW(ctx context.Context, g, co *graph.Graph) (graph.Arc, bool, error) {
 	n := g.Len()
-	// col[t] is RW target t's bit column, numbered in scan order; -1 for
-	// a node no RW arc targets. targets inverts it, and blockAt[b] is the
-	// scan position of the first RW arc into block b: no arc before it
-	// targets the block.
+	order, _ := co.TopoSort()
+	pos := make([]int32, n)
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	// col[t] is candidate target t's bit column, numbered in scan order;
+	// -1 for a node no candidate targets. targets inverts it, blockAt[b]
+	// is the index of the first candidate into block b (no candidate
+	// before it targets the block) and span[b] the order positions its
+	// sweep covers.
 	col := make([]int32, n)
 	for i := range col {
 		col[i] = -1
 	}
-	var targets []int32
-	var blockAt []int
-	numRW := 0
+	var (
+		cands   []graph.Arc
+		targets []int32
+		blockAt []int
+		span    [][2]int32
+	)
 	//mtc:cancellation-ok one linear scan of the arcs; the blocks below poll ctx
 	for u := 0; u < n; u++ {
 		for _, a := range g.Out(u) {
-			if a.Kind != graph.RW {
+			if a.Kind != graph.RW || pos[a.To] > pos[a.From] {
 				continue
 			}
 			if col[a.To] < 0 {
 				if len(targets)%64 == 0 {
-					blockAt = append(blockAt, numRW)
+					blockAt = append(blockAt, len(cands))
+					span = append(span, [2]int32{pos[a.To], pos[a.From]})
 				}
 				col[a.To] = int32(len(targets))
 				targets = append(targets, a.To)
 			}
-			numRW++
+			s := &span[col[a.To]/64]
+			s[0], s[1] = min(s[0], pos[a.To]), max(s[1], pos[a.From])
+			cands = append(cands, a)
 		}
 	}
-	if len(targets) == 0 {
-		return graph.Arc{}, false, nil // nothing can close a CO path
-	}
-	order, _ := co.TopoSort()
 	reach := make([]uint64, n)
 	var first graph.Arc
-	best := numRW // scan position of the first closed RW arc so far
-	// A block can only improve on an earlier block's find by an arc
+	best := len(cands) // index of the first closed candidate so far
+	// A block can only improve on an earlier block's find by a candidate
 	// scanned before it, so the blocks stop once they start after it.
 	for lo := 0; lo < len(targets) && blockAt[lo/64] < best; lo += 64 {
 		if err := ctx.Err(); err != nil {
 			return graph.Arc{}, false, err
 		}
 		block := targets[lo:min(lo+64, len(targets))]
-		clear(reach)
+		// Nothing before the span holds a bit of the block, and nothing
+		// after it is read; words written past it are cleared by the
+		// block whose span covers them.
+		sweep := order[span[lo/64][0] : span[lo/64][1]+1]
+		for _, v := range sweep {
+			reach[v] = 0
+		}
 		for i, t := range block {
 			reach[t] = 1 << i
 		}
-		for _, v := range order {
+		for _, v := range sweep {
 			if m := reach[v]; m != 0 {
 				for _, a := range co.Out(v) {
 					reach[a.To] |= m
 				}
 			}
 		}
-		p := 0
-	scan:
-		for u := 0; u < n; u++ {
-			for _, a := range g.Out(u) {
-				if a.Kind != graph.RW {
-					continue
-				}
-				if p == best {
-					break scan
-				}
-				if c := int(col[a.To]) - lo; c >= 0 && c < len(block) && reach[a.From]>>c&1 != 0 {
-					first, best = a, p
-					break scan
-				}
-				p++
+		for p, a := range cands[:best] {
+			if c := int(col[a.To]) - lo; c >= 0 && c < len(block) && reach[a.From]>>c&1 != 0 {
+				first, best = a, p
+				break
 			}
 		}
 	}
-	return first, best < numRW, nil
+	return first, best < len(cands), nil
 }
 
 // liftCycle materializes the causal counterexample for an RW arc whose

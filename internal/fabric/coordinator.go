@@ -364,7 +364,7 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 	j.report = report
 	j.errMsg = errMsg
 	j.p, j.enc = nil, nil
-	c.wal.removeHistory(j.side.name)
+	c.wal.releaseHistory(j.side.name)
 	j.side = sideFile{}
 	c.dropJobTasks(j)
 	close(j.done)

@@ -150,6 +150,25 @@ func drain(t *testing.T, c *Coordinator, workerID string) int {
 	}
 }
 
+// sameAsShardCheck fails t unless a fabric verdict on h matches
+// single-node sharded checking of h.
+func sameAsShardCheck(t *testing.T, got checker.Report, h *history.History, opts checker.Options) {
+	t.Helper()
+	eng, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Shard = 2
+	ref, err := shard.Check(context.Background(), eng, h, opts)
+	if err != nil {
+		t.Fatalf("reference shard.Check: %v", err)
+	}
+	if got.OK != ref.OK || got.Txns != ref.Txns || got.Edges != ref.Edges ||
+		got.ShardComponents != ref.ShardComponents || got.Checker != ref.Checker || got.Level != ref.Level {
+		t.Fatalf("fabric verdict diverges from single-node sharded checking:\nfabric: %+v\nlocal:  %+v", got, ref)
+	}
+}
+
 // TestFabricDispatchFold checks the basic contract: a submitted job's
 // components flow through two workers and the fold is bit-identical to
 // single-node sharded checking (verdict, counts, components).
@@ -174,18 +193,7 @@ func TestFabricDispatchFold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	eng, err := checker.Lookup("mtc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := shard.Check(context.Background(), eng, h, checker.Options{Level: core.SI, Shard: 2})
-	if err != nil {
-		t.Fatalf("reference shard.Check: %v", err)
-	}
-	if got.OK != ref.OK || got.Txns != ref.Txns || got.Edges != ref.Edges ||
-		got.ShardComponents != ref.ShardComponents || got.Checker != ref.Checker || got.Level != ref.Level {
-		t.Fatalf("fabric verdict diverges from single-node sharded checking:\nfabric: %+v\nlocal:  %+v", got, ref)
-	}
+	sameAsShardCheck(t, got, h, checker.Options{Level: core.SI})
 }
 
 // TestFabricBinaryEncodingCached: a task carries its component as MTCB
@@ -257,7 +265,9 @@ func TestFabricSubmitIdempotent(t *testing.T) {
 // busy on the giant component — receives the largest remaining one, and
 // the small components never strand behind the giant.
 func TestFabricWorkStealing(t *testing.T) {
-	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
+	// A fake clock that never moves: w1 holds the giant the whole time,
+	// and a stalled fsync must not let the sweep requeue it.
+	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), newFakeClock())
 	defer c.Close()
 	w1 := c.Register(api.WorkerHello{Name: "w1"})
 	h := skewedHistory(2, 9, 3, 5)
@@ -825,7 +835,9 @@ func TestFabricCancelDurable(t *testing.T) {
 // TestFabricTerminalJobReleasesPlan: once a job folds or is cancelled
 // the coordinator holds neither its split history nor its encoded
 // components, and nothing that can still arrive for it — status reads,
-// a straggler's result, a pull, a restart — needs them.
+// a straggler's result, a pull, a restart — needs them. Its side file
+// is released, not unlinked: the next job overwrites the same file, and
+// only a restart's sweep removes it.
 func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.wal")
 	clk := newFakeClock()
@@ -848,6 +860,9 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	if err := c.Submit("j1", "mtc", tenantHistory(3, 4), checker.Options{Level: core.SER}); err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	file1 := c.jobs["j1"].side.name
+	c.mu.Unlock()
 	late, err := c.Pull(w1.ID)
 	if err != nil || late == nil {
 		t.Fatalf("pull: task=%v err=%v", late, err)
@@ -864,8 +879,8 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	if !released(c, "j1") {
 		t.Fatal("folded job still holds its partition, encoded components or side file")
 	}
-	if files := sideFiles(t, path); len(files) != 0 {
-		t.Fatalf("folded job left side files %v", files)
+	if files := sideFiles(t, path); !reflect.DeepEqual(files, []string{file1}) {
+		t.Fatalf("side files after the fold: %v, want j1's released %s only", files, file1)
 	}
 	if st := status("j1"); st.State != JobDone || st.Components != 3 || st.Done != 3 {
 		t.Fatalf("status after release: %+v", st)
@@ -880,6 +895,12 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	if err := c.Submit("j2", "mtc", tenantHistory(3, 4), checker.Options{Level: core.SER}); err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	file2 := c.jobs["j2"].side.name
+	c.mu.Unlock()
+	if files := sideFiles(t, path); file2 != file1 || !reflect.DeepEqual(files, []string{file1}) {
+		t.Fatalf("j2 wrote %s, side files %v; want j1's %s reused", file2, files, file1)
+	}
 	if task, err := c.Pull(w2.ID); task == nil || err != nil {
 		t.Fatalf("pull j2: task=%v err=%v", task, err)
 	}
@@ -887,8 +908,8 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	if !released(c, "j2") {
 		t.Fatal("cancelled job still holds its partition, encoded components or side file")
 	}
-	if files := sideFiles(t, path); len(files) != 0 {
-		t.Fatalf("cancelled job left side files %v", files)
+	if files := sideFiles(t, path); !reflect.DeepEqual(files, []string{file1}) {
+		t.Fatalf("side files after the cancel: %v, want the released %s only", files, file1)
 	}
 	if st := status("j2"); st.State != JobFailed || st.Components != 3 || st.Done != 0 {
 		t.Fatalf("status after cancel: %+v", st)
@@ -906,6 +927,76 @@ func TestFabricTerminalJobReleasesPlan(t *testing.T) {
 	if !released(c2, "j1") || !released(c2, "j2") {
 		t.Fatal("replayed terminal jobs hold their partitions")
 	}
+	if files := sideFiles(t, path); len(files) != 0 {
+		t.Fatalf("side files after the restart: %v, want none", files)
+	}
+}
+
+// TestFabricSerialJobsRecycleOneSideFile: jobs folded one after another,
+// each bigger or smaller than the last, all write into one side file.
+func TestFabricSerialJobsRecycleOneSideFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c := openTestCoord(t, path, newFakeClock())
+	defer c.Close()
+	w := c.Register(api.WorkerHello{})
+	opts := checker.Options{Level: core.SI}
+	for i := range 8 {
+		id := fmt.Sprintf("j%d", i)
+		h := tenantHistory(2+i%3, 2+(i*5)%7)
+		if err := c.Submit(id, "mtc", h, opts); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, c, w.ID)
+		got, err := c.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sameAsShardCheck(t, got, h, opts)
+		if files := sideFiles(t, path); len(files) != 1 {
+			t.Fatalf("after %s: side files %v, want one", id, files)
+		}
+	}
+}
+
+// TestFabricResumeOverRecycledTail: a small job written over a big
+// job's released file leaves the big job's bytes past its own end. A
+// restart reads the small job's prefix and resumes it.
+func TestFabricResumeOverRecycledTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.wal")
+	c1 := openTestCoord(t, path, newFakeClock())
+	w := c1.Register(api.WorkerHello{})
+	opts := checker.Options{Level: core.SER}
+	if err := c1.Submit("big", "mtc", tenantHistory(4, 30), opts); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, c1, w.ID)
+	big := sideFiles(t, path)
+	small := tenantHistory(2, 3)
+	if err := c1.Submit("small", "mtc", small, opts); err != nil {
+		t.Fatal(err)
+	}
+	c1.mu.Lock()
+	sf := c1.jobs["small"].side
+	c1.mu.Unlock()
+	fi, err := os.Stat(filepath.Join(path+".d", sf.name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) != 1 || sf.name != big[0] || fi.Size() <= sf.size {
+		t.Fatalf("small job wrote %d of %d bytes into %s; want a prefix of the big job's %v", sf.size, fi.Size(), sf.name, big)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openTestCoord(t, path, newFakeClock())
+	defer c2.Close()
+	drain(t, c2, c2.Register(api.WorkerHello{}).ID)
+	got, err := c2.Wait(context.Background(), "small")
+	if err != nil {
+		t.Fatalf("small after restart: %v", err)
+	}
+	sameAsShardCheck(t, got, small, opts)
 }
 
 // TestFabricWALEmptyJobID: a job record without an id is corruption.

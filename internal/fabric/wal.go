@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"mtc/internal/checker"
 	"mtc/internal/history"
@@ -41,13 +42,20 @@ import (
 // A job's history is not in the log. Submit writes it once, as MTCB,
 // to a file of its own in the side directory <wal>.d/, and makes the
 // file and its directory entry durable before it appends the job
-// record that names it; terminate unlinks the file once the job's
-// done or fail record is durable. Replay reads a side file only for a
-// job still pending after the last record (a terminal job needs only
-// its component count), and a side file that is missing, short or
-// fails its CRC fails that one job durably with ErrHistoryFile. A job
-// line without a side file — the retired inline-history form — fails
-// Open.
+// record that names it. Once the job's done or fail record is durable,
+// terminate frees the file and the next Submit overwrites it from
+// offset 0: never unlinked or truncated, as freeing a synced file's
+// blocks can cost tens of milliseconds that every log fsync waits out.
+// So a job record's history_bytes and history_crc32 describe a prefix
+// of its file. No pending job names a free file, and a crash
+// mid-overwrite damages a file no intact record names yet; should a
+// dropped terminal record leave an older job pending on a reused file,
+// the CRC fails it. Open unlinks every file no pending job names.
+// Replay reads a side file only for a job still pending after the last
+// record (a terminal job needs only its component count), and a side
+// file that is missing, short or fails its CRC fails that one job
+// durably with ErrHistoryFile. A job line without a side file — the
+// retired inline-history form — fails Open.
 const walHeader = `{"format":"mtc-fabric-wal","version":1}`
 
 // Record types.
@@ -87,11 +95,15 @@ type walRecord struct {
 var ErrHistoryFile = errors.New("fabric: wal: history side file unusable")
 
 // wal appends records durably to an NDJSON log and keeps the jobs'
-// history side files in dir. Safe for concurrent use.
+// history side files in dir, the released ones listed in free. Safe
+// for concurrent use.
 type wal struct {
 	f   *os.File
 	bw  *bufio.Writer
 	dir string
+
+	freeMu sync.Mutex
+	free   []string
 }
 
 // sideFile names one job's history file in the side directory, with
@@ -234,12 +246,23 @@ func (w *wal) Close() error {
 	return w.f.Close()
 }
 
-// writeHistory encodes h as MTCB into a fresh file of the side
-// directory and makes the file and its directory entry durable, so a
-// job record naming it can be appended next. On error nothing is left
-// behind.
+// writeHistory encodes h as MTCB from offset 0 of a released side
+// file, or of a fresh one when none is free, and makes the file (and a
+// fresh file's directory entry) durable, so a job record naming it can
+// be appended next. On error the file is unlinked.
 func (w *wal) writeHistory(h *history.History) (sideFile, error) {
-	f, err := os.CreateTemp(w.dir, "job-*.mtcb")
+	w.freeMu.Lock()
+	var f *os.File
+	var err error
+	if n := len(w.free); n > 0 {
+		f, err = os.OpenFile(filepath.Join(w.dir, w.free[n-1]), os.O_WRONLY, 0)
+		w.free = w.free[:n-1]
+	}
+	w.freeMu.Unlock()
+	fresh := f == nil && err == nil
+	if fresh {
+		f, err = os.CreateTemp(w.dir, "job-*.mtcb")
+	}
 	if err != nil {
 		return sideFile{}, err
 	}
@@ -259,7 +282,7 @@ func (w *wal) writeHistory(h *history.History) (sideFile, error) {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
+	if err == nil && fresh {
 		err = syncDir(w.dir)
 	}
 	if err != nil {
@@ -281,9 +304,10 @@ func (w *wal) readHistory(sf sideFile) (*history.History, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHistoryFile, err)
 	}
-	if int64(len(b)) != sf.size {
+	if int64(len(b)) < sf.size {
 		return nil, fmt.Errorf("%w: %s holds %d bytes, the log recorded %d", ErrHistoryFile, sf.name, len(b), sf.size)
 	}
+	b = b[:sf.size] // the rest is a recycled tail
 	if crc := crc32.ChecksumIEEE(b); crc != sf.crc {
 		return nil, fmt.Errorf("%w: %s has CRC-32 %08x, the log recorded %08x", ErrHistoryFile, sf.name, crc, sf.crc)
 	}
@@ -304,10 +328,21 @@ func (w *wal) removeHistory(name string) {
 	_ = os.Remove(filepath.Join(w.dir, name))
 }
 
-// sweepHistories unlinks every side file not in keep: the files of
-// terminal jobs, and the orphans of a crash between a side file's
-// fsync and its job record.
+// releaseHistory puts a terminal job's side file on the free list for
+// the next writeHistory to overwrite.
+func (w *wal) releaseHistory(name string) {
+	w.freeMu.Lock()
+	w.free = append(w.free, name)
+	w.freeMu.Unlock()
+}
+
+// sweepHistories unlinks every side file not in keep — the files of
+// terminal jobs, free or not, and the orphans of a crash between a side
+// file's fsync and its job record — and empties the free list.
 func (w *wal) sweepHistories(keep map[string]bool) error {
+	w.freeMu.Lock()
+	w.free = nil
+	w.freeMu.Unlock()
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
 		return err

@@ -33,6 +33,10 @@ const (
 	edCorrupt        // side file of job arg has a flipped byte
 	edOrphan         // an unreferenced file sits in the side directory
 	edTear           // the last record is cut short, without its newline
+
+	// Edits added later come last, so the codes above keep their
+	// numbers and the committed corpus its meaning.
+	edLongTail // side file of job arg gains a recycled tail: job arg+1's bytes
 	nEdits
 )
 
@@ -49,7 +53,8 @@ type replayJob struct {
 // replayRef is the reference log: what a coordinator wrote while jA and
 // jD (a lost update) folded, jB stopped with one result logged and one
 // component in flight, and jC was cancelled — plus every job's side
-// file, kept as if the crash came before any terminal unlink.
+// file, each job writing a file of its own as if no released file had
+// been reused yet (edLongTail adds what a reuse leaves behind).
 type replayRef struct {
 	jobs  []replayJob
 	lines [][]byte // the records after the header
@@ -78,6 +83,7 @@ var replayReference = sync.OnceValue(func() replayRef {
 		{id: "jC", h: skewedHistory(2, 2)},
 		{id: "jD", h: lu.Build()},
 	} {
+		c.wal.free = nil
 		if err := c.Submit(j.id, "mtc", j.h, checker.Options{Level: core.SI}); err != nil {
 			panic(err)
 		}
@@ -167,10 +173,11 @@ type replayCase struct {
 }
 
 // damaged reports whether the edits left job's side file missing or
-// changed (a byte flipped twice is sound again).
+// without the job's bytes as its prefix (a byte flipped twice is sound
+// again, and so is a recycled tail past the prefix).
 func (rc *replayCase) damaged(job replayJob, ref replayRef) bool {
 	f, ok := rc.files[job.file]
-	return !ok || !bytes.Equal(f, ref.files[job.file])
+	return !ok || !bytes.HasPrefix(f, ref.files[job.file])
 }
 
 func (rc *replayCase) edit(b byte, ref replayRef) {
@@ -223,6 +230,10 @@ func (rc *replayCase) edit(b byte, ref replayRef) {
 		rc.files["job-orphan.mtcb"] = []byte("MTCB?")
 	case edTear:
 		rc.tear = arg%15 + 1
+	case edLongTail:
+		if f, ok := rc.files[job.file]; ok {
+			rc.files[job.file] = append(slices.Clip(f), ref.files[ref.jobs[(arg+1)%len(ref.jobs)].file]...)
+		}
 	}
 }
 
@@ -306,7 +317,7 @@ func (r replayRef) job(id string) replayJob {
 
 // FuzzWALReplay edits a reference log — records torn, dropped,
 // duplicated and reordered, retired fields and empty ids, side files
-// missing, short, corrupt or orphaned — and
+// missing, short, corrupt, orphaned or with a recycled tail — and
 // asserts that Open either refuses the log or replays it without a
 // wrong verdict: a done job carries shard.Check's report, a job with an
 // intact terminal record stays terminal, a pending job never resumes
@@ -323,6 +334,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{ed(edRetired, 2), ed(edRetired, 5)})
 	f.Add([]byte{ed(edEmptyID, 0)})
 	f.Add([]byte{ed(edDrop, 11), ed(edRmFile, 0)})
+	f.Add([]byte{ed(edLongTail, 0), ed(edLongTail, 3), ed(edDrop, 11)})
+	f.Add([]byte{ed(edLongTail, 1)})
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		if len(edits) > 16 {
 			edits = edits[:16]
