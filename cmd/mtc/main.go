@@ -120,6 +120,9 @@ func main() {
 		if jsonReport {
 			fatalf("-report json renders checker.Report verdicts; the VLLWT pipeline has none")
 		}
+		if *out != "" {
+			fatalf("-lwt runs the VLLWT pipeline over LWT operations; it has no history for -out")
+		}
 		runLWTPipeline(store, *sessions, *txns, *seed)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,5 +97,18 @@ func TestStreamVerdictLineNamesTheEngine(t *testing.T) {
 	epochs := fmt.Sprintf("%d epochs compacted)", rep.CompactedEpochs)
 	if !strings.Contains(text, want) || !strings.Contains(text, epochs) {
 		t.Fatalf("verdict line does not match the report (want %q ... %q):\n%s", want, epochs, text)
+	}
+}
+
+// TestLWTRefusesOut: the -lwt pipeline saves no history, so asking it
+// for one is a usage error, not a silent success that writes no file.
+func TestLWTRefusesOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.json")
+	code, _, stderr := run(t, "-lwt", "-sessions", "2", "-txns", "5", "-out", path)
+	if code != 2 || !strings.Contains(stderr, "-out") {
+		t.Fatalf("exit %d, stderr %s", code, stderr)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("-lwt -out: want no file, stat says %v", err)
 	}
 }

@@ -45,13 +45,13 @@ func TestPipelineHealthyStoreAllCheckersAgree(t *testing.T) {
 	}
 
 	if r := coreCheck(h, core.SSER); !r.OK {
-		t.Fatalf("MTC-SSER: %s", r.Explain())
+		t.Fatalf("MTC-SSER: %s", r.Witness())
 	}
 	if r := coreCheck(h, core.SER); !r.OK {
-		t.Fatalf("MTC-SER: %s", r.Explain())
+		t.Fatalf("MTC-SER: %s", r.Witness())
 	}
 	if r := coreCheck(h, core.SI); !r.OK {
-		t.Fatalf("MTC-SI: %s", r.Explain())
+		t.Fatalf("MTC-SI: %s", r.Witness())
 	}
 	if r := polyCheck(h, polygraph.SER); !r.OK {
 		t.Fatalf("cobra: %+v", r)
@@ -150,7 +150,7 @@ func TestTargetedWorkloadValidOnHealthyStore(t *testing.T) {
 	})
 	res := runner.Run(s, w, runner.Config{Retries: 10})
 	if r := coreCheck(res.H, core.SSER); !r.OK {
-		t.Fatalf("healthy store must pass SSER under targeted load: %s", r.Explain())
+		t.Fatalf("healthy store must pass SSER under targeted load: %s", r.Witness())
 	}
 	if err := history.ValidateMT(res.H); err != nil {
 		t.Fatal(err)

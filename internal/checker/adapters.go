@@ -70,11 +70,8 @@ func ReportFromResult(name string, r core.Result) Report {
 		Anomalies: r.Anomalies, Cycle: r.Cycle,
 		CompactedEpochs: r.CompactedEpochs, CompactedTxns: r.CompactedTxns,
 	}
-	if r.Divergence != nil {
-		v.Detail = r.Divergence.String()
-	}
-	if len(r.Cycle) > 0 {
-		v.Detail = graph.FormatCycle(r.Cycle)
+	if len(r.Anomalies) == 0 {
+		v.Detail = r.Witness()
 	}
 	return v
 }
@@ -89,19 +86,13 @@ func reportFromProfile(lvl Level, prof *core.Profile) Report {
 	rep.Txns = prof.NumTxns
 	rep.Edges = prof.NumEdges
 	rep.StrongestLevel = prof.Strongest
-	if rep.Detail == "" && !rung.OK {
-		rep.Detail = rung.Witness()
-	}
+	rep.Detail = rung.Witness() // a pre-check anomaly too, unlike ReportFromResult
 	for _, v := range prof.Rungs {
 		rep.Rungs = append(rep.Rungs, RungVerdict{
 			Level: v.Level, OK: v.OK, Witness: v.Witness(),
 		})
 	}
-	for _, g := range prof.Guarantees {
-		rep.Guarantees = append(rep.Guarantees, GuaranteeVerdict{
-			Guarantee: string(g.Guarantee), OK: g.OK, Session: g.Session, Witness: g.Witness,
-		})
-	}
+	rep.Guarantees = prof.Guarantees
 	return rep
 }
 

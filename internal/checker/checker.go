@@ -213,15 +213,9 @@ type RungVerdict struct {
 	Witness string `json:"witness,omitempty"`
 }
 
-// GuaranteeVerdict is one session guarantee of a profile run on the
-// wire. Session locates the first violating session (-1 when OK or when
-// a pre-check anomaly voids the guarantee globally).
-type GuaranteeVerdict struct {
-	Guarantee string `json:"guarantee"`
-	OK        bool   `json:"ok"`
-	Session   int    `json:"session,omitempty"`
-	Witness   string `json:"witness,omitempty"`
-}
+// GuaranteeVerdict is one session guarantee of a profile run, on the
+// wire as in core.
+type GuaranteeVerdict = core.GuaranteeVerdict
 
 // UnsupportedHistoryError reports that an engine cannot process the
 // submitted history at all — the request was well-formed but the history

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mtc/internal/core"
+	"mtc/internal/graph"
 	"mtc/internal/history"
 )
 
@@ -260,5 +261,70 @@ func TestSSERAllocationIsLinear(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
 		t.Fatalf("SSER on %d txns allocated %d MB, want < 32 MB", len(h.Txns), got>>20)
+	}
+}
+
+// TestReportExplain pins the one verdict renderer: the OK line, the
+// anomaly list and its truncation, the witness Detail of a divergence
+// and of a cycle, and a profile's rungs (strongest first) and
+// guarantees.
+func TestReportExplain(t *testing.T) {
+	ok := Report{Checker: "mtc-incremental", Level: core.SER, OK: true, Txns: 3, Edges: 4, CompactedEpochs: 2}
+	if got, want := ok.Explain(), "[mtc-incremental] history satisfies SER (3 txns, 4 dependency edges, 2 epochs compacted)"; got != want {
+		t.Fatalf("OK line:\n got %q\nwant %q", got, want)
+	}
+
+	var as []history.Anomaly
+	for i := range 6 {
+		as = append(as, history.Anomaly{Kind: history.ThinAirRead, Txn: i, Key: "x", Value: history.Value(i)})
+	}
+	bad := Report{Checker: "mtc", Level: core.SI, Anomalies: as}
+	want := "[mtc] history VIOLATES SI:"
+	for _, a := range as[:5] {
+		want += "\n  " + a.String()
+	}
+	want += "\n  ... and 1 more anomalies"
+	if got := bad.Explain(); got != want {
+		t.Fatalf("six anomalies:\n got %q\nwant %q", got, want)
+	}
+
+	ctx := context.Background()
+	rep, err := Run(ctx, "mtc", history.SerialHistory(3), Options{Level: core.SER})
+	if err != nil || !strings.Contains(rep.Explain(), "satisfies SER") {
+		t.Fatalf("serial history: %v %q", err, rep.Explain())
+	}
+	rep, err = Run(ctx, "mtc", history.FixtureByName("LostUpdate").H, Options{Level: core.SI})
+	if got := rep.Explain(); err != nil || !strings.Contains(got, "VIOLATES SI") ||
+		!strings.HasSuffix(got, "\n  "+rep.Detail) || !strings.HasPrefix(rep.Detail, "DIVERGENCE on x") {
+		t.Fatalf("LostUpdate: %v %q", err, got)
+	}
+	rep, err = Run(ctx, "mtc", history.FixtureByName("WriteSkew").H, Options{Level: core.SER})
+	if got := rep.Explain(); err != nil || len(rep.Cycle) == 0 || !strings.HasSuffix(got, "\n  "+graph.FormatCycle(rep.Cycle)) {
+		t.Fatalf("WriteSkew: %v %q", err, got)
+	}
+
+	prof := Report{
+		Checker: "profile", Level: core.SER, StrongestLevel: core.SI, Txns: 2, Detail: "T0 -RW(x)-> T1 -RW(y)-> T0",
+		Rungs: []RungVerdict{
+			{Level: core.RC, OK: true}, {Level: core.RA, OK: true}, {Level: core.CAUSAL, OK: true}, {Level: core.SI, OK: true},
+			{Level: core.SER, Witness: "T0 -RW(x)-> T1 -RW(y)-> T0"}, {Level: core.SSER, Witness: "T0 -RW(x)-> T1 -RW(y)-> T0"},
+		},
+		Guarantees: []GuaranteeVerdict{
+			{Guarantee: core.ReadYourWrites, OK: true, Session: -1}, {Guarantee: core.MonotonicReads, Session: 1, Witness: "T1 reads back"},
+		},
+	}
+	want = `[profile] history VIOLATES SER:
+  T0 -RW(x)-> T1 -RW(y)-> T0
+strongest level satisfied: SI
+  SSER   VIOLATED: T0 -RW(x)-> T1 -RW(y)-> T0
+  SER    VIOLATED: T0 -RW(x)-> T1 -RW(y)-> T0
+  SI     ok
+  CAUSAL ok
+  RA     ok
+  RC     ok
+  RYW    ok
+  MR     VIOLATED: T1 reads back`
+	if got := prof.Explain(); got != want {
+		t.Fatalf("profile:\n got %q\nwant %q", got, want)
 	}
 }

@@ -51,7 +51,7 @@ func feed(t *testing.T, inc *core.Incremental, txns []history.Txn, window int) {
 	t.Helper()
 	for i := range txns {
 		if vio := inc.Add(txns[i]); vio != nil {
-			t.Fatalf("clean stream rejected: %s", vio.Explain())
+			t.Fatalf("clean stream rejected: %s", vio.Witness())
 		}
 		inc.MaybeCompact(window, 0, nil)
 	}
@@ -131,7 +131,7 @@ func TestWarmCompactionAllocatesNothing(t *testing.T) {
 			due := warm + e*epoch // the Add that makes the next compaction due
 			feed(t, inc, txns[fed:due-1], window)
 			if vio := inc.Add(txns[due-1]); vio != nil {
-				t.Fatalf("clean stream rejected: %s", vio.Explain())
+				t.Fatalf("clean stream rejected: %s", vio.Witness())
 			}
 			fed = due
 			// AllocsPerRun calls its function once to warm up; the compaction is
@@ -231,7 +231,7 @@ func TestSmallIncrementalIsSmall(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if r := inc.Finalize(); !r.OK {
-			t.Fatalf("%s: clean stream rejected: %s", lvl, r.Explain())
+			t.Fatalf("%s: clean stream rejected: %s", lvl, r.Witness())
 		}
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s: %d bytes in %d objects", lvl, got, after.Mallocs-before.Mallocs)

@@ -152,14 +152,14 @@ func TestCausalRungIsLinearInMemory(t *testing.T) {
 	ix := history.NewIndex(lostUpdates(n))
 	ctx := context.Background()
 	if si, err := core.CheckCtx(ctx, ix, core.SI); err != nil || si.OK || si.Divergence == nil {
-		t.Fatalf("the history should lose updates: %v", si.Explain())
+		t.Fatalf("the history should lose updates: %+v", si)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := core.CheckCtx(ctx, ix, core.CAUSAL)
 	runtime.ReadMemStats(&after)
 	if err != nil || !res.OK {
-		t.Fatalf("CAUSAL: %v %v", res.Explain(), err)
+		t.Fatalf("CAUSAL: %v %v", res.Witness(), err)
 	}
 	const limit = 32 << 20
 	got := after.TotalAlloc - before.TotalAlloc
@@ -181,7 +181,7 @@ func BenchmarkCausalLostUpdates40k(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		if res, err := core.CheckCtx(ctx, ix, core.CAUSAL); err != nil || !res.OK {
-			b.Fatalf("CAUSAL: %v %v", res.Explain(), err)
+			b.Fatalf("CAUSAL: %v %v", res.Witness(), err)
 		}
 	}
 }

@@ -410,7 +410,7 @@ func TestCompactEmitsTheReduction(t *testing.T) {
 				}
 				for i := 0; i < txns; i++ {
 					if vio := inc.Add(store.next(i % sessions)); vio != nil {
-						t.Fatalf("%s/%s/seed %d: serializable stream rejected at %d: %s", lvl, mode, seed, i, vio.Explain())
+						t.Fatalf("%s/%s/seed %d: serializable stream rejected at %d: %s", lvl, mode, seed, i, vio.Witness())
 					}
 					compactChecked(t, inc, func() { inc.MaybeCompact(window, 0, pin) })
 				}
@@ -464,7 +464,7 @@ func TestSweepMatchesLegacyOnZipf(t *testing.T) {
 		}
 		for i := 0; i < txns; i++ {
 			if vio := inc.Add(store.next(i % sessions)); vio != nil {
-				t.Fatalf("%s: serializable stream rejected at %d: %s", tc.lvl, i, vio.Explain())
+				t.Fatalf("%s: serializable stream rejected at %d: %s", tc.lvl, i, vio.Witness())
 			}
 			sweepChecked(t, inc, func() { inc.MaybeCompact(window, 0, nil) })
 		}
@@ -509,7 +509,7 @@ func TestSweepMatchesLegacyOutOfOrder(t *testing.T) {
 			}
 			for _, txn := range feed {
 				if vio := inc.Add(txn); vio != nil {
-					t.Fatalf("%s: serializable stream rejected at %d: %s", lvl, i, vio.Explain())
+					t.Fatalf("%s: serializable stream rejected at %d: %s", lvl, i, vio.Witness())
 				}
 				offIdentity, newToOld := false, false
 				for x := 0; x < inc.topo.Len(); x++ {
@@ -565,7 +565,7 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 				pad := func(n int) { // RMWs of the other key: traffic that ages the window
 					for i := 0; i < n; i++ {
 						if vio := inc.Add(history.Txn{Session: 1, Committed: true, Ops: []history.Op{history.R("pad", cur), history.W("pad", fresh)}}); vio != nil {
-							t.Fatalf("padding rejected: %s", vio.Explain())
+							t.Fatalf("padding rejected: %s", vio.Witness())
 						}
 						cur, fresh = fresh, fresh+1
 						inc.MaybeCompact(window, 0, nil)
@@ -603,7 +603,7 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 						t.Fatalf("%s: the final slot died %d half-windows after the overwrite", lvl, readAfter)
 					}
 					if vio != nil {
-						t.Fatalf("%s: read of the settled x=%d rejected online: %s", lvl, v, vio.Explain())
+						t.Fatalf("%s: read of the settled x=%d rejected online: %s", lvl, v, vio.Witness())
 					}
 					if s := slotAt(inc, "x", v); s == nil || s.parked.head == 0 || s.writer >= 0 || s.final != 0 {
 						t.Fatalf("%s: read of the settled x=%d did not park on a blank slot: %+v", lvl, v, s)

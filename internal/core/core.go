@@ -65,7 +65,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -141,31 +140,6 @@ type Result struct {
 	// compaction epochs.
 	CompactedTxns   int
 	CompactedEpochs int
-}
-
-// Explain renders a human-readable account of the verdict.
-func (r Result) Explain() string {
-	var b strings.Builder
-	if r.OK {
-		fmt.Fprintf(&b, "history satisfies %s (%d txns, %d dependency edges)", r.Level, r.NumTxns, r.NumEdges)
-		return b.String()
-	}
-	fmt.Fprintf(&b, "history VIOLATES %s:", r.Level)
-	const maxShown = 5
-	for i, a := range r.Anomalies {
-		if i == maxShown {
-			fmt.Fprintf(&b, "\n  ... and %d more anomalies", len(r.Anomalies)-maxShown)
-			break
-		}
-		fmt.Fprintf(&b, "\n  %s", a)
-	}
-	if r.Divergence != nil {
-		fmt.Fprintf(&b, "\n  %s", *r.Divergence)
-	}
-	if len(r.Cycle) > 0 {
-		fmt.Fprintf(&b, "\n  cycle: %s", graph.FormatCycle(r.Cycle))
-	}
-	return b.String()
 }
 
 // Deps is the one dependency derivation of an indexed history that

@@ -49,13 +49,13 @@ func TestFixtureVerdicts(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			if got := check(f.H, SSER); got.OK != !f.ViolatesSSER {
-				t.Errorf("SSER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSSER, got.Explain())
+				t.Errorf("SSER: OK=%v, want %v\n%+v", got.OK, !f.ViolatesSSER, got)
 			}
 			if got := check(f.H, SER); got.OK != !f.ViolatesSER {
-				t.Errorf("SER: OK=%v, want %v\n%s", got.OK, !f.ViolatesSER, got.Explain())
+				t.Errorf("SER: OK=%v, want %v\n%+v", got.OK, !f.ViolatesSER, got)
 			}
 			if got := check(f.H, SI); got.OK != !f.ViolatesSI {
-				t.Errorf("SI: OK=%v, want %v\n%s", got.OK, !f.ViolatesSI, got.Explain())
+				t.Errorf("SI: OK=%v, want %v\n%+v", got.OK, !f.ViolatesSI, got)
 			}
 		})
 	}
@@ -65,7 +65,7 @@ func TestSerialHistoryPassesAllLevels(t *testing.T) {
 	h := history.SerialHistory(50, "x", "y", "z")
 	for _, lvl := range []Level{SSER, SER, SI} {
 		if r := check(h, lvl); !r.OK {
-			t.Fatalf("serial history must satisfy %s: %s", lvl, r.Explain())
+			t.Fatalf("serial history must satisfy %s: %s", lvl, r.Witness())
 		}
 	}
 }
@@ -83,10 +83,10 @@ func sserOnlyViolation() *history.History {
 func TestSSEROnlyViolation(t *testing.T) {
 	h := sserOnlyViolation()
 	if r := check(h, SER); !r.OK {
-		t.Fatalf("must satisfy SER: %s", r.Explain())
+		t.Fatalf("must satisfy SER: %s", r.Witness())
 	}
 	if r := check(h, SI); !r.OK {
-		t.Fatalf("must satisfy SI: %s", r.Explain())
+		t.Fatalf("must satisfy SI: %s", r.Witness())
 	}
 	r := check(h, SSER)
 	if r.OK {
@@ -123,10 +123,10 @@ func assertSSERMatchesReference(t *testing.T, h *history.History, tag string) {
 	t.Helper()
 	r := rung(h, SSER)
 	if want := sserReference(h); r.OK != want {
-		t.Fatalf("%s: SSER rung OK=%v, reference graph acyclic=%v\n%s", tag, r.OK, want, r.Explain())
+		t.Fatalf("%s: SSER rung OK=%v, reference graph acyclic=%v\n%+v", tag, r.OK, want, r)
 	}
 	if again := rung(h, SSER); !reflect.DeepEqual(again, r) {
-		t.Fatalf("%s: SSER result is not deterministic\n%s\n%s", tag, r.Explain(), again.Explain())
+		t.Fatalf("%s: SSER result is not deterministic\n%+v\n%+v", tag, r, again)
 	}
 	ser := rung(h, SER)
 	if r.NumEdges != ser.NumEdges {
@@ -234,7 +234,7 @@ func TestDivergenceEarlyExit(t *testing.T) {
 		t.Fatal("LostUpdate must violate SI")
 	}
 	if r.Divergence == nil {
-		t.Fatalf("want DIVERGENCE witness, got %s", r.Explain())
+		t.Fatalf("want DIVERGENCE witness, got %+v", r)
 	}
 	d := *r.Divergence
 	if d.Key != "x" || d.Writer != 0 {
@@ -249,11 +249,11 @@ func TestWriteSkewSICounterexampleAbsent(t *testing.T) {
 	f := history.FixtureByName("WriteSkew")
 	r := check(f.H, SI)
 	if !r.OK {
-		t.Fatalf("WriteSkew satisfies SI: %s", r.Explain())
+		t.Fatalf("WriteSkew satisfies SI: %s", r.Witness())
 	}
 	rs := check(f.H, SER)
 	if rs.OK || len(rs.Cycle) == 0 {
-		t.Fatalf("WriteSkew violates SER with a cycle: %s", rs.Explain())
+		t.Fatalf("WriteSkew violates SER with a cycle: %+v", rs)
 	}
 	// The classic write-skew counterexample has two RW edges.
 	rwCount := 0
@@ -298,7 +298,7 @@ func TestPreCheckShortCircuits(t *testing.T) {
 	f := history.FixtureByName("AbortedRead")
 	r := check(f.H, SER)
 	if r.OK || len(r.Anomalies) == 0 {
-		t.Fatalf("pre-check should reject: %s", r.Explain())
+		t.Fatalf("pre-check should reject: %+v", r)
 	}
 	if len(r.Cycle) != 0 {
 		t.Fatal("no cycle expected when pre-check fails")
@@ -311,21 +311,6 @@ func TestCheckCtxRejectsLevelsWithoutBatchEngine(t *testing.T) {
 		if _, err := CheckCtx(context.Background(), ix, lvl); err == nil {
 			t.Fatalf("level %q: want an error, not a verdict (or a panic)", lvl)
 		}
-	}
-}
-
-func TestExplainOutput(t *testing.T) {
-	ok := check(history.SerialHistory(3), SER)
-	if !strings.Contains(ok.Explain(), "satisfies SER") {
-		t.Fatalf("Explain = %q", ok.Explain())
-	}
-	bad := check(history.FixtureByName("LostUpdate").H, SI)
-	if !strings.Contains(bad.Explain(), "VIOLATES SI") || !strings.Contains(bad.Explain(), "DIVERGENCE") {
-		t.Fatalf("Explain = %q", bad.Explain())
-	}
-	cyc := check(history.FixtureByName("WriteSkew").H, SER)
-	if !strings.Contains(cyc.Explain(), "cycle:") {
-		t.Fatalf("Explain = %q", cyc.Explain())
 	}
 }
 

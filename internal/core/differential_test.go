@@ -42,7 +42,7 @@ func diffCheck(t *testing.T, h *history.History, tag string) {
 		incr := coreReplay(h, lvl, 0)
 		if batch.OK != incr.OK {
 			t.Fatalf("%s/%s: batch OK=%v but incremental OK=%v\nbatch: %s\nincremental: %s",
-				tag, lvl, batch.OK, incr.OK, batch.Explain(), incr.Explain())
+				tag, lvl, batch.OK, incr.OK, batch.Witness(), incr.Witness())
 		}
 		if batch.OK && batch.NumEdges != incr.NumEdges {
 			t.Fatalf("%s/%s: accepted but edge counts diverge: batch %d, incremental %d",

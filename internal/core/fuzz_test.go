@@ -177,14 +177,14 @@ func FuzzIncrementalCompact(f *testing.F) {
 		// epoch reports as a summary edge — and the compaction counters
 		// must; everything else is the same verdict.
 		if (len(got.Cycle) > 0) != (len(ref.Cycle) > 0) {
-			t.Fatalf("%s window %d: cycle presence diverges\nunbounded: %s\nwindowed:  %s", lvl, window, ref.Explain(), got.Explain())
+			t.Fatalf("%s window %d: cycle presence diverges\nunbounded: %s\nwindowed:  %s", lvl, window, ref.Witness(), got.Witness())
 		}
 		got.Cycle, got.CompactedTxns, got.CompactedEpochs = ref.Cycle, 0, 0
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s window %d: windowed replay diverges\nunbounded: %+v\nwindowed:  %+v", lvl, window, ref, got)
 		}
 		if batch := check(h, lvl); batch.OK != ref.OK {
-			t.Fatalf("%s: batch OK=%v, online OK=%v\nbatch:  %s\nonline: %s", lvl, batch.OK, ref.OK, batch.Explain(), ref.Explain())
+			t.Fatalf("%s: batch OK=%v, online OK=%v\nbatch:  %s\nonline: %s", lvl, batch.OK, ref.OK, batch.Witness(), ref.Witness())
 		}
 	})
 }

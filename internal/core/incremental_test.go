@@ -21,7 +21,7 @@ func TestIncrementalFixturesParity(t *testing.T) {
 			incr := replay(f.H, lvl, 0)
 			if batch.OK != incr.OK {
 				t.Errorf("%s/%s: batch OK=%v, incremental OK=%v\nbatch: %s\nincr: %s",
-					f.Name, lvl, batch.OK, incr.OK, batch.Explain(), incr.Explain())
+					f.Name, lvl, batch.OK, incr.OK, batch.Witness(), incr.Witness())
 			}
 			if batch.OK && incr.OK && batch.NumEdges != incr.NumEdges {
 				t.Errorf("%s/%s: edge count diverged: batch %d, incremental %d",
@@ -75,14 +75,14 @@ func TestIncrementalPendingReadResolution(t *testing.T) {
 	inc.InitTxn("x")
 	// Reader of value 7 arrives before the writer of 7.
 	if vio := inc.Add(history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 7)}}); vio != nil {
-		t.Fatalf("parked read must not fail yet: %s", vio.Explain())
+		t.Fatalf("parked read must not fail yet: %s", vio.Witness())
 	}
 	if vio := inc.Add(history.Txn{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 7)}}); vio != nil {
-		t.Fatalf("writer arrival must resolve cleanly: %s", vio.Explain())
+		t.Fatalf("writer arrival must resolve cleanly: %s", vio.Witness())
 	}
 	r := inc.Finalize()
 	if !r.OK {
-		t.Fatalf("want OK, got %s", r.Explain())
+		t.Fatalf("want OK, got %s", r.Witness())
 	}
 	// 1 SO edge per session head + WR init->reader + WR/WW init->writer.
 	if r.NumEdges == 0 {
@@ -99,7 +99,7 @@ func TestIncrementalThinAirAndAborted(t *testing.T) {
 	h := b.Build()
 	r := replay(h, SER, 0)
 	if r.OK || len(r.Anomalies) == 0 || r.Anomalies[0].Kind != history.ThinAirRead {
-		t.Fatalf("want ThinAirRead, got %s", r.Explain())
+		t.Fatalf("want ThinAirRead, got %+v", r)
 	}
 
 	// Aborted read: the writer of 5 aborted.
@@ -109,7 +109,7 @@ func TestIncrementalThinAirAndAborted(t *testing.T) {
 	h = b.Build()
 	r = replay(h, SI, 0)
 	if r.OK || len(r.Anomalies) == 0 || r.Anomalies[0].Kind != history.AbortedRead {
-		t.Fatalf("want AbortedRead, got %s", r.Explain())
+		t.Fatalf("want AbortedRead, got %+v", r)
 	}
 }
 

@@ -205,7 +205,7 @@ func TestPropertyVLLWTAgreesWithCheckSSER(t *testing.T) {
 		lr := VLLWT(ops)
 		hr := check(LWTToHistory(ops), SSER)
 		if lr.OK != hr.OK {
-			t.Logf("VLLWT=%v CheckSSER=%v\nreason=%s\n%s", lr.OK, hr.OK, lr.Reason, hr.Explain())
+			t.Logf("VLLWT=%v CheckSSER=%v\nreason=%s\n%s", lr.OK, hr.OK, lr.Reason, hr.Witness())
 			return false
 		}
 		return true

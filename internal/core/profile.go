@@ -47,13 +47,13 @@ func Guarantees() []Guarantee {
 // GuaranteeVerdict is the outcome of one session guarantee across every
 // session of the history.
 type GuaranteeVerdict struct {
-	Guarantee Guarantee
-	OK        bool
+	Guarantee Guarantee `json:"guarantee"`
+	OK        bool      `json:"ok"`
 	// Session and Witness locate the first violation (Session is -1 when
 	// OK, or when the pre-check already failed and the guarantees are
 	// vacuously violated).
-	Session int
-	Witness string
+	Session int    `json:"session,omitempty"`
+	Witness string `json:"witness,omitempty"`
 }
 
 // Profile is the full lattice profile of one history.

@@ -86,7 +86,7 @@ func TestCheckStreamMatchesBatch(t *testing.T) {
 			stream := streamCheck(t, h, lvl, 0)
 			if batch.OK != stream.OK {
 				t.Fatalf("history %d/%s: batch OK=%v, stream OK=%v\nbatch: %s\nstream: %s",
-					i, lvl, batch.OK, stream.OK, batch.Explain(), stream.Explain())
+					i, lvl, batch.OK, stream.OK, batch.Witness(), stream.Witness())
 			}
 			if batch.OK && batch.NumEdges != stream.NumEdges {
 				t.Fatalf("history %d/%s: accepted but edges diverge: batch %d, stream %d",
@@ -109,7 +109,7 @@ func TestCheckStreamWindowed(t *testing.T) {
 	for _, lvl := range []core.Level{core.SER, core.SI} {
 		r := streamCheck(t, liveCapture(storeMode(lvl), lvl, 4, 60, 7), lvl, 32)
 		if !r.OK {
-			t.Fatalf("%s: clean windowed stream rejected: %s", lvl, r.Explain())
+			t.Fatalf("%s: clean windowed stream rejected: %s", lvl, r.Witness())
 		}
 		if r.CompactedEpochs == 0 || r.CompactedTxns == 0 {
 			t.Fatalf("%s: no compaction happened (epochs %d, txns %d)", lvl, r.CompactedEpochs, r.CompactedTxns)
@@ -222,7 +222,7 @@ func TestCheckStreamFreshKeysBoundedHeap(t *testing.T) {
 	probe := &heapProbe{src: sr, at: txns - 1}
 	r, err := core.CheckStreamCtx(context.Background(), probe, core.SER, window, 0)
 	if err != nil || !r.OK {
-		t.Fatalf("clean stream: %v %s", err, r.Explain())
+		t.Fatalf("clean stream: %v %s", err, r.Witness())
 	}
 	if r.CompactedTxns < txns/2 {
 		t.Fatalf("compaction barely ran: %d of %d txns", r.CompactedTxns, txns)
@@ -403,10 +403,10 @@ func TestCheckStreamReadAheadReturnPaths(t *testing.T) {
 				switch {
 				case tc.name == "error before the violation":
 					if err != gremlin {
-						t.Fatalf("at %d: the error ahead of the violation was not reported: %v %s", at, err, got.Explain())
+						t.Fatalf("at %d: the error ahead of the violation was not reported: %v %+v", at, err, got)
 					}
 				case got.OK || got.NumTxns != at+1:
-					t.Fatalf("at %d, %s: want the violation at record %d, got %v %s", at, tc.name, at, err, got.Explain())
+					t.Fatalf("at %d, %s: want the violation at record %d, got %v %+v", at, tc.name, at, err, got)
 				}
 			}
 		}
@@ -420,13 +420,13 @@ func TestCheckStreamReadAheadReturnPaths(t *testing.T) {
 		}
 	}}
 	if r, err := checkedStream(t, context.Background(), slow, core.SER, 0); err != nil || r.OK {
-		t.Fatalf("violation behind a slow Next: %v %s", err, r.Explain())
+		t.Fatalf("violation behind a slow Next: %v %+v", err, r)
 	}
 
 	clean := history.SerialHistory(3*batch, "x", "y")
 	r, err := checkedStream(t, context.Background(), &sliceSource{h: clean}, core.SI, 32)
 	if err != nil || !r.OK || r.NumTxns != len(clean.Txns) {
-		t.Fatalf("clean stream: %v %s", err, r.Explain())
+		t.Fatalf("clean stream: %v %s", err, r.Witness())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -489,7 +489,7 @@ func TestCheckStreamArmsOnlySessionsItMeets(t *testing.T) {
 		}
 	})
 	if !r.OK || r.CompactedEpochs == 0 {
-		t.Fatalf("sparse-session capture: %s", r.Explain())
+		t.Fatalf("sparse-session capture: %+v", r)
 	}
 	t.Logf("%d txns, %.0f objects allocated", len(h.Txns), allocs)
 	if allocs > 10_000 {

@@ -32,7 +32,7 @@ func windowedDiffCheck(t *testing.T, h *history.History, tag string) {
 			got := coreReplay(h, lvl, win)
 			if got.OK != ref.OK {
 				t.Fatalf("%s/%s win %d: OK=%v, unbounded OK=%v\nunbounded: %s\nwindowed: %s",
-					tag, lvl, win, got.OK, ref.OK, ref.Explain(), got.Explain())
+					tag, lvl, win, got.OK, ref.OK, ref.Witness(), got.Witness())
 			}
 			// NumTxns in a violating verdict is the stream position at
 			// detection: equality means the windowed checker flags the
@@ -53,7 +53,7 @@ func windowedDiffCheck(t *testing.T, h *history.History, tag string) {
 			// collapsed epoch reports as a summary edge. Presence must not.
 			if (len(got.Cycle) > 0) != (len(ref.Cycle) > 0) {
 				t.Fatalf("%s/%s win %d: cycle presence diverges\nunbounded: %s\nwindowed: %s",
-					tag, lvl, win, ref.Explain(), got.Explain())
+					tag, lvl, win, ref.Witness(), got.Witness())
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func TestWindowedActuallyCompacts(t *testing.T) {
 	for _, lvl := range []core.Level{core.SER, core.SI} {
 		got := coreReplay(h, lvl, 64)
 		if !got.OK {
-			t.Fatalf("%s: clean history rejected: %s", lvl, got.Explain())
+			t.Fatalf("%s: clean history rejected: %s", lvl, got.Witness())
 		}
 		if got.CompactedEpochs == 0 || got.CompactedTxns < len(h.Txns)/2 {
 			t.Fatalf("%s: compaction barely ran: %d txns over %d epochs (history %d)",
@@ -179,7 +179,7 @@ func TestCompactBoundsLiveState(t *testing.T) {
 					ops = rmw(ops, k2)
 				}
 				if vio := inc.Add(history.Txn{Session: i % session, Ops: ops, Committed: true}); vio != nil {
-					t.Fatalf("%s/%s: clean stream rejected at %d: %s", tc.name, lvl, i, vio.Explain())
+					t.Fatalf("%s/%s: clean stream rejected at %d: %s", tc.name, lvl, i, vio.Witness())
 				}
 				inc.MaybeCompact(tc.window, 0, nil)
 				if edges, nodes := inc.LiveEdges(), inc.LiveNodes(); edges > edgesPerNode*nodes {
@@ -189,7 +189,7 @@ func TestCompactBoundsLiveState(t *testing.T) {
 				maxLive = max(maxLive, inc.LiveNodes())
 			}
 			if r := inc.Finalize(); !r.OK {
-				t.Fatalf("%s/%s: finalize rejected: %s", tc.name, lvl, r.Explain())
+				t.Fatalf("%s/%s: finalize rejected: %s", tc.name, lvl, r.Witness())
 			}
 			// Window plus slack for session tails, per-key latest slots and
 			// the not-yet-compacted half-window.

@@ -98,7 +98,7 @@ func TestInitTxnManyKeysIsNotQuadratic(t *testing.T) {
 			}
 		}
 		if vio := inc.Add(history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R(keys[7], 0), history.W(keys[7], 1)}}); vio != nil {
-			t.Fatalf("first transaction rejected: %s", vio.Explain())
+			t.Fatalf("first transaction rejected: %s", vio.Witness())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("InitTxn over %d keys still running after 5 s", k)

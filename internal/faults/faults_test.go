@@ -86,7 +86,7 @@ func TestLostUpdateReportsDivergence(t *testing.T) {
 		t.Fatal("bug not found")
 	}
 	if r.Divergence == nil && len(r.Cycle) == 0 {
-		t.Fatalf("want divergence or cycle counterexample: %s", r.Explain())
+		t.Fatalf("want divergence or cycle counterexample: %+v", r)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestWriteSkewStoreStillSatisfiesSI(t *testing.T) {
 		})
 		res := runner.Run(s, w, runner.Config{Retries: 4})
 		if r := coreCheck(res.H, core.SI); !r.OK {
-			t.Fatalf("seed %d: SI must hold on the write-skew store:\n%s", seed, r.Explain())
+			t.Fatalf("seed %d: SI must hold on the write-skew store:\n%s", seed, r.Witness())
 		}
 		if r := coreCheck(res.H, core.SER); !r.OK {
 			return // SER violation found, as expected

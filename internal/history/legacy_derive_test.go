@@ -165,8 +165,8 @@ func legacyMismatch(ix *history.Index) error {
 			_, cycle = g.FindComposedCycle()
 		}
 		if res.NumEdges != g.NumEdges() || !reflect.DeepEqual(res.Cycle, cycle) || !reflect.DeepEqual(res.Divergence, div) {
-			return fmt.Errorf("%s rung: %s; legacy edges decide %d edges, cycle %v, divergence %v",
-				lvl, res.Explain(), g.NumEdges(), cycle, div)
+			return fmt.Errorf("%s rung: %+v; legacy edges decide %d edges, cycle %v, divergence %v",
+				lvl, res, g.NumEdges(), cycle, div)
 		}
 	}
 	return nil

@@ -148,7 +148,7 @@ func TestPropertyCobraAgreesWithMTCSEROnStoreHistories(t *testing.T) {
 		mtc := coreCheck(h, core.SER)
 		cob := checkSER(h)
 		if mtc.OK != cob.OK {
-			t.Logf("seed=%d MTC=%v cobra=%v\n%s", seed, mtc.OK, cob.OK, mtc.Explain())
+			t.Logf("seed=%d MTC=%v cobra=%v\n%s", seed, mtc.OK, cob.OK, mtc.Witness())
 			return false
 		}
 		return true
@@ -174,7 +174,7 @@ func TestPropertyCobraAgreesOnFaultyHistories(t *testing.T) {
 		mtc := coreCheck(h, core.SER)
 		cob := checkSER(h)
 		if mtc.OK != cob.OK {
-			t.Logf("seed=%d faults=%+v MTC=%v cobra=%v\n%s", seed, faults, mtc.OK, cob.OK, mtc.Explain())
+			t.Logf("seed=%d faults=%+v MTC=%v cobra=%v\n%s", seed, faults, mtc.OK, cob.OK, mtc.Witness())
 			return false
 		}
 		return true
@@ -203,7 +203,7 @@ func TestPropertyPolySIAgreesWithMTCSI(t *testing.T) {
 		mtc := coreCheck(h, core.SI)
 		psi := checkSI(h)
 		if mtc.OK != psi.OK {
-			t.Logf("seed=%d faults=%+v MTC=%v polysi=%v\n%s", seed, faults, mtc.OK, psi.OK, mtc.Explain())
+			t.Logf("seed=%d faults=%+v MTC=%v polysi=%v\n%s", seed, faults, mtc.OK, psi.OK, mtc.Witness())
 			return false
 		}
 		return true

@@ -15,12 +15,14 @@ import (
 // issues a compare-and-set to a fresh unique value, retrying on CAS
 // failure (the Cassandra-style client loop).
 type LWTConfig struct {
-	Sessions       int
-	OpsPerSession  int
-	Keys           int
-	Seed           int64
-	MaxCASAttempts int // per op; default 64
+	Sessions      int
+	OpsPerSession int
+	Keys          int
+	Seed          int64
 }
+
+// maxCASAttempts bounds the compare-and-set retries of one LWT operation.
+const maxCASAttempts = 64
 
 // LWTResult is the outcome of RunLWT.
 type LWTResult struct {
@@ -37,9 +39,6 @@ type LWTResult struct {
 func RunLWT(s *kv.Store, cfg LWTConfig) *LWTResult {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 1
-	}
-	if cfg.MaxCASAttempts <= 0 {
-		cfg.MaxCASAttempts = 64
 	}
 	// Insert every register first (single-threaded; inserts head chains).
 	var (
@@ -67,7 +66,7 @@ func RunLWT(s *kv.Store, cfg LWTConfig) *LWTResult {
 				key := workload.KeyName(rng.Intn(cfg.Keys))
 				newVal := uniqueValue(si, values)
 				values++
-				for attempt := 0; attempt < cfg.MaxCASAttempts; attempt++ {
+				for attempt := 0; attempt < maxCASAttempts; attempt++ {
 					cur, _ := s.ReadValue(key)
 					runtime.Gosched() // let rival sessions race the CAS
 					ok, rec := s.CAS(key, cur, newVal)

@@ -31,7 +31,7 @@ func TestRunSerializableStorePassesAllLevels(t *testing.T) {
 	}
 	for _, lvl := range []core.Level{core.SSER, core.SER, core.SI} {
 		if r := coreCheck(res.H, lvl); !r.OK {
-			t.Fatalf("serializable store must satisfy %s:\n%s", lvl, r.Explain())
+			t.Fatalf("serializable store must satisfy %s:\n%s", lvl, r.Witness())
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestRunSIStorePassesSI(t *testing.T) {
 	s := kv.NewStore(kv.ModeSI)
 	res := Run(s, mtPlan(2), Config{Retries: 10})
 	if r := coreCheck(res.H, core.SI); !r.OK {
-		t.Fatalf("fault-free SI store must satisfy SI:\n%s", r.Explain())
+		t.Fatalf("fault-free SI store must satisfy SI:\n%s", r.Witness())
 	}
 }
 
@@ -51,7 +51,7 @@ func TestRun2PLStorePassesSSER(t *testing.T) {
 		t.Fatal("no transactions committed")
 	}
 	if r := coreCheck(res.H, core.SSER); !r.OK {
-		t.Fatalf("2PL store must satisfy SSER:\n%s", r.Explain())
+		t.Fatalf("2PL store must satisfy SSER:\n%s", r.Witness())
 	}
 }
 
@@ -188,7 +188,7 @@ func TestFaultyDirtyAbortDetected(t *testing.T) {
 		}
 	}
 	if !foundAbortedRead {
-		t.Fatalf("expected AbortedRead anomaly, got: %s", r.Explain())
+		t.Fatalf("expected AbortedRead anomaly, got: %+v", r)
 	}
 }
 

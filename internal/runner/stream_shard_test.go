@@ -26,7 +26,7 @@ func TestRunStreamShardedClean(t *testing.T) {
 		})
 		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6, Shard: 4}, lvl)
 		if !res.Verdict.OK {
-			t.Fatalf("%s: clean sharded run rejected: %s", lvl, res.Verdict.Explain())
+			t.Fatalf("%s: clean sharded run rejected: %s", lvl, res.Verdict.Witness())
 		}
 		if res.Shards != 4 {
 			t.Fatalf("%s: verified through %d shards, want 4", lvl, res.Shards)
@@ -35,7 +35,7 @@ func TestRunStreamShardedClean(t *testing.T) {
 			t.Fatalf("%s: unwindowed sharded run must collect the history", lvl)
 		}
 		if batch := coreCheck(res.H, lvl); !batch.OK {
-			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Explain())
+			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Witness())
 		}
 		// Each shard adds its own init: merged txn count is the observed
 		// transactions plus one ⊥T per component.
@@ -121,7 +121,7 @@ func TestRunStreamShardedWindowed(t *testing.T) {
 	})
 	res := RunStream(context.Background(), kv.NewStore(kv.ModeSI), w, Config{Retries: 6, Shard: 3, Window: 32}, core.SI)
 	if !res.Verdict.OK {
-		t.Fatalf("clean windowed sharded run rejected: %s", res.Verdict.Explain())
+		t.Fatalf("clean windowed sharded run rejected: %s", res.Verdict.Witness())
 	}
 	if res.H != nil {
 		t.Fatal("windowed run must not retain the history")

@@ -24,14 +24,14 @@ func TestRunStreamCleanMatchesBatch(t *testing.T) {
 		})
 		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6}, lvl)
 		if !res.Verdict.OK {
-			t.Fatalf("%s: clean store rejected online: %s", lvl, res.Verdict.Explain())
+			t.Fatalf("%s: clean store rejected online: %s", lvl, res.Verdict.Witness())
 		}
 		if res.EarlyAborted || res.ViolationAt != 0 {
 			t.Fatalf("%s: clean run flagged early abort: %+v", lvl, res)
 		}
 		batch := coreCheck(res.H, lvl)
 		if !batch.OK {
-			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Explain())
+			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Witness())
 		}
 		// The online ⊥T carries only the keys the plan touches; a key
 		// nothing touches adds no edge, so the counts match the batch's.
@@ -136,7 +136,7 @@ func TestRunStreamWindowed(t *testing.T) {
 		})
 		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6, Window: 64}, lvl)
 		if !res.Verdict.OK {
-			t.Fatalf("%s: clean store rejected under window: %s", lvl, res.Verdict.Explain())
+			t.Fatalf("%s: clean store rejected under window: %s", lvl, res.Verdict.Witness())
 		}
 		if res.H != nil {
 			t.Fatalf("%s: windowed run must not retain the history", lvl)

@@ -138,8 +138,8 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 	offenderAt := -1 // its FirstOffense
 	var phaseOrder []string
 	phaseSum := make(map[string]float64)
-	rungAt := make(map[checker.Level]int) // level -> index in out.Rungs
-	guarAt := make(map[string]int)        // guarantee -> index in out.Guarantees
+	rungAt := make(map[checker.Level]int)  // level -> index in out.Rungs
+	guarAt := make(map[core.Guarantee]int) // guarantee -> index in out.Guarantees
 	for i := range reports {
 		rep := remap(p.Source, &p.Components[i], reports[i])
 		mergeProfile(&out, rep, i, rungAt, guarAt)
@@ -186,7 +186,7 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 // component's witness, prefixed with the component index since the ids
 // inside are component-local. A violated guarantee keeps the lowest
 // session across components (or -1) and that component's witness.
-func mergeProfile(out *checker.Report, rep checker.Report, i int, rungAt map[checker.Level]int, guarAt map[string]int) {
+func mergeProfile(out *checker.Report, rep checker.Report, i int, rungAt map[checker.Level]int, guarAt map[core.Guarantee]int) {
 	if rep.StrongestLevel != "" {
 		if out.StrongestLevel == "" ||
 			core.LatticeRank(rep.StrongestLevel) < core.LatticeRank(out.StrongestLevel) {
@@ -222,9 +222,9 @@ func mergeProfile(out *checker.Report, rep checker.Report, i int, rungAt map[che
 	}
 }
 
-// remap rewrites a component report's transaction ids (anomalies and
-// cycle edges) to external ids and its guarantee sessions to sessions
-// of src. Detail strings are engine-rendered and left untouched.
+// remap rewrites a component report's anomaly and cycle ids to external
+// ids (core.RemapResult), re-rendering a cycle's Detail, and its guarantee
+// sessions to sessions of src. Other Detail strings are left untouched.
 func remap(src *history.History, c *Component, rep checker.Report) checker.Report {
 	if len(rep.Guarantees) > 0 {
 		gs := make([]checker.GuaranteeVerdict, len(rep.Guarantees))
@@ -234,22 +234,10 @@ func remap(src *history.History, c *Component, rep checker.Report) checker.Repor
 		}
 		rep.Guarantees = gs
 	}
-	if len(rep.Anomalies) > 0 {
-		as := make([]history.Anomaly, len(rep.Anomalies))
-		for i, a := range rep.Anomalies {
-			a.Txn = c.ExtOf(a.Txn)
-			as[i] = a
-		}
-		rep.Anomalies = as
-	}
+	r := core.RemapResult(core.Result{Anomalies: rep.Anomalies, Cycle: rep.Cycle}, c.Ext)
+	rep.Anomalies, rep.Cycle = r.Anomalies, r.Cycle
 	if len(rep.Cycle) > 0 {
-		cy := make([]graph.Edge, len(rep.Cycle))
-		for i, e := range rep.Cycle {
-			e.From, e.To = c.ExtOf(e.From), c.ExtOf(e.To)
-			cy[i] = e
-		}
-		rep.Cycle = cy
-		rep.Detail = graph.FormatCycle(cy)
+		rep.Detail = graph.FormatCycle(rep.Cycle)
 	}
 	return rep
 }

@@ -15,7 +15,7 @@
 // The "mtc" engine checks any of the six levels (SSER, SER, SI, CAUSAL,
 // RA, RC); the baselines (cobra, polysi, elle, porcupine) list the
 // subset they support, and "profile" (or Profile) evaluates the whole
-// lattice in one pass. Checkers lists the registry.
+// lattice and each session Guarantee in one pass. Checkers lists the registry.
 //
 // Long histories need not be checked with memory proportional to their
 // length: Options.Window selects the epoch-windowed replay of the
@@ -85,6 +85,8 @@ type (
 	RungVerdict = checker.RungVerdict
 	// GuaranteeVerdict is one session guarantee's verdict in a profile.
 	GuaranteeVerdict = checker.GuaranteeVerdict
+	// Guarantee names a session guarantee: RYW, MR, MW or WFR.
+	Guarantee = core.Guarantee
 )
 
 // The supported isolation levels, strongest first.

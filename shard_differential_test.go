@@ -110,6 +110,39 @@ func shardCheck(t *testing.T, name string, lvl checker.Level, h *history.History
 		// invariant, checked on both sides.
 		assertCycleWithinComponent(t, p, ref.Cycle, tag+"/unsharded")
 		assertCycleWithinComponent(t, p, got.Cycle, tag+"/sharded")
+		if !got.OK {
+			assertReportIndexesSource(t, h, got, tag)
+		}
+	}
+}
+
+// assertReportIndexesSource verifies the merged report's counterexample
+// ids were remapped to the source history: every anomaly's transaction
+// and every cycle edge's endpoints exist there and touch the named key
+// (an edge without a key, SO or RT, only has to index the history).
+func assertReportIndexesSource(t *testing.T, h *history.History, rep checker.Report, tag string) {
+	t.Helper()
+	touches := func(id int, key history.Key) {
+		t.Helper()
+		if id < 0 || id >= len(h.Txns) {
+			t.Fatalf("%s: counterexample txn %d outside the %d-txn history (component-local id leaked?)", tag, id, len(h.Txns))
+		}
+		if key == "" {
+			return
+		}
+		for _, op := range h.Txns[id].Ops {
+			if op.Key == key {
+				return
+			}
+		}
+		t.Fatalf("%s: counterexample txn %d never touches %s: %s", tag, id, key, h.Txns[id].String())
+	}
+	for _, a := range rep.Anomalies {
+		touches(a.Txn, a.Key)
+	}
+	for _, e := range rep.Cycle {
+		touches(e.From, history.Key(e.Obj))
+		touches(e.To, history.Key(e.Obj))
 	}
 }
 

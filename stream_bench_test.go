@@ -101,7 +101,7 @@ func benchStream(b *testing.B, n, window int, keyNames []history.Key, txn func(j
 		inc.InitTxn(keyNames...)
 		for j := 0; j < n; j++ {
 			if vio := inc.Add(txn(j)); vio != nil {
-				b.Fatalf("clean stream rejected at %d: %s", j, vio.Explain())
+				b.Fatalf("clean stream rejected at %d: %s", j, vio.Witness())
 			}
 			inc.MaybeCompact(window, 0, nil)
 			if j%131072 == 0 {
@@ -110,7 +110,7 @@ func benchStream(b *testing.B, n, window int, keyNames []history.Key, txn func(j
 		}
 		sample()
 		if r := inc.Finalize(); !r.OK {
-			b.Fatalf("finalize rejected: %s", r.Explain())
+			b.Fatalf("finalize rejected: %s", r.Witness())
 		}
 		if window > 0 && inc.CompactedTxns() < n/2 {
 			b.Fatalf("compaction barely ran: %d of %d txns", inc.CompactedTxns(), n)
@@ -247,7 +247,7 @@ func benchStreamNDJSON(b *testing.B, n, window int) {
 		}
 		r, err := core.CheckStreamCtx(context.Background(), &samplingSource{src: sr, sample: sample}, core.SER, window, 0)
 		if err != nil || !r.OK {
-			b.Fatalf("clean NDJSON stream rejected: %v %s", err, r.Explain())
+			b.Fatalf("clean NDJSON stream rejected: %v %s", err, r.Witness())
 		}
 		sample()
 	}
