@@ -14,7 +14,7 @@
 // from the run is MISSING and fails like a regression: a renamed
 // benchmark, or a run without -benchmem, must not drop out of the gate
 // silently. Absolute times live in `go run ./benchmark`, which
-// calibrates for the host. The eight bars and the refresh procedure:
+// calibrates for the host. The nine bars and the refresh procedure:
 // docs/ci.md.
 package main
 

@@ -14,8 +14,9 @@
 //
 // -stream replays the history transaction by transaction (in commit
 // order) through a v1 streaming session instead of submitting a job —
-// the client-side form of continuous verification; -window asks the
-// server to epoch-compact the session so its memory stays bounded.
+// the client-side form of continuous verification. -window asks the
+// server to epoch-compact the session, or an mtc-incremental job's
+// replay, so its memory stays bounded.
 //
 // The history file may be in any codec mtc.LoadHistory reads — JSON,
 // NDJSON or MTCB, optionally gzipped — sniffed from its content (as
@@ -48,7 +49,7 @@ func main() {
 		events       = flag.Bool("events", false, "follow the job's NDJSON event stream instead of polling")
 		listCheckers = flag.Bool("checkers", false, "list the server's registered checkers and exit")
 		stream       = flag.Bool("stream", false, "replay the history through a v1 streaming session instead of a job")
-		window       = flag.Int("window", 0, "epoch-compaction window requested for the streaming session (0 = server default)")
+		window       = flag.Int("window", 0, "epoch-compaction window for a -stream session or an mtc-incremental job (0 = server default)")
 		distributed  = flag.Bool("distributed", false, "run the job on the server's checking fabric (requires a coordinator, i.e. mtc-serve -fabric-wal)")
 	)
 	flag.Parse()
@@ -109,8 +110,8 @@ func main() {
 	req := client.JobRequest{
 		Checker: *checkerName, Level: *level,
 		TimeoutMillis: timeout.Milliseconds(), Shard: *shardN,
-		Distributed: *distributed,
-		History:     h,
+		Window: *window, Distributed: *distributed,
+		History: h,
 	}
 
 	job, err := c.SubmitJob(ctx, req)
@@ -214,20 +215,13 @@ func runStream(ctx context.Context, c *client.Client, h *mtc.History, level stri
 	closeSession()
 	fmt.Printf("streamed %d txns; %d compacted over %d epochs, %d live on the server\n",
 		st.Txns, st.CompactedTxns, st.CompactedEpochs, st.LiveTxns)
-	if st.OK {
-		fmt.Printf("[mtc-incremental] history satisfies %s (%d txns, %d dependency edges)\n", st.Level, st.Txns, st.Edges)
-		return
+	if st.Report == nil {
+		fatalf("final verdict carries no report")
 	}
-	fmt.Printf("[mtc-incremental] history VIOLATES %s:\n", st.Level)
-	if st.Report != nil {
-		for _, a := range st.Report.Anomalies {
-			fmt.Printf("  %s\n", a)
-		}
-		if st.Report.Detail != "" {
-			fmt.Printf("  %s\n", st.Report.Detail)
-		}
+	fmt.Println(st.Report.Explain())
+	if !st.Report.OK {
+		os.Exit(1)
 	}
-	os.Exit(1)
 }
 
 func loadHistory(path string) (*mtc.History, error) {

@@ -2,15 +2,16 @@
 // baselines delegate to — a from-scratch stand-in for MonoSAT's "SAT
 // modulo monotonic theories" (Bayless et al.). Problems are sets of binary
 // constraints: each constraint activates one of two edge sets in a
-// dependency graph, and the theory requires the union of known and chosen
-// edges to be acyclic (plain acyclicity for serializability; acyclicity of
-// the (base ; rw?) composition for snapshot isolation).
+// dependency graph, and one cycle theory requires the union of known and
+// chosen edges to be acyclic: the (base ; rw?) composition for snapshot
+// isolation, and without the composition — every edge a base edge —
+// plain acyclicity for serializability.
 //
 // The solver is a conflict-directed backjumping (CBJ) search with nogood
 // learning: a theory conflict names the decision levels whose edges lie on
 // the offending cycle; branches whose level is absent from the conflict
 // set are skipped wholesale, and conflict sets are learned as nogoods that
-// prune later branches. The search is complete: Solve reports Sat=false
+// prune later branches. The search is complete: it reports Sat=false
 // only when no orientation of the constraints satisfies the theory.
 package sat
 
@@ -19,8 +20,7 @@ import (
 	"fmt"
 )
 
-// Kind labels an edge for the SI composition theory; the plain acyclicity
-// theory ignores it.
+// Kind labels an edge for the SI composition; SolveAcyclic ignores it.
 type Kind uint8
 
 // Edge kinds.
@@ -50,25 +50,12 @@ type Result struct {
 	Learned   int
 }
 
-// Theory abstracts the graph property maintained during search.
-type Theory interface {
-	// Push activates edges at the given decision level; level 0 holds the
-	// known edges, constraint i is decided at level i+1.
-	Push(level int, edges []Edge)
-	// Pop deactivates every level > keep.
-	Pop(keep int)
-	// Check reports whether the active graph satisfies the property; when
-	// it does not, it returns the set of decision levels whose edges
-	// participate in the violation (level 0 may be included).
-	Check() (conflict []int, ok bool)
-}
-
 // solver carries the CBJ search state. Constraint i is assigned at
 // decision level i+1 (static order), which keeps level→variable mapping
 // trivial.
 type solver struct {
 	cons    []Constraint
-	th      Theory
+	th      *theory
 	assign  []int8 // +1 true, -1 false, 0 unassigned
 	learned [][]lit
 	res     Result
@@ -101,13 +88,13 @@ type lit struct {
 	val int8
 }
 
-// Solve searches for an orientation of cons whose activated edges, unioned
-// with known, satisfy the theory built by mk. n is the node count. The
-// search polls ctx every few decisions and unwinds with the context's
-// error when it fires, so a deadline bounds even an exponential search;
-// the partial Result then carries the statistics accumulated up to the
-// cancellation point.
-func Solve(ctx context.Context, n int, known []Edge, cons []Constraint, mk func(n int) Theory) (Result, error) {
+// solve searches for an orientation of cons whose activated edges, unioned
+// with known, keep the theory's composed graph acyclic (compose selects
+// the SI composition). n is the node count. The search polls ctx every
+// few decisions and unwinds with the context's error when it fires, so a
+// deadline bounds even an exponential search; the partial Result then
+// carries the statistics accumulated up to the cancellation point.
+func solve(ctx context.Context, n int, known []Edge, cons []Constraint, compose bool) (Result, error) {
 	checkRange(n, known)
 	for _, c := range cons {
 		checkRange(n, c.A)
@@ -115,7 +102,7 @@ func Solve(ctx context.Context, n int, known []Edge, cons []Constraint, mk func(
 	}
 	s := &solver{
 		cons:   cons,
-		th:     mk(n),
+		th:     newTheory(ctx, n, compose),
 		assign: make([]int8, len(cons)),
 		ctx:    ctx,
 	}
@@ -283,16 +270,16 @@ func removeLevel(ls []int, l int) []int {
 	return out
 }
 
-// SolveAcyclic solves with the plain acyclicity theory (the Cobra /
-// serializability condition).
+// SolveAcyclic solves for plain acyclicity of the active edges (the Cobra
+// / serializability condition): the theory without composition.
 func SolveAcyclic(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
-	return Solve(ctx, n, known, cons, func(n int) Theory { return newAcyclicTheory(ctx, n) })
+	return solve(ctx, n, known, cons, false)
 }
 
-// SolveSI solves with the snapshot-isolation composition theory: the graph
+// SolveSI solves for the snapshot-isolation condition: the composed graph
 // (base ; rw?) over the active edges must be acyclic.
 func SolveSI(ctx context.Context, n int, known []Edge, cons []Constraint) (Result, error) {
-	return Solve(ctx, n, known, cons, func(n int) Theory { return newSITheory(ctx, n) })
+	return solve(ctx, n, known, cons, true)
 }
 
 func checkRange(n int, es []Edge) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func be(a, b int) Edge  { return Edge{From: a, To: b, Kind: Base} }
@@ -339,5 +340,31 @@ func TestSatChoicesSatisfyTheory(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKnownGraphCheckIsLinear: with no constraints the solve is one check
+// of the known graph, an O(n+m) Kahn scan under either condition. One DFS
+// per known edge, O(m·(n+m)), would take seconds on this graph.
+func TestKnownGraphCheckIsLinear(t *testing.T) {
+	const n, m = 2000, 100000
+	rng := rand.New(rand.NewSource(1))
+	known := make([]Edge, 0, m)
+	for len(known) < m {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a < b {
+			known = append(known, be(a, b))
+		} else if b < a {
+			known = append(known, be(b, a))
+		}
+	}
+	for name, solve := range map[string]func(int, []Edge, []Constraint) Result{
+		"SolveAcyclic": solveAcyclic, "SolveSI": solveSI,
+	} {
+		start := time.Now()
+		r := solve(n, known, nil)
+		if d := time.Since(start); !r.Sat || d > time.Second {
+			t.Errorf("%s on %d forward edges: sat %v in %v, want sat within 1s", name, m, r.Sat, d)
+		}
 	}
 }

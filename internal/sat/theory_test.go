@@ -8,7 +8,7 @@ import (
 )
 
 // referenceSICheck rebuilds the composed graph from scratch and checks
-// acyclicity — the oracle for the incremental siTheory.
+// acyclicity — the oracle for the incremental theory with compose.
 func referenceSICheck(n int, active []Edge) bool {
 	rwOut := make([][]int, n)
 	var base []Edge
@@ -52,7 +52,7 @@ func referenceSICheck(n int, active []Edge) bool {
 	return seen == n
 }
 
-// referenceAcyclicCheck is the oracle for acyclicTheory.
+// referenceAcyclicCheck is the oracle for the theory without compose.
 func referenceAcyclicCheck(n int, active []Edge) bool {
 	out := make([][]int, n)
 	indeg := make([]int, n)
@@ -84,7 +84,7 @@ func referenceAcyclicCheck(n int, active []Edge) bool {
 // driveTheory exercises a theory with a random push/pop sequence,
 // mirroring how the solver uses it: Pop only after failed Checks, and
 // random backjumps. It compares every Check verdict against the oracle.
-func driveTheory(t *testing.T, rng *rand.Rand, mk func(n int) Theory,
+func driveTheory(t *testing.T, rng *rand.Rand, mk func(n int) *theory,
 	oracle func(n int, active []Edge) bool) bool {
 	t.Helper()
 	n := 3 + rng.Intn(6)
@@ -163,7 +163,7 @@ func driveTheory(t *testing.T, rng *rand.Rand, mk func(n int) Theory,
 func TestPropertyIncrementalSITheoryMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		return driveTheory(t, rng, func(n int) Theory { return newSITheory(context.Background(), n) }, referenceSICheck)
+		return driveTheory(t, rng, func(n int) *theory { return newTheory(context.Background(), n, true) }, referenceSICheck)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestPropertyIncrementalSITheoryMatchesOracle(t *testing.T) {
 func TestPropertyIncrementalAcyclicTheoryMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		return driveTheory(t, rng, func(n int) Theory { return newAcyclicTheory(context.Background(), n) }, referenceAcyclicCheck)
+		return driveTheory(t, rng, func(n int) *theory { return newTheory(context.Background(), n, false) }, referenceAcyclicCheck)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestPropertyIncrementalAcyclicTheoryMatchesOracle(t *testing.T) {
 }
 
 func TestSITheoryPopRestoresExactly(t *testing.T) {
-	th := newSITheory(context.Background(), 4).(*siTheory)
+	th := newTheory(context.Background(), 4, true)
 	th.Push(0, []Edge{{From: 0, To: 1, Kind: Base}})
 	before := len(th.comp[0])
 	th.Push(1, []Edge{{From: 1, To: 2, Kind: Base}, {From: 2, To: 3, Kind: RW}})
@@ -201,7 +201,7 @@ func TestSITheoryPopRestoresExactly(t *testing.T) {
 func TestSITheorySamePushComposition(t *testing.T) {
 	// A base edge and an rw edge pushed TOGETHER must still compose:
 	// base 0->1 with rw 1->0 yields the composed self-loop 0->0.
-	th := newSITheory(context.Background(), 2)
+	th := newTheory(context.Background(), 2, true)
 	th.Push(0, nil)
 	if _, ok := th.Check(); !ok {
 		t.Fatal("empty must pass")
@@ -213,7 +213,7 @@ func TestSITheorySamePushComposition(t *testing.T) {
 		t.Fatalf("conflict levels %v must include 1", lvls)
 	}
 	// And in the opposite intra-push order.
-	th2 := newSITheory(context.Background(), 2)
+	th2 := newTheory(context.Background(), 2, true)
 	th2.Push(0, nil)
 	th2.Push(1, []Edge{{From: 1, To: 0, Kind: RW}, {From: 0, To: 1, Kind: Base}})
 	if _, ok := th2.Check(); ok {
