@@ -189,26 +189,29 @@ func TestLoadBaselineRefuses(t *testing.T) {
 }
 
 // TestCommittedBaselineNamesExist fails when a row or ratio operand of
-// bench/baseline.json names a benchmark neither the root package nor
-// internal/core (the gate's two packages) declares, so a rename is
-// caught by `go test ./...` and not first by the CI bench leg.
+// bench/baseline.json names a benchmark that none of the root package,
+// internal/core and internal/graph (the gate's three packages) declares,
+// so a rename is caught by `go test ./...` and not first by the CI bench
+// leg.
 func TestCommittedBaselineNamesExist(t *testing.T) {
 	base, err := loadBaseline("../../bench/baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Benches) != 38 || len(base.Ratios) != 9 {
-		t.Errorf("baseline has %d rows and %d ratios, want 38 and 9", len(base.Benches), len(base.Ratios))
+	if len(base.Benches) != 40 || len(base.Ratios) != 9 {
+		t.Errorf("baseline has %d rows and %d ratios, want 40 and 9", len(base.Benches), len(base.Ratios))
 	}
 	files, err := filepath.Glob("../../*bench_test.go")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no root bench files: %v", err)
 	}
-	core, err := filepath.Glob("../../internal/core/*_test.go")
-	if err != nil || len(core) == 0 {
-		t.Fatalf("no internal/core test files: %v", err)
+	for _, pkg := range []string{"core", "graph"} {
+		tests, err := filepath.Glob("../../internal/" + pkg + "/*_test.go")
+		if err != nil || len(tests) == 0 {
+			t.Fatalf("no internal/%s test files: %v", pkg, err)
+		}
+		files = append(files, tests...)
 	}
-	files = append(files, core...)
 	declared := map[string]bool{}
 	for _, file := range files {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
@@ -230,7 +233,7 @@ func TestCommittedBaselineNamesExist(t *testing.T) {
 	}
 	for _, name := range names {
 		if fn, _, _ := strings.Cut(name, "/"); !declared[fn] {
-			t.Errorf("bench/baseline.json names %s, which neither a root *bench_test.go nor internal/core declares", name)
+			t.Errorf("bench/baseline.json names %s, which no root *bench_test.go, internal/core or internal/graph declares", name)
 		}
 	}
 }

@@ -6,15 +6,19 @@
 // violations. The package also provides Elle's read-write-register mode,
 // which can only exploit reads-from information and RMW patterns — the
 // reason its bug-detection power depends so strongly on workload shape
-// (Figure 13).
+// (Figure 13). That mode is Algorithm 1's derivation, read from core,
+// plus Elle's own reasons: the pre-check's first anomaly, a lost update
+// at SI, and the cycle it found.
 package elle
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"slices"
 
+	"mtc/internal/core"
 	"mtc/internal/graph"
 	"mtc/internal/history"
 )
@@ -287,76 +291,29 @@ func CheckRWRegister(h *history.History, lvl Level) Report {
 }
 
 // CheckRWRegisterCtx is CheckRWRegister over a prebuilt index of the
-// history, under a context: the dependency inference polls ctx between
-// batches of transactions, so large histories stop promptly under a
-// deadline. The Report is only meaningful when the error is nil.
+// history, under a context: the dependency graph is Algorithm 1's
+// derivation (core.BuildDependencyCtx), which polls ctx between batches
+// of transactions, so large histories stop promptly under a deadline.
+// The Report is only meaningful when the error is nil.
 func CheckRWRegisterCtx(ctx context.Context, ix *history.Index, lvl Level) (Report, error) {
 	rep := Report{Level: lvl}
-	h := ix.History()
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 		rep.Reason = as[0].String()
 		return rep, nil
 	}
-	if err := ctx.Err(); err != nil {
+	d, err := core.BuildDependencyCtx(ctx, ix)
+	if err != nil {
 		return Report{}, err
 	}
-	g := graph.NewBuilderNames(len(h.Txns), 0, ix.KeyNames())
-	h.SessionOrder(func(a, b int) {
-		g.AddArc(graph.Arc{From: int32(a), To: int32(b), Obj: graph.NoObj, Kind: graph.SO})
-	})
-	// The readers and RMW successors of each (writer, key), indexed by
-	// ix.WriterSlot; divergence yields several successors.
-	readers := make([][]int, ix.NumWriterSlots())
-	rmwSucc := make([][]int, ix.NumWriterSlots())
-	for s := range h.Txns {
-		if s&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return Report{}, err
-			}
-		}
-		rk, rw := ix.ReadKeys(s), ix.ReadWriters(s) // empty for aborted transactions
-		for i, x := range rk {
-			w := int(rw[i])
-			if w < 0 || w == s {
-				continue
-			}
-			g.AddArc(graph.Arc{From: rw[i], To: int32(s), Obj: int32(x), Kind: graph.WR})
-			sl := ix.WriterSlot(x, rw[i])
-			readers[sl] = append(readers[sl], s)
-			if _, ok := ix.WriteVal(s, x); ok {
-				g.AddArc(graph.Arc{From: rw[i], To: int32(s), Obj: int32(x), Kind: graph.WW})
-				rmwSucc[sl] = append(rmwSucc[sl], s)
-			}
-		}
+	if lvl == SI && len(d.Divs) > 0 {
+		// Two transactions updated the same version: a lost update, which
+		// SI forbids regardless of the composition graph. The smallest
+		// (writer, key) is the one reported.
+		div := slices.MinFunc(d.Divs, func(a, b core.Divergence) int {
+			return cmp.Or(cmp.Compare(a.Writer, b.Writer), cmp.Compare(a.Key, b.Key))
+		})
+		rep.Reason = fmt.Sprintf("diverging updates of T%d on %s (lost update)", div.Writer, div.Key)
+		return rep, nil
 	}
-	// Walk the successors in (writer, key) order — a writer's write
-	// footprint is sorted by key — so the first divergence is the one
-	// reported and the RW edges arrive in one order every run.
-	for w := range h.Txns {
-		keys, _ := ix.Writes(w)
-		for _, x := range keys {
-			sl := ix.WriterSlot(x, int32(w))
-			if sl < 0 {
-				continue
-			}
-			succs := rmwSucc[sl]
-			if lvl == SI && len(succs) > 1 {
-				// Two transactions updated the same version: a lost update,
-				// which SI forbids regardless of the composition graph.
-				rep.Reason = fmt.Sprintf("diverging updates of T%d on %s (lost update)", w, ix.KeyName(x))
-				return rep, nil
-			}
-			for _, succ := range succs {
-				for _, r := range readers[sl] {
-					if r != succ {
-						g.AddArc(graph.Arc{From: int32(r), To: int32(succ), Obj: int32(x), Kind: graph.RW})
-					}
-				}
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return Report{}, err
-	}
-	return cycleCheck(rep, g.Build(), lvl), nil
+	return cycleCheck(rep, d.Graph, lvl), nil
 }

@@ -201,6 +201,24 @@ func TestRWRegisterSIWitnessIsStable(t *testing.T) {
 	}
 }
 
+// TestRWRegisterSILostUpdateIsSmallestWriter: T2's update of y diverges
+// first in transaction order (readers T3 and T4), T1's update of x later
+// (readers T5 and T6). The SI verdict names the smallest (writer, key),
+// T1 on x, not the first divergence found.
+func TestRWRegisterSILostUpdateIsSmallestWriter(t *testing.T) {
+	b := history.NewBuilder("x", "y")
+	b.Txn(0, history.R("x", 0), history.W("x", 1))
+	b.Txn(1, history.R("y", 0), history.W("y", 1))
+	b.Txn(2, history.R("y", 1), history.W("y", 2))
+	b.Txn(3, history.R("y", 1), history.W("y", 3))
+	b.Txn(4, history.R("x", 1), history.W("x", 2))
+	b.Txn(5, history.R("x", 1), history.W("x", 3))
+	r := CheckRWRegister(b.Build(), SI)
+	if want := "diverging updates of T1 on x (lost update)"; r.OK || r.Reason != want {
+		t.Fatalf("got %+v, want reason %q", r, want)
+	}
+}
+
 func TestListAppendStoreRunCleanHistories(t *testing.T) {
 	s := kv.NewStore(kv.ModeSerializable)
 	w := workload.GenerateListAppend(workload.ListAppendConfig{

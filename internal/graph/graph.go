@@ -7,10 +7,11 @@
 //
 // There is one static form, one online form and one closure. A Graph is
 // collected edge by edge in a Builder and immutable after Build (one arc
-// arena in CSR form); every static search — FindCycle, FindComposedCycle,
-// TopoSort (the one Kahn loop; Acyclic is its verdict), NewClosure and
-// ReachRows — reads that form, so a caller with edges in any other shape
-// adds them to a Builder rather than to lists of its own. The arena holds
+// arena in CSR form); every static search — the one cycle DFS (FindCycle
+// is FindComposedCycle without composition), TopoSort (the one Kahn loop;
+// Acyclic is its verdict), NewClosure and ReachRows — reads that form, so
+// a caller with edges in any other shape adds them to a Builder rather
+// than to lists of its own. The arena holds
 // Arcs: 16 bytes and no pointer, so the garbage collector never scans it.
 // An arc's Obj is an id into the name table the graph carries — the
 // history index's KeyIDs when core derives the graph, names interned by
@@ -297,55 +298,10 @@ const (
 
 // FindCycle returns the edges of some directed cycle, or nil if the graph
 // is acyclic. The cycle returned is simple: each node appears at most once.
-// Its edges are rendered through the name table only once it is found.
-// It uses an iterative colouring DFS so that arbitrarily deep graphs do not
-// overflow the goroutine stack; the grey path IS the DFS stack, so a found
-// cycle is read off the frames and nothing is kept per node but a colour.
-//
-//mtc:hotpath — one colour array and one stack per search; no ctx: bounded by V+E
+// It is the composed search with every edge a base edge.
 func (g *Graph) FindCycle() []Edge {
-	n := g.Len()
-	color := make([]uint8, n)
-	// Frame: node v and how many of its out-edges have been taken, so the
-	// edge a frame descended through is Out(v)[next-1].
-	type frame struct{ v, next int32 }
-	stack := make([]frame, 0, 64)
-	for root := 0; root < n; root++ {
-		if color[root] != white {
-			continue
-		}
-		stack = append(stack[:0], frame{v: int32(root)})
-		color[root] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			out := g.Out(int(f.v))
-			if int(f.next) == len(out) {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			e := out[f.next]
-			f.next++
-			switch color[e.To] {
-			case white:
-				color[e.To] = grey
-				stack = append(stack, frame{v: e.To})
-			case grey:
-				// Back edge into the path: the cycle is the edge each frame
-				// from e.To's upwards descended through, e last.
-				k := len(stack) - 1
-				for stack[k].v != e.To {
-					k--
-				}
-				cycle := make([]Edge, 0, len(stack)-k)
-				for _, f := range stack[k:] {
-					cycle = append(cycle, g.Edge(g.Out(int(f.v))[f.next-1]))
-				}
-				return cycle
-			}
-		}
-	}
-	return nil
+	cycle, _ := g.findCycle(false)
+	return cycle
 }
 
 // composedObj labels the AUX edges of the composed graph.
@@ -362,15 +318,23 @@ const composedObj = "(;RW)"
 // a witness of plain dependency edges, each AUX edge replaced by the
 // base ; RW pair it composes. The DFS takes the first edge to a node in
 // list order, so that pair is the first one composing to the AUX edge.
+func (g *Graph) FindComposedCycle() (cycle, witness []Edge) { return g.findCycle(true) }
+
+// findCycle is the one cycle search: an iterative colouring DFS, so that
+// arbitrarily deep graphs do not overflow the goroutine stack. The grey
+// path IS the DFS stack, so a found cycle is read off the frames and
+// nothing is kept per node but a colour; its edges are rendered through
+// the name table only then. Without compose every edge, RW included, is
+// a base edge, and the witness is nil.
 //
 //mtc:hotpath — one colour array and one stack per search; no ctx: bounded by V + E + the compositions it steps over
-func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
+func (g *Graph) findCycle(compose bool) (cycle, witness []Edge) {
 	n := g.Len()
 	color := make([]uint8, n)
-	// Frame: node v, the base edge Out(v)[i] being expanded, and j, how
-	// far into Out(base.To) the RW scan has got; j < 0 until the base edge
-	// itself has been taken. The edge a frame descended through is the
-	// base edge when j == 0, else base composed with Out(base.To)[j-1].
+	// Frame: node v, how many of its out-edges have been taken, and how
+	// far the RW scan of the last one's target has got (j < 0: none open).
+	// The edge a frame descended through is base = Out(v)[i-1] when
+	// j <= 0, else base composed with Out(base.To)[j-1].
 	type frame struct{ v, i, j int32 }
 	stack := make([]frame, 0, 64)
 	for root := 0; root < n; root++ {
@@ -382,45 +346,59 @@ func (g *Graph) FindComposedCycle() (cycle, witness []Edge) {
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			out := g.Out(int(f.v))
-			if int(f.i) == len(out) {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			base := out[f.i]
-			to := base.To
-			switch {
-			case base.Kind == RW:
-				f.i++
-				continue
-			case f.j < 0:
-				f.j = 0
-			default:
-				rws := g.Out(int(base.To))
-				for int(f.j) < len(rws) && rws[f.j].Kind != RW {
+			// The next edge to an unfinished node, as a finished one closes
+			// no cycle; a composed base edge is taken anyway, to scan its RWs.
+			to := int32(-1)
+			if compose && f.j >= 0 {
+				rws := g.Out(int(out[f.i-1].To))
+				for to < 0 && int(f.j) < len(rws) {
+					if e := rws[f.j]; e.Kind == RW && color[e.To] != black {
+						to = e.To
+					}
 					f.j++
 				}
-				if int(f.j) == len(rws) {
-					f.i, f.j = f.i+1, -1
+				if to < 0 {
+					f.j = -1
 					continue
 				}
-				to = rws[f.j].To
-				f.j++
+			} else {
+				for to < 0 && int(f.i) < len(out) {
+					base := out[f.i]
+					f.i++
+					switch {
+					case !compose:
+						if color[base.To] != black {
+							to = base.To
+						}
+					case base.Kind != RW:
+						to, f.j = base.To, 0
+					}
+				}
+				if to < 0 {
+					color[f.v] = black
+					stack = stack[:len(stack)-1]
+					continue
+				}
 			}
 			switch color[to] {
 			case white:
 				color[to] = grey
 				stack = append(stack, frame{v: to, j: -1})
 			case grey:
+				// Back edge into the path: the cycle is the edge each frame
+				// from to's upwards descended through, the last one last.
 				k := len(stack) - 1
 				for stack[k].v != to {
 					k--
 				}
+				cycle = make([]Edge, 0, len(stack)-k)
 				for _, f := range stack[k:] {
-					base := g.Edge(g.Out(int(f.v))[f.i])
-					if f.j == 0 {
+					base := g.Edge(g.Out(int(f.v))[f.i-1])
+					if f.j <= 0 {
 						cycle = append(cycle, base)
-						witness = append(witness, base)
+						if compose {
+							witness = append(witness, base)
+						}
 						continue
 					}
 					rw := g.Edge(g.Out(base.To)[f.j-1])

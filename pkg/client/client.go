@@ -15,7 +15,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -351,16 +350,15 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(JobEvent) 
 		raw, _ := io.ReadAll(resp.Body)
 		return decodeError(resp.StatusCode, raw)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	// A decoder, not a line scanner: the terminal event carries the whole
+	// report, so an event has no size bound.
+	dec := json.NewDecoder(resp.Body)
+	for {
 		var ev JobEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("client: bad event line: %w", err)
+		if err := dec.Decode(&ev); err == io.EOF {
+			return io.ErrUnexpectedEOF
+		} else if err != nil {
+			return fmt.Errorf("client: event stream: %w", err)
 		}
 		if err := fn(ev); err != nil {
 			return err
@@ -369,10 +367,6 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(JobEvent) 
 			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return io.ErrUnexpectedEOF
 }
 
 // Session is a live streaming verification session on the server.

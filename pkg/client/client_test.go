@@ -328,3 +328,24 @@ func TestSubmitBodyIsJSONMarshal(t *testing.T) {
 		t.Fatalf("submit body %s, want json.Marshal's %s", got, want)
 	}
 }
+
+// TestCheckReadsLargeReport: the terminal event carries the whole
+// report, here 30 000 thin-air reads — several MiB on one event line —
+// and Check returns all of them.
+func TestCheckReadsLargeReport(t *testing.T) {
+	_, c := newServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const n = 30000
+	b := mtc.NewHistoryBuilder("x")
+	for i := 0; i < n; i++ {
+		b.Txn(i%4, mtc.Read("x", mtc.Value(n+i)))
+	}
+	rep, err := c.Check(ctx, client.JobRequest{Level: "SER", History: b.Build()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || len(rep.Anomalies) != n {
+		t.Fatalf("report: ok=%v with %d anomalies, want %d", rep.OK, len(rep.Anomalies), n)
+	}
+}
