@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"mtc/internal/history"
 	"mtc/internal/kv"
@@ -51,6 +52,12 @@ func main() {
 		}
 		h = f.H
 	case "mt", "gt":
+		if *sessions <= 0 || *txns <= 0 || *objects <= 0 || *ops <= 0 {
+			fatalf("-sessions, -txns, -objects and -ops must be > 0, got %d, %d, %d, %d", *sessions, *txns, *objects, *ops)
+		}
+		if !slices.Contains(workload.Distributions(), workload.DistKind(*dist)) {
+			fatalf("-dist must be one of %v, got %q", workload.Distributions(), *dist)
+		}
 		var m kv.Mode
 		switch *mode {
 		case "SI":

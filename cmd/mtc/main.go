@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -98,6 +99,12 @@ func main() {
 	}
 	if *tenants < 0 {
 		fatalf("-tenants must be >= 0, got %d", *tenants)
+	}
+	if *sessions <= 0 || *txns <= 0 || *objects <= 0 {
+		fatalf("-sessions, -txns and -objects must be > 0, got %d, %d, %d", *sessions, *txns, *objects)
+	}
+	if !slices.Contains(workload.Distributions(), workload.DistKind(*dist)) {
+		fatalf("-dist must be one of %v, got %q", workload.Distributions(), *dist)
 	}
 
 	if *profileRun {

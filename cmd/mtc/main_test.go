@@ -112,3 +112,19 @@ func TestLWTRefusesOut(t *testing.T) {
 		t.Fatalf("-lwt -out: want no file, stat says %v", err)
 	}
 }
+
+// TestWorkloadFlagsAreValidated: a bad -dist or an empty plan is a
+// usage error (exit 2 naming the flag), never a generator panic.
+func TestWorkloadFlagsAreValidated(t *testing.T) {
+	for flag, want := range map[string]string{
+		"-dist=foo":   "-dist must be one of [uniform zipf hotspot exp]",
+		"-sessions=0": "must be > 0",
+		"-txns=0":     "must be > 0",
+		"-objects=0":  "must be > 0",
+	} {
+		code, _, stderr := run(t, flag)
+		if code != 2 || !strings.Contains(stderr, want) || strings.Contains(stderr, "panic") {
+			t.Errorf("%s: exit %d, stderr %s", flag, code, stderr)
+		}
+	}
+}

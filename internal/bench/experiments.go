@@ -193,25 +193,10 @@ func fig9a() Experiment {
 		Run: func(scale float64) []Row {
 			var rows []Row
 			for i, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-				ops := workload.GenerateLWT(workload.LWTConfig{
+				rows = append(rows, lwtTimes(fmt.Sprintf("concurrent=%d%%", int(frac*100)), workload.LWTConfig{
 					Sessions: 16, TxnsPerSession: scaled(120, scale, 6),
 					ConcurrentFrac: frac, Keys: 1, Seed: int64(i + 1),
-				})
-				label := fmt.Sprintf("concurrent=%d%%", int(frac*100))
-				tMTC, _ := measure(func() {
-					if !core.VLLWT(ops).OK {
-						panic("bench: valid LWT history rejected by VLLWT")
-					}
-				})
-				tPor, _ := measure(func() {
-					if !porcupine.Check(ops) {
-						panic("bench: valid LWT history rejected by Porcupine")
-					}
-				})
-				rows = append(rows,
-					Row{Series: "MTC-SSER verify", X: label, Value: tMTC, Unit: "s"},
-					Row{Series: "Porcupine verify", X: label, Value: tPor, Unit: "s"},
-				)
+				})...)
 			}
 			return rows
 		},
@@ -226,20 +211,33 @@ func fig9b() Experiment {
 		Run: func(scale float64) []Row {
 			var rows []Row
 			for i, tps := range []int{2, 4, 6, 8, 10} {
-				ops := workload.GenerateLWT(workload.LWTConfig{
+				rows = append(rows, lwtTimes(fmt.Sprintf("txns/session=%d", tps), workload.LWTConfig{
 					Sessions: scaled(60, scale, 4), TxnsPerSession: tps,
 					ConcurrentFrac: 1, Keys: 1, Seed: int64(i + 1),
-				})
-				label := fmt.Sprintf("txns/session=%d", tps)
-				tMTC, _ := measure(func() { core.VLLWT(ops) })
-				tPor, _ := measure(func() { porcupine.Check(ops) })
-				rows = append(rows,
-					Row{Series: "MTC-SSER verify", X: label, Value: tMTC, Unit: "s"},
-					Row{Series: "Porcupine verify", X: label, Value: tPor, Unit: "s"},
-				)
+				})...)
 			}
 			return rows
 		},
+	}
+}
+
+// lwtTimes is one point of Figure 9: the time VLLWT and Porcupine take
+// to accept the valid LWT history cfg generates.
+func lwtTimes(x string, cfg workload.LWTConfig) []Row {
+	ops := workload.GenerateLWT(cfg)
+	tMTC, _ := measure(func() {
+		if !core.VLLWT(ops).OK {
+			panic("bench: valid LWT history rejected by VLLWT")
+		}
+	})
+	tPor, _ := measure(func() {
+		if !porcupine.Check(ops) {
+			panic("bench: valid LWT history rejected by Porcupine")
+		}
+	})
+	return []Row{
+		{Series: "MTC-SSER verify", X: x, Value: tMTC, Unit: "s"},
+		{Series: "Porcupine verify", X: x, Value: tPor, Unit: "s"},
 	}
 }
 
@@ -349,31 +347,7 @@ func fig11a() Experiment {
 			var rows []Row
 			txns := scaled(60, scale, 10)
 			for _, sessions := range []int{5, 10, 15, 20, 25} {
-				label := fmt.Sprintf("sessions=%d", sessions)
-				for _, cfg := range []struct {
-					series string
-					mode   kv.Mode
-					gt     bool
-				}{
-					{"GT-SER", kv.ModeSerializable, true},
-					{"GT-SI", kv.ModeSI, true},
-					{"MT-SER", kv.ModeSerializable, false},
-					{"MT-SI", kv.ModeSI, false},
-				} {
-					s := kv.NewStore(cfg.mode)
-					var w *workload.Workload
-					if cfg.gt {
-						w = workload.GenerateGT(workload.GTConfig{
-							Sessions: sessions, Txns: txns, Objects: 40, OpsPerTxn: 20, Seed: 7,
-						})
-					} else {
-						w = workload.GenerateMT(workload.MTConfig{
-							Sessions: sessions, Txns: txns, Objects: 40, Dist: workload.Uniform, Seed: 7,
-						})
-					}
-					res := runner.Run(s, w, runner.Config{Retries: 0})
-					rows = append(rows, Row{Series: cfg.series, X: label, Value: res.AbortRate() * 100, Unit: "%"})
-				}
+				rows = append(rows, abortRates(fmt.Sprintf("sessions=%d", sessions), sessions, txns, 40)...)
 			}
 			return rows
 		},
@@ -389,41 +363,44 @@ func fig11b() Experiment {
 			var rows []Row
 			sessions := 10
 			txns := scaled(40, scale, 10)
-			total := sessions * txns
 			for _, skew := range []int{1, 5, 10, 15, 20, 25} {
-				objects := total / skew
-				if objects < 1 {
-					objects = 1
-				}
-				label := fmt.Sprintf("skew=%d", skew)
-				for _, cfg := range []struct {
-					series string
-					mode   kv.Mode
-					gt     bool
-				}{
-					{"GT-SER", kv.ModeSerializable, true},
-					{"GT-SI", kv.ModeSI, true},
-					{"MT-SER", kv.ModeSerializable, false},
-					{"MT-SI", kv.ModeSI, false},
-				} {
-					s := kv.NewStore(cfg.mode)
-					var w *workload.Workload
-					if cfg.gt {
-						w = workload.GenerateGT(workload.GTConfig{
-							Sessions: sessions, Txns: txns, Objects: objects, OpsPerTxn: 20, Seed: 7,
-						})
-					} else {
-						w = workload.GenerateMT(workload.MTConfig{
-							Sessions: sessions, Txns: txns, Objects: objects, Dist: workload.Uniform, Seed: 7,
-						})
-					}
-					res := runner.Run(s, w, runner.Config{Retries: 0})
-					rows = append(rows, Row{Series: cfg.series, X: label, Value: res.AbortRate() * 100, Unit: "%"})
-				}
+				objects := max(sessions*txns/skew, 1)
+				rows = append(rows, abortRates(fmt.Sprintf("skew=%d", skew), sessions, txns, objects)...)
 			}
 			return rows
 		},
 	}
+}
+
+// abortRates is one point of Figure 11: the abort rate, without
+// retries, of a GT and an MT plan of sessions × txns over objects, each
+// on a SER and an SI store.
+func abortRates(x string, sessions, txns, objects int) []Row {
+	var rows []Row
+	for _, cfg := range []struct {
+		series string
+		mode   kv.Mode
+		gt     bool
+	}{
+		{"GT-SER", kv.ModeSerializable, true},
+		{"GT-SI", kv.ModeSI, true},
+		{"MT-SER", kv.ModeSerializable, false},
+		{"MT-SI", kv.ModeSI, false},
+	} {
+		var w *workload.Workload
+		if cfg.gt {
+			w = workload.GenerateGT(workload.GTConfig{
+				Sessions: sessions, Txns: txns, Objects: objects, OpsPerTxn: 20, Seed: 7,
+			})
+		} else {
+			w = workload.GenerateMT(workload.MTConfig{
+				Sessions: sessions, Txns: txns, Objects: objects, Dist: workload.Uniform, Seed: 7,
+			})
+		}
+		res := runner.Run(kv.NewStore(cfg.mode), w, runner.Config{Retries: 0})
+		rows = append(rows, Row{Series: cfg.series, X: x, Value: res.AbortRate() * 100, Unit: "%"})
+	}
+	return rows
 }
 
 // table2 rediscovers the six production bugs, reporting counterexample

@@ -6,7 +6,9 @@
 //
 // Generators emit operation *specs* (which keys to touch and how); the
 // runner assigns unique write values at execution time by combining a
-// client identifier with a local counter, as in Section II-A.
+// client identifier with a local counter, as in Section II-A. Every plan
+// generator is a per-transaction shape draw handed to plan, the one
+// session × transaction loop; source seeds its rng and distribution.
 package workload
 
 import (

@@ -2,7 +2,33 @@ package workload
 
 import (
 	"math/rand"
+
+	"mtc/internal/history"
 )
+
+// plan is every generator's session × transaction loop: sessions in
+// order, each transaction of session s drawn as draw(s). A generator is
+// its shape draw; the loop's order is the order of its rng calls.
+func plan(sessions, txns int, keys []history.Key, draw func(s int) []OpSpec) *Workload {
+	w := &Workload{Sessions: make([][]TxnSpec, sessions), Keys: keys}
+	for s := range w.Sessions {
+		w.Sessions[s] = make([]TxnSpec, txns)
+		for i := range w.Sessions[s] {
+			w.Sessions[s][i] = TxnSpec{Ops: draw(s)}
+		}
+	}
+	return w
+}
+
+// source returns a generator's rng, seeded from seed, and its
+// object-access distribution over objects keys ("" is Uniform).
+func source(kind DistKind, objects int, seed int64) (*rand.Rand, Dist) {
+	if kind == "" {
+		kind = Uniform
+	}
+	rng := rand.New(rand.NewSource(seed + 1))
+	return rng, NewDist(kind, objects, rng)
+}
 
 // MTConfig parameterizes the mini-transaction workload generator
 // (Section V-A1): number of sessions, transactions per session, objects,
@@ -13,8 +39,8 @@ type MTConfig struct {
 	Objects  int
 	Dist     DistKind
 	Seed     int64
-	// ReadOnlyFrac is the fraction of MTs with no writes (default 0.25
-	// when zero and UseDefaults).
+	// ReadOnlyFrac is the fraction of MTs with no writes; zero plans
+	// none.
 	ReadOnlyFrac float64
 	// Tenants splits the plan into key-disjoint session groups — the
 	// multi-tenant scenario component-sharded verification exploits.
@@ -34,50 +60,30 @@ func GenerateMT(cfg MTConfig) *Workload {
 	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 {
 		panic("workload: MTConfig requires positive sessions, txns, objects")
 	}
-	if cfg.Dist == "" {
-		cfg.Dist = Uniform
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	tenants := cfg.Tenants
-	if tenants <= 1 {
-		tenants = 1
-	}
-	dist := NewDist(cfg.Dist, cfg.Objects, rng)
-	ro := cfg.ReadOnlyFrac
-
-	w := &Workload{Keys: KeyUniverse(cfg.Objects * tenants)}
-	for s := 0; s < cfg.Sessions; s++ {
+	rng, dist := source(cfg.Dist, cfg.Objects, cfg.Seed)
+	tenants := max(cfg.Tenants, 1)
+	return plan(cfg.Sessions, cfg.Txns, KeyUniverse(cfg.Objects*tenants), func(s int) []OpSpec {
 		base := (s % tenants) * cfg.Objects // tenant key-space offset
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			k1 := KeyName(base + dist.Next(rng))
-			k2 := KeyName(base + dist.Next(rng))
-			for tries := 0; k2 == k1 && cfg.Objects > 1 && tries < 8; tries++ {
-				k2 = KeyName(base + dist.Next(rng))
-			}
-			readOnly := rng.Float64() < ro
-			var ops []OpSpec
-			if readOnly {
-				if rng.Intn(2) == 0 || k2 == k1 {
-					ops = []OpSpec{{SpecRead, k1}}
-				} else {
-					ops = []OpSpec{{SpecRead, k1}, {SpecRead, k2}}
-				}
-			} else {
-				switch shape := rng.Intn(3); {
-				case shape == 0 || k2 == k1: // single RMW
-					ops = []OpSpec{{SpecRMW, k1}}
-				case shape == 1: // read one, RMW the other (write-skew shape)
-					ops = []OpSpec{{SpecRead, k1}, {SpecRMW, k2}}
-				default: // double RMW
-					ops = []OpSpec{{SpecRMW, k1}, {SpecRMW, k2}}
-				}
-			}
-			txns[i] = TxnSpec{Ops: ops}
+		k1 := KeyName(base + dist.Next(rng))
+		k2 := KeyName(base + dist.Next(rng))
+		for tries := 0; k2 == k1 && cfg.Objects > 1 && tries < 8; tries++ {
+			k2 = KeyName(base + dist.Next(rng))
 		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
+		if rng.Float64() < cfg.ReadOnlyFrac {
+			if rng.Intn(2) == 0 || k2 == k1 {
+				return []OpSpec{{SpecRead, k1}}
+			}
+			return []OpSpec{{SpecRead, k1}, {SpecRead, k2}}
+		}
+		switch shape := rng.Intn(3); {
+		case shape == 0 || k2 == k1: // single RMW
+			return []OpSpec{{SpecRMW, k1}}
+		case shape == 1: // read one, RMW the other (write-skew shape)
+			return []OpSpec{{SpecRead, k1}, {SpecRMW, k2}}
+		default: // double RMW
+			return []OpSpec{{SpecRMW, k1}, {SpecRMW, k2}}
+		}
+	})
 }
 
 // GTConfig parameterizes the Cobra-style general-transaction generator:
@@ -101,47 +107,28 @@ func GenerateGT(cfg GTConfig) *Workload {
 	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 || cfg.OpsPerTxn <= 0 {
 		panic("workload: GTConfig requires positive parameters")
 	}
-	if cfg.Dist == "" {
-		cfg.Dist = Uniform
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	tenants := cfg.Tenants
-	if tenants <= 1 {
-		tenants = 1
-	}
-	dist := NewDist(cfg.Dist, cfg.Objects, rng)
-
-	w := &Workload{Keys: KeyUniverse(cfg.Objects * tenants)}
-	for s := 0; s < cfg.Sessions; s++ {
+	rng, dist := source(cfg.Dist, cfg.Objects, cfg.Seed)
+	tenants := max(cfg.Tenants, 1)
+	return plan(cfg.Sessions, cfg.Txns, KeyUniverse(cfg.Objects*tenants), func(s int) []OpSpec {
 		base := (s % tenants) * cfg.Objects // tenant key-space offset
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			var ops []OpSpec
-			switch p := rng.Float64(); {
-			case p < 0.2: // read-only
-				for j := 0; j < cfg.OpsPerTxn; j++ {
-					ops = append(ops, OpSpec{SpecRead, KeyName(base + dist.Next(rng))})
-				}
-			case p < 0.6: // write-only
-				for j := 0; j < cfg.OpsPerTxn; j++ {
-					ops = append(ops, OpSpec{SpecWrite, KeyName(base + dist.Next(rng))})
-				}
-			default: // RMW: each spec contributes a read and a write
-				for j := 0; j < cfg.OpsPerTxn/2; j++ {
-					ops = append(ops, OpSpec{SpecRMW, KeyName(base + dist.Next(rng))})
-				}
-				if len(ops) == 0 {
-					ops = append(ops, OpSpec{SpecRMW, KeyName(base + dist.Next(rng))})
-				}
-			}
-			txns[i] = TxnSpec{Ops: ops}
+		// RMW: each spec contributes a read and a write.
+		kind, n := SpecRMW, max(cfg.OpsPerTxn/2, 1)
+		switch p := rng.Float64(); {
+		case p < 0.2:
+			kind, n = SpecRead, cfg.OpsPerTxn
+		case p < 0.6:
+			kind, n = SpecWrite, cfg.OpsPerTxn
 		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
+		ops := make([]OpSpec, n)
+		for j := range ops {
+			ops[j] = OpSpec{kind, KeyName(base + dist.Next(rng))}
+		}
+		return ops
+	})
 }
 
-// ListAppendConfig parameterizes the Elle-style list-append generator.
+// ListAppendConfig parameterizes the Elle-style generators: list-append
+// and read-write-register.
 type ListAppendConfig struct {
 	Sessions  int
 	Txns      int // transactions per session
@@ -151,80 +138,39 @@ type ListAppendConfig struct {
 	Seed      int64
 }
 
+// RWRegisterConfig parameterizes the read-write-register workload; its
+// fields are ListAppendConfig's.
+type RWRegisterConfig = ListAppendConfig
+
 // GenerateListAppend plans a list-append workload: each transaction mixes
 // appends and list reads over MaxTxnLen operations (length drawn
 // uniformly in [1, MaxTxnLen]).
 func GenerateListAppend(cfg ListAppendConfig) *Workload {
+	return generateElle(cfg, SpecAppend, SpecReadList)
+}
+
+// GenerateRWRegister plans the read-write-register workload: like GT but
+// with a maximum transaction length and a 50/50 read/write mix, matching
+// the "elle-wr" configuration of Figure 13.
+func GenerateRWRegister(cfg RWRegisterConfig) *Workload {
+	return generateElle(cfg, SpecRead, SpecWrite)
+}
+
+// generateElle plans transactions of 1 to MaxTxnLen operations, each on
+// a key from the distribution and of kind heads or tails by a fair coin.
+func generateElle(cfg ListAppendConfig, heads, tails SpecKind) *Workload {
 	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 || cfg.MaxTxnLen <= 0 {
 		panic("workload: ListAppendConfig requires positive parameters")
 	}
-	if cfg.Dist == "" {
-		cfg.Dist = Uniform
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	dist := NewDist(cfg.Dist, cfg.Objects, rng)
-
-	w := &Workload{Keys: KeyUniverse(cfg.Objects)}
-	for s := 0; s < cfg.Sessions; s++ {
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			n := 1 + rng.Intn(cfg.MaxTxnLen)
-			ops := make([]OpSpec, n)
-			for j := range ops {
-				k := KeyName(dist.Next(rng))
-				if rng.Intn(2) == 0 {
-					ops[j] = OpSpec{SpecAppend, k}
-				} else {
-					ops[j] = OpSpec{SpecReadList, k}
-				}
+	rng, dist := source(cfg.Dist, cfg.Objects, cfg.Seed)
+	return plan(cfg.Sessions, cfg.Txns, KeyUniverse(cfg.Objects), func(int) []OpSpec {
+		ops := make([]OpSpec, 1+rng.Intn(cfg.MaxTxnLen))
+		for j := range ops {
+			ops[j] = OpSpec{tails, KeyName(dist.Next(rng))}
+			if rng.Intn(2) == 0 {
+				ops[j].Kind = heads
 			}
-			txns[i] = TxnSpec{Ops: ops}
 		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
-}
-
-// RWRegisterConfig parameterizes an Elle-style read-write-register
-// workload: like GT but with a maximum transaction length and a 50/50
-// read/write mix, matching the "elle-wr" configuration of Figure 13.
-type RWRegisterConfig struct {
-	Sessions  int
-	Txns      int
-	Objects   int
-	MaxTxnLen int
-	Dist      DistKind
-	Seed      int64
-}
-
-// GenerateRWRegister plans the read-write-register workload.
-func GenerateRWRegister(cfg RWRegisterConfig) *Workload {
-	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 || cfg.MaxTxnLen <= 0 {
-		panic("workload: RWRegisterConfig requires positive parameters")
-	}
-	if cfg.Dist == "" {
-		cfg.Dist = Uniform
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	dist := NewDist(cfg.Dist, cfg.Objects, rng)
-
-	w := &Workload{Keys: KeyUniverse(cfg.Objects)}
-	for s := 0; s < cfg.Sessions; s++ {
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			n := 1 + rng.Intn(cfg.MaxTxnLen)
-			ops := make([]OpSpec, n)
-			for j := range ops {
-				k := KeyName(dist.Next(rng))
-				if rng.Intn(2) == 0 {
-					ops[j] = OpSpec{SpecRead, k}
-				} else {
-					ops[j] = OpSpec{SpecWrite, k}
-				}
-			}
-			txns[i] = TxnSpec{Ops: ops}
-		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
+		return ops
+	})
 }

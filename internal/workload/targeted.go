@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"mtc/internal/core"
+	"mtc/internal/history"
 )
 
 // TargetedConfig parameterizes the anomaly-guided MT generator, one of the
@@ -18,6 +19,23 @@ type TargetedConfig struct {
 	Seed     int64
 }
 
+// hotPlan is the targeted generators' plan: each transaction flips a
+// coin for the order of the two hot keys k0 and k1 (both k0 when
+// Objects is 1), then is draw(rng, a, b) with the keys in that order.
+func hotPlan(cfg TargetedConfig, draw func(rng *rand.Rand, a, b history.Key) []OpSpec) *Workload {
+	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 {
+		panic("workload: TargetedConfig requires positive parameters")
+	}
+	rng, _ := source(Uniform, cfg.Objects, cfg.Seed)
+	hotA, hotB := KeyName(0), KeyName(min(1, cfg.Objects-1))
+	return plan(cfg.Sessions, cfg.Txns, KeyUniverse(cfg.Objects), func(int) []OpSpec {
+		if rng.Intn(2) == 0 {
+			return draw(rng, hotB, hotA)
+		}
+		return draw(rng, hotA, hotB)
+	})
+}
+
 // GenerateTargeted plans an anomaly-guided MT workload. Each transaction
 // is drawn from the shapes that the 14 anomalies need:
 //
@@ -30,54 +48,28 @@ type TargetedConfig struct {
 // concentrated on two hot keys, with an occasional uniform cold access to
 // keep version chains growing everywhere.
 func GenerateTargeted(cfg TargetedConfig) *Workload {
-	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 {
-		panic("workload: TargetedConfig requires positive parameters")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	hotA := KeyName(0)
-	hotB := hotA
-	if cfg.Objects > 1 {
-		hotB = KeyName(1)
-	}
-	cold := func() OpSpec {
-		return OpSpec{SpecRMW, KeyName(rng.Intn(cfg.Objects))}
-	}
-	w := &Workload{Keys: KeyUniverse(cfg.Objects)}
-	for s := 0; s < cfg.Sessions; s++ {
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			a, b := hotA, hotB
-			if rng.Intn(2) == 0 {
-				a, b = b, a
+	return hotPlan(cfg, func(rng *rand.Rand, a, b history.Key) []OpSpec {
+		switch rng.Intn(6) {
+		case 0: // racing RMW on a hot key (lost update)
+			return []OpSpec{{SpecRMW, a}}
+		case 1: // write-skew half: read both, write one
+			return []OpSpec{{SpecRead, a}, {SpecRMW, b}}
+		case 2: // double update (fractured-read source)
+			if a == b {
+				return []OpSpec{{SpecRMW, a}}
 			}
-			var ops []OpSpec
-			switch rng.Intn(6) {
-			case 0: // racing RMW on a hot key (lost update)
-				ops = []OpSpec{{SpecRMW, a}}
-			case 1: // write-skew half: read both, write one
-				ops = []OpSpec{{SpecRead, a}, {SpecRMW, b}}
-			case 2: // double update (fractured-read source)
-				if a == b {
-					ops = []OpSpec{{SpecRMW, a}}
-				} else {
-					ops = []OpSpec{{SpecRMW, a}, {SpecRMW, b}}
-				}
-			case 3: // observer of both hot keys (long fork / causality)
-				if a == b {
-					ops = []OpSpec{{SpecRead, a}}
-				} else {
-					ops = []OpSpec{{SpecRead, a}, {SpecRead, b}}
-				}
-			case 4: // single observer (session guarantees)
-				ops = []OpSpec{{SpecRead, a}}
-			default: // cold refresh
-				ops = []OpSpec{cold()}
+			return []OpSpec{{SpecRMW, a}, {SpecRMW, b}}
+		case 3: // observer of both hot keys (long fork / causality)
+			if a == b {
+				return []OpSpec{{SpecRead, a}}
 			}
-			txns[i] = TxnSpec{Ops: ops}
+			return []OpSpec{{SpecRead, a}, {SpecRead, b}}
+		case 4: // single observer (session guarantees)
+			return []OpSpec{{SpecRead, a}}
+		default: // cold refresh
+			return []OpSpec{{SpecRMW, KeyName(rng.Intn(cfg.Objects))}}
 		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
+	})
 }
 
 // GenerateLevelTargeted plans an MT workload whose transaction mix
@@ -97,56 +89,34 @@ func GenerateTargeted(cfg TargetedConfig) *Workload {
 // Unknown levels fall back to the uniform anomaly mix of
 // GenerateTargeted.
 func GenerateLevelTargeted(lvl core.Level, cfg TargetedConfig) *Workload {
-	if cfg.Sessions <= 0 || cfg.Txns <= 0 || cfg.Objects <= 0 {
-		panic("workload: TargetedConfig requires positive parameters")
+	if core.LatticeRank(lvl) < 0 {
+		return GenerateTargeted(cfg)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	hotA := KeyName(0)
-	hotB := hotA
-	if cfg.Objects > 1 {
-		hotB = KeyName(1)
-	}
-	w := &Workload{Keys: KeyUniverse(cfg.Objects)}
-	for s := 0; s < cfg.Sessions; s++ {
-		txns := make([]TxnSpec, cfg.Txns)
-		for i := range txns {
-			a, b := hotA, hotB
+	return hotPlan(cfg, func(rng *rand.Rand, a, b history.Key) []OpSpec {
+		switch lvl {
+		case core.RC:
 			if rng.Intn(2) == 0 {
-				a, b = b, a
+				return []OpSpec{{SpecRMW, a}}
 			}
-			var ops []OpSpec
-			switch lvl {
-			case core.RC:
-				if rng.Intn(2) == 0 {
-					ops = []OpSpec{{SpecRMW, a}}
-				} else {
-					ops = []OpSpec{{SpecRead, a}}
-				}
-			case core.RA:
-				if a == b || rng.Intn(2) == 0 {
-					ops = []OpSpec{{SpecRMW, a}, {SpecRMW, b}}
-				} else {
-					ops = []OpSpec{{SpecRead, a}, {SpecRead, b}}
-				}
-			case core.CAUSAL:
-				switch rng.Intn(3) {
-				case 0: // chained updates the observers can invert
-					ops = []OpSpec{{SpecRMW, a}}
-				case 1:
-					ops = []OpSpec{{SpecRead, a}, {SpecRMW, b}}
-				default: // two-key observer, one key per read
-					ops = []OpSpec{{SpecRead, b}, {SpecRead, a}}
-				}
-			case core.SI:
-				ops = []OpSpec{{SpecRMW, hotA}}
-			case core.SER, core.SSER:
-				ops = []OpSpec{{SpecRead, a}, {SpecRMW, b}}
-			default:
-				return GenerateTargeted(cfg)
+			return []OpSpec{{SpecRead, a}}
+		case core.RA:
+			if a == b || rng.Intn(2) == 0 {
+				return []OpSpec{{SpecRMW, a}, {SpecRMW, b}}
 			}
-			txns[i] = TxnSpec{Ops: ops}
+			return []OpSpec{{SpecRead, a}, {SpecRead, b}}
+		case core.CAUSAL:
+			switch rng.Intn(3) {
+			case 0: // chained updates the observers can invert
+				return []OpSpec{{SpecRMW, a}}
+			case 1:
+				return []OpSpec{{SpecRead, a}, {SpecRMW, b}}
+			default: // two-key observer, one key per read
+				return []OpSpec{{SpecRead, b}, {SpecRead, a}}
+			}
+		case core.SI:
+			return []OpSpec{{SpecRMW, KeyName(0)}}
+		default: // SER, SSER
+			return []OpSpec{{SpecRead, a}, {SpecRMW, b}}
 		}
-		w.Sessions = append(w.Sessions, txns)
-	}
-	return w
+	})
 }

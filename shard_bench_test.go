@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"testing"
@@ -35,6 +36,7 @@ import (
 var (
 	shardBenchOnce sync.Once
 	shardBenchHist *history.History
+	shardBenchErr  error
 
 	tenantMTOnce sync.Once
 	tenantMTHist *history.History
@@ -42,23 +44,64 @@ var (
 	indexSink *history.Index // keeps BenchmarkNewIndexTenant10k's build live
 )
 
-// shardBenchHistory executes the fixed 4-tenant GT workload once and
-// reuses the resulting history across the Shard* benchmarks.
-func shardBenchHistory() *history.History {
+// shardBenchHistory executes the fixed 4-tenant GT plan once and
+// reuses the resulting history across the Shard* benchmarks. Its digest
+// is checked before every use.
+func shardBenchHistory(b *testing.B) *history.History {
 	shardBenchOnce.Do(func() {
 		w := workload.GenerateGT(workload.GTConfig{
 			Sessions: 8, Txns: 150, Objects: 8, OpsPerTxn: 4,
 			Dist: workload.Uniform, Seed: 42, Tenants: 4,
 		})
-		shardBenchHist = runner.Run(kv.NewStore(kv.ModeSerializable), w, runner.Config{Retries: 4}).H
+		shardBenchHist, shardBenchErr = runSerially(w)
 	})
+	if shardBenchErr != nil {
+		b.Fatal(shardBenchErr)
+	}
+	d := fnv.New64a()
+	if err := history.WriteJSON(d, shardBenchHist); err != nil || d.Sum64() != 0x64312cd3f9397306 {
+		b.Fatalf("shard input drifted: %d txns, digest %#x (%v)", len(shardBenchHist.Txns), d.Sum64(), err)
+	}
 	return shardBenchHist
+}
+
+// runSerially executes w against a serializable store on one goroutine:
+// round by round, transaction i of every session in session order. No
+// scheduler decides the history, so every process checks the same one.
+func runSerially(w *workload.Workload) (*history.History, error) {
+	store := kv.NewStore(kv.ModeSerializable)
+	store.Init(w.Keys)
+	bld := history.NewBuilder(w.Keys...)
+	writes := make([]int64, len(w.Sessions))
+	for i := range w.Sessions[0] {
+		for si, specs := range w.Sessions {
+			tx := store.Begin()
+			for _, op := range specs[i].Ops {
+				var err error
+				if op.Kind != workload.SpecWrite {
+					_, err = tx.Read(op.Key)
+				}
+				if op.Kind != workload.SpecRead && err == nil {
+					writes[si]++
+					err = tx.Write(op.Key, history.Value(int64(si+1)<<20|writes[si]))
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				return nil, err
+			}
+			bld.TimedTxn(si, tx.StartTS(), tx.FinishTS(), tx.Ops()...)
+		}
+	}
+	return bld.Build(), nil
 }
 
 // benchShard checks the 4-tenant history through cobra, sharded with
 // the given component worker bound.
 func benchShard(b *testing.B, workers int) {
-	h := shardBenchHistory()
+	h := shardBenchHistory(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
