@@ -198,8 +198,8 @@ func TestCommittedBaselineNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Benches) != 40 || len(base.Ratios) != 9 {
-		t.Errorf("baseline has %d rows and %d ratios, want 40 and 9", len(base.Benches), len(base.Ratios))
+	if len(base.Benches) != 42 || len(base.Ratios) != 9 {
+		t.Errorf("baseline has %d rows and %d ratios, want 42 and 9", len(base.Benches), len(base.Ratios))
 	}
 	files, err := filepath.Glob("../../*bench_test.go")
 	if err != nil || len(files) == 0 {

@@ -32,7 +32,6 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -145,11 +144,9 @@ type fabJob struct {
 	// side is the job's history side file, zero once the job is terminal.
 	side  sideFile
 	comps []compState
-	// enc lazily caches the MTCB encoding of each component, filled on
-	// the first pull and reused verbatim by every later dispatch
-	// (including requeues). Nil entries mean "not encoded yet"; the slice
-	// itself is allocated on first use. Guarded by the coordinator mutex
-	// like the rest of the job.
+	// enc holds the MTCB encoding of each component, made when the plan
+	// is (Submit, loadPlan) and served verbatim by every dispatch,
+	// requeues included. Nil once the job is terminal.
 	enc [][]byte
 	// remaining counts components without a folded verdict.
 	remaining int
@@ -319,9 +316,9 @@ func (c *Coordinator) replay(recs []walRecord) error {
 	return c.wal.sweepHistories(keep)
 }
 
-// loadPlan reads a replayed pending job's history from its side file
-// and splits it, refusing a history that does not split into the
-// transaction and component counts its job record logged.
+// loadPlan reads a replayed pending job's history from its side file,
+// splits it and encodes its components, refusing a history that does not
+// split into the transaction and component counts its job record logged.
 func (c *Coordinator) loadPlan(j *fabJob) error {
 	h, err := c.wal.readHistory(j.side)
 	if err != nil {
@@ -332,7 +329,7 @@ func (c *Coordinator) loadPlan(j *fabJob) error {
 		return fmt.Errorf("%w: %s splits into %d components of %d txns, the log recorded %d of %d",
 			ErrHistoryFile, j.side.name, len(p.Components), len(h.Txns), len(j.comps), j.txns)
 	}
-	j.p = p
+	j.p, j.enc = p, encodeComponents(p)
 	return nil
 }
 
@@ -353,7 +350,7 @@ func (c *Coordinator) insertJob(id, engine string, opts checker.Options, txns, c
 }
 
 // terminate moves a job to a terminal state (idempotent) and releases
-// its split history, cached encodings and history side file: only
+// its split history, component encodings and history side file: only
 // dispatch, the fold and a resume read them, and none happens to a
 // terminal job. Callers have logged the terminal record first.
 func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report, errMsg string) {
@@ -370,9 +367,10 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 	close(j.done)
 }
 
-// Submit registers a job for distributed checking: its history written
-// to a side file, the job logged to the WAL, split into its
-// distribution plan, and its components enqueued on the ready queue.
+// Submit registers a job for distributed checking: split into its
+// distribution plan, the history and every component encoded, the
+// history written to a side file, the job logged to the WAL, and its
+// components enqueued on the ready queue.
 // Submitting an id the coordinator already knows is a no-op that writes
 // nothing — the idempotence that lets the server resubmit recovered
 // jobs blindly. The coordinator's plan is the sharding, so opts.Shard
@@ -395,17 +393,16 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	if known {
 		return nil
 	}
-	// Encode the history, split the plan and marshal the record before
-	// taking the lock every Pull, PushResult and Heartbeat waits on. The
-	// split and the side file only read h, so they run side by side.
-	var p *shard.Partition
-	split := make(chan struct{})
-	go func() {
-		defer close(split)
-		p = shard.Split(h)
-	}()
-	side, err := c.wal.writeHistory(h)
-	<-split
+	// Split, encode and write the side file before taking the lock every
+	// Pull, PushResult and Heartbeat waits on: every encoding is cut from
+	// the key column the split interned.
+	p := shard.Split(h)
+	src, err := p.SourceMTCB()
+	if err != nil {
+		return fmt.Errorf("fabric: mtcb encode: %w", err)
+	}
+	enc := encodeComponents(p)
+	side, err := c.wal.writeHistory(src)
 	if err != nil {
 		return fmt.Errorf("fabric: wal history file: %w", err)
 	}
@@ -434,7 +431,7 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 		return fmt.Errorf("fabric: wal append: %w", err)
 	}
 	j := c.insertJob(id, engine, opts, len(h.Txns), len(p.Components))
-	j.p, j.side = p, side
+	j.p, j.side, j.enc = p, side, enc
 	if j.remaining == 0 {
 		// Init-only history: nothing to dispatch, fold the empty plan.
 		return c.fold(j)
@@ -529,39 +526,25 @@ func (c *Coordinator) Pull(id string) (*api.FabricTask, error) {
 		return nil, nil
 	}
 	j := t.j
-	enc, err := c.encodedComponentLocked(j, t.comp)
-	if err != nil {
-		// Should be unreachable (WriteMTCB on a validated component); a
-		// component without a payload can never be checked.
-		c.failLocked(j, fmt.Sprintf("component %d: mtcb encode: %v", t.comp, err))
-		return nil, nil
-	}
 	cs := &j.comps[t.comp]
 	cs.epoch++
 	w.inflight[t] = struct{}{}
 	return &api.FabricTask{
 		Job: j.id, Component: t.comp, Epoch: cs.epoch,
 		Checker: j.engine, Level: string(j.opts.Level), Window: j.opts.Window,
-		HistoryMTCB: enc,
+		HistoryMTCB: j.enc[t.comp],
 	}, nil
 }
 
-// encodedComponentLocked returns the cached MTCB encoding of one
-// component, encoding it on first use. Re-dispatches after a requeue
-// reuse the same bytes — each component is encoded at most once per
-// coordinator lifetime. Caller holds mu.
-func (c *Coordinator) encodedComponentLocked(j *fabJob, comp int) ([]byte, error) {
-	if j.enc == nil {
-		j.enc = make([][]byte, len(j.comps))
+// encodeComponents encodes every component of p: the job's task
+// bodies, served verbatim by every dispatch of the component, requeues
+// included.
+func encodeComponents(p *shard.Partition) [][]byte {
+	enc := make([][]byte, len(p.Components))
+	for i := range enc {
+		enc[i] = p.ComponentMTCB(i)
 	}
-	if j.enc[comp] == nil {
-		var buf bytes.Buffer
-		if err := history.WriteMTCB(&buf, j.p.Components[comp].H); err != nil {
-			return nil, err
-		}
-		j.enc[comp] = buf.Bytes()
-	}
-	return j.enc[comp], nil
+	return enc
 }
 
 // popReady takes the head of the ready queue, skipping tasks of jobs

@@ -246,11 +246,11 @@ func (w *wal) Close() error {
 	return w.f.Close()
 }
 
-// writeHistory encodes h as MTCB from offset 0 of a released side
-// file, or of a fresh one when none is free, and makes the file (and a
-// fresh file's directory entry) durable, so a job record naming it can
-// be appended next. On error the file is unlinked.
-func (w *wal) writeHistory(h *history.History) (sideFile, error) {
+// writeHistory writes a job's MTCB-encoded history from offset 0 of a
+// released side file, or of a fresh one when none is free, and makes
+// the file (and a fresh file's directory entry) durable, so a job record
+// naming it can be appended next. On error the file is unlinked.
+func (w *wal) writeHistory(doc []byte) (sideFile, error) {
 	w.freeMu.Lock()
 	var f *os.File
 	var err error
@@ -266,16 +266,8 @@ func (w *wal) writeHistory(h *history.History) (sideFile, error) {
 	if err != nil {
 		return sideFile{}, err
 	}
-	sf := sideFile{name: filepath.Base(f.Name())}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 64<<10)
-	err = history.WriteMTCB(bw, h)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		sf.size, err = f.Seek(0, io.SeekCurrent)
-	}
+	sf := sideFile{name: filepath.Base(f.Name()), size: int64(len(doc)), crc: crc32.ChecksumIEEE(doc)}
+	_, err = f.Write(doc)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -289,7 +281,6 @@ func (w *wal) writeHistory(h *history.History) (sideFile, error) {
 		w.removeHistory(sf.name)
 		return sideFile{}, err
 	}
-	sf.crc = crc.Sum32()
 	return sf, nil
 }
 

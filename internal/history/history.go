@@ -8,7 +8,6 @@ package history
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Key identifies an object in the key-value data model.
@@ -94,22 +93,6 @@ type History struct {
 	Txns     []Txn   `json:"txns"`
 	Sessions [][]int `json:"sessions"`
 	HasInit  bool    `json:"has_init"`
-}
-
-// Keys returns the sorted set of keys touched anywhere in the history.
-func (h *History) Keys() []Key {
-	set := map[Key]struct{}{}
-	for i := range h.Txns {
-		for _, op := range h.Txns[i].Ops {
-			set[op.Key] = struct{}{}
-		}
-	}
-	out := make([]Key, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Validate checks structural well-formedness: IDs match indices, no

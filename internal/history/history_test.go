@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,10 +46,26 @@ func TestBuilderAndValidate(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	keys := h.Keys()
+	keys := historyKeys(h)
 	if len(keys) != 2 || keys[0] != "x" || keys[1] != "y" {
-		t.Fatalf("Keys = %v", keys)
+		t.Fatalf("keys = %v", keys)
 	}
+}
+
+// historyKeys returns the sorted set of keys touched anywhere in h.
+func historyKeys(h *History) []Key {
+	set := map[Key]struct{}{}
+	for i := range h.Txns {
+		for _, op := range h.Txns[i].Ops {
+			set[op.Key] = struct{}{}
+		}
+	}
+	out := make([]Key, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestValidateCatchesBadID(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 type KeyID int32
 
 // interner assigns dense int32 ids to keys in first-seen order. An
-// Index keeps one, ranked, for its name lookups; KeyColumn, the MTCB
-// writer and the ingest arena intern through one each.
+// Index keeps one, ranked, for its name lookups; KeyColumn, the
+// streaming MTCB writer and the ingest arena intern through one each.
 type interner struct {
 	ids   map[Key]KeyID
 	names []string // Key's underlying type, so Index.KeyNames can lend it
@@ -138,23 +138,10 @@ func KeyColumn(h *History) (names []string, opKey []KeyID) {
 
 // IndexColumns builds the columnar index of h from a key column shaped
 // like KeyColumn's (names distinct; one id per op of h, in order), such
-// as an MTCB wire table or a shard component's cut. It is the one place
-// a key table is ranked by name: opKey is rewritten in place to ranks,
-// and belongs to the index afterwards.
+// as an MTCB wire table or a shard component's cut. opKey is rewritten
+// in place to ranks, and belongs to the index afterwards.
 func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
-	byName := make([]KeyID, len(names)) // ids in key-name order
-	for i := range byName {
-		byName[i] = KeyID(i)
-	}
-	slices.SortFunc(byName, func(a, b KeyID) int { return strings.Compare(names[a], names[b]) })
-	sorted := make([]string, len(names))
-	rank := make([]KeyID, len(names)) // id -> rank
-	identity := true
-	for r, id := range byName {
-		sorted[r] = names[id]
-		rank[id] = KeyID(r)
-		identity = identity && id == KeyID(r)
-	}
+	sorted, rank, identity := rankNames(names)
 	if !identity {
 		for i, id := range opKey {
 			opKey[i] = rank[id]
@@ -165,6 +152,27 @@ func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
 	ix.buildPostings(h, opKey)
 	ix.resolveReads()
 	return ix
+}
+
+// rankNames is the one place a key table is ranked by name, for
+// IndexColumns and AppendMTCB alike: sorted lists names in name order,
+// rank[id] is the position of names[id] in it, and identity reports that
+// every id is its own rank.
+func rankNames(names []string) (sorted []string, rank []KeyID, identity bool) {
+	byName := make([]KeyID, len(names)) // ids in key-name order
+	for i := range byName {
+		byName[i] = KeyID(i)
+	}
+	slices.SortFunc(byName, func(a, b KeyID) int { return strings.Compare(names[a], names[b]) })
+	sorted = make([]string, len(names))
+	rank = make([]KeyID, len(names))
+	identity = true
+	for r, id := range byName {
+		sorted[r] = names[id]
+		rank[id] = KeyID(r)
+		identity = identity && id == KeyID(r)
+	}
+	return sorted, rank, identity
 }
 
 // buildFootprints fills the per-txn read/write columns.

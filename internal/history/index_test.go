@@ -64,7 +64,7 @@ func TestIndexEquivalence(t *testing.T) {
 		widx, dups := BuildWriterIndex(h)
 
 		// Key universe: sorted, dense, lexicographic.
-		wantKeys := h.Keys()
+		wantKeys := historyKeys(h)
 		if ix.NumKeys() != len(wantKeys) {
 			t.Fatalf("trial %d: %d keys, want %d", trial, ix.NumKeys(), len(wantKeys))
 		}

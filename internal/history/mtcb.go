@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -39,10 +40,10 @@ import (
 //	        writers that learn keys mid-stream)
 //	0x00    end of stream
 //
-// WriteMTCB emits the key table in lexicographic order, so the wire ids
-// ARE the sorted KeyID ranks of the columnar Index and ReadMTCBIndexed
-// can append footprint columns in one pass with an identity remap — no
-// map lookups per operation, no re-interning.
+// WriteMTCB and AppendMTCB emit the key table in lexicographic order,
+// so the wire ids ARE the sorted KeyID ranks of the columnar Index and
+// ReadMTCBIndexed can append footprint columns in one pass with an
+// identity remap — no map lookups per operation, no re-interning.
 const MTCBMagic = "MTCB"
 
 const mtcbVersion = 1
@@ -90,35 +91,12 @@ type BinaryWriter struct {
 // streaming check's staleness horizon, like the NDJSON header); pass 0
 // when it is not known.
 func NewBinaryWriter(w io.Writer, sessions int) (*BinaryWriter, error) {
-	return newBinaryWriter(w, sessions, nil)
-}
-
-// newBinaryWriter writes the header with the given key table. Keys must
-// be distinct; WriteMTCB passes them sorted so wire ids equal the
-// columnar Index's lexicographic ranks.
-func newBinaryWriter(w io.Writer, sessions int, keys []Key) (*BinaryWriter, error) {
 	bw := &BinaryWriter{bw: bufio.NewWriter(w), it: newInterner()}
-	if _, err := bw.bw.WriteString(MTCBMagic); err != nil {
-		return nil, err
-	}
-	if err := bw.bw.WriteByte(mtcbVersion); err != nil {
-		return nil, err
-	}
-	if sessions < 0 {
-		sessions = 0
-	}
-	bw.putUvarint(uint64(sessions))
-	bw.putUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		bw.it.Intern(k)
-		if err := bw.putString(string(k)); err != nil {
-			return nil, err
-		}
-	}
-	if bw.it.Len() != len(keys) {
-		return nil, fmt.Errorf("history: mtcb: duplicate key in header table")
-	}
-	return bw, nil
+	bw.bw.WriteString(MTCBMagic)
+	bw.bw.WriteByte(mtcbVersion)
+	bw.putUvarint(uint64(max(sessions, 0)))
+	bw.putUvarint(0) // the key table: every key is defined inline
+	return bw, nil   // bufio's error is sticky: a failed write resurfaces at Close
 }
 
 func (w *BinaryWriter) putUvarint(v uint64) error {
@@ -150,14 +128,8 @@ func (w *BinaryWriter) WriteTxn(t Txn) error {
 	if w.ended {
 		return fmt.Errorf("history: mtcb: write after Close")
 	}
-	if t.ID != w.n {
-		return fmt.Errorf("history: mtcb: txn id %d out of order (want %d)", t.ID, w.n)
-	}
-	if t.Session < -1 {
-		return fmt.Errorf("history: mtcb: txn %d: negative session %d", t.ID, t.Session)
-	}
-	if t.Session == -1 && w.n != 0 {
-		return fmt.Errorf("history: mtcb: init transaction must be first")
+	if err := checkRecord(t.ID, t.Session, w.n); err != nil {
+		return err
 	}
 	// One interner lookup per op: the wire ids are kept for the record,
 	// and a key first seen here is defined inline before it.
@@ -212,26 +184,100 @@ func (w *BinaryWriter) Close() error {
 	return w.bw.Flush()
 }
 
-// WriteMTCB serializes the whole history as one MTCB document (the
-// one-shot counterpart of BinaryWriter). The key table is written
-// sorted, so decoders that build a columnar Index get lexicographic
-// wire ids for free.
+// WriteMTCB serializes the whole history as one MTCB document:
+// KeyColumn, then AppendMTCB.
 func WriteMTCB(w io.Writer, h *History) error {
-	bw, err := newBinaryWriter(w, len(h.Sessions), h.Keys())
+	names, opKey := KeyColumn(h)
+	b, err := AppendMTCB(nil, h, names, opKey)
 	if err != nil {
 		return err
 	}
-	for i := range h.Txns {
-		t := h.Txns[i]
-		if h.HasInit && i == 0 {
-			t.Session = -1
-		}
-		if err := bw.WriteTxn(t); err != nil {
-			return err
-		}
-	}
-	return bw.Close()
+	_, err = w.Write(b)
+	return err
 }
+
+// AppendMTCB appends h to dst as one MTCB document, from a key column
+// shaped like KeyColumn's (names distinct; one id per op of h, in
+// order), such as a shard split's. The key table is ranked by name as
+// IndexColumns ranks it, so the wire ids are the columnar Index's
+// KeyIDs; opKey is only read. Every key sits in the header, so no
+// inline key definition is written. The output is sized exactly before
+// the first byte is appended.
+func AppendMTCB(dst []byte, h *History, names []string, opKey []KeyID) ([]byte, error) {
+	sorted, rank, _ := rankNames(names)
+	n := len(MTCBMagic) + 1 + uvarintLen(uint64(len(h.Sessions))) + uvarintLen(uint64(len(sorted))) + 1
+	for _, k := range sorted {
+		n += uvarintLen(uint64(len(k))) + len(k)
+	}
+	pos := 0
+	for i := range h.Txns {
+		t := &h.Txns[i]
+		sess, err := mtcbSession(h, i)
+		if err != nil {
+			return dst, err
+		}
+		n += 2 + varintLen(sess) + varintLen(t.Start) + varintLen(t.Finish) + uvarintLen(uint64(len(t.Ops)))
+		for j, op := range t.Ops {
+			n += uvarintLen(uint64(rank[opKey[pos+j]])<<1|uint64(op.Kind&1)) + varintLen(int64(op.Value))
+		}
+		pos += len(t.Ops)
+	}
+
+	dst = append(slices.Grow(dst, n), MTCBMagic...)
+	dst = binary.AppendUvarint(append(dst, mtcbVersion), uint64(len(h.Sessions)))
+	dst = binary.AppendUvarint(dst, uint64(len(sorted)))
+	for _, k := range sorted {
+		dst = append(binary.AppendUvarint(dst, uint64(len(k))), k...)
+	}
+	pos = 0
+	for i := range h.Txns {
+		t := &h.Txns[i]
+		sess, _ := mtcbSession(h, i)
+		dst = binary.AppendVarint(append(dst, mtcbTagTxn), sess)
+		dst = binary.AppendVarint(binary.AppendVarint(dst, t.Start), t.Finish)
+		committed := byte(0)
+		if t.Committed {
+			committed = 1
+		}
+		dst = binary.AppendUvarint(append(dst, committed), uint64(len(t.Ops)))
+		for j, op := range t.Ops {
+			dst = binary.AppendUvarint(dst, uint64(rank[opKey[pos+j]])<<1|uint64(op.Kind&1))
+			dst = binary.AppendVarint(dst, int64(op.Value))
+		}
+		pos += len(t.Ops)
+	}
+	return append(dst, mtcbTagEnd), nil
+}
+
+// mtcbSession is the session transaction i of h is written under: -1
+// for the init transaction.
+func mtcbSession(h *History, i int) (int64, error) {
+	sess := h.Txns[i].Session
+	if h.HasInit && i == 0 {
+		sess = -1
+	}
+	return int64(sess), checkRecord(h.Txns[i].ID, sess, i)
+}
+
+// checkRecord refuses what cannot be the n-th transaction record: an id
+// out of place, a negative session, an init transaction after the first.
+func checkRecord(id, sess, n int) error {
+	switch {
+	case id != n:
+		return fmt.Errorf("history: mtcb: txn id %d out of order (want %d)", id, n)
+	case sess < -1:
+		return fmt.Errorf("history: mtcb: txn %d: negative session %d", id, sess)
+	case sess == -1 && n != 0:
+		return fmt.Errorf("history: mtcb: init transaction must be first")
+	}
+	return nil
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of v's zigzag varint encoding.
+func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
 // BinaryReader yields the transactions of an MTCB document one at a
 // time, transparently decompressing gzip input (sniffed by magic bytes,

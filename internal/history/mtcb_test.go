@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
@@ -135,6 +136,35 @@ func TestMTCBWriterEnforcesContract(t *testing.T) {
 	if err := bw.WriteTxn(Txn{ID: 1, Session: 0, Committed: true}); err == nil {
 		t.Fatal("write after Close accepted")
 	}
+}
+
+// StreamMTCB encodes h as WriteMTCB does, through the streaming
+// BinaryWriter instead of AppendMTCB: the header table holds h's keys in
+// name order, found by a map and a sort, and every record goes through
+// WriteTxn and its interner. It is the independent encoder the
+// byte-identity tests of history_test hold AppendMTCB and the shard
+// encoders to.
+func StreamMTCB(w io.Writer, h *History) error {
+	keys := historyKeys(h)
+	bw := &BinaryWriter{bw: bufio.NewWriter(w), it: newInterner()}
+	bw.bw.WriteString(MTCBMagic)
+	bw.bw.WriteByte(mtcbVersion)
+	bw.putUvarint(uint64(len(h.Sessions)))
+	bw.putUvarint(uint64(len(keys)))
+	for _, k := range keys {
+		bw.it.Intern(k)
+		bw.putString(string(k))
+	}
+	for i := range h.Txns {
+		t := h.Txns[i]
+		if h.HasInit && i == 0 {
+			t.Session = -1
+		}
+		if err := bw.WriteTxn(t); err != nil {
+			return err
+		}
+	}
+	return bw.Close()
 }
 
 // mtcbEncode serializes h, failing the test on error.

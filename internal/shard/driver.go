@@ -33,14 +33,15 @@ func init() {
 // sharded check interns every key once.
 func Check(ctx context.Context, c checker.Checker, h *history.History, opts checker.Options) (checker.Report, error) {
 	splitStart := time.Now()
-	p, col := split(h)
+	p := Split(h)
 	splitTime := time.Since(splitStart)
 
 	inner := opts
 	inner.Shard = 0
 	if len(p.Components) <= 1 {
 		if inner.Index == nil || inner.Index.History() != h {
-			inner.Index = history.IndexColumns(h, col.names, col.opKey)
+			// Ranks p.col.opKey in place: p is not encoded or cut after this.
+			inner.Index = history.IndexColumns(h, p.col.names, p.col.opKey)
 		}
 		rep, err := c.Check(ctx, h, inner)
 		if err != nil {
@@ -80,7 +81,7 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 					return
 				}
 				opts := inner
-				opts.Index = col.index(i, &p.Components[i])
+				opts.Index = p.col.index(i, &p.Components[i])
 				reports[i], errs[i] = c.Check(ctx, p.Components[i].H, opts)
 			}
 		}()

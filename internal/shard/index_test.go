@@ -21,7 +21,8 @@ func TestComponentIndexMatchesNewIndex(t *testing.T) {
 	histories, sharded := 0, 0
 	check := func(h *history.History, tag string) {
 		histories++
-		p, col := split(h)
+		p := Split(h)
+		col := p.col
 		if len(p.Components) > 1 {
 			sharded++
 			for i := range p.Components {

@@ -28,6 +28,8 @@
 package shard
 
 import (
+	"fmt"
+
 	"mtc/internal/graph"
 	"mtc/internal/history"
 )
@@ -73,6 +75,22 @@ type Partition struct {
 	// history). A history whose transactions are all connected yields
 	// exactly one component.
 	Components []Component
+
+	col *column // the key column the split interned
+}
+
+// column is the key column of a split history: Split's union-find runs
+// over it, and each component's index and encoding are cut from it, so
+// a sharded check or a distributed job interns every key once.
+type column struct {
+	names []string        // key names by source key id, in first-seen order
+	opKey []history.KeyID // one id per op of the source, in transaction-then-program order
+	off   []int           // off[t] is transaction t's first position in opKey
+	owner []int           // key id -> the component whose transactions touch it, or -1
+	// local maps a key id to its component-local id plus one (0: not yet
+	// numbered). Components own disjoint keys, so one table serves all
+	// of them, concurrently.
+	local []history.KeyID
 }
 
 // Split partitions h into its connected components. Sessions are the
@@ -85,26 +103,6 @@ type Partition struct {
 // Split never mutates h; component sub-histories share the source's Op
 // slices (per-transaction metadata is copied, operations are not).
 func Split(h *history.History) *Partition {
-	p, _ := split(h)
-	return p
-}
-
-// column is the key column of a split history: Split's union-find runs
-// over it, and Check cuts each component's index from it, so a sharded
-// check interns every key once.
-type column struct {
-	names []string        // key names by source key id, in first-seen order
-	opKey []history.KeyID // one id per op of the source, in transaction-then-program order
-	off   []int           // off[t] is transaction t's first position in opKey
-	owner []int           // key id -> the component whose transactions touch it, or -1
-	// local maps a key id to its component-local id plus one (0: not yet
-	// numbered). Components own disjoint keys, so one table serves all
-	// of them, concurrently.
-	local []history.KeyID
-}
-
-// split is Split, also returning the key column it ran on.
-func split(h *history.History) (*Partition, *column) {
 	names, opKey := history.KeyColumn(h)
 	col := &column{names: names, opKey: opKey, off: make([]int, len(h.Txns)+1)}
 	nSess := len(h.Sessions)
@@ -129,7 +127,7 @@ func split(h *history.History) (*Partition, *column) {
 
 	// Components are numbered by their smallest transaction id and sized
 	// in the same pass; comp maps a union-find root to its number plus one.
-	p := &Partition{Source: h}
+	p := &Partition{Source: h, col: col}
 	comp := make([]int, nSess+len(names))
 	var sizes []int
 	for i := range h.Txns {
@@ -198,32 +196,62 @@ func split(h *history.History) (*Partition, *column) {
 		c.H.Sessions[ls] = append(c.H.Sessions[ls], id)
 		c.Ext = append(c.Ext, i)
 	}
-	return p, col
+	return p
 }
 
-// index builds component c's index from the source key column: the
-// component numbers its keys densely in first-touch order, and
-// IndexColumns ranks them, so the result equals
-// history.NewIndex(comp.H). It writes only the col.local entries of keys
-// c owns, so the components of one split can be indexed concurrently.
+// SourceMTCB returns the source history as one MTCB document, byte for
+// byte what history.WriteMTCB writes, encoded from the key column the
+// split interned.
+func (p *Partition) SourceMTCB() ([]byte, error) {
+	return history.AppendMTCB(nil, p.Source, p.col.names, p.col.opKey)
+}
+
+// ComponentMTCB returns component i's sub-history as one MTCB document,
+// byte for byte what history.WriteMTCB writes, encoded from the key
+// column cut as Check cuts the component's index. Split numbers a
+// component's transactions densely, from local session 0 and with the
+// replicated ⊥T first, so the encoding cannot fail.
+func (p *Partition) ComponentMTCB(i int) []byte {
+	c := &p.Components[i]
+	names, opKey := p.col.cut(i, c)
+	b, err := history.AppendMTCB(nil, c.H, names, opKey)
+	if err != nil {
+		panic(fmt.Sprintf("shard: component %d: %v", i, err))
+	}
+	return b
+}
+
+// index builds component c's index from the source key column: cut,
+// then IndexColumns, so the result equals history.NewIndex(comp.H).
 func (col *column) index(c int, comp *Component) *history.Index {
+	names, opKey := col.cut(c, comp)
+	return history.IndexColumns(comp.H, names, opKey)
+}
+
+// cut is component c's key column, shaped like history.KeyColumn(comp.H):
+// the component numbers its keys densely in first-touch order. It writes
+// only the col.local entries of keys c owns, so the components of one
+// split can be cut concurrently, and a repeated cut of c finds the
+// numbers the first one wrote and returns the same column.
+func (col *column) cut(c int, comp *Component) (names []string, opKey []history.KeyID) {
 	nOps := 0
 	for i := range comp.H.Txns {
 		nOps += len(comp.H.Txns[i].Ops)
 	}
-	opKey := make([]history.KeyID, 0, nOps)
-	var names []string
+	opKey = make([]history.KeyID, 0, nOps)
 	for _, ext := range comp.Ext {
 		for _, k := range col.opKey[col.off[ext]:col.off[ext+1]] {
 			if col.owner[k] != c {
 				continue // a replicated ⊥T op of another component's key
 			}
 			if col.local[k] == 0 {
+				col.local[k] = history.KeyID(len(names) + 1)
+			}
+			if int(col.local[k]) > len(names) { // the key's first touch
 				names = append(names, col.names[k])
-				col.local[k] = history.KeyID(len(names))
 			}
 			opKey = append(opKey, col.local[k]-1)
 		}
 	}
-	return history.IndexColumns(comp.H, names, opKey)
+	return names, opKey
 }

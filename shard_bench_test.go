@@ -11,10 +11,11 @@
 //
 // The second group prices the shard layer itself over a fixed-seed
 // 4-tenant 10k-txn MT history, where the engine is cheap enough for the
-// layer to show: BenchmarkShardSplit is the partition pass alone, and
+// layer to show: BenchmarkShardSplit is the partition pass alone,
 // BenchmarkShardMTC1 / BenchmarkShardMTCOff is what mtc at SI pays
 // sharded (one worker: split, per-component indexes, merge) over the
-// same check unsharded.
+// same check unsharded, and BenchmarkShardEncode is the split plus the
+// MTCB encodings a distributed job is submitted with.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"mtc/internal/core"
 	"mtc/internal/history"
 	"mtc/internal/kv"
-	"mtc/internal/runner"
 	"mtc/internal/shard"
 	"mtc/internal/workload"
 )
@@ -40,6 +40,7 @@ var (
 
 	tenantMTOnce sync.Once
 	tenantMTHist *history.History
+	tenantMTErr  error
 
 	indexSink *history.Index // keeps BenchmarkNewIndexTenant10k's build live
 )
@@ -123,18 +124,23 @@ func BenchmarkShard4(b *testing.B) { benchShard(b, 4) }
 func BenchmarkShardGOMAXPROCS(b *testing.B) { benchShard(b, runtime.GOMAXPROCS(0)) }
 
 // tenantMTHistory executes a fixed-seed 4-tenant MT workload of at least
-// 10k transactions once and reuses it across the ShardSplit and ShardMTC
-// benchmarks.
+// 10k transactions once, serially, and reuses it across the ShardSplit,
+// ShardMTC and ShardEncode benchmarks. Its digest is checked before
+// every use.
 func tenantMTHistory(b *testing.B) *history.History {
 	tenantMTOnce.Do(func() {
 		w := workload.GenerateMT(workload.MTConfig{
 			Sessions: 8, Txns: 1300, Objects: 200,
 			Dist: workload.Zipfian, Seed: 5, ReadOnlyFrac: 0.2, Tenants: 4,
 		})
-		tenantMTHist = runner.Run(kv.NewStore(kv.ModeSerializable), w, runner.Config{Retries: 8, DropAborted: true}).H
+		tenantMTHist, tenantMTErr = runSerially(w)
 	})
-	if len(tenantMTHist.Txns) < 10000 {
-		b.Fatalf("tenant history too small: %d txns", len(tenantMTHist.Txns))
+	if tenantMTErr != nil {
+		b.Fatal(tenantMTErr)
+	}
+	d := fnv.New64a()
+	if err := history.WriteJSON(d, tenantMTHist); err != nil || d.Sum64() != 0x9d7401c1dbdb441b {
+		b.Fatalf("tenant input drifted: %d txns, digest %#x (%v)", len(tenantMTHist.Txns), d.Sum64(), err)
 	}
 	return tenantMTHist
 }
@@ -145,6 +151,27 @@ func BenchmarkShardSplit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if n := len(shard.Split(h).Components); n != 4 {
 			b.Fatalf("%d components, want 4", n)
+		}
+	}
+}
+
+// BenchmarkShardEncode is what a distributed job's Submit encodes over
+// the same history: the split, then the source history's MTCB (the WAL
+// side file), then every component's (the task bodies), each cut from
+// the key column the split interned.
+func BenchmarkShardEncode(b *testing.B) {
+	h := tenantMTHistory(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := shard.Split(h)
+		if n := len(p.Components); n != 4 {
+			b.Fatalf("%d components, want 4", n)
+		}
+		if _, err := p.SourceMTCB(); err != nil {
+			b.Fatal(err)
+		}
+		for c := range p.Components {
+			p.ComponentMTCB(c)
 		}
 	}
 }
