@@ -63,6 +63,14 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 	b.TimedTxn(0, 8, 9, history.R("x", 0), history.W("x", 1))
 	b.TimedTxn(1, 7, 0, history.R("x", 1))
 	halfStamped := saved(t, "half.json", b.Build())
+	halfCapture := saved(t, "half.ndjson", b.Build())
+	// T1's op is neither a read nor a write: the batch index ignored it
+	// and read T2 as a thin-air read, MTCB kept one kind bit and passed.
+	b = history.NewBuilder("x")
+	b.Txn(0, history.Op{Kind: 3, Key: "x", Value: 7})
+	b.Txn(1, history.R("x", 7))
+	oddKind := saved(t, "odd.json", b.Build())
+	oddCapture := saved(t, "odd.ndjson", b.Build())
 	// A file no codec claims is refused, never checked as an empty
 	// history.
 	blank := filepath.Join(t.TempDir(), "blank.json")
@@ -82,6 +90,9 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		{"violation exits 1", []string{"-level", "SER", skew}, 1, "[mtc] history VIOLATES SER", ""},
 		{"sser on a clean history", []string{"-level", "sser", clean}, 0, "[mtc] history satisfies SSER", ""},
 		{"finish before start is not a history", []string{"-level", "sser", halfStamped}, 2, "", "finish 0 < start 7"},
+		{"finish before start is not a capture", []string{"-level", "SER", "-stream", halfCapture}, 2, "", "finish 0 < start 7"},
+		{"an op of kind 3 is not a history", []string{"-level", "SER", oddKind}, 2, "", "op 0 has kind 3"},
+		{"an op of kind 3 is not a capture", []string{"-level", "SER", "-stream", oddCapture}, 2, "", "op 0 has kind 3"},
 		{"blank file is not a history", []string{"-level", "SSER", blank}, 2, "", "unrecognized encoding"},
 		{"blank file is not a capture", []string{"-level", "SER", "-stream", blank}, 2, "", "unrecognized encoding"},
 		{"unknown level", []string{"-level", "bogus", clean}, 2, "", "unknown isolation level"},

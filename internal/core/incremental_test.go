@@ -153,8 +153,10 @@ func TestCycleRendersObjectNames(t *testing.T) {
 	}
 }
 
-// txnSlice is a TxnSource over a history's transactions.
+// txnSlice is a TxnStream over a history's transactions.
 type txnSlice []history.Txn
+
+func (s *txnSlice) DeclaredSessions() int { return 0 }
 
 func (s *txnSlice) Next() (history.Txn, error) {
 	if len(*s) == 0 {

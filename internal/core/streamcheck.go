@@ -2,34 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"mtc/internal/history"
 )
-
-// TxnSource yields transactions in arrival order, one at a time, ending
-// with io.EOF. history.StreamReader implements it over the NDJSON
-// encoding and history.BinaryReader over MTCB; tests implement it over
-// in-memory histories.
-//
-// A Txn returned by Next — its Ops and their keys — stays valid after
-// later calls: CheckStreamCtx decodes ahead of the checker, so it holds
-// transactions from several Next calls before it reads them. Both codecs
-// keep the rule by construction, carving Ops from chunks they never
-// reuse and interning keys as strings.
-type TxnSource interface {
-	Next() (history.Txn, error)
-}
-
-// SessionDeclarer is implemented by sources that know the stream's
-// session count before the first record (the NDJSON header declares
-// it). CheckStreamCtx then arms the checker's staleness horizon for
-// every session up front, making windowed verdicts of ingestion-ordered
-// captures exact instead of contingent on the window outrunning the
-// stream's commit-to-ingest skew.
-type SessionDeclarer interface {
-	DeclaredSessions() int
-}
 
 // CheckStreamCtx verifies a transaction stream without ever
 // materialising the history. A goroutine of its own decodes the stream
@@ -50,7 +27,9 @@ type SessionDeclarer interface {
 // the rest of its batch (or the end of the stream) to arrive.
 //
 // A record with a negative session number is the init transaction and
-// must be first (the NDJSON convention). The stream is verified under
+// must be first (the TxnStream convention). Every record is held to
+// history.CheckTxn, as a batch read's Validate holds it, and one that
+// fails ends the check with an error. The stream is verified under
 // the epoch contract of Incremental.Compact, with the staleness horizon
 // armed for every session the source declares up front, and for any
 // other session at its first record: compaction then never evicts a
@@ -60,15 +39,12 @@ type SessionDeclarer interface {
 // protected from their first record onward; a stale read outside that
 // protection parks and is reported as ThinAirRead rather than silently
 // mis-verified.
-func CheckStreamCtx(ctx context.Context, src TxnSource, lvl Level, window, every int) (Result, error) {
+func CheckStreamCtx(ctx context.Context, src history.TxnStream, lvl Level, window, every int) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	inc := NewIncremental(lvl)
-	declared := 0
-	if d, ok := src.(SessionDeclarer); ok {
-		declared = d.DeclaredSessions()
-	}
+	declared := src.DeclaredSessions()
 	for s := range declared {
 		inc.ExpectSession(s)
 	}
@@ -79,6 +55,9 @@ func CheckStreamCtx(ctx context.Context, src TxnSource, lvl Level, window, every
 	for {
 		b := <-ra.full
 		for _, t := range b.txns {
+			if err := history.CheckTxn(&t); err != nil {
+				return Result{}, fmt.Errorf("history: T%d %w", t.ID, err)
+			}
 			if t.Session >= declared {
 				inc.ExpectSession(t.Session)
 			}
@@ -133,7 +112,7 @@ type readAhead struct {
 
 // start begins filling batches from src; every start is paired with a
 // stop.
-func (ra *readAhead) start(src TxnSource) {
+func (ra *readAhead) start(src history.TxnStream) {
 	ra.full = make(chan *txnBatch, readAheadDepth)
 	ra.free = make(chan *txnBatch, readAheadDepth+2)
 	ra.done = make(chan struct{})
@@ -142,7 +121,7 @@ func (ra *readAhead) start(src TxnSource) {
 
 // fill decodes src into batches until it meets an error (io.EOF
 // included), which ends the last batch, or until stop.
-func (ra *readAhead) fill(src TxnSource) {
+func (ra *readAhead) fill(src history.TxnStream) {
 	defer close(ra.full)
 	for {
 		var b *txnBatch

@@ -21,8 +21,8 @@ import (
 )
 
 // ndjsonSource round-trips a history through the streaming codec and
-// returns a TxnSource positioned at its first record.
-func ndjsonSource(t *testing.T, h *history.History) core.TxnSource {
+// returns a TxnStream positioned at its first record.
+func ndjsonSource(t *testing.T, h *history.History) history.TxnStream {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := history.WriteNDJSON(&buf, h); err != nil {
@@ -128,6 +128,8 @@ func storeMode(lvl core.Level) kv.Mode {
 // failingSource yields one transaction then a codec error.
 type failingSource struct{ n int }
 
+func (f *failingSource) DeclaredSessions() int { return 0 }
+
 func (f *failingSource) Next() (history.Txn, error) {
 	if f.n == 0 {
 		f.n++
@@ -146,7 +148,7 @@ func TestCheckStreamPropagatesSourceError(t *testing.T) {
 // heapProbe passes a source through and, once `at` transactions have
 // gone by, records the live heap after a collection.
 type heapProbe struct {
-	src  core.TxnSource
+	src  history.TxnStream
 	at   int
 	n    int
 	heap uint64
@@ -165,12 +167,7 @@ func (p *heapProbe) Next() (history.Txn, error) {
 
 // DeclaredSessions forwards the wrapped source's header, so the probed
 // check arms its sessions as mtc-verify -stream does.
-func (p *heapProbe) DeclaredSessions() int {
-	if d, ok := p.src.(core.SessionDeclarer); ok {
-		return d.DeclaredSessions()
-	}
-	return 0
-}
+func (p *heapProbe) DeclaredSessions() int { return p.src.DeclaredSessions() }
 
 // TestCheckStreamFreshKeysBoundedHeap: a windowed check of an NDJSON
 // stream whose key space never stops growing holds O(window) memory end
@@ -238,12 +235,9 @@ func TestCheckStreamFreshKeysBoundedHeap(t *testing.T) {
 // as it was before decode and check overlapped: Next and the online
 // checker take turns on the calling goroutine. It is the reference the
 // read-ahead must match result for result.
-func syncStreamCheck(src core.TxnSource, lvl core.Level, window int) (core.Result, error) {
+func syncStreamCheck(src history.TxnStream, lvl core.Level, window int) (core.Result, error) {
 	inc := core.NewIncremental(lvl)
-	declared := 0
-	if d, ok := src.(core.SessionDeclarer); ok {
-		declared = d.DeclaredSessions()
-	}
+	declared := src.DeclaredSessions()
 	for s := range declared {
 		inc.ExpectSession(s)
 	}

@@ -209,10 +209,14 @@ func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
 // them, so a hostile or corrupt value is refused, not allocated.
 const maxSessions = 1 << 20
 
-// TxnStream is the incremental-decoder surface the NDJSON StreamReader
-// and the binary BinaryReader share: transactions one at a time until
-// io.EOF, plus the header metadata a streaming check consumes. Both
-// types satisfy core.TxnSource through it.
+// TxnStream is the one transaction-source interface: StreamReader
+// (NDJSON) and BinaryReader (MTCB) implement it, drain collects it into
+// a History and core.CheckStreamCtx checks it online. A record with a
+// negative session is the init transaction, and only the first may be.
+//
+// A Txn returned by Next — its Ops and their keys — stays valid after
+// later calls, as CheckStreamCtx decodes ahead of the checker: both
+// codecs carve Ops from chunks they never reuse and intern keys.
 type TxnStream interface {
 	// Next returns the next transaction in stream order, or io.EOF after
 	// the last one. The first error is terminal: every later call
@@ -222,11 +226,6 @@ type TxnStream interface {
 	// DeclaredSessions returns the header's declared session count, or 0
 	// when the writer did not know it.
 	DeclaredSessions() int
-	// HasInit reports whether the prefix consumed so far carried an init
-	// transaction.
-	HasInit() bool
-	// NumTxns returns how many transactions have been consumed.
-	NumTxns() int
 }
 
 // NewAutoStreamReader opens an incremental transaction decoder over r,
@@ -299,12 +298,13 @@ func drain(ts TxnStream) (*History, error) {
 		cur = append(cur, t)
 		n++
 	}
-	h := History{HasInit: ts.HasInit()}
+	var h History
 	if n > 0 {
 		h.Txns = make([]Txn, 0, n)
 		for _, slab := range append(slabs, cur) { //mtc:alloc-ok one header per slab
 			h.Txns = append(h.Txns, slab...)
 		}
+		h.HasInit = h.Txns[0].Session < 0
 	}
 	// Session lists are cut from one arena; a session that witnessed no
 	// transaction stays nil. The header's declared session count restores

@@ -36,6 +36,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		[]byte("{\"mtc\":"),
 		[]byte("garbage that is neither json nor a history\n"),
 		[]byte("{\"mtc\":\"history\",\"version\":1,\"sessions\":-5}\n"),
+		// Records the readers frame but every consumer refuses
+		// (CheckTxn): an op neither a read nor a write, a finish before
+		// its start.
+		[]byte(NDJSONHeader+"\n"+`{"id":0,"sess":0,"ops":[{"k":2,"key":"x","v":1}],"start":0,"finish":0,"committed":true}`+"\n"),
+		[]byte(NDJSONHeader+"\n"+`{"id":0,"sess":0,"ops":[],"start":10,"finish":5,"committed":true}`+"\n"),
 	)
 	for _, doc := range hostileSessionDocs {
 		seeds = append(seeds, []byte(doc))

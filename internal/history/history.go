@@ -58,7 +58,7 @@ type Txn struct {
 
 // Timed reports whether the transaction takes part in the real-time
 // order: it committed and carries a timestamp. It is the one definition
-// every real-time consumer shares; Validate rejects Finish < Start, so a
+// every real-time consumer shares; CheckTxn rejects Finish < Start, so a
 // timed transaction's interval is well-formed.
 func (t *Txn) Timed() bool { return t.Committed && (t.Start != 0 || t.Finish != 0) }
 
@@ -95,8 +95,23 @@ type History struct {
 	HasInit  bool    `json:"has_init"`
 }
 
-// Validate checks structural well-formedness: IDs match indices, no
-// transaction finishes before it starts, sessions reference valid
+// CheckTxn is the per-transaction rule of every door into the checker:
+// finish ≥ start, and every op a read or a write. Callers prefix the
+// error with the transaction and the door.
+func CheckTxn(t *Txn) error {
+	if t.Finish < t.Start {
+		return fmt.Errorf("finish %d < start %d", t.Finish, t.Start)
+	}
+	for j := range t.Ops {
+		if k := t.Ops[j].Kind; k > OpWrite {
+			return fmt.Errorf("op %d has kind %d, neither a read (0) nor a write (1)", j, k)
+		}
+	}
+	return nil
+}
+
+// Validate checks structural well-formedness: IDs match indices, every
+// transaction passes CheckTxn, sessions reference valid
 // committed-or-aborted transactions exactly once and in ascending id
 // order (every engine reads session order from either the list or the
 // ids, so the two must agree), and the init transaction (when present)
@@ -107,8 +122,8 @@ func (h *History) Validate() error {
 		if t.ID != i {
 			return fmt.Errorf("history: Txns[%d].ID = %d, want %d", i, t.ID, i)
 		}
-		if t.Finish < t.Start {
-			return fmt.Errorf("history: T%d finish %d < start %d", i, t.Finish, t.Start)
+		if err := CheckTxn(t); err != nil {
+			return fmt.Errorf("history: T%d %w", i, err)
 		}
 	}
 	seen := make([]bool, len(h.Txns))

@@ -128,7 +128,7 @@ func (w *BinaryWriter) WriteTxn(t Txn) error {
 	if w.ended {
 		return fmt.Errorf("history: mtcb: write after Close")
 	}
-	if err := checkRecord(t.ID, t.Session, w.n); err != nil {
+	if err := checkRecord("mtcb", t.ID, t.Session, w.n); err != nil {
 		return err
 	}
 	// One interner lookup per op: the wire ids are kept for the record,
@@ -256,19 +256,19 @@ func mtcbSession(h *History, i int) (int64, error) {
 	if h.HasInit && i == 0 {
 		sess = -1
 	}
-	return int64(sess), checkRecord(h.Txns[i].ID, sess, i)
+	return int64(sess), checkRecord("mtcb", h.Txns[i].ID, sess, i)
 }
 
-// checkRecord refuses what cannot be the n-th transaction record: an id
-// out of place, a negative session, an init transaction after the first.
-func checkRecord(id, sess, n int) error {
+// checkRecord is both writers' refusal of what cannot be the n-th
+// record: an id out of place, a negative session, a late init.
+func checkRecord(codec string, id, sess, n int) error {
 	switch {
 	case id != n:
-		return fmt.Errorf("history: mtcb: txn id %d out of order (want %d)", id, n)
+		return fmt.Errorf("history: %s: txn id %d out of order (want %d)", codec, id, n)
 	case sess < -1:
-		return fmt.Errorf("history: mtcb: txn %d: negative session %d", id, sess)
+		return fmt.Errorf("history: %s: txn %d: negative session %d", codec, id, sess)
 	case sess == -1 && n != 0:
-		return fmt.Errorf("history: mtcb: init transaction must be first")
+		return fmt.Errorf("history: %s: init transaction must be first", codec)
 	}
 	return nil
 }
@@ -281,19 +281,16 @@ func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
 // BinaryReader yields the transactions of an MTCB document one at a
 // time, transparently decompressing gzip input (sniffed by magic bytes,
-// like ReadAuto). It satisfies the core.TxnSource contract — Next until
-// io.EOF — and declares the header's session count, so it composes with
-// CheckStream and epoch-windowed compaction exactly as StreamReader
-// does. Decoded Op.Key strings alias the interned key table: one string
-// per distinct key per document, not per operation.
+// like ReadAuto). It is a TxnStream, as StreamReader is. Decoded Op.Key
+// strings alias the interned key table: one string per distinct key per
+// document, not per operation.
 type BinaryReader struct {
 	br       *bufio.Reader
 	names    []string
 	seen     map[Key]struct{}
 	declared int
 	next     int
-	nextOff  int // ops consumed so far (opIDs cursor)
-	hasInit  bool
+	nextOff  int   // ops consumed so far (opIDs cursor)
 	err      error // the first error, io.EOF included: terminal
 
 	arena   *IngestArena // session-wide key interner, when one is attached
@@ -444,13 +441,6 @@ func (r *BinaryReader) defineKey(k Key) error {
 // when the writer did not know it up front.
 func (r *BinaryReader) DeclaredSessions() int { return r.declared }
 
-// HasInit reports whether the stream carried an init transaction. Only
-// meaningful for the prefix consumed so far.
-func (r *BinaryReader) HasInit() bool { return r.hasInit }
-
-// NumTxns returns how many transactions have been consumed.
-func (r *BinaryReader) NumTxns() int { return r.next }
-
 // Next returns the next transaction in stream order, or io.EOF once the
 // end-of-stream record has been consumed. EOF on the underlying reader
 // before that record is a truncated document and fails loudly. The
@@ -525,9 +515,6 @@ func (r *BinaryReader) readTxn() (Txn, error) {
 	t := Txn{
 		ID: r.next, Session: int(sess), Ops: ops,
 		Start: start, Finish: finish, Committed: committed == 1,
-	}
-	if sess == -1 {
-		r.hasInit = true
 	}
 	r.next++
 	r.nextOff += len(ops)

@@ -49,13 +49,12 @@ func NewStreamWriter(w io.Writer, sessions int) (*StreamWriter, error) {
 	return sw, nil
 }
 
-// WriteTxn appends one transaction. IDs must arrive densely in order
-// (t.ID == number of transactions written so far), mirroring the
-// History.Txns invariant; an init transaction is written with session
-// -1 by WriteNDJSON and must be the first record.
+// WriteTxn appends one transaction under BinaryWriter.WriteTxn's
+// contract (checkRecord): dense ids in order, session -1 (the init
+// transaction) only first.
 func (sw *StreamWriter) WriteTxn(t Txn) error {
-	if t.ID != sw.n {
-		return fmt.Errorf("history: ndjson: txn id %d out of order (want %d)", t.ID, sw.n)
+	if err := checkRecord("ndjson", t.ID, t.Session, sw.n); err != nil {
+		return err
 	}
 	buf, err := json.Marshal(&t)
 	if err != nil {
@@ -93,9 +92,7 @@ func WriteNDJSON(w io.Writer, h *History) error {
 
 // StreamReader yields the transactions of a streaming NDJSON document
 // one at a time, transparently decompressing gzip input (sniffed by
-// magic bytes, like ReadAuto). Session lists and the init flag are
-// accumulated as the stream is consumed, so a complete read can
-// reassemble the History without a second pass.
+// magic bytes, like ReadAuto).
 //
 // Lines in the canonical spelling (what StreamWriter emits) are decoded
 // in place by scanTxn into the reader's arena; any other line goes
@@ -106,7 +103,6 @@ type StreamReader struct {
 	arena    *IngestArena
 	line     int
 	next     int
-	hasInit  bool
 	declared int
 	err      error // the first error, io.EOF included: terminal
 }
@@ -210,11 +206,8 @@ func (sr *StreamReader) read() (Txn, error) {
 		if t.Session > maxSessions {
 			return Txn{}, fmt.Errorf("history: ndjson: line %d: implausible session %d", sr.line, t.Session)
 		}
-		if t.Session < 0 {
-			if t.ID != 0 {
-				return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
-			}
-			sr.hasInit = true
+		if t.Session < 0 && t.ID != 0 {
+			return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
 		}
 		sr.next++
 		return t, nil
@@ -236,13 +229,6 @@ func (sr *StreamReader) decode(line []byte) (Txn, error) {
 	}
 	return t, nil
 }
-
-// HasInit reports whether the stream carried an init transaction. Only
-// meaningful for the prefix consumed so far.
-func (sr *StreamReader) HasInit() bool { return sr.hasInit }
-
-// NumTxns returns how many transactions have been consumed.
-func (sr *StreamReader) NumTxns() int { return sr.next }
 
 // ReadNDJSON drains a streaming NDJSON document into a validated
 // History (the one-shot counterpart of StreamReader, used by ReadAuto).

@@ -45,7 +45,7 @@ func runStream(data []byte) streamResult {
 		}
 		res.Txns = append(res.Txns, t)
 	}
-	res.HasInit = sr.HasInit()
+	res.HasInit = len(res.Txns) > 0 && res.Txns[0].Session < 0
 	return res
 }
 
@@ -491,9 +491,6 @@ func TestStreamReaderErrorIsTerminal(t *testing.T) {
 		if txn, err := sr.Next(); err != first {
 			t.Fatalf("call %d after the error: (%v, %v), want the same error again", i, txn, err)
 		}
-	}
-	if sr.NumTxns() != 1 {
-		t.Fatalf("NumTxns = %d after resynchronising, want 1", sr.NumTxns())
 	}
 }
 

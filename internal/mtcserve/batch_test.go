@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mtc/internal/api"
@@ -210,38 +211,48 @@ func TestSessionBatchRejections(t *testing.T) {
 	}
 }
 
-// TestSessionIngestRejectsNegativeSession: both ingest routes refuse a
-// transaction with a negative session number — the init record's marker,
-// which would otherwise reach the online checker as an ordinary session —
-// with 400 bad_request, and apply nothing of the request: not the valid
-// transaction ahead of the offending one (JSON), nor the one behind it
-// (MTCB only encodes an init record first).
-func TestSessionIngestRejectsNegativeSession(t *testing.T) {
+// TestSessionIngestRejectsBadTxns: both ingest routes refuse, with 400
+// bad_request, a transaction with a negative session number — the init
+// record's marker, which would otherwise reach the online checker as an
+// ordinary session — and one that fails history.CheckTxn, as a job body
+// and mtc-verify -stream do. Nothing of the request applies: not the
+// valid transaction ahead of the offending one, nor the one behind it
+// (MTCB only encodes an init record first). MTCB carries an op's kind in
+// one bit, so only JSON can spell a bad kind.
+func TestSessionIngestRejectsBadTxns(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	good := history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}}
-	bad := history.Txn{Session: -1, Committed: true, Ops: []history.Op{history.W("x", 0)}}
-	for _, route := range []struct {
-		name string
-		post func(id string) (*http.Response, []byte)
+	initRecord := history.Txn{Session: -1, Committed: true, Ops: []history.Op{history.W("x", 0)}}
+	backwards := history.Txn{Session: 1, Committed: true, Start: 10, Finish: 5, Ops: []history.Op{history.R("x", 1)}}
+	oddKind := history.Txn{Session: 1, Committed: true, Ops: []history.Op{{Kind: 3, Key: "x", Value: 7}}}
+	for _, tc := range []struct {
+		name, route, want string
+		txns              []history.Txn
 	}{
-		{"txns", func(id string) (*http.Response, []byte) {
-			yes := true
-			var payloads []api.TxnPayload
-			for _, txn := range []history.Txn{good, bad} {
-				payloads = append(payloads, api.TxnPayload{Sess: txn.Session, Ops: txn.Ops, Committed: &yes})
-			}
-			return doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/txns", payloads)
-		}},
-		{"batch", func(id string) (*http.Response, []byte) {
-			return doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/batch", string(mtcbFrame(t, []history.Txn{bad, good})))
-		}},
+		{"negative session", "txns", "txn 1: session must be >= 0", []history.Txn{good, initRecord}},
+		{"negative session", "batch", "txn 0: session must be >= 0", []history.Txn{initRecord, good}},
+		{"finish before start", "txns", "txn 1: finish 5 < start 10", []history.Txn{good, backwards}},
+		{"finish before start", "batch", "txn 1: finish 5 < start 10", []history.Txn{good, backwards}},
+		{"op of kind 3", "txns", "txn 1: op 0 has kind 3", []history.Txn{good, oddKind}},
 	} {
 		id := openStreamSession(t, ts, api.SessionRequest{Level: "SER", Keys: []history.Key{"x"}})
-		resp, raw := route.post(id)
+		var body any
+		if tc.route == "batch" {
+			body = string(mtcbFrame(t, tc.txns))
+		} else {
+			yes := true
+			var payloads []api.TxnPayload
+			for _, txn := range tc.txns {
+				payloads = append(payloads, api.TxnPayload{Sess: txn.Session, Ops: txn.Ops, Committed: &yes, Start: txn.Start, Finish: txn.Finish})
+			}
+			body = payloads
+		}
+		resp, raw := doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/"+tc.route, body)
 		var e api.ErrorResponse
-		if err := json.Unmarshal(raw, &e); resp.StatusCode != http.StatusBadRequest || err != nil || e.Error.Code != api.CodeBadRequest {
-			t.Fatalf("%s: negative session answered %d %s, want 400 %s", route.name, resp.StatusCode, raw, api.CodeBadRequest)
+		if err := json.Unmarshal(raw, &e); resp.StatusCode != http.StatusBadRequest || err != nil ||
+			e.Error.Code != api.CodeBadRequest || !strings.Contains(e.Error.Message, tc.want) {
+			t.Fatalf("%s %s: answered %d %s, want 400 %s %q", tc.route, tc.name, resp.StatusCode, raw, api.CodeBadRequest, tc.want)
 		}
 		_, raw = doJSON(t, "GET", ts.URL+"/v1/sessions/"+id+"/verdict", nil)
 		var st api.SessionStatus
@@ -249,7 +260,7 @@ func TestSessionIngestRejectsNegativeSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Txns != 1 { // the init transaction only
-			t.Fatalf("%s: rejected request ingested transactions: %+v", route.name, st)
+			t.Fatalf("%s %s: rejected request ingested transactions: %+v", tc.route, tc.name, st)
 		}
 	}
 }

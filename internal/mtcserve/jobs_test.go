@@ -215,6 +215,14 @@ func TestJobValidation(t *testing.T) {
 			{"id":2,"sess":0,"committed":true,"ops":[{"k":0,"key":"x","v":1},{"k":1,"key":"x","v":2}]},
 			{"id":3,"sess":1,"committed":true,"ops":[{"k":0,"key":"y","v":0},{"k":1,"key":"y","v":1}]}]}}`,
 			http.StatusBadRequest, api.CodeInvalidHistory, ""},
+		// T1's op is neither a read nor a write. The index ignored it, so
+		// T2's read of its value was a thin-air read locally, while the
+		// MTCB a worker receives keeps one kind bit and checked OK.
+		{"op neither read nor write", `{"level":"SER","history":{"has_init":true,"sessions":[[1],[2]],"txns":[
+			{"id":0,"sess":-1,"committed":true,"ops":[{"k":1,"key":"x","v":0}]},
+			{"id":1,"sess":0,"committed":true,"ops":[{"k":3,"key":"x","v":7}]},
+			{"id":2,"sess":1,"committed":true,"ops":[{"k":0,"key":"x","v":7}]}]}}`,
+			http.StatusBadRequest, api.CodeInvalidHistory, "kind 3"},
 		// The retired parallelism field: any non-zero value is refused
 		// with a message that names it, on a history that would pass. The
 		// negative and oversized values the old clamp refused still answer

@@ -154,10 +154,10 @@ func (sess *session) touch() { sess.lastUsed = time.Now() }
 var errSessionFinal = errors.New("session is finalized")
 
 // ingest appends txns to the session's check and runs the compaction
-// cadence. It is atomic: a finalized session (errSessionFinal) or a
+// cadence. It is atomic: a finalized session (errSessionFinal), a
 // transaction with a negative session number — the init record's
-// marker; initial keys are declared at session open — applies nothing.
-// Caller must hold sess.mu.
+// marker; initial keys are declared at session open — or one that fails
+// history.CheckTxn applies nothing. Caller must hold sess.mu.
 func (sess *session) ingest(txns []history.Txn) error {
 	if sess.final != nil {
 		return errSessionFinal
@@ -166,6 +166,9 @@ func (sess *session) ingest(txns []history.Txn) error {
 	for i := range txns {
 		if txns[i].Session < 0 {
 			return fmt.Errorf("txn %d: session must be >= 0, got %d (declare initial keys at session open)", i, txns[i].Session)
+		}
+		if err := history.CheckTxn(&txns[i]); err != nil {
+			return fmt.Errorf("txn %d: %w", i, err)
 		}
 	}
 	for i := range txns {
@@ -408,7 +411,13 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	sess := &session{lvl: lvl, inc: core.NewIncremental(lvl), window: window}
 	sess.touch()
 	if len(req.Keys) > 0 {
-		sess.inc.InitTxn(req.Keys...)
+		// ⊥T writes each key once, so the one violation its writes can
+		// raise is a DuplicateWrite of a repeated key: a write the
+		// database never made, refused rather than reported.
+		if vio := sess.inc.InitTxn(req.Keys...); vio != nil {
+			s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "keys: %q is listed more than once", vio.Anomalies[0].Key)
+			return
+		}
 	}
 	max := s.MaxSessions
 	if max <= 0 {

@@ -193,6 +193,13 @@ func TestStreamingSessionErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad session body must 400, got %d", resp.StatusCode)
 	}
+	// ⊥T writes each declared key once: a repeated key is refused at open,
+	// not reported as a DuplicateWrite the database never made.
+	resp, raw = doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SER", Keys: []history.Key{"x", "y", "x"}})
+	if err := json.Unmarshal(raw, &e); resp.StatusCode != http.StatusBadRequest || err != nil ||
+		e.Error.Code != api.CodeBadRequest || !strings.Contains(e.Error.Message, `"x"`) {
+		t.Fatalf("repeated key answered %d %s, want 400 %s naming \"x\"", resp.StatusCode, raw, api.CodeBadRequest)
+	}
 	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/nope/txns", []history.Txn{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session must 404, got %d", resp.StatusCode)

@@ -153,10 +153,10 @@ func BenchmarkStream100kUnboundedZipf(b *testing.B) {
 	benchStream(b, 100_000, 0, keys, txn)
 }
 
-// samplingSource wraps a TxnSource and samples the post-GC heap every
+// samplingSource wraps a TxnStream and samples the post-GC heap every
 // 131072 transactions, mirroring benchStream's peak-heap probe.
 type samplingSource struct {
-	src    core.TxnSource
+	src    history.TxnStream
 	n      int
 	sample func()
 }
@@ -169,12 +169,7 @@ func (s *samplingSource) Next() (history.Txn, error) {
 	return s.src.Next()
 }
 
-func (s *samplingSource) DeclaredSessions() int {
-	if d, ok := s.src.(core.SessionDeclarer); ok {
-		return d.DeclaredSessions()
-	}
-	return 0
-}
+func (s *samplingSource) DeclaredSessions() int { return s.src.DeclaredSessions() }
 
 // benchStreamNDJSON drives the same clean RMW stream through the full
 // NDJSON pipeline: a generator goroutine encodes transactions with
