@@ -13,9 +13,11 @@
 //	mtc-verify -level SER -checker mtc-incremental -window 1024 history.mtcb
 //
 // Exit status: 0 the history satisfies the level, 1 it violates it,
-// 2 usage errors (unknown level or checker, a -stream checker other than
-// mtc or mtc-incremental, a negative -window, a file that is unreadable
-// or not a history in any codec).
+// 2 usage errors (an unknown level or checker; a level the engine does
+// not list, -stream's engine being mtc-incremental, whose registry row
+// serves SI and SER; a -stream checker other than mtc or
+// mtc-incremental; a negative -window; a file that is unreadable or not
+// a history in any codec).
 package main
 
 import (
@@ -41,7 +43,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mtc-verify [-level L] [-checker C] [-stream] [-window N] <history-file>")
 		os.Exit(2)
 	}
-	lvl, err := checker.ParseLevel(*level)
+	name := *engine
+	if *stream {
+		if name != "mtc" && name != "mtc-incremental" {
+			fatalf("-stream verifies with the incremental MTC engine; it cannot run -checker %s", name)
+		}
+		name = "mtc-incremental"
+	}
+	_, lvl, err := checker.Default.Resolve(name, *level)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -50,9 +59,6 @@ func main() {
 		fatalf("-window must be >= 0, got %d", *window)
 	}
 	if *stream {
-		if *engine != "mtc" && *engine != "mtc-incremental" {
-			fatalf("-stream verifies with the incremental MTC engine; it cannot run -checker %s", *engine)
-		}
 		streamVerify(flag.Arg(0), lvl, *window)
 		return
 	}
@@ -61,7 +67,7 @@ func main() {
 	if err != nil {
 		fatalf("load: %v", err)
 	}
-	rep, err := checker.Run(context.Background(), *engine, ix.History(),
+	rep, err := checker.Run(context.Background(), name, ix.History(),
 		checker.Options{Level: lvl, Window: *window, Index: ix})
 	if err != nil {
 		fatalf("%v", err)
@@ -79,9 +85,6 @@ func main() {
 // so captures of any length verify in near-constant memory. The verdict
 // line is the mtc-incremental engine's, epoch count included.
 func streamVerify(path string, lvl core.Level, window int) {
-	if lvl != core.SER && lvl != core.SI {
-		fatalf("-stream checks SER or SI")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		fatalf("open: %v", err)

@@ -98,6 +98,7 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		{"unknown level", []string{"-level", "bogus", clean}, 2, "", "unknown isolation level"},
 		{"unknown checker", []string{"-checker", "mtc-sharded", clean}, 2, "", "unknown checker"},
 		{"unsupported level for the engine", []string{"-level", "SI", "-checker", "cobra", clean}, 2, "", "does not support level"},
+		{"stream refuses a level the online engine lacks", []string{"-level", "RC", "-stream", clean}, 2, "", "mtc-incremental does not support level"},
 		{"stream refuses a baseline engine", []string{"-level", "SER", "-stream", "-checker", "cobra", clean}, 2, "", "cannot run -checker cobra"},
 		{"stream refuses an unknown checker", []string{"-level", "SER", "-stream", "-checker", "bogus", clean}, 2, "", "cannot run -checker bogus"},
 		{"negative window", []string{"-window", "-1", clean}, 2, "", "-window must be >= 0"},

@@ -150,6 +150,9 @@ func main() {
 		if *window > 0 && *out != "" {
 			fatalf("-window frees the history as the stream advances; it cannot be combined with -out")
 		}
+		if _, claimed, err = checker.Default.Resolve("mtc-incremental", string(claimed)); err != nil {
+			fatalf("-stream: %v", err)
+		}
 		runStreaming(store, w, *retries, claimed, *out, *timeout, *window, *shardN, jsonReport)
 		return
 	}
@@ -214,9 +217,6 @@ func verifyContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 // runStreaming verifies the run online, reporting the violation at the
 // commit that introduced it.
 func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.Level, out string, timeout time.Duration, window, shardN int, jsonReport bool) {
-	if lvl == core.SSER {
-		fatalf("-stream supports SER and SI (SSER needs the full real-time order); use the batch checker")
-	}
 	ctx, cancel := verifyContext(timeout)
 	defer cancel()
 	res := runner.RunStream(ctx, store, w, runner.Config{Retries: retries, Window: window, Shard: shardN}, lvl)

@@ -100,6 +100,19 @@ func TestStreamVerdictLineNamesTheEngine(t *testing.T) {
 	}
 }
 
+// TestStreamRefusesLevelsTheOnlineEngineLacks: -stream runs
+// mtc-incremental, so a level outside its registry row exits 2 with the
+// registry's message. RC, RA and CAUSAL used to pass the CLI's own guard
+// and panic in the engine.
+func TestStreamRefusesLevelsTheOnlineEngineLacks(t *testing.T) {
+	for _, lvl := range []string{"RC", "RA", "CAUSAL", "SSER"} {
+		code, _, stderr := run(t, "-level", lvl, "-stream", "-sessions", "2", "-txns", "4")
+		if code != 2 || !strings.Contains(stderr, "does not support level") || strings.Contains(stderr, "panic") {
+			t.Errorf("-stream -level %s: exit %d, stderr %s", lvl, code, stderr)
+		}
+	}
+}
+
 // TestLWTRefusesOut: the -lwt pipeline saves no history, so asking it
 // for one is a usage error, not a silent success that writes no file.
 func TestLWTRefusesOut(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,8 +44,8 @@ type Level = core.Level
 func AllLevels() []Level { return core.Lattice() }
 
 // ParseLevel maps a level name (any case) to its Level. It is the one
-// canonical parser: the CLIs and the HTTP server both resolve user input
-// through it. Errors enumerate the valid names.
+// canonical parser: Resolve reads every request's level through it.
+// Errors enumerate the valid names.
 func ParseLevel(s string) (Level, error) {
 	lvl := Level(strings.ToUpper(strings.TrimSpace(s)))
 	for _, l := range AllLevels() {
@@ -52,13 +53,14 @@ func ParseLevel(s string) (Level, error) {
 			return lvl, nil
 		}
 	}
-	return "", fmt.Errorf("checker: unknown isolation level %q (want %s)", s, LevelNames(AllLevels()))
+	return "", fmt.Errorf("checker: unknown isolation level %q (want %s)", s, levelNames(AllLevels()))
 }
 
 // Options tunes a checker run.
 type Options struct {
-	// Level selects the isolation level to check. Empty selects the
-	// checker's default (the first of its Levels).
+	// Level selects the isolation level to check, in any case: Run
+	// resolves it (Resolve). Empty selects the checker's default (the
+	// first of its Levels).
 	Level Level
 	// SparseRT is inert: no engine reads it. It selected one of two SSER
 	// encodings until the SSER rung became the single inversion pass
@@ -268,6 +270,10 @@ func (r *Registry) Register(c Checker) {
 	r.m[c.Name()] = c
 }
 
+// ErrUnknownChecker is wrapped by every Lookup (and so Resolve and Run)
+// refusal of a name the registry does not hold.
+var ErrUnknownChecker = errors.New("unknown checker")
+
 // Lookup returns the named checker, or an error naming the registered
 // alternatives.
 func (r *Registry) Lookup(name string) (Checker, error) {
@@ -275,9 +281,33 @@ func (r *Registry) Lookup(name string) (Checker, error) {
 	c, ok := r.m[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("checker: unknown checker %q (have %s)", name, strings.Join(r.Names(), ", "))
+		return nil, fmt.Errorf("checker: %w %q (have %s)", ErrUnknownChecker, name, strings.Join(r.Names(), ", "))
 	}
 	return c, nil
+}
+
+// Resolve is the one reading of a request's engine and level: it looks
+// name up, parses level (any case), maps "" to the engine's default
+// (the first of its Levels) and refuses a level the engine does not
+// list. Every door — Run, the HTTP jobs, sessions and fixtures, the
+// fabric coordinator and the CLIs' -stream — resolves through it.
+func (r *Registry) Resolve(name, level string) (Checker, Level, error) {
+	c, err := r.Lookup(name)
+	if err != nil {
+		return nil, "", err
+	}
+	if level == "" {
+		return c, c.Levels()[0], nil
+	}
+	lvl, err := ParseLevel(level)
+	if err != nil {
+		return nil, "", err
+	}
+	if !slices.Contains(c.Levels(), lvl) {
+		return nil, "", fmt.Errorf("checker: %s does not support level %q (supports %s)",
+			c.Name(), lvl, levelNames(c.Levels()))
+	}
+	return c, lvl, nil
 }
 
 // Names returns the sorted registered names.
@@ -302,24 +332,17 @@ func (r *Registry) All() []Checker {
 	return out
 }
 
-// Run resolves name, applies the level default, validates the level
-// against the checker's Levels, and dispatches under ctx — through the
-// component-sharding driver when opts.Shard > 0. The returned error
-// marks caller mistakes (unknown checker, unsupported level),
-// unsupported histories, or cancellation — as opposed to verification
-// failures, which land in the Report.
+// Run resolves name and opts.Level (Resolve) and dispatches under ctx —
+// through the component-sharding driver when opts.Shard > 0. The
+// returned error marks caller mistakes (unknown checker, unknown or
+// unsupported level), unsupported histories, or cancellation — as
+// opposed to verification failures, which land in the Report.
 func (r *Registry) Run(ctx context.Context, name string, h *history.History, opts Options) (Report, error) {
-	c, err := r.Lookup(name)
+	c, lvl, err := r.Resolve(name, string(opts.Level))
 	if err != nil {
 		return Report{}, err
 	}
-	if opts.Level == "" {
-		opts.Level = c.Levels()[0]
-	}
-	if !Supports(c, opts.Level) {
-		return Report{}, fmt.Errorf("checker: %s does not support level %q (supports %s)",
-			c.Name(), opts.Level, LevelNames(c.Levels()))
-	}
+	opts.Level = lvl
 	if opts.Shard > 0 {
 		if ShardCheck == nil {
 			return Report{}, errors.New("checker: Options.Shard > 0 needs the sharding driver; link mtc/internal/shard")
@@ -334,20 +357,8 @@ func (r *Registry) Run(ctx context.Context, name string, h *history.History, opt
 // for the Checker and Report types) installs its Check here at init.
 var ShardCheck func(ctx context.Context, c Checker, h *history.History, opts Options) (Report, error)
 
-// Supports reports whether the engine lists lvl; callers validating a
-// request before dispatching (e.g. at job-submission time) share this
-// with Run's own check.
-func Supports(c Checker, lvl Level) bool {
-	for _, l := range c.Levels() {
-		if l == lvl {
-			return true
-		}
-	}
-	return false
-}
-
-// LevelNames renders a level list for error messages.
-func LevelNames(levels []Level) string {
+// levelNames renders a level list for error messages.
+func levelNames(levels []Level) string {
 	names := make([]string, len(levels))
 	for i, l := range levels {
 		names[i] = string(l)

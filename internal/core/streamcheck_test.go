@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,6 +143,28 @@ func TestCheckStreamPropagatesSourceError(t *testing.T) {
 	_, err := core.CheckStreamCtx(context.Background(), &failingSource{}, core.SI, 0, 0)
 	if err == nil || err.Error() != "disk gremlin" {
 		t.Fatalf("source error not propagated: %v", err)
+	}
+}
+
+// TestStreamRefusesASessionBelowInit: a first record with session -5 is
+// neither ⊥T (session -1) nor a client session. The NDJSON reader took
+// any negative first session for ⊥T, so the capture checked OK where
+// its MTCB twin was refused; both the one-shot and the streaming door
+// now refuse it.
+func TestStreamRefusesASessionBelowInit(t *testing.T) {
+	doc := history.NDJSONHeader + "\n" +
+		`{"id":0,"sess":-5,"ops":[{"k":1,"key":"x","v":0}],"start":0,"finish":0,"committed":true}` + "\n" +
+		`{"id":1,"sess":0,"ops":[{"k":0,"key":"x","v":0}],"start":0,"finish":0,"committed":true}` + "\n"
+	const want = "history: ndjson: line 2: implausible session -5"
+	if _, err := history.ReadNDJSON(strings.NewReader(doc)); err == nil || err.Error() != want {
+		t.Fatalf("ReadNDJSON: %v, want %q", err, want)
+	}
+	sr, err := history.NewStreamReader(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.CheckStreamCtx(context.Background(), sr, core.SER, 0, 0); err == nil || err.Error() != want {
+		t.Fatalf("CheckStreamCtx: %v, want %q", err, want)
 	}
 }
 

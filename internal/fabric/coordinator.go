@@ -376,14 +376,11 @@ func (c *Coordinator) terminate(j *fabJob, state string, report *checker.Report,
 // jobs blindly. The coordinator's plan is the sharding, so opts.Shard
 // is dropped rather than forwarded to workers.
 func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker.Options) error {
-	eng, err := c.reg.Lookup(engine)
+	_, lvl, err := c.reg.Resolve(engine, string(opts.Level))
 	if err != nil {
 		return err
 	}
-	if opts.Level == "" {
-		opts.Level = eng.Levels()[0]
-	}
-	opts.Shard = 0
+	opts.Level, opts.Shard = lvl, 0
 	c.mu.Lock()
 	closed, known := c.closed, c.jobs[id] != nil
 	c.mu.Unlock()

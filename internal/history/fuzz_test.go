@@ -41,6 +41,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		// its start.
 		[]byte(NDJSONHeader+"\n"+`{"id":0,"sess":0,"ops":[{"k":2,"key":"x","v":1}],"start":0,"finish":0,"committed":true}`+"\n"),
 		[]byte(NDJSONHeader+"\n"+`{"id":0,"sess":0,"ops":[],"start":10,"finish":5,"committed":true}`+"\n"),
+		// A first record below the init transaction's -1, which the
+		// NDJSON reader once took for ⊥T (checkRecord refuses it).
+		[]byte(NDJSONHeader+"\n"+`{"id":0,"sess":-5,"ops":[],"start":0,"finish":0,"committed":true}`+"\n"),
 	)
 	for _, doc := range hostileSessionDocs {
 		seeds = append(seeds, []byte(doc))

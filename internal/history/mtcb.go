@@ -128,7 +128,7 @@ func (w *BinaryWriter) WriteTxn(t Txn) error {
 	if w.ended {
 		return fmt.Errorf("history: mtcb: write after Close")
 	}
-	if err := checkRecord("mtcb", t.ID, t.Session, w.n); err != nil {
+	if err := checkRecord("mtcb: txn", w.n, t.ID, t.Session, w.n); err != nil {
 		return err
 	}
 	// One interner lookup per op: the wire ids are kept for the record,
@@ -256,19 +256,22 @@ func mtcbSession(h *History, i int) (int64, error) {
 	if h.HasInit && i == 0 {
 		sess = -1
 	}
-	return int64(sess), checkRecord("mtcb", h.Txns[i].ID, sess, i)
+	return int64(sess), checkRecord("mtcb: txn", i, h.Txns[i].ID, sess, i)
 }
 
-// checkRecord is both writers' refusal of what cannot be the n-th
-// record: an id out of place, a negative session, a late init.
-func checkRecord(codec string, id, sess, n int) error {
+// checkRecord is the one rule of what can be the n-th record of a
+// streamed history, kept by both readers and both writers: the id in
+// place, and a session from -1 (the init transaction, legal only
+// first) to maxSessions. where and pos name the record in the codec's
+// terms ("ndjson: line", "mtcb: txn").
+func checkRecord(where string, pos, id, sess, n int) error {
 	switch {
 	case id != n:
-		return fmt.Errorf("history: %s: txn id %d out of order (want %d)", codec, id, n)
-	case sess < -1:
-		return fmt.Errorf("history: %s: txn %d: negative session %d", codec, id, sess)
+		return fmt.Errorf("history: %s %d: txn id %d out of order (want %d)", where, pos, id, n)
+	case sess < -1 || sess > maxSessions:
+		return fmt.Errorf("history: %s %d: implausible session %d", where, pos, sess)
 	case sess == -1 && n != 0:
-		return fmt.Errorf("history: %s: init transaction must be first", codec)
+		return fmt.Errorf("history: %s %d: init transaction must be first", where, pos)
 	}
 	return nil
 }
@@ -484,11 +487,8 @@ func (r *BinaryReader) readTxn() (Txn, error) {
 	if err != nil {
 		return Txn{}, r.truncated(err)
 	}
-	if sess < -1 || sess > maxSessions {
-		return Txn{}, fmt.Errorf("history: mtcb: txn %d: implausible session %d", r.next, sess)
-	}
-	if sess == -1 && r.next != 0 {
-		return Txn{}, fmt.Errorf("history: mtcb: txn %d: init transaction must be first", r.next)
+	if err := checkRecord("mtcb: txn", r.next, r.next, int(sess), r.next); err != nil {
+		return Txn{}, err
 	}
 	start, err := binary.ReadVarint(r.br)
 	if err != nil {

@@ -49,11 +49,11 @@ func NewStreamWriter(w io.Writer, sessions int) (*StreamWriter, error) {
 	return sw, nil
 }
 
-// WriteTxn appends one transaction under BinaryWriter.WriteTxn's
-// contract (checkRecord): dense ids in order, session -1 (the init
-// transaction) only first.
+// WriteTxn appends one transaction under the contract both readers keep
+// (checkRecord): dense ids in order, sessions from -1 to maxSessions,
+// and -1 (the init transaction) only first.
 func (sw *StreamWriter) WriteTxn(t Txn) error {
-	if err := checkRecord("ndjson", t.ID, t.Session, sw.n); err != nil {
+	if err := checkRecord("ndjson: line", sw.n+2, t.ID, t.Session, sw.n); err != nil {
 		return err
 	}
 	buf, err := json.Marshal(&t)
@@ -173,8 +173,9 @@ func (sr *StreamReader) readLine() ([]byte, error) {
 }
 
 // Next returns the next transaction in stream order, or io.EOF when the
-// document is exhausted cleanly. Records must carry dense in-order IDs;
-// a session of -1 marks the init transaction and is only legal first.
+// document is exhausted cleanly. Records must carry dense in-order IDs
+// and sessions from -1 to maxSessions; a session of -1 marks the init
+// transaction and is only legal first (checkRecord).
 // The first error is terminal (see TxnStream).
 func (sr *StreamReader) Next() (Txn, error) {
 	if sr.err != nil {
@@ -200,14 +201,8 @@ func (sr *StreamReader) read() (Txn, error) {
 				return Txn{}, err
 			}
 		}
-		if t.ID != sr.next {
-			return Txn{}, fmt.Errorf("history: ndjson: line %d: txn id %d out of order (want %d)", sr.line, t.ID, sr.next)
-		}
-		if t.Session > maxSessions {
-			return Txn{}, fmt.Errorf("history: ndjson: line %d: implausible session %d", sr.line, t.Session)
-		}
-		if t.Session < 0 && t.ID != 0 {
-			return Txn{}, fmt.Errorf("history: ndjson: line %d: init transaction must be first", sr.line)
+		if err := checkRecord("ndjson: line", sr.line, t.ID, t.Session, sr.next); err != nil {
+			return Txn{}, err
 		}
 		sr.next++
 		return t, nil

@@ -82,7 +82,7 @@ func referenceStream(data []byte) streamResult {
 			return res
 		case t.ID != len(res.Txns):
 			return fail("line %d: txn id %d out of order (want %d)", sr.line, t.ID, len(res.Txns))
-		case t.Session > maxSessions:
+		case t.Session < -1 || t.Session > maxSessions:
 			return fail("line %d: implausible session %d", sr.line, t.Session)
 		case t.Session < 0 && t.ID != 0:
 			return fail("line %d: init transaction must be first", sr.line)

@@ -265,9 +265,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			"shard %d exceeds the server's limit of %d (GOMAXPROCS)", req.Shard, clamp)
 		return
 	}
-	c, err := s.reg.Lookup(name)
+	_, lvl, err := s.reg.Resolve(name, req.Level)
 	if err != nil {
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeUnknownChecker, "%v", err)
+		s.resolveError(w, r, err)
 		return
 	}
 	if req.Distributed && s.Fabric == nil {
@@ -283,22 +283,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "timeout_ms must be >= 0, got %d", req.TimeoutMillis)
 		return
 	}
-	opts := checker.Options{Window: req.Window, Shard: req.Shard}
-	if req.Level != "" {
-		lvl, err := checker.ParseLevel(req.Level)
-		if err != nil {
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeUnsupportedLevel, "%v", err)
-			return
-		}
-		if !checker.Supports(c, lvl) {
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeUnsupportedLevel,
-				"checker %s does not support level %q (supports %s)", c.Name(), lvl, checker.LevelNames(c.Levels()))
-			return
-		}
-		opts.Level = lvl
-	} else {
-		opts.Level = c.Levels()[0]
-	}
+	opts := checker.Options{Level: lvl, Window: req.Window, Shard: req.Shard}
 	if req.History == nil {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeInvalidHistory, "missing required field \"history\"")
 		return

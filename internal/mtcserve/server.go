@@ -325,14 +325,16 @@ func (s *Server) v1Error(w http.ResponseWriter, r *http.Request, status int, cod
 	})
 }
 
-// parseLevelParam resolves the level query parameter through the
-// canonical checker.ParseLevel; empty means "checker default".
-func parseLevelParam(r *http.Request) (core.Level, error) {
-	raw := r.URL.Query().Get("level")
-	if raw == "" {
-		return "", nil
+// resolveError answers a refused engine or level (Registry.Resolve) the
+// same way at every door: unknown_checker for a name the registry does
+// not hold, unsupported_level for a level that does not parse or that
+// the engine does not list.
+func (s *Server) resolveError(w http.ResponseWriter, r *http.Request, err error) {
+	code := api.CodeUnsupportedLevel
+	if errors.Is(err, checker.ErrUnknownChecker) {
+		code = api.CodeUnknownChecker
 	}
-	return checker.ParseLevel(raw)
+	s.v1Error(w, r, http.StatusBadRequest, code, "%v", err)
 }
 
 func (s *Server) handleCheckers(w http.ResponseWriter, r *http.Request) {
@@ -364,14 +366,11 @@ func (s *Server) handleFixture(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusNotFound, api.CodeNotFound, "unknown fixture %q", name)
 		return
 	}
-	lvl, err := parseLevelParam(r)
+	// mtc serves every level and a fixture is a valid history: short of
+	// a cancelled request, Run refuses only the level.
+	rep, err := s.reg.Run(r.Context(), "mtc", f.H, checker.Options{Level: checker.Level(r.URL.Query().Get("level"))})
 	if err != nil {
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	rep, err := s.reg.Run(r.Context(), "mtc", f.H, checker.Options{Level: lvl})
-	if err != nil {
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		s.resolveError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -383,20 +382,11 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "bad session request: %v", err)
 		return
 	}
-	lvl := core.SI
-	if req.Level != "" {
-		parsed, err := checker.ParseLevel(req.Level)
-		if err != nil {
-			s.v1Error(w, r, http.StatusBadRequest, api.CodeUnsupportedLevel, "%v", err)
-			return
-		}
-		lvl = parsed
-	}
-	switch lvl {
-	case core.SER, core.SI:
-	default:
-		s.v1Error(w, r, http.StatusBadRequest, api.CodeUnsupportedLevel,
-			"streaming checker supports levels SER and SI, not %q", req.Level)
+	// A session is the online engine driven directly: its registry row
+	// says which levels it serves, and its default.
+	_, lvl, err := checker.Default.Resolve("mtc-incremental", req.Level)
+	if err != nil {
+		s.resolveError(w, r, err)
 		return
 	}
 	if req.Window < 0 {

@@ -158,3 +158,33 @@ func TestUnversionedRoutesAreGone(t *testing.T) {
 		}
 	}
 }
+
+// TestDoorsAgreeOnEngineAndLevelErrors: jobs, sessions and fixtures read
+// engine and level through one Registry.Resolve, so the same mistake
+// gets the same code at every door that can make it. A fixture's bad
+// level used to answer bad_request. Fixtures run mtc, which lists every
+// level, and sessions run mtc-incremental, so only jobs name an engine.
+func TestDoorsAgreeOnEngineAndLevelErrors(t *testing.T) {
+	ts := httptest.NewServer(Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		name, method, path, body string
+		code, message            string
+	}{
+		{"job, unknown checker", "POST", "/v1/jobs", `{"checker":"bogus","level":"SI","history":{}}`, api.CodeUnknownChecker, "unknown checker"},
+		{"job, unparseable level", "POST", "/v1/jobs", `{"level":"bogus","history":{}}`, api.CodeUnsupportedLevel, "unknown isolation level"},
+		{"session, unparseable level", "POST", "/v1/sessions", `{"level":"bogus"}`, api.CodeUnsupportedLevel, "unknown isolation level"},
+		{"fixture, unparseable level", "GET", "/v1/fixtures/WriteSkew?level=bogus", "", api.CodeUnsupportedLevel, "unknown isolation level"},
+		{"job, level the engine lacks", "POST", "/v1/jobs", `{"checker":"cobra","level":"SI","history":{}}`, api.CodeUnsupportedLevel, "cobra does not support level"},
+		{"session, level the engine lacks", "POST", "/v1/sessions", `{"level":"RC"}`, api.CodeUnsupportedLevel, "mtc-incremental does not support level"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
+			var e api.ErrorResponse
+			if err := json.Unmarshal(raw, &e); err != nil || resp.StatusCode != http.StatusBadRequest ||
+				e.Error.Code != tc.code || !strings.Contains(e.Error.Message, tc.message) {
+				t.Fatalf("%d %s, want 400 %s with %q", resp.StatusCode, raw, tc.code, tc.message)
+			}
+		})
+	}
+}

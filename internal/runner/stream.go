@@ -107,10 +107,10 @@ func drainSessions(ctx context.Context, ch <-chan streamMsg, stop *atomic.Bool, 
 // therefore available the moment the offending transaction commits —
 // Cobra-style continuous verification — and, when a violation is found,
 // the sessions are signalled to stop, so a buggy store is caught without
-// paying for the rest of the run. lvl must be SER or SI (the online
-// checker's levels). Cancelling ctx stops the sessions at the next
-// transaction boundary; the result then carries the context's error and
-// the verdict over the executed prefix.
+// paying for the rest of the run. lvl must be a level of the registry's
+// mtc-incremental row (checker.Default.Resolve). Cancelling ctx stops
+// the sessions at the next transaction boundary; the result then
+// carries the context's error and the verdict over the executed prefix.
 //
 // The plan is checked per key-disjoint session group, one
 // core.Incremental per group, each owned by one of min(max(cfg.Shard,
