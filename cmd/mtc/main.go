@@ -157,6 +157,13 @@ func main() {
 		return
 	}
 
+	name := *checkerName
+	if *profileRun {
+		name = "profile"
+	}
+	if _, claimed, err = checker.Default.Resolve(name, string(claimed)); err != nil {
+		fatalf("%v", err)
+	}
 	res := runner.Run(store, w, runner.Config{Retries: *retries})
 	infof("history: %d committed, %d aborted (abort rate %.1f%%)\n",
 		res.Committed, res.Aborted, res.AbortRate()*100)
@@ -170,10 +177,6 @@ func main() {
 
 	ctx, cancel := verifyContext(*timeout)
 	defer cancel()
-	name := *checkerName
-	if *profileRun {
-		name = "profile"
-	}
 	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Window: *window, Shard: *shardN})
 	if err != nil {
 		fatalf("%v", err)

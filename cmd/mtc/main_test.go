@@ -113,6 +113,33 @@ func TestStreamRefusesLevelsTheOnlineEngineLacks(t *testing.T) {
 	}
 }
 
+// TestBatchRefusesEngineAndLevelBeforeTheRun: the batch path resolves
+// engine and level through the registry before the workload runs, so a
+// level the engine does not list exits 2 without running anything —
+// no "history:" line, no file behind -out. -profile resolves as the
+// profile engine.
+func TestBatchRefusesEngineAndLevelBeforeTheRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "h.json")
+	for _, args := range [][]string{
+		{"-level", "SI", "-checker", "cobra"},
+		{"-level", "SI", "-checker", "cobra", "-out", out},
+		{"-checker", "bogus"},
+		{"-level", "SI", "-checker", "cobra", "-report", "json"},
+	} {
+		args = append(args, "-sessions", "2", "-txns", "4")
+		code, stdout, stderr := run(t, args...)
+		if code != 2 || strings.Contains(stdout+stderr, "history:") || !strings.Contains(stderr, "checker") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("-out after a refused level: want no file, stat says %v", err)
+	}
+	if code, stdout, stderr := run(t, "-profile", "-level", "SI", "-sessions", "2", "-txns", "4"); code != 0 || !strings.Contains(stdout, "history:") {
+		t.Fatalf("-profile -level SI: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
 // TestLWTRefusesOut: the -lwt pipeline saves no history, so asking it
 // for one is a usage error, not a silent success that writes no file.
 func TestLWTRefusesOut(t *testing.T) {

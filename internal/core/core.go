@@ -13,11 +13,11 @@
 //     that drops the WW transitive-closure step). The graph is one edge
 //     arena (graph.Builder), sized from the WR total the derivation's
 //     first pass counts before it emits an edge.
-//   - CheckCtx is the one batch pipeline, for every level: pre-check,
-//     that derivation, then the rung for the level (Deps.Rung). SER and
-//     SI are decided in Θ(n), SI detecting the DIVERGENCE pattern early
-//     (Definition 10) and otherwise searching the induced graph
-//     (SO ∪ WR ∪ WW) ; RW? in place over the same arena
+//   - CheckCtx is the one batch pipeline, for every level: pre-check
+//     beside that derivation, then the rung for the level (Deps.Rung).
+//     SER and SI are decided in Θ(n), SI detecting the DIVERGENCE
+//     pattern early (Definition 10) and otherwise searching the induced
+//     graph (SO ∪ WR ∪ WW) ; RW? in place over the same arena
 //     (graph.FindComposedCycle); SSER is the SER cycle search plus one
 //     real-time inversion pass (Deps.Inversion), O(V+E) over the same
 //     derivation with no sort. The paper's Θ(n²) real-time enumeration
@@ -213,9 +213,9 @@ func dependencyBuilder(ctx context.Context, ix *history.Index) (*graph.Builder, 
 
 // CheckCtx is the batch checking pipeline of Section IV over a columnar
 // index, and the one entry point for every level of the lattice: the
-// INT/G1 pre-check, one dependency derivation over the same index
-// (BuildDependencyCtx), and the rung for lvl (Deps.Rung), each in Θ(n)
-// short of the CAUSAL rung's bit-parallel reachability. Graph
+// INT/G1 pre-check and, beside it, one dependency derivation over the
+// same index (precheckedDeps), then the rung for lvl (Deps.Rung), each
+// in Θ(n) short of the CAUSAL rung's bit-parallel reachability. Graph
 // construction and the rungs poll ctx, and the run returns the context's
 // error instead of a verdict when the deadline fires. A level outside
 // Lattice() (which may originate from an API request) is an error.
@@ -226,14 +226,30 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error)
 	if LatticeRank(lvl) < 0 {
 		return Result{}, fmt.Errorf("core: unknown level %q", lvl)
 	}
-	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+	as, d, err := precheckedDeps(ctx, ix)
+	if len(as) > 0 {
 		return Result{Level: lvl, Anomalies: as, NumTxns: ix.NumTxns()}, nil
 	}
-	d, err := BuildDependencyCtx(ctx, ix)
 	if err != nil {
 		return Result{}, err
 	}
 	return d.Rung(ctx, lvl)
+}
+
+// precheckedDeps runs the INT/G1 pre-check and the dependency derivation
+// of CheckCtx and ProfileCtx side by side: the pre-check on a goroutine
+// of its own, the derivation on the caller's, both only reading the one
+// immutable index, and the goroutine joined before returning. When the
+// pre-check finds anomalies they are the verdict, whatever the
+// derivation returned: it is linear and robust to every anomaly, so it
+// simply finishes. This is a fixed overlap of two coarse passes, not a
+// concurrency knob. Its cost is two allocations: the closure, and the
+// channel, unbuffered because a buffer of pointers is one more.
+func precheckedDeps(ctx context.Context, ix *history.Index) ([]history.Anomaly, *Deps, error) {
+	pre := make(chan []history.Anomaly)
+	go func() { pre <- history.CheckInternalIndexed(ix) }()
+	d, err := BuildDependencyCtx(ctx, ix)
+	return <-pre, d, err
 }
 
 // Rung decides one level of the lattice over the derivation; the

@@ -103,10 +103,11 @@ func ProfileCtx(ctx context.Context, ix *history.Index) (*Profile, error) {
 		return nil, err
 	}
 	p := &Profile{NumTxns: ix.NumTxns()}
-	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
+	as, d, err := precheckedDeps(ctx, ix)
+	if len(as) > 0 {
 		// Shared anomaly evidence: a G1a/G1b/INT witness fails every
 		// rung (and the guarantees, whose read semantics it voids) at
-		// once — no graph is built.
+		// once; the graph derived beside the pre-check goes unused.
 		for _, lvl := range Lattice() {
 			p.Rungs = append(p.Rungs, Result{Level: lvl, Anomalies: as, NumTxns: p.NumTxns})
 		}
@@ -119,7 +120,6 @@ func ProfileCtx(ctx context.Context, ix *history.Index) (*Profile, error) {
 		}
 		return p, nil
 	}
-	d, err := BuildDependencyCtx(ctx, ix)
 	if err != nil {
 		return nil, err
 	}

@@ -392,16 +392,23 @@ func (c *Coordinator) Submit(id, engine string, h *history.History, opts checker
 	}
 	// Split, encode and write the side file before taking the lock every
 	// Pull, PushResult and Heartbeat waits on: every encoding is cut from
-	// the key column the split interned.
+	// the key column the split interned. The components encode on a
+	// goroutine of their own while this one encodes the source and writes
+	// and syncs the side file; both only read the partition, and the
+	// encodings are joined before anything else.
 	p := shard.Split(h)
+	encoded := make(chan [][]byte)
+	go func() { encoded <- encodeComponents(p) }()
 	src, err := p.SourceMTCB()
+	var side sideFile
 	if err != nil {
-		return fmt.Errorf("fabric: mtcb encode: %w", err)
+		err = fmt.Errorf("fabric: mtcb encode: %w", err)
+	} else if side, err = c.wal.writeHistory(src); err != nil {
+		err = fmt.Errorf("fabric: wal history file: %w", err)
 	}
-	enc := encodeComponents(p)
-	side, err := c.wal.writeHistory(src)
+	enc := <-encoded
 	if err != nil {
-		return fmt.Errorf("fabric: wal history file: %w", err)
+		return err
 	}
 	rec, err := json.Marshal(walRecord{
 		Type: recJob, Job: id, Checker: engine, Level: string(opts.Level),

@@ -263,17 +263,16 @@ func gunzip(br *bufio.Reader, prefix string) (*bufio.Reader, error) {
 const drainSlab = 1024
 
 // drain consumes the rest of ts into a validated History: the one-shot
-// read of every streaming codec. Transactions are collected in fixed
-// slabs and the table is assembled once at its exact size, so what a
-// read allocates follows the records the stream delivered — never a
-// count it declared — and a history's Txns and session lists are one
-// allocation each instead of an append chain's worth.
+// read of the NDJSON codec. Transactions are collected in fixed slabs
+// and the table is assembled once at its exact size, so what a read
+// allocates follows the records the stream delivered — never a count it
+// declared — and a history's Txns are one allocation instead of an
+// append chain's worth.
 //
 //mtc:hotpath — one slab per 1024 transactions, none per transaction
 func drain(ts TxnStream) (*History, error) {
 	var (
 		slabs [][]Txn // the full slabs behind cur
-		perS  []int   // transactions per session
 		n     int
 	)
 	cur := make([]Txn, 0, drainSlab)
@@ -285,12 +284,6 @@ func drain(ts TxnStream) (*History, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.Session >= 0 {
-			for len(perS) <= t.Session {
-				perS = append(perS, 0) //mtc:alloc-ok one counter per session (bounded by maxSessions), amortized
-			}
-			perS[t.Session]++
-		}
 		if len(cur) == cap(cur) {
 			slabs = append(slabs, cur)      //mtc:alloc-ok one header per slab
 			cur = make([]Txn, 0, drainSlab) //mtc:alloc-ok the amortized slab cut
@@ -298,31 +291,48 @@ func drain(ts TxnStream) (*History, error) {
 		cur = append(cur, t)
 		n++
 	}
-	var h History
+	var txns []Txn
 	if n > 0 {
-		h.Txns = make([]Txn, 0, n)
+		txns = make([]Txn, 0, n)
 		for _, slab := range append(slabs, cur) { //mtc:alloc-ok one header per slab
-			h.Txns = append(h.Txns, slab...)
+			txns = append(txns, slab...)
 		}
-		h.HasInit = h.Txns[0].Session < 0
 	}
-	// Session lists are cut from one arena; a session that witnessed no
-	// transaction stays nil. The header's declared session count restores
-	// the trailing empty ones (a per-transaction encoding cannot witness
-	// them).
-	if ns := max(len(perS), ts.DeclaredSessions()); ns > 0 {
+	return assemble(txns, ts.DeclaredSessions())
+}
+
+// assemble makes a decoded transaction table — ids dense and in order,
+// a negative session only first — a validated History. Session lists
+// are cut from one arena; a session that witnessed no transaction stays
+// nil, and the header's declared session count restores the trailing
+// empty ones (a per-transaction encoding cannot witness them).
+func assemble(txns []Txn, declared int) (*History, error) {
+	h := History{Txns: txns}
+	var perS []int // transactions per session
+	for i := range txns {
+		if s := txns[i].Session; s >= 0 {
+			for len(perS) <= s {
+				perS = append(perS, 0) //mtc:alloc-ok one counter per session (bounded by maxSessions), amortized
+			}
+			perS[s]++
+		}
+	}
+	if len(txns) > 0 {
+		h.HasInit = txns[0].Session < 0
+	}
+	if ns := max(len(perS), declared); ns > 0 {
 		h.Sessions = make([][]int, ns)
 	}
-	ids, at := make([]int, n), 0
+	ids, at := make([]int, len(txns)), 0
 	for s, c := range perS {
 		if c > 0 {
 			h.Sessions[s] = ids[at : at : at+c]
 			at += c
 		}
 	}
-	for i := range h.Txns {
-		if s := h.Txns[i].Session; s >= 0 {
-			h.Sessions[s] = append(h.Sessions[s], h.Txns[i].ID)
+	for i := range txns {
+		if s := txns[i].Session; s >= 0 {
+			h.Sessions[s] = append(h.Sessions[s], txns[i].ID)
 		}
 	}
 	if err := h.Validate(); err != nil {

@@ -148,9 +148,9 @@ func IndexColumns(h *History, names []string, opKey []KeyID) *Index {
 		}
 	}
 	ix := &Index{h: h, names: sorted, opKey: opKey}
-	ix.buildFootprints(h, opKey)
+	scratch := ix.buildFootprints(h, opKey)
 	ix.buildPostings(h, opKey)
-	ix.resolveReads()
+	ix.resolveReads(scratch)
 	return ix
 }
 
@@ -175,10 +175,11 @@ func rankNames(names []string) (sorted []string, rank []KeyID, identity bool) {
 	return sorted, rank, identity
 }
 
-// buildFootprints fills the per-txn read/write columns.
+// buildFootprints fills the per-txn read/write columns. It returns one
+// of its key-sized scratch arrays for resolveReads to reuse.
 //
 //mtc:hotpath — columnar index construction; the 9-allocs-per-10k-txn contract starts here
-func (ix *Index) buildFootprints(h *History, opIDs []KeyID) {
+func (ix *Index) buildFootprints(h *History, opIDs []KeyID) []int32 {
 	n, nOps := len(h.Txns), len(opIDs)
 	ix.readOff = make([]int32, n+1)
 	ix.writeOff = make([]int32, n+1)
@@ -234,6 +235,7 @@ func (ix *Index) buildFootprints(h *History, opIDs []KeyID) {
 	}
 	ix.readOff[n] = int32(len(ix.readKey))
 	ix.writeOff[n] = int32(len(ix.writeKey))
+	return writeAt
 }
 
 // sortColumn sorts a (key, value) column tail by KeyID. Footprints are
@@ -421,20 +423,49 @@ func (ix *Index) buildPostings(h *History, opIDs []KeyID) {
 }
 
 // resolveReads resolves every read-footprint entry to its committed
-// writer once, for ReadWriters.
+// writer once, for ReadWriters. Successive reads of a key mostly name
+// nearby values (values ascend with op order), so each key's search
+// starts where its previous one ended: finger[k], a position in k's
+// slot segment, kept in key-sized scratch the caller lends.
 //
-//mtc:hotpath — one postings search per footprint read, shared by every consumer
-func (ix *Index) resolveReads() {
+//mtc:hotpath — one finger search per footprint read, shared by every consumer
+func (ix *Index) resolveReads(finger []int32) {
+	copy(finger, ix.slotOff)
 	ix.readTxn = make([]int32, len(ix.readKey))
 	for i, k := range ix.readKey {
-		ix.readTxn[i] = int32(ix.Writer(k, ix.readVal[i]))
+		v := ix.readVal[i]
+		s := ix.fingerSearch(k, v, finger[k])
+		finger[k] = s
+		ix.readTxn[i] = -1
+		if s < ix.slotOff[k+1] && ix.slotVal[s] == v {
+			ix.readTxn[i] = ix.slotTxn[s]
+		}
 	}
 }
 
-// slot returns the postings slot of (k, v), or -1 when no committed
-// transaction wrote v to k.
-func (ix *Index) slot(k KeyID, v Value) int32 {
-	lo, hi := ix.slotOff[k], ix.slotOff[k+1]
+// fingerSearch returns the first slot of key k's segment whose value is
+// at least v, searching from at, a position in the segment or its end:
+// it gallops forward from at when v lies beyond it and binary-searches
+// the segment below at otherwise. Slot values are unique within a key,
+// so the slot it returns holds (k, v) exactly when slot(k, v) does.
+func (ix *Index) fingerSearch(k KeyID, v Value, at int32) int32 {
+	hi := ix.slotOff[k+1]
+	if at == hi || ix.slotVal[at] >= v {
+		return ix.lowerBound(ix.slotOff[k], at, v)
+	}
+	below := at // the last slot known to hold a value under v
+	for step := int32(1); ; step *= 2 {
+		probe := at + step
+		if probe >= hi || ix.slotVal[probe] >= v {
+			return ix.lowerBound(below+1, min(probe, hi), v)
+		}
+		below = probe
+	}
+}
+
+// lowerBound is the first slot in [lo, hi) whose value is at least v,
+// or hi.
+func (ix *Index) lowerBound(lo, hi int32, v Value) int32 {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if ix.slotVal[mid] < v {
@@ -443,6 +474,13 @@ func (ix *Index) slot(k KeyID, v Value) int32 {
 			hi = mid
 		}
 	}
+	return lo
+}
+
+// slot returns the postings slot of (k, v), or -1 when no committed
+// transaction wrote v to k.
+func (ix *Index) slot(k KeyID, v Value) int32 {
+	lo := ix.lowerBound(ix.slotOff[k], ix.slotOff[k+1], v)
 	if lo < ix.slotOff[k+1] && ix.slotVal[lo] == v {
 		return lo
 	}

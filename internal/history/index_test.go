@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -181,6 +182,62 @@ func TestIndexEquivalence(t *testing.T) {
 			for v := Value(-1); v < 21; v++ {
 				if got, want := ix.AbortedWriter(id, v), abort[k][v]; got != want {
 					t.Fatalf("trial %d: AbortedWriter(%s,%d) = %v, want %v", trial, k, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFingerSearchMatchesSlot holds resolveReads' finger search to
+// slot's binary search: per-key values written ascending, descending and
+// shuffled, read in every order, present and absent alike. Every read's
+// resolved writer must be Writer's, and fingerSearch from every start in
+// a key's segment must land where slot's search does.
+func TestFingerSearchMatchesSlot(t *testing.T) {
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			nKeys, perKey := 1+rng.Intn(5), 1+rng.Intn(40)
+			vals := make([]Value, perKey)
+			for i := range vals {
+				vals[i] = Value(3 * (i + 1)) // gaps: a value between two slots has no writer
+			}
+			switch order {
+			case "descending":
+				slices.Reverse(vals)
+			case "shuffled":
+				rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			}
+			b := NewBuilder()
+			for k := 0; k < nKeys; k++ {
+				for _, v := range vals {
+					b.Txn(k, W(Key(fmt.Sprintf("k%d", k)), v))
+				}
+			}
+			for r := 0; r < 4*nKeys*perKey; r++ {
+				k := Key(fmt.Sprintf("k%d", rng.Intn(nKeys)))
+				b.Txn(nKeys, R(k, Value(rng.Intn(3*perKey+5))))
+			}
+			ix := NewIndex(b.Build())
+			for ti := 0; ti < ix.NumTxns(); ti++ {
+				keys, vs := ix.Reads(ti)
+				for i, w := range ix.ReadWriters(ti) {
+					if want := ix.Writer(keys[i], vs[i]); int(w) != want {
+						t.Fatalf("%s seed %d: txn %d reads (%s, %d): writer %d, slot says %d",
+							order, seed, ti, ix.KeyName(keys[i]), vs[i], w, want)
+					}
+				}
+			}
+			for k := KeyID(0); int(k) < ix.NumKeys(); k++ {
+				lo, hi := ix.slotOff[k], ix.slotOff[k+1]
+				for v := Value(-1); v <= Value(3*perKey+4); v++ {
+					want := ix.lowerBound(lo, hi, v)
+					for at := lo; at <= hi; at++ {
+						if got := ix.fingerSearch(k, v, at); got != want {
+							t.Fatalf("%s seed %d: fingerSearch(%d, %d, from %d) = %d, want %d",
+								order, seed, k, v, at, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package history
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -282,25 +284,318 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // varintLen is the length of v's zigzag varint encoding.
 func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
+// mtcbDecoder is the one MTCB decoder. It reads buf[pos:], which holds
+// the whole document for the one-shot reads (readMTCB) and a window of
+// mtcbWindow bytes onto src for BinaryReader, refilled as it runs dry.
+// Varints decode straight from buf; only one that crosses the window's
+// edge goes through binary.ReadUvarint.
+type mtcbDecoder struct {
+	src  io.Reader
+	buf  []byte
+	pos  int
+	rerr error // src's error, io.EOF included, returned once buf is drained
+
+	names    []string
+	seen     map[Key]struct{}
+	arena    *IngestArena // session-wide key interner, when one is attached
+	declared int
+	n        int    // transaction records decoded
+	scratch  []byte // the last inline key definition's bytes
+}
+
+// mtcbWindow is BinaryReader's window: bufio's default size.
+const mtcbWindow = 4096
+
+// open decodes the header from r, gzip unwrapped (sniffed by magic
+// bytes, like ReadAuto). With whole set it first reads all of r into
+// buf, in one read sized from r's Len() when r has one.
+func (d *mtcbDecoder) open(r io.Reader, whole bool) error {
+	// The gzip sniff peeks two bytes; larger reads bypass bufio's buffer.
+	src, err := gunzip(bufio.NewReaderSize(r, 16), "history: mtcb")
+	if err != nil {
+		return err
+	}
+	d.src, d.seen = src, make(map[Key]struct{})
+	if !whole {
+		d.buf = make([]byte, 0, mtcbWindow)
+		return d.header()
+	}
+	var b bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len() + bytes.MinRead) // room for ReadFrom's last read: no regrowth
+	}
+	_, err = b.ReadFrom(src)
+	d.buf, d.rerr = b.Bytes(), cmp.Or(err, io.EOF)
+	return d.header()
+}
+
+// fill reads the next window from src once buf is drained, and reports
+// whether it got any bytes.
+func (d *mtcbDecoder) fill() bool {
+	if d.rerr != nil {
+		return false
+	}
+	d.buf, d.pos = d.buf[:0], 0
+	for tries := 0; d.rerr == nil && len(d.buf) == 0; tries++ {
+		m, err := d.src.Read(d.buf[:cap(d.buf)])
+		d.buf, d.rerr = d.buf[:m], err
+		if m == 0 && tries == 100 { // bufio's bound on a reader that never delivers
+			d.rerr = cmp.Or(err, io.ErrNoProgress)
+		}
+	}
+	return len(d.buf) > 0
+}
+
+// ReadByte and Read make the decoder the io.ByteReader and io.Reader
+// binary.ReadUvarint and io.ReadFull read, with their end-of-input errors.
+func (d *mtcbDecoder) ReadByte() (byte, error) {
+	if d.pos == len(d.buf) && !d.fill() {
+		return 0, d.rerr
+	}
+	d.pos++
+	return d.buf[d.pos-1], nil
+}
+
+func (d *mtcbDecoder) Read(p []byte) (int, error) {
+	if d.pos == len(d.buf) && !d.fill() {
+		return 0, d.rerr
+	}
+	n := copy(p, d.buf[d.pos:])
+	d.pos += n
+	return n, nil
+}
+
+func (d *mtcbDecoder) uvarint() (uint64, error) {
+	if v, n := binary.Uvarint(d.buf[d.pos:]); n > 0 {
+		d.pos += n
+		return v, nil
+	}
+	return binary.ReadUvarint(d)
+}
+
+func (d *mtcbDecoder) varint() (int64, error) {
+	u, err := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1), err
+}
+
+// header decodes magic, version, the declared session count and the key
+// table, whose keys are substrings of one backing string. The declared
+// key count only bounds the loop: the table grows with the bytes read,
+// so a header declaring 2^40 keys over an empty stream allocates nothing.
+func (d *mtcbDecoder) header() error {
+	var magic [4]byte
+	if _, err := io.ReadFull(d, magic[:]); err != nil {
+		return fmt.Errorf("history: mtcb: short magic: %w", err)
+	}
+	if string(magic[:]) != MTCBMagic {
+		return fmt.Errorf("history: mtcb: bad magic %q", magic[:])
+	}
+	version, err := d.ReadByte()
+	if err != nil {
+		return fmt.Errorf("history: mtcb: missing version: %w", err)
+	}
+	if version != mtcbVersion {
+		return fmt.Errorf("history: mtcb: unsupported version %d", version)
+	}
+	declared, err := d.uvarint()
+	if err != nil {
+		return fmt.Errorf("history: mtcb: truncated header: %w", err)
+	}
+	if declared > maxSessions {
+		return fmt.Errorf("history: mtcb: implausible session count %d", declared)
+	}
+	d.declared = int(declared)
+	nk, err := d.uvarint()
+	if err != nil {
+		return fmt.Errorf("history: mtcb: truncated header: %w", err)
+	}
+	var (
+		buf  []byte
+		ends []int // ends[i] is where key i stops in buf
+	)
+	for i := uint64(0); i < nk; i++ {
+		if buf, err = d.key(buf); err != nil {
+			return err
+		}
+		ends = append(ends, len(buf))
+	}
+	table, at := string(buf), 0
+	for _, end := range ends {
+		k := Key(table[at:end])
+		if d.arena != nil {
+			// The session's table outlives this document: a key it has
+			// not seen is copied out of the backing string.
+			if _, known := d.arena.it.Lookup(k); !known {
+				k = Key(strings.Clone(string(k)))
+			}
+		}
+		if err := d.defineKey(k); err != nil {
+			return err
+		}
+		at = end
+	}
+	return nil
+}
+
+// key appends one key entry's bytes to dst: a bounded length, then as
+// many bytes. It reads the header's table and inline definitions.
+func (d *mtcbDecoder) key(dst []byte) ([]byte, error) {
+	n, err := d.uvarint()
+	if err == nil && n > mtcbMaxKeyLen {
+		return nil, fmt.Errorf("history: mtcb: key length %d exceeds limit", n)
+	}
+	if at := len(dst); err == nil {
+		dst = append(dst, make([]byte, n)...)
+		_, err = io.ReadFull(d, dst[at:])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("history: mtcb: truncated key table: %w", err)
+	}
+	return dst, nil
+}
+
+// keyOf is the string of an inline key definition: the arena's own when
+// it knows the key, so a frame redefining known keys allocates nothing.
+func (d *mtcbDecoder) keyOf(b []byte) Key {
+	if d.arena != nil {
+		return d.arena.internBytes(b)
+	}
+	return Key(b)
+}
+
+// defineKey appends k as the next wire id, interning through the arena
+// when one is attached and rejecting duplicate entries — two wire ids
+// for one key would let a corrupt stream smuggle distinct-looking ops
+// onto the same key.
+func (d *mtcbDecoder) defineKey(k Key) error {
+	if d.arena != nil {
+		k = d.arena.internKey(k)
+	}
+	if _, dup := d.seen[k]; dup {
+		return fmt.Errorf("history: mtcb: duplicate key table entry %q", k)
+	}
+	d.seen[k] = struct{}{}
+	d.names = append(d.names, string(k))
+	return nil
+}
+
+// next decodes records up to the next transaction record, fills t from
+// it but for Ops and returns its op count, the ops left to read; the
+// end-of-stream record is io.EOF. EOF on the underlying reader before
+// that record is a truncated document.
+func (d *mtcbDecoder) next(define bool, t *Txn) (int, error) {
+	for {
+		tag, err := d.ReadByte()
+		switch {
+		case err == io.EOF:
+			return 0, fmt.Errorf("history: mtcb: truncated stream after %d txns (missing end-of-stream record)", d.n)
+		case err != nil:
+			return 0, err
+		case tag == mtcbTagEnd:
+			return 0, io.EOF
+		case tag == mtcbTagKey:
+			k, err := d.key(d.scratch[:0])
+			if d.scratch = k; err == nil && define {
+				err = d.defineKey(d.keyOf(k))
+			}
+			if err != nil {
+				return 0, err
+			}
+			continue
+		case tag != mtcbTagTxn:
+			return 0, fmt.Errorf("history: mtcb: record %d: unknown tag 0x%02x", d.n, tag)
+		}
+		sess, err := d.varint()
+		if err != nil {
+			return 0, d.truncated(err)
+		}
+		if err := checkRecord("mtcb: txn", d.n, d.n, int(sess), d.n); err != nil {
+			return 0, err
+		}
+		t.ID, t.Session = d.n, int(sess)
+		if t.Start, err = d.varint(); err != nil {
+			return 0, d.truncated(err)
+		}
+		if t.Finish, err = d.varint(); err != nil {
+			return 0, d.truncated(err)
+		}
+		committed, err := d.ReadByte()
+		if err != nil {
+			return 0, d.truncated(err)
+		}
+		if committed > 1 {
+			return 0, fmt.Errorf("history: mtcb: txn %d: %w", d.n, errMTCBCommitted)
+		}
+		t.Committed = committed == 1
+		m, err := d.uvarint()
+		if err == nil && m > mtcbMaxOps {
+			err = errMTCBOpCount
+		}
+		return int(m), d.opsErr(err)
+	}
+}
+
+// ops decodes a transaction's m operations into dst — appending once
+// past its length, so a count too large to trust costs only the ops the
+// stream delivers — and their wire key ids into keys; a nil dst or keys
+// is left unwritten, so ops(m, nil, nil) validates a block. Key strings
+// alias the key table, and errors are the fmt-free sentinels above.
+//
+//mtc:hotpath — per-op decode loop over a byte slice; no allocation below a 4096-op count
+func (d *mtcbDecoder) ops(m int, dst []Op, keys []KeyID) ([]Op, error) {
+	for i := 0; i < m; i++ {
+		ku, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if ku>>1 >= uint64(len(d.names)) {
+			return nil, errMTCBKeyID
+		}
+		v, err := d.varint()
+		if err != nil {
+			return nil, err
+		}
+		op := Op{Kind: OpKind(ku & 1), Key: Key(d.names[ku>>1]), Value: Value(v)}
+		switch {
+		case i < len(dst):
+			dst[i] = op
+		case dst != nil:
+			dst = append(dst, op) //mtc:alloc-ok growth path only reachable past a 4096-op declared count
+		}
+		if keys != nil {
+			keys[i] = KeyID(ku >> 1)
+		}
+	}
+	return dst, nil
+}
+
+// truncated wraps an unexpected end of input inside a record.
+func (d *mtcbDecoder) truncated(err error) error {
+	return fmt.Errorf("history: mtcb: truncated txn record %d: %w", d.n, err)
+}
+
+// opsErr wraps an error of a record's op block: a block cut off is a
+// truncated record, anything else names the transaction.
+func (d *mtcbDecoder) opsErr(err error) error {
+	switch err {
+	case nil:
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return d.truncated(err)
+	}
+	return fmt.Errorf("history: mtcb: txn %d: %w", d.n, err)
+}
+
 // BinaryReader yields the transactions of an MTCB document one at a
 // time, transparently decompressing gzip input (sniffed by magic bytes,
 // like ReadAuto). It is a TxnStream, as StreamReader is. Decoded Op.Key
 // strings alias the interned key table: one string per distinct key per
 // document, not per operation.
 type BinaryReader struct {
-	br       *bufio.Reader
-	names    []string
-	seen     map[Key]struct{}
-	declared int
-	next     int
-	nextOff  int   // ops consumed so far (opIDs cursor)
-	err      error // the first error, io.EOF included: terminal
-
-	arena   *IngestArena // session-wide key interner, when one is attached
-	ops     *opChunks    // where Ops slices are carved: the arena's chunks, else own
-	own     opChunks
-	collect bool
-	opIDs   []KeyID // wire key id per op, in stream order (collect mode)
+	d   mtcbDecoder
+	ops *opChunks // where Ops slices are carved: the arena's chunks, else own
+	own opChunks
+	err error // the first error, io.EOF included: terminal
 }
 
 // NewBinaryReader validates the MTCB header, reads the key table, and
@@ -318,131 +613,20 @@ func NewBinaryFrameReader(r io.Reader, a *IngestArena) (*BinaryReader, error) {
 }
 
 func newBinaryReader(r io.Reader, arena *IngestArena) (*BinaryReader, error) {
-	br, err := gunzip(bufio.NewReader(r), "history: mtcb")
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("history: mtcb: short magic: %w", err)
-	}
-	if string(magic[:]) != MTCBMagic {
-		return nil, fmt.Errorf("history: mtcb: bad magic %q", magic[:])
-	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("history: mtcb: missing version: %w", err)
-	}
-	if version != mtcbVersion {
-		return nil, fmt.Errorf("history: mtcb: unsupported version %d", version)
-	}
-	sr := &BinaryReader{br: br, arena: arena, seen: make(map[Key]struct{})}
-	sr.ops = &sr.own
+	br := &BinaryReader{d: mtcbDecoder{arena: arena}}
+	br.ops = &br.own
 	if arena != nil {
-		sr.ops = &arena.opChunks
+		br.ops = &arena.opChunks
 	}
-	declared, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("history: mtcb: truncated header: %w", err)
-	}
-	if declared > maxSessions {
-		return nil, fmt.Errorf("history: mtcb: implausible session count %d", declared)
-	}
-	sr.declared = int(declared)
-	nk, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("history: mtcb: truncated header: %w", err)
-	}
-	if err := sr.readKeyTable(nk); err != nil {
+	if err := br.d.open(r, false); err != nil {
 		return nil, err
 	}
-	return sr, nil
-}
-
-// readKeyTable reads the header's nk key entries into one backing
-// string the table's keys are substrings of. nk is only a loop bound:
-// the buffer and the offsets grow with the bytes actually read, so a
-// header declaring 2^40 keys over an empty stream allocates nothing.
-func (r *BinaryReader) readKeyTable(nk uint64) error {
-	var (
-		buf  []byte
-		ends []int // ends[i] is where key i stops in buf
-	)
-	for i := uint64(0); i < nk; i++ {
-		n, err := r.readKeyLen()
-		if err != nil {
-			return err
-		}
-		at := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r.br, buf[at:]); err != nil {
-			return fmt.Errorf("history: mtcb: truncated key table: %w", err)
-		}
-		ends = append(ends, len(buf))
-	}
-	table, at := string(buf), 0
-	for _, end := range ends {
-		k := Key(table[at:end])
-		if r.arena != nil {
-			// The session's table outlives this document: a key it has
-			// not seen is copied out of the backing string, not left
-			// pinning it.
-			if _, known := r.arena.it.Lookup(k); !known {
-				k = Key(strings.Clone(string(k)))
-			}
-		}
-		if err := r.defineKey(k); err != nil {
-			return err
-		}
-		at = end
-	}
-	return nil
-}
-
-// readKeyLen reads and bounds one key entry's length prefix.
-func (r *BinaryReader) readKeyLen() (int, error) {
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, fmt.Errorf("history: mtcb: truncated key table: %w", err)
-	}
-	if n > mtcbMaxKeyLen {
-		return 0, fmt.Errorf("history: mtcb: key length %d exceeds limit", n)
-	}
-	return int(n), nil
-}
-
-// readKeyDef reads one inline key definition (a 0x02 record).
-func (r *BinaryReader) readKeyDef() error {
-	n, err := r.readKeyLen()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return fmt.Errorf("history: mtcb: truncated key table: %w", err)
-	}
-	return r.defineKey(Key(buf))
-}
-
-// defineKey appends k as the next wire id, interning through the arena
-// when one is attached and rejecting duplicate entries — two wire ids
-// for one key would let a corrupt stream smuggle distinct-looking ops
-// onto the same key.
-func (r *BinaryReader) defineKey(k Key) error {
-	if r.arena != nil {
-		k = r.arena.internKey(k)
-	}
-	if _, dup := r.seen[k]; dup {
-		return fmt.Errorf("history: mtcb: duplicate key table entry %q", k)
-	}
-	r.seen[k] = struct{}{}
-	r.names = append(r.names, string(k))
-	return nil
+	return br, nil
 }
 
 // DeclaredSessions returns the session count the header declared, or 0
 // when the writer did not know it up front.
-func (r *BinaryReader) DeclaredSessions() int { return r.declared }
+func (r *BinaryReader) DeclaredSessions() int { return r.d.declared }
 
 // Next returns the next transaction in stream order, or io.EOF once the
 // end-of-stream record has been consumed. EOF on the underlying reader
@@ -457,158 +641,104 @@ func (r *BinaryReader) Next() (Txn, error) {
 	return t, err
 }
 
+// read decodes the next transaction. A declared op count small enough
+// to trust is carved exactly from the chunks (a record that fails
+// midway leaves them as they were); a larger one may be a lie from a
+// corrupt stream, so its slice grows only as the stream delivers ops.
 func (r *BinaryReader) read() (Txn, error) {
-	for {
-		tag, err := r.br.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				return Txn{}, fmt.Errorf("history: mtcb: truncated stream after %d txns (missing end-of-stream record)", r.next)
-			}
-			return Txn{}, err
+	var t Txn
+	m, err := r.d.next(true, &t)
+	if err == nil && m > 0 {
+		var dst []Op
+		if m <= mtcbOpsPrealloc {
+			dst = r.ops.reserve(m)
+		} else {
+			dst = make([]Op, 0, mtcbOpsPrealloc) //mtc:alloc-ok growth path only reachable past a 4096-op declared count
 		}
-		switch tag {
-		case mtcbTagEnd:
-			return Txn{}, io.EOF
-		case mtcbTagKey:
-			if err := r.readKeyDef(); err != nil {
-				return Txn{}, err
-			}
-		case mtcbTagTxn:
-			return r.readTxn()
-		default:
-			return Txn{}, fmt.Errorf("history: mtcb: record %d: unknown tag 0x%02x", r.next, tag)
-		}
+		t.Ops, err = r.d.ops(m, dst, nil)
+		err = r.d.opsErr(err)
 	}
-}
-
-// readTxn decodes one transaction record; the id is implicit.
-func (r *BinaryReader) readTxn() (Txn, error) {
-	sess, err := binary.ReadVarint(r.br)
 	if err != nil {
-		return Txn{}, r.truncated(err)
-	}
-	if err := checkRecord("mtcb: txn", r.next, r.next, int(sess), r.next); err != nil {
 		return Txn{}, err
 	}
-	start, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Txn{}, r.truncated(err)
-	}
-	finish, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Txn{}, r.truncated(err)
-	}
-	committed, err := r.br.ReadByte()
-	if err != nil {
-		return Txn{}, r.truncated(err)
-	}
-	if committed > 1 {
-		return Txn{}, fmt.Errorf("history: mtcb: txn %d: %w", r.next, errMTCBCommitted)
-	}
-	ops, err := r.readOps()
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Txn{}, r.truncated(err)
-		}
-		return Txn{}, fmt.Errorf("history: mtcb: txn %d: %w", r.next, err)
-	}
-	t := Txn{
-		ID: r.next, Session: int(sess), Ops: ops,
-		Start: start, Finish: finish, Committed: committed == 1,
-	}
-	r.next++
-	r.nextOff += len(ops)
+	r.ops.commit(m)
+	r.d.n++
 	return t, nil
 }
 
-// readOps decodes a transaction's operation block. Key strings alias
-// the interned table, the Ops slice is carved from the reader's chunks,
-// and errors are the fmt-free sentinels above.
-//
-//mtc:hotpath — per-op decode loop; one chunk per 4096 ops, zero per-op or per-txn allocation
-func (r *BinaryReader) readOps() ([]Op, error) {
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return nil, err
-	}
-	if n > mtcbMaxOps {
-		return nil, errMTCBOpCount
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	var ops []Op
-	exact := n <= mtcbOpsPrealloc
-	if exact {
-		// Declared count small enough to trust: carve exactly and fill in
-		// place. A record that fails midway leaves the chunk as it was.
-		ops = r.ops.reserve(int(n))
-	} else {
-		// A count this large may be a lie from a corrupt stream: grow
-		// only as fast as the stream actually delivers ops.
-		ops = make([]Op, 0, mtcbOpsPrealloc)
-	}
-	for i := uint64(0); i < n; i++ {
-		ku, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return nil, err
-		}
-		wire := ku >> 1
-		if wire >= uint64(len(r.names)) {
-			return nil, errMTCBKeyID
-		}
-		v, err := binary.ReadVarint(r.br)
-		if err != nil {
-			return nil, err
-		}
-		op := Op{Kind: OpKind(ku & 1), Key: Key(r.names[wire]), Value: Value(v)}
-		if exact {
-			ops[i] = op
-		} else {
-			ops = append(ops, op) //mtc:alloc-ok growth path only reachable past a 4096-op declared count
-		}
-		if r.collect {
-			r.opIDs = append(r.opIDs, KeyID(wire)) //mtc:alloc-ok amortized stream-wide column, indexed-read mode only
-		}
-	}
-	if exact {
-		r.ops.commit(int(n))
-	}
-	return ops, nil
-}
-
-// truncated wraps an unexpected end-of-input inside a record.
-func (r *BinaryReader) truncated(err error) error {
-	return fmt.Errorf("history: mtcb: truncated txn record %d: %w", r.next, err)
-}
-
-// ReadMTCB drains an MTCB document into a validated History (the
+// ReadMTCB reads an MTCB document into a validated History (the
 // one-shot counterpart of BinaryReader, used by ReadAuto).
 func ReadMTCB(r io.Reader) (*History, error) {
-	sr, err := NewBinaryReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return drain(sr)
+	h, _, _, err := readMTCB(r, false)
+	return h, err
 }
 
-// ReadMTCBIndexed drains an MTCB document straight into a columnar
+// ReadMTCBIndexed reads an MTCB document straight into a columnar
 // Index: the wire key table and the per-op wire ids are the key column
 // IndexColumns ranks, so no per-operation map lookup or re-intern
 // happens anywhere. For documents written by WriteMTCB the table arrives
 // pre-sorted and the rank is the identity. The History behind the Index
 // is reachable via Index.History().
 func ReadMTCBIndexed(r io.Reader) (*Index, error) {
-	sr, err := NewBinaryReader(r)
+	h, names, opKey, err := readMTCB(r, true)
 	if err != nil {
 		return nil, err
 	}
-	sr.collect = true
-	h, err := drain(sr)
-	if err != nil {
-		return nil, err
+	return IndexColumns(h, names, opKey), nil
+}
+
+// readMTCB is the one-shot decode: the document read into one buffer, a
+// skim that validates every record and counts transactions and ops,
+// then a fill of the transaction table, one op arena and — with column
+// set — the per-op wire key ids, each allocated once at the size the
+// skim counted in bytes it read, never at one a document declares.
+func readMTCB(r io.Reader, column bool) (*History, []string, []KeyID, error) {
+	var d mtcbDecoder
+	if err := d.open(r, true); err != nil {
+		return nil, nil, nil, err
 	}
-	return IndexColumns(h, sr.names, sr.opIDs), nil
+	first, nOps := d.pos, 0
+	for {
+		var t Txn
+		m, err := d.next(true, &t)
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			_, err = d.ops(m, nil, nil)
+			err = d.opsErr(err)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		d.n, nOps = d.n+1, nOps+m
+	}
+	var txns []Txn
+	if d.n > 0 {
+		txns = make([]Txn, d.n)
+	}
+	arena, opKey, keys := make([]Op, nOps), []KeyID(nil), []KeyID(nil)
+	if column {
+		opKey = make([]KeyID, nOps)
+	}
+	d.pos, nOps = first, 0
+	for i := range txns {
+		d.n = i
+		m, err := d.next(false, &txns[i])
+		if column && err == nil {
+			keys = opKey[nOps : nOps+m]
+		}
+		if err == nil && m > 0 {
+			txns[i].Ops, err = d.ops(m, arena[nOps:nOps+m:nOps+m], keys)
+			err = d.opsErr(err)
+		}
+		if err != nil { // the skim has read every record; kept for safety
+			return nil, nil, nil, err
+		}
+		nOps += m
+	}
+	h, err := assemble(txns, d.declared)
+	return h, d.names, opKey, err
 }
 
 // IngestArena amortizes the decode allocations of a long transaction
