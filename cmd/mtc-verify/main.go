@@ -16,8 +16,9 @@
 // 2 usage errors (an unknown level or checker; a level the engine does
 // not list, -stream's engine being mtc-incremental, whose registry row
 // serves SI and SER; a -stream checker other than mtc or
-// mtc-incremental; a negative -window; a file that is unreadable or not
-// a history in any codec).
+// mtc-incremental; a negative -window, or a positive one for an engine
+// other than mtc-incremental; a file that is unreadable or not a history
+// in any codec).
 package main
 
 import (
@@ -57,6 +58,9 @@ func main() {
 
 	if *window < 0 {
 		fatalf("-window must be >= 0, got %d", *window)
+	}
+	if *window > 0 && name != "mtc-incremental" {
+		fatalf("-window compacts the online checker; %s checks the whole history at once (use -checker mtc-incremental or -stream)", name)
 	}
 	if *stream {
 		streamVerify(flag.Arg(0), lvl, *window)

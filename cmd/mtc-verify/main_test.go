@@ -102,6 +102,8 @@ func TestLevelsAndCheckersResolveThroughTheRegistry(t *testing.T) {
 		{"stream refuses a baseline engine", []string{"-level", "SER", "-stream", "-checker", "cobra", clean}, 2, "", "cannot run -checker cobra"},
 		{"stream refuses an unknown checker", []string{"-level", "SER", "-stream", "-checker", "bogus", clean}, 2, "", "cannot run -checker bogus"},
 		{"negative window", []string{"-window", "-1", clean}, 2, "", "-window must be >= 0"},
+		{"window on a batch engine", []string{"-level", "SI", "-window", "8", clean}, 2, "", "-window compacts the online checker; mtc"},
+		{"window on a baseline", []string{"-level", "SER", "-checker", "cobra", "-window", "8", clean}, 2, "", "-window compacts the online checker; cobra"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := run(t, tc.args...)

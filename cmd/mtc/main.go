@@ -58,7 +58,7 @@ func main() {
 		out          = flag.String("out", "", "save the generated history to this file; the extension picks the codec (.json, .ndjson, .mtcb, any +.gz; no extension = JSON)")
 		timeout      = flag.Duration("timeout", 0, "abort verification after this duration (0 = no limit)")
 		window       = flag.Int("window", 0, "epoch-compaction window for streaming/incremental verification: keep O(window) checker state instead of the whole history (0 = unbounded)")
-		shardN       = flag.Int("shard", 0, "component-sharded verification: decompose the history into key-disjoint components checked by up to this many workers (0 = off)")
+		shardN       = flag.Int("shard", 0, "component-sharded batch verification: decompose the history into key-disjoint components checked by up to this many workers (0 = off)")
 		tenants      = flag.Int("tenants", 0, "split the workload into this many key-disjoint tenant groups (0/1 = single shared key space)")
 		reportFormat = flag.String("report", "text", "verdict output: text (human summary) or json (full structured checker.Report)")
 	)
@@ -100,6 +100,9 @@ func main() {
 	if *tenants < 0 {
 		fatalf("-tenants must be >= 0, got %d", *tenants)
 	}
+	if *window < 0 {
+		fatalf("-window must be >= 0, got %d", *window)
+	}
 	if *sessions <= 0 || *txns <= 0 || *objects <= 0 {
 		fatalf("-sessions, -txns and -objects must be > 0, got %d, %d, %d", *sessions, *txns, *objects)
 	}
@@ -130,6 +133,9 @@ func main() {
 		if *out != "" {
 			fatalf("-lwt runs the VLLWT pipeline over LWT operations; it has no history for -out")
 		}
+		if *shardN > 0 || *tenants > 0 || *window > 0 {
+			fatalf("-lwt runs the VLLWT pipeline over a fixed LWT workload; it takes none of -shard, -tenants or -window")
+		}
 		runLWTPipeline(store, *sessions, *txns, *seed)
 		return
 	}
@@ -140,9 +146,6 @@ func main() {
 		Tenants: *tenants,
 	})
 
-	if *window < 0 {
-		fatalf("-window must be >= 0, got %d", *window)
-	}
 	if *stream {
 		if *checkerName != "mtc" && *checkerName != "mtc-incremental" {
 			fatalf("-stream verifies with the incremental MTC engine; it cannot run -checker %s", *checkerName)
@@ -150,10 +153,13 @@ func main() {
 		if *window > 0 && *out != "" {
 			fatalf("-window frees the history as the stream advances; it cannot be combined with -out")
 		}
+		if *shardN > 0 {
+			fatalf("-shard decomposes a finished history; a -stream run verifies through one online checker (drop the flag)")
+		}
 		if _, claimed, err = checker.Default.Resolve("mtc-incremental", string(claimed)); err != nil {
 			fatalf("-stream: %v", err)
 		}
-		runStreaming(store, w, *retries, claimed, *out, *timeout, *window, *shardN, jsonReport)
+		runStreaming(store, w, *retries, claimed, *out, *timeout, *window, jsonReport)
 		return
 	}
 
@@ -163,6 +169,9 @@ func main() {
 	}
 	if _, claimed, err = checker.Default.Resolve(name, string(claimed)); err != nil {
 		fatalf("%v", err)
+	}
+	if *window > 0 && name != "mtc-incremental" {
+		fatalf("-window compacts the online checker; %s checks the whole history at once (use -checker mtc-incremental or -stream)", name)
 	}
 	res := runner.Run(store, w, runner.Config{Retries: *retries})
 	infof("history: %d committed, %d aborted (abort rate %.1f%%)\n",
@@ -219,15 +228,14 @@ func verifyContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 
 // runStreaming verifies the run online, reporting the violation at the
 // commit that introduced it.
-func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.Level, out string, timeout time.Duration, window, shardN int, jsonReport bool) {
+func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.Level, out string, timeout time.Duration, window int, jsonReport bool) {
 	ctx, cancel := verifyContext(timeout)
 	defer cancel()
-	res := runner.RunStream(ctx, store, w, runner.Config{Retries: retries, Window: window, Shard: shardN}, lvl)
+	res := runner.RunStream(ctx, store, w, runner.Config{Retries: retries, Window: window}, lvl)
 	if res.Err != nil {
 		infof("run cut short: %v\n", res.Err)
 	}
 	rep := checker.ReportFromResult("mtc-incremental", res.Verdict)
-	rep.ShardComponents = res.Shards
 	if jsonReport {
 		// Save first: the report going to stdout must not skip -out.
 		if out != "" {
@@ -244,9 +252,6 @@ func runStreaming(store *kv.Store, w *workload.Workload, retries int, lvl core.L
 	}
 	infof("history: %d committed, %d aborted (abort rate %.1f%%)\n",
 		res.Committed, res.Aborted, res.AbortRate()*100)
-	if res.Shards > 0 {
-		infof("sharded verification: %d key-disjoint components, %d workers\n", res.Shards, shardN)
-	}
 	if window > 0 {
 		infof("windowed verification: window %d, %d txns compacted over %d epochs\n",
 			window, res.Verdict.CompactedTxns, res.Verdict.CompactedEpochs)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"mtc/internal/checker"
+	"mtc/internal/history"
 )
 
 // TestMain lets the tests run the real main(): a child process started
@@ -137,6 +139,58 @@ func TestBatchRefusesEngineAndLevelBeforeTheRun(t *testing.T) {
 	}
 	if code, stdout, stderr := run(t, "-profile", "-level", "SI", "-sessions", "2", "-txns", "4"); code != 0 || !strings.Contains(stdout, "history:") {
 		t.Fatalf("-profile -level SI: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestInertFlagsAreRefused: a flag the chosen pipeline would ignore
+// exits 2 naming the flag before the workload runs, never a clean run
+// that silently dropped it. -window compacts only the online engine,
+// -shard decomposes only a batch check's history, and the VLLWT
+// pipeline runs a fixed LWT workload.
+func TestInertFlagsAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-level", "SI", "-window", "64"}, "-window"},
+		{[]string{"-level", "SER", "-checker", "cobra", "-window", "64"}, "-window"},
+		{[]string{"-profile", "-window", "8"}, "-window"},
+		{[]string{"-lwt", "-shard", "3", "-tenants", "2"}, "-shard"},
+		{[]string{"-lwt", "-tenants", "2"}, "-tenants"},
+		{[]string{"-lwt", "-window", "8"}, "-window"},
+		{[]string{"-stream", "-tenants", "4", "-shard", "2"}, "-shard"},
+	} {
+		args := append(tc.args, "-sessions", "2", "-txns", "4")
+		code, stdout, stderr := run(t, args...)
+		if code != 2 || strings.Contains(stdout+stderr, "history:") || !strings.Contains(stderr, tc.flag) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestStreamTenantsVerifyThroughOneChecker: a multi-tenant live run is
+// one online check, so its report counts the transactions a batch check
+// of the saved history counts — one ⊥T, not one per tenant.
+func TestStreamTenantsVerifyThroughOneChecker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.json")
+	code, stdout, stderr := run(t, "-level", "SI", "-stream", "-tenants", "4", "-sessions", "8", "-txns", "20", "-report", "json", "-out", path)
+	var rep checker.Report
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("exit %d: %v\nstdout: %s\nstderr: %s", code, err, stdout, stderr)
+	}
+	if code != 0 || !rep.OK || rep.ShardComponents != 0 {
+		t.Fatalf("exit %d, report %+v", code, rep)
+	}
+	h, err := history.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: "SI"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !batch.OK || batch.Txns != rep.Txns {
+		t.Fatalf("online %d txns, batch %d (batch OK %v)", rep.Txns, batch.Txns, batch.OK)
 	}
 }
 

@@ -186,9 +186,12 @@ func ReadAutoIndexed(r io.Reader) (*Index, error) {
 
 // sniffCodec unwraps gzip and returns the first row of fileCodecs whose
 // marker opens the payload. A payload no row claims — blank, a comment,
-// anything else — is an error, not a history.
-func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
-	br, err := gunzip(bufio.NewReader(r), "history")
+// anything else — is an error, not a history. An unzipped file's payload
+// has the file's size (never a count the document declares) as its Len(),
+// which sizes an MTCB one-shot decode's one read (mtcbDecoder.open).
+func sniffCodec(r io.Reader) (io.Reader, *codec, error) {
+	raw := bufio.NewReader(r)
+	br, err := gunzip(raw, "history")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,11 +200,23 @@ func sniffCodec(r io.Reader) (*bufio.Reader, *codec, error) {
 	}
 	for i := range fileCodecs {
 		if c := &fileCodecs[i]; c.sniff(br) {
+			f, _ := r.(*os.File) // nil when r is no file: its Stat fails
+			if st, err := f.Stat(); br == raw && err == nil {
+				return sizedReader{br, int(st.Size())}, c, nil
+			}
 			return br, c, nil
 		}
 	}
 	return nil, nil, errors.New("history: unrecognized encoding (want JSON, NDJSON or MTCB, optionally gzipped)")
 }
+
+// sizedReader is a buffered file whose Len is the file's size.
+type sizedReader struct {
+	*bufio.Reader
+	n int
+}
+
+func (r sizedReader) Len() int { return r.n }
 
 // maxSessions is the highest session number, and the largest declared
 // session count, any codec accepts. Readers and their consumers size

@@ -528,6 +528,31 @@ func TestMTCBHostileSizesAllocateByBytesConsumed(t *testing.T) {
 	}
 }
 
+// TestLoadFileIndexedSizesItsRead: LoadFileIndexed reads an MTCB file
+// into one buffer sized by the file's size, so it allocates what
+// ReadMTCBIndexed over a bytes.Reader does (within 2 %), not the
+// doubling chain of a buffer grown by ReadFrom.
+func TestLoadFileIndexedSizesItsRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.mtcb")
+	if err := SaveFile(path, SerialHistory(20000, "x", "y", "z")); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ferr, merr error
+	file := allocatedBy(func() { _, ferr = LoadFileIndexed(path) })
+	mem := allocatedBy(func() { _, merr = ReadMTCBIndexed(bytes.NewReader(doc)) })
+	if ferr != nil || merr != nil {
+		t.Fatalf("load: %v, read: %v", ferr, merr)
+	}
+	t.Logf("%d-byte file: LoadFileIndexed %d B, ReadMTCBIndexed %d B", len(doc), file, mem)
+	if float64(file) > 1.02*float64(mem) {
+		t.Fatalf("LoadFileIndexed allocated %d bytes for a %d-byte file, ReadMTCBIndexed %d", file, len(doc), mem)
+	}
+}
+
 // TestWriteMTCBPinnedBytes pins the MTCB writer's output: every history
 // of the committed digest corpus (internal/checker/testdata/corpus) is
 // re-encoded once with WriteMTCB (a sorted header key table) and once

@@ -36,15 +36,6 @@ type Config struct {
 	// unbounded. The window must exceed the store's maximum commit
 	// staleness for verdict parity; see core.Incremental.Compact.
 	Window int
-	// Shard splits a streaming run's verification by component
-	// (RunStream only): the workload plan is decomposed into key-disjoint
-	// session groups (workload.Components) and up to Shard verifiers
-	// check the groups concurrently, each group with its own
-	// core.Incremental — and, when Window > 0, its own epoch compaction.
-	// The merged verdict's OK equals the unsharded stream's (no
-	// dependency edge crosses components). 0, or a plan that does not
-	// split, checks every session as one group on one verifier.
-	Shard int
 }
 
 // Result is the outcome of a run.

@@ -12,6 +12,9 @@ import (
 	"mtc/internal/checker"
 	"mtc/internal/core"
 	"mtc/internal/history"
+	"mtc/internal/kv"
+	"mtc/internal/runner"
+	"mtc/internal/workload"
 )
 
 // tenantHistory builds a clean multi-tenant history: `tenants` session
@@ -101,6 +104,32 @@ func TestSplitTenants(t *testing.T) {
 					t.Fatalf("components %d and %d share key %s", a, b, k)
 				}
 			}
+		}
+	}
+}
+
+// TestSplitRunnerTenants: an executed multi-tenant plan splits into
+// its tenants. runner.Run's history of a Tenants: 4 plan has 4
+// components, each holding the sessions of one tenant (session s is
+// tenant s mod 4), so a run's history shards through Split alone.
+func TestSplitRunnerTenants(t *testing.T) {
+	w := workload.GenerateMT(workload.MTConfig{
+		Sessions: 8, Txns: 30, Objects: 4, Dist: workload.Uniform, Seed: 3, ReadOnlyFrac: 0.25, Tenants: 4,
+	})
+	h := runner.Run(kv.NewStore(kv.ModeSI), w, runner.Config{Retries: 4}).H
+	p := Split(h)
+	if len(p.Components) != 4 {
+		t.Fatalf("got %d components, want 4", len(p.Components))
+	}
+	for ci := range p.Components {
+		c := &p.Components[ci]
+		tenant := -1
+		for li := 1; li < len(c.H.Txns); li++ {
+			s := h.Txns[c.ExtOf(li)].Session % 4
+			if tenant >= 0 && s != tenant {
+				t.Fatalf("component %d mixes tenants %d and %d", ci, tenant, s)
+			}
+			tenant = s
 		}
 	}
 }

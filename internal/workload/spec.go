@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"mtc/internal/graph"
 	"mtc/internal/history"
 )
 
@@ -81,69 +80,6 @@ func (w *Workload) NumTxns() int {
 		n += len(s)
 	}
 	return n
-}
-
-// Components groups the plan's sessions into key-disjoint connected
-// components: two sessions land in the same group iff they are connected
-// through shared planned keys. Every dependency edge a checker can
-// derive from the executed history stays inside one group (retries reuse
-// the plan's keys), so each group can be verified by its own online
-// checker — the decomposition sharded streaming verification uses
-// (runner.RunStream with Config.Shard). Groups are ordered by their
-// smallest session index; sessions without transactions are omitted. A
-// single-tenant plan yields one group.
-func (w *Workload) Components() [][]int {
-	u := graph.NewUnionFind(len(w.Sessions))
-	keyOwner := make(map[history.Key]int)
-	for si, specs := range w.Sessions {
-		for _, spec := range specs {
-			for _, op := range spec.Ops {
-				if owner, ok := keyOwner[op.Key]; ok {
-					u.Union(owner, si)
-				} else {
-					keyOwner[op.Key] = si
-				}
-			}
-		}
-	}
-	groups := make(map[int][]int) // root -> session indices (ascending)
-	var order []int               // roots by first-seen session = smallest member
-	for si := range w.Sessions {
-		if len(w.Sessions[si]) == 0 {
-			continue
-		}
-		r := u.Find(si)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], si)
-	}
-	out := make([][]int, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
-	}
-	return out
-}
-
-// SessionKeys returns the set of keys the given sessions' specs touch,
-// in w.Keys order — the key universe a per-component checker must seed
-// its init transaction with.
-func (w *Workload) SessionKeys(sessions []int) []history.Key {
-	set := make(map[history.Key]bool)
-	for _, si := range sessions {
-		for _, spec := range w.Sessions[si] {
-			for _, op := range spec.Ops {
-				set[op.Key] = true
-			}
-		}
-	}
-	out := make([]history.Key, 0, len(set))
-	for _, k := range w.Keys {
-		if set[k] {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // KeyName renders object index i as a key.

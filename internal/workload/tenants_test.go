@@ -14,33 +14,31 @@ func TestTenantsKeyDisjoint(t *testing.T) {
 	if len(w.Keys) != 20 {
 		t.Fatalf("key universe %d, want Objects*Tenants = 20", len(w.Keys))
 	}
-	comps := w.Components()
-	if len(comps) != 4 {
-		t.Fatalf("got %d components, want 4", len(comps))
-	}
-	keysOf := make([]map[history.Key]bool, len(comps))
-	for ci, group := range comps {
-		keysOf[ci] = map[history.Key]bool{}
-		for _, si := range group {
-			if si%4 != ci {
-				t.Fatalf("session %d landed in component %d, want %d", si, ci, si%4)
-			}
-			for _, k := range w.SessionKeys([]int{si}) {
-				keysOf[ci][k] = true
-			}
-		}
-	}
-	for a := range keysOf {
-		for b := range keysOf {
-			if a >= b {
-				continue
-			}
-			for k := range keysOf[a] {
-				if keysOf[b][k] {
-					t.Fatalf("tenants %d and %d share key %s", a, b, k)
+	assertTenantsKeyDisjoint(t, w, 4)
+}
+
+// assertTenantsKeyDisjoint reads the keys each session's specs touch and
+// fails unless sessions share a key only within their tenant, session s
+// being tenant s mod tenants's, and every tenant touches a key.
+func assertTenantsKeyDisjoint(t *testing.T, w *Workload, tenants int) {
+	t.Helper()
+	tenantOf := make(map[history.Key]int)
+	for si, specs := range w.Sessions {
+		for _, spec := range specs {
+			for _, op := range spec.Ops {
+				if tn, ok := tenantOf[op.Key]; ok && tn != si%tenants {
+					t.Fatalf("session %d (tenant %d) touches %s of tenant %d", si, si%tenants, op.Key, tn)
 				}
+				tenantOf[op.Key] = si % tenants
 			}
 		}
+	}
+	touched := make(map[int]bool)
+	for _, tn := range tenantOf {
+		touched[tn] = true
+	}
+	if len(touched) != tenants {
+		t.Fatalf("%d of %d tenants touch a key", len(touched), tenants)
 	}
 }
 
@@ -54,9 +52,6 @@ func TestTenantsOffByDefault(t *testing.T) {
 			t.Fatalf("Tenants=%d changed the plan", tenants)
 		}
 	}
-	if comps := base.Components(); len(comps) != 1 {
-		t.Fatalf("single-tenant plan has %d components, want 1", len(comps))
-	}
 }
 
 // TestTenantsGT: the GT generator shards identically.
@@ -65,27 +60,10 @@ func TestTenantsGT(t *testing.T) {
 	if len(w.Keys) != 12 {
 		t.Fatalf("key universe %d, want 12", len(w.Keys))
 	}
-	if comps := w.Components(); len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
+	assertTenantsKeyDisjoint(t, w, 3)
 	base := GenerateGT(GTConfig{Sessions: 6, Txns: 15, Objects: 4, OpsPerTxn: 4, Seed: 3})
 	got := GenerateGT(GTConfig{Sessions: 6, Txns: 15, Objects: 4, OpsPerTxn: 4, Seed: 3, Tenants: 1})
 	if !reflect.DeepEqual(got, base) {
 		t.Fatal("Tenants=1 changed the GT plan")
-	}
-}
-
-// TestSessionKeysOrdered: SessionKeys returns keys in universe order.
-func TestSessionKeysOrdered(t *testing.T) {
-	w := GenerateMT(MTConfig{Sessions: 2, Txns: 30, Objects: 6, Seed: 9})
-	keys := w.SessionKeys([]int{0, 1})
-	pos := map[history.Key]int{}
-	for i, k := range w.Keys {
-		pos[k] = i
-	}
-	for i := 1; i < len(keys); i++ {
-		if pos[keys[i-1]] >= pos[keys[i]] {
-			t.Fatalf("SessionKeys out of universe order: %v", keys)
-		}
 	}
 }
