@@ -13,80 +13,71 @@ import (
 
 // TestRunStreamCleanMatchesBatch verifies a healthy run online and
 // cross-checks the streaming verdict against the batch checker over the
-// collected history. A multi-tenant plan is one more input: its
-// key-disjoint tenants share the one online checker.
+// collected history.
 func TestRunStreamCleanMatchesBatch(t *testing.T) {
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		for _, tenants := range []int{0, 4} {
-			mode := kv.ModeSI
-			if lvl == core.SER {
-				mode = kv.ModeSerializable
-			}
-			w := workload.GenerateMT(workload.MTConfig{
-				Sessions: 6, Txns: 50, Objects: 8, Dist: workload.Uniform, Seed: 7, ReadOnlyFrac: 0.25,
-				Tenants: tenants,
-			})
-			res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6}, lvl)
-			if !res.Verdict.OK {
-				t.Fatalf("%s/%d tenants: clean store rejected online: %s", lvl, tenants, res.Verdict.Witness())
-			}
-			if res.EarlyAborted || res.ViolationAt != 0 {
-				t.Fatalf("%s/%d tenants: clean run flagged early abort: %+v", lvl, tenants, res)
-			}
-			if res.Committed == 0 || res.H == nil {
-				t.Fatalf("%s/%d tenants: empty run", lvl, tenants)
-			}
-			batch := coreCheck(res.H, lvl)
-			if !batch.OK {
-				t.Fatalf("%s/%d tenants: batch disagrees on the collected history: %s", lvl, tenants, batch.Witness())
-			}
-			// The online ⊥T is the assembled history's, so the counts
-			// match the batch's: one ⊥T, whatever the tenant count.
-			if res.Verdict.NumTxns != batch.NumTxns || res.Verdict.NumEdges != batch.NumEdges {
-				t.Fatalf("%s/%d tenants: online counts %d txns / %d edges, batch %d / %d",
-					lvl, tenants, res.Verdict.NumTxns, res.Verdict.NumEdges, batch.NumTxns, batch.NumEdges)
-			}
+		mode := kv.ModeSI
+		if lvl == core.SER {
+			mode = kv.ModeSerializable
+		}
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 6, Txns: 50, Objects: 8, Dist: workload.Uniform, Seed: 7, ReadOnlyFrac: 0.25,
+		})
+		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6}, lvl)
+		if !res.Verdict.OK {
+			t.Fatalf("%s: clean store rejected online: %s", lvl, res.Verdict.Witness())
+		}
+		if res.EarlyAborted || res.ViolationAt != 0 {
+			t.Fatalf("%s: clean run flagged early abort: %+v", lvl, res)
+		}
+		batch := coreCheck(res.H, lvl)
+		if !batch.OK {
+			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Witness())
+		}
+		// The online ⊥T carries only the keys the plan touches; a key
+		// nothing touches adds no edge, so the counts match the batch's.
+		if res.Verdict.NumTxns != batch.NumTxns || res.Verdict.NumEdges != batch.NumEdges {
+			t.Fatalf("%s: online counts %d txns / %d edges, batch %d / %d",
+				lvl, res.Verdict.NumTxns, res.Verdict.NumEdges, batch.NumTxns, batch.NumEdges)
+		}
+		if res.Committed == 0 || res.H == nil {
+			t.Fatalf("%s: empty run", lvl)
 		}
 	}
 }
 
 // TestRunStreamSurfacesViolationMidRun injects the lost-update bug with a
 // workload large enough that the violation must surface well before the
-// plan is exhausted, stopping the sessions early. A multi-tenant plan is
-// caught the same way by the one checker.
+// plan is exhausted, stopping the sessions early.
 func TestRunStreamSurfacesViolationMidRun(t *testing.T) {
 	bug := faults.BugByName("mariadb-galera-10.7.3")
-	for _, tenants := range []int{0, 4} {
-		caught := false
-		for seed := int64(1); seed <= 10 && !caught; seed++ {
-			w := workload.GenerateMT(workload.MTConfig{
-				Sessions: 8, Txns: 400, Objects: 2, Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.1,
-				Tenants: tenants,
-			})
-			res := RunStream(context.Background(), bug.NewStore(seed), w, Config{Retries: 4}, core.SI)
-			if res.Verdict.OK {
-				continue // bug did not manifest under this seed; try the next
-			}
-			caught = true
-			if res.ViolationAt == 0 {
-				t.Fatalf("%d tenants: violation found but ViolationAt not recorded", tenants)
-			}
-			// The batch checker must agree on the collected (prefix) history.
-			if batch := coreCheck(res.H, core.SI); batch.OK {
-				t.Fatalf("%d tenants, seed %d: batch accepts the history the stream rejected", tenants, seed)
-			}
-			if !res.EarlyAborted {
-				t.Fatalf("%d tenants, seed %d: 3200-txn plan with a hot lost-update bug should abort early (committed %d of %d)",
-					tenants, seed, res.Committed, w.NumTxns())
-			}
-			assertVerdictIndexesHistory(t, res)
-			t.Logf("%d tenants, seed %d: violation at txn %d, committed %d of %d planned",
-				tenants, seed, res.ViolationAt, res.Committed, w.NumTxns())
+	for seed := int64(1); seed <= 10; seed++ {
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 8, Txns: 400, Objects: 2, Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.1,
+		})
+		res := RunStream(context.Background(), bug.NewStore(seed), w, Config{Retries: 4}, core.SI)
+		if res.Verdict.OK {
+			continue // bug did not manifest under this seed; try the next
 		}
-		if !caught {
-			t.Fatalf("%d tenants: lost update never manifested in 10 seeds", tenants)
+		if res.ViolationAt == 0 {
+			t.Fatal("violation found but ViolationAt not recorded")
 		}
+		// The batch checker must agree on the collected (prefix) history.
+		if batch := coreCheck(res.H, core.SI); batch.OK {
+			t.Fatalf("seed %d: batch accepts the history the stream rejected", seed)
+		}
+		planned := 0
+		for _, specs := range w.Sessions {
+			planned += len(specs)
+		}
+		if !res.EarlyAborted {
+			t.Fatalf("seed %d: 3200-txn plan with a hot lost-update bug should abort early (committed %d of %d)",
+				seed, res.Committed, planned)
+		}
+		t.Logf("seed %d: violation at txn %d, committed %d of %d planned", seed, res.ViolationAt, res.Committed, planned)
+		return
 	}
+	t.Fatal("lost update never manifested in 10 seeds")
 }
 
 // TestRunStreamKeepsAbortedRecords checks DropAborted=false default keeps
@@ -134,28 +125,25 @@ func TestRunStreamHonorsCancellation(t *testing.T) {
 // TestRunStreamWindowed runs a clean streaming workload under a small
 // compaction window: the verdict must stay OK, compaction must actually
 // run, and the history must not be retained (that is the memory the
-// window frees). A multi-tenant plan compacts in the one checker too.
+// window frees).
 func TestRunStreamWindowed(t *testing.T) {
 	for _, lvl := range []core.Level{core.SER, core.SI} {
-		for _, tenants := range []int{0, 3} {
-			mode := kv.ModeSI
-			if lvl == core.SER {
-				mode = kv.ModeSerializable
-			}
-			w := workload.GenerateMT(workload.MTConfig{
-				Sessions: 6, Txns: 100, Objects: 8, Dist: workload.Uniform, Seed: 11, ReadOnlyFrac: 0.25,
-				Tenants: tenants,
-			})
-			res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6, Window: 64}, lvl)
-			if !res.Verdict.OK {
-				t.Fatalf("%s/%d tenants: clean store rejected under window: %s", lvl, tenants, res.Verdict.Witness())
-			}
-			if res.H != nil {
-				t.Fatalf("%s/%d tenants: windowed run must not retain the history", lvl, tenants)
-			}
-			if res.Verdict.CompactedEpochs == 0 || res.Verdict.CompactedTxns == 0 {
-				t.Fatalf("%s/%d tenants: window set but no compaction ran: %+v", lvl, tenants, res.Verdict)
-			}
+		mode := kv.ModeSI
+		if lvl == core.SER {
+			mode = kv.ModeSerializable
+		}
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 6, Txns: 100, Objects: 8, Dist: workload.Uniform, Seed: 11, ReadOnlyFrac: 0.25,
+		})
+		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6, Window: 64}, lvl)
+		if !res.Verdict.OK {
+			t.Fatalf("%s: clean store rejected under window: %s", lvl, res.Verdict.Witness())
+		}
+		if res.H != nil {
+			t.Fatalf("%s: windowed run must not retain the history", lvl)
+		}
+		if res.Verdict.CompactedEpochs == 0 || res.Verdict.CompactedTxns == 0 {
+			t.Fatalf("%s: window set but no compaction ran: %+v", lvl, res.Verdict)
 		}
 	}
 }
@@ -183,6 +171,95 @@ func TestRunStreamWindowedStillCatchesViolation(t *testing.T) {
 	}
 	if !caught {
 		t.Fatal("lost-update bug never manifested in 10 seeds")
+	}
+}
+
+// TestRunStreamShardedClean: a multi-tenant run, whose key-disjoint
+// tenants once verified through one checker each, verifies through the
+// one online checker: a healthy store is accepted, the batch checker
+// agrees on the collected history, and the online counts are the
+// batch's (one ⊥T, whatever the tenant count).
+func TestRunStreamShardedClean(t *testing.T) {
+	for _, lvl := range []core.Level{core.SER, core.SI} {
+		mode := kv.ModeSI
+		if lvl == core.SER {
+			mode = kv.ModeSerializable
+		}
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 8, Txns: 40, Objects: 6, Dist: workload.Uniform, Seed: 11, ReadOnlyFrac: 0.25,
+			Tenants: 4,
+		})
+		res := RunStream(context.Background(), kv.NewStore(mode), w, Config{Retries: 6}, lvl)
+		if !res.Verdict.OK {
+			t.Fatalf("%s: clean multi-tenant run rejected: %s", lvl, res.Verdict.Witness())
+		}
+		if res.EarlyAborted || res.ViolationAt != 0 {
+			t.Fatalf("%s: clean run flagged early abort: %+v", lvl, res)
+		}
+		if res.H == nil || res.Committed == 0 {
+			t.Fatalf("%s: unwindowed run must collect a non-empty history", lvl)
+		}
+		batch := coreCheck(res.H, lvl)
+		if !batch.OK {
+			t.Fatalf("%s: batch disagrees on the collected history: %s", lvl, batch.Witness())
+		}
+		if want := res.Attempts + 1; res.Verdict.NumTxns != want {
+			t.Fatalf("%s: NumTxns %d, want %d (attempts %d + one ⊥T)", lvl, res.Verdict.NumTxns, want, res.Attempts)
+		}
+		if res.Verdict.NumTxns != batch.NumTxns || res.Verdict.NumEdges != batch.NumEdges {
+			t.Fatalf("%s: online counts %d txns / %d edges, batch %d / %d",
+				lvl, res.Verdict.NumTxns, res.Verdict.NumEdges, batch.NumTxns, batch.NumEdges)
+		}
+	}
+}
+
+// TestRunStreamShardedCatchesViolation: a faulty store running a
+// multi-tenant plan is caught by the one online checker, early-aborting
+// the run, and the counterexample names the assembled history's
+// transactions.
+func TestRunStreamShardedCatchesViolation(t *testing.T) {
+	bug := faults.BugByName("mariadb-galera-10.7.3")
+	for seed := int64(1); seed <= 10; seed++ {
+		w := workload.GenerateMT(workload.MTConfig{
+			Sessions: 8, Txns: 400, Objects: 2, Dist: workload.Uniform, Seed: seed, ReadOnlyFrac: 0.1,
+			Tenants: 4,
+		})
+		res := RunStream(context.Background(), bug.NewStore(seed), w, Config{Retries: 4}, core.SI)
+		if res.Verdict.OK {
+			continue // bug did not manifest under this seed; try the next
+		}
+		if batch := coreCheck(res.H, core.SI); batch.OK {
+			t.Fatalf("seed %d: batch accepts the history the stream rejected", seed)
+		}
+		if res.ViolationAt == 0 {
+			t.Fatal("violation found mid-stream but ViolationAt not recorded")
+		}
+		if !res.EarlyAborted {
+			t.Fatalf("seed %d: multi-tenant run should abort early (committed %d of %d)", seed, res.Committed, w.NumTxns())
+		}
+		assertVerdictIndexesHistory(t, res)
+		return
+	}
+	t.Fatal("lost update never manifested in 10 seeds")
+}
+
+// TestRunStreamShardedWindowed: epoch compaction bounds the one checker
+// over a multi-tenant plan while the verdict stays clean, and the
+// windowed run retains no history.
+func TestRunStreamShardedWindowed(t *testing.T) {
+	w := workload.GenerateMT(workload.MTConfig{
+		Sessions: 6, Txns: 120, Objects: 4, Dist: workload.Uniform, Seed: 5, ReadOnlyFrac: 0.2,
+		Tenants: 3,
+	})
+	res := RunStream(context.Background(), kv.NewStore(kv.ModeSI), w, Config{Retries: 6, Window: 32}, core.SI)
+	if !res.Verdict.OK {
+		t.Fatalf("clean windowed multi-tenant run rejected: %s", res.Verdict.Witness())
+	}
+	if res.H != nil {
+		t.Fatal("windowed run must not retain the history")
+	}
+	if res.Verdict.CompactedEpochs == 0 || res.Verdict.CompactedTxns == 0 {
+		t.Fatalf("window set but no compaction ran: %+v", res.Verdict)
 	}
 }
 
