@@ -133,9 +133,12 @@ func main() {
 		if *out != "" {
 			fatalf("-lwt runs the VLLWT pipeline over LWT operations; it has no history for -out")
 		}
-		if *shardN > 0 || *tenants > 0 || *window > 0 {
-			fatalf("-lwt runs the VLLWT pipeline over a fixed LWT workload; it takes none of -shard, -tenants or -window")
-		}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "shard", "tenants", "window", "objects", "dist", "retries", "timeout":
+				fatalf("-lwt runs the VLLWT pipeline over four keys with no deadline; it takes none of -shard, -tenants, -window, -objects, -dist, -retries or -timeout, got -%s", f.Name)
+			}
+		})
 		runLWTPipeline(store, *sessions, *txns, *seed)
 		return
 	}

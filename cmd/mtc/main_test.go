@@ -155,9 +155,13 @@ func TestInertFlagsAreRefused(t *testing.T) {
 		{[]string{"-level", "SI", "-window", "64"}, "-window"},
 		{[]string{"-level", "SER", "-checker", "cobra", "-window", "64"}, "-window"},
 		{[]string{"-profile", "-window", "8"}, "-window"},
-		{[]string{"-lwt", "-shard", "3", "-tenants", "2"}, "-shard"},
-		{[]string{"-lwt", "-tenants", "2"}, "-tenants"},
-		{[]string{"-lwt", "-window", "8"}, "-window"},
+		{[]string{"-lwt", "-shard", "3", "-tenants", "2"}, "got -shard"},
+		{[]string{"-lwt", "-tenants", "2"}, "got -tenants"},
+		{[]string{"-lwt", "-window", "8"}, "got -window"},
+		{[]string{"-lwt", "-objects", "9"}, "got -objects"},
+		{[]string{"-lwt", "-dist", "zipf"}, "got -dist"},
+		{[]string{"-lwt", "-retries", "0"}, "got -retries"},
+		{[]string{"-lwt", "-timeout", "1s"}, "got -timeout"},
 		{[]string{"-stream", "-tenants", "4", "-shard", "2"}, "-shard"},
 	} {
 		args := append(tc.args, "-sessions", "2", "-txns", "4")

@@ -116,7 +116,7 @@ func isEpoch(a graph.Arc) bool { return a.Kind == graph.AUX && a.Obj == epochObj
 // Transaction state is copied, slot records are kept in place: the kept
 // transaction records — write sets and SI lists included — go into the
 // spare slabs with every node id renumbered on the way, and the two arena
-// sets trade places (see arenas). A slot record never moves, so the slot
+// sets trade places (see arenas). Slot records never move, so the version
 // table and latest hear of a compaction only through the deletion of the
 // slots that died in it: two walks over the record slab, one before the
 // new ids exist to mark who survives (markSlots) and one after to rewrite
@@ -135,10 +135,7 @@ func (inc *Incremental) MaybeCompact(window, every int, pin func(ext int) bool) 
 		return false
 	}
 	if every <= 0 {
-		every = window / 2
-	}
-	if every < 1 {
-		every = 1
+		every = max(window/2, 1)
 	}
 	if inc.n <= window || inc.n-inc.lastCompactAt < every {
 		return false
@@ -152,13 +149,7 @@ func (inc *Incremental) MaybeCompact(window, every int, pin func(ext int) bool) 
 // use (same discipline as Add).
 func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	nNodes := inc.topo.Len()
-	if inc.vio != nil || nNodes == 0 {
-		return
-	}
-	if frontier > inc.n {
-		frontier = inc.n
-	}
-	if frontier <= 0 {
+	if frontier = min(frontier, inc.n); inc.vio != nil || nNodes == 0 || frontier <= 0 {
 		return
 	}
 
@@ -476,7 +467,7 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 
 // sweepSlots is Compact's sweep phase, a second walk over the slot
 // records once the new ids are known. A record stays where it is, so
-// neither the slot table nor latest hears of a survivor: the node ids in
+// neither the version table nor latest hears of a survivor: the node ids in
 // it are rewritten, its lists move to next, and only a slot with nothing
 // left — no readable write, no aborted writer worth naming, nobody parked
 // — leaves the table for the free list, and its key's id too if it was
@@ -512,8 +503,7 @@ func (inc *Incremental) sweepSlots(next *arenas) {
 			}
 		}
 		if s.writer < 0 && s.aborted < 0 && s.parked.head == 0 {
-			inc.free = append(inc.free, inc.slots[s.key])
-			delete(inc.slots, s.key)
+			inc.free = append(inc.free, inc.slots.del(&inc.records, s))
 			s.free = true
 			k := s.key.key
 			if inc.keySlots[k]--; inc.keySlots[k] == 0 {

@@ -540,7 +540,7 @@ func TestSweepMatchesLegacyOutOfOrder(t *testing.T) {
 // slotAt is the slot of version (k, v), nil while the checker knows none.
 func slotAt(inc *Incremental, k history.Key, v history.Value) *slot {
 	kid, ok := inc.keyIDs[k]
-	if id := inc.slots[version{kid, v}]; ok && id != 0 {
+	if _, id := inc.slots.find(&inc.records, version{kid, v}); ok && id != 0 {
 		return inc.records.At(id)
 	}
 	return nil

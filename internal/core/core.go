@@ -53,7 +53,9 @@
 //     becomes the current one; the set left behind is refilled the epoch
 //     after, so a windowed stream stops allocating once both have grown
 //     to its size and no record outlives the epoch after its copy.
-//     Versions identify slots, so the slot table is never re-keyed.
+//     A slot record never moves, so the version table that finds it
+//     by (key, value) is never re-keyed: a compaction only deletes the
+//     versions that died.
 //   - VLLWT (in lwt.go) verifies linearizability of lightweight-transaction
 //     histories in expected O(n) time (Algorithm 2).
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 
@@ -29,8 +30,8 @@ import (
 // would.
 //
 // An Incremental is not safe for concurrent use; callers serialise Add
-// (internal/runner.RunStream funnels session goroutines through a
-// channel to the one verifier goroutine that owns each checker).
+// (internal/runner.RunStream funnels its session goroutines through a
+// channel to the dispatcher goroutine that feeds its one checker).
 //
 // Long-lived streams need not retain the whole history: Compact
 // collapses the settled prefix of the dependency graph into summary
@@ -42,12 +43,13 @@ import (
 // only when a cycle leaves the engine. Unique values give every version
 // — a (key id, value) pair — one committed writer and O(1) readers, so
 // what is known about a version is one slot record found by the version
-// itself, an identity compaction cannot disturb. What is known about a
-// transaction is one record of a slice indexed by its node id in the
-// online graph. A compaction renumbers node ids, so they occur only as
-// values (in slots, session records and SI witnesses), never as map
-// keys, and each transaction's record carries the external stream
-// position (the arrival index the caller observes) a verdict reports.
+// itself — through the version table, in one probe run — an identity
+// compaction cannot disturb. What is known about a transaction is one
+// record of a slice indexed by its node id in the online graph. A
+// compaction renumbers node ids, so they occur only as values (in slots,
+// session records and SI witnesses), never as keys, and each
+// transaction's record carries the external stream position (the
+// arrival index the caller observes) a verdict reports.
 //
 // The transaction records, the lists hanging off both tables, the write
 // sets and the graph's edges live in arenas (see arenas): Add takes what
@@ -82,7 +84,7 @@ type Incremental struct {
 	// slots finds a version's record id; the records themselves are handed
 	// out by records, recycled through free, and keep their address for as
 	// long as the version is known.
-	slots   map[version]int32
+	slots   versionTable
 	records graph.Slab[slot]
 	free    []int32
 	parked  int // slots with a non-empty parked list
@@ -103,6 +105,72 @@ type Incremental struct {
 type version struct {
 	key int32
 	v   history.Value
+}
+
+// versionTable finds a version's slot record id in one probe run: ids
+// (0: empty) in a power-of-two array, probed linearly from a home cell —
+// murmur3's fmix64 of value and key id under a per-table seed, which no
+// value a hostile stream picks can aim — and compared through the record
+// the caller reads next. It doubles at load ½ and deletes by backward
+// shift (no tombstones). Nothing iterates it: the seed reaches no verdict.
+type versionTable struct {
+	cells []int32
+	n     int
+	seed  [2]uint64 // xor-ed into the value; the odd multiplier of the key id
+}
+
+func newVersionTable() versionTable {
+	return versionTable{cells: make([]int32, 16), seed: [2]uint64{rand.Uint64(), rand.Uint64() | 1}}
+}
+
+func (t *versionTable) home(key version) int {
+	h := uint64(key.v) ^ t.seed[0] + uint64(key.key)*t.seed[1]
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return int(h^h>>33) & (len(t.cells) - 1)
+}
+
+// find returns key's cell and record id, or the empty cell put fills and 0.
+func (t *versionTable) find(recs *graph.Slab[slot], key version) (int, int32) {
+	for i := t.home(key); ; i = (i + 1) & (len(t.cells) - 1) {
+		if id := t.cells[i]; id == 0 || recs.At(id).key == key {
+			return i, id
+		}
+	}
+}
+
+// put stores id in the empty cell find returned for its version.
+func (t *versionTable) put(recs *graph.Slab[slot], i int, id int32) {
+	t.cells[i] = id
+	if t.n++; 2*t.n <= len(t.cells) {
+		return
+	}
+	old := t.cells
+	t.cells = make([]int32, 2*len(old))
+	for _, id := range old {
+		if id != 0 {
+			i, _ := t.find(recs, recs.At(id).key)
+			t.cells[i] = id
+		}
+	}
+}
+
+// del removes record s, found by identity along its probe run, and returns
+// its id; each later entry of the run whose home is not past the hole
+// moves into it, leaving a hole where it was.
+func (t *versionTable) del(recs *graph.Slab[slot], s *slot) int32 {
+	mask, i := len(t.cells)-1, t.home(s.key)
+	for recs.At(t.cells[i]) != s {
+		i = (i + 1) & mask
+	}
+	id := t.cells[i]
+	for j := (i + 1) & mask; t.cells[j] != 0; j = (j + 1) & mask {
+		if h := t.home(recs.At(t.cells[j]).key); (j-h)&mask >= (j-i)&mask {
+			t.cells[i], i = t.cells[j], j
+		}
+	}
+	t.cells[i], t.n = 0, t.n-1
+	return id
 }
 
 // slot is everything the checker knows about one version. Transactions
@@ -165,7 +233,7 @@ func NewIncremental(lvl Level) *Incremental {
 		arenas:   newArenas(lvl),
 		initID:   -1,
 		keyIDs:   make(map[history.Key]int32),
-		slots:    make(map[version]int32),
+		slots:    newVersionTable(),
 		sessions: make(map[int]*sessionState),
 	}
 }
@@ -204,7 +272,7 @@ func (inc *Incremental) extOf(i int) int { return inc.txns[i].ext }
 // slotOf returns version (k, v)'s slot and id, creating it on first mention.
 func (inc *Incremental) slotOf(k history.Key, v history.Value) (int32, *slot) {
 	key := version{inc.keyOf(k), v}
-	id := inc.slots[key]
+	cell, id := inc.slots.find(&inc.records, key)
 	if id == 0 {
 		if n := len(inc.free); n > 0 {
 			id, inc.free = inc.free[n-1], inc.free[:n-1]
@@ -212,7 +280,7 @@ func (inc *Incremental) slotOf(k history.Key, v history.Value) (int32, *slot) {
 			id, _ = inc.records.Alloc()
 		}
 		*inc.records.At(id) = slot{key: key, writer: -1, aborted: -1, over: -1}
-		inc.slots[key] = id
+		inc.slots.put(&inc.records, cell, id)
 		inc.keySlots[key.key]++
 	}
 	return id, inc.records.At(id)
@@ -249,19 +317,11 @@ type write struct {
 
 // get returns the final value written to k, if any.
 func (ws writeSet) get(k history.Key) (history.Value, bool) {
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ws[mid].k < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i, ok := slices.BinarySearchFunc(ws, k, func(w write, k history.Key) int { return strings.Compare(string(w.k), string(k)) })
+	if !ok {
+		return 0, false
 	}
-	if lo < len(ws) && ws[lo].k == k {
-		return ws[lo].v, true
-	}
-	return 0, false
+	return ws[i].v, true
 }
 
 // makeWriteSet collects the final write per key of ops into a sorted
@@ -674,8 +734,8 @@ func (inc *Incremental) Finalize() Result {
 // RemapResult rewrites the transaction ids of a verdict's counterexample
 // — anomalies, cycle edges and the divergence witness — through perm
 // (ids outside perm pass through). The windowed replay uses it to map
-// stream positions back to history ids, and the stream verifier
-// (internal/runner) to map group-local positions to global ones.
+// stream positions back to history ids, and the shard driver
+// (internal/shard) to map a component's ids to the source history's.
 func RemapResult(r Result, perm []int) Result {
 	return rewriteIDs(r, func(i int) int {
 		if i >= 0 && i < len(perm) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -304,4 +305,106 @@ func ExampleIncremental() {
 	vio := inc.Add(history.Txn{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 2)}})
 	fmt.Println(vio == nil)
 	// Output: false
+}
+
+// TestVersionTableMatchesMap holds the version table to a map under
+// random put/get/del sequences over few enough versions that probe runs
+// collide: the table doubles mid-run, deletions shift back runs that
+// wrap past the end of the array, and freed record ids are handed out
+// again, as Incremental's free list does.
+func TestVersionTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	wrapped, reused := 0, 0
+	for round := 0; round < 10; round++ {
+		var recs graph.Slab[slot]
+		var free []int32
+		tab, model := newVersionTable(), map[version]int32{}
+		for step := 0; step < 20000; step++ {
+			key := version{int32(rng.Intn(4)), history.Value(rng.Intn(10 << round))}
+			cell, id := tab.find(&recs, key)
+			if id != model[key] {
+				t.Fatalf("round %d step %d: %v found %d, the map holds %d", round, step, key, id, model[key])
+			}
+			del := rng.Intn(4) == 0 // a quarter of the hits while the table fills,
+			if step%5000 >= 2500 {  // three quarters while it drains
+				del = !del
+			}
+			switch {
+			case id == 0: // a miss ends at an empty cell: insert there
+				if n := len(free); n > 0 {
+					id, free = free[n-1], free[:n-1]
+					reused++
+				} else {
+					id, _ = recs.Alloc()
+				}
+				*recs.At(id) = slot{key: key}
+				tab.put(&recs, cell, id)
+				model[key] = id
+			case del:
+				end := cell
+				for tab.cells[end] != 0 {
+					end = (end + 1) & (len(tab.cells) - 1)
+				}
+				if end < cell {
+					wrapped++
+				}
+				if got := tab.del(&recs, recs.At(id)); got != id {
+					t.Fatalf("round %d step %d: del(%v) returned %d, want %d", round, step, key, got, id)
+				}
+				delete(model, key)
+				free = append(free, id)
+			}
+		}
+		if tab.n != len(model) {
+			t.Fatalf("round %d: table counts %d versions, the map %d", round, tab.n, len(model))
+		}
+		for key, want := range model {
+			if _, id := tab.find(&recs, key); id != want {
+				t.Fatalf("round %d: %v found %d, the map holds %d", round, key, id, want)
+			}
+		}
+	}
+	if wrapped == 0 || reused == 0 {
+		t.Fatalf("%d deletions in runs wrapping the array's end, %d reused ids: the sequences are too tame", wrapped, reused)
+	}
+}
+
+// TestVersionTableProbeLength: at load ½ a version sits 1.5 probes from
+// its home on average (linear probing's expectation) whatever the shape
+// of the values — one key's values in arithmetic progressions, which
+// plain multiply-shift piles into long runs, or one value over many keys.
+func TestVersionTableProbeLength(t *testing.T) {
+	const n = 1 << 12
+	type shape struct {
+		name string
+		at   func(i int) version
+	}
+	shapes := []shape{{"one value, many keys", func(i int) version { return version{int32(i), 7} }}}
+	for _, stride := range []int64{1, 3, 1 << 8, 1 << 16, 1 << 32, 1 << 40} {
+		shapes = append(shapes, shape{fmt.Sprintf("stride %d", stride), func(i int) version { return version{0, history.Value(int64(i) * stride)} }})
+	}
+	for _, sh := range shapes {
+		var recs graph.Slab[slot]
+		tab := newVersionTable()
+		for i := 0; i < n; i++ {
+			cell, _ := tab.find(&recs, sh.at(i))
+			id, r := recs.Alloc()
+			*r = slot{key: sh.at(i)}
+			tab.put(&recs, cell, id)
+		}
+		if 2*tab.n != len(tab.cells) {
+			t.Fatalf("%s: %d versions in %d cells, not load 1/2", sh.name, tab.n, len(tab.cells))
+		}
+		probes, mask := 0, len(tab.cells)-1
+		for i, id := range tab.cells {
+			if id != 0 {
+				probes += (i-tab.home(recs.At(id).key))&mask + 1
+			}
+		}
+		mean := float64(probes) / n
+		t.Logf("%s: mean probe %.2f", sh.name, mean)
+		if mean > 2 {
+			t.Errorf("%s: mean probe %.2f at load 1/2, want <= 2", sh.name, mean)
+		}
+	}
 }

@@ -466,15 +466,8 @@ func (ix *Index) fingerSearch(k KeyID, v Value, at int32) int32 {
 // lowerBound is the first slot in [lo, hi) whose value is at least v,
 // or hi.
 func (ix *Index) lowerBound(lo, hi int32, v Value) int32 {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ix.slotVal[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	i, _ := slices.BinarySearch(ix.slotVal[lo:hi], v)
+	return lo + int32(i)
 }
 
 // slot returns the postings slot of (k, v), or -1 when no committed
@@ -552,17 +545,8 @@ func (ix *Index) WriteVal(t int, k KeyID) (Value, bool) {
 
 // searchKey finds k in a sorted KeyID column, or -1.
 func searchKey(keys []KeyID, k KeyID) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(keys) && keys[lo] == k {
-		return lo
+	if i, ok := slices.BinarySearch(keys, k); ok {
+		return i
 	}
 	return -1
 }
@@ -587,16 +571,8 @@ func (ix *Index) WriterByName(x Key, v Value) int {
 
 // AbortedWriter reports whether some aborted transaction wrote v to k.
 func (ix *Index) AbortedWriter(k KeyID, v Value) bool {
-	lo, hi := ix.abOff[k], ix.abOff[k+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ix.abVal[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < ix.abOff[k+1] && ix.abVal[lo] == v
+	_, ok := slices.BinarySearch(ix.abVal[ix.abOff[k]:ix.abOff[k+1]], v)
+	return ok
 }
 
 // WritersOf returns the distinct committed writers of key k, ascending.
@@ -619,17 +595,9 @@ func (ix *Index) NumWriterSlots() int { return len(ix.writersTxn) }
 // state (like divergence tracking) indexes a flat array with it instead
 // of allocating a map keyed by (writer, key).
 func (ix *Index) WriterSlot(k KeyID, w int32) int {
-	lo, hi := ix.writersOff[k], ix.writersOff[k+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ix.writersTxn[mid] < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < ix.writersOff[k+1] && ix.writersTxn[lo] == w {
-		return int(lo)
+	lo := ix.writersOff[k]
+	if i, ok := slices.BinarySearch(ix.writersTxn[lo:ix.writersOff[k+1]], w); ok {
+		return int(lo) + i
 	}
 	return -1
 }

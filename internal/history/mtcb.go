@@ -296,8 +296,9 @@ type mtcbDecoder struct {
 	rerr error // src's error, io.EOF included, returned once buf is drained
 
 	names    []string
-	seen     map[Key]struct{}
-	arena    *IngestArena // session-wide key interner, when one is attached
+	seen     map[Key]struct{} // the keys names holds, with no arena attached
+	arena    *IngestArena     // session-wide key interner, when one is attached
+	it       *interner        // the arena's table this frame's keys are stamped in
 	declared int
 	n        int    // transaction records decoded
 	scratch  []byte // the last inline key definition's bytes
@@ -315,7 +316,9 @@ func (d *mtcbDecoder) open(r io.Reader, whole bool) error {
 	if err != nil {
 		return err
 	}
-	d.src, d.seen = src, make(map[Key]struct{})
+	if d.src = src; d.arena == nil {
+		d.seen = make(map[Key]struct{})
+	}
 	if !whole {
 		d.buf = make([]byte, 0, mtcbWindow)
 		return d.header()
@@ -468,13 +471,22 @@ func (d *mtcbDecoder) keyOf(b []byte) Key {
 // for one key would let a corrupt stream smuggle distinct-looking ops
 // onto the same key.
 func (d *mtcbDecoder) defineKey(k Key) error {
-	if d.arena != nil {
-		k = d.arena.internKey(k)
+	dup := false
+	if a := d.arena; a == nil {
+		_, dup = d.seen[k]
+		d.seen[k] = struct{}{}
+	} else {
+		if d.it != a.it { // the frame's first key, or the table restarted: a new generation
+			d.it, a.frame = a.it, a.frame+1
+			for _, name := range d.names {
+				a.define(Key(name))
+			}
+		}
+		k, dup = a.define(k)
 	}
-	if _, dup := d.seen[k]; dup {
+	if dup {
 		return fmt.Errorf("history: mtcb: duplicate key table entry %q", k)
 	}
-	d.seen[k] = struct{}{}
 	d.names = append(d.names, string(k))
 	return nil
 }
@@ -607,7 +619,8 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 // NewBinaryFrameReader is NewBinaryReader with every decode allocation
 // that can outlive the frame routed through a long-lived IngestArena:
 // key strings intern session-wide and Op slices are carved from shared
-// chunks. mtcserve batch ingest decodes each posted frame this way.
+// chunks. An arena reads one frame at a time (its duplicate-key stamps
+// are per frame); mtcserve batch ingest decodes each posted frame so.
 func NewBinaryFrameReader(r io.Reader, a *IngestArena) (*BinaryReader, error) {
 	return newBinaryReader(r, a)
 }
@@ -751,6 +764,10 @@ func readMTCB(r io.Reader, column bool) (*History, []string, []KeyID, error) {
 // interner: its key table is one string per key already.
 type IngestArena struct {
 	it *interner
+	// defined is, by KeyID, the generation of the frame that last defined
+	// the key: a frame finds its duplicate entries without a set of its own.
+	defined []uint64
+	frame   uint64
 	opChunks
 }
 
@@ -810,18 +827,26 @@ func (c *opChunks) commit(n int) {
 	}
 }
 
-// internKey returns the canonical session-wide string for k, letting
-// each frame's key-table copies be collected after decode.
-func (a *IngestArena) internKey(k Key) Key { return a.it.Name(a.it.Intern(k)) }
+// define interns k and stamps it with the current frame's generation,
+// reporting whether it already bore it.
+func (a *IngestArena) define(k Key) (Key, bool) {
+	id := a.it.Intern(k)
+	for len(a.defined) <= int(id) {
+		a.defined = append(a.defined, 0)
+	}
+	dup := a.defined[id] == a.frame
+	a.defined[id] = a.frame
+	return a.it.Name(id), dup
+}
 
 // ingestArenaMaxKeys bounds the table internBytes fills: past it the
 // table is dropped and restarted, so a stream over an ever-fresh key
 // space holds O(window) keys, not O(stream).
 const ingestArenaMaxKeys = 1 << 16
 
-// internBytes is internKey for a key still sitting in the input buffer:
-// a known key costs one map probe and no allocation. The table is a
-// cache — strings already handed out stay valid when it restarts.
+// internBytes returns the session-wide string of a key still sitting in
+// the input buffer: a known key costs one map probe and no allocation.
+// The table is a cache — strings handed out stay valid when it restarts.
 //
 //mtc:hotpath — one string allocation per distinct key, none per op
 func (a *IngestArena) internBytes(b []byte) Key {
@@ -831,7 +856,7 @@ func (a *IngestArena) internBytes(b []byte) Key {
 	if a.it.Len() >= ingestArenaMaxKeys {
 		a.it = newInterner() //mtc:alloc-ok once per 65536 first-seen keys
 	}
-	return a.internKey(Key(b)) //mtc:alloc-ok the first sight of a key
+	return a.it.Name(a.it.Intern(Key(b))) //mtc:alloc-ok the first sight of a key
 }
 
 // NumKeys returns the number of distinct keys interned so far.

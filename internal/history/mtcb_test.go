@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -435,6 +436,46 @@ func TestMTCBFrameArena(t *testing.T) {
 	_ = append(probe, Op{Key: "poison"})
 	if all[1].Ops[0].Key == "poison" {
 		t.Fatal("arena slices share capacity: append bled into neighbor")
+	}
+}
+
+// TestMTCBFrameArenaDuplicateKeys: a frame decoded through an arena
+// refuses a key that its own table defines twice — in the header,
+// inline, or across a restart of the arena's intern table — in the
+// plain reader's words, and takes keys an earlier frame defined.
+func TestMTCBFrameArenaDuplicateKeys(t *testing.T) {
+	drain := func(doc string, a *IngestArena) error {
+		r, err := newBinaryReader(strings.NewReader(doc), a)
+		for err == nil {
+			_, err = r.Next()
+		}
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}
+	full := NewIngestArena() // its next new key restarts the table
+	for i := 0; i < ingestArenaMaxKeys; i++ {
+		full.internBytes([]byte(fmt.Sprintf("k%d", i)))
+	}
+	const head, want = MTCBMagic + "\x01\x00", `history: mtcb: duplicate key table entry "x"`
+	for _, tc := range []struct {
+		name, doc string
+		arena     *IngestArena
+	}{
+		{"header", head + "\x02\x01x\x01x\x00", NewIngestArena()},
+		{"inline", head + "\x00\x02\x01x\x02\x01x\x00", NewIngestArena()},
+		{"restart", head + "\x01\x01x\x02\x01y\x02\x01x\x00", full},
+	} {
+		plain, framed := drain(tc.doc, nil), drain(tc.doc, tc.arena)
+		if plain == nil || framed == nil || plain.Error() != want || framed.Error() != want {
+			t.Errorf("%s: plain reader %v, frame reader %v; want %s", tc.name, plain, framed, want)
+		}
+		for frame := 0; frame < 2; frame++ {
+			if err := drain(head+"\x01\x01x\x02\x01y\x00", tc.arena); err != nil {
+				t.Errorf("%s: frame %d redefining known keys: %v", tc.name, frame, err)
+			}
+		}
 	}
 }
 
