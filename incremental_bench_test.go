@@ -6,6 +6,7 @@ package main
 
 import (
 	"context"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"testing"
@@ -19,10 +20,16 @@ import (
 )
 
 var (
-	bigOnce sync.Once
-	bigHist *history.History // >= 10k committed txns, serializable store
+	bigOnce   sync.Once
+	bigHist   *history.History // >= 10k committed txns, serializable store
+	bigDigest uint64
 )
 
+// setupBig builds bigHist once per process. runner.Run schedules its
+// sessions on goroutines, so the history — its size, and with it every
+// allocs and B/op row built on it — moves from one process to the next;
+// each benchmark logs the input it measured, its size and FNV-64a digest,
+// so a gate breach names the input it read.
 func setupBig(b *testing.B) {
 	bigOnce.Do(func() {
 		s := kv.NewStore(kv.ModeSerializable)
@@ -31,10 +38,16 @@ func setupBig(b *testing.B) {
 			Dist: workload.Zipfian, Seed: 5, ReadOnlyFrac: 0.2,
 		})
 		bigHist = runner.Run(s, w, runner.Config{Retries: 8, DropAborted: true}).H
+		d := fnv.New64a()
+		if err := history.WriteJSON(d, bigHist); err != nil {
+			panic(err)
+		}
+		bigDigest = d.Sum64()
 	})
 	if len(bigHist.Txns) < 10000 {
 		b.Fatalf("big history too small: %d txns", len(bigHist.Txns))
 	}
+	b.Logf("input: %d txns, digest %#x", len(bigHist.Txns), bigDigest)
 }
 
 func BenchmarkBatchSER10k(b *testing.B) {

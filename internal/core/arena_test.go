@@ -199,8 +199,8 @@ func TestWindowedReplayPinsNoRetiredChunk(t *testing.T) {
 // shapes twice over cost under nine kilobytes (13.8 KB when every record
 // and list was its own allocation, 9.1 KB with string-bearing edges),
 // where fixed 1024-record chunks would cost two hundred. SI pays on top
-// for the witness map — 40 bytes a composed edge, doubling as it grows —
-// and a second cell slab.
+// for a second cell slab, the base and RW edges its compositions read;
+// a composed edge records nothing (composeWitness finds its pair again).
 func TestSmallIncrementalIsSmall(t *testing.T) {
 	cur := map[history.Key]history.Value{}
 	fresh := history.Value(1)
@@ -221,7 +221,7 @@ func TestSmallIncrementalIsSmall(t *testing.T) {
 			txns = append(txns, history.Txn{Session: len(txns) % 3, Committed: true, Ops: ops})
 		}
 	}
-	for lvl, bound := range map[core.Level]uint64{core.SER: 9 << 10, core.SI: 14 << 10} {
+	for lvl, bound := range map[core.Level]uint64{core.SER: 9 << 10, core.SI: 10 << 10} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		inc := core.NewIncremental(lvl)

@@ -184,10 +184,10 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			if tier[i] < tierFull {
 				continue
 			}
-			for b := range each(&inc.deps, inc.txns[i].baseIn) {
+			for _, b := range each(&inc.deps, inc.txns[i].baseIn) {
 				tier[b.From] = max(tier[b.From], tierNode)
 			}
-			for rw := range each(&inc.deps, inc.txns[i].rwOut) {
+			for _, rw := range each(&inc.deps, inc.txns[i].rwOut) {
 				tier[rw.To] = max(tier[rw.To], tierNode)
 			}
 		}
@@ -260,18 +260,20 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	clear(sc.heads)
 
 	if inc.spare.topo == nil {
-		inc.spare = newArenas(inc.lvl)
+		inc.spare = newArenas()
 	}
 	next := &inc.spare
 	next.topo.Reload(kcount)
 	live := inc.reduce(next.topo, words)
 
 	// Copy what survives into the spare set, renumbering on the way.
+	next.mark = 0
 	reEdges := func(edges list) (out list) {
-		for e := range each(&inc.deps, edges) {
+		for _, e := range each(&inc.deps, edges) {
 			e.From, e.To = remap[e.From], remap[e.To]
 			push(&next.deps, &out, e)
 		}
+		next.mark = max(next.mark, out.tail)
 		return out
 	}
 	next.txns = resize(next.txns, kcount)
@@ -299,19 +301,8 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			ss.last = int(remap[ss.last])
 		}
 	}
-	clear(next.witness)
-	//mtc:nondeterministic-ok key-for-key map rebuild; no order reaches the result
-	for ck, w := range inc.witness {
-		// The witness threads through an intermediate node; keep the
-		// expansion only while all three survive (a composed edge whose
-		// witness was collapsed still reports, just unexpanded).
-		if remap[ck.from] < 0 || remap[ck.to] < 0 || remap[w[0].To] < 0 {
-			continue
-		}
-		for i := range w {
-			w[i].From, w[i].To = remap[w[i].From], remap[w[i].To]
-		}
-		next.witness[composedKey{from: remap[ck.from], to: remap[ck.to]}] = w
+	if inc.lvl == SI {
+		inc.carryWitnesses(next)
 	}
 
 	inc.arenas, inc.spare = inc.spare, inc.arenas
@@ -319,6 +310,54 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 	inc.live = live
 	inc.compactTxns += collapsed
 	inc.compactEpoch++
+}
+
+// carryWitnesses fills next.witness with the first pair that composed each
+// edge between kept nodes: the current map's, then this epoch's in the
+// order they composed — by the cell whose push composed them, then partner
+// list order (see composeWitness). A first pair whose mid is collapsed
+// leaves noWitness: only a later composition counts.
+//
+//mtc:hotpath — per pair this epoch composed; the map keeps its room from one compaction to the next
+func (inc *Incremental) carryWitnesses(next *arenas) {
+	remap := inc.scratch.remap
+	if next.witness == nil {
+		next.witness = make(map[composedKey][2]graph.Arc) //mtc:alloc-ok once per arena set
+	}
+	clear(next.witness)
+	put := func(b, r graph.Arc) {
+		ck := composedKey{remap[b.From], remap[r.To]}
+		if _, seen := next.witness[ck]; seen || ck.from < 0 || ck.to < 0 {
+			return
+		}
+		w := noWitness
+		if m := remap[b.To]; m >= 0 {
+			b.From, b.To, r.From, r.To = ck.from, m, m, ck.to
+			w = [2]graph.Arc{b, r}
+		}
+		next.witness[ck] = w
+	}
+	//mtc:nondeterministic-ok one entry per key, keys distinct; no order reaches the result
+	for _, w := range inc.witness {
+		if w != noWitness {
+			put(w[0], w[1])
+		}
+	}
+	for id, c := range inc.deps.All() {
+		e, partners := c.v, inc.txns[c.v.To].rwOut
+		if e.Kind == graph.RW {
+			partners = inc.txns[e.From].baseIn
+		}
+		for pid, p := range each(&inc.deps, partners) {
+			if id <= inc.mark || pid > id {
+				break
+			} else if e.Kind == graph.RW {
+				put(p, e)
+			} else {
+				put(e, p)
+			}
+		}
+	}
 }
 
 // markSlots is Compact's mark phase, one walk over the slot records:
@@ -341,11 +380,11 @@ func (inc *Incremental) markSlots(frontier int) {
 		}
 	}
 	tier := inc.scratch.tier
-	for s := range inc.records.All() {
+	for _, s := range inc.records.All() {
 		if s.free {
 			continue
 		}
-		for r := range each(&inc.ids, s.parked) {
+		for _, r := range each(&inc.ids, s.parked) {
 			tier[r] = max(tier[r], tierFull)
 		}
 		// Readable: its writer is recent or pinned, or the value is still its
@@ -362,7 +401,7 @@ func (inc *Incremental) markSlots(frontier int) {
 			continue
 		}
 		tier[s.writer] = max(tier[s.writer], tierFull)
-		for r := range each(&inc.ids, s.readers) {
+		for _, r := range each(&inc.ids, s.readers) {
 			tier[r] = max(tier[r], tierFull)
 		}
 		if s.over >= 0 {
@@ -477,12 +516,12 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 func (inc *Incremental) sweepSlots(next *arenas) {
 	tier, remap := inc.scratch.tier, inc.scratch.remap
 	reIDs := func(ids list) (out list) {
-		for id := range each(&inc.ids, ids) {
+		for _, id := range each(&inc.ids, ids) {
 			push(&next.ids, &out, remap[id])
 		}
 		return out
 	}
-	for s := range inc.records.All() {
+	for _, s := range inc.records.All() {
 		if s.free {
 			continue
 		}

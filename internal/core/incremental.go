@@ -47,7 +47,7 @@ import (
 // compaction cannot disturb. What is known about a transaction is one
 // record of a slice indexed by its node id in the online graph. A
 // compaction renumbers node ids, so they occur only as values (in slots,
-// session records and SI witnesses), never as keys, and each
+// session records and the SI lists), never as keys, and each
 // transaction's record carries the external stream position (the
 // arrival index the caller observes) a verdict reports.
 //
@@ -230,7 +230,7 @@ func NewIncremental(lvl Level) *Incremental {
 	}
 	return &Incremental{
 		lvl:      lvl,
-		arenas:   newArenas(lvl),
+		arenas:   newArenas(),
 		initID:   -1,
 		keyIDs:   make(map[history.Key]int32),
 		slots:    newVersionTable(),
@@ -490,7 +490,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		waiters := s.parked
 		s.parked = list{}
 		inc.parked--
-		for r := range each(&inc.ids, waiters) {
+		for _, r := range each(&inc.ids, waiters) {
 			if vio := inc.resolveRead(r, s); vio != nil {
 				return vio
 			}
@@ -570,7 +570,7 @@ func (inc *Incremental) resolveRead(r int32, s *slot) *Result {
 	if vio := inc.addDepEdge(graph.Arc{From: w, To: r, Obj: k, Kind: graph.WW}); vio != nil {
 		return vio
 	}
-	for rd := range each(&inc.ids, s.readers) {
+	for _, rd := range each(&inc.ids, s.readers) {
 		if rd == r {
 			continue
 		}
@@ -584,9 +584,11 @@ func (inc *Incremental) resolveRead(r int32, s *slot) *Result {
 
 // addDepEdge inserts one dependency edge. Under SER the edge feeds the
 // online order directly; under SI base edges and RW edges feed the
-// composed graph (SO ∪ WR ∪ WW) ; RW?, one composition step at a time.
+// composed graph (SO ∪ WR ∪ WW) ; RW?, one composition step at a time:
+// each pair links one AUX edge and records nothing, its edge's first pair
+// being found again from the lists if a cycle needs it (composeWitness).
 //
-//mtc:hotpath — per dependency edge
+//mtc:hotpath — per dependency edge and per composed edge
 func (inc *Incremental) addDepEdge(e graph.Arc) *Result {
 	inc.edges++
 	if inc.lvl == SER {
@@ -595,8 +597,8 @@ func (inc *Incremental) addDepEdge(e graph.Arc) *Result {
 	if e.Kind == graph.RW {
 		from := &inc.txns[e.From]
 		push(&inc.deps, &from.rwOut, e)
-		for b := range each(&inc.deps, from.baseIn) {
-			if vio := inc.addComposed(b, e); vio != nil {
+		for _, b := range each(&inc.deps, from.baseIn) {
+			if vio := inc.link(graph.Arc{From: b.From, To: e.To, Obj: composedObj, Kind: graph.AUX}); vio != nil {
 				return vio
 			}
 		}
@@ -606,28 +608,44 @@ func (inc *Incremental) addDepEdge(e graph.Arc) *Result {
 	if vio := inc.link(e); vio != nil {
 		return vio
 	}
-	for rw := range each(&inc.deps, inc.txns[e.To].rwOut) {
-		if vio := inc.addComposed(e, rw); vio != nil {
+	for _, rw := range each(&inc.deps, inc.txns[e.To].rwOut) {
+		if vio := inc.link(graph.Arc{From: e.From, To: rw.To, Obj: composedObj, Kind: graph.AUX}); vio != nil {
 			return vio
 		}
 	}
 	return nil
 }
 
-// addComposed inserts the composed edge base ; rw into the online order.
-// The first pair to compose an edge is the witness it reports.
-//
-//mtc:hotpath — per composed edge; the witness is stored inline in the map
-func (inc *Incremental) addComposed(base, rw graph.Arc) *Result {
-	ck := composedKey{from: base.From, to: rw.To}
-	if _, dup := inc.witness[ck]; !dup {
-		inc.witness[ck] = [2]graph.Arc{base, rw}
-	}
-	return inc.link(graph.Arc{From: base.From, To: rw.To, Obj: composedObj, Kind: graph.AUX})
-}
-
-// composedKey identifies a composed edge in the online witness map.
+// composedKey identifies a composed edge in a compaction's witness map.
 type composedKey struct{ from, to int32 }
+
+// noWitness stands for a first pair a compaction collapsed (carryWitnesses).
+var noWitness [2]graph.Arc
+
+// composeWitness returns the pair base ; rw that first composed f → t, if
+// any: the compaction's, else the first this epoch composed. A pair
+// composes when its later cell is pushed, so pairs compose in the order of
+// (later, earlier) cell id; two cells at or below mark composed before the
+// compaction. A pair a cycle cut short shares the closing edge's head or
+// tail, which no other arc of the (simple) cycle does.
+func (inc *Incremental) composeWitness(f, t int32) (best [2]graph.Arc, found bool) {
+	if w := inc.witness[composedKey{f, t}]; w != noWitness {
+		return w, true
+	}
+	var at int64 // best's (later, earlier) cell ids
+	for _, a := range inc.topo.Out(int(f)) {
+		m := &inc.txns[a.To] // the base arcs out of f lead to every mid
+		for bid, b := range each(&inc.deps, m.baseIn) {
+			for rid, r := range each(&inc.deps, m.rwOut) {
+				c := int64(max(bid, rid))<<32 | int64(min(bid, rid))
+				if b.From == f && r.To == t && max(bid, rid) > inc.mark && (!found || c < at) {
+					best, at, found = [2]graph.Arc{b, r}, c, true
+				}
+			}
+		}
+	}
+	return best, found
+}
 
 // The Obj ids of the two kinds of AUX edge, and the names they report.
 const (
@@ -644,8 +662,10 @@ func (inc *Incremental) expandComposed(cycle []graph.Arc) []graph.Edge {
 	var out []graph.Edge
 	for _, a := range cycle {
 		arcs := []graph.Arc{a}
-		if w, ok := inc.witness[composedKey{a.From, a.To}]; ok && a.Kind == graph.AUX {
-			arcs = w[:]
+		if a.Kind == graph.AUX {
+			if w, ok := inc.composeWitness(a.From, a.To); ok {
+				arcs = w[:]
+			}
 		}
 		for _, a := range arcs {
 			e := graph.Edge{From: int(a.From), To: int(a.To), Kind: a.Kind, Obj: reservedNames[min(a.Obj, graph.NoObj)-composedObj]}
@@ -703,7 +723,7 @@ func (inc *Incremental) Finalize() Result {
 		// then value, so identical streams report identical counterexamples.
 		var best *slot
 		first := func(s *slot) int { return int(inc.ids.At(s.parked.head).v) }
-		for s := range inc.records.All() {
+		for _, s := range inc.records.All() {
 			if s.parked.head == 0 {
 				continue
 			}

@@ -142,7 +142,7 @@ func TestCycleRendersObjectNames(t *testing.T) {
 	inc := NewIncremental(SI)
 	inc.InitTxn("x", "y")
 	y := inc.keyIDs["y"]
-	inc.witness[composedKey{2, 0}] = [2]graph.Arc{{From: 2, To: 1, Obj: y, Kind: graph.WW}, {From: 1, To: 0, Obj: y, Kind: graph.RW}}
+	inc.witness = map[composedKey][2]graph.Arc{{2, 0}: {{From: 2, To: 1, Obj: y, Kind: graph.WW}, {From: 1, To: 0, Obj: y, Kind: graph.RW}}}
 	got := fmt.Sprint(inc.expandComposed([]graph.Arc{
 		{From: 0, To: 1, Obj: epochObj, Kind: graph.AUX},
 		{From: 1, To: 2, Obj: graph.NoObj, Kind: graph.SO},

@@ -10,6 +10,25 @@ import (
 	"mtc/internal/history"
 )
 
+// LWTToHistory converts a lightweight-transaction history into a general
+// History: each LWT becomes its own single-transaction session (LWT
+// clients are independent), an insert becomes a pure write and an R&W a
+// read followed by a write. The resulting history has no ⊥T; inserts play
+// that role. CheckCtx at SSER on the converted history agrees with VLLWT
+// (the SSER ≡ LIN degeneration of Section II-F), which the tests exploit.
+func LWTToHistory(ops []LWT) *history.History {
+	b := history.NewBuilder()
+	for i, o := range ops {
+		switch o.Kind {
+		case LWTInsert:
+			b.TimedTxn(i, o.Start, o.Finish, history.W(o.Key, o.Write))
+		case LWTRW:
+			b.TimedTxn(i, o.Start, o.Finish, history.R(o.Key, o.Read), history.W(o.Key, o.Write))
+		}
+	}
+	return b.Build()
+}
+
 // fig4a is the linearizable history of Figure 4a: O2 [1,4], O1 [3,6],
 // O3 [5,8], witnessed by the order O1, O2, O3.
 func fig4a() []LWT {

@@ -65,13 +65,13 @@ func (s *Slab[T]) At(id int32) *T {
 	return &s.chunks[id>>slabChunkShift][id&(1<<slabChunkShift-1)]
 }
 
-// All iterates the records handed out since the last Reset, in the order
-// Alloc handed them out: one sequential walk over the chunks.
-func (s *Slab[T]) All() iter.Seq[*T] {
-	return func(yield func(*T) bool) {
-		for _, c := range s.chunks[:s.used] {
+// All iterates the records handed out since the last Reset, with their
+// ids, in the order Alloc handed them out: one walk over the chunks.
+func (s *Slab[T]) All() iter.Seq2[int32, *T] {
+	return func(yield func(int32, *T) bool) {
+		for k, c := range s.chunks[:s.used] {
 			for i := range c {
-				if !yield(&c[i]) {
+				if !yield(int32(k<<slabChunkShift|i)+1, &c[i]) {
 					return
 				}
 			}

@@ -22,27 +22,6 @@ type Fixture struct {
 	ViolatesRC     bool
 }
 
-// Violates reports the fixture's expected verdict for a level given by
-// its conventional name (true = the history violates it). Unknown names
-// report false.
-func (f *Fixture) Violates(level string) bool {
-	switch level {
-	case "SSER":
-		return f.ViolatesSSER
-	case "SER":
-		return f.ViolatesSER
-	case "SI":
-		return f.ViolatesSI
-	case "CAUSAL":
-		return f.ViolatesCausal
-	case "RA":
-		return f.ViolatesRA
-	case "RC":
-		return f.ViolatesRC
-	}
-	return false
-}
-
 // Fixtures returns fresh copies of the 14 anomaly histories of Figure 5
 // plus one minimal violating history for each remaining lattice rung
 // (G1cCycle for RC, RealTimeViolation for SSER).

@@ -47,25 +47,6 @@ type TxnSpec struct {
 	Ops []OpSpec
 }
 
-// IsMT reports whether the spec lowers to a mini-transaction: at most two
-// distinct keys, every write preceded by a read of the same key (SpecRMW
-// guarantees this), and at most two reads and two writes.
-func (t TxnSpec) IsMT() bool {
-	reads, writes := 0, 0
-	for _, op := range t.Ops {
-		switch op.Kind {
-		case SpecRead:
-			reads++
-		case SpecRMW:
-			reads++
-			writes++
-		default:
-			return false
-		}
-	}
-	return reads >= 1 && reads <= 2 && writes <= 2
-}
-
 // Workload is a complete plan: per-session transaction specs plus the key
 // universe (used to initialize the store).
 type Workload struct {
