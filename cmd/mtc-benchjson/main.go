@@ -27,6 +27,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -202,11 +203,18 @@ func loadBaseline(path string) (Baseline, error) {
 }
 
 // gate holds the run to the table, reporting one line per row and per
-// ratio on w. Improvements and in-tolerance drift pass.
+// ratio on w. A benchmark run more than once (-count, or a second run
+// appended) reads the median of its readings. Improvements and
+// in-tolerance drift pass.
 func (base Baseline) gate(w io.Writer, cur []Bench, cpus int) error {
-	current := make(map[string]float64, len(cur))
+	readings := make(map[string][]float64, len(cur))
 	for _, b := range cur {
-		current[b.Name] = b.Value
+		readings[b.Name] = append(readings[b.Name], b.Value)
+	}
+	current := make(map[string]float64, len(readings))
+	for name, vs := range readings {
+		slices.Sort(vs)
+		current[name] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 	}
 	regressions, missing := 0, 0
 	lookup := func(name string) (float64, bool) {

@@ -166,6 +166,30 @@ func TestCompareRatios(t *testing.T) {
 	}
 }
 
+// TestCompareReadsTheMedian: a benchmark read three times is held to its
+// middle reading, whatever the order, and one read twice to their mean.
+func TestCompareReadsTheMedian(t *testing.T) {
+	bar := Baseline{Ratios: []Ratio{{Num: "BenchmarkA", Den: "BenchmarkB", Unit: "ns/op", Max: 1.5, Why: "because"}}}
+	for _, tc := range []struct {
+		as    []float64 // BenchmarkA's readings; BenchmarkB reads 100 each time
+		fails bool
+	}{
+		{[]float64{140, 120, 159}, false}, // the last reading alone breaches
+		{[]float64{159, 155, 120}, true},  // the last alone holds
+		{[]float64{159, 140}, false},
+		{[]float64{159, 145}, true},
+	} {
+		var cur []Bench
+		for _, a := range tc.as {
+			cur = append(cur, Bench{Name: "BenchmarkA", Unit: "ns/op", Value: a}, Bench{Name: "BenchmarkB", Unit: "ns/op", Value: 100})
+		}
+		var out strings.Builder
+		if err := bar.gate(&out, cur, runtime.NumCPU()); (err != nil) != tc.fails {
+			t.Errorf("readings %v: err %v, want failure %v:\n%s", tc.as, err, tc.fails, out.String())
+		}
+	}
+}
+
 // TestLoadBaselineRefuses keeps the table to what the gate enforces.
 func TestLoadBaselineRefuses(t *testing.T) {
 	for name, doc := range map[string]string{

@@ -547,6 +547,9 @@ func (inc *Incremental) sweepSlots(next *arenas) {
 			k := s.key.key
 			if inc.keySlots[k]--; inc.keySlots[k] == 0 {
 				delete(inc.keyIDs, inc.keys[k])
+				if int(k) < len(inc.wireOf) && inc.wireOf[k] != 0 { // the id will name another key
+					inc.wire[inc.wireOf[k]-1], inc.wireOf[k] = 0, 0
+				}
 				inc.keys[k] = ""
 				inc.freeKeys = append(inc.freeKeys, k)
 			}

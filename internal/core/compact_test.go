@@ -309,7 +309,7 @@ func replayChecked(tb testing.TB, h *history.History, lvl Level, window int) Res
 	keepUntil := futureRefs(h, order)
 	inc := NewIncremental(lvl)
 	for i, id := range order {
-		if vio := inc.add(h.Txns[id], h.HasInit && id == 0); vio != nil {
+		if vio := inc.add(h.Txns[id], nil, h.HasInit && id == 0); vio != nil {
 			return RemapResult(*vio, order)
 		}
 		fed := i + 1

@@ -13,7 +13,8 @@ var PassedGuarantees = passedGuarantees
 func (d *Deps) SessionGuarantees() []GuaranteeVerdict { return d.sessionGuarantees() }
 
 // IncrementalAdd feeds t to inc as CheckStreamCtx does: as the init
-// transaction when isInit holds.
+// transaction when isInit holds, finding keys through the source's ids
+// when ids is not nil.
 var IncrementalAdd = (*Incremental).add
 
 // ReadAheadBatch is how many transactions CheckStreamCtx hands its

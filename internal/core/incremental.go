@@ -39,16 +39,16 @@ import (
 // window instead of the stream length.
 //
 // The state is three tables. The key table interns keys: an op hashes a
-// string once, and an edge is a graph.Arc naming its key by id, rendered
-// only when a cycle leaves the engine. Unique values give every version
-// — a (key id, value) pair — one committed writer and O(1) readers, so
-// what is known about a version is one slot record found by the version
-// itself — through the version table, in one probe run — an identity
-// compaction cannot disturb. What is known about a transaction is one
-// record of a slice indexed by its node id in the online graph. A
-// compaction renumbers node ids, so they occur only as values (in slots,
-// session records and the SI lists), never as keys, and each
-// transaction's record carries the external stream position (the
+// string once, or never through a source id bound to it (keyOf), and an
+// edge is a graph.Arc naming its key by id, rendered only in a verdict.
+// Unique values give every version — a (key id, value) pair — one
+// committed writer and O(1) readers, so what is known about a version is
+// one slot record found by the version itself — through the version table,
+// in one probe run — an identity compaction cannot disturb. What is known
+// about a transaction is one record of a slice indexed by its node id in
+// the online graph. A compaction renumbers node ids, so they occur only as
+// values (in slots, session records and the SI lists), never as keys, and
+// each transaction's record carries the external stream position (the
 // arrival index the caller observes) a verdict reports.
 //
 // The transaction records, the lists hanging off both tables, the write
@@ -77,6 +77,9 @@ type Incremental struct {
 	keys     []history.Key
 	keySlots []int32
 	freeKeys []int32
+	// wire binds, plus one (0: none), a keyed source's ids to key ids
+	// (keyOf), and wireOf key ids back to them.
+	wire, wireOf []int32
 	// latest is, by key id, the slot of the key's latest committed write
 	// (0: none), the value a fresh read observes: it survives compactions.
 	latest []int32
@@ -269,9 +272,10 @@ func (inc *Incremental) CompactedEpochs() int { return inc.compactEpoch }
 // extOf translates a node id to its external stream position.
 func (inc *Incremental) extOf(i int) int { return inc.txns[i].ext }
 
-// slotOf returns version (k, v)'s slot and id, creating it on first mention.
-func (inc *Incremental) slotOf(k history.Key, v history.Value) (int32, *slot) {
-	key := version{inc.keyOf(k), v}
+// slotOf returns version (k, v)'s slot and id, creating it on first
+// mention; wid is the source's id for k (see keyOf).
+func (inc *Incremental) slotOf(k history.Key, v history.Value, wid history.KeyID) (int32, *slot) {
+	key := version{inc.keyOf(k, wid), v}
 	cell, id := inc.slots.find(&inc.records, key)
 	if id == 0 {
 		if n := len(inc.free); n > 0 {
@@ -287,21 +291,43 @@ func (inc *Incremental) slotOf(k history.Key, v history.Value) (int32, *slot) {
 }
 
 // keyOf returns k's id in the key table, interning it on first mention.
-func (inc *Incremental) keyOf(k history.Key) int32 {
-	if id, ok := inc.keyIDs[k]; ok {
-		return id
+// wid is the id the source gave k, or -1: a bound one finds k's id
+// without hashing k, and the map path binds it for the next op.
+func (inc *Incremental) keyOf(k history.Key, wid history.KeyID) int32 {
+	if wid >= 0 && int(wid) < len(inc.wire) && inc.wire[wid] != 0 {
+		return inc.wire[wid] - 1
 	}
-	id := int32(len(inc.keys))
-	if n := len(inc.freeKeys); n > 0 {
-		id, inc.freeKeys = inc.freeKeys[n-1], inc.freeKeys[:n-1]
-		inc.keys[id] = k
-	} else {
-		inc.keys = graph.Append(inc.keys, k)
-		inc.keySlots = graph.Append(inc.keySlots, 0)
-		inc.latest = graph.Append(inc.latest, 0)
+	id, ok := inc.keyIDs[k]
+	if !ok {
+		id = int32(len(inc.keys))
+		if n := len(inc.freeKeys); n > 0 {
+			id, inc.freeKeys = inc.freeKeys[n-1], inc.freeKeys[:n-1]
+			inc.keys[id] = k
+		} else {
+			inc.keys = graph.Append(inc.keys, k)
+			inc.keySlots = graph.Append(inc.keySlots, 0)
+			inc.latest = graph.Append(inc.latest, 0)
+		}
+		inc.keyIDs[k] = id
 	}
-	inc.keyIDs[k] = id
+	if wid >= 0 {
+		for int(wid) >= len(inc.wire) {
+			inc.wire = graph.Append(inc.wire, 0)
+		}
+		for int(id) >= len(inc.wireOf) {
+			inc.wireOf = graph.Append(inc.wireOf, 0)
+		}
+		inc.wire[wid], inc.wireOf[id] = id+1, int32(wid)+1
+	}
 	return id
+}
+
+// idAt is the source's id for the key of op i, -1 when it gave none.
+func idAt(ids []history.KeyID, i int) history.KeyID {
+	if i < len(ids) {
+		return ids[i]
+	}
+	return -1
 }
 
 // writeSet is a transaction's final-write footprint as a key-sorted
@@ -403,7 +429,7 @@ func (inc *Incremental) InitTxn(keys ...history.Key) *Result {
 	for i, k := range keys {
 		ops[i] = history.Op{Kind: history.OpWrite, Key: k, Value: 0}
 	}
-	return inc.add(history.Txn{Ops: ops, Committed: true}, true)
+	return inc.add(history.Txn{Ops: ops, Committed: true}, nil, true)
 }
 
 // Add feeds the next transaction. Its ID is assigned as the number of
@@ -414,11 +440,14 @@ func (inc *Incremental) InitTxn(keys ...history.Key) *Result {
 // It returns the violation verdict as soon as one exists (every later
 // Add is then a no-op returning the same verdict), nil otherwise.
 func (inc *Incremental) Add(t history.Txn) *Result {
-	return inc.add(t, false)
+	return inc.add(t, nil, false)
 }
 
+// add is Add, as the init transaction when isInit holds; ids holds the
+// source's id of each op's key, or nothing when it gave none (keyOf).
+//
 //mtc:hotpath — per-commit; records, cells and write sets come from the arenas
-func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
+func (inc *Incremental) add(t history.Txn, ids []history.KeyID, isInit bool) *Result {
 	if inc.vio != nil {
 		return inc.vio
 	}
@@ -430,9 +459,9 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		ss.seen = inc.n
 	}
 	if !t.Committed {
-		for _, op := range t.Ops {
+		for i, op := range t.Ops {
 			if op.Kind == history.OpWrite {
-				_, s := inc.slotOf(op.Key, op.Value)
+				_, s := inc.slotOf(op.Key, op.Value, idAt(ids, i))
 				s.aborted = int32(id)
 			}
 		}
@@ -459,11 +488,11 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 	// and unique-value violations surface here.
 	inc.txns[id].writes = makeWriteSet(&inc.writes, t.Ops)
 	woken := inc.woken[:0]
-	for _, op := range t.Ops {
+	for i, op := range t.Ops {
 		if op.Kind != history.OpWrite {
 			continue
 		}
-		sid, s := inc.slotOf(op.Key, op.Value)
+		sid, s := inc.slotOf(op.Key, op.Value, idAt(ids, i))
 		if s.writer >= 0 {
 			return inc.anomaly(history.DuplicateWrite, int(s.writer), op)
 		}
@@ -497,7 +526,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 		}
 	}
 
-	return inc.walkOps(int32(id), t.Ops)
+	return inc.walkOps(int32(id), t.Ops, ids)
 }
 
 // walkOps classifies every read of committed transaction id with
@@ -505,7 +534,7 @@ func (inc *Incremental) add(t history.Txn, isInit bool) *Result {
 // dependency edges of its first external reads.
 //
 //mtc:hotpath — per-commit classification; allocation here scales with every streamed transaction
-func (inc *Incremental) walkOps(id int32, ops []history.Op) *Result {
+func (inc *Incremental) walkOps(id int32, ops []history.Op, ids []history.KeyID) *Result {
 	for i, op := range ops {
 		if op.Kind != history.OpRead {
 			continue
@@ -517,7 +546,7 @@ func (inc *Incremental) walkOps(id int32, ops []history.Op) *Result {
 			continue
 		}
 		// A first external read: its writer is another transaction.
-		if _, s := inc.slotOf(op.Key, op.Value); s.writer < 0 {
+		if _, s := inc.slotOf(op.Key, op.Value, idAt(ids, i)); s.writer < 0 {
 			// Writer unseen: park. AbortedRead / ThinAirRead can only be
 			// told apart once the stream ends (the writer may still
 			// commit), so classification waits for Finalize.

@@ -204,7 +204,7 @@ func TestWindowedStreamReusesKeyIDs(t *testing.T) {
 			if txn.Session >= 0 {
 				inc.ExpectSession(txn.Session)
 			}
-			if inc.add(txn, i == 0 && txn.Session < 0) != nil {
+			if inc.add(txn, nil, i == 0 && txn.Session < 0) != nil {
 				break
 			}
 			inc.MaybeCompact(window, 0, nil)

@@ -54,6 +54,10 @@ func CheckStreamCtx(ctx context.Context, src history.TxnStream, lvl Level, windo
 	i := 0
 	for {
 		b := <-ra.full
+		if b.fresh {
+			clear(inc.wire)
+		}
+		keys := b.keys
 		for _, t := range b.txns {
 			if err := history.CheckTxn(&t); err != nil {
 				return Result{}, fmt.Errorf("history: T%d %w", t.ID, err)
@@ -61,7 +65,9 @@ func CheckStreamCtx(ctx context.Context, src history.TxnStream, lvl Level, windo
 			if t.Session >= declared {
 				inc.ExpectSession(t.Session)
 			}
-			if vio := inc.add(t, i == 0 && t.Session < 0); vio != nil {
+			ids := keys[:min(len(keys), len(t.Ops))]
+			keys = keys[len(ids):]
+			if vio := inc.add(t, ids, i == 0 && t.Session < 0); vio != nil {
 				return *vio, nil
 			}
 			inc.MaybeCompact(window, every, nil)
@@ -91,10 +97,14 @@ const (
 
 // txnBatch is up to readAheadBatch transactions in stream order and the
 // error that ended the batch early: io.EOF at the end of the stream,
-// nil for a full batch.
+// nil for a full batch. keys holds, op by op, the ids a keyed source
+// gave the batch's leading transactions, all of one generation; fresh
+// says it may not be the last batch's (Incremental.keyOf).
 type txnBatch struct {
-	txns []history.Txn
-	err  error
+	txns  []history.Txn
+	keys  []history.KeyID
+	fresh bool
+	err   error
 }
 
 // readAhead runs src.Next on a goroutine of its own, filling batches
@@ -123,20 +133,28 @@ func (ra *readAhead) start(src history.TxnStream) {
 // included), which ends the last batch, or until stop.
 func (ra *readAhead) fill(src history.TxnStream) {
 	defer close(ra.full)
+	keyed, _ := src.(interface {
+		KeyIDs() ([]history.KeyID, uint64)
+	})
+	gen, fresh := uint64(0), false
 	for {
 		var b *txnBatch
 		select {
 		case b = <-ra.free:
-			b.txns = b.txns[:0]
+			b.txns, b.keys = b.txns[:0], b.keys[:0]
 		default:
 			b = &txnBatch{txns: make([]history.Txn, 0, readAheadBatch)}
 		}
+		b.fresh, fresh = fresh, false
 		for len(b.txns) < readAheadBatch && b.err == nil {
 			t, err := src.Next()
 			if err != nil {
 				b.err = err
-			} else {
-				b.txns = append(b.txns, t)
+			} else if b.txns = append(b.txns, t); keyed != nil && !fresh {
+				ids, g := keyed.KeyIDs()
+				if fresh, gen = ids == nil || g != gen, g; !fresh {
+					b.keys = append(b.keys, ids...)
+				}
 			}
 			select {
 			case <-ra.done:

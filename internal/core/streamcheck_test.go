@@ -171,7 +171,7 @@ func TestStreamRefusesASessionBelowInit(t *testing.T) {
 // heapProbe passes a source through and, once `at` transactions have
 // gone by, records the live heap after a collection.
 type heapProbe struct {
-	src  history.TxnStream
+	src  *history.StreamReader
 	at   int
 	n    int
 	heap uint64
@@ -191,6 +191,10 @@ func (p *heapProbe) Next() (history.Txn, error) {
 // DeclaredSessions forwards the wrapped source's header, so the probed
 // check arms its sessions as mtc-verify -stream does.
 func (p *heapProbe) DeclaredSessions() int { return p.src.DeclaredSessions() }
+
+// KeyIDs forwards the reader's key ids, so the probed checker binds them
+// as mtc-verify -stream's does and the bound covers its bindings too.
+func (p *heapProbe) KeyIDs() ([]history.KeyID, uint64) { return p.src.KeyIDs() }
 
 // TestCheckStreamFreshKeysBoundedHeap: a windowed check of an NDJSON
 // stream whose key space never stops growing holds O(window) memory end
@@ -275,7 +279,7 @@ func syncStreamCheck(src history.TxnStream, lvl core.Level, window int) (core.Re
 		if t.Session >= declared {
 			inc.ExpectSession(t.Session)
 		}
-		if vio := core.IncrementalAdd(inc, t, i == 0 && t.Session < 0); vio != nil {
+		if vio := core.IncrementalAdd(inc, t, nil, i == 0 && t.Session < 0); vio != nil {
 			return *vio, nil
 		}
 		inc.MaybeCompact(window, 0, nil)

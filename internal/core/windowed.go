@@ -56,7 +56,7 @@ func CheckIncrementalWindowedCtx(ctx context.Context, h *history.History, lvl Le
 			}
 		}
 		perm = append(perm, id)
-		if vio := inc.add(h.Txns[id], h.HasInit && id == 0); vio != nil {
+		if vio := inc.add(h.Txns[id], nil, h.HasInit && id == 0); vio != nil {
 			return RemapResult(*vio, perm), nil
 		}
 		if window > 0 {

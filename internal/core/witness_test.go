@@ -249,7 +249,7 @@ func TestComposedWitnessMatchesEagerMap(t *testing.T) {
 			inc := NewIncremental(SI)
 			ew := newEagerWitness(inc)
 			for i := range h.Txns {
-				vio := inc.add(h.Txns[i], i == 0)
+				vio := inc.add(h.Txns[i], nil, i == 0)
 				ew.replay()
 				if vio != nil {
 					if len(vio.Cycle) > 0 {

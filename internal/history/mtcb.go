@@ -768,6 +768,11 @@ type IngestArena struct {
 	// the key: a frame finds its duplicate entries without a set of its own.
 	defined []uint64
 	frame   uint64
+	// ids, while non-nil, collects the id internBytes gives each key it
+	// interns, and gen counts the table's restarts: within one gen an id
+	// names exactly one key (StreamReader.KeyIDs).
+	ids []KeyID
+	gen uint64
 	opChunks
 }
 
@@ -846,17 +851,23 @@ const ingestArenaMaxKeys = 1 << 16
 
 // internBytes returns the session-wide string of a key still sitting in
 // the input buffer: a known key costs one map probe and no allocation.
-// The table is a cache — strings handed out stay valid when it restarts.
+// The table is a cache — strings handed out stay valid when it restarts,
+// which starts a new gen. The key's id goes to ids when that is on.
 //
 //mtc:hotpath — one string allocation per distinct key, none per op
 func (a *IngestArena) internBytes(b []byte) Key {
-	if id, ok := a.it.ids[Key(b)]; ok { // the conversion does not allocate in a map index
-		return a.it.Name(id)
+	id, ok := a.it.ids[Key(b)] // the conversion does not allocate in a map index
+	if !ok {
+		if a.it.Len() >= ingestArenaMaxKeys {
+			a.it = newInterner() //mtc:alloc-ok once per 65536 first-seen keys
+			a.gen++
+		}
+		id = a.it.Intern(Key(b)) //mtc:alloc-ok the first sight of a key
 	}
-	if a.it.Len() >= ingestArenaMaxKeys {
-		a.it = newInterner() //mtc:alloc-ok once per 65536 first-seen keys
+	if a.ids != nil {
+		a.ids = append(a.ids, id)
 	}
-	return a.it.Name(a.it.Intern(Key(b))) //mtc:alloc-ok the first sight of a key
+	return a.it.Name(id)
 }
 
 // NumKeys returns the number of distinct keys interned so far.

@@ -104,6 +104,7 @@ type StreamReader struct {
 	line     int
 	next     int
 	declared int
+	keyed    bool  // the last record was scanned, not decoded
 	err      error // the first error, io.EOF included: terminal
 }
 
@@ -119,7 +120,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := &StreamReader{br: br, arena: NewIngestArena()}
+	sr := &StreamReader{br: br, arena: &IngestArena{it: newInterner(), ids: []KeyID{}}}
 	header, err := sr.readLine()
 	if err != nil {
 		return nil, fmt.Errorf("history: ndjson: missing header: %w", err)
@@ -192,7 +193,9 @@ func (sr *StreamReader) read() (Txn, error) {
 		if err != nil {
 			return Txn{}, err
 		}
+		sr.arena.ids = sr.arena.ids[:0]
 		t, ok := scanTxn(line, sr.arena)
+		sr.keyed = ok
 		if !ok {
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue // blank separator lines are tolerated
@@ -207,6 +210,18 @@ func (sr *StreamReader) read() (Txn, error) {
 		sr.next++
 		return t, nil
 	}
+}
+
+// KeyIDs returns the ids the reader's arena gave the keys of the
+// transaction Next last returned, op by op, and the arena's generation
+// (IngestArena.gen), valid until the next Next: nil for a line
+// encoding/json decoded, and mixing two generations on the line where
+// the generation moved on.
+func (sr *StreamReader) KeyIDs() ([]KeyID, uint64) {
+	if !sr.keyed {
+		return nil, sr.arena.gen
+	}
+	return sr.arena.ids, sr.arena.gen
 }
 
 // decode is the encoding/json route for a line scanTxn declined. Its

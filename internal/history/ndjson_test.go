@@ -3,11 +3,14 @@ package history
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -202,5 +205,71 @@ func TestSaveFileNDJSONIsLineOriented(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], `{"format":"mtc-ndjson"`) {
 		t.Fatalf("header line %q", lines[0])
+	}
+}
+
+// TestStreamReaderKeyIDs is the contract CheckStreamCtx relies on: one id
+// per op for a scanned line, nil for a line encoding/json decodes, equal
+// ids for equal keys within a generation, and a new generation from the
+// line that brings the key past ingestArenaMaxKeys.
+func TestStreamReaderKeyIDs(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(NDJSONHeader + "\n")
+	line := func(id int, keys ...string) {
+		txn := Txn{ID: id, Session: 0, Committed: true}
+		for _, k := range keys {
+			txn.Ops = append(txn.Ops, Op{Kind: OpWrite, Key: Key(k), Value: Value(id)})
+		}
+		b, _ := json.Marshal(&txn)
+		doc.Write(append(b, '\n'))
+	}
+	line(0, "a", "b", "a")
+	doc.WriteString(`{"id":1, "sess":0,"ops":[{"k":1,"key":"b","v":1}],"start":0,"finish":0,"committed":true}` + "\n")
+	line(2, "b", "", "c")
+	// Four keys so far: fill the table to one short of its ceiling, then
+	// cross it mid-line.
+	const full = ingestArenaMaxKeys - 2
+	for i := 3; i < full; i++ {
+		line(i, fmt.Sprintf("k%d", i))
+	}
+	line(full, "last", "restart")
+	line(full+1, "a", "restart", "a")
+
+	sr, err := NewStreamReader(strings.NewReader(doc.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() (Txn, []KeyID, uint64) {
+		txn, err := sr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, gen := sr.KeyIDs()
+		return txn, slices.Clone(ids), gen
+	}
+	txn, first, gen0 := next()
+	if len(first) != len(txn.Ops) || first[0] != first[2] || first[0] == first[1] {
+		t.Fatalf("T0 ops %v: ids %v, want one per op, equal for equal keys", txn.Ops, first)
+	}
+	if _, ids, _ := next(); ids != nil {
+		t.Fatalf("T1 took encoding/json, yet has ids %v", ids)
+	}
+	if _, ids, gen := next(); len(ids) != 3 || ids[0] != first[1] || ids[1] == ids[2] || gen != gen0 {
+		t.Fatalf("T2: ids %v gen %d, want b's id %d first and gen %d", ids, gen, first[1], gen0)
+	}
+	for i := 3; i < full; i++ {
+		if _, ids, gen := next(); len(ids) != 1 || gen != gen0 {
+			t.Fatalf("T%d: ids %v gen %d before the table is full", i, ids, gen)
+		}
+	}
+	if _, ids, gen := next(); len(ids) != 2 || gen == gen0 {
+		t.Fatalf("the line crossing the restart: ids %v gen %d, want two and a new generation", ids, gen)
+	}
+	txn, ids, gen := next()
+	if len(ids) != 3 || ids[0] != ids[2] || ids[0] == ids[1] || gen == gen0 {
+		t.Fatalf("T%d after the restart: ids %v gen %d", txn.ID, ids, gen)
+	}
+	if _, err := sr.Next(); err != io.EOF {
+		t.Fatalf("want io.EOF, got %v", err)
 	}
 }
