@@ -3,20 +3,21 @@ package checker
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mtc/internal/core"
 	"mtc/internal/elle"
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 	"mtc/internal/polygraph"
 	"mtc/internal/porcupine"
 )
 
 // engine is one row of the registry table and the only Checker
 // implementation: a name, the levels it serves (default first) and the
-// adapter that runs it. Check stamps the row's name on the Report, so
-// one adapter can serve several rows.
+// adapter that runs it. Check stamps the row's name and the phases the
+// adapter and its engine lap (internal/phase) on the Report, so one
+// adapter can serve several rows; on an error the Report is zero.
 type engine struct {
 	name   string
 	levels []Level
@@ -27,9 +28,13 @@ func (e engine) Name() string    { return e.name }
 func (e engine) Levels() []Level { return e.levels }
 
 func (e engine) Check(ctx context.Context, h *history.History, opts Options) (Report, error) {
+	ctx, timings := phase.Start(ctx)
 	rep, err := e.check(ctx, h, opts)
-	rep.Checker = e.name
-	return rep, err
+	if err != nil {
+		return Report{}, err
+	}
+	rep.Checker, rep.Timings = e.name, timings()
+	return rep, nil
 }
 
 func init() {
@@ -50,14 +55,6 @@ func init() {
 	} {
 		Register(e)
 	}
-}
-
-// millis converts a duration to the PhaseTiming unit.
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// since is the Timings of an engine that runs as one phase.
-func since(phase string, start time.Time) []PhaseTiming {
-	return []PhaseTiming{{Phase: phase, Millis: millis(time.Since(start))}}
 }
 
 // ReportFromResult normalises a core.Result into the wire Report shape;
@@ -98,14 +95,8 @@ func reportFromProfile(lvl Level, prof *core.Profile) Report {
 
 // checkMTC serves every level of the lattice through core.CheckCtx.
 func checkMTC(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	start := time.Now()
-	r, err := core.CheckCtx(ctx, indexOf(h, opts), opts.Level)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := ReportFromResult("", r)
-	rep.Timings = since("check", start)
-	return rep, nil
+	r, err := core.CheckCtx(ctx, indexOf(ctx, h, opts), opts.Level)
+	return ReportFromResult("", r), err
 }
 
 // checkIncremental replays the history through the online engine; on
@@ -113,14 +104,9 @@ func checkMTC(ctx context.Context, h *history.History, opts Options) (Report, er
 // Options.Window > 0 selects the epoch-windowed replay: bounded memory,
 // identical verdicts.
 func checkIncremental(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	start := time.Now()
+	phase.Lap(ctx, "replay")
 	r, err := core.CheckIncrementalWindowedCtx(ctx, h, opts.Level, opts.Window)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := ReportFromResult("", r)
-	rep.Timings = since("replay", start)
-	return rep, nil
+	return ReportFromResult("", r), err
 }
 
 // checkPolygraph serves the Cobra and PolySI baselines.
@@ -129,38 +115,27 @@ func checkPolygraph(ctx context.Context, h *history.History, opts Options) (Repo
 	if opts.Level == core.SI {
 		mode = polygraph.SI
 	}
-	rep, err := polygraph.Check(ctx, indexOf(h, opts), mode)
-	if err != nil {
-		return Report{}, err
-	}
+	rep, err := polygraph.Check(ctx, indexOf(ctx, h, opts), mode)
 	return Report{
 		Level: opts.Level, OK: rep.OK,
 		Txns: len(h.Txns), Anomalies: rep.Anomalies,
 		Detail: fmt.Sprintf("constraints=%d forced=%d residual=%d", rep.Constraints, rep.Forced, rep.Residual),
-		Timings: []PhaseTiming{
-			{Phase: "build", Millis: millis(rep.BuildTime)},
-			{Phase: "prune", Millis: millis(rep.PruneTime)},
-			{Phase: "solve", Millis: millis(rep.SolveTime)},
-		},
-	}, nil
+	}, err
 }
 
 // checkElle serves Elle's read-write-register mode.
 func checkElle(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	start := time.Now()
-	rep, err := elle.CheckRWRegisterCtx(ctx, indexOf(h, opts), elle.Level(opts.Level))
-	if err != nil {
-		return Report{}, err
-	}
+	ix := indexOf(ctx, h, opts)
+	phase.Lap(ctx, "check")
+	rep, err := elle.CheckRWRegisterCtx(ctx, ix, elle.Level(opts.Level))
 	v := Report{
 		Level: opts.Level, OK: rep.OK,
 		Txns: len(h.Txns), Cycle: rep.Cycle, Detail: rep.Reason,
-		Timings: since("check", start),
 	}
 	if len(rep.Cycle) > 0 {
 		v.Detail = graph.FormatCycle(rep.Cycle)
 	}
-	return v, nil
+	return v, err
 }
 
 // checkPorcupine serves the Porcupine (WGL) linearizability baseline
@@ -171,28 +146,18 @@ func checkPorcupine(ctx context.Context, h *history.History, opts Options) (Repo
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	convStart := time.Now()
+	phase.Lap(ctx, "convert")
 	ops, err := LWTFromHistory(h)
 	if err != nil {
 		return Report{}, &UnsupportedHistoryError{Checker: "porcupine", Reason: err.Error()}
 	}
-	convTime := time.Since(convStart)
-	solveStart := time.Now()
+	phase.Lap(ctx, "solve")
 	ok, err := porcupine.CheckCtx(ctx, ops)
-	if err != nil {
-		return Report{}, err
-	}
-	v := Report{
-		Level: core.SSER, OK: ok, Txns: len(h.Txns),
-		Timings: []PhaseTiming{
-			{Phase: "convert", Millis: millis(convTime)},
-			{Phase: "solve", Millis: millis(time.Since(solveStart))},
-		},
-	}
+	v := Report{Level: core.SSER, OK: ok, Txns: len(h.Txns)}
 	if !ok {
 		v.Detail = "history is not linearizable (WGL search exhausted)"
 	}
-	return v, nil
+	return v, err
 }
 
 // checkProfile evaluates the whole lattice plus the session guarantees
@@ -201,14 +166,11 @@ func checkPorcupine(ctx context.Context, h *history.History, opts Options) (Repo
 // replacement for `mtc`, which the differential suite exploits — while
 // StrongestLevel, Rungs and Guarantees carry the full profile.
 func checkProfile(ctx context.Context, h *history.History, opts Options) (Report, error) {
-	start := time.Now()
-	prof, err := core.ProfileCtx(ctx, indexOf(h, opts))
+	prof, err := core.ProfileCtx(ctx, indexOf(ctx, h, opts))
 	if err != nil {
 		return Report{}, err
 	}
-	rep := reportFromProfile(opts.Level, prof)
-	rep.Timings = since("profile", start)
-	return rep, nil
+	return reportFromProfile(opts.Level, prof), nil
 }
 
 // LWTFromHistory converts an LWT-shaped history into the operation list

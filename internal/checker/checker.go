@@ -32,6 +32,7 @@ import (
 	"mtc/internal/core"
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 )
 
 // Level names an isolation level. The values coincide with core.Level so
@@ -99,20 +100,17 @@ type Options struct {
 // indexOf returns the columnar index the index-consuming adapters check
 // over: opts.Index when it indexes exactly h, else a fresh build. It is
 // the one place a batch check builds its index.
-func indexOf(h *history.History, opts Options) *history.Index {
+func indexOf(ctx context.Context, h *history.History, opts Options) *history.Index {
 	if opts.Index != nil && opts.Index.History() == h {
 		return opts.Index
 	}
+	phase.Lap(ctx, "index")
 	return history.NewIndex(h)
 }
 
-// PhaseTiming is the wall-clock cost of one engine phase, in
-// milliseconds; engines report the phases they actually run (e.g. the
-// Cobra pipeline reports build, prune and solve).
-type PhaseTiming struct {
-	Phase  string  `json:"phase"`
-	Millis float64 `json:"millis"`
-}
+// PhaseTiming is one row of Report.Timings: the wall-clock cost of a
+// phase the engine ran (internal/phase; docs/api.md lists them).
+type PhaseTiming = phase.Timing
 
 // Report is the normalised outcome of a checker run. Every field
 // serializes, so a Report round-trips through the v1 API and the Go SDK

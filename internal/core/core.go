@@ -70,6 +70,7 @@ import (
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 )
 
 // Level names an isolation level of the lattice.
@@ -235,6 +236,7 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
+	phase.Lap(ctx, "search")
 	return d.Rung(ctx, lvl)
 }
 
@@ -248,6 +250,7 @@ func CheckCtx(ctx context.Context, ix *history.Index, lvl Level) (Result, error)
 // concurrency knob. Its cost is two allocations: the closure, and the
 // channel, unbuffered because a buffer of pointers is one more.
 func precheckedDeps(ctx context.Context, ix *history.Index) ([]history.Anomaly, *Deps, error) {
+	phase.Lap(ctx, "derive")
 	pre := make(chan []history.Anomaly)
 	go func() { pre <- history.CheckInternalIndexed(ix) }()
 	d, err := BuildDependencyCtx(ctx, ix)
@@ -315,6 +318,7 @@ func (d *Deps) checkSSER(ctx context.Context, ser Result) (Result, error) {
 	res := ser
 	res.Level = SSER
 	if ser.OK {
+		phase.Lap(ctx, "inversion")
 		var err error
 		if res.Cycle, err = d.Inversion(ctx); err != nil {
 			return Result{}, err

@@ -5,6 +5,7 @@ import (
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 )
 
 // None is the pseudo-level a profile reports when even RC is violated
@@ -125,6 +126,7 @@ func ProfileCtx(ctx context.Context, ix *history.Index) (*Profile, error) {
 	}
 	p.NumEdges = d.Graph.NumEdges()
 
+	phase.Lap(ctx, "rungs")
 	ser, err := d.Rung(ctx, SER)
 	if err != nil {
 		return nil, err

@@ -25,10 +25,10 @@ package polygraph
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 	"mtc/internal/sat"
 )
 
@@ -234,48 +234,39 @@ type Report struct {
 	Forced      int
 	Residual    int
 	Solver      sat.Result
-	// Per-phase wall-clock durations of the pipeline stages.
-	BuildTime, PruneTime, SolveTime time.Duration
 }
 
 // Check verifies the indexed general (or MT) history at mode's level:
 // the INT/G1 pre-check, Build, Prune, then the SAT search over the
-// residue. Both the pruning fixpoint and the search poll ctx, so a
-// deadline stops the run promptly; the Report is only meaningful when
-// the returned error is nil.
+// residue, each a phase (internal/phase) when it runs. Both the pruning
+// fixpoint and the search poll ctx, so a deadline stops the run
+// promptly; the Report is only meaningful when the returned error is nil.
 func Check(ctx context.Context, ix *history.Index, mode Mode) (Report, error) {
+	phase.Lap(ctx, "precheck")
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {
 		return Report{OK: false, Anomalies: as}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	start := time.Now()
+	phase.Lap(ctx, "build")
 	p := Build(ix)
-	rep := Report{Constraints: len(p.Cons), BuildTime: time.Since(start)}
-	start = time.Now()
+	rep := Report{Constraints: len(p.Cons)}
+	phase.Lap(ctx, "prune")
 	ok, err := p.Prune(ctx, mode)
-	rep.PruneTime = time.Since(start)
-	if err != nil {
-		return rep, err
-	}
 	rep.Forced = p.Forced
-	if !ok {
-		return rep, nil
+	if err != nil || !ok {
+		return rep, err
 	}
 	rep.Residual = len(p.Cons)
 	solve := sat.SolveAcyclic
 	if mode == SI {
 		solve = sat.SolveSI
 	}
-	start = time.Now()
+	phase.Lap(ctx, "solve")
 	rep.Solver, err = solve(ctx, p.N, p.Known, p.Cons)
-	rep.SolveTime = time.Since(start)
-	if err != nil {
-		return rep, err
-	}
 	rep.OK = rep.Solver.Sat
-	return rep, nil
+	return rep, err
 }
 
 // reacher answers reach(u, v) queries; either the full closure table or

@@ -219,21 +219,7 @@ func checkKey(ctx context.Context, ops []core.LWT) (bool, error) {
 				return false, err
 			}
 		}
-		if e == nil {
-			// Reached the end without linearizing everything: backtrack.
-			if len(stack) == 0 {
-				return false, nil
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			st = f.prior
-			linearized.clear(f.op)
-			remaining++
-			unlift(f.op)
-			e = callEnt[f.op].next
-			continue
-		}
-		if e.call {
+		if e != nil && e.call {
 			if ns, ok := step(st, ops[e.op]); ok {
 				// Tentatively linearize e.op.
 				linearized.set(e.op)
@@ -250,8 +236,9 @@ func checkKey(ctx context.Context, ops []core.LWT) (bool, error) {
 			e = e.next
 			continue
 		}
-		// A return entry: every operation that returned must already be
-		// linearized on this path; otherwise backtrack.
+		// The end of the list without linearizing everything, or a return
+		// entry (every operation that returned must already be linearized
+		// on this path): backtrack.
 		if len(stack) == 0 {
 			return false, nil
 		}

@@ -4,15 +4,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mtc/internal/checker"
 	"mtc/internal/core"
 	"mtc/internal/graph"
 	"mtc/internal/history"
+	"mtc/internal/phase"
 )
 
 func init() {
@@ -30,11 +31,13 @@ func init() {
 // directly — sharding degenerates to the plain engine plus a partition
 // pass. Either way the engine is handed its history's index through
 // Options.Index, built from the key column the split interned, so a
-// sharded check interns every key once.
+// sharded check interns every key once. The split is timed as the
+// "partition" phase, ahead of the engine's.
 func Check(ctx context.Context, c checker.Checker, h *history.History, opts checker.Options) (checker.Report, error) {
-	splitStart := time.Now()
+	pctx, timings := phase.Start(ctx)
+	phase.Lap(pctx, "partition")
 	p := Split(h)
-	splitTime := time.Since(splitStart)
+	partition := timings()
 
 	inner := opts
 	inner.Shard = 0
@@ -47,10 +50,8 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 		if err != nil {
 			return checker.Report{}, err
 		}
-		rep.ShardComponents = len(p.Components)
-		if rep.ShardComponents == 0 {
-			rep.ShardComponents = 1 // nothing to split (e.g. init-only history)
-		}
+		rep.ShardComponents = max(len(p.Components), 1) // 0: nothing to split (e.g. init-only history)
+		rep.Timings = append(partition, rep.Timings...)
 		return rep, nil
 	}
 
@@ -96,9 +97,7 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 		}
 	}
 	rep := Merge(p, c.Name(), opts.Level, reports)
-	rep.Timings = append([]checker.PhaseTiming{
-		{Phase: "partition", Millis: float64(splitTime) / float64(time.Millisecond)},
-	}, rep.Timings...)
+	rep.Timings = append(partition, rep.Timings...)
 	return rep, nil
 }
 
@@ -135,10 +134,8 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 		ShardComponents: len(p.Components),
 	}
 	largest := 0
-	offender := -1   // component index of the first offense
-	offenderAt := -1 // its FirstOffense
-	var phaseOrder []string
-	phaseSum := make(map[string]float64)
+	offender := -1                         // component index of the first offense
+	offenderAt := -1                       // its FirstOffense
 	rungAt := make(map[checker.Level]int)  // level -> index in out.Rungs
 	guarAt := make(map[core.Guarantee]int) // guarantee -> index in out.Guarantees
 	for i := range reports {
@@ -152,10 +149,11 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 		out.CompactedTxns += rep.CompactedTxns
 		out.Anomalies = append(out.Anomalies, rep.Anomalies...)
 		for _, ph := range rep.Timings {
-			if _, seen := phaseSum[ph.Phase]; !seen {
-				phaseOrder = append(phaseOrder, ph.Phase)
+			if at := slices.IndexFunc(out.Timings, func(t checker.PhaseTiming) bool { return t.Phase == ph.Phase }); at >= 0 {
+				out.Timings[at].Millis += ph.Millis
+			} else {
+				out.Timings = append(out.Timings, ph)
 			}
-			phaseSum[ph.Phase] += ph.Millis
 		}
 		if !rep.OK {
 			out.OK = false
@@ -168,9 +166,6 @@ func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Rep
 		}
 	}
 	sortAnomalies(out.Anomalies)
-	for _, ph := range phaseOrder {
-		out.Timings = append(out.Timings, checker.PhaseTiming{Phase: ph, Millis: phaseSum[ph]})
-	}
 	summary := fmt.Sprintf("sharded: %d components (largest %d txns)", len(p.Components), largest)
 	switch {
 	case out.Detail != "":
