@@ -184,9 +184,9 @@ type SessionStatus struct {
 	Window int `json:"window,omitempty"`
 	// CompactedEpochs and CompactedTxns report how often epoch
 	// compaction has run on this session and how many settled
-	// transactions it collapsed; LiveTxns is what remains materialised
-	// and LiveEdges the dependency-graph edges among it (summary edges
-	// included), which compaction keeps proportional to LiveTxns.
+	// transactions it collapsed; LiveTxns is what remains in the graph
+	// (the window and what a future edge can still reach) and LiveEdges
+	// the edges among it (summary edges included), kept proportional.
 	CompactedEpochs int `json:"compacted_epochs,omitempty"`
 	CompactedTxns   int `json:"compacted_txns,omitempty"`
 	LiveTxns        int `json:"live_txns,omitempty"`

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"mtc/internal/graph"
 )
@@ -21,10 +22,10 @@ const (
 // fresh ones would be most of what an epoch allocates.
 type compactScratch struct {
 	tier  []uint8
-	order []int
-	remap []int32
+	order []int    // also markSlots' stack
+	remap []int32  // also markSlots' marks: the nodes a future edge can reach
 	rows  []span   // per node: its row of bits and its column
-	cols  []int32  // column -> node
+	cols  []int32  // column -> node; between compactions, add's list of the slots its writes woke
 	bits  []uint64 // the rows, in the order the sweep opens them, then the candidate row
 	// heads[x]: a summary edge leads to node x of the current graph. Only
 	// Compact emits them, so it is the one that knows; a node added since
@@ -66,11 +67,18 @@ func isEpoch(a graph.Arc) bool { return a.Kind == graph.AUX && a.Obj == epochObj
 //     which makes windowed verdicts provably identical to unbounded ones;
 //   - the initial transaction and each session's latest transaction
 //     (sources of future SO edges);
-//   - parked readers still waiting for their writer;
-//   - every slot — a writer, its readers and its RMW overwriter — whose
-//     values remain readable: the writer is recent or pinned, it wrote a
-//     key's current latest value, or the slot was referenced within the
-//     window. Future reads resolve against exactly this retained state.
+//   - every slot record whose values remain readable: the writer is recent
+//     or pinned, it wrote a key's current latest value, or the slot was
+//     referenced within the window. Future reads resolve against exactly
+//     these records;
+//   - of their writers, readers and RMW overwriters, and of the parked
+//     readers, those a future edge can reach. An edge only ever leads
+//     into a new transaction or the open set — an overwriter of a readable
+//     slot, a parked reader and, under SI, the heads of its RW edges — so
+//     markSlots walks the graph from there. A slot member out of reach
+//     leaves the graph but not its slot (see slot.writer and readers);
+//   - under SI, as bare nodes, the far ends of the base edges into and the
+//     RW edges out of each transaction kept in full (see below).
 //
 // Everything else is provably settled under the epoch contract: no
 // future transaction reads a value written behind the frontier or
@@ -163,6 +171,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			tier[i] = tierBase
 		}
 	}
+	inc.markSlots(frontier)
 	keepFull := func(x int) { tier[x] = max(tier[x], tierFull) }
 	if inc.initID >= 0 {
 		keepFull(inc.initID)
@@ -173,12 +182,12 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) {
 			keepFull(ss.last)
 		}
 	}
-	inc.markSlots(frontier)
 	// Under SI a future RW edge out of a kept reader r composes with r's
 	// baseIn, and a future base edge into r composes with r's rwOut; the
 	// far endpoints of those compositions must still exist as nodes (one
 	// hop only — old nodes never gain new base in-edges, and new RW
-	// sources are always slot members, which are kept in full).
+	// sources are always slot members, kept in full unless out of every
+	// future edge's reach, where an RW edge out of them is only counted).
 	if inc.lvl == SI {
 		for i := range inc.txns {
 			if tier[i] < tierFull {
@@ -360,17 +369,17 @@ func (inc *Incremental) carryWitnesses(next *arenas) {
 	}
 }
 
-// markSlots is Compact's mark phase, one walk over the slot records:
-// parked readers still wait for their writer; a slot whose committed
-// write still accepts future readers or an overwriter keeps its writer
-// (which anchors future WR edges even before anyone read it), its readers
-// and its overwriter. With session tracking on, a slot dethroned at or
-// after the staleness horizon — the minimum last-ingested position across
-// active sessions — is readable too: a transaction in flight on some
-// session started before the dethronement reached that session's stream
-// and may still legitimately read the slot's value.
+// markSlots is Compact's mark phase. One walk over the slot records finds
+// the readable ones — a committed write that still accepts future readers
+// or an overwriter — and marks their members and the parked readers; a
+// walk over the graph from the open set (see Compact) then unmarks every
+// member it does not reach. With session tracking on, a slot dethroned at
+// or after the staleness horizon — the minimum last-ingested position
+// across active sessions — is readable too: a transaction in flight on
+// some session started before the dethronement reached that session's
+// stream and may still legitimately read the slot's value.
 //
-//mtc:hotpath — per slot and per list cell
+//mtc:hotpath — per slot, per list cell and per reached edge; the marks and the stack are Compact's scratch
 func (inc *Incremental) markSlots(frontier int) {
 	horizon, track := 0, false
 	//mtc:nondeterministic-ok minimum fold; min is commutative
@@ -379,13 +388,31 @@ func (inc *Incremental) markSlots(frontier int) {
 			horizon, track = ss.seen, true
 		}
 	}
-	tier := inc.scratch.tier
+	sc := &inc.scratch
+	tier := sc.tier
+	sc.remap = resize(sc.remap, len(tier))
+	reached := sc.remap
+	clear(reached)
+	sc.order = resize(sc.order, len(tier)) // each node is pushed once at most
+	stack := sc.order[:0]
+	reach := func(x int32) {
+		if reached[x] == 0 {
+			reached[x] = 1
+			stack = append(stack, int(x))
+		}
+	}
 	for _, s := range inc.records.All() {
 		if s.free {
 			continue
 		}
 		for _, r := range each(&inc.ids, s.parked) {
 			tier[r] = max(tier[r], tierFull)
+			reach(r)
+			if inc.lvl == SI {
+				for _, rw := range each(&inc.deps, inc.txns[r].rwOut) {
+					reach(rw.To)
+				}
+			}
 		}
 		// Readable: its writer is recent or pinned, or the value is still its
 		// key's latest, was read within the window, or was dethroned within
@@ -395,17 +422,35 @@ func (inc *Incremental) markSlots(frontier int) {
 		for f.final != 0 {
 			f = inc.records.At(f.final)
 		}
-		s.live = s.writer >= 0 && (tier[s.writer] == tierBase ||
+		s.live = s.writer != -1 && (s.writer >= 0 && tier[s.writer] == tierBase ||
 			f.dethroned == 0 || f.ref >= frontier || (track && f.dethroned >= horizon))
 		if !s.live {
 			continue
 		}
-		tier[s.writer] = max(tier[s.writer], tierFull)
+		if s.writer >= 0 {
+			tier[s.writer] = max(tier[s.writer], tierFull)
+		}
 		for _, r := range each(&inc.ids, s.readers) {
-			tier[r] = max(tier[r], tierFull)
+			if r >= 0 {
+				tier[r] = max(tier[r], tierFull)
+			}
 		}
 		if s.over >= 0 {
 			tier[s.over] = max(tier[s.over], tierFull)
+			reach(s.over)
+		}
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range inc.topo.Out(x) {
+			reach(e.To)
+		}
+	}
+	// A member no future edge reaches can lie on no future cycle.
+	for x, t := range tier {
+		if t == tierFull && reached[x] == 0 {
+			tier[x] = tierNone
 		}
 	}
 }
@@ -507,27 +552,40 @@ func (inc *Incremental) reduce(next *graph.Online, candAt int) (live int) {
 // sweepSlots is Compact's sweep phase, a second walk over the slot
 // records once the new ids are known. A record stays where it is, so
 // neither the version table nor latest hears of a survivor: the node ids in
-// it are rewritten, its lists move to next, and only a slot with nothing
-// left — no readable write, no aborted writer worth naming, nobody parked
-// — leaves the table for the free list, and its key's id too if it was
-// the key's last slot (a key with a committed write keeps its latest).
+// it are rewritten (a dropped member to its stand-in, see slot.writer), its
+// lists move to next, and only a slot with nothing left — no readable
+// write, no aborted writer worth naming, nobody parked — leaves the table
+// for the free list, and its key's id too if it was the key's last slot (a
+// key with a committed write keeps its latest).
 //
 //mtc:hotpath — per slot and per list cell
 func (inc *Incremental) sweepSlots(next *arenas) {
 	tier, remap := inc.scratch.tier, inc.scratch.remap
 	reIDs := func(ids list) (out list) {
 		for _, id := range each(&inc.ids, ids) {
-			push(&next.ids, &out, remap[id])
+			if id >= 0 {
+				id = remap[id]
+			}
+			push(&next.ids, &out, id)
 		}
 		return out
 	}
-	for _, s := range inc.records.All() {
+	bound := int(inc.records.Bound())
+	for id, s := range inc.records.All() {
 		if s.free {
 			continue
 		}
 		s.parked = reIDs(s.parked)
 		if s.live {
-			s.writer, s.readers = remap[s.writer], reIDs(s.readers)
+			if w := s.writer; w >= 0 {
+				if s.writer = remap[w]; s.writer < 0 {
+					if len(inc.droppedExt) < bound {
+						inc.droppedExt = slices.Grow(inc.droppedExt, bound-len(inc.droppedExt))[:bound]
+					}
+					inc.droppedExt[id], s.writer = inc.txns[w].ext, -2-id
+				}
+			}
+			s.readers = reIDs(s.readers)
 			if s.over >= 0 {
 				s.over = remap[s.over]
 			}
@@ -541,7 +599,7 @@ func (inc *Incremental) sweepSlots(next *arenas) {
 				s.aborted = -1
 			}
 		}
-		if s.writer < 0 && s.aborted < 0 && s.parked.head == 0 {
+		if s.writer == -1 && s.aborted < 0 && s.parked.head == 0 {
 			inc.free = append(inc.free, inc.slots.del(&inc.records, s))
 			s.free = true
 			k := s.key.key

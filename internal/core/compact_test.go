@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -445,6 +447,10 @@ func TestCompactNothingToCollapseAllocatesNothing(t *testing.T) {
 // TestSweepMatchesLegacyOnZipf: the stream the benchmarks run — 2000 Zipf
 // keys, window 2048 — at both levels, and at SER with live sessions holding
 // the staleness horizon: every compaction loads the legacy sweep's edges.
+// At SER a compaction also keeps no more than the window, each session's
+// latest transaction, the parked readers and ⊥T: every older slot member
+// lies out of every future edge's reach on this stream (a count, so a
+// busy host cannot blur it).
 func TestSweepMatchesLegacyOnZipf(t *testing.T) {
 	const (
 		keys     = 2000
@@ -466,7 +472,21 @@ func TestSweepMatchesLegacyOnZipf(t *testing.T) {
 			if vio := inc.Add(store.next(i % sessions)); vio != nil {
 				t.Fatalf("%s: serializable stream rejected at %d: %s", tc.lvl, i, vio.Witness())
 			}
+			epoch := inc.CompactedEpochs()
 			sweepChecked(t, inc, func() { inc.MaybeCompact(window, 0, nil) })
+			if tc.lvl != SER || inc.CompactedEpochs() == epoch {
+				continue
+			}
+			parked := 0
+			for _, s := range inc.records.All() {
+				for range each(&inc.ids, s.parked) {
+					parked++
+				}
+			}
+			if bound := window + len(inc.sessions) + parked + 1; inc.LiveNodes() > bound {
+				t.Fatalf("%s: epoch %d keeps %d nodes, more than the window, %d sessions and %d parked readers allow (%d)",
+					tc.lvl, inc.CompactedEpochs(), inc.LiveNodes(), len(inc.sessions), parked, bound)
+			}
 		}
 		if got, want := inc.CompactedEpochs(), txns/(window/2)-2; got < want {
 			t.Fatalf("%s: %d compactions, want at least %d", tc.lvl, got, want)
@@ -617,5 +637,122 @@ func TestIntermediateVersionSharesItsFinalSlotsFate(t *testing.T) {
 		if !sawReadable || !sawSettled {
 			t.Fatalf("%s: final slot seen readable: %v, settled: %v; want both", lvl, sawReadable, sawSettled)
 		}
+	}
+}
+
+// TestDroppedWriterKeepsItsSlotsVerdicts: a compaction takes the writer
+// and a reader of a cold key's latest version out of the graph — no future
+// edge can reach them — while the slot stays readable. A duplicate write,
+// an intermediate read, a lost update and a late read the session horizon
+// still allows must then end in the unbounded checker's verdict, witness
+// and edge count: the slot is not freed, a read of it does not park, and
+// the edges out of the dropped transactions are counted.
+func TestDroppedWriterKeepsItsSlotsVerdicts(t *testing.T) {
+	const (
+		window = 16
+		pads   = 4 // sessions 0..3 publish RMWs of their own pad key
+		lag    = 4 // a session that reads along, or stalls the horizon
+	)
+	R, W := history.R, history.W
+	type step struct {
+		sess int
+		ops  []history.Op // nil: pad traffic for two windows, lag stalled
+	}
+	for _, tc := range []struct {
+		name string
+		tail []step
+	}{
+		{"duplicate write", []step{{2, []history.Op{W("x", 2)}}}},
+		{"intermediate read", []step{{2, []history.Op{R("x", 1)}}}},
+		{"lost update", []step{{2, []history.Op{R("x", 2), W("x", 3)}}, {3, []history.Op{R("x", 2), W("x", 4)}}}},
+		{"late read", []step{{2, []history.Op{R("x", 2), W("x", 3)}}, {}, {lag, []history.Op{R("x", 2)}}}},
+	} {
+		for _, lvl := range []Level{SER, SI} {
+			win, full := NewIncremental(lvl), NewIncremental(lvl)
+			keys := []history.Key{"x", "p0", "p1", "p2", "p3"}
+			win.InitTxn(keys...)
+			full.InitTxn(keys...)
+			for s := 0; s <= lag; s++ {
+				win.ExpectSession(s)
+				full.ExpectSession(s)
+			}
+			var got, want *Result
+			add := func(sess int, ops ...history.Op) {
+				txn := history.Txn{Session: sess, Ops: ops, Committed: true}
+				if got == nil {
+					got = win.Add(txn)
+					win.MaybeCompact(window, 0, nil)
+				}
+				if want == nil {
+					want = full.Add(txn)
+				}
+			}
+			cur, fresh := make([]history.Value, pads), history.Value(100)
+			pad := func(stall bool) {
+				for i := range 2 * window {
+					k := i % pads
+					add(k, R(keys[1+k], cur[k]), W(keys[1+k], fresh))
+					cur[k], fresh = fresh, fresh+1
+					if !stall && i%pads == 0 {
+						add(lag, R("p0", cur[0]))
+					}
+				}
+			}
+			add(0, R("x", 0), W("x", 1), W("x", 2)) // x=1 is intermediate, x=2 the key's latest
+			add(1, R("x", 2))
+			pad(false)
+			pad(false)
+			for _, v := range []history.Value{1, 2} {
+				if s := slotAt(win, "x", v); s == nil || s.writer >= -1 {
+					t.Fatalf("%s/%s: x=%d has no slot or its writer is still in the graph: %+v", tc.name, lvl, v, s)
+				}
+			}
+			if s := slotAt(win, "x", 2); win.ids.At(s.readers.head).v != -1 {
+				t.Fatalf("%s/%s: the reader of x=2 is still in the graph", tc.name, lvl)
+			}
+			for _, st := range tc.tail {
+				if st.ops == nil {
+					pad(true)
+					if s := slotAt(win, "x", 2); s == nil || s.writer >= -1 {
+						t.Fatalf("%s/%s: after the overwrite, x=2 has no slot or its writer is back: %+v", tc.name, lvl, s)
+					}
+					continue
+				}
+				add(st.sess, st.ops...)
+			}
+			if win.CompactedEpochs() < 4 {
+				t.Fatalf("%s/%s: only %d compactions", tc.name, lvl, win.CompactedEpochs())
+			}
+			if win.NumEdges() != full.NumEdges() {
+				t.Errorf("%s/%s: %d edges counted, the unbounded checker counts %d", tc.name, lvl, win.NumEdges(), full.NumEdges())
+			}
+			g, w := win.Finalize(), full.Finalize()
+			g.CompactedTxns, g.CompactedEpochs = 0, 0
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s/%s: windowed verdict %+v (%s), unbounded %+v (%s)", tc.name, lvl, g, g.Witness(), w, w.Witness())
+			}
+			if tc.name == "late read" && !g.OK || tc.name != "late read" && g.OK {
+				t.Errorf("%s/%s: verdict OK = %v", tc.name, lvl, g.OK)
+			}
+		}
+	}
+}
+
+// TestStructSizes pins the records every stream pays for. A slot is kept
+// per version for good by an unbounded stream, so a byte more on it is a
+// byte more per version on the BenchmarkStream100kUnboundedZipf/alloc row
+// of bench/baseline.json, gated to 5 %; and TestSmallIncrementalIsSmall's
+// SI run sits at its 10 KiB bound under -race, so a word more on the
+// Incremental fails it there. Grow either only with the gate row and the
+// bound in view.
+func TestStructSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(slot{}); got != 72 {
+		t.Errorf("slot is %d bytes, want 72: the Stream100kUnboundedZipf/alloc gate row pays per version", got)
+	}
+	if got := unsafe.Sizeof(Incremental{}); got != 832 {
+		t.Errorf("Incremental is %d bytes, want 832: TestSmallIncrementalIsSmall's SI bound under -race has no slack", got)
 	}
 }

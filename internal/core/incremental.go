@@ -99,9 +99,10 @@ type Incremental struct {
 	lastCompactAt int // NumTxns at the last MaybeCompact-triggered compaction
 	scratch       compactScratch
 
-	// woken is add's scratch: the slots a transaction's writes found
-	// readers parked on.
-	woken []int32
+	// droppedExt is, by slot id, the external position of a writer a
+	// compaction dropped (see slot.writer); the first such compaction
+	// allocates it.
+	droppedExt []int
 }
 
 // version identifies one written value of one key, by key id.
@@ -181,8 +182,13 @@ func (t *versionTable) del(recs *graph.Slab[slot], s *slot) int32 {
 // per version for good — and positions are NumTxns at the time of the
 // event.
 type slot struct {
-	key     version
-	writer  int32 // committed writer, -1 while none has arrived
+	key version
+	// writer is the committed writer, -1 while none has arrived, or -2
+	// minus the slot's id once a compaction dropped it from the graph of a
+	// readable slot: extOf reads that back as its external position, a
+	// duplicate write and a divergence name it, and a read resolves,
+	// counting the edges out of it without adding them (addDepEdge).
+	writer  int32
 	aborted int32 // an aborted writer, -1 if none
 	// over is the RMW overwriter: the reader of this version that also
 	// writes the key, -1 while none has. Unique values leave room for one
@@ -192,7 +198,7 @@ type slot struct {
 	free bool // on the free list
 
 	parked  list // committed readers waiting for the writer, in arrival order
-	readers list
+	readers list // in arrival order; -1 for one a compaction dropped
 
 	ref int // position of the last read resolved against the slot, 0 if none
 	// dethroned is the position at which another transaction's write
@@ -269,8 +275,14 @@ func (inc *Incremental) LiveEdges() int { return inc.live }
 func (inc *Incremental) CompactedTxns() int   { return inc.compactTxns }
 func (inc *Incremental) CompactedEpochs() int { return inc.compactEpoch }
 
-// extOf translates a node id to its external stream position.
-func (inc *Incremental) extOf(i int) int { return inc.txns[i].ext }
+// extOf translates a node id, or a dropped writer's stand-in (see
+// slot.writer), to its external stream position.
+func (inc *Incremental) extOf(i int) int {
+	if i < -1 {
+		return inc.droppedExt[-2-i]
+	}
+	return inc.txns[i].ext
+}
 
 // slotOf returns version (k, v)'s slot and id, creating it on first
 // mention; wid is the source's id for k (see keyOf).
@@ -487,13 +499,13 @@ func (inc *Incremental) add(t history.Txn, ids []history.KeyID, isInit bool) *Re
 	// must resolve against them (and be skipped, as in the batch builder),
 	// and unique-value violations surface here.
 	inc.txns[id].writes = makeWriteSet(&inc.writes, t.Ops)
-	woken := inc.woken[:0]
+	woken := inc.scratch.cols[:0]
 	for i, op := range t.Ops {
 		if op.Kind != history.OpWrite {
 			continue
 		}
 		sid, s := inc.slotOf(op.Key, op.Value, idAt(ids, i))
-		if s.writer >= 0 {
+		if s.writer != -1 {
 			return inc.anomaly(history.DuplicateWrite, int(s.writer), op)
 		}
 		s.writer = int32(id)
@@ -509,7 +521,7 @@ func (inc *Incremental) add(t history.Txn, ids []history.KeyID, isInit bool) *Re
 			woken = append(woken, sid)
 		}
 	}
-	inc.woken = woken
+	inc.scratch.cols = woken
 
 	// Writers that readers were parked on have just arrived. Only once
 	// every write is registered: a duplicate among them is the verdict
@@ -546,7 +558,7 @@ func (inc *Incremental) walkOps(id int32, ops []history.Op, ids []history.KeyID)
 			continue
 		}
 		// A first external read: its writer is another transaction.
-		if _, s := inc.slotOf(op.Key, op.Value, idAt(ids, i)); s.writer < 0 {
+		if _, s := inc.slotOf(op.Key, op.Value, idAt(ids, i)); s.writer == -1 {
 			// Writer unseen: park. AbortedRead / ThinAirRead can only be
 			// told apart once the stream ends (the writer may still
 			// commit), so classification waits for Finalize.
@@ -620,6 +632,9 @@ func (inc *Incremental) resolveRead(r int32, s *slot) *Result {
 //mtc:hotpath — per dependency edge and per composed edge
 func (inc *Incremental) addDepEdge(e graph.Arc) *Result {
 	inc.edges++
+	if e.From < 0 { // out of a node a compaction dropped: no cycle can pass it
+		return nil
+	}
 	if inc.lvl == SER {
 		return inc.link(e)
 	}

@@ -374,3 +374,26 @@ func TestPropertyCycleDetectionAgreesWithSCC(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlabBound: every id Alloc hands out is below Bound, and Bound moves
+// only when the slab takes another chunk, so a column sized to it grows
+// once per chunk.
+func TestSlabBound(t *testing.T) {
+	var s Slab[int]
+	chunks, bound := 0, s.Bound()
+	for range 5000 {
+		id, _ := s.Alloc()
+		if b := s.Bound(); b != bound {
+			if len(s.chunks) == chunks {
+				t.Fatalf("Bound moved from %d to %d within a chunk", bound, b)
+			}
+			chunks, bound = len(s.chunks), b
+		}
+		if id >= bound {
+			t.Fatalf("id %d handed out, Bound %d", id, bound)
+		}
+	}
+	if chunks < 3 {
+		t.Fatalf("only %d chunks", chunks)
+	}
+}

@@ -65,6 +65,15 @@ func (s *Slab[T]) At(id int32) *T {
 	return &s.chunks[id>>slabChunkShift][id&(1<<slabChunkShift-1)]
 }
 
+// Bound returns one past the largest id the chunks in use can hand out:
+// a column by record id of that length only grows with the slab.
+func (s *Slab[T]) Bound() int32 {
+	if s.used == 0 {
+		return 1
+	}
+	return int32((s.used-1)<<slabChunkShift+cap(s.chunks[s.used-1])) + 1
+}
+
 // All iterates the records handed out since the last Reset, with their
 // ids, in the order Alloc handed them out: one walk over the chunks.
 func (s *Slab[T]) All() iter.Seq2[int32, *T] {
